@@ -6,7 +6,7 @@ FUZZ_SMOKE_TIME ?= 30s
 # Seeds the chaos target sweeps; each runs the fault-injection suite once.
 CHAOS_SEEDS ?= 1 7 42
 
-.PHONY: all build test race vet lint lint-fast interproc-lint fuzz-smoke fmt-check chaos failover election windows bench-orb bench-orb-check bench-sched bench-sched-check bench-windows ci
+.PHONY: all build test race vet lint lint-fast interproc-lint fuzz-smoke fmt-check chaos failover election windows bench-orb bench-orb-check bench-sched bench-sched-check bench-windows benchmark-check ci
 
 all: build
 
@@ -152,5 +152,13 @@ bench-sched-check:
 	$(GO) test -run TestSchedBudgetHolds -count=1 -v ./internal/bench
 	$(GO) run ./cmd/integrade-bench -sched-json /tmp/BENCH_sched_ci.json -sched-short
 
+# The repository benchmark's self-test (BENCHMARK.json, benchmark/README.md):
+# its own tests, then a quick traced run — small fleets, two short rounds —
+# with the determinism guard and the brute-force oracle on. Not a
+# measurement; traces land in benchmark/out/.
+benchmark-check:
+	$(GO) test -count=1 ./benchmark
+	$(GO) run ./benchmark -quick -traced
+
 # Everything CI runs, in the same order.
-ci: build fmt-check vet lint interproc-lint race chaos failover election windows bench-orb-check bench-sched-check fuzz-smoke
+ci: build fmt-check vet lint interproc-lint race chaos failover election windows bench-orb-check bench-sched-check benchmark-check fuzz-smoke

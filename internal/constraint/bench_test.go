@@ -35,3 +35,36 @@ func BenchmarkEval(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEvalFleet evaluates a GRM-shaped constraint over 10^4 distinct
+// 19-property offers, the way a trader scan does: unlike BenchmarkEval, the
+// property maps do not fit in cache and most offers fail an early clause.
+func BenchmarkEvalFleet(b *testing.B) {
+	e := MustCompile("mips_free >= 600 and ram_free >= 256 and os == 'linux' and arch == 'amd64'")
+	fleet := make([]Properties, 10000)
+	for i := range fleet {
+		p := benchProps()
+		p["mips_free"] = Number(float64(i * 7 % 1000))
+		p["ram_free"] = Number(float64(i * 13 % 1024))
+		if i%3 == 0 {
+			p["os"] = String("windows")
+		}
+		for _, k := range []string{"node", "mips_total", "ram_total", "disk_total", "net_total", "disk_free",
+			"net_free", "lan", "dedicated", "predicted_idle_s", "window_end_unix", "window_conf",
+			"updated_unix", "mgr_epoch"} {
+			p[k] = Number(float64(i))
+		}
+		fleet[i] = p
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	matched := 0
+	for i := 0; i < b.N; i++ {
+		if ok, err := e.Eval(fleet[i%len(fleet)]); err == nil && ok {
+			matched++
+		}
+	}
+	if b.N >= len(fleet) && matched == 0 {
+		b.Fatal("nothing matched")
+	}
+}

@@ -3,7 +3,10 @@ package constraint
 import "testing"
 
 // FuzzCompile asserts the lexer/parser never panic and that successfully
-// compiled expressions evaluate without panicking against a fixed context.
+// compiled expressions evaluate without panicking against fixed contexts: a
+// property set, the same names with every kind changed, and no properties at
+// all — so each operator meets operands of the right kind, of the wrong kind
+// and missing.
 func FuzzCompile(f *testing.F) {
 	for _, seed := range []string{
 		"mips >= 500 and ram >= 16",
@@ -14,6 +17,9 @@ func FuzzCompile(f *testing.F) {
 		"'str' in os",
 		"a = b",
 		"!x && y || z",
+		"os >= 5 or mips == 'linux' or a < true",
+		"ram != 512 and -os < 1 and not mips",
+		"gpu * 2 >= ram / 0",
 		"", "(", "'", "1..", "exist", "and", "a ? b",
 	} {
 		f.Add(seed)
@@ -29,13 +35,26 @@ func FuzzCompile(f *testing.F) {
 		"z":    Bool(true),
 		"gpu":  Number(2),
 	}
+	mismatched := Properties{
+		"mips": String("800"),
+		"ram":  Bool(true),
+		"os":   Number(1),
+		"a":    Number(1),
+		"b":    String("false"),
+		"x":    String(""),
+		"y":    Number(0),
+		"z":    String("z"),
+		"gpu":  Bool(false),
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		e, err := Compile(src)
 		if err != nil {
 			return // rejections are fine; panics are not
 		}
-		_, _ = e.Eval(props)
-		_, _ = e.EvalNumber(props)
+		for _, p := range []Properties{props, mismatched, {}} {
+			_, _ = e.Eval(p)
+			_, _ = e.EvalNumber(p)
+		}
 		if e.Source() != src {
 			t.Fatalf("Source() = %q, want %q", e.Source(), src)
 		}

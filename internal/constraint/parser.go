@@ -8,20 +8,76 @@ type node interface {
 }
 
 type (
-	numberNode struct{ v float64 }
-	stringNode struct{ v string }
-	boolNode   struct{ v bool }
-	identNode  struct{ name string }
-	existNode  struct{ name string }
-	unaryNode  struct {
-		op    string // "-" or "not"
+	literalNode struct{ v Value }
+	identNode   struct{ name string }
+	existNode   struct{ name string }
+	unaryNode   struct {
+		op    op // opNeg or opNot
 		child node
 	}
 	binaryNode struct {
-		op          string
+		op          op
 		left, right node
 	}
+	// logicNode is a chain "a and b and c" (or the same with or), evaluated
+	// left to right with short circuit.
+	logicNode struct {
+		op    op // opAnd or opOr
+		terms []node
+	}
+	// propCmpNode is "property <cmp> literal", the shape almost every clause
+	// of a trader constraint has: newBinary folds the three nodes into one,
+	// which looks the property up and compares without evaluating children.
+	propCmpNode struct {
+		op   op // opEq ... opGe
+		name string
+		lit  Value
+	}
 )
+
+// op is an operator, resolved from its spelling once, by the parser.
+type op uint8
+
+const (
+	opNeg op = iota
+	opNot
+	opAnd
+	opOr
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opIn
+)
+
+// opText is each operator's canonical spelling, as error messages print it.
+var opText = [...]string{"-", "not", "and", "or", "+", "-", "*", "/", "==", "!=", "<", "<=", ">", ">=", "in"}
+
+func (o op) String() string { return opText[o] }
+
+// binaryOps resolves the spelling of the binary operators of the cmp, sum
+// and prod grammar levels.
+var binaryOps = map[string]op{
+	"+": opAdd, "-": opSub, "*": opMul, "/": opDiv,
+	"==": opEq, "!=": opNe, "<": opLt, "<=": opLe, ">": opGt, ">=": opGe, "in": opIn,
+}
+
+// newBinary builds the node for "left <text> right".
+func newBinary(text string, left, right node) node {
+	o := binaryOps[text]
+	if id, ok := left.(*identNode); ok && o >= opEq && o <= opGe {
+		if lit, ok := right.(*literalNode); ok {
+			return &propCmpNode{op: o, name: id.name, lit: lit.v}
+		}
+	}
+	return &binaryNode{op: o, left: left, right: right}
+}
 
 // Expr is a compiled constraint expression ready for repeated evaluation.
 type Expr struct {
@@ -95,37 +151,34 @@ func (p *parser) acceptOp(texts ...string) (string, bool) {
 }
 
 func (p *parser) parseOr() (node, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		if _, ok := p.acceptOp("or", "||"); !ok {
-			return left, nil
-		}
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &binaryNode{op: "or", left: left, right: right}
-	}
+	return p.parseChain(opOr, p.parseAnd, "or", "||")
 }
 
 func (p *parser) parseAnd() (node, error) {
-	left, err := p.parseNot()
+	return p.parseChain(opAnd, p.parseNot, "and", "&&")
+}
+
+// parseChain parses "term { spelling term }" for one of the two connectives.
+func (p *parser) parseChain(o op, term func() (node, error), spellings ...string) (node, error) {
+	first, err := term()
 	if err != nil {
 		return nil, err
 	}
+	terms := []node{first}
 	for {
-		if _, ok := p.acceptOp("and", "&&"); !ok {
-			return left, nil
+		if _, ok := p.acceptOp(spellings...); !ok {
+			break
 		}
-		right, err := p.parseNot()
+		next, err := term()
 		if err != nil {
 			return nil, err
 		}
-		left = &binaryNode{op: "and", left: left, right: right}
+		terms = append(terms, next)
 	}
+	if len(terms) == 1 {
+		return first, nil
+	}
+	return &logicNode{op: o, terms: terms}, nil
 }
 
 func (p *parser) parseNot() (node, error) {
@@ -134,7 +187,7 @@ func (p *parser) parseNot() (node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &unaryNode{op: "not", child: child}, nil
+		return &unaryNode{op: opNot, child: child}, nil
 	}
 	return p.parseCmp()
 }
@@ -144,7 +197,7 @@ func (p *parser) parseCmp() (node, error) {
 	if err != nil {
 		return nil, err
 	}
-	op, ok := p.acceptOp("==", "!=", "<", "<=", ">", ">=", "in")
+	text, ok := p.acceptOp("==", "!=", "<", "<=", ">", ">=", "in")
 	if !ok {
 		return left, nil
 	}
@@ -152,7 +205,7 @@ func (p *parser) parseCmp() (node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &binaryNode{op: op, left: left, right: right}, nil
+	return newBinary(text, left, right), nil
 }
 
 func (p *parser) parseSum() (node, error) {
@@ -161,7 +214,7 @@ func (p *parser) parseSum() (node, error) {
 		return nil, err
 	}
 	for {
-		op, ok := p.acceptOp("+", "-")
+		text, ok := p.acceptOp("+", "-")
 		if !ok {
 			return left, nil
 		}
@@ -169,7 +222,7 @@ func (p *parser) parseSum() (node, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &binaryNode{op: op, left: left, right: right}
+		left = newBinary(text, left, right)
 	}
 }
 
@@ -179,7 +232,7 @@ func (p *parser) parseProd() (node, error) {
 		return nil, err
 	}
 	for {
-		op, ok := p.acceptOp("*", "/")
+		text, ok := p.acceptOp("*", "/")
 		if !ok {
 			return left, nil
 		}
@@ -187,7 +240,7 @@ func (p *parser) parseProd() (node, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &binaryNode{op: op, left: left, right: right}
+		left = newBinary(text, left, right)
 	}
 }
 
@@ -197,7 +250,7 @@ func (p *parser) parseUnary() (node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &unaryNode{op: "-", child: child}, nil
+		return &unaryNode{op: opNeg, child: child}, nil
 	}
 	if _, ok := p.acceptOp("exist"); ok {
 		t := p.peek()
@@ -215,10 +268,10 @@ func (p *parser) parsePrimary() (node, error) {
 	switch t.kind {
 	case tokNumber:
 		p.next()
-		return &numberNode{v: t.num}, nil
+		return &literalNode{Number(t.num)}, nil
 	case tokString:
 		p.next()
-		return &stringNode{v: t.text}, nil
+		return &literalNode{String(t.text)}, nil
 	case tokIdent:
 		p.next()
 		return &identNode{name: t.text}, nil
@@ -226,10 +279,10 @@ func (p *parser) parsePrimary() (node, error) {
 		switch t.text {
 		case "true":
 			p.next()
-			return &boolNode{v: true}, nil
+			return &literalNode{Bool(true)}, nil
 		case "false":
 			p.next()
-			return &boolNode{v: false}, nil
+			return &literalNode{Bool(false)}, nil
 		}
 		return nil, p.errorf("unexpected keyword %q", t.text)
 	case tokOp:

@@ -45,19 +45,12 @@ func WithAsyncAdmission() Option {
 	return func(g *GRM) { g.asyncAdmit = true }
 }
 
-// purePolicy marks scheduling policies whose Order is a pure function of its
-// input — no RNG draw, no internal state — so the batch matcher may cache
-// the ordered candidate list per constraint instead of re-sorting for every
-// task in a batch. Stateful policies (Random, RoundRobin) must not implement
-// it: they are re-invoked per query so their state advances exactly as on
-// the seed's one-query-per-task path.
-type purePolicy interface{ pureOrder() }
-
-// matchEntry caches one constraint's candidate set within a matchCtx.
+// matchEntry caches one constraint's candidate set within a matchCtx. The
+// offers are the trader's own (trading.SelectPointers): read-only.
 type matchEntry struct {
-	shared     []trading.Offer // trader result, shared Properties maps
-	ordered    []trading.Offer // policy-ordered, cached for pure policies only
-	minExpires time.Time       // earliest expiry among the cached offers
+	shared     []*trading.Offer // trader result, in export order
+	ordered    []*trading.Offer // policy-ordered, cached for keyed policies only
+	minExpires time.Time        // earliest expiry among the cached offers
 }
 
 // matchCtx amortizes trader queries across one scheduling batch. Entries are
@@ -79,19 +72,32 @@ func (g *GRM) newMatchCtx() *matchCtx {
 }
 
 // candidates returns the policy-ordered candidate list for spec, serving
-// repeats within the batch from the snapshot cache.
-func (mc *matchCtx) candidates(spec protocol.ApplicationSpec) ([]trading.Offer, error) {
+// repeats within the batch from the snapshot cache. The offers are read-only
+// either way: the trader's own under a keyed policy, elements of the stateful
+// policy's private result otherwise.
+func (mc *matchCtx) candidates(spec protocol.ApplicationSpec) ([]*trading.Offer, error) {
 	ent, err := mc.lookup(buildConstraint(spec))
 	if err != nil {
 		return nil, err
 	}
-	if _, pure := mc.g.policy.(purePolicy); pure {
+	if kp, keyed := mc.g.policy.(keyedPolicy); keyed {
 		if ent.ordered == nil {
-			ent.ordered = mc.g.policy.Order(ent.shared, mc.g.rng)
+			ent.ordered = orderKeyed(ent.shared, kp.key)
 		}
 		return ent.ordered, nil
 	}
-	return mc.g.policy.Order(ent.shared, mc.g.rng), nil
+	// A stateful policy sees value copies, as its public signature says, and
+	// is invoked once per query so its state advances as it always has.
+	values := make([]trading.Offer, len(ent.shared))
+	for i, o := range ent.shared {
+		values[i] = *o
+	}
+	values = mc.g.policy.Order(values, mc.g.rng)
+	ordered := make([]*trading.Offer, len(values))
+	for i := range values {
+		ordered[i] = &values[i]
+	}
+	return ordered, nil
 }
 
 // lookup returns the cached candidate set for one constraint, refilling via
@@ -123,7 +129,7 @@ func (mc *matchCtx) lookup(cons string) (*matchEntry, error) {
 //
 //lint:coldpath snapshot miss: full trader query + expiry scan
 func (mc *matchCtx) fill(cons string) (*matchEntry, error) {
-	offers, err := mc.g.trader.SelectShared(trading.Query{
+	offers, err := mc.g.trader.SelectPointers(trading.Query{
 		ServiceType: NodeStatusType,
 		Constraint:  cons,
 	})
@@ -131,8 +137,8 @@ func (mc *matchCtx) fill(cons string) (*matchEntry, error) {
 		return nil, err
 	}
 	ent := &matchEntry{shared: offers}
-	for i := range offers {
-		if e := offers[i].Expires; !e.IsZero() && (ent.minExpires.IsZero() || e.Before(ent.minExpires)) {
+	for _, o := range offers {
+		if e := o.Expires; !e.IsZero() && (ent.minExpires.IsZero() || e.Before(ent.minExpires)) {
 			ent.minExpires = e
 		}
 	}
@@ -160,7 +166,7 @@ func (g *GRM) takeBatchLocked() []*appInfo {
 
 // matchBatch runs one scheduling pass over a drained batch against a single
 // matchCtx, so every task in the batch shares trader snapshots and (for
-// pure policies) ordered candidate lists. Runs with no GRM lock held.
+// keyed policies) ordered candidate lists. Runs with no GRM lock held.
 func (g *GRM) matchBatch(batch []*appInfo) {
 	mc := g.newMatchCtx()
 	for _, app := range batch {

@@ -567,8 +567,8 @@ func (g *GRM) SchedulePending() {
 	g.mu.Unlock()
 }
 
-// scheduleApp places an app's pending tasks according to its kind. A
-// non-nil mc shares trader snapshots across the calls of one batch.
+// scheduleApp places an app's pending tasks according to its kind; mc shares
+// trader snapshots across the calls of one batch.
 func (g *GRM) scheduleApp(app *appInfo, mc *matchCtx) {
 	g.mu.Lock()
 	pending := app.pendingTasks()
@@ -592,29 +592,12 @@ func (g *GRM) scheduleApp(app *appInfo, mc *matchCtx) {
 	}
 }
 
-// candidates queries the trader for offers matching the app's requirements.
-// With a matchCtx the query is served from the batch snapshot cache when the
-// trader is unchanged; with nil it always hits the trader directly.
-func (g *GRM) candidates(spec protocol.ApplicationSpec, mc *matchCtx) ([]trading.Offer, error) {
-	if mc != nil {
-		return mc.candidates(spec)
-	}
-	offers, err := g.trader.SelectShared(trading.Query{
-		ServiceType: NodeStatusType,
-		Constraint:  buildConstraint(spec),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return g.policy.Order(offers, g.rng), nil
-}
-
 // placeTask runs the Resource Reservation and Execution Protocol for one
 // task: candidate selection from the trader hint, direct negotiation with
 // each candidate LRM, reservation, then execution binding. A non-nil
 // exclude set skips named nodes.
 func (g *GRM) placeTask(app *appInfo, t *taskInfo, exclude map[string]bool, mc *matchCtx) error {
-	ordered, err := g.candidates(app.spec, mc)
+	ordered, err := mc.candidates(app.spec)
 	if err != nil {
 		return err
 	}
@@ -678,7 +661,7 @@ func (g *GRM) placeTask(app *appInfo, t *taskInfo, exclude map[string]bool, mc *
 // obtain a reservation before any executes; otherwise the grants are left
 // to expire and the app stays pending.
 func (g *GRM) scheduleGang(app *appInfo, pending []*taskInfo, mc *matchCtx) {
-	ordered, err := g.candidates(app.spec, mc)
+	ordered, err := mc.candidates(app.spec)
 	if err != nil {
 		g.log.Warn("candidate query failed", "app", app.id, "err", err)
 		return
@@ -700,7 +683,7 @@ type grant struct {
 // reserveAndExecuteGang tries to collect one grant per pending task from the
 // ordered candidates (a node may grant several), then executes all of them.
 // Returns true if the gang was placed.
-func (g *GRM) reserveAndExecuteGang(app *appInfo, pending []*taskInfo, ordered []trading.Offer) bool {
+func (g *GRM) reserveAndExecuteGang(app *appInfo, pending []*taskInfo, ordered []*trading.Offer) bool {
 	alloc := app.spec.EffectiveAlloc()
 	var grants []grant
 	attempts := 0
@@ -1037,8 +1020,9 @@ func (g *GRM) HandleNotify(ev protocol.TaskEvent) {
 		observer(abortApp)
 	}
 	if requeue {
-		// Try immediate re-placement, avoiding the node that evicted us.
-		_ = g.placeTask(app, task, map[string]bool{ev.NodeID: true}, nil)
+		// Try immediate re-placement, avoiding the node that evicted us. The
+		// one-query context's hit/miss tally is not a batch's and is dropped.
+		_ = g.placeTask(app, task, map[string]bool{ev.NodeID: true}, g.newMatchCtx())
 	}
 }
 

@@ -7,6 +7,8 @@
 package grm
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"integrade/internal/sim"
@@ -43,22 +45,75 @@ const (
 	PropWindowConf    = "window_conf"
 )
 
-func numProp(o trading.Offer, key string) float64 {
-	v, ok := o.Properties[key]
-	if !ok {
-		return 0
-	}
-	n, _ := v.AsNumber()
+func numProp(o *trading.Offer, key string) float64 {
+	n, _ := o.Properties[key].AsNumber()
 	return n
 }
 
-func boolProp(o trading.Offer, key string) bool {
-	v, ok := o.Properties[key]
-	if !ok {
-		return false
-	}
-	b, _ := v.AsBool()
+func boolProp(o *trading.Offer, key string) bool {
+	b, _ := o.Properties[key].AsBool()
 	return b
+}
+
+// keyedPolicy is a policy whose order is a function of one key per offer and
+// nothing else: descending k1, then descending k2, ties left in input order.
+// Having a key is what makes a policy pure — no RNG draw, no internal state —
+// so the matcher sorts the trader's own offers by it without copying them and
+// caches the ordered list per constraint within a batch. Stateful policies
+// (Random, RoundRobin) have no key: their Order is re-invoked per query, on
+// value copies, so their state advances exactly once per placement.
+type keyedPolicy interface {
+	key(o *trading.Offer) (k1, k2 float64)
+}
+
+// sortKey is one candidate's decoration for orderKeyed.
+type sortKey struct {
+	k1, k2 float64
+	index  int32
+}
+
+// orderKeyed returns offers sorted by descending (k1, k2). Each key is
+// computed once; the input position is the last sort key, which makes the
+// result the one a stable sort gives and the comparison a total order. A NaN
+// key sorts after every number and ties with other NaNs (cmp.Compare).
+//
+//lint:hotpath alloc=2 locks=0 block=0
+func orderKeyed(offers []*trading.Offer, key func(*trading.Offer) (float64, float64)) []*trading.Offer {
+	keys := make([]sortKey, len(offers))
+	for i, o := range offers {
+		k1, k2 := key(o)
+		keys[i] = sortKey{k1: k1, k2: k2, index: int32(i)}
+	}
+	slices.SortFunc(keys, compareKeys)
+	out := make([]*trading.Offer, len(offers))
+	for i, k := range keys {
+		out[i] = offers[k.index]
+	}
+	return out
+}
+
+func compareKeys(a, b sortKey) int {
+	if c := cmp.Compare(b.k1, a.k1); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(b.k2, a.k2); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.index, b.index)
+}
+
+// orderValues is orderKeyed for callers that hold offers by value: the
+// public Order methods of the keyed policies.
+func orderValues(offers []trading.Offer, key func(*trading.Offer) (float64, float64)) []trading.Offer {
+	ptrs := make([]*trading.Offer, len(offers))
+	for i := range offers {
+		ptrs[i] = &offers[i]
+	}
+	out := make([]trading.Offer, len(offers))
+	for i, o := range orderKeyed(ptrs, key) {
+		out[i] = *o
+	}
+	return out
 }
 
 // BestFit prefers nodes with the most free CPU, breaking ties toward more
@@ -68,21 +123,13 @@ type BestFit struct{}
 // Name implements Policy.
 func (BestFit) Name() string { return "best-fit" }
 
-// pureOrder marks BestFit's Order as stateless, enabling per-batch
-// candidate caching in the admission matcher.
-func (BestFit) pureOrder() {}
+func (BestFit) key(o *trading.Offer) (float64, float64) {
+	return numProp(o, PropMIPSFree), numProp(o, PropRAMFree)
+}
 
 // Order implements Policy.
-func (BestFit) Order(offers []trading.Offer, _ *sim.RNG) []trading.Offer {
-	out := append([]trading.Offer(nil), offers...)
-	sort.SliceStable(out, func(i, j int) bool {
-		fi, fj := numProp(out[i], PropMIPSFree), numProp(out[j], PropMIPSFree)
-		if fi != fj {
-			return fi > fj
-		}
-		return numProp(out[i], PropRAMFree) > numProp(out[j], PropRAMFree)
-	})
-	return out
+func (p BestFit) Order(offers []trading.Offer, _ *sim.RNG) []trading.Offer {
+	return orderValues(offers, p.key)
 }
 
 // UsageAware prefers nodes predicted to stay idle the longest (dedicated
@@ -93,31 +140,21 @@ type UsageAware struct{}
 // Name implements Policy.
 func (UsageAware) Name() string { return "usage-aware" }
 
-// pureOrder marks UsageAware's Order as stateless, enabling per-batch
-// candidate caching in the admission matcher.
-func (UsageAware) pureOrder() {}
+func (UsageAware) key(o *trading.Offer) (float64, float64) {
+	var idle float64
+	switch {
+	case boolProp(o, PropOwnerBusy): // a busy owner overrides everything: 0
+	case boolProp(o, PropDedicated):
+		idle = 7 * 24 * 3600
+	default:
+		idle = numProp(o, PropPredictedIdle)
+	}
+	return idle, numProp(o, PropMIPSFree)
+}
 
 // Order implements Policy.
-func (UsageAware) Order(offers []trading.Offer, _ *sim.RNG) []trading.Offer {
-	score := func(o trading.Offer) float64 {
-		idle := numProp(o, PropPredictedIdle)
-		if boolProp(o, PropDedicated) {
-			idle = 7 * 24 * 3600
-		}
-		if boolProp(o, PropOwnerBusy) {
-			idle = 0
-		}
-		return idle
-	}
-	out := append([]trading.Offer(nil), offers...)
-	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := score(out[i]), score(out[j])
-		if si != sj {
-			return si > sj
-		}
-		return numProp(out[i], PropMIPSFree) > numProp(out[j], PropMIPSFree)
-	})
-	return out
+func (p UsageAware) Order(offers []trading.Offer, _ *sim.RNG) []trading.Offer {
+	return orderValues(offers, p.key)
 }
 
 // Random shuffles candidates uniformly — the naive baseline.

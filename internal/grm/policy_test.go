@@ -2,6 +2,9 @@ package grm
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"integrade/internal/constraint"
@@ -206,5 +209,224 @@ func protocolSpecForConstraintTest() protocol.ApplicationSpec {
 			Min:      resource.Vector{MIPS: 500, RAMMB: 16},
 		},
 		Constraint: "not owner_busy",
+	}
+}
+
+// referenceOrder is the stable sort the keyed order replaced, kept as the
+// differential reference: each policy's original sort.SliceStable comparator,
+// reading the properties afresh on every comparison.
+func referenceOrder(p Policy, offers []trading.Offer) []trading.Offer {
+	num := func(o trading.Offer, key string) float64 {
+		v, ok := o.Properties[key]
+		if !ok {
+			return 0
+		}
+		n, _ := v.AsNumber()
+		return n
+	}
+	truth := func(o trading.Offer, key string) bool {
+		v, ok := o.Properties[key]
+		if !ok {
+			return false
+		}
+		b, _ := v.AsBool()
+		return b
+	}
+	out := append([]trading.Offer(nil), offers...)
+	switch p.(type) {
+	case BestFit:
+		sort.SliceStable(out, func(i, j int) bool {
+			fi, fj := num(out[i], PropMIPSFree), num(out[j], PropMIPSFree)
+			if fi != fj {
+				return fi > fj
+			}
+			return num(out[i], PropRAMFree) > num(out[j], PropRAMFree)
+		})
+	case UsageAware:
+		score := func(o trading.Offer) float64 {
+			idle := num(o, PropPredictedIdle)
+			if truth(o, PropDedicated) {
+				idle = 7 * 24 * 3600
+			}
+			if truth(o, PropOwnerBusy) {
+				idle = 0
+			}
+			return idle
+		}
+		sort.SliceStable(out, func(i, j int) bool {
+			si, sj := score(out[i]), score(out[j])
+			if si != sj {
+				return si > sj
+			}
+			return num(out[i], PropMIPSFree) > num(out[j], PropMIPSFree)
+		})
+	default:
+		panic("no reference for " + p.Name())
+	}
+	return out
+}
+
+// randomOffers draws n offers with few distinct values per property (heavy
+// ties, so the index tie-break decides most positions), properties missing
+// or of the wrong kind, and the dedicated / owner-busy overrides. Node IDs
+// are the input positions.
+func randomOffers(rng *sim.RNG, n int) []trading.Offer {
+	offers := make([]trading.Offer, n)
+	for i := range offers {
+		props := constraint.Properties{PropNode: constraint.String(fmt.Sprintf("n%d", i))}
+		set := func(key string, v constraint.Value) {
+			switch rng.Intn(10) {
+			case 0: // missing
+			case 1:
+				props[key] = constraint.String("not a " + key)
+			default:
+				props[key] = v
+			}
+		}
+		set(PropMIPSFree, constraint.Number(float64(rng.Intn(4)*250)))
+		set(PropRAMFree, constraint.Number(float64(rng.Intn(3)*512)))
+		set(PropPredictedIdle, constraint.Number(float64(rng.Intn(4)*1800)))
+		set(PropDedicated, constraint.Bool(rng.Intn(8) == 0))
+		set(PropOwnerBusy, constraint.Bool(rng.Intn(5) == 0))
+		offers[i] = trading.Offer{ServiceType: NodeStatusType, Properties: props}
+	}
+	return offers
+}
+
+func nodeIDs(offers []trading.Offer) []string {
+	ids := make([]string, len(offers))
+	for i, o := range offers {
+		ids[i], _ = o.Properties[PropNode].AsString()
+	}
+	return ids
+}
+
+// TestKeyedOrderMatchesStableSort checks the keyed order against the stable
+// sort it replaced, through both entry points: the public Order on values,
+// and orderKeyed on pointers as the matcher calls it.
+func TestKeyedOrderMatchesStableSort(t *testing.T) {
+	for _, p := range []Policy{BestFit{}, UsageAware{}} {
+		for _, n := range []int{0, 1, 2, 3, 17, 3400} {
+			for seed := int64(1); seed <= 5; seed++ {
+				offers := randomOffers(sim.NewRNG(seed), n)
+				want := nodeIDs(referenceOrder(p, offers))
+
+				if got := nodeIDs(p.Order(offers, nil)); !slices.Equal(got, want) {
+					t.Fatalf("%s, n=%d, seed %d: Order differs from the stable sort", p.Name(), n, seed)
+				}
+				ptrs := make([]*trading.Offer, n)
+				for i := range offers {
+					ptrs[i] = &offers[i]
+				}
+				ordered := orderKeyed(ptrs, p.(keyedPolicy).key)
+				got := make([]string, n)
+				for i, o := range ordered {
+					got[i], _ = o.Properties[PropNode].AsString()
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s, n=%d, seed %d: orderKeyed differs from the stable sort", p.Name(), n, seed)
+				}
+				for i, o := range ptrs {
+					if o != &offers[i] {
+						t.Fatalf("%s: orderKeyed reordered its input", p.Name())
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKeyedOrderIsTotalWithNaN pins where a NaN key sorts — after every
+// number, tied with other NaNs, input order within the tie — and that the
+// result does not depend on where the NaNs start out, which is what a
+// comparator that is not a total order gets wrong.
+func TestKeyedOrderIsTotalWithNaN(t *testing.T) {
+	nan := math.NaN()
+	offers := []trading.Offer{
+		offer("nan-a", nan, 1, 0, false, false),
+		offer("low", 100, 1, 0, false, false),
+		offer("nan-b", nan, 9, 0, false, false),
+		offer("high", 900, 1, 0, false, false),
+		offer("inf", math.Inf(1), 1, 0, false, false),
+		offer("tie-nan-ram", 500, nan, 0, false, false),
+		offer("tie-ram", 500, 64, 0, false, false),
+		offer("neg-inf", math.Inf(-1), 1, 0, false, false),
+	}
+	want := []string{"inf", "high", "tie-ram", "tie-nan-ram", "low", "neg-inf", "nan-b", "nan-a"}
+	if got := order(BestFit{}, offers); !slices.Equal(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	rng := sim.NewRNG(7)
+	for trial := 0; trial < 50; trial++ {
+		rng.Shuffle(len(offers), func(i, j int) { offers[i], offers[j] = offers[j], offers[i] })
+		got := order(BestFit{}, offers)
+		// The two all-NaN-k1 offers differ in k2, so no pair ties completely
+		// and the order is the same whatever the input permutation.
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: order = %v, want %v", trial, got, want)
+		}
+	}
+}
+
+// TestStatefulPolicyGetsValueCopies checks the other half of the candidate
+// path: a policy without a key is handed copies, so whatever it does to them
+// never reaches the trader's offers, and is invoked once per query.
+func TestStatefulPolicyGetsValueCopies(t *testing.T) {
+	p := &scribblingPolicy{}
+	g := New("test", sim.NewVirtualClock(), orb.New(), WithPolicy(p))
+	defer g.Stop()
+	for i := 0; i < 3; i++ {
+		if _, err := g.Trader().Export(offer(fmt.Sprintf("n%d", i), 1000, 1024, 0, false, false)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := protocolSpecForConstraintTest()
+	spec.Requirements, spec.Constraint = resource.Requirements{}, ""
+	mc := g.newMatchCtx()
+	for query := 1; query <= 2; query++ {
+		got, err := mc.candidates(spec)
+		if err != nil || len(got) != 3 {
+			t.Fatalf("candidates = %d offers, %v", len(got), err)
+		}
+		if id, _ := got[0].Properties[PropNode].AsString(); id != "n2" {
+			t.Fatalf("first candidate = %s, want n2 (the policy reverses)", id)
+		}
+		if p.calls != query {
+			t.Fatalf("policy invoked %d times after %d queries", p.calls, query)
+		}
+	}
+	for _, o := range g.Trader().All(NodeStatusType) {
+		if o.Ref.Key != "lrm" {
+			t.Fatalf("the policy's write reached the trader's offer: ref %v", o.Ref)
+		}
+	}
+}
+
+// scribblingPolicy reverses its input in place and overwrites a field of
+// every offer: legal for a policy that owns what it is given.
+type scribblingPolicy struct{ calls int }
+
+func (*scribblingPolicy) Name() string { return "scribbling" }
+
+func (p *scribblingPolicy) Order(offers []trading.Offer, _ *sim.RNG) []trading.Offer {
+	p.calls++
+	slices.Reverse(offers)
+	for i := range offers {
+		offers[i].Ref.Key = "scribbled"
+	}
+	return offers
+}
+
+// TestOrderKeyedAllocations measures what the //lint:hotpath budget on
+// orderKeyed counts statically: one key slice and one result slice, whatever
+// the candidate count.
+func TestOrderKeyedAllocations(t *testing.T) {
+	offers := randomOffers(sim.NewRNG(1), 3400)
+	ptrs := make([]*trading.Offer, len(offers))
+	for i := range offers {
+		ptrs[i] = &offers[i]
+	}
+	if got := testing.AllocsPerRun(10, func() { orderKeyed(ptrs, UsageAware{}.key) }); got != 2 {
+		t.Fatalf("orderKeyed allocates %v times per call, want 2", got)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // different LANs only when the backbone meets the inter-group bandwidth.
 func (g *GRM) scheduleTopology(app *appInfo, pending []*taskInfo, mc *matchCtx) {
 	topo := app.spec.Topology
-	ordered, err := g.candidates(app.spec, mc)
+	ordered, err := mc.candidates(app.spec)
 	if err != nil {
 		g.log.Warn("topology candidate query failed", "app", app.id, "err", err)
 		return
@@ -26,7 +26,7 @@ func (g *GRM) scheduleTopology(app *appInfo, pending []*taskInfo, mc *matchCtx) 
 	ordered = g.windowFilter(ordered, app.spec)
 
 	// Group candidates by LAN, preserving policy order within each.
-	byLAN := make(map[string][]trading.Offer)
+	byLAN := make(map[string][]*trading.Offer)
 	var lanIDs []string
 	for _, o := range ordered {
 		lan, _ := o.Properties[PropLAN].AsString()
@@ -48,7 +48,7 @@ func (g *GRM) scheduleTopology(app *appInfo, pending []*taskInfo, mc *matchCtx) 
 		group  protocol.TopologyGroup
 		tasks  []*taskInfo
 		lan    string
-		offers []trading.Offer
+		offers []*trading.Offer
 	}
 	assigns := make([]groupAssign, len(topo.Groups))
 	next := 0
@@ -72,7 +72,7 @@ func (g *GRM) scheduleTopology(app *appInfo, pending []*taskInfo, mc *matchCtx) 
 		for _, lan := range lanIDs {
 			offers := byLAN[lan]
 			// Filter candidates meeting the intra-group bandwidth.
-			var eligible []trading.Offer
+			var eligible []*trading.Offer
 			for _, o := range offers {
 				if numProp(o, PropNetFree) >= ga.group.IntraMbps {
 					eligible = append(eligible, o)
@@ -131,7 +131,7 @@ type ClusterSummary struct {
 
 // Summary computes the cluster's current aggregate state.
 func (g *GRM) Summary() ClusterSummary {
-	offers, err := g.trader.Select(trading.Query{ServiceType: NodeStatusType})
+	offers, err := g.trader.SelectPointers(trading.Query{ServiceType: NodeStatusType})
 	s := ClusterSummary{ClusterID: g.clusterID}
 	if err == nil {
 		s.Nodes = len(offers)

@@ -58,7 +58,7 @@ func estimatedRuntime(spec protocol.ApplicationSpec) time.Duration {
 // hold a task that must run until deadline. Dedicated nodes and nodes
 // without a forecast (window end 0) always fit; a forecast below the
 // confidence floor is treated as absent.
-func offerFitsWindow(o trading.Offer, deadline float64) bool {
+func offerFitsWindow(o *trading.Offer, deadline float64) bool {
 	if boolProp(o, PropDedicated) {
 		return true
 	}
@@ -76,7 +76,7 @@ func offerFitsWindow(o trading.Offer, deadline float64) bool {
 // When every candidate fails the filter the unfiltered list is returned:
 // window-aware placement prefers safe nodes but degrades to window-blind
 // behaviour rather than stranding work nothing can host safely.
-func (g *GRM) windowFilter(ordered []trading.Offer, spec protocol.ApplicationSpec) []trading.Offer {
+func (g *GRM) windowFilter(ordered []*trading.Offer, spec protocol.ApplicationSpec) []*trading.Offer {
 	if !g.windowAware || len(ordered) == 0 {
 		return ordered
 	}
@@ -97,7 +97,7 @@ func (g *GRM) windowFilter(ordered []trading.Offer, spec protocol.ApplicationSpe
 	if violations == len(ordered) {
 		return ordered
 	}
-	kept := make([]trading.Offer, 0, len(ordered)-violations)
+	kept := make([]*trading.Offer, 0, len(ordered)-violations)
 	for _, o := range ordered {
 		if offerFitsWindow(o, deadline) {
 			kept = append(kept, o)

@@ -136,7 +136,9 @@ func TestPerformanceContractsHold(t *testing.T) {
 		"orb.(*OpMux).Dispatch",
 		"trading.(*Service).Select",
 		"trading.(*Service).SelectShared",
+		"trading.(*Service).SelectPointers",
 		"grm.(*matchCtx).lookup",
+		"grm.orderKeyed",
 		"orb.(*clientConn).sendLoop",
 		"orb.(*Encoder).PutString",
 		"orb.(*Decoder).String",

@@ -1,6 +1,7 @@
 package trading
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"integrade/internal/constraint"
+	"integrade/internal/orb"
 )
 
 // These tests cover the sharded copy-on-write index added with the batched
@@ -105,10 +107,11 @@ func TestVersionBumpsOnWritesOnly(t *testing.T) {
 	}
 }
 
-// TestSelectSharedSharesProperties pins the two halves of the read
+// TestSelectSharedSharesProperties pins the three levels of the read
 // contract: Select hands every caller its own deep copy of the property
-// map, while SelectShared returns the index's own map — zero-copy, strictly
-// read-only — which is what the GRM batch matcher caches across a batch.
+// map, SelectShared copies the offer but returns the index's own map —
+// strictly read-only — and SelectPointers returns the index's own offer,
+// which is what the GRM batch matcher caches across a batch.
 func TestSelectSharedSharesProperties(t *testing.T) {
 	s := NewService(nil)
 	id, err := s.Export(nodeOffer(1, 1000, 512))
@@ -116,8 +119,14 @@ func TestSelectSharedSharesProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	stored := s.ids[id].offer.Properties
+	own := s.ids[id].offer
 	s.mu.Unlock()
+	stored := own.Properties
+
+	ptrs, err := s.SelectPointers(Query{ServiceType: "NodeStatus"})
+	if err != nil || len(ptrs) != 1 || ptrs[0] != own {
+		t.Fatalf("SelectPointers = %v, %v; want the index's own offer %p", ptrs, err, own)
+	}
 
 	shared, err := s.SelectShared(Query{ServiceType: "NodeStatus"})
 	if err != nil {
@@ -256,4 +265,151 @@ func TestConcurrentTradingStress(t *testing.T) {
 			t.Fatalf("surviving offer %s does not resolve: %v", off.ID, err)
 		}
 	}
+	assertShardsSorted(t, s)
+}
+
+// assertShardsSorted checks the invariant the k-way merge in mergeType, and
+// with it the byte-identical candidate order, rests on: every shard snapshot
+// and every per-ref list ascends strictly by seq, and an offer's ID is the
+// one derived from its seq.
+func assertShardsSorted(t *testing.T, s *Service) {
+	t.Helper()
+	for typ, ts := range *s.types.Load() {
+		for i := range ts.shards {
+			sh := &ts.shards[i]
+			offers := sh.snap.Load().offers
+			for j, o := range offers {
+				if j > 0 && offers[j-1].seq >= o.seq {
+					t.Fatalf("%s shard %d out of order at %d: seq %d then %d", typ, i, j, offers[j-1].seq, o.seq)
+				}
+				if o.ID != fmt.Sprintf("offer-%d", o.seq) {
+					t.Fatalf("%s shard %d: offer with seq %d has ID %s", typ, i, o.seq, o.ID)
+				}
+			}
+			sh.mu.Lock()
+			for ref, list := range sh.byRef {
+				for j := 1; j < len(list); j++ {
+					if list[j-1].seq >= list[j].seq {
+						t.Errorf("%s shard %d: byRef[%v] out of order: seq %d then %d", typ, i, ref, list[j-1].seq, list[j].seq)
+					}
+				}
+			}
+			sh.mu.Unlock()
+		}
+	}
+}
+
+// TestSeqOrderSameShard races every insert path into one shard: sixteen
+// writers share one exporting reference, with property maps of different
+// sizes so the time between entering Export and reaching the shard lock
+// varies, and every fourth writer goes through ExportBatch, whose numbers
+// are drawn before the lock. A sequence number drawn outside the lock and
+// appended under it lets a later number be published first; the seed did
+// exactly that and failed this test in its first round.
+func TestSeqOrderSameShard(t *testing.T) {
+	ref := orb.ObjectRef{Endpoint: orb.Endpoint{Net: "loop", Addr: "x"}, Key: "k"}
+	for round := 0; round < 100; round++ {
+		s := NewService(nil)
+		var wg sync.WaitGroup
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				props := constraint.Properties{}
+				for p := 0; p < g*8; p++ {
+					props[fmt.Sprintf("p%d", p)] = constraint.Number(float64(p))
+				}
+				o := Offer{ServiceType: "T", Ref: ref, Properties: props}
+				for i := 0; i < 30; i++ {
+					var err error
+					if g%4 == 3 {
+						_, err = s.ExportBatch([]Offer{o, o})
+					} else {
+						_, err = s.Export(o)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if got, want := s.Count("T"), (12+4*2)*30; got != want {
+			t.Fatalf("round %d: %d offers, want %d", round, got, want)
+		}
+		all := s.All("T")
+		for i := 1; i < len(all); i++ {
+			if all[i-1].seq >= all[i].seq {
+				t.Fatalf("round %d: out of order at %d: seq %d then %d", round, i, all[i-1].seq, all[i].seq)
+			}
+		}
+		assertShardsSorted(t, s)
+	}
+}
+
+// TestHeldPointersNeverChange is the immutability the GRM's candidate path
+// relies on: the offers SelectPointers returns are the index's own, and
+// stay exactly as they were however many updates and withdrawals follow. A
+// reader takes one query's pointers and a value copy of each, then re-reads
+// through the pointers while writers upsert and withdraw the very same
+// references; under -race any write to a published offer is also a report.
+func TestHeldPointersNeverChange(t *testing.T) {
+	s := NewService(nil)
+	const nodes = 64
+	for i := 0; i < nodes; i++ {
+		if _, err := s.ExportKeyed(nodeOffer(i, float64(100+i), 512)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held, err := s.SelectPointers(Query{ServiceType: "NodeStatus", Constraint: "mips >= 100"})
+	if err != nil || len(held) != nodes {
+		t.Fatalf("SelectPointers = %d offers, %v", len(held), err)
+	}
+	type copyOf struct {
+		offer Offer
+		props constraint.Properties
+	}
+	copies := make([]copyOf, len(held))
+	for i, o := range held {
+		copies[i] = copyOf{offer: *o, props: cloneOffer(o).Properties}
+	}
+	check := func() {
+		for i, o := range held {
+			c := copies[i]
+			if o.ID != c.offer.ID || o.seq != c.offer.seq || o.Ref != c.offer.Ref || !o.Expires.Equal(c.offer.Expires) ||
+				!reflect.DeepEqual(o.Properties, c.props) {
+				t.Errorf("held offer %d changed: %+v, was %+v", i, *o, c.offer)
+				return
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 400; i++ {
+				n := rng.Intn(nodes)
+				if rng.Intn(4) == 0 {
+					s.WithdrawRef("NodeStatus", nodeRef(n))
+				} else if _, err := s.ExportKeyed(nodeOffer(n, float64(rng.Intn(2000)), 256)); err != nil {
+					t.Errorf("ExportKeyed: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			check()
+		}
+	}()
+	wg.Wait()
+	check()
+	assertShardsSorted(t, s)
 }

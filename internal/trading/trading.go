@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -221,10 +222,10 @@ func (s *Service) Export(o Offer) (string, error) {
 	if o.ServiceType == "" {
 		return "", fmt.Errorf("trading: offer without service type")
 	}
-	off := s.prepare(o)
+	off := cloneOffer(&o)
 	sh := &s.ensureType(o.ServiceType).shards[refShard(o.Ref)]
-	removed := sh.insert(nil, off, s.now())
-	s.commit(off, sh, removed)
+	removed := sh.insert(&s.seq, nil, &off, s.now())
+	s.commit(&off, sh, removed)
 	return off.ID, nil
 }
 
@@ -237,10 +238,10 @@ func (s *Service) ExportKeyed(o Offer) (string, error) {
 	if o.ServiceType == "" {
 		return "", fmt.Errorf("trading: offer without service type")
 	}
-	off := s.prepare(o)
+	off := cloneOffer(&o)
 	sh := &s.ensureType(o.ServiceType).shards[refShard(o.Ref)]
-	removed := sh.insert(&off.Ref, off, s.now())
-	s.commit(off, sh, removed)
+	removed := sh.insert(&s.seq, &off.Ref, &off, s.now())
+	s.commit(&off, sh, removed)
 	return off.ID, nil
 }
 
@@ -254,17 +255,24 @@ func (s *Service) ExportBatch(offers []Offer) ([]string, error) {
 			return nil, fmt.Errorf("trading: offer %d without service type", i)
 		}
 	}
+	// The batch takes one contiguous block of sequence numbers, handed out
+	// in submission order, so All returns a batch in the order it was given.
+	// The block is reserved before any shard is locked; insertBatch merges
+	// by seq, so a concurrent export that reached a shard first stays in
+	// order.
+	base := int(s.seq.Add(int64(len(offers)))) - len(offers)
 	ids := make([]string, len(offers))
 	buckets := make(map[*shard][]*Offer)
 	var order []*shard
 	for i := range offers {
-		off := s.prepare(offers[i])
+		off := cloneOffer(&offers[i])
+		off.setSeq(base + i + 1)
 		ids[i] = off.ID
 		sh := &s.ensureType(off.ServiceType).shards[refShard(off.Ref)]
 		if _, seen := buckets[sh]; !seen {
 			order = append(order, sh)
 		}
-		buckets[sh] = append(buckets[sh], off)
+		buckets[sh] = append(buckets[sh], &off)
 	}
 	now := s.now()
 	var removed []*Offer
@@ -286,18 +294,11 @@ func (s *Service) ExportBatch(offers []Offer) ([]string, error) {
 	return ids, nil
 }
 
-// prepare assigns the offer its sequence number and ID and deep-copies the
-// caller's properties.
-func (s *Service) prepare(o Offer) *Offer {
-	seq := int(s.seq.Add(1))
-	o.ID = fmt.Sprintf("offer-%d", seq)
+// setSeq gives an offer its export sequence number and the ID derived from
+// it. Only writers call it, before the offer is published in a snapshot.
+func (o *Offer) setSeq(seq int) {
 	o.seq = seq
-	props := make(constraint.Properties, len(o.Properties))
-	for k, v := range o.Properties {
-		props[k] = v
-	}
-	o.Properties = props
-	return &o
+	o.ID = "offer-" + strconv.Itoa(seq)
 }
 
 // commit finishes a single-offer mutation: the registry learns the new
@@ -315,17 +316,21 @@ func (s *Service) commit(added *Offer, sh *shard, removed []*Offer) {
 }
 
 // insert is the copy-on-write writer for one new offer: under sh.mu it
-// builds a fresh snapshot without the victim (when victimOldestOf is
-// non-nil, the ref's oldest existing offer — the keyed-upsert semantics)
-// and without any offer past its expiry, appends add (its seq is the
-// highest, so append preserves order), maintains byRef, and swaps the
-// snapshot in. It returns every offer that left the snapshot — the victim
-// plus compacted expired offers — for registry cleanup.
+// takes add's sequence number from seq, builds a fresh snapshot without the
+// victim (when victimOldestOf is non-nil, the ref's oldest existing offer —
+// the keyed-upsert semantics) and without any offer past its expiry, appends
+// add, maintains byRef, and swaps the snapshot in. Drawing the number under
+// the lock is what makes the append keep the snapshot seq-sorted: every
+// offer already in the shard drew an earlier one, and a writer that draws a
+// later one is still waiting for the lock. It returns every offer that left
+// the snapshot — the victim plus compacted expired offers — for registry
+// cleanup.
 //
 //lint:coldpath copy-on-write shard rebuild: the writer slow path
-func (sh *shard) insert(victimOldestOf *orb.ObjectRef, add *Offer, now time.Time) []*Offer {
+func (sh *shard) insert(seq *atomic.Int64, victimOldestOf *orb.ObjectRef, add *Offer, now time.Time) []*Offer {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	add.setSeq(int(seq.Add(1)))
 	var drop *Offer
 	if victimOldestOf != nil {
 		if prev := sh.byRef[*victimOldestOf]; len(prev) > 0 {
@@ -349,8 +354,10 @@ func (sh *shard) insert(victimOldestOf *orb.ObjectRef, add *Offer, now time.Time
 	return removed
 }
 
-// insertBatch is insert for a batch of appends sharing one snapshot swap.
-// adds must be in ascending seq order.
+// insertBatch is insert for a batch of offers sharing one snapshot swap.
+// adds already carry their sequence numbers, ascending; they were drawn
+// before the lock was taken, so a concurrent insert may have published a
+// later number first, and adds are merged into place, not appended.
 //
 //lint:coldpath copy-on-write shard rebuild: the writer slow path
 func (sh *shard) insertBatch(adds []*Offer, now time.Time) []*Offer {
@@ -359,17 +366,26 @@ func (sh *shard) insertBatch(adds []*Offer, now time.Time) []*Offer {
 	cur := sh.snap.Load()
 	next := &shardSnap{offers: make([]*Offer, 0, len(cur.offers)+len(adds))}
 	var removed []*Offer
+	merged := 0
 	for _, o := range cur.offers {
 		if o.expired(now) {
 			removed = append(removed, o)
 			sh.dropRefLocked(o)
 			continue
 		}
+		for merged < len(adds) && adds[merged].seq < o.seq {
+			next.offers = append(next.offers, adds[merged])
+			merged++
+		}
 		next.offers = append(next.offers, o)
 	}
+	next.offers = append(next.offers, adds[merged:]...)
 	for _, add := range adds {
-		next.offers = append(next.offers, add)
-		sh.byRef[add.Ref] = append(sh.byRef[add.Ref], add)
+		list := append(sh.byRef[add.Ref], add)
+		for i := len(list) - 1; i > 0 && list[i-1].seq > list[i].seq; i-- {
+			list[i-1], list[i] = list[i], list[i-1]
+		}
+		sh.byRef[add.Ref] = list
 	}
 	sh.snap.Store(next)
 	return removed
@@ -588,31 +604,49 @@ func (s *Service) mergeType(serviceType string, visit func(*Offer)) {
 // compiles once per distinct source); the offer index itself is read with
 // zero locks.
 //
-//lint:hotpath alloc=10 locks=2 block=0
+//lint:hotpath alloc=9 locks=2 block=0
 func (s *Service) Select(q Query) ([]Offer, error) {
-	out, err := s.SelectShared(q)
+	matched, err := s.SelectPointers(q)
 	if err != nil {
 		return nil, err
 	}
-	for i := range out {
-		props := make(constraint.Properties, len(out[i].Properties))
-		for k, v := range out[i].Properties {
-			props[k] = v
-		}
-		out[i].Properties = props
+	out := make([]Offer, len(matched))
+	for i, o := range matched {
+		out[i] = cloneOffer(o)
 	}
 	return out, nil
 }
 
 // SelectShared is Select without the defensive deep copy: the returned
 // offers' property maps alias the live index and MUST be treated as
-// read-only. It exists for in-process hot readers — the GRM's batch matcher
-// evaluates thousands of candidates per snapshot and clones none of them.
-// The index itself is safe: snapshots are immutable, so a concurrent writer
-// swaps in a new one rather than mutating what this query walks.
+// read-only. The index itself is safe: snapshots are immutable, so a
+// concurrent writer swaps in a new one rather than mutating what this query
+// walks.
 //
-//lint:hotpath alloc=8 locks=2 block=0
+//lint:hotpath alloc=7 locks=2 block=0
 func (s *Service) SelectShared(q Query) ([]Offer, error) {
+	matched, err := s.SelectPointers(q)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Offer, len(matched))
+	for i, o := range matched {
+		out[i] = *o
+	}
+	return out, nil
+}
+
+// SelectPointers is the one scan; Select and SelectShared are copies of its
+// result, deep and shallow. It returns the index's own offers: an *Offer is
+// published once, inside an immutable shard snapshot, and no writer touches
+// it again — an update or withdrawal swaps in a snapshot without it. A holder
+// may therefore keep and read the pointers for as long as it likes without a
+// lock, and must never write through them. It exists for in-process hot
+// readers: the GRM's matcher evaluates thousands of candidates per query and
+// copies none of them.
+//
+//lint:hotpath alloc=6 locks=2 block=0
+func (s *Service) SelectPointers(q Query) ([]*Offer, error) {
 	var (
 		cons *constraint.Expr
 		pref *constraint.Expr
@@ -633,7 +667,7 @@ func (s *Service) SelectShared(q Query) ([]Offer, error) {
 	// order of the old single-index trader, so downstream output is
 	// byte-identical.
 	var matched []*Offer
-	var scores []float64
+	var scores []float64 // parallel to matched; only a Preference fills it
 	s.mergeType(q.ServiceType, func(o *Offer) {
 		if cons != nil {
 			ok, err := cons.Eval(o.Properties)
@@ -641,14 +675,11 @@ func (s *Service) SelectShared(q Query) ([]Offer, error) {
 				return
 			}
 		}
-		score := 0.0
-		if pref != nil {
-			if v, err := pref.EvalNumber(o.Properties); err == nil {
-				score = v
-			}
-		}
 		matched = append(matched, o)
-		scores = append(scores, score)
+		if pref != nil {
+			score, _ := pref.EvalNumber(o.Properties) // 0 where it does not evaluate
+			scores = append(scores, score)
+		}
 	})
 	if pref != nil {
 		idx := make([]int, len(matched))
@@ -667,13 +698,16 @@ func (s *Service) SelectShared(q Query) ([]Offer, error) {
 	if q.Limit > 0 && len(matched) > q.Limit {
 		matched = matched[:q.Limit]
 	}
-	out := make([]Offer, 0, len(matched))
-	for _, o := range matched {
-		out = append(out, *o)
-	}
-	return out, nil
+	return matched, nil
 }
 
+// cloneOffer returns a deep copy of o. It is kept out of line so that its
+// frame — a map iteration's state — is gone before Export calls insert:
+// inlined, it deepened the update path by 300 bytes, which pushed the ORB
+// server's per-request goroutine through one more stack growth, measured as
+// +2 µs on every update of tcp_lifecycle_32.
+//
+//go:noinline
 func cloneOffer(o *Offer) Offer {
 	c := *o
 	c.Properties = make(constraint.Properties, len(o.Properties))
