@@ -163,7 +163,7 @@ func measureSelect(offers int, budget time.Duration) TraderPoint {
 				"mips_free": constraint.Number(float64(100 + i%1000)),
 				"ram_free":  constraint.Number(float64(64 + i%512)),
 				"os":        constraint.String("linux"),
-			},
+			}.Record(),
 		})
 	}
 	q := trading.Query{

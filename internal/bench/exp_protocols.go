@@ -45,7 +45,7 @@ func Exp1InformationUpdate(seed int64) Table {
 		offers, _ := c.GRM().Trader().Select(trading.Query{ServiceType: grm.NodeStatusType})
 		now := g.Now()
 		for _, o := range offers {
-			if v, ok := o.Properties[grm.PropUpdatedUnix]; ok {
+			if v, ok := o.Properties.Property(grm.PropUpdatedUnix); ok {
 				if ts, isNum := v.AsNumber(); isNum {
 					age := now.Sub(time.Unix(int64(ts), 0)).Seconds()
 					if age > maxAge {

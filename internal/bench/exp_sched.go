@@ -139,7 +139,7 @@ func newSchedFleet(offers int, opts ...grm.Option) (*schedFleet, error) {
 				grm.PropMIPSFree:  constraint.Number(float64(100 + i%1000)),
 				grm.PropRAMFree:   constraint.Number(1024),
 				grm.PropDedicated: constraint.Bool(true),
-			},
+			}.Record(),
 		}
 	}
 	if _, err := g.Trader().ExportBatch(batch); err != nil {

@@ -63,7 +63,8 @@ type Context interface {
 	Property(name string) (Value, bool)
 }
 
-// Properties is a map-backed Context.
+// Properties is a map-backed Context: the literal and builder form of a
+// property list. Record converts one to the immutable form offers store.
 type Properties map[string]Value
 
 // Property implements Context.
@@ -115,18 +116,18 @@ func (e *Expr) EvalNumber(ctx Context) (float64, error) {
 func (n *literalNode) eval(Context) (Value, error) { return n.v, nil }
 
 // lookup reads one property; an absent one is an error.
-func lookup(ctx Context, name string) (Value, error) {
-	v, ok := ctx.Property(name)
+func lookup(ctx Context, f *Field) (Value, error) {
+	v, ok := f.Of(ctx)
 	if !ok {
-		return Value{}, fmt.Errorf("%w: %q", ErrMissingProperty, name)
+		return Value{}, fmt.Errorf("%w: %q", ErrMissingProperty, f.name)
 	}
 	return v, nil
 }
 
-func (n *identNode) eval(ctx Context) (Value, error) { return lookup(ctx, n.name) }
+func (n *identNode) eval(ctx Context) (Value, error) { return lookup(ctx, &n.field) }
 
 func (n *existNode) eval(ctx Context) (Value, error) {
-	_, ok := ctx.Property(n.name)
+	_, ok := n.field.Of(ctx)
 	return Bool(ok), nil
 }
 
@@ -148,7 +149,7 @@ func (n *unaryNode) eval(ctx Context) (Value, error) {
 }
 
 func (n *propCmpNode) eval(ctx Context) (Value, error) {
-	v, err := lookup(ctx, n.name)
+	v, err := lookup(ctx, &n.field)
 	if err != nil {
 		return Value{}, err
 	}

@@ -111,14 +111,26 @@ func wantBinary(op string, l, r operand) (Value, string) {
 	panic("unknown operator " + op)
 }
 
-// checkEval runs src through Eval and EvalNumber over tableProps and
-// compares against the specified value or message.
+// tableContexts is tableProps in both forms a Context takes; every row of the
+// tables below must read the same from either.
+var tableContexts = []Context{tableProps, tableProps.Record()}
+
+// checkEval runs src through Eval and EvalNumber over tableProps, as a map
+// and as a record, and compares against the specified value or message.
 func checkEval(t *testing.T, src string, want Value, wantMsg string) {
 	t.Helper()
 	e, err := Compile(src)
 	if err != nil {
 		t.Fatalf("Compile(%q): %v", src, err)
 	}
+	for _, ctx := range tableContexts {
+		checkEvalOn(t, e, ctx, want, wantMsg)
+	}
+}
+
+func checkEvalOn(t *testing.T, e *Expr, ctx Context, want Value, wantMsg string) {
+	t.Helper()
+	src := e.Source()
 	wrap := func(msg string) string { return fmt.Sprintf("constraint: eval %q: %s", src, msg) }
 
 	boolMsg, numMsg := wantMsg, wantMsg
@@ -128,23 +140,23 @@ func checkEval(t *testing.T, src string, want Value, wantMsg string) {
 	if wantMsg == "" && want.kind != kindNumber {
 		numMsg = "expression is not numeric"
 	}
-	b, err := e.Eval(tableProps)
+	b, err := e.Eval(ctx)
 	switch {
 	case boolMsg != "":
 		if err == nil || err.Error() != wrap(boolMsg) || b {
-			t.Errorf("Eval(%q) = %v, %v; want error %q", src, b, err, wrap(boolMsg))
+			t.Errorf("Eval(%q) on %T = %v, %v; want error %q", src, ctx, b, err, wrap(boolMsg))
 		}
 	case err != nil || b != want.truth:
-		t.Errorf("Eval(%q) = %v, %v; want %v", src, b, err, want.truth)
+		t.Errorf("Eval(%q) on %T = %v, %v; want %v", src, ctx, b, err, want.truth)
 	}
-	n, err := e.EvalNumber(tableProps)
+	n, err := e.EvalNumber(ctx)
 	switch {
 	case numMsg != "":
 		if err == nil || err.Error() != wrap(numMsg) || n != 0 {
-			t.Errorf("EvalNumber(%q) = %v, %v; want error %q", src, n, err, wrap(numMsg))
+			t.Errorf("EvalNumber(%q) on %T = %v, %v; want error %q", src, ctx, n, err, wrap(numMsg))
 		}
 	case err != nil || n != want.num:
-		t.Errorf("EvalNumber(%q) = %v, %v; want %v", src, n, err, want.num)
+		t.Errorf("EvalNumber(%q) on %T = %v, %v; want %v", src, ctx, n, err, want.num)
 	}
 	var ee *EvalError
 	if err != nil && !errors.As(err, &ee) {
@@ -211,8 +223,10 @@ func TestEvalErrorTextPinned(t *testing.T) {
 		"-s > 1":       `constraint: eval "-s > 1": unary - on non-number "linux"`,
 		"n + 1":        `constraint: eval "n + 1": expression is not boolean`,
 	} {
-		if _, err := MustCompile(src).Eval(tableProps); err == nil || err.Error() != want {
-			t.Errorf("Eval(%q) error = %v, want %s", src, err, want)
+		for _, ctx := range tableContexts {
+			if _, err := MustCompile(src).Eval(ctx); err == nil || err.Error() != want {
+				t.Errorf("Eval(%q) on %T error = %v, want %s", src, ctx, err, want)
+			}
 		}
 	}
 }

@@ -6,7 +6,10 @@ import "testing"
 // compiled expressions evaluate without panicking against fixed contexts: a
 // property set, the same names with every kind changed, and no properties at
 // all — so each operator meets operands of the right kind, of the wrong kind
-// and missing.
+// and missing. Each context is evaluated as a map and as a record (the empty
+// one also as a nil *Record), in turn through the one compiled expression, so
+// its fields rebind between schemas; both forms must give the same value and
+// the same error text.
 func FuzzCompile(f *testing.F) {
 	for _, seed := range []string{
 		"mips >= 500 and ram >= 16",
@@ -52,11 +55,32 @@ func FuzzCompile(f *testing.F) {
 			return // rejections are fine; panics are not
 		}
 		for _, p := range []Properties{props, mismatched, {}} {
-			_, _ = e.Eval(p)
-			_, _ = e.EvalNumber(p)
+			records := []*Record{p.Record()}
+			if len(p) == 0 {
+				records = append(records, nil)
+			}
+			for _, r := range records {
+				b, bErr := e.Eval(p)
+				rb, rbErr := e.Eval(r)
+				if b != rb || errText(bErr) != errText(rbErr) {
+					t.Fatalf("Eval(%q): map gives %v, %v; record gives %v, %v", src, b, bErr, rb, rbErr)
+				}
+				n, nErr := e.EvalNumber(p)
+				rn, rnErr := e.EvalNumber(r)
+				if (n != rn && (n == n || rn == rn)) || errText(nErr) != errText(rnErr) {
+					t.Fatalf("EvalNumber(%q): map gives %v, %v; record gives %v, %v", src, n, nErr, rn, rnErr)
+				}
+			}
 		}
 		if e.Source() != src {
 			t.Fatalf("Source() = %q, want %q", e.Source(), src)
 		}
 	})
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

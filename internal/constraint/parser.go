@@ -9,8 +9,8 @@ type node interface {
 
 type (
 	literalNode struct{ v Value }
-	identNode   struct{ name string }
-	existNode   struct{ name string }
+	identNode   struct{ field Field }
+	existNode   struct{ field Field }
 	unaryNode   struct {
 		op    op // opNeg or opNot
 		child node
@@ -27,11 +27,11 @@ type (
 	}
 	// propCmpNode is "property <cmp> literal", the shape almost every clause
 	// of a trader constraint has: newBinary folds the three nodes into one,
-	// which looks the property up and compares without evaluating children.
+	// which reads the property and compares without evaluating children.
 	propCmpNode struct {
-		op   op // opEq ... opGe
-		name string
-		lit  Value
+		op    op // opEq ... opGe
+		field Field
+		lit   Value
 	}
 )
 
@@ -73,7 +73,7 @@ func newBinary(text string, left, right node) node {
 	o := binaryOps[text]
 	if id, ok := left.(*identNode); ok && o >= opEq && o <= opGe {
 		if lit, ok := right.(*literalNode); ok {
-			return &propCmpNode{op: o, name: id.name, lit: lit.v}
+			return &propCmpNode{op: o, field: Field{name: id.field.name}, lit: lit.v}
 		}
 	}
 	return &binaryNode{op: o, left: left, right: right}
@@ -258,7 +258,7 @@ func (p *parser) parseUnary() (node, error) {
 			return nil, p.errorf("exist requires a property name")
 		}
 		p.next()
-		return &existNode{name: t.text}, nil
+		return &existNode{field: Field{name: t.text}}, nil
 	}
 	return p.parsePrimary()
 }
@@ -274,7 +274,7 @@ func (p *parser) parsePrimary() (node, error) {
 		return &literalNode{String(t.text)}, nil
 	case tokIdent:
 		p.next()
-		return &identNode{name: t.text}, nil
+		return &identNode{field: Field{name: t.text}}, nil
 	case tokKeyword:
 		switch t.text {
 		case "true":

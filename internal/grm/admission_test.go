@@ -68,7 +68,7 @@ func newAdmitFixture(t *testing.T, nodes int, reserveFn func(), opts ...grm.Opti
 				grm.PropMIPSFree:  constraint.Number(1000),
 				grm.PropRAMFree:   constraint.Number(1024),
 				grm.PropDedicated: constraint.Bool(true),
-			},
+			}.Record(),
 		}
 	}
 	if _, err := g.Trader().ExportBatch(batch); err != nil {
@@ -229,7 +229,7 @@ func TestConcurrentSubmitTraderChurnStress(t *testing.T) {
 						Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: fmt.Sprintf("churn-%d-%d", c, i)},
 						Key:      "x",
 					},
-					Properties: constraint.Properties{"n": constraint.Number(float64(i))},
+					Properties: constraint.Properties{"n": constraint.Number(float64(i))}.Record(),
 				})
 				if err != nil {
 					t.Errorf("churn export: %v", err)

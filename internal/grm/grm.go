@@ -391,7 +391,7 @@ func (g *GRM) HandleUpdate(s protocol.NodeStatus) (int, error) {
 	if degraded {
 		return 0, fmt.Errorf("grm: leader of epoch %d lost its replication quorum", epoch)
 	}
-	if !departing && !g.exportStatusOffer(s, now) {
+	if !departing && !g.exportStatusOffer(s, now, epoch) {
 		return epoch, nil
 	}
 	g.mu.Lock()
@@ -416,9 +416,9 @@ func (g *GRM) Epoch() int {
 	return g.epoch
 }
 
-// exportStatusOffer upserts the node's trader offer from its status,
-// reporting whether the upsert succeeded.
-func (g *GRM) exportStatusOffer(s protocol.NodeStatus, now time.Time) bool {
+// exportStatusOffer upserts the node's trader offer from its status, stamped
+// with the manager's fencing epoch, reporting whether the upsert succeeded.
+func (g *GRM) exportStatusOffer(s protocol.NodeStatus, now time.Time, epoch int) bool {
 	// Current availability window, if the node forecast one covering now.
 	// Zero means "no forecast" — the window filter lets those offers pass
 	// rather than starving a fleet that never trained an analyzer.
@@ -430,34 +430,35 @@ func (g *GRM) exportStatusOffer(s protocol.NodeStatus, now time.Time) bool {
 			break
 		}
 	}
-	props := constraint.Properties{
-		PropNode:          constraint.String(s.NodeID),
-		PropMIPSTotal:     constraint.Number(s.Capacity.MIPS),
-		"ram_total":       constraint.Number(s.Capacity.RAMMB),
-		"disk_total":      constraint.Number(s.Capacity.DiskMB),
-		"net_total":       constraint.Number(s.Capacity.NetMbps),
-		PropMIPSFree:      constraint.Number(s.GridFree.MIPS),
-		PropRAMFree:       constraint.Number(s.GridFree.RAMMB),
-		PropDiskFree:      constraint.Number(s.GridFree.DiskMB),
-		PropNetFree:       constraint.Number(s.GridFree.NetMbps),
-		PropLAN:           constraint.String(s.LANID),
-		PropOS:            constraint.String(s.Platform.OS),
-		PropArch:          constraint.String(s.Platform.Arch),
-		PropDedicated:     constraint.Bool(s.Dedicated),
-		PropOwnerBusy:     constraint.Bool(s.OwnerBusy),
-		PropPredictedIdle: constraint.Number(s.PredictedIdle.Seconds()),
-		PropWindowEnd:     constraint.Number(winEnd),
-		PropWindowConf:    constraint.Number(winConf),
-		PropUpdatedUnix:   constraint.Number(float64(s.Timestamp.Unix())),
-		// The exporting manager's fencing epoch: consumers comparing offers
-		// across a failover can spot exports from a deposed primary.
-		PropMgrEpoch: constraint.Number(float64(g.Epoch())),
-	}
 	offer := trading.Offer{
 		ServiceType: NodeStatusType,
 		Ref:         s.LRMRef,
-		Properties:  props,
 		Expires:     now.Add(g.offerTTL),
+		// One value per name of statusSchema, in its order.
+		Properties: statusSchema.Record([]constraint.Value{
+			constraint.Number(s.GridFree.MIPS),
+			constraint.Number(s.GridFree.RAMMB),
+			constraint.String(s.Platform.OS),
+			constraint.String(s.Platform.Arch),
+			constraint.Bool(s.OwnerBusy),
+			constraint.Bool(s.Dedicated),
+			constraint.Number(s.PredictedIdle.Seconds()),
+			constraint.Number(s.GridFree.DiskMB),
+			constraint.Number(s.GridFree.NetMbps),
+			constraint.Number(s.Capacity.MIPS),
+			constraint.Number(s.Capacity.RAMMB),
+			constraint.Number(winEnd),
+			constraint.Number(winConf),
+			constraint.String(s.NodeID),
+			constraint.String(s.LANID),
+			constraint.Number(s.Capacity.DiskMB),
+			constraint.Number(s.Capacity.NetMbps),
+			constraint.Number(float64(s.Timestamp.Unix())),
+			// The exporting manager's fencing epoch: consumers comparing
+			// offers across a failover can spot exports from a deposed
+			// primary.
+			constraint.Number(float64(epoch)),
+		}),
 	}
 	if _, err := g.trader.ExportKeyed(offer); err != nil {
 		g.log.Warn("offer upsert failed", "node", s.NodeID, "err", err)
@@ -608,7 +609,7 @@ func (g *GRM) placeTask(app *appInfo, t *taskInfo, exclude map[string]bool, mc *
 		if attempts >= g.maxAttempts {
 			break
 		}
-		nodeID, _ := offer.Properties[PropNode].AsString()
+		nodeID := strProp(offer, fieldNode)
 		if exclude[nodeID] {
 			continue
 		}
@@ -692,7 +693,7 @@ func (g *GRM) reserveAndExecuteGang(app *appInfo, pending []*taskInfo, ordered [
 		if len(grants) == len(pending) || attempts >= budget {
 			break
 		}
-		nodeID, _ := offer.Properties[PropNode].AsString()
+		nodeID := strProp(offer, fieldNode)
 		lrm := protocol.NewLRMClient(g.inv, offer.Ref)
 		// Keep asking this node until it refuses (it may host several
 		// processes when resources allow).

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 
+	"integrade/internal/constraint"
 	"integrade/internal/sim"
 	"integrade/internal/trading"
 )
@@ -45,14 +46,48 @@ const (
 	PropWindowConf    = "window_conf"
 )
 
-func numProp(o *trading.Offer, key string) float64 {
-	n, _ := o.Properties[key].AsNumber()
+// statusSchema is the shape of every NodeStatus offer; exportStatusOffer fills
+// a record's values in exactly this order. What a placement reads per
+// candidate (buildConstraint's leading clauses, the policy keys) comes first.
+var statusSchema = constraint.NewSchema(
+	PropMIPSFree, PropRAMFree, PropOS, PropArch,
+	PropOwnerBusy, PropDedicated, PropPredictedIdle,
+	PropDiskFree, PropNetFree, PropMIPSTotal, "ram_total",
+	PropWindowEnd, PropWindowConf, PropNode, PropLAN,
+	"disk_total", "net_total", PropUpdatedUnix, PropMgrEpoch,
+)
+
+// The properties the GRM itself reads from candidate offers.
+var (
+	fieldNode          = constraint.NewField(PropNode)
+	fieldMIPSTotal     = constraint.NewField(PropMIPSTotal)
+	fieldMIPSFree      = constraint.NewField(PropMIPSFree)
+	fieldRAMFree       = constraint.NewField(PropRAMFree)
+	fieldNetFree       = constraint.NewField(PropNetFree)
+	fieldLAN           = constraint.NewField(PropLAN)
+	fieldDedicated     = constraint.NewField(PropDedicated)
+	fieldOwnerBusy     = constraint.NewField(PropOwnerBusy)
+	fieldPredictedIdle = constraint.NewField(PropPredictedIdle)
+	fieldWindowEnd     = constraint.NewField(PropWindowEnd)
+	fieldWindowConf    = constraint.NewField(PropWindowConf)
+)
+
+func numProp(o *trading.Offer, f *constraint.Field) float64 {
+	v, _ := f.Of(o.Properties)
+	n, _ := v.AsNumber()
 	return n
 }
 
-func boolProp(o *trading.Offer, key string) bool {
-	b, _ := o.Properties[key].AsBool()
+func boolProp(o *trading.Offer, f *constraint.Field) bool {
+	v, _ := f.Of(o.Properties)
+	b, _ := v.AsBool()
 	return b
+}
+
+func strProp(o *trading.Offer, f *constraint.Field) string {
+	v, _ := f.Of(o.Properties)
+	s, _ := v.AsString()
+	return s
 }
 
 // keyedPolicy is a policy whose order is a function of one key per offer and
@@ -124,7 +159,7 @@ type BestFit struct{}
 func (BestFit) Name() string { return "best-fit" }
 
 func (BestFit) key(o *trading.Offer) (float64, float64) {
-	return numProp(o, PropMIPSFree), numProp(o, PropRAMFree)
+	return numProp(o, fieldMIPSFree), numProp(o, fieldRAMFree)
 }
 
 // Order implements Policy.
@@ -143,13 +178,13 @@ func (UsageAware) Name() string { return "usage-aware" }
 func (UsageAware) key(o *trading.Offer) (float64, float64) {
 	var idle float64
 	switch {
-	case boolProp(o, PropOwnerBusy): // a busy owner overrides everything: 0
-	case boolProp(o, PropDedicated):
+	case boolProp(o, fieldOwnerBusy): // a busy owner overrides everything: 0
+	case boolProp(o, fieldDedicated):
 		idle = 7 * 24 * 3600
 	default:
-		idle = numProp(o, PropPredictedIdle)
+		idle = numProp(o, fieldPredictedIdle)
 	}
-	return idle, numProp(o, PropMIPSFree)
+	return idle, numProp(o, fieldMIPSFree)
 }
 
 // Order implements Policy.
@@ -185,9 +220,7 @@ func (*RoundRobin) Name() string { return "round-robin" }
 func (r *RoundRobin) Order(offers []trading.Offer, _ *sim.RNG) []trading.Offer {
 	out := append([]trading.Offer(nil), offers...)
 	sort.SliceStable(out, func(i, j int) bool {
-		ni, _ := out[i].Properties[PropNode].AsString()
-		nj, _ := out[j].Properties[PropNode].AsString()
-		return ni < nj
+		return strProp(&out[i], fieldNode) < strProp(&out[j], fieldNode)
 	})
 	if len(out) == 0 {
 		return out

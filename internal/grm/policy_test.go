@@ -29,7 +29,7 @@ func offer(nodeID string, mipsFree, ramFree, idleSec float64, dedicated, busy bo
 			PropPredictedIdle: constraint.Number(idleSec),
 			PropDedicated:     constraint.Bool(dedicated),
 			PropOwnerBusy:     constraint.Bool(busy),
-		},
+		}.Record(),
 	}
 }
 
@@ -37,7 +37,7 @@ func order(p Policy, offers []trading.Offer) []string {
 	out := p.Order(offers, sim.NewRNG(1))
 	ids := make([]string, len(out))
 	for i, o := range out {
-		id, _ := o.Properties[PropNode].AsString()
+		id, _ := o.Properties.Get(PropNode).AsString()
 		ids[i] = id
 	}
 	return ids
@@ -82,8 +82,8 @@ func TestRandomUsesRNGDeterministically(t *testing.T) {
 	a := Random{}.Order(offers, sim.NewRNG(42))
 	b := Random{}.Order(offers, sim.NewRNG(42))
 	for i := range a {
-		ai, _ := a[i].Properties[PropNode].AsString()
-		bi, _ := b[i].Properties[PropNode].AsString()
+		ai, _ := a[i].Properties.Get(PropNode).AsString()
+		bi, _ := b[i].Properties.Get(PropNode).AsString()
 		if ai != bi {
 			t.Fatal("same seed produced different orders")
 		}
@@ -91,8 +91,8 @@ func TestRandomUsesRNGDeterministically(t *testing.T) {
 	c := Random{}.Order(offers, sim.NewRNG(43))
 	same := true
 	for i := range a {
-		ai, _ := a[i].Properties[PropNode].AsString()
-		ci, _ := c[i].Properties[PropNode].AsString()
+		ai, _ := a[i].Properties.Get(PropNode).AsString()
+		ci, _ := c[i].Properties.Get(PropNode).AsString()
 		if ai != ci {
 			same = false
 		}
@@ -103,8 +103,8 @@ func TestRandomUsesRNGDeterministically(t *testing.T) {
 	// nil RNG keeps the input order.
 	d := Random{}.Order(offers, nil)
 	for i := range offers {
-		di, _ := d[i].Properties[PropNode].AsString()
-		oi, _ := offers[i].Properties[PropNode].AsString()
+		di, _ := d[i].Properties.Get(PropNode).AsString()
+		oi, _ := offers[i].Properties.Get(PropNode).AsString()
 		if di != oi {
 			t.Fatal("nil RNG shuffled")
 		}
@@ -149,7 +149,7 @@ func TestOrderDoesNotMutateInput(t *testing.T) {
 		offer("a", 9, 9, 0, false, false),
 	}
 	_ = BestFit{}.Order(offers, nil)
-	id0, _ := offers[0].Properties[PropNode].AsString()
+	id0, _ := offers[0].Properties.Get(PropNode).AsString()
 	if id0 != "z" {
 		t.Fatal("Order mutated the caller's slice")
 	}
@@ -217,19 +217,11 @@ func protocolSpecForConstraintTest() protocol.ApplicationSpec {
 // reading the properties afresh on every comparison.
 func referenceOrder(p Policy, offers []trading.Offer) []trading.Offer {
 	num := func(o trading.Offer, key string) float64 {
-		v, ok := o.Properties[key]
-		if !ok {
-			return 0
-		}
-		n, _ := v.AsNumber()
+		n, _ := o.Properties.Get(key).AsNumber()
 		return n
 	}
 	truth := func(o trading.Offer, key string) bool {
-		v, ok := o.Properties[key]
-		if !ok {
-			return false
-		}
-		b, _ := v.AsBool()
+		b, _ := o.Properties.Get(key).AsBool()
 		return b
 	}
 	out := append([]trading.Offer(nil), offers...)
@@ -288,7 +280,7 @@ func randomOffers(rng *sim.RNG, n int) []trading.Offer {
 		set(PropPredictedIdle, constraint.Number(float64(rng.Intn(4)*1800)))
 		set(PropDedicated, constraint.Bool(rng.Intn(8) == 0))
 		set(PropOwnerBusy, constraint.Bool(rng.Intn(5) == 0))
-		offers[i] = trading.Offer{ServiceType: NodeStatusType, Properties: props}
+		offers[i] = trading.Offer{ServiceType: NodeStatusType, Properties: props.Record()}
 	}
 	return offers
 }
@@ -296,7 +288,7 @@ func randomOffers(rng *sim.RNG, n int) []trading.Offer {
 func nodeIDs(offers []trading.Offer) []string {
 	ids := make([]string, len(offers))
 	for i, o := range offers {
-		ids[i], _ = o.Properties[PropNode].AsString()
+		ids[i], _ = o.Properties.Get(PropNode).AsString()
 	}
 	return ids
 }
@@ -321,7 +313,7 @@ func TestKeyedOrderMatchesStableSort(t *testing.T) {
 				ordered := orderKeyed(ptrs, p.(keyedPolicy).key)
 				got := make([]string, n)
 				for i, o := range ordered {
-					got[i], _ = o.Properties[PropNode].AsString()
+					got[i], _ = o.Properties.Get(PropNode).AsString()
 				}
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s, n=%d, seed %d: orderKeyed differs from the stable sort", p.Name(), n, seed)
@@ -388,7 +380,7 @@ func TestStatefulPolicyGetsValueCopies(t *testing.T) {
 		if err != nil || len(got) != 3 {
 			t.Fatalf("candidates = %d offers, %v", len(got), err)
 		}
-		if id, _ := got[0].Properties[PropNode].AsString(); id != "n2" {
+		if id, _ := got[0].Properties.Get(PropNode).AsString(); id != "n2" {
 			t.Fatalf("first candidate = %s, want n2 (the policy reverses)", id)
 		}
 		if p.calls != query {

@@ -265,7 +265,7 @@ func (g *GRM) applyReplica(b replicaBatch, enforceEpoch bool) {
 // liveness table without touching the primary-side update counters.
 func (g *GRM) applyReplicaStatus(s protocol.NodeStatus) {
 	now := g.clock.Now()
-	if !g.exportStatusOffer(s, now) {
+	if !g.exportStatusOffer(s, now, g.Epoch()) {
 		return
 	}
 	g.mu.Lock()

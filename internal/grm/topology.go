@@ -29,7 +29,7 @@ func (g *GRM) scheduleTopology(app *appInfo, pending []*taskInfo, mc *matchCtx) 
 	byLAN := make(map[string][]*trading.Offer)
 	var lanIDs []string
 	for _, o := range ordered {
-		lan, _ := o.Properties[PropLAN].AsString()
+		lan := strProp(o, fieldLAN)
 		if _, seen := byLAN[lan]; !seen {
 			lanIDs = append(lanIDs, lan)
 		}
@@ -74,7 +74,7 @@ func (g *GRM) scheduleTopology(app *appInfo, pending []*taskInfo, mc *matchCtx) 
 			// Filter candidates meeting the intra-group bandwidth.
 			var eligible []*trading.Offer
 			for _, o := range offers {
-				if numProp(o, PropNetFree) >= ga.group.IntraMbps {
+				if numProp(o, fieldNetFree) >= ga.group.IntraMbps {
 					eligible = append(eligible, o)
 				}
 			}
@@ -136,12 +136,12 @@ func (g *GRM) Summary() ClusterSummary {
 	if err == nil {
 		s.Nodes = len(offers)
 		for _, o := range offers {
-			free := numProp(o, PropMIPSFree)
+			free := numProp(o, fieldMIPSFree)
 			s.FreeMIPS += free
 			if free > s.MaxNodeFreeMIPS {
 				s.MaxNodeFreeMIPS = free
 			}
-			s.TotalMIPS += numProp(o, PropMIPSTotal)
+			s.TotalMIPS += numProp(o, fieldMIPSTotal)
 		}
 	}
 	g.mu.Lock()

@@ -59,11 +59,11 @@ func estimatedRuntime(spec protocol.ApplicationSpec) time.Duration {
 // without a forecast (window end 0) always fit; a forecast below the
 // confidence floor is treated as absent.
 func offerFitsWindow(o *trading.Offer, deadline float64) bool {
-	if boolProp(o, PropDedicated) {
+	if boolProp(o, fieldDedicated) {
 		return true
 	}
-	end := numProp(o, PropWindowEnd)
-	if end == 0 || numProp(o, PropWindowConf) < DefaultMinWindowConfidence {
+	end := numProp(o, fieldWindowEnd)
+	if end == 0 || numProp(o, fieldWindowConf) < DefaultMinWindowConfidence {
 		return true
 	}
 	return end >= deadline

@@ -21,7 +21,7 @@ func benchTrader(n int) *Service {
 				"mips_free": constraint.Number(float64(100 + i%1000)),
 				"ram_free":  constraint.Number(float64(64 + i%512)),
 				"os":        constraint.String("linux"),
-			},
+			}.Record(),
 		})
 	}
 	return s
@@ -46,6 +46,21 @@ func BenchmarkSelect1000Offers(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Select(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSelectPointers10kOffers is the scan a GRM snapshot miss pays for:
+// 10^4 offers spread over all 64 shards, about half of them matching, no
+// preference, no copies.
+func BenchmarkSelectPointers10kOffers(b *testing.B) {
+	s := benchTrader(10000)
+	q := Query{ServiceType: "NodeStatus", Constraint: "mips_free >= 600 and os == 'linux'"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.SelectPointers(q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -105,7 +120,7 @@ func BenchmarkExportKeyedUpsert(b *testing.B) {
 			Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: "n5"},
 			Key:      "lrm",
 		},
-		Properties: constraint.Properties{"mips_free": constraint.Number(1)},
+		Properties: constraint.Properties{"mips_free": constraint.Number(1)}.Record(),
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

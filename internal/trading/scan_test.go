@@ -1,0 +1,209 @@
+package trading
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+	"time"
+
+	"integrade/internal/constraint"
+)
+
+// referenceSelect answers q by brute force, sharing nothing with scan: every
+// offer of every shard snapshot, the expired dropped, sorted by seq, filtered
+// by Expr.Eval, stably ranked by the preference, cut at the limit.
+func referenceSelect(t *testing.T, s *Service, q Query) []*Offer {
+	t.Helper()
+	ts := s.typeIndex(q.ServiceType)
+	if ts == nil {
+		return nil
+	}
+	now := s.now()
+	var live []*Offer
+	for i := range ts.shards {
+		for _, o := range ts.shards[i].snap.Load().offers {
+			if !o.expired(now) {
+				live = append(live, o)
+			}
+		}
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
+	matched := live
+	if q.Constraint != "" {
+		cons := constraint.MustCompile(q.Constraint)
+		matched = nil
+		for _, o := range live {
+			if ok, err := cons.Eval(o.Properties); err == nil && ok {
+				matched = append(matched, o)
+			}
+		}
+	}
+	if q.Preference != "" {
+		pref := constraint.MustCompile(q.Preference)
+		score := func(o *Offer) float64 {
+			n, _ := pref.EvalNumber(o.Properties)
+			return n
+		}
+		sort.SliceStable(matched, func(i, j int) bool { return score(matched[i]) > score(matched[j]) })
+	}
+	if q.Limit > 0 && len(matched) > q.Limit {
+		matched = matched[:q.Limit]
+	}
+	return matched
+}
+
+// TestScanMatchesBruteForce is the differential test of filter-before-merge:
+// on seeded fleets built through every write path, SelectPointers must return
+// the very pointers the brute-force reference does, in the same order, and
+// All the same offers unfiltered.
+func TestScanMatchesBruteForce(t *testing.T) {
+	base := time.Unix(1_700_000_000, 0)
+	for _, fleet := range []struct {
+		name  string
+		refs  int // distinct exporting references; offers of one share a shard
+		count int
+	}{
+		{"all-shards", 1500, 2000},
+		{"sparse-shards", 9, 300},
+		{"one-shard", 1, 200},
+		{"empty", 0, 0},
+	} {
+		t.Run(fleet.name, func(t *testing.T) {
+			now := base
+			s := NewService(func() time.Time { return now })
+			rng := rand.New(rand.NewSource(int64(fleet.count) + 17))
+			offer := func() Offer {
+				o := nodeOffer(rng.Intn(max(fleet.refs, 1)), float64(rng.Intn(5)*250), float64(rng.Intn(3)*512))
+				switch rng.Intn(6) {
+				case 0:
+					o.Properties = constraint.Properties{"mips": constraint.String("fast")}.Record() // wrong kind, no os
+				case 1:
+					o.Properties = nil
+				}
+				if rng.Intn(3) == 0 {
+					o.Expires = base.Add(time.Minute) // dead by query time, never compacted
+				}
+				return o
+			}
+			var ids []string
+			for len(ids) < fleet.count {
+				var got []string
+				switch rng.Intn(4) {
+				case 0:
+					id, err := s.ExportKeyed(offer())
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = []string{id}
+				case 1:
+					batch := make([]Offer, 1+rng.Intn(40))
+					for i := range batch {
+						batch[i] = offer()
+					}
+					var err error
+					if got, err = s.ExportBatch(batch); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					id, err := s.Export(offer())
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = []string{id}
+				}
+				ids = append(ids, got...)
+				if rng.Intn(10) == 0 {
+					_ = s.Withdraw(ids[rng.Intn(len(ids))]) // may already be gone
+				}
+			}
+			now = base.Add(2 * time.Minute)
+			assertShardsSorted(t, s)
+
+			if fleet.refs > shardsPerType {
+				ts := s.typeIndex("NodeStatus")
+				for i := range ts.shards {
+					if len(ts.shards[i].snap.Load().offers) == 0 {
+						t.Fatalf("shard %d is empty; the fleet is meant to cover all %d", i, shardsPerType)
+					}
+				}
+			}
+
+			for _, q := range []Query{
+				{},
+				{Constraint: "mips >= 500"},
+				{Constraint: "mips >= 250 and ram >= 512 and os == 'linux'"},
+				{Constraint: "mips == 'fast'"},
+				{Constraint: "gpu > 1"},
+				{Constraint: "mips >= 0", Limit: 7},
+				{Preference: "mips"},
+				{Constraint: "ram >= 512", Preference: "mips + ram", Limit: 25},
+			} {
+				q.ServiceType = "NodeStatus"
+				want := referenceSelect(t, s, q)
+				got, err := s.SelectPointers(q)
+				if err != nil {
+					t.Fatalf("%+v: %v", q, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%+v: %d offers, brute force %d", q, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%+v: position %d is %s (seq %d), brute force %s (seq %d)",
+							q, i, got[i].ID, got[i].seq, want[i].ID, want[i].seq)
+					}
+				}
+				if fleet.count > 0 && q.Constraint == "mips >= 0" && len(got) == 0 {
+					t.Fatalf("%+v matched nothing: the fleet does not exercise the scan", q)
+				}
+			}
+
+			all := s.All("NodeStatus")
+			want := referenceSelect(t, s, Query{ServiceType: "NodeStatus"})
+			if len(all) != len(want) || s.Count("NodeStatus") != len(want) {
+				t.Fatalf("All = %d offers, Count = %d, brute force %d", len(all), s.Count("NodeStatus"), len(want))
+			}
+			for i := range all {
+				if all[i].ID != want[i].ID || all[i].Properties != want[i].Properties {
+					t.Fatalf("All: position %d is %s, brute force %s", i, all[i].ID, want[i].ID)
+				}
+			}
+		})
+	}
+}
+
+// TestReexportSharesRecord: offers read from one trader can be exported to
+// another as they are — the record is immutable, so both may hold it.
+func TestReexportSharesRecord(t *testing.T) {
+	a, b := NewService(nil), NewService(nil)
+	for i := 0; i < 5; i++ {
+		if _, err := a.ExportKeyed(nodeOffer(i, float64(100*i), 512)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	offers := a.All("NodeStatus")
+	if _, err := b.ExportBatch(offers); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range offers {
+		if _, err := b.ExportKeyed(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := b.All("NodeStatus")
+	if len(got) != len(offers) {
+		t.Fatalf("second trader holds %d offers, want %d", len(got), len(offers))
+	}
+	for i, o := range got {
+		if o.Properties != offers[i].Properties || o.Ref != offers[i].Ref {
+			t.Fatalf("offer %d was not re-exported as it was", i)
+		}
+		if want := fmt.Sprintf("offer-%d", len(offers)+i+1); o.ID != want {
+			t.Fatalf("offer %d has ID %s, want %s: the second trader numbers its own", i, o.ID, want)
+		}
+	}
+	if first := a.All("NodeStatus"); first[0].ID != "offer-1" {
+		t.Fatalf("re-exporting renamed the first trader's offer to %s", first[0].ID)
+	}
+}

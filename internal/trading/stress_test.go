@@ -2,6 +2,7 @@ package trading
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"reflect"
@@ -15,7 +16,7 @@ import (
 
 // These tests cover the sharded copy-on-write index added with the batched
 // scheduling path: batch export semantics, the version counter the GRM's
-// snapshot cache keys on, the shared-read contract of SelectShared, and a
+// snapshot cache keys on, the shared-read contract of Select, and a
 // seeded concurrent stress of every write path against the lock-free reads.
 
 func TestExportBatchSemantics(t *testing.T) {
@@ -78,7 +79,7 @@ func TestVersionBumpsOnWritesOnly(t *testing.T) {
 	if _, err := s.Select(Query{ServiceType: "NodeStatus"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SelectShared(Query{ServiceType: "NodeStatus"}); err != nil {
+	if _, err := s.SelectPointers(Query{ServiceType: "NodeStatus"}); err != nil {
 		t.Fatal(err)
 	}
 	s.Count("NodeStatus")
@@ -107,11 +108,11 @@ func TestVersionBumpsOnWritesOnly(t *testing.T) {
 	}
 }
 
-// TestSelectSharedSharesProperties pins the three levels of the read
-// contract: Select hands every caller its own deep copy of the property
-// map, SelectShared copies the offer but returns the index's own map —
-// strictly read-only — and SelectPointers returns the index's own offer,
-// which is what the GRM batch matcher caches across a batch.
+// TestSelectSharedSharesProperties pins the read contract: SelectPointers
+// returns the index's own offer, which is what the GRM batch matcher caches
+// across a batch; Select (and its alias SelectShared) and Describe copy the
+// offer, so a caller may overwrite any field of what it got, and share the
+// stored property record, which has no method that writes.
 func TestSelectSharedSharesProperties(t *testing.T) {
 	s := NewService(nil)
 	id, err := s.Export(nodeOffer(1, 1000, 512))
@@ -128,37 +129,29 @@ func TestSelectSharedSharesProperties(t *testing.T) {
 		t.Fatalf("SelectPointers = %v, %v; want the index's own offer %p", ptrs, err, own)
 	}
 
-	shared, err := s.SelectShared(Query{ServiceType: "NodeStatus"})
-	if err != nil {
-		t.Fatal(err)
+	for name, sel := range map[string]func(Query) ([]Offer, error){"Select": s.Select, "SelectShared": s.SelectShared} {
+		got, err := sel(Query{ServiceType: "NodeStatus"})
+		if err != nil || len(got) != 1 {
+			t.Fatalf("%s = %d offers, %v", name, len(got), err)
+		}
+		if got[0].Properties != stored {
+			t.Fatalf("%s copied the property record; want the stored one shared", name)
+		}
+		got[0].ID = "mine"
+		got[0].Properties = constraint.Properties{"mips": constraint.Number(-1)}.Record()
 	}
-	if len(shared) != 1 {
-		t.Fatalf("SelectShared = %d offers", len(shared))
-	}
-	if reflect.ValueOf(shared[0].Properties).Pointer() != reflect.ValueOf(stored).Pointer() {
-		t.Fatal("SelectShared copied the property map; want the stored map shared")
-	}
-
-	copied, err := s.Select(Query{ServiceType: "NodeStatus"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.ValueOf(copied[0].Properties).Pointer() == reflect.ValueOf(stored).Pointer() {
-		t.Fatal("Select returned the stored property map; want a private copy")
-	}
-	copied[0].Properties["mips"] = constraint.Number(-1)
 	after, err := s.Describe(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Properties["mips"] != constraint.Number(1000) {
-		t.Fatal("mutating a Select result corrupted the stored offer")
+	if after.ID != id || after.Properties != stored || after.Properties.Get("mips") != constraint.Number(1000) {
+		t.Fatal("overwriting a Select result changed the stored offer")
 	}
 }
 
 // TestConcurrentTradingStress races every write path (Export, ExportKeyed,
 // ExportBatch, Withdraw, WithdrawRef) against the lock-free read paths
-// (Select, SelectShared, Count, All, Describe) under the race detector.
+// (Select, SelectPointers, Count, All, Describe) under the race detector.
 // CHAOS_SEED picks the operation mix per goroutine, mirroring the seeded
 // suites in `make chaos`; the final consistency check verifies the id map
 // and the shard snapshots agree after the storm.
@@ -235,8 +228,8 @@ func TestConcurrentTradingStress(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, err := s.SelectShared(Query{ServiceType: "NodeStatus", Preference: "mips"}); err != nil {
-						t.Errorf("SelectShared: %v", err)
+					if _, err := s.SelectPointers(Query{ServiceType: "NodeStatus", Preference: "mips"}); err != nil {
+						t.Errorf("SelectPointers: %v", err)
 						return
 					}
 				case 2:
@@ -268,8 +261,8 @@ func TestConcurrentTradingStress(t *testing.T) {
 	assertShardsSorted(t, s)
 }
 
-// assertShardsSorted checks the invariant the k-way merge in mergeType, and
-// with it the byte-identical candidate order, rests on: every shard snapshot
+// assertShardsSorted checks the invariant the run merge in scan, and with it
+// the byte-identical candidate order, rests on: every shard snapshot
 // and every per-ref list ascends strictly by seq, and an offer's ID is the
 // one derived from its seq.
 func assertShardsSorted(t *testing.T, s *Service) {
@@ -300,10 +293,9 @@ func assertShardsSorted(t *testing.T, s *Service) {
 }
 
 // TestSeqOrderSameShard races every insert path into one shard: sixteen
-// writers share one exporting reference, with property maps of different
-// sizes so the time between entering Export and reaching the shard lock
-// varies, and every fourth writer goes through ExportBatch, whose numbers
-// are drawn before the lock. A sequence number drawn outside the lock and
+// writers share one exporting reference, with property records of different
+// sizes, and every fourth writer goes through ExportBatch, whose numbers are
+// drawn before the lock. A sequence number drawn outside the lock and
 // appended under it lets a later number be published first; the seed did
 // exactly that and failed this test in its first round.
 func TestSeqOrderSameShard(t *testing.T) {
@@ -319,7 +311,7 @@ func TestSeqOrderSameShard(t *testing.T) {
 				for p := 0; p < g*8; p++ {
 					props[fmt.Sprintf("p%d", p)] = constraint.Number(float64(p))
 				}
-				o := Offer{ServiceType: "T", Ref: ref, Properties: props}
+				o := Offer{ServiceType: "T", Ref: ref, Properties: props.Record()}
 				for i := 0; i < 30; i++ {
 					var err error
 					if g%4 == 3 {
@@ -368,17 +360,17 @@ func TestHeldPointersNeverChange(t *testing.T) {
 	}
 	type copyOf struct {
 		offer Offer
-		props constraint.Properties
+		props map[string]constraint.Value
 	}
 	copies := make([]copyOf, len(held))
 	for i, o := range held {
-		copies[i] = copyOf{offer: *o, props: cloneOffer(o).Properties}
+		copies[i] = copyOf{offer: *o, props: maps.Collect(o.Properties.All())}
 	}
 	check := func() {
 		for i, o := range held {
 			c := copies[i]
 			if o.ID != c.offer.ID || o.seq != c.offer.seq || o.Ref != c.offer.Ref || !o.Expires.Equal(c.offer.Expires) ||
-				!reflect.DeepEqual(o.Properties, c.props) {
+				o.Properties != c.offer.Properties || !reflect.DeepEqual(maps.Collect(o.Properties.All()), c.props) {
 				t.Errorf("held offer %d changed: %+v, was %+v", i, *o, c.offer)
 				return
 			}

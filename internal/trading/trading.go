@@ -11,18 +11,20 @@
 // The offer index is sharded copy-on-write (DESIGN.md §16): each service
 // type owns shardsPerType shards keyed by the exporting object reference,
 // and each shard publishes its live offers as an immutable snapshot behind
-// an atomic.Pointer. Select loads the snapshots with no locks and merges
-// them in export-sequence order, so readers never contend with writers and
-// concurrent Export/Withdraw on different shards never contend with each
-// other. Writers rebuild only their own shard's snapshot (copy, mutate the
-// copy, swap under the shard mutex — the PR 4 ORB registry pattern).
+// an atomic.Pointer. Select loads the snapshots with no locks, filters each
+// and merges the matches in export-sequence order, so readers never contend
+// with writers and concurrent Export/Withdraw on different shards never
+// contend with each other. Writers rebuild only their own shard's snapshot
+// (copy, mutate the copy, swap under the shard mutex — the PR 4 ORB registry
+// pattern).
 package trading
 
 import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -49,12 +51,15 @@ var (
 )
 
 // Offer is one advertised service: a type name, the exporting object, and
-// its properties.
+// its properties. The properties are an immutable record, so copying an Offer
+// copies everything a holder could change: exporting one hands the record to
+// the trader without a copy, and every offer the trader returns shares the
+// stored record.
 type Offer struct {
 	ID          string
 	ServiceType string
 	Ref         orb.ObjectRef
-	Properties  constraint.Properties
+	Properties  *constraint.Record
 	// Expires is the instant after which the offer is garbage; zero means
 	// no expiry. LRM offers carry an expiry so that crashed nodes age out
 	// of the trader (the staleness the Information Update Protocol bounds).
@@ -222,11 +227,10 @@ func (s *Service) Export(o Offer) (string, error) {
 	if o.ServiceType == "" {
 		return "", fmt.Errorf("trading: offer without service type")
 	}
-	off := cloneOffer(&o)
 	sh := &s.ensureType(o.ServiceType).shards[refShard(o.Ref)]
-	removed := sh.insert(&s.seq, nil, &off, s.now())
-	s.commit(&off, sh, removed)
-	return off.ID, nil
+	removed := sh.insert(&s.seq, nil, &o, s.now())
+	s.commit(&o, sh, removed)
+	return o.ID, nil
 }
 
 // ExportKeyed upserts an offer identified by (serviceType, ref): at most one
@@ -238,11 +242,10 @@ func (s *Service) ExportKeyed(o Offer) (string, error) {
 	if o.ServiceType == "" {
 		return "", fmt.Errorf("trading: offer without service type")
 	}
-	off := cloneOffer(&o)
 	sh := &s.ensureType(o.ServiceType).shards[refShard(o.Ref)]
-	removed := sh.insert(&s.seq, &off.Ref, &off, s.now())
-	s.commit(&off, sh, removed)
-	return off.ID, nil
+	removed := sh.insert(&s.seq, &o.Ref, &o, s.now())
+	s.commit(&o, sh, removed)
+	return o.ID, nil
 }
 
 // ExportBatch registers many offers in one pass, rebuilding each touched
@@ -265,7 +268,7 @@ func (s *Service) ExportBatch(offers []Offer) ([]string, error) {
 	buckets := make(map[*shard][]*Offer)
 	var order []*shard
 	for i := range offers {
-		off := cloneOffer(&offers[i])
+		off := offers[i]
 		off.setSeq(base + i + 1)
 		ids[i] = off.ID
 		sh := &s.ensureType(off.ServiceType).shards[refShard(off.Ref)]
@@ -501,7 +504,7 @@ func (s *Service) Describe(id string) (Offer, error) {
 	if !ok {
 		return Offer{}, fmt.Errorf("%w: %q", ErrUnknownOffer, id)
 	}
-	return cloneOffer(loc.offer), nil
+	return *loc.offer, nil
 }
 
 // Count returns the number of live offers of the given type ("" for all).
@@ -537,64 +540,124 @@ func (s *Service) countType(serviceType string, now time.Time) int {
 // export-sequence order — a deterministic snapshot for failover checks and
 // observability, bypassing constraint evaluation.
 func (s *Service) All(serviceType string) []Offer {
-	var out []Offer
-	if serviceType != "" {
-		s.mergeType(serviceType, func(o *Offer) { out = append(out, cloneOffer(o)) })
-		return out
-	}
 	tm := *s.types.Load()
-	types := make([]string, 0, len(tm))
-	for t := range tm {
-		types = append(types, t)
+	types := []string{serviceType}
+	if serviceType == "" {
+		types = slices.Sorted(maps.Keys(tm))
 	}
-	sort.Strings(types)
+	now := s.now()
+	var out []Offer
 	for _, t := range types {
-		s.mergeType(t, func(o *Offer) { out = append(out, cloneOffer(o)) })
+		out = append(out, offerValues(tm[t].scan(nil, now))...)
 	}
 	return out
 }
 
-// mergeType walks a type's live offers in ascending global seq order by
-// merging the per-shard snapshots (each already seq-sorted), invoking visit
-// for every non-expired offer.
-func (s *Service) mergeType(serviceType string, visit func(*Offer)) {
-	ts := s.typeIndex(serviceType)
+// offerValues copies offers out of the index. The copies share their
+// immutable property records with it.
+func offerValues(offers []*Offer) []Offer {
+	out := make([]Offer, len(offers))
+	for i, o := range offers {
+		out[i] = *o
+	}
+	return out
+}
+
+// scan returns the type's live offers that satisfy cons (nil: all of them) in
+// ascending global seq order. It filters first — each snapshot is walked front
+// to back, so memory is read in order — and merges only what matched: the
+// matches of one shard are a subsequence of a seq-sorted snapshot, so they are
+// a seq-sorted run, and merging sorted runs of distinct numbers gives the one
+// sorted order whatever was filtered out. An offer whose constraint evaluation
+// errors does not match.
+func (ts *typeShards) scan(cons *constraint.Expr, now time.Time) []*Offer {
 	if ts == nil {
-		return
+		return nil
 	}
-	now := s.now()
-	// Load every shard snapshot once; heads holds each shard's unconsumed
-	// suffix. The arrays live on the stack — no per-query allocation.
-	var heads [shardsPerType][]*Offer
-	active := 0
+	var snaps [shardsPerType]*shardSnap
+	total := 0
 	for i := range ts.shards {
-		if offers := ts.shards[i].snap.Load().offers; len(offers) > 0 {
-			heads[active] = offers
-			active++
+		snaps[i] = ts.shards[i].snap.Load()
+		total += len(snaps[i].offers)
+	}
+	matched := make([]*Offer, total) // matched[:n] holds the runs back to back
+	var runs [shardsPerType]runHead
+	n, nruns := 0, 0
+	for _, snap := range snaps {
+		start := n
+		for _, o := range snap.offers {
+			if o.expired(now) {
+				continue
+			}
+			if cons != nil {
+				if ok, err := cons.Eval(o.Properties); err != nil || !ok {
+					continue
+				}
+			}
+			matched[n] = o
+			n++
+		}
+		if n > start {
+			runs[nruns] = runHead{seq: matched[start].seq, pos: int32(start), end: int32(n)}
+			nruns++
 		}
 	}
-	for active > 0 {
-		best := 0
-		for i := 1; i < active; i++ {
-			if heads[i][0].seq < heads[best][0].seq {
-				best = i
-			}
+	return mergeRuns(matched[:n], runs[:nruns])
+}
+
+// runHead is the cursor of one run offers[pos:end] in mergeRuns. It carries
+// the seq of offers[pos], so that ordering two runs compares integers on the
+// stack instead of dereferencing two offers.
+type runHead struct {
+	seq      int
+	pos, end int32
+}
+
+// mergeRuns merges the seq-sorted, non-empty runs of offers that heads
+// describes into one seq-sorted slice, through a binary min-heap of the heads.
+func mergeRuns(offers []*Offer, heads []runHead) []*Offer {
+	if len(heads) <= 1 {
+		return offers
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		siftDown(heads, i)
+	}
+	out := make([]*Offer, len(offers))
+	for n := range out {
+		top := &heads[0]
+		out[n] = offers[top.pos]
+		if top.pos++; top.pos < top.end {
+			top.seq = offers[top.pos].seq
+		} else {
+			*top = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
 		}
-		o := heads[best][0]
-		if heads[best] = heads[best][1:]; len(heads[best]) == 0 {
-			active--
-			heads[best] = heads[active]
-			heads[active] = nil
+		siftDown(heads, 0)
+	}
+	return out
+}
+
+// siftDown restores the heap below position i.
+func siftDown(heads []runHead, i int) {
+	for {
+		least := 2*i + 1
+		if least >= len(heads) {
+			return
 		}
-		if o.expired(now) {
-			continue
+		if r := least + 1; r < len(heads) && heads[r].seq < heads[least].seq {
+			least = r
 		}
-		visit(o)
+		if heads[i].seq <= heads[least].seq {
+			return
+		}
+		heads[i], heads[least] = heads[least], heads[i]
+		i = least
 	}
 }
 
-// Select evaluates a query, returning matching offers best-first. Each
-// returned offer is a deep copy the caller owns.
+// Select evaluates a query, returning matching offers best-first. The
+// returned offers are the caller's; their property records are the stored
+// ones, which nobody can write to.
 //
 // Offers whose constraint evaluation errors (for example, a missing
 // property) simply do not match — mirroring the CORBA trader, which treats
@@ -604,48 +667,30 @@ func (s *Service) mergeType(serviceType string, visit func(*Offer)) {
 // compiles once per distinct source); the offer index itself is read with
 // zero locks.
 //
-//lint:hotpath alloc=9 locks=2 block=0
+//lint:hotpath alloc=5 locks=2 block=0
 func (s *Service) Select(q Query) ([]Offer, error) {
 	matched, err := s.SelectPointers(q)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Offer, len(matched))
-	for i, o := range matched {
-		out[i] = cloneOffer(o)
-	}
-	return out, nil
+	return offerValues(matched), nil
 }
 
-// SelectShared is Select without the defensive deep copy: the returned
-// offers' property maps alias the live index and MUST be treated as
-// read-only. The index itself is safe: snapshots are immutable, so a
-// concurrent writer swaps in a new one rather than mutating what this query
-// walks.
+// SelectShared is Select. It is kept only because benchmark/, which a change
+// claiming a gain may not edit, calls it; nothing else should.
 //
-//lint:hotpath alloc=7 locks=2 block=0
-func (s *Service) SelectShared(q Query) ([]Offer, error) {
-	matched, err := s.SelectPointers(q)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Offer, len(matched))
-	for i, o := range matched {
-		out[i] = *o
-	}
-	return out, nil
-}
+//lint:hotpath alloc=5 locks=2 block=0
+func (s *Service) SelectShared(q Query) ([]Offer, error) { return s.Select(q) }
 
-// SelectPointers is the one scan; Select and SelectShared are copies of its
-// result, deep and shallow. It returns the index's own offers: an *Offer is
-// published once, inside an immutable shard snapshot, and no writer touches
-// it again — an update or withdrawal swaps in a snapshot without it. A holder
-// may therefore keep and read the pointers for as long as it likes without a
-// lock, and must never write through them. It exists for in-process hot
-// readers: the GRM's matcher evaluates thousands of candidates per query and
-// copies none of them.
+// SelectPointers is the one query path; Select copies its result. It returns
+// the index's own offers: an *Offer is published once, inside an immutable
+// shard snapshot, and no writer touches it again — an update or withdrawal
+// swaps in a snapshot without it. A holder may therefore keep and read the
+// pointers for as long as it likes without a lock, and must never write
+// through them. It exists for in-process hot readers: the GRM's matcher
+// evaluates thousands of candidates per query and copies none of them.
 //
-//lint:hotpath alloc=6 locks=2 block=0
+//lint:hotpath alloc=4 locks=2 block=0
 func (s *Service) SelectPointers(q Query) ([]*Offer, error) {
 	var (
 		cons *constraint.Expr
@@ -663,65 +708,34 @@ func (s *Service) SelectPointers(q Query) ([]*Offer, error) {
 		}
 	}
 
-	// Shard merge yields candidates in ascending seq — the exact iteration
-	// order of the old single-index trader, so downstream output is
-	// byte-identical.
-	var matched []*Offer
-	var scores []float64 // parallel to matched; only a Preference fills it
-	s.mergeType(q.ServiceType, func(o *Offer) {
-		if cons != nil {
-			ok, err := cons.Eval(o.Properties)
-			if err != nil || !ok {
-				return
-			}
-		}
-		matched = append(matched, o)
-		if pref != nil {
-			score, _ := pref.EvalNumber(o.Properties) // 0 where it does not evaluate
-			scores = append(scores, score)
-		}
-	})
+	// Candidates arrive in ascending seq — the iteration order of a single
+	// seq-sorted index, which downstream output is pinned to byte for byte.
+	matched := s.typeIndex(q.ServiceType).scan(cons, s.now())
 	if pref != nil {
-		idx := make([]int, len(matched))
-		for i := range idx {
-			idx[i] = i
+		type scored struct {
+			score float64
+			offer *Offer
 		}
-		sort.SliceStable(idx, func(i, j int) bool {
-			return scores[idx[i]] > scores[idx[j]]
+		ranked := make([]scored, len(matched))
+		for i, o := range matched {
+			score, _ := pref.EvalNumber(o.Properties) // 0 where it does not evaluate
+			ranked[i] = scored{score, o}
+		}
+		slices.SortStableFunc(ranked, func(a, b scored) int {
+			switch {
+			case a.score > b.score:
+				return -1
+			case a.score < b.score:
+				return 1
+			}
+			return 0
 		})
-		reordered := make([]*Offer, len(matched))
-		for i, j := range idx {
-			reordered[i] = matched[j]
+		for i, r := range ranked {
+			matched[i] = r.offer
 		}
-		matched = reordered
 	}
 	if q.Limit > 0 && len(matched) > q.Limit {
 		matched = matched[:q.Limit]
 	}
 	return matched, nil
-}
-
-// cloneOffer returns a deep copy of o. It is kept out of line so that its
-// frame — a map iteration's state — is gone before Export calls insert:
-// inlined, it deepened the update path by 300 bytes, which pushed the ORB
-// server's per-request goroutine through one more stack growth, measured as
-// +2 µs on every update of tcp_lifecycle_32.
-//
-//go:noinline
-func cloneOffer(o *Offer) Offer {
-	c := *o
-	c.Properties = make(constraint.Properties, len(o.Properties))
-	for k, v := range o.Properties {
-		c.Properties[k] = v
-	}
-	return c
-}
-
-// offerSeq extracts the numeric suffix of an offer ID for stable ordering.
-func offerSeq(id string) int {
-	n := 0
-	for i := len("offer-"); i < len(id); i++ {
-		n = n*10 + int(id[i]-'0')
-	}
-	return n
 }

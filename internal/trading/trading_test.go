@@ -26,7 +26,7 @@ func nodeOffer(i int, mips, ram float64) Offer {
 			"mips": constraint.Number(mips),
 			"ram":  constraint.Number(ram),
 			"os":   constraint.String("linux"),
-		},
+		}.Record(),
 	}
 }
 
@@ -75,7 +75,7 @@ func TestSelectPreferenceRanksDescending(t *testing.T) {
 	}
 	want := []float64{900, 600, 300}
 	for i, o := range offers {
-		got, _ := o.Properties["mips"].AsNumber()
+		got, _ := o.Properties.Get("mips").AsNumber()
 		if got != want[i] {
 			t.Fatalf("rank %d = %v MIPS, want %v", i, got, want[i])
 		}
@@ -96,7 +96,7 @@ func TestSelectLimit(t *testing.T) {
 	if len(offers) != 3 {
 		t.Fatalf("Limit ignored: %d offers", len(offers))
 	}
-	got, _ := offers[0].Properties["mips"].AsNumber()
+	got, _ := offers[0].Properties.Get("mips").AsNumber()
 	if got != 900 {
 		t.Fatalf("best offer = %v MIPS", got)
 	}
@@ -139,7 +139,7 @@ func TestExportKeyedUpserts(t *testing.T) {
 		t.Fatalf("Count = %d, want 1 (upsert)", got)
 	}
 	offers, _ := s.Select(Query{ServiceType: "NodeStatus"})
-	mips, _ := offers[0].Properties["mips"].AsNumber()
+	mips, _ := offers[0].Properties.Get("mips").AsNumber()
 	if mips != 999 {
 		t.Fatalf("upserted mips = %v", mips)
 	}
@@ -198,11 +198,12 @@ func TestDescribeReturnsCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Properties["mips"] = constraint.Number(1)
+	o.ID = "mine"
+	o.Properties = constraint.Properties{"mips": constraint.Number(1)}.Record()
 	o2, _ := s.Describe(id)
-	mips, _ := o2.Properties["mips"].AsNumber()
-	if mips != 100 {
-		t.Fatal("Describe leaked internal property map")
+	mips, _ := o2.Properties.Get("mips").AsNumber()
+	if o2.ID != id || mips != 100 {
+		t.Fatal("Describe returned the stored offer, not a copy")
 	}
 	if _, err := s.Describe("offer-999"); !errors.Is(err, ErrUnknownOffer) {
 		t.Fatalf("Describe unknown err = %v", err)
@@ -231,6 +232,15 @@ func TestSelectDeterministicOrderWithoutPreference(t *testing.T) {
 	}
 }
 
+// offerSeq extracts the numeric suffix of an offer ID for stable ordering.
+func offerSeq(id string) int {
+	n := 0
+	for i := len("offer-"); i < len(id); i++ {
+		n = n*10 + int(id[i]-'0')
+	}
+	return n
+}
+
 func TestPropertiesWireRoundTrip(t *testing.T) {
 	props := constraint.Properties{
 		"mips": constraint.Number(1234.5),
@@ -238,22 +248,44 @@ func TestPropertiesWireRoundTrip(t *testing.T) {
 		"ded":  constraint.Bool(true),
 	}
 	var e orb.Encoder
-	EncodeProperties(&e, props)
+	EncodeProperties(&e, props.Record())
 	got, err := DecodeProperties(orb.NewDecoder(e.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(props) {
-		t.Fatalf("len = %d", len(got))
+	if got.Len() != len(props) {
+		t.Fatalf("len = %d", got.Len())
 	}
-	if v, _ := got["mips"].AsNumber(); v != 1234.5 {
+	if v, _ := got.Get("mips").AsNumber(); v != 1234.5 {
 		t.Fatalf("mips = %v", v)
 	}
-	if v, _ := got["os"].AsString(); v != "linux" {
+	if v, _ := got.Get("os").AsString(); v != "linux" {
 		t.Fatalf("os = %v", v)
 	}
-	if v, _ := got["ded"].AsBool(); !v {
+	if v, _ := got.Get("ded").AsBool(); !v {
 		t.Fatal("ded lost")
+	}
+}
+
+// TestDecodePropertiesLastDuplicateWins: a frame that repeats a name decodes
+// to one property holding the last value.
+func TestDecodePropertiesLastDuplicateWins(t *testing.T) {
+	var e orb.Encoder
+	e.PutU32(3)
+	for _, kv := range []struct {
+		k string
+		v float64
+	}{{"mips", 1}, {"ram", 2}, {"mips", 3}} {
+		e.PutString(kv.k)
+		e.PutU8(tagNumber)
+		e.PutF64(kv.v)
+	}
+	got, err := DecodeProperties(orb.NewDecoder(e.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 2 || got.Get("mips") != constraint.Number(3) || got.Get("ram") != constraint.Number(2) {
+		t.Fatalf("decoded %d properties, mips = %#v", got.Len(), got.Get("mips"))
 	}
 }
 
@@ -269,13 +301,13 @@ func TestPropertiesWireProperty(t *testing.T) {
 			}
 		}
 		var e orb.Encoder
-		EncodeProperties(&e, props)
+		EncodeProperties(&e, props.Record())
 		got, err := DecodeProperties(orb.NewDecoder(e.Bytes()))
-		if err != nil || len(got) != len(props) {
+		if err != nil || got.Len() != len(props) {
 			return false
 		}
 		for k, v := range props {
-			gv, ok := got[k]
+			gv, ok := got.Property(k)
 			if !ok {
 				return false
 			}
@@ -342,7 +374,7 @@ func TestClientAgainstServantTCP(t *testing.T) {
 	if len(offers) != 1 {
 		t.Fatalf("Select over wire = %v", offers)
 	}
-	mips, _ := offers[0].Properties["mips"].AsNumber()
+	mips, _ := offers[0].Properties.Get("mips").AsNumber()
 	if mips != 850 {
 		t.Fatalf("mips = %v", mips)
 	}

@@ -2,7 +2,6 @@ package trading
 
 import (
 	"fmt"
-	"sort"
 
 	"integrade/internal/constraint"
 	"integrade/internal/orb"
@@ -24,17 +23,11 @@ const (
 	tagBool   uint8 = 3
 )
 
-// EncodeProperties writes a property map in sorted key order.
-func EncodeProperties(e *orb.Encoder, props constraint.Properties) {
-	keys := make([]string, 0, len(props))
-	for k := range props {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.PutU32(uint32(len(keys)))
-	for _, k := range keys {
+// EncodeProperties writes a property record in sorted name order.
+func EncodeProperties(e *orb.Encoder, props *constraint.Record) {
+	e.PutU32(uint32(props.Len()))
+	for k, v := range props.All() {
 		e.PutString(k)
-		v := props[k]
 		if n, ok := v.AsNumber(); ok {
 			e.PutU8(tagNumber)
 			e.PutF64(n)
@@ -52,8 +45,9 @@ func EncodeProperties(e *orb.Encoder, props constraint.Properties) {
 	}
 }
 
-// DecodeProperties reads a property map written by EncodeProperties.
-func DecodeProperties(d *orb.Decoder) (constraint.Properties, error) {
+// DecodeProperties reads a property record written by EncodeProperties. Of a
+// repeated name the last value wins.
+func DecodeProperties(d *orb.Decoder) (*constraint.Record, error) {
 	n := d.U32()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -81,7 +75,7 @@ func DecodeProperties(d *orb.Decoder) (constraint.Properties, error) {
 			return nil, err
 		}
 	}
-	return props, nil
+	return props.Record(), nil
 }
 
 func encodeOffer(e *orb.Encoder, o Offer) {
