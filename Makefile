@@ -6,7 +6,7 @@ FUZZ_SMOKE_TIME ?= 30s
 # Seeds the chaos target sweeps; each runs the fault-injection suite once.
 CHAOS_SEEDS ?= 1 7 42
 
-.PHONY: all build test race vet lint lint-fast interproc-lint fuzz-smoke fmt-check chaos failover election windows bench-orb bench-orb-check bench-sched bench-sched-check bench-windows benchmark-check ci
+.PHONY: all build test race vet lint lint-fast interproc-lint fuzz-smoke fmt-check chaos failover election windows bench-orb bench-orb-check bench-sched bench-sched-check bench-windows benchmark-check profile-miss ci
 
 all: build
 
@@ -159,6 +159,14 @@ bench-sched-check:
 benchmark-check:
 	$(GO) test -count=1 ./benchmark
 	$(GO) run ./benchmark -quick -traced
+
+# Where a snapshot miss spends its time: BenchmarkPlacementMiss10k under the
+# CPU profiler (ROADMAP item 2's per-function shares are this output). Leaves
+# placement_miss.prof and its test binary in the working directory.
+profile-miss:
+	$(GO) test -run '^$$' -bench BenchmarkPlacementMiss10k -benchtime 2000x \
+		-cpuprofile placement_miss.prof -o placement_miss.test ./internal/grm
+	$(GO) tool pprof -top -nodecount 25 placement_miss.test placement_miss.prof
 
 # Everything CI runs, in the same order.
 ci: build fmt-check vet lint interproc-lint race chaos failover election windows bench-orb-check bench-sched-check benchmark-check fuzz-smoke

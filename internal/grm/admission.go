@@ -2,9 +2,9 @@ package grm
 
 import (
 	"errors"
+	"slices"
 	"time"
 
-	"integrade/internal/protocol"
 	"integrade/internal/trading"
 )
 
@@ -45,12 +45,13 @@ func WithAsyncAdmission() Option {
 	return func(g *GRM) { g.asyncAdmit = true }
 }
 
-// matchEntry caches one constraint's candidate set within a matchCtx. The
-// offers are the trader's own (trading.SelectPointers): read-only.
+// matchEntry caches one constraint's candidate set within a matchCtx: under
+// a keyed policy the policy's ranking, under a stateful one the matches in
+// export order (every key zero, so the order is the ordinal's). The offers are
+// the trader's own: read-only.
 type matchEntry struct {
-	shared     []*trading.Offer // trader result, in export order
-	ordered    []*trading.Offer // policy-ordered, cached for keyed policies only
-	minExpires time.Time        // earliest expiry among the cached offers
+	rank       *ranking
+	minExpires time.Time // earliest expiry among the cached offers
 }
 
 // matchCtx amortizes trader queries across one scheduling batch. Entries are
@@ -71,33 +72,21 @@ func (g *GRM) newMatchCtx() *matchCtx {
 	return &matchCtx{g: g, entries: make(map[string]*matchEntry)}
 }
 
-// candidates returns the policy-ordered candidate list for spec, serving
-// repeats within the batch from the snapshot cache. The offers are read-only
-// either way: the trader's own under a keyed policy, elements of the stateful
-// policy's private result otherwise.
-func (mc *matchCtx) candidates(spec protocol.ApplicationSpec) ([]*trading.Offer, error) {
-	ent, err := mc.lookup(buildConstraint(spec))
+// candidates returns app's candidates in policy order, serving repeats within
+// the batch from the snapshot cache. The offers are read-only either way: the
+// trader's own under a keyed policy, elements of the stateful policy's private
+// result otherwise.
+func (mc *matchCtx) candidates(app *appInfo) (*ranking, error) {
+	ent, err := mc.lookup(app.constraint)
 	if err != nil {
 		return nil, err
 	}
-	if kp, keyed := mc.g.policy.(keyedPolicy); keyed {
-		if ent.ordered == nil {
-			ent.ordered = orderKeyed(ent.shared, kp.key)
-		}
-		return ent.ordered, nil
+	if _, keyed := mc.g.policy.(keyedPolicy); keyed {
+		return ent.rank, nil
 	}
 	// A stateful policy sees value copies, as its public signature says, and
 	// is invoked once per query so its state advances as it always has.
-	values := make([]trading.Offer, len(ent.shared))
-	for i, o := range ent.shared {
-		values[i] = *o
-	}
-	values = mc.g.policy.Order(values, mc.g.rng)
-	ordered := make([]*trading.Offer, len(values))
-	for i := range values {
-		ordered[i] = &values[i]
-	}
-	return ordered, nil
+	return settledRanking(mc.g.policy.Order(ent.rank.values(), mc.g.rng)), nil
 }
 
 // lookup returns the cached candidate set for one constraint, refilling via
@@ -125,22 +114,39 @@ func (mc *matchCtx) lookup(cons string) (*matchEntry, error) {
 	return mc.fill(cons)
 }
 
-// fill runs the full trader query for one constraint and caches the result.
+// fill runs the trader query for one constraint and caches the result. One
+// visit does everything that reads the matching offers — the policy's key while
+// the record is in cache, the earliest expiry — and since a key carries its
+// offer's seq, nothing needs the matches in export order. The keys are collected
+// in the GRM's scratch, the match count being unknown until the visit ends, and
+// cloned to exact size, because the ranking outlives the fill.
 //
-//lint:coldpath snapshot miss: full trader query + expiry scan
+//lint:coldpath snapshot miss: full trader query
 func (mc *matchCtx) fill(cons string) (*matchEntry, error) {
-	offers, err := mc.g.trader.SelectPointers(trading.Query{
-		ServiceType: NodeStatusType,
-		Constraint:  cons,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ent := &matchEntry{shared: offers}
-	for _, o := range offers {
+	g := mc.g
+	kp, _ := g.policy.(keyedPolicy)
+	g.mu.Lock()
+	keys := g.rankScratch[:0]
+	g.rankScratch = nil
+	g.mu.Unlock()
+	ent := &matchEntry{}
+	err := g.trader.VisitMatches(NodeStatusType, cons, func(o *trading.Offer) {
+		k := rankKey{ord: o.Seq(), offer: o}
+		if kp != nil {
+			k.k1, k.k2 = kp.key(o)
+		}
+		keys = append(keys, k)
 		if e := o.Expires; !e.IsZero() && (ent.minExpires.IsZero() || e.Before(ent.minExpires)) {
 			ent.minExpires = e
 		}
+	})
+	ent.rank = newRanking(slices.Clone(keys))
+	clear(keys) // the scratch must not keep withdrawn offers alive
+	g.mu.Lock()
+	g.rankScratch = keys
+	g.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
 	mc.entries[cons] = ent
 	return ent, nil
@@ -166,7 +172,7 @@ func (g *GRM) takeBatchLocked() []*appInfo {
 
 // matchBatch runs one scheduling pass over a drained batch against a single
 // matchCtx, so every task in the batch shares trader snapshots and (for
-// keyed policies) ordered candidate lists. Runs with no GRM lock held.
+// keyed policies) candidate rankings. Runs with no GRM lock held.
 func (g *GRM) matchBatch(batch []*appInfo) {
 	mc := g.newMatchCtx()
 	for _, app := range batch {

@@ -2,7 +2,9 @@ package grm
 
 import (
 	"fmt"
+	"iter"
 	"log/slog"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -100,18 +102,23 @@ type taskInfo struct {
 
 // appInfo is the GRM-side record of one application.
 type appInfo struct {
-	id           string
-	spec         protocol.ApplicationSpec
+	id   string
+	spec protocol.ApplicationSpec
+	// constraint is buildConstraint(spec), rendered once: every scheduling
+	// pass looks every task's candidates up by it.
+	constraint   string
 	tasks        []*taskInfo
 	submitted    time.Time
 	finished     time.Time
 	negotiations int
 }
 
+func isPending(t *taskInfo) bool { return t.state == protocol.TaskPending }
+
 func (a *appInfo) pendingTasks() []*taskInfo {
 	var out []*taskInfo
 	for _, t := range a.tasks {
-		if t.state == protocol.TaskPending {
+		if isPending(t) {
 			out = append(out, t)
 		}
 	}
@@ -138,9 +145,9 @@ type GRM struct {
 	replEvery    time.Duration // standby replication flush cadence
 
 	// mu guards apps, nodes, seq, stats, stopped, started, timers, role,
-	// repl, onPromote, promoting, epoch, elect, the repl* heartbeat fields
-	// and the admission-queue fields (admitQ, draining, drainDone,
-	// drainerRunning). It must be released
+	// repl, onPromote, promoting, epoch, elect, the repl* heartbeat fields,
+	// the admission-queue fields (admitQ, draining, drainDone,
+	// drainerRunning) and rankScratch. It must be released
 	// before any protocol RPC (Reserve/Execute/...): negotiation blocks on
 	// remote LRMs and may itself re-enter the GRM. The replication stream
 	// obeys the same rule: enqueues under mu are lock-only (g.mu → repl.mu),
@@ -186,6 +193,11 @@ type GRM struct {
 	drainDone      chan struct{}
 	drainerRunning bool
 	drainWG        sync.WaitGroup
+
+	// rankScratch is where a snapshot miss collects its candidates' keys. A
+	// miss takes it, leaving nil for a concurrent one, and gives it back empty;
+	// a sync.Pool would not do, the collector empties it between misses.
+	rankScratch []rankKey
 }
 
 // Option configures a GRM.
@@ -507,9 +519,10 @@ func (g *GRM) Submit(spec protocol.ApplicationSpec) (string, error) {
 	g.seq++
 	id := fmt.Sprintf("%s-app-%d", g.clusterID, g.seq)
 	app := &appInfo{
-		id:        id,
-		spec:      spec,
-		submitted: g.clock.Now(),
+		id:         id,
+		spec:       spec,
+		constraint: buildConstraint(spec),
+		submitted:  g.clock.Now(),
 	}
 	for i := 0; i < spec.NumTasks; i++ {
 		app.tasks = append(app.tasks, &taskInfo{
@@ -552,9 +565,11 @@ func (g *GRM) SchedulePending() {
 	g.drainAdmission()
 	g.detectFailures()
 	g.mu.Lock()
-	apps := make([]*appInfo, 0, len(g.apps))
+	var apps []*appInfo
 	for _, a := range g.apps {
-		apps = append(apps, a)
+		if slices.ContainsFunc(a.tasks, isPending) {
+			apps = append(apps, a)
+		}
 	}
 	g.mu.Unlock()
 	sort.Slice(apps, func(i, j int) bool { return apps[i].id < apps[j].id })
@@ -598,14 +613,13 @@ func (g *GRM) scheduleApp(app *appInfo, mc *matchCtx) {
 // each candidate LRM, reservation, then execution binding. A non-nil
 // exclude set skips named nodes.
 func (g *GRM) placeTask(app *appInfo, t *taskInfo, exclude map[string]bool, mc *matchCtx) error {
-	ordered, err := mc.candidates(app.spec)
+	ranked, err := mc.candidates(app)
 	if err != nil {
 		return err
 	}
-	ordered = g.windowFilter(ordered, app.spec)
 	alloc := app.spec.EffectiveAlloc()
 	attempts := 0
-	for _, offer := range ordered {
+	for offer := range g.windowFilter(ranked, app.spec) {
 		if attempts >= g.maxAttempts {
 			break
 		}
@@ -662,7 +676,7 @@ func (g *GRM) placeTask(app *appInfo, t *taskInfo, exclude map[string]bool, mc *
 // obtain a reservation before any executes; otherwise the grants are left
 // to expire and the app stays pending.
 func (g *GRM) scheduleGang(app *appInfo, pending []*taskInfo, mc *matchCtx) {
-	ordered, err := mc.candidates(app.spec)
+	ranked, err := mc.candidates(app)
 	if err != nil {
 		g.log.Warn("candidate query failed", "app", app.id, "err", err)
 		return
@@ -671,8 +685,7 @@ func (g *GRM) scheduleGang(app *appInfo, pending []*taskInfo, mc *matchCtx) {
 	// execution interval [now, now+runtime], so one filter pass with the
 	// shared deadline removes exactly the nodes whose windows do not overlap
 	// the gang's run.
-	ordered = g.windowFilter(ordered, app.spec)
-	g.reserveAndExecuteGang(app, pending, ordered)
+	g.reserveAndExecuteGang(app, pending, g.windowFilter(ranked, app.spec))
 }
 
 type grant struct {
@@ -682,14 +695,14 @@ type grant struct {
 }
 
 // reserveAndExecuteGang tries to collect one grant per pending task from the
-// ordered candidates (a node may grant several), then executes all of them.
-// Returns true if the gang was placed.
-func (g *GRM) reserveAndExecuteGang(app *appInfo, pending []*taskInfo, ordered []*trading.Offer) bool {
+// candidates, best first (a node may grant several), pulling only as many as
+// it asks, then executes all of them. Returns true if the gang was placed.
+func (g *GRM) reserveAndExecuteGang(app *appInfo, pending []*taskInfo, ordered iter.Seq[*trading.Offer]) bool {
 	alloc := app.spec.EffectiveAlloc()
 	var grants []grant
 	attempts := 0
 	budget := g.maxAttempts * max(len(pending), 1)
-	for _, offer := range ordered {
+	for offer := range ordered {
 		if len(grants) == len(pending) || attempts >= budget {
 			break
 		}

@@ -7,8 +7,6 @@
 package grm
 
 import (
-	"cmp"
-	"slices"
 	"sort"
 
 	"integrade/internal/constraint"
@@ -93,62 +91,13 @@ func strProp(o *trading.Offer, f *constraint.Field) string {
 // keyedPolicy is a policy whose order is a function of one key per offer and
 // nothing else: descending k1, then descending k2, ties left in input order.
 // Having a key is what makes a policy pure — no RNG draw, no internal state —
-// so the matcher sorts the trader's own offers by it without copying them and
-// caches the ordered list per constraint within a batch. Stateful policies
-// (Random, RoundRobin) have no key: their Order is re-invoked per query, on
-// value copies, so their state advances exactly once per placement.
+// so the matcher computes the keys while it visits the trader's own offers,
+// copies none of them, and shares one ranking per constraint within a batch.
+// Stateful policies (Random, RoundRobin) have no key: their Order is re-invoked
+// per query, on value copies, so their state advances exactly once per
+// placement.
 type keyedPolicy interface {
 	key(o *trading.Offer) (k1, k2 float64)
-}
-
-// sortKey is one candidate's decoration for orderKeyed.
-type sortKey struct {
-	k1, k2 float64
-	index  int32
-}
-
-// orderKeyed returns offers sorted by descending (k1, k2). Each key is
-// computed once; the input position is the last sort key, which makes the
-// result the one a stable sort gives and the comparison a total order. A NaN
-// key sorts after every number and ties with other NaNs (cmp.Compare).
-//
-//lint:hotpath alloc=2 locks=0 block=0
-func orderKeyed(offers []*trading.Offer, key func(*trading.Offer) (float64, float64)) []*trading.Offer {
-	keys := make([]sortKey, len(offers))
-	for i, o := range offers {
-		k1, k2 := key(o)
-		keys[i] = sortKey{k1: k1, k2: k2, index: int32(i)}
-	}
-	slices.SortFunc(keys, compareKeys)
-	out := make([]*trading.Offer, len(offers))
-	for i, k := range keys {
-		out[i] = offers[k.index]
-	}
-	return out
-}
-
-func compareKeys(a, b sortKey) int {
-	if c := cmp.Compare(b.k1, a.k1); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(b.k2, a.k2); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.index, b.index)
-}
-
-// orderValues is orderKeyed for callers that hold offers by value: the
-// public Order methods of the keyed policies.
-func orderValues(offers []trading.Offer, key func(*trading.Offer) (float64, float64)) []trading.Offer {
-	ptrs := make([]*trading.Offer, len(offers))
-	for i := range offers {
-		ptrs[i] = &offers[i]
-	}
-	out := make([]trading.Offer, len(offers))
-	for i, o := range orderKeyed(ptrs, key) {
-		out[i] = *o
-	}
-	return out
 }
 
 // BestFit prefers nodes with the most free CPU, breaking ties toward more
@@ -164,7 +113,7 @@ func (BestFit) key(o *trading.Offer) (float64, float64) {
 
 // Order implements Policy.
 func (p BestFit) Order(offers []trading.Offer, _ *sim.RNG) []trading.Offer {
-	return orderValues(offers, p.key)
+	return rankValues(offers, p.key)
 }
 
 // UsageAware prefers nodes predicted to stay idle the longest (dedicated
@@ -189,7 +138,7 @@ func (UsageAware) key(o *trading.Offer) (float64, float64) {
 
 // Order implements Policy.
 func (p UsageAware) Order(offers []trading.Offer, _ *sim.RNG) []trading.Offer {
-	return orderValues(offers, p.key)
+	return rankValues(offers, p.key)
 }
 
 // Random shuffles candidates uniformly — the naive baseline.

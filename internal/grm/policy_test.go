@@ -293,9 +293,36 @@ func nodeIDs(offers []trading.Offer) []string {
 	return ids
 }
 
-// TestKeyedOrderMatchesStableSort checks the keyed order against the stable
-// sort it replaced, through both entry points: the public Order on values,
-// and orderKeyed on pointers as the matcher calls it.
+// matcherOrder exports offers to a fresh GRM's trader, in order, and returns the
+// node IDs in the order the matcher's candidates come out: every offer matches
+// the empty constraint.
+func matcherOrder(t *testing.T, p Policy, offers []trading.Offer) []string {
+	t.Helper()
+	g := New("test", sim.NewVirtualClock(), orb.New(), WithPolicy(p))
+	defer g.Stop()
+	spread := slices.Clone(offers)
+	for i := range spread { // one exporter each, so they land on every shard
+		spread[i].Ref = orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: fmt.Sprint(i)}, Key: "lrm"}
+	}
+	if _, err := g.Trader().ExportBatch(spread); err != nil {
+		t.Fatal(err)
+	}
+	ranked, err := g.newMatchCtx().candidates(&appInfo{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for o := range ranked.best() {
+		id, _ := o.Properties.Get(PropNode).AsString()
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// TestKeyedOrderMatchesStableSort checks the ranking against the stable sort it
+// replaced, through both entry points: the public Order on values, and the
+// matcher's candidates, whose keys are collected shard by shard — not in the
+// export order the stable sort's input had.
 func TestKeyedOrderMatchesStableSort(t *testing.T) {
 	for _, p := range []Policy{BestFit{}, UsageAware{}} {
 		for _, n := range []int{0, 1, 2, 3, 17, 3400} {
@@ -306,22 +333,8 @@ func TestKeyedOrderMatchesStableSort(t *testing.T) {
 				if got := nodeIDs(p.Order(offers, nil)); !slices.Equal(got, want) {
 					t.Fatalf("%s, n=%d, seed %d: Order differs from the stable sort", p.Name(), n, seed)
 				}
-				ptrs := make([]*trading.Offer, n)
-				for i := range offers {
-					ptrs[i] = &offers[i]
-				}
-				ordered := orderKeyed(ptrs, p.(keyedPolicy).key)
-				got := make([]string, n)
-				for i, o := range ordered {
-					got[i], _ = o.Properties.Get(PropNode).AsString()
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s, n=%d, seed %d: orderKeyed differs from the stable sort", p.Name(), n, seed)
-				}
-				for i, o := range ptrs {
-					if o != &offers[i] {
-						t.Fatalf("%s: orderKeyed reordered its input", p.Name())
-					}
+				if got := matcherOrder(t, p, offers); !slices.Equal(got, want) {
+					t.Fatalf("%s, n=%d, seed %d: the matcher's candidates differ from the stable sort", p.Name(), n, seed)
 				}
 			}
 		}
@@ -374,18 +387,22 @@ func TestStatefulPolicyGetsValueCopies(t *testing.T) {
 	}
 	spec := protocolSpecForConstraintTest()
 	spec.Requirements, spec.Constraint = resource.Requirements{}, ""
+	app := &appInfo{spec: spec, constraint: buildConstraint(spec)}
 	mc := g.newMatchCtx()
 	for query := 1; query <= 2; query++ {
-		got, err := mc.candidates(spec)
-		if err != nil || len(got) != 3 {
-			t.Fatalf("candidates = %d offers, %v", len(got), err)
+		got, err := mc.candidates(app)
+		if err != nil || len(got.keys) != 3 {
+			t.Fatalf("candidates = %+v, %v", got, err)
 		}
-		if id, _ := got[0].Properties.Get(PropNode).AsString(); id != "n2" {
-			t.Fatalf("first candidate = %s, want n2 (the policy reverses)", id)
+		if id, _ := pull(got, 1)[0].Properties.Get(PropNode).AsString(); id != "n2" {
+			t.Fatalf("first candidate = %s, want n2 (the policy reverses export order)", id)
 		}
 		if p.calls != query {
 			t.Fatalf("policy invoked %d times after %d queries", p.calls, query)
 		}
+	}
+	if mc.hits != 1 || mc.misses != 1 {
+		t.Fatalf("hits, misses = %d, %d: the second query should be served from the first's matches", mc.hits, mc.misses)
 	}
 	for _, o := range g.Trader().All(NodeStatusType) {
 		if o.Ref.Key != "lrm" {
@@ -409,16 +426,36 @@ func (p *scribblingPolicy) Order(offers []trading.Offer, _ *sim.RNG) []trading.O
 	return offers
 }
 
-// TestOrderKeyedAllocations measures what the //lint:hotpath budget on
-// orderKeyed counts statically: one key slice and one result slice, whatever
-// the candidate count.
+// TestOrderKeyedAllocations measures what the //lint:hotpath budgets of the
+// ranking count statically: building one allocates its header and nothing per
+// candidate, and settling — one candidate or all of them — allocates nothing.
+// A whole snapshot miss allocates the same few objects whatever it matches.
 func TestOrderKeyedAllocations(t *testing.T) {
-	offers := randomOffers(sim.NewRNG(1), 3400)
-	ptrs := make([]*trading.Offer, len(offers))
-	for i := range offers {
-		ptrs[i] = &offers[i]
+	g := New("test", sim.NewVirtualClock(), orb.New())
+	defer g.Stop()
+	if _, err := g.Trader().ExportBatch(randomOffers(sim.NewRNG(1), 3400)); err != nil {
+		t.Fatal(err)
 	}
-	if got := testing.AllocsPerRun(10, func() { orderKeyed(ptrs, UsageAware{}.key) }); got != 2 {
-		t.Fatalf("orderKeyed allocates %v times per call, want 2", got)
+	fill := func() *ranking {
+		ent, err := g.newMatchCtx().fill("")
+		if err != nil || len(ent.rank.keys) != 3400 {
+			t.Fatalf("fill = %+v, %v", ent, err)
+		}
+		return ent.rank
+	}
+	keys := fill().keys
+	if got := testing.AllocsPerRun(10, func() { newRanking(keys) }); got != 1 {
+		t.Errorf("newRanking allocates %v times, want 1", got)
+	}
+	r := fill()
+	if got := testing.AllocsPerRun(1000, r.pop); got != 0 {
+		t.Errorf("pop allocates %v times, want 0", got)
+	}
+	if got := testing.AllocsPerRun(1, r.settle); got != 0 {
+		t.Errorf("settle allocates %v times, want 0", got)
+	}
+	// The context and its map, the entry, the exact-sized keys, the ranking.
+	if got := testing.AllocsPerRun(10, func() { fill() }); got > 5 {
+		t.Errorf("a warm snapshot miss allocates %v times, want at most 5", got)
 	}
 }

@@ -1,0 +1,202 @@
+package grm
+
+import (
+	"cmp"
+	"math"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"integrade/internal/constraint"
+	"integrade/internal/orb"
+	"integrade/internal/protocol"
+	"integrade/internal/resource"
+	"integrade/internal/sim"
+	"integrade/internal/trading"
+)
+
+// seededKeys draws n keys in ord order with few distinct values per component —
+// heavy ties, so ord decides most positions — including both infinities and
+// NaN, each pointing at its own offer.
+func seededKeys(rng *sim.RNG, n int) []rankKey {
+	k1s := []float64{0, 250, 500, math.Inf(1), math.Inf(-1), math.NaN()}
+	k2s := []float64{0, 512, math.NaN()}
+	keys := make([]rankKey, n)
+	for i := range keys {
+		keys[i] = rankKey{k1: k1s[rng.Intn(len(k1s))], k2: k2s[rng.Intn(len(k2s))], ord: i + 1, offer: new(trading.Offer)}
+	}
+	return keys
+}
+
+// stableReference is the order the ranking replaced: a stable sort by
+// descending (k1, k2) of the keys in ord order.
+func stableReference(inOrd []rankKey) []*trading.Offer {
+	sorted := slices.Clone(inOrd)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		if c := cmp.Compare(sorted[j].k1, sorted[i].k1); c != 0 {
+			return c < 0
+		}
+		return cmp.Compare(sorted[j].k2, sorted[i].k2) < 0
+	})
+	out := make([]*trading.Offer, len(sorted))
+	for i, k := range sorted {
+		out[i] = k.offer
+	}
+	return out
+}
+
+// pull returns the first n candidates of r, breaking off there as a reserve
+// loop does.
+func pull(r *ranking, n int) []*trading.Offer {
+	var out []*trading.Offer
+	for o := range r.best() {
+		if len(out) == n {
+			break
+		}
+		out = append(out, o)
+	}
+	return out
+}
+
+// TestRankingInterleavings is the ranking's property: however the keys were
+// collected, and however "the next best" and "all of them" interleave, the
+// candidates come out in the stable order of the ord-ordered input.
+func TestRankingInterleavings(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, n := range []int{0, 1, 2, 3, 7, 17, 400} {
+			rng := sim.NewRNG(seed)
+			inOrd := seededKeys(rng, n)
+			want := stableReference(inOrd)
+			collected := func() *ranking { // a fresh visit, in some other order
+				keys := slices.Clone(inOrd)
+				rng.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+				return newRanking(keys)
+			}
+			step := max(1, n/20)
+			// Pull the first p one at a time, then drain: every split point.
+			for p := 0; p <= n; p += step {
+				r := collected()
+				if got := pull(r, p); !slices.Equal(got, want[:p]) {
+					t.Fatalf("seed %d, n=%d: the first %d are not the stable sort's", seed, n, p)
+				}
+				for range 2 { // settling is idempotent
+					r.settle()
+					if got := slices.Collect(r.best()); !slices.Equal(got, want) {
+						t.Fatalf("seed %d, n=%d: drained after %d pulls, the order is not the stable sort's", seed, n, p)
+					}
+				}
+			}
+			// Hits of one batch: each walks from the best again, some further than
+			// any before, and what is pulled last is everything, by pops alone.
+			r := collected()
+			for _, stop := range []int{n / 3, n / 7, n / 2, n / 2, n} {
+				if got := pull(r, stop); !slices.Equal(got, want[:stop]) {
+					t.Fatalf("seed %d, n=%d: a hit pulling %d saw another order than the stable sort's", seed, n, stop)
+				}
+			}
+		}
+	}
+}
+
+// sliceWindowFilter is the windowFilter the lazy one replaced, kept as the
+// differential reference: it walks the ordered slice twice and copies the
+// candidates that fit.
+func sliceWindowFilter(g *GRM, ordered []*trading.Offer, spec protocol.ApplicationSpec) (kept []*trading.Offer, rejected int) {
+	runtime := estimatedRuntime(spec)
+	if !g.windowAware || len(ordered) == 0 || runtime <= 0 {
+		return ordered, 0
+	}
+	deadline := float64(g.clock.Now().Add(runtime).Unix())
+	for _, o := range ordered {
+		if offerFitsWindow(o, deadline) {
+			kept = append(kept, o)
+		}
+	}
+	if len(kept) == 0 || len(kept) == len(ordered) {
+		return ordered, 0
+	}
+	return kept, len(ordered) - len(kept)
+}
+
+// TestWindowFilterMatchesSliceFilter pins the window filter's three outcomes —
+// some candidates violate, none does, all do — and its WindowRejected
+// accounting against the slice implementation, on an unsettled ranking, a
+// partly settled one and a settled one.
+func TestWindowFilterMatchesSliceFilter(t *testing.T) {
+	clock := sim.NewVirtualClock()
+	now := clock.Now()
+	hour := protocol.ApplicationSpec{WorkPerTask: 3600 * 100, Alloc: resource.Vector{MIPS: 100}}
+	short, long := float64(now.Add(10*time.Minute).Unix()), float64(now.Add(3*time.Hour).Unix())
+	window := func(end, conf float64, dedicated bool) *trading.Offer {
+		return &trading.Offer{Properties: constraint.Properties{
+			PropWindowEnd:  constraint.Number(end),
+			PropWindowConf: constraint.Number(conf),
+			PropDedicated:  constraint.Bool(dedicated),
+		}.Record()}
+	}
+	fits := []func() *trading.Offer{
+		func() *trading.Offer { return window(long, 0.9, false) },
+		func() *trading.Offer { return window(short, 0.9, true) },  // dedicated: always
+		func() *trading.Offer { return window(short, 0.2, false) }, // below the confidence floor
+		func() *trading.Offer { return window(0, 0, false) },       // no forecast
+	}
+	violates := func() *trading.Offer { return window(short, 0.9, false) }
+
+	for _, tc := range []struct {
+		name         string
+		aware        bool
+		spec         protocol.ApplicationSpec
+		fit, violate int
+	}{
+		{"partial", true, hour, 9, 14},
+		{"one-violator", true, hour, 12, 1},
+		{"zero-violations", true, hour, 10, 0},
+		{"all-violate", true, hour, 0, 11},
+		{"empty", true, hour, 0, 0},
+		{"no-runtime", true, protocol.ApplicationSpec{}, 3, 3},
+		{"window-blind", false, hour, 3, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := sim.NewRNG(int64(tc.fit*100 + tc.violate))
+			var keys []rankKey
+			for i := 0; i < tc.fit+tc.violate; i++ {
+				o := violates()
+				if i < tc.fit {
+					o = fits[i%len(fits)]()
+				}
+				keys = append(keys, rankKey{k1: float64(rng.Intn(3)), ord: i + 1, offer: o})
+			}
+			rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+
+			for _, settled := range []int{0, len(keys) / 3, len(keys)} {
+				opts := []Option{}
+				if tc.aware {
+					opts = append(opts, WithWindowAware())
+				}
+				g := New("test", clock, orb.New(), opts...)
+				r := newRanking(slices.Clone(keys))
+				pull(r, settled)
+				got := slices.Collect(g.windowFilter(r, tc.spec))
+				gotRejected := g.Stats().WindowRejected
+
+				r.settle()
+				want, wantRejected := sliceWindowFilter(g, slices.Collect(r.best()), tc.spec)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%d settled: %d candidates, the slice filter keeps %d (or in another order)", settled, len(got), len(want))
+				}
+				if gotRejected != wantRejected {
+					t.Fatalf("%d settled: WindowRejected = %d, the slice filter rejects %d", settled, gotRejected, wantRejected)
+				}
+				if tc.aware && tc.fit > 0 && tc.violate > 0 && tc.spec.WorkPerTask > 0 {
+					if len(got) != tc.fit || gotRejected != tc.violate {
+						t.Fatalf("kept %d, rejected %d; want %d, %d", len(got), gotRejected, tc.fit, tc.violate)
+					}
+				} else if len(got) != len(keys) || gotRejected != 0 {
+					t.Fatalf("kept %d of %d, rejected %d; want everything kept and nothing counted", len(got), len(keys), gotRejected)
+				}
+				g.Stop()
+			}
+		})
+	}
+}

@@ -329,6 +329,7 @@ func appFromRecord(rec appRecord) *appInfo {
 	app := &appInfo{
 		id:           rec.ID,
 		spec:         rec.Spec,
+		constraint:   buildConstraint(rec.Spec),
 		submitted:    rec.Submitted,
 		finished:     rec.Finished,
 		negotiations: rec.Negotiations,

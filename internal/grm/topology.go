@@ -1,6 +1,7 @@
 package grm
 
 import (
+	"slices"
 	"sort"
 
 	"integrade/internal/protocol"
@@ -18,17 +19,18 @@ import (
 // different LANs only when the backbone meets the inter-group bandwidth.
 func (g *GRM) scheduleTopology(app *appInfo, pending []*taskInfo, mc *matchCtx) {
 	topo := app.spec.Topology
-	ordered, err := mc.candidates(app.spec)
+	ranked, err := mc.candidates(app)
 	if err != nil {
 		g.log.Warn("topology candidate query failed", "app", app.id, "err", err)
 		return
 	}
-	ordered = g.windowFilter(ordered, app.spec)
 
-	// Group candidates by LAN, preserving policy order within each.
+	// Group candidates by LAN, preserving policy order within each. This reads
+	// the whole order, so settle it in one sort.
+	ranked.settle()
 	byLAN := make(map[string][]*trading.Offer)
 	var lanIDs []string
-	for _, o := range ordered {
+	for o := range g.windowFilter(ranked, app.spec) {
 		lan := strProp(o, fieldLAN)
 		if _, seen := byLAN[lan]; !seen {
 			lanIDs = append(lanIDs, lan)
@@ -109,7 +111,7 @@ func (g *GRM) scheduleTopology(app *appInfo, pending []*taskInfo, mc *matchCtx) 
 	// Reserve and execute per group, gang-style over the chosen offers.
 	for _, idx := range order {
 		ga := &assigns[idx]
-		if !g.reserveAndExecuteGang(app, ga.tasks, ga.offers) {
+		if !g.reserveAndExecuteGang(app, ga.tasks, slices.Values(ga.offers)) {
 			return // partial placements remain running; rest retried later
 		}
 	}

@@ -1,6 +1,7 @@
 package grm
 
 import (
+	"iter"
 	"time"
 
 	"integrade/internal/orb"
@@ -69,42 +70,38 @@ func offerFitsWindow(o *trading.Offer, deadline float64) bool {
 	return end >= deadline
 }
 
-// windowFilter drops candidates whose availability window ends before the
-// spec's estimated runtime would complete. It is a no-op unless the GRM was
-// built WithWindowAware. The ordered slice may be a shared snapshot-cache
-// slice, so violations produce a fresh slice instead of mutating in place.
-// When every candidate fails the filter the unfiltered list is returned:
-// window-aware placement prefers safe nodes but degrades to window-blind
-// behaviour rather than stranding work nothing can host safely.
-func (g *GRM) windowFilter(ordered []*trading.Offer, spec protocol.ApplicationSpec) []*trading.Offer {
-	if !g.windowAware || len(ordered) == 0 {
-		return ordered
-	}
+// windowFilter yields the ranked candidates best first, minus those whose
+// availability window ends before the spec's estimated runtime would complete.
+// It filters nothing unless the GRM was built WithWindowAware. Whether any
+// candidate, or every one, fails is a property of the set and not of its
+// order, so the violations are counted over the keys as they lie and the
+// order is settled only as far as the consumer pulls. When every candidate
+// fails, all of them are yielded: window-aware placement prefers safe nodes
+// but degrades to window-blind behaviour rather than stranding work nothing
+// can host safely.
+func (g *GRM) windowFilter(ranked *ranking, spec protocol.ApplicationSpec) iter.Seq[*trading.Offer] {
 	runtime := estimatedRuntime(spec)
-	if runtime <= 0 {
-		return ordered
+	if !g.windowAware || runtime <= 0 {
+		return ranked.best()
 	}
 	deadline := float64(g.clock.Now().Add(runtime).Unix())
 	violations := 0
-	for _, o := range ordered {
-		if !offerFitsWindow(o, deadline) {
+	for i := range ranked.keys {
+		if !offerFitsWindow(ranked.keys[i].offer, deadline) {
 			violations++
 		}
 	}
-	if violations == 0 {
-		return ordered
-	}
-	if violations == len(ordered) {
-		return ordered
-	}
-	kept := make([]*trading.Offer, 0, len(ordered)-violations)
-	for _, o := range ordered {
-		if offerFitsWindow(o, deadline) {
-			kept = append(kept, o)
-		}
+	if violations == 0 || violations == len(ranked.keys) {
+		return ranked.best()
 	}
 	g.mu.Lock()
 	g.stats.WindowRejected += violations
 	g.mu.Unlock()
-	return kept
+	return func(yield func(*trading.Offer) bool) {
+		for o := range ranked.best() {
+			if offerFitsWindow(o, deadline) && !yield(o) {
+				return
+			}
+		}
+	}
 }

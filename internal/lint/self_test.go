@@ -138,7 +138,10 @@ func TestPerformanceContractsHold(t *testing.T) {
 		"trading.(*Service).SelectShared",
 		"trading.(*Service).SelectPointers",
 		"grm.(*matchCtx).lookup",
-		"grm.orderKeyed",
+		"trading.(*Service).VisitMatches",
+		"grm.newRanking",
+		"grm.(*ranking).pop",
+		"grm.(*ranking).settle",
 		"orb.(*clientConn).sendLoop",
 		"orb.(*Encoder).PutString",
 		"orb.(*Decoder).String",

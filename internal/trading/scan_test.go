@@ -3,11 +3,13 @@ package trading
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"integrade/internal/constraint"
+	"integrade/internal/orb"
 )
 
 // referenceSelect answers q by brute force, sharing nothing with scan: every
@@ -154,6 +156,9 @@ func TestScanMatchesBruteForce(t *testing.T) {
 							q, i, got[i].ID, got[i].seq, want[i].ID, want[i].seq)
 					}
 				}
+				if q.Preference == "" && q.Limit == 0 {
+					assertVisitYields(t, s, q, got)
+				}
 				if fleet.count > 0 && q.Constraint == "mips >= 0" && len(got) == 0 {
 					t.Fatalf("%+v matched nothing: the fleet does not exercise the scan", q)
 				}
@@ -170,6 +175,46 @@ func TestScanMatchesBruteForce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// assertVisitYields checks the visitor against the query path built on the
+// same walk: VisitMatches yields exactly the offers SelectPointers returned,
+// each once, those of one exporter in export order, and sorting them by Seq
+// gives SelectPointers' order back.
+func assertVisitYields(t *testing.T, s *Service, q Query, want []*Offer) {
+	t.Helper()
+	var visited []*Offer
+	lastOf := map[orb.ObjectRef]int{}
+	err := s.VisitMatches(q.ServiceType, q.Constraint, func(o *Offer) {
+		if o.Seq() <= lastOf[o.Ref] {
+			t.Fatalf("%+v: visit yields %s after seq %d of the same exporter", q, o.ID, lastOf[o.Ref])
+		}
+		lastOf[o.Ref] = o.Seq()
+		visited = append(visited, o)
+	})
+	if err != nil {
+		t.Fatalf("%+v: VisitMatches: %v", q, err)
+	}
+	sort.Slice(visited, func(i, j int) bool { return visited[i].Seq() < visited[j].Seq() })
+	if !slices.Equal(visited, want) {
+		t.Fatalf("%+v: visit yields %d offers, SelectPointers %d (or others)", q, len(visited), len(want))
+	}
+}
+
+// TestVisitMatchesRejectsBadConstraint: a constraint that does not compile is
+// the query's error, reported before anything is visited.
+func TestVisitMatchesRejectsBadConstraint(t *testing.T) {
+	s := NewService(nil)
+	if _, err := s.Export(nodeOffer(1, 100, 100)); err != nil {
+		t.Fatal(err)
+	}
+	err := s.VisitMatches("NodeStatus", "mips >=", func(*Offer) { t.Fatal("visited an offer") })
+	if err == nil {
+		t.Fatal("VisitMatches accepted a constraint that does not compile")
+	}
+	if err := s.VisitMatches("NoSuchType", "", func(*Offer) { t.Fatal("visited an offer") }); err != nil {
+		t.Fatalf("unknown type: %v", err)
 	}
 }
 

@@ -151,7 +151,8 @@ func TestSelectSharedSharesProperties(t *testing.T) {
 
 // TestConcurrentTradingStress races every write path (Export, ExportKeyed,
 // ExportBatch, Withdraw, WithdrawRef) against the lock-free read paths
-// (Select, SelectPointers, Count, All, Describe) under the race detector.
+// (Select, SelectPointers, VisitMatches, Count, All, Describe) under the race
+// detector.
 // CHAOS_SEED picks the operation mix per goroutine, mirroring the seeded
 // suites in `make chaos`; the final consistency check verifies the id map
 // and the shard snapshots agree after the storm.
@@ -221,7 +222,7 @@ func TestConcurrentTradingStress(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + 100 + int64(r)))
 			for i := 0; i < iters; i++ {
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
 				case 0:
 					if _, err := s.Select(Query{ServiceType: "NodeStatus", Constraint: "mips >= 500"}); err != nil {
 						t.Errorf("Select: %v", err)
@@ -236,6 +237,18 @@ func TestConcurrentTradingStress(t *testing.T) {
 					s.Count("NodeStatus")
 				case 3:
 					s.All("NodeStatus")
+				case 4:
+					seen := map[*Offer]bool{}
+					err := s.VisitMatches("NodeStatus", "mips >= 500", func(o *Offer) {
+						if mips, _ := o.Properties.Get("mips").AsNumber(); mips < 500 || seen[o] {
+							t.Errorf("visit yielded %s (mips %v, seen before: %v)", o.ID, mips, seen[o])
+						}
+						seen[o] = true
+					})
+					if err != nil {
+						t.Errorf("VisitMatches: %v", err)
+						return
+					}
 				}
 			}
 		}(r)

@@ -76,6 +76,10 @@ func (o *Offer) expired(now time.Time) bool {
 	return !o.Expires.IsZero() && !now.IsZero() && !o.Expires.After(now)
 }
 
+// Seq returns the offer's export sequence number: unique within a Service and
+// ascending in the order SelectPointers and All return; zero until exported.
+func (o *Offer) Seq() int { return o.seq }
+
 // Query selects offers of a service type.
 type Query struct {
 	ServiceType string
@@ -563,29 +567,16 @@ func offerValues(offers []*Offer) []Offer {
 	return out
 }
 
-// scan returns the type's live offers that satisfy cons (nil: all of them) in
-// ascending global seq order. It filters first — each snapshot is walked front
-// to back, so memory is read in order — and merges only what matched: the
-// matches of one shard are a subsequence of a seq-sorted snapshot, so they are
-// a seq-sorted run, and merging sorted runs of distinct numbers gives the one
-// sorted order whatever was filtered out. An offer whose constraint evaluation
-// errors does not match.
-func (ts *typeShards) scan(cons *constraint.Expr, now time.Time) []*Offer {
+// visit is the one walk of the index every query is built on: it calls fn for
+// each of the type's live offers that satisfy cons (nil: all of them), a
+// shard's offers in ascending seq, the shards in no order a caller may rely on.
+// An offer whose constraint evaluation errors does not match.
+func (ts *typeShards) visit(cons *constraint.Expr, now time.Time, fn func(*Offer)) {
 	if ts == nil {
-		return nil
+		return
 	}
-	var snaps [shardsPerType]*shardSnap
-	total := 0
 	for i := range ts.shards {
-		snaps[i] = ts.shards[i].snap.Load()
-		total += len(snaps[i].offers)
-	}
-	matched := make([]*Offer, total) // matched[:n] holds the runs back to back
-	var runs [shardsPerType]runHead
-	n, nruns := 0, 0
-	for _, snap := range snaps {
-		start := n
-		for _, o := range snap.offers {
+		for _, o := range ts.shards[i].snap.Load().offers {
 			if o.expired(now) {
 				continue
 			}
@@ -594,15 +585,37 @@ func (ts *typeShards) scan(cons *constraint.Expr, now time.Time) []*Offer {
 					continue
 				}
 			}
-			matched[n] = o
-			n++
-		}
-		if n > start {
-			runs[nruns] = runHead{seq: matched[start].seq, pos: int32(start), end: int32(n)}
-			nruns++
+			fn(o)
 		}
 	}
-	return mergeRuns(matched[:n], runs[:nruns])
+}
+
+// scan returns what visit yields, in ascending global seq order. It merges
+// only what matched: a shard's matches are a subsequence of a seq-sorted
+// snapshot, so the visit is a sequence of seq-sorted runs — a new one starts
+// wherever seq steps down, at most one per shard — and merging sorted runs of
+// distinct numbers gives the one sorted order whatever was filtered out.
+func (ts *typeShards) scan(cons *constraint.Expr, now time.Time) []*Offer {
+	if ts == nil {
+		return nil
+	}
+	total := 0
+	for i := range ts.shards {
+		total += len(ts.shards[i].snap.Load().offers)
+	}
+	matched := make([]*Offer, 0, total)
+	var runs [shardsPerType]runHead
+	nruns, last := 0, 0
+	ts.visit(cons, now, func(o *Offer) { //lint:alloc visit only calls it: it stays on the stack
+		if nruns == 0 || o.seq < last {
+			runs[nruns] = runHead{seq: o.seq, pos: int32(len(matched))}
+			nruns++
+		}
+		last = o.seq
+		matched = append(matched, o) //lint:alloc presized: grows only if a shard gained offers since the count
+		runs[nruns-1].end = int32(len(matched))
+	})
+	return mergeRuns(matched, runs[:nruns])
 }
 
 // runHead is the cursor of one run offers[pos:end] in mergeRuns. It carries
@@ -655,6 +668,36 @@ func siftDown(heads []runHead, i int) {
 	}
 }
 
+// compile returns the cached compilation of a query's constraint or preference
+// source; the empty source compiles to nil.
+func compile(what, src string) (*constraint.Expr, error) {
+	if src == "" {
+		return nil, nil
+	}
+	expr, err := compileCache.Compile(src)
+	if err != nil {
+		return nil, fmt.Errorf("trading: %s: %w", what, err) //lint:alloc error slow path
+	}
+	return expr, nil
+}
+
+// VisitMatches calls fn for every live offer of the service type that satisfies
+// cons ("" for all of the type), straight off the shard snapshots: nothing is
+// collected, merged or copied. One exporter's offers arrive in export order;
+// across exporters the order is unspecified — sort by Seq, or use
+// SelectPointers, for the global one. The offers are the index's own, as
+// SelectPointers' are: read-only, valid for as long as the caller holds them.
+//
+//lint:hotpath alloc=0 locks=2 block=0
+func (s *Service) VisitMatches(serviceType, cons string, fn func(*Offer)) error {
+	expr, err := compile("constraint", cons)
+	if err != nil {
+		return err
+	}
+	s.typeIndex(serviceType).visit(expr, s.now(), fn)
+	return nil
+}
+
 // Select evaluates a query, returning matching offers best-first. The
 // returned offers are the caller's; their property records are the stored
 // ones, which nobody can write to.
@@ -687,25 +730,19 @@ func (s *Service) SelectShared(q Query) ([]Offer, error) { return s.Select(q) }
 // shard snapshot, and no writer touches it again — an update or withdrawal
 // swaps in a snapshot without it. A holder may therefore keep and read the
 // pointers for as long as it likes without a lock, and must never write
-// through them. It exists for in-process hot readers: the GRM's matcher
-// evaluates thousands of candidates per query and copies none of them.
+// through them. It is for in-process readers that want the matches in export
+// order and copy none of them; one that does not need the order (the GRM's
+// matcher) uses VisitMatches and skips the merge.
 //
 //lint:hotpath alloc=4 locks=2 block=0
 func (s *Service) SelectPointers(q Query) ([]*Offer, error) {
-	var (
-		cons *constraint.Expr
-		pref *constraint.Expr
-		err  error
-	)
-	if q.Constraint != "" {
-		if cons, err = compileCache.Compile(q.Constraint); err != nil {
-			return nil, fmt.Errorf("trading: constraint: %w", err) //lint:alloc error slow path
-		}
+	cons, err := compile("constraint", q.Constraint)
+	if err != nil {
+		return nil, err
 	}
-	if q.Preference != "" {
-		if pref, err = compileCache.Compile(q.Preference); err != nil {
-			return nil, fmt.Errorf("trading: preference: %w", err) //lint:alloc error slow path
-		}
+	pref, err := compile("preference", q.Preference)
+	if err != nil {
+		return nil, err
 	}
 
 	// Candidates arrive in ascending seq — the iteration order of a single
