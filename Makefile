@@ -155,10 +155,12 @@ bench-sched-check:
 # The repository benchmark's self-test (BENCHMARK.json, benchmark/README.md):
 # its own tests, then a quick traced run — small fleets, two short rounds —
 # with the determinism guard and the brute-force oracle on. Not a
-# measurement; traces land in benchmark/out/.
+# measurement; traces land in benchmark/out/. Then one iteration each of the two
+# micro-benchmarks ROADMAP item 2 quotes, so they keep compiling and running.
 benchmark-check:
 	$(GO) test -count=1 ./benchmark
 	$(GO) run ./benchmark -quick -traced
+	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss10k|BenchmarkEvalFleet' -benchtime 1x ./internal/grm ./internal/constraint
 
 # Where a snapshot miss spends its time: BenchmarkPlacementMiss10k under the
 # CPU profiler (ROADMAP item 2's per-function shares are this output). Leaves

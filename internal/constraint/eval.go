@@ -212,58 +212,39 @@ func (n *binaryNode) eval(ctx Context) (Value, error) {
 
 // compare evaluates one of the six comparison operators, opEq to opGe.
 func compare(o op, l, r Value) (Value, error) {
+	if l.kind == kindNumber && r.kind == kindNumber {
+		return Bool(numberHolds(o, l.num, r.num)), nil
+	}
 	if o == opEq || o == opNe {
-		eq, err := valuesEqual(l, r)
-		if err != nil {
-			return Value{}, err
+		if l.kind != r.kind {
+			return Value{}, fmt.Errorf("comparing %s with %s", l.GoString(), r.GoString())
 		}
-		return Bool(eq == (o == opEq)), nil
+		return Bool((l == r) == (o == opEq)), nil
 	}
-	cmp, err := compareValues(l, r)
-	if err != nil {
-		return Value{}, err
-	}
-	switch o {
-	case opLt:
-		return Bool(cmp < 0), nil
-	case opLe:
-		return Bool(cmp <= 0), nil
-	case opGt:
-		return Bool(cmp > 0), nil
-	default:
-		return Bool(cmp >= 0), nil
-	}
-}
-
-func valuesEqual(l, r Value) (bool, error) {
-	if l.kind != r.kind {
-		return false, fmt.Errorf("comparing %s with %s", l.GoString(), r.GoString())
-	}
-	switch l.kind {
-	case kindNumber:
-		return l.num == r.num, nil
-	case kindString:
-		return l.str == r.str, nil
-	default:
-		return l.truth == r.truth, nil
-	}
-}
-
-func compareValues(l, r Value) (int, error) {
 	if l.kind != r.kind || l.kind == kindBool {
-		return 0, fmt.Errorf("ordering %s against %s", l.GoString(), r.GoString())
+		return Value{}, fmt.Errorf("ordering %s against %s", l.GoString(), r.GoString())
 	}
-	switch l.kind {
-	case kindNumber:
-		switch {
-		case l.num < r.num:
-			return -1, nil
-		case l.num > r.num:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+	// Strings order by their three-way comparison's sign, taken against zero.
+	return Bool(numberHolds(o, float64(strings.Compare(l.str, r.str)), 0)), nil
+}
+
+// numberHolds reports whether "l <o> r" holds for two numbers and one of the six
+// comparison operators: one float comparison each, so the block filter's loop
+// has a single data-dependent branch. A NaN is neither below nor above
+// anything: it is unequal to every number, and <= and >= hold for it.
+func numberHolds(o op, l, r float64) bool {
+	switch o {
+	case opEq:
+		return l == r
+	case opNe:
+		return l != r
+	case opLt:
+		return l < r
+	case opLe:
+		return !(l > r)
+	case opGt:
+		return l > r
 	default:
-		return strings.Compare(l.str, r.str), nil
+		return !(l < r)
 	}
 }

@@ -116,7 +116,8 @@ func wantBinary(op string, l, r operand) (Value, string) {
 var tableContexts = []Context{tableProps, tableProps.Record()}
 
 // checkEval runs src through Eval and EvalNumber over tableProps, as a map
-// and as a record, and compares against the specified value or message.
+// and as a record, and compares against the specified value or message; then
+// through the block filter, which must select the records Eval holds on.
 func checkEval(t *testing.T, src string, want Value, wantMsg string) {
 	t.Helper()
 	e, err := Compile(src)
@@ -126,6 +127,7 @@ func checkEval(t *testing.T, src string, want Value, wantMsg string) {
 	for _, ctx := range tableContexts {
 		checkEvalOn(t, e, ctx, want, wantMsg)
 	}
+	checkFilter(t, e, tableBlock)
 }
 
 func checkEvalOn(t *testing.T, e *Expr, ctx Context, want Value, wantMsg string) {
@@ -228,5 +230,6 @@ func TestEvalErrorTextPinned(t *testing.T) {
 				t.Errorf("Eval(%q) on %T error = %v, want %s", src, ctx, err, want)
 			}
 		}
+		checkFilter(t, MustCompile(src), tableBlock) // an error is a mismatch, not a panic
 	}
 }

@@ -9,7 +9,10 @@ import "testing"
 // and missing. Each context is evaluated as a map and as a record (the empty
 // one also as a nil *Record), in turn through the one compiled expression, so
 // its fields rebind between schemas; both forms must give the same value and
-// the same error text.
+// the same error text. Then every record context goes through the block filter
+// as one block — the two property sets under a second schema with the names in
+// other slots as well, a record lacking most names, the empty and the nil one —
+// which must select, position for position, the records Eval holds on.
 func FuzzCompile(f *testing.F) {
 	for _, seed := range []string{
 		"mips >= 500 and ram >= 16",
@@ -49,6 +52,10 @@ func FuzzCompile(f *testing.F) {
 		"z":    String("z"),
 		"gpu":  Bool(false),
 	}
+	block := []*Record{
+		props.Record(), reslot(mismatched), nil, mismatched.Record(), reslot(props),
+		Properties{"mips": Number(800), "a": Bool(true)}.Record(), Properties{}.Record(), props.Record(),
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		e, err := Compile(src)
 		if err != nil {
@@ -72,6 +79,7 @@ func FuzzCompile(f *testing.F) {
 				}
 			}
 		}
+		checkFilter(t, e, block)
 		if e.Source() != src {
 			t.Fatalf("Source() = %q, want %q", e.Source(), src)
 		}

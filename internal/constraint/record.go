@@ -162,14 +162,21 @@ func (f *Field) Of(ctx Context) (Value, bool) {
 	}
 	b := f.bound.Load()
 	if uint32(b>>32) != r.schema.id { // bound to another schema, or not yet
-		b = uint64(r.schema.id) << 32
-		if i, ok := r.schema.slot(f.name); ok {
-			b |= uint64(i + 1)
-		}
-		f.bound.Store(b)
+		b = f.rebind(r.schema)
 	}
 	if uint32(b) == 0 {
 		return Value{}, false
 	}
 	return r.values[uint32(b)-1], true
+}
+
+// rebind binds the field to s: it looks the name up, remembers the answer as
+// the word described above, and returns it.
+func (f *Field) rebind(s *Schema) uint64 {
+	b := uint64(s.id) << 32
+	if i, ok := s.slot(f.name); ok {
+		b |= uint64(i + 1)
+	}
+	f.bound.Store(b)
+	return b
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -83,8 +84,9 @@ func TestSchemaRecord(t *testing.T) {
 // goroutines over records of two schemas that put the same names in different
 // slots, strictly alternating — so every read finds the fields bound to the
 // other schema, or halfway through another goroutine's rebinding — plus the
-// map form and a record lacking a name. Every result must be right; under
-// -race the rebinding must also be free of data races.
+// map form and a record lacking a name — and filters the records as one block,
+// where a kernel rebinds from a word it loaded once for the block. Every result
+// must be right; under -race the rebinding must also be free of data races.
 func TestFieldRebindsUnderRace(t *testing.T) {
 	e := MustCompile("mips >= 500 and os == 'linux' and not exist gpu")
 	rank := MustCompile("mips * 2 + ram")
@@ -104,6 +106,16 @@ func TestFieldRebindsUnderRace(t *testing.T) {
 		{mk(lacking, Number(16), String("linux")), false, `constraint: eval "mips >= 500 and os == 'linux' and not exist gpu": missing property: "mips"`, 0},
 		{mk(reverse, String("linux"), Number(8), Number(500)), true, "", 1008},
 	}
+	var block []*Record
+	var blockWant []uint8
+	for _, c := range cases {
+		if r, ok := c.ctx.(*Record); ok {
+			if c.match {
+				blockWant = append(blockWant, uint8(len(block)))
+			}
+			block = append(block, r)
+		}
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -118,6 +130,11 @@ func TestFieldRebindsUnderRace(t *testing.T) {
 				}
 				if n, err := rank.EvalNumber(c.ctx); c.matchErr == "" && (err != nil || n != c.rank) {
 					t.Errorf("EvalNumber on case %d = %v, %v; want %v", (g+i)%len(cases), n, err, c.rank)
+					return
+				}
+				sel := []uint8{0, 1, 2, 3}
+				if got := e.Filter(block, sel[:len(block)]); !slices.Equal(got, blockWant) {
+					t.Errorf("Filter selects %v, want %v", got, blockWant)
 					return
 				}
 			}

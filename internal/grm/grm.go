@@ -218,7 +218,8 @@ func WithSchedulePeriod(d time.Duration) Option {
 	return func(g *GRM) { g.schedPeriod = d }
 }
 
-// WithMaxAttempts bounds negotiation rounds per placement.
+// WithMaxAttempts bounds negotiation rounds per placement; a placement tries
+// at least one candidate.
 func WithMaxAttempts(n int) Option {
 	return func(g *GRM) { g.maxAttempts = n }
 }
@@ -617,59 +618,69 @@ func (g *GRM) placeTask(app *appInfo, t *taskInfo, exclude map[string]bool, mc *
 	if err != nil {
 		return err
 	}
-	alloc := app.spec.EffectiveAlloc()
 	attempts := 0
 	for offer := range g.windowFilter(ranked, app.spec) {
-		if attempts >= g.maxAttempts {
-			break
-		}
 		nodeID := strProp(offer, fieldNode)
 		if exclude[nodeID] {
 			continue
 		}
 		attempts++
-		lrm := protocol.NewLRMClient(g.inv, offer.Ref)
-		g.mu.Lock()
-		g.stats.NegotiationRounds++
-		app.negotiations++
-		epoch := g.epoch
-		g.mu.Unlock()
-		reply, err := lrm.Reserve(protocol.ReserveRequest{
-			Holder: app.id,
-			Amount: alloc,
-			TTL:    time.Minute,
-			Epoch:  epoch,
-		})
-		if err != nil || !reply.Granted {
-			g.mu.Lock()
-			g.stats.Refusals++
-			g.mu.Unlock()
-			continue
+		if g.tryCandidate(app, t, offer, nodeID) {
+			return nil
 		}
-		err = lrm.Execute(protocol.ExecuteRequest{
-			ReservationID:   reply.ReservationID,
-			TaskID:          t.id,
-			AppID:           app.id,
-			Work:            t.work,
-			Alloc:           alloc,
-			InitialProgress: t.initialProgress,
-			Epoch:           epoch,
-		})
-		if err != nil {
-			g.log.Debug("execute failed after grant", "task", t.id, "node", nodeID, "err", err)
-			continue
+		// Tested where an attempt fails, not at the top of the loop: resuming
+		// the range pulls — pops off the ranking — a candidate nobody would try.
+		if attempts >= g.maxAttempts {
+			break
 		}
-		g.mu.Lock()
-		t.state = protocol.TaskRunning
-		t.nodeID = nodeID
-		t.lrm = offer.Ref
-		t.progress = t.initialProgress
-		g.stats.TasksPlaced++
-		g.replicateAppLocked(app)
-		g.mu.Unlock()
-		return nil
 	}
 	return fmt.Errorf("grm: no candidate accepted task %s after %d attempts", t.id, attempts)
+}
+
+// tryCandidate is one negotiation round of placeTask: reserve on the offer's
+// LRM and, when granted, bind the task to it. It reports whether the task runs.
+func (g *GRM) tryCandidate(app *appInfo, t *taskInfo, offer *trading.Offer, nodeID string) bool {
+	alloc := app.spec.EffectiveAlloc()
+	lrm := protocol.NewLRMClient(g.inv, offer.Ref)
+	g.mu.Lock()
+	g.stats.NegotiationRounds++
+	app.negotiations++
+	epoch := g.epoch
+	g.mu.Unlock()
+	reply, err := lrm.Reserve(protocol.ReserveRequest{
+		Holder: app.id,
+		Amount: alloc,
+		TTL:    time.Minute,
+		Epoch:  epoch,
+	})
+	if err != nil || !reply.Granted {
+		g.mu.Lock()
+		g.stats.Refusals++
+		g.mu.Unlock()
+		return false
+	}
+	err = lrm.Execute(protocol.ExecuteRequest{
+		ReservationID:   reply.ReservationID,
+		TaskID:          t.id,
+		AppID:           app.id,
+		Work:            t.work,
+		Alloc:           alloc,
+		InitialProgress: t.initialProgress,
+		Epoch:           epoch,
+	})
+	if err != nil {
+		g.log.Debug("execute failed after grant", "task", t.id, "node", nodeID, "err", err)
+		return false
+	}
+	g.mu.Lock()
+	t.state = protocol.TaskRunning
+	t.nodeID = nodeID
+	t.lrm = offer.Ref
+	t.progress = t.initialProgress
+	g.stats.TasksPlaced++
+	g.replicateAppLocked(app)
+	g.mu.Unlock()
+	return true
 }
 
 // scheduleGang places a BSP app all-or-nothing: every pending process must
@@ -703,9 +714,6 @@ func (g *GRM) reserveAndExecuteGang(app *appInfo, pending []*taskInfo, ordered i
 	attempts := 0
 	budget := g.maxAttempts * max(len(pending), 1)
 	for offer := range ordered {
-		if len(grants) == len(pending) || attempts >= budget {
-			break
-		}
 		nodeID := strProp(offer, fieldNode)
 		lrm := protocol.NewLRMClient(g.inv, offer.Ref)
 		// Keep asking this node until it refuses (it may host several
@@ -734,6 +742,11 @@ func (g *GRM) reserveAndExecuteGang(app *appInfo, pending []*taskInfo, ordered i
 				nodeID:        nodeID,
 				ref:           offer.Ref,
 			})
+		}
+		// Tested here, not at the top of the loop: resuming the range pulls —
+		// pops off the ranking — a candidate nobody would try.
+		if len(grants) == len(pending) || attempts >= budget {
+			break
 		}
 	}
 	if len(grants) < len(pending) {

@@ -200,3 +200,70 @@ func TestWindowFilterMatchesSliceFilter(t *testing.T) {
 		})
 	}
 }
+
+// TestRefusedPlacementSettlesOnlyWhatItTries pins where the attempt limit is
+// tested: with every candidate refusing, a placement negotiates with exactly
+// maxAttempts of them and settles — pops off the ranking — exactly those, not
+// one more it never tries; a gang of two has twice the budget and, each refusal
+// moving it to the next node, settles that many.
+func TestRefusedPlacementSettlesOnlyWhatItTries(t *testing.T) {
+	const limit, fleet = 3, 12
+	o := orb.New()
+	g := New("test", sim.NewVirtualClock(), o, WithMaxAttempts(limit))
+	defer g.Stop()
+	refusing := orb.NewAdapter()
+	mux := orb.NewOpMux().Handle(protocol.OpReserve, func(string, *orb.Decoder) (*orb.Encoder, error) {
+		e := &orb.Encoder{}
+		protocol.ReserveReply{Reason: "full"}.Encode(e)
+		return e, nil
+	})
+	if err := refusing.Register(protocol.LRMKey, mux); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < fleet; i++ {
+		ep, err := o.BindLoopback("refuser-"+string(rune('a'+i)), refusing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		free := resource.Vector{MIPS: float64(1000 + i), RAMMB: 1024}
+		if _, err := g.HandleUpdate(protocol.NodeStatus{
+			NodeID:    ep.Addr,
+			LRMRef:    orb.ObjectRef{Endpoint: ep, Key: protocol.LRMKey},
+			Capacity:  free,
+			GridFree:  free,
+			Timestamp: g.clock.Now(),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := protocol.ApplicationSpec{NumTasks: 2, Alloc: resource.Vector{MIPS: 100, RAMMB: 64}}
+	app := &appInfo{id: "app", spec: spec, constraint: buildConstraint(spec)}
+	tasks := []*taskInfo{{id: "app/t0"}, {id: "app/t1"}}
+
+	settled := func(mc *matchCtx) int {
+		r := mc.entries[app.constraint].rank
+		if len(r.keys) != fleet {
+			t.Fatalf("%d candidates, want the whole fleet of %d", len(r.keys), fleet)
+		}
+		return len(r.keys) - r.heap
+	}
+	mc := g.newMatchCtx()
+	if err := g.placeTask(app, tasks[0], nil, mc); err == nil {
+		t.Fatal("a task was placed although every LRM refuses")
+	}
+	if got, rounds := settled(mc), g.Stats().NegotiationRounds; got != limit || rounds != limit {
+		t.Fatalf("a refused placement settled %d candidates in %d rounds, want %d and %d", got, rounds, limit, limit)
+	}
+
+	mc = g.newMatchCtx()
+	ranked, err := mc.candidates(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.reserveAndExecuteGang(app, tasks, ranked.best()) {
+		t.Fatal("a gang was placed although every LRM refuses")
+	}
+	if got, rounds := settled(mc), g.Stats().NegotiationRounds-limit; got != 2*limit || rounds != 2*limit {
+		t.Fatalf("a refused gang of 2 settled %d candidates in %d rounds, want %d and %d", got, rounds, 2*limit, 2*limit)
+	}
+}

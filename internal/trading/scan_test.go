@@ -131,50 +131,112 @@ func TestScanMatchesBruteForce(t *testing.T) {
 				}
 			}
 
-			for _, q := range []Query{
-				{},
-				{Constraint: "mips >= 500"},
-				{Constraint: "mips >= 250 and ram >= 512 and os == 'linux'"},
-				{Constraint: "mips == 'fast'"},
-				{Constraint: "gpu > 1"},
-				{Constraint: "mips >= 0", Limit: 7},
-				{Preference: "mips"},
-				{Constraint: "ram >= 512", Preference: "mips + ram", Limit: 25},
-			} {
-				q.ServiceType = "NodeStatus"
-				want := referenceSelect(t, s, q)
-				got, err := s.SelectPointers(q)
-				if err != nil {
-					t.Fatalf("%+v: %v", q, err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%+v: %d offers, brute force %d", q, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%+v: position %d is %s (seq %d), brute force %s (seq %d)",
-							q, i, got[i].ID, got[i].seq, want[i].ID, want[i].seq)
+			assertMatchesBruteForce(t, s, fleet.count > 0)
+		})
+	}
+}
+
+// TestScanBlockBoundaries runs the same comparison where visit's blocks begin
+// and end: one shard — one exporter — holding exactly 0, 1, N−1, N, N+1 and
+// 2N+3 offers for a block of N, so an empty, a partial, an exact and a
+// multi-block snapshot with a partial tail are each walked, filled three ways:
+// every offer live and matching every satisfiable query, the first block's
+// worth expired (a block nothing survives stage one of), and a seeded mix of
+// live, expired, property-less and wrong-kind offers.
+func TestScanBlockBoundaries(t *testing.T) {
+	const n = constraint.BlockSize
+	base := time.Unix(1_700_000_000, 0)
+	for _, size := range []int{0, 1, n - 1, n, n + 1, 2*n + 3} {
+		for _, fill := range []string{"all-match", "first-block-expired", "mixed"} {
+			t.Run(fmt.Sprintf("%d/%s", size, fill), func(t *testing.T) {
+				now := base
+				s := NewService(func() time.Time { return now })
+				rng := rand.New(rand.NewSource(int64(size)))
+				for i := 0; i < size; i++ {
+					o := nodeOffer(0, 1000, 512)
+					if fill == "first-block-expired" && i < n || fill == "mixed" && rng.Intn(3) == 0 {
+						o.Expires = base.Add(time.Minute) // dead by query time, never compacted
+					}
+					if fill == "mixed" {
+						switch rng.Intn(5) {
+						case 0:
+							o.Properties = constraint.Properties{"mips": constraint.String("fast")}.Record()
+						case 1:
+							o.Properties = nil
+						case 2:
+							o.Properties = constraint.Properties{"mips": constraint.Number(100), "ram": constraint.Number(2048)}.Record()
+						}
+					}
+					if _, err := s.Export(o); err != nil {
+						t.Fatal(err)
 					}
 				}
-				if q.Preference == "" && q.Limit == 0 {
-					assertVisitYields(t, s, q, got)
+				now = base.Add(2 * time.Minute)
+				if ts := s.typeIndex("NodeStatus"); size > 0 {
+					if got := len(ts.shards[refShard(nodeRef(0))].snap.Load().offers); got != size {
+						t.Fatalf("the shard holds %d offers, want %d: expired ones must stay for the scan to skip", got, size)
+					}
 				}
-				if fleet.count > 0 && q.Constraint == "mips >= 0" && len(got) == 0 {
-					t.Fatalf("%+v matched nothing: the fleet does not exercise the scan", q)
+				assertMatchesBruteForce(t, s, fill == "all-match" && size > 0)
+				if fill == "all-match" {
+					got, err := s.SelectPointers(Query{ServiceType: "NodeStatus", Constraint: "mips >= 250 and ram >= 512 and os == 'linux'"})
+					if err != nil || len(got) != size {
+						t.Fatalf("%d of %d offers match, %v: every one should", len(got), size, err)
+					}
 				}
-			}
+			})
+		}
+	}
+}
 
-			all := s.All("NodeStatus")
-			want := referenceSelect(t, s, Query{ServiceType: "NodeStatus"})
-			if len(all) != len(want) || s.Count("NodeStatus") != len(want) {
-				t.Fatalf("All = %d offers, Count = %d, brute force %d", len(all), s.Count("NodeStatus"), len(want))
+// assertMatchesBruteForce holds every read path built on visit to the brute
+// force: SelectPointers must return the very pointers referenceSelect does, in
+// the same order, VisitMatches the same set with each exporter's in export
+// order, and All and Count the same offers unfiltered.
+func assertMatchesBruteForce(t *testing.T, s *Service, nonEmpty bool) {
+	t.Helper()
+	for _, q := range []Query{
+		{},
+		{Constraint: "mips >= 500"},
+		{Constraint: "mips >= 250 and ram >= 512 and os == 'linux'"},
+		{Constraint: "mips == 'fast'"},
+		{Constraint: "gpu > 1"},
+		{Constraint: "mips >= 0", Limit: 7},
+		{Preference: "mips"},
+		{Constraint: "ram >= 512", Preference: "mips + ram", Limit: 25},
+	} {
+		q.ServiceType = "NodeStatus"
+		want := referenceSelect(t, s, q)
+		got, err := s.SelectPointers(q)
+		if err != nil {
+			t.Fatalf("%+v: %v", q, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%+v: %d offers, brute force %d", q, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%+v: position %d is %s (seq %d), brute force %s (seq %d)",
+					q, i, got[i].ID, got[i].seq, want[i].ID, want[i].seq)
 			}
-			for i := range all {
-				if all[i].ID != want[i].ID || all[i].Properties != want[i].Properties {
-					t.Fatalf("All: position %d is %s, brute force %s", i, all[i].ID, want[i].ID)
-				}
-			}
-		})
+		}
+		if q.Preference == "" && q.Limit == 0 {
+			assertVisitYields(t, s, q, got)
+		}
+		if nonEmpty && q.Constraint == "mips >= 0" && len(got) == 0 {
+			t.Fatalf("%+v matched nothing: the fleet does not exercise the scan", q)
+		}
+	}
+
+	all := s.All("NodeStatus")
+	want := referenceSelect(t, s, Query{ServiceType: "NodeStatus"})
+	if len(all) != len(want) || s.Count("NodeStatus") != len(want) {
+		t.Fatalf("All = %d offers, Count = %d, brute force %d", len(all), s.Count("NodeStatus"), len(want))
+	}
+	for i := range all {
+		if all[i].ID != want[i].ID || all[i].Properties != want[i].Properties {
+			t.Fatalf("All: position %d is %s, brute force %s", i, all[i].ID, want[i].ID)
+		}
 	}
 }
 

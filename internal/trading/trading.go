@@ -571,21 +571,43 @@ func offerValues(offers []*Offer) []Offer {
 // each of the type's live offers that satisfy cons (nil: all of them), a
 // shard's offers in ascending seq, the shards in no order a caller may rely on.
 // An offer whose constraint evaluation errors does not match.
+//
+// It takes a snapshot a block at a time, in three stages. Reaching an offer's
+// values is three dependent cache misses — the offer, its record, the record's
+// value array — and a fleet does not fit in cache; finishing one offer before
+// touching the next pays them in turn, while each stage's loop over a block
+// issues loads that do not depend on each other, so they overlap.
 func (ts *typeShards) visit(cons *constraint.Expr, now time.Time, fn func(*Offer)) {
 	if ts == nil {
 		return
 	}
+	var (
+		recs [constraint.BlockSize]*constraint.Record
+		live [constraint.BlockSize]uint8
+	)
 	for i := range ts.shards {
-		for _, o := range ts.shards[i].snap.Load().offers {
-			if o.expired(now) {
-				continue
-			}
-			if cons != nil {
-				if ok, err := cons.Eval(o.Properties); err != nil || !ok {
-					continue
+		offers := ts.shards[i].snap.Load().offers
+		for len(offers) > 0 {
+			block := offers[:min(len(offers), constraint.BlockSize)]
+			offers = offers[len(block):]
+			// One: the first touch of each offer — expiry, and its record.
+			n := 0
+			for j, o := range block {
+				if !o.expired(now) {
+					recs[j] = o.Properties
+					live[n] = uint8(j)
+					n++
 				}
 			}
-			fn(o)
+			// Two: the constraint, a term across the block at a time.
+			sel := live[:n]
+			if cons != nil {
+				sel = cons.Filter(recs[:len(block)], sel)
+			}
+			// Three: the matches, in snapshot order.
+			for _, j := range sel {
+				fn(block[j])
+			}
 		}
 	}
 }
