@@ -6,7 +6,7 @@ FUZZ_SMOKE_TIME ?= 30s
 # Seeds the chaos target sweeps; each runs the fault-injection suite once.
 CHAOS_SEEDS ?= 1 7 42
 
-.PHONY: all build test race vet lint lint-fast interproc-lint fuzz-smoke fmt-check chaos failover election windows bench-orb bench-orb-check bench-sched bench-sched-check bench-windows benchmark-check profile-miss ci
+.PHONY: all build test race vet lint lint-fast interproc-lint fuzz-smoke fmt-check chaos failover election windows bench-orb bench-orb-check bench-sched bench-sched-check bench-windows benchmark-check profile-miss profile-update ci
 
 all: build
 
@@ -155,12 +155,12 @@ bench-sched-check:
 # The repository benchmark's self-test (BENCHMARK.json, benchmark/README.md):
 # its own tests, then a quick traced run — small fleets, two short rounds —
 # with the determinism guard and the brute-force oracle on. Not a
-# measurement; traces land in benchmark/out/. Then one iteration each of the two
-# micro-benchmarks ROADMAP item 2 quotes, so they keep compiling and running.
+# measurement; traces land in benchmark/out/. Then one iteration each of the
+# micro-benchmarks ROADMAP items 2 and 6 quote, so they keep compiling and running.
 benchmark-check:
 	$(GO) test -count=1 ./benchmark
 	$(GO) run ./benchmark -quick -traced
-	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss10k|BenchmarkEvalFleet' -benchtime 1x ./internal/grm ./internal/constraint
+	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading
 
 # Where a snapshot miss spends its time: BenchmarkPlacementMiss10k under the
 # CPU profiler (ROADMAP item 2's per-function shares are this output). Leaves
@@ -169,6 +169,15 @@ profile-miss:
 	$(GO) test -run '^$$' -bench BenchmarkPlacementMiss10k -benchtime 2000x \
 		-cpuprofile placement_miss.prof -o placement_miss.test ./internal/grm
 	$(GO) tool pprof -top -nodecount 25 placement_miss.test placement_miss.prof
+
+# Where a status update spends its time inside the trader:
+# BenchmarkExportKeyedUpsert — 10^4 offers, each ref re-exporting in turn —
+# under the CPU profiler (ROADMAP item 6c). Leaves export_keyed.prof and its
+# test binary in the working directory.
+profile-update:
+	$(GO) test -run '^$$' -bench BenchmarkExportKeyedUpsert -benchtime 2000000x \
+		-cpuprofile export_keyed.prof -o export_keyed.test ./internal/trading
+	$(GO) tool pprof -top -nodecount 25 export_keyed.test export_keyed.prof
 
 # Everything CI runs, in the same order.
 ci: build fmt-check vet lint interproc-lint race chaos failover election windows bench-orb-check bench-sched-check benchmark-check fuzz-smoke

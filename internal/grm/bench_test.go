@@ -3,6 +3,7 @@ package grm
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -30,12 +31,13 @@ var missPlatforms = []resource.Platform{
 
 // missFleet feeds a GRM n status updates drawn like the benchmark's fleet:
 // 55/30/15% platforms, 500–3000 MIPS of which 20–100% is free, a fifth of the
-// nodes dedicated, three in ten with a busy owner.
-func missFleet(b *testing.B, g *GRM, n int) {
+// nodes dedicated, three in ten with a busy owner. It returns what it sent.
+func missFleet(b *testing.B, g *GRM, n int) []protocol.NodeStatus {
 	b.Helper()
 	rng := sim.NewRNG(1)
 	now := g.clock.Now()
-	for i := 0; i < n; i++ {
+	fleet := make([]protocol.NodeStatus, n)
+	for i := range fleet {
 		s := protocol.NodeStatus{
 			NodeID:    fmt.Sprintf("n%05d", i),
 			LRMRef:    orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: fmt.Sprint(i)}, Key: "lrm"},
@@ -65,18 +67,46 @@ func missFleet(b *testing.B, g *GRM, n int) {
 		if _, err := g.HandleUpdate(s); err != nil {
 			b.Fatal(err)
 		}
+		fleet[i] = s
 	}
+	return fleet
 }
 
 // BenchmarkPlacementMiss10k is a snapshot miss and nothing else: 10⁴ status
 // offers, the 16-class deck in turn, a fresh matchCtx per placement, the first
 // 8 candidates pulled as the reserve loop would — no LRM, no RPC. `make
 // profile-miss` writes its CPU profile, which is where ROADMAP item 2's
-// per-function shares come from.
+// per-function shares come from. The fleet has registered and never reported
+// again, so the heap is laid out in registration order: the kindest case.
 func BenchmarkPlacementMiss10k(b *testing.B) {
 	g := New("bench", sim.NewVirtualClock(), orb.New())
 	defer g.Stop()
 	missFleet(b, g, 10000)
+	placementMisses(b, g)
+}
+
+// BenchmarkPlacementMissChurned10k is the same miss on the heap a running GRM
+// has: every node has since reported three times, in a different order each
+// round, so an offer's neighbours in its shard are not its neighbours in memory
+// — and nothing has touched the offers since (the collector aside), as a sweep
+// of the shard before every miss once did. This is the number to quote.
+func BenchmarkPlacementMissChurned10k(b *testing.B) {
+	g := New("bench", sim.NewVirtualClock(), orb.New())
+	defer g.Stop()
+	fleet := missFleet(b, g, 10000)
+	rng := sim.NewRNG(2)
+	for round := 0; round < 3; round++ {
+		for _, i := range rng.Perm(len(fleet)) {
+			if _, err := g.HandleUpdate(fleet[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	runtime.GC()
+	placementMisses(b, g)
+}
+
+func placementMisses(b *testing.B, g *GRM) {
 	var apps [len(missDeck)]*appInfo
 	for i, c := range missDeck {
 		spec := protocol.ApplicationSpec{Alloc: resource.Vector{MIPS: c.mips, RAMMB: c.ram}}

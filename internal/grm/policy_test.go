@@ -293,10 +293,12 @@ func nodeIDs(offers []trading.Offer) []string {
 	return ids
 }
 
-// matcherOrder exports offers to a fresh GRM's trader, in order, and returns the
-// node IDs in the order the matcher's candidates come out: every offer matches
-// the empty constraint.
-func matcherOrder(t *testing.T, p Policy, offers []trading.Offer) []string {
+// matcherOrder exports offers to a fresh GRM's trader, in order, then
+// re-exports them keyed in the order beats gives (nil: not at all) — a round of
+// heartbeats, after which the trader's slots no longer lie in export order — and
+// returns the node IDs in the order the matcher's candidates come out: every
+// offer matches the empty constraint.
+func matcherOrder(t *testing.T, p Policy, offers []trading.Offer, beats []int) []string {
 	t.Helper()
 	g := New("test", sim.NewVirtualClock(), orb.New(), WithPolicy(p))
 	defer g.Stop()
@@ -306,6 +308,11 @@ func matcherOrder(t *testing.T, p Policy, offers []trading.Offer) []string {
 	}
 	if _, err := g.Trader().ExportBatch(spread); err != nil {
 		t.Fatal(err)
+	}
+	for _, i := range beats {
+		if _, err := g.Trader().ExportKeyed(spread[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ranked, err := g.newMatchCtx().candidates(&appInfo{})
 	if err != nil {
@@ -321,8 +328,9 @@ func matcherOrder(t *testing.T, p Policy, offers []trading.Offer) []string {
 
 // TestKeyedOrderMatchesStableSort checks the ranking against the stable sort it
 // replaced, through both entry points: the public Order on values, and the
-// matcher's candidates, whose keys are collected shard by shard — not in the
-// export order the stable sort's input had.
+// matcher's candidates, whose keys are collected shard by shard, slot by slot —
+// not in the export order the stable sort's input had, least of all after a
+// shuffled round of heartbeats has renumbered every offer where it lies.
 func TestKeyedOrderMatchesStableSort(t *testing.T) {
 	for _, p := range []Policy{BestFit{}, UsageAware{}} {
 		for _, n := range []int{0, 1, 2, 3, 17, 3400} {
@@ -333,8 +341,16 @@ func TestKeyedOrderMatchesStableSort(t *testing.T) {
 				if got := nodeIDs(p.Order(offers, nil)); !slices.Equal(got, want) {
 					t.Fatalf("%s, n=%d, seed %d: Order differs from the stable sort", p.Name(), n, seed)
 				}
-				if got := matcherOrder(t, p, offers); !slices.Equal(got, want) {
+				if got := matcherOrder(t, p, offers, nil); !slices.Equal(got, want) {
 					t.Fatalf("%s, n=%d, seed %d: the matcher's candidates differ from the stable sort", p.Name(), n, seed)
+				}
+				beats := sim.NewRNG(seed).Perm(n)
+				reexported := make([]trading.Offer, n)
+				for i, b := range beats {
+					reexported[i] = offers[b]
+				}
+				if got, want := matcherOrder(t, p, offers, beats), nodeIDs(referenceOrder(p, reexported)); !slices.Equal(got, want) {
+					t.Fatalf("%s, n=%d, seed %d: after a round of heartbeats the matcher's candidates differ from the stable sort of the new export order", p.Name(), n, seed)
 				}
 			}
 		}
@@ -380,10 +396,16 @@ func TestStatefulPolicyGetsValueCopies(t *testing.T) {
 	p := &scribblingPolicy{}
 	g := New("test", sim.NewVirtualClock(), orb.New(), WithPolicy(p))
 	defer g.Stop()
-	for i := 0; i < 3; i++ {
-		if _, err := g.Trader().Export(offer(fmt.Sprintf("n%d", i), 1000, 1024, 0, false, false)); err != nil {
+	// Forty nodes, registered in order and then heartbeating in another: the
+	// last to report, n0, is the last in export order wherever its slot is.
+	const nodes = 40
+	for _, i := range append(sim.NewRNG(1).Perm(nodes), sim.NewRNG(2).Perm(nodes)...) {
+		if _, err := g.Trader().ExportKeyed(offer(fmt.Sprintf("n%d", i), 1000, 1024, 0, false, false)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := g.Trader().ExportKeyed(offer("n0", 1000, 1024, 0, false, false)); err != nil {
+		t.Fatal(err)
 	}
 	spec := protocolSpecForConstraintTest()
 	spec.Requirements, spec.Constraint = resource.Requirements{}, ""
@@ -391,11 +413,11 @@ func TestStatefulPolicyGetsValueCopies(t *testing.T) {
 	mc := g.newMatchCtx()
 	for query := 1; query <= 2; query++ {
 		got, err := mc.candidates(app)
-		if err != nil || len(got.keys) != 3 {
+		if err != nil || len(got.keys) != nodes {
 			t.Fatalf("candidates = %+v, %v", got, err)
 		}
-		if id, _ := pull(got, 1)[0].Properties.Get(PropNode).AsString(); id != "n2" {
-			t.Fatalf("first candidate = %s, want n2 (the policy reverses export order)", id)
+		if id, _ := pull(got, 1)[0].Properties.Get(PropNode).AsString(); id != "n0" {
+			t.Fatalf("first candidate = %s, want n0 (the policy reverses export order)", id)
 		}
 		if p.calls != query {
 			t.Fatalf("policy invoked %d times after %d queries", p.calls, query)

@@ -17,7 +17,7 @@ var CowStore = &Analyzer{
 		"tables, Adapter servant tables) are copy-on-write atomic.Pointer " +
 		"snapshots: readers do one atomic Load and never lock, writers copy " +
 		"the snapshot, mutate the copy and Store it while holding the " +
-		"declared writer mutex. The pattern is only safe if three rules " +
+		"declared writer mutex. The pattern is only safe if four rules " +
 		"hold, and each is easy to break silently. This analyzer checks, for " +
 		"every struct field of type atomic.Pointer[T]: (1) no mutation " +
 		"through a Load()ed snapshot — a map/slice-element or field write " +
@@ -28,9 +28,12 @@ var CowStore = &Analyzer{
 		"was skipped; (3) every Load→Store read-modify-write sequence must " +
 		"run under the writer mutex declared via //lint:guards <field> on " +
 		"the mutex field (or be a CompareAndSwap loop) — otherwise two " +
-		"writers interleave and one update vanishes. Malformed //lint:guards " +
-		"lists (naming a field the struct does not have) are diagnostics " +
-		"too.",
+		"writers interleave and one update vanishes; (4) an atomic Store into " +
+		"an element of a slice reached through the Load()ed snapshot of a " +
+		"guarded field — a snapshot whose membership is copy-on-write but " +
+		"whose slots are updated in place — is a write like the swap, and " +
+		"needs the same mutex. Malformed //lint:guards lists (naming a field " +
+		"the struct does not have) are diagnostics too.",
 	RunRepo: runCowStore,
 }
 
@@ -427,6 +430,15 @@ func checkCowRMW(pass *RepoPass, pkg *Package, reg *cowRegistry) {
 			onBlocking: func(token.Pos, string, lockState) {},
 			onCall:     func(*ast.CallExpr, lockState) {},
 			onEveryCall: func(call *ast.CallExpr, held lockState) {
+				if snap, method, ok := slotStore(info, reg, body, call); ok {
+					want := snap.base + "." + reg.guard[snap.key]
+					if _, guarded := held[want]; !guarded {
+						pass.Reportf(call.Pos(),
+							"cowstore: element %s into the Load()ed snapshot of %s outside the declared writer mutex %s; a slot updated in place is written under the mutex its snapshot is swapped under",
+							method, snap.key, want)
+					}
+					return
+				}
 				key, base, method, ok := atomicFieldOp(info, reg, call)
 				if !ok {
 					return
@@ -476,6 +488,63 @@ func checkCowRMW(pass *RepoPass, pkg *Package, reg *cowRegistry) {
 					"cowstore: read-modify-write of %s (Load then %s) outside the declared writer mutex %s; two concurrent writers would lose an update",
 					ev.key, ev.method, want)
 			}
+		}
+	}
+}
+
+// loadedSnap is where a snapshot expression came from: <base>.<field>.Load().
+type loadedSnap struct {
+	key  cowField
+	base string
+}
+
+// loadedSnapshot finds where body assigns v from <base>.<field>.Load().
+func loadedSnapshot(info *types.Info, reg *cowRegistry, body *ast.BlockStmt, v types.Object) (snap loadedSnap, ok bool) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, isAssign := n.(*ast.AssignStmt)
+		for i := 0; isAssign && len(as.Lhs) == len(as.Rhs) && i < len(as.Lhs); i++ {
+			id, isIdent := as.Lhs[i].(*ast.Ident)
+			call, isCall := ast.Unparen(as.Rhs[i]).(*ast.CallExpr)
+			if !isIdent || !isCall || info.ObjectOf(id) != v {
+				continue
+			}
+			if key, base, method, isOp := atomicFieldOp(info, reg, call); isOp && method == "Load" {
+				snap, ok = loadedSnap{key, base}, true
+			}
+		}
+		return !ok
+	})
+	return snap, ok
+}
+
+// slotStore recognizes call, in body, as an atomic Store, Swap or
+// CompareAndSwap on an element of a slice reached — through any fields and
+// indices — from the Load()ed snapshot of a field that declares a guard.
+func slotStore(info *types.Info, reg *cowRegistry, body *ast.BlockStmt, call *ast.CallExpr) (snap loadedSnap, method string, ok bool) {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel || sel.Sel.Name != "Store" && sel.Sel.Name != "Swap" && sel.Sel.Name != "CompareAndSwap" {
+		return loadedSnap{}, "", false
+	}
+	elem, isIndex := ast.Unparen(sel.X).(*ast.IndexExpr)
+	if !isIndex || !isAtomicPointer(info.TypeOf(elem)) {
+		return loadedSnap{}, "", false
+	}
+	for root := ast.Expr(elem); ; {
+		switch e := ast.Unparen(root).(type) {
+		case *ast.IndexExpr:
+			root = e.X
+		case *ast.SelectorExpr:
+			root = e.X
+		case *ast.StarExpr:
+			root = e.X
+		case *ast.Ident:
+			snap, ok = loadedSnapshot(info, reg, body, info.ObjectOf(e))
+			return snap, sel.Sel.Name, ok && reg.guard[snap.key] != ""
+		case *ast.CallExpr:
+			key, base, m, isOp := atomicFieldOp(info, reg, e)
+			return loadedSnap{key, base}, sel.Sel.Name, isOp && m == "Load" && reg.guard[key] != ""
+		default:
+			return loadedSnap{}, "", false
 		}
 	}
 }

@@ -4,8 +4,9 @@
 // loaded, read-modify-write outside (and without) the declared writer
 // mutex, plus the clean idioms that must stay silent: copy-then-swap under
 // the declared mutex, whole-field refresh before mutating, blind
-// constructor stores and CompareAndSwap loops. Malformed //lint:guards
-// declarations are diagnostics too.
+// constructor stores and CompareAndSwap loops. A snapshot whose slots are
+// atomic pointers may be stored into in place, under the declared mutex and
+// not outside it. Malformed //lint:guards declarations are diagnostics too.
 package cowstore
 
 import (
@@ -136,6 +137,36 @@ func (u *Unguarded) casLoop(name string) {
 			return
 		}
 	}
+}
+
+// slotted is a snapshot whose membership is copy-on-write and whose slots are
+// updated in place.
+type slotted struct {
+	slots []atomic.Pointer[config]
+}
+
+// Table publishes a slotted snapshot.
+type Table struct {
+	//lint:guards snap
+	mu   sync.Mutex
+	snap atomic.Pointer[slotted]
+}
+
+// storeInPlace replaces one slot's occupant under the declared mutex: the
+// snapshot pointer is not re-published, and no copy was skipped; silent.
+func (t *Table) storeInPlace(i int, c *config) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	cur := t.snap.Load()
+	cur.slots[i].Store(c)
+}
+
+// storeUnguarded does the same store with no lock: it races the writer that
+// is copying the slots into the next snapshot, and the store is lost.
+func (t *Table) storeUnguarded(i int, c *config) {
+	cur := t.snap.Load()
+	cur.slots[i].Store(c)          // want `element Store into the Load\(\)ed snapshot of .*cowstore.Table.snap outside the declared writer mutex t.mu`
+	t.snap.Load().slots[i].Swap(c) // want `element Swap into the Load\(\)ed snapshot of .*cowstore.Table.snap outside the declared writer mutex t.mu`
 }
 
 // BadDecl's guards list names a field the struct does not have, and its

@@ -112,20 +112,17 @@ func BenchmarkSelectCacheMiss(b *testing.B) {
 	}
 }
 
+// BenchmarkExportKeyedUpsert is the Information Update Protocol's inner loop at
+// fleet size: 10^4 offers, ~156 a shard, each ref re-exporting its one offer in
+// turn. `make profile-update` writes its CPU profile.
 func BenchmarkExportKeyedUpsert(b *testing.B) {
-	s := benchTrader(200)
-	offer := Offer{
-		ServiceType: "NodeStatus",
-		Ref: orb.ObjectRef{
-			Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: "n5"},
-			Key:      "lrm",
-		},
-		Properties: constraint.Properties{"mips_free": constraint.Number(1)}.Record(),
-	}
+	const fleet = 10000
+	s := benchTrader(fleet)
+	offers := s.All("NodeStatus")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.ExportKeyed(offer); err != nil {
+		if _, err := s.ExportKeyed(offers[i%fleet]); err != nil {
 			b.Fatal(err)
 		}
 	}

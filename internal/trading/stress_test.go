@@ -120,7 +120,7 @@ func TestSelectSharedSharesProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	own := s.ids[id].offer
+	own := &s.ids[id].st.Offer
 	s.mu.Unlock()
 	stored := own.Properties
 
@@ -271,36 +271,66 @@ func TestConcurrentTradingStress(t *testing.T) {
 			t.Fatalf("surviving offer %s does not resolve: %v", off.ID, err)
 		}
 	}
-	assertShardsSorted(t, s)
+	assertIndexConsistent(t, s)
 }
 
-// assertShardsSorted checks the invariant the run merge in scan, and with it
-// the byte-identical candidate order, rests on: every shard snapshot
-// and every per-ref list ascends strictly by seq, and an offer's ID is the
-// one derived from its seq.
-func assertShardsSorted(t *testing.T, s *Service) {
+// slotOffers loads what a shard's snapshot holds, slot by slot.
+func slotOffers(sh *shard) []*stored {
+	slots := sh.snap.Load().slots
+	out := make([]*stored, len(slots))
+	for i := range slots {
+		out[i] = slots[i].Load()
+	}
+	return out
+}
+
+// assertIndexConsistent checks, on a quiescent service, what the index's
+// writers keep true and its readers rest on: each per-ref list ascends strictly
+// by seq and knows the slot of each of its offers, a shard's slots hold exactly
+// the union of its per-ref lists, an offer's ID is the one derived from its
+// seq, and SelectPointers and All come back strictly ascending in Seq. Slot
+// order itself is not an invariant: an upsert reuses its victim's slot.
+func assertIndexConsistent(t *testing.T, s *Service) {
 	t.Helper()
 	for typ, ts := range *s.types.Load() {
 		for i := range ts.shards {
 			sh := &ts.shards[i]
-			offers := sh.snap.Load().offers
-			for j, o := range offers {
-				if j > 0 && offers[j-1].seq >= o.seq {
-					t.Fatalf("%s shard %d out of order at %d: seq %d then %d", typ, i, j, offers[j-1].seq, o.seq)
-				}
-				if o.ID != fmt.Sprintf("offer-%d", o.seq) {
-					t.Fatalf("%s shard %d: offer with seq %d has ID %s", typ, i, o.seq, o.ID)
-				}
-			}
 			sh.mu.Lock()
+			offers, indexed := slotOffers(sh), 0
 			for ref, list := range sh.byRef {
-				for j := 1; j < len(list); j++ {
-					if list[j-1].seq >= list[j].seq {
-						t.Errorf("%s shard %d: byRef[%v] out of order: seq %d then %d", typ, i, ref, list[j-1].seq, list[j].seq)
+				indexed += len(list)
+				for j, e := range list {
+					if j > 0 && list[j-1].st.seq >= e.st.seq {
+						t.Errorf("%s shard %d: byRef[%v] out of order: seq %d then %d", typ, i, ref, list[j-1].st.seq, e.st.seq)
+					}
+					if e.slot >= len(offers) || offers[e.slot] != e.st || e.st.Ref != ref {
+						t.Errorf("%s shard %d: byRef[%v] places seq %d in slot %d, which does not hold it", typ, i, ref, e.st.seq, e.slot)
 					}
 				}
 			}
 			sh.mu.Unlock()
+			if indexed != len(offers) {
+				t.Errorf("%s shard %d: %d slots but %d offers in byRef", typ, i, len(offers), indexed)
+			}
+			for _, st := range offers {
+				if st.ID != fmt.Sprintf("offer-%d", st.seq) || st.Properties != &st.rec {
+					t.Errorf("%s shard %d: offer with seq %d has ID %s (or another's record)", typ, i, st.seq, st.ID)
+				}
+			}
+		}
+		ptrs, err := s.SelectPointers(Query{ServiceType: typ})
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := s.All(typ)
+		if len(all) != len(ptrs) {
+			t.Errorf("%s: All returns %d offers, SelectPointers %d", typ, len(all), len(ptrs))
+		}
+		for j := 1; j < len(ptrs); j++ {
+			if ptrs[j-1].Seq() >= ptrs[j].Seq() || all[j-1].Seq() >= all[j].Seq() {
+				t.Fatalf("%s: position %d not in export order: SelectPointers seq %d then %d, All %d then %d",
+					typ, j, ptrs[j-1].Seq(), ptrs[j].Seq(), all[j-1].Seq(), all[j].Seq())
+			}
 		}
 	}
 }
@@ -308,9 +338,9 @@ func assertShardsSorted(t *testing.T, s *Service) {
 // TestSeqOrderSameShard races every insert path into one shard: sixteen
 // writers share one exporting reference, with property records of different
 // sizes, and every fourth writer goes through ExportBatch, whose numbers are
-// drawn before the lock. A sequence number drawn outside the lock and
-// appended under it lets a later number be published first; the seed did
-// exactly that and failed this test in its first round.
+// drawn before the lock, so a later number can be published first. Slot order
+// may then be anything; the per-ref list must still ascend (a keyed upsert
+// replaces its first entry as the oldest) and the queries come back in seq.
 func TestSeqOrderSameShard(t *testing.T) {
 	ref := orb.ObjectRef{Endpoint: orb.Endpoint{Net: "loop", Addr: "x"}, Key: "k"}
 	for round := 0; round < 100; round++ {
@@ -349,7 +379,7 @@ func TestSeqOrderSameShard(t *testing.T) {
 				t.Fatalf("round %d: out of order at %d: seq %d then %d", round, i, all[i-1].seq, all[i].seq)
 			}
 		}
-		assertShardsSorted(t, s)
+		assertIndexConsistent(t, s)
 	}
 }
 
@@ -416,5 +446,5 @@ func TestHeldPointersNeverChange(t *testing.T) {
 	}()
 	wg.Wait()
 	check()
-	assertShardsSorted(t, s)
+	assertIndexConsistent(t, s)
 }

@@ -8,21 +8,21 @@
 // LRMs." Each LRM status update becomes an offer upsert; scheduling is a
 // constraint query.
 //
-// The offer index is sharded copy-on-write (DESIGN.md §16): each service
-// type owns shardsPerType shards keyed by the exporting object reference,
-// and each shard publishes its live offers as an immutable snapshot behind
-// an atomic.Pointer. Select loads the snapshots with no locks, filters each
-// and merges the matches in export-sequence order, so readers never contend
-// with writers and concurrent Export/Withdraw on different shards never
-// contend with each other. Writers rebuild only their own shard's snapshot
-// (copy, mutate the copy, swap under the shard mutex — the PR 4 ORB registry
-// pattern).
+// The offer index is sharded (DESIGN.md §16): each service type owns
+// shardsPerType shards keyed by the exporting object reference, and each shard
+// publishes a snapshot behind an atomic.Pointer — one slot per offer. Which
+// offers a shard holds is copy-on-write: a writer builds a fresh snapshot and
+// swaps it in under the shard mutex (the PR 4 ORB registry pattern). What a
+// slot holds is not: a status update stores its ref's new offer into the slot
+// the old one sat in. Readers take no locks — they load the snapshots and the
+// slots — so they never contend with writers, and writers on different shards
+// never contend with each other.
 package trading
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"maps"
 	"slices"
 	"strconv"
@@ -56,24 +56,63 @@ var (
 // the trader without a copy, and every offer the trader returns shares the
 // stored record.
 type Offer struct {
+	// Expires is the instant after which the offer is garbage; zero means
+	// no expiry. LRM offers carry an expiry so that crashed nodes age out
+	// of the trader (the staleness the Information Update Protocol bounds).
+	// It and seq come first because they are what a scan reads of a match:
+	// in a stored offer they share a cache line with the record header.
+	Expires time.Time
+	// seq is the service-assigned export sequence number, the order of the
+	// offer index. Offers constructed by callers have seq 0; Export assigns
+	// the real one.
+	seq int
+
 	ID          string
 	ServiceType string
 	Ref         orb.ObjectRef
 	Properties  *constraint.Record
-	// Expires is the instant after which the offer is garbage; zero means
-	// no expiry. LRM offers carry an expiry so that crashed nodes age out
-	// of the trader (the staleness the Information Update Protocol bounds).
-	Expires time.Time
+}
 
-	// seq is the service-assigned export sequence number, the sort key of
-	// the per-type offer index. Offers constructed by callers have seq 0;
-	// Export assigns the real one.
-	seq int
+// due reports whether the instant at — an offer's expiry, a snapshot's sweep
+// bound — has been reached at now. A zero at is never reached, and a zero now
+// (a service without a clock) reaches nothing.
+func due(at, now time.Time) bool {
+	return !at.IsZero() && !now.IsZero() && !at.After(now)
+}
+
+// earlier returns the earlier of two expiries, zero being never.
+func earlier(a, b time.Time) time.Time {
+	if a.IsZero() || !b.IsZero() && b.Before(a) {
+		return b
+	}
+	return a
 }
 
 // expired reports whether the offer is past its expiry at now.
-func (o *Offer) expired(now time.Time) bool {
-	return !o.Expires.IsZero() && !now.IsZero() && !o.Expires.After(now)
+func (o *Offer) expired(now time.Time) bool { return due(o.Expires, now) }
+
+// stored is an offer as the index holds it: the header of its property record
+// inline and first, the Offer behind it, Properties pointing at rec. A scan
+// that has loaded a slot has &st.rec without touching memory, so reaching a
+// property is two dependent loads — header, value — not three, and the Expires
+// and seq of a match are on the line the header came in on. The header is a
+// copy; the value array is the exporter's, shared. Like the Offer inside it, a
+// stored is written before it is published and never again.
+type stored struct {
+	rec constraint.Record
+	Offer
+}
+
+// noProperties stands in for a nil record, so that every stored rec is valid.
+var noProperties = constraint.NewSchema().Record(nil)
+
+func newStored(o Offer) *stored {
+	st := &stored{rec: *noProperties, Offer: o}
+	if o.Properties != nil {
+		st.rec = *o.Properties
+	}
+	st.Properties = &st.rec
+	return st
 }
 
 // Seq returns the offer's export sequence number: unique within a Service and
@@ -98,30 +137,45 @@ type Query struct {
 // so Select hits the cache on all but the first sight of a source.
 var compileCache = constraint.NewCache(0)
 
-// shardSnap is one shard's immutable published state: the live offers in
-// ascending export-sequence order. Snapshots are never mutated after the
-// Store; writers build a fresh one.
+// shardSnap is one shard's published state. Which offers it has slots for is
+// immutable — a writer that adds or removes one builds a fresh snapshot — but
+// what a slot holds is not: a keyed upsert of a ref with one offer stores the
+// new offer into the old one's slot. A reader loads each slot once and so sees,
+// for each ref, the old offer or the new one; slot order means nothing.
 type shardSnap struct {
-	offers []*Offer
+	slots []atomic.Pointer[stored]
+	// sweepAt is a lower bound on the expiry of every offer ever stored into
+	// this snapshot (zero: none expires), exact when the snapshot was built and
+	// never written again: a slot store is allowed only if it keeps the bound.
+	// Until now reaches it nothing here has expired, so a writer need not look
+	// for something to compact, nor a reader for something to skip.
+	sweepAt time.Time
 }
 
 // emptySnap is the shared snapshot of an offer-less shard; it is never
 // mutated, so every empty shard can publish the same pointer.
 var emptySnap = &shardSnap{}
 
-// shard is one copy-on-write slice of a service type's offer index.
+// placed is one entry of a shard's reverse index: an offer and its slot.
+type placed struct {
+	st   *stored
+	slot int
+}
+
+// shard is one slice of a service type's offer index.
 type shard struct {
-	// mu serializes snapshot rebuilds and guards byRef. Readers never take
-	// it: they load snap and walk the immutable snapshot.
+	// mu serializes snapshot rebuilds and slot stores, and guards byRef.
+	// Readers never take it: they load snap and the slots.
 	//
 	//lint:guards snap
 	mu   sync.Mutex
 	snap atomic.Pointer[shardSnap]
-	// byRef is the per-ref reverse index: every live offer in this shard's
-	// snapshot, grouped by exporting reference in ascending seq order. It
-	// makes keyed upserts and WithdrawRef O(offers-per-ref) instead of a
-	// full-index scan. Mutated in place under mu; never read without it.
-	byRef map[orb.ObjectRef][]*Offer
+	// byRef is the per-ref reverse index: every offer in this shard's
+	// snapshot, grouped by exporting reference in ascending seq order, with
+	// the slot it sits in. It makes keyed upserts and WithdrawRef
+	// O(offers-per-ref) instead of a search. Mutated in place under mu; never
+	// read without it.
+	byRef map[orb.ObjectRef][]placed
 }
 
 // typeShards is one service type's shard set. The array is fixed at
@@ -130,29 +184,32 @@ type typeShards struct {
 	shards [shardsPerType]shard
 }
 
-// refShard maps an exporting reference to its shard index within a type.
+// refShard maps an exporting reference to its shard index within a type:
+// FNV-1a over endpoint and key, written out so that it converts no string.
 func refShard(ref orb.ObjectRef) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(ref.Endpoint.Net))
-	_, _ = h.Write([]byte(ref.Endpoint.Addr))
-	_, _ = h.Write([]byte(ref.Key))
-	return int(h.Sum32() % shardsPerType)
+	h := uint32(2166136261)
+	for _, s := range [...]string{ref.Endpoint.Net, ref.Endpoint.Addr, ref.Key} {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint32(s[i])) * 16777619
+		}
+	}
+	return int(h % shardsPerType)
 }
 
 // offerLoc is the registry's record of where one offer lives.
 type offerLoc struct {
-	offer *Offer
+	st    *stored
 	shard *shard
 }
 
 // Service is the in-memory trader. Safe for concurrent use.
 //
 // Offers are indexed three ways: a registry by ID for describe/withdraw,
-// per-(type, ref-hash) shard snapshots holding the live offers in ascending
-// seq order (the lock-free read path), and a per-shard reverse index by
-// exporting reference (the keyed-upsert/eviction path). Keeping every shard
-// sorted by seq is what lets Select merge shards into the exact global
-// export order with no per-query sort (DESIGN.md §13, §16).
+// per-(type, ref-hash) shard snapshots holding one slot per offer (the
+// lock-free read path), and a per-shard reverse index by exporting reference
+// (the keyed-upsert/eviction path). Every offer carries its export sequence
+// number, which is unique, so a consumer that wants export order sorts by it
+// (scan) and one that brings its own order never pays for it (DESIGN.md §16).
 type Service struct {
 	// seq is the global export sequence; atomic so concurrent exports on
 	// different shards never serialize on it.
@@ -200,12 +257,20 @@ func (s *Service) typeIndex(serviceType string) *typeShards {
 	return (*s.types.Load())[serviceType]
 }
 
-// ensureType returns the shard set for a service type, creating it (one
-// copy-on-write swap of the types map) on first export of the type.
-func (s *Service) ensureType(serviceType string) *typeShards {
-	if ts := s.typeIndex(serviceType); ts != nil {
-		return ts
+// shardFor returns the shard an offer of the given type and exporter lives in.
+func (s *Service) shardFor(serviceType string, ref orb.ObjectRef) *shard {
+	ts := s.typeIndex(serviceType)
+	if ts == nil {
+		ts = s.addType(serviceType)
 	}
+	return &ts.shards[refShard(ref)]
+}
+
+// addType creates the shard set for a service type (one copy-on-write swap of
+// the types map) on first export of the type.
+//
+//lint:coldpath first export of a service type
+func (s *Service) addType(serviceType string) *typeShards {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.types.Load()
@@ -215,7 +280,7 @@ func (s *Service) ensureType(serviceType string) *typeShards {
 	ts := &typeShards{}
 	for i := range ts.shards {
 		ts.shards[i].snap.Store(emptySnap)
-		ts.shards[i].byRef = make(map[orb.ObjectRef][]*Offer)
+		ts.shards[i].byRef = make(map[orb.ObjectRef][]placed)
 	}
 	next := make(map[string]*typeShards, len(*cur)+1)
 	for k, v := range *cur {
@@ -228,28 +293,30 @@ func (s *Service) ensureType(serviceType string) *typeShards {
 
 // Export registers an offer and returns its ID.
 func (s *Service) Export(o Offer) (string, error) {
-	if o.ServiceType == "" {
-		return "", fmt.Errorf("trading: offer without service type")
-	}
-	sh := &s.ensureType(o.ServiceType).shards[refShard(o.Ref)]
-	removed := sh.insert(&s.seq, nil, &o, s.now())
-	s.commit(&o, sh, removed)
-	return o.ID, nil
+	return s.export(o, false)
 }
 
 // ExportKeyed upserts an offer identified by (serviceType, ref): at most one
 // offer per exporting object per type. Used by the Information Update
-// Protocol where each LRM refreshes its single status offer. The replaced
-// offer (the ref's oldest, when several exist) and its replacement live in
-// the same shard, so an upsert is a single-shard rebuild.
+// Protocol where each LRM refreshes its single status offer: every update
+// after a node's first stores one pointer into the slot its previous offer
+// held, and rebuilds nothing. When the ref holds several offers the oldest is
+// the one replaced.
+//
+//lint:hotpath alloc=3 locks=2 block=0
 func (s *Service) ExportKeyed(o Offer) (string, error) {
+	return s.export(o, true)
+}
+
+func (s *Service) export(o Offer, keyed bool) (string, error) {
 	if o.ServiceType == "" {
-		return "", fmt.Errorf("trading: offer without service type")
+		return "", fmt.Errorf("trading: offer without service type") //lint:alloc error slow path
 	}
-	sh := &s.ensureType(o.ServiceType).shards[refShard(o.Ref)]
-	removed := sh.insert(&s.seq, &o.Ref, &o, s.now())
-	s.commit(&o, sh, removed)
-	return o.ID, nil
+	st := newStored(o)
+	sh := s.shardFor(o.ServiceType, o.Ref)
+	victim, removed := sh.insert(&s.seq, st, keyed, s.now())
+	s.commit(st, sh, victim, removed)
+	return st.ID, nil
 }
 
 // ExportBatch registers many offers in one pass, rebuilding each touched
@@ -264,40 +331,34 @@ func (s *Service) ExportBatch(offers []Offer) ([]string, error) {
 	}
 	// The batch takes one contiguous block of sequence numbers, handed out
 	// in submission order, so All returns a batch in the order it was given.
-	// The block is reserved before any shard is locked; insertBatch merges
-	// by seq, so a concurrent export that reached a shard first stays in
-	// order.
+	// The block is reserved before any shard is locked, so a concurrent export
+	// may publish a later number first; nothing rests on the order of slots.
 	base := int(s.seq.Add(int64(len(offers)))) - len(offers)
 	ids := make([]string, len(offers))
-	buckets := make(map[*shard][]*Offer)
+	buckets := make(map[*shard][]*stored)
 	var order []*shard
 	for i := range offers {
-		off := offers[i]
-		off.setSeq(base + i + 1)
-		ids[i] = off.ID
-		sh := &s.ensureType(off.ServiceType).shards[refShard(off.Ref)]
+		st := newStored(offers[i])
+		st.setSeq(base + i + 1)
+		ids[i] = st.ID
+		sh := s.shardFor(st.ServiceType, st.Ref)
 		if _, seen := buckets[sh]; !seen {
 			order = append(order, sh)
 		}
-		buckets[sh] = append(buckets[sh], &off)
+		buckets[sh] = append(buckets[sh], st)
 	}
 	now := s.now()
 	var removed []*Offer
 	for _, sh := range order {
 		adds := buckets[sh]
-		removed = append(removed, sh.insertBatch(adds, now)...)
+		removed = append(removed, sh.rebuild(now, nil, adds...)...)
 		s.mu.Lock()
-		for _, off := range adds {
-			s.ids[off.ID] = offerLoc{offer: off, shard: sh}
+		for _, st := range adds {
+			s.ids[st.ID] = offerLoc{st: st, shard: sh}
 		}
 		s.mu.Unlock()
 	}
-	s.mu.Lock()
-	for _, off := range removed {
-		delete(s.ids, off.ID)
-	}
-	s.mu.Unlock()
-	s.version.Add(1)
+	s.commit(nil, nil, nil, removed)
 	return ids, nil
 }
 
@@ -308,12 +369,16 @@ func (o *Offer) setSeq(seq int) {
 	o.ID = "offer-" + strconv.Itoa(seq)
 }
 
-// commit finishes a single-offer mutation: the registry learns the new
-// offer and forgets the removed ones, and the version advances.
-func (s *Service) commit(added *Offer, sh *shard, removed []*Offer) {
+// commit finishes a mutation: the registry learns the new offer and forgets
+// the ones that left the index — a keyed upsert's victim, what a rebuild
+// removed — and the version advances.
+func (s *Service) commit(added *stored, sh *shard, victim *Offer, removed []*Offer) {
 	s.mu.Lock()
 	if added != nil {
-		s.ids[added.ID] = offerLoc{offer: added, shard: sh}
+		s.ids[added.ID] = offerLoc{st: added, shard: sh}
+	}
+	if victim != nil {
+		delete(s.ids, victim.ID)
 	}
 	for _, off := range removed {
 		delete(s.ids, off.ID)
@@ -322,145 +387,109 @@ func (s *Service) commit(added *Offer, sh *shard, removed []*Offer) {
 	s.version.Add(1)
 }
 
-// insert is the copy-on-write writer for one new offer: under sh.mu it
-// takes add's sequence number from seq, builds a fresh snapshot without the
-// victim (when victimOldestOf is non-nil, the ref's oldest existing offer —
-// the keyed-upsert semantics) and without any offer past its expiry, appends
-// add, maintains byRef, and swaps the snapshot in. Drawing the number under
-// the lock is what makes the append keep the snapshot seq-sorted: every
-// offer already in the shard drew an earlier one, and a writer that draws a
-// later one is still waiting for the lock. It returns every offer that left
-// the snapshot — the victim plus compacted expired offers — for registry
-// cleanup.
+// insert is the writer for one new offer. Under sh.mu it takes add's sequence
+// number from seq — an offer's ID and seq are drawn where it is published, so
+// a ref's offers are numbered in the order they replace each other — and then
+// either stores add into the slot of the one offer its ref holds, returning
+// that victim, or swaps in a snapshot with add in it, returning what left.
 //
-//lint:coldpath copy-on-write shard rebuild: the writer slow path
-func (sh *shard) insert(seq *atomic.Int64, victimOldestOf *orb.ObjectRef, add *Offer, now time.Time) []*Offer {
+// The store is the keyed upsert of a ref with exactly one offer, when nothing
+// in the shard can have expired (now is short of sweepAt) and add's expiry
+// keeps sweepAt a lower bound. Everything else — a ref's first offer, a second
+// one, an expiry to compact — changes which offers the shard holds.
+func (sh *shard) insert(seq *atomic.Int64, add *stored, keyed bool, now time.Time) (victim *Offer, removed []*Offer) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	add.setSeq(int(seq.Add(1)))
-	var drop *Offer
-	if victimOldestOf != nil {
-		if prev := sh.byRef[*victimOldestOf]; len(prev) > 0 {
-			drop = prev[0]
-		}
-	}
 	cur := sh.snap.Load()
-	next := &shardSnap{offers: make([]*Offer, 0, len(cur.offers)+1)}
-	var removed []*Offer
-	for _, o := range cur.offers {
-		if o == drop || o.expired(now) {
-			removed = append(removed, o)
-			sh.dropRefLocked(o)
-			continue
+	var oldest *stored
+	if own := sh.byRef[add.Ref]; keyed && len(own) > 0 {
+		oldest = own[0].st
+		if len(own) == 1 && !due(cur.sweepAt, now) && earlier(cur.sweepAt, add.Expires).Equal(cur.sweepAt) {
+			cur.slots[own[0].slot].Store(add)
+			own[0].st = add
+			return &oldest.Offer, nil
 		}
-		next.offers = append(next.offers, o)
 	}
-	next.offers = append(next.offers, add)
-	sh.byRef[add.Ref] = append(sh.byRef[add.Ref], add)
+	next, removed := sh.rebuilt(cur, now, func(st *stored) bool { return st == oldest }, add) //lint:alloc the rebuild's, not the store's
+	sh.snap.Store(next)
+	return nil, removed
+}
+
+// rebuild is the whole of a write that only changes which offers the shard
+// holds: it swaps in the snapshot rebuilt from the current one.
+func (sh *shard) rebuild(now time.Time, drop func(*stored) bool, adds ...*stored) []*Offer {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	next, removed := sh.rebuilt(sh.snap.Load(), now, drop, adds...)
 	sh.snap.Store(next)
 	return removed
 }
 
-// insertBatch is insert for a batch of offers sharing one snapshot swap.
-// adds already carry their sequence numbers, ascending; they were drawn
-// before the lock was taken, so a concurrent insert may have published a
-// later number first, and adds are merged into place, not appended.
+// rebuilt is the copy step of the copy-on-write writers: it returns a fresh
+// snapshot holding cur's offers — without those drop selects (nil: none) and,
+// when the sweep is due, without those past their expiry — and then adds, its
+// sweepAt exact, and the offers that left, for registry clean-up. It keeps
+// byRef in step, so the caller, which holds sh.mu, must store the result.
 //
 //lint:coldpath copy-on-write shard rebuild: the writer slow path
-func (sh *shard) insertBatch(adds []*Offer, now time.Time) []*Offer {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur := sh.snap.Load()
-	next := &shardSnap{offers: make([]*Offer, 0, len(cur.offers)+len(adds))}
+func (sh *shard) rebuilt(cur *shardSnap, now time.Time, drop func(*stored) bool, adds ...*stored) (*shardSnap, []*Offer) {
+	sweep := due(cur.sweepAt, now)
+	next := &shardSnap{slots: make([]atomic.Pointer[stored], len(cur.slots)+len(adds))}
 	var removed []*Offer
-	merged := 0
-	for _, o := range cur.offers {
-		if o.expired(now) {
-			removed = append(removed, o)
-			sh.dropRefLocked(o)
+	n := 0
+	for i := range cur.slots {
+		st := cur.slots[i].Load()
+		if drop != nil && drop(st) || sweep && st.expired(now) {
+			removed = append(removed, &st.Offer)
+			sh.dropRefLocked(st)
 			continue
 		}
-		for merged < len(adds) && adds[merged].seq < o.seq {
-			next.offers = append(next.offers, adds[merged])
-			merged++
-		}
-		next.offers = append(next.offers, o)
+		next.slots[n].Store(st)
+		next.sweepAt = earlier(next.sweepAt, st.Expires)
+		n++
 	}
-	next.offers = append(next.offers, adds[merged:]...)
+	if len(removed) > 0 { // the survivors moved up: tell byRef where to
+		for slot := range next.slots[:n] {
+			st := next.slots[slot].Load()
+			own := sh.byRef[st.Ref]
+			for i := range own {
+				if own[i].st == st {
+					own[i].slot = slot
+				}
+			}
+		}
+	}
 	for _, add := range adds {
-		list := append(sh.byRef[add.Ref], add)
-		for i := len(list) - 1; i > 0 && list[i-1].seq > list[i].seq; i-- {
-			list[i-1], list[i] = list[i], list[i-1]
+		next.slots[n].Store(add)
+		next.sweepAt = earlier(next.sweepAt, add.Expires)
+		// A batch drew its numbers before the lock: an insert may have
+		// published a later one for the ref first, so place, do not append.
+		own := append(sh.byRef[add.Ref], placed{add, n})
+		for i := len(own) - 1; i > 0 && own[i-1].st.seq > own[i].st.seq; i-- {
+			own[i-1], own[i] = own[i], own[i-1]
 		}
-		sh.byRef[add.Ref] = list
+		sh.byRef[add.Ref] = own
+		n++
 	}
-	sh.snap.Store(next)
-	return removed
-}
-
-// remove rebuilds the snapshot without victim (when non-nil) and without
-// anything expired.
-//
-//lint:coldpath copy-on-write shard rebuild: the writer slow path
-func (sh *shard) remove(victim *Offer, now time.Time) []*Offer {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur := sh.snap.Load()
-	next := &shardSnap{offers: make([]*Offer, 0, len(cur.offers))}
-	var removed []*Offer
-	for _, o := range cur.offers {
-		if o == victim || o.expired(now) {
-			removed = append(removed, o)
-			sh.dropRefLocked(o)
-			continue
-		}
-		next.offers = append(next.offers, o)
-	}
-	sh.snap.Store(next)
-	return removed
-}
-
-// removeRef rebuilds the snapshot without every offer exported by ref,
-// returning the removed offers plus how many of them were ref's. The
-// reverse index answers the no-offers case without a rebuild.
-//
-//lint:coldpath copy-on-write shard rebuild: the writer slow path
-func (sh *shard) removeRef(ref orb.ObjectRef, now time.Time) ([]*Offer, int) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	count := len(sh.byRef[ref])
-	if count == 0 {
-		return nil, 0
-	}
-	cur := sh.snap.Load()
-	next := &shardSnap{offers: make([]*Offer, 0, len(cur.offers))}
-	var removed []*Offer
-	for _, o := range cur.offers {
-		if o.Ref == ref || o.expired(now) {
-			removed = append(removed, o)
-			sh.dropRefLocked(o)
-			continue
-		}
-		next.offers = append(next.offers, o)
-	}
-	sh.snap.Store(next)
-	return removed, count
+	next.slots = next.slots[:n]
+	return next, removed
 }
 
 // dropRefLocked removes one offer from the reverse index. Caller holds
 // sh.mu.
-func (sh *shard) dropRefLocked(o *Offer) {
-	list := sh.byRef[o.Ref]
+func (sh *shard) dropRefLocked(st *stored) {
+	list := sh.byRef[st.Ref]
 	for i, e := range list {
-		if e == o {
+		if e.st == st {
 			list = append(list[:i], list[i+1:]...)
 			break
 		}
 	}
 	if len(list) == 0 {
-		delete(sh.byRef, o.Ref)
+		delete(sh.byRef, st.Ref)
 	} else {
-		sh.byRef[o.Ref] = list
+		sh.byRef[st.Ref] = list
 	}
 }
 
@@ -472,9 +501,8 @@ func (s *Service) Withdraw(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownOffer, id)
 	}
-	sh := loc.shard
-	removed := sh.remove(loc.offer, s.now())
-	s.commit(nil, nil, removed)
+	removed := loc.shard.rebuild(s.now(), func(st *stored) bool { return st == loc.st })
+	s.commit(nil, nil, nil, removed)
 	// The registry entry survives a rebuild that compacted the offer as
 	// expired before we reached it; drop it either way.
 	s.mu.Lock()
@@ -485,17 +513,25 @@ func (s *Service) Withdraw(id string) error {
 
 // WithdrawRef removes every offer of the given type exported by ref,
 // returning the count removed. All of a ref's offers hash to one shard, so
-// eviction is a single-shard rebuild driven by the reverse index —
-// O(offers-per-ref), not a scan of the type's whole index.
+// eviction is a single-shard rebuild, and the reverse index answers the
+// no-offers case without one.
 func (s *Service) WithdrawRef(serviceType string, ref orb.ObjectRef) int {
 	ts := s.typeIndex(serviceType)
 	if ts == nil {
 		return 0
 	}
 	sh := &ts.shards[refShard(ref)]
-	removed, count := sh.removeRef(ref, s.now())
-	if len(removed) > 0 {
-		s.commit(nil, nil, removed)
+	sh.mu.Lock()
+	count := len(sh.byRef[ref])
+	var removed []*Offer
+	if count > 0 {
+		var next *shardSnap
+		next, removed = sh.rebuilt(sh.snap.Load(), s.now(), func(st *stored) bool { return st.Ref == ref })
+		sh.snap.Store(next)
+	}
+	sh.mu.Unlock()
+	if count > 0 {
+		s.commit(nil, nil, nil, removed)
 	}
 	return count
 }
@@ -508,32 +544,37 @@ func (s *Service) Describe(id string) (Offer, error) {
 	if !ok {
 		return Offer{}, fmt.Errorf("%w: %q", ErrUnknownOffer, id)
 	}
-	return *loc.offer, nil
+	return loc.st.Offer, nil
 }
 
 // Count returns the number of live offers of the given type ("" for all).
 func (s *Service) Count(serviceType string) int {
 	now := s.now()
 	if serviceType != "" {
-		return s.countType(serviceType, now)
+		return s.typeIndex(serviceType).count(now)
 	}
 	total := 0
-	for t := range *s.types.Load() {
-		total += s.countType(t, now)
+	for _, ts := range *s.types.Load() {
+		total += ts.count(now)
 	}
 	return total
 }
 
-func (s *Service) countType(serviceType string, now time.Time) int {
-	ts := s.typeIndex(serviceType)
+// count is the number of live offers: a shard's slot count while its sweep
+// bound is ahead of now, and a walk of the shard only once it is not.
+func (ts *typeShards) count(now time.Time) int {
 	if ts == nil {
 		return 0
 	}
 	n := 0
 	for i := range ts.shards {
-		for _, o := range ts.shards[i].snap.Load().offers {
-			if !o.expired(now) {
-				n++
+		snap := ts.shards[i].snap.Load()
+		n += len(snap.slots)
+		if due(snap.sweepAt, now) {
+			for j := range snap.slots {
+				if snap.slots[j].Load().expired(now) {
+					n--
+				}
 			}
 		}
 	}
@@ -567,127 +608,72 @@ func offerValues(offers []*Offer) []Offer {
 	return out
 }
 
-// visit is the one walk of the index every query is built on: it calls fn for
-// each of the type's live offers that satisfy cons (nil: all of them), a
-// shard's offers in ascending seq, the shards in no order a caller may rely on.
-// An offer whose constraint evaluation errors does not match.
+// visit is the one walk of the index every query is built on: it calls fn once
+// for each of the type's live offers that satisfy cons (nil: all of them), in
+// no order a caller may rely on. An offer whose constraint evaluation errors
+// does not match.
 //
 // It takes a snapshot a block at a time, in three stages. Reaching an offer's
-// values is three dependent cache misses — the offer, its record, the record's
-// value array — and a fleet does not fit in cache; finishing one offer before
-// touching the next pays them in turn, while each stage's loop over a block
-// issues loads that do not depend on each other, so they overlap.
+// values is a chain of dependent cache misses — the slot, the record header at
+// the front of what it points to, the record's value array — and a fleet does
+// not fit in cache; finishing one offer before touching the next pays them in
+// turn, while each stage's loop over a block issues loads that do not depend
+// on each other, so they overlap.
 func (ts *typeShards) visit(cons *constraint.Expr, now time.Time, fn func(*Offer)) {
 	if ts == nil {
 		return
 	}
 	var (
+		offs [constraint.BlockSize]*stored
 		recs [constraint.BlockSize]*constraint.Record
 		live [constraint.BlockSize]uint8
 	)
 	for i := range ts.shards {
-		offers := ts.shards[i].snap.Load().offers
-		for len(offers) > 0 {
-			block := offers[:min(len(offers), constraint.BlockSize)]
-			offers = offers[len(block):]
-			// One: the first touch of each offer — expiry, and its record.
+		snap := ts.shards[i].snap.Load()
+		sweep := due(snap.sweepAt, now)
+		for slots := snap.slots; len(slots) > 0; {
+			block := slots[:min(len(slots), constraint.BlockSize)]
+			slots = slots[len(block):]
+			// One: each slot, loaded once — and the offer behind it only in a
+			// shard whose sweep bound has passed, where it may have expired.
 			n := 0
-			for j, o := range block {
-				if !o.expired(now) {
-					recs[j] = o.Properties
-					live[n] = uint8(j)
-					n++
+			for j := range block {
+				st := block[j].Load()
+				if sweep && st.expired(now) {
+					continue
 				}
+				offs[j], recs[j] = st, &st.rec
+				live[n] = uint8(j)
+				n++
 			}
 			// Two: the constraint, a term across the block at a time.
 			sel := live[:n]
 			if cons != nil {
 				sel = cons.Filter(recs[:len(block)], sel)
 			}
-			// Three: the matches, in snapshot order.
+			// Three: the matches.
 			for _, j := range sel {
-				fn(block[j])
+				fn(&offs[j].Offer)
 			}
 		}
 	}
 }
 
-// scan returns what visit yields, in ascending global seq order. It merges
-// only what matched: a shard's matches are a subsequence of a seq-sorted
-// snapshot, so the visit is a sequence of seq-sorted runs — a new one starts
-// wherever seq steps down, at most one per shard — and merging sorted runs of
-// distinct numbers gives the one sorted order whatever was filtered out.
+// scan returns what visit yields, in ascending seq: global export order.
 func (ts *typeShards) scan(cons *constraint.Expr, now time.Time) []*Offer {
 	if ts == nil {
 		return nil
 	}
 	total := 0
 	for i := range ts.shards {
-		total += len(ts.shards[i].snap.Load().offers)
+		total += len(ts.shards[i].snap.Load().slots)
 	}
 	matched := make([]*Offer, 0, total)
-	var runs [shardsPerType]runHead
-	nruns, last := 0, 0
 	ts.visit(cons, now, func(o *Offer) { //lint:alloc visit only calls it: it stays on the stack
-		if nruns == 0 || o.seq < last {
-			runs[nruns] = runHead{seq: o.seq, pos: int32(len(matched))}
-			nruns++
-		}
-		last = o.seq
 		matched = append(matched, o) //lint:alloc presized: grows only if a shard gained offers since the count
-		runs[nruns-1].end = int32(len(matched))
 	})
-	return mergeRuns(matched, runs[:nruns])
-}
-
-// runHead is the cursor of one run offers[pos:end] in mergeRuns. It carries
-// the seq of offers[pos], so that ordering two runs compares integers on the
-// stack instead of dereferencing two offers.
-type runHead struct {
-	seq      int
-	pos, end int32
-}
-
-// mergeRuns merges the seq-sorted, non-empty runs of offers that heads
-// describes into one seq-sorted slice, through a binary min-heap of the heads.
-func mergeRuns(offers []*Offer, heads []runHead) []*Offer {
-	if len(heads) <= 1 {
-		return offers
-	}
-	for i := len(heads)/2 - 1; i >= 0; i-- {
-		siftDown(heads, i)
-	}
-	out := make([]*Offer, len(offers))
-	for n := range out {
-		top := &heads[0]
-		out[n] = offers[top.pos]
-		if top.pos++; top.pos < top.end {
-			top.seq = offers[top.pos].seq
-		} else {
-			*top = heads[len(heads)-1]
-			heads = heads[:len(heads)-1]
-		}
-		siftDown(heads, 0)
-	}
-	return out
-}
-
-// siftDown restores the heap below position i.
-func siftDown(heads []runHead, i int) {
-	for {
-		least := 2*i + 1
-		if least >= len(heads) {
-			return
-		}
-		if r := least + 1; r < len(heads) && heads[r].seq < heads[least].seq {
-			least = r
-		}
-		if heads[i].seq <= heads[least].seq {
-			return
-		}
-		heads[i], heads[least] = heads[least], heads[i]
-		i = least
-	}
+	slices.SortFunc(matched, func(a, b *Offer) int { return cmp.Compare(a.seq, b.seq) })
+	return matched
 }
 
 // compile returns the cached compilation of a query's constraint or preference
@@ -705,10 +691,11 @@ func compile(what, src string) (*constraint.Expr, error) {
 
 // VisitMatches calls fn for every live offer of the service type that satisfies
 // cons ("" for all of the type), straight off the shard snapshots: nothing is
-// collected, merged or copied. One exporter's offers arrive in export order;
-// across exporters the order is unspecified — sort by Seq, or use
-// SelectPointers, for the global one. The offers are the index's own, as
-// SelectPointers' are: read-only, valid for as long as the caller holds them.
+// collected, sorted or copied. Each arrives once, in no order a caller may rely
+// on — sort by Seq, or use SelectPointers, for export order. Against concurrent
+// updates a visit sees, for each exporter, its offer from before or from after.
+// The offers are the index's own, as SelectPointers' are: read-only, valid for
+// as long as the caller holds them.
 //
 //lint:hotpath alloc=0 locks=2 block=0
 func (s *Service) VisitMatches(serviceType, cons string, fn func(*Offer)) error {
@@ -748,13 +735,14 @@ func (s *Service) Select(q Query) ([]Offer, error) {
 func (s *Service) SelectShared(q Query) ([]Offer, error) { return s.Select(q) }
 
 // SelectPointers is the one query path; Select copies its result. It returns
-// the index's own offers: an *Offer is published once, inside an immutable
-// shard snapshot, and no writer touches it again — an update or withdrawal
-// swaps in a snapshot without it. A holder may therefore keep and read the
-// pointers for as long as it likes without a lock, and must never write
-// through them. It is for in-process readers that want the matches in export
-// order and copy none of them; one that does not need the order (the GRM's
-// matcher) uses VisitMatches and skips the merge.
+// the index's own offers: an *Offer is written before it is published in a
+// shard snapshot's slot, and no writer touches it again — an update stores
+// another offer into the slot, a withdrawal swaps in a snapshot without it. A
+// holder may therefore keep and read the pointers for as long as it likes
+// without a lock, and must never write through them. It is for in-process
+// readers that want the matches in export order and copy none of them; one
+// that does not need the order (the GRM's matcher) uses VisitMatches and skips
+// the sort.
 //
 //lint:hotpath alloc=4 locks=2 block=0
 func (s *Service) SelectPointers(q Query) ([]*Offer, error) {
@@ -767,8 +755,8 @@ func (s *Service) SelectPointers(q Query) ([]*Offer, error) {
 		return nil, err
 	}
 
-	// Candidates arrive in ascending seq — the iteration order of a single
-	// seq-sorted index, which downstream output is pinned to byte for byte.
+	// Candidates arrive in ascending seq — export order, which downstream
+	// output is pinned to byte for byte.
 	matched := s.typeIndex(q.ServiceType).scan(cons, s.now())
 	if pref != nil {
 		type scored struct {
