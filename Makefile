@@ -6,7 +6,7 @@ FUZZ_SMOKE_TIME ?= 30s
 # Seeds the chaos target sweeps; each runs the fault-injection suite once.
 CHAOS_SEEDS ?= 1 7 42
 
-.PHONY: all build test race vet lint lint-fast interproc-lint fuzz-smoke fmt-check chaos failover election windows bench-orb bench-orb-check bench-sched bench-sched-check bench-windows benchmark-check profile-miss profile-update ci
+.PHONY: all build test race vet lint lint-fast interproc-lint fuzz-smoke fmt-check chaos failover election windows bench-orb bench-orb-check bench-sched bench-sched-check bench-windows benchmark-check profile-miss profile-update profile-tcp-update ci
 
 all: build
 
@@ -52,12 +52,14 @@ interproc-lint:
 	$(GO) run ./cmd/integrade-lint -novet -analyzers interproc -json ./...
 
 # Short fuzz runs over the wire decoders: the constraint compiler, the ORB
-# framing layer, and the consensus/replication payload decoders. Any crasher
+# framing layer, the Information Update body, and the consensus/replication
+# payload decoders. Any crasher
 # fails the target.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzCompile -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/constraint
 	$(GO) test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/orb
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshal -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/orb
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeUpdate -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/protocol
 	$(GO) test -run=^$$ -fuzz=FuzzAppendEntries -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/election
 	$(GO) test -run=^$$ -fuzz=FuzzReplicaBatch -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/grm
 
@@ -160,7 +162,7 @@ bench-sched-check:
 benchmark-check:
 	$(GO) test -count=1 ./benchmark
 	$(GO) run ./benchmark -quick -traced
-	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading
+	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
 
 # Where a snapshot miss spends its time: BenchmarkPlacementMiss10k under the
 # CPU profiler (ROADMAP item 2's per-function shares are this output). Leaves
@@ -178,6 +180,16 @@ profile-update:
 	$(GO) test -run '^$$' -bench BenchmarkExportKeyedUpsert -benchtime 2000000x \
 		-cpuprofile export_keyed.prof -o export_keyed.test ./internal/trading
 	$(GO) tool pprof -top -nodecount 25 export_keyed.test export_keyed.prof
+
+# Where an Information Update spends its time end to end, sockets included:
+# BenchmarkTCPUpdateSweep — 32 LRMs taking turns to SendUpdate to a GRM on
+# 127.0.0.1 — under the CPU profiler (ROADMAP item 6). runtime.newstack and
+# copystack in this output are the ORB server's per-request stack growth.
+# Leaves tcp_update.prof and its test binary in the working directory.
+profile-tcp-update:
+	$(GO) test -run '^$$' -bench BenchmarkTCPUpdateSweep -benchtime 200000x \
+		-cpuprofile tcp_update.prof -o tcp_update.test ./internal/grm
+	$(GO) tool pprof -top -nodecount 25 tcp_update.test tcp_update.prof
 
 # Everything CI runs, in the same order.
 ci: build fmt-check vet lint interproc-lint race chaos failover election windows bench-orb-check bench-sched-check benchmark-check fuzz-smoke

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,7 +14,10 @@ import (
 // must reproduce them byte for byte. E5 exercises owner-QoS scheduling
 // decisions end to end; E9 drives placements through failure recovery and
 // re-negotiation. Any reordering introduced by the shard merge, the
-// snapshot cache, or admission batching shows up here as a diff.
+// snapshot cache, or admission batching shows up here as a diff. The one
+// deliberate regeneration since: E9's two 20%-crash / 10%-loss InteGrade
+// rows, when completions moved into the Information Update — see
+// TestE9MessageLossCostsNoCompletion for what they now have to show.
 func TestSchedulingOutputMatchesSeedGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full experiments; skipped in -short mode")
@@ -50,5 +54,48 @@ func TestSchedulingOutputMatchesSeedGoldens(t *testing.T) {
 					tc.id, tc.seed, tc.golden, want, got)
 			}
 		})
+	}
+}
+
+// TestE9MessageLossCostsNoCompletion states the claim the E9 golden's loss
+// rows carry, so that a regenerated golden cannot quietly give it up: with
+// recovery on, dropping a tenth of all control messages loses InteGrade no
+// task — it finishes what the same crash schedule finishes with no loss,
+// with the same number of re-executions. A completion rides the Information
+// Update and is sent again until a manager accepts it; before that it was a
+// single notification, and the 10% rows finished 31 of 40.
+func TestE9MessageLossCostsNoCompletion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a full experiment; skipped in -short mode")
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		table := Exp9Recovery(seed)
+		col := func(name string) int {
+			for i, c := range table.Columns {
+				if c == name {
+					return i
+				}
+			}
+			t.Fatalf("E9 has no column %q", name)
+			return -1
+		}
+		row := func(loss string) []string {
+			for _, r := range table.Rows {
+				if r[col("crash")] == "20%" && r[col("loss")] == loss && r[col("scheduler")] == "integrade" {
+					return r
+				}
+			}
+			t.Fatalf("E9 has no integrade row at 20%% crash, %s loss", loss)
+			return nil
+		}
+		clean, lossy := row("0%"), row("10%")
+		if clean[col("tasks_done")] != fmt.Sprint(e9Tasks) {
+			t.Errorf("seed %d: without loss %s of %d tasks finished", seed, clean[col("tasks_done")], e9Tasks)
+		}
+		for _, name := range []string{"tasks_done", "evictions"} {
+			if got, want := lossy[col(name)], clean[col(name)]; got != want {
+				t.Errorf("seed %d: %s under 10%% loss = %s, without loss = %s", seed, name, got, want)
+			}
+		}
 	}
 }

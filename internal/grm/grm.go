@@ -967,6 +967,12 @@ func (g *GRM) HandleNotify(ev protocol.TaskEvent) {
 	var abortApp string
 	switch ev.Kind {
 	case protocol.TaskEventDone:
+		if task.state == protocol.TaskDone {
+			// Completions are delivered at least once: this one was applied
+			// already and only its reply was lost.
+			g.mu.Unlock()
+			return
+		}
 		task.state = protocol.TaskDone
 		task.progress = task.work
 		g.stats.TasksDone++

@@ -11,13 +11,19 @@ import (
 func (g *GRM) Servant() orb.Servant {
 	return orb.NewOpMux().
 		Handle(protocol.OpUpdate, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			s, err := protocol.DecodeNodeStatus(req)
+			s, events, err := protocol.DecodeUpdate(req)
 			if err != nil {
 				return nil, orb.Errorf(orb.CodeMarshal, "update: %v", err)
 			}
 			epoch, err := g.HandleUpdate(s)
 			if err != nil {
 				return nil, orb.Errorf(orb.CodeApplication, "%s", err.Error())
+			}
+			// Only an accepted update delivers its events: a refused one is
+			// answered with an error and the LRM sends them again, to whoever
+			// it reports to next.
+			for _, ev := range events {
+				g.HandleNotify(ev)
 			}
 			var e orb.Encoder
 			e.PutInt(epoch)

@@ -76,15 +76,20 @@ type LRM struct {
 	reregBackoff orb.BackoffPolicy
 	drainLead    time.Duration // 0 = proactive pre-departure drain disabled
 
-	// mu guards grm, taskApp, stats, stopped, timers, started, fence,
-	// consecFails, rereg and reregAttempt. It must be released before GRM
-	// RPCs (Update/Notify), which block on the remote side. Snapshot
+	// mu guards grm, taskApp, outbox, stats, stopped, timers, started,
+	// fence, consecFails, rereg and reregAttempt. It must be released before
+	// GRM RPCs (Update/Notify), which block on the remote side. Snapshot
 	// collection reads the node's running set under it, so l.mu nests
 	// outside the node's lock.
 	//lint:lockorder lrm.LRM.mu<node.Node.mu
 	mu      sync.Mutex
 	grm     *protocol.GRMClient
 	taskApp map[string]string // taskID -> appID
+	// outbox holds the Done events of tasks that finished since the last
+	// update a manager accepted, oldest first. The next update carries them;
+	// one that fails or is refused puts them back, so a completion is
+	// delivered at least once while this LRM lives.
+	outbox  []protocol.TaskEvent
 	stats   Stats
 	stopped bool
 	timers  []sim.Timer
@@ -267,19 +272,14 @@ func (l *LRM) GRMRef() orb.ObjectRef {
 }
 
 // SendUpdate pushes one Information Update Protocol message now. Task
-// execution is synced first so the reported free capacity (and any
-// completion/eviction notifications) reflect the present. Repeated failures
+// execution is synced first so the reported free capacity and the
+// completions the update carries reflect the present. Repeated failures
 // — including an answer from a manager whose epoch is stale, i.e. a deposed
 // primary still reachable — kick off the re-registration loop when a
 // resolver is configured.
 func (l *LRM) SendUpdate() {
 	l.SyncTasks()
-	status := l.Status()
-	epoch, err := l.grmClient().Update(status)
-	if err == nil && l.staleManager(epoch) {
-		err = orb.Errorf(orb.CodeApplication, "manager epoch %d is stale", epoch)
-	}
-	if err != nil {
+	if err := l.pushUpdate(l.grmClient()); err != nil {
 		l.log.Debug("information update failed", "node", l.node.ID(), "err", err)
 		l.mu.Lock()
 		l.stats.UpdateFailures++
@@ -298,11 +298,49 @@ func (l *LRM) SendUpdate() {
 		}
 		return
 	}
-	l.adoptEpoch(epoch)
 	l.mu.Lock()
 	l.consecFails = 0
 	l.stats.UpdatesSent++
 	l.mu.Unlock()
+}
+
+// pushUpdate sends the node's status to client together with the outbox and
+// a progress snapshot of every running task, and adopts the manager's epoch.
+// If the update fails, or is answered by a manager whose epoch is stale, the
+// Done events go back to the front of the outbox: the manager may have
+// applied them and lost only the reply, so it must tolerate seeing them
+// again. Progress is not kept — the next update snapshots it afresh.
+func (l *LRM) pushUpdate(client *protocol.GRMClient) error {
+	status := l.Status()
+	l.mu.Lock()
+	events := l.outbox
+	l.outbox = nil
+	done := len(events)
+	for _, snap := range l.node.RunningSnapshots() {
+		events = append(events, protocol.TaskEvent{
+			Kind:     protocol.TaskEventProgress,
+			AppID:    l.taskApp[snap.ID],
+			TaskID:   snap.ID,
+			NodeID:   l.node.ID(),
+			Progress: snap.Progress,
+			At:       status.Timestamp,
+		})
+	}
+	l.mu.Unlock()
+	epoch, err := client.Update(status, events...)
+	if err == nil && l.staleManager(epoch) {
+		err = orb.Errorf(orb.CodeApplication, "manager epoch %d is stale", epoch)
+	}
+	if err != nil {
+		if done > 0 {
+			l.mu.Lock()
+			l.outbox = append(events[:done:done], l.outbox...)
+			l.mu.Unlock()
+		}
+		return err
+	}
+	l.adoptEpoch(epoch)
+	return nil
 }
 
 // staleManager reports whether a reply epoch identifies a deposed primary,
@@ -365,8 +403,9 @@ func (l *LRM) armReregister() {
 }
 
 // reregisterTick is one re-registration attempt: re-resolve the GRM
-// reference, push a status update to it, and on success adopt the new GRM
-// and reconcile running tasks. Failures re-arm with increased backoff.
+// reference, push a status update to it — with the completions no manager
+// has accepted yet — and on success adopt the new GRM and reconcile running
+// tasks. Failures re-arm with increased backoff.
 func (l *LRM) reregisterTick() {
 	l.mu.Lock()
 	if l.stopped || !l.rereg {
@@ -383,16 +422,11 @@ func (l *LRM) reregisterTick() {
 		return
 	}
 	client := protocol.NewGRMClient(l.inv, ref)
-	epoch, err := client.Update(l.Status())
-	if err == nil && l.staleManager(epoch) {
-		err = orb.Errorf(orb.CodeApplication, "manager epoch %d is stale", epoch)
-	}
-	if err != nil {
+	if err := l.pushUpdate(client); err != nil {
 		l.log.Debug("re-registration update failed", "node", l.node.ID(), "err", err)
 		l.armReregister()
 		return
 	}
-	l.adoptEpoch(epoch)
 	l.mu.Lock()
 	l.grm = client
 	l.rereg = false
@@ -539,17 +573,9 @@ func (l *LRM) departureWatch(now time.Time) {
 			continue
 		}
 		l.mu.Lock()
-		appID := l.taskApp[snap.ID]
+		ev := l.taskEventLocked(protocol.TaskEventDrained, task, now)
 		delete(l.taskApp, snap.ID)
 		l.mu.Unlock()
-		ev := protocol.TaskEvent{
-			Kind:     protocol.TaskEventDrained,
-			AppID:    appID,
-			TaskID:   snap.ID,
-			NodeID:   l.node.ID(),
-			Progress: task.Progress(),
-			At:       now,
-		}
 		if err := l.grmClient().Notify(ev); err != nil {
 			l.log.Debug("drain notification failed", "task", snap.ID, "err", err)
 		}
@@ -568,68 +594,53 @@ func (l *LRM) departureWatch(now time.Time) {
 		"node", l.node.ID(), "deadline", deadline, "drained", drained)
 }
 
-// SyncTasks advances the node's task execution to now and notifies the GRM
-// of completions and evictions.
+// SyncTasks advances the node's task execution to now. Completions go to the
+// outbox and reach the GRM with the next update; an eviction is notified at
+// once, because the GRM re-places the task on hearing of it.
 func (l *LRM) SyncTasks() {
 	now := l.clock.Now()
 	done, evicted := l.node.Sync(now)
-	for _, t := range done {
-		l.notify(protocol.TaskEventDone, t, now)
+	if len(done) > 0 {
 		l.mu.Lock()
-		l.stats.TasksCompleted++
-		delete(l.taskApp, t.ID)
+		for _, t := range done {
+			l.outbox = append(l.outbox, l.taskEventLocked(protocol.TaskEventDone, t, now))
+			l.stats.TasksCompleted++
+			delete(l.taskApp, t.ID)
+		}
 		l.mu.Unlock()
 	}
 	for _, t := range evicted {
-		l.notify(protocol.TaskEventEvicted, t, now)
-		l.mu.Lock()
-		l.stats.TasksEvicted++
-		delete(l.taskApp, t.ID)
-		l.mu.Unlock()
-	}
-	// Progress reports keep the GRM's (and so the ASCT's) view fresh.
-	for _, snap := range l.node.RunningSnapshots() {
-		l.mu.Lock()
-		appID := l.taskApp[snap.ID]
-		l.mu.Unlock()
-		ev := protocol.TaskEvent{
-			Kind:     protocol.TaskEventProgress,
-			AppID:    appID,
-			TaskID:   snap.ID,
-			NodeID:   l.node.ID(),
-			Progress: snap.Progress,
-			At:       now,
-		}
-		if err := l.grmClient().Notify(ev); err != nil {
-			l.log.Debug("progress notification failed", "task", snap.ID, "err", err)
-		}
+		l.notifyEvicted(t, now)
 	}
 }
 
 // NotifyEvicted reports an out-of-band eviction (e.g. a node crash handled
 // above the LRM) to the GRM and updates the counters.
 func (l *LRM) NotifyEvicted(t *node.Task) {
-	l.notify(protocol.TaskEventEvicted, t, l.clock.Now())
+	l.notifyEvicted(t, l.clock.Now())
+}
+
+func (l *LRM) notifyEvicted(t *node.Task, now time.Time) {
 	l.mu.Lock()
+	ev := l.taskEventLocked(protocol.TaskEventEvicted, t, now)
 	l.stats.TasksEvicted++
 	delete(l.taskApp, t.ID)
 	l.mu.Unlock()
+	if err := l.grmClient().Notify(ev); err != nil {
+		l.log.Debug("eviction notification failed", "task", t.ID, "err", err)
+	}
 }
 
-func (l *LRM) notify(kind protocol.TaskEventKind, t *node.Task, now time.Time) {
-	l.mu.Lock()
-	appID := l.taskApp[t.ID]
-	l.mu.Unlock()
-	ev := protocol.TaskEvent{
+// taskEventLocked describes t, as it stands, in an event of the given kind.
+// Caller holds l.mu.
+func (l *LRM) taskEventLocked(kind protocol.TaskEventKind, t *node.Task, now time.Time) protocol.TaskEvent {
+	return protocol.TaskEvent{
 		Kind:     kind,
-		AppID:    appID,
+		AppID:    l.taskApp[t.ID],
 		TaskID:   t.ID,
 		NodeID:   l.node.ID(),
 		Progress: t.Progress(),
 		At:       now,
-	}
-	if err := l.grmClient().Notify(ev); err != nil {
-		l.log.Debug("task notification failed", "task", t.ID, "err", err)
 	}
 }
 

@@ -16,14 +16,17 @@ import (
 
 var linux = resource.Platform{Arch: "amd64", OS: "linux"}
 
-// fakeGRM records updates and notifications sent by the LRM.
+// fakeGRM records what the LRM sends: statuses, the task events that rode
+// the updates, the ones notified on their own, and departure notices.
 type fakeGRM struct {
 	mu         sync.Mutex
 	updates    []protocol.NodeStatus
-	events     []protocol.TaskEvent
+	rode       [][]protocol.TaskEvent // the events inside each of updates
+	events     []protocol.TaskEvent   // arrived by OpNotify
 	departures []protocol.DepartureNotice
 	failNext   bool
-	epoch      int // fencing epoch returned in update replies
+	down       bool // fail every update until cleared
+	epoch      int  // fencing epoch returned in update replies
 }
 
 func (f *fakeGRM) servant() orb.Servant {
@@ -31,15 +34,16 @@ func (f *fakeGRM) servant() orb.Servant {
 		Handle(protocol.OpUpdate, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
 			f.mu.Lock()
 			defer f.mu.Unlock()
-			if f.failNext {
+			if f.failNext || f.down {
 				f.failNext = false
 				return nil, orb.Errorf(orb.CodeTransport, "injected")
 			}
-			s, err := protocol.DecodeNodeStatus(req)
+			s, events, err := protocol.DecodeUpdate(req)
 			if err != nil {
 				return nil, err
 			}
 			f.updates = append(f.updates, s)
+			f.rode = append(f.rode, events)
 			var e orb.Encoder
 			e.PutInt(f.epoch)
 			return &e, nil
@@ -82,6 +86,31 @@ func (f *fakeGRM) eventList() []protocol.TaskEvent {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]protocol.TaskEvent(nil), f.events...)
+}
+
+// rodeOfKind returns the events of one kind that arrived inside updates.
+func (f *fakeGRM) rodeOfKind(kind protocol.TaskEventKind) []protocol.TaskEvent {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return ofKind(kind, f.rode...)
+}
+
+func ofKind(kind protocol.TaskEventKind, updates ...[]protocol.TaskEvent) []protocol.TaskEvent {
+	var out []protocol.TaskEvent
+	for _, events := range updates {
+		for _, ev := range events {
+			if ev.Kind == kind {
+				out = append(out, ev)
+			}
+		}
+	}
+	return out
+}
+
+func (f *fakeGRM) setDown(down bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.down = down
 }
 
 func (f *fakeGRM) departureList() []protocol.DepartureNotice {
@@ -204,24 +233,121 @@ func TestReserveExecuteLifecycle(t *testing.T) {
 	if got := f.lrm.Stats().TasksStarted; got != 1 {
 		t.Fatalf("TasksStarted = %d", got)
 	}
-	// Advance past completion; SyncTasks is driven by the sample tick.
+	// Advance past completion: the update tick syncs the node, and the
+	// completion rides that same update. Nothing is notified on its own.
 	f.lrm.Start()
-	f.clock.Advance(15 * time.Minute)
-	events := f.grm.eventList()
-	var done int
-	for _, ev := range events {
-		if ev.Kind == protocol.TaskEventDone && ev.TaskID == "app/t0" {
-			done++
-			if ev.AppID != "app" || ev.NodeID != "n0" {
-				t.Fatalf("event fields: %+v", ev)
-			}
-		}
+	f.clock.Advance(5 * time.Minute)
+	if got := f.grm.rodeOfKind(protocol.TaskEventProgress); len(got) == 0 || got[0].TaskID != "app/t0" || got[0].Progress <= 0 {
+		t.Fatalf("progress events in the first updates = %+v, want the running task's", got)
 	}
-	if done != 1 {
-		t.Fatalf("done events = %d, want 1", done)
+	f.clock.Advance(10 * time.Minute)
+	done := f.grm.rodeOfKind(protocol.TaskEventDone)
+	if len(done) != 1 {
+		t.Fatalf("done events = %+v, want exactly one", done)
+	}
+	if ev := done[0]; ev.TaskID != "app/t0" || ev.AppID != "app" || ev.NodeID != "n0" || ev.Progress != 600_000 {
+		t.Fatalf("event fields: %+v", ev)
+	}
+	if got := f.grm.eventList(); len(got) != 0 {
+		t.Fatalf("notified on their own: %+v, want nothing", got)
 	}
 	if got := f.lrm.Stats().TasksCompleted; got != 1 {
 		t.Fatalf("TasksCompleted = %d", got)
+	}
+}
+
+// startTask reserves and executes one task of the given work on f's node.
+func (f *fixture) startTask(t *testing.T, appID, taskID string, work float64) {
+	t.Helper()
+	alloc := resource.Vector{MIPS: 400, RAMMB: 64}
+	reply, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: appID, Amount: alloc, TTL: time.Minute})
+	if err != nil || !reply.Granted {
+		t.Fatalf("reserve: %v %+v", err, reply)
+	}
+	if err := f.lrmC.Execute(protocol.ExecuteRequest{
+		ReservationID: reply.ReservationID, TaskID: taskID, AppID: appID, Work: work, Alloc: alloc,
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedUpdateKeepsCompletions: a completion whose update fails stays in
+// the outbox, in order, and the next update that gets through delivers it —
+// once, however many updates follow.
+func TestFailedUpdateKeepsCompletions(t *testing.T) {
+	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous())
+	f.startTask(t, "app", "app/t0", 400*60)  // one minute
+	f.startTask(t, "app", "app/t1", 400*180) // three minutes
+
+	f.grm.setDown(true)
+	f.clock.Advance(2 * time.Minute)
+	f.lrm.SendUpdate() // t0 finished; the update carrying it is lost
+	f.clock.Advance(2 * time.Minute)
+	f.lrm.SendUpdate() // t1 finished too; lost again
+	if got := f.lrm.Stats(); got.TasksCompleted != 2 || got.UpdateFailures != 2 {
+		t.Fatalf("stats = %+v, want 2 completed and 2 failures", got)
+	}
+	if got := f.grm.rodeOfKind(protocol.TaskEventDone); len(got) != 0 {
+		t.Fatalf("done events through a dead manager: %+v", got)
+	}
+
+	f.grm.setDown(false)
+	f.lrm.SendUpdate()
+	f.lrm.SendUpdate()
+	done := f.grm.rodeOfKind(protocol.TaskEventDone)
+	if len(done) != 2 || done[0].TaskID != "app/t0" || done[1].TaskID != "app/t1" {
+		t.Fatalf("done events = %+v, want t0 then t1, once each", done)
+	}
+}
+
+// TestCompletionWhileReregisteringReachesNewManager: the old manager dies
+// with a task running; the task finishes while the LRM is between managers;
+// the first update the new manager accepts — the one that re-registers the
+// node — carries the completion.
+func TestCompletionWhileReregisteringReachesNewManager(t *testing.T) {
+	next := &fakeGRM{}
+	var nextRef orb.ObjectRef
+	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous(),
+		WithUpdatePeriod(30*time.Second),
+		WithReregisterBackoff(orb.BackoffPolicy{Base: 10 * time.Minute, Cap: 10 * time.Minute}),
+		WithGRMResolver(func() (orb.ObjectRef, error) { return nextRef, nil }))
+	adapter := orb.NewAdapter()
+	if err := adapter.Register(protocol.GRMKey, next.servant()); err != nil {
+		t.Fatal(err)
+	}
+	ep, err := f.o.BindLoopback("mgr2", adapter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextRef = orb.ObjectRef{Endpoint: ep, Key: protocol.GRMKey}
+
+	f.startTask(t, "app", "app/t0", 400*120) // two minutes
+	f.lrm.Start()
+	f.grm.setDown(true)
+	// Two failed updates arm the re-registration loop; its first attempt is
+	// ten minutes out, and the task finishes long before it.
+	f.clock.Advance(5 * time.Minute)
+	if got := f.lrm.Stats(); got.TasksCompleted != 1 || got.Reregistrations != 0 {
+		t.Fatalf("stats before re-registration = %+v", got)
+	}
+	f.clock.Advance(10 * time.Minute)
+	if got := f.lrm.Stats().Reregistrations; got != 1 {
+		t.Fatalf("Reregistrations = %d, want 1", got)
+	}
+	if f.lrm.GRMRef() != nextRef {
+		t.Fatalf("reporting to %v, want the new manager", f.lrm.GRMRef())
+	}
+	next.mu.Lock()
+	registering := ofKind(protocol.TaskEventDone, next.rode[0])
+	next.mu.Unlock()
+	if len(registering) != 1 || registering[0].TaskID != "app/t0" {
+		t.Fatalf("the re-registering update carried done events %+v, want app/t0", registering)
+	}
+	if got := next.rodeOfKind(protocol.TaskEventDone); len(got) != 1 {
+		t.Fatalf("new manager saw done events %+v, want app/t0 once", got)
+	}
+	if got := f.grm.rodeOfKind(protocol.TaskEventDone); len(got) != 0 {
+		t.Fatalf("dead manager saw done events %+v", got)
 	}
 }
 

@@ -46,24 +46,61 @@ func BenchmarkLoopbackInvoke(b *testing.B) {
 }
 
 func BenchmarkTCPInvoke(b *testing.B) {
+	var e Encoder
+	e.PutBytes(make([]byte, 256))
+	benchTCPInvoke(b, benchEchoAdapter(b), "echo", e.Bytes())
+}
+
+// benchTCPInvoke serves a on 127.0.0.1 and times one caller invoking op on
+// the object of the same name, each call waiting for its reply.
+func benchTCPInvoke(b *testing.B, a *Adapter, op string, arg []byte) {
+	b.Helper()
 	o := New()
 	defer o.Close()
-	srv, err := o.ListenTCP("127.0.0.1:0", benchEchoAdapter(b))
+	srv, err := o.ListenTCP("127.0.0.1:0", a)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	ref := srv.Ref("echo")
-	var e Encoder
-	e.PutBytes(make([]byte, 256))
-	arg := e.Bytes()
+	ref := srv.Ref(op)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := o.Invoke(ref, "echo", arg); err != nil {
+		if _, err := o.Invoke(ref, op, arg); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// deepen recurses depth frames of 256 bytes each, touching every one, and
+// returns a value that depends on all of them so none is optimised away.
+//
+//go:noinline
+func deepen(depth int, seed byte) byte {
+	var pad [256]byte
+	pad[depth%len(pad)] = seed
+	if depth == 0 {
+		return pad[0]
+	}
+	return deepen(depth-1, seed+1) + pad[depth%len(pad)]
+}
+
+// BenchmarkTCPDeepServant is BenchmarkTCPInvoke with a servant that needs
+// about 6 KiB of stack, as a GRM or LRM handler does (decode, lock, trader
+// upsert, encode). A goroutine starts on 2 KiB, so a server that starts one
+// per request pays runtime.newstack and copystack on every call; a kept
+// worker pays them once.
+func BenchmarkTCPDeepServant(b *testing.B) {
+	a := NewAdapter()
+	mux := NewOpMux().Handle("deep", func(_ string, req *Decoder) (*Encoder, error) {
+		e := GetEncoder()
+		e.PutU8(deepen(22, req.U8()))
+		return e, req.Err()
+	})
+	if err := a.Register("deep", mux); err != nil {
+		b.Fatal(err)
+	}
+	benchTCPInvoke(b, a, "deep", []byte{1})
 }
 
 func BenchmarkTCPInvokeParallel(b *testing.B) {

@@ -10,8 +10,10 @@ import (
 )
 
 // Server accepts ORB protocol connections on a TCP listener and dispatches
-// requests to an Adapter. Each request runs in its own goroutine so slow
-// servants do not head-of-line-block a connection.
+// requests to an Adapter. A connection is served by a small set of kept
+// worker goroutines: a request goes to an idle worker when there is one and
+// to a new worker otherwise, so it never waits behind a slow servant, while
+// a steady caller keeps landing on a goroutine whose stack is already grown.
 type Server struct {
 	adapter  *Adapter
 	listener net.Listener
@@ -103,6 +105,10 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
+// maxIdleWorkers bounds the workers one connection keeps between requests.
+// A burst may run any number at once; the surplus exits as it finishes.
+const maxIdleWorkers = 8
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -113,11 +119,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	var (
-		// writeMu serializes reply frames onto writer across the
-		// per-request goroutines; writeWaiters counts goroutines inside
-		// send so the flush can be deferred to the last writer in a burst
-		// — N concurrent replies share one flush instead of paying one
-		// syscall each.
+		// writeMu serializes reply frames onto writer across the workers;
+		// writeWaiters counts goroutines inside send so the flush can be
+		// deferred to the last writer in a burst — N concurrent replies
+		// share one flush instead of paying one syscall each.
 		writeMu      sync.Mutex
 		writeWaiters atomic.Int32
 		reqWG        sync.WaitGroup
@@ -138,6 +143,46 @@ func (s *Server) serveConn(conn net.Conn) {
 		writeMu.Unlock()
 	}
 
+	// work hands a request to a worker that has announced itself in idle.
+	// The hand-off is unbuffered, so a frame is never queued behind a busy
+	// worker. A worker takes its idle slot before it writes its reply, not
+	// after: the caller cannot have seen the reply — and sent its next
+	// request — while the worker that served it still looks busy, so a
+	// caller that waits for each reply is always served by the same
+	// goroutine.
+	work := make(chan *frame)
+	idle := make(chan struct{}, maxIdleWorkers)
+	worker := func(f *frame) {
+		defer reqWG.Done()
+		for f != nil {
+			enc, err := s.adapter.dispatchEnc(f.key, f.op, f.body)
+			reply := getFrame()
+			reply.kind, reply.reqID = msgReply, f.reqID
+			if err != nil {
+				re := &RemoteError{Code: CodeApplication, Msg: err.Error()}
+				errors.As(err, &re)
+				reply.kind, reply.code, reply.msg = msgError, re.Code, re.Msg
+			} else if enc != nil {
+				reply.body = enc.Bytes()
+			}
+			putFrame(f) // request body is dead once dispatch returned
+			kept := false
+			select {
+			case idle <- struct{}{}:
+				kept = true
+			default: // enough workers idle already: reply and exit
+			}
+			send(reply)
+			reply.body = nil // owned by enc, not the frame pool
+			putFrame(reply)
+			PutEncoder(enc)
+			if !kept {
+				return
+			}
+			f = <-work // nil once the connection is gone
+		}
+	}
+
 	for {
 		f, err := readFrame(reader)
 		if err != nil {
@@ -151,32 +196,16 @@ func (s *Server) serveConn(conn net.Conn) {
 			putFrame(f)
 			continue
 		}
-		reqWG.Add(1)
-		go func(f *frame) {
-			defer reqWG.Done()
-			enc, err := s.adapter.dispatchEnc(f.key, f.op, f.body)
-			if err != nil {
-				re := &RemoteError{Code: CodeApplication, Msg: err.Error()}
-				errors.As(err, &re)
-				reply := getFrame()
-				reply.kind, reply.reqID, reply.code, reply.msg = msgError, f.reqID, re.Code, re.Msg
-				putFrame(f) // request body is dead once dispatch returned
-				send(reply)
-				putFrame(reply)
-				return
-			}
-			reply := getFrame()
-			reply.kind, reply.reqID = msgReply, f.reqID
-			if enc != nil {
-				reply.body = enc.Bytes()
-			}
-			putFrame(f)
-			send(reply)
-			reply.body = nil // owned by enc, not the frame pool
-			putFrame(reply)
-			PutEncoder(enc)
-		}(f)
+		select {
+		case <-idle:
+			// Its worker is at most a reply write away from receiving.
+			work <- f
+		default:
+			reqWG.Add(1)
+			go worker(f)
+		}
 	}
+	close(work)
 	reqWG.Wait()
 }
 

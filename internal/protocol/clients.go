@@ -19,13 +19,15 @@ func NewGRMClient(inv orb.Invoker, ref orb.ObjectRef) *GRMClient {
 // Ref returns the target reference.
 func (c *GRMClient) Ref() orb.ObjectRef { return c.ref }
 
-// Update pushes a NodeStatus (Information Update Protocol) and returns the
-// manager's fencing epoch (0 from an unfenced legacy manager). The LRM
-// compares it against the newest epoch it has seen to spot a deposed
-// primary still answering.
-func (c *GRMClient) Update(s NodeStatus) (int, error) {
+// Update pushes a NodeStatus (Information Update Protocol), with the task
+// events that ride it (TaskEventKind.RidesUpdate), and returns the manager's
+// fencing epoch (0 from an unfenced legacy manager). The LRM compares it
+// against the newest epoch it has seen to spot a deposed primary still
+// answering. An error means the manager may or may not have applied the
+// update: the caller sends its events again with the next one.
+func (c *GRMClient) Update(s NodeStatus, events ...TaskEvent) (int, error) {
 	var e orb.Encoder
-	s.Encode(&e)
+	EncodeUpdate(&e, s, events)
 	reply, err := c.inv.Invoke(c.ref, OpUpdate, e.Bytes())
 	if err != nil {
 		return 0, err
@@ -54,7 +56,8 @@ func (c *GRMClient) Submit(spec ApplicationSpec) (string, error) {
 	return id, nil
 }
 
-// Notify reports a task event.
+// Notify reports a task event the GRM must act on now: an eviction or a
+// drain. Completions and progress ride Update instead.
 func (c *GRMClient) Notify(ev TaskEvent) error {
 	var e orb.Encoder
 	ev.Encode(&e)

@@ -12,7 +12,8 @@ import (
 // typed stubs end to end over the loopback ORB.
 type fakeManagers struct {
 	updates      []NodeStatus
-	events       []TaskEvent
+	rode         []TaskEvent // arrived inside updates
+	events       []TaskEvent // arrived by OpNotify
 	apps         map[string]AppStatus
 	order        []string
 	granted      bool
@@ -29,11 +30,12 @@ func newFakes() *fakeManagers {
 func (f *fakeManagers) grmServant() orb.Servant {
 	return orb.NewOpMux().
 		Handle(OpUpdate, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			s, err := DecodeNodeStatus(req)
+			s, events, err := DecodeUpdate(req)
 			if err != nil {
 				return nil, err
 			}
 			f.updates = append(f.updates, s)
+			f.rode = append(f.rode, events...)
 			var e orb.Encoder
 			e.PutInt(7)
 			return &e, nil
@@ -151,8 +153,21 @@ func TestGRMClientRoundTrips(t *testing.T) {
 	if epoch != 7 {
 		t.Fatalf("update epoch = %d, want 7", epoch)
 	}
-	if len(f.updates) != 1 || f.updates[0].NodeID != "n1" {
-		t.Fatalf("updates = %+v", f.updates)
+	if len(f.updates) != 1 || f.updates[0].NodeID != "n1" || len(f.rode) != 0 {
+		t.Fatalf("updates = %+v with events %+v", f.updates, f.rode)
+	}
+	riders := []TaskEvent{
+		{Kind: TaskEventDone, AppID: "a", TaskID: "a/t0", NodeID: "n1", Progress: 9, At: time.Unix(9, 0).UTC()},
+		{Kind: TaskEventProgress, AppID: "a", TaskID: "a/t1", NodeID: "n1", Progress: 4, At: time.Unix(9, 0).UTC()},
+	}
+	if _, err := grm.Update(status, riders...); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.updates) != 2 || len(f.rode) != 2 || f.rode[0] != riders[0] || f.rode[1] != riders[1] {
+		t.Fatalf("update with events: %d updates, events %+v", len(f.updates), f.rode)
+	}
+	if _, err := grm.Update(status, TaskEvent{Kind: TaskEventEvicted, TaskID: "a/t2"}); !orb.IsCode(err, orb.CodeApplication) {
+		t.Fatalf("evicted event in an update: err = %v, want the servant's refusal", err)
 	}
 
 	id, err := grm.Submit(ApplicationSpec{

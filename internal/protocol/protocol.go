@@ -1,9 +1,10 @@
 // Package protocol defines the wire-level messages of InteGrade's
 // intra-cluster protocols, shared by the LRM and GRM:
 //
-//   - the Information Update Protocol (LRM → GRM periodic NodeStatus);
+//   - the Information Update Protocol (LRM → GRM periodic NodeStatus, with
+//     the task completions and progress observed since the last one);
 //   - the Resource Reservation and Execution Protocol (GRM → LRM
-//     reserve/execute/cancel, LRM → GRM task notifications);
+//     reserve/execute/cancel, LRM → GRM eviction and drain notifications);
 //   - application submission records (ASCT → GRM).
 //
 // These correspond to the CORBA IDL interfaces of the original system.
@@ -26,9 +27,9 @@ const (
 // Operation names.
 const (
 	// GRM operations.
-	OpUpdate    = "update"    // LRM pushes NodeStatus
+	OpUpdate    = "update"    // LRM pushes NodeStatus and its done/progress events
 	OpSubmit    = "submit"    // ASCT submits an application
-	OpNotify    = "notify"    // LRM reports a task event
+	OpNotify    = "notify"    // LRM reports an event the GRM must act on now (evicted, drained)
 	OpAppStatus = "appStatus" // ASCT polls application status
 	OpCancelApp = "cancelApp" // ASCT aborts an application
 	OpListApps  = "listApps"  // ASCT enumerates applications
@@ -290,6 +291,52 @@ func DecodeTaskEvent(d *orb.Decoder) (TaskEvent, error) {
 		At:       d.Time(),
 	}
 	return ev, d.Err()
+}
+
+// RidesUpdate reports whether events of this kind travel in the Information
+// Update: the ones that only record what the node already finished. Evicted
+// and Drained ask the GRM to re-place a task, which is an RPC back to some
+// LRM, so they go by OpNotify at once and never through an update handler.
+func (k TaskEventKind) RidesUpdate() bool {
+	return k == TaskEventDone || k == TaskEventProgress
+}
+
+// EncodeUpdate writes one OpUpdate body: NodeStatus ‖ u32 n ‖ n × TaskEvent.
+func EncodeUpdate(e *orb.Encoder, s NodeStatus, events []TaskEvent) {
+	s.Encode(e)
+	e.PutU32(uint32(len(events)))
+	for _, ev := range events {
+		ev.Encode(e)
+	}
+}
+
+// DecodeUpdate reads one OpUpdate body. It fails — before the caller has
+// anything to apply — on a truncated or over-long event list and on an event
+// whose kind does not ride the update.
+func DecodeUpdate(d *orb.Decoder) (NodeStatus, []TaskEvent, error) {
+	s, err := DecodeNodeStatus(d)
+	if err != nil {
+		return NodeStatus{}, nil, err
+	}
+	n := d.U32()
+	if err := d.Err(); err != nil {
+		return NodeStatus{}, nil, err
+	}
+	if n > orb.MaxSliceLen {
+		return NodeStatus{}, nil, fmt.Errorf("protocol: update with %d events", n)
+	}
+	var events []TaskEvent
+	for i := uint32(0); i < n; i++ {
+		ev, err := DecodeTaskEvent(d)
+		if err != nil {
+			return NodeStatus{}, nil, err
+		}
+		if !ev.Kind.RidesUpdate() {
+			return NodeStatus{}, nil, fmt.Errorf("protocol: %s event for task %s in an update", ev.Kind, ev.TaskID)
+		}
+		events = append(events, ev)
+	}
+	return s, events, nil
 }
 
 // DepartureNotice is the LRM → GRM announcement that the node predicts an

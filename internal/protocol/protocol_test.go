@@ -117,6 +117,114 @@ func TestTaskEventRoundTrip(t *testing.T) {
 	}
 }
 
+// updateBody is a well-formed OpUpdate body with two riding events.
+func updateBody() (NodeStatus, []TaskEvent, []byte) {
+	s := NodeStatus{
+		NodeID:    "node-12",
+		LRMRef:    orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetTCP, Addr: "10.0.0.12:7000"}, Key: LRMKey},
+		Platform:  resource.Platform{Arch: "amd64", OS: "linux"},
+		Capacity:  resource.Vector{MIPS: 2000, RAMMB: 2048},
+		GridFree:  resource.Vector{MIPS: 1100, RAMMB: 1792},
+		Timestamp: time.Date(2026, 7, 4, 11, 30, 0, 0, time.UTC),
+		Windows:   []AvailWindow{{Start: time.Unix(10, 0).UTC(), End: time.Unix(20, 0).UTC(), Confidence: 0.5}},
+	}
+	events := []TaskEvent{
+		{Kind: TaskEventDone, AppID: "app-1", TaskID: "app-1/t3", NodeID: "node-12", Progress: 9, At: s.Timestamp},
+		{Kind: TaskEventProgress, AppID: "app-1", TaskID: "app-1/t4", NodeID: "node-12", Progress: 4, At: s.Timestamp},
+	}
+	var e orb.Encoder
+	EncodeUpdate(&e, s, events)
+	return s, events, e.Bytes()
+}
+
+func TestUpdateRoundTrip(t *testing.T) {
+	s, events, body := updateBody()
+	gotS, gotEvents, err := DecodeUpdate(orb.NewDecoder(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotS.NodeID != s.NodeID || gotS.GridFree != s.GridFree || len(gotS.Windows) != 1 {
+		t.Fatalf("status = %+v", gotS)
+	}
+	if len(gotEvents) != 2 || gotEvents[0] != events[0] || gotEvents[1] != events[1] {
+		t.Fatalf("events = %+v", gotEvents)
+	}
+
+	// No events is a count of zero, not an absent count.
+	var bare orb.Encoder
+	EncodeUpdate(&bare, s, nil)
+	var statusOnly orb.Encoder
+	s.Encode(&statusOnly)
+	if bare.Len() != statusOnly.Len()+4 {
+		t.Fatalf("empty event list costs %d bytes, want 4", bare.Len()-statusOnly.Len())
+	}
+	if _, gotEvents, err = DecodeUpdate(orb.NewDecoder(bare.Bytes())); err != nil || len(gotEvents) != 0 {
+		t.Fatalf("bare update: events %+v, err %v", gotEvents, err)
+	}
+	if _, _, err := DecodeUpdate(orb.NewDecoder(statusOnly.Bytes())); err == nil {
+		t.Fatal("an update without an event count decoded")
+	}
+}
+
+// TestUpdateRejectsWhatMustNotRideIt: every truncation of a well-formed
+// body, a count past orb.MaxSliceLen, and an event of a kind that asks the
+// GRM to act are all decode errors — reported before the caller has a status
+// or an event in hand to apply.
+func TestUpdateRejectsWhatMustNotRideIt(t *testing.T) {
+	s, events, body := updateBody()
+	for cut := 0; cut < len(body); cut++ {
+		if _, _, err := DecodeUpdate(orb.NewDecoder(body[:cut])); err == nil {
+			t.Fatalf("body truncated to %d of %d bytes decoded", cut, len(body))
+		}
+	}
+	var overlong orb.Encoder
+	s.Encode(&overlong)
+	overlong.PutU32(orb.MaxSliceLen + 1)
+	if _, _, err := DecodeUpdate(orb.NewDecoder(overlong.Bytes())); err == nil {
+		t.Fatal("an event count past MaxSliceLen decoded")
+	}
+	for _, kind := range []TaskEventKind{TaskEventEvicted, TaskEventDrained, 0, 9} {
+		bad := append([]TaskEvent(nil), events...)
+		bad[1].Kind = kind
+		var e orb.Encoder
+		EncodeUpdate(&e, s, bad)
+		gotS, gotEvents, err := DecodeUpdate(orb.NewDecoder(e.Bytes()))
+		if err == nil || gotS.NodeID != "" || gotEvents != nil {
+			t.Fatalf("kind %v rode an update: status %+v, events %+v, err %v", kind, gotS, gotEvents, err)
+		}
+	}
+}
+
+// FuzzDecodeUpdate: DecodeUpdate takes bytes from the network. Whatever they
+// are it must not panic, must not return anything alongside an error, and
+// what it accepts must only hold kinds that ride an update.
+func FuzzDecodeUpdate(f *testing.F) {
+	s, _, body := updateBody()
+	f.Add(body)
+	f.Add(body[:len(body)-3]) // truncated inside the last event
+	var statusOnly, overlong orb.Encoder
+	s.Encode(&statusOnly)
+	f.Add(statusOnly.Bytes()) // no event count
+	s.Encode(&overlong)
+	overlong.PutU32(orb.MaxSliceLen + 1)
+	f.Add(overlong.Bytes())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, events, err := DecodeUpdate(orb.NewDecoder(data))
+		if err != nil {
+			if s.NodeID != "" || events != nil {
+				t.Fatalf("error %v alongside status %+v, events %+v", err, s, events)
+			}
+			return
+		}
+		for _, ev := range events {
+			if !ev.Kind.RidesUpdate() {
+				t.Fatalf("accepted a %v event", ev.Kind)
+			}
+		}
+	})
+}
+
 func TestApplicationSpecRoundTrip(t *testing.T) {
 	linux := resource.Platform{Arch: "amd64", OS: "linux"}
 	spec := ApplicationSpec{
