@@ -158,11 +158,13 @@ bench-sched-check:
 # its own tests, then a quick traced run — small fleets, two short rounds —
 # with the determinism guard and the brute-force oracle on. Not a
 # measurement; traces land in benchmark/out/. Then one iteration each of the
-# micro-benchmarks ROADMAP items 2 and 6 quote, so they keep compiling and running.
+# micro-benchmarks ROADMAP items 2 and 6 quote, so they keep compiling and running
+# (BenchmarkTCPInvoke minus BenchmarkTCPRawEcho is what the ORB adds to a round trip).
 benchmark-check:
 	$(GO) test -count=1 ./benchmark
 	$(GO) run ./benchmark -quick -traced
-	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
+	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
+	$(GO) test -run '^$$' -bench 'BenchmarkTCPInvokeConcurrent/callers=64' -benchtime 1x ./internal/orb
 
 # Where a snapshot miss spends its time: BenchmarkPlacementMiss10k under the
 # CPU profiler (ROADMAP item 2's per-function shares are this output). Leaves

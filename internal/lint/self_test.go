@@ -144,7 +144,7 @@ func TestPerformanceContractsHold(t *testing.T) {
 		"grm.newRanking",
 		"grm.(*ranking).pop",
 		"grm.(*ranking).settle",
-		"orb.(*clientConn).sendLoop",
+		"orb.(*clientConn).call",
 		"orb.(*Encoder).PutString",
 		"orb.(*Decoder).String",
 	} {

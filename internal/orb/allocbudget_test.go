@@ -55,18 +55,18 @@ func parseBudgets(t *testing.T, path string) []budgetRow {
 	return rows
 }
 
-// TestLoopbackInvokeAllocBudget is the CI allocation gate for the loopback
-// invoke paths: testdata/alloc_budget.txt holds one checked-in budget row
-// per measured path (allocs per Invoke for a 256 B echo — the fast path's
-// single allocation is the reply buffer Detach hands to the caller; see
-// DESIGN.md §13). Any hot-path regression that reintroduces a per-call
+// TestLoopbackInvokeAllocBudget is the CI allocation gate for the invoke
+// paths: testdata/alloc_budget.txt holds one checked-in budget row per
+// measured path (allocs per Invoke for a 256 B echo — the loopback fast
+// path's single allocation is the reply buffer Detach hands to the caller,
+// and the TCP row counts both ends of the connection; see DESIGN.md §13). Any hot-path regression that reintroduces a per-call
 // allocation fails this test with a full got-vs-budget row diff, and
 // lowering a row is how a future optimization ratchets the gate down.
 func TestLoopbackInvokeAllocBudget(t *testing.T) {
 	path := filepath.Join("testdata", "alloc_budget.txt")
 	rows := parseBudgets(t, path)
 
-	newRef := func(o *ORB, name string, ic Interceptor) ObjectRef {
+	newAdapter := func() *Adapter {
 		adapter := NewAdapter()
 		mux := NewOpMux().Handle("echo", func(_ string, req *Decoder) (*Encoder, error) {
 			data := req.RawBytes()
@@ -81,7 +81,10 @@ func TestLoopbackInvokeAllocBudget(t *testing.T) {
 		if err := adapter.Register("echo", mux); err != nil {
 			t.Fatal(err)
 		}
-		ep, err := o.BindLoopback(name, adapter)
+		return adapter
+	}
+	newRef := func(o *ORB, name string, ic Interceptor) ObjectRef {
+		ep, err := o.BindLoopback(name, newAdapter())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,6 +116,21 @@ func TestLoopbackInvokeAllocBudget(t *testing.T) {
 				}
 			})
 		},
+		"tcp-invoke": func() float64 {
+			o := New()
+			defer o.Close()
+			srv, err := o.ListenTCP("127.0.0.1:0", newAdapter())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			ref := srv.Ref("echo")
+			return testing.AllocsPerRun(500, func() {
+				if _, err := o.Invoke(ref, "echo", arg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		},
 	}
 
 	var (
@@ -122,7 +140,11 @@ func TestLoopbackInvokeAllocBudget(t *testing.T) {
 	for _, row := range rows {
 		m, ok := measure[row.name]
 		if !ok {
-			t.Fatalf("%s: unknown row %q (known: loopback-invoke, loopback-invoke-intercepted)", path, row.name)
+			t.Fatalf("%s: unknown row %q (known: loopback-invoke, loopback-invoke-intercepted, tcp-invoke)", path, row.name)
+		}
+		if raceEnabled && row.name == "tcp-invoke" {
+			fmt.Fprintf(&diff, "  %-28s skipped under the race detector\n", row.name)
+			continue
 		}
 		got := m()
 		mark := "ok"

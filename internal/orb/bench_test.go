@@ -1,6 +1,8 @@
 package orb
 
 import (
+	"io"
+	"net"
 	"testing"
 )
 
@@ -43,6 +45,54 @@ func BenchmarkLoopbackInvoke(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTCPRawEcho is the floor BenchmarkTCPInvoke is read against: the
+// same 300 bytes each way over one 127.0.0.1 connection, a goroutine on
+// each end and no ORB. Invoke minus this is what the ORB itself costs.
+func BenchmarkTCPRawEcho(b *testing.B) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	const size = 300
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		buf := make([]byte, size)
+		for {
+			if _, err := io.ReadFull(conn, buf); err != nil {
+				return
+			}
+			if _, err := conn.Write(buf); err != nil {
+				return
+			}
+		}
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := conn.Write(buf); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	conn.Close()
+	<-done
 }
 
 func BenchmarkTCPInvoke(b *testing.B) {
@@ -88,8 +138,8 @@ func deepen(depth int, seed byte) byte {
 // BenchmarkTCPDeepServant is BenchmarkTCPInvoke with a servant that needs
 // about 6 KiB of stack, as a GRM or LRM handler does (decode, lock, trader
 // upsert, encode). A goroutine starts on 2 KiB, so a server that starts one
-// per request pays runtime.newstack and copystack on every call; a kept
-// worker pays them once.
+// per request pays runtime.newstack and copystack on every call; a
+// connection's goroutine pays them once.
 func BenchmarkTCPDeepServant(b *testing.B) {
 	a := NewAdapter()
 	mux := NewOpMux().Handle("deep", func(_ string, req *Decoder) (*Encoder, error) {

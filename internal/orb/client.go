@@ -15,16 +15,21 @@ type Invoker interface {
 	Invoke(ref ObjectRef, op string, arg []byte) ([]byte, error)
 }
 
-// Client invokes objects on remote TCP ORB servers. It maintains one
-// multiplexed connection per endpoint, created lazily and re-dialed after
-// failures. It is safe for concurrent use.
+// Client invokes objects on remote TCP ORB servers. A call has a connection
+// to itself for as long as it lasts: it takes the most recently used idle
+// connection to the endpoint (or dials one), writes its request and reads its
+// own reply on the caller's goroutine, and gives the connection back. The
+// client starts no goroutine, and concurrent callers ride separate
+// connections, so nothing on a connection can wait behind another call.
+// It is safe for concurrent use.
 //
 // Every call runs under a per-call budget (WithCallTimeout): the budget
-// bounds the dial, the socket write, and the reply wait, so a hung peer can
-// never block Invoke indefinitely. Failures are classified by Retryable;
-// with WithRetries the client re-sends retryable failures under capped
-// exponential backoff with deterministic jitter, and WithBreaker adds a
-// per-endpoint circuit breaker that fails fast while an endpoint is down.
+// bounds the dial and, as one socket deadline, the write and the reply read,
+// so a hung peer can never block Invoke indefinitely — it costs one budget
+// and its connection. Failures are classified by Retryable; with WithRetries
+// the client re-sends retryable failures under capped exponential backoff
+// with deterministic jitter, and WithBreaker adds a per-endpoint circuit
+// breaker that fails fast while an endpoint is down.
 type Client struct {
 	dialTimeout time.Duration
 	callTimeout time.Duration
@@ -33,17 +38,22 @@ type Client struct {
 	breakers    *breakerSet
 	sleep       func(time.Duration) // pacing hook, replaceable in tests
 
-	// mu guards conns and interceptor. conn() probes an existing
-	// connection's liveness (clientConn.mu) before reusing it, so c.mu
-	// nests outside the per-connection lock.
-	//lint:lockorder orb.Client.mu<orb.clientConn.mu
-	mu          sync.Mutex
-	conns       map[string]*clientConn
+	// mu guards idle, conns, closed and interceptor. A connection itself
+	// needs no lock: between take and give exactly one call owns it.
+	mu sync.Mutex
+	// idle holds, per endpoint address, the connections no call is using,
+	// most recently used last.
+	idle map[string][]*clientConn
+	// conns is every open connection, idle or in a call, so Close can cut
+	// off a call blocked on its reply.
+	conns       map[*clientConn]struct{}
+	closed      bool
 	interceptor Interceptor
-	// wg tracks background teardown of superseded connections so Close can
-	// wait for every goroutine the client started.
-	wg sync.WaitGroup
 }
+
+// maxIdleConns bounds the idle connections kept per endpoint. A burst may
+// open any number at once; the surplus is closed as its calls return.
+const maxIdleConns = 8
 
 var _ Invoker = (*Client)(nil)
 
@@ -56,7 +66,7 @@ func WithDialTimeout(d time.Duration) ClientOption {
 }
 
 // WithCallTimeout sets the per-invocation budget (default 30s). The budget
-// covers the write and the reply wait of one delivery attempt.
+// covers the write and the reply read of one delivery attempt.
 func WithCallTimeout(d time.Duration) ClientOption {
 	return func(c *Client) { c.callTimeout = d }
 }
@@ -89,7 +99,8 @@ func NewClient(opts ...ClientOption) *Client {
 		callTimeout: 30 * time.Second,
 		backoff:     DefaultBackoff,
 		sleep:       time.Sleep,
-		conns:       make(map[string]*clientConn),
+		idle:        make(map[string][]*clientConn),
+		conns:       make(map[*clientConn]struct{}),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -153,81 +164,123 @@ func (c *Client) attempt(ref ObjectRef, op string, arg []byte) ([]byte, error) {
 	return deliver(ic, ref.Endpoint, ref.Key, op, arg, next)
 }
 
-// exchange sends one request over the pooled connection and awaits the
-// reply, re-dialing once if the pooled connection proved stale.
+// exchange performs one request/reply exchange on a connection of its own.
+// A kept connection may have gone stale while it sat idle (the server
+// restarted, or closed it): when one fails with a transport error on the
+// first attempt, every idle connection to the endpoint is as old or older,
+// so all are closed and the call re-dials once.
 func (c *Client) exchange(ref ObjectRef, op string, arg []byte) ([]byte, error) {
+	addr := ref.Endpoint.Addr
 	for attempt := 0; ; attempt++ {
-		cc, fresh, err := c.conn(ref.Endpoint.Addr)
-		if err != nil {
-			if isDeadlineErr(err) {
-				return nil, Errorf(CodeTimeout, "dial %s: %v", ref.Endpoint.Addr, err)
-			}
-			return nil, Errorf(CodeTransport, "dial %s: %v", ref.Endpoint.Addr, err)
+		cc, err := c.take(addr)
+		kept := cc != nil
+		if err == nil && !kept {
+			cc, err = c.dial(addr)
 		}
-		reply, err := cc.call(ref.Key, op, arg, c.callTimeout)
-		if err != nil && IsCode(err, CodeTransport) && !fresh && attempt == 0 {
-			c.drop(ref.Endpoint.Addr, cc)
+		if err != nil {
+			return nil, err
+		}
+		reply, inStep, err := cc.call(ref.Key, op, arg, c.callTimeout)
+		c.give(addr, cc, inStep)
+		if kept && !inStep && attempt == 0 && IsCode(err, CodeTransport) {
+			c.closeIdle(addr)
 			continue
 		}
 		return reply, err
 	}
 }
 
-// Close tears down all pooled connections and waits for the client's
-// background goroutines to exit.
+// Close closes every connection, failing the calls still waiting on one with
+// a transport error, and fails every later call.
 func (c *Client) Close() {
 	c.mu.Lock()
+	c.closed = true
 	conns := c.conns
-	c.conns = make(map[string]*clientConn)
+	c.conns, c.idle = nil, nil
 	c.mu.Unlock()
-	for _, cc := range conns {
-		cc.close()
+	for cc := range conns {
+		_ = cc.conn.Close()
 	}
-	c.wg.Wait()
 }
 
-// conn returns the pooled connection for addr, dialing if absent. fresh
-// reports whether the connection was created by this call.
-func (c *Client) conn(addr string) (*clientConn, bool, error) {
-	c.mu.Lock()
-	if cc, ok := c.conns[addr]; ok && !cc.isDead() {
-		c.mu.Unlock()
-		return cc, false, nil
-	}
-	c.mu.Unlock()
+var errClientClosed = Errorf(CodeTransport, "client closed")
 
-	netConn, err := net.DialTimeout("tcp", addr, c.dialTimeout)
-	if err != nil {
-		return nil, false, err
-	}
-	cc := newClientConn(netConn)
-
+// take returns the most recently used idle connection to addr, or nil when
+// there is none.
+func (c *Client) take(addr string) (*clientConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if prev, ok := c.conns[addr]; ok && !prev.isDead() {
-		// Lost the race; use the winner and tear ours down in the
-		// background (close blocks until the read loop exits).
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			cc.close()
-		}()
-		return prev, false, nil
+	if c.closed {
+		return nil, errClientClosed
 	}
-	c.conns[addr] = cc
-	return cc, true, nil
+	idle := c.idle[addr]
+	n := len(idle)
+	if n == 0 {
+		return nil, nil
+	}
+	cc := idle[n-1]
+	idle[n-1] = nil
+	c.idle[addr] = idle[:n-1]
+	return cc, nil
 }
 
-func (c *Client) drop(addr string, cc *clientConn) {
+// dial opens a new connection to addr, owned by the calling call.
+func (c *Client) dial(addr string) (*clientConn, error) {
+	conn, err := net.DialTimeout("tcp", addr, c.dialTimeout)
+	if err != nil {
+		if isDeadlineErr(err) {
+			return nil, Errorf(CodeTimeout, "dial %s: %v", addr, err)
+		}
+		return nil, Errorf(CodeTransport, "dial %s: %v", addr, err)
+	}
+	cc := &clientConn{conn: conn, reader: bufio.NewReader(conn)}
 	c.mu.Lock()
-	if c.conns[addr] == cc {
-		delete(c.conns, addr)
+	closed := c.closed
+	if !closed {
+		c.conns[cc] = struct{}{}
 	}
 	c.mu.Unlock()
-	cc.close()
+	if closed {
+		_ = conn.Close()
+		return nil, errClientClosed
+	}
+	return cc, nil
+}
+
+// give ends a call's ownership of cc. The connection goes back on the idle
+// stack when keep is set and there is room; otherwise it is closed.
+func (c *Client) give(addr string, cc *clientConn, keep bool) {
+	c.mu.Lock()
+	idle := c.idle[addr]
+	keep = keep && !c.closed && len(idle) < maxIdleConns
+	if keep {
+		c.idle[addr] = append(idle, cc)
+	} else {
+		delete(c.conns, cc)
+	}
+	c.mu.Unlock()
+	if !keep {
+		_ = cc.conn.Close()
+	}
+}
+
+// closeIdle closes every idle connection to addr.
+func (c *Client) closeIdle(addr string) {
+	c.mu.Lock()
+	idle := c.idle[addr]
+	delete(c.idle, addr)
+	for _, cc := range idle {
+		delete(c.conns, cc)
+	}
+	c.mu.Unlock()
+	for _, cc := range idle {
+		_ = cc.conn.Close()
+	}
 }
 
 // isDeadlineErr reports whether err stems from an expired socket deadline.
+//
+//lint:coldpath classifies a failed exchange, not the steady-state call path
 func isDeadlineErr(err error) bool {
 	if errors.Is(err, os.ErrDeadlineExceeded) {
 		return true
@@ -236,376 +289,47 @@ func isDeadlineErr(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// callResult is what a waiting caller receives: a reply/error frame, or a
-// locally synthesized error (send failure, connection loss — zero value).
-type callResult struct {
-	f   *frame
-	err error
-}
-
-// replyChanPool recycles the per-call reply channels. A channel is pooled
-// only on paths where the single possible send has already happened or is
-// provably impossible (the pending entry was removed by this goroutine), so
-// a pooled channel is always empty.
-var replyChanPool = sync.Pool{New: func() any { return make(chan callResult, 1) }}
-
-func getReplyChan() chan callResult { return replyChanPool.Get().(chan callResult) }
-
-func putReplyChan(ch chan callResult) {
-	select { // defensive drain; a pooled channel must be empty
-	case <-ch:
-	default:
-	}
-	replyChanPool.Put(ch)
-}
-
-// clientConn is one multiplexed connection: concurrent calls are assigned
-// request IDs; a reader goroutine demultiplexes replies to waiting callers;
-// a sender goroutine drains a send queue onto the socket, so N concurrent
-// callers pipeline their requests instead of serializing write+flush under
-// a mutex, and consecutive queued frames share one buffered-writer flush.
-//
-// Hung-peer defense is three-layered: the socket write deadline bounds a
-// peer that stops draining its receive buffer; a call that times out having
-// seen no frame at all since it was sent declares the connection wedged and
-// kills it so the pool re-dials; and while calls are pending a read deadline
-// of twice the largest pending budget is armed as a backstop, generous
-// enough never to race the per-call timers.
+// clientConn is one connection to a server, used by one call at a time.
 type clientConn struct {
 	conn   net.Conn
-	writer *bufio.Writer // owned by sendLoop after construction
-
-	// sendq feeds request frames to sendLoop; quit (closed by failAll)
-	// unblocks enqueuers and stops the sender.
-	sendq chan *frame
-	quit  chan struct{}
-
-	// mu guards nextID, frames, pending, budgets, dead and the watchdog
-	// arming state. done is closed by readLoop on exit, senderDone by
-	// sendLoop; both are otherwise written only at construction.
-	mu         sync.Mutex
-	nextID     uint64
-	frames     uint64 // frames received, ever — progress marker
-	pending    map[uint64]chan callResult
-	budgets    map[uint64]time.Duration
-	dead       bool
-	done       chan struct{}
-	senderDone chan struct{}
-
-	// Watchdog arming state: maxBudget is an upper bound on every pending
-	// budget (maintained incrementally, never lowered while calls remain),
-	// armedAt/armedBudget describe the read deadline last pushed to the
-	// socket. Kept so the hot path re-arms at most once per half-budget
-	// instead of paying a SetReadDeadline syscall per register/complete.
-	maxBudget   time.Duration
-	armedAt     time.Time
-	armedBudget time.Duration
+	reader *bufio.Reader
+	nextID uint64
 }
 
-// sendQueueDepth bounds how many requests may sit between callers and the
-// socket. Deep enough to keep the pipeline full under burst, small enough
-// that backpressure (a blocked enqueue) arrives before unbounded buffering.
-const sendQueueDepth = 256
-
-func newClientConn(conn net.Conn) *clientConn {
-	cc := &clientConn{
-		conn:       conn,
-		writer:     bufio.NewWriter(conn),
-		sendq:      make(chan *frame, sendQueueDepth),
-		quit:       make(chan struct{}),
-		pending:    make(map[uint64]chan callResult),
-		budgets:    make(map[uint64]time.Duration),
-		done:       make(chan struct{}),
-		senderDone: make(chan struct{}),
-	}
-	go cc.readLoop()
-	go cc.sendLoop()
-	return cc
-}
-
-func (cc *clientConn) isDead() bool {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return cc.dead
-}
-
-func (cc *clientConn) close() {
-	cc.failAll()
-	<-cc.done
-	<-cc.senderDone
-}
-
-// armWatchdogLocked maintains the connection read deadline from the pending
-// budgets: no pending calls clears it, otherwise a backstop deadline of
-// twice the largest pending budget is armed — generous enough that the
-// per-call timers always fire first, but bounding the read loop even if a
-// caller abandons its timer.
+// call sends one request and reads its reply, all on the caller's goroutine
+// and under one socket deadline of budget. inStep reports whether the
+// connection may carry another call: the peer answered this request — with a
+// reply or an error frame — and nothing else. After a timeout, a transport
+// failure or a frame that is not this call's reply it may not, since a late
+// reply could still arrive on it and be read by the next caller.
 //
-// The deadline is refreshed lazily: a SetReadDeadline syscall is issued only
-// when pending transitions empty↔nonempty, when a larger budget arrives, or
-// when the armed window is half spent. The invariant the per-call timers
-// rely on still holds: any pending call registered while armed fires its own
-// timer at least half a budget before the socket deadline can.
-func (cc *clientConn) armWatchdogLocked() {
-	if len(cc.pending) == 0 {
-		if cc.armedBudget != 0 {
-			cc.armedBudget = 0
-			cc.maxBudget = 0
-			_ = cc.conn.SetReadDeadline(time.Time{})
-		}
-		return
-	}
-	b := cc.maxBudget
-	if b <= 0 {
-		return
-	}
-	if cc.armedBudget >= b && time.Since(cc.armedAt) <= b/2 {
-		return
-	}
-	cc.armedAt = time.Now()
-	cc.armedBudget = b
-	_ = cc.conn.SetReadDeadline(cc.armedAt.Add(2 * b))
-}
-
-func (cc *clientConn) call(key, op string, arg []byte, budget time.Duration) ([]byte, error) {
-	ch := getReplyChan()
-
-	cc.mu.Lock()
-	if cc.dead {
-		cc.mu.Unlock()
-		putReplyChan(ch)
-		return nil, Errorf(CodeTransport, "connection closed")
-	}
+//lint:hotpath alloc=8 locks=0
+func (cc *clientConn) call(key, op string, arg []byte, budget time.Duration) (reply []byte, inStep bool, err error) {
 	cc.nextID++
 	id := cc.nextID
-	framesAtSend := cc.frames
-	cc.pending[id] = ch
-	cc.budgets[id] = budget
-	if budget > cc.maxBudget {
-		cc.maxBudget = budget
-	}
-	cc.armWatchdogLocked()
-	cc.mu.Unlock()
+	_ = cc.conn.SetDeadline(time.Now().Add(budget))
 
-	// Serialize here, not in the sender: the caller's arg buffer must not
-	// be referenced once call can return (a timed-out caller may reuse it
-	// while its frame still sits in the queue), and spreading encode work
-	// across callers keeps the sender goroutine free to saturate the
-	// socket. f.raw carries the ready-to-write bytes.
-	e := GetEncoder()
-	encodeFrame(e, &frame{kind: msgRequest, reqID: id, key: key, op: op, body: arg})
-	f := getFrame()
-	f.kind, f.reqID, f.key, f.op, f.budget = msgRequest, id, key, op, budget
-	f.raw = e.Detach()
-	PutEncoder(e)
-	select {
-	case cc.sendq <- f:
-	case <-cc.quit:
-		putFrame(f)
-		if cc.forget(id) {
-			putReplyChan(ch)
+	err = writeFrame(cc.conn, &frame{kind: msgRequest, reqID: id, key: key, op: op, body: arg})
+	if err != nil {
+		if isDeadlineErr(err) {
+			return nil, false, Errorf(CodeTimeout, "send %s.%s: write deadline exceeded after %v", key, op, budget)
 		}
-		return nil, Errorf(CodeTransport, "connection closed")
+		return nil, false, Errorf(CodeTransport, "send: %v", err)
 	}
 
-	timer := time.NewTimer(budget)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		putReplyChan(ch)
-		if r.err != nil {
-			return nil, r.err
+	f, err := readFrame(cc.reader)
+	if err != nil {
+		if isDeadlineErr(err) {
+			return nil, false, Errorf(CodeTimeout, "%s.%s timed out after %v", key, op, budget)
 		}
-		rf := r.f
-		if rf == nil {
-			return nil, Errorf(CodeTransport, "connection lost awaiting reply")
-		}
-		if rf.kind == msgError {
-			err := &RemoteError{Code: rf.code, Msg: rf.msg}
-			putFrame(rf)
-			return nil, err
-		}
-		body := rf.detachBody()
-		putFrame(rf)
-		return body, nil
-	case <-timer.C:
-		if cc.forget(id) {
-			// Nobody else saw the pending entry, so no send can follow:
-			// the channel is provably idle and safe to pool.
-			putReplyChan(ch)
-		}
-		// A full budget with no frame at all — not even a reply to some
-		// other call — means the peer is wedged, not merely slow. Kill the
-		// connection so the pool re-dials instead of caching it forever.
-		if !cc.progressedSince(framesAtSend) {
-			cc.failAll()
-		}
-		return nil, Errorf(CodeTimeout, "%s.%s timed out after %v", key, op, budget)
+		return nil, false, Errorf(CodeTransport, "connection lost awaiting reply: %v", err)
 	}
-}
-
-// sendLoop is the connection's single writer: it drains the send queue onto
-// the socket, arming the write deadline from each frame's call budget, and
-// flushes the buffered writer only once the queue runs momentarily dry —
-// one flush (and often one syscall) covers every frame coalesced behind it.
-//
-//lint:hotpath alloc=0 locks=0 block=1
-func (cc *clientConn) sendLoop() {
-	defer close(cc.senderDone)
-	for {
-		select {
-		case f := <-cc.sendq:
-			if !cc.writeBatch(f) {
-				return
-			}
-		case <-cc.quit:
-			return
-		}
+	defer putFrame(f)
+	switch {
+	case f.reqID != id || f.kind == msgRequest:
+		return nil, false, Errorf(CodeTransport, "out-of-step frame (kind %d, id %d) awaiting reply %d", f.kind, f.reqID, id)
+	case f.kind == msgError:
+		return nil, true, &RemoteError{Code: f.code, Msg: f.msg} //lint:alloc error reply
 	}
-}
-
-// writeBatch writes first and every frame immediately queued behind it,
-// then flushes. It reports whether the connection is still usable.
-func (cc *clientConn) writeBatch(first *frame) bool {
-	f := first
-	// The write deadline bounds the socket writes by a pending call budget:
-	// a peer that stops draining its receive buffer cannot wedge the sender
-	// — and with it every queued call — forever. One deadline covers many
-	// frames: it is re-armed only when half spent relative to the current
-	// frame's budget, or more than twice that budget away — so a batch of
-	// like-budget frames costs one syscall, while a frame whose write could
-	// otherwise overrun (or prematurely trip) the armed deadline re-arms.
-	var deadline time.Time
-	for {
-		if d := time.Now(); deadline.Before(d.Add(f.budget/2)) || deadline.After(d.Add(2*f.budget)) {
-			deadline = d.Add(f.budget)
-			_ = cc.conn.SetWriteDeadline(deadline)
-		}
-		_, err := cc.writer.Write(f.raw) // pre-serialized by call
-		id, key, op, budget := f.reqID, f.key, f.op, f.budget
-		putFrame(f)
-		if err != nil {
-			cc.failSend(id, key, op, budget, err)
-			cc.failAll()
-			return false
-		}
-		select {
-		case f = <-cc.sendq:
-			continue
-		default:
-		}
-		break
-	}
-	if err := cc.writer.Flush(); err != nil {
-		// The flush may carry several calls' frames; fail them all.
-		cc.failAll()
-		return false
-	}
-	return true
-}
-
-// failSend delivers a synthesized local error to the one call whose frame
-// failed to write, preserving the pre-pipelining distinction between a
-// write-deadline expiry (timeout) and a broken socket (transport).
-//
-//lint:coldpath write-failure handling, not the steady-state send path
-func (cc *clientConn) failSend(id uint64, key, op string, budget time.Duration, err error) {
-	var res callResult
-	if isDeadlineErr(err) {
-		res.err = Errorf(CodeTimeout, "send %s.%s: write deadline exceeded after %v", key, op, budget)
-	} else {
-		res.err = Errorf(CodeTransport, "send: %v", err)
-	}
-	cc.mu.Lock()
-	ch, ok := cc.pending[id]
-	if ok {
-		delete(cc.pending, id)
-		delete(cc.budgets, id)
-		cc.armWatchdogLocked()
-	}
-	cc.mu.Unlock()
-	if ok {
-		ch <- res
-	}
-}
-
-// progressedSince reports whether any frame arrived after the snapshot.
-func (cc *clientConn) progressedSince(framesAtSend uint64) bool {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return cc.frames != framesAtSend
-}
-
-// forget drops id's pending entry, reporting whether this call removed it —
-// true guarantees no goroutine holds (or will send on) its reply channel.
-func (cc *clientConn) forget(id uint64) bool {
-	cc.mu.Lock()
-	_, ok := cc.pending[id]
-	if ok {
-		delete(cc.pending, id)
-		delete(cc.budgets, id)
-		cc.armWatchdogLocked()
-	}
-	cc.mu.Unlock()
-	return ok
-}
-
-func (cc *clientConn) readLoop() {
-	defer close(cc.done)
-	reader := bufio.NewReader(cc.conn)
-	for {
-		f, err := readFrame(reader)
-		if err != nil {
-			cc.failPending()
-			return
-		}
-		cc.mu.Lock()
-		cc.frames++
-		ch, ok := cc.pending[f.reqID]
-		if ok {
-			delete(cc.pending, f.reqID)
-			delete(cc.budgets, f.reqID)
-		}
-		// Any received frame is progress: re-arm the watchdog for whatever
-		// is still pending.
-		cc.armWatchdogLocked()
-		cc.mu.Unlock()
-		if ok {
-			ch <- callResult{f: f}
-		} else {
-			putFrame(f) // late reply; its waiter already timed out
-		}
-	}
-}
-
-// failAll marks the connection dead, stops the sender and closes the
-// socket; every pending call then fails.
-//
-//lint:coldpath connection teardown, not the steady-state send path
-func (cc *clientConn) failAll() {
-	cc.mu.Lock()
-	alreadyDead := cc.dead
-	cc.dead = true
-	cc.mu.Unlock()
-	if !alreadyDead {
-		close(cc.quit)
-		_ = cc.conn.Close()
-	}
-	// The read loop exits on conn close and drains pending via
-	// failPending; nothing further to do here.
-}
-
-// failPending kills the connection (stopping the sender) and fails every
-// pending call with a zero result ("connection lost"). Called by readLoop
-// on its way out.
-func (cc *clientConn) failPending() {
-	cc.failAll()
-	cc.mu.Lock()
-	pending := cc.pending
-	cc.pending = make(map[uint64]chan callResult)
-	cc.budgets = make(map[uint64]time.Duration)
-	cc.mu.Unlock()
-	for _, ch := range pending {
-		ch <- callResult{}
-	}
+	return f.detachBody(), true, nil
 }

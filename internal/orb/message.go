@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 )
 
 // Protocol constants for the framed request/reply wire protocol.
@@ -38,9 +37,6 @@ type frame struct {
 	// raw is the pooled read buffer backing body for inbound frames.
 	// putFrame recycles it; detachBody transfers it to the caller instead.
 	raw []byte
-	// budget is the call budget of an outbound request, consulted by the
-	// client's sender goroutine to arm the socket write deadline.
-	budget time.Duration
 }
 
 // detachBody returns the frame's payload and transfers ownership of its
@@ -100,15 +96,13 @@ func putBuf(b []byte) {
 	bufPool.Put(bp)
 }
 
-// encodeFrame appends f, length prefix included, onto e. The client
-// serializes request frames at enqueue time with this (so the caller's arg
-// buffer is not referenced after call returns and serialization runs in the
-// caller, not the sender); writeFrame wraps it for synchronous writers.
+// writeFrame serializes f with a length prefix onto w as a single Write.
 //
 // Layout: u32 totalLen | u32 magic | u8 version | u8 kind | u64 reqID |
 // kind-specific fields | bytes body.
-func encodeFrame(e *Encoder, f *frame) {
-	start := e.Len()
+func writeFrame(w io.Writer, f *frame) error {
+	e := GetEncoder()
+	defer PutEncoder(e)
 	e.PutU32(0) // length prefix, patched below
 	e.PutU32(protoMagic)
 	e.PutU8(protoVersion)
@@ -123,14 +117,7 @@ func encodeFrame(e *Encoder, f *frame) {
 		e.PutString(f.msg)
 	}
 	e.PutBytes(f.body)
-	binary.BigEndian.PutUint32(e.buf[start:start+4], uint32(e.Len()-start-4))
-}
-
-// writeFrame serializes f with a length prefix onto w as a single Write.
-func writeFrame(w io.Writer, f *frame) error {
-	e := GetEncoder()
-	defer PutEncoder(e)
-	encodeFrame(e, f)
+	binary.BigEndian.PutUint32(e.buf[:4], uint32(e.Len()-4))
 	_, err := w.Write(e.Bytes())
 	return err
 }
@@ -145,7 +132,7 @@ func readFrame(r *bufio.Reader) (*frame, error) {
 	}
 	n := binary.BigEndian.Uint32(lenbuf[:])
 	if n > maxFrameLen {
-		return nil, fmt.Errorf("orb: frame length %d exceeds limit", n)
+		return nil, fmt.Errorf("orb: frame length %d exceeds limit", n) //lint:alloc error slow path
 	}
 	buf := getBuf(int(n))
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -156,11 +143,11 @@ func readFrame(r *bufio.Reader) (*frame, error) {
 	defer putDecoder(d)
 	if magic := d.U32(); magic != protoMagic {
 		putBuf(buf)
-		return nil, fmt.Errorf("orb: bad magic %#x", magic)
+		return nil, fmt.Errorf("orb: bad magic %#x", magic) //lint:alloc error slow path
 	}
 	if v := d.U8(); v != protoVersion {
 		putBuf(buf)
-		return nil, fmt.Errorf("orb: unsupported protocol version %d", v)
+		return nil, fmt.Errorf("orb: unsupported protocol version %d", v) //lint:alloc error slow path
 	}
 	f := getFrame()
 	f.kind = d.U8()
@@ -177,7 +164,7 @@ func readFrame(r *bufio.Reader) (*frame, error) {
 		kind := f.kind
 		f.raw = buf
 		putFrame(f)
-		return nil, fmt.Errorf("orb: unknown message kind %d", kind)
+		return nil, fmt.Errorf("orb: unknown message kind %d", kind) //lint:alloc error slow path
 	}
 	// The payload aliases buf — no copy. The frame owns buf from here on.
 	f.body = d.RawBytes()

@@ -6,21 +6,21 @@ import (
 	"log/slog"
 	"net"
 	"sync"
-	"sync/atomic"
 )
 
 // Server accepts ORB protocol connections on a TCP listener and dispatches
-// requests to an Adapter. A connection is served by a small set of kept
-// worker goroutines: a request goes to an idle worker when there is one and
-// to a new worker otherwise, so it never waits behind a slow servant, while
-// a steady caller keeps landing on a goroutine whose stack is already grown.
+// requests to an Adapter. Each connection has one goroutine that reads a
+// request, runs the servant and writes the reply before it reads the next: a
+// Client never has two calls on one connection, so no request waits behind a
+// slow servant, and a steady caller keeps landing on a goroutine whose stack
+// is already grown.
 type Server struct {
 	adapter  *Adapter
 	listener net.Listener
 	log      *slog.Logger
 
 	// mu guards conns and closed. wg tracks the accept loop and every
-	// per-connection goroutine; Close waits on it after releasing mu.
+	// connection's goroutine; Close waits on it after releasing mu.
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
@@ -105,10 +105,6 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
-// maxIdleWorkers bounds the workers one connection keeps between requests.
-// A burst may run any number at once; the surplus exits as it finishes.
-const maxIdleWorkers = 8
-
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -118,95 +114,42 @@ func (s *Server) serveConn(conn net.Conn) {
 		_ = conn.Close()
 	}()
 
-	var (
-		// writeMu serializes reply frames onto writer across the workers;
-		// writeWaiters counts goroutines inside send so the flush can be
-		// deferred to the last writer in a burst — N concurrent replies
-		// share one flush instead of paying one syscall each.
-		writeMu      sync.Mutex
-		writeWaiters atomic.Int32
-		reqWG        sync.WaitGroup
-	)
 	reader := bufio.NewReader(conn)
-	writer := bufio.NewWriter(conn)
-
-	send := func(f *frame) {
-		writeWaiters.Add(1)
-		writeMu.Lock()
-		err := writeFrame(writer, f)
-		// The last writer out flushes for everyone: if the decrement sees
-		// other waiters, one of them is about to take writeMu and will
-		// flush (or defer again) after its own write.
-		if writeWaiters.Add(-1) == 0 && err == nil {
-			_ = writer.Flush()
-		}
-		writeMu.Unlock()
-	}
-
-	// work hands a request to a worker that has announced itself in idle.
-	// The hand-off is unbuffered, so a frame is never queued behind a busy
-	// worker. A worker takes its idle slot before it writes its reply, not
-	// after: the caller cannot have seen the reply — and sent its next
-	// request — while the worker that served it still looks busy, so a
-	// caller that waits for each reply is always served by the same
-	// goroutine.
-	work := make(chan *frame)
-	idle := make(chan struct{}, maxIdleWorkers)
-	worker := func(f *frame) {
-		defer reqWG.Done()
-		for f != nil {
-			enc, err := s.adapter.dispatchEnc(f.key, f.op, f.body)
-			reply := getFrame()
-			reply.kind, reply.reqID = msgReply, f.reqID
-			if err != nil {
-				re := &RemoteError{Code: CodeApplication, Msg: err.Error()}
-				errors.As(err, &re)
-				reply.kind, reply.code, reply.msg = msgError, re.Code, re.Msg
-			} else if enc != nil {
-				reply.body = enc.Bytes()
-			}
-			putFrame(f) // request body is dead once dispatch returned
-			kept := false
-			select {
-			case idle <- struct{}{}:
-				kept = true
-			default: // enough workers idle already: reply and exit
-			}
-			send(reply)
-			reply.body = nil // owned by enc, not the frame pool
-			putFrame(reply)
-			PutEncoder(enc)
-			if !kept {
-				return
-			}
-			f = <-work // nil once the connection is gone
-		}
-	}
-
 	for {
 		f, err := readFrame(reader)
 		if err != nil {
 			if !errors.Is(err, net.ErrClosed) && !s.isClosed() {
 				s.log.Debug("orb server connection ended", "err", err)
 			}
-			break
+			return
 		}
 		if f.kind != msgRequest {
 			s.log.Warn("orb server received non-request frame", "kind", f.kind)
 			putFrame(f)
 			continue
 		}
-		select {
-		case <-idle:
-			// Its worker is at most a reply write away from receiving.
-			work <- f
-		default:
-			reqWG.Add(1)
-			go worker(f)
+		if err := s.serve(conn, f); err != nil {
+			return // the peer is gone; its caller has already been failed
 		}
 	}
-	close(work)
-	reqWG.Wait()
+}
+
+// serve runs the servant for request f and writes the reply to conn, on the
+// goroutine that read the request.
+func (s *Server) serve(conn net.Conn, f *frame) error {
+	enc, err := s.adapter.dispatchEnc(f.key, f.op, f.body)
+	reply := frame{kind: msgReply, reqID: f.reqID}
+	if err != nil {
+		re := &RemoteError{Code: CodeApplication, Msg: err.Error()}
+		errors.As(err, &re)
+		reply.kind, reply.code, reply.msg = msgError, re.Code, re.Msg
+	} else if enc != nil {
+		reply.body = enc.Bytes()
+	}
+	putFrame(f) // request body is dead once dispatch returned
+	err = writeFrame(conn, &reply)
+	PutEncoder(enc)
+	return err
 }
 
 func discardLogger() *slog.Logger {

@@ -3,7 +3,6 @@ package orb
 import (
 	"bytes"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,19 +14,6 @@ import (
 func goid() string {
 	buf := make([]byte, 64)
 	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
-}
-
-// serverWorkers counts the live connection workers of every Server in the
-// process: the goroutines running a closure of serveConn.
-func serverWorkers() int {
-	buf := make([]byte, 1<<20)
-	n := 0
-	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-		if strings.Contains(g, "orb.(*Server).serveConn.func") {
-			n++
-		}
-	}
-	return n
 }
 
 // gateServant has a "block" operation that reports on entered and then
@@ -57,14 +43,19 @@ func (g *gateServant) servant() Servant {
 		})
 }
 
-func serveGate(t *testing.T, g *gateServant) (*ORB, *Server, ObjectRef) {
+func gateAdapter(t *testing.T, g *gateServant) *Adapter {
 	t.Helper()
 	a := NewAdapter()
 	if err := a.Register("gate", g.servant()); err != nil {
 		t.Fatal(err)
 	}
+	return a
+}
+
+func serveGate(t *testing.T, g *gateServant) (*ORB, *Server, ObjectRef) {
+	t.Helper()
 	o := New()
-	srv, err := o.ListenTCP("127.0.0.1:0", a)
+	srv, err := o.ListenTCP("127.0.0.1:0", gateAdapter(t, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,19 +76,19 @@ func who(t *testing.T, o *ORB, ref ObjectRef, op string) string {
 	return id
 }
 
-// TestServerRequestNeverWaitsBehindServant: every request on one connection
-// reaches its servant while earlier ones are still blocked in theirs —
-// whether the connection has an idle worker to give it (the first blocker
-// takes the one the warm-up call left) or none (every later one), and past
-// the number of workers a connection keeps.
+// TestServerRequestNeverWaitsBehindServant: every request reaches its
+// servant while earlier ones are still blocked in theirs — whether the
+// client has an idle connection to give it (the first blocker takes the one
+// the warm-up call left) or none (every later one), and past the number of
+// idle connections a client keeps.
 func TestServerRequestNeverWaitsBehindServant(t *testing.T) {
-	const blockers = maxIdleWorkers + 3
+	const blockers = maxIdleConns + 3
 	g := newGateServant(blockers)
 	o, srv, ref := serveGate(t, g)
 	defer o.Close()
 	defer srv.Close()
 
-	who(t, o, ref, "who") // leaves one worker idle
+	who(t, o, ref, "who") // leaves one connection idle
 	var wg sync.WaitGroup
 	for i := 0; i < blockers; i++ {
 		wg.Add(1)
@@ -120,12 +111,9 @@ func TestServerRequestNeverWaitsBehindServant(t *testing.T) {
 }
 
 // TestServerKeepsWorkers: a caller that waits for each reply is served by
-// one goroutine for as long as the connection lives, and a burst that needs
-// many workers at once leaves no more than maxIdleWorkers behind.
+// one goroutine — its connection's — for as long as the connection lives.
 func TestServerKeepsWorkers(t *testing.T) {
-	const burst = 64
-	g := newGateServant(burst)
-	o, srv, ref := serveGate(t, g)
+	o, srv, ref := serveGate(t, newGateServant(0))
 	defer o.Close()
 	defer srv.Close()
 
@@ -135,49 +123,11 @@ func TestServerKeepsWorkers(t *testing.T) {
 			t.Fatalf("call %d served by goroutine %s, the ones before it by %s", i, id, first)
 		}
 	}
-
-	// All of the burst is inside the servant at once, so it takes 64 workers.
-	replies := make(chan []byte, burst)
-	for i := 0; i < burst; i++ {
-		go func() {
-			reply, err := o.Invoke(ref, "block", nil)
-			if err != nil {
-				t.Errorf("block: %v", err)
-			}
-			replies <- reply
-		}()
-	}
-	for i := 0; i < burst; i++ {
-		<-g.entered
-	}
-	if got := serverWorkers(); got != burst {
-		t.Fatalf("%d workers with %d requests blocked in the servant", got, burst)
-	}
-	close(g.release)
-	served := make(map[string]bool)
-	for i := 0; i < burst; i++ {
-		served[NewDecoder(<-replies).String()] = true
-	}
-	if len(served) != burst {
-		t.Fatalf("burst served by %d goroutines, want %d", len(served), burst)
-	}
-	// A surplus worker exits after its reply is written, which the caller can
-	// see first: give the stragglers a moment.
-	deadline := time.Now().Add(10 * time.Second)
-	for serverWorkers() > maxIdleWorkers && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := serverWorkers(); got > maxIdleWorkers {
-		t.Fatalf("%d workers left after the burst, want at most %d", got, maxIdleWorkers)
-	}
-	if id := who(t, o, ref, "who"); !served[id] {
-		t.Fatalf("after the burst a new goroutine %s served the call, not a kept one", id)
-	}
 }
 
 // TestServerCloseDuringBurst: Close with requests inside their servants cuts
 // the callers off at once, returns when the last servant has, and leaves no
-// goroutine — worker, reader or accept loop — behind.
+// goroutine — a connection's or the accept loop — behind.
 func TestServerCloseDuringBurst(t *testing.T) {
 	const burst = 64
 	g := newGateServant(burst)
@@ -217,4 +167,55 @@ func TestServerCloseDuringBurst(t *testing.T) {
 	}
 	o.Close()
 	leak.VerifyNone(t)
+}
+
+// TestNestedCallbackDoesNotDeadlock: a servant on A calls B, whose servant
+// calls A, whose servant calls B — each ORB has two calls to the other in
+// flight at once, the outer waiting on the inner. Each nested call rides a
+// connection of its own, so none waits behind the servant that made it.
+func TestNestedCallbackDoesNotDeadlock(t *testing.T) {
+	var orbs [2]*ORB
+	var refs [2]ObjectRef
+	for i := range orbs {
+		o := New(WithClientOptions(WithCallTimeout(2 * time.Second)))
+		defer o.Close()
+		a := NewAdapter()
+		// "hop" with n left to go calls the other side with n-1, and answers
+		// with the number of hops made below it.
+		mux := NewOpMux().Handle("hop", func(_ string, req *Decoder) (*Encoder, error) {
+			left := req.U8()
+			if err := req.Err(); err != nil {
+				return nil, err
+			}
+			var made uint8
+			if left > 0 {
+				reply, err := o.Invoke(refs[1-i], "hop", []byte{left - 1})
+				if err != nil {
+					return nil, err
+				}
+				made = NewDecoder(reply).U8() + 1
+			}
+			e := GetEncoder()
+			e.PutU8(made)
+			return e, nil
+		})
+		if err := a.Register("hopper", mux); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := o.ListenTCP("127.0.0.1:0", a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		orbs[i], refs[i] = o, srv.Ref("hopper")
+	}
+
+	// B's client calls A: A -> B -> A -> B below it.
+	reply, err := orbs[1].Invoke(refs[0], "hop", []byte{3})
+	if err != nil {
+		t.Fatalf("nested chain: %v", err)
+	}
+	if made := NewDecoder(reply).U8(); made != 3 {
+		t.Fatalf("chain made %d nested hops, want 3", made)
+	}
 }

@@ -6,9 +6,10 @@
 //   - object references naming a transport endpoint plus an object key,
 //     analogous to IORs;
 //   - an object adapter dispatching operations to registered servants;
-//   - a TCP transport with connection reuse and request multiplexing, and an
-//     in-process loopback transport (with optional fault injection) that the
-//     simulator uses for deterministic large-scale experiments.
+//   - a TCP transport that reuses connections, one call on a connection at
+//     a time, and an in-process loopback transport (with optional fault
+//     injection) that the simulator uses for deterministic large-scale
+//     experiments.
 //
 // Higher-level CORBA-like services (Naming, Trading) live in their own
 // packages and are ordinary servants on this ORB.
