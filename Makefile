@@ -52,14 +52,17 @@ interproc-lint:
 	$(GO) run ./cmd/integrade-lint -novet -analyzers interproc -json ./...
 
 # Short fuzz runs over the wire decoders: the constraint compiler, the ORB
-# framing layer, the Information Update body, and the consensus/replication
-# payload decoders. Any crasher
+# framing layer, the Information Update body, the Reserve and Execute
+# messages, and the consensus/replication payload decoders. Any crasher
 # fails the target.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzCompile -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/constraint
 	$(GO) test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/orb
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshal -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/orb
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeUpdate -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/protocol
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeReserveRequest -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/protocol
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeReserveReply -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/protocol
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeExecuteRequest -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/protocol
 	$(GO) test -run=^$$ -fuzz=FuzzAppendEntries -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/election
 	$(GO) test -run=^$$ -fuzz=FuzzReplicaBatch -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/grm
 
@@ -163,7 +166,7 @@ bench-sched-check:
 benchmark-check:
 	$(GO) test -count=1 ./benchmark
 	$(GO) run ./benchmark -quick -traced
-	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
+	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPGangPlacement|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
 	$(GO) test -run '^$$' -bench 'BenchmarkTCPInvokeConcurrent/callers=64' -benchtime 1x ./internal/orb
 
 # Where a snapshot miss spends its time: BenchmarkPlacementMiss10k under the

@@ -77,9 +77,9 @@ var preSchedBaseline = SchedPerfBaseline{
 
 // schedFleet is the measurement fixture: one GRM whose trader is primed
 // with offers distinct node-status offers, every one backed by a loopback
-// stub LRM that grants all reservations — so the measurement isolates the
-// trader query + candidate ordering + negotiation round-trips, not node
-// admission policy.
+// stub LRM that answers every Reserve with one hold, which is all a schedSpec
+// application asks for — so the measurement isolates the trader query +
+// candidate ordering + negotiation round-trips, not node admission policy.
 type schedFleet struct {
 	o *orb.ORB
 	g *grm.GRM

@@ -14,10 +14,13 @@ import (
 // must reproduce them byte for byte. E5 exercises owner-QoS scheduling
 // decisions end to end; E9 drives placements through failure recovery and
 // re-negotiation. Any reordering introduced by the shard merge, the
-// snapshot cache, or admission batching shows up here as a diff. The one
-// deliberate regeneration since: E9's two 20%-crash / 10%-loss InteGrade
-// rows, when completions moved into the Information Update — see
-// TestE9MessageLossCostsNoCompletion for what they now have to show.
+// snapshot cache, or admission batching shows up here as a diff. Two
+// deliberate regenerations since, both of E9: its two 20%-crash / 10%-loss
+// InteGrade rows, when completions moved into the Information Update — see
+// TestE9MessageLossCostsNoCompletion for what they now have to show — and its
+// InteGrade rows again when negotiation became per node: the whole bag is
+// placed inside Submit, so every task starts at t = 0 (makespan 4.17 → 4 h
+// fault-free) and a crash finds its victims a fixed distance past a checkpoint.
 func TestSchedulingOutputMatchesSeedGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full experiments; skipped in -short mode")

@@ -85,7 +85,8 @@ func (mc *matchCtx) candidates(app *appInfo) (*ranking, error) {
 		return ent.rank, nil
 	}
 	// A stateful policy sees value copies, as its public signature says, and
-	// is invoked once per query so its state advances as it always has.
+	// is invoked once per query: since negotiation is per node, that is once
+	// per application placed, not once per task, and its state advances so.
 	return settledRanking(mc.g.policy.Order(ent.rank.values(), mc.g.rng)), nil
 }
 

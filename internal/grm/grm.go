@@ -14,6 +14,7 @@ import (
 	"integrade/internal/election"
 	"integrade/internal/orb"
 	"integrade/internal/protocol"
+	"integrade/internal/resource"
 	"integrade/internal/sim"
 	"integrade/internal/trading"
 )
@@ -25,7 +26,7 @@ const (
 	DefaultOfferTTL = 90 * time.Second
 	// DefaultSchedulePeriod is the pending-task scheduling cadence.
 	DefaultSchedulePeriod = 30 * time.Second
-	// DefaultMaxAttempts bounds negotiation rounds per task placement.
+	// DefaultMaxAttempts bounds negotiation rounds per task of a placement.
 	DefaultMaxAttempts = 8
 	// NodeStatusType is the trader service type for LRM offers.
 	NodeStatusType = "NodeStatus"
@@ -37,9 +38,9 @@ type Stats struct {
 	StalenessSum      time.Duration // sum of (receive time - send time)
 	Submissions       int
 	TasksPlaced       int
-	PlacementFailures int // scheduling passes that left a task pending
-	NegotiationRounds int // reserve RPCs issued
-	Refusals          int // reserve RPCs refused
+	PlacementFailures int // tasks a negotiation left pending
+	NegotiationRounds int // reserve RPCs issued; one may obtain several holds
+	Refusals          int // reserve RPCs that obtained no hold
 	TasksDone         int
 	TasksEvicted      int
 	Restarts          int
@@ -218,8 +219,8 @@ func WithSchedulePeriod(d time.Duration) Option {
 	return func(g *GRM) { g.schedPeriod = d }
 }
 
-// WithMaxAttempts bounds negotiation rounds per placement; a placement tries
-// at least one candidate.
+// WithMaxAttempts bounds negotiation rounds per task of a placement; a
+// placement tries at least one candidate.
 func WithMaxAttempts(n int) Option {
 	return func(g *GRM) { g.maxAttempts = n }
 }
@@ -593,204 +594,181 @@ func (g *GRM) scheduleApp(app *appInfo, mc *matchCtx) {
 	if len(pending) == 0 {
 		return
 	}
-	switch {
-	case app.spec.Topology != nil:
+	if app.spec.Topology != nil {
 		g.scheduleTopology(app, pending, mc)
-	case app.spec.Kind == protocol.AppBSP:
-		g.scheduleGang(app, pending, mc)
-	default:
-		for _, t := range pending {
-			if err := g.placeTask(app, t, nil, mc); err != nil {
-				g.mu.Lock()
-				g.stats.PlacementFailures++
-				g.mu.Unlock()
-			}
-		}
+		return
 	}
+	// A BSP app is a gang: every member needs a window covering the same
+	// execution interval [now, now+runtime], so the one filter pass with the
+	// shared deadline removes exactly the nodes whose windows do not overlap
+	// the gang's run.
+	g.place(app, pending, mc, app.spec.Kind == protocol.AppBSP, "")
 }
 
-// placeTask runs the Resource Reservation and Execution Protocol for one
-// task: candidate selection from the trader hint, direct negotiation with
-// each candidate LRM, reservation, then execution binding. A non-nil
-// exclude set skips named nodes.
-func (g *GRM) placeTask(app *appInfo, t *taskInfo, exclude map[string]bool, mc *matchCtx) error {
+// place negotiates tasks of app over its candidates from the trader hint, in
+// policy order and minus those the availability windows rule out; see
+// negotiate. It reports how many of the tasks now run.
+func (g *GRM) place(app *appInfo, tasks []*taskInfo, mc *matchCtx, gang bool, avoid string) int {
 	ranked, err := mc.candidates(app)
 	if err != nil {
-		return err
+		g.log.Warn("candidate query failed", "app", app.id, "err", err)
+		g.mu.Lock()
+		g.stats.PlacementFailures += len(tasks)
+		g.mu.Unlock()
+		return 0
 	}
-	attempts := 0
-	for offer := range g.windowFilter(ranked, app.spec) {
-		nodeID := strProp(offer, fieldNode)
-		if exclude[nodeID] {
+	return g.negotiate(app, tasks, g.windowFilter(ranked, app.spec), gang, avoid)
+}
+
+// nodeGrant is what one Reserve obtained on one node: holds, each paired with
+// the task that is to consume it.
+type nodeGrant struct {
+	nodeID string
+	ref    orb.ObjectRef
+	holds  []string
+	tasks  []*taskInfo
+}
+
+// negotiate runs the Resource Reservation and Execution Protocol for tasks of
+// app, all of them pending: direct negotiation with the candidates' LRMs, best
+// first, retrying on refusal. The unit is the node, not the task: a node
+// (never the one named avoid) is asked once, for a hold per task still
+// missing, and granting fewer means it is full, so the next one is asked for
+// the remainder — until nothing is missing or maxAttempts Reserves per task
+// are spent. Independent tasks start node by node, one Execute for all that a
+// node granted; a gang starts after its last grant, or not at all. A hold that
+// does not end as a running task — its Execute failed, the gang was abandoned
+// — is released. It reports how many of the tasks now run.
+func (g *GRM) negotiate(app *appInfo, tasks []*taskInfo, candidates iter.Seq[*trading.Offer], gang bool, avoid string) int {
+	alloc := app.spec.EffectiveAlloc()
+	budget := g.maxAttempts * len(tasks)
+	missing := tasks
+	placed, attempts := 0, 0
+	var held []nodeGrant // a gang's grants, waiting for its last
+	for offer := range candidates {
+		gr := nodeGrant{nodeID: strProp(offer, fieldNode), ref: offer.Ref}
+		if gr.nodeID == avoid {
 			continue
 		}
 		attempts++
-		if g.tryCandidate(app, t, offer, nodeID) {
-			return nil
+		gr.holds = g.reserve(app, gr.ref, alloc, min(len(missing), protocol.MaxHolds))
+		gr.tasks = missing[:len(gr.holds)]
+		switch {
+		case len(gr.holds) == 0:
+		case gang:
+			held = append(held, gr)
+			missing = missing[len(gr.holds):]
+		case g.execute(app, alloc, gr):
+			placed += len(gr.holds)
+			missing = missing[len(gr.holds):]
 		}
-		// Tested where an attempt fails, not at the top of the loop: resuming
-		// the range pulls — pops off the ranking — a candidate nobody would try.
-		if attempts >= g.maxAttempts {
+		// Tested here, not at the top of the loop: resuming the range pulls —
+		// pops off the ranking — a candidate nobody would try.
+		if len(missing) == 0 || attempts >= budget {
 			break
 		}
 	}
-	return fmt.Errorf("grm: no candidate accepted task %s after %d attempts", t.id, attempts)
+	for _, gr := range held {
+		if len(missing) > 0 {
+			// Not enough nodes for the whole gang: its partial grants must not
+			// block other placements until their TTL expires.
+			g.release(gr.ref, gr.holds)
+		} else if g.execute(app, alloc, gr) {
+			placed += len(gr.holds)
+		}
+	}
+	if placed < len(tasks) {
+		g.mu.Lock()
+		g.stats.PlacementFailures += len(tasks) - placed
+		g.mu.Unlock()
+	}
+	return placed
 }
 
-// tryCandidate is one negotiation round of placeTask: reserve on the offer's
-// LRM and, when granted, bind the task to it. It reports whether the task runs.
-func (g *GRM) tryCandidate(app *appInfo, t *taskInfo, offer *trading.Offer, nodeID string) bool {
-	alloc := app.spec.EffectiveAlloc()
-	lrm := protocol.NewLRMClient(g.inv, offer.Ref)
+// reserve asks the LRM at ref for want holds of alloc and returns the ones
+// granted, at most want and each ID once. Every Reserve the GRM issues is
+// issued here. What a reply names beyond that — a surplus, or holds attached
+// to a refusal — is released at once.
+func (g *GRM) reserve(app *appInfo, ref orb.ObjectRef, alloc resource.Vector, want int) []string {
 	g.mu.Lock()
 	g.stats.NegotiationRounds++
 	app.negotiations++
 	epoch := g.epoch
 	g.mu.Unlock()
-	reply, err := lrm.Reserve(protocol.ReserveRequest{
+	reply, err := protocol.NewLRMClient(g.inv, ref).Reserve(protocol.ReserveRequest{
 		Holder: app.id,
 		Amount: alloc,
 		TTL:    time.Minute,
 		Epoch:  epoch,
+		Count:  want,
 	})
-	if err != nil || !reply.Granted {
+	var ids []string
+	if err == nil {
+		n := 0
+		ids = reply.IDs()
+		for _, id := range ids {
+			if !slices.Contains(ids[:n], id) {
+				ids[n] = id
+				n++
+			}
+		}
+		keep := 0
+		if reply.Granted {
+			keep = min(n, want)
+		}
+		g.release(ref, ids[keep:n])
+		ids = ids[:keep]
+	}
+	if len(ids) == 0 {
 		g.mu.Lock()
 		g.stats.Refusals++
 		g.mu.Unlock()
-		return false
 	}
-	err = lrm.Execute(protocol.ExecuteRequest{
-		ReservationID:   reply.ReservationID,
-		TaskID:          t.id,
-		AppID:           app.id,
-		Work:            t.work,
-		Alloc:           alloc,
-		InitialProgress: t.initialProgress,
-		Epoch:           epoch,
-	})
-	if err != nil {
-		g.log.Debug("execute failed after grant", "task", t.id, "node", nodeID, "err", err)
+	return ids
+}
+
+// execute starts the tasks of gr on its node with one Execute, which the LRM
+// honours for all of them or for none, and records them as running. On an
+// error it gives the holds back and reports false: the tasks stay pending.
+func (g *GRM) execute(app *appInfo, alloc resource.Vector, gr nodeGrant) bool {
+	req := protocol.ExecuteRequest{AppID: app.id, Alloc: alloc, Tasks: make([]protocol.TaskStart, len(gr.tasks))}
+	g.mu.Lock()
+	req.Epoch = g.epoch
+	for i, t := range gr.tasks {
+		req.Tasks[i] = protocol.TaskStart{
+			ReservationID:   gr.holds[i],
+			TaskID:          t.id,
+			Work:            t.work,
+			InitialProgress: t.initialProgress,
+		}
+	}
+	g.mu.Unlock()
+	if err := protocol.NewLRMClient(g.inv, gr.ref).Execute(req); err != nil {
+		g.log.Debug("execute failed after grant", "app", app.id, "node", gr.nodeID, "err", err)
+		g.release(gr.ref, gr.holds)
 		return false
 	}
 	g.mu.Lock()
-	t.state = protocol.TaskRunning
-	t.nodeID = nodeID
-	t.lrm = offer.Ref
-	t.progress = t.initialProgress
-	g.stats.TasksPlaced++
+	for _, t := range gr.tasks {
+		t.state = protocol.TaskRunning
+		t.nodeID = gr.nodeID
+		t.lrm = gr.ref
+		t.progress = t.initialProgress
+	}
+	g.stats.TasksPlaced += len(gr.tasks)
 	g.replicateAppLocked(app)
 	g.mu.Unlock()
 	return true
 }
 
-// scheduleGang places a BSP app all-or-nothing: every pending process must
-// obtain a reservation before any executes; otherwise the grants are left
-// to expire and the app stays pending.
-func (g *GRM) scheduleGang(app *appInfo, pending []*taskInfo, mc *matchCtx) {
-	ranked, err := mc.candidates(app)
-	if err != nil {
-		g.log.Warn("candidate query failed", "app", app.id, "err", err)
-		return
-	}
-	// The gang overlap rule: every member needs a window covering the same
-	// execution interval [now, now+runtime], so one filter pass with the
-	// shared deadline removes exactly the nodes whose windows do not overlap
-	// the gang's run.
-	g.reserveAndExecuteGang(app, pending, g.windowFilter(ranked, app.spec))
-}
-
-type grant struct {
-	reservationID string
-	nodeID        string
-	ref           orb.ObjectRef
-}
-
-// reserveAndExecuteGang tries to collect one grant per pending task from the
-// candidates, best first (a node may grant several), pulling only as many as
-// it asks, then executes all of them. Returns true if the gang was placed.
-func (g *GRM) reserveAndExecuteGang(app *appInfo, pending []*taskInfo, ordered iter.Seq[*trading.Offer]) bool {
-	alloc := app.spec.EffectiveAlloc()
-	var grants []grant
-	attempts := 0
-	budget := g.maxAttempts * max(len(pending), 1)
-	for offer := range ordered {
-		nodeID := strProp(offer, fieldNode)
-		lrm := protocol.NewLRMClient(g.inv, offer.Ref)
-		// Keep asking this node until it refuses (it may host several
-		// processes when resources allow).
-		for len(grants) < len(pending) && attempts < budget {
-			attempts++
-			g.mu.Lock()
-			g.stats.NegotiationRounds++
-			app.negotiations++
-			epoch := g.epoch
-			g.mu.Unlock()
-			reply, err := lrm.Reserve(protocol.ReserveRequest{
-				Holder: app.id,
-				Amount: alloc,
-				TTL:    time.Minute,
-				Epoch:  epoch,
-			})
-			if err != nil || !reply.Granted {
-				g.mu.Lock()
-				g.stats.Refusals++
-				g.mu.Unlock()
-				break
-			}
-			grants = append(grants, grant{
-				reservationID: reply.ReservationID,
-				nodeID:        nodeID,
-				ref:           offer.Ref,
-			})
-		}
-		// Tested here, not at the top of the loop: resuming the range pulls —
-		// pops off the ranking — a candidate nobody would try.
-		if len(grants) == len(pending) || attempts >= budget {
-			break
+// release gives back, best effort, holds that will not be used, so they do
+// not stand against the node's capacity until their TTL expires.
+func (g *GRM) release(ref orb.ObjectRef, holds []string) {
+	for _, id := range holds {
+		if err := protocol.NewLRMClient(g.inv, ref).Release(id); err != nil {
+			g.log.Debug("release failed", "lrm", ref.Endpoint.Addr, "hold", id, "err", err)
 		}
 	}
-	if len(grants) < len(pending) {
-		// Not enough nodes: release the partial grants so they do not
-		// block other placements until their TTL expires.
-		for _, gr := range grants {
-			if err := protocol.NewLRMClient(g.inv, gr.ref).Release(gr.reservationID); err != nil {
-				g.log.Debug("release failed", "node", gr.nodeID, "err", err)
-			}
-		}
-		g.mu.Lock()
-		g.stats.PlacementFailures++
-		g.mu.Unlock()
-		return false
-	}
-	for i, t := range pending {
-		gr := grants[i]
-		lrm := protocol.NewLRMClient(g.inv, gr.ref)
-		err := lrm.Execute(protocol.ExecuteRequest{
-			ReservationID:   gr.reservationID,
-			TaskID:          t.id,
-			AppID:           app.id,
-			Work:            t.work,
-			Alloc:           alloc,
-			InitialProgress: t.initialProgress,
-			Epoch:           g.Epoch(),
-		})
-		if err != nil {
-			g.log.Debug("gang execute failed", "task", t.id, "node", gr.nodeID, "err", err)
-			g.mu.Lock()
-			g.stats.PlacementFailures++
-			g.mu.Unlock()
-			continue
-		}
-		g.mu.Lock()
-		t.state = protocol.TaskRunning
-		t.nodeID = gr.nodeID
-		t.lrm = gr.ref
-		t.progress = t.initialProgress
-		g.stats.TasksPlaced++
-		g.replicateAppLocked(app)
-		g.mu.Unlock()
-	}
-	return true
 }
 
 // detectFailures declares dead every node whose heartbeats have stopped for
@@ -1055,7 +1033,7 @@ func (g *GRM) HandleNotify(ev protocol.TaskEvent) {
 	if requeue {
 		// Try immediate re-placement, avoiding the node that evicted us. The
 		// one-query context's hit/miss tally is not a batch's and is dropped.
-		_ = g.placeTask(app, task, map[string]bool{ev.NodeID: true}, g.newMatchCtx())
+		g.place(app, []*taskInfo{task}, g.newMatchCtx(), false, ev.NodeID)
 	}
 }
 

@@ -95,7 +95,7 @@ func strProp(o *trading.Offer, f *constraint.Field) string {
 // copies none of them, and shares one ranking per constraint within a batch.
 // Stateful policies (Random, RoundRobin) have no key: their Order is re-invoked
 // per query, on value copies, so their state advances exactly once per
-// placement.
+// negotiation — once per application placed, however many tasks it has.
 type keyedPolicy interface {
 	key(o *trading.Offer) (k1, k2 float64)
 }

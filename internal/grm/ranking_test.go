@@ -202,10 +202,10 @@ func TestWindowFilterMatchesSliceFilter(t *testing.T) {
 }
 
 // TestRefusedPlacementSettlesOnlyWhatItTries pins where the attempt limit is
-// tested: with every candidate refusing, a placement negotiates with exactly
-// maxAttempts of them and settles — pops off the ranking — exactly those, not
-// one more it never tries; a gang of two has twice the budget and, each refusal
-// moving it to the next node, settles that many.
+// tested: with every candidate refusing, a placement of one task negotiates
+// with exactly maxAttempts of them and settles — pops off the ranking — exactly
+// those, not one more it never tries; two tasks, gang or not, have twice the
+// budget and, each refusal moving them to the next node, settle that many.
 func TestRefusedPlacementSettlesOnlyWhatItTries(t *testing.T) {
 	const limit, fleet = 3, 12
 	o := orb.New()
@@ -247,23 +247,28 @@ func TestRefusedPlacementSettlesOnlyWhatItTries(t *testing.T) {
 		}
 		return len(r.keys) - r.heap
 	}
-	mc := g.newMatchCtx()
-	if err := g.placeTask(app, tasks[0], nil, mc); err == nil {
-		t.Fatal("a task was placed although every LRM refuses")
-	}
-	if got, rounds := settled(mc), g.Stats().NegotiationRounds; got != limit || rounds != limit {
-		t.Fatalf("a refused placement settled %d candidates in %d rounds, want %d and %d", got, rounds, limit, limit)
-	}
-
-	mc = g.newMatchCtx()
-	ranked, err := mc.candidates(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.reserveAndExecuteGang(app, tasks, ranked.best()) {
-		t.Fatal("a gang was placed although every LRM refuses")
-	}
-	if got, rounds := settled(mc), g.Stats().NegotiationRounds-limit; got != 2*limit || rounds != 2*limit {
-		t.Fatalf("a refused gang of 2 settled %d candidates in %d rounds, want %d and %d", got, rounds, 2*limit, 2*limit)
+	rounds := 0
+	for _, tc := range []struct {
+		name  string
+		tasks []*taskInfo
+		gang  bool
+	}{
+		{"one task", tasks[:1], false},
+		{"two tasks", tasks, false},
+		{"a gang of two", tasks, true},
+	} {
+		mc := g.newMatchCtx()
+		if placed := g.place(app, tc.tasks, mc, tc.gang, ""); placed != 0 {
+			t.Fatalf("%s: %d placed although every LRM refuses", tc.name, placed)
+		}
+		st := g.Stats()
+		want := limit * len(tc.tasks)
+		if got, asked := settled(mc), st.NegotiationRounds-rounds; got != want || asked != want {
+			t.Fatalf("%s: settled %d candidates in %d rounds, want %d and %d", tc.name, got, asked, want, want)
+		}
+		if st.Refusals != st.NegotiationRounds {
+			t.Fatalf("%s: %d refusals in %d rounds", tc.name, st.Refusals, st.NegotiationRounds)
+		}
+		rounds = st.NegotiationRounds
 	}
 }

@@ -111,7 +111,7 @@ func (g *GRM) scheduleTopology(app *appInfo, pending []*taskInfo, mc *matchCtx) 
 	// Reserve and execute per group, gang-style over the chosen offers.
 	for _, idx := range order {
 		ga := &assigns[idx]
-		if !g.reserveAndExecuteGang(app, ga.tasks, slices.Values(ga.offers)) {
+		if g.negotiate(app, ga.tasks, slices.Values(ga.offers), true, "") < len(ga.tasks) {
 			return // partial placements remain running; rest retried later
 		}
 	}

@@ -12,8 +12,8 @@ import (
 	"integrade/internal/resource"
 )
 
-// fakeLRM is a minimal LRM servant that grants every reservation (up to
-// maxGrants) and records what it was asked to execute. It lets tests feed
+// fakeLRM is a minimal LRM servant that grants every hold asked for (up to
+// maxGrants in all) and records the tasks it was asked to execute. It lets tests feed
 // the GRM synthetic NodeStatus updates with precisely controlled
 // availability windows, without a real LRM's periodic updates overwriting
 // them.
@@ -23,7 +23,7 @@ type fakeLRM struct {
 
 	mu       sync.Mutex
 	grants   int
-	executed []protocol.ExecuteRequest
+	executed []protocol.TaskStart
 }
 
 func (f *fakeLRM) executeCount() int {
@@ -32,7 +32,7 @@ func (f *fakeLRM) executeCount() int {
 	return len(f.executed)
 }
 
-func (f *fakeLRM) executedAt(i int) protocol.ExecuteRequest {
+func (f *fakeLRM) executedAt(i int) protocol.TaskStart {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.executed[i]
@@ -44,19 +44,21 @@ func bindFakeLRM(t *testing.T, c *cluster, name string, maxGrants int) (*fakeLRM
 	t.Helper()
 	f := &fakeLRM{name: name, maxGrants: maxGrants}
 	mux := orb.NewOpMux().
-		Handle(protocol.OpReserve, func(_ string, _ *orb.Decoder) (*orb.Encoder, error) {
-			f.mu.Lock()
-			granted := f.maxGrants == 0 || f.grants < f.maxGrants
-			if granted {
-				f.grants++
+		Handle(protocol.OpReserve, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
+			r, err := protocol.DecodeReserveRequest(req)
+			if err != nil {
+				return nil, err
 			}
-			n := f.grants
+			var ids []string
+			f.mu.Lock()
+			for len(ids) < r.Count && (f.maxGrants == 0 || f.grants < f.maxGrants) {
+				f.grants++
+				ids = append(ids, fmt.Sprintf("%s-r%d", f.name, f.grants))
+			}
 			f.mu.Unlock()
-			reply := protocol.ReserveReply{Granted: granted}
-			if granted {
-				reply.ReservationID = fmt.Sprintf("%s-r%d", f.name, n)
-			} else {
-				reply.Reason = "full"
+			reply := protocol.ReserveReply{Reason: "full"}
+			if len(ids) > 0 {
+				reply = protocol.ReserveReply{Granted: true, ReservationID: ids[0], More: ids[1:]}
 			}
 			e := &orb.Encoder{}
 			reply.Encode(e)
@@ -68,7 +70,7 @@ func bindFakeLRM(t *testing.T, c *cluster, name string, maxGrants int) (*fakeLRM
 				return nil, err
 			}
 			f.mu.Lock()
-			f.executed = append(f.executed, exec)
+			f.executed = append(f.executed, exec.Tasks...)
 			f.mu.Unlock()
 			return &orb.Encoder{}, nil
 		}).

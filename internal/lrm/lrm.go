@@ -42,9 +42,9 @@ type Stats struct {
 	UpdateFailures   int
 	Reregistrations  int // successful re-registrations with a (new) GRM
 	OrphansCancelled int // tasks reaped because the GRM disowned them
-	ReserveRequests  int
-	ReserveGrants    int
-	ReserveRefusals  int
+	ReserveRequests  int // Reserve calls answered
+	ReserveGrants    int // holds granted; one call may grant several
+	ReserveRefusals  int // Reserve calls that granted no hold
 	TasksStarted     int
 	TasksCompleted   int
 	TasksEvicted     int
@@ -714,7 +714,9 @@ func (l *LRM) Servant() orb.Servant {
 }
 
 // handleReserve is the negotiation step: the LRM re-checks that it actually
-// has the resources at this moment and, if possible, reserves them.
+// has the resources at this moment and holds as many of the r.Count amounts
+// asked for as it has room for, each checked against what the ones before it
+// left free. No hold at all is a refusal.
 func (l *LRM) handleReserve(r protocol.ReserveRequest) protocol.ReserveReply {
 	now := l.clock.Now()
 	l.mu.Lock()
@@ -738,41 +740,62 @@ func (l *LRM) handleReserve(r protocol.ReserveRequest) protocol.ReserveReply {
 	if !share.Allowed {
 		return refuse("sharing not allowed now")
 	}
-	if !r.Amount.Fits(l.gridFree(now)) {
-		return refuse("insufficient free capacity")
-	}
 	ttl := r.TTL
 	if ttl <= 0 {
 		ttl = l.reserveTTL
 	}
-	res, err := l.node.Ledger().Reserve(r.Amount, r.Holder, now, now.Add(ttl))
-	if err != nil {
-		return refuse(err.Error())
+	var ids []string
+	var full string // why the first hold not granted was not
+	for len(ids) < r.Count {
+		if !r.Amount.Fits(l.gridFree(now)) {
+			full = "insufficient free capacity"
+			break
+		}
+		res, err := l.node.Ledger().Reserve(r.Amount, r.Holder, now, now.Add(ttl))
+		if err != nil {
+			full = err.Error()
+			break
+		}
+		ids = append(ids, res.ID)
+	}
+	if len(ids) == 0 {
+		return refuse(full)
 	}
 	l.mu.Lock()
-	l.stats.ReserveGrants++
+	l.stats.ReserveGrants += len(ids)
 	l.mu.Unlock()
-	return protocol.ReserveReply{Granted: true, ReservationID: res.ID}
+	return protocol.ReserveReply{Granted: true, ReservationID: ids[0], Reason: full, More: ids[1:]}
 }
 
-// handleExecute commits the reservation and starts the task.
+// handleExecute commits the reservations of r and starts its tasks, all or
+// none: when one cannot be committed or started, the tasks already started
+// are cancelled and their amounts freed before the error is returned.
 func (l *LRM) handleExecute(r protocol.ExecuteRequest) error {
 	now := l.clock.Now()
 	if !l.admitEpoch(r.Epoch) {
-		return orb.Errorf(orb.CodeApplication, "execute %s: stale manager epoch %d", r.TaskID, r.Epoch)
+		return orb.Errorf(orb.CodeApplication, "execute for %s: stale manager epoch %d", r.AppID, r.Epoch)
 	}
-	if err := l.node.Ledger().Commit(r.ReservationID, now); err != nil {
-		return orb.Errorf(orb.CodeApplication, "commit %s: %v", r.ReservationID, err)
-	}
-	task := node.Task{ID: r.TaskID, Work: r.Work, Alloc: r.Alloc}
-	task.SetProgress(r.InitialProgress)
-	if err := l.node.StartTask(now, task); err != nil {
-		l.node.Ledger().Release(r.Alloc)
-		return orb.Errorf(orb.CodeApplication, "start task %s: %v", r.TaskID, err)
+	for i, t := range r.Tasks {
+		err := l.node.Ledger().Commit(t.ReservationID, now)
+		if err == nil {
+			task := node.Task{ID: t.TaskID, Work: t.Work, Alloc: r.Alloc}
+			task.SetProgress(t.InitialProgress)
+			if err = l.node.StartTask(now, task); err != nil {
+				l.node.Ledger().Release(r.Alloc)
+			}
+		}
+		if err != nil {
+			for _, started := range r.Tasks[:i] {
+				l.node.CancelTask(now, started.TaskID)
+			}
+			return orb.Errorf(orb.CodeApplication, "execute %s on %s: %v", t.TaskID, t.ReservationID, err)
+		}
 	}
 	l.mu.Lock()
-	l.taskApp[r.TaskID] = r.AppID
-	l.stats.TasksStarted++
+	for _, t := range r.Tasks {
+		l.taskApp[t.TaskID] = r.AppID
+	}
+	l.stats.TasksStarted += len(r.Tasks)
 	l.mu.Unlock()
 	return nil
 }

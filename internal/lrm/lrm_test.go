@@ -213,7 +213,7 @@ func TestUpdateFailureTolerated(t *testing.T) {
 func TestReserveExecuteLifecycle(t *testing.T) {
 	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous())
 	alloc := resource.Vector{MIPS: 1000, RAMMB: 128}
-	reply, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "app", Amount: alloc, TTL: time.Minute})
+	reply, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "app", Amount: alloc, TTL: time.Minute, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +221,8 @@ func TestReserveExecuteLifecycle(t *testing.T) {
 		t.Fatalf("refused: %s", reply.Reason)
 	}
 	err = f.lrmC.Execute(protocol.ExecuteRequest{
-		ReservationID: reply.ReservationID,
-		TaskID:        "app/t0",
-		AppID:         "app",
-		Work:          600_000, // 10 min at 1000 MIPS
-		Alloc:         alloc,
+		AppID: "app", Alloc: alloc,
+		Tasks: []protocol.TaskStart{{ReservationID: reply.ReservationID, TaskID: "app/t0", Work: 600_000}}, // 10 min at 1000 MIPS
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,12 +257,13 @@ func TestReserveExecuteLifecycle(t *testing.T) {
 func (f *fixture) startTask(t *testing.T, appID, taskID string, work float64) {
 	t.Helper()
 	alloc := resource.Vector{MIPS: 400, RAMMB: 64}
-	reply, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: appID, Amount: alloc, TTL: time.Minute})
+	reply, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: appID, Amount: alloc, TTL: time.Minute, Count: 1})
 	if err != nil || !reply.Granted {
 		t.Fatalf("reserve: %v %+v", err, reply)
 	}
 	if err := f.lrmC.Execute(protocol.ExecuteRequest{
-		ReservationID: reply.ReservationID, TaskID: taskID, AppID: appID, Work: work, Alloc: alloc,
+		AppID: appID, Alloc: alloc,
+		Tasks: []protocol.TaskStart{{ReservationID: reply.ReservationID, TaskID: taskID, Work: work}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +353,7 @@ func TestReserveRefusalReasons(t *testing.T) {
 	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous())
 	// Too large.
 	reply, err := f.lrmC.Reserve(protocol.ReserveRequest{
-		Holder: "a", Amount: resource.Vector{MIPS: 5000}, TTL: time.Minute})
+		Holder: "a", Amount: resource.Vector{MIPS: 5000}, TTL: time.Minute, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +366,7 @@ func TestReserveRefusalReasons(t *testing.T) {
 	// Node down.
 	f.node.Fail(f.clock.Now(), time.Hour)
 	reply, err = f.lrmC.Reserve(protocol.ReserveRequest{
-		Holder: "a", Amount: resource.Vector{MIPS: 10}, TTL: time.Minute})
+		Holder: "a", Amount: resource.Vector{MIPS: 10}, TTL: time.Minute, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,19 +382,19 @@ func TestReserveRefusalReasons(t *testing.T) {
 func TestReleaseFreesReservation(t *testing.T) {
 	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous())
 	alloc := resource.Vector{MIPS: 1000, RAMMB: 128}
-	reply, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "a", Amount: alloc, TTL: time.Hour})
+	reply, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "a", Amount: alloc, TTL: time.Hour, Count: 1})
 	if err != nil || !reply.Granted {
 		t.Fatalf("reserve: %v %+v", err, reply)
 	}
 	// Second identical reservation must fail while the first holds.
-	r2, _ := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "b", Amount: alloc, TTL: time.Hour})
+	r2, _ := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "b", Amount: alloc, TTL: time.Hour, Count: 1})
 	if r2.Granted {
 		t.Fatal("double booking")
 	}
 	if err := f.lrmC.Release(reply.ReservationID); err != nil {
 		t.Fatal(err)
 	}
-	r3, _ := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "c", Amount: alloc, TTL: time.Hour})
+	r3, _ := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "c", Amount: alloc, TTL: time.Hour, Count: 1})
 	if !r3.Granted {
 		t.Fatal("release did not free capacity")
 	}
@@ -415,7 +413,7 @@ func TestStaleEpochFencing(t *testing.T) {
 	alloc := resource.Vector{MIPS: 1000, RAMMB: 64}
 
 	// Epoch 3 manager places a task; the LRM adopts the fence.
-	reply, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "a", Amount: alloc, TTL: time.Minute, Epoch: 3})
+	reply, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "a", Amount: alloc, TTL: time.Minute, Epoch: 3, Count: 1})
 	if err != nil || !reply.Granted {
 		t.Fatalf("reserve: %v %+v", err, reply)
 	}
@@ -423,15 +421,15 @@ func TestStaleEpochFencing(t *testing.T) {
 		t.Fatalf("Fence = %d, want 3", got)
 	}
 	if err := f.lrmC.Execute(protocol.ExecuteRequest{
-		ReservationID: reply.ReservationID, TaskID: "t", AppID: "a",
-		Work: 1e9, Alloc: alloc, Epoch: 3,
+		AppID: "a", Alloc: alloc, Epoch: 3,
+		Tasks: []protocol.TaskStart{{ReservationID: reply.ReservationID, TaskID: "t", Work: 1e9}},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	f.clock.Advance(10 * time.Minute)
 
 	// A deposed epoch-2 manager can neither reserve nor cancel.
-	r2, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "b", Amount: alloc, TTL: time.Minute, Epoch: 2})
+	r2, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "b", Amount: alloc, TTL: time.Minute, Epoch: 2, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,20 +449,20 @@ func TestStaleEpochFencing(t *testing.T) {
 	}
 
 	// A stale execute against a fresh reservation is refused too.
-	r3, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "c", Amount: resource.Vector{MIPS: 1}, TTL: time.Minute, Epoch: 3})
+	r3, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "c", Amount: resource.Vector{MIPS: 1}, TTL: time.Minute, Epoch: 3, Count: 1})
 	if err != nil || !r3.Granted {
 		t.Fatalf("reserve: %v %+v", err, r3)
 	}
 	err = f.lrmC.Execute(protocol.ExecuteRequest{
-		ReservationID: r3.ReservationID, TaskID: "t2", AppID: "c",
-		Work: 1, Alloc: resource.Vector{MIPS: 1}, Epoch: 1,
+		AppID: "c", Alloc: resource.Vector{MIPS: 1}, Epoch: 1,
+		Tasks: []protocol.TaskStart{{ReservationID: r3.ReservationID, TaskID: "t2", Work: 1}},
 	})
 	if !orb.IsCode(err, orb.CodeApplication) {
 		t.Fatalf("stale execute err = %v", err)
 	}
 
 	// Legacy epoch 0 stays accepted.
-	r0, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "d", Amount: resource.Vector{MIPS: 1}, TTL: time.Minute})
+	r0, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "d", Amount: resource.Vector{MIPS: 1}, TTL: time.Minute, Count: 1})
 	if err != nil || !r0.Granted {
 		t.Fatalf("epoch-0 reserve refused: %v %+v", err, r0)
 	}
@@ -502,10 +500,8 @@ func TestStaleManagerEpochTriggersRereg(t *testing.T) {
 func TestExecuteUnknownReservationFails(t *testing.T) {
 	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous())
 	err := f.lrmC.Execute(protocol.ExecuteRequest{
-		ReservationID: "ghost",
-		TaskID:        "t",
-		Work:          100,
-		Alloc:         resource.Vector{MIPS: 100},
+		Alloc: resource.Vector{MIPS: 100},
+		Tasks: []protocol.TaskStart{{ReservationID: "ghost", TaskID: "t", Work: 100}},
 	})
 	if !orb.IsCode(err, orb.CodeApplication) {
 		t.Fatalf("err = %v", err)
@@ -515,10 +511,10 @@ func TestExecuteUnknownReservationFails(t *testing.T) {
 func TestCancelReturnsProgress(t *testing.T) {
 	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous())
 	alloc := resource.Vector{MIPS: 1000, RAMMB: 64}
-	reply, _ := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "a", Amount: alloc, TTL: time.Minute})
+	reply, _ := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "a", Amount: alloc, TTL: time.Minute, Count: 1})
 	if err := f.lrmC.Execute(protocol.ExecuteRequest{
-		ReservationID: reply.ReservationID,
-		TaskID:        "t", AppID: "a", Work: 1e9, Alloc: alloc,
+		AppID: "a", Alloc: alloc,
+		Tasks: []protocol.TaskStart{{ReservationID: reply.ReservationID, TaskID: "t", Work: 1e9}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +562,7 @@ func TestEvictionNotification(t *testing.T) {
 	// 04:00: node idle.
 	f.clock.Advance(4 * time.Hour)
 	alloc := resource.Vector{MIPS: 500, RAMMB: 64}
-	reply, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "a", Amount: alloc, TTL: time.Minute})
+	reply, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "a", Amount: alloc, TTL: time.Minute, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,8 +570,8 @@ func TestEvictionNotification(t *testing.T) {
 		t.Skipf("node busy at 04:00 (burst): %s", reply.Reason)
 	}
 	if err := f.lrmC.Execute(protocol.ExecuteRequest{
-		ReservationID: reply.ReservationID,
-		TaskID:        "t", AppID: "a", Work: 1e12, Alloc: alloc,
+		AppID: "a", Alloc: alloc,
+		Tasks: []protocol.TaskStart{{ReservationID: reply.ReservationID, TaskID: "t", Work: 1e12}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -726,7 +722,7 @@ func TestDepartureDrainCheckpointsBeforeOwnerReturns(t *testing.T) {
 	f.clock.Advance(9*24*time.Hour + 4*time.Hour)
 
 	alloc := resource.Vector{MIPS: 500, RAMMB: 64}
-	reply, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "a", Amount: alloc, TTL: time.Minute})
+	reply, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "a", Amount: alloc, TTL: time.Minute, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -734,8 +730,8 @@ func TestDepartureDrainCheckpointsBeforeOwnerReturns(t *testing.T) {
 		t.Skipf("node busy at 04:00 (burst): %s", reply.Reason)
 	}
 	if err := f.lrmC.Execute(protocol.ExecuteRequest{
-		ReservationID: reply.ReservationID,
-		TaskID:        "t", AppID: "a", Work: 1e12, Alloc: alloc,
+		AppID: "a", Alloc: alloc,
+		Tasks: []protocol.TaskStart{{ReservationID: reply.ReservationID, TaskID: "t", Work: 1e12}},
 	}); err != nil {
 		t.Fatal(err)
 	}

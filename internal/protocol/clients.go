@@ -142,7 +142,7 @@ func NewLRMClient(inv orb.Invoker, ref orb.ObjectRef) *LRMClient {
 // Ref returns the target reference.
 func (c *LRMClient) Ref() orb.ObjectRef { return c.ref }
 
-// Reserve asks the LRM to hold resources.
+// Reserve asks the LRM for req.Count holds; the reply names the ones granted.
 func (c *LRMClient) Reserve(req ReserveRequest) (ReserveReply, error) {
 	var e orb.Encoder
 	req.Encode(&e)
@@ -153,8 +153,9 @@ func (c *LRMClient) Reserve(req ReserveRequest) (ReserveReply, error) {
 	return DecodeReserveReply(orb.NewDecoder(reply))
 }
 
-// Release cancels a granted reservation that will not be used (e.g. an
-// abandoned gang placement), freeing the hold before its TTL expires.
+// Release cancels a granted reservation that will not be used (a surplus
+// grant, an abandoned gang, a failed Execute), freeing the hold before its TTL
+// expires.
 func (c *LRMClient) Release(reservationID string) error {
 	var e orb.Encoder
 	e.PutString(reservationID)
@@ -162,7 +163,8 @@ func (c *LRMClient) Release(reservationID string) error {
 	return err
 }
 
-// Execute binds a reservation to a task and starts it.
+// Execute binds reservations to tasks and starts them, all or none: after an
+// error no task of req runs and none of its reservations is committed.
 func (c *LRMClient) Execute(req ExecuteRequest) error {
 	var e orb.Encoder
 	req.Encode(&e)

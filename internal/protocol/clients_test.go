@@ -221,7 +221,7 @@ func TestLRMClientRoundTrips(t *testing.T) {
 		t.Fatal("Ref mismatch")
 	}
 
-	reply, err := lrm.Reserve(ReserveRequest{Holder: "app", Amount: resource.Vector{MIPS: 10}, TTL: time.Second})
+	reply, err := lrm.Reserve(ReserveRequest{Holder: "app", Amount: resource.Vector{MIPS: 10}, TTL: time.Second, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +229,13 @@ func TestLRMClientRoundTrips(t *testing.T) {
 		t.Fatalf("reply = %+v", reply)
 	}
 
-	if err := lrm.Execute(ExecuteRequest{ReservationID: "rsv-1", TaskID: "t", Work: 5, Alloc: resource.Vector{MIPS: 10}}); err != nil {
+	if err := lrm.Execute(ExecuteRequest{
+		Alloc: resource.Vector{MIPS: 10},
+		Tasks: []TaskStart{{ReservationID: "rsv-1", TaskID: "t", Work: 5}},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.executed) != 1 || f.executed[0].TaskID != "t" {
+	if len(f.executed) != 1 || len(f.executed[0].Tasks) != 1 || f.executed[0].Tasks[0].TaskID != "t" {
 		t.Fatalf("executed = %+v", f.executed)
 	}
 

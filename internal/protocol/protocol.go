@@ -134,24 +134,36 @@ func DecodeNodeStatus(d *orb.Decoder) (NodeStatus, error) {
 	return s, d.Err()
 }
 
-// ReserveRequest asks an LRM to hold resources (negotiation phase).
+// MaxHolds bounds how many holds one Reserve may ask for and how many tasks
+// one Execute may start. A decoder refuses a count of zero or past the bound,
+// so a peer can neither make an LRM loop on an empty request nor fill its
+// ledger with a million zero-sized holds in one call.
+const MaxHolds = 1024
+
+// ReserveRequest asks an LRM for Count holds of Amount each (negotiation
+// phase): everything the holder still wants on this node, in one call.
 type ReserveRequest struct {
 	Holder string // application/request identifier
 	Amount resource.Vector
-	TTL    time.Duration // how long the hold may stand before execution
+	TTL    time.Duration // how long the holds may stand before execution
 	// Epoch is the issuing manager's fencing epoch (its election term). An
 	// LRM refuses requests whose epoch is older than the newest it has seen,
 	// so a deposed primary cannot place work. Zero means unfenced (a legacy
 	// single-primary manager) and is always accepted.
 	Epoch int
+	// Count is how many holds are wanted, 1 to MaxHolds. The LRM grants as
+	// many as fit; fewer than Count means the node is full.
+	Count int
 }
 
 // Encode writes the request.
 func (r ReserveRequest) Encode(e *orb.Encoder) {
+	e.Grow(4 + len(r.Holder) + vectorLen + 8 + 8 + 4)
 	e.PutString(r.Holder)
 	EncodeVector(e, r.Amount)
 	e.PutDuration(r.TTL)
 	e.PutInt(r.Epoch)
+	e.PutU32(uint32(r.Count))
 }
 
 // DecodeReserveRequest reads a ReserveRequest.
@@ -162,23 +174,52 @@ func DecodeReserveRequest(d *orb.Decoder) (ReserveRequest, error) {
 		TTL:    d.Duration(),
 	}
 	r.Epoch = d.Int()
-	return r, d.Err()
+	n := d.U32()
+	if err := d.Err(); err != nil {
+		return ReserveRequest{}, err
+	}
+	if n < 1 || n > MaxHolds {
+		return ReserveRequest{}, fmt.Errorf("protocol: reserve for %d holds", n)
+	}
+	r.Count = int(n)
+	return r, nil
 }
 
-// ReserveReply is the LRM's answer: granted with a reservation ID, or
-// refused with a reason — the signal that sends the GRM to the next
-// candidate.
+// ReserveReply is the LRM's answer: the holds it granted, or a refusal with a
+// reason. Fewer holds than asked, or none, is the signal that sends the GRM to
+// the next candidate.
 type ReserveReply struct {
+	// Granted reports whether at least one hold was granted; ReservationID is
+	// that first hold.
 	Granted       bool
 	ReservationID string
 	Reason        string
+	// More holds the IDs granted beyond the first, in grant order.
+	More []string
+}
+
+// IDs returns every reservation the reply names, the first hold first.
+func (r ReserveReply) IDs() []string {
+	if r.ReservationID == "" {
+		return r.More
+	}
+	return append([]string{r.ReservationID}, r.More...)
 }
 
 // Encode writes the reply.
 func (r ReserveReply) Encode(e *orb.Encoder) {
+	n := 1 + 4 + len(r.ReservationID) + 4 + len(r.Reason) + 4
+	for _, id := range r.More {
+		n += 4 + len(id)
+	}
+	e.Grow(n)
 	e.PutBool(r.Granted)
 	e.PutString(r.ReservationID)
 	e.PutString(r.Reason)
+	e.PutU32(uint32(len(r.More)))
+	for _, id := range r.More {
+		e.PutString(id)
+	}
 }
 
 // DecodeReserveReply reads a ReserveReply.
@@ -188,45 +229,92 @@ func DecodeReserveReply(d *orb.Decoder) (ReserveReply, error) {
 		ReservationID: d.String(),
 		Reason:        d.String(),
 	}
-	return r, d.Err()
+	n := d.U32()
+	if err := d.Err(); err != nil {
+		return ReserveReply{}, err
+	}
+	if n >= MaxHolds {
+		return ReserveReply{}, fmt.Errorf("protocol: reserve reply with %d more holds", n)
+	}
+	if n > 0 {
+		r.More = make([]string, 0, n)
+	}
+	for i := uint32(0); i < n; i++ {
+		r.More = append(r.More, d.String())
+	}
+	if err := d.Err(); err != nil {
+		return ReserveReply{}, err
+	}
+	return r, nil
 }
 
-// ExecuteRequest binds a granted reservation to a concrete task.
-type ExecuteRequest struct {
+// TaskStart is one task of an ExecuteRequest: the hold it consumes and what
+// it runs.
+type TaskStart struct {
 	ReservationID string
 	TaskID        string
-	AppID         string
 	Work          float64 // MI
-	Alloc         resource.Vector
 	// InitialProgress restores a checkpointed task after migration.
 	InitialProgress float64
+}
+
+// ExecuteRequest binds granted reservations to concrete tasks of one
+// application, all on one node: 1 to MaxHolds tasks, each with Alloc, which
+// the LRM starts all together or not at all.
+type ExecuteRequest struct {
+	AppID string
+	Alloc resource.Vector
 	// Epoch is the issuing manager's fencing epoch; see ReserveRequest.
 	Epoch int
+	Tasks []TaskStart
 }
 
 // Encode writes the request.
 func (r ExecuteRequest) Encode(e *orb.Encoder) {
-	e.PutString(r.ReservationID)
-	e.PutString(r.TaskID)
+	n := 4 + len(r.AppID) + vectorLen + 8 + 4
+	for _, t := range r.Tasks {
+		n += 4 + len(t.ReservationID) + 4 + len(t.TaskID) + 8 + 8
+	}
+	e.Grow(n)
 	e.PutString(r.AppID)
-	e.PutF64(r.Work)
 	EncodeVector(e, r.Alloc)
-	e.PutF64(r.InitialProgress)
 	e.PutInt(r.Epoch)
+	e.PutU32(uint32(len(r.Tasks)))
+	for _, t := range r.Tasks {
+		e.PutString(t.ReservationID)
+		e.PutString(t.TaskID)
+		e.PutF64(t.Work)
+		e.PutF64(t.InitialProgress)
+	}
 }
 
 // DecodeExecuteRequest reads an ExecuteRequest.
 func DecodeExecuteRequest(d *orb.Decoder) (ExecuteRequest, error) {
 	r := ExecuteRequest{
-		ReservationID: d.String(),
-		TaskID:        d.String(),
-		AppID:         d.String(),
-		Work:          d.F64(),
-		Alloc:         DecodeVector(d),
+		AppID: d.String(),
+		Alloc: DecodeVector(d),
 	}
-	r.InitialProgress = d.F64()
 	r.Epoch = d.Int()
-	return r, d.Err()
+	n := d.U32()
+	if err := d.Err(); err != nil {
+		return ExecuteRequest{}, err
+	}
+	if n < 1 || n > MaxHolds {
+		return ExecuteRequest{}, fmt.Errorf("protocol: execute of %d tasks", n)
+	}
+	r.Tasks = make([]TaskStart, 0, n)
+	for i := uint32(0); i < n; i++ {
+		r.Tasks = append(r.Tasks, TaskStart{
+			ReservationID:   d.String(),
+			TaskID:          d.String(),
+			Work:            d.F64(),
+			InitialProgress: d.F64(),
+		})
+	}
+	if err := d.Err(); err != nil {
+		return ExecuteRequest{}, err
+	}
+	return r, nil
 }
 
 // TaskEventKind classifies LRM → GRM task notifications.
@@ -416,6 +504,9 @@ func DecodeReconcileRequest(d *orb.Decoder) (ReconcileRequest, error) {
 	}
 	return r, d.Err()
 }
+
+// vectorLen is the encoded size of a resource vector.
+const vectorLen = 4 * 8
 
 // EncodeVector writes a resource vector.
 func EncodeVector(e *orb.Encoder, v resource.Vector) {

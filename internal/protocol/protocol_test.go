@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -54,6 +55,8 @@ func TestReserveRoundTrip(t *testing.T) {
 		Holder: "app-3",
 		Amount: resource.Vector{MIPS: 400, RAMMB: 64},
 		TTL:    30 * time.Second,
+		Epoch:  2,
+		Count:  4,
 	}
 	var e orb.Encoder
 	req.Encode(&e)
@@ -61,40 +64,159 @@ func TestReserveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotReq != req {
+	if !reflect.DeepEqual(gotReq, req) {
 		t.Fatalf("request round trip = %+v", gotReq)
 	}
 
-	rep := ReserveReply{Granted: false, Reason: "insufficient free capacity"}
-	e.Reset()
-	rep.Encode(&e)
-	gotRep, err := DecodeReserveReply(orb.NewDecoder(e.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	for ids, rep := range map[int]ReserveReply{
+		0: {Reason: "insufficient free capacity"},
+		1: {Granted: true, ReservationID: "rsv-1"},
+		3: {Granted: true, ReservationID: "rsv-1", More: []string{"rsv-2", "rsv-3"}},
+	} {
+		e.Reset()
+		rep.Encode(&e)
+		gotRep, err := DecodeReserveReply(orb.NewDecoder(e.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotRep, rep) {
+			t.Fatalf("reply round trip = %+v, want %+v", gotRep, rep)
+		}
+		if got := len(gotRep.IDs()); got != ids {
+			t.Fatalf("reply %+v names %d holds, want %d", rep, got, ids)
+		}
 	}
-	if gotRep != rep {
-		t.Fatalf("reply round trip = %+v", gotRep)
+}
+
+// TestReserveCountBounds: a Reserve for no hold or for more than MaxHolds, and
+// an Execute of no task or of more than MaxHolds, do not decode.
+func TestReserveCountBounds(t *testing.T) {
+	for _, n := range []int{0, MaxHolds + 1, 1 << 30} {
+		var e orb.Encoder
+		ReserveRequest{Holder: "app", Count: n}.Encode(&e)
+		if r, err := DecodeReserveRequest(orb.NewDecoder(e.Bytes())); err == nil || r != (ReserveRequest{}) {
+			t.Fatalf("a reserve for %d holds decoded: %+v, %v", n, r, err)
+		}
+		e.Reset()
+		// The count alone is out of bounds; no task follows it.
+		ExecuteRequest{AppID: "app"}.Encode(&e)
+		body := e.Bytes()
+		binary.BigEndian.PutUint32(body[len(body)-4:], uint32(n))
+		if r, err := DecodeExecuteRequest(orb.NewDecoder(body)); err == nil || r.Tasks != nil {
+			t.Fatalf("an execute of %d tasks decoded: %+v, %v", n, r, err)
+		}
+	}
+	var e orb.Encoder
+	ReserveReply{Granted: true, ReservationID: "rsv-1"}.Encode(&e)
+	body := e.Bytes()
+	binary.BigEndian.PutUint32(body[len(body)-4:], MaxHolds)
+	if r, err := DecodeReserveReply(orb.NewDecoder(body)); err == nil || r.Granted {
+		t.Fatalf("a reply with %d holds decoded: %+v, %v", MaxHolds+1, r, err)
 	}
 }
 
 func TestExecuteRoundTrip(t *testing.T) {
-	req := ExecuteRequest{
-		ReservationID:   "rsv-9",
-		TaskID:          "app-1/t0",
-		AppID:           "app-1",
-		Work:            1e6,
-		Alloc:           resource.Vector{MIPS: 500, RAMMB: 128},
-		InitialProgress: 2.5e5,
-	}
+	req := executeRequest()
 	var e orb.Encoder
 	req.Encode(&e)
 	got, err := DecodeExecuteRequest(orb.NewDecoder(e.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != req {
+	if !reflect.DeepEqual(got, req) {
 		t.Fatalf("round trip = %+v", got)
 	}
+}
+
+func executeRequest() ExecuteRequest {
+	return ExecuteRequest{
+		AppID: "app-1",
+		Alloc: resource.Vector{MIPS: 500, RAMMB: 128},
+		Epoch: 3,
+		Tasks: []TaskStart{
+			{ReservationID: "rsv-9", TaskID: "app-1/t0", Work: 1e6, InitialProgress: 2.5e5},
+			{ReservationID: "rsv-10", TaskID: "app-1/t1", Work: 1e6},
+		},
+	}
+}
+
+// The three decoders below take bytes from the network, like DecodeUpdate:
+// whatever they are, no panic, nothing alongside an error, and what is accepted
+// is inside the MaxHolds bound and encodes back to what was decoded.
+
+func FuzzDecodeReserveRequest(f *testing.F) {
+	var e orb.Encoder
+	ReserveRequest{Holder: "app-3", Amount: resource.Vector{MIPS: 400}, TTL: time.Minute, Epoch: 1, Count: 4}.Encode(&e)
+	body := e.Bytes()
+	f.Add(body)
+	f.Add(body[:len(body)-2]) // truncated inside the count
+	f.Add(body[:len(body)-4]) // no count
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeReserveRequest(orb.NewDecoder(data))
+		if err != nil {
+			if r != (ReserveRequest{}) {
+				t.Fatalf("error %v alongside %+v", err, r)
+			}
+			return
+		}
+		if r.Count < 1 || r.Count > MaxHolds {
+			t.Fatalf("accepted a count of %d", r.Count)
+		}
+	})
+}
+
+func FuzzDecodeReserveReply(f *testing.F) {
+	var e orb.Encoder
+	ReserveReply{Granted: true, ReservationID: "rsv-1", More: []string{"rsv-2", "rsv-3"}}.Encode(&e)
+	body := e.Bytes()
+	f.Add(body)
+	f.Add(body[:len(body)-3]) // truncated inside the last ID
+	e.Reset()
+	ReserveReply{Reason: "full"}.Encode(&e)
+	f.Add(e.Bytes())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeReserveReply(orb.NewDecoder(data))
+		if err != nil {
+			if !reflect.DeepEqual(r, ReserveReply{}) {
+				t.Fatalf("error %v alongside %+v", err, r)
+			}
+			return
+		}
+		if len(r.IDs()) > MaxHolds {
+			t.Fatalf("accepted %d holds", len(r.IDs()))
+		}
+		var back orb.Encoder
+		r.Encode(&back)
+		if again, err := DecodeReserveReply(orb.NewDecoder(back.Bytes())); err != nil || !reflect.DeepEqual(again, r) {
+			t.Fatalf("%+v encodes back to %+v, %v", r, again, err)
+		}
+	})
+}
+
+func FuzzDecodeExecuteRequest(f *testing.F) {
+	var e orb.Encoder
+	executeRequest().Encode(&e)
+	body := e.Bytes()
+	f.Add(body)
+	f.Add(body[:len(body)-5]) // truncated inside the last task
+	e.Reset()
+	ExecuteRequest{AppID: "app-1"}.Encode(&e)
+	f.Add(e.Bytes()) // no task
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeExecuteRequest(orb.NewDecoder(data))
+		if err != nil {
+			if !reflect.DeepEqual(r, ExecuteRequest{}) {
+				t.Fatalf("error %v alongside %+v", err, r)
+			}
+			return
+		}
+		if len(r.Tasks) < 1 || len(r.Tasks) > MaxHolds {
+			t.Fatalf("accepted %d tasks", len(r.Tasks))
+		}
+	})
 }
 
 func TestTaskEventRoundTrip(t *testing.T) {
