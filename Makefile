@@ -53,8 +53,8 @@ interproc-lint:
 
 # Short fuzz runs over the wire decoders: the constraint compiler, the ORB
 # framing layer, the Information Update body, the Reserve and Execute
-# messages, and the consensus/replication payload decoders. Any crasher
-# fails the target.
+# messages, the Submit body and the AppStatus reply, and the
+# consensus/replication payload decoders. Any crasher fails the target.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzCompile -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/constraint
 	$(GO) test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/orb
@@ -63,6 +63,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeReserveRequest -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/protocol
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeReserveReply -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/protocol
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeExecuteRequest -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/protocol
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeApplicationSpec -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/protocol
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeAppStatus -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/protocol
 	$(GO) test -run=^$$ -fuzz=FuzzAppendEntries -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/election
 	$(GO) test -run=^$$ -fuzz=FuzzReplicaBatch -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/grm
 
@@ -166,7 +168,7 @@ bench-sched-check:
 benchmark-check:
 	$(GO) test -count=1 ./benchmark
 	$(GO) run ./benchmark -quick -traced
-	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPGangPlacement|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
+	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkLoopbackUpdate10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPGangPlacement|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
 	$(GO) test -run '^$$' -bench 'BenchmarkTCPInvokeConcurrent/callers=64' -benchtime 1x ./internal/orb
 
 # Where a snapshot miss spends its time: BenchmarkPlacementMiss10k under the
@@ -177,14 +179,16 @@ profile-miss:
 		-cpuprofile placement_miss.prof -o placement_miss.test ./internal/grm
 	$(GO) tool pprof -top -nodecount 25 placement_miss.test placement_miss.prof
 
-# Where a status update spends its time inside the trader:
-# BenchmarkExportKeyedUpsert — 10^4 offers, each ref re-exporting in turn —
-# under the CPU profiler (ROADMAP item 6c). Leaves export_keyed.prof and its
-# test binary in the working directory.
+# Where an Information Update spends its time, both ends of it:
+# BenchmarkLoopbackUpdate10k — GRMClient.Update encoding into a fresh
+# Encoder, as the loopback fleets send it, into a GRM that knows 10^4 nodes,
+# through to the trader upsert and the reply — under the CPU profiler
+# (ROADMAP item 6c). Leaves loopback_update.prof and its test binary in the
+# working directory.
 profile-update:
-	$(GO) test -run '^$$' -bench BenchmarkExportKeyedUpsert -benchtime 2000000x \
-		-cpuprofile export_keyed.prof -o export_keyed.test ./internal/trading
-	$(GO) tool pprof -top -nodecount 25 export_keyed.test export_keyed.prof
+	$(GO) test -run '^$$' -bench BenchmarkLoopbackUpdate10k -benchtime 2000000x \
+		-cpuprofile loopback_update.prof -o loopback_update.test ./internal/grm
+	$(GO) tool pprof -top -nodecount 25 loopback_update.test loopback_update.prof
 
 # Where an Information Update spends its time end to end, sockets included:
 # BenchmarkTCPUpdateSweep — 32 LRMs taking turns to SendUpdate to a GRM on

@@ -70,12 +70,9 @@ func DecodeSnapshot(d *orb.Decoder) (Snapshot, error) {
 		Superstep: d.Int(),
 		TakenAt:   d.Time(),
 	}
-	n := d.U32()
+	n := d.Count(4)
 	if err := d.Err(); err != nil {
 		return Snapshot{}, err
-	}
-	if n > orb.MaxSliceLen {
-		return Snapshot{}, fmt.Errorf("checkpoint: snapshot with %d states", n)
 	}
 	s.States = make([][]byte, n)
 	for i := range s.States {

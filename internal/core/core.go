@@ -54,15 +54,14 @@ type Grid struct {
 	// builds and registers the whole manager stack while holding it, so g.mu
 	// nests outside the per-cluster locks and every subsystem lock that
 	// manager construction touches: servant registration (orb.OpMux,
-	// orb.Adapter, orb.Loopback), GRM startup, the name directory and the
-	// hierarchy node. Stop and teardown deliberately run outside g.mu.
+	// orb.Adapter), GRM startup, the name directory and the hierarchy node.
+	// Stop and teardown deliberately run outside g.mu.
 	//lint:lockorder core.Grid.mu<core.Cluster.mgmtMu
 	//lint:lockorder core.Grid.mu<core.Cluster.mu
 	//lint:lockorder core.Grid.mu<grm.GRM.mu
 	//lint:lockorder core.Grid.mu<hierarchy.Node.mu
 	//lint:lockorder core.Grid.mu<naming.Service.mu
 	//lint:lockorder core.Grid.mu<orb.Adapter.mu
-	//lint:lockorder core.Grid.mu<orb.Loopback.mu
 	//lint:lockorder core.Grid.mu<orb.OpMux.mu
 	mu       sync.Mutex
 	clusters map[string]*Cluster

@@ -1,10 +1,12 @@
 package election
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"integrade/internal/orb"
 	"integrade/internal/sim"
+	"integrade/internal/testutil/allocbudget"
 )
 
 // FuzzAppendEntries drives arbitrary bytes through the peer-facing servant:
@@ -47,4 +49,18 @@ func FuzzAppendEntries(f *testing.F) {
 		}
 		_, _ = sv.Dispatch(op, orb.NewDecoder(data))
 	})
+}
+
+// TestAppendEntriesCountIsBounded: an AppendEntries that claims a million
+// entries it does not carry fails without allocating for them.
+func TestAppendEntriesCountIsBounded(t *testing.T) {
+	var e orb.Encoder
+	encodeAppendEntries(&e, appendEntries{Term: 1, Leader: "m1"})
+	body := e.Bytes()
+	binary.BigEndian.PutUint32(body[len(body)-8-4:], 1<<20) // the count, then LeaderCommit
+	var err error
+	got := allocbudget.Bytes(func() { _, err = decodeAppendEntries(orb.NewDecoder(body)) })
+	if err == nil || got > allocbudget.FewKiB {
+		t.Fatalf("a million absent entries: err %v, %d KiB allocated", err, got>>10)
+	}
 }

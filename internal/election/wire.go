@@ -118,14 +118,11 @@ func decodeAppendEntries(d *orb.Decoder) (appendEntries, error) {
 	}
 	ae.PrevLogIndex = d.Int()
 	ae.PrevLogTerm = d.Int()
-	n := d.U32()
+	n := d.Count(8 + 4)
 	if err := d.Err(); err != nil {
 		return appendEntries{}, err
 	}
-	if n > orb.MaxSliceLen {
-		return appendEntries{}, orb.Errorf(orb.CodeMarshal, "append with %d entries", n)
-	}
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		ent := entry{Term: d.Int()}
 		ent.Data = d.Bytes()
 		ae.Entries = append(ae.Entries, ent)

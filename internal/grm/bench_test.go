@@ -32,8 +32,8 @@ var missPlatforms = []resource.Platform{
 // missFleet feeds a GRM n status updates drawn like the benchmark's fleet:
 // 55/30/15% platforms, 500–3000 MIPS of which 20–100% is free, a fifth of the
 // nodes dedicated, three in ten with a busy owner. It returns what it sent.
-func missFleet(b *testing.B, g *GRM, n int) []protocol.NodeStatus {
-	b.Helper()
+func missFleet(tb testing.TB, g *GRM, n int) []protocol.NodeStatus {
+	tb.Helper()
 	rng := sim.NewRNG(1)
 	now := g.clock.Now()
 	fleet := make([]protocol.NodeStatus, n)
@@ -64,8 +64,8 @@ func missFleet(b *testing.B, g *GRM, n int) []protocol.NodeStatus {
 		} else if s.OwnerBusy = rng.Bool(0.375); !s.OwnerBusy {
 			s.PredictedIdle = time.Duration(rng.Intn(8*60)) * time.Minute
 		}
-		if _, err := g.HandleUpdate(s); err != nil {
-			b.Fatal(err)
+		if _, err := g.HandleUpdate(&s); err != nil {
+			tb.Fatal(err)
 		}
 		fleet[i] = s
 	}
@@ -97,7 +97,7 @@ func BenchmarkPlacementMissChurned10k(b *testing.B) {
 	rng := sim.NewRNG(2)
 	for round := 0; round < 3; round++ {
 		for _, i := range rng.Perm(len(fleet)) {
-			if _, err := g.HandleUpdate(fleet[i]); err != nil {
+			if _, err := g.HandleUpdate(&fleet[i]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -372,54 +372,60 @@ func (g *GRM) Stop() {
 // whose replication stream has lost its quorum: a partitioned primary that
 // kept answering updates would keep its LRMs' fences pinned to the old
 // epoch, leaving them obedient to a deposed manager.
-func (g *GRM) HandleUpdate(s protocol.NodeStatus) (int, error) {
+//
+// The update is recorded under g.mu and exported to the trader after it is
+// released: the trader has locks of its own, so updates from different nodes
+// upsert in parallel. A failure sweep that declares the node dead in between
+// puts the offer back after its withdraw (restoreOffer).
+func (g *GRM) HandleUpdate(s *protocol.NodeStatus) (int, error) {
 	now := g.clock.Now()
+	epoch, export, err := g.recordUpdate(s, now)
+	if err != nil {
+		return 0, err
+	}
+	if export {
+		g.exportStatusOffer(s, now, epoch)
+	}
+	return epoch, nil
+}
+
+// recordUpdate is HandleUpdate's one section under g.mu: it refuses the update
+// or records it — liveness, counters, the standby's copy — and returns the
+// epoch for the reply and whether the offer is to be exported.
+func (g *GRM) recordUpdate(s *protocol.NodeStatus, now time.Time) (epoch int, export bool, err error) {
 	g.mu.Lock()
 	refuse := g.elect != nil && g.role != RolePrimary
 	// repl.degraded takes the replicator mutex, which nests inside g.mu
-	// (lock order g.mu -> repl.mu), same as the enqueue calls below.
+	// (lock order g.mu -> repl.mu), same as the enqueue below.
 	degraded := !refuse && g.elect != nil && g.repl != nil && g.repl.degraded()
 	if refuse || degraded {
 		g.stats.UpdatesRefused++
+		elect, epoch := g.elect, g.epoch
+		g.mu.Unlock()
+		if refuse {
+			// elect.Leader takes the election mutex — read it outside g.mu.
+			return 0, false, fmt.Errorf("grm: not the leader (leader=%q)", elect.Leader())
+		}
+		return 0, false, fmt.Errorf("grm: leader of epoch %d lost its replication quorum", epoch)
 	}
+	defer g.mu.Unlock()
+	g.stats.UpdatesReceived++
+	if age := now.Sub(s.Timestamp); age > 0 {
+		g.stats.StalenessSum += age
+	}
+	lv := g.touchLivenessLocked(s, now)
 	// A node inside an announced departure keeps heartbeating until the
 	// owner actually returns, but its offer stays withdrawn and the standby
 	// keeps it gone: re-exporting would hand it fresh work right before the
 	// predicted owner arrival. Past the deadline the flag clears and the
 	// update re-registers the node normally.
-	departing := false
-	if lv := g.nodes[s.NodeID]; lv != nil && lv.departing {
-		if now.Before(lv.departUntil) {
-			departing = true
-		} else {
-			lv.departing = false
-		}
+	if lv.departing && !now.Before(lv.departUntil) {
+		lv.departing = false
 	}
-	elect := g.elect
-	epoch := g.epoch
-	g.mu.Unlock()
-	if refuse {
-		// elect.Leader takes the election mutex — read it outside g.mu.
-		return 0, fmt.Errorf("grm: not the leader (leader=%q)", elect.Leader())
+	if g.repl != nil && !lv.departing {
+		g.repl.enqueueNode(*s)
 	}
-	if degraded {
-		return 0, fmt.Errorf("grm: leader of epoch %d lost its replication quorum", epoch)
-	}
-	if !departing && !g.exportStatusOffer(s, now, epoch) {
-		return epoch, nil
-	}
-	g.mu.Lock()
-	g.stats.UpdatesReceived++
-	if age := now.Sub(s.Timestamp); age > 0 {
-		g.stats.StalenessSum += age
-	}
-	g.touchLivenessLocked(s, now)
-	if g.repl != nil && !departing {
-		g.repl.enqueueNode(s)
-	}
-	epoch = g.epoch
-	g.mu.Unlock()
-	return epoch, nil
+	return g.epoch, !lv.departing, nil
 }
 
 // Epoch returns the fencing epoch stamped on this manager's outbound writes
@@ -431,8 +437,8 @@ func (g *GRM) Epoch() int {
 }
 
 // exportStatusOffer upserts the node's trader offer from its status, stamped
-// with the manager's fencing epoch, reporting whether the upsert succeeded.
-func (g *GRM) exportStatusOffer(s protocol.NodeStatus, now time.Time, epoch int) bool {
+// with the manager's fencing epoch.
+func (g *GRM) exportStatusOffer(s *protocol.NodeStatus, now time.Time, epoch int) {
 	// Current availability window, if the node forecast one covering now.
 	// Zero means "no forecast" — the window filter lets those offers pass
 	// rather than starving a fleet that never trained an analyzer.
@@ -474,16 +480,14 @@ func (g *GRM) exportStatusOffer(s protocol.NodeStatus, now time.Time, epoch int)
 			constraint.Number(float64(epoch)),
 		}),
 	}
-	if _, err := g.trader.ExportKeyed(offer); err != nil {
-		g.log.Warn("offer upsert failed", "node", s.NodeID, "err", err)
-		return false
-	}
-	return true
+	// ExportKeyed fails only on an empty service type, and NodeStatusType is
+	// not one.
+	_, _ = g.trader.ExportKeyed(offer)
 }
 
-// touchLivenessLocked refreshes the failure detector's record of a node.
-// Caller holds g.mu.
-func (g *GRM) touchLivenessLocked(s protocol.NodeStatus, now time.Time) {
+// touchLivenessLocked refreshes the failure detector's record of a node and
+// returns it. Caller holds g.mu.
+func (g *GRM) touchLivenessLocked(s *protocol.NodeStatus, now time.Time) *nodeLiveness {
 	lv := g.nodes[s.NodeID]
 	if lv == nil {
 		lv = &nodeLiveness{}
@@ -494,7 +498,8 @@ func (g *GRM) touchLivenessLocked(s protocol.NodeStatus, now time.Time) {
 	lv.lastSeen = now
 	lv.updates++
 	lv.lrm = s.LRMRef
-	lv.status = s
+	lv.status = *s
+	return lv
 }
 
 // KnownNodes returns the number of live node offers.
@@ -771,24 +776,33 @@ func (g *GRM) release(ref orb.ObjectRef, holds []string) {
 	}
 }
 
+// deadNode is a node the failure detector declared dead, and the reference
+// its offer was exported under.
+type deadNode struct {
+	id  string
+	ref orb.ObjectRef
+}
+
 // detectFailures declares dead every node whose heartbeats have stopped for
 // longer than its suspect threshold, withdraws its trader offers and rolls
 // back its in-flight tasks. A node needs at least two observed updates
 // before it can be suspected: the threshold is derived from its cadence.
 func (g *GRM) detectFailures() {
 	now := g.clock.Now()
-	type deadNode struct {
-		id  string
-		ref orb.ObjectRef
-	}
 	g.mu.Lock()
-	ids := make([]string, 0, len(g.nodes))
-	for id := range g.nodes {
-		ids = append(ids, id)
+	dead := g.declareDeadLocked(now)
+	g.mu.Unlock()
+	for _, d := range dead {
+		g.bury(d)
 	}
-	sort.Strings(ids)
+}
+
+// declareDeadLocked is the failure detector's verdict: it forgets every node
+// silent past its threshold, in node order, and returns them. Caller holds
+// g.mu.
+func (g *GRM) declareDeadLocked(now time.Time) []deadNode {
 	var dead []deadNode
-	for _, id := range ids {
+	for _, id := range sortedNodeIDsLocked(g.nodes) {
 		lv := g.nodes[id]
 		if lv.updates < 2 {
 			continue
@@ -817,11 +831,33 @@ func (g *GRM) detectFailures() {
 			}
 		}
 	}
-	g.mu.Unlock()
-	for _, d := range dead {
-		g.trader.WithdrawRef(NodeStatusType, d.ref)
-		g.evictNodeTasks(d.id)
+	return dead
+}
+
+// bury carries out a verdict outside g.mu: the node's offer is withdrawn —
+// and put back if a heartbeat re-registered the node meanwhile — and its
+// tasks are rolled back.
+func (g *GRM) bury(d deadNode) {
+	g.trader.WithdrawRef(NodeStatusType, d.ref)
+	g.restoreOffer(d.id)
+	g.evictNodeTasks(d.id)
+}
+
+// restoreOffer re-exports the offer of a node the sweep declared dead but a
+// heartbeat has re-registered since: that heartbeat may have exported before
+// the sweep's withdraw, which took the offer away. The status and instant are
+// the ones the node's newest update recorded, so the offer is the one that
+// update exported; an update racing this export exports its own.
+func (g *GRM) restoreOffer(nodeID string) {
+	g.mu.Lock()
+	lv := g.nodes[nodeID]
+	if lv == nil || lv.departing {
+		g.mu.Unlock()
+		return
 	}
+	s, seen, epoch := lv.status, lv.lastSeen, g.epoch
+	g.mu.Unlock()
+	g.exportStatusOffer(&s, seen, epoch)
 }
 
 // evictNodeTasks rolls back every application with running tasks on a node

@@ -100,14 +100,11 @@ func (r schedRecord) encode(e *orb.Encoder) {
 
 func decodeSchedRecord(d *orb.Decoder) (schedRecord, error) {
 	var r schedRecord
-	n := d.U32()
+	n := d.Count(4)
 	if err := d.Err(); err != nil {
 		return schedRecord{}, err
 	}
-	if n > orb.MaxSliceLen {
-		return schedRecord{}, orb.Errorf(orb.CodeMarshal, "sched record with %d queued apps", n)
-	}
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		r.QueuedIDs = append(r.QueuedIDs, d.String())
 	}
 	r.Accepted = d.Int()
@@ -128,6 +125,9 @@ func (r taskRecord) encode(e *orb.Encoder) {
 	e.PutInt(r.Restarts)
 	e.PutF64(r.InitialProgress)
 }
+
+// taskRecordMin is the encoded size of a taskRecord whose strings are empty.
+const taskRecordMin = 4 + 1 + 4 + 3*4 + 8 + 8 + 8 + 8
 
 func decodeTaskRecord(d *orb.Decoder) taskRecord {
 	r := taskRecord{
@@ -165,14 +165,11 @@ func decodeAppRecord(d *orb.Decoder) (appRecord, error) {
 	r.Submitted = d.Time()
 	r.Finished = d.Time()
 	r.Negotiations = d.Int()
-	n := d.U32()
+	n := d.Count(taskRecordMin)
 	if err := d.Err(); err != nil {
 		return appRecord{}, err
 	}
-	if n > orb.MaxSliceLen {
-		return appRecord{}, orb.Errorf(orb.CodeMarshal, "replica app with %d tasks", n)
-	}
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		r.Tasks = append(r.Tasks, decodeTaskRecord(d))
 	}
 	return r, d.Err()
@@ -209,38 +206,31 @@ func decodeReplicaBatch(d *orb.Decoder) (replicaBatch, error) {
 		Seq:       d.Int(),
 		Epoch:     d.Int(),
 	}
-	n := d.U32()
+	// A node and an app decode, or fail, before the next is appended: for
+	// them the bytes left bound the appends whatever the count's minimum.
+	n := d.Count(1)
 	if err := d.Err(); err != nil {
 		return replicaBatch{}, err
 	}
-	if n > orb.MaxSliceLen {
-		return replicaBatch{}, orb.Errorf(orb.CodeMarshal, "replica batch with %d nodes", n)
-	}
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		s, err := protocol.DecodeNodeStatus(d)
 		if err != nil {
 			return replicaBatch{}, err
 		}
 		b.Nodes = append(b.Nodes, s)
 	}
-	n = d.U32()
+	n = d.Count(4 + 3*4)
 	if err := d.Err(); err != nil {
 		return replicaBatch{}, err
 	}
-	if n > orb.MaxSliceLen {
-		return replicaBatch{}, orb.Errorf(orb.CodeMarshal, "replica batch with %d dead nodes", n)
-	}
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		b.NodesGone = append(b.NodesGone, nodeGone{NodeID: d.String(), Ref: protocol.DecodeRef(d)})
 	}
-	n = d.U32()
+	n = d.Count(1)
 	if err := d.Err(); err != nil {
 		return replicaBatch{}, err
 	}
-	if n > orb.MaxSliceLen {
-		return replicaBatch{}, orb.Errorf(orb.CodeMarshal, "replica batch with %d apps", n)
-	}
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		a, err := decodeAppRecord(d)
 		if err != nil {
 			return replicaBatch{}, err

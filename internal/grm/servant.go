@@ -15,7 +15,7 @@ func (g *GRM) Servant() orb.Servant {
 			if err != nil {
 				return nil, orb.Errorf(orb.CodeMarshal, "update: %v", err)
 			}
-			epoch, err := g.HandleUpdate(s)
+			epoch, err := g.HandleUpdate(&s)
 			if err != nil {
 				return nil, orb.Errorf(orb.CodeApplication, "%s", err.Error())
 			}
@@ -25,9 +25,10 @@ func (g *GRM) Servant() orb.Servant {
 			for _, ev := range events {
 				g.HandleNotify(ev)
 			}
-			var e orb.Encoder
+			e := orb.GetEncoder()
+			e.Grow(8)
 			e.PutInt(epoch)
-			return &e, nil
+			return e, nil
 		}).
 		Handle(protocol.OpSubmit, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
 			spec, err := protocol.DecodeApplicationSpec(req)
@@ -38,9 +39,10 @@ func (g *GRM) Servant() orb.Servant {
 			if err != nil {
 				return nil, orb.Errorf(orb.CodeApplication, "%s", err.Error())
 			}
-			var e orb.Encoder
+			e := orb.GetEncoder()
+			e.Grow(4 + len(id))
 			e.PutString(id)
-			return &e, nil
+			return e, nil
 		}).
 		Handle(protocol.OpNotify, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
 			ev, err := protocol.DecodeTaskEvent(req)
@@ -67,14 +69,14 @@ func (g *GRM) Servant() orb.Servant {
 			if err != nil {
 				return nil, orb.Errorf(orb.CodeApplication, "%s", err.Error())
 			}
-			var e orb.Encoder
-			st.Encode(&e)
-			return &e, nil
+			e := orb.GetEncoder()
+			st.Encode(e)
+			return e, nil
 		}).
 		Handle(protocol.OpListApps, func(string, *orb.Decoder) (*orb.Encoder, error) {
-			var e orb.Encoder
+			e := orb.GetEncoder()
 			e.PutStrings(g.AppIDs())
-			return &e, nil
+			return e, nil
 		}).
 		Handle(protocol.OpCancelApp, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
 			appID := req.String()
@@ -99,20 +101,21 @@ func (g *GRM) Servant() orb.Servant {
 			if err != nil {
 				return nil, orb.Errorf(orb.CodeMarshal, "reconcile: %v", err)
 			}
-			var e orb.Encoder
+			e := orb.GetEncoder()
 			e.PutStrings(g.Reconcile(r))
-			return &e, nil
+			return e, nil
 		}).
 		Handle(protocol.OpPeerInfo, func(string, *orb.Decoder) (*orb.Encoder, error) {
 			s := g.Summary()
-			var e orb.Encoder
+			e := orb.GetEncoder()
+			e.Grow(4 + len(s.ClusterID) + 5*8)
 			e.PutString(s.ClusterID)
 			e.PutInt(s.Nodes)
 			e.PutF64(s.FreeMIPS)
 			e.PutF64(s.MaxNodeFreeMIPS)
 			e.PutF64(s.TotalMIPS)
 			e.PutInt(s.PendingTasks)
-			return &e, nil
+			return e, nil
 		})
 }
 

@@ -253,24 +253,23 @@ func (g *GRM) applyReplica(b replicaBatch, enforceEpoch bool) {
 	}
 	g.mu.Unlock()
 
-	for _, s := range b.Nodes {
-		g.applyReplicaStatus(s)
+	for i := range b.Nodes {
+		g.applyReplicaStatus(&b.Nodes[i])
 	}
 	for _, gone := range b.NodesGone {
 		g.trader.WithdrawRef(NodeStatusType, gone.Ref)
 	}
 }
 
-// applyReplicaStatus mirrors one node's status into the standby's trader and
-// liveness table without touching the primary-side update counters.
-func (g *GRM) applyReplicaStatus(s protocol.NodeStatus) {
+// applyReplicaStatus mirrors one node's status into the standby's liveness
+// table and trader without touching the primary-side update counters.
+func (g *GRM) applyReplicaStatus(s *protocol.NodeStatus) {
 	now := g.clock.Now()
-	if !g.exportStatusOffer(s, now, g.Epoch()) {
-		return
-	}
 	g.mu.Lock()
 	g.touchLivenessLocked(s, now)
+	epoch := g.epoch
 	g.mu.Unlock()
+	g.exportStatusOffer(s, now, epoch)
 }
 
 // Reconcile answers an LRM's post-registration task report: any claimed task

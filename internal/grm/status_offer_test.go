@@ -53,7 +53,7 @@ func TestStatusOfferRoundTrip(t *testing.T) {
 		Timestamp:     now.Add(-5 * time.Second),
 		Windows:       []protocol.AvailWindow{{Start: now.Add(-time.Hour), End: now.Add(2 * time.Hour), Confidence: 0.75}},
 	}
-	if epoch, err := g.HandleUpdate(s); err != nil || epoch != 4 {
+	if epoch, err := g.HandleUpdate(&s); err != nil || epoch != 4 {
 		t.Fatalf("HandleUpdate = %d, %v", epoch, err)
 	}
 	all := g.Trader().All(NodeStatusType)

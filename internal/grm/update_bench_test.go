@@ -1,0 +1,84 @@
+package grm
+
+import (
+	"path/filepath"
+	"testing"
+	"time"
+
+	"integrade/internal/orb"
+	"integrade/internal/protocol"
+	"integrade/internal/sim"
+	"integrade/internal/testutil/allocbudget"
+)
+
+// loopbackUpdates is a 10⁴-node GRM behind a loopback ORB, as the benchmark's
+// fleets run it, with the client its nodes report through and the statuses
+// they report: missFleet's, each with 0 to 3 availability windows.
+func loopbackUpdates(tb testing.TB) (*protocol.GRMClient, []protocol.NodeStatus) {
+	tb.Helper()
+	o := orb.New()
+	tb.Cleanup(o.Close)
+	g := New("bench", sim.NewVirtualClock(), o)
+	tb.Cleanup(g.Stop)
+	adapter := orb.NewAdapter()
+	if err := adapter.Register(protocol.GRMKey, g.Servant()); err != nil {
+		tb.Fatal(err)
+	}
+	ep, err := o.BindLoopback("grm", adapter)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fleet := missFleet(tb, g, 10000)
+	now := g.clock.Now()
+	for i := range fleet {
+		for w := 0; w < i%4; w++ {
+			start := now.Add(time.Duration(w) * 8 * time.Hour)
+			fleet[i].Windows = append(fleet[i].Windows, protocol.AvailWindow{
+				Start: start, End: start.Add(6 * time.Hour), Confidence: 0.5 + 0.1*float64(w),
+			})
+		}
+	}
+	return protocol.NewGRMClient(o, orb.ObjectRef{Endpoint: ep, Key: protocol.GRMKey}), fleet
+}
+
+// BenchmarkLoopbackUpdate10k is one Information Update as the loopback fleets
+// send it: GRMClient.Update — which encodes into a fresh Encoder, as every
+// real update does — through the ORB into a GRM that knows 10⁴ nodes, to the
+// trader upsert and back. `make profile-update` profiles it; the allocations
+// it counts are gated by testdata/alloc_budget.txt.
+func BenchmarkLoopbackUpdate10k(b *testing.B) {
+	client, fleet := loopbackUpdates(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := client.Update(fleet[i%len(fleet)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestLoopbackUpdateAllocBudget holds BenchmarkLoopbackUpdate10k's update to
+// the `update-loopback` row of testdata/alloc_budget.txt.
+func TestLoopbackUpdateAllocBudget(t *testing.T) {
+	if allocbudget.Race {
+		t.Skip("the update's pooled encoders allocate afresh under the race detector")
+	}
+	path := filepath.Join("testdata", "alloc_budget.txt")
+	client, fleet := loopbackUpdates(t)
+	for _, row := range allocbudget.Parse(t, path) {
+		if row.Name != "update-loopback" {
+			t.Fatalf("%s: unknown row %q (known: update-loopback)", path, row.Name)
+		}
+		i := 0
+		got := testing.AllocsPerRun(2000, func() {
+			if _, err := client.Update(fleet[i%len(fleet)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if got > row.Budget {
+			t.Fatalf("%s: a loopback update allocates %.2f times, budget %.0f", path, got, row.Budget)
+		}
+		t.Logf("%s: a loopback update allocates %.2f times, budget %.0f", path, got, row.Budget)
+	}
+}

@@ -142,7 +142,7 @@ func TestMalformedUpdateAppliesNothing(t *testing.T) {
 	protocol.EncodeUpdate(&whole, status, []protocol.TaskEvent{done})
 	var overlong orb.Encoder
 	status.Encode(&overlong)
-	overlong.PutU32(orb.MaxSliceLen + 1)
+	overlong.PutU32(1 << 20)
 	var wrongKind orb.Encoder
 	protocol.EncodeUpdate(&wrongKind, status, []protocol.TaskEvent{done, evicted})
 	var statusOnly orb.Encoder

@@ -111,7 +111,7 @@ func windowStatus(c *cluster, nodeID string, ref orb.ObjectRef, mips float64, ws
 
 func (c *cluster) update(s protocol.NodeStatus) {
 	c.t.Helper()
-	if _, err := c.g.HandleUpdate(s); err != nil {
+	if _, err := c.g.HandleUpdate(&s); err != nil {
 		c.t.Fatal(err)
 	}
 }

@@ -135,21 +135,15 @@ func EncodePattern(e *orb.Encoder, p lupa.Pattern) {
 func DecodePattern(d *orb.Decoder) (lupa.Pattern, error) {
 	var p lupa.Pattern
 	p.Days = d.Int()
-	nc := d.U32()
+	nc := d.Count(4)
 	if err := d.Err(); err != nil {
 		return lupa.Pattern{}, err
 	}
-	if nc > orb.MaxSliceLen {
-		return lupa.Pattern{}, orb.Errorf(orb.CodeMarshal, "pattern with %d centroids", nc)
-	}
 	p.Centroids = make([][]float64, nc)
 	for i := range p.Centroids {
-		n := d.U32()
+		n := d.Count(8)
 		if err := d.Err(); err != nil {
 			return lupa.Pattern{}, err
-		}
-		if n > orb.MaxSliceLen {
-			return lupa.Pattern{}, orb.Errorf(orb.CodeMarshal, "centroid with %d slots", n)
 		}
 		c := make([]float64, n)
 		for j := range c {
@@ -158,12 +152,9 @@ func DecodePattern(d *orb.Decoder) (lupa.Pattern, error) {
 		p.Centroids[i] = c
 	}
 	for w := range p.WeekdayCounts {
-		n := d.U32()
+		n := d.Count(8)
 		if err := d.Err(); err != nil {
 			return lupa.Pattern{}, err
-		}
-		if n > orb.MaxSliceLen {
-			return lupa.Pattern{}, orb.Errorf(orb.CodeMarshal, "weekday counts %d", n)
 		}
 		counts := make([]int, n)
 		for j := range counts {

@@ -351,7 +351,7 @@ func (c *wireCollector) streamOp(sel *ast.SelectorExpr, call *ast.CallExpr) []wi
 			return prim("u8")
 		case "Bool":
 			return prim("bool")
-		case "U32":
+		case "U32", "Count":
 			return prim("u32")
 		case "U64":
 			return prim("u64")

@@ -10,6 +10,7 @@ package lrm
 
 import (
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -313,10 +314,11 @@ func (l *LRM) SendUpdate() {
 func (l *LRM) pushUpdate(client *protocol.GRMClient) error {
 	status := l.Status()
 	l.mu.Lock()
-	events := l.outbox
+	snaps := l.node.RunningSnapshots()
+	events := slices.Grow(l.outbox, len(snaps))
 	l.outbox = nil
 	done := len(events)
-	for _, snap := range l.node.RunningSnapshots() {
+	for _, snap := range snaps {
 		events = append(events, protocol.TaskEvent{
 			Kind:     protocol.TaskEventProgress,
 			AppID:    l.taskApp[snap.ID],
@@ -488,13 +490,12 @@ func (l *LRM) Status() protocol.NodeStatus {
 		if span, ok := l.analyzer.PredictIdle(now); ok {
 			predicted = span
 		}
-		for _, w := range l.analyzer.Forecast(now, ForecastHorizon) {
-			if len(windows) == maxStatusWindows {
-				break
+		forecast := l.analyzer.Forecast(now, ForecastHorizon)
+		if n := min(len(forecast), maxStatusWindows); n > 0 {
+			windows = make([]protocol.AvailWindow, n)
+			for i, w := range forecast[:n] {
+				windows[i] = protocol.AvailWindow{Start: w.Start, End: w.End, Confidence: w.Confidence}
 			}
-			windows = append(windows, protocol.AvailWindow{
-				Start: w.Start, End: w.End, Confidence: w.Confidence,
-			})
 		}
 	} else if l.node.Dedicated() && !l.node.IsDown(now) {
 		predicted = 24 * time.Hour
@@ -667,10 +668,9 @@ func (l *LRM) Servant() orb.Servant {
 			if err != nil {
 				return nil, orb.Errorf(orb.CodeMarshal, "reserve: %v", err)
 			}
-			reply := l.handleReserve(r)
-			var e orb.Encoder
-			reply.Encode(&e)
-			return &e, nil
+			e := orb.GetEncoder()
+			l.handleReserve(r).Encode(e)
+			return e, nil
 		}).
 		Handle(protocol.OpRelease, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
 			id := req.String()
@@ -702,14 +702,15 @@ func (l *LRM) Servant() orb.Servant {
 			if l.admitEpoch(epoch) {
 				progress = l.handleCancel(taskID)
 			}
-			var e orb.Encoder
+			e := orb.GetEncoder()
+			e.Grow(8)
 			e.PutF64(progress)
-			return &e, nil
+			return e, nil
 		}).
 		Handle(protocol.OpNodeState, func(string, *orb.Decoder) (*orb.Encoder, error) {
-			var e orb.Encoder
-			l.Status().Encode(&e)
-			return &e, nil
+			e := orb.GetEncoder()
+			l.Status().Encode(e)
+			return e, nil
 		})
 }
 

@@ -2,11 +2,11 @@ package orb
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
+
+	"integrade/internal/testutil/allocbudget"
 )
 
 // passThrough is an Interceptor that delivers every message exactly once,
@@ -15,44 +15,6 @@ type passThrough struct{}
 
 func (passThrough) Intercept(_ Endpoint, _, _ string, _ []byte, next func() ([]byte, error)) ([]byte, error) {
 	return next()
-}
-
-// budgetRow is one named allocation gate from testdata/alloc_budget.txt.
-type budgetRow struct {
-	name   string
-	budget float64
-}
-
-// parseBudgets reads the `<name> <allocs-per-op>` rows of
-// testdata/alloc_budget.txt ('#' starts a comment).
-func parseBudgets(t *testing.T, path string) []budgetRow {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []budgetRow
-	for i, line := range strings.Split(string(raw), "\n") {
-		if j := strings.IndexByte(line, '#'); j >= 0 {
-			line = line[:j]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		if len(fields) != 2 {
-			t.Fatalf("%s:%d: want `<name> <allocs-per-op>`, got %q", path, i+1, line)
-		}
-		budget, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			t.Fatalf("%s:%d: bad budget %q: %v", path, i+1, fields[1], err)
-		}
-		rows = append(rows, budgetRow{name: fields[0], budget: budget})
-	}
-	if len(rows) == 0 {
-		t.Fatalf("%s: no budget rows", path)
-	}
-	return rows
 }
 
 // TestLoopbackInvokeAllocBudget is the CI allocation gate for the invoke
@@ -64,7 +26,7 @@ func parseBudgets(t *testing.T, path string) []budgetRow {
 // lowering a row is how a future optimization ratchets the gate down.
 func TestLoopbackInvokeAllocBudget(t *testing.T) {
 	path := filepath.Join("testdata", "alloc_budget.txt")
-	rows := parseBudgets(t, path)
+	rows := allocbudget.Parse(t, path)
 
 	newAdapter := func() *Adapter {
 		adapter := NewAdapter()
@@ -138,21 +100,21 @@ func TestLoopbackInvokeAllocBudget(t *testing.T) {
 		failed bool
 	)
 	for _, row := range rows {
-		m, ok := measure[row.name]
+		m, ok := measure[row.Name]
 		if !ok {
-			t.Fatalf("%s: unknown row %q (known: loopback-invoke, loopback-invoke-intercepted, tcp-invoke)", path, row.name)
+			t.Fatalf("%s: unknown row %q (known: loopback-invoke, loopback-invoke-intercepted, tcp-invoke)", path, row.Name)
 		}
-		if raceEnabled && row.name == "tcp-invoke" {
-			fmt.Fprintf(&diff, "  %-28s skipped under the race detector\n", row.name)
+		if allocbudget.Race && row.Name == "tcp-invoke" {
+			fmt.Fprintf(&diff, "  %-28s skipped under the race detector\n", row.Name)
 			continue
 		}
 		got := m()
 		mark := "ok"
-		if got > row.budget {
+		if got > row.Budget {
 			mark = "OVER BUDGET"
 			failed = true
 		}
-		fmt.Fprintf(&diff, "  %-28s got %5.2f allocs/op, budget %4.0f  %s\n", row.name, got, row.budget, mark)
+		fmt.Fprintf(&diff, "  %-28s got %5.2f allocs/op, budget %4.0f  %s\n", row.Name, got, row.Budget, mark)
 	}
 	if failed {
 		t.Fatalf("allocation budget exceeded (%s):\n%s", path, diff.String())

@@ -13,20 +13,12 @@ import (
 // duplication for failure-injection tests, emulating an unreliable network;
 // internal/chaos provides the standard engine.
 //
-// The registry is copy-on-write: Invoke reads one atomic snapshot (no lock),
-// Bind/Unbind/SetInterceptor copy-and-swap under mu. Registration is a setup
-// operation; invocation is the hot path.
+// A name is bound once and read on every invocation, the access pattern
+// sync.Map is built for: Invoke takes no lock and allocates nothing once the
+// name is warm, and Bind costs amortized O(1) however many names exist.
 type Loopback struct {
-	// mu serializes writers of state.
-	//lint:guards state
-	mu    sync.Mutex
-	state atomic.Pointer[loopbackState]
-}
-
-// loopbackState is one immutable snapshot of the transport's registry.
-type loopbackState struct {
-	adapters    map[string]*Adapter
-	interceptor Interceptor
+	adapters    sync.Map // name → *Adapter
+	interceptor atomic.Pointer[Interceptor]
 }
 
 var _ Invoker = (*Loopback)(nil)
@@ -41,32 +33,15 @@ var _ Invoker = (*Loopback)(nil)
 type FaultPolicy func(target Endpoint, key, op string) error
 
 // NewLoopback returns an empty in-process transport.
-func NewLoopback() *Loopback {
-	l := &Loopback{}
-	l.state.Store(&loopbackState{adapters: make(map[string]*Adapter)})
-	return l
-}
-
-// mutate applies fn to a copy of the current state and publishes it. Callers
-// must not hold mu.
-func (l *Loopback) mutate(fn func(*loopbackState)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	old := l.state.Load()
-	next := &loopbackState{
-		adapters:    make(map[string]*Adapter, len(old.adapters)+1),
-		interceptor: old.interceptor,
-	}
-	for k, v := range old.adapters {
-		next.adapters[k] = v
-	}
-	fn(next)
-	l.state.Store(next)
-}
+func NewLoopback() *Loopback { return &Loopback{} }
 
 // SetInterceptor installs (or clears, with nil) the fault-injection hook.
 func (l *Loopback) SetInterceptor(ic Interceptor) {
-	l.mutate(func(st *loopbackState) { st.interceptor = ic })
+	if ic == nil {
+		l.interceptor.Store(nil)
+		return
+	}
+	l.interceptor.Store(&ic)
 }
 
 // SetFaultPolicy installs (or clears, with nil) a drop-only fault hook. It
@@ -81,30 +56,25 @@ func (l *Loopback) SetFaultPolicy(p FaultPolicy) {
 
 // Bind registers adapter under name and returns its endpoint.
 func (l *Loopback) Bind(name string, adapter *Adapter) (Endpoint, error) {
-	var err error
-	l.mutate(func(st *loopbackState) {
-		if _, exists := st.adapters[name]; exists {
-			err = Errorf(CodeTransport, "loopback name %q already bound", name)
-			return
-		}
-		st.adapters[name] = adapter
-	})
-	if err != nil {
-		return Endpoint{}, err
+	if _, exists := l.adapters.LoadOrStore(name, adapter); exists {
+		return Endpoint{}, Errorf(CodeTransport, "loopback name %q already bound", name)
 	}
 	return Endpoint{Net: NetLoopback, Addr: name}, nil
 }
 
 // Unbind removes the named adapter. It reports whether it existed.
 func (l *Loopback) Unbind(name string) bool {
-	var existed bool
-	l.mutate(func(st *loopbackState) {
-		if _, ok := st.adapters[name]; ok {
-			existed = true
-			delete(st.adapters, name)
-		}
-	})
+	_, existed := l.adapters.LoadAndDelete(name)
 	return existed
+}
+
+// adapter returns the adapter bound to name.
+func (l *Loopback) adapter(name string) (*Adapter, error) {
+	a, ok := l.adapters.Load(name)
+	if !ok {
+		return nil, Errorf(CodeTransport, "no loopback server %q", name)
+	}
+	return a.(*Adapter), nil
 }
 
 // Invoke implements Invoker for inproc references.
@@ -114,17 +84,16 @@ func (l *Loopback) Invoke(ref ObjectRef, op string, arg []byte) ([]byte, error) 
 	if ref.Endpoint.Net != NetLoopback {
 		return nil, Errorf(CodeTransport, "loopback cannot reach %s endpoint", ref.Endpoint.Net)
 	}
-	st := l.state.Load()
-	ic := st.interceptor
-	adapter, ok := st.adapters[ref.Endpoint.Addr]
+	ic := l.interceptor.Load()
 	if ic == nil {
 		// Fast path: the servant ownership contract (DESIGN.md §13 — the
 		// request buffer is read-only and must not be retained past
 		// Dispatch) makes the defensive copy a real transport's
 		// serialization implies unnecessary, so dispatch straight into the
 		// adapter with the caller's buffer.
-		if !ok {
-			return nil, Errorf(CodeTransport, "no loopback server %q", ref.Endpoint.Addr)
+		adapter, err := l.adapter(ref.Endpoint.Addr)
+		if err != nil {
+			return nil, err
 		}
 		return adapter.dispatch(ref.Key, op, arg)
 	}
@@ -134,9 +103,9 @@ func (l *Loopback) Invoke(ref ObjectRef, op string, arg []byte) ([]byte, error) 
 	// each (re)delivery copies the argument.
 	next := func() ([]byte, error) { //lint:alloc interceptor path builds one closure per call
 
-		adapter, ok := l.state.Load().adapters[ref.Endpoint.Addr]
-		if !ok {
-			return nil, Errorf(CodeTransport, "no loopback server %q", ref.Endpoint.Addr)
+		adapter, err := l.adapter(ref.Endpoint.Addr)
+		if err != nil {
+			return nil, err
 		}
 		var argCopy []byte
 		if arg != nil {
@@ -145,5 +114,5 @@ func (l *Loopback) Invoke(ref ObjectRef, op string, arg []byte) ([]byte, error) 
 		}
 		return adapter.dispatch(ref.Key, op, argCopy)
 	}
-	return ic.Intercept(ref.Endpoint, ref.Key, op, arg, next)
+	return (*ic).Intercept(ref.Endpoint, ref.Key, op, arg, next)
 }

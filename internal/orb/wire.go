@@ -24,13 +24,9 @@ import (
 	"time"
 )
 
-// Wire-format limits. Oversized values indicate corruption or abuse.
-const (
-	// MaxStringLen bounds decoded string and byte-slice lengths.
-	MaxStringLen = 16 << 20
-	// MaxSliceLen bounds decoded element counts.
-	MaxSliceLen = 1 << 20
-)
+// MaxStringLen bounds decoded string and byte-slice lengths. Oversized values
+// indicate corruption or abuse.
+const MaxStringLen = 16 << 20
 
 // ErrTruncated is returned by Decoder reads past the end of the buffer.
 var ErrTruncated = errors.New("orb: truncated message")
@@ -178,10 +174,16 @@ func (e *Encoder) PutTime(t time.Time) {
 // PutDuration appends a duration.
 func (e *Encoder) PutDuration(d time.Duration) { e.PutI64(int64(d)) }
 
-// PutStrings appends a length-prefixed slice of strings.
+// PutStrings appends a length-prefixed slice of strings, growing the buffer
+// once for all of them.
 //
-//lint:hotpath alloc=2
+//lint:hotpath alloc=3
 func (e *Encoder) PutStrings(vs []string) {
+	n := 4
+	for _, v := range vs {
+		n += 4 + len(v)
+	}
+	e.Grow(n)
 	e.PutU32(uint32(len(vs)))
 	for _, v := range vs {
 		e.PutString(v)
@@ -351,20 +353,34 @@ func (d *Decoder) Time() time.Time {
 // Duration reads a duration.
 func (d *Decoder) Duration() time.Duration { return time.Duration(d.I64()) }
 
+// Count reads the u32 element count of a slice the caller sizes from it, and
+// fails as truncated unless that many elements of at least elemMin (≥ 1)
+// encoded bytes each fit in what is left: a frame cannot make its decoder
+// allocate more than its own length warrants.
+//
+//lint:hotpath alloc=0 locks=0 block=0
+func (d *Decoder) Count(elemMin int) int {
+	n := d.U32()
+	if d.err != nil {
+		return 0
+	}
+	if uint64(n)*uint64(elemMin) > uint64(d.Remaining()) {
+		d.err = ErrTruncated
+		return 0
+	}
+	return int(n)
+}
+
 // Strings reads a length-prefixed slice of strings.
 //
 //lint:hotpath alloc=3
 func (d *Decoder) Strings() []string {
-	n := d.U32()
+	n := d.Count(4)
 	if d.err != nil {
 		return nil
 	}
-	if n > MaxSliceLen {
-		d.err = fmt.Errorf("orb: slice length %d exceeds limit", n) //lint:alloc error slow path
-		return nil
-	}
 	out := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, d.String())
 		if d.err != nil {
 			return nil

@@ -1,0 +1,78 @@
+package protocol
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"integrade/internal/orb"
+	"integrade/internal/resource"
+)
+
+// TestEncodersAllocateOnce is the ratchet on the one-allocation rule: every
+// message, encoded into a zero Encoder, costs exactly one allocation and leaves
+// no spare capacity — so a size function that drifts from its Put sequence,
+// short or long, fails here.
+func TestEncodersAllocateOnce(t *testing.T) {
+	s, events, _ := updateBody()
+	withWindows := func(n int) NodeStatus {
+		st := s
+		st.Windows = nil
+		for i := 0; i < n; i++ {
+			start := s.Timestamp.Add(time.Duration(i) * time.Hour)
+			st.Windows = append(st.Windows, AvailWindow{Start: start, End: start.Add(time.Minute), Confidence: 0.5})
+		}
+		return st
+	}
+	three := append(append([]TaskEvent(nil), events...), events[0])
+	linux := resource.Platform{Arch: "amd64", OS: "linux"}
+	topo := &TopologyRequest{Groups: []TopologyGroup{{Nodes: 2, IntraMbps: 100}, {Nodes: 2, IntraMbps: 10}}, InterMbps: 1}
+	spec := func(p *resource.Platform, t *TopologyRequest) ApplicationSpec {
+		return ApplicationSpec{
+			Name: "render", Kind: AppBSP, NumTasks: 4, WorkPerTask: 5e6,
+			Requirements: resource.Requirements{Platform: p, Min: resource.Vector{MIPS: 500}},
+			Constraint:   "lan == 'lanA'", Alloc: resource.Vector{MIPS: 500, RAMMB: 32}, Topology: t,
+		}
+	}
+	appStatus := func(n int) AppStatus {
+		a := AppStatus{AppID: "app-1", Name: "sim", Kind: AppParametric, Submitted: s.Timestamp, Negotiations: 3}
+		for i := 0; i < n; i++ {
+			a.Tasks = append(a.Tasks, TaskStatus{TaskID: fmt.Sprintf("app-1/t%d", i), NodeID: "n1", State: TaskRunning, Work: 100})
+		}
+		return a
+	}
+
+	cases := map[string]func(*orb.Encoder){
+		"status, no window":           withWindows(0).Encode,
+		"status, 1 window":            withWindows(1).Encode,
+		"status, 8 windows":           withWindows(8).Encode,
+		"update, no event":            func(e *orb.Encoder) { EncodeUpdate(e, s, nil) },
+		"update, 3 events":            func(e *orb.Encoder) { EncodeUpdate(e, s, three) },
+		"task event":                  events[0].Encode,
+		"spec, bare":                  spec(nil, nil).Encode,
+		"spec, platform":              spec(&linux, nil).Encode,
+		"spec, topology":              spec(nil, topo).Encode,
+		"spec, platform and topology": spec(&linux, topo).Encode,
+		"app status, no task":         appStatus(0).Encode,
+		"app status, 1 task":          appStatus(1).Encode,
+		"app status, 4 tasks":         appStatus(4).Encode,
+		"reconcile":                   ReconcileRequest{NodeID: "n1", Claims: []TaskClaim{{TaskID: "t0", AppID: "a"}, {TaskID: "t1", AppID: "a"}}}.Encode,
+		"departure":                   DepartureNotice{NodeID: "n1", Deadline: s.Timestamp, At: s.Timestamp}.Encode,
+		"reserve request":             ReserveRequest{Holder: "app-3", Amount: resource.Vector{MIPS: 400}, TTL: time.Minute, Epoch: 2, Count: 4}.Encode,
+		"reserve reply":               ReserveReply{Granted: true, ReservationID: "rsv-1", Reason: "full", More: []string{"rsv-2"}}.Encode,
+		"execute request":             executeRequest().Encode,
+	}
+	for name, encode := range cases {
+		var e orb.Encoder
+		allocs := testing.AllocsPerRun(100, func() {
+			e = orb.Encoder{}
+			encode(&e)
+		})
+		if allocs != 1 {
+			t.Errorf("%s: %v allocations, want 1", name, allocs)
+		}
+		if n, c := e.Len(), cap(e.Bytes()); n != c {
+			t.Errorf("%s: %d bytes encoded into a buffer of %d", name, n, c)
+		}
+	}
+}

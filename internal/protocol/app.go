@@ -135,8 +135,27 @@ func (s ApplicationSpec) EffectiveAlloc() resource.Vector {
 	return s.Alloc
 }
 
+// topologyGroupLen is the encoded size of a TopologyGroup.
+const topologyGroupLen = 8 + 8
+
+// encodedLen is the exact encoded size of the spec: in Encode's order, the
+// name, kind, task count, work, platform flag, minimum, constraint, two
+// preference flags and a weight, allocation, topology flag, checkpoint
+// interval and restart flag, then the platform and topology if present.
+func (s *ApplicationSpec) encodedLen() int {
+	n := strLen(s.Name) + 1 + 8 + 8 + 1 + vectorLen + strLen(s.Constraint) + 1 + 1 + 8 + vectorLen + 1 + 8 + 1
+	if p := s.Requirements.Platform; p != nil {
+		n += strLen(p.Arch) + strLen(p.OS)
+	}
+	if s.Topology != nil {
+		n += 4 + len(s.Topology.Groups)*topologyGroupLen + 8
+	}
+	return n
+}
+
 // Encode writes the spec.
 func (s ApplicationSpec) Encode(e *orb.Encoder) {
+	e.Grow(s.encodedLen())
 	e.PutString(s.Name)
 	e.PutU8(uint8(s.Kind))
 	e.PutInt(s.NumTasks)
@@ -188,12 +207,9 @@ func DecodeApplicationSpec(d *orb.Decoder) (ApplicationSpec, error) {
 	s.Preferences.StayIdleWeight = d.F64()
 	s.Alloc = DecodeVector(d)
 	if d.Bool() {
-		n := d.U32()
+		n := d.Count(topologyGroupLen)
 		if err := d.Err(); err != nil {
 			return ApplicationSpec{}, err
-		}
-		if n > orb.MaxSliceLen {
-			return ApplicationSpec{}, orb.Errorf(orb.CodeMarshal, "topology with %d groups", n)
 		}
 		topo := &TopologyRequest{Groups: make([]TopologyGroup, n)}
 		for i := range topo.Groups {
@@ -205,7 +221,10 @@ func DecodeApplicationSpec(d *orb.Decoder) (ApplicationSpec, error) {
 	}
 	s.CheckpointEveryWork = d.F64()
 	s.RestartEvicted = d.Bool()
-	return s, d.Err()
+	if err := d.Err(); err != nil {
+		return ApplicationSpec{}, err
+	}
+	return s, nil
 }
 
 // TaskState is a scheduler-side task lifecycle state.
@@ -275,8 +294,21 @@ func (a AppStatus) Done() bool {
 	return true
 }
 
+// taskStatusMin is the encoded size of a TaskStatus whose strings are empty.
+const taskStatusMin = 4 + 4 + 1 + 8 + 8 + 8
+
+// encodedLen is the exact encoded size of the status.
+func (a *AppStatus) encodedLen() int {
+	n := strLen(a.AppID) + strLen(a.Name) + 1 + 2*timeLen + 8 + 4 + len(a.Tasks)*taskStatusMin
+	for _, t := range a.Tasks {
+		n += len(t.TaskID) + len(t.NodeID)
+	}
+	return n
+}
+
 // Encode writes the status.
 func (a AppStatus) Encode(e *orb.Encoder) {
+	e.Grow(a.encodedLen())
 	e.PutString(a.AppID)
 	e.PutString(a.Name)
 	e.PutU8(uint8(a.Kind))
@@ -304,12 +336,9 @@ func DecodeAppStatus(d *orb.Decoder) (AppStatus, error) {
 		Finished:  d.Time(),
 	}
 	a.Negotiations = d.Int()
-	n := d.U32()
+	n := d.Count(taskStatusMin)
 	if err := d.Err(); err != nil {
 		return AppStatus{}, err
-	}
-	if n > orb.MaxSliceLen {
-		return AppStatus{}, orb.Errorf(orb.CodeMarshal, "app with %d tasks", n)
 	}
 	a.Tasks = make([]TaskStatus, n)
 	for i := range a.Tasks {
@@ -322,5 +351,8 @@ func DecodeAppStatus(d *orb.Decoder) (AppStatus, error) {
 			Restarts: d.Int(),
 		}
 	}
-	return a, d.Err()
+	if err := d.Err(); err != nil {
+		return AppStatus{}, err
+	}
+	return a, nil
 }

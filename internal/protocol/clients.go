@@ -80,6 +80,7 @@ func (c *GRMClient) Departing(n DepartureNotice) error {
 // nodes, pending tasks are dropped.
 func (c *GRMClient) CancelApp(appID string) error {
 	var e orb.Encoder
+	e.Grow(strLen(appID))
 	e.PutString(appID)
 	_, err := c.inv.Invoke(c.ref, OpCancelApp, e.Bytes())
 	return err
@@ -120,6 +121,7 @@ func (c *GRMClient) Reconcile(req ReconcileRequest) ([]string, error) {
 // AppStatus fetches an application's status.
 func (c *GRMClient) AppStatus(appID string) (AppStatus, error) {
 	var e orb.Encoder
+	e.Grow(strLen(appID))
 	e.PutString(appID)
 	reply, err := c.inv.Invoke(c.ref, OpAppStatus, e.Bytes())
 	if err != nil {
@@ -158,6 +160,7 @@ func (c *LRMClient) Reserve(req ReserveRequest) (ReserveReply, error) {
 // expires.
 func (c *LRMClient) Release(reservationID string) error {
 	var e orb.Encoder
+	e.Grow(strLen(reservationID))
 	e.PutString(reservationID)
 	_, err := c.inv.Invoke(c.ref, OpRelease, e.Bytes())
 	return err
@@ -177,6 +180,7 @@ func (c *LRMClient) Execute(req ExecuteRequest) error {
 // cancellation (0 if the task was unknown or the epoch stale).
 func (c *LRMClient) Cancel(taskID string, epoch int) (float64, error) {
 	var e orb.Encoder
+	e.Grow(strLen(taskID) + 8)
 	e.PutString(taskID)
 	e.PutInt(epoch)
 	reply, err := c.inv.Invoke(c.ref, OpCancel, e.Bytes())

@@ -81,8 +81,18 @@ type AvailWindow struct {
 	Confidence float64
 }
 
+// windowLen is the encoded size of an AvailWindow.
+const windowLen = 2*timeLen + 8
+
+// encodedLen is the exact encoded size of the status.
+func (s *NodeStatus) encodedLen() int {
+	return strLen(s.NodeID) + refLen(s.LRMRef) + strLen(s.Platform.Arch) + strLen(s.Platform.OS) +
+		strLen(s.LANID) + 2*vectorLen + 2 + 8 + timeLen + 4 + len(s.Windows)*windowLen
+}
+
 // Encode writes the status.
 func (s NodeStatus) Encode(e *orb.Encoder) {
+	e.Grow(s.encodedLen())
 	e.PutString(s.NodeID)
 	EncodeRef(e, s.LRMRef)
 	e.PutString(s.Platform.Arch)
@@ -117,19 +127,19 @@ func DecodeNodeStatus(d *orb.Decoder) (NodeStatus, error) {
 	s.OwnerBusy = d.Bool()
 	s.PredictedIdle = d.Duration()
 	s.Timestamp = d.Time()
-	n := d.U32()
+	n := d.Count(windowLen)
 	if err := d.Err(); err != nil {
 		return NodeStatus{}, err
 	}
-	if n > orb.MaxSliceLen {
-		return NodeStatus{}, fmt.Errorf("protocol: node status with %d windows", n)
+	if n > 0 {
+		s.Windows = make([]AvailWindow, n)
 	}
-	for i := uint32(0); i < n; i++ {
-		s.Windows = append(s.Windows, AvailWindow{
+	for i := range s.Windows {
+		s.Windows[i] = AvailWindow{
 			Start:      d.Time(),
 			End:        d.Time(),
 			Confidence: d.F64(),
-		})
+		}
 	}
 	return s, d.Err()
 }
@@ -158,7 +168,7 @@ type ReserveRequest struct {
 
 // Encode writes the request.
 func (r ReserveRequest) Encode(e *orb.Encoder) {
-	e.Grow(4 + len(r.Holder) + vectorLen + 8 + 8 + 4)
+	e.Grow(strLen(r.Holder) + vectorLen + 8 + 8 + 4)
 	e.PutString(r.Holder)
 	EncodeVector(e, r.Amount)
 	e.PutDuration(r.TTL)
@@ -208,9 +218,9 @@ func (r ReserveReply) IDs() []string {
 
 // Encode writes the reply.
 func (r ReserveReply) Encode(e *orb.Encoder) {
-	n := 1 + 4 + len(r.ReservationID) + 4 + len(r.Reason) + 4
+	n := 1 + strLen(r.ReservationID) + strLen(r.Reason) + 4
 	for _, id := range r.More {
-		n += 4 + len(id)
+		n += strLen(id)
 	}
 	e.Grow(n)
 	e.PutBool(r.Granted)
@@ -229,7 +239,7 @@ func DecodeReserveReply(d *orb.Decoder) (ReserveReply, error) {
 		ReservationID: d.String(),
 		Reason:        d.String(),
 	}
-	n := d.U32()
+	n := d.Count(4)
 	if err := d.Err(); err != nil {
 		return ReserveReply{}, err
 	}
@@ -239,7 +249,7 @@ func DecodeReserveReply(d *orb.Decoder) (ReserveReply, error) {
 	if n > 0 {
 		r.More = make([]string, 0, n)
 	}
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		r.More = append(r.More, d.String())
 	}
 	if err := d.Err(); err != nil {
@@ -271,9 +281,9 @@ type ExecuteRequest struct {
 
 // Encode writes the request.
 func (r ExecuteRequest) Encode(e *orb.Encoder) {
-	n := 4 + len(r.AppID) + vectorLen + 8 + 4
+	n := strLen(r.AppID) + vectorLen + 8 + 4
 	for _, t := range r.Tasks {
-		n += 4 + len(t.ReservationID) + 4 + len(t.TaskID) + 8 + 8
+		n += strLen(t.ReservationID) + strLen(t.TaskID) + 8 + 8
 	}
 	e.Grow(n)
 	e.PutString(r.AppID)
@@ -295,21 +305,21 @@ func DecodeExecuteRequest(d *orb.Decoder) (ExecuteRequest, error) {
 		Alloc: DecodeVector(d),
 	}
 	r.Epoch = d.Int()
-	n := d.U32()
+	n := d.Count(4 + 4 + 8 + 8)
 	if err := d.Err(); err != nil {
 		return ExecuteRequest{}, err
 	}
 	if n < 1 || n > MaxHolds {
 		return ExecuteRequest{}, fmt.Errorf("protocol: execute of %d tasks", n)
 	}
-	r.Tasks = make([]TaskStart, 0, n)
-	for i := uint32(0); i < n; i++ {
-		r.Tasks = append(r.Tasks, TaskStart{
+	r.Tasks = make([]TaskStart, n)
+	for i := range r.Tasks {
+		r.Tasks[i] = TaskStart{
 			ReservationID:   d.String(),
 			TaskID:          d.String(),
 			Work:            d.F64(),
 			InitialProgress: d.F64(),
-		})
+		}
 	}
 	if err := d.Err(); err != nil {
 		return ExecuteRequest{}, err
@@ -358,8 +368,17 @@ type TaskEvent struct {
 	At       time.Time
 }
 
+// taskEventMin is the encoded size of a TaskEvent whose strings are empty.
+const taskEventMin = 1 + 3*4 + 8 + timeLen
+
+// encodedLen is the exact encoded size of the event.
+func (ev *TaskEvent) encodedLen() int {
+	return taskEventMin + len(ev.AppID) + len(ev.TaskID) + len(ev.NodeID)
+}
+
 // Encode writes the event.
 func (ev TaskEvent) Encode(e *orb.Encoder) {
+	e.Grow(ev.encodedLen())
 	e.PutU8(uint8(ev.Kind))
 	e.PutString(ev.AppID)
 	e.PutString(ev.TaskID)
@@ -391,6 +410,11 @@ func (k TaskEventKind) RidesUpdate() bool {
 
 // EncodeUpdate writes one OpUpdate body: NodeStatus ‖ u32 n ‖ n × TaskEvent.
 func EncodeUpdate(e *orb.Encoder, s NodeStatus, events []TaskEvent) {
+	n := s.encodedLen() + 4
+	for i := range events {
+		n += events[i].encodedLen()
+	}
+	e.Grow(n)
 	s.Encode(e)
 	e.PutU32(uint32(len(events)))
 	for _, ev := range events {
@@ -406,15 +430,15 @@ func DecodeUpdate(d *orb.Decoder) (NodeStatus, []TaskEvent, error) {
 	if err != nil {
 		return NodeStatus{}, nil, err
 	}
-	n := d.U32()
+	n := d.Count(taskEventMin)
 	if err := d.Err(); err != nil {
 		return NodeStatus{}, nil, err
 	}
-	if n > orb.MaxSliceLen {
-		return NodeStatus{}, nil, fmt.Errorf("protocol: update with %d events", n)
-	}
 	var events []TaskEvent
-	for i := uint32(0); i < n; i++ {
+	if n > 0 {
+		events = make([]TaskEvent, 0, n)
+	}
+	for i := 0; i < n; i++ {
 		ev, err := DecodeTaskEvent(d)
 		if err != nil {
 			return NodeStatus{}, nil, err
@@ -445,6 +469,7 @@ type DepartureNotice struct {
 
 // Encode writes the notice.
 func (n DepartureNotice) Encode(e *orb.Encoder) {
+	e.Grow(strLen(n.NodeID) + 2*timeLen)
 	e.PutString(n.NodeID)
 	e.PutTime(n.Deadline)
 	e.PutTime(n.At)
@@ -481,6 +506,11 @@ type ReconcileRequest struct {
 
 // Encode writes the request.
 func (r ReconcileRequest) Encode(e *orb.Encoder) {
+	n := strLen(r.NodeID) + 4
+	for _, c := range r.Claims {
+		n += strLen(c.TaskID) + strLen(c.AppID)
+	}
+	e.Grow(n)
 	e.PutString(r.NodeID)
 	e.PutU32(uint32(len(r.Claims)))
 	for _, c := range r.Claims {
@@ -492,21 +522,33 @@ func (r ReconcileRequest) Encode(e *orb.Encoder) {
 // DecodeReconcileRequest reads a ReconcileRequest.
 func DecodeReconcileRequest(d *orb.Decoder) (ReconcileRequest, error) {
 	r := ReconcileRequest{NodeID: d.String()}
-	n := d.U32()
+	n := d.Count(4 + 4)
 	if err := d.Err(); err != nil {
 		return ReconcileRequest{}, err
 	}
-	if n > orb.MaxSliceLen {
-		return ReconcileRequest{}, fmt.Errorf("protocol: reconcile with %d claims", n)
+	if n > 0 {
+		r.Claims = make([]TaskClaim, n)
 	}
-	for i := uint32(0); i < n; i++ {
-		r.Claims = append(r.Claims, TaskClaim{TaskID: d.String(), AppID: d.String()})
+	for i := range r.Claims {
+		r.Claims[i] = TaskClaim{TaskID: d.String(), AppID: d.String()}
 	}
 	return r, d.Err()
 }
 
-// vectorLen is the encoded size of a resource vector.
-const vectorLen = 4 * 8
+// Encoded sizes of the fixed-size fields. Every encoder here grows its
+// buffer once, by the exact size of what it writes (DESIGN.md §13).
+const (
+	vectorLen = 4 * 8
+	timeLen   = 8 + 4
+)
+
+// strLen is the encoded size of a string: its u32 length and its bytes.
+func strLen(s string) int { return 4 + len(s) }
+
+// refLen is the encoded size of an object reference.
+func refLen(ref orb.ObjectRef) int {
+	return strLen(ref.Endpoint.Net) + strLen(ref.Endpoint.Addr) + strLen(ref.Key)
+}
 
 // EncodeVector writes a resource vector.
 func EncodeVector(e *orb.Encoder, v resource.Vector) {
@@ -533,10 +575,25 @@ func EncodeRef(e *orb.Encoder, ref orb.ObjectRef) {
 	e.PutString(ref.Key)
 }
 
-// DecodeRef reads an object reference.
+// DecodeRef reads an object reference. Its network is one of orb's and its
+// key almost always one of this package's, and those come back as the
+// constants rather than as copies: every status a GRM holds keeps a
+// reference.
 func DecodeRef(d *orb.Decoder) orb.ObjectRef {
 	return orb.ObjectRef{
-		Endpoint: orb.Endpoint{Net: d.String(), Addr: d.String()},
-		Key:      d.String(),
+		Endpoint: orb.Endpoint{Net: knownString(d, orb.NetLoopback, orb.NetTCP), Addr: d.String()},
+		Key:      knownString(d, LRMKey, GRMKey),
 	}
+}
+
+// knownString reads a string and returns the one of known it equals, or else
+// a copy.
+func knownString(d *orb.Decoder, known ...string) string {
+	raw := d.RawString()
+	for _, k := range known {
+		if string(raw) == k {
+			return k
+		}
+	}
+	return string(raw)
 }

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"encoding/binary"
 	"reflect"
 	"testing"
@@ -289,9 +290,9 @@ func TestUpdateRoundTrip(t *testing.T) {
 }
 
 // TestUpdateRejectsWhatMustNotRideIt: every truncation of a well-formed
-// body, a count past orb.MaxSliceLen, and an event of a kind that asks the
-// GRM to act are all decode errors — reported before the caller has a status
-// or an event in hand to apply.
+// body, a count of more events than the bytes left can hold, and an event of
+// a kind that asks the GRM to act are all decode errors — reported before the
+// caller has a status or an event in hand to apply.
 func TestUpdateRejectsWhatMustNotRideIt(t *testing.T) {
 	s, events, body := updateBody()
 	for cut := 0; cut < len(body); cut++ {
@@ -301,9 +302,9 @@ func TestUpdateRejectsWhatMustNotRideIt(t *testing.T) {
 	}
 	var overlong orb.Encoder
 	s.Encode(&overlong)
-	overlong.PutU32(orb.MaxSliceLen + 1)
+	overlong.PutU32(1 << 20)
 	if _, _, err := DecodeUpdate(orb.NewDecoder(overlong.Bytes())); err == nil {
-		t.Fatal("an event count past MaxSliceLen decoded")
+		t.Fatal("an event count past the bytes left decoded")
 	}
 	for _, kind := range []TaskEventKind{TaskEventEvicted, TaskEventDrained, 0, 9} {
 		bad := append([]TaskEvent(nil), events...)
@@ -328,7 +329,7 @@ func FuzzDecodeUpdate(f *testing.F) {
 	s.Encode(&statusOnly)
 	f.Add(statusOnly.Bytes()) // no event count
 	s.Encode(&overlong)
-	overlong.PutU32(orb.MaxSliceLen + 1)
+	overlong.PutU32(1 << 20)
 	f.Add(overlong.Bytes())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -391,6 +392,85 @@ func TestApplicationSpecRoundTrip(t *testing.T) {
 	}
 	if got.Constraint != spec.Constraint {
 		t.Fatalf("constraint: %q", got.Constraint)
+	}
+}
+
+// FuzzDecodeApplicationSpec: a Submit body comes from the network. Whatever it
+// is, no panic and nothing alongside an error; what decodes encodes, into a
+// buffer sized exactly, to bytes that decode to the same encoding.
+func FuzzDecodeApplicationSpec(f *testing.F) {
+	linux := resource.Platform{Arch: "amd64", OS: "linux"}
+	topo := &TopologyRequest{Groups: []TopologyGroup{{Nodes: 2, IntraMbps: 100}}, InterMbps: 10}
+	for _, spec := range []ApplicationSpec{
+		{Name: "seq", Kind: AppSequential, NumTasks: 1, WorkPerTask: 1e6},
+		{Name: "bsp", Kind: AppBSP, NumTasks: 2, WorkPerTask: 1e6, Requirements: resource.Requirements{Platform: &linux}, Topology: topo},
+	} {
+		var e orb.Encoder
+		spec.Encode(&e)
+		f.Add(e.Bytes())
+		f.Add(e.Bytes()[:e.Len()-12]) // truncated inside the topology
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeApplicationSpec(orb.NewDecoder(data))
+		if err != nil {
+			if !reflect.DeepEqual(s, ApplicationSpec{}) {
+				t.Fatalf("error %v alongside %+v", err, s)
+			}
+			return
+		}
+		reencodes(t, s.Encode, func(d *orb.Decoder) (func(*orb.Encoder), error) {
+			again, err := DecodeApplicationSpec(d)
+			return again.Encode, err
+		})
+	})
+}
+
+// FuzzDecodeAppStatus: an AppStatus reply comes from the network, like a
+// Submit body, and is held to the same rules.
+func FuzzDecodeAppStatus(f *testing.F) {
+	var e orb.Encoder
+	AppStatus{AppID: "app-1", Name: "sim", Kind: AppParametric, Tasks: []TaskStatus{
+		{TaskID: "t0", NodeID: "n1", State: TaskDone, Progress: 100, Work: 100},
+		{TaskID: "t1", NodeID: "n2", State: TaskRunning, Progress: 50, Work: 100, Restarts: 1},
+	}}.Encode(&e)
+	f.Add(e.Bytes())
+	f.Add(e.Bytes()[:e.Len()-5]) // truncated inside the last task
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := DecodeAppStatus(orb.NewDecoder(data))
+		if err != nil {
+			if !reflect.DeepEqual(a, AppStatus{}) {
+				t.Fatalf("error %v alongside %+v", err, a)
+			}
+			return
+		}
+		reencodes(t, a.Encode, func(d *orb.Decoder) (func(*orb.Encoder), error) {
+			again, err := DecodeAppStatus(d)
+			return again.Encode, err
+		})
+	})
+}
+
+// reencodes checks what a fuzzer accepted: it encodes into a buffer grown once
+// to exactly its size, and the bytes decode to a value that encodes to them
+// again. (Comparing encodings rather than values lets NaN and a boolean byte
+// other than 1 through.)
+func reencodes(t *testing.T, encode func(*orb.Encoder), decode func(*orb.Decoder) (func(*orb.Encoder), error)) {
+	t.Helper()
+	var first orb.Encoder
+	encode(&first)
+	if first.Len() != cap(first.Bytes()) {
+		t.Fatalf("%d bytes encoded into a buffer of %d", first.Len(), cap(first.Bytes()))
+	}
+	encodeAgain, err := decode(orb.NewDecoder(first.Bytes()))
+	if err != nil {
+		t.Fatalf("the encoding of an accepted value does not decode: %v", err)
+	}
+	var second orb.Encoder
+	encodeAgain(&second)
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("encodes as %x, then as %x", first.Bytes(), second.Bytes())
 	}
 }
 

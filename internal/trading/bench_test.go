@@ -114,7 +114,7 @@ func BenchmarkSelectCacheMiss(b *testing.B) {
 
 // BenchmarkExportKeyedUpsert is the Information Update Protocol's inner loop at
 // fleet size: 10^4 offers, ~156 a shard, each ref re-exporting its one offer in
-// turn. `make profile-update` writes its CPU profile.
+// turn: the trader's share of BenchmarkLoopbackUpdate10k in internal/grm.
 func BenchmarkExportKeyedUpsert(b *testing.B) {
 	const fleet = 10000
 	s := benchTrader(fleet)

@@ -23,6 +23,14 @@ const (
 	tagBool   uint8 = 3
 )
 
+// propertyMin is the encoded size of the smallest property: an empty name, a
+// tag and a boolean.
+const propertyMin = 4 + 1 + 1
+
+// offerMin is the encoded size of an offer whose five strings are empty and
+// which has no property: the strings' lengths, the expiry and the count.
+const offerMin = 5*4 + (8 + 4) + 4
+
 // EncodeProperties writes a property record in sorted name order.
 func EncodeProperties(e *orb.Encoder, props *constraint.Record) {
 	e.PutU32(uint32(props.Len()))
@@ -48,15 +56,12 @@ func EncodeProperties(e *orb.Encoder, props *constraint.Record) {
 // DecodeProperties reads a property record written by EncodeProperties. Of a
 // repeated name the last value wins.
 func DecodeProperties(d *orb.Decoder) (*constraint.Record, error) {
-	n := d.U32()
+	n := d.Count(propertyMin)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if n > orb.MaxSliceLen {
-		return nil, fmt.Errorf("trading: property count %d exceeds limit", n)
-	}
 	props := make(constraint.Properties, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		k := d.String()
 		tag := d.U8()
 		switch tag {
@@ -229,12 +234,12 @@ func (c *Client) Select(q Query) ([]Offer, error) {
 		return nil, err
 	}
 	d := orb.NewDecoder(reply)
-	n := d.U32()
+	n := d.Count(offerMin)
 	if err := d.Err(); err != nil {
 		return nil, orb.Errorf(orb.CodeMarshal, "select reply: %v", err)
 	}
 	out := make([]Offer, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		o, err := decodeOffer(d)
 		if err != nil {
 			return nil, orb.Errorf(orb.CodeMarshal, "select reply offer %d: %v", i, err)
