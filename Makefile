@@ -83,31 +83,32 @@ chaos:
 	done
 
 # GRM failover suite under the race detector, swept over the same fixed
-# seeds: standby replication and promotion, LRM re-registration and the
-# reconcile exchange, plus the end-to-end warm/cold recovery scenarios
-# (primary crash mid-superstep, crash during a registration burst, and the
-# double failover primary -> standby -> cold rebuild).
+# seeds: what a replica set's followers mirror from the log (the incumbent's
+# state, availability windows, departures, the admission queue), LRM
+# re-registration and the reconcile exchange, plus the end-to-end recovery
+# scenarios (a leader crash mid-superstep, a leader crash during a
+# registration burst, and two cold rebuilds in a row).
 failover:
 	@for seed in $(CHAOS_SEEDS); do \
 		echo "== failover suite, seed $$seed =="; \
 		CHAOS_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'Failover|Standby|Reconcile|FileStore' \
+			-run 'Failover|Replica|Mirror|Foreign|Reconcile|FileStore' \
 			./internal/core ./internal/grm ./internal/checkpoint || exit 1; \
 	done
 
 # Consensus control-plane suite under the race detector, swept over the same
 # fixed seeds: leader election and log replication in internal/election,
-# epoch fencing and quorum replication in the GRM, and the end-to-end
-# replica-set scenarios in core (leader crash, split-brain partition with
-# fencing, the Promote single-flight race).
+# epoch fencing in the LRM, the term-1 epoch of a GRM and its replica set's
+# bootstrap, quorum replication in the GRM, and the end-to-end replica-set
+# scenarios in core (leader crash, split-brain partition with fencing).
 election:
 	@for seed in $(CHAOS_SEEDS); do \
 		echo "== election suite, seed $$seed =="; \
 		CHAOS_SEED=$$seed $(GO) test -race -count=1 \
 			./internal/election || exit 1; \
 		CHAOS_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'Consensus|Election|Epoch|Fenc|Quorum|Promote' \
-			./internal/core ./internal/grm || exit 1; \
+			-run 'Consensus|Election|Epoch|Fenc|Quorum|Bootstrap|TermOne' \
+			./internal/core ./internal/grm ./internal/lrm || exit 1; \
 	done
 
 # Availability-window suite under the race detector, swept over the same

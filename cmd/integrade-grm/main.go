@@ -10,13 +10,7 @@
 // Resource-provider agents (integrade-lrm) then point at this address, and
 // integrade-asct submits applications to it.
 //
-// A failover pair runs one primary replicating to one warm standby; the
-// standby promotes itself when the stream goes silent:
-//
-//	integrade-grm -listen :7000 -cluster ime -replicate-to host2:7000
-//	integrade-grm -listen :7000 -cluster ime -standby        # on host2
-//
-// A consensus replica set replaces the silence monitor with an elected
+// To survive the loss of a manager, run a consensus replica set: an elected
 // leader, quorum-acknowledged replication and fencing epochs. Every member
 // runs the same -peers list; exactly one passes -bootstrap on first start:
 //
@@ -63,8 +57,6 @@ func run() error {
 		offerTTL  = flag.Duration("offer-ttl", grm.DefaultOfferTTL, "node offer expiry")
 		schedule  = flag.Duration("schedule-period", grm.DefaultSchedulePeriod, "pending-task scheduling period")
 		parentRef = flag.String("parent", "", "parent hierarchy node reference (tcp://host:port/hierarchy)")
-		standby   = flag.Bool("standby", false, "start as a warm standby: mirror a primary's replication stream and promote when it goes silent")
-		replTo    = flag.String("replicate-to", "", "standby GRM TCP address to stream state to (primary side of a failover pair)")
 		memberID  = flag.String("id", "", "this replica's member name within -peers")
 		peersFlag = flag.String("peers", "", "consensus replica set as name=host:port pairs, comma-separated, including this member")
 		bootstrap = flag.Bool("bootstrap", false, "assume term-1 leadership on first start (exactly one member of a fresh replica set)")
@@ -134,11 +126,7 @@ func run() error {
 		}
 	}
 
-	switch {
-	case *peersFlag != "":
-		if *standby || *replTo != "" {
-			return fmt.Errorf("-peers is mutually exclusive with -standby/-replicate-to")
-		}
+	if *peersFlag != "" {
 		en, err := buildElection(g, adapter, o, clock, log,
 			*cluster, *memberID, *peersFlag, *stateDir, *bootstrap)
 		if err != nil {
@@ -148,23 +136,9 @@ func run() error {
 		defer g.Stop()
 		en.Start()
 		fmt.Printf("  consensus member %q (bootstrap=%v)\n", *memberID, *bootstrap)
-	case *standby:
-		// Passive until the primary's replication stream goes silent past
-		// the detection threshold; Promote() then starts the scheduler.
-		g.BecomeStandby(grm.StandbyConfig{OnPromote: func() {
-			fmt.Println("primary silent — promoted to active cluster manager")
-		}})
-		defer g.Stop()
-	default:
+	} else {
 		g.Start()
 		defer g.Stop()
-		if *replTo != "" {
-			g.AttachStandby(orb.ObjectRef{
-				Endpoint: orb.Endpoint{Net: orb.NetTCP, Addr: *replTo},
-				Key:      protocol.GRMKey,
-			})
-			fmt.Printf("  replicating to standby at %s\n", *replTo)
-		}
 	}
 
 	fmt.Printf("cluster manager %q up (role %s)\n", *cluster, g.Role())
@@ -195,7 +169,8 @@ func run() error {
 // buildElection wires the GRM into a consensus replica set: the member list
 // becomes the election peer map, hard state persists under the state dir
 // (so a restarted member cannot double-vote in a term it already voted in),
-// and leadership transitions drive the GRM's role and fencing epoch.
+// and leadership transitions drive the GRM's role and fencing epoch. The GRM
+// is a follower until the election makes it leader.
 func buildElection(g *grm.GRM, adapter *orb.Adapter, o *orb.ORB, clock sim.Clock,
 	log *slog.Logger, cluster, id, peersFlag, stateDir string, bootstrap bool) (*election.Node, error) {
 	if id == "" {
@@ -229,9 +204,6 @@ func buildElection(g *grm.GRM, adapter *orb.Adapter, o *orb.ORB, clock sim.Clock
 		Logger:     log,
 	})
 	g.UseElection(en)
-	if !bootstrap {
-		g.FollowAt(0)
-	}
 	if err := adapter.Register(election.ObjectKey, en.Servant()); err != nil {
 		return nil, err
 	}

@@ -128,8 +128,8 @@ func run() error {
 		Key:      gupa.ObjectKey,
 	}
 	// After repeated update failures the agent re-registers, rotating
-	// through the candidate managers (the promoted standby of a failover
-	// pair, or the restarted primary itself).
+	// through the candidate managers (the members of a replica set, or the
+	// restarted manager itself).
 	var rotation atomic.Int64
 	resolver := func() (orb.ObjectRef, error) {
 		addr := addrs[int(rotation.Add(1))%len(addrs)]

@@ -158,8 +158,8 @@ func TestAblationMaxAttemptsShape(t *testing.T) {
 
 func TestExp13Shape(t *testing.T) {
 	tb := Exp13Failover(1)
-	if len(tb.Rows) != 12 {
-		t.Fatalf("rows = %d, want 12 (kill block of 8 + partition block of 4)", len(tb.Rows))
+	if len(tb.Rows) != 8 {
+		t.Fatalf("rows = %d, want 8 (kill block of 5 + partition block of 3)", len(tb.Rows))
 	}
 	col := func(name string) int {
 		for i, c := range tb.Columns {
@@ -172,70 +172,52 @@ func TestExp13Shape(t *testing.T) {
 	}
 	pct, lost, ms, rec := col("completion_pct"), col("inflight_lost"), col("makespan_min"), col("recover_s")
 	fault, dual := col("fault"), col("dual_writes")
+	mode := func(i int, want, wantFault string) []string {
+		r := tb.Rows[i]
+		if r[0] != want || r[fault] != wantFault {
+			t.Fatalf("row %d = %v, want %s/%s", i, r, want, wantFault)
+		}
+		return r
+	}
 
 	// No failover: the pending wave is stranded, the cluster never recovers.
-	if tb.Rows[0][0] != "none" || tb.Rows[0][rec] != "-" || tb.Rows[0][pct] == "100" {
-		t.Fatalf("no-failover row = %v", tb.Rows[0])
+	if r := mode(0, "none", "kill"); r[rec] != "-" || r[pct] == "100" {
+		t.Fatalf("no-failover row = %v", r)
 	}
-	for i := 1; i <= 6; i += 2 {
-		cold, warm := tb.Rows[i], tb.Rows[i+1]
-		if cold[0] != "cold" || warm[0] != "warm" || cold[fault] != "kill" || warm[fault] != "kill" {
-			t.Fatalf("unexpected mode order: %v / %v", cold, warm)
-		}
-		// Both modes recover the full bag...
-		if cold[pct] != "100" || warm[pct] != "100" {
-			t.Fatalf("failover modes incomplete: %v / %v", cold, warm)
-		}
-		if cold[rec] == "-" || warm[rec] == "-" {
-			t.Fatalf("recovery time missing: %v / %v", cold, warm)
-		}
-		// ...but only the warm standby preserves in-flight work: the cold
-		// rebuild reaps and repeats it, which must cost makespan.
-		coldLost, _ := strconv.Atoi(cold[lost])
-		warmLost, _ := strconv.Atoi(warm[lost])
-		if warmLost != 0 {
-			t.Fatalf("warm standby lost in-flight tasks: %v", warm)
-		}
-		if coldLost == 0 {
-			t.Fatalf("cold rebuild reaped nothing: %v", cold)
-		}
-		coldMs, _ := strconv.ParseFloat(cold[ms], 64)
-		warmMs, _ := strconv.ParseFloat(warm[ms], 64)
-		if warmMs >= coldMs {
-			t.Fatalf("warm makespan %v not better than cold %v (detect %s)", warmMs, coldMs, cold[1])
-		}
-	}
-	// A clean kill leaves no one to double-write: every failover mode's kill
-	// row must report zero post-fault placements by the dead manager.
-	for _, r := range tb.Rows[1:8] {
-		if r[fault] == "kill" && r[dual] != "0" {
-			t.Fatalf("dual writes after a clean kill: %v", r)
-		}
-	}
-
 	// The consensus replica set: election replaces the detection threshold and
 	// must be strictly safe under both faults — nothing lost, nothing
 	// double-written, full completion.
-	for _, i := range []int{7, 11} {
-		q := tb.Rows[i]
-		if q[0] != "quorum" {
-			t.Fatalf("row %d mode = %q, want quorum", i, q[0])
-		}
+	quorum := mode(4, "quorum", "kill")
+	for _, q := range [][]string{quorum, mode(7, "quorum", "partition")} {
 		if q[rec] == "-" || q[pct] != "100" || q[lost] != "0" || q[dual] != "0" {
 			t.Fatalf("quorum row not loss-free: %v", q)
 		}
 	}
-
-	// The partition block separates fencing from hope: the warm pair has no
-	// fencing, so its deposed-but-alive primary keeps placing tasks the fleet
-	// accepts; the quorum set (checked above) drives the same count to zero.
-	warmPart := tb.Rows[10]
-	if warmPart[0] != "warm" || warmPart[fault] != "partition" {
-		t.Fatalf("row 10 = %v, want warm/partition", warmPart)
+	// A cold rebuild recovers the full bag at every detection threshold, but
+	// it reaps and repeats the in-flight wave, which must cost makespan
+	// against the quorum set that preserves it. A clean kill leaves no one to
+	// double-write.
+	quorumMs, _ := strconv.ParseFloat(quorum[ms], 64)
+	for i := 1; i <= 3; i++ {
+		cold := mode(i, "cold", "kill")
+		if cold[pct] != "100" || cold[rec] == "-" {
+			t.Fatalf("cold rebuild incomplete: %v", cold)
+		}
+		if coldLost, _ := strconv.Atoi(cold[lost]); coldLost == 0 {
+			t.Fatalf("cold rebuild reaped nothing: %v", cold)
+		}
+		if coldMs, _ := strconv.ParseFloat(cold[ms], 64); quorumMs >= coldMs {
+			t.Fatalf("quorum makespan %v not better than cold %v (detect %s)", quorumMs, coldMs, cold[2])
+		}
+		if cold[dual] != "0" {
+			t.Fatalf("dual writes after a clean kill: %v", cold)
+		}
 	}
-	if wd, _ := strconv.Atoi(warmPart[dual]); wd == 0 {
-		t.Fatalf("warm/partition recorded no split-brain writes: %v", warmPart)
+	if quorum[dual] != "0" {
+		t.Fatalf("dual writes after a clean kill: %v", quorum)
 	}
+	mode(5, "none", "partition")
+	mode(6, "cold", "partition")
 }
 
 // TestExperimentOutputByteStable renders selected sim-driven experiments

@@ -13,7 +13,7 @@ import (
 // E13 fleet and workload: a dedicated fleet running a three-wave bag of
 // tasks, with the cluster manager crashed mid-second-wave. At the crash one
 // wave is complete, one is in flight on the nodes, and one is still pending
-// — so the three recovery modes separate cleanly: pending work needs a live
+// — so the recovery modes separate cleanly: pending work needs a live
 // manager, in-flight work needs the nodes, and completed work must never be
 // repeated.
 const (
@@ -29,7 +29,7 @@ const (
 var e13Alloc = resource.Vector{MIPS: e13MIPS, RAMMB: 64}
 
 // Exp13Failover measures cluster self-healing after the GRM — the paper's
-// acknowledged single point of failure per cluster — fails. Four recovery
+// acknowledged single point of failure per cluster — fails. Three recovery
 // modes run the identical workload against two fault shapes:
 //
 //   - none: the cluster stays headless. In-flight tasks still finish (they
@@ -38,20 +38,17 @@ var e13Alloc = resource.Vector{MIPS: e13MIPS, RAMMB: 64}
 //     threshold. LRMs re-register through Naming, the reconcile exchange
 //     cancels the dead manager's in-flight tasks (their progress is lost),
 //     and the unfinished remainder is resubmitted.
-//   - warm: a standby manager tails the primary's replication stream and
-//     promotes itself after the threshold. Replicated state covers every
-//     task, so nothing is reaped and nothing is repeated.
 //   - quorum: a three-member consensus replica set. The election timeout is
 //     the detector, replication is quorum-acknowledged, and every manager
-//     write carries a fencing epoch the LRMs enforce.
+//     write carries a fencing epoch the LRMs enforce. Replicated state covers
+//     every task, so nothing is reaped and nothing is repeated.
 //
 // The kill fault is a clean crash: the manager process dies. The partition
 // fault is the nastier one — the manager stays alive but loses its control
-// links (replication stream, election peers, or inbound traffic), so a
-// second primary can arise while the first is still issuing writes.
-// dual_writes counts task placements the deposed manager got the fleet to
-// accept after the fault: the warm standby has no fencing, so its partition
-// row shows the split-brain writes the quorum mode must drive to zero.
+// links (election peers, or inbound traffic), so a second primary can arise
+// while the first is still issuing writes. dual_writes counts task
+// placements the deposed manager got the fleet to accept after the fault,
+// which the quorum mode's fencing must drive to zero.
 //
 // time-to-recover is the span from the fault until the cluster again has an
 // active manager that knows the whole fleet. Completed work is counted on
@@ -66,18 +63,16 @@ func Exp13Failover(seed int64) Table {
 	runFailoverMode(&t, seed, "none", "kill", 0)
 	for _, detect := range []time.Duration{30 * time.Second, 60 * time.Second, 120 * time.Second} {
 		runFailoverMode(&t, seed, "cold", "kill", detect)
-		runFailoverMode(&t, seed, "warm", "kill", detect)
 	}
 	runFailoverMode(&t, seed, "quorum", "kill", 0)
 	runFailoverMode(&t, seed, "none", "partition", 0)
 	runFailoverMode(&t, seed, "cold", "partition", 60*time.Second)
-	runFailoverMode(&t, seed, "warm", "partition", 60*time.Second)
 	runFailoverMode(&t, seed, "quorum", "partition", 0)
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d dedicated %.0f-MIPS machines, %d tasks of 30min each; manager fails at %v with one wave done, one in flight, one pending",
 			e13Nodes, e13MIPS, e13Tasks, e13CrashAt),
 		"tasks_done counts node-side completions, which survive the manager; inflight_lost counts running tasks reaped by the reconcile exchange",
-		"dual_writes counts placements the failed manager made after the fault; under partition the warm pair accepts them (no fencing) while the quorum set rejects every one",
+		"dual_writes counts placements the failed manager made after the fault; under partition the quorum set's fencing rejects every one",
 		"quorum detect_s is '-': the election timeout replaces the configured threshold",
 		"'-' means the cluster never recovered (no-failover, or a split-brain survivor the fleet cannot reach) or the bag missed the horizon",
 	)
@@ -109,12 +104,7 @@ func runFailoverMode(t *Table, seed int64, mode, fault string, detect time.Durat
 		return
 	}
 	engine := g.EnableChaos(seed)
-	switch mode {
-	case "warm":
-		if err := c.EnableStandby(); err != nil {
-			return
-		}
-	case "quorum":
+	if mode == "quorum" {
 		if err := c.EnableReplicaSet(2); err != nil {
 			return
 		}
@@ -147,10 +137,6 @@ func runFailoverMode(t *Table, seed int64, mode, fault string, detect time.Durat
 					engine.IsolateDirected(ep, lead)
 				}
 			}
-		case "warm":
-			// Sever only the replication stream: the standby times the silent
-			// primary out and promotes while the primary is alive and writing.
-			engine.IsolateDirected(c.ManagerEndpoint(), c.StandbyEndpoint())
 		default:
 			// Isolate the manager's inbound side: updates and submissions
 			// fail, but the manager itself keeps running and sending.
@@ -158,8 +144,8 @@ func runFailoverMode(t *Table, seed int64, mode, fault string, detect time.Durat
 		}
 	}
 	if mode == "cold" {
-		// Watchdog: the same detection threshold a standby would use, then a
-		// rebuild from nothing (which also stops the partitioned incarnation).
+		// Watchdog: wait out the detection threshold, then rebuild from
+		// nothing (which also stops the partitioned incarnation).
 		if err := g.Advance(detect); err != nil {
 			return
 		}

@@ -67,7 +67,7 @@ type Grid struct {
 	clusters map[string]*Cluster
 	order    []string
 	// links records the hierarchy topology (child cluster ID -> parent
-	// cluster ID) so a promoted or rebuilt manager can be re-parented.
+	// cluster ID) so an elected or rebuilt manager can be re-parented.
 	links   map[string]string
 	stopped bool
 	chaos   *chaos.Engine
@@ -297,18 +297,15 @@ type Cluster struct {
 	grid *Grid
 
 	updatePeriod time.Duration
-	grmOpts      []grm.Option // retained for standby / cold-rebuild incarnations
+	grmOpts      []grm.Option // retained for replica and cold-rebuild incarnations
 	lrmOpts      []lrm.Option // applied to every LRM the cluster builds
 
 	// mgmtMu guards the swappable manager identity: the active manager
-	// incarnation, the warm standby (nil when none), the consensus replica
-	// set (empty when none) and the incarnation counter. Held only for field
-	// swaps, never across RPCs.
+	// incarnation, the consensus replica set (empty when none) and the
+	// incarnation counter. Held only for field swaps, never across RPCs.
 	mgmtMu   sync.Mutex
 	mgr      *manager
-	standby  *manager
 	replicas []*manager
-	deposed  []*manager // live-but-demoted primaries awaiting teardown
 	gen      int
 
 	// mu guards nodes, lrms and seq. stop() halts the LRMs and FailNode
@@ -423,7 +420,7 @@ func (c *Cluster) manager() *manager {
 }
 
 // GRM exposes the cluster's active resource manager (stats, direct
-// submission). After a failover this is the promoted or rebuilt incarnation.
+// submission). After a failover this is the elected or rebuilt incarnation.
 func (c *Cluster) GRM() *grm.GRM { return c.manager().grm }
 
 // GUPA exposes the cluster's usage-pattern aggregator.
@@ -440,10 +437,6 @@ func (c *Cluster) Tool() *asct.Tool {
 func (c *Cluster) stop() {
 	c.mgmtMu.Lock()
 	members := append([]*manager{c.mgr}, c.replicas...)
-	members = append(members, c.deposed...)
-	if c.standby != nil {
-		members = append(members, c.standby)
-	}
 	c.mgmtMu.Unlock()
 	seen := make(map[*manager]bool, len(members))
 	for _, m := range members {

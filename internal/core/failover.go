@@ -53,10 +53,10 @@ func (c *Cluster) buildManager(gen int) (*manager, error) {
 		rngName = fmt.Sprintf("grm-%s-g%d", c.id, gen)
 	}
 	m := &manager{ep: ep}
-	// The manager's outbound traffic — placements, cancels, replication — is
-	// source-stamped so chaos one-way partitions can sever, say, just the
-	// replication link while the data plane stays up (the split-brain cases
-	// in bench E13 and the consensus suite).
+	// The manager's outbound traffic — placements, cancels, election and log
+	// traffic — is source-stamped so chaos one-way partitions can sever, say,
+	// just a leader's consensus links while the data plane stays up (the
+	// split-brain cases in bench E13 and the consensus suite).
 	m.grm = grm.New(c.id, g.clock, &sourceInvoker{g: g, source: ep}, append([]grm.Option{
 		grm.WithRNG(g.rng.Fork(rngName)),
 		grm.WithLogger(g.log),
@@ -87,46 +87,6 @@ func (c *Cluster) buildManager(gen int) (*manager, error) {
 	return m, nil
 }
 
-// EnableStandby attaches a warm-standby manager to the cluster: a passive
-// GRM incarnation that tails the primary's replication stream and promotes
-// itself when the stream goes silent past the detection threshold. Calling
-// it again replaces any previous standby with a fresh one (re-armed after a
-// failover, for instance).
-func (c *Cluster) EnableStandby() error {
-	c.mgmtMu.Lock()
-	c.gen++
-	gen := c.gen
-	primary := c.mgr
-	c.mgmtMu.Unlock()
-
-	sb, err := c.buildManager(gen)
-	if err != nil {
-		return err
-	}
-	sb.grm.BecomeStandby(grm.StandbyConfig{OnPromote: func() { c.promoteStandby() }})
-
-	c.mgmtMu.Lock()
-	old := c.standby
-	c.standby = sb
-	c.mgmtMu.Unlock()
-	if old != nil {
-		old.grm.Stop()
-		c.grid.orb.Loopback().Unbind(old.ep)
-	}
-	primary.grm.AttachStandby(sb.grmRef)
-	return nil
-}
-
-// Standby returns the cluster's warm-standby GRM, or nil when none is armed.
-func (c *Cluster) Standby() *grm.GRM {
-	c.mgmtMu.Lock()
-	defer c.mgmtMu.Unlock()
-	if c.standby == nil {
-		return nil
-	}
-	return c.standby.grm
-}
-
 // ManagerEndpoint returns the active manager's loopback endpoint name — the
 // address chaos partitions and directional rules operate on.
 func (c *Cluster) ManagerEndpoint() string {
@@ -135,21 +95,18 @@ func (c *Cluster) ManagerEndpoint() string {
 	return c.mgr.ep
 }
 
-// StandbyEndpoint returns the warm standby's endpoint name, or "" when no
-// standby is armed.
-func (c *Cluster) StandbyEndpoint() string {
-	c.mgmtMu.Lock()
-	defer c.mgmtMu.Unlock()
-	if c.standby == nil {
-		return ""
+// CrashGRM kills a cluster's active manager with no warning: its timers
+// stop, its endpoint disappears, and every call to it — LRM updates, status
+// queries, election traffic — fails with a transport error. Recovery is up
+// to the election (when a replica set is armed) or to RestartGRM, and to the
+// LRMs' re-registration loops. The chaos hook for experiment E13 and the
+// failover tests.
+func (g *Grid) CrashGRM(clusterID string) error {
+	c, ok := g.Cluster(clusterID)
+	if !ok {
+		return fmt.Errorf("core: unknown cluster %q", clusterID)
 	}
-	return c.standby.ep
-}
-
-// crashManager kills one manager incarnation: its election node (if any) and
-// timers stop, its endpoint disappears, and every call to it fails with a
-// transport error.
-func (g *Grid) crashManager(c *Cluster, mgr *manager) {
+	mgr := c.manager()
 	if mgr.elect != nil {
 		mgr.elect.Stop()
 	}
@@ -159,94 +116,31 @@ func (g *Grid) crashManager(c *Cluster, mgr *manager) {
 		e.Isolate(mgr.ep)
 	}
 	g.log.Info("GRM crashed", "cluster", c.id, "endpoint", mgr.ep)
-}
-
-// CrashGRM kills a cluster's active manager with no warning: its timers
-// stop, its endpoint disappears, and every call to it — LRM updates, status
-// queries, replication acks — fails with a transport error. Detection and
-// recovery are entirely up to the standby monitor, the election (when a
-// replica set is armed) and the LRMs' re-registration loops. The chaos hook
-// for experiment E13 and the failover tests.
-func (g *Grid) CrashGRM(clusterID string) error {
-	c, ok := g.Cluster(clusterID)
-	if !ok {
-		return fmt.Errorf("core: unknown cluster %q", clusterID)
-	}
-	c.mgmtMu.Lock()
-	mgr := c.mgr
-	c.mgmtMu.Unlock()
-	g.crashManager(c, mgr)
 	return nil
-}
-
-// PromoteGRM forces an immediate failover: the active manager is crashed and
-// the standby promotes without waiting for its heartbeat monitor to time the
-// primary out. It is an error when no standby is armed.
-//
-// The standby and the primary are snapshotted under one lock section: reading
-// them in separate critical sections (as CrashGRM would) races the silence
-// monitor's concurrent promotion, which swaps mgr/standby between the reads —
-// the crash would then hit the freshly promoted manager instead of the dead
-// primary, firing the promotion path twice.
-func (g *Grid) PromoteGRM(clusterID string) error {
-	c, ok := g.Cluster(clusterID)
-	if !ok {
-		return fmt.Errorf("core: unknown cluster %q", clusterID)
-	}
-	c.mgmtMu.Lock()
-	sb, mgr := c.standby, c.mgr
-	c.mgmtMu.Unlock()
-	if sb == nil {
-		return fmt.Errorf("core: cluster %q has no standby", clusterID)
-	}
-	g.crashManager(c, mgr)
-	sb.grm.Promote() // fires OnPromote -> promoteStandby; single-flight
-	return nil
-}
-
-// promoteStandby is the OnPromote callback: the standby has already switched
-// role and started scheduling; here the grid swaps it in as the cluster's
-// active manager and re-points Naming and the hierarchy at it.
-//
-// The deposed primary is NOT stopped here. The promotion fired because the
-// replication stream went silent — usually a dead primary, but possibly a
-// partition, and across a partition no one can reach the old incarnation to
-// fence it. Stopping it through a direct in-process handle would grant the
-// simulation a power a real deployment lacks and hide the silence-monitor's
-// split-brain window (bench E13's warm/partition row measures exactly the
-// writes a deposed-but-alive primary still gets accepted; the consensus
-// replica set closes that window with fencing epochs). The deposed manager
-// is tracked so Cluster teardown still reaps its timers.
-func (c *Cluster) promoteStandby() {
-	c.mgmtMu.Lock()
-	sb := c.standby
-	if sb == nil {
-		c.mgmtMu.Unlock()
-		return
-	}
-	old := c.mgr
-	c.mgr = sb
-	c.standby = nil
-	c.deposed = append(c.deposed, old)
-	c.mgmtMu.Unlock()
-
-	c.grid.rebindManager(c, sb)
-	c.grid.log.Info("standby GRM promoted", "cluster", c.id, "endpoint", sb.ep)
 }
 
 // RestartGRM rebuilds a cluster's manager from cold: a fresh, empty GRM on a
 // new endpoint. No state carries over — the cluster re-heals entirely from
 // LRM re-registration (which re-exports the trader offers) and from the
 // reconcile exchange that reaps the dead manager's orphaned placements.
-// Any stale standby of the dead manager is discarded, and in-flight BSP runs
-// that held placements under the old manager are aborted with ErrManagerLost
-// so they re-acquire under the new one.
+// In-flight BSP runs that held placements under the old manager are aborted
+// with ErrManagerLost so they re-acquire under the new one.
+//
+// The rebuilt manager leads term 1, like every GRM outside a replica set, so
+// it is the recovery for a cluster without one: the LRMs of a replica set
+// have fenced at the elected term, which a cold manager cannot know. A
+// replica set recovers through its election instead, and RestartGRM refuses
+// it.
 func (g *Grid) RestartGRM(clusterID string) error {
 	c, ok := g.Cluster(clusterID)
 	if !ok {
 		return fmt.Errorf("core: unknown cluster %q", clusterID)
 	}
 	c.mgmtMu.Lock()
+	if len(c.replicas) > 0 {
+		c.mgmtMu.Unlock()
+		return fmt.Errorf("core: cluster %q runs a replica set; its election replaces a lost leader", clusterID)
+	}
 	c.gen++
 	gen := c.gen
 	c.mgmtMu.Unlock()
@@ -260,16 +154,10 @@ func (g *Grid) RestartGRM(clusterID string) error {
 	c.mgmtMu.Lock()
 	old := c.mgr
 	c.mgr = m
-	sb := c.standby
-	c.standby = nil
 	c.mgmtMu.Unlock()
 
 	old.grm.Stop()
 	g.orb.Loopback().Unbind(old.ep)
-	if sb != nil {
-		sb.grm.Stop()
-		g.orb.Loopback().Unbind(sb.ep)
-	}
 	g.rebindManager(c, m)
 	g.abortClusterRuns(clusterID)
 	g.log.Info("GRM rebuilt from cold", "cluster", clusterID, "endpoint", m.ep)

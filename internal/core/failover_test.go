@@ -93,16 +93,15 @@ func (pb *parkedBSP) outputs() []int64 {
 	return append([]int64(nil), pb.results...)
 }
 
-// TestWarmStandbyFailoverMidSuperstep is the headline failover test: a BSP
+// TestReplicaSetFailoverMidSuperstep is the headline failover test: a BSP
 // gang is parked mid-superstep (checkpoint at superstep 2 already taken)
-// when the cluster's primary GRM is crashed. The warm standby must notice
-// the silent replication stream, promote itself, and inherit the replicated
-// application state; the LRMs must re-resolve the manager through Naming and
-// re-register with no orphaned tasks. A subsequent node crash then proves
-// the promoted GRM's failure detector and eviction path work end to end: the
-// gang resumes from the checkpoint and produces output byte-identical to a
-// fault-free run.
-func TestWarmStandbyFailoverMidSuperstep(t *testing.T) {
+// when the replica set's leader is crashed. The surviving quorum must elect a
+// successor that holds the replicated application state; the LRMs must
+// re-resolve the manager through Naming and re-register with no orphaned
+// tasks. A subsequent node crash then proves the successor's failure detector
+// and eviction path work end to end: the gang resumes from the checkpoint and
+// produces output byte-identical to a fault-free run.
+func TestReplicaSetFailoverMidSuperstep(t *testing.T) {
 	const (
 		procs      = 3
 		supersteps = 8
@@ -113,10 +112,12 @@ func TestWarmStandbyFailoverMidSuperstep(t *testing.T) {
 
 	g := NewGrid(WithSeed(seed))
 	defer g.Stop()
+	// The suspect threshold outlasts the election window, so the successor's
+	// detector waits for the LRMs to re-register with it.
 	c, err := g.AddCluster("c1",
 		WithSchedulePeriod(15*time.Second),
 		WithUpdatePeriod(15*time.Second),
-		WithGRMOptions(grm.WithSuspectAfter(45*time.Second)))
+		WithGRMOptions(grm.WithSuspectAfter(2*time.Minute)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,26 +125,18 @@ func TestWarmStandbyFailoverMidSuperstep(t *testing.T) {
 		t.Fatal(err)
 	}
 	engine := g.EnableChaos(seed)
-
-	if err := c.EnableStandby(); err != nil {
+	if err := c.EnableReplicaSet(2); err != nil {
 		t.Fatal(err)
 	}
-	sb := c.Standby()
-	if sb == nil {
-		t.Fatal("no standby after EnableStandby")
-	}
-	if sb.Role() != grm.RoleStandby || c.GRM().Role() != grm.RolePrimary {
-		t.Fatalf("roles = %v / %v", c.GRM().Role(), sb.Role())
-	}
-	// Let the replication stream establish a cadence.
+	leader := c.GRM()
+	// Let the log establish a cadence.
 	if err := g.Advance(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.GRM().ReplicationStats().BatchesSent; got < 2 {
-		t.Fatalf("replication batches sent = %d, want >= 2", got)
-	}
-	if got := sb.Stats().ReplicaBatches; got < 2 {
-		t.Fatalf("replica batches applied = %d, want >= 2", got)
+	for i, r := range c.Replicas() {
+		if got := r.Stats().QuorumBatches; got < 2 {
+			t.Fatalf("member %d committed %d batches, want >= 2", i, got)
+		}
 	}
 
 	pb := newParkedBSP(procs)
@@ -151,7 +144,7 @@ func TestWarmStandbyFailoverMidSuperstep(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- g.RunBSP(BSPJob{
-			Name:            "failover-warm",
+			Name:            "failover-quorum",
 			Procs:           procs,
 			Alloc:           resource.Vector{MIPS: 800, RAMMB: 128},
 			CheckpointEvery: ckptEvery,
@@ -163,7 +156,7 @@ func TestWarmStandbyFailoverMidSuperstep(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("gang never reached superstep 3")
 	}
-	// Replicate the in-flight application, then pull the primary's plug.
+	// Replicate the in-flight application, then pull the leader's plug.
 	if err := g.Advance(time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -174,21 +167,21 @@ func TestWarmStandbyFailoverMidSuperstep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	promoted := c.GRM()
-	if promoted != sb {
-		t.Fatal("active manager is not the promoted standby")
+	succ := c.GRM()
+	if succ == leader {
+		t.Fatal("active manager did not change after the leader crash")
 	}
-	if promoted.Role() != grm.RolePrimary {
-		t.Fatalf("promoted role = %v", promoted.Role())
+	if succ.Role() != grm.RolePrimary {
+		t.Fatalf("successor role = %v", succ.Role())
 	}
-	stats := promoted.Stats()
+	stats := succ.Stats()
 	if stats.Promotions != 1 {
 		t.Fatalf("Promotions = %d, want 1", stats.Promotions)
 	}
 	if stats.NodesDeclaredDead != 0 {
 		t.Fatalf("spurious deaths after failover: %d", stats.NodesDeclaredDead)
 	}
-	if got := promoted.KnownNodes(); got != 4 {
+	if got := succ.KnownNodes(); got != 4 {
 		t.Fatalf("KnownNodes after failover = %d, want 4", got)
 	}
 	orphans := 0
@@ -199,20 +192,20 @@ func TestWarmStandbyFailoverMidSuperstep(t *testing.T) {
 		}
 		orphans += ls.OrphansCancelled
 	}
-	// Warm failover: the replicated state covers every running task, so the
-	// reconcile exchange must reap nothing.
+	// The replicated state covers every running task, so the reconcile
+	// exchange must reap nothing.
 	if orphans != 0 {
-		t.Fatalf("orphans cancelled after warm failover = %d, want 0", orphans)
+		t.Fatalf("orphans cancelled after the failover = %d, want 0", orphans)
 	}
-	appIDs := promoted.AppIDs()
+	appIDs := succ.AppIDs()
 	if len(appIDs) != 1 {
 		t.Fatalf("replicated apps = %v", appIDs)
 	}
 
-	// Now crash a gang member's machine: the promoted GRM must detect it,
-	// roll the gang back together, and the run must resume from the
-	// checkpoint — the promoted manager is a fully functional primary.
-	st, err := promoted.AppStatus(appIDs[0])
+	// Now crash a gang member's machine: the successor must detect it, roll
+	// the gang back together, and the run must resume from the checkpoint —
+	// the successor is a fully functional primary.
+	st, err := succ.AppStatus(appIDs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +217,7 @@ func TestWarmStandbyFailoverMidSuperstep(t *testing.T) {
 	if err := g.Advance(5 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if got := promoted.Stats().NodesDeclaredDead; got != 1 {
+	if got := succ.Stats().NodesDeclaredDead; got != 1 {
 		t.Fatalf("NodesDeclaredDead = %d, want 1", got)
 	}
 	pb.Release()
@@ -253,12 +246,12 @@ func TestWarmStandbyFailoverMidSuperstep(t *testing.T) {
 	}
 }
 
-// TestFailoverDuringRegistrationBurst crashes the primary in the middle of a
+// TestFailoverDuringRegistrationBurst crashes the leader in the middle of a
 // registration burst: four nodes are established (and replicated), four more
 // join just as the manager dies, so their very first updates land on a dead
-// endpoint. The standby must promote and the entire fleet — veterans and
-// newcomers alike — must converge on it through Naming, after which the
-// cluster schedules a full bag of tasks normally.
+// endpoint. The replica set must elect a successor and the entire fleet —
+// veterans and newcomers alike — must converge on it through Naming, after
+// which the cluster schedules a full bag of tasks normally.
 func TestFailoverDuringRegistrationBurst(t *testing.T) {
 	seed := failoverSeed(t)
 	g := NewGrid(WithSeed(seed))
@@ -266,7 +259,7 @@ func TestFailoverDuringRegistrationBurst(t *testing.T) {
 	c, err := g.AddCluster("c1",
 		WithSchedulePeriod(15*time.Second),
 		WithUpdatePeriod(15*time.Second),
-		WithGRMOptions(grm.WithSuspectAfter(45*time.Second)))
+		WithGRMOptions(grm.WithSuspectAfter(2*time.Minute)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,14 +267,14 @@ func TestFailoverDuringRegistrationBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.EnableChaos(seed)
-	if err := c.EnableStandby(); err != nil {
+	if err := c.EnableReplicaSet(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Advance(time.Minute); err != nil {
 		t.Fatal(err)
 	}
 
-	// Kill the primary, then add the burst: their initial registrations all
+	// Kill the leader, then add the burst: their initial registrations all
 	// fail against the dead endpoint.
 	if err := g.CrashGRM("c1"); err != nil {
 		t.Fatal(err)
@@ -293,19 +286,19 @@ func TestFailoverDuringRegistrationBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	promoted := c.GRM()
-	if promoted.Role() != grm.RolePrimary {
-		t.Fatalf("role = %v", promoted.Role())
+	succ := c.GRM()
+	if succ.Role() != grm.RolePrimary {
+		t.Fatalf("role = %v", succ.Role())
 	}
-	if got := promoted.Stats().Promotions; got != 1 {
+	if got := succ.Stats().Promotions; got != 1 {
 		t.Fatalf("Promotions = %d, want 1", got)
 	}
-	if got := promoted.KnownNodes(); got != 8 {
+	if got := succ.KnownNodes(); got != 8 {
 		t.Fatalf("KnownNodes = %d, want 8", got)
 	}
 	for _, l := range c.LRMs() {
 		if l.Stats().Reregistrations < 1 {
-			t.Fatalf("node %s never registered with the promoted GRM", l.Node().ID())
+			t.Fatalf("node %s never registered with the successor", l.Node().ID())
 		}
 	}
 
@@ -327,13 +320,13 @@ func TestFailoverDuringRegistrationBurst(t *testing.T) {
 	}
 }
 
-// TestDoubleFailoverColdRebuild kills the manager twice: the first failover
-// is absorbed by the warm standby; the second leaves the cluster headless
-// until RestartGRM rebuilds an empty manager from cold. Self-healing then
-// runs the long way around — LRMs re-register through Naming, the reconcile
-// exchange reaps the dead incarnations' orphaned placeholder tasks to free
-// their capacity, and the in-flight BSP job re-acquires a fresh gang and
-// resumes from its checkpoint with zero lost completed work.
+// TestDoubleFailoverColdRebuild kills the manager twice, and each time
+// RestartGRM rebuilds an empty one from cold. Self-healing runs the long way
+// around: LRMs re-register through Naming, the first rebuild's reconcile
+// exchange reaps the dead manager's orphaned placeholder tasks to free their
+// capacity, the second finds nothing left to reap, and the in-flight BSP job
+// re-acquires a fresh gang under the last manager and resumes from its
+// checkpoint with zero lost completed work.
 func TestDoubleFailoverColdRebuild(t *testing.T) {
 	const (
 		procs      = 3
@@ -356,9 +349,6 @@ func TestDoubleFailoverColdRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.EnableChaos(seed)
-	if err := c.EnableStandby(); err != nil {
-		t.Fatal(err)
-	}
 	if err := g.Advance(time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -384,56 +374,53 @@ func TestDoubleFailoverColdRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First failover: forced promotion of the warm standby.
-	if err := g.PromoteGRM("c1"); err != nil {
-		t.Fatal(err)
+	// rebuild crashes the active manager, leaves the cluster headless for two
+	// minutes — the LRMs cycle in their re-registration backoff against a
+	// dead binding — then rebuilds it from cold and lets the fleet heal. The
+	// in-flight run's placement dies with the old manager; the runtime is
+	// aborted so it re-acquires.
+	orphans := func() int {
+		n := 0
+		for _, l := range c.LRMs() {
+			n += l.Stats().OrphansCancelled
+		}
+		return n
 	}
-	if err := g.Advance(2 * time.Minute); err != nil {
-		t.Fatal(err)
+	rebuild := func(reaped int) {
+		t.Helper()
+		dead := c.GRM()
+		if err := g.CrashGRM("c1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Advance(2 * time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.RestartGRM("c1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Advance(5 * time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		cold := c.GRM()
+		if cold == dead {
+			t.Fatal("RestartGRM did not swap the manager")
+		}
+		if got := cold.KnownNodes(); got != 4 {
+			t.Fatalf("KnownNodes after cold rebuild = %d, want 4", got)
+		}
+		if got := cold.Stats().TasksReconciled; got != reaped {
+			t.Fatalf("TasksReconciled = %d, want %d", got, reaped)
+		}
 	}
-	first := c.GRM()
-	if first.Stats().Promotions != 1 {
-		t.Fatalf("Promotions = %d, want 1", first.Stats().Promotions)
+	// The first rebuild reaps the gang's placements, freeing the capacity a
+	// new gang needs; the second manager never placed anything.
+	rebuild(procs)
+	if got := orphans(); got != procs {
+		t.Fatalf("orphans cancelled = %d, want %d", got, procs)
 	}
-	if got := first.KnownNodes(); got != 4 {
-		t.Fatalf("KnownNodes after first failover = %d, want 4", got)
-	}
-
-	// Second failover: no standby this time. The cluster goes headless; the
-	// LRMs cycle in their re-registration backoff against a dead binding.
-	if err := g.CrashGRM("c1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Advance(2 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	// Cold rebuild: a fresh, empty manager. The in-flight run's placement
-	// died with the old incarnations; the runtime is aborted so it re-acquires.
-	if err := g.RestartGRM("c1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Advance(5 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-
-	cold := c.GRM()
-	if cold == first {
-		t.Fatal("RestartGRM did not swap the manager")
-	}
-	if got := cold.KnownNodes(); got != 4 {
-		t.Fatalf("KnownNodes after cold rebuild = %d, want 4", got)
-	}
-	// The dead incarnation's placeholder tasks were reaped via reconcile,
-	// freeing the capacity the new gang needs.
-	orphans := 0
-	for _, l := range c.LRMs() {
-		orphans += l.Stats().OrphansCancelled
-	}
-	if orphans != procs {
-		t.Fatalf("orphans cancelled = %d, want %d", orphans, procs)
-	}
-	if got := cold.Stats().TasksReconciled; got != procs {
-		t.Fatalf("TasksReconciled = %d, want %d", got, procs)
+	rebuild(0)
+	if got := orphans(); got != procs {
+		t.Fatalf("orphans cancelled after the second rebuild = %d, want %d", got, procs)
 	}
 
 	// Unpark: the first attempt unwinds with the manager-lost abort, RunBSP

@@ -10,10 +10,10 @@ import (
 
 	"integrade/internal/asct"
 	"integrade/internal/bsp"
+	"integrade/internal/chaos"
 	"integrade/internal/grm"
-	"integrade/internal/orb"
+	"integrade/internal/protocol"
 	"integrade/internal/resource"
-	"integrade/internal/sim"
 )
 
 // TestProtocolsSurviveMessageLoss drops a fraction of all in-process
@@ -33,14 +33,10 @@ func TestProtocolsSurviveMessageLoss(t *testing.T) {
 
 	// Drop 30% of update/notify traffic (but never reservation/execution
 	// RPCs, whose failures the GRM already treats as refusals and retries).
-	rng := sim.NewRNG(77)
-	g.ORB().Loopback().SetFaultPolicy(func(_ orb.Endpoint, _, op string) error {
-		if (op == "update" || op == "notify") && rng.Bool(0.3) {
-			return orb.Errorf(orb.CodeTransport, "injected loss")
-		}
-		return nil
-	})
-	defer g.ORB().Loopback().SetFaultPolicy(nil)
+	engine := g.EnableChaos(77)
+	for _, op := range []string{protocol.OpUpdate, protocol.OpNotify} {
+		engine.AddFault(chaos.MessageFault{Match: chaos.Match{Op: op}, Drop: 0.3})
+	}
 
 	if err := g.Advance(5 * time.Minute); err != nil {
 		t.Fatal(err)
@@ -62,7 +58,7 @@ func TestProtocolsSurviveMessageLoss(t *testing.T) {
 	// Ten minutes of work each; half an hour under loss, then the loss
 	// stops so a node the failure detector gave up on can drain its restart.
 	_ = g.Advance(30 * time.Minute)
-	g.ORB().Loopback().SetFaultPolicy(nil)
+	engine.ClearFaults()
 	_ = g.Advance(30 * time.Minute)
 
 	st, err := h.Status()
@@ -103,12 +99,8 @@ func TestLostDoneNotificationLeavesConsistentState(t *testing.T) {
 	}
 	// Drop every update from now on: the two the task's minute spans, the
 	// second of which would have carried its completion.
-	g.ORB().Loopback().SetFaultPolicy(func(_ orb.Endpoint, _, op string) error {
-		if op == "update" {
-			return orb.Errorf(orb.CodeTransport, "blackhole")
-		}
-		return nil
-	})
+	engine := g.EnableChaos(10)
+	engine.AddFault(chaos.MessageFault{Match: chaos.Match{Op: protocol.OpUpdate}, Drop: 1})
 	_ = g.Advance(75 * time.Second)
 
 	// Node side: task finished and resources are free.
@@ -134,7 +126,7 @@ func TestLostDoneNotificationLeavesConsistentState(t *testing.T) {
 
 	// Lift the fault: the next update delivers the completion, and the ones
 	// after it do not deliver it again.
-	g.ORB().Loopback().SetFaultPolicy(nil)
+	engine.ClearFaults()
 	_ = g.Advance(30 * time.Second)
 	if st, err = h.Status(); err != nil || !st.Done() {
 		t.Fatalf("after the fault lifted: status %+v, err %v; want done", st, err)

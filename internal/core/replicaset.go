@@ -31,12 +31,12 @@ func (i *sourceInvoker) Invoke(ref orb.ObjectRef, op string, arg []byte) ([]byte
 
 // EnableReplicaSet puts the cluster's management plane under consensus: the
 // existing manager plus extra fresh incarnations form a replica set with an
-// elected leader. The incumbent bootstraps term 1, replication batches become
-// quorum-acknowledged log entries, and every outbound manager write carries
-// the leader's term as its fencing epoch. When the leader dies or is
-// partitioned from a quorum, the survivors elect a successor and the grid
-// swaps it in as the cluster's active manager (Naming rebind, hierarchy
-// re-parenting) — no silence-monitor promotion involved.
+// elected leader. Every member starts as a follower and the incumbent
+// bootstraps term 1; replication batches become quorum-acknowledged log
+// entries, and every outbound manager write carries the leader's term as its
+// fencing epoch. When the leader dies or is partitioned from a quorum, the
+// survivors elect a successor and the grid swaps it in as the cluster's
+// active manager (Naming rebind, hierarchy re-parenting).
 func (c *Cluster) EnableReplicaSet(extra int) error {
 	if extra < 1 {
 		return fmt.Errorf("core: replica set needs at least one extra member, got %d", extra)
@@ -83,9 +83,6 @@ func (c *Cluster) EnableReplicaSet(extra int) error {
 		})
 		m.elect = en
 		m.grm.UseElection(en)
-		if i > 0 {
-			m.grm.FollowAt(0) // fresh members start as passive followers
-		}
 		if err := m.adapter.Register(election.ObjectKey, en.Servant()); err != nil {
 			return err
 		}

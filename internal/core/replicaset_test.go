@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"integrade/internal/asct"
 	"integrade/internal/grm"
 	"integrade/internal/protocol"
 	"integrade/internal/resource"
@@ -71,6 +72,70 @@ func assertTermsDisjoint(t *testing.T, c *Cluster) {
 			}
 			won[term] = en.ID()
 		}
+	}
+}
+
+// TestReplicaSetMirrorsIncumbentState arms a replica set on a cluster that
+// is already running work. Every member starts as a follower, so the
+// incumbent's bootstrap really takes term 1 — it leads it, and primes the log
+// with everything it knew before the election: the fleet and the running
+// application, which every follower must then mirror.
+func TestReplicaSetMirrorsIncumbentState(t *testing.T) {
+	g := NewGrid(WithSeed(failoverSeed(t)))
+	defer g.Stop()
+	c, err := g.AddCluster("c1", WithSchedulePeriod(15*time.Second), WithUpdatePeriod(15*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddNodes(DedicatedNodes(3, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	h, err := g.SubmitTo("c1", asct.NewApplication("before").
+		Parametric(3, 600_000).
+		Allocate(resource.Vector{MIPS: 500, RAMMB: 64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	incumbent := c.GRM()
+	if err := c.EnableReplicaSet(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Advance(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	if c.GRM() != incumbent || incumbent.Role() != grm.RolePrimary || incumbent.Epoch() != 1 {
+		t.Fatalf("incumbent: active %v, role %v, epoch %d; want the primary of term 1",
+			c.GRM() == incumbent, incumbent.Role(), incumbent.Epoch())
+	}
+	if got := incumbent.Stats().QuorumBatches; got < 1 {
+		t.Fatalf("incumbent QuorumBatches = %d, want >= 1", got)
+	}
+	want, err := incumbent.AppStatus(h.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range c.Replicas()[1:] {
+		if r.Role() != grm.RoleFollower {
+			t.Fatalf("member role = %v, want follower", r.Role())
+		}
+		if got := r.KnownNodes(); got != 3 {
+			t.Fatalf("follower KnownNodes = %d, want 3", got)
+		}
+		st, err := r.AppStatus(h.ID())
+		if err != nil {
+			t.Fatalf("follower lacks the incumbent's app: %v", err)
+		}
+		for i, task := range st.Tasks {
+			if task.NodeID != want.Tasks[i].NodeID || task.State != want.Tasks[i].State {
+				t.Fatalf("follower task %d = %+v, leader has %+v", i, task, want.Tasks[i])
+			}
+		}
+	}
+	// A cold manager would lead term 1 under LRMs that follow the elected
+	// term, so a replica set is never rebuilt from cold.
+	if err := g.RestartGRM("c1"); err == nil {
+		t.Fatal("RestartGRM rebuilt a replica set's manager from cold")
 	}
 }
 

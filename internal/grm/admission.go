@@ -10,7 +10,7 @@ import (
 
 // ErrAdmissionFull is returned by Submit when the bounded admission queue is
 // at capacity. Callers are expected to back off and resubmit; the rejection
-// is counted in Stats.AdmissionRejected and replicated to standbys.
+// is counted in Stats.AdmissionRejected and replicated to the followers.
 var ErrAdmissionFull = errors.New("grm: admission queue full")
 
 // Admission pipeline defaults.

@@ -10,8 +10,8 @@ import (
 
 // TestSchedRecordWireRoundTrip pins the optional trailing Sched section of
 // the replica-batch wire format: a batch with scheduler state decodes to the
-// same record, and a batch without one decodes to a nil Sched (the format
-// every pre-pipeline primary still emits).
+// same record, and a batch without one — a flush with nothing new to report
+// on the queue — decodes to a nil Sched.
 func TestSchedRecordWireRoundTrip(t *testing.T) {
 	b := replicaBatch{
 		ClusterID: "test",
@@ -54,18 +54,23 @@ func TestSchedRecordWireRoundTrip(t *testing.T) {
 }
 
 // TestApplyReplicaRebuildsAdmissionQueue is the failover half of the
-// admission pipeline: a standby receiving a batch with scheduler state must
-// rebuild its admission queue from the queued IDs — resolving them against
-// the app records in the same batch, dropping unknowns — and adopt the
-// replicated admission counters, so a promoted standby resumes draining
-// exactly where the primary stopped.
+// admission pipeline: a follower applying a log entry with scheduler state
+// must rebuild its admission queue from the queued IDs — resolving them
+// against the app records in the same entry, dropping unknowns — and adopt
+// the replicated admission counters, so a successor resumes draining exactly
+// where the old leader stopped.
 func TestApplyReplicaRebuildsAdmissionQueue(t *testing.T) {
 	clock := sim.NewVirtualClock()
 	g := New("test", clock, orb.New())
-	g.BecomeStandby(StandbyConfig{})
+	g.FollowAt(1)
 	defer g.Stop()
+	apply := func(index int, b replicaBatch) {
+		var e orb.Encoder
+		b.encode(&e)
+		g.ApplyReplicaEntry(index, 1, e.Bytes())
+	}
 
-	g.HandleReplica(replicaBatch{
+	apply(1, replicaBatch{
 		ClusterID: "test",
 		Apps:      []appRecord{{ID: "app-1"}, {ID: "app-2"}},
 		Sched: &schedRecord{
@@ -97,10 +102,10 @@ func TestApplyReplicaRebuildsAdmissionQueue(t *testing.T) {
 		t.Fatalf("AdmissionQueueDepth = %d, want 2 (resolved entries only)", st.AdmissionQueueDepth)
 	}
 
-	// A later batch with no scheduler state must leave the queue untouched —
+	// A later entry with no scheduler state must leave the queue untouched —
 	// the section is a full snapshot, not a delta, and is only sent when the
-	// primary has something to report.
-	g.HandleReplica(replicaBatch{ClusterID: "test", Apps: []appRecord{{ID: "app-3"}}})
+	// leader has something to report.
+	apply(2, replicaBatch{ClusterID: "test", Apps: []appRecord{{ID: "app-3"}}})
 	g.mu.Lock()
 	depth := len(g.admitQ)
 	g.mu.Unlock()
@@ -117,7 +122,7 @@ func TestReplicateSchedLockedSnapshotsQueue(t *testing.T) {
 	defer g.Stop()
 
 	g.mu.Lock()
-	g.repl = newReplicator(g, orb.ObjectRef{}, time.Second)
+	g.repl = newReplicator(g, time.Second, func([]byte) error { return nil })
 	g.admitQ = append(g.admitQ, &appInfo{id: "app-9"})
 	g.stats.AdmissionQueued = 5
 	g.stats.AdmissionRejected = 2

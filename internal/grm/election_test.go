@@ -1,8 +1,6 @@
 package grm_test
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,7 +21,7 @@ type replicaSet struct {
 	refs  []orb.ObjectRef // GRM refs, index-aligned with grms
 }
 
-func newReplicaSet(t *testing.T, n int) *replicaSet {
+func newReplicaSet(t *testing.T, n int, opts ...grm.Option) *replicaSet {
 	t.Helper()
 	clock := sim.NewVirtualClock()
 	o := orb.New()
@@ -45,9 +43,10 @@ func newReplicaSet(t *testing.T, n int) *replicaSet {
 
 	var nodes []*election.Node
 	for i := 0; i < n; i++ {
-		g := grm.New("test", clock, o,
-			grm.WithSchedulePeriod(15*time.Second),
-			grm.WithReplicationInterval(5*time.Second))
+		g := grm.New("test", clock, o, append([]grm.Option{
+			grm.WithSchedulePeriod(15 * time.Second),
+			grm.WithReplicationInterval(5 * time.Second),
+		}, opts...)...)
 		en := election.NewNode(election.Config{
 			ID:         ids[i],
 			Peers:      peers,
@@ -60,9 +59,6 @@ func newReplicaSet(t *testing.T, n int) *replicaSet {
 			Bootstrap:  i == 0,
 		})
 		g.UseElection(en)
-		if i != 0 {
-			g.FollowAt(0) // non-bootstrap replicas start passive
-		}
 		if err := adapters[i].Register(protocol.GRMKey, g.Servant()); err != nil {
 			t.Fatal(err)
 		}
@@ -96,6 +92,36 @@ func (rs *replicaSet) leaderIdx(t *testing.T) int {
 		t.Fatal("no primary in replica set")
 	}
 	return idx
+}
+
+// leader returns the package's test harness around the current leader, so
+// the cluster helpers (bindFakeLRM, windowStatus, update) drive it.
+func (rs *replicaSet) leader(t *testing.T) *cluster {
+	t.Helper()
+	i := rs.leaderIdx(t)
+	return &cluster{t: t, clock: rs.clock, o: rs.o, g: rs.grms[i], grmRef: rs.refs[i]}
+}
+
+// failover kills member i — its election node and its GRM — waits a minute
+// and returns the one member the survivors elected in its place.
+func (rs *replicaSet) failover(t *testing.T, i int) *grm.GRM {
+	t.Helper()
+	rs.grms[i].Election().Stop()
+	rs.grms[i].Stop()
+	rs.clock.Advance(time.Minute)
+	var next *grm.GRM
+	for j, g := range rs.grms {
+		if j != i && g.Role() == grm.RolePrimary {
+			if next != nil {
+				t.Fatal("two successors elected")
+			}
+			next = g
+		}
+	}
+	if next == nil {
+		t.Fatal("no successor elected")
+	}
+	return next
 }
 
 // TestElectionReplicaSetFailover drives the consensus control plane end to
@@ -140,22 +166,7 @@ func TestElectionReplicaSetFailover(t *testing.T) {
 	}
 
 	// Kill the leader; the survivors elect exactly one successor.
-	g0.Election().Stop()
-	g0.Stop()
-	rs.clock.Advance(time.Minute)
-	next := -1
-	for i := 1; i < 3; i++ {
-		if rs.grms[i].Role() == grm.RolePrimary {
-			if next >= 0 {
-				t.Fatalf("two successors: m%d and m%d", next, i)
-			}
-			next = i
-		}
-	}
-	if next < 0 {
-		t.Fatal("no successor elected")
-	}
-	ng := rs.grms[next]
+	ng := rs.failover(t, 0)
 	if got := ng.Epoch(); got < 2 {
 		t.Fatalf("successor epoch = %d, want >= 2", got)
 	}
@@ -179,34 +190,27 @@ func TestElectionReplicaSetFailover(t *testing.T) {
 	}
 }
 
-// TestPromoteSingleFlight is the regression test for the promotion race: a
-// manual Promote racing the silence monitor's own call (here: eight
-// concurrent callers) must fire OnPromote exactly once.
-func TestPromoteSingleFlight(t *testing.T) {
-	c := newCluster(t, dedicated(1, 1000))
-	var fired atomic.Int32
-	sb := attachStandby(t, c, "test", "standby", grm.StandbyConfig{
-		OnPromote: func() { fired.Add(1) },
-	})
-	c.clock.Advance(30 * time.Second)
-
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sb.Promote()
-		}()
+// TestBootstrapMemberCommitsInTermOne pins the one ordering rule of a fresh
+// replica set: New already makes a GRM primary of term 1, so UseElection must
+// turn it into a follower, or the bootstrap member's LeadAt(1) would find
+// itself leading that term already and install no replication stream. The
+// first flushes must commit in term 1, on every member.
+func TestBootstrapMemberCommitsInTermOne(t *testing.T) {
+	rs := newReplicaSet(t, 3)
+	g0 := rs.grms[0]
+	if g0.Role() != grm.RolePrimary || g0.Epoch() != 1 {
+		t.Fatalf("bootstrap member: role %v, epoch %d; want primary of term 1", g0.Role(), g0.Epoch())
 	}
-	wg.Wait()
-
-	if got := fired.Load(); got != 1 {
-		t.Fatalf("OnPromote fired %d times, want 1", got)
+	if got := g0.Stats().Promotions; got != 1 {
+		t.Fatalf("bootstrap Promotions = %d, want 1 (follower → leader of term 1)", got)
 	}
-	if got := sb.Stats().Promotions; got != 1 {
-		t.Fatalf("Promotions = %d, want 1", got)
-	}
-	if sb.Role() != grm.RolePrimary {
-		t.Fatalf("role = %v after promote", sb.Role())
+	rs.clock.Advance(15 * time.Second)
+	for i, g := range rs.grms {
+		if got := g.Stats().QuorumBatches; got < 1 {
+			t.Fatalf("m%d QuorumBatches = %d after three flushes, want >= 1", i, got)
+		}
+		if got := g.Epoch(); got != 1 {
+			t.Fatalf("m%d epoch = %d, want 1", i, got)
+		}
 	}
 }

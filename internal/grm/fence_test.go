@@ -4,59 +4,16 @@ import (
 	"testing"
 
 	"integrade/internal/orb"
+	"integrade/internal/protocol"
 	"integrade/internal/sim"
 )
-
-// TestStaleReplicaBatchRejected exercises the direct-stream fencing rule: a
-// standby that has seen epoch E drops batches fenced below E, adopts higher
-// epochs, and keeps accepting epoch-0 batches from legacy unfenced primaries.
-func TestStaleReplicaBatchRejected(t *testing.T) {
-	clock := sim.NewVirtualClock()
-	g := New("test", clock, orb.New())
-	g.BecomeStandby(StandbyConfig{})
-	defer g.Stop()
-
-	batch := func(epoch int, appID string) replicaBatch {
-		return replicaBatch{
-			ClusterID: "test",
-			Epoch:     epoch,
-			Apps:      []appRecord{{ID: appID}},
-		}
-	}
-
-	g.HandleReplica(batch(5, "app-cur"))
-	if got := g.Epoch(); got != 5 {
-		t.Fatalf("epoch after batch = %d, want 5", got)
-	}
-	if _, err := g.AppStatus("app-cur"); err != nil {
-		t.Fatalf("current-epoch batch not applied: %v", err)
-	}
-
-	g.HandleReplica(batch(3, "app-stale"))
-	if _, err := g.AppStatus("app-stale"); err == nil {
-		t.Fatal("stale-epoch batch was applied")
-	}
-	if got := g.Stats().StaleBatchesRejected; got != 1 {
-		t.Fatalf("StaleBatchesRejected = %d, want 1", got)
-	}
-
-	g.HandleReplica(batch(0, "app-legacy"))
-	if _, err := g.AppStatus("app-legacy"); err != nil {
-		t.Fatalf("legacy epoch-0 batch rejected: %v", err)
-	}
-
-	g.HandleReplica(batch(9, "app-next"))
-	if got := g.Epoch(); got != 9 {
-		t.Fatalf("epoch not adopted: %d, want 9", got)
-	}
-}
 
 // TestApplyReplicaEntryDropsGarbage: a corrupt quorum log entry is counted
 // and dropped, never applied and never a panic.
 func TestApplyReplicaEntryDropsGarbage(t *testing.T) {
 	clock := sim.NewVirtualClock()
 	g := New("test", clock, orb.New())
-	g.BecomeStandby(StandbyConfig{})
+	g.FollowAt(1)
 	defer g.Stop()
 
 	g.ApplyReplicaEntry(1, 1, []byte{0xff, 0xfe, 0xfd})
@@ -75,12 +32,37 @@ func TestApplyReplicaEntryDropsGarbage(t *testing.T) {
 	}
 }
 
-// TestReplicaBatchRoundTrip pins the wire format, including the epoch field.
+// TestStandbyIgnoresForeignClusterBatches: log entries carry the proposing
+// cluster's ID, and a follower — its cluster leader's standby — drops an
+// entry from another cluster's log.
+func TestStandbyIgnoresForeignClusterBatches(t *testing.T) {
+	g := New("test", sim.NewVirtualClock(), orb.New())
+	g.FollowAt(1)
+	defer g.Stop()
+
+	var e orb.Encoder
+	replicaBatch{
+		ClusterID: "other",
+		Nodes:     []protocol.NodeStatus{{NodeID: "n-other"}},
+		Apps:      []appRecord{{ID: "app-other"}},
+	}.encode(&e)
+	g.ApplyReplicaEntry(1, 1, e.Bytes())
+	if _, err := g.AppStatus("app-other"); err == nil {
+		t.Fatal("another cluster's entry was applied")
+	}
+	if got := g.Stats().ReplicaBatches; got != 0 {
+		t.Fatalf("foreign batches applied: %d", got)
+	}
+	if got := g.KnownNodes(); got != 0 {
+		t.Fatalf("foreign nodes mirrored: %d", got)
+	}
+}
+
+// TestReplicaBatchRoundTrip pins the wire format.
 func TestReplicaBatchRoundTrip(t *testing.T) {
 	in := replicaBatch{
 		ClusterID: "test",
 		Seq:       7,
-		Epoch:     3,
 		Apps:      []appRecord{{ID: "app-1"}},
 	}
 	var e orb.Encoder
@@ -89,7 +71,7 @@ func TestReplicaBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.ClusterID != in.ClusterID || out.Seq != in.Seq || out.Epoch != in.Epoch || len(out.Apps) != 1 {
+	if out.ClusterID != in.ClusterID || out.Seq != in.Seq || len(out.Apps) != 1 {
 		t.Fatalf("round trip = %+v", out)
 	}
 }

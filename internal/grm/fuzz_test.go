@@ -10,16 +10,14 @@ import (
 	"integrade/internal/testutil/allocbudget"
 )
 
-// FuzzReplicaBatch throws arbitrary bytes at both replica ingestion paths —
-// the direct OpReplicate servant handler and the quorum-log Apply callback —
-// asserting that a corrupt batch from a buggy or hostile peer never panics a
-// standby.
+// FuzzReplicaBatch throws arbitrary bytes at the replica ingestion path, the
+// quorum-log Apply callback, asserting that a corrupt entry from a buggy or
+// hostile peer never panics a follower.
 func FuzzReplicaBatch(f *testing.F) {
 	var e orb.Encoder
 	replicaBatch{
 		ClusterID: "test",
 		Seq:       3,
-		Epoch:     2,
 		Nodes:     []protocol.NodeStatus{{NodeID: "n0"}},
 		NodesGone: []nodeGone{{NodeID: "n1"}},
 		Apps:      []appRecord{{ID: "app-1"}},
@@ -31,11 +29,9 @@ func FuzzReplicaBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		clock := sim.NewVirtualClock()
 		g := New("test", clock, orb.New())
-		g.BecomeStandby(StandbyConfig{})
+		g.FollowAt(1)
 		defer g.Stop()
 
-		sv := g.Servant()
-		_, _ = sv.Dispatch(protocol.OpReplicate, orb.NewDecoder(data))
 		g.ApplyReplicaEntry(1, 1, data)
 	})
 }

@@ -48,12 +48,11 @@ type Stats struct {
 	AppsCancelled     int
 	NodesDeclaredDead int // nodes evicted by the heartbeat-miss detector
 	TasksPresumedLost int // running tasks rescheduled or abandoned by the detector
-	ReplicaBatches    int // replication batches applied while standby
-	Promotions        int // standby → primary transitions
+	ReplicaBatches    int // replication batches applied while follower
+	Promotions        int // follower → leader transitions
 	TasksReconciled   int // orphan tasks reaped via LRM reconciliation
 	// Consensus-mode counters.
 	QuorumBatches         int // batches committed through the replicated log
-	StaleBatchesRejected  int // replica batches refused for a stale epoch
 	ReplicaDecodeFailures int // corrupt log entries dropped instead of applied
 	UpdatesRefused        int // information updates refused while not leader
 	// Admission pipeline counters.
@@ -79,8 +78,8 @@ type nodeLiveness struct {
 	interval time.Duration // most recently observed update gap
 	updates  int
 	lrm      orb.ObjectRef
-	// status is the node's latest full NodeStatus, kept so a standby
-	// attached later can be primed with a complete snapshot.
+	// status is the node's latest full NodeStatus, kept so a new leader's
+	// replication stream can be primed with a complete snapshot.
 	status protocol.NodeStatus
 	// departing marks a node that announced a graceful departure: its trader
 	// offer is withdrawn, exports are suppressed, and the failure detector
@@ -143,16 +142,15 @@ type GRM struct {
 	suspectAfter time.Duration // fixed detector threshold; 0 = adaptive
 	windowAware  bool          // filter candidates by availability windows
 	onEviction   func(appID string)
-	replEvery    time.Duration // standby replication flush cadence
+	replEvery    time.Duration // replica-set leader's log flush cadence
 
 	// mu guards apps, nodes, seq, stats, stopped, started, timers, role,
-	// repl, onPromote, promoting, epoch, elect, the repl* heartbeat fields,
-	// the admission-queue fields (admitQ, draining, drainDone,
-	// drainerRunning) and rankScratch. It must be released
+	// repl, epoch, elect, the admission-queue fields (admitQ, draining,
+	// drainDone, drainerRunning) and rankScratch. It must be released
 	// before any protocol RPC (Reserve/Execute/...): negotiation blocks on
 	// remote LRMs and may itself re-enter the GRM. The replication stream
 	// obeys the same rule: enqueues under mu are lock-only (g.mu → repl.mu),
-	// and the pump invokes the standby with no GRM lock held.
+	// and the pump proposes to the log with no GRM lock held.
 	//lint:lockorder grm.GRM.mu<grm.replicator.mu
 	mu      sync.Mutex
 	apps    map[string]*appInfo
@@ -164,21 +162,13 @@ type GRM struct {
 	timers  []sim.Timer
 
 	// Failover state: the role this GRM plays, the outbound replication
-	// stream (primary with a standby attached), and the standby-side
-	// heartbeat observations driving the promotion monitor. promoting is the
-	// single-flight latch on the standby → primary transition; epoch is the
-	// fencing epoch stamped on outbound writes (the election term under
-	// consensus, 0 for a legacy unfenced manager); elect is the consensus
-	// node driving role transitions when UseElection was called.
-	role          Role
-	repl          *replicator
-	onPromote     func()
-	promoting     bool
-	epoch         int
-	elect         *election.Node
-	replLastBatch time.Time
-	replGap       time.Duration
-	replBatches   int
+	// stream (a replica-set leader's), the fencing epoch stamped on outbound
+	// writes — the election term, never below 1 — and the consensus node
+	// driving role transitions when UseElection was called.
+	role  Role
+	repl  *replicator
+	epoch int
+	elect *election.Node
 
 	// Admission pipeline: Submit enqueues into the bounded admitQ and the
 	// queue is drained in batches by matchBatch — synchronously from Submit
@@ -260,9 +250,9 @@ func WithWindowAware() Option {
 	return func(g *GRM) { g.windowAware = true }
 }
 
-// WithReplicationInterval sets the standby replication flush cadence
-// (default DefaultReplicationInterval). Only meaningful on a primary with an
-// attached standby.
+// WithReplicationInterval sets how often a replica-set leader flushes its
+// coalesced state changes into the consensus log (default
+// DefaultReplicationInterval). Only meaningful under UseElection.
 func WithReplicationInterval(d time.Duration) Option {
 	return func(g *GRM) { g.replEvery = d }
 }
@@ -277,6 +267,8 @@ func WithEvictionObserver(fn func(appID string)) Option {
 
 // New returns a GRM for the named cluster. The GRM hosts the cluster's
 // trader internally, mirroring the paper's GRM+Trader cluster-manager node.
+// It starts as the sole primary of term 1: its fencing epoch is 1 until an
+// election (UseElection) hands it a term of its own.
 func New(clusterID string, clock sim.Clock, inv orb.Invoker, opts ...Option) *GRM {
 	g := &GRM{
 		clusterID:    clusterID,
@@ -289,6 +281,7 @@ func New(clusterID string, clock sim.Clock, inv orb.Invoker, opts ...Option) *GR
 		schedPeriod:  DefaultSchedulePeriod,
 		maxAttempts:  DefaultMaxAttempts,
 		backboneMbps: 10,
+		epoch:        1,
 		apps:         make(map[string]*appInfo),
 		nodes:        make(map[string]*nodeLiveness),
 		admitLimit:   DefaultAdmissionLimit,
@@ -344,8 +337,7 @@ func (g *GRM) Start() {
 	arm()
 }
 
-// Stop cancels the periodic scheduler, the promotion monitor and the
-// replication pump.
+// Stop cancels the periodic scheduler and the replication pump.
 func (g *GRM) Stop() {
 	g.mu.Lock()
 	g.stopped = true
@@ -390,14 +382,15 @@ func (g *GRM) HandleUpdate(s *protocol.NodeStatus) (int, error) {
 }
 
 // recordUpdate is HandleUpdate's one section under g.mu: it refuses the update
-// or records it — liveness, counters, the standby's copy — and returns the
-// epoch for the reply and whether the offer is to be exported.
+// or records it — liveness, counters, the replication stream's copy — and
+// returns the epoch for the reply and whether the offer is to be exported.
 func (g *GRM) recordUpdate(s *protocol.NodeStatus, now time.Time) (epoch int, export bool, err error) {
 	g.mu.Lock()
 	refuse := g.elect != nil && g.role != RolePrimary
-	// repl.degraded takes the replicator mutex, which nests inside g.mu
-	// (lock order g.mu -> repl.mu), same as the enqueue below.
-	degraded := !refuse && g.elect != nil && g.repl != nil && g.repl.degraded()
+	// Only a replica-set leader has a stream. repl.degraded takes the
+	// replicator mutex, which nests inside g.mu (lock order g.mu -> repl.mu),
+	// same as the enqueue below.
+	degraded := !refuse && g.repl != nil && g.repl.degraded()
 	if refuse || degraded {
 		g.stats.UpdatesRefused++
 		elect, epoch := g.elect, g.epoch
@@ -415,8 +408,8 @@ func (g *GRM) recordUpdate(s *protocol.NodeStatus, now time.Time) (epoch int, ex
 	}
 	lv := g.touchLivenessLocked(s, now)
 	// A node inside an announced departure keeps heartbeating until the
-	// owner actually returns, but its offer stays withdrawn and the standby
-	// keeps it gone: re-exporting would hand it fresh work right before the
+	// owner actually returns, but its offer stays withdrawn and the followers
+	// keep it gone: re-exporting would hand it fresh work right before the
 	// predicted owner arrival. Past the deadline the flag clears and the
 	// update re-registers the node normally.
 	if lv.departing && !now.Before(lv.departUntil) {
@@ -428,8 +421,8 @@ func (g *GRM) recordUpdate(s *protocol.NodeStatus, now time.Time) (epoch int, ex
 	return g.epoch, !lv.departing, nil
 }
 
-// Epoch returns the fencing epoch stamped on this manager's outbound writes
-// (0 = unfenced legacy mode).
+// Epoch returns the fencing epoch stamped on this manager's outbound writes:
+// 1 from New, the election term under UseElection.
 func (g *GRM) Epoch() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -560,13 +553,13 @@ func (g *GRM) Submit(spec protocol.ApplicationSpec) (string, error) {
 // SchedulePending runs one scheduling pass over every app with pending
 // tasks, in submission order. Each pass first runs the failure detector, so
 // tasks orphaned by a dead node re-enter the pending set and are replaced
-// in the same pass. A non-primary replica never schedules: a deposed leader
-// with a stale timer must not race the real one.
+// in the same pass. A follower never schedules: a deposed leader with a stale
+// timer must not race the real one.
 func (g *GRM) SchedulePending() {
 	g.mu.Lock()
-	standby := g.role != RolePrimary
+	follower := g.role != RolePrimary
 	g.mu.Unlock()
-	if standby {
+	if follower {
 		return
 	}
 	g.drainAdmission()
@@ -1115,6 +1108,33 @@ func (g *GRM) CancelApp(appID string) error {
 		}
 	}
 	return nil
+}
+
+// Reconcile answers an LRM's post-registration task report: any claimed task
+// this GRM does not know as running on that node is an orphan the LRM must
+// cancel. After a replica-set failover the replicated state covers every
+// claim; after a cold rebuild the dead manager's placements are reaped here,
+// freeing their node capacity for fresh placements.
+func (g *GRM) Reconcile(req protocol.ReconcileRequest) []string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	var orphans []string
+	for _, claim := range req.Claims {
+		known := false
+		if app, ok := g.apps[claim.AppID]; ok {
+			for _, t := range app.tasks {
+				if t.id == claim.TaskID && t.state == protocol.TaskRunning && t.nodeID == req.NodeID {
+					known = true
+					break
+				}
+			}
+		}
+		if !known {
+			orphans = append(orphans, claim.TaskID)
+			g.stats.TasksReconciled++
+		}
+	}
+	return orphans
 }
 
 // AppStatus returns the status of an application.

@@ -729,3 +729,57 @@ func TestFailureDetectorAdaptiveThresholdTolerantOfSlowCadence(t *testing.T) {
 		t.Fatalf("NodesDeclaredDead = %d after prolonged silence, want 1", got)
 	}
 }
+
+func sequentialSpec(name string, work float64) protocol.ApplicationSpec {
+	return protocol.ApplicationSpec{
+		Name:         name,
+		Kind:         protocol.AppSequential,
+		NumTasks:     1,
+		WorkPerTask:  work,
+		Requirements: resource.Requirements{Min: resource.Vector{MIPS: 500, RAMMB: 16}},
+		Alloc:        resource.Vector{MIPS: 1000, RAMMB: 64},
+	}
+}
+
+// TestReconcileReapsOrphans drives the post-registration reconcile exchange
+// through the protocol client: claims the GRM knows as running on that node
+// survive, everything else comes back as an orphan to cancel.
+func TestReconcileReapsOrphans(t *testing.T) {
+	c := newCluster(t, dedicated(1, 1000))
+	id := c.submit(sequentialSpec("app", 600_000))
+	st := c.status(id)
+	if st.Tasks[0].State != protocol.TaskRunning {
+		t.Fatalf("task not running: %+v", st.Tasks[0])
+	}
+	client := protocol.NewGRMClient(c.o, c.grmRef)
+	orphans, err := client.Reconcile(protocol.ReconcileRequest{
+		NodeID: "node-0",
+		Claims: []protocol.TaskClaim{
+			{TaskID: st.Tasks[0].TaskID, AppID: id}, // genuinely running here
+			{TaskID: "ghost-1", AppID: id},          // unknown task
+			{TaskID: "ghost-2", AppID: "no-such"},   // unknown app
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(orphans) != 2 || orphans[0] != "ghost-1" || orphans[1] != "ghost-2" {
+		t.Fatalf("orphans = %v", orphans)
+	}
+	if got := c.g.Stats().TasksReconciled; got != 2 {
+		t.Fatalf("TasksReconciled = %d, want 2", got)
+	}
+
+	// A claim from the wrong node is an orphan too: the task runs on node-0,
+	// so node-1 claiming it must be told to cancel.
+	orphans, err = client.Reconcile(protocol.ReconcileRequest{
+		NodeID: "node-1",
+		Claims: []protocol.TaskClaim{{TaskID: st.Tasks[0].TaskID, AppID: id}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(orphans) != 1 {
+		t.Fatalf("wrong-node claim not reaped: %v", orphans)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"integrade/internal/constraint"
 	"integrade/internal/grm"
 	"integrade/internal/orb"
 	"integrade/internal/protocol"
@@ -167,6 +168,7 @@ type scriptedLRM struct {
 	released []string // holds given back
 	executed []string // holds of Executes that were accepted
 	tasks    []string // tasks of Executes that were accepted
+	epochs   []string // "op@epoch" of every Reserve, Execute and Cancel
 }
 
 // ids mints n fresh hold IDs.
@@ -194,6 +196,7 @@ func (s *scriptedLRM) Dispatch(op string, req *orb.Decoder) (*orb.Encoder, error
 			return nil, orb.Errorf(orb.CodeMarshal, "reserve: %v", err)
 		}
 		s.asked = append(s.asked, r.Count)
+		s.epochs = append(s.epochs, fmt.Sprintf("%s@%d", op, r.Epoch))
 		if s.reply != nil {
 			s.reply(r).Encode(e)
 		} else {
@@ -204,6 +207,7 @@ func (s *scriptedLRM) Dispatch(op string, req *orb.Decoder) (*orb.Encoder, error
 		if err != nil {
 			return nil, orb.Errorf(orb.CodeMarshal, "execute: %v", err)
 		}
+		s.epochs = append(s.epochs, fmt.Sprintf("%s@%d", op, r.Epoch))
 		if s.failExecute {
 			return nil, orb.Errorf(orb.CodeApplication, "execute: no")
 		}
@@ -214,6 +218,8 @@ func (s *scriptedLRM) Dispatch(op string, req *orb.Decoder) (*orb.Encoder, error
 	case protocol.OpRelease:
 		s.released = append(s.released, req.String())
 	case protocol.OpCancel:
+		_ = req.String() // the task
+		s.epochs = append(s.epochs, fmt.Sprintf("%s@%d", op, req.Int()))
 		e.PutF64(0)
 	default:
 		return nil, orb.Errorf(orb.CodeBadOperation, "scripted LRM: %s", op)
@@ -391,5 +397,47 @@ func TestScriptedLRMConformance(t *testing.T) {
 				t.Errorf("%d tasks running, %d placed, want %d", running, c.g.Stats().TasksPlaced, tc.running)
 			}
 		})
+	}
+}
+
+// TestNewGRMLeadsTermOne: a GRM that never joined a replica set is the sole
+// primary of term 1, and every write and reply it sends says so — Reserve,
+// Execute, Cancel, the Information Update reply and its trader offers. An LRM
+// therefore fences a GRM of any origin by the same rule.
+func TestNewGRMLeadsTermOne(t *testing.T) {
+	c := newCluster(t, nil)
+	if got := c.g.Epoch(); got != 1 {
+		t.Fatalf("Epoch() = %d, want 1", got)
+	}
+	peer := &scriptedLRM{}
+	adapter := orb.NewAdapter()
+	if err := adapter.Register(protocol.LRMKey, peer); err != nil {
+		t.Fatal(err)
+	}
+	ep, err := c.o.BindLoopback("scripted", adapter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := windowStatus(c, "scripted", orb.ObjectRef{Endpoint: ep, Key: protocol.LRMKey}, 1000)
+	epoch, err := protocol.NewGRMClient(c.o, c.grmRef).Update(s)
+	if err != nil || epoch != 1 {
+		t.Fatalf("Update reply = epoch %d, %v; want 1", epoch, err)
+	}
+	offers := c.g.Trader().All(grm.NodeStatusType)
+	if len(offers) != 1 {
+		t.Fatalf("trader holds %d offers, want 1", len(offers))
+	}
+	if v, ok := offers[0].Properties.Property(grm.PropMgrEpoch); !ok || v != constraint.Number(1) {
+		t.Fatalf("%s = %#v (present %v), want 1", grm.PropMgrEpoch, v, ok)
+	}
+
+	id := c.submit(slotApp(protocol.AppSequential, 1))
+	if err := c.g.CancelApp(id); err != nil {
+		t.Fatal(err)
+	}
+	peer.mu.Lock()
+	defer peer.mu.Unlock()
+	if want := []string{"reserve@1", "execute@1", "cancel@1"}; !slices.Equal(peer.epochs, want) {
+		t.Fatalf("the LRM saw %v, want %v", peer.epochs, want)
 	}
 }

@@ -10,18 +10,11 @@ import (
 	"integrade/internal/sim"
 )
 
-// DefaultReplicationInterval is the cadence at which the primary flushes
-// coalesced state changes to its standby. Every flush — even an empty one —
-// doubles as the standby's heartbeat from the primary.
+// DefaultReplicationInterval is the cadence at which a replica-set leader
+// flushes its coalesced state changes into the consensus log. Every flush —
+// even an empty one — is a log entry the quorum must acknowledge, so it
+// doubles as the leader's check that it still holds a quorum.
 const DefaultReplicationInterval = 5 * time.Second
-
-// ReplStats are cumulative replication counters (primary side).
-type ReplStats struct {
-	BatchesSent  int
-	SendFailures int
-	NodesSent    int
-	AppsSent     int
-}
 
 // taskRecord is the replicated form of one taskInfo.
 type taskRecord struct {
@@ -35,7 +28,7 @@ type taskRecord struct {
 	InitialProgress float64
 }
 
-// appRecord is the replicated form of one appInfo: everything the standby
+// appRecord is the replicated form of one appInfo: everything a follower
 // needs to continue scheduling, cancelling and reporting the application.
 type appRecord struct {
 	ID           string
@@ -46,27 +39,23 @@ type appRecord struct {
 	Tasks        []taskRecord
 }
 
-// replicaBatch is one OpReplicate payload: the coalesced state delta since
-// the previous flush, plus the primary's app sequence counter so a promoted
-// standby never re-issues an app ID. Epoch is the sender's fencing epoch; a
-// standby drops direct batches whose epoch is older than the newest it has
-// seen, so a deposed primary cannot overwrite replicated state. Zero means
-// unfenced (the legacy single-standby stream) and is always accepted.
+// replicaBatch is one consensus log entry: the coalesced state delta since
+// the previous flush, plus the leader's app sequence counter so a successor
+// never re-issues an app ID. It carries no epoch: the log orders entries by
+// the term of the leader that proposed them.
 type replicaBatch struct {
 	ClusterID string
 	Seq       int
-	Epoch     int
 	Nodes     []protocol.NodeStatus
 	NodesGone []nodeGone
 	Apps      []appRecord
-	// Sched, when present, is the latest admission-queue snapshot. Optional
-	// (bool-guarded on the wire) so batches from pre-admission primaries
-	// still decode.
+	// Sched, when present, is the latest admission-queue snapshot; a flush
+	// with nothing new to report leaves it out (bool-guarded on the wire).
 	Sched *schedRecord
 }
 
-// nodeGone records a node the primary's failure detector declared dead; the
-// ref lets the standby withdraw the node's trader offers.
+// nodeGone records a node the leader's failure detector declared dead; the
+// ref lets a follower withdraw the node's trader offers.
 type nodeGone struct {
 	NodeID string
 	Ref    orb.ObjectRef
@@ -74,7 +63,7 @@ type nodeGone struct {
 
 // schedRecord is the replicated admission-pipeline state: the IDs still
 // waiting in the admission queue plus the backpressure counters, so a
-// promoted standby resumes draining exactly where the primary stopped
+// successor resumes draining exactly where the old leader stopped
 // instead of silently dropping queued-but-unplaced applications. Coalesced
 // latest-wins: only the newest snapshot per flush matters.
 type schedRecord struct {
@@ -178,7 +167,6 @@ func decodeAppRecord(d *orb.Decoder) (appRecord, error) {
 func (b replicaBatch) encode(e *orb.Encoder) {
 	e.PutString(b.ClusterID)
 	e.PutInt(b.Seq)
-	e.PutInt(b.Epoch)
 	e.PutU32(uint32(len(b.Nodes)))
 	for _, s := range b.Nodes {
 		s.Encode(e)
@@ -204,7 +192,6 @@ func decodeReplicaBatch(d *orb.Decoder) (replicaBatch, error) {
 	b := replicaBatch{
 		ClusterID: d.String(),
 		Seq:       d.Int(),
-		Epoch:     d.Int(),
 	}
 	// A node and an app decode, or fail, before the next is appended: for
 	// them the bytes left bound the appends whatever the count's minimum.
@@ -247,33 +234,29 @@ func decodeReplicaBatch(d *orb.Decoder) (replicaBatch, error) {
 	return b, d.Err()
 }
 
-// replicator is the primary-side replication stream: state changes are
+// replicator is the leader's replication stream: state changes are
 // coalesced per key (latest wins) under the replicator's own mutex, and a
-// periodic pump drains them into one OpReplicate invocation. The pump holds
-// no lock across the Invoke — the batch is snapshotted first — so the stream
-// never blocks the GRM mutex on a slow or dead standby, and enqueueing from
-// under g.mu is safe (lock order: g.mu → repl.mu, never the reverse).
+// periodic pump drains them into one batch it proposes to the consensus log.
+// The pump holds no lock across the proposal — the batch is snapshotted first
+// — so the stream never blocks the GRM mutex on a slow or unreachable quorum,
+// and enqueueing from under g.mu is safe (lock order: g.mu → repl.mu, never
+// the reverse).
 type replicator struct {
-	g      *GRM
-	target orb.ObjectRef
-	every  time.Duration
-	// send ships one drained batch. The legacy stream encodes it into a
-	// direct OpReplicate invoke on target; the consensus stream proposes it
-	// to the election log and returns once a quorum has acknowledged it.
-	// Immutable after construction.
-	send func(replicaBatch) error
+	g     *GRM
+	every time.Duration
+	// propose appends one encoded batch to the election log and returns once
+	// a quorum has acknowledged it. Immutable after construction.
+	propose func([]byte) error
 
-	// mu guards the pending maps, sched, seq, stats, failures, stopped and
-	// timers.
+	// mu guards the pending maps, sched, seq, failures, stopped and timers.
 	//
-	//lint:guards nodes,nodesGone,apps,sched,seq,stats,failures,stopped,timers
+	//lint:guards nodes,nodesGone,apps,sched,seq,failures,stopped,timers
 	mu        sync.Mutex
 	nodes     map[string]protocol.NodeStatus
 	nodesGone map[string]orb.ObjectRef
 	apps      map[string]appRecord
 	sched     *schedRecord
 	seq       int
-	stats     ReplStats
 	failures  int // consecutive flush failures; reset by any success
 	stopped   bool
 	timers    []sim.Timer
@@ -281,59 +264,33 @@ type replicator struct {
 
 // degradedAfter is how many consecutive flush failures mark the stream
 // degraded: one may be a transient fault the next pump absorbs; two in a row
-// on the consensus stream mean the leader cannot reach a quorum.
+// mean the leader cannot reach a quorum.
 const degradedAfter = 2
 
 // degraded reports whether the stream has failed degradedAfter consecutive
-// flushes. On the consensus stream this is the leader's signal that it has
-// lost its quorum and must stop serving writes it can no longer commit.
+// flushes: the leader's signal that it has lost its quorum and must stop
+// serving writes it can no longer commit.
 func (r *replicator) degraded() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.failures >= degradedAfter
 }
 
-func newReplicator(g *GRM, target orb.ObjectRef, every time.Duration) *replicator {
+// newReplicator builds the stream: drained batches become election log
+// entries the leader applies only after a quorum of replicas has
+// acknowledged them.
+func newReplicator(g *GRM, every time.Duration, propose func([]byte) error) *replicator {
 	if every <= 0 {
 		every = DefaultReplicationInterval
 	}
-	r := &replicator{
+	return &replicator{
 		g:         g,
-		target:    target,
 		every:     every,
+		propose:   propose,
 		nodes:     make(map[string]protocol.NodeStatus),
 		nodesGone: make(map[string]orb.ObjectRef),
 		apps:      make(map[string]appRecord),
 	}
-	r.send = func(b replicaBatch) error {
-		var e orb.Encoder
-		b.encode(&e)
-		_, err := g.inv.Invoke(target, protocol.OpReplicate, e.Bytes())
-		return err
-	}
-	return r
-}
-
-// newQuorumReplicator builds the consensus-backed stream: drained batches
-// become election log entries the leader applies only after a quorum of
-// replicas has acknowledged them.
-func newQuorumReplicator(g *GRM, every time.Duration, propose func([]byte) error) *replicator {
-	if every <= 0 {
-		every = DefaultReplicationInterval
-	}
-	r := &replicator{
-		g:         g,
-		every:     every,
-		nodes:     make(map[string]protocol.NodeStatus),
-		nodesGone: make(map[string]orb.ObjectRef),
-		apps:      make(map[string]appRecord),
-	}
-	r.send = func(b replicaBatch) error {
-		var e orb.Encoder
-		b.encode(&e)
-		return propose(e.Bytes())
-	}
-	return r
 }
 
 func (r *replicator) enqueueNode(s protocol.NodeStatus) {
@@ -398,18 +355,18 @@ func (r *replicator) stop() {
 	r.timers = nil
 }
 
-// flush drains the pending delta and ships it as one batch. An empty batch
-// is still sent: it is the heartbeat the standby's promotion monitor tracks.
-// On failure the drained entries are re-merged (unless newer state was
-// enqueued meanwhile), so a transient standby outage loses nothing.
+// flush drains the pending delta and proposes it as one batch. An empty
+// batch is still proposed: its acknowledgement is how the leader learns it
+// still holds a quorum (see degraded). On failure the drained entries are
+// re-merged (unless newer state was enqueued meanwhile), so a transient
+// quorum outage loses nothing.
 func (r *replicator) flush() {
-	epoch := r.g.Epoch() // before r.mu: lock order is g.mu → repl.mu
 	r.mu.Lock()
 	if r.stopped {
 		r.mu.Unlock()
 		return
 	}
-	batch := replicaBatch{ClusterID: r.g.clusterID, Seq: r.seq, Epoch: epoch}
+	batch := replicaBatch{ClusterID: r.g.clusterID, Seq: r.seq}
 	nodeIDs := make([]string, 0, len(r.nodes))
 	for id := range r.nodes {
 		nodeIDs = append(nodeIDs, id)
@@ -445,12 +402,13 @@ func (r *replicator) flush() {
 	r.sched = nil
 	r.mu.Unlock()
 
-	err := r.send(batch)
+	var e orb.Encoder
+	batch.encode(&e)
+	err := r.propose(e.Bytes())
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err != nil {
-		r.stats.SendFailures++
 		r.failures++
 		// Put the delta back without clobbering anything newer.
 		for id, s := range drainedNodes {
@@ -478,13 +436,104 @@ func (r *replicator) flush() {
 		return
 	}
 	r.failures = 0
-	r.stats.BatchesSent++
-	r.stats.NodesSent += len(batch.Nodes)
-	r.stats.AppsSent += len(batch.Apps)
 }
 
-func (r *replicator) statsSnapshot() ReplStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
+// buildAppRecordLocked snapshots an app for replication. Caller holds g.mu.
+func buildAppRecordLocked(app *appInfo) appRecord {
+	rec := appRecord{
+		ID:           app.id,
+		Spec:         app.spec,
+		Submitted:    app.submitted,
+		Finished:     app.finished,
+		Negotiations: app.negotiations,
+	}
+	for _, t := range app.tasks {
+		rec.Tasks = append(rec.Tasks, taskRecord{
+			ID:              t.id,
+			State:           t.state,
+			NodeID:          t.nodeID,
+			LRM:             t.lrm,
+			Progress:        t.progress,
+			Work:            t.work,
+			Restarts:        t.restarts,
+			InitialProgress: t.initialProgress,
+		})
+	}
+	return rec
+}
+
+// appFromRecord rebuilds the GRM-side app state from a replica record.
+func appFromRecord(rec appRecord) *appInfo {
+	app := &appInfo{
+		id:           rec.ID,
+		spec:         rec.Spec,
+		constraint:   buildConstraint(rec.Spec),
+		submitted:    rec.Submitted,
+		finished:     rec.Finished,
+		negotiations: rec.Negotiations,
+	}
+	for _, t := range rec.Tasks {
+		app.tasks = append(app.tasks, &taskInfo{
+			id:              t.ID,
+			state:           t.State,
+			nodeID:          t.NodeID,
+			lrm:             t.LRM,
+			progress:        t.Progress,
+			work:            t.Work,
+			restarts:        t.Restarts,
+			initialProgress: t.InitialProgress,
+		})
+	}
+	return app
+}
+
+// replicateAppLocked forwards an app's current state to the replication
+// stream, if this GRM leads a replica set. Caller holds g.mu; the enqueue
+// never blocks (lock order g.mu → repl.mu).
+func (g *GRM) replicateAppLocked(app *appInfo) {
+	if g.repl != nil {
+		g.repl.enqueueApp(buildAppRecordLocked(app))
+		g.repl.setSeq(g.seq)
+	}
+}
+
+// replicateSchedLocked forwards the admission-queue snapshot and counters to
+// the replication stream, if this GRM leads a replica set. Caller holds g.mu;
+// the enqueue never blocks (lock order g.mu → repl.mu).
+func (g *GRM) replicateSchedLocked() {
+	if g.repl == nil {
+		return
+	}
+	rec := schedRecord{
+		QueuedIDs: make([]string, len(g.admitQ)),
+		Accepted:  g.stats.AdmissionQueued,
+		Rejected:  g.stats.AdmissionRejected,
+		Peak:      g.stats.AdmissionPeakDepth,
+		Batches:   g.stats.SchedulerBatches,
+		MaxBatch:  g.stats.MaxBatchSize,
+	}
+	for i, app := range g.admitQ {
+		rec.QueuedIDs[i] = app.id
+	}
+	g.repl.enqueueSched(rec)
+}
+
+// sortedNodeIDsLocked returns the node IDs sorted. Caller holds g.mu.
+func sortedNodeIDsLocked(nodes map[string]*nodeLiveness) []string {
+	ids := make([]string, 0, len(nodes))
+	for id := range nodes {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// sortedAppIDsLocked returns the app IDs sorted. Caller holds g.mu.
+func sortedAppIDsLocked(apps map[string]*appInfo) []string {
+	ids := make([]string, 0, len(apps))
+	for id := range apps {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
 }

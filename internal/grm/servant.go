@@ -88,14 +88,6 @@ func (g *GRM) Servant() orb.Servant {
 			}
 			return &orb.Encoder{}, nil
 		}).
-		Handle(protocol.OpReplicate, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			b, err := decodeReplicaBatch(req)
-			if err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "replicate: %v", err)
-			}
-			g.HandleReplica(b)
-			return &orb.Encoder{}, nil
-		}).
 		Handle(protocol.OpReconcile, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
 			r, err := protocol.DecodeReconcileRequest(req)
 			if err != nil {

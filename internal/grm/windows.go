@@ -31,8 +31,8 @@ func (g *GRM) HandleDeparting(n protocol.DepartureNotice) {
 		lv.departUntil = n.Deadline
 		ref = lv.lrm
 		if g.repl != nil {
-			// The standby mirrors the withdrawal: a promoted standby must
-			// not re-export a node that said goodbye.
+			// The followers mirror the withdrawal: a successor must not
+			// re-export a node that said goodbye.
 			g.repl.enqueueNodeGone(n.NodeID, lv.lrm)
 		}
 	}

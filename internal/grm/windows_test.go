@@ -491,10 +491,10 @@ func TestDrainedBSPGangRollsBackToCheckpoint(t *testing.T) {
 }
 
 func TestWindowStateSurvivesReplication(t *testing.T) {
-	// Availability windows ride the replication stream: a promoted standby
-	// must make the same window-aware placement decision the primary would
-	// have made.
-	c := newCluster(t, nil, grm.WithPolicy(grm.BestFit{}), grm.WithWindowAware())
+	// Availability windows ride the consensus log: a successor must make the
+	// same window-aware placement decision the old leader would have made.
+	rs := newReplicaSet(t, 3, grm.WithPolicy(grm.BestFit{}), grm.WithWindowAware())
+	c := rs.leader(t)
 	_, shortRef := bindFakeLRM(t, c, "repl-short", 0)
 	_, longRef := bindFakeLRM(t, c, "repl-long", 0)
 	now := c.clock.Now()
@@ -502,58 +502,42 @@ func TestWindowStateSurvivesReplication(t *testing.T) {
 		protocol.AvailWindow{Start: now.Add(-time.Minute), End: now.Add(10 * time.Minute), Confidence: 0.9}))
 	c.update(windowStatus(c, "repl-long", longRef, 1000,
 		protocol.AvailWindow{Start: now.Add(-time.Minute), End: now.Add(3 * time.Hour), Confidence: 0.9}))
+	rs.clock.Advance(15 * time.Second)
 
-	sb := grm.New("test", c.clock, c.o,
-		grm.WithSchedulePeriod(15*time.Second),
-		grm.WithPolicy(grm.BestFit{}),
-		grm.WithWindowAware())
-	a := orb.NewAdapter()
-	if err := a.Register(protocol.GRMKey, sb.Servant()); err != nil {
-		t.Fatal(err)
+	succ := rs.failover(t, rs.leaderIdx(t))
+	if got := succ.KnownNodes(); got != 2 {
+		t.Fatalf("successor KnownNodes = %d, want 2", got)
 	}
-	bound, err := c.o.BindLoopback("standby-win", a)
+	id, err := succ.Submit(hourTask("post-failover"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb.BecomeStandby(grm.StandbyConfig{})
-	c.g.AttachStandby(orb.ObjectRef{Endpoint: bound, Key: protocol.GRMKey})
-	t.Cleanup(sb.Stop)
-
-	c.clock.Advance(30 * time.Second)
-	if got := sb.KnownNodes(); got != 2 {
-		t.Fatalf("standby KnownNodes = %d, want 2", got)
-	}
-
-	sb.Promote()
-	id, err := sb.Submit(hourTask("post-promote"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := sb.AppStatus(id)
+	st, err := succ.AppStatus(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Tasks[0].NodeID != "repl-long" {
-		t.Fatalf("promoted standby placed on %q, want repl-long", st.Tasks[0].NodeID)
+		t.Fatalf("successor placed on %q, want repl-long", st.Tasks[0].NodeID)
 	}
-	if got := sb.Stats().WindowRejected; got < 1 {
-		t.Fatalf("standby WindowRejected = %d, want >= 1", got)
+	if got := succ.Stats().WindowRejected; got < 1 {
+		t.Fatalf("successor WindowRejected = %d, want >= 1", got)
 	}
 }
 
 func TestDepartureMirroredToStandby(t *testing.T) {
-	// The standby mirrors a graceful withdrawal: a promoted standby must not
-	// re-export a node that said goodbye.
-	c := newCluster(t, nil)
+	// The followers — each a standby for the leader — mirror a graceful
+	// withdrawal: a successor must not re-export a node that said goodbye.
+	rs := newReplicaSet(t, 3)
+	c := rs.leader(t)
 	_, refA := bindFakeLRM(t, c, "mirror-a", 0)
 	_, refB := bindFakeLRM(t, c, "mirror-b", 0)
 	c.update(windowStatus(c, "mirror-a", refA, 1000))
 	c.update(windowStatus(c, "mirror-b", refB, 1000))
-
-	sb := attachStandby(t, c, "test", "standby-dep", grm.StandbyConfig{})
-	c.clock.Advance(30 * time.Second)
-	if got := sb.KnownNodes(); got != 2 {
-		t.Fatalf("standby KnownNodes = %d, want 2", got)
+	rs.clock.Advance(15 * time.Second)
+	for i, g := range rs.grms {
+		if got := g.KnownNodes(); got != 2 {
+			t.Fatalf("m%d KnownNodes = %d, want 2", i, got)
+		}
 	}
 
 	c.g.HandleDeparting(protocol.DepartureNotice{
@@ -561,8 +545,10 @@ func TestDepartureMirroredToStandby(t *testing.T) {
 		Deadline: c.clock.Now().Add(10 * time.Minute),
 		At:       c.clock.Now(),
 	})
-	c.clock.Advance(15 * time.Second)
-	if got := sb.KnownNodes(); got != 1 {
-		t.Fatalf("standby KnownNodes after mirrored departure = %d, want 1", got)
+	rs.clock.Advance(15 * time.Second)
+	for i, g := range rs.grms {
+		if got := g.KnownNodes(); got != 1 {
+			t.Fatalf("m%d KnownNodes after the departure = %d, want 1", i, got)
+		}
 	}
 }

@@ -109,18 +109,6 @@ func (n *Node) Parent() orb.ObjectRef {
 	return n.parent
 }
 
-// Children snapshots the child links (used to clone topology onto a promoted
-// standby's hierarchy node during GRM failover).
-func (n *Node) Children() map[string]orb.ObjectRef {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[string]orb.ObjectRef, len(n.children))
-	for id, ref := range n.children {
-		out[id] = ref
-	}
-	return out
-}
-
 // ClusterID returns the local cluster's ID.
 func (n *Node) ClusterID() string { return n.clusterID }
 

@@ -96,8 +96,8 @@ type LRM struct {
 	timers  []sim.Timer
 	started bool
 	// fence is the newest manager epoch this LRM has witnessed; writes
-	// carrying an older (non-zero) epoch come from a deposed primary and
-	// are refused. Zero epochs are the unfenced legacy protocol.
+	// carrying an older epoch come from a deposed primary and are refused.
+	// Every manager stamps an epoch of at least 1.
 	fence int
 	// Re-registration loop state: consecutive update failures observed, and
 	// whether the backoff-paced re-register loop is currently armed.
@@ -346,11 +346,11 @@ func (l *LRM) pushUpdate(client *protocol.GRMClient) error {
 }
 
 // staleManager reports whether a reply epoch identifies a deposed primary,
-// counting the rejection. Zero epochs (legacy managers) never fence.
+// counting the rejection.
 func (l *LRM) staleManager(epoch int) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if epoch != 0 && epoch < l.fence {
+	if epoch < l.fence {
 		l.stats.StaleEpochRejections++
 		return true
 	}
@@ -373,13 +373,9 @@ func (l *LRM) Fence() int {
 	return l.fence
 }
 
-// admitEpoch gates one inbound manager write: zero (legacy) is always
-// admitted, an epoch at or above the fence advances it, and anything older
-// is refused and counted.
+// admitEpoch gates one inbound manager write: an epoch at or above the fence
+// advances it, and anything older is refused and counted.
 func (l *LRM) admitEpoch(epoch int) bool {
-	if epoch == 0 {
-		return true
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if epoch < l.fence {

@@ -406,8 +406,7 @@ func TestReleaseFreesReservation(t *testing.T) {
 
 // TestStaleEpochFencing: once the LRM has seen a manager at epoch E, every
 // write fenced below E is refused — reservations, executes and cancels from a
-// deposed primary place and destroy nothing. Epoch 0 stays the unfenced
-// legacy escape hatch.
+// deposed primary place and destroy nothing. Epoch 0 is no exception.
 func TestStaleEpochFencing(t *testing.T) {
 	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous())
 	alloc := resource.Vector{MIPS: 1000, RAMMB: 64}
@@ -461,10 +460,21 @@ func TestStaleEpochFencing(t *testing.T) {
 		t.Fatalf("stale execute err = %v", err)
 	}
 
-	// Legacy epoch 0 stays accepted.
+	// Once the fence is at least 1, an epoch-0 write is refused and counted,
+	// like any stale one.
+	before := f.lrm.Stats().StaleEpochRejections
 	r0, err := f.lrmC.Reserve(protocol.ReserveRequest{Holder: "d", Amount: resource.Vector{MIPS: 1}, TTL: time.Minute, Count: 1})
-	if err != nil || !r0.Granted {
-		t.Fatalf("epoch-0 reserve refused: %v %+v", err, r0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r0.Granted {
+		t.Fatal("epoch-0 reservation granted past a fence of 3")
+	}
+	if got := f.lrm.Stats().StaleEpochRejections; got != before+1 {
+		t.Fatalf("StaleEpochRejections = %d, want %d", got, before+1)
+	}
+	if got := f.lrm.Fence(); got != 3 {
+		t.Fatalf("Fence = %d after an epoch-0 write, want 3", got)
 	}
 }
 

@@ -22,17 +22,3 @@ func deliver(ic Interceptor, target Endpoint, key, op string, arg []byte, next f
 	}
 	return ic.Intercept(target, key, op, arg, next)
 }
-
-// faultPolicyInterceptor adapts the legacy Loopback fault hook — a
-// drop-or-deliver predicate — onto the shared Interceptor code path.
-type faultPolicyInterceptor struct {
-	policy FaultPolicy
-}
-
-// Intercept implements Interceptor.
-func (f faultPolicyInterceptor) Intercept(target Endpoint, key, op string, _ []byte, next func() ([]byte, error)) ([]byte, error) {
-	if err := f.policy(target, key, op); err != nil {
-		return nil, err
-	}
-	return next()
-}

@@ -23,15 +23,6 @@ type Loopback struct {
 
 var _ Invoker = (*Loopback)(nil)
 
-// FaultPolicy decides the fate of one in-process invocation. Return nil to
-// deliver normally; return an error (typically CodeTransport) to simulate a
-// lost or failed message.
-//
-// It is the legacy drop-only hook: SetFaultPolicy adapts it onto the shared
-// Interceptor path. New code should install an Interceptor (for example a
-// chaos.Engine), which also models delay and duplication.
-type FaultPolicy func(target Endpoint, key, op string) error
-
 // NewLoopback returns an empty in-process transport.
 func NewLoopback() *Loopback { return &Loopback{} }
 
@@ -42,16 +33,6 @@ func (l *Loopback) SetInterceptor(ic Interceptor) {
 		return
 	}
 	l.interceptor.Store(&ic)
-}
-
-// SetFaultPolicy installs (or clears, with nil) a drop-only fault hook. It
-// is a thin adapter over SetInterceptor kept for existing tests.
-func (l *Loopback) SetFaultPolicy(p FaultPolicy) {
-	if p == nil {
-		l.SetInterceptor(nil)
-		return
-	}
-	l.SetInterceptor(faultPolicyInterceptor{policy: p})
 }
 
 // Bind registers adapter under name and returns its endpoint.

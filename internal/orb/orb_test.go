@@ -135,35 +135,6 @@ func TestLoopbackErrorCodes(t *testing.T) {
 	}
 }
 
-func TestLoopbackFaultInjection(t *testing.T) {
-	o := New()
-	a := NewAdapter()
-	if err := a.Register("obj", echoServant()); err != nil {
-		t.Fatal(err)
-	}
-	ep, _ := o.BindLoopback("srv", a)
-	ref := ObjectRef{Endpoint: ep, Key: "obj"}
-
-	calls := 0
-	o.Loopback().SetFaultPolicy(func(Endpoint, string, string) error {
-		calls++
-		if calls%2 == 1 {
-			return Errorf(CodeTransport, "injected loss")
-		}
-		return nil
-	})
-	if _, err := o.Invoke(ref, "echo", encodeString("x")); !IsCode(err, CodeTransport) {
-		t.Fatalf("first call err = %v, want injected transport error", err)
-	}
-	if _, err := o.Invoke(ref, "echo", encodeString("x")); err != nil {
-		t.Fatalf("second call err = %v", err)
-	}
-	o.Loopback().SetFaultPolicy(nil)
-	if _, err := o.Invoke(ref, "echo", encodeString("x")); err != nil {
-		t.Fatalf("after clearing policy: %v", err)
-	}
-}
-
 func TestLoopbackUnbind(t *testing.T) {
 	o := New()
 	a := NewAdapter()

@@ -447,7 +447,7 @@ func TestClientHungPeerDeadlines(t *testing.T) {
 
 // TestLoopbackInterceptorSharedPath verifies the promoted hook: the same
 // Interceptor drives loopback delivery, including zero-delivery (drop) and
-// double-delivery (duplicate) shapes the old FaultPolicy could not express.
+// double-delivery (duplicate) shapes.
 func TestLoopbackInterceptorSharedPath(t *testing.T) {
 	o := New()
 	a := NewAdapter()

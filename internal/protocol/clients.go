@@ -21,7 +21,7 @@ func (c *GRMClient) Ref() orb.ObjectRef { return c.ref }
 
 // Update pushes a NodeStatus (Information Update Protocol), with the task
 // events that ride it (TaskEventKind.RidesUpdate), and returns the manager's
-// fencing epoch (0 from an unfenced legacy manager). The LRM compares it
+// fencing epoch, at least 1. The LRM compares it
 // against the newest epoch it has seen to spot a deposed primary still
 // answering. An error means the manager may or may not have applied the
 // update: the caller sends its events again with the next one.
@@ -176,7 +176,7 @@ func (c *LRMClient) Execute(req ExecuteRequest) error {
 }
 
 // Cancel aborts a running task on behalf of the manager with the given
-// fencing epoch (0 = unfenced). It returns the task's progress at
+// fencing epoch. It returns the task's progress at
 // cancellation (0 if the task was unknown or the epoch stale).
 func (c *LRMClient) Cancel(taskID string, epoch int) (float64, error) {
 	var e orb.Encoder

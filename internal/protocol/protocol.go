@@ -34,7 +34,6 @@ const (
 	OpCancelApp = "cancelApp" // ASCT aborts an application
 	OpListApps  = "listApps"  // ASCT enumerates applications
 	OpPeerInfo  = "peerInfo"  // hierarchy: cluster summary exchange
-	OpReplicate = "replicate" // primary GRM streams state to its standby
 	OpReconcile = "reconcile" // LRM syncs its running tasks after re-registering
 	OpDeparting = "departing" // LRM announces a predicted owner-driven departure
 
@@ -156,10 +155,10 @@ type ReserveRequest struct {
 	Holder string // application/request identifier
 	Amount resource.Vector
 	TTL    time.Duration // how long the holds may stand before execution
-	// Epoch is the issuing manager's fencing epoch (its election term). An
-	// LRM refuses requests whose epoch is older than the newest it has seen,
-	// so a deposed primary cannot place work. Zero means unfenced (a legacy
-	// single-primary manager) and is always accepted.
+	// Epoch is the issuing manager's fencing epoch: its election term, or 1
+	// for a manager outside a replica set. An LRM refuses requests whose
+	// epoch is older than the newest it has seen, so a deposed primary cannot
+	// place work.
 	Epoch int
 	// Count is how many holds are wanted, 1 to MaxHolds. The LRM grants as
 	// many as fit; fewer than Count means the node is full.
@@ -495,8 +494,8 @@ type TaskClaim struct {
 // ReconcileRequest is the LRM → GRM exchange that follows re-registration
 // with a (possibly new) GRM: the node reports every task it is running, and
 // the GRM answers with the task IDs it does not recognize, which the LRM
-// then cancels locally. After a warm failover the replicated state covers
-// all claims and nothing is cancelled; after a cold rebuild the placeholder
+// then cancels locally. After a replica-set failover the replicated state
+// covers all claims and nothing is cancelled; after a cold rebuild the placeholder
 // tasks of the dead manager's placements are reaped so their capacity frees
 // up for re-placement.
 type ReconcileRequest struct {
