@@ -6,7 +6,7 @@ FUZZ_SMOKE_TIME ?= 30s
 # Seeds the chaos target sweeps; each runs the fault-injection suite once.
 CHAOS_SEEDS ?= 1 7 42
 
-.PHONY: all build test race vet lint lint-fast interproc-lint fuzz-smoke fmt-check chaos failover election windows bench-orb bench-orb-check bench-sched bench-sched-check bench-windows benchmark-check profile-miss profile-update profile-tcp-update ci
+.PHONY: all build test race vet lint lint-fast interproc-lint fuzz-smoke fmt-check chaos failover election windows benchmark-check profile-miss profile-update profile-tcp-update ci
 
 all: build
 
@@ -126,49 +126,20 @@ windows:
 			./internal/lrm ./internal/grm ./internal/core || exit 1; \
 	done
 
-# ORB hot-path performance: the E12 microbenchmarks with allocation counts,
-# then the machine-readable report checked in as BENCH_orb.json (compare it
-# against the embedded pre_optimization_baseline block).
-bench-orb:
-	$(GO) test -run '^$$' -bench 'Invoke' -benchmem ./internal/orb
-	$(GO) test -run '^$$' -bench 'Select' -benchmem ./internal/trading
-	$(GO) run ./cmd/integrade-bench -orb-json BENCH_orb.json
-
-# CI smoke variant: short measurement budget, report to a scratch path, plus
-# the allocation gate (loopback invoke must stay within
-# internal/orb/testdata/alloc_budget.txt).
-bench-orb-check:
-	$(GO) test -run TestLoopbackInvokeAllocBudget -count=1 -v ./internal/orb
-	$(GO) run ./cmd/integrade-bench -orb-json /tmp/BENCH_orb_ci.json -orb-short
-
-# Scheduling-path performance: the E14 throughput/latency sweep over
-# 10^2-10^5 offers, written as the machine-readable BENCH_sched.json
-# (compare against the embedded pre_pipeline_baseline block).
-bench-sched:
-	$(GO) run ./cmd/integrade-bench -sched-json BENCH_sched.json
-
-# Availability-window experiment: the E15 aware-vs-blind comparison over
-# intermittent fleets, written as the machine-readable BENCH_windows.json.
-# Fully simulation-driven — the file is byte-stable for a fixed seed.
-bench-windows:
-	$(GO) run ./cmd/integrade-bench -windows-json BENCH_windows.json
-
-# CI smoke variant: the throughput gate (the 10k-offer point must stay
-# within internal/bench/testdata/sched_budget.txt), then a short-scale
-# report to a scratch path.
-bench-sched-check:
-	$(GO) test -run TestSchedBudgetHolds -count=1 -v ./internal/bench
-	$(GO) run ./cmd/integrade-bench -sched-json /tmp/BENCH_sched_ci.json -sched-short
-
 # The repository benchmark's self-test (BENCHMARK.json, benchmark/README.md):
 # its own tests, then a quick traced run — small fleets, two short rounds —
 # with the determinism guard and the brute-force oracle on. Not a
-# measurement; traces land in benchmark/out/. Then one iteration each of the
-# micro-benchmarks ROADMAP items 2 and 6 quote, so they keep compiling and running
-# (BenchmarkTCPInvoke minus BenchmarkTCPRawEcho is what the ORB adds to a round trip).
+# measurement; traces land in benchmark/out/. Then the allocation gates
+# (internal/orb and internal/grm testdata/alloc_budget.txt, and the
+# protocol encoders' one allocation per message), which skip some or all of
+# their rows under -race and so run here without it. Then one iteration each
+# of the micro-benchmarks ROADMAP items 2 and 6 quote, so they keep compiling
+# and running (BenchmarkTCPInvoke minus BenchmarkTCPRawEcho is what the ORB
+# adds to a round trip).
 benchmark-check:
 	$(GO) test -count=1 ./benchmark
 	$(GO) run ./benchmark -quick -traced
+	$(GO) test -count=1 -run 'AllocBudget|AllocateOnce' ./internal/orb ./internal/grm ./internal/protocol
 	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkLoopbackUpdate10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPGangPlacement|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
 	$(GO) test -run '^$$' -bench 'BenchmarkTCPInvokeConcurrent/callers=64' -benchtime 1x ./internal/orb
 
@@ -202,4 +173,4 @@ profile-tcp-update:
 	$(GO) tool pprof -top -nodecount 25 tcp_update.test tcp_update.prof
 
 # Everything CI runs, in the same order.
-ci: build fmt-check vet lint interproc-lint race chaos failover election windows bench-orb-check bench-sched-check benchmark-check fuzz-smoke
+ci: build fmt-check vet lint interproc-lint race chaos failover election windows benchmark-check fuzz-smoke

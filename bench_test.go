@@ -195,20 +195,6 @@ func BenchmarkExp11ORB(b *testing.B) {
 	})
 }
 
-func BenchmarkExp12ORBPerf(b *testing.B) {
-	runExperiment(b, "E12", func(t bench.Table, b *testing.B) {
-		if i := rowByFirst(t, "invoke/loopback"); i >= 0 {
-			// First loopback row is the single-caller point; the 64-caller
-			// row two below it is the headline throughput number.
-			b.ReportMetric(cell(t, i+2, "ns_per_op"), "loopback64c_ns")
-			b.ReportMetric(cell(t, i+2, "allocs_per_op"), "loopback64c_allocs")
-		}
-		if i := rowByFirst(t, "trader/select"); i >= 0 {
-			b.ReportMetric(cell(t, i, "ns_per_op"), "select100_ns")
-		}
-	})
-}
-
 func BenchmarkExp13Failover(b *testing.B) {
 	runExperiment(b, "E13", func(t bench.Table, b *testing.B) {
 		// The first quorum row is the clean kill; the first cold row is the

@@ -1,20 +1,13 @@
 // Command integrade-bench regenerates the experiment tables of DESIGN.md
-// Section 9 / EXPERIMENTS.md: the paper-claim experiments E1-E11 and the
-// design ablations A1-A3.
+// Section 9 / EXPERIMENTS.md: the paper-claim experiments E1-E11, E13 and
+// E15, and the design ablations A1-A3. Performance is measured by the
+// repository benchmark (benchmark/, BENCHMARK.json), not here.
 //
 // Usage:
 //
 //	integrade-bench              # run the whole suite
 //	integrade-bench -exp E4,E10  # run selected experiments
 //	integrade-bench -seed 7      # change the experiment seed
-//
-// With -orb-json PATH it instead runs only the E12 ORB performance
-// measurements and writes the machine-readable report to PATH (the
-// BENCH_orb.json perf trajectory); -orb-short trims the per-point budget
-// for CI smoke runs. -sched-json/-sched-short do the same for the E14
-// scheduling-path measurements (the BENCH_sched.json trajectory), and
-// -windows-json for the E15 availability-window measurements (fully
-// simulation-driven, so the report is byte-stable for a fixed seed).
 package main
 
 import (
@@ -36,25 +29,10 @@ func main() {
 
 func run() error {
 	var (
-		expFlag    = flag.String("exp", "", "comma-separated experiment IDs (default: all)")
-		seed       = flag.Int64("seed", 1, "experiment seed")
-		orbJSON    = flag.String("orb-json", "", "write the E12 ORB perf report to this path and exit")
-		orbShort   = flag.Bool("orb-short", false, "with -orb-json: use the short per-point budget (CI smoke)")
-		schedJSON  = flag.String("sched-json", "", "write the E14 scheduling perf report to this path and exit")
-		schedShort = flag.Bool("sched-short", false, "with -sched-json: use the short offer scales (CI smoke)")
-		winJSON    = flag.String("windows-json", "", "write the E15 availability-window report to this path and exit")
+		expFlag = flag.String("exp", "", "comma-separated experiment IDs (default: all)")
+		seed    = flag.Int64("seed", 1, "experiment seed")
 	)
 	flag.Parse()
-
-	if *orbJSON != "" {
-		return writeORBReport(*orbJSON, *seed, *orbShort)
-	}
-	if *schedJSON != "" {
-		return writeSchedReport(*schedJSON, *seed, *schedShort)
-	}
-	if *winJSON != "" {
-		return writeWindowsReport(*winJSON, *seed)
-	}
 
 	want := map[string]bool{}
 	if *expFlag != "" {
@@ -79,73 +57,5 @@ func run() error {
 	if ran == 0 {
 		return fmt.Errorf("no experiments matched %q", *expFlag)
 	}
-	return nil
-}
-
-// writeORBReport runs the E12 measurements and writes BENCH_orb.json.
-func writeORBReport(path string, seed int64, short bool) error {
-	start := time.Now()
-	report, err := bench.MeasureORBPerf(seed, short)
-	if err != nil {
-		return fmt.Errorf("orb perf measurement: %w", err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := report.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "(wrote %s in %v)\n", path, time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// writeWindowsReport runs the E15 measurements and writes BENCH_windows.json.
-// Every number is simulation-driven: the file is byte-stable per seed.
-func writeWindowsReport(path string, seed int64) error {
-	start := time.Now()
-	report, err := bench.MeasureWindows(seed)
-	if err != nil {
-		return fmt.Errorf("windows measurement: %w", err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := report.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "(wrote %s in %v)\n", path, time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// writeSchedReport runs the E14 measurements and writes BENCH_sched.json.
-// Telemetry goes to stderr; stdout stays empty (and therefore byte-stable).
-func writeSchedReport(path string, seed int64, short bool) error {
-	start := time.Now()
-	report, err := bench.MeasureSchedPerf(seed, short)
-	if err != nil {
-		return fmt.Errorf("sched perf measurement: %w", err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := report.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "(wrote %s in %v)\n", path, time.Since(start).Round(time.Millisecond))
 	return nil
 }

@@ -43,8 +43,8 @@ func TestFormatFloat(t *testing.T) {
 
 func TestAllRegistered(t *testing.T) {
 	exps := All()
-	if len(exps) != 18 {
-		t.Fatalf("experiments = %d, want 18 (E1-E15 + A1-A3)", len(exps))
+	if len(exps) != 16 {
+		t.Fatalf("experiments = %d, want 16 (E1-E11, E13, E15 + A1-A3)", len(exps))
 	}
 	seen := make(map[string]bool)
 	for _, e := range exps {

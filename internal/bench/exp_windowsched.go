@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"integrade/internal/asct"
@@ -22,8 +20,8 @@ import (
 // derived from the usage profile's busy windows), under a window-aware
 // scheduler (LUPA forecast windows + pre-departure drains) and a
 // window-blind one (the pre-PR scheduler: placements ignore forecasts,
-// departures look like silent crashes). The measurements also serialize to
-// BENCH_windows.json (integrade-bench -windows-json).
+// departures look like silent crashes). Every number is simulation-driven, so
+// the table is byte-stable per seed: testdata/golden_e15_seed1.txt pins it.
 
 // E15 fleet and workload. Desktop mixes pair e15Desktops owner workstations
 // with e15Dedicated always-on machines so the bag can always finish; the
@@ -67,29 +65,20 @@ func e15Fleets() []e15Fleet {
 	}
 }
 
-// WindowsReport is the machine-readable form of E15. Unlike the wall-clock
-// perf reports, every number here is simulation-driven: the report is
-// byte-stable for a fixed seed.
-type WindowsReport struct {
-	Schema string             `json:"schema"`
-	Seed   int64              `json:"seed"`
-	Runs   []WindowsRunResult `json:"runs"`
-}
-
-// WindowsRunResult is one (fleet mix, scheduler) measurement.
-type WindowsRunResult struct {
-	Fleet              string  `json:"fleet"`
-	Scheduler          string  `json:"scheduler"`
-	TasksDone          int     `json:"tasks_done"`
-	CompletionPct      float64 `json:"completion_pct"`
-	MakespanH          float64 `json:"makespan_h"` // -1: not done within the horizon
-	TasksEvicted       int     `json:"tasks_evicted"`
-	NodesDeclaredDead  int     `json:"nodes_declared_dead"`
-	GracefulDepartures int     `json:"graceful_departures"`
-	TasksDrained       int     `json:"tasks_drained"`
-	WorkLostGI         float64 `json:"work_lost_gi"`
-	DrainSavedGI       float64 `json:"drain_saved_gi"`
-	WindowRejected     int     `json:"window_rejected"`
+// windowsRun is one (fleet mix, scheduler) measurement.
+type windowsRun struct {
+	Fleet              string
+	Scheduler          string
+	TasksDone          int
+	CompletionPct      float64
+	MakespanH          float64 // -1: not done within the horizon
+	TasksEvicted       int
+	NodesDeclaredDead  int
+	GracefulDepartures int
+	TasksDrained       int
+	WorkLostGI         float64
+	DrainSavedGI       float64
+	WindowRejected     int
 }
 
 // scheduleE15Flaps powers each desktop off for every owner-busy window over
@@ -121,12 +110,12 @@ func scheduleE15Flaps(g *core.Grid, ids []string, profile usage.Profile, seed in
 // runWindowsFleet trains one fleet's LUPAs for e15Train, installs the
 // owner-driven flap schedule, submits the bag, and drives the run to
 // completion or the horizon.
-func runWindowsFleet(seed int64, fl e15Fleet, aware bool) (WindowsRunResult, error) {
+func runWindowsFleet(seed int64, fl e15Fleet, aware bool) (windowsRun, error) {
 	scheduler := "window-blind"
 	if aware {
 		scheduler = "window-aware"
 	}
-	res := WindowsRunResult{Fleet: fl.name, Scheduler: scheduler, MakespanH: -1}
+	res := windowsRun{Fleet: fl.name, Scheduler: scheduler, MakespanH: -1}
 
 	g := core.NewGrid(core.WithSeed(seed))
 	defer g.Stop()
@@ -204,27 +193,20 @@ func runWindowsFleet(seed int64, fl e15Fleet, aware bool) (WindowsRunResult, err
 	return res, nil
 }
 
-// MeasureWindows runs the E15 measurements: every fleet mix under the
+// measureWindows runs the E15 measurements: every fleet mix under the
 // window-aware and the window-blind scheduler.
-func MeasureWindows(seed int64) (WindowsReport, error) {
-	report := WindowsReport{Schema: "integrade/bench-windows/v1", Seed: seed}
+func measureWindows(seed int64) ([]windowsRun, error) {
+	var runs []windowsRun
 	for _, fl := range e15Fleets() {
 		for _, aware := range []bool{true, false} {
 			r, err := runWindowsFleet(seed, fl, aware)
 			if err != nil {
-				return report, fmt.Errorf("windows fleet %s aware=%v: %w", fl.name, aware, err)
+				return runs, fmt.Errorf("windows fleet %s aware=%v: %w", fl.name, aware, err)
 			}
-			report.Runs = append(report.Runs, r)
+			runs = append(runs, r)
 		}
 	}
-	return report, nil
-}
-
-// WriteJSON serializes the report, indented for diff-friendly check-in.
-func (r WindowsReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return runs, nil
 }
 
 // Exp15Windows renders the E15 measurements as an experiment table.
@@ -236,6 +218,12 @@ func (r WindowsReport) WriteJSON(w io.Writer) error {
 // departure, measured against a scheduler that treats every departure as a
 // surprise crash.
 func Exp15Windows(seed int64) Table {
+	runs, err := measureWindows(seed)
+	return windowsTable(runs, err)
+}
+
+// windowsTable renders measureWindows' result.
+func windowsTable(runs []windowsRun, err error) Table {
 	t := Table{
 		ID:    "E15",
 		Title: "Availability-window scheduling on intermittent fleets (aware vs. blind)",
@@ -243,12 +231,11 @@ func Exp15Windows(seed int64) Table {
 			"makespan_h", "evicted", "dead_nodes", "departures", "drained",
 			"lost_GI", "saved_GI", "win_rejected"},
 	}
-	report, err := MeasureWindows(seed)
 	if err != nil {
 		t.Notes = append(t.Notes, fmt.Sprintf("measurement failed: %v", err))
 		return t
 	}
-	for _, r := range report.Runs {
+	for _, r := range runs {
 		ms := "-"
 		if r.MakespanH >= 0 {
 			ms = formatFloat(r.MakespanH)

@@ -1,7 +1,7 @@
 // Package bench implements the experiment suite of DESIGN.md Section 9: one
-// runner per experiment (E1–E15), each regenerating its table. The runners
-// are shared by the repository-root benchmarks (go test -bench) and the
-// integrade-bench CLI.
+// runner per experiment (E1–E11, E13, E15 and the ablations A1–A3), each
+// regenerating its table. The runners are shared by the repository-root
+// benchmarks (go test -bench) and the integrade-bench CLI.
 //
 // The 2003 paper contains no quantitative evaluation, so each experiment
 // operationalizes one of its prose claims; EXPERIMENTS.md records the
@@ -107,9 +107,7 @@ func All() []Experiment {
 		{ID: "E9", Title: "Failure recovery under fault injection", Run: Exp9Recovery},
 		{ID: "E10", Title: "InteGrade vs Condor-like vs BOINC-like", Run: Exp10Baselines},
 		{ID: "E11", Title: "ORB microbenchmarks", Run: Exp11ORB},
-		{ID: "E12", Title: "ORB fast-path throughput and allocation", Run: Exp12ORBPerf},
 		{ID: "E13", Title: "GRM failover and cluster self-healing", Run: Exp13Failover},
-		{ID: "E14", Title: "Scheduling-path throughput and latency", Run: Exp14SchedPerf},
 		{ID: "E15", Title: "Availability-window scheduling on intermittent fleets", Run: Exp15Windows},
 		{ID: "A1", Title: "Ablation: information-update period", Run: AblationUpdatePeriod},
 		{ID: "A2", Title: "Ablation: negotiation attempt budget", Run: AblationMaxAttempts},

@@ -17,8 +17,8 @@ import (
 )
 
 // Checkpoint files start with a fixed magic followed by a CRC32 (IEEE) of
-// the payload, both big-endian; a record whose checksum does not match is
-// corrupt (torn write, bit rot) and is never restored from.
+// the payload, both big-endian; a record without the magic, or whose checksum
+// does not match, is corrupt (torn write, bit rot) and is never restored from.
 var fileMagic = [4]byte{'I', 'C', 'K', '1'}
 
 const fileHeaderLen = 8 // magic + crc32
@@ -27,7 +27,8 @@ const fileHeaderLen = 8 // magic + crc32
 // fallback when the current file fails its integrity check.
 const prevSuffix = ".prev"
 
-// ErrCorrupt indicates a checkpoint file failed its CRC32 integrity check.
+// ErrCorrupt indicates a checkpoint file failed its integrity check: no
+// header, or a CRC32 mismatch.
 var ErrCorrupt = errors.New("checkpoint: corrupt snapshot file")
 
 // FileStore persists snapshots to a directory, one file per application, so
@@ -158,13 +159,13 @@ func (fs *FileStore) load(path, appID string) (Snapshot, error) {
 		}
 		return Snapshot{}, fmt.Errorf("checkpoint: read: %w", err)
 	}
-	payload := data
-	if len(data) >= fileHeaderLen && [4]byte(data[:4]) == fileMagic {
-		payload = data[fileHeaderLen:]
-		want := binary.BigEndian.Uint32(data[4:8])
-		if got := crc32.ChecksumIEEE(payload); got != want {
-			return Snapshot{}, fmt.Errorf("%w: %q crc 0x%08x, want 0x%08x", ErrCorrupt, appID, got, want)
-		}
+	if len(data) < fileHeaderLen || [4]byte(data[:4]) != fileMagic {
+		return Snapshot{}, fmt.Errorf("%w: %q has no %s header", ErrCorrupt, appID, fileMagic[:])
+	}
+	payload := data[fileHeaderLen:]
+	want := binary.BigEndian.Uint32(data[4:8])
+	if got := crc32.ChecksumIEEE(payload); got != want {
+		return Snapshot{}, fmt.Errorf("%w: %q crc 0x%08x, want 0x%08x", ErrCorrupt, appID, got, want)
 	}
 	cp, err := DecodeSnapshot(orb.NewDecoder(payload))
 	if err != nil {

@@ -193,26 +193,44 @@ func TestFileStoreCorruptWithoutFallbackFails(t *testing.T) {
 	}
 }
 
-// TestFileStoreReadsLegacyHeaderlessFiles: snapshot files written before the
-// integrity header (raw wire encoding, no magic) still load.
-func TestFileStoreReadsLegacyHeaderlessFiles(t *testing.T) {
+// TestFileStoreRejectsHeaderlessFiles: a file without the ICK1 header — a
+// bare wire-encoded snapshot that decodes cleanly — is corrupt like a CRC
+// mismatch. Latest falls back to the previous epoch, and with none left it
+// fails with ErrCorrupt.
+func TestFileStoreRejectsHeaderlessFiles(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := NewFileStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := Snapshot{AppID: "legacy", Superstep: 3, States: [][]byte{u64(5)}, TakenAt: time.Unix(9, 0).UTC()}
-	var e orb.Encoder
-	cp.Encode(&e)
-	if err := os.WriteFile(fs.path("legacy"), e.Bytes(), 0o644); err != nil {
+	writeHeaderless := func(appID string, superstep int) {
+		t.Helper()
+		cp := Snapshot{AppID: appID, Superstep: superstep, States: [][]byte{u64(5)}, TakenAt: time.Unix(9, 0).UTC()}
+		var e orb.Encoder
+		cp.Encode(&e)
+		if err := os.WriteFile(fs.path(appID), e.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := fs.Save("job", 2, [][]byte{u64(11)}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.Latest("legacy")
+	if err := fs.Save("job", 4, [][]byte{u64(21)}); err != nil {
+		t.Fatal(err)
+	}
+	writeHeaderless("job", 6)
+	cp, err := fs.Latest("job")
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Latest over a headerless current epoch: %v", err)
 	}
-	if got.Superstep != 3 || fromU64(got.States[0]) != 5 {
-		t.Fatalf("legacy snapshot = %+v", got)
+	if cp.Superstep != 2 || fromU64(cp.States[0]) != 11 {
+		t.Fatalf("fallback snapshot = %+v, want the superstep-2 epoch", cp)
+	}
+
+	writeHeaderless("solo", 3)
+	if _, err := fs.Latest("solo"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
 

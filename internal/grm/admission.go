@@ -190,20 +190,26 @@ func (g *GRM) matchBatch(batch []*appInfo) {
 }
 
 // drainAdmission empties the admission queue from the calling goroutine,
-// batch by batch. Only one drainer (sync or async) runs at a time: the
-// draining latch serializes them, and a second caller waits on drainDone —
-// holding no lock — then re-checks the queue, so a synchronous Submit never
-// returns while its own application could still be queued.
-func (g *GRM) drainAdmission() {
+// batch by batch. Only one drainer runs at a time: the draining latch
+// serializes them. A synchronous caller that finds the latch held waits on
+// drainDone — holding no lock — then re-checks the queue, so a synchronous
+// Submit never returns while its own application could still be queued. The
+// background drainer kickDrain starts exits instead, and also once the GRM
+// stops: the latch holder drains on, and a later Submit kicks a fresh
+// drainer, so no admission is lost.
+func (g *GRM) drainAdmission(background bool) {
 	for {
 		g.mu.Lock()
-		if g.draining {
+		if g.draining && !background {
 			ch := g.drainDone
 			g.mu.Unlock()
 			<-ch
 			continue
 		}
-		if len(g.admitQ) == 0 {
+		if g.draining || len(g.admitQ) == 0 || background && g.stopped {
+			if background {
+				g.drainerRunning = false
+			}
 			g.mu.Unlock()
 			return
 		}
@@ -232,29 +238,8 @@ func (g *GRM) kickDrain() {
 	g.drainerRunning = true
 	g.mu.Unlock()
 	g.drainWG.Add(1)
-	go g.asyncDrain()
-}
-
-// asyncDrain is the background admission drainer. It exits when the queue
-// is empty, the GRM stops, or a synchronous drainer holds the latch — in
-// every case a later Submit kicks a fresh drainer, so no admission is lost.
-func (g *GRM) asyncDrain() {
-	defer g.drainWG.Done()
-	for {
-		g.mu.Lock()
-		if g.stopped || g.draining || len(g.admitQ) == 0 {
-			g.drainerRunning = false
-			g.mu.Unlock()
-			return
-		}
-		g.draining = true
-		g.drainDone = make(chan struct{})
-		batch := g.takeBatchLocked()
-		g.mu.Unlock()
-		g.matchBatch(batch)
-		g.mu.Lock()
-		g.draining = false
-		close(g.drainDone)
-		g.mu.Unlock()
-	}
+	go func() {
+		defer g.drainWG.Done()
+		g.drainAdmission(true)
+	}()
 }

@@ -172,7 +172,7 @@ type GRM struct {
 
 	// Admission pipeline: Submit enqueues into the bounded admitQ and the
 	// queue is drained in batches by matchBatch — synchronously from Submit
-	// by default, or by the asyncDrain goroutine under WithAsyncAdmission.
+	// by default, or by the kickDrain goroutine under WithAsyncAdmission.
 	// draining is the single-drainer latch; drainDone is closed when the
 	// current drainer releases it so waiting submitters can re-check the
 	// queue without holding mu across a batch.
@@ -545,7 +545,7 @@ func (g *GRM) Submit(spec protocol.ApplicationSpec) (string, error) {
 	if async {
 		g.kickDrain()
 	} else {
-		g.drainAdmission()
+		g.drainAdmission(false)
 	}
 	return id, nil
 }
@@ -562,7 +562,7 @@ func (g *GRM) SchedulePending() {
 	if follower {
 		return
 	}
-	g.drainAdmission()
+	g.drainAdmission(false)
 	g.detectFailures()
 	g.mu.Lock()
 	var apps []*appInfo

@@ -7,9 +7,9 @@ import (
 )
 
 // benchConcurrent drives n goroutines through inv.Invoke as fast as they can
-// go, splitting b.N across them. It is the microbenchmark behind the E12
-// throughput table: the loopback rows exercise dispatch and pooling, the TCP
-// rows exercise the idle-connection stack with more callers than it keeps.
+// go, splitting b.N across them. It measures invoke throughput under
+// concurrency: the loopback rows exercise dispatch and pooling, the TCP rows
+// exercise the idle-connection stack with more callers than it keeps.
 func benchConcurrent(b *testing.B, inv Invoker, ref ObjectRef, callers int) {
 	b.Helper()
 	var e Encoder
