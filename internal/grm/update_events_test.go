@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"integrade/internal/grm"
 	"integrade/internal/orb"
 	"integrade/internal/protocol"
 	"integrade/internal/resource"
@@ -174,5 +175,48 @@ func TestMalformedUpdateAppliesNothing(t *testing.T) {
 	}
 	if stats := c.g.Stats(); stats.UpdatesReceived != 1 || stats.TasksDone != 1 || c.g.KnownNodes() != 1 {
 		t.Fatalf("the well-formed update: %+v, %d nodes", stats, c.g.KnownNodes())
+	}
+}
+
+// TestStaleTaskEventsIgnored: an eviction, drain or progress report speaks
+// for one run of a task. Once the task runs elsewhere, a retried Evicted from
+// its old node must not restart it a second time, nor a late Progress or
+// Drained from that node touch the new run.
+func TestStaleTaskEventsIgnored(t *testing.T) {
+	c := newCluster(t, nil, grm.WithPolicy(grm.BestFit{}))
+	_, refA := bindFakeLRM(t, c, "stale-a", 0)
+	b, refB := bindFakeLRM(t, c, "stale-b", 0)
+	c.update(windowStatus(c, "stale-a", refA, 2000))
+	c.update(windowStatus(c, "stale-b", refB, 1000))
+
+	spec := hourTask("stale")
+	spec.CheckpointEveryWork = 300_000
+	spec.RestartEvicted = true
+	id := c.submit(spec)
+	taskID := c.status(id).Tasks[0].TaskID
+	evicted := protocol.TaskEvent{Kind: protocol.TaskEventEvicted, AppID: id, TaskID: taskID, NodeID: "stale-a", Progress: 400_000, At: c.clock.Now()}
+	c.g.HandleNotify(evicted)
+	if task := c.status(id).Tasks[0]; task.NodeID != "stale-b" || task.State != protocol.TaskRunning {
+		t.Fatalf("after the eviction: %+v, want running on stale-b", task)
+	}
+	c.g.HandleNotify(protocol.TaskEvent{Kind: protocol.TaskEventProgress, AppID: id, TaskID: taskID, NodeID: "stale-b", Progress: 350_000})
+	before := c.g.Stats()
+
+	for _, ev := range []protocol.TaskEvent{
+		evicted, // a TCP retry re-delivers it
+		{Kind: protocol.TaskEventProgress, AppID: id, TaskID: taskID, NodeID: "stale-a", Progress: 450_000},
+		{Kind: protocol.TaskEventDrained, AppID: id, TaskID: taskID, NodeID: "stale-a", Progress: 450_000},
+	} {
+		c.g.HandleNotify(ev)
+		task := c.status(id).Tasks[0]
+		if task.NodeID != "stale-b" || task.State != protocol.TaskRunning || task.Restarts != 1 || task.Progress != 350_000 {
+			t.Fatalf("stale %v from stale-a changed the task: %+v", ev.Kind, task)
+		}
+		if got := c.g.Stats(); got != before {
+			t.Fatalf("stale %v from stale-a moved the counters:\n got %+v\nwant %+v", ev.Kind, got, before)
+		}
+		if n := b.executeCount(); n != 1 {
+			t.Fatalf("stale %v from stale-a: stale-b executed %d copies, want 1", ev.Kind, n)
+		}
 	}
 }
