@@ -84,7 +84,8 @@ chaos:
 
 # GRM failover suite under the race detector, swept over the same fixed
 # seeds: what a replica set's followers mirror from the log (the incumbent's
-# state, availability windows, departures, the admission queue), LRM
+# state, availability windows, departures, the admission queue, and a seeded
+# mix of every transition checked against the leader after each flush), LRM
 # re-registration and the reconcile exchange, plus the end-to-end recovery
 # scenarios (a leader crash mid-superstep, a leader crash during a
 # registration burst, and two cold rebuilds in a row).

@@ -153,24 +153,6 @@ func (mc *matchCtx) fill(cons string) (*matchEntry, error) {
 	return ent, nil
 }
 
-// takeBatchLocked removes up to admitBatch applications from the head of
-// the admission queue. Caller holds g.mu.
-func (g *GRM) takeBatchLocked() []*appInfo {
-	n := min(g.admitBatch, len(g.admitQ))
-	if n <= 0 {
-		return nil
-	}
-	batch := make([]*appInfo, n)
-	copy(batch, g.admitQ)
-	rest := copy(g.admitQ, g.admitQ[n:])
-	for i := rest; i < len(g.admitQ); i++ {
-		g.admitQ[i] = nil
-	}
-	g.admitQ = g.admitQ[:rest]
-	g.stats.AdmissionQueueDepth = rest
-	return batch
-}
-
 // matchBatch runs one scheduling pass over a drained batch against a single
 // matchCtx, so every task in the batch shares trader snapshots and (for
 // keyed policies) candidate rankings. Runs with no GRM lock held.
@@ -180,12 +162,8 @@ func (g *GRM) matchBatch(batch []*appInfo) {
 		g.scheduleApp(app, mc)
 	}
 	g.mu.Lock()
-	g.stats.SchedulerBatches++
-	g.stats.LastBatchSize = len(batch)
-	g.stats.MaxBatchSize = max(g.stats.MaxBatchSize, len(batch))
 	g.stats.SnapshotHits += mc.hits
 	g.stats.SnapshotMisses += mc.misses
-	g.replicateSchedLocked()
 	g.mu.Unlock()
 }
 

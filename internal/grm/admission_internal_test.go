@@ -2,7 +2,6 @@ package grm
 
 import (
 	"testing"
-	"time"
 
 	"integrade/internal/orb"
 	"integrade/internal/sim"
@@ -16,7 +15,7 @@ func TestSchedRecordWireRoundTrip(t *testing.T) {
 	b := replicaBatch{
 		ClusterID: "test",
 		Seq:       7,
-		Sched: &schedRecord{
+		Queue: &schedRecord{
 			QueuedIDs: []string{"app-1", "app-2"},
 			Accepted:  9,
 			Rejected:  3,
@@ -31,15 +30,15 @@ func TestSchedRecordWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Sched == nil {
-		t.Fatal("Sched section lost in round trip")
+	if got.Queue == nil {
+		t.Fatal("Queue section lost in round trip")
 	}
-	if len(got.Sched.QueuedIDs) != 2 || got.Sched.QueuedIDs[0] != "app-1" || got.Sched.QueuedIDs[1] != "app-2" {
-		t.Fatalf("QueuedIDs = %v", got.Sched.QueuedIDs)
+	if len(got.Queue.QueuedIDs) != 2 || got.Queue.QueuedIDs[0] != "app-1" || got.Queue.QueuedIDs[1] != "app-2" {
+		t.Fatalf("QueuedIDs = %v", got.Queue.QueuedIDs)
 	}
-	if got.Sched.Accepted != 9 || got.Sched.Rejected != 3 || got.Sched.Peak != 4 ||
-		got.Sched.Batches != 5 || got.Sched.MaxBatch != 2 {
-		t.Fatalf("counters = %+v", *got.Sched)
+	if got.Queue.Accepted != 9 || got.Queue.Rejected != 3 || got.Queue.Peak != 4 ||
+		got.Queue.Batches != 5 || got.Queue.MaxBatch != 2 {
+		t.Fatalf("counters = %+v", *got.Queue)
 	}
 
 	var e2 orb.Encoder
@@ -48,8 +47,8 @@ func TestSchedRecordWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got2.Sched != nil {
-		t.Fatalf("batch without scheduler state decoded Sched = %+v", *got2.Sched)
+	if got2.Queue != nil {
+		t.Fatalf("batch without scheduler state decoded Queue = %+v", *got2.Queue)
 	}
 }
 
@@ -72,8 +71,8 @@ func TestApplyReplicaRebuildsAdmissionQueue(t *testing.T) {
 
 	apply(1, replicaBatch{
 		ClusterID: "test",
-		Apps:      []appRecord{{ID: "app-1"}, {ID: "app-2"}},
-		Sched: &schedRecord{
+		Apps:      []*appInfo{{id: "app-1"}, {id: "app-2"}},
+		Queue: &schedRecord{
 			QueuedIDs: []string{"app-1", "app-2", "app-lost"},
 			Accepted:  3,
 			Rejected:  1,
@@ -102,15 +101,15 @@ func TestApplyReplicaRebuildsAdmissionQueue(t *testing.T) {
 		t.Fatalf("AdmissionQueueDepth = %d, want 2 (resolved entries only)", st.AdmissionQueueDepth)
 	}
 
-	// A later entry with no scheduler state must leave the queue untouched —
+	// A later entry with no queue must leave the queue untouched —
 	// the section is a full snapshot, not a delta, and is only sent when the
 	// leader has something to report.
-	apply(2, replicaBatch{ClusterID: "test", Apps: []appRecord{{ID: "app-3"}}})
+	apply(2, replicaBatch{ClusterID: "test", Apps: []*appInfo{{id: "app-3"}}})
 	g.mu.Lock()
 	depth := len(g.admitQ)
 	g.mu.Unlock()
 	if depth != 2 {
-		t.Fatalf("batch without Sched changed queue depth to %d", depth)
+		t.Fatalf("batch without a queue changed queue depth to %d", depth)
 	}
 }
 
@@ -158,29 +157,34 @@ func TestDrainAdmissionLatch(t *testing.T) {
 	}
 }
 
-// TestReplicateSchedLockedSnapshotsQueue checks the primary half: the
-// enqueued record carries the live queue IDs and counters at flush time.
+// TestReplicateSchedLockedSnapshotsQueue checks the primary half: a queue
+// transition marks the queue, and the next flush carries the live queue IDs
+// and counters.
 func TestReplicateSchedLockedSnapshotsQueue(t *testing.T) {
 	clock := sim.NewVirtualClock()
 	g := New("test", clock, orb.New())
 	defer g.Stop()
+	var proposed []byte
+	repl := newReplicator(g, func(data []byte) error { proposed = data; return nil })
 
 	g.mu.Lock()
-	g.repl = newReplicator(g, time.Second, func([]byte) error { return nil })
-	g.admitQ = append(g.admitQ, &appInfo{id: "app-9"})
-	g.stats.AdmissionQueued = 5
+	g.repl = repl
 	g.stats.AdmissionRejected = 2
-	g.replicateSchedLocked()
-	rec := g.repl.sched
+	g.queueLocked(&appInfo{id: "app-9"})
 	g.mu.Unlock()
+	repl.flush()
 
-	if rec == nil {
-		t.Fatal("replicateSchedLocked enqueued nothing")
+	b, err := decodeReplicaBatch(orb.NewDecoder(proposed))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(rec.QueuedIDs) != 1 || rec.QueuedIDs[0] != "app-9" {
-		t.Fatalf("QueuedIDs = %v", rec.QueuedIDs)
+	if b.Queue == nil {
+		t.Fatal("a queue transition left the queue out of the batch")
 	}
-	if rec.Accepted != 5 || rec.Rejected != 2 {
-		t.Fatalf("counters = %+v", *rec)
+	if len(b.Queue.QueuedIDs) != 1 || b.Queue.QueuedIDs[0] != "app-9" {
+		t.Fatalf("QueuedIDs = %v", b.Queue.QueuedIDs)
+	}
+	if b.Queue.Accepted != 1 || b.Queue.Rejected != 2 || b.Queue.Peak != 1 {
+		t.Fatalf("counters = %+v", *b.Queue)
 	}
 }

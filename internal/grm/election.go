@@ -70,39 +70,33 @@ func (g *GRM) LeadAt(term int) {
 	}
 	wasFollower := g.role == RoleFollower
 	g.role = RolePrimary
-	if term > g.epoch {
-		g.epoch = term
-	}
+	g.epoch = max(g.epoch, term)
 	if wasFollower {
 		g.stats.Promotions++
 		// Grace period: a follower's liveness view dates from the old
 		// leader's last batch, so without a reset the first detector pass
 		// would evict every node before its LRM re-registers. Genuinely dead
 		// nodes still time out, measured from now.
-		for _, lv := range g.nodes {
-			lv.lastSeen = now
-		}
+		g.graceLocked(now)
 	}
 	elect := g.elect
 	g.mu.Unlock()
 
 	if elect != nil {
-		repl := newReplicator(g, g.replEvery, func(data []byte) error {
+		repl := newReplicator(g, func(data []byte) error {
 			_, _, err := elect.Propose(data)
 			return err
 		})
 		g.mu.Lock()
 		old := g.repl
 		g.repl = repl
-		for _, id := range sortedNodeIDsLocked(g.nodes) {
-			if lv := g.nodes[id]; lv.updates > 0 {
-				repl.enqueueNode(lv.status)
-			}
+		for id := range g.nodes {
+			repl.mark(entity{entityNode, id})
 		}
-		for _, id := range sortedAppIDsLocked(g.apps) {
-			repl.enqueueApp(buildAppRecordLocked(g.apps[id]))
+		for id := range g.apps {
+			repl.mark(entity{entityApp, id})
 		}
-		repl.setSeq(g.seq)
+		repl.mark(queueEntity)
 		g.mu.Unlock()
 		if old != nil {
 			old.stop()
@@ -119,9 +113,7 @@ func (g *GRM) LeadAt(term int) {
 // leader places nothing.
 func (g *GRM) FollowAt(term int) {
 	g.mu.Lock()
-	if term > g.epoch {
-		g.epoch = term
-	}
+	g.epoch = max(g.epoch, term)
 	g.role = RoleFollower
 	repl := g.repl
 	g.repl = nil
@@ -151,49 +143,32 @@ func (g *GRM) ApplyReplicaEntry(index, term int, data []byte) {
 		return
 	}
 	g.stats.ReplicaBatches++
-	if b.Seq > g.seq {
-		g.seq = b.Seq
+	g.seq = max(g.seq, b.Seq)
+	// Apps before the queue, so that every queued ID resolves.
+	for _, app := range b.Apps {
+		g.putAppLocked(app)
 	}
-	for _, rec := range b.Apps {
-		g.apps[rec.ID] = appFromRecord(rec)
+	if b.Queue != nil {
+		g.replaceQueueLocked(*b.Queue)
 	}
-	if b.Sched != nil {
-		// Rebuild the admission queue after the apps above, so every queued
-		// ID resolves; unknown IDs (app record lost to coalescing) are
-		// dropped — SchedulePending re-covers them from g.apps anyway.
-		g.admitQ = g.admitQ[:0]
-		for _, id := range b.Sched.QueuedIDs {
-			if app, ok := g.apps[id]; ok {
-				g.admitQ = append(g.admitQ, app)
-			}
-		}
-		g.stats.AdmissionQueued = b.Sched.Accepted
-		g.stats.AdmissionRejected = b.Sched.Rejected
-		g.stats.AdmissionPeakDepth = b.Sched.Peak
-		g.stats.SchedulerBatches = b.Sched.Batches
-		g.stats.MaxBatchSize = b.Sched.MaxBatch
-		g.stats.AdmissionQueueDepth = len(g.admitQ)
-	}
-	for _, gone := range b.NodesGone {
-		delete(g.nodes, gone.NodeID)
-	}
-	g.mu.Unlock()
-
-	for i := range b.Nodes {
-		g.applyReplicaStatus(&b.Nodes[i])
-	}
-	for _, gone := range b.NodesGone {
-		g.trader.WithdrawRef(NodeStatusType, gone.Ref)
-	}
-}
-
-// applyReplicaStatus mirrors one node's status into a follower's liveness
-// table and trader without touching the leader-side update counters.
-func (g *GRM) applyReplicaStatus(s *protocol.NodeStatus) {
 	now := g.clock.Now()
-	g.mu.Lock()
-	g.touchLivenessLocked(s, now)
+	var exports []*protocol.NodeStatus
+	var withdraws []orb.ObjectRef
+	for _, n := range b.Nodes {
+		s, ref := g.mirrorNodeLocked(n, now)
+		if s != nil {
+			exports = append(exports, s)
+		} else if ref != (orb.ObjectRef{}) {
+			withdraws = append(withdraws, ref)
+		}
+	}
 	epoch := g.epoch
 	g.mu.Unlock()
-	g.exportStatusOffer(s, now, epoch)
+
+	for _, s := range exports {
+		g.exportStatusOffer(s, now, epoch)
+	}
+	for _, ref := range withdraws {
+		g.trader.WithdrawRef(NodeStatusType, ref)
+	}
 }

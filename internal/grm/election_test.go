@@ -1,6 +1,10 @@
 package grm_test
 
 import (
+	"os"
+	"reflect"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -43,10 +47,7 @@ func newReplicaSet(t *testing.T, n int, opts ...grm.Option) *replicaSet {
 
 	var nodes []*election.Node
 	for i := 0; i < n; i++ {
-		g := grm.New("test", clock, o, append([]grm.Option{
-			grm.WithSchedulePeriod(15 * time.Second),
-			grm.WithReplicationInterval(5 * time.Second),
-		}, opts...)...)
+		g := grm.New("test", clock, o, append([]grm.Option{grm.WithSchedulePeriod(15 * time.Second)}, opts...)...)
 		en := election.NewNode(election.Config{
 			ID:         ids[i],
 			Peers:      peers,
@@ -212,5 +213,152 @@ func TestBootstrapMemberCommitsInTermOne(t *testing.T) {
 		if got := g.Epoch(); got != 1 {
 			t.Fatalf("m%d epoch = %d, want 1", i, got)
 		}
+	}
+}
+
+// TestReplicaFollowersMatchLeader drives a seeded mix of submissions,
+// heartbeats, task events (stale ones included), departures, cancellations
+// and node deaths into a replica set's leader. After every committed flush
+// each follower must hold what the leader holds: every application's status,
+// the same node offers, and the same admission queue. CHAOS_SEED picks the
+// mix (default 1).
+func TestReplicaFollowersMatchLeader(t *testing.T) {
+	seed := int64(1)
+	if s := os.Getenv("CHAOS_SEED"); s != "" {
+		v, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			t.Fatalf("CHAOS_SEED=%q: %v", s, err)
+		}
+		seed = v
+	}
+	rng := sim.NewRNG(seed)
+	// The test runs every scheduling pass itself, so that between two steps
+	// the state changes only through a flush.
+	rs := newReplicaSet(t, 3, grm.WithSchedulePeriod(24*time.Hour),
+		grm.WithSuspectAfter(30*time.Second), grm.WithOfferTTL(time.Hour))
+	c := rs.leader(t)
+	names := []string{"eq-0", "eq-1", "eq-2", "eq-3", "eq-4"}
+	refs := make([]orb.ObjectRef, len(names))
+	silent := make([]bool, len(names))
+	for i, name := range names {
+		// Two nodes fill up and start refusing: a Reserve that places nothing.
+		maxGrants := 0
+		if i < 2 {
+			maxGrants = 10
+		}
+		_, refs[i] = bindFakeLRM(t, c, name, maxGrants)
+	}
+	// A node misses a step's heartbeat now and then, so that a departure or
+	// a task event is sometimes the only news of it in a flush.
+	heartbeats := func(p float64) {
+		for i, name := range names {
+			if !silent[i] && rng.Bool(p) {
+				c.update(windowStatus(c, name, refs[i], 1000))
+			}
+		}
+	}
+	heartbeats(1)
+	// Each step ends 3 s after the leader's flush: a follower applies an
+	// entry once a heartbeat (every 2 s) tells it the entry is committed.
+	rs.clock.Advance(3 * time.Second)
+
+	for step := 0; step < 60; step++ {
+		for op := 0; op < 3; op++ {
+			apps := c.g.AppIDs()
+			switch k := rng.Intn(10); {
+			case k <= 2:
+				spec := bag(1+rng.Intn(3), 1e9)
+				if rng.Bool(0.3) {
+					spec.Kind, spec.NumTasks = protocol.AppBSP, 2
+				}
+				spec.RestartEvicted = rng.Bool(0.7)
+				spec.CheckpointEveryWork = 100
+				if _, err := c.g.Submit(spec); err != nil {
+					t.Fatal(err)
+				}
+			case k <= 5 && len(apps) > 0:
+				st := c.status(sim.Pick(rng, apps))
+				task := sim.Pick(rng, st.Tasks)
+				ev := protocol.TaskEvent{
+					Kind:     sim.Pick(rng, []protocol.TaskEventKind{protocol.TaskEventDone, protocol.TaskEventEvicted, protocol.TaskEventDrained, protocol.TaskEventProgress}),
+					AppID:    st.AppID,
+					TaskID:   task.TaskID,
+					NodeID:   task.NodeID,
+					Progress: float64(rng.Intn(1000)),
+					At:       c.clock.Now(),
+				}
+				if rng.Bool(0.2) {
+					ev.NodeID = sim.Pick(rng, names) // possibly stale
+				}
+				c.g.HandleNotify(ev)
+			case k == 6:
+				c.g.HandleDeparting(protocol.DepartureNotice{
+					NodeID:   sim.Pick(rng, names),
+					Deadline: c.clock.Now().Add(time.Duration(1+rng.Intn(4)) * 30 * time.Second),
+					At:       c.clock.Now(),
+				})
+			case k == 7 && len(apps) > 0 && rng.Bool(0.5):
+				if err := c.g.CancelApp(sim.Pick(rng, apps)); err != nil {
+					t.Fatal(err)
+				}
+			case k >= 8:
+				i := rng.Intn(len(names))
+				silent[i] = !silent[i] // a death, once the detector notices; or a restart
+			}
+		}
+		c.g.SchedulePending()
+		heartbeats(0.7)
+		rs.clock.Advance(5 * time.Second)
+		for i, f := range rs.grms {
+			if f != c.g {
+				assertMirrors(t, step, i, c.g, f)
+			}
+		}
+	}
+}
+
+// assertMirrors fails t unless follower f holds what leader l holds.
+func assertMirrors(t *testing.T, step, i int, l, f *grm.GRM) {
+	t.Helper()
+	ids := l.AppIDs()
+	if got := f.AppIDs(); !slices.Equal(got, ids) {
+		t.Fatalf("step %d: m%d apps %v, leader %v", step, i, got, ids)
+	}
+	for _, id := range ids {
+		want, _ := l.AppStatus(id)
+		got, err := f.AppStatus(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range []*protocol.AppStatus{&want, &got} {
+			st.Submitted, st.Finished = st.Submitted.UTC(), st.Finished.UTC()
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: m%d status of %s:\n got %+v\nwant %+v", step, i, id, got, want)
+		}
+	}
+	offers := func(g *grm.GRM) []string {
+		var refs []string
+		for _, o := range g.Trader().All(grm.NodeStatusType) {
+			refs = append(refs, o.Ref.String())
+		}
+		slices.Sort(refs)
+		return refs
+	}
+	if got, want := offers(f), offers(l); f.KnownNodes() != l.KnownNodes() || !slices.Equal(got, want) {
+		t.Fatalf("step %d: m%d offers %v, leader %v", step, i, got, want)
+	}
+	if got, want := grm.QueuedIDs(f), grm.QueuedIDs(l); !slices.Equal(got, want) {
+		t.Fatalf("step %d: m%d admission queue %v, leader %v", step, i, got, want)
+	}
+	// A synchronous Submit drains the queue before it returns, so the
+	// admission counters are what shows a follower the queue's history.
+	counters := func(g *grm.GRM) [6]int {
+		s := g.Stats()
+		return [...]int{s.AdmissionQueued, s.AdmissionRejected, s.AdmissionQueueDepth,
+			s.AdmissionPeakDepth, s.SchedulerBatches, s.MaxBatchSize}
+	}
+	if got, want := counters(f), counters(l); got != want {
+		t.Fatalf("step %d: m%d admission counters %v, leader %v", step, i, got, want)
 	}
 }

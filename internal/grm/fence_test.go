@@ -22,7 +22,7 @@ func TestApplyReplicaEntryDropsGarbage(t *testing.T) {
 	}
 
 	var e orb.Encoder
-	replicaBatch{ClusterID: "test", Apps: []appRecord{{ID: "app-log"}}}.encode(&e)
+	replicaBatch{ClusterID: "test", Apps: []*appInfo{{id: "app-log"}}}.encode(&e)
 	g.ApplyReplicaEntry(2, 1, e.Bytes())
 	if _, err := g.AppStatus("app-log"); err != nil {
 		t.Fatalf("valid log entry not applied: %v", err)
@@ -43,8 +43,8 @@ func TestStandbyIgnoresForeignClusterBatches(t *testing.T) {
 	var e orb.Encoder
 	replicaBatch{
 		ClusterID: "other",
-		Nodes:     []protocol.NodeStatus{{NodeID: "n-other"}},
-		Apps:      []appRecord{{ID: "app-other"}},
+		Nodes:     []nodeEntry{{lv: &nodeLiveness{status: protocol.NodeStatus{NodeID: "n-other"}}}},
+		Apps:      []*appInfo{{id: "app-other"}},
 	}.encode(&e)
 	g.ApplyReplicaEntry(1, 1, e.Bytes())
 	if _, err := g.AppStatus("app-other"); err == nil {
@@ -63,7 +63,7 @@ func TestReplicaBatchRoundTrip(t *testing.T) {
 	in := replicaBatch{
 		ClusterID: "test",
 		Seq:       7,
-		Apps:      []appRecord{{ID: "app-1"}},
+		Apps:      []*appInfo{{id: "app-1"}},
 	}
 	var e orb.Encoder
 	in.encode(&e)

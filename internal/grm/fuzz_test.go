@@ -3,6 +3,7 @@ package grm
 import (
 	"encoding/binary"
 	"testing"
+	"time"
 
 	"integrade/internal/orb"
 	"integrade/internal/protocol"
@@ -18,9 +19,12 @@ func FuzzReplicaBatch(f *testing.F) {
 	replicaBatch{
 		ClusterID: "test",
 		Seq:       3,
-		Nodes:     []protocol.NodeStatus{{NodeID: "n0"}},
-		NodesGone: []nodeGone{{NodeID: "n1"}},
-		Apps:      []appRecord{{ID: "app-1"}},
+		Nodes: []nodeEntry{
+			{lv: &nodeLiveness{status: protocol.NodeStatus{NodeID: "n0"}, departUntil: time.Unix(600, 0)}},
+			{id: "n1"},
+		},
+		Apps:  []*appInfo{{id: "app-1", tasks: []*taskInfo{{id: "app-1/t0"}}}},
+		Queue: &schedRecord{QueuedIDs: []string{"app-1"}},
 	}.encode(&e)
 	f.Add(e.Bytes())
 	f.Add([]byte{})
@@ -36,7 +40,7 @@ func FuzzReplicaBatch(f *testing.F) {
 	})
 }
 
-// TestReplicaCountsAreBounded: a replica batch whose dead-node, task or queue
+// TestReplicaCountsAreBounded: a replica batch whose node, app, task or queue
 // count claims a million entries it does not carry fails without allocating
 // for them.
 func TestReplicaCountsAreBounded(t *testing.T) {
@@ -50,9 +54,10 @@ func TestReplicaCountsAreBounded(t *testing.T) {
 		return body
 	}
 	for name, body := range map[string][]byte{
-		"dead nodes":  claim(replicaBatch{ClusterID: "c"}, 4+1),                             // then apps, sched flag
-		"app tasks":   claim(replicaBatch{ClusterID: "c", Apps: []appRecord{{ID: "a"}}}, 1), // then the sched flag
-		"queued apps": claim(replicaBatch{ClusterID: "c", Sched: &schedRecord{}}, 5*8),      // then five counters
+		"nodes":       claim(replicaBatch{ClusterID: "c"}, 4+1),                            // then apps, queue flag
+		"apps":        claim(replicaBatch{ClusterID: "c"}, 1),                              // then the queue flag
+		"app tasks":   claim(replicaBatch{ClusterID: "c", Apps: []*appInfo{{id: "a"}}}, 1), // then the queue flag
+		"queued apps": claim(replicaBatch{ClusterID: "c", Queue: &schedRecord{}}, 5*8),     // then five counters
 	} {
 		var err error
 		got := allocbudget.Bytes(func() { _, err = decodeReplicaBatch(orb.NewDecoder(body)) })

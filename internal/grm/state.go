@@ -1,0 +1,286 @@
+package grm
+
+import (
+	"math"
+	"slices"
+	"time"
+
+	"integrade/internal/orb"
+	"integrade/internal/protocol"
+)
+
+// The transitions in this file are the only writers of the GRM's cluster
+// state: the node records, the applications and their tasks, and the
+// admission queue. The leader's handlers and a follower applying the log call
+// the same ones. Each enqueues what it changed for the next replica batch when
+// this GRM leads a replica set, and none does I/O: a trader export or
+// withdraw, or a Cancel RPC, is returned for the caller to carry out once
+// g.mu is released. Every transition's caller holds g.mu.
+
+// entityKind is what an entity is; a replica batch carries each kind in a
+// section of its own.
+type entityKind uint8
+
+const (
+	entityNode entityKind = iota
+	entityApp
+	entityQueue
+)
+
+// entity names one replicated piece of GRM state: a node or an application
+// by ID, or the admission queue.
+type entity struct {
+	kind entityKind
+	id   string
+}
+
+var queueEntity = entity{kind: entityQueue}
+
+// remote is a node or a task and the LRM reference that serves it: what a
+// transition hands back for a withdraw or a Cancel outside g.mu.
+type remote struct {
+	id  string
+	ref orb.ObjectRef
+}
+
+// markLocked enqueues e for the next replica batch, if this GRM leads a
+// replica set. The enqueue never blocks (lock order g.mu → repl.mu).
+func (g *GRM) markLocked(e entity) {
+	if g.repl != nil {
+		g.repl.mark(e)
+	}
+}
+
+// recordStatusLocked records a node's latest status and heartbeat, and ends a
+// departure whose deadline has passed. It reports whether the node's offer is
+// to be exported: not while the node is departing, since re-exporting would
+// hand it fresh work right before the predicted owner arrival.
+func (g *GRM) recordStatusLocked(s *protocol.NodeStatus, now time.Time) (export bool) {
+	lv := g.nodes[s.NodeID]
+	if lv == nil {
+		lv = &nodeLiveness{}
+		g.nodes[s.NodeID] = lv
+	} else if gap := now.Sub(lv.lastSeen); gap > 0 {
+		lv.interval = gap
+	}
+	lv.lastSeen = now
+	lv.updates++
+	lv.lrm = s.LRMRef
+	lv.status = *s
+	if !lv.departUntil.IsZero() && !now.Before(lv.departUntil) {
+		lv.departUntil = time.Time{}
+	}
+	g.markLocked(entity{entityNode, s.NodeID})
+	return lv.departUntil.IsZero()
+}
+
+// departLocked marks a known node departing until the deadline (a zero
+// deadline: not departing) and returns the reference its offer was exported
+// under, for the caller to withdraw.
+func (g *GRM) departLocked(id string, until time.Time) (ref orb.ObjectRef, known bool) {
+	lv := g.nodes[id]
+	if lv == nil {
+		return orb.ObjectRef{}, false
+	}
+	lv.departUntil = until
+	g.markLocked(entity{entityNode, id})
+	return lv.lrm, true
+}
+
+// dropNodeLocked forgets a node declared dead and returns it with the
+// reference to withdraw; a restarted node re-registers on its next update.
+func (g *GRM) dropNodeLocked(id string) remote {
+	d := remote{id: id, ref: g.nodes[id].lrm}
+	delete(g.nodes, id)
+	g.markLocked(entity{entityNode, id})
+	return d
+}
+
+// graceLocked restarts every node's silence at now.
+func (g *GRM) graceLocked(now time.Time) {
+	for _, lv := range g.nodes {
+		lv.lastSeen = now
+	}
+}
+
+// mirrorNodeLocked applies a node record from the log through the node
+// transitions above and returns the trader effect: the status whose offer to
+// export, or else the reference to withdraw (zero for a node never known).
+func (g *GRM) mirrorNodeLocked(n nodeEntry, now time.Time) (export *protocol.NodeStatus, withdraw orb.ObjectRef) {
+	if n.lv == nil {
+		if _, known := g.nodes[n.id]; !known {
+			return nil, orb.ObjectRef{}
+		}
+		return nil, g.dropNodeLocked(n.id).ref
+	}
+	s := &n.lv.status
+	g.recordStatusLocked(s, now)
+	ref, _ := g.departLocked(s.NodeID, n.lv.departUntil)
+	if n.lv.departUntil.IsZero() {
+		return s, orb.ObjectRef{}
+	}
+	return nil, ref
+}
+
+// putAppLocked records an application: a new submission, or a follower's copy
+// of the leader's.
+func (g *GRM) putAppLocked(app *appInfo) {
+	g.apps[app.id] = app
+	g.markLocked(entity{entityApp, app.id})
+}
+
+// negotiatedLocked counts one Reserve issued for app.
+func (g *GRM) negotiatedLocked(app *appInfo) {
+	app.negotiations++
+	g.markLocked(entity{entityApp, app.id})
+}
+
+// placeLocked records the tasks of gr as running on its node.
+func (g *GRM) placeLocked(app *appInfo, gr nodeGrant) {
+	for _, t := range gr.tasks {
+		t.state = protocol.TaskRunning
+		t.nodeID = gr.nodeID
+		t.lrm = gr.ref
+		t.progress = t.initialProgress
+	}
+	g.stats.TasksPlaced += len(gr.tasks)
+	g.markLocked(entity{entityApp, app.id})
+}
+
+// progressLocked records how far a task has run.
+func (g *GRM) progressLocked(app *appInfo, t *taskInfo, progress float64) {
+	t.progress = progress
+	g.markLocked(entity{entityApp, app.id})
+}
+
+// finishLocked records a task done, and the application finished at at once
+// every task is. It reports false for a task already done: completions are
+// delivered at least once, and this one was applied before.
+func (g *GRM) finishLocked(app *appInfo, t *taskInfo, at time.Time) bool {
+	if t.state == protocol.TaskDone {
+		return false
+	}
+	t.state = protocol.TaskDone
+	t.progress = t.work
+	g.stats.TasksDone++
+	if !slices.ContainsFunc(app.tasks, func(t *taskInfo) bool { return t.state != protocol.TaskDone }) {
+		app.finished = at
+	}
+	g.markLocked(entity{entityApp, app.id})
+	return true
+}
+
+// checkpointBoundary is the last checkpoint at or below progress: where a
+// task rolled back resumes (0 when the application does not checkpoint).
+func checkpointBoundary(spec protocol.ApplicationSpec, progress float64) float64 {
+	if spec.CheckpointEveryWork <= 0 {
+		return 0
+	}
+	return float64(int(progress/spec.CheckpointEveryWork)) * spec.CheckpointEveryWork
+}
+
+// gangCheckpoint is the lowest checkpoint boundary among app's running tasks:
+// where a BSP gang, which restarts together, resumes.
+func gangCheckpoint(app *appInfo) float64 {
+	ckpt := math.Inf(1)
+	for _, t := range app.tasks {
+		if t.state == protocol.TaskRunning {
+			ckpt = min(ckpt, checkpointBoundary(app.spec, t.progress))
+		}
+	}
+	return ckpt
+}
+
+// rollBackLocked returns a task to pending at the checkpoint ckpt: the work
+// past it is lost, and the task restarts.
+func (g *GRM) rollBackLocked(app *appInfo, t *taskInfo, ckpt float64) {
+	g.stats.WorkLostMI += t.progress - ckpt
+	g.stats.Restarts++
+	g.requeueLocked(app, t, ckpt)
+}
+
+// requeueLocked returns a task to pending, to resume from resume when next
+// placed.
+func (g *GRM) requeueLocked(app *appInfo, t *taskInfo, resume float64) {
+	t.initialProgress = resume
+	t.state = protocol.TaskPending
+	t.restarts++
+	g.markLocked(entity{entityApp, app.id})
+}
+
+// abandonLocked gives up on an evicted task the application does not want
+// restarted: all its progress is lost.
+func (g *GRM) abandonLocked(app *appInfo, t *taskInfo) {
+	g.stats.WorkLostMI += t.progress
+	t.state = protocol.TaskEvicted
+	g.markLocked(entity{entityApp, app.id})
+}
+
+// cancelLocked cancels an application's running and pending tasks, and
+// returns the running ones for the caller to cancel on their LRMs. Completed
+// tasks keep their state.
+func (g *GRM) cancelLocked(app *appInfo) (running []remote) {
+	for _, t := range app.tasks {
+		switch t.state {
+		case protocol.TaskRunning:
+			running = append(running, remote{id: t.id, ref: t.lrm})
+			t.state = protocol.TaskCancelled
+		case protocol.TaskPending:
+			t.state = protocol.TaskCancelled
+		}
+	}
+	g.stats.AppsCancelled++
+	g.markLocked(entity{entityApp, app.id})
+	return running
+}
+
+// queueLocked appends a submitted application to the admission queue.
+func (g *GRM) queueLocked(app *appInfo) {
+	g.admitQ = append(g.admitQ, app)
+	g.stats.AdmissionQueued++
+	g.stats.AdmissionQueueDepth = len(g.admitQ)
+	g.stats.AdmissionPeakDepth = max(g.stats.AdmissionPeakDepth, len(g.admitQ))
+	g.markLocked(queueEntity)
+}
+
+// refuseLocked counts a submission the full admission queue turned away.
+func (g *GRM) refuseLocked() {
+	g.stats.AdmissionRejected++
+	g.markLocked(queueEntity)
+}
+
+// takeBatchLocked removes up to admitBatch applications from the head of the
+// admission queue and counts the batch.
+func (g *GRM) takeBatchLocked() []*appInfo {
+	n := min(g.admitBatch, len(g.admitQ))
+	if n <= 0 {
+		return nil
+	}
+	batch := slices.Clone(g.admitQ[:n])
+	g.admitQ = slices.Delete(g.admitQ, 0, n)
+	g.stats.AdmissionQueueDepth = len(g.admitQ)
+	g.stats.SchedulerBatches++
+	g.stats.LastBatchSize = n
+	g.stats.MaxBatchSize = max(g.stats.MaxBatchSize, n)
+	g.markLocked(queueEntity)
+	return batch
+}
+
+// replaceQueueLocked replaces the admission queue and its counters with the
+// leader's. A queued ID with no application here is dropped: SchedulePending
+// finds the app's pending tasks anyway once it arrives.
+func (g *GRM) replaceQueueLocked(q schedRecord) {
+	g.admitQ = g.admitQ[:0]
+	for _, id := range q.QueuedIDs {
+		if app, ok := g.apps[id]; ok {
+			g.admitQ = append(g.admitQ, app)
+		}
+	}
+	g.stats.AdmissionQueued = q.Accepted
+	g.stats.AdmissionRejected = q.Rejected
+	g.stats.AdmissionPeakDepth = q.Peak
+	g.stats.SchedulerBatches = q.Batches
+	g.stats.MaxBatchSize = q.MaxBatch
+	g.stats.AdmissionQueueDepth = len(g.admitQ)
+	g.markLocked(queueEntity)
+}

@@ -4,7 +4,6 @@ import (
 	"iter"
 	"time"
 
-	"integrade/internal/orb"
 	"integrade/internal/protocol"
 	"integrade/internal/trading"
 )
@@ -23,19 +22,7 @@ const DefaultMinWindowConfidence = 0.5
 // normal eviction path once the deadline passes.
 func (g *GRM) HandleDeparting(n protocol.DepartureNotice) {
 	g.mu.Lock()
-	lv := g.nodes[n.NodeID]
-	known := lv != nil
-	var ref orb.ObjectRef
-	if known {
-		lv.departing = true
-		lv.departUntil = n.Deadline
-		ref = lv.lrm
-		if g.repl != nil {
-			// The followers mirror the withdrawal: a successor must not
-			// re-export a node that said goodbye.
-			g.repl.enqueueNodeGone(n.NodeID, lv.lrm)
-		}
-	}
+	ref, known := g.departLocked(n.NodeID, n.Deadline)
 	g.stats.GracefulDepartures++
 	g.mu.Unlock()
 	if known {

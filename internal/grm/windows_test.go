@@ -552,3 +552,30 @@ func TestDepartureMirroredToStandby(t *testing.T) {
 		}
 	}
 }
+
+// TestDepartureSurvivesFailover: a departure is replicated as a departure,
+// not as a death. A successor elected inside the announced window keeps the
+// node's offer withdrawn while it heartbeats, and re-registers it once the
+// deadline has passed.
+func TestDepartureSurvivesFailover(t *testing.T) {
+	rs := newReplicaSet(t, 3)
+	c := rs.leader(t)
+	_, ref := bindFakeLRM(t, c, "leaver", 0)
+	c.update(windowStatus(c, "leaver", ref, 1000))
+	deadline := c.clock.Now().Add(10 * time.Minute)
+	c.g.HandleDeparting(protocol.DepartureNotice{NodeID: "leaver", Deadline: deadline, At: c.clock.Now()})
+	rs.clock.Advance(15 * time.Second)
+
+	succ := &cluster{t: t, clock: rs.clock, o: rs.o, g: rs.failover(t, rs.leaderIdx(t))}
+	for succ.clock.Now().Before(deadline) {
+		succ.update(windowStatus(succ, "leaver", ref, 1000))
+		if got := succ.g.KnownNodes(); got != 0 {
+			t.Fatalf("successor exported the departing node at %v, before its deadline %v", succ.clock.Now(), deadline)
+		}
+		rs.clock.Advance(15 * time.Second)
+	}
+	succ.update(windowStatus(succ, "leaver", ref, 1000))
+	if got := succ.g.KnownNodes(); got != 1 {
+		t.Fatalf("KnownNodes after the deadline = %d, want 1", got)
+	}
+}
