@@ -89,6 +89,7 @@ func decodeTaskInfo(d *orb.Decoder) *taskInfo {
 
 func (a *appInfo) encode(e *orb.Encoder) {
 	e.PutString(a.id)
+	e.PutInt(a.seq)
 	a.spec.Encode(e)
 	e.PutTime(a.submitted)
 	e.PutTime(a.finished)
@@ -100,13 +101,14 @@ func (a *appInfo) encode(e *orb.Encoder) {
 }
 
 func decodeAppInfo(d *orb.Decoder) (*appInfo, error) {
-	id := d.String()
+	id, seq := d.String(), d.Int()
 	spec, err := protocol.DecodeApplicationSpec(d)
 	if err != nil {
 		return nil, err
 	}
 	a := &appInfo{
 		id:           id,
+		seq:          seq,
 		spec:         spec,
 		constraint:   buildConstraint(spec),
 		submitted:    d.Time(),
