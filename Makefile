@@ -6,7 +6,7 @@ FUZZ_SMOKE_TIME ?= 30s
 # Seeds the chaos target sweeps; each runs the fault-injection suite once.
 CHAOS_SEEDS ?= 1 7 42
 
-.PHONY: all build test race vet lint lint-fast interproc-lint fuzz-smoke fmt-check chaos failover election windows benchmark-check profile-miss profile-update profile-tcp-update ci
+.PHONY: all build test race vet lint lint-fast interproc-lint fuzz-smoke fmt-check chaos failover election windows benchmark-check profile-miss profile-batch profile-update profile-tcp-update ci
 
 all: build
 
@@ -141,7 +141,7 @@ benchmark-check:
 	$(GO) test -count=1 ./benchmark
 	$(GO) run ./benchmark -quick -traced
 	$(GO) test -count=1 -run 'AllocBudget|AllocateOnce' ./internal/orb ./internal/grm ./internal/protocol
-	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkLoopbackUpdate10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPGangPlacement|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
+	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkPlacementBatch10k|BenchmarkLoopbackUpdate10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPGangPlacement|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
 	$(GO) test -run '^$$' -bench 'BenchmarkTCPInvokeConcurrent/callers=64' -benchtime 1x ./internal/orb
 
 # Where a snapshot miss spends its time: BenchmarkPlacementMiss10k under the
@@ -151,6 +151,15 @@ profile-miss:
 	$(GO) test -run '^$$' -bench BenchmarkPlacementMiss10k -benchtime 2000x \
 		-cpuprofile placement_miss.prof -o placement_miss.test ./internal/grm
 	$(GO) tool pprof -top -nodecount 25 placement_miss.test placement_miss.prof
+
+# Where an admission batch of 16 distinct constraints spends its candidate
+# work once one trader walk fills them all: BenchmarkPlacementBatch10k/shared
+# under the CPU profiler. Leaves placement_batch.prof and its test binary in
+# the working directory.
+profile-batch:
+	$(GO) test -run '^$$' -bench 'BenchmarkPlacementBatch10k/shared' -benchtime 300x \
+		-cpuprofile placement_batch.prof -o placement_batch.test ./internal/grm
+	$(GO) tool pprof -top -nodecount 25 placement_batch.test placement_batch.prof
 
 # Where an Information Update spends its time, both ends of it:
 # BenchmarkLoopbackUpdate10k — GRMClient.Update encoding into a fresh

@@ -106,7 +106,43 @@ func BenchmarkPlacementMissChurned10k(b *testing.B) {
 	placementMisses(b, g)
 }
 
-func placementMisses(b *testing.B, g *GRM) {
+// BenchmarkPlacementBatch10k is one admission batch's candidate work and
+// nothing else: 10⁴ status offers, 64 applications — the 16-class deck four
+// times — against one fresh matchCtx, the first 8 candidates pulled per
+// application. shared is the batch as matchBatch runs it, every constraint
+// filled by one trader walk; lazy skips that prefill, so each constraint is
+// filled by a walk of its own at its first lookup. `make profile-batch` writes
+// shared's CPU profile.
+func BenchmarkPlacementBatch10k(b *testing.B) {
+	g := New("bench", sim.NewVirtualClock(), orb.New())
+	defer g.Stop()
+	missFleet(b, g, 10000)
+	deck := missApps()
+	batch := make([]*appInfo, 0, 4*len(deck))
+	for range 4 {
+		batch = append(batch, deck[:]...)
+	}
+	for _, bc := range []struct {
+		name    string
+		prefill bool
+	}{{"lazy", false}, {"shared", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mc := g.newMatchCtx()
+				if bc.prefill {
+					mc.prefill(batch)
+				}
+				for _, app := range batch {
+					pullCandidates(b, mc, app)
+				}
+			}
+		})
+	}
+}
+
+// missApps is one application of each class of missDeck.
+func missApps() [len(missDeck)]*appInfo {
 	var apps [len(missDeck)]*appInfo
 	for i, c := range missDeck {
 		spec := protocol.ApplicationSpec{Alloc: resource.Vector{MIPS: c.mips, RAMMB: c.ram}}
@@ -115,18 +151,29 @@ func placementMisses(b *testing.B, g *GRM) {
 		}
 		apps[i] = &appInfo{spec: spec, constraint: buildConstraint(spec)}
 	}
+	return apps
+}
+
+// pullCandidates takes the first DefaultMaxAttempts of app's candidates, as
+// the reserve loop would.
+func pullCandidates(b *testing.B, mc *matchCtx, app *appInfo) {
+	ranked, err := mc.candidates(app)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pulled := 0
+	for range ranked.best() {
+		if pulled++; pulled == DefaultMaxAttempts {
+			break
+		}
+	}
+}
+
+func placementMisses(b *testing.B, g *GRM) {
+	apps := missApps()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ranked, err := g.newMatchCtx().candidates(apps[i%len(apps)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		pulled := 0
-		for range ranked.best() {
-			if pulled++; pulled == DefaultMaxAttempts {
-				break
-			}
-		}
+		pullCandidates(b, g.newMatchCtx(), apps[i%len(apps)])
 	}
 }

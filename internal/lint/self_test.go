@@ -139,6 +139,7 @@ func TestPerformanceContractsHold(t *testing.T) {
 		"trading.(*Service).SelectPointers",
 		"grm.(*matchCtx).lookup",
 		"trading.(*Service).VisitMatches",
+		"trading.(*Service).VisitMatchSet",
 		"trading.(*Service).ExportKeyed",
 		"constraint.(*Expr).Filter",
 		"grm.newRanking",

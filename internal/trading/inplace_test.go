@@ -344,8 +344,9 @@ func TestCountUsesSweepBound(t *testing.T) {
 // round the first write to reach a shard finds its sweep bound passed and
 // rebuilds it with nothing to compact. Each visit must see each ref exactly once (its old offer
 // or its new one) when everything matches, at most once otherwise, and nothing
-// that fails the constraint it was yielded for. Under -race a torn or
-// unsynchronised publish is a report too.
+// that fails the constraint it was yielded for; a set visit (VisitMatchSet)
+// must set the bits of exactly the constraints the offer it yields meets.
+// Under -race a torn or unsynchronised publish is a report too.
 func TestVisitRacesInPlaceUpserts(t *testing.T) {
 	var tick atomic.Int64
 	base := time.Unix(1_700_000_000, 0)
@@ -373,13 +374,19 @@ func TestVisitRacesInPlaceUpserts(t *testing.T) {
 		}
 		writers.Wait()
 	}
-	for r := 0; r < 3; r++ {
+	// The fourth reader visits a set: everything (""), two thresholds, one
+	// constraint nothing meets and one that does not compile.
+	set := []string{"", "mips >= 1000", "mips < 500", "mips >= 5000", "mips >="}
+	for r := 0; r < 4; r++ {
 		readers.Add(1)
 		go func(r int) {
 			defer readers.Done()
 			cons, floor := "mips >= 0", 0.0
-			if r > 0 {
+			switch r {
+			case 1, 2:
 				cons, floor = "mips >= 1000", 1000.0
+			case 3:
+				cons = fmt.Sprintf("the set %q", set)
 			}
 			seen := make(map[orb.ObjectRef]int, refs)
 			for visit := 0; ; visit++ {
@@ -392,14 +399,32 @@ func TestVisitRacesInPlaceUpserts(t *testing.T) {
 				default:
 				}
 				clear(seen)
-				err := s.VisitMatches("NodeStatus", cons, func(o *Offer) {
-					if mips, _ := o.Properties.Get("mips").AsNumber(); mips < floor {
-						t.Errorf("%q yielded %s with mips %v", cons, o.ID, mips)
+				var err error
+				if r < 3 {
+					err = s.VisitMatches("NodeStatus", cons, func(o *Offer) {
+						if mips, _ := o.Properties.Get("mips").AsNumber(); mips < floor {
+							t.Errorf("%q yielded %s with mips %v", cons, o.ID, mips)
+						}
+						seen[o.Ref]++
+					})
+				} else if bad := s.VisitMatchSet("NodeStatus", set, func(o *Offer, met uint64) {
+					mips, _ := o.Properties.Get("mips").AsNumber()
+					want := uint64(1)
+					if mips >= 1000 {
+						want |= 1 << 1
+					}
+					if mips < 500 {
+						want |= 1 << 2
+					}
+					if met != want {
+						t.Errorf("set visit yielded %s with mips %v and bits %b, want %b", o.ID, mips, met, want)
 					}
 					seen[o.Ref]++
-				})
+				}); bad != 1<<4 {
+					err = fmt.Errorf("constraints %b do not compile, want %b", bad, 1<<4)
+				}
 				if err != nil {
-					t.Errorf("VisitMatches: %v", err)
+					t.Errorf("%s: %v", cons, err)
 					return
 				}
 				for ref, n := range seen {

@@ -191,10 +191,15 @@ func TestScanBlockBoundaries(t *testing.T) {
 
 // assertMatchesBruteForce holds every read path built on visit to the brute
 // force: SelectPointers must return the very pointers referenceSelect does, in
-// the same order, VisitMatches the same set in whatever order, and All and
-// Count the same offers unfiltered.
+// the same order, VisitMatches the same set in whatever order, one
+// VisitMatchSet over every unranked, unlimited query the same sets again, and
+// All and Count the same offers unfiltered.
 func assertMatchesBruteForce(t *testing.T, s *Service, nonEmpty bool) {
 	t.Helper()
+	var (
+		cons  []string
+		wants [][]*Offer
+	)
 	for _, q := range []Query{
 		{},
 		{Constraint: "mips >= 500"},
@@ -222,11 +227,13 @@ func assertMatchesBruteForce(t *testing.T, s *Service, nonEmpty bool) {
 		}
 		if q.Preference == "" && q.Limit == 0 {
 			assertVisitYields(t, s, q, got)
+			cons, wants = append(cons, q.Constraint), append(wants, got)
 		}
 		if nonEmpty && q.Constraint == "mips >= 0" && len(got) == 0 {
 			t.Fatalf("%+v matched nothing: the fleet does not exercise the scan", q)
 		}
 	}
+	assertVisitSetYields(t, s, cons, wants)
 
 	all := s.All("NodeStatus")
 	want := referenceSelect(t, s, Query{ServiceType: "NodeStatus"})
@@ -255,6 +262,35 @@ func assertVisitYields(t *testing.T, s *Service, q Query, want []*Offer) {
 	sort.Slice(visited, func(i, j int) bool { return visited[i].Seq() < visited[j].Seq() })
 	if !slices.Equal(visited, want) {
 		t.Fatalf("%+v: visit yields %d offers, SelectPointers %d (or others)", q, len(visited), len(want))
+	}
+}
+
+// assertVisitSetYields checks the set visitor against the query path: one
+// VisitMatchSet over cons yields each offer once at most, and the offers it
+// yields with bit c set, sorted by Seq, are want[c].
+func assertVisitSetYields(t *testing.T, s *Service, cons []string, want [][]*Offer) {
+	t.Helper()
+	got := make([][]*Offer, len(cons))
+	seen := make(map[*Offer]bool)
+	bad := s.VisitMatchSet("NodeStatus", cons, func(o *Offer, met uint64) {
+		if seen[o] {
+			t.Fatalf("the set visit yielded %s twice", o.ID)
+		}
+		seen[o] = true
+		for c := range cons {
+			if met&(1<<c) != 0 {
+				got[c] = append(got[c], o)
+			}
+		}
+	})
+	if bad != 0 {
+		t.Fatalf("constraints %b of %q do not compile", bad, cons)
+	}
+	for c := range cons {
+		slices.SortFunc(got[c], func(a, b *Offer) int { return a.Seq() - b.Seq() })
+		if !slices.Equal(got[c], want[c]) {
+			t.Fatalf("%q: the set visit yields %d offers, SelectPointers %d (or others)", cons[c], len(got[c]), len(want[c]))
+		}
 	}
 }
 

@@ -659,6 +659,61 @@ func (ts *typeShards) visit(cons *constraint.Expr, now time.Time, fn func(*Offer
 	}
 }
 
+// visitSet is visit for several constraints at once: it calls fn once for each
+// live offer that satisfies at least one of cons, with bit c of met set when it
+// satisfies cons[c] (nil: every offer does). A constraint whose bit is in skip
+// matches nothing. Each block's records are filtered against every constraint
+// in turn, the first filter having brought them into cache for the rest.
+func (ts *typeShards) visitSet(cons []*constraint.Expr, skip uint64, now time.Time, fn func(o *Offer, met uint64)) {
+	if ts == nil {
+		return
+	}
+	var (
+		offs [constraint.BlockSize]*stored
+		recs [constraint.BlockSize]*constraint.Record
+		live [constraint.BlockSize]uint8
+		sel  [constraint.BlockSize]uint8
+		met  [constraint.BlockSize]uint64
+	)
+	for i := range ts.shards {
+		snap := ts.shards[i].snap.Load()
+		sweep := due(snap.sweepAt, now)
+		for slots := snap.slots; len(slots) > 0; {
+			block := slots[:min(len(slots), constraint.BlockSize)]
+			slots = slots[len(block):]
+			n := 0
+			for j := range block {
+				st := block[j].Load()
+				if sweep && st.expired(now) {
+					continue
+				}
+				offs[j], recs[j] = st, &st.rec
+				live[n] = uint8(j)
+				n++
+			}
+			for c, expr := range cons {
+				if skip&(1<<c) != 0 {
+					continue
+				}
+				matched := live[:n]
+				if expr != nil {
+					copy(sel[:n], live[:n])
+					matched = expr.Filter(recs[:len(block)], sel[:n])
+				}
+				for _, j := range matched {
+					met[j] |= 1 << c
+				}
+			}
+			for _, j := range live[:n] {
+				if met[j] != 0 {
+					fn(&offs[j].Offer, met[j])
+					met[j] = 0
+				}
+			}
+		}
+	}
+}
+
 // scan returns what visit yields, in ascending seq: global export order.
 func (ts *typeShards) scan(cons *constraint.Expr, now time.Time) []*Offer {
 	if ts == nil {
@@ -705,6 +760,36 @@ func (s *Service) VisitMatches(serviceType, cons string, fn func(*Offer)) error 
 	}
 	s.typeIndex(serviceType).visit(expr, s.now(), fn)
 	return nil
+}
+
+// MaxVisitSet is the most constraints one VisitMatchSet takes: one bit each of
+// the mask it reports.
+const MaxVisitSet = 64
+
+// VisitMatchSet is VisitMatches for up to MaxVisitSet constraints in one walk
+// of the index. It calls fn once for every live offer of the service type that
+// satisfies at least one of cons, with bit c of met set when the offer
+// satisfies cons[c], in no order a caller may rely on; for each exporter it
+// sees the offer from before or from after a concurrent update, as
+// VisitMatches does, and met describes the offer fn is given. A constraint that
+// does not compile matches nothing and has its bit set in bad. More than
+// MaxVisitSet constraints is a bug in the caller, and panics.
+//
+//lint:hotpath alloc=0 locks=2 block=0
+func (s *Service) VisitMatchSet(serviceType string, cons []string, fn func(o *Offer, met uint64)) (bad uint64) {
+	if len(cons) > MaxVisitSet {
+		panic("trading: VisitMatchSet over more than MaxVisitSet constraints")
+	}
+	var exprs [MaxVisitSet]*constraint.Expr
+	for c, src := range cons {
+		expr, err := compile("constraint", src)
+		if err != nil {
+			bad |= 1 << c
+		}
+		exprs[c] = expr
+	}
+	s.typeIndex(serviceType).visitSet(exprs[:len(cons)], bad, s.now(), fn)
+	return bad
 }
 
 // Select evaluates a query, returning matching offers best-first. The
