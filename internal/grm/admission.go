@@ -46,12 +46,12 @@ func WithAsyncAdmission() Option {
 	return func(g *GRM) { g.asyncAdmit = true }
 }
 
-// matchEntry caches one constraint's candidate set within a matchCtx: under
-// a keyed policy the policy's ranking, under a stateful one the matches in
-// export order (every key zero, so the order is the ordinal's). The offers are
-// the trader's own: read-only.
+// matchEntry caches one constraint's candidate set within a matchCtx: a view
+// of the ranking it was filled into, under a keyed policy in the policy's
+// order, under a stateful one in export order (every key zero, so the order is
+// the ordinal's). The offers are the trader's own: read-only.
 type matchEntry struct {
-	rank       *ranking
+	view
 	minExpires time.Time // earliest expiry among the cached offers
 	// unused marks an entry prefill made that no lookup has returned yet: its
 	// first use counts as the snapshot miss the lazy fill would have been.
@@ -64,10 +64,14 @@ type matchEntry struct {
 // (b) no cached offer has expired. Both guards make a cache hit provably
 // identical to re-running the trader query, which is what keeps batched
 // scheduling byte-identical to the seed's query-per-task path.
+//
+// The rankings' keys live in keys, the GRM's scratch, which the context takes
+// at its first fill and hands back at close.
 type matchCtx struct {
 	g       *GRM
 	version uint64
 	entries map[string]*matchEntry
+	keys    []rankKey
 	hits    int
 	misses  int
 }
@@ -80,18 +84,18 @@ func (g *GRM) newMatchCtx() *matchCtx {
 // the batch from the snapshot cache. The offers are read-only either way: the
 // trader's own under a keyed policy, elements of the stateful policy's private
 // result otherwise.
-func (mc *matchCtx) candidates(app *appInfo) (*ranking, error) {
+func (mc *matchCtx) candidates(app *appInfo) (view, error) {
 	ent, err := mc.lookup(app.constraint)
 	if err != nil {
-		return nil, err
+		return view{}, err
 	}
 	if _, keyed := mc.g.policy.(keyedPolicy); keyed {
-		return ent.rank, nil
+		return ent.view, nil
 	}
 	// A stateful policy sees value copies, as its public signature says, and
 	// is invoked once per query: since negotiation is per node, that is once
 	// per application placed, not once per task, and its state advances so.
-	return settledRanking(mc.g.policy.Order(ent.rank.values(), mc.g.rng)), nil
+	return settledView(mc.g.policy.Order(ent.values(), mc.g.rng)), nil
 }
 
 // lookup returns the cached candidate set for one constraint, refilling via
@@ -120,10 +124,13 @@ func (mc *matchCtx) lookup(cons string) (*matchEntry, error) {
 	return mc.fill(cons)
 }
 
-// sync drops every entry once the trader has changed since they were filled.
+// sync drops every entry once the trader has changed since they were filled,
+// and with them their keys: the scratch starts over.
 func (mc *matchCtx) sync() {
 	if v := mc.g.trader.Version(); v != mc.version {
 		clear(mc.entries)
+		clear(mc.keys)
+		mc.keys = mc.keys[:0]
 		mc.version = v
 	}
 }
@@ -131,18 +138,19 @@ func (mc *matchCtx) sync() {
 // fill runs the trader query for one constraint and caches the result. One
 // visit does everything that reads the matching offers — the policy's key while
 // the record is in cache, the earliest expiry — and since a key carries its
-// offer's seq, nothing needs the matches in export order. The keys are collected
-// in the GRM's scratch, the match count being unknown until the visit ends, and
-// cloned to exact size, because the ranking outlives the fill.
+// offer's seq, nothing needs the matches in export order. The keys are appended
+// to the context's scratch, the match count being unknown until the visit
+// ends, and ranked where they lie.
 //
 //lint:coldpath snapshot miss: full trader query
 func (mc *matchCtx) fill(cons string) (*matchEntry, error) {
 	g := mc.g
 	kp, _ := g.policy.(keyedPolicy)
-	keys, mets := g.takeScratch()
+	mc.takeScratch()
+	keys, start := mc.keys, len(mc.keys)
 	ent := &matchEntry{}
 	err := g.trader.VisitMatches(NodeStatusType, cons, func(o *trading.Offer) {
-		k := rankKey{ord: o.Seq(), offer: o}
+		k := rankKey{ord: o.Seq(), offer: o, met: 1}
 		if kp != nil {
 			k.k1, k.k2 = kp.key(o)
 		}
@@ -151,11 +159,11 @@ func (mc *matchCtx) fill(cons string) (*matchEntry, error) {
 			ent.minExpires = e
 		}
 	})
-	ent.rank = newRanking(slices.Clone(keys))
-	g.returnScratch(keys, mets)
+	mc.keys = keys
 	if err != nil {
 		return nil, err
 	}
+	ent.view = wholeView(keys[start:])
 	mc.entries[cons] = ent
 	return ent, nil
 }
@@ -164,9 +172,9 @@ func (mc *matchCtx) fill(cons string) (*matchEntry, error) {
 // first lookup, when there are two or more: one walk of the trader's offers per
 // trading.MaxVisitSet of them, where lookup's lazy fill would walk once per
 // constraint, and one policy key per matching offer, however many of the
-// constraints it meets. The entries are what the lazy fills would have made,
-// ranking for ranking, and lookup counts each one's first use as the miss it
-// replaces. A batch of one constraint — as a rule a synchronous Submit's, one
+// constraints it meets. The entries yield what the lazy fills' would have,
+// candidate for candidate, and lookup counts each one's first use as the miss
+// it replaces. A batch of one constraint — as a rule a synchronous Submit's, one
 // application — is left to the lazy fill, the faster walk for one constraint.
 func (mc *matchCtx) prefill(batch []*appInfo) {
 	conses := make([]string, 0, trading.MaxVisitSet)
@@ -186,28 +194,29 @@ func (mc *matchCtx) prefill(batch []*appInfo) {
 }
 
 // fillSet fills the entries of up to trading.MaxVisitSet distinct constraints
-// in one trader walk. The walk collects each matching offer's key once, with
-// the set of constraints it met, in the GRM's scratch; the keys are then dealt
-// out into one array cut at exact size for each constraint. A constraint that
-// does not compile gets no entry: its lookup fails as the lazy fill's would.
+// in one trader walk. The walk appends each matching offer's key once to the
+// context's scratch, carrying the set of constraints it met, and the keys are
+// ranked once, where they lie: each constraint's entry is the view of its bit.
+// A constraint that does not compile gets no entry: its lookup fails as the
+// lazy fill's would.
 //
 //lint:coldpath snapshot miss: one trader walk for a batch's constraints
 func (mc *matchCtx) fillSet(conses []string) {
 	g := mc.g
 	kp, _ := g.policy.(keyedPolicy)
-	keys, mets := g.takeScratch()
 	var (
 		counts [trading.MaxVisitSet]int
 		mins   [trading.MaxVisitSet]time.Time
 	)
 	mc.sync()
+	mc.takeScratch()
+	keys, start := mc.keys, len(mc.keys)
 	bad := g.trader.VisitMatchSet(NodeStatusType, conses, func(o *trading.Offer, met uint64) {
-		k := rankKey{ord: o.Seq(), offer: o}
+		k := rankKey{ord: o.Seq(), offer: o, met: met}
 		if kp != nil {
 			k.k1, k.k2 = kp.key(o)
 		}
 		keys = append(keys, k)
-		mets = append(mets, met)
 		e := o.Expires
 		for m := met; m != 0; m &= m - 1 {
 			c := bits.TrailingZeros64(m)
@@ -217,47 +226,38 @@ func (mc *matchCtx) fillSet(conses []string) {
 			}
 		}
 	})
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	var ranks [trading.MaxVisitSet][]rankKey
-	all, at := make([]rankKey, total), 0
-	for c := range conses {
-		ranks[c] = all[at : at : at+counts[c]]
-		at += counts[c]
-	}
-	for i, k := range keys {
-		for m := mets[i]; m != 0; m &= m - 1 {
-			c := bits.TrailingZeros64(m)
-			ranks[c] = append(ranks[c], k)
-		}
-	}
-	g.returnScratch(keys, mets)
+	mc.keys = keys
+	r := newRanking(keys[start:])
 	for c, cons := range conses {
 		if bad&(1<<c) == 0 {
-			mc.entries[cons] = &matchEntry{rank: newRanking(ranks[c]), minExpires: mins[c], unused: true}
+			mc.entries[cons] = &matchEntry{view: view{r: r, bit: 1 << c, n: counts[c]}, minExpires: mins[c], unused: true}
 		}
 	}
 }
 
-// takeScratch takes the GRM's key and constraint-set buffers, empty, leaving
-// nil for a concurrent fill, which allocates its own.
-func (g *GRM) takeScratch() ([]rankKey, []uint64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	keys, mets := g.rankScratch[:0], g.metScratch[:0]
-	g.rankScratch, g.metScratch = nil, nil
-	return keys, mets
+// takeScratch makes the GRM's scratch the key buffer of a context that has
+// none, leaving nil: a concurrent context finds it taken and appends to a
+// buffer of its own.
+func (mc *matchCtx) takeScratch() {
+	if mc.keys != nil {
+		return
+	}
+	mc.g.mu.Lock()
+	mc.keys, mc.g.rankScratch = mc.g.rankScratch, nil
+	mc.g.mu.Unlock()
 }
 
-// returnScratch gives the buffers back. The keys are cleared first: the
-// scratch must not keep withdrawn offers alive.
-func (g *GRM) returnScratch(keys []rankKey, mets []uint64) {
-	clear(keys)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.rankScratch, g.metScratch = keys, mets
+// close hands the context's key buffer to the GRM for the next context,
+// cleared — the scratch must not keep withdrawn offers alive. The context's
+// candidates are dead from here on.
+func (mc *matchCtx) close() {
+	if mc.keys == nil {
+		return
+	}
+	clear(mc.keys)
+	mc.g.mu.Lock()
+	mc.g.rankScratch, mc.keys = mc.keys[:0], nil
+	mc.g.mu.Unlock()
 }
 
 // matchBatch runs one scheduling pass over a batch of applications against a
@@ -265,6 +265,7 @@ func (g *GRM) returnScratch(keys []rankKey, mets []uint64) {
 // keyed policies) candidate rankings. Runs with no GRM lock held.
 func (g *GRM) matchBatch(batch []*appInfo) {
 	mc := g.newMatchCtx()
+	defer mc.close()
 	mc.prefill(batch)
 	for _, app := range batch {
 		g.scheduleApp(app, mc)

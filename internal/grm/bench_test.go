@@ -74,10 +74,11 @@ func missFleet(tb testing.TB, g *GRM, n int) []protocol.NodeStatus {
 
 // BenchmarkPlacementMiss10k is a snapshot miss and nothing else: 10⁴ status
 // offers, the 16-class deck in turn, a fresh matchCtx per placement, the first
-// 8 candidates pulled as the reserve loop would — no LRM, no RPC. `make
-// profile-miss` writes its CPU profile, which is where ROADMAP item 2's
-// per-function shares come from. The fleet has registered and never reported
-// again, so the heap is laid out in registration order: the kindest case.
+// 8 candidates pulled as the reserve loop would, the context closed — no LRM,
+// no RPC. `make profile-miss` writes its CPU profile, which is where ROADMAP
+// item 2's per-function shares come from. The fleet has registered and never
+// reported again, so the heap is laid out in registration order: the kindest
+// case.
 func BenchmarkPlacementMiss10k(b *testing.B) {
 	g := New("bench", sim.NewVirtualClock(), orb.New())
 	defer g.Stop()
@@ -109,10 +110,11 @@ func BenchmarkPlacementMissChurned10k(b *testing.B) {
 // BenchmarkPlacementBatch10k is one admission batch's candidate work and
 // nothing else: 10⁴ status offers, 64 applications — the 16-class deck four
 // times — against one fresh matchCtx, the first 8 candidates pulled per
-// application. shared is the batch as matchBatch runs it, every constraint
-// filled by one trader walk; lazy skips that prefill, so each constraint is
-// filled by a walk of its own at its first lookup. `make profile-batch` writes
-// shared's CPU profile.
+// application, the context closed as matchBatch closes it. shared is the batch
+// as matchBatch runs it, every constraint filled by one trader walk and ranked
+// in one heap; lazy skips that prefill, so each constraint is filled by a walk
+// of its own at its first lookup. `make profile-batch` writes shared's CPU
+// profile.
 func BenchmarkPlacementBatch10k(b *testing.B) {
 	g := New("bench", sim.NewVirtualClock(), orb.New())
 	defer g.Stop()
@@ -136,6 +138,7 @@ func BenchmarkPlacementBatch10k(b *testing.B) {
 				for _, app := range batch {
 					pullCandidates(b, mc, app)
 				}
+				mc.close()
 			}
 		})
 	}
@@ -156,10 +159,10 @@ func missApps() [len(missDeck)]*appInfo {
 
 // pullCandidates takes the first DefaultMaxAttempts of app's candidates, as
 // the reserve loop would.
-func pullCandidates(b *testing.B, mc *matchCtx, app *appInfo) {
+func pullCandidates(tb testing.TB, mc *matchCtx, app *appInfo) {
 	ranked, err := mc.candidates(app)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pulled := 0
 	for range ranked.best() {
@@ -174,6 +177,8 @@ func placementMisses(b *testing.B, g *GRM) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pullCandidates(b, g.newMatchCtx(), apps[i%len(apps)])
+		mc := g.newMatchCtx()
+		pullCandidates(b, mc, apps[i%len(apps)])
+		mc.close()
 	}
 }

@@ -164,7 +164,7 @@ type GRM struct {
 
 	// mu guards apps, nodes, seq, stats, stopped, started, timers, role,
 	// repl, epoch, elect, the admission-queue fields (admitQ, draining,
-	// drainDone, drainerRunning), rankScratch and metScratch; apps, nodes
+	// drainDone, drainerRunning) and rankScratch; apps, nodes
 	// and admitQ are written only by the transitions in state.go. It must be
 	// released before any protocol RPC (Reserve/Execute/...): negotiation
 	// blocks on remote LRMs and may itself re-enter the GRM. The replication
@@ -204,13 +204,11 @@ type GRM struct {
 	drainerRunning bool
 	drainWG        sync.WaitGroup
 
-	// rankScratch is where a snapshot miss collects its candidates' keys, and
-	// metScratch where a batch walk (fillSet) collects the constraints each
-	// met. A miss takes both, leaving nil for a concurrent one, and gives them
-	// back empty; a sync.Pool would not do, the collector empties it between
-	// misses.
+	// rankScratch is where a matchCtx collects and ranks its candidates' keys.
+	// A context takes it at its first fill, leaving nil for a concurrent one,
+	// holds it for its batch and gives it back cleared; a sync.Pool would not
+	// do, the collector empties it between misses.
 	rankScratch []rankKey
-	metScratch  []uint64
 }
 
 // Option configures a GRM.
@@ -940,7 +938,9 @@ func (g *GRM) HandleNotify(ev protocol.TaskEvent) {
 	if requeue {
 		// Try immediate re-placement, avoiding the node that evicted us. The
 		// one-query context's hit/miss tally is not a batch's and is dropped.
-		g.place(app, []*taskInfo{task}, g.newMatchCtx(), false, ev.NodeID)
+		mc := g.newMatchCtx()
+		g.place(app, []*taskInfo{task}, mc, false, ev.NodeID)
+		mc.close()
 	}
 }
 

@@ -3,6 +3,7 @@ package grm
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -413,7 +414,7 @@ func TestStatefulPolicyGetsValueCopies(t *testing.T) {
 	mc := g.newMatchCtx()
 	for query := 1; query <= 2; query++ {
 		got, err := mc.candidates(app)
-		if err != nil || len(got.keys) != nodes {
+		if err != nil || got.n != nodes {
 			t.Fatalf("candidates = %+v, %v", got, err)
 		}
 		if id, _ := pull(got, 1)[0].Properties.Get(PropNode).AsString(); id != "n0" {
@@ -451,33 +452,84 @@ func (p *scribblingPolicy) Order(offers []trading.Offer, _ *sim.RNG) []trading.O
 // TestOrderKeyedAllocations measures what the //lint:hotpath budgets of the
 // ranking count statically: building one allocates its header and nothing per
 // candidate, and settling — one candidate or all of them — allocates nothing.
-// A whole snapshot miss allocates the same few objects whatever it matches.
+// A warm snapshot miss, and a warm admission batch of 64 applications over 16
+// constraints, allocate the same few small objects however many offers they
+// match: their keys are ranked in the GRM's scratch, which each closed context
+// hands to the next.
 func TestOrderKeyedAllocations(t *testing.T) {
+	const matches = 3400
 	g := New("test", sim.NewVirtualClock(), orb.New())
 	defer g.Stop()
-	if _, err := g.Trader().ExportBatch(randomOffers(sim.NewRNG(1), 3400)); err != nil {
+	if _, err := g.Trader().ExportBatch(randomOffers(sim.NewRNG(1), matches)); err != nil {
 		t.Fatal(err)
 	}
-	fill := func() *ranking {
-		ent, err := g.newMatchCtx().fill("")
-		if err != nil || len(ent.rank.keys) != 3400 {
+	fill := func(mc *matchCtx) view {
+		ent, err := mc.fill("")
+		if err != nil || ent.n != matches {
 			t.Fatalf("fill = %+v, %v", ent, err)
 		}
-		return ent.rank
+		return ent.view
 	}
-	keys := fill().keys
+	keys := fill(g.newMatchCtx()).r.keys
 	if got := testing.AllocsPerRun(10, func() { newRanking(keys) }); got != 1 {
 		t.Errorf("newRanking allocates %v times, want 1", got)
 	}
-	r := fill()
+	r := fill(g.newMatchCtx()).r
 	if got := testing.AllocsPerRun(1000, r.pop); got != 0 {
 		t.Errorf("pop allocates %v times, want 0", got)
 	}
 	if got := testing.AllocsPerRun(1, r.settle); got != 0 {
 		t.Errorf("settle allocates %v times, want 0", got)
 	}
-	// The context and its map, the entry, the exact-sized keys, the ranking.
-	if got := testing.AllocsPerRun(10, func() { fill() }); got > 5 {
-		t.Errorf("a warm snapshot miss allocates %v times, want at most 5", got)
+
+	miss := func() {
+		mc := g.newMatchCtx()
+		pullCandidates(t, mc, &appInfo{})
+		mc.close()
 	}
+	// The map's first group, the entry, the ranking and the iterator; the
+	// context and its map stay on the stack.
+	if got := testing.AllocsPerRun(10, miss); got > 4 {
+		t.Errorf("a warm snapshot miss allocates %v times, want at most 4", got)
+	}
+	if got := bytesPerRun(10, miss); got > 1<<10 {
+		t.Errorf("a warm snapshot miss allocates %d B, want at most 1 KiB: nothing may grow with its %d matches", got, matches)
+	}
+
+	fleet := New("fleet", sim.NewVirtualClock(), orb.New())
+	defer fleet.Stop()
+	missFleet(t, fleet, 10000)
+	deck := missApps()
+	var apps []*appInfo
+	for range 4 {
+		apps = append(apps, deck[:]...)
+	}
+	batch := func() {
+		mc := fleet.newMatchCtx()
+		mc.prefill(apps)
+		for _, app := range apps {
+			pullCandidates(t, mc, app)
+		}
+		mc.close()
+	}
+	// The constraint list, the ranking, the 16 entries and the map's groups.
+	if got := testing.AllocsPerRun(10, batch); got > 24 {
+		t.Errorf("a warm batch allocates %v times, want at most 24", got)
+	}
+	if got := bytesPerRun(10, batch); got > 4<<10 {
+		t.Errorf("a warm batch allocates %d B, want at most 4 KiB: nothing may grow with its ~9 500 matching offers", got)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun in bytes: the heap f allocates per call,
+// averaged over runs after one warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

@@ -61,24 +61,24 @@ func offerFitsWindow(o *trading.Offer, deadline float64) bool {
 // availability window ends before the spec's estimated runtime would complete.
 // It filters nothing unless the GRM was built WithWindowAware. Whether any
 // candidate, or every one, fails is a property of the set and not of its
-// order, so the violations are counted over the keys as they lie and the
-// order is settled only as far as the consumer pulls. When every candidate
-// fails, all of them are yielded: window-aware placement prefers safe nodes
-// but degrades to window-blind behaviour rather than stranding work nothing
-// can host safely.
-func (g *GRM) windowFilter(ranked *ranking, spec protocol.ApplicationSpec) iter.Seq[*trading.Offer] {
+// order, so the violations are counted over the view's members as they lie in
+// the shared keys and the order is settled only as far as the consumer pulls.
+// When every candidate fails, all of them are yielded: window-aware placement
+// prefers safe nodes but degrades to window-blind behaviour rather than
+// stranding work nothing can host safely.
+func (g *GRM) windowFilter(ranked view, spec protocol.ApplicationSpec) iter.Seq[*trading.Offer] {
 	runtime := estimatedRuntime(spec)
 	if !g.windowAware || runtime <= 0 {
 		return ranked.best()
 	}
 	deadline := float64(g.clock.Now().Add(runtime).Unix())
 	violations := 0
-	for i := range ranked.keys {
-		if !offerFitsWindow(ranked.keys[i].offer, deadline) {
+	for _, k := range ranked.r.keys {
+		if k.met&ranked.bit != 0 && !offerFitsWindow(k.offer, deadline) {
 			violations++
 		}
 	}
-	if violations == 0 || violations == len(ranked.keys) {
+	if violations == 0 || violations == ranked.n {
 		return ranked.best()
 	}
 	g.mu.Lock()
