@@ -27,7 +27,7 @@ func (g *GRM) scheduleTopology(app *appInfo, pending []*taskInfo, mc *matchCtx) 
 
 	// Group candidates by LAN, preserving policy order within each. This reads
 	// the whole order, so settle it in one sort.
-	ranked.settle()
+	ranked.r.settle()
 	byLAN := make(map[string][]*trading.Offer)
 	var lanIDs []string
 	for o := range g.windowFilter(ranked, app.spec) {
