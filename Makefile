@@ -131,16 +131,16 @@ windows:
 # its own tests, then a quick traced run — small fleets, two short rounds —
 # with the determinism guard and the brute-force oracle on. Not a
 # measurement; traces land in benchmark/out/. Then the allocation gates
-# (internal/orb and internal/grm testdata/alloc_budget.txt, and the
-# protocol encoders' one allocation per message), which skip some or all of
-# their rows under -race and so run here without it. Then one iteration each
+# (internal/orb, internal/grm and internal/trading testdata/alloc_budget.txt,
+# and the protocol encoders' one allocation per message), which skip some or
+# all of their rows under -race and so run here without it. Then one iteration each
 # of the micro-benchmarks ROADMAP items 2 and 6 quote, so they keep compiling
 # and running (BenchmarkTCPInvoke minus BenchmarkTCPRawEcho is what the ORB
 # adds to a round trip).
 benchmark-check:
 	$(GO) test -count=1 ./benchmark
 	$(GO) run ./benchmark -quick -traced
-	$(GO) test -count=1 -run 'AllocBudget|AllocateOnce' ./internal/orb ./internal/grm ./internal/protocol
+	$(GO) test -count=1 -run 'AllocBudget|AllocateOnce' ./internal/orb ./internal/grm ./internal/trading ./internal/protocol
 	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkPlacementBatch10k|BenchmarkLoopbackUpdate10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPGangPlacement|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
 	$(GO) test -run '^$$' -bench 'BenchmarkTCPInvokeConcurrent/callers=64' -benchtime 1x ./internal/orb
 
@@ -167,8 +167,11 @@ profile-batch:
 # BenchmarkLoopbackUpdate10k — GRMClient.Update encoding into a fresh
 # Encoder, as the loopback fleets send it, into a GRM that knows 10^4 nodes,
 # through to the trader upsert and the reply — under the CPU profiler
-# (ROADMAP item 6c). Leaves loopback_update.prof and its test binary in the
-# working directory.
+# (ROADMAP item 6c). On a 2-core Xeon the collector's mark (scanobject,
+# findObject) is ~30% cumulative; grm's exportStatusOffer ~25%, of which the
+# trader's shard.insert is ~7%; protocol's DecodeNodeStatus ~12% and
+# NodeStatus.Encode ~9%. Leaves loopback_update.prof and its test binary in
+# the working directory.
 profile-update:
 	$(GO) test -run '^$$' -bench BenchmarkLoopbackUpdate10k -benchtime 2000000x \
 		-cpuprofile loopback_update.prof -o loopback_update.test ./internal/grm

@@ -42,18 +42,12 @@ func Exp1InformationUpdate(seed int64) Table {
 
 		// Offer freshness: every offer must be at most one period old.
 		maxAge := 0.0
-		offers, _ := c.GRM().Trader().Select(trading.Query{ServiceType: grm.NodeStatusType})
 		now := g.Now()
-		for _, o := range offers {
-			if v, ok := o.Properties.Property(grm.PropUpdatedUnix); ok {
-				if ts, isNum := v.AsNumber(); isNum {
-					age := now.Sub(time.Unix(int64(ts), 0)).Seconds()
-					if age > maxAge {
-						maxAge = age
-					}
-				}
+		_ = c.GRM().Trader().VisitMatches(grm.NodeStatusType, "", func(o *trading.Offer) { // the empty constraint always compiles
+			if ts, isNum := o.Properties.Get(grm.PropUpdatedUnix).AsNumber(); isNum {
+				maxAge = max(maxAge, now.Sub(time.Unix(int64(ts), 0)).Seconds())
 			}
-		}
+		})
 		t.AddRow(n, received, expected, 100*float64(received)/float64(expected),
 			c.GRM().KnownNodes(), maxAge)
 		g.Stop()

@@ -251,7 +251,7 @@ func TestTraderWriteMidBatch(t *testing.T) {
 	)
 	f, release := gatedFixture(t, func(n int32) {
 		if n == 2 {
-			if _, err := tr.Export(fresh); err != nil {
+			if _, err := tr.ExportKeyed(fresh); err != nil {
 				t.Error(err)
 			}
 		}
@@ -407,20 +407,20 @@ func TestConcurrentSubmitTraderChurnStress(t *testing.T) {
 					return
 				default:
 				}
-				id, err := tr.Export(trading.Offer{
+				ref := orb.ObjectRef{
+					Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: fmt.Sprintf("churn-%d-%d", c, i)},
+					Key:      "x",
+				}
+				if _, err := tr.ExportKeyed(trading.Offer{
 					ServiceType: "Churn",
-					Ref: orb.ObjectRef{
-						Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: fmt.Sprintf("churn-%d-%d", c, i)},
-						Key:      "x",
-					},
-					Properties: constraint.Properties{"n": constraint.Number(float64(i))}.Record(),
-				})
-				if err != nil {
+					Ref:         ref,
+					Properties:  constraint.Properties{"n": constraint.Number(float64(i))}.Record(),
+				}); err != nil {
 					t.Errorf("churn export: %v", err)
 					return
 				}
-				if err := tr.Withdraw(id); err != nil {
-					t.Errorf("churn withdraw: %v", err)
+				if tr.WithdrawRef("Churn", ref) != 1 {
+					t.Error("churn withdraw removed nothing")
 					return
 				}
 			}

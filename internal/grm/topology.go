@@ -131,21 +131,17 @@ type ClusterSummary struct {
 	PendingTasks    int
 }
 
-// Summary computes the cluster's current aggregate state.
+// Summary computes the cluster's current aggregate state in one visit of the
+// trader's node offers.
 func (g *GRM) Summary() ClusterSummary {
-	offers, err := g.trader.SelectPointers(trading.Query{ServiceType: NodeStatusType})
 	s := ClusterSummary{ClusterID: g.clusterID}
-	if err == nil {
-		s.Nodes = len(offers)
-		for _, o := range offers {
-			free := numProp(o, fieldMIPSFree)
-			s.FreeMIPS += free
-			if free > s.MaxNodeFreeMIPS {
-				s.MaxNodeFreeMIPS = free
-			}
-			s.TotalMIPS += numProp(o, fieldMIPSTotal)
-		}
-	}
+	_ = g.trader.VisitMatches(NodeStatusType, "", func(o *trading.Offer) { // the empty constraint always compiles
+		s.Nodes++
+		free := numProp(o, fieldMIPSFree)
+		s.FreeMIPS += free
+		s.MaxNodeFreeMIPS = max(s.MaxNodeFreeMIPS, free)
+		s.TotalMIPS += numProp(o, fieldMIPSTotal)
+	})
 	g.mu.Lock()
 	for _, app := range g.apps {
 		s.PendingTasks += len(app.pendingTasks())

@@ -10,7 +10,6 @@ import (
 	"integrade/internal/orb"
 	"integrade/internal/protocol"
 	"integrade/internal/testutil/allocbudget"
-	"integrade/internal/trading"
 )
 
 // hugeCount is a count the frames below carry with no elements after it; it
@@ -28,11 +27,6 @@ func withCount(body []byte, n uint32) []byte {
 func countOnly(n uint32) []byte {
 	return binary.BigEndian.AppendUint32(nil, n)
 }
-
-// replyInvoker answers every invocation with one canned reply.
-type replyInvoker []byte
-
-func (r replyInvoker) Invoke(orb.ObjectRef, string, []byte) ([]byte, error) { return r, nil }
 
 // TestWireCountsBoundAllocations: a decoder that sizes a slice from a count it
 // read must not allocate for elements the frame does not hold. Each frame below
@@ -92,14 +86,6 @@ func TestWireCountsBoundAllocations(t *testing.T) {
 		},
 		"gupa.DecodePattern weekday counts": func() error {
 			_, err := gupa.DecodePattern(orb.NewDecoder(withCount(pattern[:8+4+4], hugeCount)))
-			return err
-		},
-		"trading.DecodeProperties": func() error {
-			_, err := trading.DecodeProperties(orb.NewDecoder(countOnly(hugeCount)))
-			return err
-		},
-		"trading.Client.Select": func() error {
-			_, err := trading.NewClient(replyInvoker(countOnly(hugeCount)), orb.ObjectRef{}).Select(trading.Query{})
 			return err
 		},
 		"checkpoint.DecodeSnapshot": func() error {

@@ -2,16 +2,18 @@ package trading
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"integrade/internal/constraint"
 	"integrade/internal/orb"
+	"integrade/internal/testutil/allocbudget"
 )
 
 func benchTrader(n int) *Service {
 	s := NewService(nil)
 	for i := 0; i < n; i++ {
-		_, _ = s.Export(Offer{
+		_, _ = s.ExportKeyed(Offer{
 			ServiceType: "NodeStatus",
 			Ref: orb.ObjectRef{
 				Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: fmt.Sprintf("n%d", i)},
@@ -29,7 +31,7 @@ func benchTrader(n int) *Service {
 
 func BenchmarkSelect100Offers(b *testing.B) {
 	s := benchTrader(100)
-	q := Query{ServiceType: "NodeStatus", Constraint: "mips_free >= 500 and os == 'linux'", Preference: "mips_free"}
+	q := Query{ServiceType: "NodeStatus", Constraint: "mips_free >= 500 and os == 'linux'"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -41,7 +43,7 @@ func BenchmarkSelect100Offers(b *testing.B) {
 
 func BenchmarkSelect1000Offers(b *testing.B) {
 	s := benchTrader(1000)
-	q := Query{ServiceType: "NodeStatus", Constraint: "mips_free >= 500", Preference: "mips_free", Limit: 10}
+	q := Query{ServiceType: "NodeStatus", Constraint: "mips_free >= 500"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -53,7 +55,7 @@ func BenchmarkSelect1000Offers(b *testing.B) {
 
 // BenchmarkSelectPointers10kOffers is the scan a GRM snapshot miss pays for:
 // 10^4 offers spread over all 64 shards, about half of them matching, no
-// preference, no copies.
+// copies.
 func BenchmarkSelectPointers10kOffers(b *testing.B) {
 	s := benchTrader(10000)
 	q := Query{ServiceType: "NodeStatus", Constraint: "mips_free >= 600 and os == 'linux'"}
@@ -67,11 +69,11 @@ func BenchmarkSelectPointers10kOffers(b *testing.B) {
 }
 
 // TestSelectUsesCompileCache pins the regression the cache fixes: a repeated
-// query must not recompile its constraint and preference. The cache is
-// package-global, so assert on stat deltas.
+// query must not recompile its constraint. The cache is package-global, so
+// assert on stat deltas.
 func TestSelectUsesCompileCache(t *testing.T) {
 	s := benchTrader(10)
-	q := Query{ServiceType: "NodeStatus", Constraint: "mips_free >= 500 and exist cache_probe_tag", Preference: "mips_free + 0"}
+	q := Query{ServiceType: "NodeStatus", Constraint: "mips_free >= 500 and exist cache_probe_tag"}
 	if _, err := s.Select(q); err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +85,8 @@ func TestSelectUsesCompileCache(t *testing.T) {
 	if misses1 != misses0 {
 		t.Fatalf("repeated Select recompiled: misses %d -> %d", misses0, misses1)
 	}
-	if hits1-hits0 != 2 {
-		t.Fatalf("repeated Select should hit the cache for constraint and preference: hits %d -> %d", hits0, hits1)
+	if hits1-hits0 != 1 {
+		t.Fatalf("repeated Select should hit the cache for its constraint: hits %d -> %d", hits0, hits1)
 	}
 }
 
@@ -100,7 +102,6 @@ func BenchmarkSelectCacheMiss(b *testing.B) {
 		queries[i] = Query{
 			ServiceType: "NodeStatus",
 			Constraint:  fmt.Sprintf("mips_free >= %d and os == 'linux'", 500+i),
-			Preference:  "mips_free",
 		}
 	}
 	b.ReportAllocs()
@@ -112,18 +113,46 @@ func BenchmarkSelectCacheMiss(b *testing.B) {
 	}
 }
 
+// upsertFleet is a trader of 10^4 offers, ~156 a shard, and the offers it
+// holds, for each ref to re-export its one offer in turn.
+func upsertFleet() (*Service, []Offer) {
+	s := benchTrader(10000)
+	return s, s.All("NodeStatus")
+}
+
 // BenchmarkExportKeyedUpsert is the Information Update Protocol's inner loop at
-// fleet size: 10^4 offers, ~156 a shard, each ref re-exporting its one offer in
-// turn: the trader's share of BenchmarkLoopbackUpdate10k in internal/grm.
+// fleet size: the trader's share of BenchmarkLoopbackUpdate10k in internal/grm.
+// Its allocations are gated by testdata/alloc_budget.txt.
 func BenchmarkExportKeyedUpsert(b *testing.B) {
-	const fleet = 10000
-	s := benchTrader(fleet)
-	offers := s.All("NodeStatus")
+	s, offers := upsertFleet()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.ExportKeyed(offers[i%fleet]); err != nil {
+		if _, err := s.ExportKeyed(offers[i%len(offers)]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestExportKeyedAllocBudget holds BenchmarkExportKeyedUpsert's upsert to the
+// `export-keyed` row of testdata/alloc_budget.txt.
+func TestExportKeyedAllocBudget(t *testing.T) {
+	path := filepath.Join("testdata", "alloc_budget.txt")
+	s, offers := upsertFleet()
+	for _, row := range allocbudget.Parse(t, path) {
+		if row.Name != "export-keyed" {
+			t.Fatalf("%s: unknown row %q (known: export-keyed)", path, row.Name)
+		}
+		i := 0
+		got := testing.AllocsPerRun(2000, func() {
+			if _, err := s.ExportKeyed(offers[i%len(offers)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if got > row.Budget {
+			t.Fatalf("%s: a keyed upsert allocates %.2f times, budget %.0f", path, got, row.Budget)
+		}
+		t.Logf("%s: a keyed upsert allocates %.2f times, budget %.0f", path, got, row.Budget)
 	}
 }

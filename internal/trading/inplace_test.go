@@ -1,7 +1,6 @@
 package trading
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -37,20 +36,22 @@ func (m *modelTrader) write(sh int, now time.Time, drop func(Offer) bool, adds .
 
 func (m *modelTrader) number(o Offer) Offer {
 	m.seq++
-	o.setSeq(m.seq)
+	o.seq = m.seq
 	return o
 }
 
-func (m *modelTrader) export(o Offer, keyed bool, now time.Time) string {
+// exportKeyed replaces the ref's oldest offer, if it has one, and returns the
+// new offer's seq.
+func (m *modelTrader) exportKeyed(o Offer, now time.Time) int {
 	o, sh, oldest := m.number(o), refShard(o.Ref), 0
 	for _, held := range m.shards[sh] {
-		if keyed && held.Ref == o.Ref && (oldest == 0 || held.seq < oldest) {
+		if held.Ref == o.Ref && (oldest == 0 || held.seq < oldest) {
 			oldest = held.seq
 		}
 	}
 	m.write(sh, now, func(held Offer) bool { return held.seq == oldest }, o)
 	m.version++
-	return o.ID
+	return o.seq
 }
 
 func (m *modelTrader) exportBatch(offers []Offer, now time.Time) {
@@ -64,26 +65,6 @@ func (m *modelTrader) exportBatch(offers []Offer, now time.Time) {
 		}
 	}
 	m.version++
-}
-
-func (m *modelTrader) find(id string) (Offer, int, bool) {
-	for sh := range m.shards {
-		for _, o := range m.shards[sh] {
-			if o.ID == id {
-				return o, sh, true
-			}
-		}
-	}
-	return Offer{}, 0, false
-}
-
-func (m *modelTrader) withdraw(id string, now time.Time) bool {
-	_, sh, ok := m.find(id)
-	if ok {
-		m.write(sh, now, func(o Offer) bool { return o.ID == id })
-		m.version++
-	}
-	return ok
 }
 
 func (m *modelTrader) withdrawRef(ref orb.ObjectRef, now time.Time) int {
@@ -117,9 +98,9 @@ func (m *modelTrader) all(now time.Time) []Offer {
 // TestCompactionTimingMatchesModel pins that the sweep bound changed nothing
 // that can be observed: over a seeded deck of every write and of clock advances,
 // with offers that never expire, expire soon and expire late, the service agrees
-// with the rebuild-on-every-write model after every step on Describe of every ID
-// ever issued — so an expired offer leaves the registry at the same write — and
-// on Count, All and Version.
+// with the rebuild-on-every-write model after every step on what each shard
+// holds — expired offers not yet compacted included, so an expired offer
+// leaves the index at the same write — and on Count, All and Version.
 func TestCompactionTimingMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		now := time.Unix(1_700_000_000, 0)
@@ -132,22 +113,15 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 			}
 			return o
 		}
-		var issued []string
 		for step := 0; step < 1200; step++ {
 			switch op := rng.Intn(10); op {
 			case 0, 1, 2, 3:
 				o := offer()
-				id, err := s.ExportKeyed(o)
-				if want := m.export(o, true, now); err != nil || id != want {
-					t.Fatalf("seed %d step %d: ExportKeyed = %s, %v; model %s", seed, step, id, err, want)
+				seq, err := s.ExportKeyed(o)
+				if want := m.exportKeyed(o, now); err != nil || seq != want {
+					t.Fatalf("seed %d step %d: ExportKeyed = %d, %v; model %d", seed, step, seq, err, want)
 				}
-			case 4:
-				o := offer()
-				id, err := s.Export(o)
-				if want := m.export(o, false, now); err != nil || id != want {
-					t.Fatalf("seed %d step %d: Export = %s, %v; model %s", seed, step, id, err, want)
-				}
-			case 5:
+			case 4, 5:
 				batch := make([]Offer, 1+rng.Intn(6))
 				for i := range batch {
 					batch[i] = offer()
@@ -156,13 +130,7 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				m.exportBatch(batch, now)
-			case 6:
-				id := fmt.Sprintf("offer-%d", 1+rng.Intn(m.seq+1))
-				err := s.Withdraw(id)
-				if known := m.withdraw(id, now); known != (err == nil) || err != nil && !errors.Is(err, ErrUnknownOffer) {
-					t.Fatalf("seed %d step %d: Withdraw(%s) = %v; model knows it: %v", seed, step, id, err, known)
-				}
-			case 7:
+			case 6, 7:
 				ref := nodeRef(rng.Intn(150))
 				if got, want := s.WithdrawRef("NodeStatus", ref), m.withdrawRef(ref, now); got != want {
 					t.Fatalf("seed %d step %d: WithdrawRef = %d, model %d", seed, step, got, want)
@@ -170,21 +138,24 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 			default:
 				now = now.Add(time.Duration(rng.Intn(4000)) * time.Millisecond)
 			}
-			for len(issued) < m.seq {
-				issued = append(issued, fmt.Sprintf("offer-%d", len(issued)+1))
-			}
 
-			held := map[string]Offer{}
+			ts := s.typeIndex("NodeStatus")
 			for sh := range m.shards {
-				for _, o := range m.shards[sh] {
-					held[o.ID] = o
+				var got []*stored
+				if ts != nil {
+					got = slotOffers(&ts.shards[sh])
 				}
-			}
-			for _, id := range issued {
-				got, err := s.Describe(id)
-				want, known := held[id]
-				if known != (err == nil) || known && (got.Ref != want.Ref || !got.Expires.Equal(want.Expires)) {
-					t.Fatalf("seed %d step %d: Describe(%s) = %v, %v; model holds it: %v", seed, step, id, got, err, known)
+				if len(got) != len(m.shards[sh]) {
+					t.Fatalf("seed %d step %d: shard %d holds %d offers, model %d", seed, step, sh, len(got), len(m.shards[sh]))
+				}
+				held := map[int]Offer{}
+				for _, o := range m.shards[sh] {
+					held[o.seq] = o
+				}
+				for _, st := range got {
+					if want, ok := held[st.seq]; !ok || st.Ref != want.Ref || !st.Expires.Equal(want.Expires) {
+						t.Fatalf("seed %d step %d: shard %d holds seq %d (%v), model %v: %+v", seed, step, sh, st.seq, st.Ref, ok, want)
+					}
 				}
 			}
 			all, want := s.All("NodeStatus"), m.all(now)
@@ -192,8 +163,8 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 				t.Fatalf("seed %d step %d: All = %d offers, Count = %d, model %d", seed, step, len(all), s.Count("NodeStatus"), len(want))
 			}
 			for i := range all {
-				if all[i].ID != want[i].ID {
-					t.Fatalf("seed %d step %d: All[%d] = %s, model %s", seed, step, i, all[i].ID, want[i].ID)
+				if all[i].seq != want[i].seq {
+					t.Fatalf("seed %d step %d: All[%d] = seq %d, model %d", seed, step, i, all[i].seq, want[i].seq)
 				}
 			}
 			if s.Version() != m.version {
@@ -232,41 +203,41 @@ func TestKeyedUpsertInPlace(t *testing.T) {
 	s := NewService(clock)
 	heartbeatFleet(t, s, 10000, ttl)
 	sh := &s.typeIndex("NodeStatus").shards[refShard(nodeRef(7))]
-	beat := func(expires time.Time) (id string, inPlace bool) {
+	beat := func(expires time.Time) (seq int, inPlace bool) {
 		t.Helper()
 		before, v := sh.snap.Load(), s.Version()
 		o := nodeOffer(7, 1234, 512)
 		o.Expires = expires
-		id, err := s.ExportKeyed(o)
+		seq, err := s.ExportKeyed(o)
 		if err != nil || s.Version() != v+1 {
-			t.Fatalf("ExportKeyed = %s, %v; version %d -> %d", id, err, v, s.Version())
+			t.Fatalf("ExportKeyed = %d, %v; version %d -> %d", seq, err, v, s.Version())
 		}
-		return id, sh.snap.Load() == before
+		return seq, sh.snap.Load() == before
 	}
 
 	now = now.Add(ttl / 2)
 	first, _ := s.Select(Query{ServiceType: "NodeStatus", Constraint: "mips == 1234"})
-	id, inPlace := beat(now.Add(ttl))
+	seq, inPlace := beat(now.Add(ttl))
 	if !inPlace {
 		t.Fatal("a heartbeat rebuilt its shard's snapshot")
 	}
 	got, err := s.Select(Query{ServiceType: "NodeStatus", Constraint: "mips == 1234"})
-	if err != nil || len(got) != len(first)+1 || got[len(got)-1].ID != id || s.Count("NodeStatus") != 10000 {
+	if err != nil || len(got) != len(first)+1 || got[len(got)-1].Seq() != seq || s.Count("NodeStatus") != 10000 {
 		t.Fatalf("after the heartbeat %d offers have its mips (was %d), %v; Count = %d", len(got), len(first), err, s.Count("NodeStatus"))
 	}
-	if _, err := s.Describe("offer-8"); !errors.Is(err, ErrUnknownOffer) {
-		t.Fatalf("the replaced offer still resolves: %v", err)
+	if own := sh.byRef[nodeRef(7)]; len(own) != 1 || own[0].st.seq != seq {
+		t.Fatalf("after the heartbeat the ref holds %d offers; want only the new one, seq %d", len(own), seq)
 	}
 	assertIndexConsistent(t, s)
 
 	small := NewService(clock)
-	heartbeatFleet(t, small, 2*shardsPerType, ttl) // past offer-99: the ID costs what it does in a fleet
+	heartbeatFleet(t, small, 2*shardsPerType, ttl)
 	o := nodeOffer(7, 1, 1)
 	o.Expires = now.Add(ttl)
 	perBeat := func(s *Service) float64 {
 		return testing.AllocsPerRun(200, func() { _, _ = s.ExportKeyed(o) })
 	}
-	if big, one := perBeat(s), perBeat(small); big != one || big > 3 {
+	if big, one := perBeat(s), perBeat(small); big != one || big > 1 {
 		t.Fatalf("a heartbeat allocates %v times among 10^4 offers and %v among %d: it must not depend on the shard", big, one, 2*shardsPerType)
 	}
 
@@ -276,7 +247,7 @@ func TestKeyedUpsertInPlace(t *testing.T) {
 	if _, inPlace := beat(time.Time{}); !inPlace {
 		t.Fatal("an offer that never expires keeps any bound and should be stored in place")
 	}
-	if _, err := s.Export(nodeOffer(7, 1, 1)); err != nil {
+	if _, err := s.ExportBatch([]Offer{nodeOffer(7, 1, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, inPlace := beat(now.Add(ttl)); inPlace || len(sh.byRef[nodeRef(7)]) != 2 {
@@ -311,14 +282,14 @@ func TestCountUsesSweepBound(t *testing.T) {
 		for n := 0; n < 3; n++ {
 			o := nodeOffer(node.i, 100, 512)
 			o.Expires = now.Add(node.ttl + time.Duration(n)*time.Second)
-			if _, err := s.Export(o); err != nil {
+			if _, err := s.ExportBatch([]Offer{o}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	other := nodeOffer(soon, 1, 1)
 	other.ServiceType = "Printer"
-	if _, err := s.Export(other); err != nil {
+	if _, err := s.ExportKeyed(other); err != nil {
 		t.Fatal(err)
 	}
 	for _, step := range []struct {
@@ -403,7 +374,7 @@ func TestVisitRacesInPlaceUpserts(t *testing.T) {
 				if r < 3 {
 					err = s.VisitMatches("NodeStatus", cons, func(o *Offer) {
 						if mips, _ := o.Properties.Get("mips").AsNumber(); mips < floor {
-							t.Errorf("%q yielded %s with mips %v", cons, o.ID, mips)
+							t.Errorf("%q yielded seq %d with mips %v", cons, o.Seq(), mips)
 						}
 						seen[o.Ref]++
 					})
@@ -417,7 +388,7 @@ func TestVisitRacesInPlaceUpserts(t *testing.T) {
 						want |= 1 << 2
 					}
 					if met != want {
-						t.Errorf("set visit yielded %s with mips %v and bits %b, want %b", o.ID, mips, met, want)
+						t.Errorf("set visit yielded seq %d with mips %v and bits %b, want %b", o.Seq(), mips, met, want)
 					}
 					seen[o.Ref]++
 				}); bad != 1<<4 {

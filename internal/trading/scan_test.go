@@ -14,7 +14,7 @@ import (
 
 // referenceSelect answers q by brute force, sharing nothing with scan: the
 // offer in every slot of every shard snapshot, the expired dropped, sorted by
-// seq, filtered by Expr.Eval, stably ranked by the preference, cut at the limit.
+// seq, filtered by Expr.Eval.
 func referenceSelect(t *testing.T, s *Service, q Query) []*Offer {
 	t.Helper()
 	ts := s.typeIndex(q.ServiceType)
@@ -40,17 +40,6 @@ func referenceSelect(t *testing.T, s *Service, q Query) []*Offer {
 				matched = append(matched, o)
 			}
 		}
-	}
-	if q.Preference != "" {
-		pref := constraint.MustCompile(q.Preference)
-		score := func(o *Offer) float64 {
-			n, _ := pref.EvalNumber(o.Properties)
-			return n
-		}
-		sort.SliceStable(matched, func(i, j int) bool { return score(matched[i]) > score(matched[j]) })
-	}
-	if q.Limit > 0 && len(matched) > q.Limit {
-		matched = matched[:q.Limit]
 	}
 	return matched
 }
@@ -88,35 +77,25 @@ func TestScanMatchesBruteForce(t *testing.T) {
 				}
 				return o
 			}
-			var ids []string
-			for len(ids) < fleet.count {
-				var got []string
-				switch rng.Intn(4) {
-				case 0:
-					id, err := s.ExportKeyed(offer())
-					if err != nil {
+			for exported := 0; exported < fleet.count; {
+				if rng.Intn(4) == 0 {
+					if _, err := s.ExportKeyed(offer()); err != nil {
 						t.Fatal(err)
 					}
-					got = []string{id}
-				case 1:
-					batch := make([]Offer, 1+rng.Intn(40))
+					exported++
+				} else {
+					// One offer as often as not: a ref's second, beside its first.
+					batch := make([]Offer, 1+rng.Intn(2)*rng.Intn(40))
 					for i := range batch {
 						batch[i] = offer()
 					}
-					var err error
-					if got, err = s.ExportBatch(batch); err != nil {
+					if _, err := s.ExportBatch(batch); err != nil {
 						t.Fatal(err)
 					}
-				default:
-					id, err := s.Export(offer())
-					if err != nil {
-						t.Fatal(err)
-					}
-					got = []string{id}
+					exported += len(batch)
 				}
-				ids = append(ids, got...)
 				if rng.Intn(10) == 0 {
-					_ = s.Withdraw(ids[rng.Intn(len(ids))]) // may already be gone
+					s.WithdrawRef("NodeStatus", nodeRef(rng.Intn(max(fleet.refs, 1)))) // may hold nothing
 				}
 			}
 			now = base.Add(2 * time.Minute)
@@ -167,7 +146,7 @@ func TestScanBlockBoundaries(t *testing.T) {
 							o.Properties = constraint.Properties{"mips": constraint.Number(100), "ram": constraint.Number(2048)}.Record()
 						}
 					}
-					if _, err := s.Export(o); err != nil {
+					if _, err := s.ExportBatch([]Offer{o}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -192,8 +171,8 @@ func TestScanBlockBoundaries(t *testing.T) {
 // assertMatchesBruteForce holds every read path built on visit to the brute
 // force: SelectPointers must return the very pointers referenceSelect does, in
 // the same order, VisitMatches the same set in whatever order, one
-// VisitMatchSet over every unranked, unlimited query the same sets again, and
-// All and Count the same offers unfiltered.
+// VisitMatchSet over every query the same sets again, and All and Count the
+// same offers unfiltered.
 func assertMatchesBruteForce(t *testing.T, s *Service, nonEmpty bool) {
 	t.Helper()
 	var (
@@ -206,9 +185,7 @@ func assertMatchesBruteForce(t *testing.T, s *Service, nonEmpty bool) {
 		{Constraint: "mips >= 250 and ram >= 512 and os == 'linux'"},
 		{Constraint: "mips == 'fast'"},
 		{Constraint: "gpu > 1"},
-		{Constraint: "mips >= 0", Limit: 7},
-		{Preference: "mips"},
-		{Constraint: "ram >= 512", Preference: "mips + ram", Limit: 25},
+		{Constraint: "mips >= 0"},
 	} {
 		q.ServiceType = "NodeStatus"
 		want := referenceSelect(t, s, q)
@@ -221,14 +198,11 @@ func assertMatchesBruteForce(t *testing.T, s *Service, nonEmpty bool) {
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("%+v: position %d is %s (seq %d), brute force %s (seq %d)",
-					q, i, got[i].ID, got[i].seq, want[i].ID, want[i].seq)
+				t.Fatalf("%+v: position %d is seq %d, brute force seq %d", q, i, got[i].seq, want[i].seq)
 			}
 		}
-		if q.Preference == "" && q.Limit == 0 {
-			assertVisitYields(t, s, q, got)
-			cons, wants = append(cons, q.Constraint), append(wants, got)
-		}
+		assertVisitYields(t, s, q, got)
+		cons, wants = append(cons, q.Constraint), append(wants, got)
 		if nonEmpty && q.Constraint == "mips >= 0" && len(got) == 0 {
 			t.Fatalf("%+v matched nothing: the fleet does not exercise the scan", q)
 		}
@@ -241,8 +215,8 @@ func assertMatchesBruteForce(t *testing.T, s *Service, nonEmpty bool) {
 		t.Fatalf("All = %d offers, Count = %d, brute force %d", len(all), s.Count("NodeStatus"), len(want))
 	}
 	for i := range all {
-		if all[i].ID != want[i].ID || all[i].Properties != want[i].Properties {
-			t.Fatalf("All: position %d is %s, brute force %s", i, all[i].ID, want[i].ID)
+		if all[i].seq != want[i].seq || all[i].Properties != want[i].Properties {
+			t.Fatalf("All: position %d is seq %d, brute force seq %d", i, all[i].seq, want[i].seq)
 		}
 	}
 }
@@ -274,7 +248,7 @@ func assertVisitSetYields(t *testing.T, s *Service, cons []string, want [][]*Off
 	seen := make(map[*Offer]bool)
 	bad := s.VisitMatchSet("NodeStatus", cons, func(o *Offer, met uint64) {
 		if seen[o] {
-			t.Fatalf("the set visit yielded %s twice", o.ID)
+			t.Fatalf("the set visit yielded seq %d twice", o.Seq())
 		}
 		seen[o] = true
 		for c := range cons {
@@ -298,7 +272,7 @@ func assertVisitSetYields(t *testing.T, s *Service, cons []string, want [][]*Off
 // the query's error, reported before anything is visited.
 func TestVisitMatchesRejectsBadConstraint(t *testing.T) {
 	s := NewService(nil)
-	if _, err := s.Export(nodeOffer(1, 100, 100)); err != nil {
+	if _, err := s.ExportKeyed(nodeOffer(1, 100, 100)); err != nil {
 		t.Fatal(err)
 	}
 	err := s.VisitMatches("NodeStatus", "mips >=", func(*Offer) { t.Fatal("visited an offer") })
@@ -338,17 +312,17 @@ func TestReexportSharesRecord(t *testing.T) {
 		if len(mine) != 3 || !maps.Equal(mine, theirs) || o.Ref != offers[i].Ref {
 			t.Fatalf("offer %d was not re-exported as it was", i)
 		}
-		if want := fmt.Sprintf("offer-%d", len(offers)+i+1); o.ID != want {
-			t.Fatalf("offer %d has ID %s, want %s: the second trader numbers its own", i, o.ID, want)
+		if want := len(offers) + i + 1; o.Seq() != want {
+			t.Fatalf("offer %d has seq %d, want %d: the second trader numbers its own", i, o.Seq(), want)
 		}
 	}
-	if first := a.All("NodeStatus"); first[0].ID != "offer-1" {
-		t.Fatalf("re-exporting renamed the first trader's offer to %s", first[0].ID)
+	if first := a.All("NodeStatus"); first[0].Seq() != 1 {
+		t.Fatalf("re-exporting renumbered the first trader's offer to %d", first[0].Seq())
 	}
-	// One allocation of the index's per export — the stored offer, header
-	// inline — plus the ID string: the value array is never copied.
+	// One allocation per export — the stored offer, header inline: the value
+	// array is never copied.
 	o := offers[0]
-	if allocs := testing.AllocsPerRun(100, func() { _, _ = b.ExportKeyed(o) }); allocs > 3 {
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = b.ExportKeyed(o) }); allocs > 1 {
 		t.Fatalf("re-exporting an offer allocates %v times: its record is being copied", allocs)
 	}
 }

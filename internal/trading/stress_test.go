@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"integrade/internal/constraint"
@@ -25,32 +26,23 @@ func TestExportBatchSemantics(t *testing.T) {
 	for i := range batch {
 		batch[i] = nodeOffer(i, float64(100*(i+1)), 512)
 	}
-	ids, err := s.ExportBatch(batch)
+	seqs, err := s.ExportBatch(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 10 {
-		t.Fatalf("ids = %d, want 10", len(ids))
+	if len(seqs) != 10 {
+		t.Fatalf("seqs = %d, want 10", len(seqs))
 	}
 	if got := s.Count("NodeStatus"); got != 10 {
 		t.Fatalf("Count = %d, want 10", got)
 	}
-	for i, id := range ids {
-		off, err := s.Describe(id)
-		if err != nil {
-			t.Fatalf("Describe(%s): %v", id, err)
-		}
-		if off.Ref != nodeRef(i) {
-			t.Fatalf("offer %d ref = %v", i, off.Ref)
-		}
-	}
 
 	// Batch export preserves the global export order: All must return the
-	// batch in submission order, interleaved correctly with prior exports.
+	// batch in submission order, each offer with the seq it was given.
 	all := s.All("NodeStatus")
 	for i := range all {
-		if all[i].Ref != nodeRef(i) {
-			t.Fatalf("All[%d].Ref = %v, want %v", i, all[i].Ref, nodeRef(i))
+		if all[i].Ref != nodeRef(i) || all[i].Seq() != seqs[i] {
+			t.Fatalf("All[%d] = ref %v seq %d, want %v seq %d", i, all[i].Ref, all[i].Seq(), nodeRef(i), seqs[i])
 		}
 	}
 
@@ -67,12 +59,11 @@ func TestVersionBumpsOnWritesOnly(t *testing.T) {
 	s := NewService(nil)
 	v0 := s.Version()
 
-	id, err := s.Export(nodeOffer(1, 1000, 512))
-	if err != nil {
+	if _, err := s.ExportKeyed(nodeOffer(1, 1000, 512)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Version() == v0 {
-		t.Fatal("Export did not bump the version")
+	if s.Version() != v0+1 {
+		t.Fatalf("a first ExportKeyed moved the version %d -> %d, want one step", v0, s.Version())
 	}
 
 	v := s.Version()
@@ -84,8 +75,8 @@ func TestVersionBumpsOnWritesOnly(t *testing.T) {
 	}
 	s.Count("NodeStatus")
 	s.All("NodeStatus")
-	if s.Version() != v {
-		t.Fatal("a read path bumped the version")
+	if s.WithdrawRef("NodeStatus", nodeRef(99)) != 0 || s.Version() != v {
+		t.Fatal("a read path, or a withdrawal of nothing, bumped the version")
 	}
 
 	writes := []struct {
@@ -93,8 +84,8 @@ func TestVersionBumpsOnWritesOnly(t *testing.T) {
 		op   func() error
 	}{
 		{"ExportKeyed", func() error { _, err := s.ExportKeyed(nodeOffer(50, 900, 512)); return err }},
-		{"ExportBatch", func() error { _, err := s.ExportBatch([]Offer{nodeOffer(2, 1, 1)}); return err }},
-		{"Withdraw", func() error { return s.Withdraw(id) }},
+		{"ExportKeyed in place", func() error { _, err := s.ExportKeyed(nodeOffer(50, 901, 512)); return err }},
+		{"ExportBatch", func() error { _, err := s.ExportBatch([]Offer{nodeOffer(2, 1, 1), nodeOffer(3, 1, 1)}); return err }},
 		{"WithdrawRef", func() error { s.WithdrawRef("NodeStatus", nodeRef(50)); return nil }},
 	}
 	for _, w := range writes {
@@ -102,26 +93,23 @@ func TestVersionBumpsOnWritesOnly(t *testing.T) {
 		if err := w.op(); err != nil {
 			t.Fatalf("%s: %v", w.name, err)
 		}
-		if s.Version() == v {
-			t.Fatalf("%s did not bump the version", w.name)
+		if s.Version() != v+1 {
+			t.Fatalf("%s moved the version %d -> %d, want one step", w.name, v, s.Version())
 		}
 	}
 }
 
 // TestSelectSharedSharesProperties pins the read contract: SelectPointers
 // returns the index's own offer, which is what the GRM batch matcher caches
-// across a batch; Select (and its alias SelectShared) and Describe copy the
-// offer, so a caller may overwrite any field of what it got, and share the
-// stored property record, which has no method that writes.
+// across a batch; Select (and its alias SelectShared) and All copy the offer,
+// so a caller may overwrite any field of what it got, and share the stored
+// property record, which has no method that writes.
 func TestSelectSharedSharesProperties(t *testing.T) {
 	s := NewService(nil)
-	id, err := s.Export(nodeOffer(1, 1000, 512))
-	if err != nil {
+	if _, err := s.ExportKeyed(nodeOffer(1, 1000, 512)); err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	own := &s.ids[id].st.Offer
-	s.mu.Unlock()
+	own := &slotOffers(&s.typeIndex("NodeStatus").shards[refShard(nodeRef(1))])[0].Offer
 	stored := own.Properties
 
 	ptrs, err := s.SelectPointers(Query{ServiceType: "NodeStatus"})
@@ -129,7 +117,8 @@ func TestSelectSharedSharesProperties(t *testing.T) {
 		t.Fatalf("SelectPointers = %v, %v; want the index's own offer %p", ptrs, err, own)
 	}
 
-	for name, sel := range map[string]func(Query) ([]Offer, error){"Select": s.Select, "SelectShared": s.SelectShared} {
+	all := func(q Query) ([]Offer, error) { return s.All(q.ServiceType), nil }
+	for name, sel := range map[string]func(Query) ([]Offer, error){"Select": s.Select, "SelectShared": s.SelectShared, "All": all} {
 		got, err := sel(Query{ServiceType: "NodeStatus"})
 		if err != nil || len(got) != 1 {
 			t.Fatalf("%s = %d offers, %v", name, len(got), err)
@@ -137,25 +126,20 @@ func TestSelectSharedSharesProperties(t *testing.T) {
 		if got[0].Properties != stored {
 			t.Fatalf("%s copied the property record; want the stored one shared", name)
 		}
-		got[0].ID = "mine"
+		got[0].Ref = nodeRef(2)
 		got[0].Properties = constraint.Properties{"mips": constraint.Number(-1)}.Record()
 	}
-	after, err := s.Describe(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.ID != id || after.Properties != stored || after.Properties.Get("mips") != constraint.Number(1000) {
-		t.Fatal("overwriting a Select result changed the stored offer")
+	if own.Ref != nodeRef(1) || own.Properties != stored || own.Properties.Get("mips") != constraint.Number(1000) {
+		t.Fatal("overwriting a returned offer changed the stored one")
 	}
 }
 
-// TestConcurrentTradingStress races every write path (Export, ExportKeyed,
-// ExportBatch, Withdraw, WithdrawRef) against the lock-free read paths
-// (Select, SelectPointers, VisitMatches, Count, All, Describe) under the race
-// detector.
+// TestConcurrentTradingStress races every write path (ExportKeyed of a new ref
+// and of a held one, ExportBatch, WithdrawRef) against the lock-free read paths
+// (Select, SelectPointers, VisitMatches, Count, All) under the race detector.
 // CHAOS_SEED picks the operation mix per goroutine, mirroring the seeded
-// suites in `make chaos`; the final consistency check verifies the id map
-// and the shard snapshots agree after the storm.
+// suites in `make chaos`; the final consistency check verifies the reverse
+// index and the shard snapshots agree after the storm.
 func TestConcurrentTradingStress(t *testing.T) {
 	seed := int64(1)
 	if s := os.Getenv("CHAOS_SEED"); s != "" {
@@ -177,16 +161,15 @@ func TestConcurrentTradingStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(w)))
-			var owned []string
+			var owned []int
 			for i := 0; i < iters; i++ {
 				switch rng.Intn(5) {
 				case 0:
-					id, err := s.Export(nodeOffer(w*10000+i, float64(rng.Intn(2000)), 512))
-					if err != nil {
-						t.Errorf("Export: %v", err)
+					if _, err := s.ExportKeyed(nodeOffer(w*10000+i, float64(rng.Intn(2000)), 512)); err != nil {
+						t.Errorf("ExportKeyed of a new ref: %v", err)
 						return
 					}
-					owned = append(owned, id)
+					owned = append(owned, w*10000+i)
 				case 1:
 					if _, err := s.ExportKeyed(nodeOffer(w, float64(rng.Intn(2000)), 256)); err != nil {
 						t.Errorf("ExportKeyed: %v", err)
@@ -197,17 +180,14 @@ func TestConcurrentTradingStress(t *testing.T) {
 						nodeOffer(w*10000+i, 100, 128),
 						nodeOffer(w*10000+i+5000, 200, 128),
 					}
-					ids, err := s.ExportBatch(batch)
-					if err != nil {
+					if _, err := s.ExportBatch(batch); err != nil {
 						t.Errorf("ExportBatch: %v", err)
 						return
 					}
-					owned = append(owned, ids...)
+					owned = append(owned, w*10000+i, w*10000+i+5000)
 				case 3:
 					if len(owned) > 0 {
-						// Withdraw may race a keyed upsert that evicted the
-						// same ref; ErrUnknownOffer is then legitimate.
-						s.Withdraw(owned[len(owned)-1])
+						s.WithdrawRef("NodeStatus", nodeRef(owned[len(owned)-1]))
 						owned = owned[:len(owned)-1]
 					}
 				case 4:
@@ -229,7 +209,7 @@ func TestConcurrentTradingStress(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, err := s.SelectPointers(Query{ServiceType: "NodeStatus", Preference: "mips"}); err != nil {
+					if _, err := s.SelectPointers(Query{ServiceType: "NodeStatus"}); err != nil {
 						t.Errorf("SelectPointers: %v", err)
 						return
 					}
@@ -241,7 +221,7 @@ func TestConcurrentTradingStress(t *testing.T) {
 					seen := map[*Offer]bool{}
 					err := s.VisitMatches("NodeStatus", "mips >= 500", func(o *Offer) {
 						if mips, _ := o.Properties.Get("mips").AsNumber(); mips < 500 || seen[o] {
-							t.Errorf("visit yielded %s (mips %v, seen before: %v)", o.ID, mips, seen[o])
+							t.Errorf("visit yielded seq %d (mips %v, seen before: %v)", o.Seq(), mips, seen[o])
 						}
 						seen[o] = true
 					})
@@ -255,21 +235,8 @@ func TestConcurrentTradingStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Consistency: every surviving id resolves, and the merged snapshot view
-	// agrees with the id map's count for the type.
-	all := s.All("NodeStatus")
-	if got := s.Count("NodeStatus"); got != len(all) {
-		t.Fatalf("Count = %d but All returned %d offers", got, len(all))
-	}
-	for i := 1; i < len(all); i++ {
-		if offerSeq(all[i-1].ID) >= offerSeq(all[i].ID) {
-			t.Fatalf("All not in export order at %d: %s then %s", i, all[i-1].ID, all[i].ID)
-		}
-	}
-	for _, off := range all {
-		if _, err := s.Describe(off.ID); err != nil {
-			t.Fatalf("surviving offer %s does not resolve: %v", off.ID, err)
-		}
+	if got, all := s.Count("NodeStatus"), len(s.All("NodeStatus")); got != all {
+		t.Fatalf("Count = %d but All returned %d offers", got, all)
 	}
 	assertIndexConsistent(t, s)
 }
@@ -287,11 +254,13 @@ func slotOffers(sh *shard) []*stored {
 // assertIndexConsistent checks, on a quiescent service, what the index's
 // writers keep true and its readers rest on: each per-ref list ascends strictly
 // by seq and knows the slot of each of its offers, a shard's slots hold exactly
-// the union of its per-ref lists, an offer's ID is the one derived from its
-// seq, and SelectPointers and All come back strictly ascending in Seq. Slot
-// order itself is not an invariant: an upsert reuses its victim's slot.
+// the union of its per-ref lists, every live offer's seq is unique across the
+// whole service and its record is its own, and SelectPointers and All come back
+// strictly ascending in Seq. Slot order itself is not an invariant: an upsert
+// reuses its victim's slot.
 func assertIndexConsistent(t *testing.T, s *Service) {
 	t.Helper()
+	holder := map[int]string{} // seq → the type and shard holding it
 	for typ, ts := range *s.types.Load() {
 		for i := range ts.shards {
 			sh := &ts.shards[i]
@@ -313,8 +282,13 @@ func assertIndexConsistent(t *testing.T, s *Service) {
 				t.Errorf("%s shard %d: %d slots but %d offers in byRef", typ, i, len(offers), indexed)
 			}
 			for _, st := range offers {
-				if st.ID != fmt.Sprintf("offer-%d", st.seq) || st.Properties != &st.rec {
-					t.Errorf("%s shard %d: offer with seq %d has ID %s (or another's record)", typ, i, st.seq, st.ID)
+				where := fmt.Sprintf("%s shard %d", typ, i)
+				if prev, dup := holder[st.seq]; dup || st.seq <= 0 {
+					t.Errorf("%s: an offer has seq %d, which %q holds too (or is no export's)", where, st.seq, prev)
+				}
+				holder[st.seq] = where
+				if st.Properties != &st.rec {
+					t.Errorf("%s: offer with seq %d reads another's record", where, st.seq)
 				}
 			}
 		}
@@ -338,13 +312,19 @@ func assertIndexConsistent(t *testing.T, s *Service) {
 // TestSeqOrderSameShard races every insert path into one shard: sixteen
 // writers share one exporting reference, with property records of different
 // sizes, and every fourth writer goes through ExportBatch, whose numbers are
-// drawn before the lock, so a later number can be published first. Slot order
+// drawn before the lock, so a later number can be published first; the rest
+// upsert through ExportKeyed, which replaces the ref's oldest offer. Slot order
 // may then be anything; the per-ref list must still ascend (a keyed upsert
 // replaces its first entry as the oldest) and the queries come back in seq.
 func TestSeqOrderSameShard(t *testing.T) {
 	ref := orb.ObjectRef{Endpoint: orb.Endpoint{Net: "loop", Addr: "x"}, Key: "k"}
 	for round := 0; round < 100; round++ {
 		s := NewService(nil)
+		// One offer first, so that every upsert replaces one: the count is
+		// then the batches' offers and this one.
+		if _, err := s.ExportKeyed(Offer{ServiceType: "T", Ref: ref}); err != nil {
+			t.Fatal(err)
+		}
 		var wg sync.WaitGroup
 		for g := 0; g < 16; g++ {
 			wg.Add(1)
@@ -360,7 +340,7 @@ func TestSeqOrderSameShard(t *testing.T) {
 					if g%4 == 3 {
 						_, err = s.ExportBatch([]Offer{o, o})
 					} else {
-						_, err = s.Export(o)
+						_, err = s.ExportKeyed(o)
 					}
 					if err != nil {
 						t.Error(err)
@@ -370,7 +350,7 @@ func TestSeqOrderSameShard(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		if got, want := s.Count("T"), (12+4*2)*30; got != want {
+		if got, want := s.Count("T"), 1+4*2*30; got != want {
 			t.Fatalf("round %d: %d offers, want %d", round, got, want)
 		}
 		all := s.All("T")
@@ -412,7 +392,7 @@ func TestHeldPointersNeverChange(t *testing.T) {
 	check := func() {
 		for i, o := range held {
 			c := copies[i]
-			if o.ID != c.offer.ID || o.seq != c.offer.seq || o.Ref != c.offer.Ref || !o.Expires.Equal(c.offer.Expires) ||
+			if o.seq != c.offer.seq || o.Ref != c.offer.Ref || !o.Expires.Equal(c.offer.Expires) ||
 				o.Properties != c.offer.Properties || !reflect.DeepEqual(maps.Collect(o.Properties.All()), c.props) {
 				t.Errorf("held offer %d changed: %+v, was %+v", i, *o, c.offer)
 				return
@@ -446,5 +426,90 @@ func TestHeldPointersNeverChange(t *testing.T) {
 	}()
 	wg.Wait()
 	check()
+	assertIndexConsistent(t, s)
+}
+
+// TestVersionCountsConcurrentWrites: the GRM's snapshot cache takes an
+// unchanged Version to mean an unchanged index, so every write must advance it
+// exactly once — a store into a slot as much as a rebuild. Writers on distinct
+// refs, spread over all 64 shards, upsert and withdraw while a reader walks the
+// index with VisitMatchSet; the version must never go back while the reader
+// watches, and must end as many steps on as there were writes.
+func TestVersionCountsConcurrentWrites(t *testing.T) {
+	const writers, refs, iters = 4, 512, 400
+	shards := map[int]bool{}
+	for i := 0; i < refs; i++ {
+		shards[refShard(nodeRef(i))] = true
+	}
+	if len(shards) != shardsPerType {
+		t.Fatalf("%d refs cover %d of the %d shards", refs, len(shards), shardsPerType)
+	}
+	s := NewService(nil)
+	v0 := s.Version()
+	var (
+		writes atomic.Uint64
+		wg     sync.WaitGroup
+	)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < iters; i++ {
+				ref := nodeRef(rng.Intn(refs/writers)*writers + w) // this writer's refs only
+				if rng.Intn(4) == 0 {
+					if s.WithdrawRef("NodeStatus", ref) > 0 {
+						writes.Add(1)
+					}
+					continue
+				}
+				o := nodeOffer(0, float64(rng.Intn(2000)), 512)
+				o.Ref = ref
+				if _, err := s.ExportKeyed(o); err != nil {
+					t.Errorf("ExportKeyed: %v", err)
+					return
+				}
+				writes.Add(1)
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		set := []string{"mips >= 1000", "mips < 1000"}
+		seen := make(map[orb.ObjectRef]bool, refs)
+		for last := s.Version(); ; {
+			clear(seen)
+			s.VisitMatchSet("NodeStatus", set, func(o *Offer, met uint64) {
+				want := uint64(1)
+				if mips, _ := o.Properties.Get("mips").AsNumber(); mips < 1000 {
+					want = 2
+				}
+				if met != want || seen[o.Ref] {
+					t.Errorf("the set visit yielded %v with bits %b (want %b), seen before: %v", o.Ref, met, want, seen[o.Ref])
+				}
+				seen[o.Ref] = true
+			})
+			v := s.Version()
+			if v < last {
+				t.Errorf("the version went back from %d to %d", last, v)
+				return
+			}
+			last = v
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	reader.Wait()
+	if got, want := s.Version()-v0, writes.Load(); got != want {
+		t.Fatalf("the version advanced %d times over %d writes", got, want)
+	}
 	assertIndexConsistent(t, s)
 }

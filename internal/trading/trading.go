@@ -1,12 +1,13 @@
-// Package trading implements the ORB Trading service, the analogue of the
-// CORBA Trading Service: servers export *offers* — typed property lists plus
-// an object reference — and importers query them with constraint expressions
-// and an optional preference (rank) expression.
+// Package trading is the GRM's offer index, the part of the CORBA Trading
+// Service the paper's GRM uses: exporters store *offers* — typed property
+// lists plus an object reference — and the GRM queries them with constraint
+// expressions.
 //
-// This is the exact role the paper assigns to the JacORB Trader: "The GRM
-// uses the JacORB Trader to store the information it receives from the
-// LRMs." Each LRM status update becomes an offer upsert; scheduling is a
-// constraint query.
+// This is the role the paper assigns to the JacORB Trader: "The GRM uses the
+// JacORB Trader to store the information it receives from the LRMs." Each LRM
+// status update becomes a keyed upsert of the node's one offer; scheduling is
+// a constraint query. The index lives in the GRM's process and nothing reaches
+// it remotely.
 //
 // The offer index is sharded (DESIGN.md §16): each service type owns
 // shardsPerType shards keyed by the exporting object reference, and each shard
@@ -15,17 +16,16 @@
 // swaps it in under the shard mutex (the PR 4 ORB registry pattern). What a
 // slot holds is not: a status update stores its ref's new offer into the slot
 // the old one sat in. Readers take no locks — they load the snapshots and the
-// slots — so they never contend with writers, and writers on different shards
-// never contend with each other.
+// slots — so they never contend with writers. A writer takes its shard's
+// mutex and no other, so writers on different shards never contend with each
+// other either.
 package trading
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"maps"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,21 +34,12 @@ import (
 	"integrade/internal/orb"
 )
 
-// ObjectKey is the adapter key under which the trading servant registers.
-const ObjectKey = "trading"
-
 // shardsPerType is the number of copy-on-write shards per service type.
 // Offers are assigned to shards by a hash of their exporting reference, so
 // the Information Update Protocol's keyed upserts (remove + re-export of one
 // node's offer) rebuild 1/shardsPerType of the type's index instead of all
 // of it, and updates for different nodes proceed in parallel.
 const shardsPerType = 64
-
-// Service errors.
-var (
-	// ErrUnknownOffer indicates a withdraw/describe of a non-existent offer.
-	ErrUnknownOffer = errors.New("trading: unknown offer")
-)
 
 // Offer is one advertised service: a type name, the exporting object, and
 // its properties. The properties are an immutable record, so copying an Offer
@@ -63,11 +54,10 @@ type Offer struct {
 	// in a stored offer they share a cache line with the record header.
 	Expires time.Time
 	// seq is the service-assigned export sequence number, the order of the
-	// offer index. Offers constructed by callers have seq 0; Export assigns
-	// the real one.
+	// offer index. Offers constructed by callers have seq 0; the export
+	// assigns the real one.
 	seq int
 
-	ID          string
 	ServiceType string
 	Ref         orb.ObjectRef
 	Properties  *constraint.Record
@@ -124,17 +114,12 @@ type Query struct {
 	ServiceType string
 	// Constraint filters offers; empty selects all of the type.
 	Constraint string
-	// Preference ranks matching offers (numeric expression, higher first);
-	// empty preserves insertion order.
-	Preference string
-	// Limit bounds the result count; 0 means unlimited.
-	Limit int
 }
 
-// compileCache memoizes constraint/preference compilation across every
-// trader instance. Query sources repeat heavily — the GRM renders the same
-// constraint text for every scheduling pass over a given application spec —
-// so Select hits the cache on all but the first sight of a source.
+// compileCache memoizes constraint compilation across every trader instance.
+// Query sources repeat heavily — the GRM renders the same constraint text for
+// every scheduling pass over a given application spec — so a query hits the
+// cache on all but the first sight of a source.
 var compileCache = constraint.NewCache(0)
 
 // shardSnap is one shard's published state. Which offers it has slots for is
@@ -196,36 +181,29 @@ func refShard(ref orb.ObjectRef) int {
 	return int(h % shardsPerType)
 }
 
-// offerLoc is the registry's record of where one offer lives.
-type offerLoc struct {
-	st    *stored
-	shard *shard
-}
-
 // Service is the in-memory trader. Safe for concurrent use.
 //
-// Offers are indexed three ways: a registry by ID for describe/withdraw,
-// per-(type, ref-hash) shard snapshots holding one slot per offer (the
-// lock-free read path), and a per-shard reverse index by exporting reference
-// (the keyed-upsert/eviction path). Every offer carries its export sequence
-// number, which is unique, so a consumer that wants export order sorts by it
-// (scan) and one that brings its own order never pays for it (DESIGN.md §16).
+// Offers are indexed two ways: per-(type, ref-hash) shard snapshots holding
+// one slot per offer (the lock-free read path), and a per-shard reverse index
+// by exporting reference (the keyed-upsert/eviction path). Every offer carries
+// its export sequence number, which is unique, so a consumer that wants export
+// order sorts by it (scan) and one that brings its own order never pays for it
+// (DESIGN.md §16).
 type Service struct {
 	// seq is the global export sequence; atomic so concurrent exports on
 	// different shards never serialize on it.
 	seq atomic.Int64
-	// version counts index mutations. Readers that cache Select results
+	// version counts index mutations. Readers that cache query results
 	// (the GRM's batch matcher) revalidate against it: an unchanged version
 	// means the snapshot they cached is still the live one.
 	version atomic.Uint64
 
-	// mu guards ids and serializes growth of the types map, which is
-	// copy-on-write: writers copy the map, add the new type's shard set and
-	// swap; readers load it lock-free.
+	// mu serializes growth of the types map, which is copy-on-write: writers
+	// copy the map, add the new type's shard set and swap; readers load it
+	// lock-free. Nothing else takes it.
 	//
 	//lint:guards types
 	mu    sync.Mutex
-	ids   map[string]offerLoc
 	types atomic.Pointer[map[string]*typeShards]
 
 	now func() time.Time
@@ -237,18 +215,15 @@ func NewService(now func() time.Time) *Service {
 	if now == nil {
 		now = func() time.Time { return time.Time{} }
 	}
-	s := &Service{
-		ids: make(map[string]offerLoc),
-		now: now,
-	}
+	s := &Service{now: now}
 	types := make(map[string]*typeShards)
 	s.types.Store(&types)
 	return s
 }
 
-// Version returns the index mutation counter. Cached Select results are
-// valid only while the version is unchanged (and no cached offer has hit
-// its expiry).
+// Version returns the index mutation counter, which advances by one on every
+// write. Cached query results are valid only while the version is unchanged
+// (and no cached offer has hit its expiry).
 func (s *Service) Version() uint64 { return s.version.Load() }
 
 // typeIndex returns the shard set for a service type, or nil when the type
@@ -291,39 +266,30 @@ func (s *Service) addType(serviceType string) *typeShards {
 	return ts
 }
 
-// Export registers an offer and returns its ID.
-func (s *Service) Export(o Offer) (string, error) {
-	return s.export(o, false)
-}
-
-// ExportKeyed upserts an offer identified by (serviceType, ref): at most one
-// offer per exporting object per type. Used by the Information Update
-// Protocol where each LRM refreshes its single status offer: every update
-// after a node's first stores one pointer into the slot its previous offer
-// held, and rebuilds nothing. When the ref holds several offers the oldest is
-// the one replaced.
+// ExportKeyed upserts an offer identified by (serviceType, ref) and returns its
+// export sequence number: at most one offer per exporting object per type.
+// Used by the Information Update Protocol where each LRM refreshes its single
+// status offer: every update after a node's first stores one pointer into the
+// slot its previous offer held, and rebuilds nothing. When the ref holds
+// several offers the oldest is the one replaced.
 //
-//lint:hotpath alloc=3 locks=2 block=0
-func (s *Service) ExportKeyed(o Offer) (string, error) {
-	return s.export(o, true)
-}
-
-func (s *Service) export(o Offer, keyed bool) (string, error) {
+//lint:hotpath alloc=1 locks=1 block=0
+func (s *Service) ExportKeyed(o Offer) (seq int, err error) {
 	if o.ServiceType == "" {
-		return "", fmt.Errorf("trading: offer without service type") //lint:alloc error slow path
+		return 0, fmt.Errorf("trading: offer without service type") //lint:alloc error slow path
 	}
 	st := newStored(o)
-	sh := s.shardFor(o.ServiceType, o.Ref)
-	victim, removed := sh.insert(&s.seq, st, keyed, s.now())
-	s.commit(st, sh, victim, removed)
-	return st.ID, nil
+	s.shardFor(o.ServiceType, o.Ref).insert(&s.seq, st, s.now())
+	s.version.Add(1)
+	return st.seq, nil
 }
 
-// ExportBatch registers many offers in one pass, rebuilding each touched
-// shard exactly once instead of once per offer. This is the bulk-load path:
-// priming a bench fleet or replaying a replication snapshot costs O(n)
-// instead of the O(n²/shards) of n sequential Exports.
-func (s *Service) ExportBatch(offers []Offer) ([]string, error) {
+// ExportBatch adds many offers in one pass, rebuilding each touched shard
+// exactly once instead of once per offer, and returns their export sequence
+// numbers. Unlike ExportKeyed it replaces nothing: a ref may hold several
+// offers. This is the bulk-load path: priming a bench fleet costs O(n)
+// instead of the O(n²/shards) of n sequential first exports.
+func (s *Service) ExportBatch(offers []Offer) ([]int, error) {
 	for i := range offers {
 		if offers[i].ServiceType == "" {
 			return nil, fmt.Errorf("trading: offer %d without service type", i)
@@ -334,13 +300,13 @@ func (s *Service) ExportBatch(offers []Offer) ([]string, error) {
 	// The block is reserved before any shard is locked, so a concurrent export
 	// may publish a later number first; nothing rests on the order of slots.
 	base := int(s.seq.Add(int64(len(offers)))) - len(offers)
-	ids := make([]string, len(offers))
+	seqs := make([]int, len(offers))
 	buckets := make(map[*shard][]*stored)
 	var order []*shard
 	for i := range offers {
 		st := newStored(offers[i])
-		st.setSeq(base + i + 1)
-		ids[i] = st.ID
+		st.seq = base + i + 1
+		seqs[i] = st.seq
 		sh := s.shardFor(st.ServiceType, st.Ref)
 		if _, seen := buckets[sh]; !seen {
 			order = append(order, sh)
@@ -348,100 +314,56 @@ func (s *Service) ExportBatch(offers []Offer) ([]string, error) {
 		buckets[sh] = append(buckets[sh], st)
 	}
 	now := s.now()
-	var removed []*Offer
 	for _, sh := range order {
-		adds := buckets[sh]
-		removed = append(removed, sh.rebuild(now, nil, adds...)...)
-		s.mu.Lock()
-		for _, st := range adds {
-			s.ids[st.ID] = offerLoc{st: st, shard: sh}
-		}
-		s.mu.Unlock()
+		sh.mu.Lock()
+		sh.snap.Store(sh.rebuilt(sh.snap.Load(), now, nil, buckets[sh]...))
+		sh.mu.Unlock()
 	}
-	s.commit(nil, nil, nil, removed)
-	return ids, nil
-}
-
-// setSeq gives an offer its export sequence number and the ID derived from
-// it. Only writers call it, before the offer is published in a snapshot.
-func (o *Offer) setSeq(seq int) {
-	o.seq = seq
-	o.ID = "offer-" + strconv.Itoa(seq)
-}
-
-// commit finishes a mutation: the registry learns the new offer and forgets
-// the ones that left the index — a keyed upsert's victim, what a rebuild
-// removed — and the version advances.
-func (s *Service) commit(added *stored, sh *shard, victim *Offer, removed []*Offer) {
-	s.mu.Lock()
-	if added != nil {
-		s.ids[added.ID] = offerLoc{st: added, shard: sh}
-	}
-	if victim != nil {
-		delete(s.ids, victim.ID)
-	}
-	for _, off := range removed {
-		delete(s.ids, off.ID)
-	}
-	s.mu.Unlock()
 	s.version.Add(1)
+	return seqs, nil
 }
 
-// insert is the writer for one new offer. Under sh.mu it takes add's sequence
-// number from seq — an offer's ID and seq are drawn where it is published, so
+// insert is the keyed upsert of one new offer. Under sh.mu it takes add's
+// sequence number from seq — an offer's seq is drawn where it is published, so
 // a ref's offers are numbered in the order they replace each other — and then
-// either stores add into the slot of the one offer its ref holds, returning
-// that victim, or swaps in a snapshot with add in it, returning what left.
+// either stores add into the slot of the one offer its ref holds, or swaps in
+// a snapshot with add in it and the ref's oldest offer, if it had one, gone.
 //
-// The store is the keyed upsert of a ref with exactly one offer, when nothing
-// in the shard can have expired (now is short of sweepAt) and add's expiry
-// keeps sweepAt a lower bound. Everything else — a ref's first offer, a second
-// one, an expiry to compact — changes which offers the shard holds.
-func (sh *shard) insert(seq *atomic.Int64, add *stored, keyed bool, now time.Time) (victim *Offer, removed []*Offer) {
+// The store is the upsert of a ref with exactly one offer, when nothing in the
+// shard can have expired (now is short of sweepAt) and add's expiry keeps
+// sweepAt a lower bound. Everything else — a ref's first offer, one of a ref
+// with several, an expiry to compact — changes which offers the shard holds.
+func (sh *shard) insert(seq *atomic.Int64, add *stored, now time.Time) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	add.setSeq(int(seq.Add(1)))
+	add.seq = int(seq.Add(1))
 	cur := sh.snap.Load()
 	var oldest *stored
-	if own := sh.byRef[add.Ref]; keyed && len(own) > 0 {
+	if own := sh.byRef[add.Ref]; len(own) > 0 {
 		oldest = own[0].st
 		if len(own) == 1 && !due(cur.sweepAt, now) && earlier(cur.sweepAt, add.Expires).Equal(cur.sweepAt) {
 			cur.slots[own[0].slot].Store(add)
 			own[0].st = add
-			return &oldest.Offer, nil
+			return
 		}
 	}
-	next, removed := sh.rebuilt(cur, now, func(st *stored) bool { return st == oldest }, add) //lint:alloc the rebuild's, not the store's
-	sh.snap.Store(next)
-	return nil, removed
-}
-
-// rebuild is the whole of a write that only changes which offers the shard
-// holds: it swaps in the snapshot rebuilt from the current one.
-func (sh *shard) rebuild(now time.Time, drop func(*stored) bool, adds ...*stored) []*Offer {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	next, removed := sh.rebuilt(sh.snap.Load(), now, drop, adds...)
-	sh.snap.Store(next)
-	return removed
+	sh.snap.Store(sh.rebuilt(cur, now, func(st *stored) bool { return st == oldest }, add)) //lint:alloc the rebuild's, not the store's
 }
 
 // rebuilt is the copy step of the copy-on-write writers: it returns a fresh
 // snapshot holding cur's offers — without those drop selects (nil: none) and,
 // when the sweep is due, without those past their expiry — and then adds, its
-// sweepAt exact, and the offers that left, for registry clean-up. It keeps
-// byRef in step, so the caller, which holds sh.mu, must store the result.
+// sweepAt exact. It keeps byRef in step, so the caller, which holds sh.mu,
+// must store the result.
 //
 //lint:coldpath copy-on-write shard rebuild: the writer slow path
-func (sh *shard) rebuilt(cur *shardSnap, now time.Time, drop func(*stored) bool, adds ...*stored) (*shardSnap, []*Offer) {
+func (sh *shard) rebuilt(cur *shardSnap, now time.Time, drop func(*stored) bool, adds ...*stored) *shardSnap {
 	sweep := due(cur.sweepAt, now)
 	next := &shardSnap{slots: make([]atomic.Pointer[stored], len(cur.slots)+len(adds))}
-	var removed []*Offer
 	n := 0
 	for i := range cur.slots {
 		st := cur.slots[i].Load()
 		if drop != nil && drop(st) || sweep && st.expired(now) {
-			removed = append(removed, &st.Offer)
 			sh.dropRefLocked(st)
 			continue
 		}
@@ -449,7 +371,7 @@ func (sh *shard) rebuilt(cur *shardSnap, now time.Time, drop func(*stored) bool,
 		next.sweepAt = earlier(next.sweepAt, st.Expires)
 		n++
 	}
-	if len(removed) > 0 { // the survivors moved up: tell byRef where to
+	if n < len(cur.slots) { // the survivors moved up: tell byRef where to
 		for slot := range next.slots[:n] {
 			st := next.slots[slot].Load()
 			own := sh.byRef[st.Ref]
@@ -473,7 +395,7 @@ func (sh *shard) rebuilt(cur *shardSnap, now time.Time, drop func(*stored) bool,
 		n++
 	}
 	next.slots = next.slots[:n]
-	return next, removed
+	return next
 }
 
 // dropRefLocked removes one offer from the reverse index. Caller holds
@@ -493,24 +415,6 @@ func (sh *shard) dropRefLocked(st *stored) {
 	}
 }
 
-// Withdraw removes an offer by ID.
-func (s *Service) Withdraw(id string) error {
-	s.mu.Lock()
-	loc, ok := s.ids[id]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownOffer, id)
-	}
-	removed := loc.shard.rebuild(s.now(), func(st *stored) bool { return st == loc.st })
-	s.commit(nil, nil, nil, removed)
-	// The registry entry survives a rebuild that compacted the offer as
-	// expired before we reached it; drop it either way.
-	s.mu.Lock()
-	delete(s.ids, id)
-	s.mu.Unlock()
-	return nil
-}
-
 // WithdrawRef removes every offer of the given type exported by ref,
 // returning the count removed. All of a ref's offers hash to one shard, so
 // eviction is a single-shard rebuild, and the reverse index answers the
@@ -522,29 +426,13 @@ func (s *Service) WithdrawRef(serviceType string, ref orb.ObjectRef) int {
 	}
 	sh := &ts.shards[refShard(ref)]
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	count := len(sh.byRef[ref])
-	var removed []*Offer
 	if count > 0 {
-		var next *shardSnap
-		next, removed = sh.rebuilt(sh.snap.Load(), s.now(), func(st *stored) bool { return st.Ref == ref })
-		sh.snap.Store(next)
-	}
-	sh.mu.Unlock()
-	if count > 0 {
-		s.commit(nil, nil, nil, removed)
+		sh.snap.Store(sh.rebuilt(sh.snap.Load(), s.now(), func(st *stored) bool { return st.Ref == ref }))
+		s.version.Add(1)
 	}
 	return count
-}
-
-// Describe returns the offer by ID.
-func (s *Service) Describe(id string) (Offer, error) {
-	s.mu.Lock()
-	loc, ok := s.ids[id]
-	s.mu.Unlock()
-	if !ok {
-		return Offer{}, fmt.Errorf("%w: %q", ErrUnknownOffer, id)
-	}
-	return loc.st.Offer, nil
 }
 
 // Count returns the number of live offers of the given type ("" for all).
@@ -731,8 +619,8 @@ func (ts *typeShards) scan(cons *constraint.Expr, now time.Time) []*Offer {
 	return matched
 }
 
-// compile returns the cached compilation of a query's constraint or preference
-// source; the empty source compiles to nil.
+// compile returns the cached compilation of a query's constraint source, what
+// naming the source in an error; the empty source compiles to nil.
 func compile(what, src string) (*constraint.Expr, error) {
 	if src == "" {
 		return nil, nil
@@ -792,7 +680,7 @@ func (s *Service) VisitMatchSet(serviceType string, cons []string, fn func(o *Of
 	return bad
 }
 
-// Select evaluates a query, returning matching offers best-first. The
+// Select evaluates a query, returning the matching offers in export order. The
 // returned offers are the caller's; their property records are the stored
 // ones, which nobody can write to.
 //
@@ -804,7 +692,7 @@ func (s *Service) VisitMatchSet(serviceType string, cons []string, fn func(o *Of
 // compiles once per distinct source); the offer index itself is read with
 // zero locks.
 //
-//lint:hotpath alloc=5 locks=2 block=0
+//lint:hotpath alloc=3 locks=2 block=0
 func (s *Service) Select(q Query) ([]Offer, error) {
 	matched, err := s.SelectPointers(q)
 	if err != nil {
@@ -816,7 +704,7 @@ func (s *Service) Select(q Query) ([]Offer, error) {
 // SelectShared is Select. It is kept only because benchmark/, which a change
 // claiming a gain may not edit, calls it; nothing else should.
 //
-//lint:hotpath alloc=5 locks=2 block=0
+//lint:hotpath alloc=3 locks=2 block=0
 func (s *Service) SelectShared(q Query) ([]Offer, error) { return s.Select(q) }
 
 // SelectPointers is the one query path; Select copies its result. It returns
@@ -829,45 +717,11 @@ func (s *Service) SelectShared(q Query) ([]Offer, error) { return s.Select(q) }
 // that does not need the order (the GRM's matcher) uses VisitMatches and skips
 // the sort.
 //
-//lint:hotpath alloc=4 locks=2 block=0
+//lint:hotpath alloc=2 locks=2 block=0
 func (s *Service) SelectPointers(q Query) ([]*Offer, error) {
 	cons, err := compile("constraint", q.Constraint)
 	if err != nil {
 		return nil, err
 	}
-	pref, err := compile("preference", q.Preference)
-	if err != nil {
-		return nil, err
-	}
-
-	// Candidates arrive in ascending seq — export order, which downstream
-	// output is pinned to byte for byte.
-	matched := s.typeIndex(q.ServiceType).scan(cons, s.now())
-	if pref != nil {
-		type scored struct {
-			score float64
-			offer *Offer
-		}
-		ranked := make([]scored, len(matched))
-		for i, o := range matched {
-			score, _ := pref.EvalNumber(o.Properties) // 0 where it does not evaluate
-			ranked[i] = scored{score, o}
-		}
-		slices.SortStableFunc(ranked, func(a, b scored) int {
-			switch {
-			case a.score > b.score:
-				return -1
-			case a.score < b.score:
-				return 1
-			}
-			return 0
-		})
-		for i, r := range ranked {
-			matched[i] = r.offer
-		}
-	}
-	if q.Limit > 0 && len(matched) > q.Limit {
-		matched = matched[:q.Limit]
-	}
-	return matched, nil
+	return s.typeIndex(q.ServiceType).scan(cons, s.now()), nil
 }
