@@ -136,12 +136,13 @@ windows:
 # all of their rows under -race and so run here without it. Then one iteration each
 # of the micro-benchmarks ROADMAP items 2 and 6 quote, so they keep compiling
 # and running (BenchmarkTCPInvoke minus BenchmarkTCPRawEcho is what the ORB
-# adds to a round trip).
+# adds to a round trip; BenchmarkLoopbackUpdate10k and the trader's upserts walk
+# their fleets in a shuffled order, as the workloads do).
 benchmark-check:
 	$(GO) test -count=1 ./benchmark
 	$(GO) run ./benchmark -quick -traced
 	$(GO) test -count=1 -run 'AllocBudget|AllocateOnce' ./internal/orb ./internal/grm ./internal/trading ./internal/protocol
-	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkPlacementBatch10k|BenchmarkLoopbackUpdate10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPGangPlacement|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
+	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkPlacementBatch10k|BenchmarkLoopbackUpdate10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkPlaceUpsert|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPGangPlacement|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
 	$(GO) test -run '^$$' -bench 'BenchmarkTCPInvokeConcurrent/callers=64' -benchtime 1x ./internal/orb
 
 # Where a snapshot miss spends its time: BenchmarkPlacementMiss10k under the
@@ -166,12 +167,13 @@ profile-batch:
 # Where an Information Update spends its time, both ends of it:
 # BenchmarkLoopbackUpdate10k — GRMClient.Update encoding into a fresh
 # Encoder, as the loopback fleets send it, into a GRM that knows 10^4 nodes,
-# through to the trader upsert and the reply — under the CPU profiler
-# (ROADMAP item 6c). On a 2-core Xeon the collector's mark (scanobject,
-# findObject) is ~30% cumulative; grm's exportStatusOffer ~25%, of which the
-# trader's shard.insert is ~7%; protocol's DecodeNodeStatus ~12% and
-# NodeStatus.Encode ~9%. Leaves loopback_update.prof and its test binary in
-# the working directory.
+# in a shuffled order, through to the trader upsert and the reply — under the
+# CPU profiler (ROADMAP item 6c). On a 2-core Xeon the collector's mark
+# (gcDrain) is ~27% cumulative; grm's exportStatusOffer ~21%, of which the
+# trader's Upsert through the node's place is ~8%; recordUpdate ~14%, of which
+# recordStatusLocked ~10% (the status copy and the reference compare);
+# protocol's DecodeNodeStatus ~13% and NodeStatus.Encode ~9%. Leaves
+# loopback_update.prof and its test binary in the working directory.
 profile-update:
 	$(GO) test -run '^$$' -bench BenchmarkLoopbackUpdate10k -benchtime 2000000x \
 		-cpuprofile loopback_update.prof -o loopback_update.test ./internal/grm

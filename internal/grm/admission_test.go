@@ -411,15 +411,16 @@ func TestConcurrentSubmitTraderChurnStress(t *testing.T) {
 					Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: fmt.Sprintf("churn-%d-%d", c, i)},
 					Key:      "x",
 				}
-				if _, err := tr.ExportKeyed(trading.Offer{
+				place, err := tr.ExportKeyed(trading.Offer{
 					ServiceType: "Churn",
 					Ref:         ref,
 					Properties:  constraint.Properties{"n": constraint.Number(float64(i))}.Record(),
-				}); err != nil {
+				})
+				if err != nil {
 					t.Errorf("churn export: %v", err)
 					return
 				}
-				if tr.WithdrawRef("Churn", ref) != 1 {
+				if !tr.Withdraw(place) {
 					t.Error("churn withdraw removed nothing")
 					return
 				}

@@ -4,6 +4,7 @@ import (
 	"integrade/internal/election"
 	"integrade/internal/orb"
 	"integrade/internal/protocol"
+	"integrade/internal/trading"
 )
 
 // Role distinguishes the active cluster manager from a passive replica.
@@ -152,23 +153,26 @@ func (g *GRM) ApplyReplicaEntry(index, term int, data []byte) {
 		g.replaceQueueLocked(*b.Queue)
 	}
 	now := g.clock.Now()
-	var exports []*protocol.NodeStatus
-	var withdraws []orb.ObjectRef
+	type export struct {
+		s     *protocol.NodeStatus
+		place trading.Place
+	}
+	var exports []export
+	var withdraws []trading.Place
 	for _, n := range b.Nodes {
-		s, ref := g.mirrorNodeLocked(n, now)
+		s, place, withdraw := g.mirrorNodeLocked(n, now)
 		if s != nil {
-			exports = append(exports, s)
-		} else if ref != (orb.ObjectRef{}) {
-			withdraws = append(withdraws, ref)
+			exports = append(exports, export{s, place})
 		}
+		withdraws = append(withdraws, withdraw)
 	}
 	epoch := g.epoch
 	g.mu.Unlock()
 
-	for _, s := range exports {
-		g.exportStatusOffer(s, now, epoch)
+	for _, e := range exports {
+		g.exportStatusOffer(e.s, now, epoch, e.place)
 	}
-	for _, ref := range withdraws {
-		g.trader.WithdrawRef(NodeStatusType, ref)
+	for _, place := range withdraws {
+		g.trader.Withdraw(place)
 	}
 }

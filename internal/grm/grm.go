@@ -78,10 +78,13 @@ type nodeLiveness struct {
 	lastSeen time.Time
 	interval time.Duration // most recently observed update gap
 	updates  int
-	lrm      orb.ObjectRef
 	// status is the node's latest full NodeStatus: with departUntil, the
 	// record the replication stream carries.
 	status protocol.NodeStatus
+	// place is where the node's offer sits in the trader, for its updates to
+	// upsert through; zero until the offer is exported by reference, and again
+	// once a departure, a death or a move to a new reference takes it.
+	place trading.Place
 	// departUntil, when set, marks a node that announced a graceful
 	// departure: its trader offer is withdrawn, exports are suppressed until
 	// an update arrives past the deadline, and the failure detector leaves it
@@ -379,25 +382,29 @@ func (g *GRM) Stop() {
 // epoch, leaving them obedient to a deposed manager.
 //
 // The update is recorded under g.mu and exported to the trader after it is
-// released: the trader has locks of its own, so updates from different nodes
-// upsert in parallel. A failure sweep that declares the node dead in between
-// puts the offer back after its withdraw (restoreOffer).
+// released, through the place the node's record holds: the trader has locks of
+// its own, so updates from different nodes upsert in parallel. A failure
+// sweep that declares the node dead in between puts the offer back after its
+// withdraw (restoreOffer); a departure in between takes the place, and the
+// upsert through it is dropped (exportByRef).
 func (g *GRM) HandleUpdate(s *protocol.NodeStatus) (int, error) {
 	now := g.clock.Now()
-	epoch, export, err := g.recordUpdate(s, now)
+	epoch, place, moved, export, err := g.recordUpdate(s, now)
 	if err != nil {
 		return 0, err
 	}
+	g.trader.Withdraw(moved)
 	if export {
-		g.exportStatusOffer(s, now, epoch)
+		g.exportStatusOffer(s, now, epoch, place)
 	}
 	return epoch, nil
 }
 
 // recordUpdate is HandleUpdate's one section under g.mu: it refuses the update
 // or records it — liveness, counters, the replication stream's copy — and
-// returns the epoch for the reply and whether the offer is to be exported.
-func (g *GRM) recordUpdate(s *protocol.NodeStatus, now time.Time) (epoch int, export bool, err error) {
+// returns the epoch for the reply, and recordStatusLocked's place to export
+// through, place to withdraw and export decision.
+func (g *GRM) recordUpdate(s *protocol.NodeStatus, now time.Time) (epoch int, place, moved trading.Place, export bool, err error) {
 	g.mu.Lock()
 	refuse := g.elect != nil && g.role != RolePrimary
 	// Only a replica-set leader has a stream. repl.degraded takes the
@@ -410,16 +417,17 @@ func (g *GRM) recordUpdate(s *protocol.NodeStatus, now time.Time) (epoch int, ex
 		g.mu.Unlock()
 		if refuse {
 			// elect.Leader takes the election mutex — read it outside g.mu.
-			return 0, false, fmt.Errorf("grm: not the leader (leader=%q)", elect.Leader())
+			return 0, trading.Place{}, trading.Place{}, false, fmt.Errorf("grm: not the leader (leader=%q)", elect.Leader())
 		}
-		return 0, false, fmt.Errorf("grm: leader of epoch %d lost its replication quorum", epoch)
+		return 0, trading.Place{}, trading.Place{}, false, fmt.Errorf("grm: leader of epoch %d lost its replication quorum", epoch)
 	}
 	defer g.mu.Unlock()
 	g.stats.UpdatesReceived++
 	if age := now.Sub(s.Timestamp); age > 0 {
 		g.stats.StalenessSum += age
 	}
-	return g.epoch, g.recordStatusLocked(s, now), nil
+	place, moved, export = g.recordStatusLocked(s, now)
+	return g.epoch, place, moved, export, nil
 }
 
 // Epoch returns the fencing epoch stamped on this manager's outbound writes:
@@ -431,8 +439,10 @@ func (g *GRM) Epoch() int {
 }
 
 // exportStatusOffer upserts the node's trader offer from its status, stamped
-// with the manager's fencing epoch.
-func (g *GRM) exportStatusOffer(s *protocol.NodeStatus, now time.Time, epoch int) {
+// with the manager's fencing epoch, through place, the one the node's record
+// held when the status was recorded — or by reference when that is zero or
+// dead (exportByRef).
+func (g *GRM) exportStatusOffer(s *protocol.NodeStatus, now time.Time, epoch int, place trading.Place) {
 	// Current availability window, if the node forecast one covering now.
 	// Zero means "no forecast" — the window filter lets those offers pass
 	// rather than starving a fleet that never trained an analyzer.
@@ -474,9 +484,43 @@ func (g *GRM) exportStatusOffer(s *protocol.NodeStatus, now time.Time, epoch int
 			constraint.Number(float64(epoch)),
 		}),
 	}
+	if !g.trader.Upsert(place, offer) {
+		g.exportByRef(s.NodeID, place, offer)
+	}
+}
+
+// exportByRef exports a node's offer by reference — its first, its first since
+// its place was taken, or one whose place died under it — and stores the place
+// it gets back in the node's record when that changed it. A dead place the
+// record still holds was swept with an expired offer, or withdrawn by a
+// failure sweep the node outlived, and the offer is exported again; one the
+// record no longer holds was taken, by a departure, a death or a move to a new
+// reference, whose caller withdrew the offer, and nothing is exported. If the
+// record is taken between the export and the store, the new place is
+// withdrawn instead of kept.
+func (g *GRM) exportByRef(id string, dead trading.Place, offer trading.Offer) {
+	if dead != (trading.Place{}) {
+		g.mu.Lock()
+		lv := g.nodes[id]
+		held := lv != nil && lv.place == dead
+		g.mu.Unlock()
+		if !held {
+			return
+		}
+	}
 	// ExportKeyed fails only on an empty service type, and NodeStatusType is
 	// not one.
-	_, _ = g.trader.ExportKeyed(offer)
+	place, _ := g.trader.ExportKeyed(offer)
+	g.mu.Lock()
+	lv := g.nodes[id]
+	keep := lv != nil && lv.departUntil.IsZero() && lv.status.LRMRef == offer.Ref
+	if keep && lv.place != place {
+		lv.place = place
+	}
+	g.mu.Unlock()
+	if !keep {
+		g.trader.Withdraw(place)
+	}
 }
 
 // KnownNodes returns the number of live node offers.
@@ -751,8 +795,8 @@ func (g *GRM) detectFailures() {
 // declareDeadLocked is the failure detector's verdict: it forgets every node
 // silent past its threshold, in node order, and returns them. Caller holds
 // g.mu.
-func (g *GRM) declareDeadLocked(now time.Time) []remote {
-	var dead []remote
+func (g *GRM) declareDeadLocked(now time.Time) []deadNode {
+	var dead []deadNode
 	for _, id := range slices.Sorted(maps.Keys(g.nodes)) {
 		lv := g.nodes[id]
 		if lv.updates < 2 {
@@ -771,7 +815,7 @@ func (g *GRM) declareDeadLocked(now time.Time) []remote {
 			threshold = max(3*lv.interval, g.offerTTL)
 		}
 		if now.Sub(lv.lastSeen) > threshold {
-			dead = append(dead, g.dropNodeLocked(id))
+			dead = append(dead, deadNode{id, g.dropNodeLocked(id)})
 			g.stats.NodesDeclaredDead++
 		}
 	}
@@ -781,17 +825,18 @@ func (g *GRM) declareDeadLocked(now time.Time) []remote {
 // bury carries out a verdict outside g.mu: the node's offer is withdrawn —
 // and put back if a heartbeat re-registered the node meanwhile — and its
 // tasks are rolled back.
-func (g *GRM) bury(d remote) {
-	g.trader.WithdrawRef(NodeStatusType, d.ref)
+func (g *GRM) bury(d deadNode) {
+	g.trader.Withdraw(d.place)
 	g.restoreOffer(d.id)
 	g.evictNodeTasks(d.id)
 }
 
-// restoreOffer re-exports the offer of a node the sweep declared dead but a
-// heartbeat has re-registered since: that heartbeat may have exported before
-// the sweep's withdraw, which took the offer away. The status and instant are
-// the ones the node's newest update recorded, so the offer is the one that
-// update exported; an update racing this export exports its own.
+// restoreOffer re-exports, by reference, the offer of a node the sweep declared
+// dead but a heartbeat has re-registered since: that heartbeat may have
+// exported before the sweep's withdraw, which took the offer away, and even
+// kept the withdrawn place. The status and instant are the ones the node's
+// newest update recorded, so the offer is the one that update exported; an
+// update racing this export exports its own.
 func (g *GRM) restoreOffer(nodeID string) {
 	g.mu.Lock()
 	lv := g.nodes[nodeID]
@@ -801,7 +846,7 @@ func (g *GRM) restoreOffer(nodeID string) {
 	}
 	s, seen, epoch := lv.status, lv.lastSeen, g.epoch
 	g.mu.Unlock()
-	g.exportStatusOffer(&s, seen, epoch)
+	g.exportStatusOffer(&s, seen, epoch, trading.Place{})
 }
 
 // evictNodeTasks rolls back every application with running tasks on a node

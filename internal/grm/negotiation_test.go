@@ -128,10 +128,9 @@ func TestFailedExecuteReleasesItsHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The node's offer now points at the wrapper.
+	// The node reports from the wrapper now, which moves its offer there.
 	s := c.lrms[0].Status()
 	c.lrms[0].Stop()
-	c.g.Trader().WithdrawRef(grm.NodeStatusType, c.lrms[0].Ref())
 	s.LRMRef = orb.ObjectRef{Endpoint: ep, Key: protocol.LRMKey}
 	c.update(s)
 

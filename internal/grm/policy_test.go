@@ -262,7 +262,8 @@ func referenceOrder(p Policy, offers []trading.Offer) []trading.Offer {
 // randomOffers draws n offers with few distinct values per property (heavy
 // ties, so the index tie-break decides most positions), properties missing
 // or of the wrong kind, and the dedicated / owner-busy overrides. Node IDs
-// are the input positions.
+// are the input positions, and each offer has an exporter of its own, so a
+// trader holds them all, over every shard.
 func randomOffers(rng *sim.RNG, n int) []trading.Offer {
 	offers := make([]trading.Offer, n)
 	for i := range offers {
@@ -281,7 +282,11 @@ func randomOffers(rng *sim.RNG, n int) []trading.Offer {
 		set(PropPredictedIdle, constraint.Number(float64(rng.Intn(4)*1800)))
 		set(PropDedicated, constraint.Bool(rng.Intn(8) == 0))
 		set(PropOwnerBusy, constraint.Bool(rng.Intn(5) == 0))
-		offers[i] = trading.Offer{ServiceType: NodeStatusType, Properties: props.Record()}
+		offers[i] = trading.Offer{
+			ServiceType: NodeStatusType,
+			Ref:         orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: fmt.Sprint(i)}, Key: "lrm"},
+			Properties:  props.Record(),
+		}
 	}
 	return offers
 }
@@ -303,15 +308,11 @@ func matcherOrder(t *testing.T, p Policy, offers []trading.Offer, beats []int) [
 	t.Helper()
 	g := New("test", sim.NewVirtualClock(), orb.New(), WithPolicy(p))
 	defer g.Stop()
-	spread := slices.Clone(offers)
-	for i := range spread { // one exporter each, so they land on every shard
-		spread[i].Ref = orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: fmt.Sprint(i)}, Key: "lrm"}
-	}
-	if _, err := g.Trader().ExportBatch(spread); err != nil {
+	if _, err := g.Trader().ExportBatch(offers); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range beats {
-		if _, err := g.Trader().ExportKeyed(spread[i]); err != nil {
+		if _, err := g.Trader().ExportKeyed(offers[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

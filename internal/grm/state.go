@@ -1,12 +1,14 @@
 package grm
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"time"
 
 	"integrade/internal/orb"
 	"integrade/internal/protocol"
+	"integrade/internal/trading"
 )
 
 // The transitions in this file are the only writers of the GRM's cluster
@@ -36,11 +38,18 @@ type entity struct {
 
 var queueEntity = entity{kind: entityQueue}
 
-// remote is a node or a task and the LRM reference that serves it: what a
-// transition hands back for a withdraw or a Cancel outside g.mu.
+// remote is a task and the LRM reference that serves it: what a transition
+// hands back for a Cancel outside g.mu.
 type remote struct {
 	id  string
 	ref orb.ObjectRef
+}
+
+// deadNode is a node the failure detector dropped and the place of its offer:
+// what its verdict hands back for the withdraw outside g.mu.
+type deadNode struct {
+	id    string
+	place trading.Place
 }
 
 // markLocked enqueues e for the next replica batch, if this GRM leads a
@@ -52,10 +61,14 @@ func (g *GRM) markLocked(e entity) {
 }
 
 // recordStatusLocked records a node's latest status and heartbeat, and ends a
-// departure whose deadline has passed. It reports whether the node's offer is
+// departure whose deadline has passed. It returns the place the node's offer
+// is to be upserted through (zero: none, so by reference) and whether it is
 // to be exported: not while the node is departing, since re-exporting would
-// hand it fresh work right before the predicted owner arrival.
-func (g *GRM) recordStatusLocked(s *protocol.NodeStatus, now time.Time) (export bool) {
+// hand it fresh work right before the predicted owner arrival. A status from
+// a new reference takes the old reference's place out of the record and
+// returns it as moved, for the caller to withdraw: that offer names an LRM the
+// node no longer reports from.
+func (g *GRM) recordStatusLocked(s *protocol.NodeStatus, now time.Time) (place, moved trading.Place, export bool) {
 	lv := g.nodes[s.NodeID]
 	if lv == nil {
 		lv = &nodeLiveness{}
@@ -63,37 +76,43 @@ func (g *GRM) recordStatusLocked(s *protocol.NodeStatus, now time.Time) (export 
 	} else if gap := now.Sub(lv.lastSeen); gap > 0 {
 		lv.interval = gap
 	}
+	if s.LRMRef != lv.status.LRMRef {
+		moved, lv.place = lv.place, trading.Place{}
+	}
 	lv.lastSeen = now
 	lv.updates++
-	lv.lrm = s.LRMRef
 	lv.status = *s
 	if !lv.departUntil.IsZero() && !now.Before(lv.departUntil) {
 		lv.departUntil = time.Time{}
 	}
 	g.markLocked(entity{entityNode, s.NodeID})
-	return lv.departUntil.IsZero()
+	return lv.place, moved, lv.departUntil.IsZero()
 }
 
 // departLocked marks a known node departing until the deadline (a zero
-// deadline: not departing) and returns the reference its offer was exported
-// under, for the caller to withdraw.
-func (g *GRM) departLocked(id string, until time.Time) (ref orb.ObjectRef, known bool) {
+// deadline: not departing) and, when it departs, takes the place of its offer
+// out of its record, for the caller to withdraw.
+func (g *GRM) departLocked(id string, until time.Time) (place trading.Place, known bool) {
 	lv := g.nodes[id]
 	if lv == nil {
-		return orb.ObjectRef{}, false
+		return trading.Place{}, false
 	}
 	lv.departUntil = until
+	if !until.IsZero() {
+		place, lv.place = lv.place, trading.Place{}
+	}
 	g.markLocked(entity{entityNode, id})
-	return lv.lrm, true
+	return place, true
 }
 
-// dropNodeLocked forgets a node declared dead and returns it with the
-// reference to withdraw; a restarted node re-registers on its next update.
-func (g *GRM) dropNodeLocked(id string) remote {
-	d := remote{id: id, ref: g.nodes[id].lrm}
+// dropNodeLocked forgets a node declared dead and returns the place of its
+// offer, for the caller to withdraw; a restarted node re-registers on its next
+// update.
+func (g *GRM) dropNodeLocked(id string) trading.Place {
+	place := g.nodes[id].place
 	delete(g.nodes, id)
 	g.markLocked(entity{entityNode, id})
-	return d
+	return place
 }
 
 // graceLocked restarts every node's silence at now.
@@ -105,21 +124,22 @@ func (g *GRM) graceLocked(now time.Time) {
 
 // mirrorNodeLocked applies a node record from the log through the node
 // transitions above and returns the trader effect: the status whose offer to
-// export, or else the reference to withdraw (zero for a node never known).
-func (g *GRM) mirrorNodeLocked(n nodeEntry, now time.Time) (export *protocol.NodeStatus, withdraw orb.ObjectRef) {
+// export and the place to export it through, and the place of an offer to
+// withdraw (zero: none).
+func (g *GRM) mirrorNodeLocked(n nodeEntry, now time.Time) (export *protocol.NodeStatus, place, withdraw trading.Place) {
 	if n.lv == nil {
 		if _, known := g.nodes[n.id]; !known {
-			return nil, orb.ObjectRef{}
+			return nil, trading.Place{}, trading.Place{}
 		}
-		return nil, g.dropNodeLocked(n.id).ref
+		return nil, trading.Place{}, g.dropNodeLocked(n.id)
 	}
 	s := &n.lv.status
-	g.recordStatusLocked(s, now)
-	ref, _ := g.departLocked(s.NodeID, n.lv.departUntil)
+	place, moved, _ := g.recordStatusLocked(s, now)
+	taken, _ := g.departLocked(s.NodeID, n.lv.departUntil)
 	if n.lv.departUntil.IsZero() {
-		return s, orb.ObjectRef{}
+		return s, place, moved
 	}
-	return nil, ref
+	return nil, trading.Place{}, cmp.Or(moved, taken)
 }
 
 // putAppLocked records an application: a new submission, or a follower's copy

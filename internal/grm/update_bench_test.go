@@ -13,7 +13,10 @@ import (
 
 // loopbackUpdates is a 10⁴-node GRM behind a loopback ORB, as the benchmark's
 // fleets run it, with the client its nodes report through and the statuses
-// they report: missFleet's, each with 0 to 3 availability windows.
+// they report: missFleet's, each with 0 to 3 availability windows, in a fixed
+// shuffled order. The benchmark's fleets update in a seed-shuffled order, so
+// each update finds its node's record and its trader slot cold, as a walk in
+// registration order would not.
 func loopbackUpdates(tb testing.TB) (*protocol.GRMClient, []protocol.NodeStatus) {
 	tb.Helper()
 	o := orb.New()
@@ -38,7 +41,11 @@ func loopbackUpdates(tb testing.TB) (*protocol.GRMClient, []protocol.NodeStatus)
 			})
 		}
 	}
-	return protocol.NewGRMClient(o, orb.ObjectRef{Endpoint: ep, Key: protocol.GRMKey}), fleet
+	shuffled := make([]protocol.NodeStatus, len(fleet))
+	for i, j := range sim.NewRNG(2).Perm(len(fleet)) {
+		shuffled[i] = fleet[j]
+	}
+	return protocol.NewGRMClient(o, orb.ObjectRef{Endpoint: ep, Key: protocol.GRMKey}), shuffled
 }
 
 // BenchmarkLoopbackUpdate10k is one Information Update as the loopback fleets

@@ -22,11 +22,11 @@ const DefaultMinWindowConfidence = 0.5
 // normal eviction path once the deadline passes.
 func (g *GRM) HandleDeparting(n protocol.DepartureNotice) {
 	g.mu.Lock()
-	ref, known := g.departLocked(n.NodeID, n.Deadline)
+	place, known := g.departLocked(n.NodeID, n.Deadline)
 	g.stats.GracefulDepartures++
 	g.mu.Unlock()
 	if known {
-		g.trader.WithdrawRef(NodeStatusType, ref)
+		g.trader.Withdraw(place)
 		g.log.Debug("node departing", "node", n.NodeID, "deadline", n.Deadline)
 	}
 }

@@ -141,6 +141,7 @@ func TestPerformanceContractsHold(t *testing.T) {
 		"trading.(*Service).VisitMatches",
 		"trading.(*Service).VisitMatchSet",
 		"trading.(*Service).ExportKeyed",
+		"trading.(*Service).Upsert",
 		"constraint.(*Expr).Filter",
 		"grm.newRanking",
 		"grm.(*ranking).pop",

@@ -7,6 +7,7 @@ import (
 
 	"integrade/internal/constraint"
 	"integrade/internal/orb"
+	"integrade/internal/sim"
 	"integrade/internal/testutil/allocbudget"
 )
 
@@ -113,18 +114,25 @@ func BenchmarkSelectCacheMiss(b *testing.B) {
 	}
 }
 
-// upsertFleet is a trader of 10^4 offers, ~156 a shard, and the offers it
-// holds, for each ref to re-export its one offer in turn.
-func upsertFleet() (*Service, []Offer) {
+// upsertFleet is a trader of 10^4 offers, ~156 a shard, with the offers it
+// holds and their places in a fixed shuffled order: the benchmark's fleets
+// update in a seed-shuffled order, so each upsert finds its ref's entry, slot
+// and shard cold, as a walk in index order would not.
+func upsertFleet() (*Service, []Offer, []Place) {
 	s := benchTrader(10000)
-	return s, s.All("NodeStatus")
+	all := s.All("NodeStatus")
+	offers, places := make([]Offer, len(all)), make([]Place, len(all))
+	for i, j := range sim.NewRNG(1).Perm(len(all)) {
+		offers[i] = all[j]
+		places[i], _ = s.ExportKeyed(all[j])
+	}
+	return s, offers, places
 }
 
-// BenchmarkExportKeyedUpsert is the Information Update Protocol's inner loop at
-// fleet size: the trader's share of BenchmarkLoopbackUpdate10k in internal/grm.
-// Its allocations are gated by testdata/alloc_budget.txt.
+// BenchmarkExportKeyedUpsert is a keyed upsert by reference at fleet size: the
+// type-map lookup, the hash and the byRef probe, then the store.
 func BenchmarkExportKeyedUpsert(b *testing.B) {
-	s, offers := upsertFleet()
+	s, offers, _ := upsertFleet()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -134,25 +142,45 @@ func BenchmarkExportKeyedUpsert(b *testing.B) {
 	}
 }
 
-// TestExportKeyedAllocBudget holds BenchmarkExportKeyedUpsert's upsert to the
-// `export-keyed` row of testdata/alloc_budget.txt.
+// BenchmarkPlaceUpsert is the Information Update Protocol's inner loop at fleet
+// size, an upsert through the node's place: the trader's share of
+// BenchmarkLoopbackUpdate10k in internal/grm.
+func BenchmarkPlaceUpsert(b *testing.B) {
+	s, offers, places := upsertFleet()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !s.Upsert(places[i%len(places)], offers[i%len(offers)]) {
+			b.Fatal("an upsert through a live place was dropped")
+		}
+	}
+}
+
+// TestExportKeyedAllocBudget holds the upserts of BenchmarkExportKeyedUpsert
+// and BenchmarkPlaceUpsert to the `export-keyed` and `upsert-place` rows of
+// testdata/alloc_budget.txt.
 func TestExportKeyedAllocBudget(t *testing.T) {
 	path := filepath.Join("testdata", "alloc_budget.txt")
-	s, offers := upsertFleet()
+	s, offers, places := upsertFleet()
+	upserts := map[string]func(i int) bool{
+		"export-keyed": func(i int) bool { _, err := s.ExportKeyed(offers[i]); return err == nil },
+		"upsert-place": func(i int) bool { return s.Upsert(places[i], offers[i]) },
+	}
 	for _, row := range allocbudget.Parse(t, path) {
-		if row.Name != "export-keyed" {
-			t.Fatalf("%s: unknown row %q (known: export-keyed)", path, row.Name)
+		upsert := upserts[row.Name]
+		if upsert == nil {
+			t.Fatalf("%s: unknown row %q (known: export-keyed, upsert-place)", path, row.Name)
 		}
 		i := 0
 		got := testing.AllocsPerRun(2000, func() {
-			if _, err := s.ExportKeyed(offers[i%len(offers)]); err != nil {
-				t.Fatal(err)
+			if !upsert(i % len(offers)) {
+				t.Fatal("the upsert failed")
 			}
 			i++
 		})
 		if got > row.Budget {
-			t.Fatalf("%s: a keyed upsert allocates %.2f times, budget %.0f", path, got, row.Budget)
+			t.Fatalf("%s: %s allocates %.2f times, budget %.0f", path, row.Name, got, row.Budget)
 		}
-		t.Logf("%s: a keyed upsert allocates %.2f times, budget %.0f", path, got, row.Budget)
+		t.Logf("%s: %s allocates %.2f times, budget %.0f", path, row.Name, got, row.Budget)
 	}
 }

@@ -18,19 +18,21 @@ import (
 
 // modelTrader is the index as it behaved when every write rebuilt its shard:
 // each write drops everything in the shard that has expired, reads skip the
-// expired and drop nothing. What each shard holds — expired but unswept offers
-// included — is all the state there is.
+// expired and drop nothing, and a shard holds at most one offer per ref. What
+// each shard holds — expired but unswept offers included — is all the state
+// there is.
 type modelTrader struct {
 	seq     int
 	version uint64
 	shards  [shardsPerType][]Offer
 }
 
-// write is the one mutation: shard sh loses what drop selects and what has
-// expired, and gains adds.
-func (m *modelTrader) write(sh int, now time.Time, drop func(Offer) bool, adds ...Offer) {
+// write is the one mutation: shard sh loses what has expired and the offers of
+// the refs adds and gone name, and gains adds.
+func (m *modelTrader) write(sh int, now time.Time, gone *orb.ObjectRef, adds ...Offer) {
 	m.shards[sh] = append(slices.DeleteFunc(m.shards[sh], func(o Offer) bool {
-		return drop != nil && drop(o) || o.expired(now)
+		return gone != nil && o.Ref == *gone || o.expired(now) ||
+			slices.ContainsFunc(adds, func(a Offer) bool { return a.Ref == o.Ref })
 	}), adds...)
 }
 
@@ -40,24 +42,27 @@ func (m *modelTrader) number(o Offer) Offer {
 	return o
 }
 
-// exportKeyed replaces the ref's oldest offer, if it has one, and returns the
-// new offer's seq.
+// holds reports whether ref has an offer, expired or not.
+func (m *modelTrader) holds(ref orb.ObjectRef) bool {
+	return slices.ContainsFunc(m.shards[refShard(ref)], func(o Offer) bool { return o.Ref == ref })
+}
+
+// exportKeyed replaces the ref's offer, if it has one, and returns the new
+// offer's seq.
 func (m *modelTrader) exportKeyed(o Offer, now time.Time) int {
-	o, sh, oldest := m.number(o), refShard(o.Ref), 0
-	for _, held := range m.shards[sh] {
-		if held.Ref == o.Ref && (oldest == 0 || held.seq < oldest) {
-			oldest = held.seq
-		}
-	}
-	m.write(sh, now, func(held Offer) bool { return held.seq == oldest }, o)
+	o = m.number(o)
+	m.write(refShard(o.Ref), now, nil, o)
 	m.version++
 	return o.seq
 }
 
+// exportBatch replaces the batch's refs' offers, a later offer for a ref
+// replacing an earlier one in the batch too.
 func (m *modelTrader) exportBatch(offers []Offer, now time.Time) {
 	var touched [shardsPerType][]Offer
 	for _, o := range offers {
-		touched[refShard(o.Ref)] = append(touched[refShard(o.Ref)], m.number(o))
+		o, sh := m.number(o), refShard(o.Ref)
+		touched[sh] = append(slices.DeleteFunc(touched[sh], func(t Offer) bool { return t.Ref == o.Ref }), o)
 	}
 	for sh, adds := range touched {
 		if len(adds) > 0 {
@@ -67,19 +72,14 @@ func (m *modelTrader) exportBatch(offers []Offer, now time.Time) {
 	m.version++
 }
 
-func (m *modelTrader) withdrawRef(ref orb.ObjectRef, now time.Time) int {
-	sh := refShard(ref)
-	count := 0
-	for _, o := range m.shards[sh] {
-		if o.Ref == ref {
-			count++
-		}
+// withdraw removes the ref's offer and reports whether it had one.
+func (m *modelTrader) withdraw(ref orb.ObjectRef, now time.Time) bool {
+	if !m.holds(ref) {
+		return false
 	}
-	if count > 0 {
-		m.write(sh, now, func(o Offer) bool { return o.Ref == ref })
-		m.version++
-	}
-	return count
+	m.write(refShard(ref), now, &ref)
+	m.version++
+	return true
 }
 
 func (m *modelTrader) all(now time.Time) []Offer {
@@ -100,7 +100,9 @@ func (m *modelTrader) all(now time.Time) []Offer {
 // with offers that never expire, expire soon and expire late, the service agrees
 // with the rebuild-on-every-write model after every step on what each shard
 // holds — expired offers not yet compacted included, so an expired offer
-// leaves the index at the same write — and on Count, All and Version.
+// leaves the index at the same write — and on Count, All and Version. The deck
+// writes through places too: a place is live exactly while the model holds its
+// ref's offer, and a write through a dead one changes nothing.
 func TestCompactionTimingMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		now := time.Unix(1_700_000_000, 0)
@@ -113,15 +115,27 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 			}
 			return o
 		}
+		places := map[orb.ObjectRef]Place{} // the latest place of each ref, while live
+		var dead []Place
 		for step := 0; step < 1200; step++ {
-			switch op := rng.Intn(10); op {
-			case 0, 1, 2, 3:
+			switch op := rng.Intn(12); op {
+			case 0, 1, 2:
 				o := offer()
-				seq, err := s.ExportKeyed(o)
-				if want := m.exportKeyed(o, now); err != nil || seq != want {
-					t.Fatalf("seed %d step %d: ExportKeyed = %d, %v; model %d", seed, step, seq, err, want)
+				p, err := s.ExportKeyed(o)
+				if want := m.exportKeyed(o, now); err != nil || p.e.st.seq != want {
+					t.Fatalf("seed %d step %d: ExportKeyed = %v, %v; model seq %d", seed, step, p, err, want)
 				}
-			case 4, 5:
+				places[o.Ref] = p
+			case 3, 4:
+				o := offer()
+				if p, live := places[o.Ref]; !live {
+					if len(dead) > 0 && s.Upsert(dead[rng.Intn(len(dead))], o) {
+						t.Fatalf("seed %d step %d: an upsert through a dead place was stored", seed, step)
+					}
+				} else if !s.Upsert(p, o) || p.e.st.seq != m.exportKeyed(o, now) {
+					t.Fatalf("seed %d step %d: an upsert through a live place was dropped or misnumbered", seed, step)
+				}
+			case 5, 6:
 				batch := make([]Offer, 1+rng.Intn(6))
 				for i := range batch {
 					batch[i] = offer()
@@ -130,13 +144,25 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				m.exportBatch(batch, now)
-			case 6, 7:
+			case 7, 8:
 				ref := nodeRef(rng.Intn(150))
-				if got, want := s.WithdrawRef("NodeStatus", ref), m.withdrawRef(ref, now); got != want {
-					t.Fatalf("seed %d step %d: WithdrawRef = %d, model %d", seed, step, got, want)
+				got := false
+				if p, live := places[ref]; live && op == 7 {
+					got = s.Withdraw(p)
+				} else {
+					got = withdrawRef(s, ref)
+				}
+				if want := m.withdraw(ref, now); got != want {
+					t.Fatalf("seed %d step %d: withdrawing %v = %v, model %v", seed, step, ref, got, want)
 				}
 			default:
 				now = now.Add(time.Duration(rng.Intn(4000)) * time.Millisecond)
+			}
+			for ref, p := range places {
+				if !m.holds(ref) {
+					dead = append(dead, p)
+					delete(places, ref)
+				}
 			}
 
 			ts := s.typeIndex("NodeStatus")
@@ -172,8 +198,9 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 			}
 		}
 		assertIndexConsistent(t, s)
-		if m.seq < 800 || len(m.all(now)) == 0 {
-			t.Fatalf("seed %d: the deck issued %d offers and left %d live: it does not exercise the index", seed, m.seq, len(m.all(now)))
+		if m.seq < 800 || len(m.all(now)) == 0 || len(dead) == 0 {
+			t.Fatalf("seed %d: the deck numbered %d offers, left %d live and killed %d places: it does not exercise the index",
+				seed, m.seq, len(m.all(now)), len(dead))
 		}
 	}
 }
@@ -191,11 +218,11 @@ func heartbeatFleet(t testing.TB, s *Service, n int, ttl time.Duration) {
 	}
 }
 
-// TestKeyedUpsertInPlace: a heartbeat — ExportKeyed for a ref that holds one
-// offer — stores into the ref's slot and leaves the shard's snapshot where it
-// was, at a cost that does not depend on how many offers share the shard; the
-// writes that change what the shard holds, or what its sweep bound promises,
-// still publish a fresh snapshot.
+// TestKeyedUpsertInPlace: a heartbeat — an upsert through a ref's place, or
+// ExportKeyed of a ref that holds an offer — stores into the ref's slot and
+// leaves the shard's snapshot where it was, at a cost that does not depend on
+// how many offers share the shard; the writes that change what the shard
+// holds, or what its sweep bound promises, still publish a fresh snapshot.
 func TestKeyedUpsertInPlace(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	clock := func() time.Time { return now }
@@ -203,30 +230,37 @@ func TestKeyedUpsertInPlace(t *testing.T) {
 	s := NewService(clock)
 	heartbeatFleet(t, s, 10000, ttl)
 	sh := &s.typeIndex("NodeStatus").shards[refShard(nodeRef(7))]
+	var place Place
+	// beat upserts node 7 through its place, or by reference when it has none.
 	beat := func(expires time.Time) (seq int, inPlace bool) {
 		t.Helper()
 		before, v := sh.snap.Load(), s.Version()
 		o := nodeOffer(7, 1234, 512)
 		o.Expires = expires
-		seq, err := s.ExportKeyed(o)
-		if err != nil || s.Version() != v+1 {
-			t.Fatalf("ExportKeyed = %d, %v; version %d -> %d", seq, err, v, s.Version())
+		var err error
+		if !s.Upsert(place, o) {
+			place, err = s.ExportKeyed(o)
 		}
-		return seq, sh.snap.Load() == before
+		if err != nil || s.Version() != v+1 {
+			t.Fatalf("upsert: %v; version %d -> %d", err, v, s.Version())
+		}
+		return place.e.st.seq, sh.snap.Load() == before
 	}
 
 	now = now.Add(ttl / 2)
 	first, _ := s.Select(Query{ServiceType: "NodeStatus", Constraint: "mips == 1234"})
-	seq, inPlace := beat(now.Add(ttl))
-	if !inPlace {
-		t.Fatal("a heartbeat rebuilt its shard's snapshot")
-	}
-	got, err := s.Select(Query{ServiceType: "NodeStatus", Constraint: "mips == 1234"})
-	if err != nil || len(got) != len(first)+1 || got[len(got)-1].Seq() != seq || s.Count("NodeStatus") != 10000 {
-		t.Fatalf("after the heartbeat %d offers have its mips (was %d), %v; Count = %d", len(got), len(first), err, s.Count("NodeStatus"))
-	}
-	if own := sh.byRef[nodeRef(7)]; len(own) != 1 || own[0].st.seq != seq {
-		t.Fatalf("after the heartbeat the ref holds %d offers; want only the new one, seq %d", len(own), seq)
+	for _, how := range []string{"by reference", "through the place"} {
+		seq, inPlace := beat(now.Add(ttl))
+		if !inPlace {
+			t.Fatalf("a heartbeat %s rebuilt its shard's snapshot", how)
+		}
+		got, err := s.Select(Query{ServiceType: "NodeStatus", Constraint: "mips == 1234"})
+		if err != nil || len(got) != len(first)+1 || got[len(got)-1].Seq() != seq || s.Count("NodeStatus") != 10000 {
+			t.Fatalf("after the heartbeat %s %d offers have its mips (was %d), %v; Count = %d", how, len(got), len(first), err, s.Count("NodeStatus"))
+		}
+		if e := sh.byRef[nodeRef(7)]; e != place.e || e.st.seq != seq {
+			t.Fatalf("after the heartbeat %s the ref's entry is not its place's, or holds another offer than seq %d", how, seq)
+		}
 	}
 	assertIndexConsistent(t, s)
 
@@ -234,11 +268,15 @@ func TestKeyedUpsertInPlace(t *testing.T) {
 	heartbeatFleet(t, small, 2*shardsPerType, ttl)
 	o := nodeOffer(7, 1, 1)
 	o.Expires = now.Add(ttl)
-	perBeat := func(s *Service) float64 {
-		return testing.AllocsPerRun(200, func() { _, _ = s.ExportKeyed(o) })
+	perBeat := func(s *Service) (byRef, byPlace float64) {
+		p, _ := s.ExportKeyed(o)
+		return testing.AllocsPerRun(200, func() { _, _ = s.ExportKeyed(o) }),
+			testing.AllocsPerRun(200, func() { s.Upsert(p, o) })
 	}
-	if big, one := perBeat(s), perBeat(small); big != one || big > 1 {
-		t.Fatalf("a heartbeat allocates %v times among 10^4 offers and %v among %d: it must not depend on the shard", big, one, 2*shardsPerType)
+	bigRef, bigPlace := perBeat(s)
+	if oneRef, onePlace := perBeat(small); bigRef != oneRef || bigPlace != onePlace || bigRef > 1 || bigPlace > 1 {
+		t.Fatalf("a heartbeat allocates %v (by ref) and %v (through its place) times among 10^4 offers, %v and %v among %d: it must not depend on the shard",
+			bigRef, bigPlace, oneRef, onePlace, 2*shardsPerType)
 	}
 
 	if _, inPlace := beat(now.Add(ttl / 4)); inPlace {
@@ -250,10 +288,10 @@ func TestKeyedUpsertInPlace(t *testing.T) {
 	if _, err := s.ExportBatch([]Offer{nodeOffer(7, 1, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, inPlace := beat(now.Add(ttl)); inPlace || len(sh.byRef[nodeRef(7)]) != 2 {
-		t.Fatalf("an upsert of a ref with two offers must rebuild and replace the older: in place %v, ref holds %d", inPlace, len(sh.byRef[nodeRef(7)]))
+	if _, inPlace := beat(now.Add(ttl)); !inPlace || sh.byRef[nodeRef(7)] != place.e {
+		t.Fatal("a batch's upsert of the ref killed its place, or the next heartbeat rebuilt")
 	}
-	s.WithdrawRef("NodeStatus", nodeRef(7))
+	s.Withdraw(place)
 	if _, inPlace := beat(now.Add(ttl)); inPlace {
 		t.Fatal("a ref's first offer has no slot to be stored into")
 	}
@@ -271,23 +309,25 @@ func TestKeyedUpsertInPlace(t *testing.T) {
 func TestCountUsesSweepBound(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	s := NewService(func() time.Time { return now })
-	soon, late := 0, 1
-	for refShard(nodeRef(late)) == refShard(nodeRef(soon)) {
-		late++
+	soon, late := shardmates(0, 3), []int(nil)
+	for j := 1; late == nil; j++ {
+		if refShard(nodeRef(j)) != refShard(nodeRef(0)) {
+			late = shardmates(j, 3)
+		}
 	}
-	for _, node := range []struct {
-		i   int
-		ttl time.Duration
+	for _, shard := range []struct {
+		nodes []int
+		ttl   time.Duration
 	}{{soon, 10 * time.Second}, {late, 100 * time.Second}} {
-		for n := 0; n < 3; n++ {
-			o := nodeOffer(node.i, 100, 512)
-			o.Expires = now.Add(node.ttl + time.Duration(n)*time.Second)
+		for n, i := range shard.nodes {
+			o := nodeOffer(i, 100, 512)
+			o.Expires = now.Add(shard.ttl + time.Duration(n)*time.Second)
 			if _, err := s.ExportBatch([]Offer{o}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	other := nodeOffer(soon, 1, 1)
+	other := nodeOffer(soon[0], 1, 1)
 	other.ServiceType = "Printer"
 	if _, err := s.ExportKeyed(other); err != nil {
 		t.Fatal(err)
@@ -302,7 +342,7 @@ func TestCountUsesSweepBound(t *testing.T) {
 				now.Sub(time.Unix(1_700_000_000, 0)), got, all, step.nodes, s.Count(""), step.both)
 		}
 	}
-	for _, i := range []int{soon, late} {
+	for _, i := range []int{soon[0], late[0]} {
 		if held := len(s.typeIndex("NodeStatus").shards[refShard(nodeRef(i))].snap.Load().slots); held != 3 {
 			t.Fatalf("a read compacted node %d's shard: it holds %d offers", i, held)
 		}
@@ -310,7 +350,8 @@ func TestCountUsesSweepBound(t *testing.T) {
 }
 
 // TestVisitRacesInPlaceUpserts: readers walk the index while writers heartbeat
-// every ref, round after round, the clock moving a quarter TTL between rounds —
+// every ref, round after round — by reference first, through its place after
+// that — the clock moving a quarter TTL between rounds —
 // so no offer ever expires, nearly every write is a slot store, and every third
 // round the first write to reach a shard finds its sweep bound passed and
 // rebuilds it with nothing to compact. Each visit must see each ref exactly once (its old offer
@@ -326,6 +367,8 @@ func TestVisitRacesInPlaceUpserts(t *testing.T) {
 	heartbeatFleet(t, s, refs, ttl)
 	var readers sync.WaitGroup
 	stop := make(chan struct{})
+	places := make([]Place, refs) // writer w owns the refs 3i+w
+	var byRef atomic.Int64
 	beatAll := func() {
 		var writers sync.WaitGroup
 		for w := 0; w < 3; w++ {
@@ -334,12 +377,19 @@ func TestVisitRacesInPlaceUpserts(t *testing.T) {
 				defer writers.Done()
 				rng := rand.New(rand.NewSource(tick.Load()*3 + int64(w)))
 				for _, i := range rng.Perm(refs / 3) {
-					o := nodeOffer(3*i+w, float64(rng.Intn(2000)), 512)
+					n := 3*i + w
+					o := nodeOffer(n, float64(rng.Intn(2000)), 512)
 					o.Expires = s.now().Add(ttl)
-					if _, err := s.ExportKeyed(o); err != nil {
+					if s.Upsert(places[n], o) {
+						continue
+					}
+					p, err := s.ExportKeyed(o)
+					if err != nil {
 						t.Errorf("ExportKeyed: %v", err)
 						return
 					}
+					places[n] = p
+					byRef.Add(1)
 				}
 			}(w)
 		}
@@ -425,8 +475,8 @@ func TestVisitRacesInPlaceUpserts(t *testing.T) {
 	if rebuilt == 0 || rebuilt > 20 {
 		t.Errorf("shard 0 was rebuilt in %d rounds of 40: the rounds are meant to be stores with a sweep now and then", rebuilt)
 	}
-	if got := s.Count("NodeStatus"); got != refs {
-		t.Fatalf("Count = %d, want %d: heartbeats lost or duplicated an offer", got, refs)
+	if got := s.Count("NodeStatus"); got != refs || byRef.Load() != refs {
+		t.Fatalf("Count = %d, want %d: heartbeats lost or duplicated an offer; %d exports by reference, want one a ref", got, refs, byRef.Load())
 	}
 	assertIndexConsistent(t, s)
 }

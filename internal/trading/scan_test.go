@@ -44,6 +44,15 @@ func referenceSelect(t *testing.T, s *Service, q Query) []*Offer {
 	return matched
 }
 
+// firstNodes returns the node numbers 0 to n-1.
+func firstNodes(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 // TestScanMatchesBruteForce is the differential test of filter-before-merge:
 // on seeded fleets built through every write path, SelectPointers must return
 // the very pointers the brute-force reference does, in the same order, and
@@ -52,20 +61,21 @@ func TestScanMatchesBruteForce(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	for _, fleet := range []struct {
 		name  string
-		refs  int // distinct exporting references; offers of one share a shard
+		refs  []int // the exporting nodes; an export replaces its node's offer
 		count int
 	}{
-		{"all-shards", 1500, 2000},
-		{"sparse-shards", 9, 300},
-		{"one-shard", 1, 200},
-		{"empty", 0, 0},
+		{"all-shards", firstNodes(1500), 2000},
+		{"sparse-shards", firstNodes(9), 300},
+		{"one-shard", shardmates(0, 60), 200},
+		{"empty", nil, 0},
 	} {
 		t.Run(fleet.name, func(t *testing.T) {
 			now := base
 			s := NewService(func() time.Time { return now })
 			rng := rand.New(rand.NewSource(int64(fleet.count) + 17))
+			node := func() int { return fleet.refs[rng.Intn(len(fleet.refs))] }
 			offer := func() Offer {
-				o := nodeOffer(rng.Intn(max(fleet.refs, 1)), float64(rng.Intn(5)*250), float64(rng.Intn(3)*512))
+				o := nodeOffer(node(), float64(rng.Intn(5)*250), float64(rng.Intn(3)*512))
 				switch rng.Intn(6) {
 				case 0:
 					o.Properties = constraint.Properties{"mips": constraint.String("fast")}.Record() // wrong kind, no os
@@ -84,7 +94,6 @@ func TestScanMatchesBruteForce(t *testing.T) {
 					}
 					exported++
 				} else {
-					// One offer as often as not: a ref's second, beside its first.
 					batch := make([]Offer, 1+rng.Intn(2)*rng.Intn(40))
 					for i := range batch {
 						batch[i] = offer()
@@ -95,13 +104,13 @@ func TestScanMatchesBruteForce(t *testing.T) {
 					exported += len(batch)
 				}
 				if rng.Intn(10) == 0 {
-					s.WithdrawRef("NodeStatus", nodeRef(rng.Intn(max(fleet.refs, 1)))) // may hold nothing
+					withdrawRef(s, nodeRef(node())) // may hold nothing
 				}
 			}
 			now = base.Add(2 * time.Minute)
 			assertIndexConsistent(t, s)
 
-			if fleet.refs > shardsPerType {
+			if len(fleet.refs) > shardsPerType {
 				ts := s.typeIndex("NodeStatus")
 				for i := range ts.shards {
 					if len(ts.shards[i].snap.Load().slots) == 0 {
@@ -116,7 +125,7 @@ func TestScanMatchesBruteForce(t *testing.T) {
 }
 
 // TestScanBlockBoundaries runs the same comparison where visit's blocks begin
-// and end: one shard — one exporter — holding exactly 0, 1, N−1, N, N+1 and
+// and end: one shard holding exactly 0, 1, N−1, N, N+1 and
 // 2N+3 offers for a block of N, so an empty, a partial, an exact and a
 // multi-block snapshot with a partial tail are each walked, filled three ways:
 // every offer live and matching every satisfiable query, the first block's
@@ -131,8 +140,8 @@ func TestScanBlockBoundaries(t *testing.T) {
 				now := base
 				s := NewService(func() time.Time { return now })
 				rng := rand.New(rand.NewSource(int64(size)))
-				for i := 0; i < size; i++ {
-					o := nodeOffer(0, 1000, 512)
+				for i, node := range shardmates(0, size) {
+					o := nodeOffer(node, 1000, 512)
 					if fill == "first-block-expired" && i < n || fill == "mixed" && rng.Intn(3) == 0 {
 						o.Expires = base.Add(time.Minute) // dead by query time, never compacted
 					}

@@ -1,6 +1,7 @@
 package trading
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -46,12 +47,23 @@ func TestExportBatchSemantics(t *testing.T) {
 		}
 	}
 
+	// A batch upserts: an offer replaces its ref's, and the later of two for
+	// one ref in the batch wins.
+	seqs, err = s.ExportBatch([]Offer{nodeOffer(3, 1, 1), nodeOffer(10, 1, 1), nodeOffer(3, 2, 2)})
+	if err != nil || s.Count("NodeStatus") != 11 {
+		t.Fatalf("ExportBatch = %v, %v; Count = %d, want 11", seqs, err, s.Count("NodeStatus"))
+	}
+	if got, _ := s.Select(Query{ServiceType: "NodeStatus", Constraint: "ram == 2"}); len(got) != 1 || got[0].Ref != nodeRef(3) || got[0].Seq() != seqs[2] {
+		t.Fatalf("node 3 holds %v; want only the batch's later offer, seq %d", got, seqs[2])
+	}
+	assertIndexConsistent(t, s)
+
 	// A typeless offer anywhere in the batch rejects the whole batch.
 	if _, err := s.ExportBatch([]Offer{nodeOffer(90, 1, 1), {}}); err == nil {
 		t.Fatal("batch with typeless offer accepted")
 	}
-	if got := s.Count("NodeStatus"); got != 10 {
-		t.Fatalf("Count after rejected batch = %d, want 10 (atomic validation)", got)
+	if got := s.Count("NodeStatus"); got != 11 {
+		t.Fatalf("Count after rejected batch = %d, want 11 (atomic validation)", got)
 	}
 }
 
@@ -75,18 +87,20 @@ func TestVersionBumpsOnWritesOnly(t *testing.T) {
 	}
 	s.Count("NodeStatus")
 	s.All("NodeStatus")
-	if s.WithdrawRef("NodeStatus", nodeRef(99)) != 0 || s.Version() != v {
+	if s.Withdraw(Place{}) || s.Version() != v {
 		t.Fatal("a read path, or a withdrawal of nothing, bumped the version")
 	}
 
+	var fifty Place
 	writes := []struct {
 		name string
 		op   func() error
 	}{
-		{"ExportKeyed", func() error { _, err := s.ExportKeyed(nodeOffer(50, 900, 512)); return err }},
+		{"ExportKeyed", func() (err error) { fifty, err = s.ExportKeyed(nodeOffer(50, 900, 512)); return err }},
 		{"ExportKeyed in place", func() error { _, err := s.ExportKeyed(nodeOffer(50, 901, 512)); return err }},
+		{"Upsert", func() error { return errorIf(!s.Upsert(fifty, nodeOffer(50, 902, 512)), "dropped") }},
 		{"ExportBatch", func() error { _, err := s.ExportBatch([]Offer{nodeOffer(2, 1, 1), nodeOffer(3, 1, 1)}); return err }},
-		{"WithdrawRef", func() error { s.WithdrawRef("NodeStatus", nodeRef(50)); return nil }},
+		{"Withdraw", func() error { return errorIf(!s.Withdraw(fifty), "removed nothing") }},
 	}
 	for _, w := range writes {
 		v = s.Version()
@@ -97,6 +111,17 @@ func TestVersionBumpsOnWritesOnly(t *testing.T) {
 			t.Fatalf("%s moved the version %d -> %d, want one step", w.name, v, s.Version())
 		}
 	}
+	if v = s.Version(); s.Upsert(fifty, nodeOffer(50, 903, 512)) || s.Withdraw(fifty) || s.Version() != v {
+		t.Fatal("an upsert or a withdrawal through a dead place bumped the version")
+	}
+}
+
+// errorIf returns an error saying what when failed is true.
+func errorIf(failed bool, what string) error {
+	if failed {
+		return errors.New(what)
+	}
+	return nil
 }
 
 // TestSelectSharedSharesProperties pins the read contract: SelectPointers
@@ -135,7 +160,7 @@ func TestSelectSharedSharesProperties(t *testing.T) {
 }
 
 // TestConcurrentTradingStress races every write path (ExportKeyed of a new ref
-// and of a held one, ExportBatch, WithdrawRef) against the lock-free read paths
+// and of a held one, Upsert, ExportBatch, Withdraw) against the lock-free read paths
 // (Select, SelectPointers, VisitMatches, Count, All) under the race detector.
 // CHAOS_SEED picks the operation mix per goroutine, mirroring the seeded
 // suites in `make chaos`; the final consistency check verifies the reverse
@@ -161,18 +186,24 @@ func TestConcurrentTradingStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(w)))
-			var owned []int
+			var owned []Place
+			held, err := s.ExportKeyed(nodeOffer(w*10000+9000, 0, 256)) // no other case reaches its ref
+			if err != nil {
+				t.Errorf("ExportKeyed: %v", err)
+				return
+			}
 			for i := 0; i < iters; i++ {
 				switch rng.Intn(5) {
 				case 0:
-					if _, err := s.ExportKeyed(nodeOffer(w*10000+i, float64(rng.Intn(2000)), 512)); err != nil {
+					p, err := s.ExportKeyed(nodeOffer(w*10000+i, float64(rng.Intn(2000)), 512))
+					if err != nil {
 						t.Errorf("ExportKeyed of a new ref: %v", err)
 						return
 					}
-					owned = append(owned, w*10000+i)
+					owned = append(owned, p)
 				case 1:
-					if _, err := s.ExportKeyed(nodeOffer(w, float64(rng.Intn(2000)), 256)); err != nil {
-						t.Errorf("ExportKeyed: %v", err)
+					if !s.Upsert(held, nodeOffer(w*10000+9000, float64(rng.Intn(2000)), 256)) {
+						t.Error("an upsert through a live place was dropped")
 						return
 					}
 				case 2:
@@ -184,14 +215,13 @@ func TestConcurrentTradingStress(t *testing.T) {
 						t.Errorf("ExportBatch: %v", err)
 						return
 					}
-					owned = append(owned, w*10000+i, w*10000+i+5000)
 				case 3:
 					if len(owned) > 0 {
-						s.WithdrawRef("NodeStatus", nodeRef(owned[len(owned)-1]))
+						s.Withdraw(owned[len(owned)-1])
 						owned = owned[:len(owned)-1]
 					}
 				case 4:
-					s.WithdrawRef("NodeStatus", nodeRef(w*10000+rng.Intn(iters)))
+					withdrawRef(s, nodeRef(w*10000+rng.Intn(iters)))
 				}
 			}
 		}(w)
@@ -251,13 +281,39 @@ func slotOffers(sh *shard) []*stored {
 	return out
 }
 
+// withdrawRef withdraws ref's offer through its place, as the exporter holding
+// the place would, and reports whether there was one.
+func withdrawRef(s *Service, ref orb.ObjectRef) bool {
+	ts := s.typeIndex("NodeStatus")
+	if ts == nil {
+		return false
+	}
+	sh := &ts.shards[refShard(ref)]
+	sh.mu.Lock()
+	e := sh.byRef[ref]
+	sh.mu.Unlock()
+	return e != nil && s.Withdraw(Place{e})
+}
+
+// shardmates returns n node numbers, from first on, whose refs share node
+// first's shard.
+func shardmates(first, n int) []int {
+	var out []int
+	for i := first; len(out) < n; i++ {
+		if refShard(nodeRef(i)) == refShard(nodeRef(first)) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // assertIndexConsistent checks, on a quiescent service, what the index's
-// writers keep true and its readers rest on: each per-ref list ascends strictly
-// by seq and knows the slot of each of its offers, a shard's slots hold exactly
-// the union of its per-ref lists, every live offer's seq is unique across the
-// whole service and its record is its own, and SelectPointers and All come back
-// strictly ascending in Seq. Slot order itself is not an invariant: an upsert
-// reuses its victim's slot.
+// writers keep true and its readers rest on: a shard holds one entry per ref,
+// byRef and entries list the same entries, every live entry's slot holds that
+// entry's offer, of its ref, and a shard's slots hold exactly its entries'
+// offers; every live offer's seq is unique across the whole service and its
+// record is its own, and SelectPointers and All come back strictly ascending
+// in Seq. Slot order itself is not an invariant: an upsert keeps its slot.
 func assertIndexConsistent(t *testing.T, s *Service) {
 	t.Helper()
 	holder := map[int]string{} // seq → the type and shard holding it
@@ -265,22 +321,21 @@ func assertIndexConsistent(t *testing.T, s *Service) {
 		for i := range ts.shards {
 			sh := &ts.shards[i]
 			sh.mu.Lock()
-			offers, indexed := slotOffers(sh), 0
-			for ref, list := range sh.byRef {
-				indexed += len(list)
-				for j, e := range list {
-					if j > 0 && list[j-1].st.seq >= e.st.seq {
-						t.Errorf("%s shard %d: byRef[%v] out of order: seq %d then %d", typ, i, ref, list[j-1].st.seq, e.st.seq)
-					}
-					if e.slot >= len(offers) || offers[e.slot] != e.st || e.st.Ref != ref {
-						t.Errorf("%s shard %d: byRef[%v] places seq %d in slot %d, which does not hold it", typ, i, ref, e.st.seq, e.slot)
-					}
+			offers := slotOffers(sh)
+			if len(sh.entries) != len(offers) || len(sh.byRef) != len(offers) {
+				t.Errorf("%s shard %d: %d slots, %d entries, %d refs in byRef", typ, i, len(offers), len(sh.entries), len(sh.byRef))
+			}
+			for j, e := range sh.entries {
+				if e.sh != sh || e.slot != j || j >= len(offers) || offers[j] != e.st || sh.byRef[e.st.Ref] != e {
+					t.Errorf("%s shard %d: entries[%d] (slot %d, seq %d) is not the entry of the offer in its slot", typ, i, j, e.slot, e.st.seq)
+				}
+			}
+			for ref, e := range sh.byRef {
+				if e.st.Ref != ref || e.slot < 0 {
+					t.Errorf("%s shard %d: byRef[%v] holds seq %d of %v at slot %d", typ, i, ref, e.st.seq, e.st.Ref, e.slot)
 				}
 			}
 			sh.mu.Unlock()
-			if indexed != len(offers) {
-				t.Errorf("%s shard %d: %d slots but %d offers in byRef", typ, i, len(offers), indexed)
-			}
 			for _, st := range offers {
 				where := fmt.Sprintf("%s shard %d", typ, i)
 				if prev, dup := holder[st.seq]; dup || st.seq <= 0 {
@@ -309,22 +364,17 @@ func assertIndexConsistent(t *testing.T, s *Service) {
 	}
 }
 
-// TestSeqOrderSameShard races every insert path into one shard: sixteen
-// writers share one exporting reference, with property records of different
-// sizes, and every fourth writer goes through ExportBatch, whose numbers are
-// drawn before the lock, so a later number can be published first; the rest
-// upsert through ExportKeyed, which replaces the ref's oldest offer. Slot order
-// may then be anything; the per-ref list must still ascend (a keyed upsert
-// replaces its first entry as the oldest) and the queries come back in seq.
+// TestSeqOrderSameShard races every write path into one shard: sixteen
+// writers on eight refs of that shard, two to a ref, with property records of
+// different sizes. A quarter of the writers go through ExportBatch, whose
+// numbers are drawn before the lock, so a later number can be published first;
+// a quarter upsert through a place, and the rest by reference. Slot order may
+// then be anything; each ref holds one offer, and the queries come back in
+// seq.
 func TestSeqOrderSameShard(t *testing.T) {
-	ref := orb.ObjectRef{Endpoint: orb.Endpoint{Net: "loop", Addr: "x"}, Key: "k"}
+	refs := shardmates(0, 8)
 	for round := 0; round < 100; round++ {
 		s := NewService(nil)
-		// One offer first, so that every upsert replaces one: the count is
-		// then the batches' offers and this one.
-		if _, err := s.ExportKeyed(Offer{ServiceType: "T", Ref: ref}); err != nil {
-			t.Fatal(err)
-		}
 		var wg sync.WaitGroup
 		for g := 0; g < 16; g++ {
 			wg.Add(1)
@@ -334,13 +384,16 @@ func TestSeqOrderSameShard(t *testing.T) {
 				for p := 0; p < g*8; p++ {
 					props[fmt.Sprintf("p%d", p)] = constraint.Number(float64(p))
 				}
-				o := Offer{ServiceType: "T", Ref: ref, Properties: props.Record()}
+				o := Offer{ServiceType: "NodeStatus", Ref: nodeRef(refs[g/2]), Properties: props.Record()}
+				var p Place
 				for i := 0; i < 30; i++ {
 					var err error
-					if g%4 == 3 {
+					switch {
+					case g%4 == 3:
 						_, err = s.ExportBatch([]Offer{o, o})
-					} else {
-						_, err = s.ExportKeyed(o)
+					case g%4 == 2 && s.Upsert(p, o):
+					default:
+						p, err = s.ExportKeyed(o)
 					}
 					if err != nil {
 						t.Error(err)
@@ -350,10 +403,10 @@ func TestSeqOrderSameShard(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		if got, want := s.Count("T"), 1+4*2*30; got != want {
+		if got, want := s.Count("NodeStatus"), len(refs); got != want {
 			t.Fatalf("round %d: %d offers, want %d", round, got, want)
 		}
-		all := s.All("T")
+		all := s.All("NodeStatus")
 		for i := 1; i < len(all); i++ {
 			if all[i-1].seq >= all[i].seq {
 				t.Fatalf("round %d: out of order at %d: seq %d then %d", round, i, all[i-1].seq, all[i].seq)
@@ -409,7 +462,7 @@ func TestHeldPointersNeverChange(t *testing.T) {
 			for i := 0; i < 400; i++ {
 				n := rng.Intn(nodes)
 				if rng.Intn(4) == 0 {
-					s.WithdrawRef("NodeStatus", nodeRef(n))
+					withdrawRef(s, nodeRef(n))
 				} else if _, err := s.ExportKeyed(nodeOffer(n, float64(rng.Intn(2000)), 256)); err != nil {
 					t.Errorf("ExportKeyed: %v", err)
 					return
@@ -431,45 +484,105 @@ func TestHeldPointersNeverChange(t *testing.T) {
 
 // TestVersionCountsConcurrentWrites: the GRM's snapshot cache takes an
 // unchanged Version to mean an unchanged index, so every write must advance it
-// exactly once — a store into a slot as much as a rebuild. Writers on distinct
-// refs, spread over all 64 shards, upsert and withdraw while a reader walks the
-// index with VisitMatchSet; the version must never go back while the reader
-// watches, and must end as many steps on as there were writes.
+// exactly once — a store into a slot as much as a rebuild — and a write that
+// changes nothing must not. Writers export nodes over all 64 shards, each node
+// under its own ref, and then drive them as the GRM does: upserts through the
+// node's place, moves to a new ref (an export by reference, and a withdrawal
+// of the old place), departures (a withdrawal, after which upserts and
+// withdrawals through the dead place are dropped) and returns (an export by
+// reference). A reader walks the index with VisitMatchSet meanwhile; the
+// version must never go back while it watches, and must end as many steps on
+// as there were writes.
 func TestVersionCountsConcurrentWrites(t *testing.T) {
-	const writers, refs, iters = 4, 512, 400
+	const writers, nodes, iters = 4, 512, 400
 	shards := map[int]bool{}
-	for i := 0; i < refs; i++ {
+	for i := 0; i < nodes; i++ {
 		shards[refShard(nodeRef(i))] = true
 	}
 	if len(shards) != shardsPerType {
-		t.Fatalf("%d refs cover %d of the %d shards", refs, len(shards), shardsPerType)
+		t.Fatalf("%d refs cover %d of the %d shards", nodes, len(shards), shardsPerType)
 	}
 	s := NewService(nil)
 	v0 := s.Version()
 	var (
-		writes atomic.Uint64
-		wg     sync.WaitGroup
+		writes, live atomic.Int64
+		wg           sync.WaitGroup
 	)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < iters; i++ {
-				ref := nodeRef(rng.Intn(refs/writers)*writers + w) // this writer's refs only
-				if rng.Intn(4) == 0 {
-					if s.WithdrawRef("NodeStatus", ref) > 0 {
-						writes.Add(1)
-					}
-					continue
-				}
+			type node struct {
+				ref      orb.ObjectRef
+				place    Place
+				departed bool
+			}
+			own := make([]node, nodes/writers) // this writer's nodes only
+			offer := func(n *node) Offer {
 				o := nodeOffer(0, float64(rng.Intn(2000)), 512)
-				o.Ref = ref
-				if _, err := s.ExportKeyed(o); err != nil {
+				o.Ref = n.ref
+				return o
+			}
+			export := func(n *node) bool {
+				p, err := s.ExportKeyed(offer(n))
+				if err != nil {
 					t.Errorf("ExportKeyed: %v", err)
+					return false
+				}
+				n.place = p
+				writes.Add(1)
+				return true
+			}
+			for i := range own {
+				own[i].ref = nodeRef(i*writers + w)
+				if !export(&own[i]) {
 					return
 				}
-				writes.Add(1)
+			}
+			for i := 0; i < iters; i++ {
+				n := &own[rng.Intn(len(own))]
+				switch op := rng.Intn(8); {
+				case n.departed && op < 4: // back, by reference
+					n.departed = false
+					if !export(n) {
+						return
+					}
+				case n.departed: // a stale write through the dead place
+					if s.Upsert(n.place, offer(n)) || s.Withdraw(n.place) {
+						t.Errorf("a dead place of %v wrote to the index", n.ref)
+						return
+					}
+				case op == 0: // a departure
+					if !s.Withdraw(n.place) {
+						t.Errorf("withdrawing %v through its live place removed nothing", n.ref)
+						return
+					}
+					n.departed = true
+					writes.Add(1)
+				case op == 1: // a move to a new ref, then the old offer's withdrawal
+					old := n.place
+					n.ref.Endpoint.Addr += "'"
+					if !export(n) {
+						return
+					}
+					if !s.Withdraw(old) {
+						t.Errorf("withdrawing the offer %v moved from removed nothing", n.ref)
+						return
+					}
+					writes.Add(1)
+				default:
+					if !s.Upsert(n.place, offer(n)) {
+						t.Errorf("an upsert through the live place of %v was dropped", n.ref)
+						return
+					}
+					writes.Add(1)
+				}
+			}
+			for _, n := range own {
+				if !n.departed {
+					live.Add(1)
+				}
 			}
 		}(w)
 	}
@@ -479,7 +592,7 @@ func TestVersionCountsConcurrentWrites(t *testing.T) {
 	go func() {
 		defer reader.Done()
 		set := []string{"mips >= 1000", "mips < 1000"}
-		seen := make(map[orb.ObjectRef]bool, refs)
+		seen := make(map[orb.ObjectRef]bool, nodes)
 		for last := s.Version(); ; {
 			clear(seen)
 			s.VisitMatchSet("NodeStatus", set, func(o *Offer, met uint64) {
@@ -508,8 +621,11 @@ func TestVersionCountsConcurrentWrites(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	reader.Wait()
-	if got, want := s.Version()-v0, writes.Load(); got != want {
+	if got, want := s.Version()-v0, uint64(writes.Load()); got != want {
 		t.Fatalf("the version advanced %d times over %d writes", got, want)
+	}
+	if got := s.Count("NodeStatus"); got != int(live.Load()) {
+		t.Fatalf("Count = %d, want the %d nodes that have not departed", got, live.Load())
 	}
 	assertIndexConsistent(t, s)
 }

@@ -11,14 +11,15 @@
 //
 // The offer index is sharded (DESIGN.md §16): each service type owns
 // shardsPerType shards keyed by the exporting object reference, and each shard
-// publishes a snapshot behind an atomic.Pointer — one slot per offer. Which
-// offers a shard holds is copy-on-write: a writer builds a fresh snapshot and
-// swaps it in under the shard mutex (the PR 4 ORB registry pattern). What a
-// slot holds is not: a status update stores its ref's new offer into the slot
-// the old one sat in. Readers take no locks — they load the snapshots and the
-// slots — so they never contend with writers. A writer takes its shard's
-// mutex and no other, so writers on different shards never contend with each
-// other either.
+// publishes a snapshot behind an atomic.Pointer — one slot per offer, and one
+// offer per exporting reference. Which offers a shard holds is copy-on-write:
+// a writer builds a fresh snapshot and swaps it in under the shard mutex, as
+// the ORB's registries do. What a slot holds is not: a status update stores
+// its ref's new offer into the slot the old one sat in, through the Place its
+// first export returned, which names the shard and the slot. Readers take no
+// locks — they load the snapshots and the slots — so they never contend with
+// writers. A writer takes its shard's mutex and no other, so writers on
+// different shards never contend with each other either.
 package trading
 
 import (
@@ -35,10 +36,10 @@ import (
 )
 
 // shardsPerType is the number of copy-on-write shards per service type.
-// Offers are assigned to shards by a hash of their exporting reference, so
-// the Information Update Protocol's keyed upserts (remove + re-export of one
-// node's offer) rebuild 1/shardsPerType of the type's index instead of all
-// of it, and updates for different nodes proceed in parallel.
+// Offers are assigned to shards by a hash of their exporting reference, so a
+// write that changes which offers a shard holds rebuilds 1/shardsPerType of
+// the type's index instead of all of it, and updates for different nodes
+// proceed in parallel.
 const shardsPerType = 64
 
 // Offer is one advertised service: a type name, the exporting object, and
@@ -124,9 +125,9 @@ var compileCache = constraint.NewCache(0)
 
 // shardSnap is one shard's published state. Which offers it has slots for is
 // immutable — a writer that adds or removes one builds a fresh snapshot — but
-// what a slot holds is not: a keyed upsert of a ref with one offer stores the
-// new offer into the old one's slot. A reader loads each slot once and so sees,
-// for each ref, the old offer or the new one; slot order means nothing.
+// what a slot holds is not: an upsert stores a ref's new offer into its old
+// one's slot. A reader loads each slot once and so sees, for each ref, the old
+// offer or the new one; slot order means nothing.
 type shardSnap struct {
 	slots []atomic.Pointer[stored]
 	// sweepAt is a lower bound on the expiry of every offer ever stored into
@@ -141,26 +142,36 @@ type shardSnap struct {
 // mutated, so every empty shard can publish the same pointer.
 var emptySnap = &shardSnap{}
 
-// placed is one entry of a shard's reverse index: an offer and its slot.
-type placed struct {
+// entry is one exporter's offer in a shard: its current offer and the slot it
+// sits in. A shard has at most one entry per exporting reference. An upsert
+// replaces st and keeps the entry; a withdrawal, or an expiry sweep, removes
+// the entry for good and sets slot to -1. Its fields are guarded by sh.mu.
+type entry struct {
+	sh   *shard
 	st   *stored
 	slot int
 }
 
+// Place is an exporter's handle on its offer's entry, which ExportKeyed
+// returns and Upsert and Withdraw take: the slot without a type-map lookup, a
+// hash or a probe of byRef. It stays valid across upserts until its offer is
+// withdrawn or swept as expired; then it is dead, and an export by reference
+// gives a new place. The zero Place is no place.
+type Place struct{ e *entry }
+
 // shard is one slice of a service type's offer index.
 type shard struct {
-	// mu serializes snapshot rebuilds and slot stores, and guards byRef.
-	// Readers never take it: they load snap and the slots.
+	// mu serializes snapshot rebuilds and slot stores, and guards byRef and
+	// entries. Readers never take it: they load snap and the slots.
 	//
 	//lint:guards snap
 	mu   sync.Mutex
 	snap atomic.Pointer[shardSnap]
-	// byRef is the per-ref reverse index: every offer in this shard's
-	// snapshot, grouped by exporting reference in ascending seq order, with
-	// the slot it sits in. It makes keyed upserts and WithdrawRef
-	// O(offers-per-ref) instead of a search. Mutated in place under mu; never
-	// read without it.
-	byRef map[orb.ObjectRef][]placed
+	// byRef and entries index the snapshot's offers by exporter: byRef finds a
+	// reference's one entry, and entries[i] is the entry whose offer sits in
+	// slot i. Mutated in place under mu; never read without it.
+	byRef   map[orb.ObjectRef]*entry
+	entries []*entry
 }
 
 // typeShards is one service type's shard set. The array is fixed at
@@ -184,11 +195,11 @@ func refShard(ref orb.ObjectRef) int {
 // Service is the in-memory trader. Safe for concurrent use.
 //
 // Offers are indexed two ways: per-(type, ref-hash) shard snapshots holding
-// one slot per offer (the lock-free read path), and a per-shard reverse index
-// by exporting reference (the keyed-upsert/eviction path). Every offer carries
-// its export sequence number, which is unique, so a consumer that wants export
-// order sorts by it (scan) and one that brings its own order never pays for it
-// (DESIGN.md §16).
+// one slot per offer (the lock-free read path), and per-shard entries, one per
+// exporting reference, which places point at (the write path). Every offer
+// carries its export sequence number, which is unique, so a consumer that
+// wants export order sorts by it (scan) and one that brings its own order
+// never pays for it (DESIGN.md §16).
 type Service struct {
 	// seq is the global export sequence; atomic so concurrent exports on
 	// different shards never serialize on it.
@@ -255,7 +266,7 @@ func (s *Service) addType(serviceType string) *typeShards {
 	ts := &typeShards{}
 	for i := range ts.shards {
 		ts.shards[i].snap.Store(emptySnap)
-		ts.shards[i].byRef = make(map[orb.ObjectRef][]placed)
+		ts.shards[i].byRef = make(map[orb.ObjectRef]*entry)
 	}
 	next := make(map[string]*typeShards, len(*cur)+1)
 	for k, v := range *cur {
@@ -266,29 +277,66 @@ func (s *Service) addType(serviceType string) *typeShards {
 	return ts
 }
 
-// ExportKeyed upserts an offer identified by (serviceType, ref) and returns its
-// export sequence number: at most one offer per exporting object per type.
-// Used by the Information Update Protocol where each LRM refreshes its single
-// status offer: every update after a node's first stores one pointer into the
-// slot its previous offer held, and rebuilds nothing. When the ref holds
-// several offers the oldest is the one replaced.
+// ExportKeyed upserts the offer of (o.ServiceType, o.Ref) — a shard holds one
+// offer per exporting reference — and returns its place, through which the
+// exporter's later upserts and its withdrawal go.
 //
 //lint:hotpath alloc=1 locks=1 block=0
-func (s *Service) ExportKeyed(o Offer) (seq int, err error) {
+func (s *Service) ExportKeyed(o Offer) (Place, error) {
 	if o.ServiceType == "" {
-		return 0, fmt.Errorf("trading: offer without service type") //lint:alloc error slow path
+		return Place{}, fmt.Errorf("trading: offer without service type") //lint:alloc error slow path
 	}
-	st := newStored(o)
-	s.shardFor(o.ServiceType, o.Ref).insert(&s.seq, st, s.now())
-	s.version.Add(1)
-	return st.seq, nil
+	return Place{s.upsert(s.shardFor(o.ServiceType, o.Ref), nil, newStored(o))}, nil
 }
 
-// ExportBatch adds many offers in one pass, rebuilding each touched shard
-// exactly once instead of once per offer, and returns their export sequence
-// numbers. Unlike ExportKeyed it replaces nothing: a ref may hold several
-// offers. This is the bulk-load path: priming a bench fleet costs O(n)
-// instead of the O(n²/shards) of n sequential first exports.
+// Upsert makes o the offer at place p, as ExportKeyed would for p's reference,
+// without finding the reference: it locks p's shard and stores into p's slot.
+// o must be of the type and reference p was exported under. Upsert reports
+// false, and changes nothing, when p is dead or the zero Place: it never
+// re-adds an offer.
+//
+//lint:hotpath alloc=1 locks=1 block=0
+func (s *Service) Upsert(p Place, o Offer) bool {
+	return p.e != nil && s.upsert(p.e.sh, p.e, newStored(o)) != nil
+}
+
+// upsert makes st the offer of e, an entry of sh — with e nil, of the entry of
+// st's reference, added on the reference's first export — and returns the
+// entry, or nil, storing nothing, when e is dead. It stores st into the
+// entry's slot when nothing in the shard can have expired (now is short of
+// sweepAt) and st's expiry keeps sweepAt a lower bound; anything else — a
+// reference's first offer, an expiry to compact — changes which offers the
+// shard holds. The seq is drawn under the shard mutex, so a reference's offers
+// are numbered in the order they replace each other.
+func (s *Service) upsert(sh *shard, e *entry, st *stored) *entry {
+	now := s.now()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	switch {
+	case e == nil:
+		if e = sh.byRef[st.Ref]; e == nil {
+			e = sh.adopt(st.Ref)
+		}
+	case e.slot < 0:
+		return nil
+	}
+	st.seq = int(s.seq.Add(1))
+	e.st = st
+	cur := sh.snap.Load()
+	if e.slot >= 0 && !due(cur.sweepAt, now) && earlier(cur.sweepAt, st.Expires).Equal(cur.sweepAt) {
+		cur.slots[e.slot].Store(st)
+	} else {
+		sh.snap.Store(sh.rebuilt(cur, now, nil))
+	}
+	s.version.Add(1)
+	return e
+}
+
+// ExportBatch is ExportKeyed in bulk: it upserts many offers, rebuilding each
+// touched shard exactly once instead of once per offer, and returns their
+// export sequence numbers. A later offer for a ref replaces an earlier one, in
+// the index or in the batch. This is the bulk-load path: priming a bench fleet
+// costs O(n) instead of the O(n²/shards) of n sequential first exports.
 func (s *Service) ExportBatch(offers []Offer) ([]int, error) {
 	for i := range offers {
 		if offers[i].ServiceType == "" {
@@ -316,123 +364,75 @@ func (s *Service) ExportBatch(offers []Offer) ([]int, error) {
 	now := s.now()
 	for _, sh := range order {
 		sh.mu.Lock()
-		sh.snap.Store(sh.rebuilt(sh.snap.Load(), now, nil, buckets[sh]...))
+		for _, st := range buckets[sh] {
+			e := sh.byRef[st.Ref]
+			if e == nil {
+				e = sh.adopt(st.Ref)
+			}
+			e.st = st
+		}
+		sh.snap.Store(sh.rebuilt(sh.snap.Load(), now, nil))
 		sh.mu.Unlock()
 	}
 	s.version.Add(1)
 	return seqs, nil
 }
 
-// insert is the keyed upsert of one new offer. Under sh.mu it takes add's
-// sequence number from seq — an offer's seq is drawn where it is published, so
-// a ref's offers are numbered in the order they replace each other — and then
-// either stores add into the slot of the one offer its ref holds, or swaps in
-// a snapshot with add in it and the ref's oldest offer, if it had one, gone.
+// adopt adds an entry for ref, with no slot until the rebuild that its caller,
+// which holds sh.mu and sets the entry's offer, must then run.
 //
-// The store is the upsert of a ref with exactly one offer, when nothing in the
-// shard can have expired (now is short of sweepAt) and add's expiry keeps
-// sweepAt a lower bound. Everything else — a ref's first offer, one of a ref
-// with several, an expiry to compact — changes which offers the shard holds.
-func (sh *shard) insert(seq *atomic.Int64, add *stored, now time.Time) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	add.seq = int(seq.Add(1))
-	cur := sh.snap.Load()
-	var oldest *stored
-	if own := sh.byRef[add.Ref]; len(own) > 0 {
-		oldest = own[0].st
-		if len(own) == 1 && !due(cur.sweepAt, now) && earlier(cur.sweepAt, add.Expires).Equal(cur.sweepAt) {
-			cur.slots[own[0].slot].Store(add)
-			own[0].st = add
-			return
-		}
-	}
-	sh.snap.Store(sh.rebuilt(cur, now, func(st *stored) bool { return st == oldest }, add)) //lint:alloc the rebuild's, not the store's
+//lint:coldpath a reference's first export
+func (sh *shard) adopt(ref orb.ObjectRef) *entry {
+	e := &entry{sh: sh, slot: -1}
+	sh.byRef[ref] = e
+	sh.entries = append(sh.entries, e)
+	return e
 }
 
 // rebuilt is the copy step of the copy-on-write writers: it returns a fresh
-// snapshot holding cur's offers — without those drop selects (nil: none) and,
-// when the sweep is due, without those past their expiry — and then adds, its
-// sweepAt exact. It keeps byRef in step, so the caller, which holds sh.mu,
-// must store the result.
+// snapshot holding the offers of the shard's entries — without drop's (nil:
+// none) and, when cur's sweep is due, without those past their expiry — its
+// sweepAt exact. It removes the dropped entries and moves every survivor's
+// slot, so the caller, which holds sh.mu, must store the result.
 //
 //lint:coldpath copy-on-write shard rebuild: the writer slow path
-func (sh *shard) rebuilt(cur *shardSnap, now time.Time, drop func(*stored) bool, adds ...*stored) *shardSnap {
+func (sh *shard) rebuilt(cur *shardSnap, now time.Time, drop *entry) *shardSnap {
 	sweep := due(cur.sweepAt, now)
-	next := &shardSnap{slots: make([]atomic.Pointer[stored], len(cur.slots)+len(adds))}
-	n := 0
-	for i := range cur.slots {
-		st := cur.slots[i].Load()
-		if drop != nil && drop(st) || sweep && st.expired(now) {
-			sh.dropRefLocked(st)
+	next := &shardSnap{slots: make([]atomic.Pointer[stored], len(sh.entries))}
+	kept := sh.entries[:0]
+	for _, e := range sh.entries {
+		if e == drop || sweep && e.st.expired(now) {
+			delete(sh.byRef, e.st.Ref)
+			e.slot = -1
 			continue
 		}
-		next.slots[n].Store(st)
-		next.sweepAt = earlier(next.sweepAt, st.Expires)
-		n++
+		e.slot = len(kept)
+		next.slots[e.slot].Store(e.st)
+		next.sweepAt = earlier(next.sweepAt, e.st.Expires)
+		kept = append(kept, e)
 	}
-	if n < len(cur.slots) { // the survivors moved up: tell byRef where to
-		for slot := range next.slots[:n] {
-			st := next.slots[slot].Load()
-			own := sh.byRef[st.Ref]
-			for i := range own {
-				if own[i].st == st {
-					own[i].slot = slot
-				}
-			}
-		}
-	}
-	for _, add := range adds {
-		next.slots[n].Store(add)
-		next.sweepAt = earlier(next.sweepAt, add.Expires)
-		// A batch drew its numbers before the lock: an insert may have
-		// published a later one for the ref first, so place, do not append.
-		own := append(sh.byRef[add.Ref], placed{add, n})
-		for i := len(own) - 1; i > 0 && own[i-1].st.seq > own[i].st.seq; i-- {
-			own[i-1], own[i] = own[i], own[i-1]
-		}
-		sh.byRef[add.Ref] = own
-		n++
-	}
-	next.slots = next.slots[:n]
+	clear(sh.entries[len(kept):])
+	sh.entries = kept
+	next.slots = next.slots[:len(kept)]
 	return next
 }
 
-// dropRefLocked removes one offer from the reverse index. Caller holds
-// sh.mu.
-func (sh *shard) dropRefLocked(st *stored) {
-	list := sh.byRef[st.Ref]
-	for i, e := range list {
-		if e.st == st {
-			list = append(list[:i], list[i+1:]...)
-			break
-		}
+// Withdraw removes the offer at place p — a rebuild of its one shard — and
+// reports whether there was one: false for a dead or zero place.
+func (s *Service) Withdraw(p Place) bool {
+	e := p.e
+	if e == nil {
+		return false
 	}
-	if len(list) == 0 {
-		delete(sh.byRef, st.Ref)
-	} else {
-		sh.byRef[st.Ref] = list
-	}
-}
-
-// WithdrawRef removes every offer of the given type exported by ref,
-// returning the count removed. All of a ref's offers hash to one shard, so
-// eviction is a single-shard rebuild, and the reverse index answers the
-// no-offers case without one.
-func (s *Service) WithdrawRef(serviceType string, ref orb.ObjectRef) int {
-	ts := s.typeIndex(serviceType)
-	if ts == nil {
-		return 0
-	}
-	sh := &ts.shards[refShard(ref)]
+	sh := e.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	count := len(sh.byRef[ref])
-	if count > 0 {
-		sh.snap.Store(sh.rebuilt(sh.snap.Load(), s.now(), func(st *stored) bool { return st.Ref == ref }))
-		s.version.Add(1)
+	if e.slot < 0 {
+		return false
 	}
-	return count
+	sh.snap.Store(sh.rebuilt(sh.snap.Load(), s.now(), e))
+	s.version.Add(1)
+	return true
 }
 
 // Count returns the number of live offers of the given type ("" for all).

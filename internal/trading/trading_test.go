@@ -30,7 +30,8 @@ func nodeOffer(i int, mips, ram float64) Offer {
 
 func TestExportSelectWithdraw(t *testing.T) {
 	s := NewService(nil)
-	if _, err := s.ExportKeyed(nodeOffer(1, 1000, 512)); err != nil {
+	one, err := s.ExportKeyed(nodeOffer(1, 1000, 512))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.ExportKeyed(nodeOffer(2, 400, 256)); err != nil {
@@ -47,11 +48,11 @@ func TestExportSelectWithdraw(t *testing.T) {
 	if len(offers) != 1 || offers[0].Ref != nodeRef(1) {
 		t.Fatalf("Select = %v", offers)
 	}
-	if n := s.WithdrawRef("NodeStatus", nodeRef(1)); n != 1 {
-		t.Fatalf("WithdrawRef = %d, want 1", n)
+	if !s.Withdraw(one) {
+		t.Fatal("Withdraw removed nothing")
 	}
-	if n := s.WithdrawRef("NodeStatus", nodeRef(1)); n != 0 {
-		t.Fatalf("second WithdrawRef = %d, want 0", n)
+	if s.Withdraw(one) {
+		t.Fatal("a second Withdraw through the same place removed something")
 	}
 	offers, _ = s.Select(Query{ServiceType: "NodeStatus"})
 	if len(offers) != 1 || offers[0].Ref != nodeRef(2) {
@@ -84,43 +85,71 @@ func TestSelectBadExpressions(t *testing.T) {
 	}
 }
 
-// TestExportKeyedUpserts: a ref's second export replaces its first and is
-// numbered after it.
+// TestExportKeyedUpserts: a ref's second export replaces its first, is
+// numbered after it and returns the same place, and an upsert through that
+// place replaces it again.
 func TestExportKeyedUpserts(t *testing.T) {
 	s := NewService(nil)
 	first, err := s.ExportKeyed(nodeOffer(1, 100, 512))
 	if err != nil {
 		t.Fatal(err)
 	}
+	firstSeq := first.e.st.seq
 	second, err := s.ExportKeyed(nodeOffer(1, 999, 512))
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || second != first {
+		t.Fatalf("the second export = %v, %v; want the first's place %v", second, err, first)
 	}
 	if got := s.Count("NodeStatus"); got != 1 {
 		t.Fatalf("Count = %d, want 1 (upsert)", got)
 	}
 	offers, _ := s.Select(Query{ServiceType: "NodeStatus"})
 	mips, _ := offers[0].Properties.Get("mips").AsNumber()
-	if mips != 999 || offers[0].Seq() != second || second <= first {
-		t.Fatalf("upserted mips = %v, seq %d; exports numbered %d then %d", mips, offers[0].Seq(), first, second)
+	if mips != 999 || offers[0].Seq() != second.e.st.seq || second.e.st.seq <= firstSeq {
+		t.Fatalf("upserted mips = %v, seq %d; exports numbered %d then %d", mips, offers[0].Seq(), firstSeq, second.e.st.seq)
 	}
+	if !s.Upsert(first, nodeOffer(1, 42, 512)) || s.Count("NodeStatus") != 1 {
+		t.Fatalf("an upsert through the place failed or added an offer: Count = %d", s.Count("NodeStatus"))
+	}
+	if offers, _ := s.Select(Query{ServiceType: "NodeStatus", Constraint: "mips == 42"}); len(offers) != 1 {
+		t.Fatalf("after the upsert through the place %d offers have its mips", len(offers))
+	}
+	assertIndexConsistent(t, s)
 }
 
-func TestWithdrawRef(t *testing.T) {
+// TestWithdraw: a withdrawal through a place removes the ref's offer and no
+// other; the place is then dead, and neither a second withdrawal nor an upsert
+// through it changes anything — an upsert never re-adds an offer. An export by
+// reference gives a new place.
+func TestWithdraw(t *testing.T) {
 	s := NewService(nil)
 	seven := nodeOffer(7, 100, 512)
 	if _, err := s.ExportBatch([]Offer{seven, seven, seven}); err != nil {
 		t.Fatal(err)
 	}
+	if got := s.Count("NodeStatus"); got != 1 {
+		t.Fatalf("a batch of three offers for one ref left %d, want the last", got)
+	}
+	p, err := s.ExportKeyed(seven)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := s.ExportKeyed(nodeOffer(8, 100, 512)); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.WithdrawRef("NodeStatus", nodeRef(7)); n != 3 {
-		t.Fatalf("WithdrawRef = %d, want 3", n)
+	if !s.Withdraw(p) {
+		t.Fatal("Withdraw removed nothing")
 	}
-	if got := s.Count("NodeStatus"); got != 1 {
-		t.Fatalf("Count = %d", got)
+	v := s.Version()
+	if s.Withdraw(p) || s.Upsert(p, seven) || s.Withdraw(Place{}) || s.Upsert(Place{}, seven) || s.Version() != v {
+		t.Fatal("a dead or zero place wrote to the index")
 	}
+	if got := s.Count("NodeStatus"); got != 1 || s.All("NodeStatus")[0].Ref != nodeRef(8) {
+		t.Fatalf("Count = %d after the withdrawal, want node 8's offer only", got)
+	}
+	if again, err := s.ExportKeyed(seven); err != nil || again == p || !s.Upsert(again, seven) {
+		t.Fatalf("re-export = %v, %v; want a live place other than the dead %v", again, err, p)
+	}
+	assertIndexConsistent(t, s)
 }
 
 func TestOfferExpiry(t *testing.T) {
