@@ -132,7 +132,9 @@ windows:
 # with the determinism guard and the brute-force oracle on. Not a
 # measurement; traces land in benchmark/out/. Then the allocation gates
 # (internal/orb, internal/grm and internal/trading testdata/alloc_budget.txt,
-# and the protocol encoders' one allocation per message), which skip some or
+# the protocol encoders' one allocation per message, and
+# TestDecodeUpdateAllocBudget: an update decoded against its node's record
+# allocates only its windows), which skip some or
 # all of their rows under -race and so run here without it. Then one iteration each
 # of the micro-benchmarks ROADMAP items 2 and 6 quote, so they keep compiling
 # and running (BenchmarkTCPInvoke minus BenchmarkTCPRawEcho is what the ORB
@@ -165,14 +167,15 @@ profile-batch:
 	$(GO) tool pprof -top -nodecount 25 placement_batch.test placement_batch.prof
 
 # Where an Information Update spends its time, both ends of it:
-# BenchmarkLoopbackUpdate10k — GRMClient.Update encoding into a fresh
+# BenchmarkLoopbackUpdate10k — GRMClient.Update encoding into a pooled
 # Encoder, as the loopback fleets send it, into a GRM that knows 10^4 nodes,
-# in a shuffled order, through to the trader upsert and the reply — under the
-# CPU profiler (ROADMAP item 6c). On a 2-core Xeon the collector's mark
-# (gcDrain) is ~27% cumulative; grm's exportStatusOffer ~21%, of which the
-# trader's Upsert through the node's place is ~8%; recordUpdate ~14%, of which
-# recordStatusLocked ~10% (the status copy and the reference compare);
-# protocol's DecodeNodeStatus ~13% and NodeStatus.Encode ~9%. Leaves
+# in a shuffled order, decoded against the node's record, through to the
+# trader upsert and the reply — under the CPU profiler (ROADMAP item 6c). On a
+# 2-core Xeon the collector's mark (gcDrain) is ~27% cumulative; grm's
+# exportStatusOffer ~20%, of which the trader's Upsert through the node's
+# place is ~9%; protocol's DecodeUpdate and EncodeUpdate ~10% each;
+# recordedIdentity ~8% (the node record's first, cold lookup, under g.mu) and
+# recordUpdate ~8%, of which recordStatusLocked ~6%. Leaves
 # loopback_update.prof and its test binary in the working directory.
 profile-update:
 	$(GO) test -run '^$$' -bench BenchmarkLoopbackUpdate10k -benchtime 2000000x \

@@ -110,9 +110,8 @@ func TestClientContentionStress(t *testing.T) {
 		e := orb.GetEncoder()
 		e.PutU64(n)
 		e.PutDuration(time.Duration(rng.Intn(5)) * time.Millisecond)
-		arg := e.Detach()
+		reply, err := client.Invoke(ref, "work", e.Bytes())
 		orb.PutEncoder(e)
-		reply, err := client.Invoke(ref, "work", arg)
 		if err != nil {
 			return err
 		}

@@ -400,6 +400,28 @@ func (g *GRM) HandleUpdate(s *protocol.NodeStatus) (int, error) {
 	return epoch, nil
 }
 
+// recordedIdentity returns the identity strings — node ID, LRM reference,
+// platform and LAN — of the node record for the update d holds, or a zero
+// status for a node it does not know, for DecodeUpdate to reuse: a node reports
+// the same ones on every update, and the status is stored whole each time. It
+// reads the node ID from its copy of the decoder, and decodes nothing under
+// g.mu.
+func (g *GRM) recordedIdentity(d orb.Decoder) protocol.NodeStatus {
+	id := d.RawString()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	lv := g.nodes[string(id)]
+	if lv == nil {
+		return protocol.NodeStatus{}
+	}
+	return protocol.NodeStatus{
+		NodeID:   lv.status.NodeID,
+		LRMRef:   lv.status.LRMRef,
+		Platform: lv.status.Platform,
+		LANID:    lv.status.LANID,
+	}
+}
+
 // recordUpdate is HandleUpdate's one section under g.mu: it refuses the update
 // or records it — liveness, counters, the replication stream's copy — and
 // returns the epoch for the reply, and recordStatusLocked's place to export

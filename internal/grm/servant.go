@@ -11,7 +11,8 @@ import (
 func (g *GRM) Servant() orb.Servant {
 	return orb.NewOpMux().
 		Handle(protocol.OpUpdate, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			s, events, err := protocol.DecodeUpdate(req)
+			like := g.recordedIdentity(*req)
+			s, events, err := protocol.DecodeUpdate(req, &like)
 			if err != nil {
 				return nil, orb.Errorf(orb.CodeMarshal, "update: %v", err)
 			}

@@ -82,3 +82,41 @@ func TestStatusOfferRoundTrip(t *testing.T) {
 		t.Error("the GRM's fields do not read the properties they name")
 	}
 }
+
+// TestIdentityChangeReachesOffer: the OpUpdate handler decodes a node's
+// identity strings against its record's, so an update that changes one of them
+// under the same node ID must still carry the new value into the record and
+// the offer — one field at a time and all at once, and back again.
+func TestIdentityChangeReachesOffer(t *testing.T) {
+	g, clock, fleet := sweepFixture(t, 1)
+	s := fleet[0]
+	for _, step := range []struct {
+		name          string
+		lan, os, arch string
+	}{
+		{"lan", "lan-b", "linux", "amd64"},
+		{"os", "lan-b", "plan9", "amd64"},
+		{"arch", "lan-b", "plan9", "riscv"},
+		{"all back", "", "linux", "amd64"},
+		{"all at once", "lan-c", "freebsd", "arm64"},
+		{"unchanged", "lan-c", "freebsd", "arm64"},
+	} {
+		s.LANID, s.Platform.OS, s.Platform.Arch = step.lan, step.os, step.arch
+		heartbeat(t, g, clock, s)
+		all := g.Trader().All(NodeStatusType)
+		if len(all) != 1 {
+			t.Fatalf("%s: the trader holds %d offers, want 1", step.name, len(all))
+		}
+		for name, want := range map[string]string{PropLAN: step.lan, PropOS: step.os, PropArch: step.arch} {
+			if got, _ := all[0].Properties.Property(name); got != constraint.String(want) {
+				t.Errorf("%s: the offer's %s is %#v, want %q", step.name, name, got, want)
+			}
+		}
+		g.mu.Lock()
+		rec := g.nodes[s.NodeID].status
+		g.mu.Unlock()
+		if rec.LANID != step.lan || rec.Platform != s.Platform {
+			t.Errorf("%s: the record holds lan %q, platform %v; want %q, %v", step.name, rec.LANID, rec.Platform, step.lan, s.Platform)
+		}
+	}
+}

@@ -42,9 +42,19 @@ func sweepFixture(t *testing.T, nodes int) (*GRM, *sim.VirtualClock, []protocol.
 // heartbeat sends s as of now.
 func heartbeat(t *testing.T, g *GRM, clock *sim.VirtualClock, s protocol.NodeStatus) {
 	s.Timestamp = clock.Now()
-	if _, err := g.HandleUpdate(&s); err != nil {
+	if err := sendUpdate(g, s); err != nil {
 		t.Error(err)
 	}
+}
+
+// sendUpdate delivers s as an LRM's update arrives: encoded, and decoded by
+// g's OpUpdate handler against the identity of the node's record, which it
+// looks up under g.mu while the other goroutines of a test change the records.
+func sendUpdate(g *GRM, s protocol.NodeStatus) error {
+	var e orb.Encoder
+	protocol.EncodeUpdate(&e, s, nil)
+	_, err := g.Servant().Dispatch(protocol.OpUpdate, orb.NewDecoder(e.Bytes()))
+	return err
 }
 
 // checkOneOfferPerNode fails t unless every node the GRM holds alive, and not
@@ -297,8 +307,7 @@ func TestUpdatesRacingDeparturesAndMoves(t *testing.T) {
 			rng := sim.NewRNG(int64(w))
 			for range rounds {
 				for _, i := range rng.Perm(nodes) {
-					s := moved(fleet[i], rng)
-					if _, err := g.HandleUpdate(&s); err != nil {
+					if err := sendUpdate(g, moved(fleet[i], rng)); err != nil {
 						t.Error(err)
 						return
 					}

@@ -49,10 +49,11 @@ func loopbackUpdates(tb testing.TB) (*protocol.GRMClient, []protocol.NodeStatus)
 }
 
 // BenchmarkLoopbackUpdate10k is one Information Update as the loopback fleets
-// send it: GRMClient.Update — which encodes into a fresh Encoder, as every
-// real update does — through the ORB into a GRM that knows 10⁴ nodes, to the
-// trader upsert and back. `make profile-update` profiles it; the allocations
-// it counts are gated by testdata/alloc_budget.txt.
+// send it: GRMClient.Update — which encodes into a pooled Encoder, as every
+// real update does — through the ORB into a GRM that knows 10⁴ nodes, decoded
+// against the node's record, to the trader upsert and back. `make
+// profile-update` profiles it; the allocations it counts are gated by
+// testdata/alloc_budget.txt.
 func BenchmarkLoopbackUpdate10k(b *testing.B) {
 	client, fleet := loopbackUpdates(b)
 	b.ReportAllocs()

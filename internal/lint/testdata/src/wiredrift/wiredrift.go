@@ -22,6 +22,8 @@ const (
 	opTags  = "wd.tags"
 	opRaw   = "wd.raw"
 	opMuted = "wd.muted"
+	opPool  = "wd.pool"
+	opPoolK = "wd.poolok"
 )
 
 // Client issues one call per operation.
@@ -43,7 +45,9 @@ func Servants() orb.Servant {
 		Handle(opOptOK, optOKServant).
 		Handle(opTags, tagsServant).
 		Handle(opRaw, rawServant).
-		Handle(opMuted, mutedServant)
+		Handle(opMuted, mutedServant).
+		Handle(opPool, poolServant).
+		Handle(opPoolK, poolOKServant)
 }
 
 // --- seeded drift: type mismatch in the request ---
@@ -168,6 +172,43 @@ func rowsServant(_ string, req *orb.Decoder) (*orb.Encoder, error) {
 		v := req.I64()
 		_, _ = name, v
 	}
+	return &orb.Encoder{}, nil
+}
+
+// --- seeded drift: a pooled encoder, handed back by defer ---
+
+// Pooled encodes into a pooled encoder it puts back when it returns; the
+// handler reads the count with the wrong width. The deferred PutEncoder is
+// no write, so the drift behind it is still seen.
+func (c *Client) Pooled(name string, n uint32) error {
+	e := orb.GetEncoder()
+	defer orb.PutEncoder(e)
+	e.PutString(name)
+	e.PutU32(n)
+	_, err := c.inv.Invoke(c.ref, opPool, e.Bytes()) // want `wire drift on "wd\.pool" request: client encodes \[string u32\], handler wiredrift\.poolServant decodes \[string u64\]: item 2: client writes u32 \(wiredrift\.go:\d+\), handler reads u64 \(wiredrift\.go:\d+\)`
+	return err
+}
+
+func poolServant(_ string, req *orb.Decoder) (*orb.Encoder, error) {
+	_ = req.String()
+	_ = req.U64()
+	return &orb.Encoder{}, nil
+}
+
+// --- a pooled encoder through a helper, put back after the Invoke: silent ---
+
+// PooledReport encodes a status into a pooled encoder and puts it back once
+// Invoke returns, as the protocol stubs do.
+func (c *Client) PooledReport(s status) error {
+	e := orb.GetEncoder()
+	s.encode(e)
+	_, err := c.inv.Invoke(c.ref, opPoolK, e.Bytes())
+	orb.PutEncoder(e)
+	return err
+}
+
+func poolOKServant(_ string, req *orb.Decoder) (*orb.Encoder, error) {
+	_ = decodeStatus(req)
 	return &orb.Encoder{}, nil
 }
 

@@ -96,9 +96,11 @@ func isOrbStream(t types.Type, name string) bool {
 }
 
 // clientRequest extracts the wire sequence the client writes before this
-// Invoke. Recognized shapes: a nil argument (empty request) and the
-// canonical `var e orb.Encoder; ...; Invoke(ref, op, e.Bytes())`. Anything
-// else (raw byte slices, pass-through payloads) is unknown.
+// Invoke. Recognized shapes: a nil argument (empty request) and an encoder
+// variable written before `Invoke(ref, op, e.Bytes())` — `var e orb.Encoder`
+// or a pooled `e := orb.GetEncoder()`, whose `orb.PutEncoder(e)`, deferred or
+// after the Invoke, is no write. Anything else (raw byte slices, pass-through
+// payloads) is unknown.
 func (w *wireAnalyzer) clientRequest(site InvokeSite) ([]wireItem, bool) {
 	info := site.From.Pkg.TypesInfo
 	arg := ast.Unparen(site.Call.Args[2])

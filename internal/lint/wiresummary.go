@@ -20,7 +20,7 @@ import (
 //     versus decoder `if d.Bool() { fields }` — normalizes on both sides to
 //     [bool, opt(fields)];
 //   - anything the extractor cannot linearize (both-branch writes, switches
-//     over the stream, closures capturing it, Reset/Detach mid-sequence)
+//     over the stream, closures capturing it, Reset mid-sequence)
 //     becomes an opaque item that truncates the comparison instead of
 //     producing a false positive.
 
@@ -179,7 +179,11 @@ func (c *wireCollector) walk(n ast.Node) []wireItem {
 		return c.branchy(s, nil, nil, s.Body)
 	case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
 		// Deferred/spawned/closed-over stream use has no reliable position
-		// in the sequence.
+		// in the sequence — except a pooled encoder's deferred return to the
+		// pool, which runs after every write.
+		if d, ok := n.(*ast.DeferStmt); ok && c.putsBack(d.Call) {
+			return nil
+		}
 		if c.refersToTarget(n) {
 			return []wireItem{{kind: wireOpaque, pos: n.Pos()}}
 		}
@@ -202,6 +206,13 @@ func (c *wireCollector) walk(n ast.Node) []wireItem {
 		return true
 	})
 	return out
+}
+
+// putsBack reports whether call is orb.PutEncoder(<target>).
+func (c *wireCollector) putsBack(call *ast.CallExpr) bool {
+	fn := calleeFunc(c.info(), call)
+	return fn != nil && fn.Name() == "PutEncoder" && fn.Pkg() != nil && fn.Pkg().Path() == orbPkgPath &&
+		len(call.Args) == 1 && c.isTarget(call.Args[0])
 }
 
 // ifStmt folds a conditional into the sequence: ops in init/cond first, then
@@ -340,9 +351,9 @@ func (c *wireCollector) streamOp(sel *ast.SelectorExpr, call *ast.CallExpr) []wi
 			return prim("duration")
 		case "PutStrings":
 			return lenPrefixed("string")
-		case "Reset", "Detach":
-			// The byte stream restarts or is handed off: nothing after this
-			// point lines up with what was already written.
+		case "Reset":
+			// The byte stream restarts: nothing after this point lines up
+			// with what was already written.
 			return []wireItem{{kind: wireOpaque, pos: pos}}
 		}
 	case "Decoder":

@@ -38,7 +38,7 @@ func (f *fakeGRM) servant() orb.Servant {
 				f.failNext = false
 				return nil, orb.Errorf(orb.CodeTransport, "injected")
 			}
-			s, events, err := protocol.DecodeUpdate(req)
+			s, events, err := protocol.DecodeUpdate(req, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -16,9 +16,10 @@ import (
 // Ownership contract (DESIGN.md §13): req and its buffer belong to the ORB —
 // a servant must treat them as read-only and must not retain them (or any
 // RawBytes/RawString slice) past the Dispatch call. The returned Encoder
-// transfers to the ORB on return: build it fresh per call (GetEncoder for a
-// pooled one) and do not touch it afterwards. These rules are what let the
-// transports skip defensive copies and recycle buffers on the hot path.
+// transfers to the ORB on return, which recycles it with PutEncoder: build it
+// per call (GetEncoder for a pooled one) and do not touch it afterwards.
+// These rules are what let the transports skip defensive copies and recycle
+// buffers on the hot path.
 type Servant interface {
 	Dispatch(op string, req *Decoder) (*Encoder, error)
 }
@@ -148,15 +149,16 @@ func (a *Adapter) Keys() []string {
 	return keys
 }
 
-// dispatch routes one request to its servant and returns the reply bytes.
-// The returned slice is owned by the caller (the servant's reply buffer is
-// detached, its encoder recycled).
+// dispatch routes one request to its servant and returns the reply bytes,
+// copied out of the servant's encoder, which goes back to the pool with its
+// buffer: the caller owns the copy, and the next reply is built without
+// growing a buffer.
 func (a *Adapter) dispatch(key, op string, body []byte) ([]byte, error) {
 	enc, err := a.dispatchEnc(key, op, body)
 	if err != nil || enc == nil {
 		return nil, err
 	}
-	reply := enc.Detach()
+	reply := append([]byte(nil), enc.Bytes()...) //lint:alloc the caller's copy of the reply
 	PutEncoder(enc)
 	return reply, nil
 }
@@ -164,8 +166,8 @@ func (a *Adapter) dispatch(key, op string, body []byte) ([]byte, error) {
 // dispatchEnc routes one request to its servant and normalizes errors into
 // RemoteErrors. It recovers servant panics so a buggy servant cannot take
 // down the server. The returned encoder is owned by the caller, who recycles
-// it (after Detach, if the reply bytes outlive it) — this is what lets the
-// TCP server serve a request with zero reply-buffer allocations.
+// it once the reply bytes are written or copied — this is what lets the TCP
+// server serve a request with zero reply-buffer allocations.
 func (a *Adapter) dispatchEnc(key, op string, body []byte) (enc *Encoder, err error) {
 	s, ok := (*a.servants.Load())[key]
 	if !ok {

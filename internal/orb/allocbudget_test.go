@@ -20,10 +20,12 @@ func (passThrough) Intercept(_ Endpoint, _, _ string, _ []byte, next func() ([]b
 // TestLoopbackInvokeAllocBudget is the CI allocation gate for the invoke
 // paths: testdata/alloc_budget.txt holds one checked-in budget row per
 // measured path (allocs per Invoke for a 256 B echo — the loopback fast
-// path's single allocation is the reply buffer Detach hands to the caller,
-// and the TCP row counts both ends of the connection; see DESIGN.md §13). Any hot-path regression that reintroduces a per-call
-// allocation fails this test with a full got-vs-budget row diff, and
-// lowering a row is how a future optimization ratchets the gate down.
+// path's single allocation is the caller's copy of the reply, the intercepted
+// path adds its one copy of the request and the interceptor's closure, and the
+// TCP row counts both ends of the connection; see DESIGN.md §13). Any hot-path
+// regression that reintroduces a per-call allocation fails this test with a
+// full got-vs-budget row diff, and lowering a row is how a future optimization
+// ratchets the gate down.
 func TestLoopbackInvokeAllocBudget(t *testing.T) {
 	path := filepath.Join("testdata", "alloc_budget.txt")
 	rows := allocbudget.Parse(t, path)

@@ -10,7 +10,10 @@ import (
 )
 
 // Invoker sends a request to an object and waits for the reply. The ORB
-// facade, the Loopback, and test fakes all implement it.
+// facade, the Loopback, and test fakes all implement it. arg is the caller's
+// again once Invoke returns — a stub encodes into a pooled encoder and puts it
+// back — so an implementation must not read it afterwards, and the reply must
+// not alias it.
 type Invoker interface {
 	Invoke(ref ObjectRef, op string, arg []byte) ([]byte, error)
 }
@@ -155,13 +158,20 @@ func (c *Client) Invoke(ref ObjectRef, op string, arg []byte) ([]byte, error) {
 	return nil, lastErr
 }
 
-// attempt performs one delivery attempt, routed through the interceptor.
+// attempt performs one delivery attempt, routed through the interceptor when
+// one is installed. An interceptor may deliver after Invoke has returned and
+// the caller reuses arg (a delay, a duplicate), so it and every delivery read
+// one copy, taken now; without one the caller's buffer is written as it is.
 func (c *Client) attempt(ref ObjectRef, op string, arg []byte) ([]byte, error) {
 	c.mu.Lock()
 	ic := c.interceptor
 	c.mu.Unlock()
+	if ic == nil {
+		return c.exchange(ref, op, arg)
+	}
+	arg = append([]byte(nil), arg...)
 	next := func() ([]byte, error) { return c.exchange(ref, op, arg) }
-	return deliver(ic, ref.Endpoint, ref.Key, op, arg, next)
+	return ic.Intercept(ref.Endpoint, ref.Key, op, arg, next)
 }
 
 // exchange performs one request/reply exchange on a connection of its own.

@@ -52,7 +52,7 @@ func TestWireCountsBoundAllocations(t *testing.T) {
 		},
 		"protocol.DecodeUpdate": func() error {
 			body := encoded(func(e *orb.Encoder) { protocol.EncodeUpdate(e, protocol.NodeStatus{}, nil) })
-			_, _, err := protocol.DecodeUpdate(orb.NewDecoder(withCount(body, hugeCount)))
+			_, _, err := protocol.DecodeUpdate(orb.NewDecoder(withCount(body, hugeCount)), nil)
 			return err
 		},
 		"protocol.DecodeApplicationSpec": func() error {

@@ -9,16 +9,10 @@ package orb
 // next performs the actual delivery (adapter dispatch for loopback, a
 // framed request/reply exchange for TCP) and may be called zero times (drop),
 // once (normal delivery), or more than once / asynchronously (duplication,
-// delayed redelivery). Implementations must be safe for concurrent use and
-// must not hold locks across the next call.
+// delayed redelivery). arg is the transport's copy of the request, not the
+// caller's buffer, so it and every call of next stay valid after Invoke has
+// returned. Implementations must be safe for concurrent use and must not
+// hold locks across the next call.
 type Interceptor interface {
 	Intercept(target Endpoint, key, op string, arg []byte, next func() ([]byte, error)) ([]byte, error)
-}
-
-// deliver routes one delivery attempt through ic when installed.
-func deliver(ic Interceptor, target Endpoint, key, op string, arg []byte, next func() ([]byte, error)) ([]byte, error) {
-	if ic == nil {
-		return next()
-	}
-	return ic.Intercept(target, key, op, arg, next)
 }

@@ -80,20 +80,16 @@ func (l *Loopback) Invoke(ref ObjectRef, op string, arg []byte) ([]byte, error) 
 	}
 	// next performs one delivery; the interceptor may call it zero, one or
 	// several times (drop / deliver / duplicate), possibly asynchronously —
-	// including after Invoke has returned and the caller reuses arg — so
-	// each (re)delivery copies the argument.
-	next := func() ([]byte, error) { //lint:alloc interceptor path builds one closure per call
-
+	// including after Invoke has returned and the caller reuses arg — so the
+	// interceptor and every delivery read one copy, taken now. Servants only
+	// read a request, so the deliveries can share it.
+	arg = append([]byte(nil), arg...) //lint:alloc interceptor path copies the caller's buffer once
+	next := func() ([]byte, error) {  //lint:alloc interceptor path builds one closure per call
 		adapter, err := l.adapter(ref.Endpoint.Addr)
 		if err != nil {
 			return nil, err
 		}
-		var argCopy []byte
-		if arg != nil {
-			argCopy = make([]byte, len(arg)) //lint:alloc each (re)delivery copies the caller's buffer
-			copy(argCopy, arg)
-		}
-		return adapter.dispatch(ref.Key, op, argCopy)
+		return adapter.dispatch(ref.Key, op, arg)
 	}
 	return (*ic).Intercept(ref.Endpoint, ref.Key, op, arg, next)
 }

@@ -47,10 +47,9 @@ func (e *Encoder) Len() int { return len(e.buf) }
 // Reset clears the buffer, retaining capacity.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
-// Grow ensures capacity for n more bytes, so a servant that knows its reply
-// size builds it with at most one allocation instead of append's growth
-// sequence — this matters on the hot path because Detach hands the buffer
-// away, leaving the pooled encoder to regrow from nil.
+// Grow ensures capacity for n more bytes, so a message whose size is known
+// costs at most one allocation instead of append's growth sequence, and none
+// in a pooled encoder whose buffer is already large enough.
 func (e *Encoder) Grow(n int) {
 	if cap(e.buf)-len(e.buf) >= n {
 		return
@@ -60,25 +59,16 @@ func (e *Encoder) Grow(n int) {
 	e.buf = buf
 }
 
-// Detach returns the encoded buffer and releases the encoder's ownership of
-// it: after Detach the encoder is empty and may be pooled with PutEncoder
-// while the returned slice lives on. This is how the hot path hands a reply
-// body to a caller that retains it without copying.
-func (e *Encoder) Detach() []byte {
-	b := e.buf
-	e.buf = nil
-	return b
-}
-
 // maxPooledBuf bounds the capacity of buffers kept by the wire pools. A
 // rare giant frame must not pin megabytes inside a sync.Pool forever.
 const maxPooledBuf = 64 << 10
 
 var encoderPool = sync.Pool{New: func() any { return new(Encoder) }}
 
-// GetEncoder returns an empty Encoder from the pool. The hot path — frame
-// serialization, servants building replies — uses pooled encoders so a
-// steady-state invocation performs no encoder allocations. Pair with
+// GetEncoder returns an empty Encoder from the pool, with the buffer it had
+// when it was put back. The hot path — frame serialization, client stubs
+// building requests, servants building replies — uses pooled encoders so a
+// steady-state invocation allocates no buffer to encode into. Pair with
 // PutEncoder; see DESIGN.md §13 for the ownership rules.
 func GetEncoder() *Encoder {
 	e := encoderPool.Get().(*Encoder)
@@ -86,9 +76,9 @@ func GetEncoder() *Encoder {
 	return e
 }
 
-// PutEncoder returns e to the pool. The caller must not use e or any slice
-// obtained from e.Bytes afterwards (Detach first to keep the buffer).
-// Oversized buffers are dropped rather than pooled.
+// PutEncoder returns e to the pool, buffer included. The caller must not use
+// e or any slice obtained from e.Bytes afterwards. Oversized buffers are
+// dropped rather than pooled.
 func PutEncoder(e *Encoder) {
 	if e == nil || cap(e.buf) > maxPooledBuf {
 		return

@@ -76,3 +76,41 @@ func TestEncodersAllocateOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeUpdateAllocBudget is the ratchet on decoding an update against the
+// status the receiver holds for the node: with the same identity it allocates
+// only its Windows slice — nothing without windows — and each identity string
+// that changed costs exactly one copy. Without a record, every identity string
+// but the constant network and key is a copy.
+func TestDecodeUpdateAllocBudget(t *testing.T) {
+	s, _, _ := updateBody()
+	s.LANID = "lan-3"
+	record := s
+	for _, c := range []struct {
+		name   string
+		change func(*NodeStatus)
+		like   *NodeStatus
+		want   float64
+	}{
+		{"same identity, no window", func(s *NodeStatus) { s.Windows = nil }, &record, 0},
+		{"same identity, 2 windows", func(s *NodeStatus) { s.Windows = append(s.Windows, s.Windows[0]) }, &record, 1},
+		{"changed LAN", func(s *NodeStatus) { s.Windows, s.LANID = nil, "lan-4" }, &record, 1},
+		{"changed address", func(s *NodeStatus) { s.Windows, s.LRMRef.Endpoint.Addr = nil, "10.0.0.12:7001" }, &record, 1},
+		{"unknown node", func(s *NodeStatus) { s.Windows = nil }, &NodeStatus{}, 5},
+		{"no record", func(s *NodeStatus) { s.Windows = nil }, nil, 5},
+	} {
+		sent := s
+		c.change(&sent)
+		var e orb.Encoder
+		EncodeUpdate(&e, sent, nil)
+		body := e.Bytes()
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, _, err := DecodeUpdate(orb.NewDecoder(body), c.like); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != c.want {
+			t.Errorf("%s: %v allocations, want %v", c.name, allocs, c.want)
+		}
+	}
+}

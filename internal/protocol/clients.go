@@ -4,6 +4,10 @@ import (
 	"integrade/internal/orb"
 )
 
+// Every stub below encodes its request into an orb.GetEncoder encoder and puts
+// it back once Invoke returns: no transport reads the request after that
+// (orb.Invoker), so the next call encodes into the same buffer.
+
 // GRMClient is the typed stub the LRM, ASCT and peer clusters use to invoke
 // a GRM.
 type GRMClient struct {
@@ -26,9 +30,10 @@ func (c *GRMClient) Ref() orb.ObjectRef { return c.ref }
 // answering. An error means the manager may or may not have applied the
 // update: the caller sends its events again with the next one.
 func (c *GRMClient) Update(s NodeStatus, events ...TaskEvent) (int, error) {
-	var e orb.Encoder
-	EncodeUpdate(&e, s, events)
+	e := orb.GetEncoder()
+	EncodeUpdate(e, s, events)
 	reply, err := c.inv.Invoke(c.ref, OpUpdate, e.Bytes())
+	orb.PutEncoder(e)
 	if err != nil {
 		return 0, err
 	}
@@ -42,9 +47,10 @@ func (c *GRMClient) Update(s NodeStatus, events ...TaskEvent) (int, error) {
 
 // Submit submits an application and returns its assigned ID.
 func (c *GRMClient) Submit(spec ApplicationSpec) (string, error) {
-	var e orb.Encoder
-	spec.Encode(&e)
+	e := orb.GetEncoder()
+	spec.Encode(e)
 	reply, err := c.inv.Invoke(c.ref, OpSubmit, e.Bytes())
+	orb.PutEncoder(e)
 	if err != nil {
 		return "", err
 	}
@@ -59,9 +65,10 @@ func (c *GRMClient) Submit(spec ApplicationSpec) (string, error) {
 // Notify reports a task event the GRM must act on now: an eviction or a
 // drain. Completions and progress ride Update instead.
 func (c *GRMClient) Notify(ev TaskEvent) error {
-	var e orb.Encoder
-	ev.Encode(&e)
+	e := orb.GetEncoder()
+	ev.Encode(e)
 	_, err := c.inv.Invoke(c.ref, OpNotify, e.Bytes())
+	orb.PutEncoder(e)
 	return err
 }
 
@@ -70,19 +77,21 @@ func (c *GRMClient) Notify(ev TaskEvent) error {
 // so the failure detector does not burn its heartbeat-miss threshold on a
 // node that politely said goodbye.
 func (c *GRMClient) Departing(n DepartureNotice) error {
-	var e orb.Encoder
-	n.Encode(&e)
+	e := orb.GetEncoder()
+	n.Encode(e)
 	_, err := c.inv.Invoke(c.ref, OpDeparting, e.Bytes())
+	orb.PutEncoder(e)
 	return err
 }
 
 // CancelApp aborts an application: running tasks are cancelled on their
 // nodes, pending tasks are dropped.
 func (c *GRMClient) CancelApp(appID string) error {
-	var e orb.Encoder
+	e := orb.GetEncoder()
 	e.Grow(strLen(appID))
 	e.PutString(appID)
 	_, err := c.inv.Invoke(c.ref, OpCancelApp, e.Bytes())
+	orb.PutEncoder(e)
 	return err
 }
 
@@ -104,9 +113,10 @@ func (c *GRMClient) ListApps() ([]string, error) {
 // returns the task IDs the GRM does not recognize — the orphans the LRM
 // should cancel locally.
 func (c *GRMClient) Reconcile(req ReconcileRequest) ([]string, error) {
-	var e orb.Encoder
-	req.Encode(&e)
+	e := orb.GetEncoder()
+	req.Encode(e)
 	reply, err := c.inv.Invoke(c.ref, OpReconcile, e.Bytes())
+	orb.PutEncoder(e)
 	if err != nil {
 		return nil, err
 	}
@@ -120,10 +130,11 @@ func (c *GRMClient) Reconcile(req ReconcileRequest) ([]string, error) {
 
 // AppStatus fetches an application's status.
 func (c *GRMClient) AppStatus(appID string) (AppStatus, error) {
-	var e orb.Encoder
+	e := orb.GetEncoder()
 	e.Grow(strLen(appID))
 	e.PutString(appID)
 	reply, err := c.inv.Invoke(c.ref, OpAppStatus, e.Bytes())
+	orb.PutEncoder(e)
 	if err != nil {
 		return AppStatus{}, err
 	}
@@ -146,9 +157,10 @@ func (c *LRMClient) Ref() orb.ObjectRef { return c.ref }
 
 // Reserve asks the LRM for req.Count holds; the reply names the ones granted.
 func (c *LRMClient) Reserve(req ReserveRequest) (ReserveReply, error) {
-	var e orb.Encoder
-	req.Encode(&e)
+	e := orb.GetEncoder()
+	req.Encode(e)
 	reply, err := c.inv.Invoke(c.ref, OpReserve, e.Bytes())
+	orb.PutEncoder(e)
 	if err != nil {
 		return ReserveReply{}, err
 	}
@@ -159,19 +171,21 @@ func (c *LRMClient) Reserve(req ReserveRequest) (ReserveReply, error) {
 // grant, an abandoned gang, a failed Execute), freeing the hold before its TTL
 // expires.
 func (c *LRMClient) Release(reservationID string) error {
-	var e orb.Encoder
+	e := orb.GetEncoder()
 	e.Grow(strLen(reservationID))
 	e.PutString(reservationID)
 	_, err := c.inv.Invoke(c.ref, OpRelease, e.Bytes())
+	orb.PutEncoder(e)
 	return err
 }
 
 // Execute binds reservations to tasks and starts them, all or none: after an
 // error no task of req runs and none of its reservations is committed.
 func (c *LRMClient) Execute(req ExecuteRequest) error {
-	var e orb.Encoder
-	req.Encode(&e)
+	e := orb.GetEncoder()
+	req.Encode(e)
 	_, err := c.inv.Invoke(c.ref, OpExecute, e.Bytes())
+	orb.PutEncoder(e)
 	return err
 }
 
@@ -179,11 +193,12 @@ func (c *LRMClient) Execute(req ExecuteRequest) error {
 // fencing epoch. It returns the task's progress at
 // cancellation (0 if the task was unknown or the epoch stale).
 func (c *LRMClient) Cancel(taskID string, epoch int) (float64, error) {
-	var e orb.Encoder
+	e := orb.GetEncoder()
 	e.Grow(strLen(taskID) + 8)
 	e.PutString(taskID)
 	e.PutInt(epoch)
 	reply, err := c.inv.Invoke(c.ref, OpCancel, e.Bytes())
+	orb.PutEncoder(e)
 	if err != nil {
 		return 0, err
 	}

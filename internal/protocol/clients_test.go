@@ -30,7 +30,7 @@ func newFakes() *fakeManagers {
 func (f *fakeManagers) grmServant() orb.Servant {
 	return orb.NewOpMux().
 		Handle(OpUpdate, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			s, events, err := DecodeUpdate(req)
+			s, events, err := DecodeUpdate(req, nil)
 			if err != nil {
 				return nil, err
 			}

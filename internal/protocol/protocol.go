@@ -113,13 +113,23 @@ func (s NodeStatus) Encode(e *orb.Encoder) {
 
 // DecodeNodeStatus reads a NodeStatus.
 func DecodeNodeStatus(d *orb.Decoder) (NodeStatus, error) {
-	s := NodeStatus{
-		NodeID: d.String(),
-		LRMRef: DecodeRef(d),
+	return decodeNodeStatus(d, nil)
+}
+
+// decodeNodeStatus reads a NodeStatus whose identity strings — node ID, LRM
+// address and key, arch, OS and LAN — are like's wherever the wire bytes
+// equal them, and copies where they do not. like nil means no record.
+func decodeNodeStatus(d *orb.Decoder, like *NodeStatus) (NodeStatus, error) {
+	if like == nil {
+		like = &NodeStatus{}
 	}
-	s.Platform.Arch = d.String()
-	s.Platform.OS = d.String()
-	s.LANID = d.String()
+	s := NodeStatus{
+		NodeID: knownString(d, like.NodeID),
+		LRMRef: decodeRef(d, like.LRMRef),
+	}
+	s.Platform.Arch = knownString(d, like.Platform.Arch)
+	s.Platform.OS = knownString(d, like.Platform.OS)
+	s.LANID = knownString(d, like.LANID)
 	s.Capacity = DecodeVector(d)
 	s.GridFree = DecodeVector(d)
 	s.Dedicated = d.Bool()
@@ -423,9 +433,12 @@ func EncodeUpdate(e *orb.Encoder, s NodeStatus, events []TaskEvent) {
 
 // DecodeUpdate reads one OpUpdate body. It fails — before the caller has
 // anything to apply — on a truncated or over-long event list and on an event
-// whose kind does not ride the update.
-func DecodeUpdate(d *orb.Decoder) (NodeStatus, []TaskEvent, error) {
-	s, err := DecodeNodeStatus(d)
+// whose kind does not ride the update. like is the status the receiver holds
+// for the node, or nil: the decoded status shares like's identity strings
+// where they are unchanged (decodeNodeStatus), so a node that reports the
+// same ID, reference, platform and LAN costs no string copy.
+func DecodeUpdate(d *orb.Decoder, like *NodeStatus) (NodeStatus, []TaskEvent, error) {
+	s, err := decodeNodeStatus(d, like)
 	if err != nil {
 		return NodeStatus{}, nil, err
 	}
@@ -579,14 +592,21 @@ func EncodeRef(e *orb.Encoder, ref orb.ObjectRef) {
 // constants rather than as copies: every status a GRM holds keeps a
 // reference.
 func DecodeRef(d *orb.Decoder) orb.ObjectRef {
+	return decodeRef(d, orb.ObjectRef{})
+}
+
+// decodeRef reads an object reference whose address and key are like's where
+// the wire bytes equal them.
+func decodeRef(d *orb.Decoder, like orb.ObjectRef) orb.ObjectRef {
 	return orb.ObjectRef{
-		Endpoint: orb.Endpoint{Net: knownString(d, orb.NetLoopback, orb.NetTCP), Addr: d.String()},
-		Key:      knownString(d, LRMKey, GRMKey),
+		Endpoint: orb.Endpoint{Net: knownString(d, orb.NetLoopback, orb.NetTCP), Addr: knownString(d, like.Endpoint.Addr)},
+		Key:      knownString(d, like.Key, LRMKey, GRMKey),
 	}
 }
 
 // knownString reads a string and returns the one of known it equals, or else
-// a copy.
+// a copy. A known string that is a record's field rather than a constant
+// saves the same copy: the decoded value shares the record's bytes.
 func knownString(d *orb.Decoder, known ...string) string {
 	raw := d.RawString()
 	for _, k := range known {

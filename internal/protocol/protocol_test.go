@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"integrade/internal/orb"
 	"integrade/internal/resource"
@@ -262,7 +264,7 @@ func updateBody() (NodeStatus, []TaskEvent, []byte) {
 
 func TestUpdateRoundTrip(t *testing.T) {
 	s, events, body := updateBody()
-	gotS, gotEvents, err := DecodeUpdate(orb.NewDecoder(body))
+	gotS, gotEvents, err := DecodeUpdate(orb.NewDecoder(body), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,10 +283,10 @@ func TestUpdateRoundTrip(t *testing.T) {
 	if bare.Len() != statusOnly.Len()+4 {
 		t.Fatalf("empty event list costs %d bytes, want 4", bare.Len()-statusOnly.Len())
 	}
-	if _, gotEvents, err = DecodeUpdate(orb.NewDecoder(bare.Bytes())); err != nil || len(gotEvents) != 0 {
+	if _, gotEvents, err = DecodeUpdate(orb.NewDecoder(bare.Bytes()), nil); err != nil || len(gotEvents) != 0 {
 		t.Fatalf("bare update: events %+v, err %v", gotEvents, err)
 	}
-	if _, _, err := DecodeUpdate(orb.NewDecoder(statusOnly.Bytes())); err == nil {
+	if _, _, err := DecodeUpdate(orb.NewDecoder(statusOnly.Bytes()), nil); err == nil {
 		t.Fatal("an update without an event count decoded")
 	}
 }
@@ -296,14 +298,14 @@ func TestUpdateRoundTrip(t *testing.T) {
 func TestUpdateRejectsWhatMustNotRideIt(t *testing.T) {
 	s, events, body := updateBody()
 	for cut := 0; cut < len(body); cut++ {
-		if _, _, err := DecodeUpdate(orb.NewDecoder(body[:cut])); err == nil {
+		if _, _, err := DecodeUpdate(orb.NewDecoder(body[:cut]), nil); err == nil {
 			t.Fatalf("body truncated to %d of %d bytes decoded", cut, len(body))
 		}
 	}
 	var overlong orb.Encoder
 	s.Encode(&overlong)
 	overlong.PutU32(1 << 20)
-	if _, _, err := DecodeUpdate(orb.NewDecoder(overlong.Bytes())); err == nil {
+	if _, _, err := DecodeUpdate(orb.NewDecoder(overlong.Bytes()), nil); err == nil {
 		t.Fatal("an event count past the bytes left decoded")
 	}
 	for _, kind := range []TaskEventKind{TaskEventEvicted, TaskEventDrained, 0, 9} {
@@ -311,7 +313,7 @@ func TestUpdateRejectsWhatMustNotRideIt(t *testing.T) {
 		bad[1].Kind = kind
 		var e orb.Encoder
 		EncodeUpdate(&e, s, bad)
-		gotS, gotEvents, err := DecodeUpdate(orb.NewDecoder(e.Bytes()))
+		gotS, gotEvents, err := DecodeUpdate(orb.NewDecoder(e.Bytes()), nil)
 		if err == nil || gotS.NodeID != "" || gotEvents != nil {
 			t.Fatalf("kind %v rode an update: status %+v, events %+v, err %v", kind, gotS, gotEvents, err)
 		}
@@ -333,7 +335,7 @@ func FuzzDecodeUpdate(f *testing.F) {
 	f.Add(overlong.Bytes())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, events, err := DecodeUpdate(orb.NewDecoder(data))
+		s, events, err := DecodeUpdate(orb.NewDecoder(data), nil)
 		if err != nil {
 			if s.NodeID != "" || events != nil {
 				t.Fatalf("error %v alongside status %+v, events %+v", err, s, events)
@@ -605,6 +607,50 @@ func TestKindStrings(t *testing.T) {
 	for _, k := range []TaskEventKind{TaskEventDone, TaskEventEvicted, TaskEventProgress, TaskEventKind(9)} {
 		if k.String() == "" {
 			t.Fatal("empty TaskEventKind string")
+		}
+	}
+}
+
+// TestDecodeUpdateSharesRecordStrings: decoding against a record returns the
+// record's own string for every identity field whose wire bytes equal it — the
+// same bytes, not an equal copy — and a fresh copy for every field that
+// changed, so nothing decoded aliases the request buffer.
+func TestDecodeUpdateSharesRecordStrings(t *testing.T) {
+	s, _, _ := updateBody()
+	s.LANID = "lan-3"
+	// The record's strings live apart from the literals the sender encodes.
+	record := s
+	for _, p := range []*string{&record.NodeID, &record.LRMRef.Endpoint.Addr, &record.LRMRef.Key, &record.Platform.Arch, &record.Platform.OS, &record.LANID} {
+		*p = strings.Clone(*p)
+	}
+	fields := func(s *NodeStatus) map[string]string {
+		return map[string]string{
+			"node": s.NodeID, "addr": s.LRMRef.Endpoint.Addr, "key": s.LRMRef.Key,
+			"arch": s.Platform.Arch, "os": s.Platform.OS, "lan": s.LANID,
+		}
+	}
+	sent := s
+	sent.LANID, sent.Platform.OS = "lan-4", "plan9"
+	changed := map[string]bool{"lan": true, "os": true}
+	var e orb.Encoder
+	EncodeUpdate(&e, sent, nil)
+	body := e.Bytes()
+	got, _, err := DecodeUpdate(orb.NewDecoder(body), &record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotFields, recFields, sentFields := fields(&got), fields(&record), fields(&sent)
+	for name, v := range gotFields {
+		if v != sentFields[name] {
+			t.Errorf("%s = %q, want %q", name, v, sentFields[name])
+		}
+		shared := unsafe.StringData(v) == unsafe.StringData(recFields[name])
+		if shared == changed[name] {
+			t.Errorf("%s: shares the record's bytes %v, want %v", name, shared, !changed[name])
+		}
+		p := uintptr(unsafe.Pointer(unsafe.StringData(v)))
+		if start := uintptr(unsafe.Pointer(&body[0])); p >= start && p < start+uintptr(len(body)) {
+			t.Errorf("%s aliases the request buffer", name)
 		}
 	}
 }
