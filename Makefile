@@ -6,7 +6,7 @@ FUZZ_SMOKE_TIME ?= 30s
 # Seeds the chaos target sweeps; each runs the fault-injection suite once.
 CHAOS_SEEDS ?= 1 7 42
 
-.PHONY: all build test race vet lint lint-fast interproc-lint fuzz-smoke fmt-check chaos failover election windows benchmark-check profile-miss profile-batch profile-update profile-tcp-update ci
+.PHONY: all build test race vet lint lint-fast interproc-lint fuzz-smoke fmt-check chaos failover election windows benchmark-check examples profile-miss profile-batch profile-update profile-tcp-update ci
 
 all: build
 
@@ -147,6 +147,18 @@ benchmark-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkPlacementBatch10k|BenchmarkLoopbackUpdate10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkPlaceUpsert|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPGangPlacement|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
 	$(GO) test -run '^$$' -bench 'BenchmarkTCPInvokeConcurrent/callers=64' -benchtime 1x ./internal/orb
 
+# Every program under examples/ must run to completion and exit 0.
+# usageforecast's output is deterministic, so its stdout must also equal
+# examples/usageforecast/testdata/output.txt byte for byte.
+examples:
+	@for ex in quickstart render marketsim widearea gridpi; do \
+		echo "== examples/$$ex =="; \
+		$(GO) run ./examples/$$ex >/dev/null || exit 1; \
+	done
+	@echo "== examples/usageforecast =="
+	@out=$$($(GO) run ./examples/usageforecast) || exit 1; \
+		printf '%s\n' "$$out" | diff -u examples/usageforecast/testdata/output.txt -
+
 # Where a snapshot miss spends its time: BenchmarkPlacementMiss10k under the
 # CPU profiler (ROADMAP item 2's per-function shares are this output). Leaves
 # placement_miss.prof and its test binary in the working directory.
@@ -193,4 +205,4 @@ profile-tcp-update:
 	$(GO) tool pprof -top -nodecount 25 tcp_update.test tcp_update.prof
 
 # Everything CI runs, in the same order.
-ci: build fmt-check vet lint interproc-lint race chaos failover election windows benchmark-check fuzz-smoke
+ci: build fmt-check vet lint interproc-lint race chaos failover election windows benchmark-check examples fuzz-smoke

@@ -1,7 +1,8 @@
 // Command integrade-grm runs a Cluster Manager node over TCP: the GRM (with
-// its embedded Trader), the GUPA, a Naming service and a hierarchy node —
-// the paper's "one or more nodes that are responsible for managing that
-// cluster".
+// its embedded Trader), a Naming service and a hierarchy node — the paper's
+// "one or more nodes that are responsible for managing that cluster". The
+// paper's GUPA has no servant here: each node's usage forecast rides its
+// Information Update, which the GRM already holds.
 //
 // Usage:
 //
@@ -34,7 +35,6 @@ import (
 
 	"integrade/internal/election"
 	"integrade/internal/grm"
-	"integrade/internal/gupa"
 	"integrade/internal/hierarchy"
 	"integrade/internal/naming"
 	"integrade/internal/orb"
@@ -87,15 +87,11 @@ func run() error {
 		grm.WithLogger(log),
 		grm.WithRNG(sim.NewRNG(time.Now().UnixNano())),
 	)
-	gupaSvc := gupa.NewService()
 	namingSvc := naming.NewService()
 	hnode := hierarchy.NewNode(g, o)
 
 	adapter := orb.NewAdapter()
 	if err := adapter.Register(protocol.GRMKey, g.Servant()); err != nil {
-		return err
-	}
-	if err := adapter.Register(gupa.ObjectKey, gupa.Servant(gupaSvc)); err != nil {
 		return err
 	}
 	if err := adapter.Register(naming.ObjectKey, naming.Servant(namingSvc)); err != nil {
@@ -120,7 +116,7 @@ func run() error {
 	}
 
 	// Self-register the manager services in the naming directory.
-	for _, key := range []string{protocol.GRMKey, gupa.ObjectKey, hierarchy.ObjectKey} {
+	for _, key := range []string{protocol.GRMKey, hierarchy.ObjectKey} {
 		if err := namingSvc.Bind("services/"+key, srv.Ref(key)); err != nil {
 			return err
 		}
@@ -143,7 +139,6 @@ func run() error {
 
 	fmt.Printf("cluster manager %q up (role %s)\n", *cluster, g.Role())
 	fmt.Printf("  GRM:       %s\n", srv.Ref(protocol.GRMKey))
-	fmt.Printf("  GUPA:      %s\n", srv.Ref(gupa.ObjectKey))
 	fmt.Printf("  Naming:    %s\n", srv.Ref(naming.ObjectKey))
 	fmt.Printf("  Hierarchy: %s\n", srv.Ref(hierarchy.ObjectKey))
 	fmt.Printf("  policy:    %s\n", g.PolicyName())

@@ -23,7 +23,6 @@ import (
 	"syscall"
 	"time"
 
-	"integrade/internal/gupa"
 	"integrade/internal/lrm"
 	"integrade/internal/ncc"
 	"integrade/internal/node"
@@ -123,10 +122,6 @@ func run() error {
 		Endpoint: orb.Endpoint{Net: orb.NetTCP, Addr: addrs[0]},
 		Key:      protocol.GRMKey,
 	}
-	gupaRef := orb.ObjectRef{
-		Endpoint: orb.Endpoint{Net: orb.NetTCP, Addr: addrs[0]},
-		Key:      gupa.ObjectKey,
-	}
 	// After repeated update failures the agent re-registers, rotating
 	// through the candidate managers (the members of a replica set, or the
 	// restarted manager itself).
@@ -140,7 +135,6 @@ func run() error {
 	}
 	agent := lrm.New(n, clock, o, srv.Ref(protocol.LRMKey), grmRef,
 		lrm.WithUpdatePeriod(*update),
-		lrm.WithGUPA(gupa.NewClient(o, gupaRef)),
 		lrm.WithLogger(log),
 		lrm.WithGRMResolver(resolver),
 	)

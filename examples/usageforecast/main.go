@@ -1,4 +1,4 @@
-// Usageforecast: the LUPA/GUPA pipeline in isolation. Three weeks of
+// Usageforecast: the LUPA pipeline in isolation. Three weeks of
 // 5-minute usage samples from an office workstation are clustered into
 // behavioural categories ("working periods", "nights/weekends", …), and the
 // trained pattern then predicts idle spans against the generator's ground
@@ -10,7 +10,6 @@ import (
 	"log"
 	"time"
 
-	"integrade/internal/gupa"
 	"integrade/internal/lupa"
 	"integrade/internal/usage"
 )
@@ -51,10 +50,6 @@ func run() error {
 		fmt.Printf("  %-9s -> category %d\n", wd, pattern.LikelyCategory(wd))
 	}
 
-	// Upload to the GUPA, as each LRM does periodically.
-	g := gupa.NewService()
-	g.Upload("office-ws", pattern)
-
 	fmt.Println("\nidle-span prediction vs ground truth (week 4):")
 	fmt.Printf("  %-22s %12s %12s\n", "instant", "predicted", "actual")
 	probes := []struct {
@@ -72,7 +67,7 @@ func run() error {
 	n := 0
 	for _, p := range probes {
 		at := start.AddDate(0, 0, p.day).Add(time.Duration(p.hour) * time.Hour)
-		predicted, ok := g.PredictIdle("office-ws", at)
+		predicted, ok := pattern.PredictIdle(at)
 		if !ok {
 			return fmt.Errorf("no prediction at %v", at)
 		}

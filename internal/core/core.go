@@ -1,5 +1,5 @@
 // Package core is InteGrade's public facade: it assembles the ORB, GRM,
-// LRMs, LUPA/GUPA, NCC policies, hierarchy and checkpoint store into a
+// LRMs, LUPA, NCC policies, hierarchy and checkpoint store into a
 // running grid, exposing the API the examples, CLI tools and benchmarks
 // use.
 //
@@ -21,7 +21,6 @@ import (
 	"integrade/internal/chaos"
 	"integrade/internal/checkpoint"
 	"integrade/internal/grm"
-	"integrade/internal/gupa"
 	"integrade/internal/hierarchy"
 	"integrade/internal/lrm"
 	"integrade/internal/naming"
@@ -423,9 +422,6 @@ func (c *Cluster) manager() *manager {
 // submission). After a failover this is the elected or rebuilt incarnation.
 func (c *Cluster) GRM() *grm.GRM { return c.manager().grm }
 
-// GUPA exposes the cluster's usage-pattern aggregator.
-func (c *Cluster) GUPA() *gupa.Service { return c.manager().gupaSvc }
-
 // Hierarchy exposes the cluster's hierarchy node.
 func (c *Cluster) Hierarchy() *hierarchy.Node { return c.manager().hnode }
 
@@ -568,7 +564,6 @@ func (c *Cluster) AddNodes(cfg NodeConfig) ([]string, error) {
 		attempt := 0
 		lrmOpts := []lrm.Option{
 			lrm.WithUpdatePeriod(c.updatePeriod),
-			lrm.WithGUPA(gupa.NewClient(g.orb, mgr.gupaRef)),
 			lrm.WithLogger(g.log),
 			lrm.WithGRMResolver(func() (orb.ObjectRef, error) {
 				cands := make([]orb.ObjectRef, 0, 4)

@@ -9,7 +9,6 @@ import (
 	"integrade/internal/bsp"
 	"integrade/internal/election"
 	"integrade/internal/grm"
-	"integrade/internal/gupa"
 	"integrade/internal/hierarchy"
 	"integrade/internal/orb"
 	"integrade/internal/protocol"
@@ -22,16 +21,14 @@ import (
 var ErrManagerLost = errors.New("core: cluster manager lost")
 
 // manager is one incarnation of a cluster's management plane: the GRM (with
-// its embedded trader), the GUPA and the hierarchy node, all served from one
-// loopback endpoint. Failover swaps the whole incarnation at once.
+// its embedded trader) and the hierarchy node, both served from one loopback
+// endpoint. Failover swaps the whole incarnation at once.
 type manager struct {
 	grm     *grm.GRM
-	gupaSvc *gupa.Service
 	hnode   *hierarchy.Node
 	ep      string // loopback endpoint name (also the chaos-isolation addr)
 	adapter *orb.Adapter
 	grmRef  orb.ObjectRef
-	gupaRef orb.ObjectRef
 	href    orb.ObjectRef
 	// elect is this incarnation's consensus node when the cluster runs a
 	// replica set (nil otherwise).
@@ -62,15 +59,11 @@ func (c *Cluster) buildManager(gen int) (*manager, error) {
 		grm.WithLogger(g.log),
 		grm.WithEvictionObserver(g.abortBSP),
 	}, c.grmOpts...)...)
-	m.gupaSvc = gupa.NewService()
 	m.hnode = hierarchy.NewNode(m.grm, g.orb)
 
 	adapter := orb.NewAdapter()
 	m.adapter = adapter
 	if err := adapter.Register(protocol.GRMKey, m.grm.Servant()); err != nil {
-		return nil, err
-	}
-	if err := adapter.Register(gupa.ObjectKey, gupa.Servant(m.gupaSvc)); err != nil {
 		return nil, err
 	}
 	if err := adapter.Register(hierarchy.ObjectKey, m.hnode.Servant()); err != nil {
@@ -81,7 +74,6 @@ func (c *Cluster) buildManager(gen int) (*manager, error) {
 		return nil, err
 	}
 	m.grmRef = orb.ObjectRef{Endpoint: bound, Key: protocol.GRMKey}
-	m.gupaRef = orb.ObjectRef{Endpoint: bound, Key: gupa.ObjectKey}
 	m.href = orb.ObjectRef{Endpoint: bound, Key: hierarchy.ObjectKey}
 	m.hnode.SetSelfRef(m.href)
 	return m, nil

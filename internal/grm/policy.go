@@ -118,7 +118,8 @@ func (p BestFit) Order(offers []trading.Offer, _ *sim.RNG) []trading.Offer {
 
 // UsageAware prefers nodes predicted to stay idle the longest (dedicated
 // nodes count as indefinitely idle), breaking ties toward free CPU — the
-// paper's LUPA/GUPA-informed scheduling.
+// paper's usage-pattern-informed scheduling. The prediction is the node's own
+// LUPA forecast, carried by its Information Update.
 type UsageAware struct{}
 
 // Name implements Policy.

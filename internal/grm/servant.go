@@ -7,7 +7,7 @@ import (
 
 // Servant exposes the GRM's remote interface: information updates,
 // application submission, task notifications, status queries and the
-// hierarchy's cluster-summary exchange.
+// reconcile exchange.
 func (g *GRM) Servant() orb.Servant {
 	return orb.NewOpMux().
 		Handle(protocol.OpUpdate, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
@@ -97,30 +97,5 @@ func (g *GRM) Servant() orb.Servant {
 			e := orb.GetEncoder()
 			e.PutStrings(g.Reconcile(r))
 			return e, nil
-		}).
-		Handle(protocol.OpPeerInfo, func(string, *orb.Decoder) (*orb.Encoder, error) {
-			s := g.Summary()
-			e := orb.GetEncoder()
-			e.Grow(4 + len(s.ClusterID) + 5*8)
-			e.PutString(s.ClusterID)
-			e.PutInt(s.Nodes)
-			e.PutF64(s.FreeMIPS)
-			e.PutF64(s.MaxNodeFreeMIPS)
-			e.PutF64(s.TotalMIPS)
-			e.PutInt(s.PendingTasks)
-			return e, nil
 		})
-}
-
-// DecodeClusterSummary reads the OpPeerInfo reply payload.
-func DecodeClusterSummary(d *orb.Decoder) (ClusterSummary, error) {
-	s := ClusterSummary{
-		ClusterID:       d.String(),
-		Nodes:           d.Int(),
-		FreeMIPS:        d.F64(),
-		MaxNodeFreeMIPS: d.F64(),
-		TotalMIPS:       d.F64(),
-	}
-	s.PendingTasks = d.Int()
-	return s, d.Err()
 }

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"integrade/internal/gupa"
 	"integrade/internal/lupa"
 	"integrade/internal/node"
 	"integrade/internal/orb"
@@ -67,7 +66,6 @@ type LRM struct {
 	clock    sim.Clock
 	inv      orb.Invoker
 	selfRef  orb.ObjectRef
-	gupa     *gupa.Client // may be nil
 	analyzer *lupa.Analyzer
 	log      *slog.Logger
 
@@ -116,11 +114,6 @@ type Option func(*LRM)
 // WithUpdatePeriod sets the information-update cadence.
 func WithUpdatePeriod(d time.Duration) Option {
 	return func(l *LRM) { l.updatePeriod = d }
-}
-
-// WithGUPA sets the GUPA client used for pattern uploads.
-func WithGUPA(c *gupa.Client) Option {
-	return func(l *LRM) { l.gupa = c }
 }
 
 // WithAnalyzer overrides the default usage-pattern analyzer.
@@ -208,7 +201,7 @@ func (l *LRM) Stats() Stats {
 }
 
 // Start launches the periodic loops: status updates, usage sampling +
-// task-sync, and daily pattern retraining/upload.
+// task-sync, and daily pattern retraining.
 func (l *LRM) Start() {
 	l.mu.Lock()
 	if l.started {
@@ -641,20 +634,10 @@ func (l *LRM) taskEventLocked(kind protocol.TaskEventKind, t *node.Task, now tim
 	}
 }
 
-// retrainTick retrains the LUPA daily and uploads the pattern to the GUPA.
-func (l *LRM) retrainTick() {
-	if l.analyzer == nil {
-		return
-	}
-	if err := l.analyzer.Retrain(); err != nil {
-		return // not enough history yet
-	}
-	if l.gupa != nil {
-		if err := l.gupa.Upload(l.node.ID(), l.analyzer.Pattern()); err != nil {
-			l.log.Debug("pattern upload failed", "node", l.node.ID(), "err", err)
-		}
-	}
-}
+// retrainTick retrains the LUPA daily; the next update carries its forecast.
+// Start schedules it only on nodes with a LUPA. An error means there is not
+// enough history yet.
+func (l *LRM) retrainTick() { _ = l.analyzer.Retrain() }
 
 // Servant exposes the LRM's reservation/execution interface.
 func (l *LRM) Servant() orb.Servant {
@@ -701,11 +684,6 @@ func (l *LRM) Servant() orb.Servant {
 			e := orb.GetEncoder()
 			e.Grow(8)
 			e.PutF64(progress)
-			return e, nil
-		}).
-		Handle(protocol.OpNodeState, func(string, *orb.Decoder) (*orb.Encoder, error) {
-			e := orb.GetEncoder()
-			l.Status().Encode(e)
 			return e, nil
 		})
 }

@@ -544,18 +544,21 @@ func TestCancelReturnsProgress(t *testing.T) {
 	}
 }
 
-func TestNodeStateOverWire(t *testing.T) {
+func TestStatusDescribesDedicatedNode(t *testing.T) {
 	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous())
-	s, err := f.lrmC.NodeState()
-	if err != nil {
-		t.Fatal(err)
+	now := f.clock.Now()
+	s := f.lrm.Status()
+	if s.NodeID != "n0" || s.Capacity.MIPS != 1000 || !s.Dedicated {
+		t.Fatalf("Status = %+v", s)
 	}
-	if s.NodeID != "n0" || s.Capacity.MIPS != 1000 {
-		t.Fatalf("NodeState = %+v", s)
-	}
-	// Dedicated node advertises a long predicted idle.
+	// A dedicated node advertises a long predicted idle and one window
+	// covering the whole forecast horizon.
 	if s.PredictedIdle <= 0 {
 		t.Fatalf("dedicated PredictedIdle = %v", s.PredictedIdle)
+	}
+	want := protocol.AvailWindow{Start: now, End: now.Add(ForecastHorizon), Confidence: 1}
+	if len(s.Windows) != 1 || s.Windows[0] != want {
+		t.Fatalf("dedicated Windows = %+v, want [%+v]", s.Windows, want)
 	}
 }
 

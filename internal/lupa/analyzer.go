@@ -11,9 +11,10 @@ import (
 	"integrade/internal/usage"
 )
 
-// Pattern is the trained usage model a LUPA periodically uploads to the
-// GUPA: behavioural categories (cluster centroids over the day's 5-minute
-// slots) plus, per weekday, how often each category occurred.
+// Pattern is the trained usage model a LUPA retrains daily: behavioural
+// categories (cluster centroids over the day's 5-minute slots) plus, per
+// weekday, how often each category occurred. The node's LRM turns it into the
+// idle prediction and availability windows each Information Update carries.
 type Pattern struct {
 	// Centroids are per-category day vectors (usage.SlotsPerDay long).
 	Centroids [][]float64
@@ -68,6 +69,35 @@ func (p Pattern) IdleSpanFrom(category, slot int) time.Duration {
 		span += usage.Interval
 	}
 	return span
+}
+
+// PredictIdle estimates how long the machine stays idle from t using the
+// weekday prior alone: the weekday's most likely category, scanned forward
+// from t's slot and, if it stays idle to midnight, continued into the next
+// weekday's likely category. An untrained pattern returns (0, false).
+func (p Pattern) PredictIdle(t time.Time) (time.Duration, bool) {
+	return p.predictIdle(t.UTC(), -1)
+}
+
+// predictIdle is PredictIdle with t's day pinned to a category (firstCat >= 0
+// means "today was live-matched to this centroid"; -1 falls back to the
+// weekday majority). t is in UTC.
+func (p Pattern) predictIdle(t time.Time, firstCat int) (time.Duration, bool) {
+	if !p.Trained() {
+		return 0, false
+	}
+	slot := int(t.Sub(midnight(t)) / usage.Interval)
+	cat := firstCat
+	if cat < 0 {
+		cat = p.LikelyCategory(t.Weekday())
+	}
+	span := p.IdleSpanFrom(cat, slot)
+	// Idle through midnight: extend into tomorrow's likely category.
+	if span == time.Duration(usage.SlotsPerDay-slot)*usage.Interval {
+		next := p.LikelyCategory(t.AddDate(0, 0, 1).Weekday())
+		span += p.IdleSpanFrom(next, 0)
+	}
+	return span, true
 }
 
 // Analyzer is the per-node LUPA. Feed it 5-minute samples with Record; after
@@ -218,18 +248,7 @@ func (a *Analyzer) PredictIdle(t time.Time) (time.Duration, bool) {
 	if !a.pattern.Trained() {
 		return 0, false
 	}
-	slot := int(t.Sub(midnight(t)) / usage.Interval)
-	cat := a.matchTodayLocked(t)
-	if cat < 0 {
-		cat = a.pattern.LikelyCategory(t.Weekday())
-	}
-	span := a.pattern.IdleSpanFrom(cat, slot)
-	// Idle through midnight: extend into tomorrow's likely category.
-	if slot >= 0 && span == time.Duration(usage.SlotsPerDay-slot)*usage.Interval {
-		next := a.pattern.LikelyCategory(t.AddDate(0, 0, 1).Weekday())
-		span += a.pattern.IdleSpanFrom(next, 0)
-	}
-	return span, true
+	return a.pattern.predictIdle(t, a.matchTodayLocked(t))
 }
 
 // matchTodayLocked picks the centroid closest to today's observed prefix, or

@@ -246,6 +246,57 @@ func TestPredictIdleUntrained(t *testing.T) {
 	}
 }
 
+func TestPredictMatchesLocalSemantics(t *testing.T) {
+	// A pattern's prediction is the weekday prior: the weekday's likely
+	// category from t's slot, continued into the next weekday's when it is
+	// idle to midnight.
+	a := NewAnalyzer(3)
+	feed(a, usage.NewTrace(usage.OfficeWorker, 3), monday, 14)
+	if err := a.Retrain(); err != nil {
+		t.Fatal(err)
+	}
+	p := a.Pattern()
+	at := monday.AddDate(0, 0, 8).Add(22 * time.Hour) // Tuesday 22:00
+	span, ok := p.PredictIdle(at)
+	if !ok {
+		t.Fatal("no prediction")
+	}
+	slot := 22 * 12
+	want := p.IdleSpanFrom(p.LikelyCategory(time.Tuesday), slot)
+	if want == time.Duration(usage.SlotsPerDay-slot)*usage.Interval {
+		want += p.IdleSpanFrom(p.LikelyCategory(time.Wednesday), 0)
+	}
+	if span != want {
+		t.Fatalf("PredictIdle = %v, want %v", span, want)
+	}
+	if _, ok := (Pattern{}).PredictIdle(at); ok {
+		t.Fatal("untrained pattern predicted")
+	}
+}
+
+func TestPatternPredictMatchesAnalyzerWithoutLiveMatch(t *testing.T) {
+	// With fewer than 3 slots observed today the analyzer has no live match,
+	// so its prediction is the pattern's weekday prior, every hour of a week.
+	a := NewAnalyzer(3)
+	tr := usage.NewTrace(usage.OfficeWorker, 3)
+	feed(a, tr, monday, 14) // also observes day 14's first slot
+	today := monday.AddDate(0, 0, 14)
+	a.Record(today.Add(usage.Interval), tr.At(today.Add(usage.Interval)))
+	if err := a.Retrain(); err != nil {
+		t.Fatal(err)
+	}
+	p := a.Pattern()
+	for h := 0; h < 7*24; h++ {
+		at := today.Add(time.Duration(h) * time.Hour)
+		got, gotOK := p.PredictIdle(at)
+		want, wantOK := a.PredictIdle(at)
+		if got != want || gotOK != wantOK {
+			t.Fatalf("%v: Pattern.PredictIdle = %v, %v; Analyzer.PredictIdle = %v, %v",
+				at, got, gotOK, want, wantOK)
+		}
+	}
+}
+
 func TestPredictUsesTodayObservations(t *testing.T) {
 	// Train on office worker; then feed a holiday (idle all morning) as
 	// today. Prediction at 10:00 should match an idle category even though

@@ -2,14 +2,13 @@
 // CORBA Naming Service the paper leverages: a hierarchical mapping from
 // path-like names ("clusters/ime/grm") to object references.
 //
-// The service is itself an ORB servant, so it can be reached remotely; a
-// typed Client wraps the wire protocol.
+// Names are bound in process, by whoever hosts the Service. Remotely the
+// servant answers one operation, resolve, which a typed Client wraps.
 package naming
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -29,8 +28,8 @@ var (
 	ErrBadName = errors.New("naming: invalid name")
 )
 
-// Service is the in-memory naming directory. It is safe for concurrent use
-// and can be used directly (in-process) or through Servant/Client.
+// Service is the in-memory naming directory. It is safe for concurrent use;
+// Servant/Client expose its Resolve remotely.
 type Service struct {
 	// mu guards bindings.
 	mu       sync.RWMutex
@@ -91,77 +90,12 @@ func (s *Service) Resolve(name string) (orb.ObjectRef, error) {
 	return ref, nil
 }
 
-// Unbind removes the binding for name.
-func (s *Service) Unbind(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.bindings[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	delete(s.bindings, name)
-	return nil
-}
+// opResolve is the one wire operation.
+const opResolve = "resolve"
 
-// List returns the bound names under the given prefix ("" lists all),
-// sorted.
-func (s *Service) List(prefix string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var names []string
-	for name := range s.bindings {
-		if prefix == "" || name == prefix || strings.HasPrefix(name, prefix+"/") {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Wire operation names.
-const (
-	opBind    = "bind"
-	opRebind  = "rebind"
-	opResolve = "resolve"
-	opUnbind  = "unbind"
-	opList    = "list"
-)
-
-// Servant exposes the service as an ORB servant.
+// Servant exposes the service's Resolve as an ORB servant.
 func Servant(s *Service) orb.Servant {
-	putRef := func(e *orb.Encoder, ref orb.ObjectRef) {
-		e.PutString(ref.Endpoint.Net)
-		e.PutString(ref.Endpoint.Addr)
-		e.PutString(ref.Key)
-	}
-	getRef := func(d *orb.Decoder) orb.ObjectRef {
-		return orb.ObjectRef{
-			Endpoint: orb.Endpoint{Net: d.String(), Addr: d.String()},
-			Key:      d.String(),
-		}
-	}
-	mapErr := func(err error) error {
-		if err == nil {
-			return nil
-		}
-		return orb.Errorf(orb.CodeApplication, "%s", err.Error())
-	}
 	return orb.NewOpMux().
-		Handle(opBind, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			name := req.String()
-			ref := getRef(req)
-			if err := req.Err(); err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "bind: %v", err)
-			}
-			return &orb.Encoder{}, mapErr(s.Bind(name, ref))
-		}).
-		Handle(opRebind, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			name := req.String()
-			ref := getRef(req)
-			if err := req.Err(); err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "rebind: %v", err)
-			}
-			return &orb.Encoder{}, mapErr(s.Rebind(name, ref))
-		}).
 		Handle(opResolve, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
 			name := req.String()
 			if err := req.Err(); err != nil {
@@ -169,26 +103,12 @@ func Servant(s *Service) orb.Servant {
 			}
 			ref, err := s.Resolve(name)
 			if err != nil {
-				return nil, mapErr(err)
+				return nil, orb.Errorf(orb.CodeApplication, "%s", err.Error())
 			}
 			var e orb.Encoder
-			putRef(&e, ref)
-			return &e, nil
-		}).
-		Handle(opUnbind, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			name := req.String()
-			if err := req.Err(); err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "unbind: %v", err)
-			}
-			return &orb.Encoder{}, mapErr(s.Unbind(name))
-		}).
-		Handle(opList, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			prefix := req.String()
-			if err := req.Err(); err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "list: %v", err)
-			}
-			var e orb.Encoder
-			e.PutStrings(s.List(prefix))
+			e.PutString(ref.Endpoint.Net)
+			e.PutString(ref.Endpoint.Addr)
+			e.PutString(ref.Key)
 			return &e, nil
 		})
 }
@@ -202,28 +122,6 @@ type Client struct {
 // NewClient returns a stub invoking the naming service at ref via inv.
 func NewClient(inv orb.Invoker, ref orb.ObjectRef) *Client {
 	return &Client{inv: inv, ref: ref}
-}
-
-// Bind binds name to ref remotely.
-func (c *Client) Bind(name string, ref orb.ObjectRef) error {
-	var e orb.Encoder
-	e.PutString(name)
-	e.PutString(ref.Endpoint.Net)
-	e.PutString(ref.Endpoint.Addr)
-	e.PutString(ref.Key)
-	_, err := c.inv.Invoke(c.ref, opBind, e.Bytes())
-	return err
-}
-
-// Rebind rebinds name to ref remotely.
-func (c *Client) Rebind(name string, ref orb.ObjectRef) error {
-	var e orb.Encoder
-	e.PutString(name)
-	e.PutString(ref.Endpoint.Net)
-	e.PutString(ref.Endpoint.Addr)
-	e.PutString(ref.Key)
-	_, err := c.inv.Invoke(c.ref, opRebind, e.Bytes())
-	return err
 }
 
 // Resolve resolves name remotely.
@@ -243,28 +141,4 @@ func (c *Client) Resolve(name string) (orb.ObjectRef, error) {
 		return orb.ObjectRef{}, orb.Errorf(orb.CodeMarshal, "resolve reply: %v", err)
 	}
 	return ref, nil
-}
-
-// Unbind unbinds name remotely.
-func (c *Client) Unbind(name string) error {
-	var e orb.Encoder
-	e.PutString(name)
-	_, err := c.inv.Invoke(c.ref, opUnbind, e.Bytes())
-	return err
-}
-
-// List lists names under prefix remotely.
-func (c *Client) List(prefix string) ([]string, error) {
-	var e orb.Encoder
-	e.PutString(prefix)
-	reply, err := c.inv.Invoke(c.ref, opList, e.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	d := orb.NewDecoder(reply)
-	names := d.Strings()
-	if err := d.Err(); err != nil {
-		return nil, orb.Errorf(orb.CodeMarshal, "list reply: %v", err)
-	}
-	return names, nil
 }

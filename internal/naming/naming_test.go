@@ -2,6 +2,7 @@ package naming
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"integrade/internal/orb"
@@ -47,19 +48,6 @@ func TestServiceResolveUnknown(t *testing.T) {
 	}
 }
 
-func TestServiceUnbind(t *testing.T) {
-	s := NewService()
-	if err := s.Bind("a", ref("x", "y")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Unbind("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Unbind("a"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double Unbind err = %v", err)
-	}
-}
-
 func TestServiceBadNames(t *testing.T) {
 	s := NewService()
 	for _, name := range []string{"", "/", "a//b", "a/", "/a"} {
@@ -72,11 +60,11 @@ func TestServiceBadNames(t *testing.T) {
 	}
 }
 
-func TestServiceListPrefix(t *testing.T) {
+func TestServiceNamesAreWholePaths(t *testing.T) {
 	s := NewService()
 	names := []string{
 		"clusters/ime/grm",
-		"clusters/ime/gupa",
+		"clusters/ime/hierarchy",
 		"clusters/poli/grm",
 		"root",
 	}
@@ -85,19 +73,20 @@ func TestServiceListPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := s.List("clusters/ime")
-	if len(got) != 2 || got[0] != "clusters/ime/grm" || got[1] != "clusters/ime/gupa" {
-		t.Fatalf("List(clusters/ime) = %v", got)
+	for _, n := range names {
+		got, err := s.Resolve(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Key != n {
+			t.Fatalf("Resolve(%q) = %v", n, got)
+		}
 	}
-	if got := s.List(""); len(got) != 4 {
-		t.Fatalf("List(all) = %v", got)
-	}
-	// Prefix must match whole segments: "clusters/im" matches nothing.
-	if got := s.List("clusters/im"); len(got) != 0 {
-		t.Fatalf("List(clusters/im) = %v", got)
-	}
-	if got := s.List("root"); len(got) != 1 {
-		t.Fatalf("List(root) = %v", got)
+	// A prefix of a bound name is not itself bound.
+	for _, n := range []string{"clusters", "clusters/ime", "clusters/im"} {
+		if _, err := s.Resolve(n); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Resolve(%q) err = %v, want ErrNotFound", n, err)
+		}
 	}
 }
 
@@ -115,7 +104,7 @@ func TestClientAgainstServantLoopback(t *testing.T) {
 	client := NewClient(o, orb.ObjectRef{Endpoint: ep, Key: ObjectKey})
 
 	target := ref("node-7", "lrm")
-	if err := client.Bind("lrms/node-7", target); err != nil {
+	if err := svc.Bind("lrms/node-7", target); err != nil {
 		t.Fatal(err)
 	}
 	got, err := client.Resolve("lrms/node-7")
@@ -125,24 +114,16 @@ func TestClientAgainstServantLoopback(t *testing.T) {
 	if got != target {
 		t.Fatalf("Resolve = %v", got)
 	}
-	if err := client.Bind("lrms/node-7", target); err == nil {
-		t.Fatal("duplicate bind over wire succeeded")
-	}
-	if err := client.Rebind("lrms/node-7", ref("node-7b", "lrm")); err != nil {
+	moved := ref("node-7b", "lrm")
+	if err := svc.Rebind("lrms/node-7", moved); err != nil {
 		t.Fatal(err)
 	}
-	names, err := client.List("lrms")
-	if err != nil {
-		t.Fatal(err)
+	if got, err := client.Resolve("lrms/node-7"); err != nil || got != moved {
+		t.Fatalf("Resolve after Rebind = %v, %v", got, err)
 	}
-	if len(names) != 1 || names[0] != "lrms/node-7" {
-		t.Fatalf("List = %v", names)
-	}
-	if err := client.Unbind("lrms/node-7"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Resolve("lrms/node-7"); err == nil {
-		t.Fatal("Resolve after Unbind succeeded")
+	_, err = client.Resolve("lrms/ghost")
+	if !orb.IsCode(err, orb.CodeApplication) || !strings.Contains(err.Error(), ErrNotFound.Error()) {
+		t.Fatalf("Resolve of an unbound name: err = %v, want the servant's not-bound error", err)
 	}
 }
 
@@ -162,7 +143,7 @@ func TestClientAgainstServantTCP(t *testing.T) {
 
 	client := NewClient(o, srv.Ref(ObjectKey))
 	target := orb.ObjectRef{Endpoint: srv.Endpoint(), Key: "self"}
-	if err := client.Bind("services/self", target); err != nil {
+	if err := svc.Bind("services/self", target); err != nil {
 		t.Fatal(err)
 	}
 	got, err := client.Resolve("services/self")
@@ -171,6 +152,10 @@ func TestClientAgainstServantTCP(t *testing.T) {
 	}
 	if got != target {
 		t.Fatalf("Resolve over TCP = %v", got)
+	}
+	_, err = client.Resolve("services/ghost")
+	if !orb.IsCode(err, orb.CodeApplication) || !strings.Contains(err.Error(), ErrNotFound.Error()) {
+		t.Fatalf("Resolve of an unbound name over TCP: err = %v, want the servant's not-bound error", err)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"integrade/internal/checkpoint"
-	"integrade/internal/gupa"
-	"integrade/internal/lupa"
 	"integrade/internal/orb"
 	"integrade/internal/protocol"
 	"integrade/internal/testutil/allocbudget"
@@ -42,8 +40,6 @@ func TestWireCountsBoundAllocations(t *testing.T) {
 	spec := encoded(protocol.ApplicationSpec{Name: "a"}.Encode)
 	spec = append(spec[:len(spec)-(1+8+1)], 1)
 	spec = binary.BigEndian.AppendUint32(spec, hugeCount)
-	// A pattern is its days, its centroid count and seven weekday counts.
-	pattern := encoded(func(e *orb.Encoder) { gupa.EncodePattern(e, lupa.Pattern{}) })
 
 	decoders := map[string]func() error{
 		"protocol.DecodeNodeStatus": func() error {
@@ -79,14 +75,6 @@ func TestWireCountsBoundAllocations(t *testing.T) {
 			d := orb.NewDecoder(countOnly(hugeCount))
 			d.Strings()
 			return d.Err()
-		},
-		"gupa.DecodePattern centroids": func() error {
-			_, err := gupa.DecodePattern(orb.NewDecoder(withCount(pattern[:8+4], hugeCount)))
-			return err
-		},
-		"gupa.DecodePattern weekday counts": func() error {
-			_, err := gupa.DecodePattern(orb.NewDecoder(withCount(pattern[:8+4+4], hugeCount)))
-			return err
 		},
 		"checkpoint.DecodeSnapshot": func() error {
 			_, err := checkpoint.DecodeSnapshot(orb.NewDecoder(withCount(encoded(checkpoint.Snapshot{}.Encode), hugeCount)))

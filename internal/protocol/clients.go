@@ -209,12 +209,3 @@ func (c *LRMClient) Cancel(taskID string, epoch int) (float64, error) {
 	}
 	return progress, nil
 }
-
-// NodeState fetches the LRM's current NodeStatus directly.
-func (c *LRMClient) NodeState() (NodeStatus, error) {
-	reply, err := c.inv.Invoke(c.ref, OpNodeState, nil)
-	if err != nil {
-		return NodeStatus{}, err
-	}
-	return DecodeNodeStatus(orb.NewDecoder(reply))
-}

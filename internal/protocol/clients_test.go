@@ -110,12 +110,6 @@ func (f *fakeManagers) lrmServant() orb.Servant {
 			var e orb.Encoder
 			e.PutF64(123.5)
 			return &e, nil
-		}).
-		Handle(OpNodeState, func(string, *orb.Decoder) (*orb.Encoder, error) {
-			s := NodeStatus{NodeID: "n1", Timestamp: time.Unix(5, 0).UTC()}
-			var e orb.Encoder
-			s.Encode(&e)
-			return &e, nil
 		})
 }
 
@@ -256,14 +250,6 @@ func TestLRMClientRoundTrips(t *testing.T) {
 	if len(f.cancelEpochs) != 1 || f.cancelEpochs[0] != 3 {
 		t.Fatalf("cancel epochs = %v", f.cancelEpochs)
 	}
-
-	state, err := lrm.NodeState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if state.NodeID != "n1" {
-		t.Fatalf("state = %+v", state)
-	}
 }
 
 func TestClientsSurfaceTransportErrors(t *testing.T) {
@@ -282,9 +268,6 @@ func TestClientsSurfaceTransportErrors(t *testing.T) {
 	lrm := NewLRMClient(o, dead)
 	if _, err := lrm.Reserve(ReserveRequest{}); err == nil {
 		t.Fatal("reserve to dead endpoint succeeded")
-	}
-	if _, err := lrm.NodeState(); err == nil {
-		t.Fatal("nodeState to dead endpoint succeeded")
 	}
 	if _, err := lrm.Cancel("x", 0); err == nil {
 		t.Fatal("cancel to dead endpoint succeeded")

@@ -33,16 +33,14 @@ const (
 	OpAppStatus = "appStatus" // ASCT polls application status
 	OpCancelApp = "cancelApp" // ASCT aborts an application
 	OpListApps  = "listApps"  // ASCT enumerates applications
-	OpPeerInfo  = "peerInfo"  // hierarchy: cluster summary exchange
 	OpReconcile = "reconcile" // LRM syncs its running tasks after re-registering
 	OpDeparting = "departing" // LRM announces a predicted owner-driven departure
 
 	// LRM operations.
-	OpReserve   = "reserve"
-	OpRelease   = "release"
-	OpExecute   = "execute"
-	OpCancel    = "cancel"
-	OpNodeState = "nodeState"
+	OpReserve = "reserve"
+	OpRelease = "release"
+	OpExecute = "execute"
+	OpCancel  = "cancel"
 )
 
 // NodeStatus is one Information Update Protocol message: the LRM's
