@@ -136,15 +136,16 @@ windows:
 # TestDecodeUpdateAllocBudget: an update decoded against its node's record
 # allocates only its windows), which skip some or
 # all of their rows under -race and so run here without it. Then one iteration each
-# of the micro-benchmarks ROADMAP items 2 and 6 quote, so they keep compiling
+# of the micro-benchmarks ROADMAP items 2, 3 and 6 quote, so they keep compiling
 # and running (BenchmarkTCPInvoke minus BenchmarkTCPRawEcho is what the ORB
-# adds to a round trip; BenchmarkLoopbackUpdate10k and the trader's upserts walk
-# their fleets in a shuffled order, as the workloads do).
+# adds to a round trip; BenchmarkLoopbackUpdate10k, BenchmarkRegister10k and
+# the trader's upserts and first exports walk their fleets in a shuffled order,
+# as the workloads do).
 benchmark-check:
 	$(GO) test -count=1 ./benchmark
 	$(GO) run ./benchmark -quick -traced
 	$(GO) test -count=1 -run 'AllocBudget|AllocateOnce' ./internal/orb ./internal/grm ./internal/trading ./internal/protocol
-	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkPlacementBatch10k|BenchmarkLoopbackUpdate10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkPlaceUpsert|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPGangPlacement|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
+	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkPlacementBatch10k|BenchmarkLoopbackUpdate10k|BenchmarkRegister10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkPlaceUpsert|BenchmarkExportFirst10k|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPGangPlacement|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
 	$(GO) test -run '^$$' -bench 'BenchmarkTCPInvokeConcurrent/callers=64' -benchtime 1x ./internal/orb
 
 # Every program under examples/ must run to completion and exit 0.

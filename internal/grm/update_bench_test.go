@@ -19,18 +19,8 @@ import (
 // registration order would not.
 func loopbackUpdates(tb testing.TB) (*protocol.GRMClient, []protocol.NodeStatus) {
 	tb.Helper()
-	o := orb.New()
-	tb.Cleanup(o.Close)
-	g := New("bench", sim.NewVirtualClock(), o)
-	tb.Cleanup(g.Stop)
-	adapter := orb.NewAdapter()
-	if err := adapter.Register(protocol.GRMKey, g.Servant()); err != nil {
-		tb.Fatal(err)
-	}
-	ep, err := o.BindLoopback("grm", adapter)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	g, client, stop := loopbackGRM(tb)
+	tb.Cleanup(stop)
 	fleet := missFleet(tb, g, 10000)
 	now := g.clock.Now()
 	for i := range fleet {
@@ -45,7 +35,57 @@ func loopbackUpdates(tb testing.TB) (*protocol.GRMClient, []protocol.NodeStatus)
 	for i, j := range sim.NewRNG(2).Perm(len(fleet)) {
 		shuffled[i] = fleet[j]
 	}
-	return protocol.NewGRMClient(o, orb.ObjectRef{Endpoint: ep, Key: protocol.GRMKey}), shuffled
+	return client, shuffled
+}
+
+// loopbackGRM is an empty GRM behind a loopback ORB, the client its nodes
+// report through, and what stops both.
+func loopbackGRM(tb testing.TB) (*GRM, *protocol.GRMClient, func()) {
+	tb.Helper()
+	o := orb.New()
+	g := New("bench", sim.NewVirtualClock(), o)
+	stop := func() {
+		g.Stop()
+		o.Close()
+	}
+	adapter := orb.NewAdapter()
+	if err := adapter.Register(protocol.GRMKey, g.Servant()); err != nil {
+		stop()
+		tb.Fatal(err)
+	}
+	ep, err := o.BindLoopback("grm", adapter)
+	if err != nil {
+		stop()
+		tb.Fatal(err)
+	}
+	return g, protocol.NewGRMClient(o, orb.ObjectRef{Endpoint: ep, Key: protocol.GRMKey}), stop
+}
+
+// BenchmarkRegister10k is a fresh GRM learning its cluster, as a cold-rebuilt
+// manager does when its LRMs re-register: loopbackUpdates' shuffled 10⁴-node
+// fleet, each status a node's first Information Update through
+// GRMClient.Update. One iteration is one fleet; the empty GRM it registers
+// with is built, and stopped, off the clock.
+func BenchmarkRegister10k(b *testing.B) {
+	_, fleet := loopbackUpdates(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		g, client, stop := loopbackGRM(b)
+		b.StartTimer()
+		for j := range fleet {
+			if _, err := client.Update(fleet[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if n := g.KnownNodes(); n != len(fleet) {
+			b.Fatalf("the GRM learned %d of %d nodes", n, len(fleet))
+		}
+		stop()
+		b.StartTimer()
+	}
 }
 
 // BenchmarkLoopbackUpdate10k is one Information Update as the loopback fleets

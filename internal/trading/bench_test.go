@@ -156,20 +156,41 @@ func BenchmarkPlaceUpsert(b *testing.B) {
 	}
 }
 
+// BenchmarkExportFirst10k is a fleet's registration at the trader, as a fresh
+// GRM learns its cluster: 10^4 first exports by reference into an empty index,
+// in upsertFleet's shuffled order, one fleet an iteration.
+func BenchmarkExportFirst10k(b *testing.B) {
+	_, offers, _ := upsertFleet()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewService(nil)
+		for j := range offers {
+			if _, err := s.ExportKeyed(offers[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestExportKeyedAllocBudget holds the upserts of BenchmarkExportKeyedUpsert
-// and BenchmarkPlaceUpsert to the `export-keyed` and `upsert-place` rows of
+// and BenchmarkPlaceUpsert, and the first exports of BenchmarkExportFirst10k,
+// to the `export-keyed`, `upsert-place` and `export-first` rows of
 // testdata/alloc_budget.txt.
 func TestExportKeyedAllocBudget(t *testing.T) {
 	path := filepath.Join("testdata", "alloc_budget.txt")
 	s, offers, places := upsertFleet()
+	fresh := NewService(nil)
 	upserts := map[string]func(i int) bool{
 		"export-keyed": func(i int) bool { _, err := s.ExportKeyed(offers[i]); return err == nil },
 		"upsert-place": func(i int) bool { return s.Upsert(places[i], offers[i]) },
+		// 2001 refs' first offers, ~31 a shard, into a service that has none.
+		"export-first": func(i int) bool { _, err := fresh.ExportKeyed(offers[i]); return err == nil },
 	}
 	for _, row := range allocbudget.Parse(t, path) {
 		upsert := upserts[row.Name]
 		if upsert == nil {
-			t.Fatalf("%s: unknown row %q (known: export-keyed, upsert-place)", path, row.Name)
+			t.Fatalf("%s: unknown row %q (known: export-keyed, upsert-place, export-first)", path, row.Name)
 		}
 		i := 0
 		got := testing.AllocsPerRun(2000, func() {

@@ -12,9 +12,10 @@ import (
 	"integrade/internal/orb"
 )
 
-// These tests cover what a status update does since it stopped rebuilding its
-// shard: the slot store itself, the sweep bound that decides when a write (or a
-// read) must look at expiries, and readers racing the stores.
+// These tests cover the writes that do not rebuild their shard — a status
+// update's slot store and a first export's append past the snapshot's end —
+// the sweep bound that decides when a write (or a read) must look at expiries,
+// and readers racing both.
 
 // modelTrader is the index as it behaved when every write rebuilt its shard:
 // each write drops everything in the shard that has expired, reads skip the
@@ -102,7 +103,11 @@ func (m *modelTrader) all(now time.Time) []Offer {
 // holds — expired offers not yet compacted included, so an expired offer
 // leaves the index at the same write — and on Count, All and Version. The deck
 // writes through places too: a place is live exactly while the model holds its
-// ref's offer, and a write through a dead one changes nothing.
+// ref's offer, and a write through a dead one changes nothing. It also
+// first-exports refs into shards whose slot array has room: an offer that
+// keeps the shard's sweep bound must be appended over the same array, and one
+// that lowers the bound, or arrives once the bound is due, must rebuild — the
+// latter compacting, as the model does.
 func TestCompactionTimingMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		now := time.Unix(1_700_000_000, 0)
@@ -117,8 +122,9 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 		}
 		places := map[orb.ObjectRef]Place{} // the latest place of each ref, while live
 		var dead []Place
+		var roomy [3]int // first exports into a shard with room that keep, lower and find due its bound
 		for step := 0; step < 1200; step++ {
-			switch op := rng.Intn(12); op {
+			switch op := rng.Intn(13); op {
 			case 0, 1, 2:
 				o := offer()
 				p, err := s.ExportKeyed(o)
@@ -155,6 +161,43 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 				if want := m.withdraw(ref, now); got != want {
 					t.Fatalf("seed %d step %d: withdrawing %v = %v, model %v", seed, step, ref, got, want)
 				}
+			case 9:
+				n, sh := roomyShard(s, m, rng.Perm(150))
+				if sh == nil {
+					break
+				}
+				before := sh.snap.Load()
+				o := offer()
+				o.Expires = time.Time{} // never expires: keeps any bound
+				kind := rng.Intn(3)
+				switch {
+				case due(before.sweepAt, now):
+					kind = 2 // already due
+				case kind == 0 && !before.sweepAt.IsZero() && rng.Intn(2) == 0:
+					o.Expires = before.sweepAt.Add(time.Minute)
+				case kind == 1 && before.sweepAt.IsZero():
+					o.Expires = now.Add(5 * time.Second)
+				case kind == 1:
+					o.Expires = now.Add(before.sweepAt.Sub(now) / 2)
+				case kind == 2 && before.sweepAt.IsZero():
+					kind = 0 // a bound that is never due
+				case kind == 2:
+					now = before.sweepAt
+					o.Expires = now.Add(time.Minute)
+				}
+				o.Ref = nodeRef(n)
+				p, err := s.ExportKeyed(o)
+				if want := m.exportKeyed(o, now); err != nil || p.e.st.seq != want {
+					t.Fatalf("seed %d step %d: ExportKeyed = %v, %v; model seq %d", seed, step, p, err, want)
+				}
+				places[o.Ref] = p
+				after := sh.snap.Load()
+				appended := &after.slots[:1][0] == &before.slots[:1][0] && len(after.slots) == len(before.slots)+1
+				if appended != (kind == 0) || p.e.slot != len(after.slots)-1 {
+					t.Fatalf("seed %d step %d: a first export into a shard with room (bound %v, expiry %v, kind %d) appended %v, at slot %d of %d",
+						seed, step, before.sweepAt, o.Expires, kind, appended, p.e.slot, len(after.slots))
+				}
+				roomy[kind]++
 			default:
 				now = now.Add(time.Duration(rng.Intn(4000)) * time.Millisecond)
 			}
@@ -198,11 +241,28 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 			}
 		}
 		assertIndexConsistent(t, s)
-		if m.seq < 800 || len(m.all(now)) == 0 || len(dead) == 0 {
-			t.Fatalf("seed %d: the deck numbered %d offers, left %d live and killed %d places: it does not exercise the index",
-				seed, m.seq, len(m.all(now)), len(dead))
+		if m.seq < 800 || len(m.all(now)) == 0 || len(dead) == 0 || slices.Contains(roomy[:], 0) {
+			t.Fatalf("seed %d: the deck numbered %d offers, left %d live, killed %d places and first-exported %v into shards with room: it does not exercise the index",
+				seed, m.seq, len(m.all(now)), len(dead), roomy)
 		}
 	}
+}
+
+// roomyShard returns the first of nodes whose ref the model holds no offer for
+// and whose shard's slot array has room past its snapshot's end, and that
+// shard; nil when there is none.
+func roomyShard(s *Service, m *modelTrader, nodes []int) (int, *shard) {
+	ts := s.typeIndex("NodeStatus")
+	if ts == nil {
+		return 0, nil
+	}
+	for _, n := range nodes {
+		sh := &ts.shards[refShard(nodeRef(n))]
+		if slots := sh.snap.Load().slots; !m.holds(nodeRef(n)) && len(slots) < cap(slots) {
+			return n, sh
+		}
+	}
+	return 0, nil
 }
 
 // heartbeatFleet registers n nodes whose offers expire ttl from now.
@@ -477,6 +537,126 @@ func TestVisitRacesInPlaceUpserts(t *testing.T) {
 	}
 	if got := s.Count("NodeStatus"); got != refs || byRef.Load() != refs {
 		t.Fatalf("Count = %d, want %d: heartbeats lost or duplicated an offer; %d exports by reference, want one a ref", got, refs, byRef.Load())
+	}
+	assertIndexConsistent(t, s)
+}
+
+// TestVisitRacesAppends: writers register fresh refs into two shards, past
+// several doublings of each shard's slot array, so most first exports append
+// past a snapshot's end and some rebuild a full array; every fourth export
+// also withdraws one of the writer's earlier refs and exports it again, so
+// appends interleave with rebuilds in the same shard. Readers walk the index
+// meanwhile with VisitMatches, VisitMatchSet and Count. A visit must yield each
+// ref at most once and only offers that were exported — each ref's mips is its
+// own — and Count must never exceed the refs there are.
+func TestVisitRacesAppends(t *testing.T) {
+	const writers, perWriter = 4, 120
+	other := 1
+	for refShard(nodeRef(other)) == refShard(nodeRef(0)) {
+		other++
+	}
+	var nodes [writers][]int // writer w's: every other ref of shard w%2's
+	for half, first := range []int{0, other} {
+		for k, n := range shardmates(first, 2*perWriter) {
+			nodes[half+2*(k%2)] = append(nodes[half+2*(k%2)], n)
+		}
+	}
+	mips := map[orb.ObjectRef]float64{}
+	for _, ns := range nodes {
+		for _, n := range ns {
+			mips[nodeRef(n)] = float64(n)
+		}
+	}
+	s := NewService(nil)
+	stop := make(chan struct{})
+	var readers, running sync.WaitGroup // the writers start once every reader runs
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		running.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			running.Done()
+			seen := make(map[orb.ObjectRef]int, len(mips))
+			check := func(o *Offer) {
+				if got, _ := o.Properties.Get("mips").AsNumber(); got != mips[o.Ref] || o.Seq() <= 0 {
+					t.Errorf("a visit yielded %v with mips %v and seq %d, which was never exported", o.Ref, got, o.Seq())
+				}
+				seen[o.Ref]++
+			}
+			for {
+				clear(seen)
+				switch r {
+				case 0:
+					if err := s.VisitMatches("NodeStatus", "mips >= 0", check); err != nil {
+						t.Error(err)
+						return
+					}
+				case 1:
+					s.VisitMatchSet("NodeStatus", []string{"mips >= 0", "mips < 0"}, func(o *Offer, met uint64) {
+						if met != 1 {
+							t.Errorf("the set visit yielded %v with bits %b, want 1", o.Ref, met)
+						}
+						check(o)
+					})
+				default:
+					if n := s.Count("NodeStatus"); n > len(mips) {
+						t.Errorf("Count = %d of %d refs", n, len(mips))
+						return
+					}
+				}
+				for ref, n := range seen {
+					if n != 1 {
+						t.Errorf("a visit yielded %v %d times", ref, n)
+						return
+					}
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}(r)
+	}
+	running.Wait()
+	var writersDone sync.WaitGroup
+	for w := range nodes {
+		writersDone.Add(1)
+		go func(w int) {
+			defer writersDone.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			export := func(n int) (Place, bool) {
+				p, err := s.ExportKeyed(nodeOffer(n, float64(n), 512))
+				if err != nil {
+					t.Errorf("ExportKeyed: %v", err)
+				}
+				return p, err == nil
+			}
+			var places []Place // places[k] is nodes[w][k]'s
+			for k, n := range nodes[w] {
+				p, ok := export(n)
+				if !ok {
+					return
+				}
+				places = append(places, p)
+				if k%4 == 3 {
+					j := rng.Intn(len(places))
+					if !s.Withdraw(places[j]) {
+						t.Errorf("withdrawing %v through its live place removed nothing", nodeRef(nodes[w][j]))
+						return
+					}
+					if places[j], ok = export(nodes[w][j]); !ok {
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	writersDone.Wait()
+	close(stop)
+	readers.Wait()
+	if got := s.Count("NodeStatus"); got != len(mips) {
+		t.Fatalf("Count = %d, want the %d refs exported", got, len(mips))
 	}
 	assertIndexConsistent(t, s)
 }

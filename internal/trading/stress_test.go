@@ -311,9 +311,10 @@ func shardmates(first, n int) []int {
 // writers keep true and its readers rest on: a shard holds one entry per ref,
 // byRef and entries list the same entries, every live entry's slot holds that
 // entry's offer, of its ref, and a shard's slots hold exactly its entries'
-// offers; every live offer's seq is unique across the whole service and its
-// record is its own, and SelectPointers and All come back strictly ascending
-// in Seq. Slot order itself is not an invariant: an upsert keeps its slot.
+// offers, and every slot of its array past the snapshot's end is nil; every
+// live offer's seq is unique across the whole service and its record is its
+// own, and SelectPointers and All come back strictly ascending in Seq. Slot
+// order itself is not an invariant: an upsert keeps its slot.
 func assertIndexConsistent(t *testing.T, s *Service) {
 	t.Helper()
 	holder := map[int]string{} // seq → the type and shard holding it
@@ -322,6 +323,12 @@ func assertIndexConsistent(t *testing.T, s *Service) {
 			sh := &ts.shards[i]
 			sh.mu.Lock()
 			offers := slotOffers(sh)
+			slots := sh.snap.Load().slots
+			for j := len(slots); j < cap(slots); j++ {
+				if slots[:cap(slots)][j].Load() != nil {
+					t.Errorf("%s shard %d: slot %d, past the snapshot's %d, holds an offer", typ, i, j, len(slots))
+				}
+			}
 			if len(sh.entries) != len(offers) || len(sh.byRef) != len(offers) {
 				t.Errorf("%s shard %d: %d slots, %d entries, %d refs in byRef", typ, i, len(offers), len(sh.entries), len(sh.byRef))
 			}

@@ -12,9 +12,12 @@
 // The offer index is sharded (DESIGN.md §16): each service type owns
 // shardsPerType shards keyed by the exporting object reference, and each shard
 // publishes a snapshot behind an atomic.Pointer — one slot per offer, and one
-// offer per exporting reference. Which offers a shard holds is copy-on-write:
-// a writer builds a fresh snapshot and swaps it in under the shard mutex, as
-// the ORB's registries do. What a slot holds is not: a status update stores
+// offer per exporting reference. Which offers a shard holds grows by appending
+// and shrinks by copy-on-write: a reference's first offer goes into the slot
+// just past the snapshot's end, published by a longer snapshot over the same
+// slot array while the array has room, and a writer that removes an offer
+// builds a fresh snapshot and swaps it in under the shard mutex, as the ORB's
+// registries do. What a slot holds changes in place: a status update stores
 // its ref's new offer into the slot the old one sat in, through the Place its
 // first export returned, which names the shard and the slot. Readers take no
 // locks — they load the snapshots and the slots — so they never contend with
@@ -124,19 +127,31 @@ type Query struct {
 var compileCache = constraint.NewCache(0)
 
 // shardSnap is one shard's published state. Which offers it has slots for is
-// immutable — a writer that adds or removes one builds a fresh snapshot — but
-// what a slot holds is not: an upsert stores a ref's new offer into its old
-// one's slot. A reader loads each slot once and so sees, for each ref, the old
-// offer or the new one; slot order means nothing.
+// immutable — a writer that removes one builds a fresh snapshot, and one that
+// adds one publishes a longer snapshot — but what a slot holds is not: an
+// upsert stores a ref's new offer into its old one's slot. A reader loads each
+// slot once and so sees, for each ref, the old offer or the new one; slot order
+// means nothing.
+//
+// A rebuild allocates its slot array with room to spare, and every snapshot
+// published over one array shares its sweepAt. A first export stores into the
+// slot just past a snapshot's end — nil until then, and indexed by no reader of
+// that snapshot — before it publishes the longer one.
 type shardSnap struct {
 	slots []atomic.Pointer[stored]
 	// sweepAt is a lower bound on the expiry of every offer ever stored into
-	// this snapshot (zero: none expires), exact when the snapshot was built and
-	// never written again: a slot store is allowed only if it keeps the bound.
-	// Until now reaches it nothing here has expired, so a writer need not look
-	// for something to compact, nor a reader for something to skip.
+	// this snapshot's slot array (zero: none expires), exact when a rebuild
+	// made the array and never written again: a slot store or an append is
+	// allowed only if it keeps the bound. Until now reaches it nothing here has
+	// expired, so a writer need not look for something to compact, nor a
+	// reader for something to skip.
 	sweepAt time.Time
 }
+
+// slotHeadroom is how many times its offers a rebuilt shard's slot array
+// holds, so that the first exports that fill it append instead of rebuilding:
+// n of them into one shard copy O(n) slots in all.
+const slotHeadroom = 2
 
 // emptySnap is the shared snapshot of an offer-less shard; it is never
 // mutated, so every empty shard can publish the same pointer.
@@ -302,12 +317,12 @@ func (s *Service) Upsert(p Place, o Offer) bool {
 
 // upsert makes st the offer of e, an entry of sh — with e nil, of the entry of
 // st's reference, added on the reference's first export — and returns the
-// entry, or nil, storing nothing, when e is dead. It stores st into the
-// entry's slot when nothing in the shard can have expired (now is short of
-// sweepAt) and st's expiry keeps sweepAt a lower bound; anything else — a
-// reference's first offer, an expiry to compact — changes which offers the
-// shard holds. The seq is drawn under the shard mutex, so a reference's offers
-// are numbered in the order they replace each other.
+// entry, or nil, storing nothing, when e is dead. When nothing in the shard can
+// have expired (now is short of sweepAt) and st's expiry keeps sweepAt a lower
+// bound, it stores st into the entry's slot, or appends a reference's first
+// offer past the snapshot's end; otherwise — an expiry to compact, a lower
+// bound — it rebuilds the shard. The seq is drawn under the shard mutex, so a
+// reference's offers are numbered in the order they replace each other.
 func (s *Service) upsert(sh *shard, e *entry, st *stored) *entry {
 	now := s.now()
 	sh.mu.Lock()
@@ -323,20 +338,22 @@ func (s *Service) upsert(sh *shard, e *entry, st *stored) *entry {
 	st.seq = int(s.seq.Add(1))
 	e.st = st
 	cur := sh.snap.Load()
-	if e.slot >= 0 && !due(cur.sweepAt, now) && earlier(cur.sweepAt, st.Expires).Equal(cur.sweepAt) {
-		cur.slots[e.slot].Store(st)
-	} else {
+	switch {
+	case due(cur.sweepAt, now) || !earlier(cur.sweepAt, st.Expires).Equal(cur.sweepAt):
 		sh.snap.Store(sh.rebuilt(cur, now, nil))
+	case e.slot >= 0:
+		cur.slots[e.slot].Store(st)
+	default:
+		sh.snap.Store(sh.appended(cur, now, e))
 	}
 	s.version.Add(1)
 	return e
 }
 
 // ExportBatch is ExportKeyed in bulk: it upserts many offers, rebuilding each
-// touched shard exactly once instead of once per offer, and returns their
-// export sequence numbers. A later offer for a ref replaces an earlier one, in
-// the index or in the batch. This is the bulk-load path: priming a bench fleet
-// costs O(n) instead of the O(n²/shards) of n sequential first exports.
+// touched shard once, and returns their export sequence numbers. A later offer
+// for a ref replaces an earlier one, in the index or in the batch. The whole
+// batch is one version step and takes one contiguous block of seqs.
 func (s *Service) ExportBatch(offers []Offer) ([]int, error) {
 	for i := range offers {
 		if offers[i].ServiceType == "" {
@@ -378,8 +395,9 @@ func (s *Service) ExportBatch(offers []Offer) ([]int, error) {
 	return seqs, nil
 }
 
-// adopt adds an entry for ref, with no slot until the rebuild that its caller,
-// which holds sh.mu and sets the entry's offer, must then run.
+// adopt adds an entry for ref, the last of the shard's, with no slot until its
+// caller, which holds sh.mu and sets the entry's offer, appends it or rebuilds
+// the shard.
 //
 //lint:coldpath a reference's first export
 func (sh *shard) adopt(ref orb.ObjectRef) *entry {
@@ -389,16 +407,39 @@ func (sh *shard) adopt(ref orb.ObjectRef) *entry {
 	return e
 }
 
+// appended publishes the offer of e, the entry adopt has just added, without a
+// copy while cur's slot array has room: it stores the offer into the slot just
+// past cur's end — where a rebuild would put it, e being the last entry — and
+// returns a longer snapshot over the same array, with cur's sweepAt, which the
+// caller, holding sh.mu, must store. No reader of cur indexes that slot, and no
+// snapshot before reached it: an array's snapshots only grow, as a removal
+// rebuilds. With the array full it returns the rebuild. The caller has checked
+// that no sweep is due and that the offer keeps sweepAt a lower bound.
+//
+//lint:coldpath a reference's first export
+func (sh *shard) appended(cur *shardSnap, now time.Time, e *entry) *shardSnap {
+	n := len(cur.slots)
+	if n == cap(cur.slots) {
+		return sh.rebuilt(cur, now, nil)
+	}
+	e.slot = n
+	next := &shardSnap{slots: cur.slots[:n+1], sweepAt: cur.sweepAt}
+	next.slots[n].Store(e.st)
+	return next
+}
+
 // rebuilt is the copy step of the copy-on-write writers: it returns a fresh
-// snapshot holding the offers of the shard's entries — without drop's (nil:
-// none) and, when cur's sweep is due, without those past their expiry — its
-// sweepAt exact. It removes the dropped entries and moves every survivor's
-// slot, so the caller, which holds sh.mu, must store the result.
+// snapshot, over a fresh slot array with slotHeadroom to grow into, holding the
+// offers of the shard's entries — without drop's (nil: none) and, when cur's
+// sweep is due, without those past their expiry — its sweepAt exact. It
+// removes the dropped entries and moves every survivor's slot, so the caller,
+// which holds sh.mu, must store the result. A removal must rebuild: moving an
+// offer into a freed slot in place could show a reader its ref twice.
 //
 //lint:coldpath copy-on-write shard rebuild: the writer slow path
 func (sh *shard) rebuilt(cur *shardSnap, now time.Time, drop *entry) *shardSnap {
 	sweep := due(cur.sweepAt, now)
-	next := &shardSnap{slots: make([]atomic.Pointer[stored], len(sh.entries))}
+	next := &shardSnap{slots: make([]atomic.Pointer[stored], len(sh.entries), slotHeadroom*len(sh.entries))}
 	kept := sh.entries[:0]
 	for _, e := range sh.entries {
 		if e == drop || sweep && e.st.expired(now) {
