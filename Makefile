@@ -73,14 +73,21 @@ fmt-check:
 
 # Fault-injection suite under the race detector, swept over fixed seeds.
 # CHAOS_SEED parameterizes the seeded-trace tests; the packages cover the
-# chaos engine itself, the resilient ORB client, the GRM failure detector,
-# and the end-to-end crash/recovery paths in core.
+# chaos engine itself, the resilient ORB client, the trader's concurrent
+# writers and readers, the GRM failure detector, and the end-to-end
+# crash/recovery paths in core. Then the trader's tests that race lock-free
+# walks against in-place upserts, appends and writes to held offers, ten times
+# each under the race detector, since one run may miss a schedule.
 chaos:
 	@for seed in $(CHAOS_SEEDS); do \
 		echo "== chaos suite, seed $$seed =="; \
 		CHAOS_SEED=$$seed $(GO) test -race -count=1 \
-			./internal/chaos ./internal/orb ./internal/grm ./internal/core || exit 1; \
+			./internal/chaos ./internal/orb ./internal/trading ./internal/grm ./internal/core || exit 1; \
 	done
+	@echo "== trader races, ten runs =="
+	$(GO) test -race -count=10 \
+		-run 'TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestHeldPointersNeverChange' \
+		./internal/trading
 
 # GRM failover suite under the race detector, swept over the same fixed
 # seeds: what a replica set's followers mirror from the log (the incumbent's

@@ -82,9 +82,6 @@ func (p *Proc) Move() ([]byte, bool) {
 	return msg, true
 }
 
-// Inbox returns the number of undelivered messages from the last Sync.
-func (p *Proc) Inbox() int { return len(p.inbox) }
-
 // Register creates (or replaces) a DRMA register on this process. Remote
 // processes address it by name.
 func (p *Proc) Register(name string, data []byte) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -45,30 +44,17 @@ var ErrCorrupt = errors.New("checkpoint: corrupt snapshot file")
 type FileStore struct {
 	dir string
 	now func() time.Time
-	log *slog.Logger
-}
-
-// FileStoreOption configures a FileStore.
-type FileStoreOption func(*FileStore)
-
-// WithFileStoreLogger sets the logger corruption fallbacks are reported to.
-func WithFileStoreLogger(log *slog.Logger) FileStoreOption {
-	return func(fs *FileStore) { fs.log = log }
 }
 
 // NewFileStore returns a FileStore rooted at dir, creating it if needed.
-func NewFileStore(dir string, now func() time.Time, opts ...FileStoreOption) (*FileStore, error) {
+func NewFileStore(dir string, now func() time.Time) (*FileStore, error) {
 	if now == nil {
 		now = time.Now
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: create store dir: %w", err)
 	}
-	fs := &FileStore{dir: dir, now: now, log: slog.New(slog.DiscardHandler)}
-	for _, opt := range opts {
-		opt(fs)
-	}
-	return fs, nil
+	return &FileStore{dir: dir, now: now}, nil
 }
 
 // Dir returns the store's directory.
@@ -127,7 +113,7 @@ func (fs *FileStore) Save(appID string, superstep int, states [][]byte) error {
 }
 
 // Latest returns the stored snapshot for an application. A current file that
-// fails its integrity check is reported and the previous epoch is restored
+// fails its integrity check is passed over and the previous epoch is restored
 // instead; only when both epochs are unusable does Latest fail.
 func (fs *FileStore) Latest(appID string) (Snapshot, error) {
 	path := fs.path(appID)
@@ -138,8 +124,6 @@ func (fs *FileStore) Latest(appID string) (Snapshot, error) {
 	if errors.Is(err, os.ErrNotExist) {
 		return Snapshot{}, fmt.Errorf("%w for %q", ErrNoSnapshot, appID)
 	}
-	fs.log.Warn("checkpoint corrupt, falling back to previous epoch",
-		"app", appID, "err", err)
 	prev, perr := fs.load(path+prevSuffix, appID)
 	if perr != nil {
 		if errors.Is(perr, os.ErrNotExist) {

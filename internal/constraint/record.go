@@ -69,10 +69,25 @@ func (s *Schema) slot(name string) (int, bool) {
 // write to the slice again, or keep it — and panics when the lengths differ:
 // values is written out against the schema in source.
 func (s *Schema) Record(values []Value) *Record {
+	r := s.Header(values)
+	return &r
+}
+
+// Header is Record as a value, for a holder that keeps the record's header
+// inside itself — beside the values, as the trader's updated offers do — and
+// takes ownership of values on the same terms.
+func (s *Schema) Header(values []Value) Record {
 	if len(values) != len(s.sorted) {
-		panic(fmt.Sprintf("constraint: %d values for a schema of %d properties", len(values), len(s.sorted)))
+		s.misfit(len(values))
 	}
-	return &Record{schema: s, values: values}
+	return Record{schema: s, values: values}
+}
+
+// misfit panics: n values were given for the schema.
+//
+//lint:coldpath a bug in the caller
+func (s *Schema) misfit(n int) {
+	panic(fmt.Sprintf("constraint: %d values for a schema of %d properties", n, len(s.sorted)))
 }
 
 // Record is an immutable property list, one Value per name of its Schema: the

@@ -126,9 +126,6 @@ func NewGrid(opts ...Option) *Grid {
 	return g
 }
 
-// Naming returns the grid's name directory.
-func (g *Grid) Naming() *naming.Service { return g.naming }
-
 // Clock returns the grid clock.
 func (g *Grid) Clock() sim.Clock { return g.clock }
 

@@ -11,13 +11,13 @@ import (
 )
 
 // Default timing. The heartbeat must be well under the election timeout
-// floor, and the timeout range wide enough that randomized candidates
-// rarely split a vote; the defaults keep a replica set stable on the
+// floor, and the timeout range — from TimeoutMin to twice it, unless
+// TimeoutMax is set — wide enough that randomized candidates rarely split a
+// vote; the defaults keep a replica set stable on the
 // simulated grid's second-scale clock and are overridable for real wires.
 const (
 	DefaultHeartbeat  = 2 * time.Second
 	DefaultTimeoutMin = 6 * time.Second
-	DefaultTimeoutMax = 12 * time.Second
 )
 
 // Role is a node's current standing in the replica set.
@@ -215,13 +215,6 @@ func (n *Node) WonTerms() []int {
 	out := make([]int, len(n.wonTerms))
 	copy(out, n.wonTerms)
 	return out
-}
-
-// CommitIndex returns the highest committed log index.
-func (n *Node) CommitIndex() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.commitIndex
 }
 
 // Stats returns a snapshot of the election counters.

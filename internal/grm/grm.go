@@ -476,38 +476,40 @@ func (g *GRM) exportStatusOffer(s *protocol.NodeStatus, now time.Time, epoch int
 			break
 		}
 	}
-	offer := trading.Offer{
-		ServiceType: NodeStatusType,
-		Ref:         s.LRMRef,
-		Expires:     now.Add(g.offerTTL),
-		// One value per name of statusSchema, in its order.
-		Properties: statusSchema.Record([]constraint.Value{
-			constraint.Number(s.GridFree.MIPS),
-			constraint.Number(s.GridFree.RAMMB),
-			constraint.String(s.Platform.OS),
-			constraint.String(s.Platform.Arch),
-			constraint.Bool(s.OwnerBusy),
-			constraint.Bool(s.Dedicated),
-			constraint.Number(s.PredictedIdle.Seconds()),
-			constraint.Number(s.GridFree.DiskMB),
-			constraint.Number(s.GridFree.NetMbps),
-			constraint.Number(s.Capacity.MIPS),
-			constraint.Number(s.Capacity.RAMMB),
-			constraint.Number(winEnd),
-			constraint.Number(winConf),
-			constraint.String(s.NodeID),
-			constraint.String(s.LANID),
-			constraint.Number(s.Capacity.DiskMB),
-			constraint.Number(s.Capacity.NetMbps),
-			constraint.Number(float64(s.Timestamp.Unix())),
-			// The exporting manager's fencing epoch: consumers comparing
-			// offers across a failover can spot exports from a deposed
-			// primary.
-			constraint.Number(float64(epoch)),
-		}),
+	// One value per name of statusSchema, in its order, on the stack: Upsert
+	// copies them into the offer it stores.
+	values := [...]constraint.Value{
+		constraint.Number(s.GridFree.MIPS),
+		constraint.Number(s.GridFree.RAMMB),
+		constraint.String(s.Platform.OS),
+		constraint.String(s.Platform.Arch),
+		constraint.Bool(s.OwnerBusy),
+		constraint.Bool(s.Dedicated),
+		constraint.Number(s.PredictedIdle.Seconds()),
+		constraint.Number(s.GridFree.DiskMB),
+		constraint.Number(s.GridFree.NetMbps),
+		constraint.Number(s.Capacity.MIPS),
+		constraint.Number(s.Capacity.RAMMB),
+		constraint.Number(winEnd),
+		constraint.Number(winConf),
+		constraint.String(s.NodeID),
+		constraint.String(s.LANID),
+		constraint.Number(s.Capacity.DiskMB),
+		constraint.Number(s.Capacity.NetMbps),
+		constraint.Number(float64(s.Timestamp.Unix())),
+		// The exporting manager's fencing epoch: consumers comparing
+		// offers across a failover can spot exports from a deposed
+		// primary.
+		constraint.Number(float64(epoch)),
 	}
-	if !g.trader.Upsert(place, offer) {
-		g.exportByRef(s.NodeID, place, offer)
+	expires := now.Add(g.offerTTL)
+	if !g.trader.Upsert(place, expires, statusSchema, values[:]) {
+		g.exportByRef(s.NodeID, place, trading.Offer{
+			ServiceType: NodeStatusType,
+			Ref:         s.LRMRef,
+			Expires:     expires,
+			Properties:  statusSchema.Record(slices.Clone(values[:])),
+		})
 	}
 }
 

@@ -116,11 +116,6 @@ func WithUpdatePeriod(d time.Duration) Option {
 	return func(l *LRM) { l.updatePeriod = d }
 }
 
-// WithAnalyzer overrides the default usage-pattern analyzer.
-func WithAnalyzer(a *lupa.Analyzer) Option {
-	return func(l *LRM) { l.analyzer = a }
-}
-
 // WithLogger sets the logger.
 func WithLogger(log *slog.Logger) Option {
 	return func(l *LRM) { l.log = log }

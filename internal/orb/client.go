@@ -63,11 +63,6 @@ var _ Invoker = (*Client)(nil)
 // ClientOption configures a Client.
 type ClientOption func(*Client)
 
-// WithDialTimeout sets the TCP dial timeout (default 5s).
-func WithDialTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.dialTimeout = d }
-}
-
 // WithCallTimeout sets the per-invocation budget (default 30s). The budget
 // covers the write and the reply read of one delivery attempt.
 func WithCallTimeout(d time.Duration) ClientOption {

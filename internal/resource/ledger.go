@@ -55,15 +55,6 @@ func (l *Ledger) Capacity() Vector {
 	return l.capacity
 }
 
-// SetCapacity adjusts the capacity (e.g. when an NCC policy changes the
-// shareable fraction). Existing holds are never revoked, so free capacity may
-// temporarily be negative-clamped to zero.
-func (l *Ledger) SetCapacity(capacity Vector) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.capacity = capacity
-}
-
 // Free returns capacity not reserved or committed, as of now (expired
 // reservations are pruned first).
 func (l *Ledger) Free(now time.Time) Vector {

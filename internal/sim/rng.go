@@ -47,12 +47,6 @@ func (g *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*g.r.NormFloat64()
 }
 
-// Exp returns an exponentially distributed value with the given mean.
-// The mean must be positive.
-func (g *RNG) Exp(mean float64) float64 {
-	return g.r.ExpFloat64() * mean
-}
-
 // Pareto returns a bounded Pareto-distributed value with shape alpha and
 // minimum xmin. Heavy-tailed durations (user sessions, job sizes) use this.
 func (g *RNG) Pareto(alpha, xmin float64) float64 {

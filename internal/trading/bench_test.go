@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"integrade/internal/constraint"
 	"integrade/internal/orb"
@@ -142,15 +143,27 @@ func BenchmarkExportKeyedUpsert(b *testing.B) {
 	}
 }
 
+// fleetValues is upsertFleet's offers taken apart for Upsert: their one schema
+// and each offer's values.
+func fleetValues(offers []Offer) (*constraint.Schema, [][]constraint.Value) {
+	var schema *constraint.Schema
+	values := make([][]constraint.Value, len(offers))
+	for i, o := range offers {
+		schema, values[i] = recordParts(o.Properties)
+	}
+	return schema, values
+}
+
 // BenchmarkPlaceUpsert is the Information Update Protocol's inner loop at fleet
 // size, an upsert through the node's place: the trader's share of
 // BenchmarkLoopbackUpdate10k in internal/grm.
 func BenchmarkPlaceUpsert(b *testing.B) {
 	s, offers, places := upsertFleet()
+	schema, values := fleetValues(offers)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !s.Upsert(places[i%len(places)], offers[i%len(offers)]) {
+		if !s.Upsert(places[i%len(places)], time.Time{}, schema, values[i%len(values)]) {
 			b.Fatal("an upsert through a live place was dropped")
 		}
 	}
@@ -180,10 +193,11 @@ func BenchmarkExportFirst10k(b *testing.B) {
 func TestExportKeyedAllocBudget(t *testing.T) {
 	path := filepath.Join("testdata", "alloc_budget.txt")
 	s, offers, places := upsertFleet()
+	schema, values := fleetValues(offers)
 	fresh := NewService(nil)
 	upserts := map[string]func(i int) bool{
 		"export-keyed": func(i int) bool { _, err := s.ExportKeyed(offers[i]); return err == nil },
-		"upsert-place": func(i int) bool { return s.Upsert(places[i], offers[i]) },
+		"upsert-place": func(i int) bool { return s.Upsert(places[i], time.Time{}, schema, values[i]) },
 		// 2001 refs' first offers, ~31 a shard, into a service that has none.
 		"export-first": func(i int) bool { _, err := fresh.ExportKeyed(offers[i]); return err == nil },
 	}

@@ -135,10 +135,10 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 			case 3, 4:
 				o := offer()
 				if p, live := places[o.Ref]; !live {
-					if len(dead) > 0 && s.Upsert(dead[rng.Intn(len(dead))], o) {
+					if len(dead) > 0 && upsertOffer(s, dead[rng.Intn(len(dead))], o) {
 						t.Fatalf("seed %d step %d: an upsert through a dead place was stored", seed, step)
 					}
-				} else if !s.Upsert(p, o) || p.e.st.seq != m.exportKeyed(o, now) {
+				} else if !upsertOffer(s, p, o) || p.e.st.seq != m.exportKeyed(o, now) {
 					t.Fatalf("seed %d step %d: an upsert through a live place was dropped or misnumbered", seed, step)
 				}
 			case 5, 6:
@@ -298,7 +298,7 @@ func TestKeyedUpsertInPlace(t *testing.T) {
 		o := nodeOffer(7, 1234, 512)
 		o.Expires = expires
 		var err error
-		if !s.Upsert(place, o) {
+		if !upsertOffer(s, place, o) {
 			place, err = s.ExportKeyed(o)
 		}
 		if err != nil || s.Version() != v+1 {
@@ -328,10 +328,11 @@ func TestKeyedUpsertInPlace(t *testing.T) {
 	heartbeatFleet(t, small, 2*shardsPerType, ttl)
 	o := nodeOffer(7, 1, 1)
 	o.Expires = now.Add(ttl)
+	schema, values := recordParts(o.Properties)
 	perBeat := func(s *Service) (byRef, byPlace float64) {
 		p, _ := s.ExportKeyed(o)
 		return testing.AllocsPerRun(200, func() { _, _ = s.ExportKeyed(o) }),
-			testing.AllocsPerRun(200, func() { s.Upsert(p, o) })
+			testing.AllocsPerRun(200, func() { s.Upsert(p, o.Expires, schema, values) })
 	}
 	bigRef, bigPlace := perBeat(s)
 	if oneRef, onePlace := perBeat(small); bigRef != oneRef || bigPlace != onePlace || bigRef > 1 || bigPlace > 1 {
@@ -440,7 +441,7 @@ func TestVisitRacesInPlaceUpserts(t *testing.T) {
 					n := 3*i + w
 					o := nodeOffer(n, float64(rng.Intn(2000)), 512)
 					o.Expires = s.now().Add(ttl)
-					if s.Upsert(places[n], o) {
+					if upsertOffer(s, places[n], o) {
 						continue
 					}
 					p, err := s.ExportKeyed(o)

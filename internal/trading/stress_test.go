@@ -98,7 +98,7 @@ func TestVersionBumpsOnWritesOnly(t *testing.T) {
 	}{
 		{"ExportKeyed", func() (err error) { fifty, err = s.ExportKeyed(nodeOffer(50, 900, 512)); return err }},
 		{"ExportKeyed in place", func() error { _, err := s.ExportKeyed(nodeOffer(50, 901, 512)); return err }},
-		{"Upsert", func() error { return errorIf(!s.Upsert(fifty, nodeOffer(50, 902, 512)), "dropped") }},
+		{"Upsert", func() error { return errorIf(!upsertOffer(s, fifty, nodeOffer(50, 902, 512)), "dropped") }},
 		{"ExportBatch", func() error { _, err := s.ExportBatch([]Offer{nodeOffer(2, 1, 1), nodeOffer(3, 1, 1)}); return err }},
 		{"Withdraw", func() error { return errorIf(!s.Withdraw(fifty), "removed nothing") }},
 	}
@@ -111,7 +111,7 @@ func TestVersionBumpsOnWritesOnly(t *testing.T) {
 			t.Fatalf("%s moved the version %d -> %d, want one step", w.name, v, s.Version())
 		}
 	}
-	if v = s.Version(); s.Upsert(fifty, nodeOffer(50, 903, 512)) || s.Withdraw(fifty) || s.Version() != v {
+	if v = s.Version(); upsertOffer(s, fifty, nodeOffer(50, 903, 512)) || s.Withdraw(fifty) || s.Version() != v {
 		t.Fatal("an upsert or a withdrawal through a dead place bumped the version")
 	}
 }
@@ -202,7 +202,7 @@ func TestConcurrentTradingStress(t *testing.T) {
 					}
 					owned = append(owned, p)
 				case 1:
-					if !s.Upsert(held, nodeOffer(w*10000+9000, float64(rng.Intn(2000)), 256)) {
+					if !upsertOffer(s, held, nodeOffer(w*10000+9000, float64(rng.Intn(2000)), 256)) {
 						t.Error("an upsert through a live place was dropped")
 						return
 					}
@@ -398,7 +398,7 @@ func TestSeqOrderSameShard(t *testing.T) {
 					switch {
 					case g%4 == 3:
 						_, err = s.ExportBatch([]Offer{o, o})
-					case g%4 == 2 && s.Upsert(p, o):
+					case g%4 == 2 && upsertOffer(s, p, o):
 					default:
 						p, err = s.ExportKeyed(o)
 					}
@@ -427,14 +427,28 @@ func TestSeqOrderSameShard(t *testing.T) {
 // relies on: the offers SelectPointers returns are the index's own, and
 // stay exactly as they were however many updates and withdrawals follow. A
 // reader takes one query's pointers and a value copy of each, then re-reads
-// through the pointers while writers upsert and withdraw the very same
-// references; under -race any write to a published offer is also a report.
+// through the pointers, and reads every offer a fresh query returns, while
+// writers upsert — by reference, and through the places their exports
+// returned, from one value array each writer rewrites before every upsert —
+// and withdraw the very same references. Half the held offers were written
+// through places too, from one array rewritten since. Under -race any write to
+// a published offer is also a report.
 func TestHeldPointersNeverChange(t *testing.T) {
 	s := NewService(nil)
 	const nodes = 64
+	schema, values := recordParts(nodeOffer(0, 0, 0).Properties)
 	for i := 0; i < nodes; i++ {
-		if _, err := s.ExportKeyed(nodeOffer(i, float64(100+i), 512)); err != nil {
+		o := nodeOffer(i, float64(100+i), 512)
+		p, err := s.ExportKeyed(o)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			_, fresh := recordParts(o.Properties)
+			copy(values, fresh)
+			if !s.Upsert(p, o.Expires, schema, values) {
+				t.Fatal("an upsert through a live place was dropped")
+			}
 		}
 	}
 	held, err := s.SelectPointers(Query{ServiceType: "NodeStatus", Constraint: "mips >= 100"})
@@ -449,6 +463,7 @@ func TestHeldPointersNeverChange(t *testing.T) {
 	for i, o := range held {
 		copies[i] = copyOf{offer: *o, props: maps.Collect(o.Properties.All())}
 	}
+	clear(values)
 	check := func() {
 		for i, o := range held {
 			c := copies[i]
@@ -458,6 +473,14 @@ func TestHeldPointersNeverChange(t *testing.T) {
 				return
 			}
 		}
+		live, err := s.SelectPointers(Query{ServiceType: "NodeStatus"})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for _, o := range live {
+			maps.Collect(o.Properties.All())
+		}
 	}
 
 	var wg sync.WaitGroup
@@ -466,14 +489,28 @@ func TestHeldPointersNeverChange(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
+			places := map[int]Place{}
+			schema, values := recordParts(nodeOffer(0, 0, 0).Properties)
 			for i := 0; i < 400; i++ {
 				n := rng.Intn(nodes)
-				if rng.Intn(4) == 0 {
+				o := nodeOffer(n, float64(rng.Intn(2000)), 256)
+				switch rng.Intn(4) {
+				case 0:
 					withdrawRef(s, nodeRef(n))
-				} else if _, err := s.ExportKeyed(nodeOffer(n, float64(rng.Intn(2000)), 256)); err != nil {
+					continue
+				case 1:
+					_, fresh := recordParts(o.Properties)
+					copy(values, fresh)
+					if s.Upsert(places[n], o.Expires, schema, values) {
+						continue
+					}
+				}
+				p, err := s.ExportKeyed(o)
+				if err != nil {
 					t.Errorf("ExportKeyed: %v", err)
 					return
 				}
+				places[n] = p
 			}
 		}(w)
 	}
@@ -556,7 +593,7 @@ func TestVersionCountsConcurrentWrites(t *testing.T) {
 						return
 					}
 				case n.departed: // a stale write through the dead place
-					if s.Upsert(n.place, offer(n)) || s.Withdraw(n.place) {
+					if upsertOffer(s, n.place, offer(n)) || s.Withdraw(n.place) {
 						t.Errorf("a dead place of %v wrote to the index", n.ref)
 						return
 					}
@@ -579,7 +616,7 @@ func TestVersionCountsConcurrentWrites(t *testing.T) {
 					}
 					writes.Add(1)
 				default:
-					if !s.Upsert(n.place, offer(n)) {
+					if !upsertOffer(s, n.place, offer(n)) {
 						t.Errorf("an upsert through the live place of %v was dropped", n.ref)
 						return
 					}

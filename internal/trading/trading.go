@@ -90,11 +90,28 @@ func (o *Offer) expired(now time.Time) bool { return due(o.Expires, now) }
 // that has loaded a slot has &st.rec without touching memory, so reaching a
 // property is two dependent loads — header, value — not three, and the Expires
 // and seq of a match are on the line the header came in on. The header is a
-// copy; the value array is the exporter's, shared. Like the Offer inside it, a
-// stored is written before it is published and never again.
+// copy. The value array is the exporter's, shared, in an offer exported by
+// reference, and the offer's own, right behind it, in one Upsert stored
+// (updated). Like the Offer inside it, a stored is written before it is
+// published and never again.
 type stored struct {
 	rec constraint.Record
 	Offer
+}
+
+// inlineValues is how many property values an updated offer holds in its own
+// allocation. A stored is 136 B and a value 32 B, so 19 of them make 744 B, in
+// Go's 768-B size class; a 20th would tip the offer into the 896-B class.
+// statusSchema's 19 values fit.
+const inlineValues = 19
+
+// updated is an offer an Upsert stored: the stored offer, its record header
+// inline, and the record's values right behind them, in one object. A scan
+// that reaches it finds the header and the first value 136 B apart, not in
+// two objects wherever the allocator put them.
+type updated struct {
+	stored
+	vals [inlineValues]constraint.Value
 }
 
 // noProperties stands in for a nil record, so that every stored rec is valid.
@@ -304,20 +321,44 @@ func (s *Service) ExportKeyed(o Offer) (Place, error) {
 	return Place{s.upsert(s.shardFor(o.ServiceType, o.Ref), nil, newStored(o))}, nil
 }
 
-// Upsert makes o the offer at place p, as ExportKeyed would for p's reference,
-// without finding the reference: it locks p's shard and stores into p's slot.
-// o must be of the type and reference p was exported under. Upsert reports
-// false, and changes nothing, when p is dead or the zero Place: it never
-// re-adds an offer.
+// Upsert makes the offer at place p one of p's type and reference with the
+// given expiry and properties, values[i] being the schema's i-th, as
+// ExportKeyed would for p's reference, without finding the reference: it locks
+// p's shard and stores into p's slot. It copies values into the offer, which
+// holds them beside its record header, so the caller keeps the array and may
+// reuse it once Upsert returns. Upsert reports false, and changes nothing, when
+// p is dead or the zero Place: it never re-adds an offer.
 //
 //lint:hotpath alloc=1 locks=1 block=0
-func (s *Service) Upsert(p Place, o Offer) bool {
-	return p.e != nil && s.upsert(p.e.sh, p.e, newStored(o)) != nil
+func (s *Service) Upsert(p Place, expires time.Time, schema *constraint.Schema, values []constraint.Value) bool {
+	if p.e == nil {
+		return false
+	}
+	var st *stored
+	if len(values) <= inlineValues {
+		u := &updated{}
+		st = &u.stored
+		st.rec = schema.Header(u.vals[:copy(u.vals[:], values)])
+	} else {
+		st = storedApart(schema, values)
+	}
+	st.Expires = expires
+	st.Properties = &st.rec
+	return s.upsert(p.e.sh, p.e, st) != nil
 }
 
-// upsert makes st the offer of e, an entry of sh — with e nil, of the entry of
-// st's reference, added on the reference's first export — and returns the
-// entry, or nil, storing nothing, when e is dead. When nothing in the shard can
+// storedApart is an updated offer whose values do not fit inline: the stored
+// offer and a copy of the values, apart.
+//
+//lint:coldpath a record longer than inlineValues
+func storedApart(schema *constraint.Schema, values []constraint.Value) *stored {
+	return &stored{rec: schema.Header(slices.Clone(values))}
+}
+
+// upsert makes st the offer of e, an entry of sh, under the type and reference
+// of e's current offer — with e nil, of the entry of st's reference, added on
+// the reference's first export — and returns the entry, or nil, storing
+// nothing, when e is dead. When nothing in the shard can
 // have expired (now is short of sweepAt) and st's expiry keeps sweepAt a lower
 // bound, it stores st into the entry's slot, or appends a reference's first
 // offer past the snapshot's end; otherwise — an expiry to compact, a lower
@@ -334,6 +375,8 @@ func (s *Service) upsert(sh *shard, e *entry, st *stored) *entry {
 		}
 	case e.slot < 0:
 		return nil
+	default:
+		st.ServiceType, st.Ref = e.st.ServiceType, e.st.Ref
 	}
 	st.seq = int(s.seq.Add(1))
 	e.st = st

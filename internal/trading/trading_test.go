@@ -7,6 +7,7 @@ import (
 
 	"integrade/internal/constraint"
 	"integrade/internal/orb"
+	"integrade/internal/testutil/allocbudget"
 )
 
 func nodeRef(i int) orb.ObjectRef {
@@ -26,6 +27,25 @@ func nodeOffer(i int, mips, ram float64) Offer {
 			"os":   constraint.String("linux"),
 		}.Record(),
 	}
+}
+
+// upsertOffer is Upsert through p of o's expiry and properties: o's record
+// taken apart by recordParts.
+func upsertOffer(s *Service, p Place, o Offer) bool {
+	schema, values := recordParts(o.Properties)
+	return s.Upsert(p, o.Expires, schema, values)
+}
+
+// recordParts takes a record built by Properties.Record apart into its schema —
+// the names in ascending order — and its values in that order.
+func recordParts(r *constraint.Record) (*constraint.Schema, []constraint.Value) {
+	var names []string
+	var values []constraint.Value
+	for name, v := range r.All() {
+		names = append(names, name)
+		values = append(values, v)
+	}
+	return constraint.NewSchema(names...), values
 }
 
 func TestExportSelectWithdraw(t *testing.T) {
@@ -107,13 +127,85 @@ func TestExportKeyedUpserts(t *testing.T) {
 	if mips != 999 || offers[0].Seq() != second.e.st.seq || second.e.st.seq <= firstSeq {
 		t.Fatalf("upserted mips = %v, seq %d; exports numbered %d then %d", mips, offers[0].Seq(), firstSeq, second.e.st.seq)
 	}
-	if !s.Upsert(first, nodeOffer(1, 42, 512)) || s.Count("NodeStatus") != 1 {
+	if !upsertOffer(s, first, nodeOffer(1, 42, 512)) || s.Count("NodeStatus") != 1 {
 		t.Fatalf("an upsert through the place failed or added an offer: Count = %d", s.Count("NodeStatus"))
 	}
 	if offers, _ := s.Select(Query{ServiceType: "NodeStatus", Constraint: "mips == 42"}); len(offers) != 1 {
 		t.Fatalf("after the upsert through the place %d offers have its mips", len(offers))
 	}
 	assertIndexConsistent(t, s)
+}
+
+// wideRecord is a record of n numeric properties, p00 upward, property i
+// holding base+i: its schema and its values.
+func wideRecord(n int, base float64) (*constraint.Schema, []constraint.Value) {
+	names, values := make([]string, n), make([]constraint.Value, n)
+	for i := range names {
+		names[i], values[i] = fmt.Sprintf("p%02d", i), constraint.Number(base+float64(i))
+	}
+	return constraint.NewSchema(names...), values
+}
+
+// TestUpsertCopiesValues: Upsert takes its offer's type and reference from the
+// place and copies the values into the offer — inline for a record that fits
+// inlineValues, apart for a longer one — so a caller that rewrites its value
+// array after Upsert returns, as the GRM's stack array is rewritten by the
+// next update, leaves the stored offer as it was.
+func TestUpsertCopiesValues(t *testing.T) {
+	for _, n := range []int{inlineValues, inlineValues + 1} {
+		s := NewService(nil)
+		schema, values := wideRecord(n, 0)
+		p, err := s.ExportKeyed(Offer{ServiceType: "Wide", Ref: nodeRef(1), Properties: schema.Record(values)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, values = wideRecord(n, 100)
+		expires := time.Unix(2000, 0)
+		if !s.Upsert(p, expires, schema, values) {
+			t.Fatalf("%d values: an upsert through a live place was dropped", n)
+		}
+		for i := range values {
+			values[i] = constraint.Number(-1)
+		}
+		got := s.All("Wide")
+		if len(got) != 1 || got[0].ServiceType != "Wide" || got[0].Ref != nodeRef(1) || !got[0].Expires.Equal(expires) {
+			t.Fatalf("%d values: the index holds %+v, want one Wide offer of node 1 expiring at %v", n, got, expires)
+		}
+		i := 0
+		for name, v := range got[0].Properties.All() {
+			if want := fmt.Sprintf("p%02d", i); name != want || v != constraint.Number(100+float64(i)) {
+				t.Fatalf("%d values: property %d is %s = %v, want %s = %d: the trader aliases the caller's array", n, i, name, v, want, 100+i)
+			}
+			i++
+		}
+		if i != n {
+			t.Fatalf("%d values: the stored offer has %d", n, i)
+		}
+	}
+}
+
+// TestUpsertFitsSizeClass is the size-class rule of inlineValues: an upsert of
+// statusSchema's 19 values allocates one object of at most 768 B. A 20th
+// inline value, or a new field of stored, tips it into the 896-B class and
+// fails here; so does a capacity below 19, which stores the values apart.
+func TestUpsertFitsSizeClass(t *testing.T) {
+	const updates, sizeClass = 100, 768
+	s := NewService(nil)
+	schema, values := wideRecord(19, 0)
+	p, err := s.ExportKeyed(Offer{ServiceType: "Wide", Ref: nodeRef(1), Properties: schema.Record(values)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := allocbudget.Bytes(func() {
+		for range updates {
+			if !s.Upsert(p, time.Time{}, schema, values) {
+				t.Fatal("an upsert through a live place was dropped")
+			}
+		}
+	})
+	if got > updates*sizeClass {
+		t.Fatalf("a 19-value upsert allocates %d B, want at most the %d-B size class", got/updates, sizeClass)
+	}
 }
 
 // TestWithdraw: a withdrawal through a place removes the ref's offer and no
@@ -140,13 +232,13 @@ func TestWithdraw(t *testing.T) {
 		t.Fatal("Withdraw removed nothing")
 	}
 	v := s.Version()
-	if s.Withdraw(p) || s.Upsert(p, seven) || s.Withdraw(Place{}) || s.Upsert(Place{}, seven) || s.Version() != v {
+	if s.Withdraw(p) || upsertOffer(s, p, seven) || s.Withdraw(Place{}) || upsertOffer(s, Place{}, seven) || s.Version() != v {
 		t.Fatal("a dead or zero place wrote to the index")
 	}
 	if got := s.Count("NodeStatus"); got != 1 || s.All("NodeStatus")[0].Ref != nodeRef(8) {
 		t.Fatalf("Count = %d after the withdrawal, want node 8's offer only", got)
 	}
-	if again, err := s.ExportKeyed(seven); err != nil || again == p || !s.Upsert(again, seven) {
+	if again, err := s.ExportKeyed(seven); err != nil || again == p || !upsertOffer(s, again, seven) {
 		t.Fatalf("re-export = %v, %v; want a live place other than the dead %v", again, err, p)
 	}
 	assertIndexConsistent(t, s)
