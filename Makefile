@@ -75,9 +75,11 @@ fmt-check:
 # CHAOS_SEED parameterizes the seeded-trace tests; the packages cover the
 # chaos engine itself, the resilient ORB client, the trader's concurrent
 # writers and readers, the GRM failure detector, and the end-to-end
-# crash/recovery paths in core. Then the trader's tests that race lock-free
-# walks against in-place upserts, appends and writes to held offers, ten times
-# each under the race detector, since one run may miss a schedule.
+# crash/recovery paths in core. Then, ten times each under the race detector,
+# since one run may miss a schedule: the trader's tests that race lock-free
+# walks against in-place upserts, appends and writes to held offers, and the
+# GRM's failure sweep racing heartbeats that rewrite their node records'
+# window arrays in place while a replica-set leader flushes.
 chaos:
 	@for seed in $(CHAOS_SEEDS); do \
 		echo "== chaos suite, seed $$seed =="; \
@@ -88,6 +90,8 @@ chaos:
 	$(GO) test -race -count=10 \
 		-run 'TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestHeldPointersNeverChange' \
 		./internal/trading
+	@echo "== GRM window-record races, ten runs =="
+	$(GO) test -race -count=10 -run '^TestSweepRacingHeartbeats$$' ./internal/grm
 
 # GRM failover suite under the race detector, swept over the same fixed
 # seeds: what a replica set's followers mirror from the log (the incumbent's
@@ -191,12 +195,14 @@ profile-batch:
 # Encoder, as the loopback fleets send it, into a GRM that knows 10^4 nodes,
 # in a shuffled order, decoded against the node's record, through to the
 # trader upsert and the reply — under the CPU profiler (ROADMAP item 6c). On a
-# 2-core Xeon the collector's mark (gcDrain) is ~27% cumulative; grm's
-# exportStatusOffer ~20%, of which the trader's Upsert through the node's
-# place is ~9%; protocol's DecodeUpdate and EncodeUpdate ~10% each;
-# recordedIdentity ~8% (the node record's first, cold lookup, under g.mu) and
-# recordUpdate ~8%, of which recordStatusLocked ~6%. Leaves
-# loopback_update.prof and its test binary in the working directory.
+# 2-core Xeon the collector's mark (gcDrain) is ~24% cumulative; grm's
+# exportStatusOffer ~21%, of which the trader's Upsert through the node's
+# place, its 768-B stored offer included, is ~19%; protocol's EncodeUpdate
+# ~12% and DecodeUpdate ~9%; recordedIdentity ~9% (the node record's first,
+# cold lookup, under g.mu) and recordUpdate ~12%, of which recordStatusLocked
+# ~7% and g.mu's unlock ~4%: the unlock waits for the store into the record's
+# window array, which a shuffled fleet finds cold. Leaves loopback_update.prof
+# and its test binary in the working directory.
 profile-update:
 	$(GO) test -run '^$$' -bench BenchmarkLoopbackUpdate10k -benchtime 2000000x \
 		-cpuprofile loopback_update.prof -o loopback_update.test ./internal/grm

@@ -38,7 +38,8 @@ func TestLateDeliveryReadsSentBytes(t *testing.T) {
 					got []string
 				)
 				mux := orb.NewOpMux().Handle(protocol.OpUpdate, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-					s, _, err := protocol.DecodeUpdate(req, nil)
+					var buf [protocol.MaxWindows]protocol.AvailWindow
+					s, _, _, err := protocol.DecodeUpdate(req, nil, &buf)
 					if err != nil {
 						return nil, err
 					}

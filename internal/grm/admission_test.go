@@ -327,7 +327,15 @@ func TestSchedulePendingRunsInSubmissionOrder(t *testing.T) {
 	if err := g.CancelApp(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.HandleUpdate(&protocol.NodeStatus{
+	grmAdapter := orb.NewAdapter()
+	if err := grmAdapter.Register(protocol.GRMKey, g.Servant()); err != nil {
+		t.Fatal(err)
+	}
+	grmEP, err := o.BindLoopback("c", grmAdapter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := protocol.NewGRMClient(o, orb.ObjectRef{Endpoint: grmEP, Key: protocol.GRMKey}).Update(protocol.NodeStatus{
 		NodeID:    "slot",
 		LRMRef:    orb.ObjectRef{Endpoint: ep, Key: protocol.LRMKey},
 		Dedicated: true,

@@ -64,7 +64,7 @@ func missFleet(tb testing.TB, g *GRM, n int) []protocol.NodeStatus {
 		} else if s.OwnerBusy = rng.Bool(0.375); !s.OwnerBusy {
 			s.PredictedIdle = time.Duration(rng.Intn(8*60)) * time.Minute
 		}
-		if _, err := g.HandleUpdate(&s); err != nil {
+		if _, err := g.handleUpdate(&s, s.Windows); err != nil {
 			tb.Fatal(err)
 		}
 		fleet[i] = s
@@ -98,7 +98,7 @@ func BenchmarkPlacementMissChurned10k(b *testing.B) {
 	rng := sim.NewRNG(2)
 	for round := 0; round < 3; round++ {
 		for _, i := range rng.Perm(len(fleet)) {
-			if _, err := g.HandleUpdate(&fleet[i]); err != nil {
+			if _, err := g.handleUpdate(&fleet[i], fleet[i].Windows); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -170,7 +170,7 @@ func (g *GRM) ApplyReplicaEntry(index, term int, data []byte) {
 	g.mu.Unlock()
 
 	for _, e := range exports {
-		g.exportStatusOffer(e.s, now, epoch, e.place)
+		g.exportStatusOffer(e.s, coveringWindow(e.s.Windows, now), now, epoch, e.place)
 	}
 	for _, place := range withdraws {
 		g.trader.Withdraw(place)

@@ -373,13 +373,14 @@ func (g *GRM) Stop() {
 	}
 }
 
-// HandleUpdate processes one Information Update Protocol message and
-// returns the manager's fencing epoch for the reply. A consensus-managed
-// replica that is not the leader refuses the update so the LRM re-resolves
-// toward the leader instead of feeding a stale view — and so does a leader
-// whose replication stream has lost its quorum: a partitioned primary that
-// kept answering updates would keep its LRMs' fences pinned to the old
-// epoch, leaving them obedient to a deposed manager.
+// handleUpdate processes one Information Update Protocol message — the status
+// and the windows decoded beside it — and returns the manager's fencing epoch
+// for the reply. A consensus-managed replica that is not the leader refuses
+// the update so the LRM re-resolves toward the leader instead of feeding a
+// stale view — and so does a leader whose replication stream has lost its
+// quorum: a partitioned primary that kept answering updates would keep its
+// LRMs' fences pinned to the old epoch, leaving them obedient to a deposed
+// manager.
 //
 // The update is recorded under g.mu and exported to the trader after it is
 // released, through the place the node's record holds: the trader has locks of
@@ -387,15 +388,15 @@ func (g *GRM) Stop() {
 // sweep that declares the node dead in between puts the offer back after its
 // withdraw (restoreOffer); a departure in between takes the place, and the
 // upsert through it is dropped (exportByRef).
-func (g *GRM) HandleUpdate(s *protocol.NodeStatus) (int, error) {
+func (g *GRM) handleUpdate(s *protocol.NodeStatus, windows []protocol.AvailWindow) (int, error) {
 	now := g.clock.Now()
-	epoch, place, moved, export, err := g.recordUpdate(s, now)
+	epoch, place, moved, export, err := g.recordUpdate(s, windows, now)
 	if err != nil {
 		return 0, err
 	}
 	g.trader.Withdraw(moved)
 	if export {
-		g.exportStatusOffer(s, now, epoch, place)
+		g.exportStatusOffer(s, coveringWindow(windows, now), now, epoch, place)
 	}
 	return epoch, nil
 }
@@ -422,11 +423,11 @@ func (g *GRM) recordedIdentity(d orb.Decoder) protocol.NodeStatus {
 	}
 }
 
-// recordUpdate is HandleUpdate's one section under g.mu: it refuses the update
+// recordUpdate is handleUpdate's one section under g.mu: it refuses the update
 // or records it — liveness, counters, the replication stream's copy — and
 // returns the epoch for the reply, and recordStatusLocked's place to export
 // through, place to withdraw and export decision.
-func (g *GRM) recordUpdate(s *protocol.NodeStatus, now time.Time) (epoch int, place, moved trading.Place, export bool, err error) {
+func (g *GRM) recordUpdate(s *protocol.NodeStatus, windows []protocol.AvailWindow, now time.Time) (epoch int, place, moved trading.Place, export bool, err error) {
 	g.mu.Lock()
 	refuse := g.elect != nil && g.role != RolePrimary
 	// Only a replica-set leader has a stream. repl.degraded takes the
@@ -448,7 +449,7 @@ func (g *GRM) recordUpdate(s *protocol.NodeStatus, now time.Time) (epoch int, pl
 	if age := now.Sub(s.Timestamp); age > 0 {
 		g.stats.StalenessSum += age
 	}
-	place, moved, export = g.recordStatusLocked(s, now)
+	place, moved, export = g.recordStatusLocked(s, windows, now)
 	return g.epoch, place, moved, export, nil
 }
 
@@ -460,22 +461,29 @@ func (g *GRM) Epoch() int {
 	return g.epoch
 }
 
-// exportStatusOffer upserts the node's trader offer from its status, stamped
-// with the manager's fencing epoch, through place, the one the node's record
-// held when the status was recorded — or by reference when that is zero or
-// dead (exportByRef).
-func (g *GRM) exportStatusOffer(s *protocol.NodeStatus, now time.Time, epoch int, place trading.Place) {
-	// Current availability window, if the node forecast one covering now.
-	// Zero means "no forecast" — the window filter lets those offers pass
-	// rather than starving a fleet that never trained an analyzer.
-	var winEnd, winConf float64
-	for _, w := range s.Windows {
+// offerWindow is what a status offer advertises of the node's forecast: the
+// end and confidence of the window covering the export's instant. Zero means
+// "no forecast" — the window filter lets those offers pass rather than
+// starving a fleet that never trained an analyzer.
+type offerWindow struct{ end, conf float64 }
+
+// coveringWindow is the offer window of the first of windows covering now.
+func coveringWindow(windows []protocol.AvailWindow, now time.Time) offerWindow {
+	for _, w := range windows {
 		if !now.Before(w.Start) && now.Before(w.End) {
-			winEnd = float64(w.End.Unix())
-			winConf = w.Confidence
-			break
+			return offerWindow{float64(w.End.Unix()), w.Confidence}
 		}
 	}
+	return offerWindow{}
+}
+
+// exportStatusOffer upserts the node's trader offer from its status and the
+// window covering now, stamped with the manager's fencing epoch, through
+// place, the one the node's record held when the status was recorded — or by
+// reference when that is zero or dead (exportByRef). It reads no window of s:
+// a record's windows are rewritten in place under g.mu, which this runs
+// outside of.
+func (g *GRM) exportStatusOffer(s *protocol.NodeStatus, win offerWindow, now time.Time, epoch int, place trading.Place) {
 	// One value per name of statusSchema, in its order, on the stack: Upsert
 	// copies them into the offer it stores.
 	values := [...]constraint.Value{
@@ -490,8 +498,8 @@ func (g *GRM) exportStatusOffer(s *protocol.NodeStatus, now time.Time, epoch int
 		constraint.Number(s.GridFree.NetMbps),
 		constraint.Number(s.Capacity.MIPS),
 		constraint.Number(s.Capacity.RAMMB),
-		constraint.Number(winEnd),
-		constraint.Number(winConf),
+		constraint.Number(win.end),
+		constraint.Number(win.conf),
 		constraint.String(s.NodeID),
 		constraint.String(s.LANID),
 		constraint.Number(s.Capacity.DiskMB),
@@ -868,9 +876,12 @@ func (g *GRM) restoreOffer(nodeID string) {
 		g.mu.Unlock()
 		return
 	}
+	// The next update rewrites the record's windows in place: take the
+	// covering one before unlocking.
 	s, seen, epoch := lv.status, lv.lastSeen, g.epoch
+	win := coveringWindow(s.Windows, seen)
 	g.mu.Unlock()
-	g.exportStatusOffer(&s, seen, epoch, trading.Place{})
+	g.exportStatusOffer(&s, win, seen, epoch, trading.Place{})
 }
 
 // evictNodeTasks rolls back every application with running tasks on a node

@@ -246,13 +246,13 @@ func TestRefusedPlacementSettlesOnlyWhatItTries(t *testing.T) {
 			t.Fatal(err)
 		}
 		free := resource.Vector{MIPS: float64(1000 + i), RAMMB: 1024}
-		if _, err := g.HandleUpdate(&protocol.NodeStatus{
+		if _, err := g.handleUpdate(&protocol.NodeStatus{
 			NodeID:    ep.Addr,
 			LRMRef:    orb.ObjectRef{Endpoint: ep, Key: protocol.LRMKey},
 			Capacity:  free,
 			GridFree:  free,
 			Timestamp: g.clock.Now(),
-		}); err != nil {
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,11 +12,14 @@ func (g *GRM) Servant() orb.Servant {
 	return orb.NewOpMux().
 		Handle(protocol.OpUpdate, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
 			like := g.recordedIdentity(*req)
-			s, events, err := protocol.DecodeUpdate(req, &like)
+			// The windows stay on this stack: the record copies them into an
+			// array of its own, and the offer takes the one covering now.
+			var buf [protocol.MaxWindows]protocol.AvailWindow
+			s, windows, events, err := protocol.DecodeUpdate(req, &like, &buf)
 			if err != nil {
 				return nil, orb.Errorf(orb.CodeMarshal, "update: %v", err)
 			}
-			epoch, err := g.HandleUpdate(&s)
+			epoch, err := g.handleUpdate(&s, windows)
 			if err != nil {
 				return nil, orb.Errorf(orb.CodeApplication, "%s", err.Error())
 			}

@@ -60,15 +60,18 @@ func (g *GRM) markLocked(e entity) {
 	}
 }
 
-// recordStatusLocked records a node's latest status and heartbeat, and ends a
-// departure whose deadline has passed. It returns the place the node's offer
-// is to be upserted through (zero: none, so by reference) and whether it is
-// to be exported: not while the node is departing, since re-exporting would
-// hand it fresh work right before the predicted owner arrival. A status from
-// a new reference takes the old reference's place out of the record and
-// returns it as moved, for the caller to withdraw: that offer names an LRM the
-// node no longer reports from.
-func (g *GRM) recordStatusLocked(s *protocol.NodeStatus, now time.Time) (place, moved trading.Place, export bool) {
+// recordStatusLocked records a node's latest status, the windows that came
+// with it and its heartbeat, and ends a departure whose deadline has passed.
+// The windows are copied into the record's own array, which is reused across
+// updates and grows only when the node reports more than it ever has; it is
+// rewritten in place, so it is read only under g.mu. It returns the place the
+// node's offer is to be upserted through (zero: none, so by reference) and
+// whether it is to be exported: not while the node is departing, since
+// re-exporting would hand it fresh work right before the predicted owner
+// arrival. A status from a new reference takes the old reference's place out
+// of the record and returns it as moved, for the caller to withdraw: that
+// offer names an LRM the node no longer reports from.
+func (g *GRM) recordStatusLocked(s *protocol.NodeStatus, windows []protocol.AvailWindow, now time.Time) (place, moved trading.Place, export bool) {
 	lv := g.nodes[s.NodeID]
 	if lv == nil {
 		lv = &nodeLiveness{}
@@ -81,7 +84,9 @@ func (g *GRM) recordStatusLocked(s *protocol.NodeStatus, now time.Time) (place, 
 	}
 	lv.lastSeen = now
 	lv.updates++
+	own := lv.status.Windows
 	lv.status = *s
+	lv.status.Windows = append(own[:0], windows...)
 	if !lv.departUntil.IsZero() && !now.Before(lv.departUntil) {
 		lv.departUntil = time.Time{}
 	}
@@ -134,7 +139,7 @@ func (g *GRM) mirrorNodeLocked(n nodeEntry, now time.Time) (export *protocol.Nod
 		return nil, trading.Place{}, g.dropNodeLocked(n.id)
 	}
 	s := &n.lv.status
-	place, moved, _ := g.recordStatusLocked(s, now)
+	place, moved, _ := g.recordStatusLocked(s, s.Windows, now)
 	taken, _ := g.departLocked(s.NodeID, n.lv.departUntil)
 	if n.lv.departUntil.IsZero() {
 		return s, place, moved

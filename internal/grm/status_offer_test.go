@@ -35,8 +35,8 @@ func TestStatusOfferRoundTrip(t *testing.T) {
 		Timestamp:     now.Add(-5 * time.Second),
 		Windows:       []protocol.AvailWindow{{Start: now.Add(-time.Hour), End: now.Add(2 * time.Hour), Confidence: 0.75}},
 	}
-	if epoch, err := g.HandleUpdate(&s); err != nil || epoch != 4 {
-		t.Fatalf("HandleUpdate = %d, %v", epoch, err)
+	if epoch, err := g.handleUpdate(&s, s.Windows); err != nil || epoch != 4 {
+		t.Fatalf("handleUpdate = %d, %v", epoch, err)
 	}
 	all := g.Trader().All(NodeStatusType)
 	if len(all) != 1 {

@@ -112,14 +112,14 @@ func TestSweepRacingHeartbeatReplay(t *testing.T) {
 			dead := g.declareDeadLocked(now)
 			g.mu.Unlock()
 			s.Timestamp = now
-			epoch, place, _, export, err := g.recordUpdate(s, now)
+			epoch, place, _, export, err := g.recordUpdate(s, s.Windows, now)
 			if err != nil || !export {
 				t.Fatalf("recordUpdate = %d, %v, %v", epoch, export, err)
 			}
 			for _, d := range dead {
 				g.bury(d)
 			}
-			g.exportStatusOffer(s, now, epoch, place)
+			g.exportStatusOffer(s, coveringWindow(s.Windows, now), now, epoch, place)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,9 +138,33 @@ func TestSweepRacingHeartbeatReplay(t *testing.T) {
 // TestSweepRacingHeartbeats runs the failure sweep while 8 goroutines
 // heartbeat 64 nodes, half of which are stale when the sweep starts, and
 // checks after every round that each node left alive has exactly one offer.
+// The GRM leads a replica set whose stream flushes all the while, and every
+// heartbeat reports a window count its node's previous one did not, so the
+// records' window arrays are rewritten in place, and grown, under the readers
+// of a record: the batch encoder and restoreOffer, which may only read them
+// under g.mu. `make chaos` runs this ten times under the race detector.
 func TestSweepRacingHeartbeats(t *testing.T) {
 	const nodes, workers, rounds = 64, 8, 50
 	g, clock, fleet := sweepFixture(t, nodes)
+	repl := newReplicator(g, func(batch []byte) error {
+		_, err := decodeReplicaBatch(orb.NewDecoder(batch))
+		if err != nil {
+			t.Errorf("a replica batch does not decode: %v", err)
+		}
+		return err
+	})
+	g.mu.Lock()
+	g.repl = repl
+	g.mu.Unlock()
+	// withWindows is s reporting n one-hour windows, the first covering now.
+	withWindows := func(s protocol.NodeStatus, n int) protocol.NodeStatus {
+		now := clock.Now()
+		for k := range n {
+			start := now.Add(time.Duration(2*k)*time.Hour - time.Minute)
+			s.Windows = append(s.Windows, protocol.AvailWindow{Start: start, End: start.Add(time.Hour), Confidence: 0.5})
+		}
+		return s
+	}
 	for round := range rounds {
 		clock.Advance(20 * time.Second)
 		for i := range nodes / 2 {
@@ -152,15 +176,33 @@ func TestSweepRacingHeartbeats(t *testing.T) {
 			defer wg.Done()
 			g.detectFailures()
 		}()
+		stop, flushed := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(flushed)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					repl.flush()
+				}
+			}
+		}()
 		for w := range workers {
 			go func() {
 				defer wg.Done()
-				for i := w; i < nodes; i += workers {
-					heartbeat(t, g, clock, fleet[i])
+				// Three windows, then two, then one: each heartbeat after the
+				// first rewrites the array the one before it grew.
+				for n := 3; n > 0; n-- {
+					for i := w; i < nodes; i += workers {
+						heartbeat(t, g, clock, withWindows(fleet[i], n))
+					}
 				}
 			}()
 		}
 		wg.Wait()
+		close(stop)
+		<-flushed
 		checkOneOfferPerNode(t, g, fmt.Sprintf("round %d", round))
 	}
 }
@@ -176,13 +218,13 @@ func TestDepartureRacingUpdateReplay(t *testing.T) {
 		replay func(t *testing.T, g *GRM, s *protocol.NodeStatus, depart func())
 	}{
 		{"recorded before the departure, exported through its place after the withdraw", func(t *testing.T, g *GRM, s *protocol.NodeStatus, depart func()) {
-			epoch, place, _, export, err := g.recordUpdate(s, s.Timestamp)
+			epoch, place, _, export, err := g.recordUpdate(s, s.Windows, s.Timestamp)
 			if err != nil || !export || place == (trading.Place{}) {
 				t.Fatalf("recordUpdate = %d, %v, %v, %v; want an export through the node's place", epoch, place, export, err)
 			}
 			depart()
 			v := g.Trader().Version()
-			g.exportStatusOffer(s, s.Timestamp, epoch, place)
+			g.exportStatusOffer(s, coveringWindow(s.Windows, s.Timestamp), s.Timestamp, epoch, place)
 			if g.Trader().Version() != v {
 				t.Error("the update's export wrote to the trader after the departure took its place")
 			}
@@ -190,16 +232,16 @@ func TestDepartureRacingUpdateReplay(t *testing.T) {
 		{"a node's first update, exported by reference after the departure", func(t *testing.T, g *GRM, s *protocol.NodeStatus, depart func()) {
 			s.NodeID = "n-new"
 			s.LRMRef.Endpoint.Addr = "new"
-			epoch, place, _, export, err := g.recordUpdate(s, s.Timestamp)
+			epoch, place, _, export, err := g.recordUpdate(s, s.Windows, s.Timestamp)
 			if err != nil || !export || place != (trading.Place{}) {
 				t.Fatalf("recordUpdate = %d, %v, %v, %v; want a first export, by reference", epoch, place, export, err)
 			}
 			depart()
-			g.exportStatusOffer(s, s.Timestamp, epoch, place)
+			g.exportStatusOffer(s, coveringWindow(s.Windows, s.Timestamp), s.Timestamp, epoch, place)
 		}},
 		{"the departure before the record", func(t *testing.T, g *GRM, s *protocol.NodeStatus, depart func()) {
 			depart()
-			if _, err := g.HandleUpdate(s); err != nil {
+			if _, err := g.handleUpdate(s, s.Windows); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -2,6 +2,7 @@ package grm_test
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -109,9 +110,11 @@ func windowStatus(c *cluster, nodeID string, ref orb.ObjectRef, mips float64, ws
 	}
 }
 
+// update sends s to the cluster's GRM as an LRM does, through
+// GRMClient.Update over loopback.
 func (c *cluster) update(s protocol.NodeStatus) {
 	c.t.Helper()
-	if _, err := c.g.HandleUpdate(&s); err != nil {
+	if _, err := protocol.NewGRMClient(c.o, c.grmRef).Update(s); err != nil {
 		c.t.Fatal(err)
 	}
 }
@@ -566,7 +569,8 @@ func TestDepartureSurvivesFailover(t *testing.T) {
 	c.g.HandleDeparting(protocol.DepartureNotice{NodeID: "leaver", Deadline: deadline, At: c.clock.Now()})
 	rs.clock.Advance(15 * time.Second)
 
-	succ := &cluster{t: t, clock: rs.clock, o: rs.o, g: rs.failover(t, rs.leaderIdx(t))}
+	next := rs.failover(t, rs.leaderIdx(t))
+	succ := &cluster{t: t, clock: rs.clock, o: rs.o, g: next, grmRef: rs.refs[slices.Index(rs.grms, next)]}
 	for succ.clock.Now().Before(deadline) {
 		succ.update(windowStatus(succ, "leaver", ref, 1000))
 		if got := succ.g.KnownNodes(); got != 0 {

@@ -459,10 +459,6 @@ func (l *LRM) reconcile(client *protocol.GRMClient) {
 // in its status updates.
 const ForecastHorizon = 24 * time.Hour
 
-// maxStatusWindows caps the windows per update so a fragmented forecast
-// cannot bloat the Information Update Protocol message.
-const maxStatusWindows = 8
-
 // Status builds the node's current NodeStatus.
 func (l *LRM) Status() protocol.NodeStatus {
 	now := l.clock.Now()
@@ -475,7 +471,7 @@ func (l *LRM) Status() protocol.NodeStatus {
 			predicted = span
 		}
 		forecast := l.analyzer.Forecast(now, ForecastHorizon)
-		if n := min(len(forecast), maxStatusWindows); n > 0 {
+		if n := min(len(forecast), protocol.MaxWindows); n > 0 {
 			windows = make([]protocol.AvailWindow, n)
 			for i, w := range forecast[:n] {
 				windows[i] = protocol.AvailWindow{Start: w.Start, End: w.End, Confidence: w.Confidence}

@@ -1,6 +1,7 @@
 package lrm
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -38,10 +39,12 @@ func (f *fakeGRM) servant() orb.Servant {
 				f.failNext = false
 				return nil, orb.Errorf(orb.CodeTransport, "injected")
 			}
-			s, events, err := protocol.DecodeUpdate(req, nil)
+			var buf [protocol.MaxWindows]protocol.AvailWindow
+			s, windows, events, err := protocol.DecodeUpdate(req, nil, &buf)
 			if err != nil {
 				return nil, err
 			}
+			s.Windows = slices.Clone(windows)
 			f.updates = append(f.updates, s)
 			f.rode = append(f.rode, events)
 			var e orb.Encoder
@@ -688,8 +691,8 @@ func TestStatusPublishesForecastWindows(t *testing.T) {
 	if len(s.Windows) == 0 {
 		t.Fatal("trained idle node published no availability windows")
 	}
-	if len(s.Windows) > 8 {
-		t.Fatalf("Windows = %d entries, want <= 8 (status size cap)", len(s.Windows))
+	if len(s.Windows) > protocol.MaxWindows {
+		t.Fatalf("Windows = %d entries, want <= %d (status size cap)", len(s.Windows), protocol.MaxWindows)
 	}
 	for i, w := range s.Windows {
 		if !w.Start.Before(w.End) {
@@ -797,5 +800,44 @@ func TestDepartureDrainCheckpointsBeforeOwnerReturns(t *testing.T) {
 	// The node is actually empty before the owner sits down.
 	if got := len(f.node.RunningTasks()); got != 0 {
 		t.Fatalf("node still runs %d tasks after drain", got)
+	}
+}
+
+// TestStatusTruncatesFragmentedForecast: an owner at the machine every other
+// hour leaves about a dozen idle windows a day. The status carries the
+// earliest protocol.MaxWindows of them, the most a GRM decodes.
+func TestStatusTruncatesFragmentedForecast(t *testing.T) {
+	spec := resource.MachineSpec{
+		Platform: linux,
+		Capacity: resource.Vector{MIPS: 1000, RAMMB: 1024, DiskMB: 100, NetMbps: 10},
+		LANID:    "lan0",
+	}
+	fragmented := usage.Profile{Name: "fragmented"}
+	for h := 1.0; h < 24; h += 2 {
+		fragmented.Weekday = append(fragmented.Weekday, usage.Window{StartHour: h, EndHour: h + 1, CPU: 0.6, RAM: 0.5})
+	}
+	fragmented.Weekend = fragmented.Weekday
+	f := newFixture(t, spec, usage.NewTrace(fragmented, 7), ncc.Default(), WithUpdatePeriod(time.Hour))
+	f.lrm.Start()
+	f.clock.Advance(9 * 24 * time.Hour)
+	now := f.clock.Now()
+	forecast := f.lrm.Analyzer().Forecast(now, ForecastHorizon)
+	if len(forecast) <= protocol.MaxWindows {
+		t.Fatalf("the forecast has %d windows, want a fragmented one of more than %d", len(forecast), protocol.MaxWindows)
+	}
+	got := f.lrm.Status().Windows
+	if len(got) != protocol.MaxWindows {
+		t.Fatalf("the status carries %d of the forecast's %d windows, want %d", len(got), len(forecast), protocol.MaxWindows)
+	}
+	for i, w := range got {
+		if !w.Start.Equal(forecast[i].Start) || !w.End.Equal(forecast[i].End) {
+			t.Fatalf("window %d = %v–%v, want the forecast's %v–%v", i, w.Start, w.End, forecast[i].Start, forecast[i].End)
+		}
+	}
+	var e orb.Encoder
+	protocol.EncodeUpdate(&e, f.lrm.Status(), nil)
+	var buf [protocol.MaxWindows]protocol.AvailWindow
+	if _, _, _, err := protocol.DecodeUpdate(orb.NewDecoder(e.Bytes()), nil, &buf); err != nil {
+		t.Fatalf("the GRM's decoder refuses the truncated status: %v", err)
 	}
 }

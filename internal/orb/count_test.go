@@ -48,7 +48,7 @@ func TestWireCountsBoundAllocations(t *testing.T) {
 		},
 		"protocol.DecodeUpdate": func() error {
 			body := encoded(func(e *orb.Encoder) { protocol.EncodeUpdate(e, protocol.NodeStatus{}, nil) })
-			_, _, err := protocol.DecodeUpdate(orb.NewDecoder(withCount(body, hugeCount)), nil)
+			_, _, _, err := protocol.DecodeUpdate(orb.NewDecoder(withCount(body, hugeCount)), nil, new([protocol.MaxWindows]protocol.AvailWindow))
 			return err
 		},
 		"protocol.DecodeApplicationSpec": func() error {

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -78,10 +79,13 @@ func TestEncodersAllocateOnce(t *testing.T) {
 }
 
 // TestDecodeUpdateAllocBudget is the ratchet on decoding an update against the
-// status the receiver holds for the node: with the same identity it allocates
-// only its Windows slice — nothing without windows — and each identity string
+// status the receiver holds for the node, into a MaxWindows array: with the
+// same identity it allocates nothing, windows or not, and each identity string
 // that changed costs exactly one copy. Without a record, every identity string
-// but the constant network and key is a copy.
+// but the constant network and key is a copy. What an update still allocates
+// at the GRM is the offer the trader stores and the caller's copy of the reply
+// (internal/grm/testdata/alloc_budget.txt). A status with more than MaxWindows
+// windows does not decode.
 func TestDecodeUpdateAllocBudget(t *testing.T) {
 	s, _, _ := updateBody()
 	s.LANID = "lan-3"
@@ -93,7 +97,8 @@ func TestDecodeUpdateAllocBudget(t *testing.T) {
 		want   float64
 	}{
 		{"same identity, no window", func(s *NodeStatus) { s.Windows = nil }, &record, 0},
-		{"same identity, 2 windows", func(s *NodeStatus) { s.Windows = append(s.Windows, s.Windows[0]) }, &record, 1},
+		{"same identity, 2 windows", func(s *NodeStatus) { s.Windows = append(s.Windows, s.Windows[0]) }, &record, 0},
+		{"same identity, MaxWindows windows", func(s *NodeStatus) { s.Windows = slices.Repeat(s.Windows, MaxWindows) }, &record, 0},
 		{"changed LAN", func(s *NodeStatus) { s.Windows, s.LANID = nil, "lan-4" }, &record, 1},
 		{"changed address", func(s *NodeStatus) { s.Windows, s.LRMRef.Endpoint.Addr = nil, "10.0.0.12:7001" }, &record, 1},
 		{"unknown node", func(s *NodeStatus) { s.Windows = nil }, &NodeStatus{}, 5},
@@ -104,13 +109,22 @@ func TestDecodeUpdateAllocBudget(t *testing.T) {
 		var e orb.Encoder
 		EncodeUpdate(&e, sent, nil)
 		body := e.Bytes()
+		var buf [MaxWindows]AvailWindow
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, _, err := DecodeUpdate(orb.NewDecoder(body), c.like); err != nil {
+			if _, _, _, err := DecodeUpdate(orb.NewDecoder(body), c.like, &buf); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != c.want {
 			t.Errorf("%s: %v allocations, want %v", c.name, allocs, c.want)
 		}
+	}
+	fragmented := s
+	fragmented.Windows = slices.Repeat(s.Windows, MaxWindows+1)
+	var e orb.Encoder
+	EncodeUpdate(&e, fragmented, nil)
+	var buf [MaxWindows]AvailWindow
+	if _, _, _, err := DecodeUpdate(orb.NewDecoder(e.Bytes()), &record, &buf); err == nil {
+		t.Errorf("a status with %d windows decoded", MaxWindows+1)
 	}
 }

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -30,10 +31,12 @@ func newFakes() *fakeManagers {
 func (f *fakeManagers) grmServant() orb.Servant {
 	return orb.NewOpMux().
 		Handle(OpUpdate, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			s, events, err := DecodeUpdate(req, nil)
+			var buf [MaxWindows]AvailWindow
+			s, windows, events, err := DecodeUpdate(req, nil, &buf)
 			if err != nil {
 				return nil, err
 			}
+			s.Windows = slices.Clone(windows)
 			f.updates = append(f.updates, s)
 			f.rode = append(f.rode, events...)
 			var e orb.Encoder

@@ -12,6 +12,7 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"integrade/internal/orb"
@@ -66,8 +67,8 @@ type NodeStatus struct {
 	Timestamp time.Time
 	// Windows is the node-local LUPA availability forecast: intervals the
 	// owner is predicted to leave the machine idle, with a confidence score
-	// in [0,1]. Empty when the analyzer is untrained. Window-aware GRM
-	// placement fits task runtimes inside them.
+	// in [0,1]. Empty when the analyzer is untrained; at most MaxWindows.
+	// Window-aware GRM placement fits task runtimes inside them.
 	Windows []AvailWindow
 }
 
@@ -109,15 +110,28 @@ func (s NodeStatus) Encode(e *orb.Encoder) {
 	}
 }
 
-// DecodeNodeStatus reads a NodeStatus.
+// MaxWindows bounds the availability windows one NodeStatus carries. The LRM
+// publishes at most this many, so a fragmented forecast cannot bloat the
+// Information Update, and a decoder refuses a status with more: the receiver
+// decodes them into an array of this size it holds on its stack.
+const MaxWindows = 8
+
+// DecodeNodeStatus reads a NodeStatus, its windows in a slice of their own.
 func DecodeNodeStatus(d *orb.Decoder) (NodeStatus, error) {
-	return decodeNodeStatus(d, nil)
+	var buf [MaxWindows]AvailWindow
+	s, windows, err := decodeNodeStatus(d, nil, &buf)
+	if len(windows) > 0 {
+		s.Windows = slices.Clone(windows)
+	}
+	return s, err
 }
 
 // decodeNodeStatus reads a NodeStatus whose identity strings — node ID, LRM
 // address and key, arch, OS and LAN — are like's wherever the wire bytes
-// equal them, and copies where they do not. like nil means no record.
-func decodeNodeStatus(d *orb.Decoder, like *NodeStatus) (NodeStatus, error) {
+// equal them, and copies where they do not. like nil means no record. The
+// windows go into buf and come back beside the status, whose Windows is nil,
+// so a buf on the caller's stack stays there.
+func decodeNodeStatus(d *orb.Decoder, like *NodeStatus, buf *[MaxWindows]AvailWindow) (NodeStatus, []AvailWindow, error) {
 	if like == nil {
 		like = &NodeStatus{}
 	}
@@ -136,19 +150,23 @@ func decodeNodeStatus(d *orb.Decoder, like *NodeStatus) (NodeStatus, error) {
 	s.Timestamp = d.Time()
 	n := d.Count(windowLen)
 	if err := d.Err(); err != nil {
-		return NodeStatus{}, err
+		return NodeStatus{}, nil, err
 	}
-	if n > 0 {
-		s.Windows = make([]AvailWindow, n)
+	if n > MaxWindows {
+		return NodeStatus{}, nil, fmt.Errorf("protocol: status with %d availability windows", n)
 	}
-	for i := range s.Windows {
-		s.Windows[i] = AvailWindow{
+	windows := buf[:n]
+	for i := range windows {
+		windows[i] = AvailWindow{
 			Start:      d.Time(),
 			End:        d.Time(),
 			Confidence: d.F64(),
 		}
 	}
-	return s, d.Err()
+	if err := d.Err(); err != nil {
+		return NodeStatus{}, nil, err
+	}
+	return s, windows, nil
 }
 
 // MaxHolds bounds how many holds one Reserve may ask for and how many tasks
@@ -430,19 +448,20 @@ func EncodeUpdate(e *orb.Encoder, s NodeStatus, events []TaskEvent) {
 }
 
 // DecodeUpdate reads one OpUpdate body. It fails — before the caller has
-// anything to apply — on a truncated or over-long event list and on an event
-// whose kind does not ride the update. like is the status the receiver holds
-// for the node, or nil: the decoded status shares like's identity strings
-// where they are unchanged (decodeNodeStatus), so a node that reports the
-// same ID, reference, platform and LAN costs no string copy.
-func DecodeUpdate(d *orb.Decoder, like *NodeStatus) (NodeStatus, []TaskEvent, error) {
-	s, err := decodeNodeStatus(d, like)
+// anything to apply — on a truncated or over-long event list, on more than
+// MaxWindows windows and on an event whose kind does not ride the update. like
+// is the status the receiver holds for the node, or nil: the decoded status
+// shares like's identity strings where they are unchanged (decodeNodeStatus),
+// so a node that reports the same ID, reference, platform and LAN costs no
+// string copy. The status's windows go into buf and are returned beside it.
+func DecodeUpdate(d *orb.Decoder, like *NodeStatus, buf *[MaxWindows]AvailWindow) (NodeStatus, []AvailWindow, []TaskEvent, error) {
+	s, windows, err := decodeNodeStatus(d, like, buf)
 	if err != nil {
-		return NodeStatus{}, nil, err
+		return NodeStatus{}, nil, nil, err
 	}
 	n := d.Count(taskEventMin)
 	if err := d.Err(); err != nil {
-		return NodeStatus{}, nil, err
+		return NodeStatus{}, nil, nil, err
 	}
 	var events []TaskEvent
 	if n > 0 {
@@ -451,14 +470,14 @@ func DecodeUpdate(d *orb.Decoder, like *NodeStatus) (NodeStatus, []TaskEvent, er
 	for i := 0; i < n; i++ {
 		ev, err := DecodeTaskEvent(d)
 		if err != nil {
-			return NodeStatus{}, nil, err
+			return NodeStatus{}, nil, nil, err
 		}
 		if !ev.Kind.RidesUpdate() {
-			return NodeStatus{}, nil, fmt.Errorf("protocol: %s event for task %s in an update", ev.Kind, ev.TaskID)
+			return NodeStatus{}, nil, nil, fmt.Errorf("protocol: %s event for task %s in an update", ev.Kind, ev.TaskID)
 		}
 		events = append(events, ev)
 	}
-	return s, events, nil
+	return s, windows, events, nil
 }
 
 // DepartureNotice is the LRM → GRM announcement that the node predicts an

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -264,12 +265,16 @@ func updateBody() (NodeStatus, []TaskEvent, []byte) {
 
 func TestUpdateRoundTrip(t *testing.T) {
 	s, events, body := updateBody()
-	gotS, gotEvents, err := DecodeUpdate(orb.NewDecoder(body), nil)
+	var buf [MaxWindows]AvailWindow
+	gotS, gotWindows, gotEvents, err := DecodeUpdate(orb.NewDecoder(body), nil, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotS.NodeID != s.NodeID || gotS.GridFree != s.GridFree || len(gotS.Windows) != 1 {
+	if gotS.NodeID != s.NodeID || gotS.GridFree != s.GridFree || gotS.Windows != nil {
 		t.Fatalf("status = %+v", gotS)
+	}
+	if !slices.Equal(gotWindows, s.Windows) || &gotWindows[0] != &buf[0] {
+		t.Fatalf("windows = %+v, want %+v in the caller's array", gotWindows, s.Windows)
 	}
 	if len(gotEvents) != 2 || gotEvents[0] != events[0] || gotEvents[1] != events[1] {
 		t.Fatalf("events = %+v", gotEvents)
@@ -283,10 +288,10 @@ func TestUpdateRoundTrip(t *testing.T) {
 	if bare.Len() != statusOnly.Len()+4 {
 		t.Fatalf("empty event list costs %d bytes, want 4", bare.Len()-statusOnly.Len())
 	}
-	if _, gotEvents, err = DecodeUpdate(orb.NewDecoder(bare.Bytes()), nil); err != nil || len(gotEvents) != 0 {
+	if _, _, gotEvents, err = DecodeUpdate(orb.NewDecoder(bare.Bytes()), nil, &buf); err != nil || len(gotEvents) != 0 {
 		t.Fatalf("bare update: events %+v, err %v", gotEvents, err)
 	}
-	if _, _, err := DecodeUpdate(orb.NewDecoder(statusOnly.Bytes()), nil); err == nil {
+	if _, _, _, err := DecodeUpdate(orb.NewDecoder(statusOnly.Bytes()), nil, &buf); err == nil {
 		t.Fatal("an update without an event count decoded")
 	}
 }
@@ -297,15 +302,16 @@ func TestUpdateRoundTrip(t *testing.T) {
 // caller has a status or an event in hand to apply.
 func TestUpdateRejectsWhatMustNotRideIt(t *testing.T) {
 	s, events, body := updateBody()
+	var buf [MaxWindows]AvailWindow
 	for cut := 0; cut < len(body); cut++ {
-		if _, _, err := DecodeUpdate(orb.NewDecoder(body[:cut]), nil); err == nil {
+		if _, _, _, err := DecodeUpdate(orb.NewDecoder(body[:cut]), nil, &buf); err == nil {
 			t.Fatalf("body truncated to %d of %d bytes decoded", cut, len(body))
 		}
 	}
 	var overlong orb.Encoder
 	s.Encode(&overlong)
 	overlong.PutU32(1 << 20)
-	if _, _, err := DecodeUpdate(orb.NewDecoder(overlong.Bytes()), nil); err == nil {
+	if _, _, _, err := DecodeUpdate(orb.NewDecoder(overlong.Bytes()), nil, &buf); err == nil {
 		t.Fatal("an event count past the bytes left decoded")
 	}
 	for _, kind := range []TaskEventKind{TaskEventEvicted, TaskEventDrained, 0, 9} {
@@ -313,16 +319,17 @@ func TestUpdateRejectsWhatMustNotRideIt(t *testing.T) {
 		bad[1].Kind = kind
 		var e orb.Encoder
 		EncodeUpdate(&e, s, bad)
-		gotS, gotEvents, err := DecodeUpdate(orb.NewDecoder(e.Bytes()), nil)
-		if err == nil || gotS.NodeID != "" || gotEvents != nil {
-			t.Fatalf("kind %v rode an update: status %+v, events %+v, err %v", kind, gotS, gotEvents, err)
+		gotS, gotWindows, gotEvents, err := DecodeUpdate(orb.NewDecoder(e.Bytes()), nil, &buf)
+		if err == nil || gotS.NodeID != "" || gotWindows != nil || gotEvents != nil {
+			t.Fatalf("kind %v rode an update: status %+v, windows %+v, events %+v, err %v", kind, gotS, gotWindows, gotEvents, err)
 		}
 	}
 }
 
 // FuzzDecodeUpdate: DecodeUpdate takes bytes from the network. Whatever they
 // are it must not panic, must not return anything alongside an error, and
-// what it accepts must only hold kinds that ride an update.
+// what it accepts must hold at most MaxWindows windows, in the caller's array,
+// and only kinds that ride an update.
 func FuzzDecodeUpdate(f *testing.F) {
 	s, _, body := updateBody()
 	f.Add(body)
@@ -335,12 +342,16 @@ func FuzzDecodeUpdate(f *testing.F) {
 	f.Add(overlong.Bytes())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, events, err := DecodeUpdate(orb.NewDecoder(data), nil)
+		var buf [MaxWindows]AvailWindow
+		s, windows, events, err := DecodeUpdate(orb.NewDecoder(data), nil, &buf)
 		if err != nil {
-			if s.NodeID != "" || events != nil {
-				t.Fatalf("error %v alongside status %+v, events %+v", err, s, events)
+			if s.NodeID != "" || windows != nil || events != nil {
+				t.Fatalf("error %v alongside status %+v, windows %+v, events %+v", err, s, windows, events)
 			}
 			return
+		}
+		if s.Windows != nil || len(windows) > MaxWindows || len(windows) > 0 && &windows[0] != &buf[0] {
+			t.Fatalf("windows %+v in the status, %d beside it outside the caller's array", s.Windows, len(windows))
 		}
 		for _, ev := range events {
 			if !ev.Kind.RidesUpdate() {
@@ -635,7 +646,7 @@ func TestDecodeUpdateSharesRecordStrings(t *testing.T) {
 	var e orb.Encoder
 	EncodeUpdate(&e, sent, nil)
 	body := e.Bytes()
-	got, _, err := DecodeUpdate(orb.NewDecoder(body), &record)
+	got, _, _, err := DecodeUpdate(orb.NewDecoder(body), &record, new([MaxWindows]AvailWindow))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 // Package allocbudget reads the checked-in allocation gates: files of
-// `<name> <allocs-per-op>` rows, one per measured path, in which '#' starts a
-// comment. A test measures each row it knows and fails when one is over;
+// `<name> <budget>` rows, one per measured path, in which '#' starts a
+// comment. A budget is allocations per operation, or bytes where the file says
+// so. A test measures each row it knows and fails when one is over;
 // lowering a row is how an optimization ratchets its gate down.
 package allocbudget
 
@@ -37,7 +38,7 @@ func Parse(tb testing.TB, path string) []Row {
 			continue
 		}
 		if len(fields) != 2 {
-			tb.Fatalf("%s:%d: want `<name> <allocs-per-op>`, got %q", path, i+1, line)
+			tb.Fatalf("%s:%d: want `<name> <budget>`, got %q", path, i+1, line)
 		}
 		budget, err := strconv.ParseFloat(fields[1], 64)
 		if err != nil {
