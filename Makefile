@@ -73,7 +73,7 @@ fmt-check:
 
 # Fault-injection suite under the race detector, swept over fixed seeds.
 # CHAOS_SEED parameterizes the seeded-trace tests; the packages cover the
-# chaos engine itself, the resilient ORB client, the trader's concurrent
+# chaos engine itself, the ORB client's call budget, the trader's concurrent
 # writers and readers, the GRM failure detector, and the end-to-end
 # crash/recovery paths in core. Then, ten times each under the race detector,
 # since one run may miss a schedule: the trader's tests that race lock-free
@@ -104,8 +104,8 @@ failover:
 	@for seed in $(CHAOS_SEEDS); do \
 		echo "== failover suite, seed $$seed =="; \
 		CHAOS_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'Failover|Replica|Mirror|Foreign|Reconcile|FileStore' \
-			./internal/core ./internal/grm ./internal/checkpoint || exit 1; \
+			-run 'Failover|Replica|Mirror|Foreign|Reconcile' \
+			./internal/core ./internal/grm || exit 1; \
 	done
 
 # Consensus control-plane suite under the race detector, swept over the same

@@ -184,17 +184,6 @@ func BenchmarkExp9Recovery(b *testing.B) {
 	})
 }
 
-func BenchmarkExp11ORB(b *testing.B) {
-	runExperiment(b, "E11", func(t bench.Table, b *testing.B) {
-		if i := rowByFirst(t, "inproc"); i >= 0 {
-			b.ReportMetric(cell(t, i, "us_per_op"), "inproc64B_us")
-		}
-		if i := rowByFirst(t, "tcp"); i >= 0 {
-			b.ReportMetric(cell(t, i, "us_per_op"), "tcp64B_us")
-		}
-	})
-}
-
 func BenchmarkExp13Failover(b *testing.B) {
 	runExperiment(b, "E13", func(t bench.Table, b *testing.B) {
 		// The first quorum row is the clean kill; the first cold row is the

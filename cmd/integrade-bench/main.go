@@ -1,5 +1,5 @@
 // Command integrade-bench regenerates the experiment tables of DESIGN.md
-// Section 9 / EXPERIMENTS.md: the paper-claim experiments E1-E11, E13 and
+// Section 9 / EXPERIMENTS.md: the paper-claim experiments E1-E10, E13 and
 // E15, and the design ablations A1-A3. Performance is measured by the
 // repository benchmark (benchmark/, BENCHMARK.json), not here.
 //

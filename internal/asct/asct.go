@@ -22,7 +22,7 @@ import (
 	"integrade/internal/sim"
 )
 
-// ErrTimeout is returned by Handle.WaitDone when the deadline passes first.
+// ErrTimeout is returned by Handle.waitDone when the deadline passes first.
 var ErrTimeout = errors.New("asct: wait timed out")
 
 // Builder assembles an ApplicationSpec fluently.
@@ -93,8 +93,8 @@ func (b *Builder) PreferFasterCPU() *Builder {
 	return b
 }
 
-// PreferMoreRAM prefers nodes with more free memory.
-func (b *Builder) PreferMoreRAM() *Builder {
+// preferMoreRAM prefers nodes with more free memory.
+func (b *Builder) preferMoreRAM() *Builder {
 	b.spec.Preferences.MoreRAM = true
 	return b
 }
@@ -191,11 +191,11 @@ func (h *Handle) Cancel() error {
 	return h.tool.client.CancelApp(h.id)
 }
 
-// WaitDone polls until the application completes, the timeout elapses, or a
+// waitDone polls until the application completes, the timeout elapses, or a
 // status query fails. Poll cadence is poll (default 30s when zero). With a
 // virtual clock, time must be advanced by another goroutine or prior
 // scheduling.
-func (h *Handle) WaitDone(timeout, poll time.Duration) (protocol.AppStatus, error) {
+func (h *Handle) waitDone(timeout, poll time.Duration) (protocol.AppStatus, error) {
 	if poll <= 0 {
 		poll = 30 * time.Second
 	}

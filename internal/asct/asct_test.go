@@ -49,7 +49,7 @@ func TestBuilderFullSpec(t *testing.T) {
 		RequireMinimum(resource.Vector{MIPS: 500, RAMMB: 16}).
 		Allocate(resource.Vector{MIPS: 500, RAMMB: 32}).
 		PreferFasterCPU().
-		PreferMoreRAM().
+		preferMoreRAM().
 		Constraint("not owner_busy").
 		Topology(10,
 			protocol.TopologyGroup{Nodes: 50, IntraMbps: 100},
@@ -152,7 +152,7 @@ func TestSubmitAndWait(t *testing.T) {
 	if len(st.Tasks) != 1 {
 		t.Fatalf("tasks = %d", len(st.Tasks))
 	}
-	// Drive virtual time from a goroutine while WaitDone polls.
+	// Drive virtual time from a goroutine while waitDone polls.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -166,12 +166,12 @@ func TestSubmitAndWait(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}()
-	st, err = h.WaitDone(time.Hour, 30*time.Second)
+	st, err = h.waitDone(time.Hour, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !st.Done() {
-		t.Fatal("WaitDone returned incomplete app")
+		t.Fatal("waitDone returned incomplete app")
 	}
 	<-done
 }
@@ -192,7 +192,7 @@ func TestWaitDoneTimeout(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}()
-	_, err = h.WaitDone(10*time.Minute, time.Minute)
+	_, err = h.waitDone(10*time.Minute, time.Minute)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}

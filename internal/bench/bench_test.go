@@ -43,8 +43,8 @@ func TestFormatFloat(t *testing.T) {
 
 func TestAllRegistered(t *testing.T) {
 	exps := All()
-	if len(exps) != 16 {
-		t.Fatalf("experiments = %d, want 16 (E1-E11, E13, E15 + A1-A3)", len(exps))
+	if len(exps) != 15 {
+		t.Fatalf("experiments = %d, want 15 (E1-E10, E13, E15 + A1-A3)", len(exps))
 	}
 	seen := make(map[string]bool)
 	for _, e := range exps {
@@ -249,8 +249,7 @@ func TestExperimentOutputByteStable(t *testing.T) {
 }
 
 func TestExperimentsDeterministic(t *testing.T) {
-	// Simulated experiments must be bit-identical for a fixed seed (E11 is
-	// wall-clock and exempt).
+	// Simulated experiments must be bit-identical for a fixed seed.
 	for _, id := range []string{"E2", "E5", "E7", "E9", "A2"} {
 		var run func(int64) Table
 		for _, e := range All() {

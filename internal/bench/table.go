@@ -1,5 +1,5 @@
 // Package bench implements the experiment suite of DESIGN.md Section 9: one
-// runner per experiment (E1–E11, E13, E15 and the ablations A1–A3), each
+// runner per experiment (E1–E10, E13, E15 and the ablations A1–A3), each
 // regenerating its table. The runners are shared by the repository-root
 // benchmarks (go test -bench) and the integrade-bench CLI.
 //
@@ -106,7 +106,6 @@ func All() []Experiment {
 		{ID: "E8", Title: "Inter-cluster hierarchy routing", Run: Exp8Hierarchy},
 		{ID: "E9", Title: "Failure recovery under fault injection", Run: Exp9Recovery},
 		{ID: "E10", Title: "InteGrade vs Condor-like vs BOINC-like", Run: Exp10Baselines},
-		{ID: "E11", Title: "ORB microbenchmarks", Run: Exp11ORB},
 		{ID: "E13", Title: "GRM failover and cluster self-healing", Run: Exp13Failover},
 		{ID: "E15", Title: "Availability-window scheduling on intermittent fleets", Run: Exp15Windows},
 		{ID: "A1", Title: "Ablation: information-update period", Run: AblationUpdatePeriod},

@@ -88,9 +88,6 @@ func NewRuntime(nprocs int, opts ...Option) (*Runtime, error) {
 	return r, nil
 }
 
-// NProcs returns the process count.
-func (r *Runtime) NProcs() int { return r.nprocs }
-
 // Run executes the program to completion and returns the first process
 // error, if any. It blocks until every process goroutine has exited.
 func (r *Runtime) Run(program Program) error {
@@ -166,13 +163,13 @@ func (r *Runtime) Abort(cause error) {
 	w.mu.Unlock()
 }
 
-// RequestCheckpoint forces a snapshot at the next superstep barrier,
+// requestCheckpoint forces a snapshot at the next superstep barrier,
 // regardless of the periodic cadence. The graceful-drain path uses it when a
 // node predicts an owner arrival: one last checkpoint before the departure
 // bounds the gang's rollback to the current superstep instead of the last
 // periodic boundary. A no-op when no run is active or the runtime has no
 // checkpoint sink.
-func (r *Runtime) RequestCheckpoint() {
+func (r *Runtime) requestCheckpoint() {
 	r.statsMu.Lock()
 	w := r.active
 	r.statsMu.Unlock()
@@ -220,8 +217,8 @@ type CostStats struct {
 	Checkpoints int
 }
 
-// Stats returns the cost statistics of the last Run.
-func (r *Runtime) Stats() CostStats {
+// stats returns the cost statistics of the last Run.
+func (r *Runtime) stats() CostStats {
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()
 	return r.lastStats

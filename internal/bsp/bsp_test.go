@@ -60,7 +60,7 @@ func TestMessageDeliveryNextSuperstep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := r.Stats()
+	st := r.stats()
 	if st.Supersteps != 1 || st.MessagesSent != 4 || st.MaxH != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -234,7 +234,7 @@ func TestCheckpointAndRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantSum := uint64(1 + 2 + 3 + 4 + 5 + 6)
-	if got := r.Stats().Checkpoints; got != 3 {
+	if got := r.stats().Checkpoints; got != 3 {
 		t.Fatalf("checkpoints = %d, want 3 (every 2 of 6 supersteps)", got)
 	}
 	rec.mu.Lock()
@@ -374,7 +374,7 @@ func TestManySuperstepsStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := r.Stats()
+	st := r.stats()
 	if st.Supersteps != steps {
 		t.Fatalf("Supersteps = %d", st.Supersteps)
 	}

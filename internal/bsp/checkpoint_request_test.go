@@ -19,7 +19,7 @@ func TestRequestCheckpointForcesOffCadenceCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No-op before the run starts.
-	r.RequestCheckpoint()
+	r.requestCheckpoint()
 
 	program := func(p *Proc) error {
 		var sum uint64
@@ -32,7 +32,7 @@ func TestRequestCheckpointForcesOffCadenceCheckpoint(t *testing.T) {
 			if p.PID() == 0 && p.Superstep() == 1 {
 				// The drain path: an external signal asks for a checkpoint
 				// before the next barrier, off the configured cadence.
-				r.RequestCheckpoint()
+				r.requestCheckpoint()
 			}
 			if err := p.Sync(); err != nil {
 				return err
@@ -43,7 +43,7 @@ func TestRequestCheckpointForcesOffCadenceCheckpoint(t *testing.T) {
 	if err := r.Run(program); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Stats().Checkpoints; got != 1 {
+	if got := r.stats().Checkpoints; got != 1 {
 		t.Fatalf("checkpoints = %d, want exactly 1 (forced, none from cadence)", got)
 	}
 	rec.mu.Lock()
@@ -99,7 +99,7 @@ func TestRequestCheckpointForcesOffCadenceCheckpoint(t *testing.T) {
 	}
 	if err := r3.Run(program); err == nil {
 		// program requests on r, not r3: r3 never checkpoints.
-		if got := r3.Stats().Checkpoints; got != 0 {
+		if got := r3.stats().Checkpoints; got != 0 {
 			t.Fatalf("unforced run checkpoints = %d, want 0", got)
 		}
 	} else {

@@ -253,7 +253,7 @@ func TestCollectivesComposeWithCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Stats().Checkpoints; got != 3 {
+	if got := r.stats().Checkpoints; got != 3 {
 		t.Fatalf("checkpoints = %d, want 3 (one per collective superstep)", got)
 	}
 }

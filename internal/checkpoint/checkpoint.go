@@ -4,10 +4,10 @@
 // in which nodes can turn from idle to busy without further notice" and for
 // "migration of computation across grid nodes".
 //
-// Snapshots are explicitly serialized (big-endian, length-prefixed — the
-// ORB wire encoding), never raw memory images, so a snapshot taken on one
-// architecture restores on any other. The Store keeps the latest snapshot
-// per application; Resume re-runs a BSP program from it.
+// A snapshot holds each process's state as the bytes the program serialized
+// it to, never a raw memory image, so a snapshot taken on one architecture
+// restores on any other. The Store keeps the latest snapshot per
+// application; Resume re-runs a BSP program from it.
 package checkpoint
 
 import (
@@ -18,21 +18,10 @@ import (
 	"time"
 
 	"integrade/internal/bsp"
-	"integrade/internal/orb"
 )
 
 // ErrNoSnapshot indicates no checkpoint exists for an application.
 var ErrNoSnapshot = errors.New("checkpoint: no snapshot")
-
-// Storage is what Resume needs from a snapshot store. Both the in-memory
-// Store and the durable FileStore satisfy it, so a BSP run can resume from
-// either — including under a different GRM than the one it started under.
-type Storage interface {
-	Save(appID string, superstep int, states [][]byte) error
-	Latest(appID string) (Snapshot, error)
-	Drop(appID string)
-	Sink(appID string) bsp.CheckpointSink
-}
 
 // Snapshot is one application-wide checkpoint: the portable state of every
 // process at a superstep barrier.
@@ -52,46 +41,16 @@ func (s Snapshot) Bytes() int {
 	return n
 }
 
-// Encode writes the snapshot in the portable wire format.
-func (s Snapshot) Encode(e *orb.Encoder) {
-	e.PutString(s.AppID)
-	e.PutInt(s.Superstep)
-	e.PutTime(s.TakenAt)
-	e.PutU32(uint32(len(s.States)))
-	for _, st := range s.States {
-		e.PutBytes(st)
-	}
-}
-
-// DecodeSnapshot reads a snapshot written by Encode.
-func DecodeSnapshot(d *orb.Decoder) (Snapshot, error) {
-	s := Snapshot{
-		AppID:     d.String(),
-		Superstep: d.Int(),
-		TakenAt:   d.Time(),
-	}
-	n := d.Count(4)
-	if err := d.Err(); err != nil {
-		return Snapshot{}, err
-	}
-	s.States = make([][]byte, n)
-	for i := range s.States {
-		s.States[i] = d.Bytes()
-	}
-	return s, d.Err()
-}
-
 // Store holds the latest snapshot per application. It is safe for
 // concurrent use.
 type Store struct {
 	now func() time.Time
 
-	// mu guards snaps and saves.
+	// mu guards snaps.
 	//
-	//lint:guards snaps,saves
+	//lint:guards snaps
 	mu    sync.Mutex
 	snaps map[string]Snapshot
-	saves int
 }
 
 // NewStore returns a Store stamping snapshots with now (pass the clock's
@@ -120,7 +79,6 @@ func (st *Store) Save(appID string, superstep int, states [][]byte) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.snaps[appID] = cp
-	st.saves++
 	return nil
 }
 
@@ -154,13 +112,6 @@ func (st *Store) Apps() []string {
 	return out
 }
 
-// Saves returns the total number of snapshots taken.
-func (st *Store) Saves() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.saves
-}
-
 // Sink adapts the store to bsp.CheckpointSink for one application.
 func (st *Store) Sink(appID string) bsp.CheckpointSink {
 	return sinkFunc(func(superstep int, states [][]byte) error {
@@ -178,7 +129,7 @@ func (f sinkFunc) Save(superstep int, states [][]byte) error {
 // into store, restoring from the application's latest snapshot when one
 // exists (rollback recovery / migration restart). On success the snapshot
 // is dropped.
-func Resume(store Storage, appID string, nprocs, every int, program bsp.Program) error {
+func Resume(store *Store, appID string, nprocs, every int, program bsp.Program) error {
 	return ResumeRuntime(store, appID, nprocs, every, program, nil)
 }
 
@@ -186,7 +137,7 @@ func Resume(store Storage, appID string, nprocs, every int, program bsp.Program)
 // configured runtime before it starts, so callers can arm external controls
 // — notably Runtime.Abort from a failure detector — against the active run.
 // The hook is called again with nil once the run ends.
-func ResumeRuntime(store Storage, appID string, nprocs, every int, program bsp.Program, onRuntime func(*bsp.Runtime)) error {
+func ResumeRuntime(store *Store, appID string, nprocs, every int, program bsp.Program, onRuntime func(*bsp.Runtime)) error {
 	opts := []bsp.Option{bsp.WithCheckpoint(every, store.Sink(appID))}
 	if cp, err := store.Latest(appID); err == nil {
 		if len(cp.States) != nprocs {

@@ -24,7 +24,7 @@ func BenchmarkCompile(b *testing.B) {
 }
 
 func BenchmarkEval(b *testing.B) {
-	e := MustCompile(benchExpr)
+	e := mustCompile(benchExpr)
 	props := benchProps()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -44,7 +44,7 @@ func BenchmarkEval(b *testing.B) {
 // block at a time through Filter, the way the trader's scan reads them — ns/op
 // is per record in all three.
 func BenchmarkEvalFleet(b *testing.B) {
-	e := MustCompile("mips_free >= 600 and ram_free >= 256 and os == 'linux' and arch == 'amd64'")
+	e := mustCompile("mips_free >= 600 and ram_free >= 256 and os == 'linux' and arch == 'amd64'")
 	maps := make([]Context, 10000)
 	records := make([]Context, len(maps))
 	block := make([]*Record, len(maps))

@@ -93,8 +93,8 @@ func (c *Cache) Stats() (hits, misses uint64) {
 	return c.hits, c.misses
 }
 
-// Len returns the number of cached entries.
-func (c *Cache) Len() int {
+// size returns the number of cached entries.
+func (c *Cache) size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()

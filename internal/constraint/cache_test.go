@@ -51,8 +51,8 @@ func TestCacheEvictsLRU(t *testing.T) {
 	mustCache("b > 1") // {a, b}
 	mustCache("a > 1") // touch a → b is now LRU
 	mustCache("c > 1") // evicts b → {a, c}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
+	if c.size() != 2 {
+		t.Fatalf("len = %d, want 2", c.size())
 	}
 	hits0, _ := c.Stats()
 	mustCache("a > 1") // hit
@@ -86,8 +86,8 @@ func TestCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() > 16 {
-		t.Fatalf("cache grew past capacity: %d", c.Len())
+	if c.size() > 16 {
+		t.Fatalf("cache grew past capacity: %d", c.size())
 	}
 }
 

@@ -67,20 +67,20 @@ func TestEvalBooleans(t *testing.T) {
 }
 
 func TestEvalNumber(t *testing.T) {
-	e := MustCompile("mips / 100 + bonus")
-	got, err := e.EvalNumber(Properties{"mips": Number(800), "bonus": Number(2)})
+	e := mustCompile("mips / 100 + bonus")
+	got, err := e.evalNumber(Properties{"mips": Number(800), "bonus": Number(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 10 {
-		t.Fatalf("EvalNumber = %v, want 10", got)
+		t.Fatalf("evalNumber = %v, want 10", got)
 	}
-	if _, err := e.EvalNumber(Properties{"mips": Number(800)}); err == nil {
+	if _, err := e.evalNumber(Properties{"mips": Number(800)}); err == nil {
 		t.Fatal("missing property accepted")
 	}
-	boolExpr := MustCompile("true")
-	if _, err := boolExpr.EvalNumber(Properties{}); err == nil {
-		t.Fatal("EvalNumber accepted boolean expression")
+	boolExpr := mustCompile("true")
+	if _, err := boolExpr.evalNumber(Properties{}); err == nil {
+		t.Fatal("evalNumber accepted boolean expression")
 	}
 }
 
@@ -151,7 +151,7 @@ func TestEvalErrors(t *testing.T) {
 }
 
 func TestMissingPropertyErrorIsMatchable(t *testing.T) {
-	e := MustCompile("gpu > 1")
+	e := mustCompile("gpu > 1")
 	_, err := e.Eval(Properties{})
 	if err == nil {
 		t.Fatal("want error")
@@ -203,7 +203,7 @@ func TestMustCompilePanics(t *testing.T) {
 			t.Fatal("MustCompile did not panic on bad input")
 		}
 	}()
-	MustCompile("((")
+	mustCompile("((")
 }
 
 // Property: comparison operators on numbers agree with Go's comparison.
@@ -237,9 +237,9 @@ func TestNumericComparisonProperty(t *testing.T) {
 
 // Property: arithmetic in the language matches Go arithmetic for small ints.
 func TestArithmeticProperty(t *testing.T) {
-	e := MustCompile("a * b + c")
+	e := mustCompile("a * b + c")
 	f := func(a, b, c int8) bool {
-		got, err := e.EvalNumber(Properties{
+		got, err := e.evalNumber(Properties{
 			"a": Number(float64(a)),
 			"b": Number(float64(b)),
 			"c": Number(float64(c)),
@@ -253,8 +253,8 @@ func TestArithmeticProperty(t *testing.T) {
 
 // Property: De Morgan's law holds for all boolean combinations.
 func TestDeMorganProperty(t *testing.T) {
-	lhs := MustCompile("not (p and q)")
-	rhs := MustCompile("not p or not q")
+	lhs := mustCompile("not (p and q)")
+	rhs := mustCompile("not p or not q")
 	f := func(p, q bool) bool {
 		props := Properties{"p": Bool(p), "q": Bool(q)}
 		a, err1 := lhs.Eval(props)
@@ -274,8 +274,18 @@ func TestDottedIdentifiers(t *testing.T) {
 
 func TestSourceRoundTrip(t *testing.T) {
 	const src = "mips >= 500 and ram >= 16"
-	e := MustCompile(src)
-	if e.Source() != src {
-		t.Fatalf("Source = %q", e.Source())
+	e := mustCompile(src)
+	if e.src != src {
+		t.Fatalf("src = %q", e.src)
 	}
+}
+
+// mustCompile is Compile that fails by panicking, for the tests' static
+// expressions.
+func mustCompile(src string) *Expr {
+	e, err := Compile(src)
+	if err != nil {
+		panic(err)
+	}
+	return e
 }

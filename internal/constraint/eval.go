@@ -100,9 +100,9 @@ func (e *Expr) Eval(ctx Context) (bool, error) {
 	return v.truth, nil
 }
 
-// EvalNumber evaluates the expression and requires a numeric result. Rank
-// ("preference") expressions use this.
-func (e *Expr) EvalNumber(ctx Context) (float64, error) {
+// evalNumber evaluates the expression and requires a numeric result, as a
+// rank ("preference") expression would.
+func (e *Expr) evalNumber(ctx Context) (float64, error) {
 	v, err := e.root.eval(ctx)
 	if err != nil {
 		return 0, &EvalError{Expr: e.src, Msg: err.Error()} //lint:alloc error slow path

@@ -115,7 +115,7 @@ func wantBinary(op string, l, r operand) (Value, string) {
 // tables below must read the same from either.
 var tableContexts = []Context{tableProps, tableProps.Record()}
 
-// checkEval runs src through Eval and EvalNumber over tableProps, as a map
+// checkEval runs src through Eval and evalNumber over tableProps, as a map
 // and as a record, and compares against the specified value or message; then
 // through the block filter, which must select the records Eval holds on.
 func checkEval(t *testing.T, src string, want Value, wantMsg string) {
@@ -132,7 +132,7 @@ func checkEval(t *testing.T, src string, want Value, wantMsg string) {
 
 func checkEvalOn(t *testing.T, e *Expr, ctx Context, want Value, wantMsg string) {
 	t.Helper()
-	src := e.Source()
+	src := e.src
 	wrap := func(msg string) string { return fmt.Sprintf("constraint: eval %q: %s", src, msg) }
 
 	boolMsg, numMsg := wantMsg, wantMsg
@@ -151,18 +151,18 @@ func checkEvalOn(t *testing.T, e *Expr, ctx Context, want Value, wantMsg string)
 	case err != nil || b != want.truth:
 		t.Errorf("Eval(%q) on %T = %v, %v; want %v", src, ctx, b, err, want.truth)
 	}
-	n, err := e.EvalNumber(ctx)
+	n, err := e.evalNumber(ctx)
 	switch {
 	case numMsg != "":
 		if err == nil || err.Error() != wrap(numMsg) || n != 0 {
-			t.Errorf("EvalNumber(%q) on %T = %v, %v; want error %q", src, ctx, n, err, wrap(numMsg))
+			t.Errorf("evalNumber(%q) on %T = %v, %v; want error %q", src, ctx, n, err, wrap(numMsg))
 		}
 	case err != nil || n != want.num:
-		t.Errorf("EvalNumber(%q) on %T = %v, %v; want %v", src, ctx, n, err, want.num)
+		t.Errorf("evalNumber(%q) on %T = %v, %v; want %v", src, ctx, n, err, want.num)
 	}
 	var ee *EvalError
 	if err != nil && !errors.As(err, &ee) {
-		t.Errorf("EvalNumber(%q) error %T is not an *EvalError", src, err)
+		t.Errorf("evalNumber(%q) error %T is not an *EvalError", src, err)
 	}
 }
 
@@ -226,10 +226,10 @@ func TestEvalErrorTextPinned(t *testing.T) {
 		"n + 1":        `constraint: eval "n + 1": expression is not boolean`,
 	} {
 		for _, ctx := range tableContexts {
-			if _, err := MustCompile(src).Eval(ctx); err == nil || err.Error() != want {
+			if _, err := mustCompile(src).Eval(ctx); err == nil || err.Error() != want {
 				t.Errorf("Eval(%q) on %T error = %v, want %s", src, ctx, err, want)
 			}
 		}
-		checkFilter(t, MustCompile(src), tableBlock) // an error is a mismatch, not a panic
+		checkFilter(t, mustCompile(src), tableBlock) // an error is a mismatch, not a panic
 	}
 }

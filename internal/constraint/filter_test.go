@@ -25,10 +25,10 @@ func checkFilter(t testing.TB, e *Expr, recs []*Record) {
 		}
 		got := e.Filter(recs, sel)
 		if !slices.Equal(got, want) {
-			t.Fatalf("Filter(%q) over every %d. of %d records selects %v, Eval holds on %v", e.Source(), step, len(recs), got, want)
+			t.Fatalf("Filter(%q) over every %d. of %d records selects %v, Eval holds on %v", e.src, step, len(recs), got, want)
 		}
 		if len(got) > 0 && &got[0] != &sel[0] {
-			t.Fatalf("Filter(%q) did not narrow sel in place", e.Source())
+			t.Fatalf("Filter(%q) did not narrow sel in place", e.src)
 		}
 	}
 }
@@ -74,16 +74,16 @@ func TestFilterTakesAFullBlock(t *testing.T) {
 		"mips / 100 >= 16 and exist os",
 		"gone == 1 and mips >= 0",
 	} {
-		checkFilter(t, MustCompile(src), recs)
+		checkFilter(t, mustCompile(src), recs)
 	}
 	all := make([]uint8, BlockSize)
 	for i := range all {
 		all[i] = uint8(i)
 	}
-	if got := MustCompile("mips >= 0 and busy == busy").Filter(recs, slices.Clone(all)); !slices.Equal(got, all) {
+	if got := mustCompile("mips >= 0 and busy == busy").Filter(recs, slices.Clone(all)); !slices.Equal(got, all) {
 		t.Fatalf("a constraint every record satisfies selects %v", got)
 	}
-	if got := MustCompile("true").Filter(nil, nil); len(got) != 0 {
+	if got := mustCompile("true").Filter(nil, nil); len(got) != 0 {
 		t.Fatalf("an empty block selects %v", got)
 	}
 }
@@ -97,7 +97,7 @@ func TestNaNCompares(t *testing.T) {
 		"x == 5": false, "x != 5": true, "x < 5": false, "x <= 5": true, "x > 5": false, "x >= 5": true,
 		"x + 0 == 5": false, "x + 0 != 5": true, "x + 0 < 5": false, "x + 0 <= 5": true, "x + 0 > 5": false, "x + 0 >= 5": true,
 	} {
-		e := MustCompile(src)
+		e := mustCompile(src)
 		if got, err := e.Eval(recs[0]); err != nil || got != want {
 			t.Errorf("Eval(%q) on a NaN = %v, %v; want %v", src, got, err, want)
 		}

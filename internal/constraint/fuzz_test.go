@@ -72,16 +72,16 @@ func FuzzCompile(f *testing.F) {
 				if b != rb || errText(bErr) != errText(rbErr) {
 					t.Fatalf("Eval(%q): map gives %v, %v; record gives %v, %v", src, b, bErr, rb, rbErr)
 				}
-				n, nErr := e.EvalNumber(p)
-				rn, rnErr := e.EvalNumber(r)
+				n, nErr := e.evalNumber(p)
+				rn, rnErr := e.evalNumber(r)
 				if (n != rn && (n == n || rn == rn)) || errText(nErr) != errText(rnErr) {
-					t.Fatalf("EvalNumber(%q): map gives %v, %v; record gives %v, %v", src, n, nErr, rn, rnErr)
+					t.Fatalf("evalNumber(%q): map gives %v, %v; record gives %v, %v", src, n, nErr, rn, rnErr)
 				}
 			}
 		}
 		checkFilter(t, e, block)
-		if e.Source() != src {
-			t.Fatalf("Source() = %q, want %q", e.Source(), src)
+		if e.src != src {
+			t.Fatalf("src = %q, want %q", e.src, src)
 		}
 	})
 }

@@ -85,9 +85,6 @@ type Expr struct {
 	root node
 }
 
-// Source returns the original expression text.
-func (e *Expr) Source() string { return e.src }
-
 // Compile parses src into an Expr.
 //
 //lint:coldpath full compile runs only on a cache miss
@@ -105,15 +102,6 @@ func Compile(src string) (*Expr, error) {
 		return nil, p.errorf("unexpected trailing input")
 	}
 	return &Expr{src: src, root: root}, nil
-}
-
-// MustCompile is Compile that panics on error, for static expressions.
-func MustCompile(src string) *Expr {
-	e, err := Compile(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
 }
 
 type parser struct {

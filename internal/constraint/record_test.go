@@ -88,8 +88,8 @@ func TestSchemaRecord(t *testing.T) {
 // where a kernel rebinds from a word it loaded once for the block. Every result
 // must be right; under -race the rebinding must also be free of data races.
 func TestFieldRebindsUnderRace(t *testing.T) {
-	e := MustCompile("mips >= 500 and os == 'linux' and not exist gpu")
-	rank := MustCompile("mips * 2 + ram")
+	e := mustCompile("mips >= 500 and os == 'linux' and not exist gpu")
+	rank := mustCompile("mips * 2 + ram")
 	forward := NewSchema("mips", "ram", "os")
 	reverse := NewSchema("os", "ram", "mips")
 	lacking := NewSchema("ram", "os")
@@ -128,8 +128,8 @@ func TestFieldRebindsUnderRace(t *testing.T) {
 					t.Errorf("Eval on case %d = %v, %v; want %v, %q", (g+i)%len(cases), ok, err, c.match, c.matchErr)
 					return
 				}
-				if n, err := rank.EvalNumber(c.ctx); c.matchErr == "" && (err != nil || n != c.rank) {
-					t.Errorf("EvalNumber on case %d = %v, %v; want %v", (g+i)%len(cases), n, err, c.rank)
+				if n, err := rank.evalNumber(c.ctx); c.matchErr == "" && (err != nil || n != c.rank) {
+					t.Errorf("evalNumber on case %d = %v, %v; want %v", (g+i)%len(cases), n, err, c.rank)
 					return
 				}
 				sel := []uint8{0, 1, 2, 3}

@@ -62,7 +62,7 @@ func TestRunBSPComputesAndReleases(t *testing.T) {
 		}
 	}
 	// Successful completion drops the job's checkpoint.
-	if _, err := g.Checkpoints().Latest("allreduce"); err == nil {
+	if _, err := g.store.Latest("allreduce"); err == nil {
 		t.Fatal("checkpoint not dropped after success")
 	}
 }

@@ -81,9 +81,9 @@ type Grid struct {
 // Option configures a Grid.
 type Option func(*Grid)
 
-// WithClock installs a clock; pass a *sim.VirtualClock for simulation
+// withClock installs a clock; pass a *sim.VirtualClock for simulation
 // (default) or sim.RealClock{} for wall-clock runs.
-func WithClock(c sim.Clock) Option {
+func withClock(c sim.Clock) Option {
 	return func(g *Grid) {
 		g.clock = c
 		g.vclock, _ = c.(*sim.VirtualClock)
@@ -93,11 +93,6 @@ func WithClock(c sim.Clock) Option {
 // WithSeed seeds all grid randomness (default 1).
 func WithSeed(seed int64) Option {
 	return func(g *Grid) { g.rng = sim.NewRNG(seed) }
-}
-
-// WithLogger installs a logger (default: discard).
-func WithLogger(log *slog.Logger) Option {
-	return func(g *Grid) { g.log = log }
 }
 
 // NewGrid returns an empty grid on a fresh virtual clock unless overridden.
@@ -125,15 +120,6 @@ func NewGrid(opts ...Option) *Grid {
 	g.namingRef = orb.ObjectRef{Endpoint: ep, Key: naming.ObjectKey}
 	return g
 }
-
-// Clock returns the grid clock.
-func (g *Grid) Clock() sim.Clock { return g.clock }
-
-// ORB returns the grid's object request broker.
-func (g *Grid) ORB() *orb.ORB { return g.orb }
-
-// Checkpoints returns the grid-wide checkpoint store used by BSP helpers.
-func (g *Grid) Checkpoints() *checkpoint.Store { return g.store }
 
 // Advance moves simulated time forward by d, executing all scheduled
 // protocol activity. It is an error on a wall-clock grid.
@@ -262,11 +248,11 @@ func (h *Handle) Cancel() error {
 	return h.cluster.GRM().CancelApp(h.appID)
 }
 
-// WaitSimulated advances virtual time in poll-sized steps until the
+// waitSimulated advances virtual time in poll-sized steps until the
 // application completes or maxSim elapses, returning the final status.
-func (h *Handle) WaitSimulated(maxSim, poll time.Duration) (protocol.AppStatus, error) {
+func (h *Handle) waitSimulated(maxSim, poll time.Duration) (protocol.AppStatus, error) {
 	if h.grid.vclock == nil {
-		return protocol.AppStatus{}, errors.New("core: WaitSimulated requires a virtual clock")
+		return protocol.AppStatus{}, errors.New("core: waitSimulated requires a virtual clock")
 	}
 	if poll <= 0 {
 		poll = time.Minute
@@ -421,11 +407,6 @@ func (c *Cluster) GRM() *grm.GRM { return c.manager().grm }
 
 // Hierarchy exposes the cluster's hierarchy node.
 func (c *Cluster) Hierarchy() *hierarchy.Node { return c.manager().hnode }
-
-// Tool returns an ASCT connected to this cluster's GRM.
-func (c *Cluster) Tool() *asct.Tool {
-	return asct.New(c.grid.orb, c.manager().grmRef, c.grid.clock)
-}
 
 func (c *Cluster) stop() {
 	c.mgmtMu.Lock()

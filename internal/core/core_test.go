@@ -59,7 +59,7 @@ func TestQuickstartScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := h.WaitSimulated(time.Hour, time.Minute)
+	st, err := h.waitSimulated(time.Hour, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestHierarchicalRouting(t *testing.T) {
 	if h.ClusterID() != "big" || h.Hops() != 1 {
 		t.Fatalf("routed to %s with %d hops", h.ClusterID(), h.Hops())
 	}
-	st, err := h.WaitSimulated(time.Hour, time.Minute)
+	st, err := h.waitSimulated(time.Hour, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestFailNodeEvictsAndNotifies(t *testing.T) {
 	}
 	// The task restarts from its checkpoint on the surviving node and
 	// completes; total simulated time generously covers the redo.
-	st, err = h.WaitSimulated(3*time.Hour, time.Minute)
+	st, err = h.waitSimulated(3*time.Hour, time.Minute)
 	if err != nil {
 		t.Fatalf("%v (stats %+v)", err, c.GRM().Stats())
 	}
@@ -243,7 +243,7 @@ func TestFailRandomNodes(t *testing.T) {
 }
 
 func TestGridAdvanceRequiresVirtualClock(t *testing.T) {
-	g := NewGrid(WithClock(sim.RealClock{}))
+	g := NewGrid(withClock(sim.RealClock{}))
 	defer g.Stop()
 	if err := g.Advance(time.Second); err == nil {
 		t.Fatal("Advance on wall clock succeeded")
@@ -269,7 +269,7 @@ func TestSubmitToCluster(t *testing.T) {
 	if _, err := g.SubmitTo("ghost", asct.NewApplication("x").Sequential(1)); err == nil {
 		t.Fatal("unknown cluster accepted")
 	}
-	if _, err := h.WaitSimulated(time.Hour, time.Minute); err != nil {
+	if _, err := h.waitSimulated(time.Hour, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 }

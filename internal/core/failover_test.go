@@ -133,7 +133,7 @@ func TestReplicaSetFailoverMidSuperstep(t *testing.T) {
 	if err := g.Advance(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range c.Replicas() {
+	for i, r := range c.replicaGRMs() {
 		if got := r.Stats().QuorumBatches; got < 2 {
 			t.Fatalf("member %d committed %d batches, want >= 2", i, got)
 		}
@@ -241,7 +241,7 @@ func TestReplicaSetFailoverMidSuperstep(t *testing.T) {
 			t.Fatalf("proc %d output %d != fault-free %d", pid, got[pid], expected[pid])
 		}
 	}
-	if apps := g.Checkpoints().Apps(); len(apps) != 0 {
+	if apps := g.store.Apps(); len(apps) != 0 {
 		t.Fatalf("snapshots left after success: %v", apps)
 	}
 }
@@ -309,7 +309,7 @@ func TestFailoverDuringRegistrationBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := h.WaitSimulated(30*time.Minute, time.Minute)
+	st, err := h.waitSimulated(30*time.Minute, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestDoubleFailoverColdRebuild(t *testing.T) {
 			t.Fatalf("proc %d output %d != fault-free %d", pid, got[pid], expected[pid])
 		}
 	}
-	if apps := g.Checkpoints().Apps(); len(apps) != 0 {
+	if apps := g.store.Apps(); len(apps) != 0 {
 		t.Fatalf("snapshots left after success: %v", apps)
 	}
 }

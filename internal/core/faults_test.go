@@ -142,7 +142,7 @@ func TestLostDoneNotificationLeavesConsistentState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h2.WaitSimulated(time.Hour, time.Minute); err != nil {
+	if _, err := h2.waitSimulated(time.Hour, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -298,7 +298,7 @@ func TestBSPGangResumesFromSnapshotAfterSilentCrash(t *testing.T) {
 		}
 	}
 	// The snapshot is dropped after the successful run.
-	if apps := g.Checkpoints().Apps(); len(apps) != 0 {
+	if apps := g.store.Apps(); len(apps) != 0 {
 		t.Fatalf("snapshots left after success: %v", apps)
 	}
 }

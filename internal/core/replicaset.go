@@ -101,9 +101,9 @@ func (c *Cluster) EnableReplicaSet(extra int) error {
 	return nil
 }
 
-// Replicas returns the GRMs of the cluster's consensus replica set in member
-// order (the incumbent first), or nil when no replica set is armed.
-func (c *Cluster) Replicas() []*grm.GRM {
+// replicaGRMs returns the GRMs of the cluster's consensus replica set in
+// member order (the incumbent first), or nil when no replica set is armed.
+func (c *Cluster) replicaGRMs() []*grm.GRM {
 	c.mgmtMu.Lock()
 	defer c.mgmtMu.Unlock()
 	out := make([]*grm.GRM, 0, len(c.replicas))

@@ -44,7 +44,7 @@ func replicaGrid(t *testing.T, seed int64) (*Grid, *Cluster) {
 // explicitly excluded (crashed) one whose role is frozen at death.
 func primaries(c *Cluster, exclude *grm.GRM) (int, *grm.GRM) {
 	n, last := 0, (*grm.GRM)(nil)
-	for _, r := range c.Replicas() {
+	for _, r := range c.replicaGRMs() {
 		if r == exclude {
 			continue
 		}
@@ -61,7 +61,7 @@ func primaries(c *Cluster, exclude *grm.GRM) (int, *grm.GRM) {
 func assertTermsDisjoint(t *testing.T, c *Cluster) {
 	t.Helper()
 	won := make(map[int]string)
-	for _, r := range c.Replicas() {
+	for _, r := range c.replicaGRMs() {
 		en := r.Election()
 		if en == nil {
 			continue
@@ -115,7 +115,7 @@ func TestReplicaSetMirrorsIncumbentState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range c.Replicas()[1:] {
+	for _, r := range c.replicaGRMs()[1:] {
 		if r.Role() != grm.RoleFollower {
 			t.Fatalf("member role = %v, want follower", r.Role())
 		}

@@ -113,7 +113,7 @@ func (s *set) start() {
 func (s *set) leaders() []*Node {
 	var out []*Node
 	for _, id := range s.ids {
-		if s.nodes[id].Role() == Leader {
+		if roleOf(s.nodes[id]) == Leader {
 			out = append(out, s.nodes[id])
 		}
 	}
@@ -138,10 +138,10 @@ func assertOneLeaderPerTerm(t *testing.T, s *set) {
 func TestBootstrapLeadsTermOne(t *testing.T) {
 	s := newSet(t, 3, 1)
 	s.start()
-	if got := s.nodes["m0"].Role(); got != Leader {
+	if got := roleOf(s.nodes["m0"]); got != Leader {
 		t.Fatalf("bootstrap role = %v", got)
 	}
-	if got := s.nodes["m0"].Term(); got != 1 {
+	if got := termOf(s.nodes["m0"]); got != 1 {
 		t.Fatalf("bootstrap term = %d", got)
 	}
 	// The initial append round told the followers who leads.
@@ -149,7 +149,7 @@ func TestBootstrapLeadsTermOne(t *testing.T) {
 		if got := s.nodes[id].Leader(); got != "m0" {
 			t.Fatalf("%s leader = %q", id, got)
 		}
-		if got := s.nodes[id].Role(); got != Follower {
+		if got := roleOf(s.nodes[id]); got != Follower {
 			t.Fatalf("%s role = %v", id, got)
 		}
 	}
@@ -167,7 +167,7 @@ func TestFailoverElectsNewLeader(t *testing.T) {
 	if leaders[0].ID() == "m0" {
 		t.Fatal("stopped node still leads")
 	}
-	if term := leaders[0].Term(); term < 2 {
+	if term := termOf(leaders[0]); term < 2 {
 		t.Fatalf("new leader term = %d", term)
 	}
 	assertOneLeaderPerTerm(t, s)
@@ -200,7 +200,7 @@ func TestProposeCommitsOnAllMembers(t *testing.T) {
 			}
 		}
 	}
-	if st := lead.Stats(); st.Proposals != 3 || st.EntriesCommitted != 3 {
+	if st := statsOf(lead); st.Proposals != 3 || st.EntriesCommitted != 3 {
 		t.Fatalf("leader stats = %+v", st)
 	}
 }
@@ -212,7 +212,7 @@ func TestProposeFailsWithoutQuorum(t *testing.T) {
 	if _, _, err := s.nodes["m0"].Propose([]byte("lost")); err == nil {
 		t.Fatal("proposal committed without a quorum")
 	}
-	if st := s.nodes["m0"].Stats(); st.ProposalsFailed != 1 {
+	if st := statsOf(s.nodes["m0"]); st.ProposalsFailed != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Healing lets the next proposal (and the stranded entry) commit.
@@ -263,7 +263,7 @@ func TestPartitionedLeaderIsDeposed(t *testing.T) {
 			fresh = l
 		}
 	}
-	if fresh == nil || fresh.Term() <= old.Term() {
+	if fresh == nil || termOf(fresh) <= termOf(old) {
 		t.Fatalf("no higher-term leader rose: %v", leaders)
 	}
 	assertOneLeaderPerTerm(t, s)
@@ -271,8 +271,8 @@ func TestPartitionedLeaderIsDeposed(t *testing.T) {
 	// Heal: the next exchange tells the stale leader about the higher term.
 	s.engine.HealAll()
 	s.clock.Advance(15 * time.Second)
-	if old.Role() != Follower {
-		t.Fatalf("deposed leader role = %v", old.Role())
+	if roleOf(old) != Follower {
+		t.Fatalf("deposed leader role = %v", roleOf(old))
 	}
 	if got := old.Leader(); got != fresh.ID() {
 		t.Fatalf("deposed leader follows %q, want %q", got, fresh.ID())
@@ -311,8 +311,8 @@ func TestPersistedVoteSurvivesRestart(t *testing.T) {
 	n2 := build()
 	n2.Start()
 	defer n2.Stop()
-	if n2.Term() != 5 {
-		t.Fatalf("restarted term = %d", n2.Term())
+	if termOf(n2) != 5 {
+		t.Fatalf("restarted term = %d", termOf(n2))
 	}
 	if vr := n2.handleRequestVote(requestVote{Term: 5, Candidate: "bob"}); vr.Granted {
 		t.Fatal("restarted node double-voted in term 5")
@@ -331,7 +331,7 @@ func TestDeterministicElectionTrace(t *testing.T) {
 		out := ""
 		for _, id := range s.ids {
 			n := s.nodes[id]
-			out += fmt.Sprintf("%s:%v/%d ", id, n.Role(), n.Term())
+			out += fmt.Sprintf("%s:%v/%d ", id, roleOf(n), termOf(n))
 		}
 		return out
 	}
@@ -339,4 +339,23 @@ func TestDeterministicElectionTrace(t *testing.T) {
 	if a != b {
 		t.Fatalf("same seed diverged:\n%s\n%s", a, b)
 	}
+}
+
+// roleOf, termOf and statsOf read a node's state under its lock.
+func roleOf(n *Node) Role {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.role
+}
+
+func termOf(n *Node) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.term
+}
+
+func statsOf(n *Node) Stats {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.stats
 }

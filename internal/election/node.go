@@ -183,21 +183,6 @@ func NewNode(cfg Config) *Node {
 // ID returns the node's member name.
 func (n *Node) ID() string { return n.id }
 
-// Role returns the node's current role.
-func (n *Node) Role() Role {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.role
-}
-
-// Term returns the node's current term — the fencing epoch its leader
-// stamps on outbound writes.
-func (n *Node) Term() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.term
-}
-
 // Leader returns the member this node believes leads the current term
 // (possibly itself, possibly empty during an election).
 func (n *Node) Leader() string {
@@ -215,13 +200,6 @@ func (n *Node) WonTerms() []int {
 	out := make([]int, len(n.wonTerms))
 	copy(out, n.wonTerms)
 	return out
-}
-
-// Stats returns a snapshot of the election counters.
-func (n *Node) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
 }
 
 // Start loads persisted state and joins the replica set: a fresh bootstrap

@@ -51,9 +51,9 @@ func (s *MemoryStore) Save(term int, votedFor string) error {
 	return nil
 }
 
-// Hard-state files reuse the checkpoint store's on-disk format: the ICK1
-// magic followed by a big-endian CRC32 (IEEE) of the payload, written
-// temp-file-then-rename with the previous epoch kept as a ".prev" fallback.
+// A hard-state file is the ICK1 magic followed by a big-endian CRC32 (IEEE)
+// of the payload, written temp-file-then-rename with the previous epoch kept
+// as a ".prev" fallback.
 var fileMagic = [4]byte{'I', 'C', 'K', '1'}
 
 const (

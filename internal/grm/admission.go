@@ -25,18 +25,6 @@ const (
 	DefaultAdmissionBatch = 64
 )
 
-// WithAdmissionLimit sets the bounded admission queue capacity (default
-// DefaultAdmissionLimit). Submissions beyond it fail with ErrAdmissionFull.
-func WithAdmissionLimit(n int) Option {
-	return func(g *GRM) { g.admitLimit = n }
-}
-
-// WithAdmissionBatch sets how many queued applications are matched per
-// drain iteration (default DefaultAdmissionBatch).
-func WithAdmissionBatch(n int) Option {
-	return func(g *GRM) { g.admitBatch = n }
-}
-
 // WithAsyncAdmission decouples Submit from placement: Submit returns as soon
 // as the application is queued and a background drainer matches batches
 // against one offer snapshot per batch. The default is synchronous — Submit

@@ -10,3 +10,15 @@ func QueuedIDs(g *GRM) []string {
 	}
 	return ids
 }
+
+// WithAdmissionLimit sets the bounded admission queue capacity (default
+// DefaultAdmissionLimit). Submissions beyond it fail with ErrAdmissionFull.
+func WithAdmissionLimit(n int) Option {
+	return func(g *GRM) { g.admitLimit = n }
+}
+
+// WithAdmissionBatch sets how many queued applications are matched per
+// drain iteration (default DefaultAdmissionBatch).
+func WithAdmissionBatch(n int) Option {
+	return func(g *GRM) { g.admitBatch = n }
+}

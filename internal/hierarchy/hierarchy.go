@@ -102,18 +102,8 @@ func (n *Node) AddChild(clusterID string, ref orb.ObjectRef) {
 	n.children[clusterID] = ref
 }
 
-// Parent returns the current parent reference (zero when root).
-func (n *Node) Parent() orb.ObjectRef {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.parent
-}
-
-// ClusterID returns the local cluster's ID.
-func (n *Node) ClusterID() string { return n.clusterID }
-
-// Routed returns how many submissions this node has routed (observability).
-func (n *Node) Routed() int {
+// routedCount returns how many submissions this node has routed.
+func (n *Node) routedCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.routed
@@ -348,26 +338,4 @@ func routeRemote(inv orb.Invoker, ref orb.ObjectRef, spec protocol.ApplicationSp
 		return RouteResult{}, orb.Errorf(orb.CodeMarshal, "route reply: %v", err)
 	}
 	return res, nil
-}
-
-// Client routes submissions through a remote hierarchy node (for the ASCT
-// in wide-area deployments).
-type Client struct {
-	inv orb.Invoker
-	ref orb.ObjectRef
-}
-
-// NewClient returns a stub for the hierarchy node at ref.
-func NewClient(inv orb.Invoker, ref orb.ObjectRef) *Client {
-	return &Client{inv: inv, ref: ref}
-}
-
-// Submit routes a submission via the remote node.
-func (c *Client) Submit(spec protocol.ApplicationSpec) (RouteResult, error) {
-	return routeRemote(c.inv, c.ref, spec, DefaultTTL, "")
-}
-
-// Summary queries the remote subtree aggregate.
-func (c *Client) Summary() (Summary, error) {
-	return querySummary(c.inv, c.ref)
 }

@@ -262,11 +262,33 @@ func TestRoutedCounterAndErrors(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if root.h.Routed() != 1 {
-		t.Fatalf("Routed = %d", root.h.Routed())
+	if root.h.routedCount() != 1 {
+		t.Fatalf("Routed = %d", root.h.routedCount())
 	}
 	_ = all
 	if !errors.Is(fmt.Errorf("wrap: %w", ErrUnroutable), ErrUnroutable) {
 		t.Fatal("ErrUnroutable not matchable")
 	}
+}
+
+// Client routes submissions through a remote hierarchy node, as a caller in
+// another domain would.
+type Client struct {
+	inv orb.Invoker
+	ref orb.ObjectRef
+}
+
+// NewClient returns a stub for the hierarchy node at ref.
+func NewClient(inv orb.Invoker, ref orb.ObjectRef) *Client {
+	return &Client{inv: inv, ref: ref}
+}
+
+// Submit routes a submission via the remote node.
+func (c *Client) Submit(spec protocol.ApplicationSpec) (RouteResult, error) {
+	return routeRemote(c.inv, c.ref, spec, DefaultTTL, "")
+}
+
+// Summary queries the remote subtree aggregate.
+func (c *Client) Summary() (Summary, error) {
+	return querySummary(c.inv, c.ref)
 }

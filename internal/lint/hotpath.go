@@ -466,11 +466,11 @@ func isBoxingConv(dst, src types.Type) bool {
 	return !srcIface
 }
 
-// HotpathRoots returns the display names of every function carrying a
+// hotpathRoots returns the display names of every function carrying a
 // well-formed //lint:hotpath annotation, sorted. Tests use it to assert
 // that the intended hot functions are really in the root set (a typo in an
 // annotation must not silently drop a contract).
-func HotpathRoots(pkgs []*Package) []string {
+func hotpathRoots(pkgs []*Package) []string {
 	var names []string
 	forEachAnnotatedFunc(pkgs, "lint:hotpath", func(pkg *Package, fd *ast.FuncDecl, c *ast.Comment, payload string) {
 		if _, err := parseHotBudget(payload); err != nil {

@@ -31,10 +31,36 @@ const DefaultUpdatePeriod = 30 * time.Second
 // periodic update absorbs; two in a row suggest the GRM itself is gone.
 const reregisterAfter = 2
 
-// DefaultReregisterBackoff paces re-registration attempts: capped
-// exponential with the orb client's deterministic per-node jitter, so a
-// cluster's worth of orphaned LRMs does not stampede the reborn GRM.
-var DefaultReregisterBackoff = orb.BackoffPolicy{Base: 5 * time.Second, Cap: time.Minute}
+// Re-registration attempt n waits min(reregisterCap, reregisterBase<<(n-1)),
+// scaled by a deterministic per-node jitter, so a cluster's worth of orphaned
+// LRMs does not stampede the reborn GRM.
+const (
+	reregisterBase = 5 * time.Second
+	reregisterCap  = time.Minute
+)
+
+// reregisterDelay is the pause before re-registration attempt n (n >= 1) of
+// the node: the capped exponential delay scaled by a factor in [0.5, 1.0)
+// taken from an FNV-1a hash of the node, "reregister" and n. The jitter needs
+// no random source, so a fixed fault schedule reproduces identical timers.
+func reregisterDelay(nodeID string, attempt int) time.Duration {
+	d := reregisterBase
+	for i := 1; i < attempt && d < reregisterCap; i++ {
+		d *= 2
+	}
+	d = min(d, reregisterCap)
+	h := uint64(14695981039346656037)
+	for _, s := range [2]string{nodeID, "reregister"} {
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= 1099511628211
+		}
+	}
+	h ^= uint64(attempt)
+	h *= 1099511628211
+	frac := 0.5 + 0.5*float64(h>>11)/float64(1<<53)
+	return time.Duration(float64(d) * frac)
+}
 
 // Stats are cumulative LRM counters for experiments.
 type Stats struct {
@@ -72,7 +98,7 @@ type LRM struct {
 	updatePeriod time.Duration
 	reserveTTL   time.Duration
 	resolver     func() (orb.ObjectRef, error) // re-resolves the GRM ref; may be nil
-	reregBackoff orb.BackoffPolicy
+	reregDelay   func(nodeID string, attempt int) time.Duration
 	drainLead    time.Duration // 0 = proactive pre-departure drain disabled
 
 	// mu guards grm, taskApp, outbox, stats, stopped, timers, started,
@@ -128,11 +154,6 @@ func WithGRMResolver(fn func() (orb.ObjectRef, error)) Option {
 	return func(l *LRM) { l.resolver = fn }
 }
 
-// WithReregisterBackoff overrides the re-registration pacing policy.
-func WithReregisterBackoff(p orb.BackoffPolicy) Option {
-	return func(l *LRM) { l.reregBackoff = p }
-}
-
 // DefaultDrainLead is the pre-departure lead time used when
 // WithDepartureDrain is given a non-positive lead.
 const DefaultDrainLead = 10 * time.Minute
@@ -167,7 +188,7 @@ func New(n *node.Node, clock sim.Clock, inv orb.Invoker, selfRef orb.ObjectRef, 
 		log:          slog.New(slog.DiscardHandler),
 		updatePeriod: DefaultUpdatePeriod,
 		reserveTTL:   time.Minute,
-		reregBackoff: DefaultReregisterBackoff,
+		reregDelay:   reregisterDelay,
 		taskApp:      make(map[string]string),
 	}
 	if !n.Dedicated() {
@@ -181,12 +202,6 @@ func New(n *node.Node, clock sim.Clock, inv orb.Invoker, selfRef orb.ObjectRef, 
 
 // Node returns the managed node.
 func (l *LRM) Node() *node.Node { return l.node }
-
-// Ref returns the LRM's own object reference.
-func (l *LRM) Ref() orb.ObjectRef { return l.selfRef }
-
-// Analyzer returns the node's LUPA (nil on dedicated nodes).
-func (l *LRM) Analyzer() *lupa.Analyzer { return l.analyzer }
 
 // Stats returns a snapshot of the counters.
 func (l *LRM) Stats() Stats {
@@ -253,11 +268,6 @@ func (l *LRM) grmClient() *protocol.GRMClient {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.grm
-}
-
-// GRMRef returns the reference of the GRM the LRM currently reports to.
-func (l *LRM) GRMRef() orb.ObjectRef {
-	return l.grmClient().Ref()
 }
 
 // SendUpdate pushes one Information Update Protocol message now. Task
@@ -383,7 +393,7 @@ func (l *LRM) armReregister() {
 		return
 	}
 	l.reregAttempt++
-	delay := l.reregBackoff.Delay(l.node.ID(), "reregister", l.reregAttempt)
+	delay := l.reregDelay(l.node.ID(), l.reregAttempt)
 	t := l.clock.AfterFunc(delay, l.reregisterTick)
 	l.timers = append(l.timers, t)
 }

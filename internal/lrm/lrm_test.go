@@ -310,8 +310,8 @@ func TestCompletionWhileReregisteringReachesNewManager(t *testing.T) {
 	var nextRef orb.ObjectRef
 	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous(),
 		WithUpdatePeriod(30*time.Second),
-		WithReregisterBackoff(orb.BackoffPolicy{Base: 10 * time.Minute, Cap: 10 * time.Minute}),
 		WithGRMResolver(func() (orb.ObjectRef, error) { return nextRef, nil }))
+	f.lrm.reregDelay = func(string, int) time.Duration { return 10 * time.Minute }
 	adapter := orb.NewAdapter()
 	if err := adapter.Register(protocol.GRMKey, next.servant()); err != nil {
 		t.Fatal(err)
@@ -335,8 +335,8 @@ func TestCompletionWhileReregisteringReachesNewManager(t *testing.T) {
 	if got := f.lrm.Stats().Reregistrations; got != 1 {
 		t.Fatalf("Reregistrations = %d, want 1", got)
 	}
-	if f.lrm.GRMRef() != nextRef {
-		t.Fatalf("reporting to %v, want the new manager", f.lrm.GRMRef())
+	if f.lrm.grmClient().Ref() != nextRef {
+		t.Fatalf("reporting to %v, want the new manager", f.lrm.grmClient().Ref())
 	}
 	next.mu.Lock()
 	registering := ofKind(protocol.TaskEventDone, next.rode[0])
@@ -349,6 +349,40 @@ func TestCompletionWhileReregisteringReachesNewManager(t *testing.T) {
 	}
 	if got := f.grm.rodeOfKind(protocol.TaskEventDone); len(got) != 0 {
 		t.Fatalf("dead manager saw done events %+v", got)
+	}
+}
+
+// TestReregisterDelay pins the re-registration pacing to exact delays: the
+// base doubles from 5s to the 1min cap (reached at attempt 5), each scaled by
+// its node's deterministic jitter, so failover timings reproduce exactly.
+func TestReregisterDelay(t *testing.T) {
+	for _, c := range []struct {
+		node    string
+		attempt int
+		want    time.Duration
+	}{
+		{"n0", 1, 4700926336},
+		{"n0", 2, 9401852375},
+		{"n0", 3, 18803704154},
+		{"n0", 4, 37607416652},
+		{"n0", 5, 56411123191},
+		{"n0", 6, 56411121402},
+		{"lrm-7", 1, 4082760944},
+		{"lrm-7", 2, 8165520995},
+		{"lrm-7", 3, 16331042586},
+		{"lrm-7", 4, 32662081597},
+		{"lrm-7", 5, 48993124184},
+		{"lrm-7", 6, 48993118820},
+		{"cluster-2/node-31", 1, 4724378531},
+		{"cluster-2/node-31", 2, 9448756168},
+		{"cluster-2/node-31", 3, 18897512932},
+		{"cluster-2/node-31", 4, 37795022288},
+		{"cluster-2/node-31", 5, 56692535220},
+		{"cluster-2/node-31", 6, 56692529855},
+	} {
+		if got := reregisterDelay(c.node, c.attempt); got != c.want {
+			t.Errorf("reregisterDelay(%q, %d) = %v, want %v", c.node, c.attempt, got, c.want)
+		}
 	}
 }
 
@@ -621,7 +655,7 @@ func TestLUPATrainsOverSimulatedWeeks(t *testing.T) {
 	f.lrm.Start()
 	// 9 simulated days: the daily retrain tick has at least 8 full days.
 	f.clock.Advance(9 * 24 * time.Hour)
-	a := f.lrm.Analyzer()
+	a := f.lrm.analyzer
 	if a == nil {
 		t.Fatal("non-dedicated node without analyzer")
 	}
@@ -821,7 +855,7 @@ func TestStatusTruncatesFragmentedForecast(t *testing.T) {
 	f.lrm.Start()
 	f.clock.Advance(9 * 24 * time.Hour)
 	now := f.clock.Now()
-	forecast := f.lrm.Analyzer().Forecast(now, ForecastHorizon)
+	forecast := f.lrm.analyzer.Forecast(now, ForecastHorizon)
 	if len(forecast) <= protocol.MaxWindows {
 		t.Fatalf("the forecast has %d windows, want a fragmented one of more than %d", len(forecast), protocol.MaxWindows)
 	}

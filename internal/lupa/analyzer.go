@@ -122,9 +122,9 @@ type Analyzer struct {
 // Option configures an Analyzer.
 type Option func(*Analyzer)
 
-// WithMaxCategories bounds the number of behavioural categories AutoK may
+// withMaxCategories bounds the number of behavioural categories AutoK may
 // choose (default 6).
-func WithMaxCategories(k int) Option {
+func withMaxCategories(k int) Option {
 	return func(a *Analyzer) { a.kmax = k }
 }
 

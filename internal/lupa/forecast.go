@@ -19,21 +19,21 @@ type Window struct {
 	Confidence float64
 }
 
-// Duration returns the window's length.
-func (w Window) Duration() time.Duration { return w.End.Sub(w.Start) }
+// duration returns the window's length.
+func (w Window) duration() time.Duration { return w.End.Sub(w.Start) }
 
-// Covers reports whether a task starting at from and running for d fits
+// covers reports whether a task starting at from and running for d fits
 // entirely inside the window.
-func (w Window) Covers(from time.Time, d time.Duration) bool {
+func (w Window) covers(from time.Time, d time.Duration) bool {
 	return !from.Before(w.Start) && !w.End.Before(from.Add(d))
 }
 
-// Overlap returns the intersection of two windows and whether it is
+// overlap returns the intersection of two windows and whether it is
 // non-empty. The intersection's confidence is the minimum of the two — the
 // gang overlap rule: a gang fits a set of nodes only if every member's
 // window covers the same execution interval, so the joint confidence is
 // bounded by the least certain member.
-func (w Window) Overlap(o Window) (Window, bool) {
+func (w Window) overlap(o Window) (Window, bool) {
 	out := Window{Start: w.Start, End: w.End, Confidence: w.Confidence}
 	if out.Start.Before(o.Start) {
 		out.Start = o.Start
@@ -58,17 +58,12 @@ func (w Window) Overlap(o Window) (Window, bool) {
 // will trust.
 const MatchedCategoryConfidence = 0.9
 
-// Forecast converts the trained pattern into availability windows covering
+// forecast converts the trained pattern into availability windows covering
 // [from, from+horizon): contiguous runs of centroid slots below
 // PredictionThreshold, walking each day's most likely category across day
-// boundaries. An untrained pattern returns nil.
-func (p Pattern) Forecast(from time.Time, horizon time.Duration) []Window {
-	return p.forecast(from, horizon, -1)
-}
-
-// forecast is Forecast with the first day's category pinned (firstCat >= 0
-// means "today was live-matched to this centroid"; -1 falls back to the
-// weekday majority).
+// boundaries. firstCat >= 0 pins the first day's category (today was
+// live-matched to this centroid); -1 falls back to the weekday majority. An
+// untrained pattern returns nil.
 func (p Pattern) forecast(from time.Time, horizon time.Duration, firstCat int) []Window {
 	if !p.Trained() || horizon <= 0 {
 		return nil

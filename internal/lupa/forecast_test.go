@@ -9,16 +9,16 @@ import (
 
 func TestWindowCovers(t *testing.T) {
 	w := Window{Start: monday, End: monday.Add(8 * time.Hour), Confidence: 1}
-	if !w.Covers(monday, 8*time.Hour) {
+	if !w.covers(monday, 8*time.Hour) {
 		t.Fatal("exact fit not covered")
 	}
-	if !w.Covers(monday.Add(time.Hour), 6*time.Hour) {
+	if !w.covers(monday.Add(time.Hour), 6*time.Hour) {
 		t.Fatal("interior run not covered")
 	}
-	if w.Covers(monday.Add(time.Hour), 8*time.Hour) {
+	if w.covers(monday.Add(time.Hour), 8*time.Hour) {
 		t.Fatal("overrunning task covered")
 	}
-	if w.Covers(monday.Add(-time.Minute), time.Hour) {
+	if w.covers(monday.Add(-time.Minute), time.Hour) {
 		t.Fatal("start before window covered")
 	}
 }
@@ -26,7 +26,7 @@ func TestWindowCovers(t *testing.T) {
 func TestWindowOverlap(t *testing.T) {
 	a := Window{Start: monday, End: monday.Add(8 * time.Hour), Confidence: 0.9}
 	b := Window{Start: monday.Add(2 * time.Hour), End: monday.Add(12 * time.Hour), Confidence: 0.6}
-	got, ok := a.Overlap(b)
+	got, ok := a.overlap(b)
 	if !ok {
 		t.Fatal("overlapping windows reported disjoint")
 	}
@@ -38,14 +38,14 @@ func TestWindowOverlap(t *testing.T) {
 		t.Fatalf("overlap confidence = %v, want 0.6", got.Confidence)
 	}
 	c := Window{Start: monday.Add(9 * time.Hour), End: monday.Add(10 * time.Hour)}
-	if _, ok := a.Overlap(c); ok {
+	if _, ok := a.overlap(c); ok {
 		t.Fatal("disjoint windows reported overlapping")
 	}
 }
 
 func TestForecastUntrained(t *testing.T) {
 	var p Pattern
-	if got := p.Forecast(monday, 24*time.Hour); got != nil {
+	if got := p.forecast(monday, 24*time.Hour, -1); got != nil {
 		t.Fatalf("untrained forecast = %v", got)
 	}
 	a := NewAnalyzer(1)
@@ -180,8 +180,8 @@ func TestForecastCrossesMidnight(t *testing.T) {
 	if !first.Start.Equal(friday) {
 		t.Fatalf("first window starts %v, want %v", first.Start, friday)
 	}
-	if first.Duration() < 12*time.Hour {
-		t.Fatalf("Friday-evening window = %v, want an overnight span >= 12h", first.Duration())
+	if first.duration() < 12*time.Hour {
+		t.Fatalf("Friday-evening window = %v, want an overnight span >= 12h", first.duration())
 	}
 }
 
@@ -205,7 +205,7 @@ func TestForecastUsesTodayObservations(t *testing.T) {
 		t.Fatal("no windows despite observed idle morning")
 	}
 	w := windows[0]
-	if !w.Start.Equal(at) || w.Duration() < 2*time.Hour {
+	if !w.Start.Equal(at) || w.duration() < 2*time.Hour {
 		t.Fatalf("holiday window = [%v, %v], want a long run from %v", w.Start, w.End, at)
 	}
 	if w.Confidence < MatchedCategoryConfidence {
@@ -213,8 +213,8 @@ func TestForecastUsesTodayObservations(t *testing.T) {
 	}
 	// The weekday-majority forecast (Pattern.Forecast, no live match) must
 	// NOT hand out that window — Wednesdays are working days.
-	blind := a.Pattern().Forecast(at, 8*time.Hour)
-	if len(blind) > 0 && blind[0].Start.Equal(at) && blind[0].Duration() >= 2*time.Hour {
+	blind := a.Pattern().forecast(at, 8*time.Hour, -1)
+	if len(blind) > 0 && blind[0].Start.Equal(at) && blind[0].duration() >= 2*time.Hour {
 		t.Fatal("weekday-majority forecast also predicted an idle Wednesday morning; live match not exercised")
 	}
 }

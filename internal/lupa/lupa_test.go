@@ -179,7 +179,7 @@ func TestAnalyzerCollectsDays(t *testing.T) {
 }
 
 func TestAnalyzerDiscoverWeekdayWeekendCategories(t *testing.T) {
-	a := NewAnalyzer(1, WithMaxCategories(4))
+	a := NewAnalyzer(1, withMaxCategories(4))
 	tr := usage.NewTrace(usage.OfficeWorker, 3)
 	feed(a, tr, monday, 21) // three full weeks
 	if err := a.Retrain(); err != nil {

@@ -75,9 +75,6 @@ type Task struct {
 // Progress returns completed work in MI.
 func (t *Task) Progress() float64 { return t.progress }
 
-// State returns the task's lifecycle state.
-func (t *Task) State() TaskState { return t.state }
-
 // SetProgress overwrites completed work; the checkpoint/restore path uses it
 // when resuming a migrated task.
 func (t *Task) SetProgress(mi float64) { t.progress = mi }
@@ -136,9 +133,6 @@ func (n *Node) ID() string { return n.id }
 
 // Spec returns the machine specification.
 func (n *Node) Spec() resource.MachineSpec { return n.spec }
-
-// Policy returns the NCC policy.
-func (n *Node) Policy() ncc.Policy { return n.policy }
 
 // Ledger returns the node's reservation ledger.
 func (n *Node) Ledger() *resource.Ledger { return n.ledger }

@@ -81,8 +81,8 @@ func TestTaskRunsToCompletion(t *testing.T) {
 	if len(done) != 1 || done[0].ID != "t1" {
 		t.Fatalf("done = %v", done)
 	}
-	if done[0].State() != TaskDone {
-		t.Fatalf("state = %v", done[0].State())
+	if done[0].state != TaskDone {
+		t.Fatalf("state = %v", done[0].state)
 	}
 	if got := n.DeliveredWork(); got < 599_000 || got > 601_000 {
 		t.Fatalf("DeliveredWork = %v", got)
@@ -159,7 +159,7 @@ func TestIdleOnlyNodeEvictsWhenOwnerReturns(t *testing.T) {
 	if len(done) != 0 {
 		t.Fatalf("impossible completion: %v", done)
 	}
-	if len(evicted) != 1 || evicted[0].State() != TaskEvicted {
+	if len(evicted) != 1 || evicted[0].state != TaskEvicted {
 		t.Fatalf("evicted = %v", evicted)
 	}
 	if n.Evictions() != 1 {

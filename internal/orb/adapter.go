@@ -96,7 +96,7 @@ func NewAdapter() *Adapter {
 }
 
 // Register binds a servant to an object key. Registering an existing key
-// returns an error; use Deactivate first to replace a servant.
+// returns an error.
 func (a *Adapter) Register(key string, s Servant) error {
 	if key == "" {
 		return fmt.Errorf("orb: empty object key")
@@ -119,9 +119,9 @@ func (a *Adapter) Register(key string, s Servant) error {
 	return nil
 }
 
-// Deactivate removes the servant bound to key, if any. It reports whether a
+// deactivate removes the servant bound to key, if any. It reports whether a
 // servant was removed.
-func (a *Adapter) Deactivate(key string) bool {
+func (a *Adapter) deactivate(key string) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	old := *a.servants.Load()
@@ -138,8 +138,8 @@ func (a *Adapter) Deactivate(key string) bool {
 	return true
 }
 
-// Keys returns the registered object keys in sorted order.
-func (a *Adapter) Keys() []string {
+// sortedKeys returns the registered object keys in sorted order.
+func (a *Adapter) sortedKeys() []string {
 	servants := *a.servants.Load()
 	keys := make([]string, 0, len(servants))
 	for k := range servants {

@@ -29,17 +29,11 @@ type Invoker interface {
 // Every call runs under a per-call budget (WithCallTimeout): the budget
 // bounds the dial and, as one socket deadline, the write and the reply read,
 // so a hung peer can never block Invoke indefinitely — it costs one budget
-// and its connection. Failures are classified by Retryable; with WithRetries
-// the client re-sends retryable failures under capped exponential backoff
-// with deterministic jitter, and WithBreaker adds a per-endpoint circuit
-// breaker that fails fast while an endpoint is down.
+// and its connection. A call is made once: recovery from a refused or lost
+// call belongs to the protocol that made it, not to the transport.
 type Client struct {
 	dialTimeout time.Duration
 	callTimeout time.Duration
-	maxRetries  int
-	backoff     BackoffPolicy
-	breakers    *breakerSet
-	sleep       func(time.Duration) // pacing hook, replaceable in tests
 
 	// mu guards idle, conns, closed and interceptor. A connection itself
 	// needs no lock: between take and give exactly one call owns it.
@@ -64,30 +58,9 @@ var _ Invoker = (*Client)(nil)
 type ClientOption func(*Client)
 
 // WithCallTimeout sets the per-invocation budget (default 30s). The budget
-// covers the write and the reply read of one delivery attempt.
+// covers the write and the reply read of the call.
 func WithCallTimeout(d time.Duration) ClientOption {
 	return func(c *Client) { c.callTimeout = d }
-}
-
-// WithRetries allows up to n additional delivery attempts after a retryable
-// failure (default 0: fail on the first error, preserving at-most-once
-// semantics for non-idempotent operations).
-func WithRetries(n int) ClientOption {
-	return func(c *Client) { c.maxRetries = n }
-}
-
-// WithBackoff sets the retry pacing policy (default DefaultBackoff).
-func WithBackoff(p BackoffPolicy) ClientOption {
-	return func(c *Client) { c.backoff = p }
-}
-
-// WithBreaker enables the per-endpoint circuit breaker.
-func WithBreaker(p BreakerPolicy) ClientOption {
-	return func(c *Client) {
-		if p.Threshold > 0 {
-			c.breakers = newBreakerSet(p, time.Now)
-		}
-	}
 }
 
 // NewClient returns a Client ready to invoke.
@@ -95,8 +68,6 @@ func NewClient(opts ...ClientOption) *Client {
 	c := &Client{
 		dialTimeout: 5 * time.Second,
 		callTimeout: 30 * time.Second,
-		backoff:     DefaultBackoff,
-		sleep:       time.Sleep,
 		idle:        make(map[string][]*clientConn),
 		conns:       make(map[*clientConn]struct{}),
 	}
@@ -107,57 +78,22 @@ func NewClient(opts ...ClientOption) *Client {
 }
 
 // SetInterceptor installs (or clears, with nil) the fault-injection hook
-// consulted once per delivery attempt.
+// consulted once per call.
 func (c *Client) SetInterceptor(ic Interceptor) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.interceptor = ic
 }
 
-// BreakerState returns the circuit state ("closed", "open", "half-open")
-// for an endpoint address (observability, tests).
-func (c *Client) BreakerState(addr string) string {
-	if c.breakers == nil {
-		return "closed"
-	}
-	return c.breakers.stateOf(addr)
-}
-
-// Invoke implements Invoker for tcp references.
+// Invoke implements Invoker for tcp references. The call is routed through
+// the interceptor when one is installed. An interceptor may deliver after
+// Invoke has returned and the caller reuses arg (a delay, a duplicate), so it
+// and every delivery read one copy, taken now; without one the caller's
+// buffer is written as it is.
 func (c *Client) Invoke(ref ObjectRef, op string, arg []byte) ([]byte, error) {
 	if ref.Endpoint.Net != NetTCP {
 		return nil, Errorf(CodeTransport, "client cannot reach %s endpoint %s", ref.Endpoint.Net, ref.Endpoint)
 	}
-	addr := ref.Endpoint.Addr
-	var lastErr error
-	for attempt := 0; attempt <= c.maxRetries; attempt++ {
-		// The breaker check comes before any backoff sleep: a tripped
-		// circuit fails the whole invocation fast, consuming neither a
-		// retry-budget slot nor a backoff delay — that budget belongs to
-		// attempts that actually reach the wire.
-		if c.breakers != nil && !c.breakers.allow(addr) {
-			return nil, Errorf(CodeTransport, "circuit open for %s", addr)
-		}
-		if attempt > 0 {
-			c.sleep(c.backoff.Delay(addr, op, attempt))
-		}
-		reply, err := c.attempt(ref, op, arg)
-		if c.breakers != nil {
-			c.breakers.record(addr, err)
-		}
-		if err == nil || !Retryable(err) {
-			return reply, err
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-// attempt performs one delivery attempt, routed through the interceptor when
-// one is installed. An interceptor may deliver after Invoke has returned and
-// the caller reuses arg (a delay, a duplicate), so it and every delivery read
-// one copy, taken now; without one the caller's buffer is written as it is.
-func (c *Client) attempt(ref ObjectRef, op string, arg []byte) ([]byte, error) {
 	c.mu.Lock()
 	ic := c.interceptor
 	c.mu.Unlock()

@@ -2,6 +2,9 @@ package orb
 
 import (
 	"bufio"
+	"context"
+	"errors"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -355,4 +358,140 @@ func TestClientCloseFailsBlockedCall(t *testing.T) {
 	if got := accepts.count.Load(); got != 1 {
 		t.Fatalf("server accepted %d connections, want 1", got)
 	}
+}
+
+func TestRemoteErrorIsDeadlineExceeded(t *testing.T) {
+	if !errors.Is(Errorf(CodeTimeout, "slow"), context.DeadlineExceeded) {
+		t.Error("timeout error should match context.DeadlineExceeded")
+	}
+	if errors.Is(Errorf(CodeTransport, "down"), context.DeadlineExceeded) {
+		t.Error("transport error must not match context.DeadlineExceeded")
+	}
+}
+
+// TestClientHungPeerDeadlines: a peer that accepts the connection but never
+// replies must not wedge Invoke or poison the pool.
+func TestClientHungPeerDeadlines(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var accepted atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			// Swallow bytes forever, never reply.
+			go func() { _, _ = io.Copy(io.Discard, conn) }()
+		}
+	}()
+
+	c := NewClient(WithCallTimeout(100 * time.Millisecond))
+	defer c.Close()
+	ref := ObjectRef{Endpoint: Endpoint{Net: NetTCP, Addr: ln.Addr().String()}, Key: "obj"}
+
+	start := time.Now()
+	_, err = c.Invoke(ref, "op", nil)
+	if !IsCode(err, CodeTimeout) {
+		t.Fatalf("hung peer error = %v, want timeout", err)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("timeout does not match context.DeadlineExceeded: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("Invoke blocked %v on a hung peer", elapsed)
+	}
+
+	// The wedged connection saw no frames for a full budget, so it must have
+	// been evicted: the next call dials afresh rather than reusing it.
+	if _, err := c.Invoke(ref, "op", nil); !IsCode(err, CodeTimeout) {
+		t.Fatalf("second call error = %v", err)
+	}
+	if got := accepted.Load(); got != 2 {
+		t.Fatalf("accepted connections = %d, want 2 (evict + redial)", got)
+	}
+	ln.Close()
+	<-done
+}
+
+// TestLoopbackInterceptorSharedPath verifies the promoted hook: the same
+// Interceptor drives loopback delivery, including zero-delivery (drop) and
+// double-delivery (duplicate) shapes.
+func TestLoopbackInterceptorSharedPath(t *testing.T) {
+	o := New()
+	a := NewAdapter()
+	var calls atomic.Int64
+	mux := NewOpMux().Handle("ping", func(string, *Decoder) (*Encoder, error) {
+		calls.Add(1)
+		return &Encoder{}, nil
+	})
+	if err := a.Register("obj", mux); err != nil {
+		t.Fatal(err)
+	}
+	ep, err := o.BindLoopback("svc", a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := ObjectRef{Endpoint: ep, Key: "obj"}
+
+	drop := &flakyInterceptor{}
+	drop.remaining.Store(1)
+	o.SetInterceptor(drop)
+	if _, err := o.Invoke(ref, "ping", nil); !IsCode(err, CodeTransport) {
+		t.Fatalf("dropped call = %v", err)
+	}
+	if calls.Load() != 0 {
+		t.Fatal("dropped message still reached servant")
+	}
+	if _, err := o.Invoke(ref, "ping", nil); err != nil {
+		t.Fatalf("healed call: %v", err)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("servant calls = %d", calls.Load())
+	}
+
+	// A duplicating interceptor delivers twice; the caller sees one reply.
+	o.SetInterceptor(interceptorFunc(func(_ Endpoint, _, _ string, _ []byte, next func() ([]byte, error)) ([]byte, error) {
+		reply, err := next()
+		_, _ = next() // duplicate delivery, reply discarded
+		return reply, err
+	}))
+	if _, err := o.Invoke(ref, "ping", nil); err != nil {
+		t.Fatalf("duplicated call: %v", err)
+	}
+	if calls.Load() != 3 {
+		t.Fatalf("servant calls after duplicate = %d, want 3", calls.Load())
+	}
+
+	// Clearing restores plain delivery.
+	o.SetInterceptor(nil)
+	if _, err := o.Invoke(ref, "ping", nil); err != nil {
+		t.Fatalf("plain call: %v", err)
+	}
+}
+
+// interceptorFunc adapts a function to the Interceptor interface in tests.
+type interceptorFunc func(Endpoint, string, string, []byte, func() ([]byte, error)) ([]byte, error)
+
+func (f interceptorFunc) Intercept(target Endpoint, key, op string, arg []byte, next func() ([]byte, error)) ([]byte, error) {
+	return f(target, key, op, arg, next)
+}
+
+// flakyInterceptor fails the first n delivery attempts with a transport
+// error, then delegates to real delivery.
+type flakyInterceptor struct {
+	remaining atomic.Int64
+}
+
+func (f *flakyInterceptor) Intercept(_ Endpoint, _, _ string, _ []byte, next func() ([]byte, error)) ([]byte, error) {
+	if f.remaining.Add(-1) >= 0 {
+		return nil, Errorf(CodeTransport, "injected loss")
+	}
+	return next()
 }

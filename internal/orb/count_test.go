@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"testing"
 
-	"integrade/internal/checkpoint"
 	"integrade/internal/orb"
 	"integrade/internal/protocol"
 	"integrade/internal/testutil/allocbudget"
@@ -75,10 +74,6 @@ func TestWireCountsBoundAllocations(t *testing.T) {
 			d := orb.NewDecoder(countOnly(hugeCount))
 			d.Strings()
 			return d.Err()
-		},
-		"checkpoint.DecodeSnapshot": func() error {
-			_, err := checkpoint.DecodeSnapshot(orb.NewDecoder(withCount(encoded(checkpoint.Snapshot{}.Encode), hugeCount)))
-			return err
 		},
 	}
 	for name, decode := range decoders {

@@ -2,9 +2,9 @@ package orb
 
 // Interceptor is the single fault-injection and observation hook shared by
 // every ORB transport. Both the in-process Loopback and the TCP Client
-// consult the installed interceptor once per delivery attempt, so a fault
-// engine (internal/chaos) injects message drop, delay and duplication
-// through one code path regardless of how a reference is reached.
+// consult the installed interceptor once per call, so a fault engine
+// (internal/chaos) injects message drop, delay and duplication through one
+// code path regardless of how a reference is reached.
 //
 // next performs the actual delivery (adapter dispatch for loopback, a
 // framed request/reply exchange for TCP) and may be called zero times (drop),

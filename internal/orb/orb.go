@@ -23,11 +23,6 @@ func WithLogger(log *slog.Logger) Option {
 	return func(o *ORB) { o.log = log }
 }
 
-// WithClientOptions configures the TCP client.
-func WithClientOptions(opts ...ClientOption) Option {
-	return func(o *ORB) { o.client = NewClient(opts...) }
-}
-
 // New returns an ORB with a fresh loopback registry and TCP client pool.
 func New(opts ...Option) *ORB {
 	o := &ORB{

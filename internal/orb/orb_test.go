@@ -59,11 +59,11 @@ func TestAdapterRegisterErrors(t *testing.T) {
 	if err := a.Register("x", echoServant()); err == nil {
 		t.Fatal("duplicate key accepted")
 	}
-	if !a.Deactivate("x") {
-		t.Fatal("Deactivate existing = false")
+	if !a.deactivate("x") {
+		t.Fatal("deactivate existing = false")
 	}
-	if a.Deactivate("x") {
-		t.Fatal("Deactivate missing = true")
+	if a.deactivate("x") {
+		t.Fatal("deactivate missing = true")
 	}
 }
 
@@ -74,11 +74,11 @@ func TestAdapterKeysSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	keys := a.Keys()
+	keys := a.sortedKeys()
 	want := []string{"alpha", "mid", "zeta"}
 	for i := range want {
 		if keys[i] != want[i] {
-			t.Fatalf("Keys = %v", keys)
+			t.Fatalf("sortedKeys = %v", keys)
 		}
 	}
 }
@@ -258,7 +258,7 @@ func TestTCPConcurrentCalls(t *testing.T) {
 }
 
 func TestTCPServerCloseFailsInflight(t *testing.T) {
-	o := New(WithClientOptions(WithCallTimeout(5 * time.Second)))
+	o := newORBWithCallTimeout(5 * time.Second)
 	defer o.Close()
 	a := NewAdapter()
 	block := make(chan struct{})
@@ -294,7 +294,7 @@ func TestTCPServerCloseFailsInflight(t *testing.T) {
 }
 
 func TestClientTimeout(t *testing.T) {
-	o := New(WithClientOptions(WithCallTimeout(100 * time.Millisecond)))
+	o := newORBWithCallTimeout(100 * time.Millisecond)
 	defer o.Close()
 	a := NewAdapter()
 	release := make(chan struct{})
@@ -463,4 +463,12 @@ func TestNilReplyBecomesEmptyBody(t *testing.T) {
 	if len(reply) != 0 {
 		t.Fatalf("reply = %v, want empty", reply)
 	}
+}
+
+// newORBWithCallTimeout returns an ORB whose TCP client runs every call
+// under budget.
+func newORBWithCallTimeout(budget time.Duration) *ORB {
+	o := New()
+	o.client = NewClient(WithCallTimeout(budget))
+	return o
 }

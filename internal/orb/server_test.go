@@ -177,7 +177,7 @@ func TestNestedCallbackDoesNotDeadlock(t *testing.T) {
 	var orbs [2]*ORB
 	var refs [2]ObjectRef
 	for i := range orbs {
-		o := New(WithClientOptions(WithCallTimeout(2 * time.Second)))
+		o := newORBWithCallTimeout(2 * time.Second)
 		defer o.Close()
 		a := NewAdapter()
 		// "hop" with n left to go calls the other side with n-1, and answers

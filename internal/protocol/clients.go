@@ -152,9 +152,6 @@ func NewLRMClient(inv orb.Invoker, ref orb.ObjectRef) *LRMClient {
 	return &LRMClient{inv: inv, ref: ref}
 }
 
-// Ref returns the target reference.
-func (c *LRMClient) Ref() orb.ObjectRef { return c.ref }
-
 // Reserve asks the LRM for req.Count holds; the reply names the ones granted.
 func (c *LRMClient) Reserve(req ReserveRequest) (ReserveReply, error) {
 	e := orb.GetEncoder()

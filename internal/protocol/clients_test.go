@@ -214,7 +214,7 @@ func TestGRMClientRoundTrips(t *testing.T) {
 
 func TestLRMClientRoundTrips(t *testing.T) {
 	f, _, lrm := setup(t)
-	if lrm.Ref().Key != LRMKey {
+	if lrm.ref.Key != LRMKey {
 		t.Fatal("Ref mismatch")
 	}
 

@@ -79,8 +79,8 @@ func (v Vector) NonNegative() bool {
 // IsZero reports whether every component of v is zero.
 func (v Vector) IsZero() bool { return v == Vector{} }
 
-// Max returns the component-wise maximum of v and w.
-func (v Vector) Max(w Vector) Vector {
+// max returns the component-wise maximum of v and w.
+func (v Vector) max(w Vector) Vector {
 	return Vector{
 		MIPS:    max(v.MIPS, w.MIPS),
 		RAMMB:   max(v.RAMMB, w.RAMMB),
@@ -159,9 +159,9 @@ type Requirements struct {
 	Min      Vector    // per-process minimum resource amounts
 }
 
-// SatisfiedBy reports whether a node with the given spec and currently
+// satisfiedBy reports whether a node with the given spec and currently
 // available resources can satisfy r.
-func (r Requirements) SatisfiedBy(spec MachineSpec, available Vector) bool {
+func (r Requirements) satisfiedBy(spec MachineSpec, available Vector) bool {
 	if r.Platform != nil && *r.Platform != spec.Platform {
 		return false
 	}
@@ -179,9 +179,9 @@ type Preferences struct {
 	StayIdleWeight float64
 }
 
-// Score rates a candidate node for ranking; higher is better. The score is a
+// score rates a candidate node for ranking; higher is better. The score is a
 // weighted, normalized sum so that dimensions with different units compare.
-func (p Preferences) Score(available Vector, predictedIdleHours float64) float64 {
+func (p Preferences) score(available Vector, predictedIdleHours float64) float64 {
 	s := 0.0
 	if p.FasterCPU {
 		s += available.MIPS / 1000

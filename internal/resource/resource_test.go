@@ -50,7 +50,7 @@ func TestVectorClampAndMax(t *testing.T) {
 	if got := v.Clamp(); got != vec(0, 2, 0, 4) {
 		t.Fatalf("Clamp = %v", got)
 	}
-	if got := vec(1, 5, 1, 5).Max(vec(5, 1, 5, 1)); got != vec(5, 5, 5, 5) {
+	if got := vec(1, 5, 1, 5).max(vec(5, 1, 5, 1)); got != vec(5, 5, 5, 5) {
 		t.Fatalf("Max = %v", got)
 	}
 }
@@ -122,36 +122,36 @@ func TestRequirementsSatisfiedBy(t *testing.T) {
 	spec := MachineSpec{Platform: linux, Capacity: vec(1000, 512, 100, 10)}
 
 	r := Requirements{Min: vec(500, 16, 0, 0)}
-	if !r.SatisfiedBy(spec, vec(600, 128, 50, 5)) {
+	if !r.satisfiedBy(spec, vec(600, 128, 50, 5)) {
 		t.Fatal("requirements should be satisfied")
 	}
-	if r.SatisfiedBy(spec, vec(400, 128, 50, 5)) {
+	if r.satisfiedBy(spec, vec(400, 128, 50, 5)) {
 		t.Fatal("insufficient MIPS accepted")
 	}
 	r.Platform = &windows
-	if r.SatisfiedBy(spec, vec(600, 128, 50, 5)) {
+	if r.satisfiedBy(spec, vec(600, 128, 50, 5)) {
 		t.Fatal("platform mismatch accepted")
 	}
 	r.Platform = &linux
-	if !r.SatisfiedBy(spec, vec(600, 128, 50, 5)) {
+	if !r.satisfiedBy(spec, vec(600, 128, 50, 5)) {
 		t.Fatal("matching platform rejected")
 	}
 }
 
 func TestPreferencesScore(t *testing.T) {
 	p := Preferences{FasterCPU: true}
-	fast := p.Score(vec(2000, 0, 0, 0), 0)
-	slow := p.Score(vec(500, 0, 0, 0), 0)
+	fast := p.score(vec(2000, 0, 0, 0), 0)
+	slow := p.score(vec(500, 0, 0, 0), 0)
 	if fast <= slow {
 		t.Fatalf("FasterCPU: fast %v <= slow %v", fast, slow)
 	}
 	p = Preferences{StayIdleWeight: 1}
-	idle := p.Score(Vector{}, 8)
-	busySoon := p.Score(Vector{}, 0.2)
+	idle := p.score(Vector{}, 8)
+	busySoon := p.score(Vector{}, 0.2)
 	if idle <= busySoon {
 		t.Fatalf("StayIdleWeight: idle %v <= busySoon %v", idle, busySoon)
 	}
-	if (Preferences{}).Score(vec(9999, 9999, 9999, 9999), 99) != 0 {
+	if (Preferences{}).score(vec(9999, 9999, 9999, 9999), 99) != 0 {
 		t.Fatal("empty preferences should score 0")
 	}
 }

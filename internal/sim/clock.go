@@ -19,9 +19,6 @@ import (
 type Clock interface {
 	// Now returns the current instant.
 	Now() time.Time
-	// After returns a channel that delivers the then-current time once d has
-	// elapsed. For the virtual clock this requires the event loop to advance.
-	After(d time.Duration) <-chan time.Time
 	// AfterFunc schedules f to run once d has elapsed and returns a handle
 	// that can cancel it.
 	AfterFunc(d time.Duration, f func()) Timer
@@ -44,9 +41,6 @@ var _ Clock = RealClock{}
 // Now implements Clock.
 func (RealClock) Now() time.Time { return time.Now() }
 
-// After implements Clock.
-func (RealClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
 // AfterFunc implements Clock.
 func (RealClock) AfterFunc(d time.Duration, f func()) Timer {
 	return time.AfterFunc(d, f)
@@ -56,7 +50,7 @@ func (RealClock) AfterFunc(d time.Duration, f func()) Timer {
 func (RealClock) Sleep(d time.Duration) { time.Sleep(d) }
 
 // VirtualClock is a deterministic discrete-event clock. Time only advances
-// when Run, RunUntil or Step is called; scheduled events fire in timestamp
+// when RunUntil, Advance or Step is called; scheduled events fire in timestamp
 // order (ties broken by scheduling order).
 type VirtualClock struct {
 	// mu guards now, queue and seq.
@@ -87,7 +81,8 @@ func (c *VirtualClock) Now() time.Time {
 	return c.now
 }
 
-// After implements Clock.
+// After returns a channel that delivers the then-current time once d has
+// elapsed, which takes the event loop advancing past it.
 func (c *VirtualClock) After(d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
 	c.AfterFunc(d, func() {
@@ -176,10 +171,10 @@ func (c *VirtualClock) Advance(d time.Duration) int {
 	return c.RunUntil(c.Now().Add(d))
 }
 
-// Run executes events until the queue drains, returning the count executed.
+// run executes events until the queue drains, returning the count executed.
 // Use with care: self-rescheduling periodic events never drain; prefer
 // RunUntil/Advance for those.
-func (c *VirtualClock) Run() int {
+func (c *VirtualClock) run() int {
 	n := 0
 	for c.Step() {
 		n++
@@ -187,8 +182,8 @@ func (c *VirtualClock) Run() int {
 	return n
 }
 
-// Pending returns the number of scheduled events not yet executed.
-func (c *VirtualClock) Pending() int {
+// pending returns the number of scheduled events not yet executed.
+func (c *VirtualClock) pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.queue.len()

@@ -23,8 +23,8 @@ func TestVirtualClockAfterFuncOrdering(t *testing.T) {
 	c.AfterFunc(3*time.Second, func() { got = append(got, 3) })
 	c.AfterFunc(1*time.Second, func() { got = append(got, 1) })
 	c.AfterFunc(2*time.Second, func() { got = append(got, 2) })
-	if n := c.Run(); n != 3 {
-		t.Fatalf("Run() = %d events, want 3", n)
+	if n := c.run(); n != 3 {
+		t.Fatalf("run() = %d events, want 3", n)
 	}
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -41,7 +41,7 @@ func TestVirtualClockFIFOTieBreak(t *testing.T) {
 		i := i
 		c.AfterFunc(time.Second, func() { got = append(got, i) })
 	}
-	c.Run()
+	c.run()
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("tie-break order = %v, want ascending", got)
@@ -74,7 +74,7 @@ func TestVirtualClockTimeAdvancesToEventInstant(t *testing.T) {
 	c := NewVirtualClock()
 	var at time.Time
 	c.AfterFunc(42*time.Second, func() { at = c.Now() })
-	c.Run()
+	c.run()
 	if want := Epoch.Add(42 * time.Second); !at.Equal(want) {
 		t.Fatalf("callback saw Now() = %v, want %v", at, want)
 	}
@@ -90,19 +90,19 @@ func TestVirtualClockTimerStop(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("second Stop() = true, want false")
 	}
-	c.Run()
+	c.run()
 	if fired {
 		t.Fatal("cancelled timer fired")
 	}
-	if c.Pending() != 0 {
-		t.Fatalf("Pending() = %d, want 0", c.Pending())
+	if c.pending() != 0 {
+		t.Fatalf("pending() = %d, want 0", c.pending())
 	}
 }
 
 func TestVirtualClockStopAfterFire(t *testing.T) {
 	c := NewVirtualClock()
 	tm := c.AfterFunc(time.Second, func() {})
-	c.Run()
+	c.run()
 	if tm.Stop() {
 		t.Fatal("Stop() after firing = true, want false")
 	}
@@ -138,7 +138,7 @@ func TestVirtualClockSleepWakesOnAdvance(t *testing.T) {
 		close(done)
 	}()
 	// Let the sleeper register its event.
-	for c.Pending() == 0 {
+	for c.pending() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	c.Advance(time.Minute)
@@ -229,9 +229,9 @@ func TestRNGForkIndependence(t *testing.T) {
 func TestRNGParetoBounds(t *testing.T) {
 	g := NewRNG(1)
 	for i := 0; i < 1000; i++ {
-		v := g.Pareto(1.5, 2.0)
+		v := g.pareto(1.5, 2.0)
 		if v < 2.0 {
-			t.Fatalf("Pareto sample %v below xmin", v)
+			t.Fatalf("pareto sample %v below xmin", v)
 		}
 	}
 }
@@ -263,7 +263,7 @@ func TestVirtualClockOrderProperty(t *testing.T) {
 			}
 			c.AfterFunc(dur, func() { fireTimes = append(fireTimes, c.Now()) })
 		}
-		c.Run()
+		c.run()
 		for i := 1; i < len(fireTimes); i++ {
 			if fireTimes[i].Before(fireTimes[i-1]) {
 				return false

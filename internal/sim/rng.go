@@ -47,9 +47,9 @@ func (g *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*g.r.NormFloat64()
 }
 
-// Pareto returns a bounded Pareto-distributed value with shape alpha and
+// pareto returns a bounded Pareto-distributed value with shape alpha and
 // minimum xmin. Heavy-tailed durations (user sessions, job sizes) use this.
-func (g *RNG) Pareto(alpha, xmin float64) float64 {
+func (g *RNG) pareto(alpha, xmin float64) float64 {
 	u := g.r.Float64()
 	for u == 0 {
 		u = g.r.Float64()

@@ -33,7 +33,10 @@ func referenceSelect(t *testing.T, s *Service, q Query) []*Offer {
 	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
 	matched := live
 	if q.Constraint != "" {
-		cons := constraint.MustCompile(q.Constraint)
+		cons, err := constraint.Compile(q.Constraint)
+		if err != nil {
+			t.Fatal(err)
+		}
 		matched = nil
 		for _, o := range live {
 			if ok, err := cons.Eval(o.Properties); err == nil && ok {

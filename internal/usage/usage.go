@@ -188,9 +188,6 @@ func NewTrace(profile Profile, seed int64) *Trace {
 	return &Trace{profile: profile, seed: uint64(seed)}
 }
 
-// Profile returns the trace's profile.
-func (tr *Trace) Profile() Profile { return tr.profile }
-
 // At returns the owner activity at instant t.
 func (tr *Trace) At(t time.Time) Activity {
 	t = t.UTC()

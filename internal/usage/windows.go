@@ -2,17 +2,13 @@ package usage
 
 import "time"
 
-// Span is a half-open time interval [Start, End). IdleWindows and
-// BusyWindows return the trace's scheduled ground truth as spans; the LUPA
-// forecast tests score predicted availability windows against them, and E15
-// derives seeded node up/down flap schedules from them.
+// Span is a half-open time interval [Start, End). BusyWindows returns the
+// trace's scheduled ground truth as spans, from which E15 derives seeded node
+// up/down flap schedules.
 type Span struct {
 	Start time.Time
 	End   time.Time
 }
-
-// Duration returns the span's length.
-func (s Span) Duration() time.Duration { return s.End.Sub(s.Start) }
 
 // BaseBusyAt reports whether the owner's scheduled (noise- and burst-free)
 // activity is busy at t. This is the ground truth behind the stochastic
@@ -23,16 +19,16 @@ func (tr *Trace) BaseBusyAt(t time.Time) bool {
 	return tr.baseAt(t).CPU >= BusyThreshold
 }
 
-// IdleWindows returns the maximal scheduled-idle spans of
+// idleWindows returns the maximal scheduled-idle spans of
 // [from, from+horizon), sampled at the 5-minute slot granularity. The spans
 // are exact with respect to the profile schedule (holidays included, noise
 // and bursts excluded).
-func (tr *Trace) IdleWindows(from time.Time, horizon time.Duration) []Span {
+func (tr *Trace) idleWindows(from time.Time, horizon time.Duration) []Span {
 	return tr.scanWindows(from, horizon, false)
 }
 
 // BusyWindows returns the maximal scheduled-busy spans of
-// [from, from+horizon) — the complement of IdleWindows over the same range.
+// [from, from+horizon) — the complement of idleWindows over the same range.
 func (tr *Trace) BusyWindows(from time.Time, horizon time.Duration) []Span {
 	return tr.scanWindows(from, horizon, true)
 }

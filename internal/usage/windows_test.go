@@ -9,7 +9,7 @@ func TestIdleAndBusyWindowsPartitionTheHorizon(t *testing.T) {
 	tr := NewTrace(OfficeWorker, 3)
 	from := time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC) // a Monday
 	horizon := 48 * time.Hour
-	idle := tr.IdleWindows(from, horizon)
+	idle := tr.idleWindows(from, horizon)
 	busy := tr.BusyWindows(from, horizon)
 	if len(idle) == 0 || len(busy) == 0 {
 		t.Fatalf("idle=%d busy=%d windows, want both non-empty", len(idle), len(busy))
@@ -19,7 +19,7 @@ func TestIdleAndBusyWindowsPartitionTheHorizon(t *testing.T) {
 		if !s.Start.Before(s.End) {
 			t.Fatalf("empty span [%v, %v]", s.Start, s.End)
 		}
-		covered += s.Duration()
+		covered += s.End.Sub(s.Start)
 	}
 	if covered != horizon {
 		t.Fatalf("idle+busy cover %v, want %v", covered, horizon)
@@ -62,15 +62,15 @@ func TestBaseBusyAtIgnoresNoiseAndBursts(t *testing.T) {
 func TestWindowsDegenerateInputs(t *testing.T) {
 	tr := NewTrace(OfficeWorker, 1)
 	from := time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC)
-	if got := tr.IdleWindows(from, 0); got != nil {
+	if got := tr.idleWindows(from, 0); got != nil {
 		t.Fatalf("zero horizon = %v", got)
 	}
 	if got := tr.BusyWindows(from, -time.Hour); got != nil {
 		t.Fatalf("negative horizon = %v", got)
 	}
 	// A horizon shorter than one slot still reports the slot truncated.
-	idle := tr.IdleWindows(from, time.Minute)
-	if len(idle) != 1 || idle[0].Duration() != time.Minute {
+	idle := tr.idleWindows(from, time.Minute)
+	if len(idle) != 1 || idle[0].End.Sub(idle[0].Start) != time.Minute {
 		t.Fatalf("sub-slot horizon = %v", idle)
 	}
 }
