@@ -46,7 +46,7 @@ lint-fast:
 	$(GO) run ./cmd/integrade-lint -novet -stage package ./...
 
 # Just the call-graph analyzers (rpccycle, maporder, lockheld-transitive,
-# wiredrift, lockorder, hotpath, cowstore), machine-readable: one JSON
+# lockorder, hotpath, cowstore), machine-readable: one JSON
 # finding per line plus a summary line.
 interproc-lint:
 	$(GO) run ./cmd/integrade-lint -novet -analyzers interproc -json ./...

@@ -1,8 +1,8 @@
 // Command integrade-lint is the repo's multichecker: it runs InteGrade's
 // custom go/analysis-style analyzers — the per-package checks (simclock,
 // lockheld, orberr, nakedgo) and the interprocedural call-graph stage
-// (rpccycle, maporder, lockheld-transitive, wiredrift, lockorder, hotpath,
-// cowstore) — plus the stock `go vet` passes over the given package patterns
+// (rpccycle, maporder, lockheld-transitive, lockorder, hotpath, cowstore) —
+// plus the stock `go vet` passes over the given package patterns
 // and exits non-zero on any finding. -stage runs one stage alone (the cheap
 // per-package checks, or the call-graph checks); a per-analyzer finding
 // count summary goes to stderr, keeping stdout byte-stable.

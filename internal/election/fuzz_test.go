@@ -16,14 +16,14 @@ import (
 func FuzzAppendEntries(f *testing.F) {
 	// Seed with well-formed frames of both ops, including a log suffix.
 	var e1 orb.Encoder
-	encodeAppendEntries(&e1, appendEntries{
+	encodeAppendEntries(appendEntries{
 		Term: 3, Leader: "m1", PrevLogIndex: 1, PrevLogTerm: 1,
 		Entries:      []entry{{Term: 3, Data: []byte("batch")}},
 		LeaderCommit: 1,
-	})
+	}, &e1)
 	f.Add(e1.Bytes(), true)
 	var e2 orb.Encoder
-	encodeRequestVote(&e2, requestVote{Term: 2, Candidate: "m2", LastLogIndex: 4, LastLogTerm: 1})
+	encodeRequestVote(requestVote{Term: 2, Candidate: "m2", LastLogIndex: 4, LastLogTerm: 1}, &e2)
 	f.Add(e2.Bytes(), false)
 	f.Add([]byte{}, true)
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, true)
@@ -55,7 +55,7 @@ func FuzzAppendEntries(f *testing.F) {
 // entries it does not carry fails without allocating for them.
 func TestAppendEntriesCountIsBounded(t *testing.T) {
 	var e orb.Encoder
-	encodeAppendEntries(&e, appendEntries{Term: 1, Leader: "m1"})
+	encodeAppendEntries(appendEntries{Term: 1, Leader: "m1"}, &e)
 	body := e.Bytes()
 	binary.BigEndian.PutUint32(body[len(body)-8-4:], 1<<20) // the count, then LeaderCommit
 	var err error

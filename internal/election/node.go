@@ -355,15 +355,8 @@ func (n *Node) electionTick() {
 		n.leaderRound(term)
 		return
 	}
-	var e orb.Encoder
-	encodeRequestVote(&e, req)
-	arg := e.Bytes()
 	for i, id := range peerIDs {
-		reply, err := n.inv.Invoke(refs[i], OpRequestVote, arg)
-		if err != nil {
-			continue
-		}
-		vr, err := decodeVoteReply(orb.NewDecoder(reply))
+		vr, err := requestVoteOp.Invoke(n.inv, refs[i], req)
 		if err != nil {
 			continue
 		}
@@ -496,13 +489,7 @@ func (n *Node) broadcastAppend() {
 
 // sendAppend ships one peer's AppendEntries and folds the reply back in.
 func (n *Node) sendAppend(t appendTarget, term int) {
-	var e orb.Encoder
-	encodeAppendEntries(&e, t.req)
-	reply, err := n.inv.Invoke(t.ref, OpAppendEntries, e.Bytes())
-	if err != nil {
-		return
-	}
-	ar, err := decodeAppendReply(orb.NewDecoder(reply))
+	ar, err := appendEntriesOp.Invoke(n.inv, t.ref, t.req)
 	if err != nil {
 		return
 	}

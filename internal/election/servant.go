@@ -7,23 +7,12 @@ import (
 // Servant exposes the node's peer-facing interface. Register it under
 // ObjectKey on the same adapter as the member's other servants.
 func (n *Node) Servant() orb.Servant {
-	return orb.NewOpMux().
-		Handle(OpRequestVote, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			rv, err := decodeRequestVote(req)
-			if err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "requestVote: %v", err)
-			}
-			var e orb.Encoder
-			encodeVoteReply(&e, n.handleRequestVote(rv))
-			return &e, nil
-		}).
-		Handle(OpAppendEntries, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			ae, err := decodeAppendEntries(req)
-			if err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "appendEntries: %v", err)
-			}
-			var e orb.Encoder
-			encodeAppendReply(&e, n.handleAppend(ae))
-			return &e, nil
-		})
+	m := orb.NewOpMux()
+	orb.Serve(m, requestVoteOp, func(rv requestVote) (voteReply, error) {
+		return n.handleRequestVote(rv), nil
+	})
+	orb.Serve(m, appendEntriesOp, func(ae appendEntries) (appendReply, error) {
+		return n.handleAppend(ae), nil
+	})
+	return m
 }

@@ -26,6 +26,16 @@ const (
 	OpAppendEntries = "appendEntries"
 )
 
+// The two peer operations, declared once for Node's calls and its Servant.
+var (
+	requestVoteOp = &orb.Op[requestVote, voteReply]{Name: OpRequestVote,
+		EncodeReq: encodeRequestVote, DecodeReq: decodeRequestVote,
+		EncodeRep: encodeVoteReply, DecodeRep: decodeVoteReply}
+	appendEntriesOp = &orb.Op[appendEntries, appendReply]{Name: OpAppendEntries,
+		EncodeReq: encodeAppendEntries, DecodeReq: decodeAppendEntries,
+		EncodeRep: encodeAppendReply, DecodeRep: decodeAppendReply}
+)
+
 // entry is one replicated-log record: an opaque payload stamped with the
 // term of the leader that appended it.
 type entry struct {
@@ -68,7 +78,7 @@ type appendReply struct {
 	MatchIndex int
 }
 
-func encodeRequestVote(e *orb.Encoder, rv requestVote) {
+func encodeRequestVote(rv requestVote, e *orb.Encoder) {
 	e.PutInt(rv.Term)
 	e.PutString(rv.Candidate)
 	e.PutInt(rv.LastLogIndex)
@@ -85,7 +95,7 @@ func decodeRequestVote(d *orb.Decoder) (requestVote, error) {
 	return rv, d.Err()
 }
 
-func encodeVoteReply(e *orb.Encoder, vr voteReply) {
+func encodeVoteReply(vr voteReply, e *orb.Encoder) {
 	e.PutInt(vr.Term)
 	e.PutBool(vr.Granted)
 }
@@ -98,7 +108,7 @@ func decodeVoteReply(d *orb.Decoder) (voteReply, error) {
 	return vr, d.Err()
 }
 
-func encodeAppendEntries(e *orb.Encoder, ae appendEntries) {
+func encodeAppendEntries(ae appendEntries, e *orb.Encoder) {
 	e.PutInt(ae.Term)
 	e.PutString(ae.Leader)
 	e.PutInt(ae.PrevLogIndex)
@@ -131,7 +141,7 @@ func decodeAppendEntries(d *orb.Decoder) (appendEntries, error) {
 	return ae, d.Err()
 }
 
-func encodeAppendReply(e *orb.Encoder, ar appendReply) {
+func encodeAppendReply(ar appendReply, e *orb.Encoder) {
 	e.PutInt(ar.Term)
 	e.PutBool(ar.Success)
 	e.PutInt(ar.MatchIndex)

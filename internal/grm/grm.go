@@ -741,7 +741,7 @@ func (g *GRM) reserve(app *appInfo, ref orb.ObjectRef, alloc resource.Vector, wa
 	g.negotiatedLocked(app)
 	epoch := g.epoch
 	g.mu.Unlock()
-	reply, err := protocol.NewLRMClient(g.inv, ref).Reserve(protocol.ReserveRequest{
+	reply, err := protocol.Reserve.Invoke(g.inv, ref, protocol.ReserveRequest{
 		Holder: app.id,
 		Amount: alloc,
 		TTL:    time.Minute,
@@ -789,7 +789,7 @@ func (g *GRM) execute(app *appInfo, alloc resource.Vector, gr nodeGrant) bool {
 		}
 	}
 	g.mu.Unlock()
-	if err := protocol.NewLRMClient(g.inv, gr.ref).Execute(req); err != nil {
+	if _, err := protocol.Execute.Invoke(g.inv, gr.ref, req); err != nil {
 		g.log.Debug("execute failed after grant", "app", app.id, "node", gr.nodeID, "err", err)
 		g.release(gr.ref, gr.holds)
 		return false
@@ -804,7 +804,7 @@ func (g *GRM) execute(app *appInfo, alloc resource.Vector, gr nodeGrant) bool {
 // not stand against the node's capacity until their TTL expires.
 func (g *GRM) release(ref orb.ObjectRef, holds []string) {
 	for _, id := range holds {
-		if err := protocol.NewLRMClient(g.inv, ref).Release(id); err != nil {
+		if _, err := protocol.Release.Invoke(g.inv, ref, id); err != nil {
 			g.log.Debug("release failed", "lrm", ref.Endpoint.Addr, "hold", id, "err", err)
 		}
 	}
@@ -941,7 +941,7 @@ func (g *GRM) evictNodeTasks(nodeID string) {
 // reached reaps the task as an orphan when it reconciles.
 func (g *GRM) cancelTasks(tasks []remote, msg string) {
 	for _, t := range tasks {
-		if _, err := protocol.NewLRMClient(g.inv, t.ref).Cancel(t.id, g.Epoch()); err != nil {
+		if _, err := protocol.Cancel.Invoke(g.inv, t.ref, protocol.CancelRequest{TaskID: t.id, Epoch: g.Epoch()}); err != nil {
 			g.log.Debug(msg, "task", t.id, "err", err)
 		}
 	}

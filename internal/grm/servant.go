@@ -9,96 +9,46 @@ import (
 // application submission, task notifications, status queries and the
 // reconcile exchange.
 func (g *GRM) Servant() orb.Servant {
-	return orb.NewOpMux().
-		Handle(protocol.OpUpdate, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			like := g.recordedIdentity(*req)
-			// The windows stay on this stack: the record copies them into an
-			// array of its own, and the offer takes the one covering now.
-			var buf [protocol.MaxWindows]protocol.AvailWindow
-			s, windows, events, err := protocol.DecodeUpdate(req, &like, &buf)
-			if err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "update: %v", err)
-			}
-			epoch, err := g.handleUpdate(&s, windows)
-			if err != nil {
-				return nil, orb.Errorf(orb.CodeApplication, "%s", err.Error())
-			}
-			// Only an accepted update delivers its events: a refused one is
-			// answered with an error and the LRM sends them again, to whoever
-			// it reports to next.
-			for _, ev := range events {
-				g.HandleNotify(ev)
-			}
-			e := orb.GetEncoder()
-			e.Grow(8)
-			e.PutInt(epoch)
-			return e, nil
-		}).
-		Handle(protocol.OpSubmit, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			spec, err := protocol.DecodeApplicationSpec(req)
-			if err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "submit: %v", err)
-			}
-			id, err := g.Submit(spec)
-			if err != nil {
-				return nil, orb.Errorf(orb.CodeApplication, "%s", err.Error())
-			}
-			e := orb.GetEncoder()
-			e.Grow(4 + len(id))
-			e.PutString(id)
-			return e, nil
-		}).
-		Handle(protocol.OpNotify, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			ev, err := protocol.DecodeTaskEvent(req)
-			if err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "notify: %v", err)
-			}
+	m := orb.NewOpMux()
+	orb.ServeRaw(m, protocol.Update, func(req *orb.Decoder) (int, error) {
+		like := g.recordedIdentity(*req)
+		// The windows stay on this stack: the record copies them into an
+		// array of its own, and the offer takes the one covering now.
+		var buf [protocol.MaxWindows]protocol.AvailWindow
+		s, windows, events, err := protocol.DecodeUpdate(req, &like, &buf)
+		if err != nil {
+			return 0, orb.Errorf(orb.CodeMarshal, "update: %v", err)
+		}
+		epoch, err := g.handleUpdate(&s, windows)
+		if err != nil {
+			return 0, err
+		}
+		// Only an accepted update delivers its events: a refused one is
+		// answered with an error and the LRM sends them again, to whoever
+		// it reports to next.
+		for _, ev := range events {
 			g.HandleNotify(ev)
-			return &orb.Encoder{}, nil
-		}).
-		Handle(protocol.OpDeparting, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			n, err := protocol.DecodeDepartureNotice(req)
-			if err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "departing: %v", err)
-			}
-			g.HandleDeparting(n)
-			return &orb.Encoder{}, nil
-		}).
-		Handle(protocol.OpAppStatus, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			appID := req.String()
-			if err := req.Err(); err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "appStatus: %v", err)
-			}
-			st, err := g.AppStatus(appID)
-			if err != nil {
-				return nil, orb.Errorf(orb.CodeApplication, "%s", err.Error())
-			}
-			e := orb.GetEncoder()
-			st.Encode(e)
-			return e, nil
-		}).
-		Handle(protocol.OpListApps, func(string, *orb.Decoder) (*orb.Encoder, error) {
-			e := orb.GetEncoder()
-			e.PutStrings(g.AppIDs())
-			return e, nil
-		}).
-		Handle(protocol.OpCancelApp, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			appID := req.String()
-			if err := req.Err(); err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "cancelApp: %v", err)
-			}
-			if err := g.CancelApp(appID); err != nil {
-				return nil, orb.Errorf(orb.CodeApplication, "%s", err.Error())
-			}
-			return &orb.Encoder{}, nil
-		}).
-		Handle(protocol.OpReconcile, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			r, err := protocol.DecodeReconcileRequest(req)
-			if err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "reconcile: %v", err)
-			}
-			e := orb.GetEncoder()
-			e.PutStrings(g.Reconcile(r))
-			return e, nil
-		})
+		}
+		return epoch, nil
+	})
+	orb.Serve(m, protocol.Submit, g.Submit)
+	orb.Serve(m, protocol.Notify, func(ev protocol.TaskEvent) (struct{}, error) {
+		g.HandleNotify(ev)
+		return struct{}{}, nil
+	})
+	orb.Serve(m, protocol.Departing, func(n protocol.DepartureNotice) (struct{}, error) {
+		g.HandleDeparting(n)
+		return struct{}{}, nil
+	})
+	orb.Serve(m, protocol.GetAppStatus, g.AppStatus)
+	orb.Serve(m, protocol.ListApps, func(struct{}) ([]string, error) {
+		return g.AppIDs(), nil
+	})
+	orb.Serve(m, protocol.CancelApp, func(appID string) (struct{}, error) {
+		return struct{}{}, g.CancelApp(appID)
+	})
+	orb.Serve(m, protocol.Reconcile, func(r protocol.ReconcileRequest) ([]string, error) {
+		return g.Reconcile(r), nil
+	})
+	return m
 }

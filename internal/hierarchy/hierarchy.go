@@ -24,11 +24,23 @@ import (
 // ObjectKey is the adapter key under which hierarchy nodes register.
 const ObjectKey = "hierarchy"
 
-// Wire operation names.
-const (
-	opSummary = "hsummary"
-	opRoute   = "hroute"
+// The two wire operations: a subtree's summary, and routing an application
+// into the subtree.
+var (
+	summaryOp = &orb.Op[struct{}, Summary]{Name: "hsummary",
+		EncodeRep: encodeSummary, DecodeRep: decodeSummary}
+	routeOp = &orb.Op[routeRequest, RouteResult]{Name: "hroute",
+		EncodeReq: routeRequest.encode, DecodeReq: decodeRouteRequest,
+		EncodeRep: encodeRouteResult, DecodeRep: decodeRouteResult}
 )
+
+// routeRequest asks a node to route Spec with a hop budget of TTL, without
+// descending into the child Exclude.
+type routeRequest struct {
+	Spec    protocol.ApplicationSpec
+	TTL     int
+	Exclude string
+}
 
 // ErrUnroutable indicates no cluster in the reachable hierarchy could
 // accept the application.
@@ -250,36 +262,54 @@ func (n *Node) route(spec protocol.ApplicationSpec, ttl int, excludeChild string
 
 // Servant exposes the node's hierarchy interface.
 func (n *Node) Servant() orb.Servant {
-	return orb.NewOpMux().
-		Handle(opSummary, func(string, *orb.Decoder) (*orb.Encoder, error) {
-			s := n.Summary()
-			var e orb.Encoder
-			encodeSummary(&e, s)
-			return &e, nil
-		}).
-		Handle(opRoute, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			spec, err := protocol.DecodeApplicationSpec(req)
-			if err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "route: %v", err)
-			}
-			ttl := req.Int()
-			exclude := req.String()
-			if err := req.Err(); err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "route: %v", err)
-			}
-			res, err := n.route(spec, ttl, exclude)
-			if err != nil {
-				return nil, orb.Errorf(orb.CodeApplication, "%s", err.Error())
-			}
-			var e orb.Encoder
-			e.PutString(res.ClusterID)
-			e.PutString(res.AppID)
-			e.PutInt(res.Hops)
-			return &e, nil
-		})
+	m := orb.NewOpMux()
+	orb.Serve(m, summaryOp, func(struct{}) (Summary, error) {
+		return n.Summary(), nil
+	})
+	orb.Serve(m, routeOp, func(r routeRequest) (RouteResult, error) {
+		res, err := n.route(r.Spec, r.TTL, r.Exclude)
+		if err != nil {
+			// A failed remote hop's error is a *RemoteError of its own
+			// code: the caller sees any routing failure as CodeApplication.
+			return RouteResult{}, orb.Errorf(orb.CodeApplication, "%s", err.Error())
+		}
+		return res, nil
+	})
+	return m
 }
 
-func encodeSummary(e *orb.Encoder, s Summary) {
+func (r routeRequest) encode(e *orb.Encoder) {
+	r.Spec.Encode(e)
+	e.PutInt(r.TTL)
+	e.PutString(r.Exclude)
+}
+
+func decodeRouteRequest(d *orb.Decoder) (routeRequest, error) {
+	spec, err := protocol.DecodeApplicationSpec(d)
+	if err != nil {
+		return routeRequest{}, err
+	}
+	r := routeRequest{Spec: spec, TTL: d.Int()}
+	r.Exclude = d.String()
+	return r, d.Err()
+}
+
+func encodeRouteResult(res RouteResult, e *orb.Encoder) {
+	e.PutString(res.ClusterID)
+	e.PutString(res.AppID)
+	e.PutInt(res.Hops)
+}
+
+func decodeRouteResult(d *orb.Decoder) (RouteResult, error) {
+	res := RouteResult{
+		ClusterID: d.String(),
+		AppID:     d.String(),
+	}
+	res.Hops = d.Int()
+	return res, d.Err()
+}
+
+func encodeSummary(s Summary, e *orb.Encoder) {
 	e.PutString(s.ClusterID)
 	e.PutInt(s.Clusters)
 	e.PutInt(s.Nodes)
@@ -308,34 +338,13 @@ func querySummary(inv orb.Invoker, ref orb.ObjectRef) (Summary, error) {
 	// the recursion descends strictly child-ward, so it terminates at the
 	// leaves and never re-enters a node already on the call path.
 	//lint:allow rpccycle summary recursion descends the acyclic deployment tree
-	reply, err := inv.Invoke(ref, opSummary, nil)
-	if err != nil {
-		return Summary{}, err
-	}
-	return decodeSummary(orb.NewDecoder(reply))
+	return summaryOp.Invoke(inv, ref, struct{}{})
 }
 
 func routeRemote(inv orb.Invoker, ref orb.ObjectRef, spec protocol.ApplicationSpec, ttl int, exclude string) (RouteResult, error) {
-	var e orb.Encoder
-	spec.Encode(&e)
-	e.PutInt(ttl)
-	e.PutString(exclude)
 	// Routing can climb as well as descend, so the hierarchy links alone do
 	// not rule out revisiting a node — the explicit TTL does: every remote
 	// hop forwards ttl-1 and route() refuses ttl <= 0, bounding any cycle.
 	//lint:allow rpccycle route recursion is hop-bounded by the TTL argument
-	reply, err := inv.Invoke(ref, opRoute, e.Bytes())
-	if err != nil {
-		return RouteResult{}, err
-	}
-	d := orb.NewDecoder(reply)
-	res := RouteResult{
-		ClusterID: d.String(),
-		AppID:     d.String(),
-		Hops:      d.Int(),
-	}
-	if err := d.Err(); err != nil {
-		return RouteResult{}, orb.Errorf(orb.CodeMarshal, "route reply: %v", err)
-	}
-	return res, nil
+	return routeOp.Invoke(inv, ref, routeRequest{Spec: spec, TTL: ttl, Exclude: exclude})
 }

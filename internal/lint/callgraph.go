@@ -25,11 +25,11 @@ import (
 //     inside it, except literals spawned with `go` (they do not run on the
 //     caller's stack) or handed to an AfterFunc-style scheduler (they run
 //     later, on the event loop).
-//   - RPC edges connect each `Invoke(ref, <op>, arg)` call site whose
-//     operation argument is a string constant to every handler registered
-//     for that operation via `orb.OpMux.Handle(<op>, fn)` anywhere in the
-//     loaded set. This is what lets the analyzers see through the ORB: a
-//     client stub's Invoke lands in the remote component's servant closure.
+//   - RPC edges connect each `X.Invoke(inv, ref, req)` call site whose
+//     receiver X is a package-level `*orb.Op` to every handler registered
+//     for the same X via `orb.Serve(mux, X, fn)` or `orb.ServeRaw` anywhere
+//     in the loaded set. This is what lets the analyzers see through the
+//     ORB: a client's call lands in the remote component's servant.
 //
 // Summaries are memoized on the node, so whole-repo analysis stays linear
 // in the size of the graph.
@@ -45,8 +45,8 @@ const (
 	// EdgeClosure links a function to a literal defined (and presumed
 	// called) within it.
 	EdgeClosure
-	// EdgeRPC links an ORB Invoke call site to a registered handler for the
-	// same operation name.
+	// EdgeRPC links an Op.Invoke call site to a handler registered for the
+	// same Op.
 	EdgeRPC
 )
 
@@ -101,8 +101,8 @@ type CallGraph struct {
 	fset *token.FileSet
 	// Nodes in deterministic (source position) order.
 	Nodes []*FuncNode
-	// Invokes are the constant-operation Invoke call sites in source order.
-	Invokes []InvokeSite
+	// invokes are the Op.Invoke call sites in source order.
+	invokes []invokeSite
 	// byObj maps declared functions to their nodes.
 	byObj map[*types.Func]*FuncNode
 	// byName maps types.Func.FullName() to nodes. The loader type-checks
@@ -111,11 +111,10 @@ type CallGraph struct {
 	// types.Func object than the one recorded at its definition; the full
 	// name is the identity that survives that split.
 	byName map[string]*FuncNode
-	// handlers maps RPC operation names to registered handler nodes.
+	// handlers maps Op keys (opKey) to registered handler nodes.
 	handlers map[string][]*FuncNode
-	// litByVar maps local variables bound to function literals to the
-	// literal's node, resolving `f := func(...){...}; ...; f(x)` helpers.
-	litByVar map[*types.Var]*FuncNode
+	// opNames maps Op keys to the operation names their declarations give.
+	opNames map[string]string
 
 	summariesDone bool
 }
@@ -130,22 +129,12 @@ func (g *CallGraph) NodeOf(fn *types.Func) *FuncNode {
 	return g.byName[fn.FullName()]
 }
 
-// NodeOfVar returns the function-literal node bound to a local variable
-// (`f := func(...) {...}`), or nil. The binding is flow-insensitive: the last
-// literal assigned to the variable anywhere wins, which is exact for the
-// write-once helper-closure idiom this resolves.
-func (g *CallGraph) NodeOfVar(v *types.Var) *FuncNode { return g.litByVar[v] }
-
-// Handlers returns the handler nodes registered for an RPC operation name.
-func (g *CallGraph) Handlers(op string) []*FuncNode { return g.handlers[op] }
-
-// InvokeSite is one `Invoke(ref, <const op>, arg)` call site: the source end
-// of an RPC edge, with its full call expression so analyzers can inspect the
-// argument and result flow (wiredrift's request/reply extraction).
-type InvokeSite struct {
-	From *FuncNode
-	Call *ast.CallExpr
-	Op   string
+// invokeSite is one `X.Invoke(inv, ref, req)` call site on a package-level
+// Op X: the source end of an RPC edge.
+type invokeSite struct {
+	from *FuncNode
+	pos  token.Pos
+	op   string // opKey of X
 }
 
 // BuildCallGraph constructs the approximate call graph over pkgs.
@@ -154,7 +143,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		byObj:    map[*types.Func]*FuncNode{},
 		byName:   map[string]*FuncNode{},
 		handlers: map[string][]*FuncNode{},
-		litByVar: map[*types.Var]*FuncNode{},
+		opNames:  map[string]string{},
 	}
 	if len(pkgs) > 0 {
 		g.fset = pkgs[0].Fset
@@ -171,6 +160,9 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Syntax {
 			for _, d := range f.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok {
+					g.recordOpNames(pkg.TypesInfo, gd)
+				}
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok {
 					continue
@@ -194,8 +186,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	}
 
 	// Pass 2: walk bodies, creating literal nodes and collecting edges,
-	// blocking ops, Handle registrations, Invoke sites and closure-variable
-	// bindings.
+	// blocking ops, Serve registrations and Op.Invoke sites.
 	b := &graphBuilder{graph: g, litNodes: map[*ast.FuncLit]*FuncNode{}}
 	for _, w := range work {
 		if w.decl.Body != nil {
@@ -203,29 +194,92 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		}
 	}
 
-	// Pass 3: resolve handler registrations and closure-variable bindings
-	// (the literal nodes they refer to now all exist), then RPC edges.
+	// Pass 3: resolve handler registrations (the literal nodes they refer to
+	// now all exist), then RPC edges.
 	for _, reg := range b.handlerRegs {
 		if h := b.handlerNode(reg.parent, reg.arg); h != nil {
 			g.handlers[reg.op] = append(g.handlers[reg.op], h)
 		}
 	}
-	for _, lv := range b.litVars {
-		if n := b.litNodes[lv.lit]; n != nil {
-			g.litByVar[lv.v] = n
+	for _, site := range g.invokes {
+		name := g.opNames[site.op]
+		if name == "" {
+			name = site.op
 		}
-	}
-	for _, site := range g.Invokes {
-		for _, h := range g.handlers[site.Op] {
-			site.From.Edges = append(site.From.Edges, Edge{
+		for _, h := range g.handlers[site.op] {
+			site.from.Edges = append(site.from.Edges, Edge{
 				To:   h,
-				Pos:  site.Call.Pos(),
+				Pos:  site.pos,
 				Kind: EdgeRPC,
-				Op:   site.Op,
+				Op:   name,
 			})
 		}
 	}
 	return g
+}
+
+// recordOpNames notes the Name of every package-level `X = &orb.Op[…]{Name:
+// <const>}` declaration in gd, for the diagnostics on X's RPC edges.
+func (g *CallGraph) recordOpNames(info *types.Info, gd *ast.GenDecl) {
+	for _, spec := range gd.Specs {
+		vs, ok := spec.(*ast.ValueSpec)
+		if !ok || len(vs.Values) != len(vs.Names) {
+			continue
+		}
+		for i, id := range vs.Names {
+			key, ok := opKey(info, id)
+			if !ok {
+				continue
+			}
+			v := ast.Unparen(vs.Values[i])
+			if u, ok := v.(*ast.UnaryExpr); ok && u.Op == token.AND {
+				v = u.X
+			}
+			lit, ok := v.(*ast.CompositeLit)
+			if !ok {
+				continue
+			}
+			for _, elt := range lit.Elts {
+				kv, ok := elt.(*ast.KeyValueExpr)
+				if !ok {
+					continue
+				}
+				if k, ok := kv.Key.(*ast.Ident); ok && k.Name == "Name" {
+					if name, ok := constString(info, kv.Value); ok {
+						g.opNames[key] = name
+					}
+				}
+			}
+		}
+	}
+}
+
+// opKey identifies the package-level *orb.Op variable expr names by its
+// package path and name: like byName, the identity that survives the
+// loader's split between a definition and its export-data view.
+func opKey(info *types.Info, expr ast.Expr) (string, bool) {
+	var id *ast.Ident
+	switch x := ast.Unparen(expr).(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		id = x.Sel
+	default:
+		return "", false
+	}
+	obj := info.Uses[id]
+	if obj == nil {
+		obj = info.Defs[id]
+	}
+	v, ok := obj.(*types.Var)
+	if !ok || v.Pkg() == nil || v.Pkg().Scope().Lookup(v.Name()) != v {
+		return "", false
+	}
+	named := namedType(v.Type())
+	if named == nil || named.Obj().Name() != "Op" || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != orbPkgPath {
+		return "", false
+	}
+	return v.Pkg().Path() + "." + v.Name(), true
 }
 
 // graphBuilder carries the per-build state of the AST walk.
@@ -233,20 +287,12 @@ type graphBuilder struct {
 	graph       *CallGraph
 	handlerRegs []handlerReg
 	litNodes    map[*ast.FuncLit]*FuncNode
-	litVars     []litVarBinding
 }
 
-// litVarBinding is a pending `v := func(...){...}` association awaiting the
-// literal's node.
-type litVarBinding struct {
-	v   *types.Var
-	lit *ast.FuncLit
-}
-
-// handlerReg is one OpMux.Handle registration awaiting resolution.
+// handlerReg is one orb.Serve registration awaiting resolution.
 type handlerReg struct {
 	parent *FuncNode
-	op     string
+	op     string // opKey of the served Op
 	arg    ast.Expr
 }
 
@@ -274,10 +320,6 @@ func (b *graphBuilder) walkBody(node *FuncNode, body *ast.BlockStmt) {
 				node.Edges = append(node.Edges, Edge{To: child, Pos: s.Pos(), Kind: EdgeClosure})
 			}
 			return false
-		case *ast.AssignStmt:
-			b.recordLitVars(info, s.Lhs, s.Rhs)
-		case *ast.ValueSpec:
-			b.recordLitVars(info, identExprs(s.Names), s.Values)
 		case *ast.SelectStmt:
 			// A select with a default never blocks; without one it does.
 			if !selectHasDefault(s) {
@@ -321,20 +363,22 @@ func (b *graphBuilder) recordCall(node *FuncNode, call *ast.CallExpr) {
 		return
 	}
 
-	// Handler registration: OpMux.Handle(<const op>, fn). Resolution is
-	// deferred until every function-literal node exists.
-	if fn.Name() == "Handle" && fn.Pkg() != nil && fn.Pkg().Path() == orbPkgPath && len(call.Args) == 2 {
-		if op, ok := constString(info, call.Args[0]); ok {
-			b.handlerRegs = append(b.handlerRegs, handlerReg{parent: node, op: op, arg: call.Args[1]})
+	inOrb := fn.Pkg() != nil && fn.Pkg().Path() == orbPkgPath
+
+	// Handler registration: orb.Serve(mux, X, fn) or ServeRaw. Resolution
+	// is deferred until every function-literal node exists.
+	if inOrb && isServe(fn.Name()) && len(call.Args) == 3 {
+		if op, ok := opKey(info, call.Args[1]); ok {
+			b.handlerRegs = append(b.handlerRegs, handlerReg{parent: node, op: op, arg: call.Args[2]})
 		}
 	}
 
 	// Direct blocking operations.
 	if desc, rpc := directBlockingDesc(info, call); desc != "" {
 		node.blocking = append(node.blocking, blockingOp{pos: call.Pos(), desc: desc, rpc: rpc})
-		if rpc {
-			if op, ok := invokeOp(info, call); ok {
-				b.graph.Invokes = append(b.graph.Invokes, InvokeSite{From: node, Call: call, Op: op})
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && rpc && inOrb {
+			if op, ok := opKey(info, sel.X); ok {
+				b.graph.invokes = append(b.graph.invokes, invokeSite{from: node, pos: call.Pos(), op: op})
 			}
 		}
 	}
@@ -346,44 +390,13 @@ func (b *graphBuilder) recordCall(node *FuncNode, call *ast.CallExpr) {
 	}
 }
 
-// recordLitVars collects `v := func(...){...}` (and `var v = func...`)
-// bindings for later resolution into litByVar.
-func (b *graphBuilder) recordLitVars(info *types.Info, lhs, rhs []ast.Expr) {
-	if len(lhs) != len(rhs) {
-		return
-	}
-	for i, r := range rhs {
-		lit, ok := ast.Unparen(r).(*ast.FuncLit)
-		if !ok {
-			continue
-		}
-		id, ok := ast.Unparen(lhs[i]).(*ast.Ident)
-		if !ok {
-			continue
-		}
-		obj := info.Defs[id]
-		if obj == nil {
-			obj = info.Uses[id]
-		}
-		if v, ok := obj.(*types.Var); ok {
-			b.litVars = append(b.litVars, litVarBinding{v: v, lit: lit})
-		}
-	}
-}
+// isServe reports whether an orb function of that name registers a servant.
+func isServe(name string) bool { return name == "Serve" || name == "ServeRaw" }
 
-// identExprs widens a ValueSpec's name list to []ast.Expr.
-func identExprs(ids []*ast.Ident) []ast.Expr {
-	out := make([]ast.Expr, len(ids))
-	for i, id := range ids {
-		out[i] = id
-	}
-	return out
-}
-
-// handlerNode resolves the handler argument of a Handle call: a literal
-// (already turned into a node by the surrounding walk), a named function, or
-// a handler-factory call whose returned closure we approximate by the
-// factory itself.
+// handlerNode resolves the handler argument of a Serve call: a literal
+// (already turned into a node by the surrounding walk), a named function or
+// method value, or a handler-factory call whose returned closure we
+// approximate by the factory itself.
 func (b *graphBuilder) handlerNode(parent *FuncNode, arg ast.Expr) *FuncNode {
 	switch a := ast.Unparen(arg).(type) {
 	case *ast.FuncLit:
@@ -404,10 +417,10 @@ func (b *graphBuilder) handlerNode(parent *FuncNode, arg ast.Expr) *FuncNode {
 
 // asyncLit reports whether lit only runs asynchronously with respect to the
 // enclosing function: spawned via `go lit(...)`, passed to an AfterFunc-style
-// scheduler, or registered as an RPC handler via OpMux.Handle. Such literals
-// never block their definer — a Handle-registered handler runs later, on the
-// server dispatch path, and is reached through EdgeRPC from the matching
-// Invoke sites instead.
+// scheduler, or registered as an RPC handler via orb.Serve, ServeRaw or
+// OpMux.Handle. Such literals never block their definer — a registered
+// handler runs later, on the server dispatch path, and is reached through
+// EdgeRPC from the matching Op.Invoke sites instead.
 func asyncLit(pkg *Package, lit *ast.FuncLit, body *ast.BlockStmt) bool {
 	async := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -430,7 +443,7 @@ func asyncLit(pkg *Package, lit *ast.FuncLit, body *ast.BlockStmt) bool {
 				name = fun.Sel.Name
 			}
 			deferred := name == "AfterFunc"
-			if name == "Handle" && !deferred {
+			if name == "Handle" || isServe(name) {
 				if fn := calleeFunc(pkg.TypesInfo, s); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == orbPkgPath {
 					deferred = true
 				}
@@ -481,15 +494,6 @@ func directBlockingDesc(info *types.Info, call *ast.CallExpr) (desc string, rpc 
 		}
 	}
 	return "", false
-}
-
-// invokeOp extracts the constant operation name of an ORB Invoke call.
-// Signature: Invoke(ref ObjectRef, op string, arg []byte).
-func invokeOp(info *types.Info, call *ast.CallExpr) (string, bool) {
-	if len(call.Args) != 3 {
-		return "", false
-	}
-	return constString(info, call.Args[1])
 }
 
 // constString resolves expr to a compile-time string constant.

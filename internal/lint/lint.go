@@ -102,10 +102,10 @@ func (d Diagnostic) String() string {
 }
 
 // All returns the full set of InteGrade analyzers: the per-package checks
-// of PR 1 plus the interprocedural stage (rpccycle, maporder,
-// lockheld-transitive, wiredrift, lockorder).
+// plus the interprocedural stage (rpccycle, maporder, lockheld-transitive,
+// lockorder, hotpath, cowstore).
 func All() []*Analyzer {
-	return []*Analyzer{SimClock, LockHeld, OrbErr, NakedGo, RPCCycle, MapOrder, LockHeldTransitive, WireDrift, LockOrder, HotPath, CowStore}
+	return []*Analyzer{SimClock, LockHeld, OrbErr, NakedGo, RPCCycle, MapOrder, LockHeldTransitive, LockOrder, HotPath, CowStore}
 }
 
 // Interprocedural returns only the call-graph-based analyzers.
@@ -185,9 +185,9 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		if diags[i].Analyzer != diags[j].Analyzer {
 			return diags[i].Analyzer < diags[j].Analyzer
 		}
-		// Several analyzers can report distinct findings at one position
-		// (e.g. wiredrift against multiple handlers): the message tie-break
-		// keeps the output byte-stable run to run.
+		// One analyzer can report distinct findings at one position (e.g.
+		// lockorder, one per undocumented edge): the message tie-break keeps
+		// the output byte-stable run to run.
 		return diags[i].Message < diags[j].Message
 	})
 	return diags, nil

@@ -12,9 +12,10 @@ var RPCCycle = &Analyzer{
 		"that calls back into an LRM method which can RPC to the GRM — is a " +
 		"distributed self-deadlock waiting for a single-threaded servant or " +
 		"a full connection pool. The analyzer builds the repo call graph, " +
-		"links every Invoke(ref, <op>, ...) call site to the handlers " +
-		"registered for <op> via orb.OpMux.Handle anywhere in the repo, and " +
-		"reports each RPC edge that lies on a strongly connected component. " +
+		"links every X.Invoke(inv, ref, req) call site on a package-level " +
+		"orb.Op X to the handlers registered for X via orb.Serve or " +
+		"orb.ServeRaw anywhere in the repo, and reports each RPC edge that " +
+		"lies on a strongly connected component. " +
 		"Deliberately bounded recursion (TTL-guarded routing over an " +
 		"acyclic deployment tree) must carry a justifying //lint:allow " +
 		"rpccycle comment.",

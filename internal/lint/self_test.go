@@ -60,8 +60,7 @@ func TestChaosHoldsNoLockAcrossCallouts(t *testing.T) {
 }
 
 // TestProtocolContractsHold is the negative sweep for the contract
-// analyzers of the interprocedural stage: every Invoke site must agree with
-// its handlers on the wire schema (wiredrift), every observed lock nesting
+// analyzers of the interprocedural stage: every observed lock nesting
 // must follow the declared //lint:lockorder hierarchy (lockorder), and no
 // blocking call may run under a lock (lockheld-transitive — this is the
 // regression gate for Grid.Stop and Cluster.FailNode, which were
@@ -79,8 +78,8 @@ func TestProtocolContractsHold(t *testing.T) {
 	// The declared lock hierarchy lives in these packages; if any drops out
 	// of the analyzed set the sweep would pass vacuously. lrm, lupa, usage
 	// and chaos carry the availability-window machinery (forecast windows on
-	// the NodeStatus wire, departure notices, flap schedules), so the
-	// wiredrift sweep must keep seeing them too.
+	// the NodeStatus wire, departure notices, flap schedules), so the sweep
+	// must keep seeing them too.
 	for _, want := range []string{
 		"integrade/internal/grm",
 		"integrade/internal/bsp",
@@ -103,7 +102,7 @@ func TestProtocolContractsHold(t *testing.T) {
 			t.Fatalf("%s is not in the analyzed package set", want)
 		}
 	}
-	diags, err := lint.Run(pkgs, []*lint.Analyzer{lint.WireDrift, lint.LockOrder, lint.LockHeldTransitive})
+	diags, err := lint.Run(pkgs, []*lint.Analyzer{lint.LockOrder, lint.LockHeldTransitive})
 	if err != nil {
 		t.Fatalf("running contract analyzers: %v", err)
 	}

@@ -6,12 +6,12 @@ package rpccycle
 
 import "integrade/internal/orb"
 
-// Wire operation names.
-const (
-	opPing  = "cycle.ping"
-	opPong  = "cycle.pong"
-	opLeaf  = "cycle.leaf"
-	opRelay = "cycle.relay"
+// The wire operations, each declared once: no body either way.
+var (
+	ping  = &orb.Op[struct{}, struct{}]{Name: "cycle.ping"}
+	pong  = &orb.Op[struct{}, struct{}]{Name: "cycle.pong"}
+	leaf  = &orb.Op[struct{}, struct{}]{Name: "cycle.leaf"}
+	relay = &orb.Op[struct{}, struct{}]{Name: "cycle.relay"}
 )
 
 // Master is one half of a mutually re-entrant component pair: its servant
@@ -24,24 +24,23 @@ type Master struct {
 
 // CallWorker issues the master -> worker half of the cycle.
 func (m *Master) CallWorker() error {
-	_, err := m.inv.Invoke(m.ref, opPing, nil) // want `synchronous RPC "cycle\.ping" can re-enter its own caller`
+	_, err := ping.Invoke(m.inv, m.ref, struct{}{}) // want `synchronous RPC "cycle\.ping" can re-enter its own caller`
 	return err
 }
 
 // Servant handles pong by synchronously calling the worker again.
 func (m *Master) Servant() orb.Servant {
-	return orb.NewOpMux().Handle(opPong, func(string, *orb.Decoder) (*orb.Encoder, error) {
-		if err := m.CallWorker(); err != nil {
-			return nil, err
-		}
-		return &orb.Encoder{}, nil
+	mux := orb.NewOpMux()
+	orb.Serve(mux, pong, func(struct{}) (struct{}, error) {
+		return struct{}{}, m.CallWorker()
 	})
+	return mux
 }
 
 // Status is a plain request/reply to a handler that never calls back: no
 // cycle, no finding.
 func (m *Master) Status() error {
-	_, err := m.inv.Invoke(m.ref, opLeaf, nil)
+	_, err := leaf.Invoke(m.inv, m.ref, struct{}{})
 	return err
 }
 
@@ -53,25 +52,29 @@ type Worker struct {
 
 // CallMaster issues the worker -> master half of the cycle.
 func (w *Worker) CallMaster() error {
-	_, err := w.inv.Invoke(w.ref, opPong, nil) // want `synchronous RPC "cycle\.pong" can re-enter its own caller`
+	_, err := pong.Invoke(w.inv, w.ref, struct{}{}) // want `synchronous RPC "cycle\.pong" can re-enter its own caller`
 	return err
 }
 
-// Servant handles ping by synchronously calling the master back.
+// Servant handles ping by synchronously calling the master back, through a
+// method value rather than a literal.
 func (w *Worker) Servant() orb.Servant {
-	return orb.NewOpMux().Handle(opPing, func(string, *orb.Decoder) (*orb.Encoder, error) {
-		if err := w.CallMaster(); err != nil {
-			return nil, err
-		}
-		return &orb.Encoder{}, nil
-	})
+	mux := orb.NewOpMux()
+	orb.Serve(mux, ping, w.handlePing)
+	return mux
 }
 
-// LeafServant answers opLeaf without issuing any RPC.
+func (w *Worker) handlePing(struct{}) (struct{}, error) {
+	return struct{}{}, w.CallMaster()
+}
+
+// LeafServant answers leaf without issuing any RPC.
 func LeafServant() orb.Servant {
-	return orb.NewOpMux().Handle(opLeaf, func(string, *orb.Decoder) (*orb.Encoder, error) {
-		return &orb.Encoder{}, nil
+	mux := orb.NewOpMux()
+	orb.Serve(mux, leaf, func(struct{}) (struct{}, error) {
+		return struct{}{}, nil
 	})
+	return mux
 }
 
 // Relay forwards a request to the next hop of a chain whose servant handles
@@ -88,16 +91,16 @@ func (r *Relay) Forward(ttl int) error {
 		return nil
 	}
 	//lint:allow rpccycle recursion is hop-bounded by the ttl argument
-	_, err := r.inv.Invoke(r.next, opRelay, nil)
+	_, err := relay.Invoke(r.inv, r.next, struct{}{})
 	return err
 }
 
-// Servant handles relay by forwarding with a decremented budget.
+// Servant handles relay by forwarding with a decremented budget; it decodes
+// the (empty) request itself.
 func (r *Relay) Servant(ttl int) orb.Servant {
-	return orb.NewOpMux().Handle(opRelay, func(string, *orb.Decoder) (*orb.Encoder, error) {
-		if err := r.Forward(ttl - 1); err != nil {
-			return nil, err
-		}
-		return &orb.Encoder{}, nil
+	mux := orb.NewOpMux()
+	orb.ServeRaw(mux, relay, func(*orb.Decoder) (struct{}, error) {
+		return struct{}{}, r.Forward(ttl - 1)
 	})
+	return mux
 }

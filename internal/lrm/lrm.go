@@ -642,51 +642,26 @@ func (l *LRM) retrainTick() { _ = l.analyzer.Retrain() }
 
 // Servant exposes the LRM's reservation/execution interface.
 func (l *LRM) Servant() orb.Servant {
-	return orb.NewOpMux().
-		Handle(protocol.OpReserve, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			r, err := protocol.DecodeReserveRequest(req)
-			if err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "reserve: %v", err)
-			}
-			e := orb.GetEncoder()
-			l.handleReserve(r).Encode(e)
-			return e, nil
-		}).
-		Handle(protocol.OpRelease, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			id := req.String()
-			if err := req.Err(); err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "release: %v", err)
-			}
-			// Unknown or already-expired reservations are fine to release.
-			_ = l.node.Ledger().Cancel(id)
-			return &orb.Encoder{}, nil
-		}).
-		Handle(protocol.OpExecute, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			r, err := protocol.DecodeExecuteRequest(req)
-			if err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "execute: %v", err)
-			}
-			if err := l.handleExecute(r); err != nil {
-				return nil, err
-			}
-			return &orb.Encoder{}, nil
-		}).
-		Handle(protocol.OpCancel, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			taskID := req.String()
-			epoch := req.Int()
-			if err := req.Err(); err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "cancel: %v", err)
-			}
-			var progress float64
-			// A deposed primary must not kill tasks the new leader owns.
-			if l.admitEpoch(epoch) {
-				progress = l.handleCancel(taskID)
-			}
-			e := orb.GetEncoder()
-			e.Grow(8)
-			e.PutF64(progress)
-			return e, nil
-		})
+	m := orb.NewOpMux()
+	orb.Serve(m, protocol.Reserve, func(r protocol.ReserveRequest) (protocol.ReserveReply, error) {
+		return l.handleReserve(r), nil
+	})
+	orb.Serve(m, protocol.Release, func(id string) (struct{}, error) {
+		// Unknown or already-expired reservations are fine to release.
+		_ = l.node.Ledger().Cancel(id)
+		return struct{}{}, nil
+	})
+	orb.Serve(m, protocol.Execute, func(r protocol.ExecuteRequest) (struct{}, error) {
+		return struct{}{}, l.handleExecute(r)
+	})
+	orb.Serve(m, protocol.Cancel, func(r protocol.CancelRequest) (float64, error) {
+		// A deposed primary must not kill tasks the new leader owns.
+		if !l.admitEpoch(r.Epoch) {
+			return 0, nil
+		}
+		return l.handleCancel(r.TaskID), nil
+	})
+	return m
 }
 
 // handleReserve is the negotiation step: the LRM re-checks that it actually

@@ -128,7 +128,31 @@ type fixture struct {
 	grm   *fakeGRM
 	lrm   *LRM
 	node  *node.Node
-	lrmC  *protocol.LRMClient
+	lrmC  lrmStub
+}
+
+// lrmStub calls the LRM's operations on one reference, as the GRM does.
+type lrmStub struct {
+	inv orb.Invoker
+	ref orb.ObjectRef
+}
+
+func (c lrmStub) Reserve(req protocol.ReserveRequest) (protocol.ReserveReply, error) {
+	return protocol.Reserve.Invoke(c.inv, c.ref, req)
+}
+
+func (c lrmStub) Execute(req protocol.ExecuteRequest) error {
+	_, err := protocol.Execute.Invoke(c.inv, c.ref, req)
+	return err
+}
+
+func (c lrmStub) Release(id string) error {
+	_, err := protocol.Release.Invoke(c.inv, c.ref, id)
+	return err
+}
+
+func (c lrmStub) Cancel(taskID string, epoch int) (float64, error) {
+	return protocol.Cancel.Invoke(c.inv, c.ref, protocol.CancelRequest{TaskID: taskID, Epoch: epoch})
 }
 
 func newFixture(t *testing.T, spec resource.MachineSpec, trace *usage.Trace, pol ncc.Policy, opts ...Option) *fixture {
@@ -165,7 +189,7 @@ func newFixture(t *testing.T, spec resource.MachineSpec, trace *usage.Trace, pol
 		grm:   f,
 		lrm:   l,
 		node:  n,
-		lrmC:  protocol.NewLRMClient(o, selfRef),
+		lrmC:  lrmStub{inv: o, ref: selfRef},
 	}
 }
 

@@ -90,27 +90,32 @@ func (s *Service) Resolve(name string) (orb.ObjectRef, error) {
 	return ref, nil
 }
 
-// opResolve is the one wire operation.
-const opResolve = "resolve"
+// resolve is the one wire operation: a name in, its reference out.
+var resolve = &orb.Op[string, orb.ObjectRef]{Name: "resolve",
+	EncodeReq: func(name string, e *orb.Encoder) { e.PutString(name) },
+	DecodeReq: func(d *orb.Decoder) (string, error) {
+		name := d.String()
+		return name, d.Err()
+	},
+	EncodeRep: func(ref orb.ObjectRef, e *orb.Encoder) {
+		e.PutString(ref.Endpoint.Net)
+		e.PutString(ref.Endpoint.Addr)
+		e.PutString(ref.Key)
+	},
+	DecodeRep: func(d *orb.Decoder) (orb.ObjectRef, error) {
+		ref := orb.ObjectRef{
+			Endpoint: orb.Endpoint{Net: d.String(), Addr: d.String()},
+			Key:      d.String(),
+		}
+		return ref, d.Err()
+	},
+}
 
 // Servant exposes the service's Resolve as an ORB servant.
 func Servant(s *Service) orb.Servant {
-	return orb.NewOpMux().
-		Handle(opResolve, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			name := req.String()
-			if err := req.Err(); err != nil {
-				return nil, orb.Errorf(orb.CodeMarshal, "resolve: %v", err)
-			}
-			ref, err := s.Resolve(name)
-			if err != nil {
-				return nil, orb.Errorf(orb.CodeApplication, "%s", err.Error())
-			}
-			var e orb.Encoder
-			e.PutString(ref.Endpoint.Net)
-			e.PutString(ref.Endpoint.Addr)
-			e.PutString(ref.Key)
-			return &e, nil
-		})
+	m := orb.NewOpMux()
+	orb.Serve(m, resolve, s.Resolve)
+	return m
 }
 
 // Client is a typed stub for a remote naming service.
@@ -126,19 +131,5 @@ func NewClient(inv orb.Invoker, ref orb.ObjectRef) *Client {
 
 // Resolve resolves name remotely.
 func (c *Client) Resolve(name string) (orb.ObjectRef, error) {
-	var e orb.Encoder
-	e.PutString(name)
-	reply, err := c.inv.Invoke(c.ref, opResolve, e.Bytes())
-	if err != nil {
-		return orb.ObjectRef{}, err
-	}
-	d := orb.NewDecoder(reply)
-	ref := orb.ObjectRef{
-		Endpoint: orb.Endpoint{Net: d.String(), Addr: d.String()},
-		Key:      d.String(),
-	}
-	if err := d.Err(); err != nil {
-		return orb.ObjectRef{}, orb.Errorf(orb.CodeMarshal, "resolve reply: %v", err)
-	}
-	return ref, nil
+	return resolve.Invoke(c.inv, c.ref, name)
 }

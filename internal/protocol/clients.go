@@ -1,12 +1,142 @@
 package protocol
 
 import (
+	"slices"
+
 	"integrade/internal/orb"
 )
 
-// Every stub below encodes its request into an orb.GetEncoder encoder and puts
-// it back once Invoke returns: no transport reads the request after that
-// (orb.Invoker), so the next call encodes into the same buffer.
+// The remote operations of the two managers, each declared once: GRMClient
+// and the GRM invoke the declarations, and the servants register them with
+// orb.Serve (DESIGN.md §4 lists them).
+var (
+	// Update pushes a NodeStatus and the task events that ride it; the reply
+	// is the manager's fencing epoch.
+	Update = &orb.Op[UpdateRequest, int]{Name: OpUpdate,
+		EncodeReq: UpdateRequest.Encode, DecodeReq: decodeUpdateRequest,
+		EncodeRep: encodeInt, DecodeRep: decodeInt}
+	// Submit submits an application; the reply is its ID.
+	Submit = &orb.Op[ApplicationSpec, string]{Name: OpSubmit,
+		EncodeReq: ApplicationSpec.Encode, DecodeReq: DecodeApplicationSpec,
+		EncodeRep: encodeString, DecodeRep: decodeString}
+	// Notify reports a task event the GRM must act on now.
+	Notify = &orb.Op[TaskEvent, struct{}]{Name: OpNotify,
+		EncodeReq: TaskEvent.Encode, DecodeReq: DecodeTaskEvent}
+	// Departing announces a predicted owner-driven departure.
+	Departing = &orb.Op[DepartureNotice, struct{}]{Name: OpDeparting,
+		EncodeReq: DepartureNotice.Encode, DecodeReq: DecodeDepartureNotice}
+	// GetAppStatus fetches an application's status by its ID.
+	GetAppStatus = &orb.Op[string, AppStatus]{Name: OpAppStatus,
+		EncodeReq: encodeString, DecodeReq: decodeString,
+		EncodeRep: AppStatus.Encode, DecodeRep: DecodeAppStatus}
+	// CancelApp aborts an application by its ID.
+	CancelApp = &orb.Op[string, struct{}]{Name: OpCancelApp,
+		EncodeReq: encodeString, DecodeReq: decodeString}
+	// ListApps returns the IDs of every application, sorted.
+	ListApps = &orb.Op[struct{}, []string]{Name: OpListApps,
+		EncodeRep: encodeStrings, DecodeRep: decodeStrings}
+	// Reconcile reports a node's running tasks; the reply names the orphans.
+	Reconcile = &orb.Op[ReconcileRequest, []string]{Name: OpReconcile,
+		EncodeReq: ReconcileRequest.Encode, DecodeReq: DecodeReconcileRequest,
+		EncodeRep: encodeStrings, DecodeRep: decodeStrings}
+
+	// Reserve asks an LRM for holds; the reply names the ones granted.
+	Reserve = &orb.Op[ReserveRequest, ReserveReply]{Name: OpReserve,
+		EncodeReq: ReserveRequest.Encode, DecodeReq: DecodeReserveRequest,
+		EncodeRep: ReserveReply.Encode, DecodeRep: DecodeReserveReply}
+	// Release cancels a granted reservation, by its ID, that will not be used.
+	Release = &orb.Op[string, struct{}]{Name: OpRelease,
+		EncodeReq: encodeString, DecodeReq: decodeString}
+	// Execute binds reservations to tasks and starts them, all or none.
+	Execute = &orb.Op[ExecuteRequest, struct{}]{Name: OpExecute,
+		EncodeReq: ExecuteRequest.Encode, DecodeReq: DecodeExecuteRequest}
+	// Cancel aborts a running task; the reply is its progress at
+	// cancellation, 0 if the task was unknown or the epoch stale.
+	Cancel = &orb.Op[CancelRequest, float64]{Name: OpCancel,
+		EncodeReq: CancelRequest.Encode, DecodeReq: decodeCancelRequest,
+		EncodeRep: encodeF64, DecodeRep: decodeF64}
+)
+
+// UpdateRequest is one OpUpdate body: a NodeStatus and the task events that
+// ride it (TaskEventKind.RidesUpdate).
+type UpdateRequest struct {
+	Status NodeStatus
+	Events []TaskEvent
+}
+
+// Encode writes the request (EncodeUpdate).
+func (r UpdateRequest) Encode(e *orb.Encoder) { EncodeUpdate(e, r.Status, r.Events) }
+
+// decodeUpdateRequest reads an UpdateRequest, its windows in a slice of their
+// own. The GRM decodes against the node's record instead (DecodeUpdate).
+func decodeUpdateRequest(d *orb.Decoder) (UpdateRequest, error) {
+	var buf [MaxWindows]AvailWindow
+	s, windows, events, err := DecodeUpdate(d, nil, &buf)
+	if err != nil {
+		return UpdateRequest{}, err
+	}
+	if len(windows) > 0 {
+		s.Windows = slices.Clone(windows)
+	}
+	return UpdateRequest{Status: s, Events: events}, nil
+}
+
+// CancelRequest is one OpCancel body: the task to abort and the issuing
+// manager's fencing epoch.
+type CancelRequest struct {
+	TaskID string
+	Epoch  int
+}
+
+// Encode writes the request.
+func (r CancelRequest) Encode(e *orb.Encoder) {
+	e.Grow(strLen(r.TaskID) + 8)
+	e.PutString(r.TaskID)
+	e.PutInt(r.Epoch)
+}
+
+func decodeCancelRequest(d *orb.Decoder) (CancelRequest, error) {
+	r := CancelRequest{TaskID: d.String()}
+	r.Epoch = d.Int()
+	return r, d.Err()
+}
+
+func encodeString(s string, e *orb.Encoder) {
+	e.Grow(strLen(s))
+	e.PutString(s)
+}
+
+func decodeString(d *orb.Decoder) (string, error) {
+	s := d.String()
+	return s, d.Err()
+}
+
+func encodeStrings(ss []string, e *orb.Encoder) { e.PutStrings(ss) }
+
+func decodeStrings(d *orb.Decoder) ([]string, error) {
+	ss := d.Strings()
+	return ss, d.Err()
+}
+
+func encodeInt(v int, e *orb.Encoder) {
+	e.Grow(8)
+	e.PutInt(v)
+}
+
+func decodeInt(d *orb.Decoder) (int, error) {
+	v := d.Int()
+	return v, d.Err()
+}
+
+func encodeF64(v float64, e *orb.Encoder) {
+	e.Grow(8)
+	e.PutF64(v)
+}
+
+func decodeF64(d *orb.Decoder) (float64, error) {
+	v := d.F64()
+	return v, d.Err()
+}
 
 // GRMClient is the typed stub the LRM, ASCT and peer clusters use to invoke
 // a GRM.
@@ -30,45 +160,18 @@ func (c *GRMClient) Ref() orb.ObjectRef { return c.ref }
 // answering. An error means the manager may or may not have applied the
 // update: the caller sends its events again with the next one.
 func (c *GRMClient) Update(s NodeStatus, events ...TaskEvent) (int, error) {
-	e := orb.GetEncoder()
-	EncodeUpdate(e, s, events)
-	reply, err := c.inv.Invoke(c.ref, OpUpdate, e.Bytes())
-	orb.PutEncoder(e)
-	if err != nil {
-		return 0, err
-	}
-	d := orb.NewDecoder(reply)
-	epoch := d.Int()
-	if err := d.Err(); err != nil {
-		return 0, orb.Errorf(orb.CodeMarshal, "update reply: %v", err)
-	}
-	return epoch, nil
+	return Update.Invoke(c.inv, c.ref, UpdateRequest{Status: s, Events: events})
 }
 
 // Submit submits an application and returns its assigned ID.
 func (c *GRMClient) Submit(spec ApplicationSpec) (string, error) {
-	e := orb.GetEncoder()
-	spec.Encode(e)
-	reply, err := c.inv.Invoke(c.ref, OpSubmit, e.Bytes())
-	orb.PutEncoder(e)
-	if err != nil {
-		return "", err
-	}
-	d := orb.NewDecoder(reply)
-	id := d.String()
-	if err := d.Err(); err != nil {
-		return "", orb.Errorf(orb.CodeMarshal, "submit reply: %v", err)
-	}
-	return id, nil
+	return Submit.Invoke(c.inv, c.ref, spec)
 }
 
 // Notify reports a task event the GRM must act on now: an eviction or a
 // drain. Completions and progress ride Update instead.
 func (c *GRMClient) Notify(ev TaskEvent) error {
-	e := orb.GetEncoder()
-	ev.Encode(e)
-	_, err := c.inv.Invoke(c.ref, OpNotify, e.Bytes())
-	orb.PutEncoder(e)
+	_, err := Notify.Invoke(c.inv, c.ref, ev)
 	return err
 }
 
@@ -77,132 +180,30 @@ func (c *GRMClient) Notify(ev TaskEvent) error {
 // so the failure detector does not burn its heartbeat-miss threshold on a
 // node that politely said goodbye.
 func (c *GRMClient) Departing(n DepartureNotice) error {
-	e := orb.GetEncoder()
-	n.Encode(e)
-	_, err := c.inv.Invoke(c.ref, OpDeparting, e.Bytes())
-	orb.PutEncoder(e)
+	_, err := Departing.Invoke(c.inv, c.ref, n)
 	return err
 }
 
 // CancelApp aborts an application: running tasks are cancelled on their
 // nodes, pending tasks are dropped.
 func (c *GRMClient) CancelApp(appID string) error {
-	e := orb.GetEncoder()
-	e.Grow(strLen(appID))
-	e.PutString(appID)
-	_, err := c.inv.Invoke(c.ref, OpCancelApp, e.Bytes())
-	orb.PutEncoder(e)
+	_, err := CancelApp.Invoke(c.inv, c.ref, appID)
 	return err
 }
 
 // ListApps returns the IDs of all applications known to the GRM, sorted.
 func (c *GRMClient) ListApps() ([]string, error) {
-	reply, err := c.inv.Invoke(c.ref, OpListApps, nil)
-	if err != nil {
-		return nil, err
-	}
-	d := orb.NewDecoder(reply)
-	ids := d.Strings()
-	if err := d.Err(); err != nil {
-		return nil, orb.Errorf(orb.CodeMarshal, "listApps reply: %v", err)
-	}
-	return ids, nil
+	return ListApps.Invoke(c.inv, c.ref, struct{}{})
 }
 
 // Reconcile reports the node's running tasks after (re-)registration and
 // returns the task IDs the GRM does not recognize — the orphans the LRM
 // should cancel locally.
 func (c *GRMClient) Reconcile(req ReconcileRequest) ([]string, error) {
-	e := orb.GetEncoder()
-	req.Encode(e)
-	reply, err := c.inv.Invoke(c.ref, OpReconcile, e.Bytes())
-	orb.PutEncoder(e)
-	if err != nil {
-		return nil, err
-	}
-	d := orb.NewDecoder(reply)
-	orphans := d.Strings()
-	if err := d.Err(); err != nil {
-		return nil, orb.Errorf(orb.CodeMarshal, "reconcile reply: %v", err)
-	}
-	return orphans, nil
+	return Reconcile.Invoke(c.inv, c.ref, req)
 }
 
 // AppStatus fetches an application's status.
 func (c *GRMClient) AppStatus(appID string) (AppStatus, error) {
-	e := orb.GetEncoder()
-	e.Grow(strLen(appID))
-	e.PutString(appID)
-	reply, err := c.inv.Invoke(c.ref, OpAppStatus, e.Bytes())
-	orb.PutEncoder(e)
-	if err != nil {
-		return AppStatus{}, err
-	}
-	return DecodeAppStatus(orb.NewDecoder(reply))
-}
-
-// LRMClient is the typed stub the GRM uses to negotiate with an LRM.
-type LRMClient struct {
-	inv orb.Invoker
-	ref orb.ObjectRef
-}
-
-// NewLRMClient returns a stub for the LRM at ref.
-func NewLRMClient(inv orb.Invoker, ref orb.ObjectRef) *LRMClient {
-	return &LRMClient{inv: inv, ref: ref}
-}
-
-// Reserve asks the LRM for req.Count holds; the reply names the ones granted.
-func (c *LRMClient) Reserve(req ReserveRequest) (ReserveReply, error) {
-	e := orb.GetEncoder()
-	req.Encode(e)
-	reply, err := c.inv.Invoke(c.ref, OpReserve, e.Bytes())
-	orb.PutEncoder(e)
-	if err != nil {
-		return ReserveReply{}, err
-	}
-	return DecodeReserveReply(orb.NewDecoder(reply))
-}
-
-// Release cancels a granted reservation that will not be used (a surplus
-// grant, an abandoned gang, a failed Execute), freeing the hold before its TTL
-// expires.
-func (c *LRMClient) Release(reservationID string) error {
-	e := orb.GetEncoder()
-	e.Grow(strLen(reservationID))
-	e.PutString(reservationID)
-	_, err := c.inv.Invoke(c.ref, OpRelease, e.Bytes())
-	orb.PutEncoder(e)
-	return err
-}
-
-// Execute binds reservations to tasks and starts them, all or none: after an
-// error no task of req runs and none of its reservations is committed.
-func (c *LRMClient) Execute(req ExecuteRequest) error {
-	e := orb.GetEncoder()
-	req.Encode(e)
-	_, err := c.inv.Invoke(c.ref, OpExecute, e.Bytes())
-	orb.PutEncoder(e)
-	return err
-}
-
-// Cancel aborts a running task on behalf of the manager with the given
-// fencing epoch. It returns the task's progress at
-// cancellation (0 if the task was unknown or the epoch stale).
-func (c *LRMClient) Cancel(taskID string, epoch int) (float64, error) {
-	e := orb.GetEncoder()
-	e.Grow(strLen(taskID) + 8)
-	e.PutString(taskID)
-	e.PutInt(epoch)
-	reply, err := c.inv.Invoke(c.ref, OpCancel, e.Bytes())
-	orb.PutEncoder(e)
-	if err != nil {
-		return 0, err
-	}
-	d := orb.NewDecoder(reply)
-	progress := d.F64()
-	if err := d.Err(); err != nil {
-		return 0, orb.Errorf(orb.CodeMarshal, "cancel reply: %v", err)
-	}
-	return progress, nil
+	return GetAppStatus.Invoke(c.inv, c.ref, appID)
 }

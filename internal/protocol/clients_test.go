@@ -1,12 +1,18 @@
 package protocol
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"integrade/internal/orb"
 	"integrade/internal/resource"
+	"integrade/internal/testutil/optest"
 )
 
 // fakeManagers implements both manager interfaces in-memory to exercise the
@@ -116,7 +122,7 @@ func (f *fakeManagers) lrmServant() orb.Servant {
 		})
 }
 
-func setup(t *testing.T) (*fakeManagers, *GRMClient, *LRMClient) {
+func setup(t *testing.T) (*fakeManagers, *GRMClient, orb.Invoker, orb.ObjectRef) {
 	t.Helper()
 	o := orb.New()
 	f := newFakes()
@@ -132,12 +138,11 @@ func setup(t *testing.T) (*fakeManagers, *GRMClient, *LRMClient) {
 		t.Fatal(err)
 	}
 	grm := NewGRMClient(o, orb.ObjectRef{Endpoint: ep, Key: GRMKey})
-	lrm := NewLRMClient(o, orb.ObjectRef{Endpoint: ep, Key: LRMKey})
-	return f, grm, lrm
+	return f, grm, o, orb.ObjectRef{Endpoint: ep, Key: LRMKey}
 }
 
 func TestGRMClientRoundTrips(t *testing.T) {
-	f, grm, _ := setup(t)
+	f, grm, _, _ := setup(t)
 	if grm.Ref().Key != GRMKey {
 		t.Fatal("Ref mismatch")
 	}
@@ -212,13 +217,10 @@ func TestGRMClientRoundTrips(t *testing.T) {
 	}
 }
 
-func TestLRMClientRoundTrips(t *testing.T) {
-	f, _, lrm := setup(t)
-	if lrm.ref.Key != LRMKey {
-		t.Fatal("Ref mismatch")
-	}
+func TestLRMOpsRoundTrip(t *testing.T) {
+	f, _, inv, lrm := setup(t)
 
-	reply, err := lrm.Reserve(ReserveRequest{Holder: "app", Amount: resource.Vector{MIPS: 10}, TTL: time.Second, Count: 1})
+	reply, err := Reserve.Invoke(inv, lrm, ReserveRequest{Holder: "app", Amount: resource.Vector{MIPS: 10}, TTL: time.Second, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +228,7 @@ func TestLRMClientRoundTrips(t *testing.T) {
 		t.Fatalf("reply = %+v", reply)
 	}
 
-	if err := lrm.Execute(ExecuteRequest{
+	if _, err := Execute.Invoke(inv, lrm, ExecuteRequest{
 		Alloc: resource.Vector{MIPS: 10},
 		Tasks: []TaskStart{{ReservationID: "rsv-1", TaskID: "t", Work: 5}},
 	}); err != nil {
@@ -236,14 +238,14 @@ func TestLRMClientRoundTrips(t *testing.T) {
 		t.Fatalf("executed = %+v", f.executed)
 	}
 
-	if err := lrm.Release("rsv-1"); err != nil {
+	if _, err := Release.Invoke(inv, lrm, "rsv-1"); err != nil {
 		t.Fatal(err)
 	}
 	if len(f.released) != 1 || f.released[0] != "rsv-1" {
 		t.Fatalf("released = %v", f.released)
 	}
 
-	progress, err := lrm.Cancel("t", 3)
+	progress, err := Cancel.Invoke(inv, lrm, CancelRequest{TaskID: "t", Epoch: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +270,71 @@ func TestClientsSurfaceTransportErrors(t *testing.T) {
 	if _, err := grm.ListApps(); err == nil {
 		t.Fatal("list to dead endpoint succeeded")
 	}
-	lrm := NewLRMClient(o, dead)
-	if _, err := lrm.Reserve(ReserveRequest{}); err == nil {
+	if _, err := Reserve.Invoke(o, dead, ReserveRequest{}); err == nil {
 		t.Fatal("reserve to dead endpoint succeeded")
 	}
-	if _, err := lrm.Cancel("x", 0); err == nil {
+	if _, err := Cancel.Invoke(o, dead, CancelRequest{TaskID: "x"}); err == nil {
 		t.Fatal("cancel to dead endpoint succeeded")
+	}
+}
+
+// TestOpsRoundTrip checks every operation's declaration against itself
+// (optest.Check), and that every Op* name in protocol.go has a row: an
+// operation without one fails here.
+func TestOpsRoundTrip(t *testing.T) {
+	at := time.Date(2026, 7, 4, 10, 0, 0, 0, time.UTC)
+	linux := resource.Platform{Arch: "amd64", OS: "linux"}
+	status, events, _ := updateBody()
+	spec := ApplicationSpec{
+		Name: "render", Kind: AppBSP, NumTasks: 100, WorkPerTask: 5e6,
+		Requirements:        resource.Requirements{Platform: &linux, Min: resource.Vector{MIPS: 500, RAMMB: 16}},
+		Constraint:          "lan == 'lanA'",
+		Preferences:         resource.Preferences{FasterCPU: true, StayIdleWeight: 1},
+		Alloc:               resource.Vector{MIPS: 500, RAMMB: 32},
+		Topology:            &TopologyRequest{Groups: []TopologyGroup{{Nodes: 50, IntraMbps: 100}}, InterMbps: 10},
+		CheckpointEveryWork: 1e5, RestartEvicted: true,
+	}
+	appStatus := AppStatus{
+		AppID: "app-1", Name: "sim", Kind: AppParametric, Submitted: at, Finished: at.Add(time.Hour), Negotiations: 7,
+		Tasks: []TaskStatus{{TaskID: "t0", NodeID: "n1", State: TaskRunning, Progress: 50, Work: 100, Restarts: 1}},
+	}
+	ids := []string{"app-1/t0", "app-1/t1"}
+	covered := []string{
+		optest.Check(t, Update, UpdateRequest{Status: status, Events: events}, 3),
+		optest.Check(t, Submit, spec, "app-1"),
+		optest.Check(t, Notify, TaskEvent{Kind: TaskEventEvicted, AppID: "app-1", TaskID: "app-1/t0", NodeID: "n1", Progress: 4, At: at}, struct{}{}),
+		optest.Check(t, Departing, DepartureNotice{NodeID: "n1", Deadline: at.Add(time.Hour), At: at}, struct{}{}),
+		optest.Check(t, GetAppStatus, "app-1", appStatus),
+		optest.Check(t, CancelApp, "app-1", struct{}{}),
+		optest.Check(t, ListApps, struct{}{}, []string{"app-1", "app-2"}),
+		optest.Check(t, Reconcile, ReconcileRequest{NodeID: "n1", Claims: []TaskClaim{{TaskID: "app-1/t0", AppID: "app-1"}}}, ids),
+		optest.Check(t, Reserve,
+			ReserveRequest{Holder: "app-1", Amount: resource.Vector{MIPS: 400, RAMMB: 64}, TTL: time.Minute, Epoch: 2, Count: 3},
+			ReserveReply{Granted: true, ReservationID: "rsv-1", Reason: "full", More: []string{"rsv-2"}}),
+		optest.Check(t, Release, "rsv-1", struct{}{}),
+		optest.Check(t, Execute, executeRequest(), struct{}{}),
+		optest.Check(t, Cancel, CancelRequest{TaskID: "app-1/t0", Epoch: 2}, 123.5),
+	}
+
+	f, err := parser.ParseFile(token.NewFileSet(), "protocol.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var declared []string
+	for _, d := range f.Decls {
+		if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.CONST {
+			for _, s := range gd.Specs {
+				vs := s.(*ast.ValueSpec)
+				if strings.HasPrefix(vs.Names[0].Name, "Op") {
+					name, _ := strconv.Unquote(vs.Values[0].(*ast.BasicLit).Value)
+					declared = append(declared, name)
+				}
+			}
+		}
+	}
+	slices.Sort(declared)
+	slices.Sort(covered)
+	if len(declared) != 12 || !slices.Equal(declared, covered) {
+		t.Fatalf("operations declared in protocol.go %v, checked %v", declared, covered)
 	}
 }
