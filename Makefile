@@ -6,7 +6,7 @@ FUZZ_SMOKE_TIME ?= 30s
 # Seeds the chaos target sweeps; each runs the fault-injection suite once.
 CHAOS_SEEDS ?= 1 7 42
 
-.PHONY: all build test race vet lint lint-fast interproc-lint fuzz-smoke fmt-check chaos failover election windows benchmark-check examples profile-miss profile-batch profile-update profile-tcp-update ci
+.PHONY: all build test race vet lint fuzz-smoke fmt-check chaos failover election windows benchmark-check examples profile-miss profile-batch profile-update profile-tcp-update ci
 
 all: build
 
@@ -22,11 +22,11 @@ race:
 vet:
 	$(GO) vet ./...
 
-# All custom analyzers (per-package + interprocedural) plus stock go vet,
-# then staticcheck and govulncheck when they are on PATH. The external tools
-# are optional locally — this module has no third-party deps and offline
-# containers cannot install them — but CI installs pinned versions, so their
-# findings still gate merges.
+# Every custom analyzer (integrade-lint -list names them), then staticcheck
+# and govulncheck when they are on PATH; go vet is the vet target. The
+# external tools are optional locally — this module has no third-party deps
+# and offline containers cannot install them — but CI installs pinned
+# versions, so their findings still gate merges.
 lint:
 	$(GO) run ./cmd/integrade-lint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -39,17 +39,6 @@ lint:
 	else \
 		echo "govulncheck not installed; skipping (CI runs it pinned)"; \
 	fi
-
-# Just the cheap per-package analyzers (simclock, lockheld, orberr,
-# nakedgo) — no whole-module type-check, no call graph — for pre-commit use.
-lint-fast:
-	$(GO) run ./cmd/integrade-lint -novet -stage package ./...
-
-# Just the call-graph analyzers (rpccycle, maporder, lockheld-transitive,
-# lockorder, hotpath, cowstore), machine-readable: one JSON
-# finding per line plus a summary line.
-interproc-lint:
-	$(GO) run ./cmd/integrade-lint -novet -analyzers interproc -json ./...
 
 # Short fuzz runs over the wire decoders: the constraint compiler, the ORB
 # framing layer, the Information Update body, the Reserve and Execute
@@ -219,4 +208,4 @@ profile-tcp-update:
 	$(GO) tool pprof -top -nodecount 25 tcp_update.test tcp_update.prof
 
 # Everything CI runs, in the same order.
-ci: build fmt-check vet lint interproc-lint race chaos failover election windows benchmark-check examples fuzz-smoke
+ci: build fmt-check vet lint race chaos failover election windows benchmark-check examples fuzz-smoke

@@ -292,7 +292,7 @@ func (w *world) barrier(p *Proc) error {
 		// exchangeLocked releases w.mu around the checkpoint callbacks and
 		// re-acquires it before returning; the flow-insensitive summary sees
 		// only the re-acquisition, so this is not a recursive lock.
-		//lint:allow lockorder exchangeLocked drops w.mu before re-locking it
+		//lint:allow locks exchangeLocked drops w.mu before re-locking it
 		if err := w.exchangeLocked(); err != nil {
 			w.aborted = true
 			w.abortErr = err

@@ -10,10 +10,10 @@ import (
 	"strings"
 )
 
-// This file is the interprocedural half of the lint framework: an
-// approximate call graph over every loaded package, plus per-function
-// summaries ("may this function block?", "may it issue an RPC?") that the
-// repo-wide analyzers (rpccycle, maporder, lockheld-transitive) share.
+// This file is the model every analyzer shares: an approximate call graph
+// over every loaded package, plus per-function summaries ("may this
+// function block?", "may it issue an RPC?") that rpccycle, maporder, locks
+// and hotpath read.
 //
 // The graph is deliberately approximate in well-defined ways:
 //
@@ -96,7 +96,7 @@ type FuncNode struct {
 // "lrm.(*LRM).Servant·func2".
 func (n *FuncNode) Name() string { return n.name }
 
-// CallGraph is the whole-program model shared by repo analyzers.
+// CallGraph is the whole-program model shared by the analyzers.
 type CallGraph struct {
 	fset *token.FileSet
 	// Nodes in deterministic (source position) order.
@@ -463,8 +463,8 @@ func asyncLit(pkg *Package, lit *ast.FuncLit, body *ast.BlockStmt) bool {
 
 // directBlockingDesc classifies call as a directly blocking operation,
 // returning a description (empty when not blocking) and whether it is a
-// remote invocation. The classification matches the intraprocedural
-// lockheld analyzer so the transitive pass never double-reports.
+// remote invocation. locks reports such a call under a lock as itself and
+// only looks through calls that are not.
 func directBlockingDesc(info *types.Info, call *ast.CallExpr) (desc string, rpc bool) {
 	fn := calleeFunc(info, call)
 	if fn == nil {
@@ -578,41 +578,37 @@ func (g *CallGraph) MayInvoke(n *FuncNode) bool {
 	return n.mayInvoke
 }
 
-// SCCs returns the graph's strongly connected components (Tarjan), each as
-// a set of member nodes. Components are returned in deterministic order.
-func (g *CallGraph) SCCs() []map[*FuncNode]bool {
-	index := map[*FuncNode]int{}
-	low := map[*FuncNode]int{}
-	onStack := map[*FuncNode]bool{}
-	var stack []*FuncNode
-	var comps []map[*FuncNode]bool
-	next := 0
+// sccs returns the strongly connected components (Tarjan) of the graph
+// over nodes whose edges succ lists, each as its member list. Visiting
+// nodes and successors in a fixed order makes the result deterministic.
+func sccs[N comparable](nodes []N, succ func(N) []N) [][]N {
+	index := map[N]int{}
+	low := map[N]int{}
+	onStack := map[N]bool{}
+	var stack []N
+	var comps [][]N
 
-	var strongconnect func(n *FuncNode)
-	strongconnect = func(n *FuncNode) {
-		index[n] = next
-		low[n] = next
-		next++
+	var strongconnect func(n N)
+	strongconnect = func(n N) {
+		index[n] = len(index)
+		low[n] = index[n]
 		stack = append(stack, n)
 		onStack[n] = true
-		for _, e := range n.Edges {
-			w := e.To
+		for _, w := range succ(n) {
 			if _, seen := index[w]; !seen {
 				strongconnect(w)
-				if low[w] < low[n] {
-					low[n] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[n] {
-				low[n] = index[w]
+				low[n] = min(low[n], low[w])
+			} else if onStack[w] {
+				low[n] = min(low[n], index[w])
 			}
 		}
 		if low[n] == index[n] {
-			comp := map[*FuncNode]bool{}
+			var comp []N
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[w] = false
-				comp[w] = true
+				comp = append(comp, w)
 				if w == n {
 					break
 				}
@@ -620,7 +616,7 @@ func (g *CallGraph) SCCs() []map[*FuncNode]bool {
 			comps = append(comps, comp)
 		}
 	}
-	for _, n := range g.Nodes {
+	for _, n := range nodes {
 		if _, seen := index[n]; !seen {
 			strongconnect(n)
 		}

@@ -4,7 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -34,7 +35,7 @@ var CowStore = &Analyzer{
 		"whose slots are updated in place — is a write like the swap, and " +
 		"needs the same mutex. Malformed //lint:guards lists (naming a field " +
 		"the struct does not have) are diagnostics too.",
-	RunRepo: runCowStore,
+	Run: runCowStore,
 }
 
 // cowField identifies one atomic.Pointer field across the source/export-data
@@ -50,21 +51,20 @@ type cowRegistry struct {
 	guard map[cowField]string
 }
 
-func runCowStore(pass *RepoPass) error {
+func runCowStore(pass *Pass) {
 	reg := collectCowFields(pass)
 	if len(reg.fields) == 0 {
-		return nil
+		return
 	}
 	for _, pkg := range pass.Pkgs {
 		checkCowMutations(pass, pkg, reg)
 		checkCowRMW(pass, pkg, reg)
 	}
-	return nil
 }
 
 // collectCowFields scans every struct declaration for atomic.Pointer fields
 // and //lint:guards declarations on sibling sync.Mutex/RWMutex fields.
-func collectCowFields(pass *RepoPass) *cowRegistry {
+func collectCowFields(pass *Pass) *cowRegistry {
 	reg := &cowRegistry{fields: map[cowField]bool{}, guard: map[cowField]string{}}
 	for _, pkg := range pass.Pkgs {
 		for _, f := range pkg.Syntax {
@@ -197,7 +197,7 @@ type snapInfo struct {
 
 // checkCowMutations walks every function body tracking snapshot-derived
 // variables and flags writes that reach the shared snapshot.
-func checkCowMutations(pass *RepoPass, pkg *Package, reg *cowRegistry) {
+func checkCowMutations(pass *Pass, pkg *Package, reg *cowRegistry) {
 	info := pkg.TypesInfo
 	for _, f := range pkg.Syntax {
 		for _, d := range f.Decls {
@@ -318,7 +318,7 @@ func isStar(e ast.Expr) bool {
 
 // checkCowWrite flags an assignment target that mutates state reachable
 // from a loaded snapshot.
-func checkCowWrite(pass *RepoPass, info *types.Info,
+func checkCowWrite(pass *Pass, info *types.Info,
 	snap map[*types.Var]*snapInfo,
 	snapOf func(ast.Expr) *snapInfo,
 	matchLoad func(ast.Expr) (cowField, bool),
@@ -405,31 +405,15 @@ type rmwEvent struct {
 
 // checkCowRMW requires every Load→Store sequence on one atomic.Pointer
 // field to run under the field's declared writer mutex (or be replaced by a
-// CompareAndSwap loop). Bodies are scanned with the lockheld scanner so the
+// CompareAndSwap loop). Bodies are scanned with the lock scanner so the
 // lock state at the Store is exact for the straight-line writer idiom.
-func checkCowRMW(pass *RepoPass, pkg *Package, reg *cowRegistry) {
+func checkCowRMW(pass *Pass, pkg *Package, reg *cowRegistry) {
 	info := pkg.TypesInfo
-	var bodies []*ast.BlockStmt
-	for _, f := range pkg.Syntax {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					bodies = append(bodies, fn.Body)
-				}
-			case *ast.FuncLit:
-				bodies = append(bodies, fn.Body)
-			}
-			return true
-		})
-	}
-	for _, body := range bodies {
+	forEachFuncBody(pkg.Syntax, func(body *ast.BlockStmt) {
 		var events []rmwEvent
 		sc := &lockScanner{
-			info:       info,
-			onBlocking: func(token.Pos, string, lockState) {},
-			onCall:     func(*ast.CallExpr, lockState) {},
-			onEveryCall: func(call *ast.CallExpr, held lockState) {
+			info: info,
+			onCall: func(call *ast.CallExpr, held lockState) {
 				if snap, method, ok := slotStore(info, reg, body, call); ok {
 					want := snap.base + "." + reg.guard[snap.key]
 					if _, guarded := held[want]; !guarded {
@@ -443,12 +427,7 @@ func checkCowRMW(pass *RepoPass, pkg *Package, reg *cowRegistry) {
 				if !ok {
 					return
 				}
-				names := make([]string, 0, len(held))
-				for recv := range held {
-					names = append(names, recv)
-				}
-				sort.Strings(names)
-				events = append(events, rmwEvent{key: key, base: base, method: method, pos: call.Pos(), held: names})
+				events = append(events, rmwEvent{key: key, base: base, method: method, pos: call.Pos(), held: slices.Sorted(maps.Keys(held))})
 			},
 		}
 		sc.scan(body.List, lockState{})
@@ -477,19 +456,13 @@ func checkCowRMW(pass *RepoPass, pkg *Package, reg *cowRegistry) {
 				continue
 			}
 			want := ev.base + "." + guard
-			heldOK := false
-			for _, h := range ev.held {
-				if h == want {
-					heldOK = true
-				}
-			}
-			if !heldOK {
+			if !slices.Contains(ev.held, want) {
 				pass.Reportf(ev.pos,
 					"cowstore: read-modify-write of %s (Load then %s) outside the declared writer mutex %s; two concurrent writers would lose an update",
 					ev.key, ev.method, want)
 			}
 		}
-	}
+	})
 }
 
 // loadedSnap is where a snapshot expression came from: <base>.<field>.Load().

@@ -35,7 +35,7 @@ var HotPath = &Analyzer{
 		"function (the constraint compiler behind the compile cache, say) is " +
 		"marked //lint:coldpath <reason> in its doc comment, which stops the " +
 		"traversal at its boundary.",
-	RunRepo: runHotPath,
+	Run: runHotPath,
 }
 
 // hotBudget is one parsed //lint:hotpath annotation.
@@ -62,11 +62,11 @@ type hotSites struct {
 	locks  []lockSite
 }
 
-func runHotPath(pass *RepoPass) error {
+func runHotPath(pass *Pass) {
 	g := pass.Graph
 	roots := hotpathRootNodes(pass)
 	if len(roots) == 0 {
-		return nil
+		return
 	}
 	cold := coldpathNodes(pass)
 	allow := collectAllocAllows(pass.Pkgs)
@@ -146,7 +146,6 @@ func runHotPath(pass *RepoPass) error {
 			}
 		}
 	}
-	return nil
 }
 
 // reachableFrom walks static and closure edges from root, stopping at
@@ -192,7 +191,7 @@ func hotChain(root, holder *FuncNode, parent map[*FuncNode]*FuncNode) string {
 
 // hotpathRootNodes parses every //lint:hotpath annotation into its graph
 // node. Malformed annotations are diagnostics.
-func hotpathRootNodes(pass *RepoPass) map[*FuncNode]hotBudget {
+func hotpathRootNodes(pass *Pass) map[*FuncNode]hotBudget {
 	roots := map[*FuncNode]hotBudget{}
 	forEachAnnotatedFunc(pass.Pkgs, "lint:hotpath", func(pkg *Package, fd *ast.FuncDecl, c *ast.Comment, payload string) {
 		b, err := parseHotBudget(payload)
@@ -214,7 +213,7 @@ func hotpathRootNodes(pass *RepoPass) map[*FuncNode]hotBudget {
 
 // coldpathNodes parses //lint:coldpath annotations: deliberate slow-path
 // functions the hotpath traversal must not descend into.
-func coldpathNodes(pass *RepoPass) map[*FuncNode]bool {
+func coldpathNodes(pass *Pass) map[*FuncNode]bool {
 	cold := map[*FuncNode]bool{}
 	forEachAnnotatedFunc(pass.Pkgs, "lint:coldpath", func(pkg *Package, fd *ast.FuncDecl, c *ast.Comment, payload string) {
 		obj, _ := pkg.TypesInfo.Defs[fd.Name].(*types.Func)

@@ -2,20 +2,28 @@
 // driver that runs them. The analyzers encode repo-specific correctness
 // invariants that stock go vet cannot know about:
 //
-//   - simclock: sim-driven packages must take time through sim.Clock, never
-//     the time package directly, so the same protocol code is deterministic
-//     under the virtual clock;
-//   - lockheld: no ORB invocation, channel operation, or other blocking call
-//     may run while a sync.Mutex/RWMutex is held;
-//   - orberr: results of error-returning ORB-layer calls must not be
-//     silently discarded;
-//   - nakedgo: every goroutine spawned in non-test code must be tracked by a
-//     WaitGroup or a lifecycle channel so daemons shut down cleanly.
+//   - simclock: sim-driven packages take time through sim.Clock, never the
+//     time package directly;
+//   - orberr: results of error-returning ORB-layer calls are not silently
+//     discarded;
+//   - nakedgo: every goroutine spawned in non-test code is tracked by a
+//     WaitGroup or a lifecycle channel;
+//   - rpccycle: no synchronous RPC can re-enter its own caller;
+//   - maporder: map iteration order does not leak into wire encoding,
+//     remote invocations or bench tables;
+//   - locks: nothing that may block runs while a mutex is held, and every
+//     lock nesting follows the declared //lint:lockorder hierarchy;
+//   - hotpath: //lint:hotpath roots stay within their allocation, lock and
+//     blocking budgets;
+//   - cowstore: copy-on-write atomic.Pointer registries are written under
+//     their declared writer mutex.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Reportf) but is self-contained: packages are loaded offline through
 // `go list -export` and type-checked with the standard library's gc
 // export-data importer, so the linter needs no third-party dependencies.
+// Every analyzer sees the whole loaded package set and one shared call
+// graph.
 //
 // Findings can be suppressed with a justifying comment on the offending
 // line or the line directly above it:
@@ -32,46 +40,19 @@ import (
 	"strings"
 )
 
-// Analyzer is one static check, mirroring go/analysis.Analyzer. Exactly one
-// of Run (per-package, intraprocedural) and RunRepo (whole-program,
-// interprocedural) is set.
+// Analyzer is one static check, mirroring go/analysis.Analyzer.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and //lint:allow comments.
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
-	// Run reports diagnostics for one package via pass.Reportf.
-	Run func(*Pass) error
-	// RunRepo reports diagnostics over the whole loaded package set at
-	// once, with the shared call graph available. Set instead of Run for
-	// interprocedural analyzers.
-	RunRepo func(*RepoPass) error
+	// Run reports diagnostics over the loaded package set via pass.Reportf.
+	Run func(*Pass)
 }
 
-// Pass carries one analyzed package to an Analyzer.Run, mirroring
-// go/analysis.Pass.
+// Pass carries the whole loaded package set plus the shared call graph to
+// an Analyzer.Run, mirroring go/analysis.Pass.
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-
-	report func(Diagnostic)
-}
-
-// Reportf records a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// RepoPass carries the whole loaded package set plus the shared call graph
-// to an interprocedural Analyzer.RunRepo.
-type RepoPass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkgs     []*Package
@@ -81,7 +62,7 @@ type RepoPass struct {
 }
 
 // Reportf records a diagnostic at pos.
-func (p *RepoPass) Reportf(pos token.Pos, format string, args ...any) {
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
@@ -101,29 +82,19 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s (%s)", d.Pos, d.Message, d.Analyzer)
 }
 
-// All returns the full set of InteGrade analyzers: the per-package checks
-// plus the interprocedural stage (rpccycle, maporder, lockheld-transitive,
-// lockorder, hotpath, cowstore).
+// All returns the full set of InteGrade analyzers.
 func All() []*Analyzer {
-	return []*Analyzer{SimClock, LockHeld, OrbErr, NakedGo, RPCCycle, MapOrder, LockHeldTransitive, LockOrder, HotPath, CowStore}
-}
-
-// Interprocedural returns only the call-graph-based analyzers.
-func Interprocedural() []*Analyzer {
-	var out []*Analyzer
-	for _, a := range All() {
-		if a.RunRepo != nil {
-			out = append(out, a)
-		}
-	}
-	return out
+	return []*Analyzer{SimClock, OrbErr, NakedGo, RPCCycle, MapOrder, Locks, HotPath, CowStore}
 }
 
 // Run applies analyzers to pkgs, filters findings suppressed by
 // //lint:allow comments, and returns the surviving diagnostics sorted by
-// position. Per-package analyzers run once per package; interprocedural
-// analyzers run once over the whole set, sharing a single call graph.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+// position. Each analyzer runs once over the whole set, and all of them
+// share a single call graph.
+func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	if len(pkgs) == 0 {
+		return nil
+	}
 	var diags []Diagnostic
 	allowed := allowSet{}
 	for _, pkg := range pkgs {
@@ -134,42 +105,15 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			diags = append(diags, d)
 		}
 	}
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			pass := &Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Syntax,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.TypesInfo,
-				report:    report,
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.PkgPath, err)
-			}
-		}
-	}
-	var graph *CallGraph
+	graph := BuildCallGraph(pkgs)
 	for _, a := range analyzers {
-		if a.RunRepo == nil || len(pkgs) == 0 {
-			continue
-		}
-		if graph == nil {
-			graph = BuildCallGraph(pkgs)
-		}
-		pass := &RepoPass{
+		a.Run(&Pass{
 			Analyzer: a,
 			Fset:     pkgs[0].Fset,
 			Pkgs:     pkgs,
 			Graph:    graph,
 			report:   report,
-		}
-		if err := a.RunRepo(pass); err != nil {
-			return nil, fmt.Errorf("lint: %s: %w", a.Name, err)
-		}
+		})
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
@@ -186,11 +130,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			return diags[i].Analyzer < diags[j].Analyzer
 		}
 		// One analyzer can report distinct findings at one position (e.g.
-		// lockorder, one per undocumented edge): the message tie-break keeps
+		// locks, one per undocumented edge): the message tie-break keeps
 		// the output byte-stable run to run.
 		return diags[i].Message < diags[j].Message
 	})
-	return diags, nil
+	return diags
 }
 
 // allowSet maps file -> line -> analyzer names allowed on that line.

@@ -4,30 +4,40 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// LockOrder infers the global lock-acquisition-order graph and checks it
-// against the declared hierarchy.
-var LockOrder = &Analyzer{
-	Name: "lockorder",
-	Doc: "Deadlock by lock-order inversion needs two mutexes and two code " +
-		"paths that nest them in opposite orders — a property no single " +
-		"function shows. This analyzer names every sync.Mutex/RWMutex " +
+// Locks checks everything a held mutex must not meet: a blocking operation,
+// a call that may block, and an acquisition out of the declared order.
+var Locks = &Analyzer{
+	Name: "locks",
+	Doc: "A GRM that holds its lock across a Reserve/Execute round trip to an " +
+		"LRM can stall the whole cluster, and two code paths that nest two " +
+		"mutexes in opposite orders can deadlock it. This analyzer scans " +
+		"every function body once, tracking which sync.Mutex/RWMutex is " +
+		"held through Lock/Unlock pairs and defer Unlock (nested blocks are " +
+		"scanned with a copy of the state), and reports three kinds of " +
+		"finding. (1) A blocking operation under a lock: an ORB invocation " +
+		"(Invoke, protocol client stubs), a channel send or receive, a " +
+		"blocking select, WaitGroup.Wait or Sleep; sync.Cond.Wait is exempt " +
+		"(it is specified to hold the lock). (2) A call under a lock whose " +
+		"callee may block, directly or through helpers, by a may-block " +
+		"summary computed once over the call graph, with the path to the " +
+		"blocking operation. (3) Lock order: every mutex is named " +
 		"canonically (pkg.Type.field for struct fields, pkg.var for package " +
-		"globals), replays the lockheld scan over every function to observe " +
-		"each acquisition made while another lock is held — transitively " +
-		"through helper calls, using per-function acquires summaries computed " +
-		"by fixpoint over the call graph — and builds the global " +
-		"acquisition-order graph. Cycles in that graph are reported as " +
-		"potential deadlocks, acquiring a lock while already holding it is " +
-		"reported as self-deadlock, and every observed edge must be covered " +
-		"by a declared hierarchy annotation: //lint:lockorder A<B (chains " +
-		"A<B<C declare consecutive pairs; declarations are global and " +
-		"transitive). Diagnostics carry the call chain from the holding " +
-		"function to the acquisition.",
-	RunRepo: runLockOrder,
+		"globals), and each acquisition made while another lock is held — " +
+		"directly or through helper calls, by per-function acquires " +
+		"summaries — is an edge of the global acquisition-order graph. " +
+		"Acquiring a held lock is reported as self-deadlock, a cycle as a " +
+		"potential deadlock, and every edge must be covered by a declared " +
+		"hierarchy annotation: //lint:lockorder A<B (chains A<B<C declare " +
+		"consecutive pairs; declarations are global and transitive). " +
+		"Diagnostics carry the call chain from the holding function to the " +
+		"acquisition.",
+	Run: runLocks,
 }
 
 // lockWitness records how a function comes to acquire a lock: directly
@@ -44,12 +54,58 @@ type lockEdgeSite struct {
 	chain    []string
 }
 
-func runLockOrder(pass *RepoPass) error {
+// lockCall is a call to a repo function made while canonically named locks
+// are held: an edge to every lock the callee acquires, once the acquires
+// summaries are known.
+type lockCall struct {
+	target *FuncNode
+	pos    token.Pos
+	held   []lockAcq
+}
+
+func runLocks(pass *Pass) {
 	decl := collectLockDecls(pass)
 	reportDeclCycles(pass, decl)
 	declReach := transitiveClosure(decl)
 
-	edges := observeLockEdges(pass)
+	nodes := map[*ast.BlockStmt]*FuncNode{}
+	for _, n := range pass.Graph.Nodes {
+		if n.Body != nil {
+			nodes[n.Body] = n
+		}
+	}
+	direct := map[*FuncNode][]lockAcq{}
+	var edges []lockEdgeSite
+	var calls []lockCall
+	for _, pkg := range pass.Pkgs {
+		forEachFuncBody(pkg.Syntax, func(body *ast.BlockStmt) {
+			// A literal in a package-level initializer has no graph node: it
+			// is checked for blocking, but takes no part in lock order.
+			node := nodes[body]
+			sc := &lockScanner{
+				info: pkg.TypesInfo,
+				onBlocking: func(pos token.Pos, desc string, held lockState) {
+					pass.Reportf(pos, "%s while holding %s", desc, heldNames(held))
+				},
+				onCall: func(call *ast.CallExpr, held lockState) {
+					if len(held) > 0 {
+						checkLockedCall(pass, pkg.TypesInfo, call, held, &calls)
+					}
+				},
+			}
+			if node != nil {
+				sc.canon = func(recv ast.Expr) string { return lockCanon(node, recv) }
+				sc.onAcquire = func(acq lockAcq, held lockState) {
+					direct[node] = append(direct[node], acq)
+					for _, h := range heldAcqs(held) {
+						edges = append(edges, lockEdgeSite{from: h.canon, to: acq.canon, pos: acq.pos})
+					}
+				}
+			}
+			sc.scan(body.List, lockState{})
+		})
+	}
+	edges = append(edges, calledLockEdges(pass.Graph, direct, calls)...)
 
 	for _, e := range edges {
 		via := ""
@@ -69,52 +125,40 @@ func runLockOrder(pass *RepoPass) error {
 				e.from, e.to, via, e.from, e.to)
 		}
 	}
-
 	reportObservedCycles(pass, edges)
-	return nil
 }
 
-// observeLockEdges scans every function: direct nested acquisitions produce
-// edges immediately; calls made under a lock produce edges to every lock the
-// callee transitively acquires, with the call chain to the acquisition.
-func observeLockEdges(pass *RepoPass) []lockEdgeSite {
-	g := pass.Graph
-
-	// Pass A: per-node direct acquisitions, direct nested edges, and call
-	// sites reached under a lock.
-	type callSite struct {
-		node *FuncNode
-		call *ast.CallExpr
-		held []lockAcq
+// checkLockedCall reports a call made under a lock that blocks, or whose
+// callee may block, and records a call to a repo function for lock order.
+func checkLockedCall(pass *Pass, info *types.Info, call *ast.CallExpr, held lockState, calls *[]lockCall) {
+	fn := calleeFunc(info, call)
+	if fn == nil {
+		return
 	}
-	direct := map[*FuncNode][]lockAcq{}
-	var calls []callSite
-	var edges []lockEdgeSite
-	for _, node := range g.Nodes {
-		if node.Body == nil {
-			continue
-		}
-		node := node
-		sc := &lockScanner{
-			info:       node.Pkg.TypesInfo,
-			canon:      func(recv ast.Expr) string { return lockCanon(node, recv) },
-			onBlocking: func(token.Pos, string, lockState) {},
-			onCall: func(call *ast.CallExpr, held lockState) {
-				calls = append(calls, callSite{node: node, call: call, held: heldAcqs(held)})
-			},
-			onAcquire: func(recv ast.Expr, op string, acq lockAcq, held lockState) {
-				direct[node] = append(direct[node], acq)
-				for _, h := range heldAcqs(held) {
-					edges = append(edges, lockEdgeSite{from: h.canon, to: acq.canon, pos: acq.pos})
-				}
-			},
-		}
-		sc.scan(node.Body.List, lockState{})
+	target := pass.Graph.NodeOf(fn)
+	if acqs := heldAcqs(held); target != nil && len(acqs) > 0 {
+		*calls = append(*calls, lockCall{target: target, pos: call.Pos(), held: acqs})
 	}
+	if desc, _ := directBlockingDesc(info, call); desc != "" {
+		pass.Reportf(call.Pos(), "%s while holding %s", desc, heldNames(held))
+		return
+	}
+	if target == nil {
+		return
+	}
+	if blocks, trace := pass.Graph.MayBlock(target); blocks {
+		pass.Reportf(call.Pos(),
+			"call to %s while holding %s may block: %s",
+			target.Name(), heldNames(held), strings.Join(trace, " -> "))
+	}
+}
 
-	// Pass B: fixpoint acquires summaries over static and closure edges (an
-	// RPC edge runs on the remote component's own goroutine, not under the
-	// caller's locks).
+// calledLockEdges computes, by fixpoint over static and closure edges, the
+// locks each function acquires (an RPC edge runs on the remote component's
+// own goroutine, not under the caller's locks), and turns each call made
+// under a lock into an edge to every lock its callee acquires, with the
+// call chain to the acquisition.
+func calledLockEdges(g *CallGraph, direct map[*FuncNode][]lockAcq, calls []lockCall) []lockEdgeSite {
 	acquires := map[*FuncNode]map[string]lockWitness{}
 	for _, node := range g.Nodes {
 		for _, a := range direct[node] {
@@ -133,7 +177,7 @@ func observeLockEdges(pass *RepoPass) []lockEdgeSite {
 				if e.Kind == EdgeRPC {
 					continue
 				}
-				for _, lock := range sortedLockNames(acquires[e.To]) {
+				for _, lock := range slices.Sorted(maps.Keys(acquires[e.To])) {
 					if _, ok := acquires[n][lock]; ok {
 						continue
 					}
@@ -147,25 +191,17 @@ func observeLockEdges(pass *RepoPass) []lockEdgeSite {
 		}
 	}
 
-	// Pass C: resolve the recorded call sites against the summaries.
-	for _, cs := range calls {
-		fn := calleeFunc(cs.node.Pkg.TypesInfo, cs.call)
-		if fn == nil {
-			continue
-		}
-		target := g.NodeOf(fn)
-		if target == nil {
-			continue
-		}
-		for _, lock := range sortedLockNames(acquires[target]) {
-			chain := acqChain(acquires, target, lock)
-			for _, h := range cs.held {
-				edges = append(edges, lockEdgeSite{
-					from:  h.canon,
-					to:    lock,
-					pos:   cs.call.Pos(),
-					chain: chain,
-				})
+	var edges []lockEdgeSite
+	for _, c := range calls {
+		for _, lock := range slices.Sorted(maps.Keys(acquires[c.target])) {
+			// Witness links always point at an entry established earlier,
+			// so the walk terminates.
+			var chain []string
+			for cur := c.target; cur != nil; cur = acquires[cur][lock].via {
+				chain = append(chain, cur.Name())
+			}
+			for _, h := range c.held {
+				edges = append(edges, lockEdgeSite{from: h.canon, to: lock, pos: c.pos, chain: chain})
 			}
 		}
 	}
@@ -182,27 +218,6 @@ func heldAcqs(held lockState) []lockAcq {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].canon < out[j].canon })
 	return out
-}
-
-func sortedLockNames(m map[string]lockWitness) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// acqChain renders the call chain from start to where lock is acquired, by
-// following the fixpoint witnesses. Witness links always point at an entry
-// established earlier, so the walk terminates.
-func acqChain(acquires map[*FuncNode]map[string]lockWitness, start *FuncNode, lock string) []string {
-	var chain []string
-	for cur := start; cur != nil; {
-		chain = append(chain, cur.Name())
-		cur = acquires[cur][lock].via
-	}
-	return chain
 }
 
 // lockCanon names a mutex receiver expression repo-widely: a struct field
@@ -248,7 +263,7 @@ type lockDecl struct {
 // set. The payload is a chain LockA<LockB[<LockC...]; whitespace around '<'
 // is allowed, and a chain declares its consecutive pairs. Malformed
 // directives are reported.
-func collectLockDecls(pass *RepoPass) []lockDecl {
+func collectLockDecls(pass *Pass) []lockDecl {
 	var decls []lockDecl
 	for _, pkg := range pass.Pkgs {
 		for _, f := range pkg.Syntax {
@@ -260,13 +275,7 @@ func collectLockDecls(pass *RepoPass) []lockDecl {
 					}
 					payload := strings.Join(strings.Fields(strings.TrimPrefix(text, "lint:lockorder")), "")
 					parts := strings.Split(payload, "<")
-					ok := len(parts) >= 2
-					for _, p := range parts {
-						if p == "" {
-							ok = false
-						}
-					}
-					if !ok {
+					if len(parts) < 2 || slices.Contains(parts, "") {
 						pass.Reportf(c.Pos(),
 							"malformed //lint:lockorder declaration %q; expected LockA<LockB[<LockC...]", payload)
 						continue
@@ -296,11 +305,7 @@ func transitiveClosure(decls []lockDecl) map[string]map[string]bool {
 	for _, d := range decls {
 		add(d.before, d.after)
 	}
-	keys := make([]string, 0, len(nodes))
-	for k := range nodes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := slices.Sorted(maps.Keys(nodes))
 	for _, k := range keys {
 		for _, i := range keys {
 			if !reach[i][k] {
@@ -317,7 +322,7 @@ func transitiveClosure(decls []lockDecl) map[string]map[string]bool {
 // reportDeclCycles flags contradictory declarations: the declared relation
 // must be a partial order, so any cycle among the declared pairs is an
 // authoring error.
-func reportDeclCycles(pass *RepoPass, decls []lockDecl) {
+func reportDeclCycles(pass *Pass, decls []lockDecl) {
 	reach := transitiveClosure(decls)
 	seen := map[string]bool{}
 	for _, d := range decls {
@@ -334,9 +339,11 @@ func reportDeclCycles(pass *RepoPass, decls []lockDecl) {
 // acquisition-order graph (self-edges are reported individually above) and
 // reports each once, at the earliest contributing site, with a
 // representative cycle path.
-func reportObservedCycles(pass *RepoPass, edges []lockEdgeSite) {
+func reportObservedCycles(pass *Pass, edges []lockEdgeSite) {
 	adj := map[string]map[string]bool{}
+	seen := map[string]bool{}
 	for _, e := range edges {
+		seen[e.from], seen[e.to] = true, true
 		if e.from == e.to {
 			continue
 		}
@@ -345,65 +352,12 @@ func reportObservedCycles(pass *RepoPass, edges []lockEdgeSite) {
 		}
 		adj[e.from][e.to] = true
 	}
-	var nodes []string
-	seen := map[string]bool{}
-	for _, e := range edges {
-		for _, n := range []string{e.from, e.to} {
-			if !seen[n] {
-				seen[n] = true
-				nodes = append(nodes, n)
-			}
-		}
-	}
-	sort.Strings(nodes)
+	successors := func(n string) []string { return slices.Sorted(maps.Keys(adj[n])) }
 
-	// Tarjan over the string graph.
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	next := 0
-	var comps [][]string
-	var strongconnect func(n string)
-	strongconnect = func(n string) {
-		index[n] = next
-		low[n] = next
-		next++
-		stack = append(stack, n)
-		onStack[n] = true
-		for _, m := range sortedKeys(adj[n]) {
-			if _, ok := index[m]; !ok {
-				strongconnect(m)
-				if low[m] < low[n] {
-					low[n] = low[m]
-				}
-			} else if onStack[m] && index[m] < low[n] {
-				low[n] = index[m]
-			}
+	for _, comp := range sccs(slices.Sorted(maps.Keys(seen)), successors) {
+		if len(comp) < 2 {
+			continue
 		}
-		if low[n] == index[n] {
-			var comp []string
-			for {
-				m := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[m] = false
-				comp = append(comp, m)
-				if m == n {
-					break
-				}
-			}
-			if len(comp) > 1 {
-				comps = append(comps, comp)
-			}
-		}
-	}
-	for _, n := range nodes {
-		if _, ok := index[n]; !ok {
-			strongconnect(n)
-		}
-	}
-
-	for _, comp := range comps {
 		sort.Strings(comp)
 		inComp := map[string]bool{}
 		for _, n := range comp {
@@ -416,7 +370,7 @@ func reportObservedCycles(pass *RepoPass, edges []lockEdgeSite) {
 		cur := comp[0]
 		for {
 			nextHop := ""
-			for _, m := range sortedKeys(adj[cur]) {
+			for _, m := range successors(cur) {
 				if inComp[m] {
 					nextHop = m
 					break
@@ -446,13 +400,4 @@ func reportObservedCycles(pass *RepoPass, edges []lockEdgeSite) {
 		}
 		pass.Reportf(pos, "lock-order cycle (potential deadlock): %s", strings.Join(path, " -> "))
 	}
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

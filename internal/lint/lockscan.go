@@ -4,83 +4,47 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 )
 
-// LockHeld forbids blocking operations while a mutex is held.
-var LockHeld = &Analyzer{
-	Name: "lockheld",
-	Doc: "No ORB invocation (Invoke, protocol client stubs), channel send or " +
-		"receive, blocking select, WaitGroup.Wait or Sleep may execute while " +
-		"a sync.Mutex or sync.RWMutex is held. Such calls can block " +
-		"indefinitely on remote peers or scheduling, turning one slow node " +
-		"into a cluster-wide stall; GRM/LRM code must drop its lock before " +
-		"any negotiation round. The check is a per-function linear scan: " +
-		"lock state is tracked through Lock/Unlock pairs and defer Unlock, " +
-		"and nested blocks are scanned with a copy of the state. " +
-		"sync.Cond.Wait is exempt (it is specified to hold the lock). " +
-		"Blocking reached through helper calls is the job of the " +
-		"lockheld-transitive analyzer.",
-	Run: runLockHeld,
-}
-
-func runLockHeld(pass *Pass) error {
-	sc := &lockScanner{
-		info: pass.TypesInfo,
-		onBlocking: func(pos token.Pos, desc string, held lockState) {
-			pass.Reportf(pos, "%s while holding %s", desc, heldNames(held))
-		},
-		onCall: func(call *ast.CallExpr, held lockState) {
-			if desc, _ := directBlockingDesc(pass.TypesInfo, call); desc != "" {
-				pass.Reportf(call.Pos(), "%s while holding %s", desc, heldNames(held))
-			}
-		},
-	}
-	scanPackageLocks(pass.Files, sc)
-	return nil
-}
-
-// scanPackageLocks applies the scanner to every function body in files.
-func scanPackageLocks(files []*ast.File, sc *lockScanner) {
+// forEachFuncBody hands every function body in files to fn: declared
+// functions, and every function literal, including those in package-level
+// initializers, which the call graph has no node for.
+func forEachFuncBody(files []*ast.File, fn func(*ast.BlockStmt)) {
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
+			switch d := n.(type) {
 			case *ast.FuncDecl:
-				if fn.Body != nil {
-					sc.scan(fn.Body.List, lockState{})
+				if d.Body != nil {
+					fn(d.Body)
 				}
 			case *ast.FuncLit:
-				sc.scan(fn.Body.List, lockState{})
+				fn(d.Body)
 			}
 			return true
 		})
 	}
 }
 
-// lockScanner is the shared lock-state walk used by lockheld (direct
-// blocking operations) and lockheld-transitive (summary-based blocking
-// through helper calls). It tracks which mutexes are held through a linear
-// scan and hands every blocking construct / call expression reached under a
-// lock to its callbacks.
+// lockScanner is the lock-state walk shared by locks and cowstore. It
+// tracks which mutexes are held through a linear scan and hands blocking
+// constructs, calls and acquisitions to its callbacks, any of which may be
+// nil. Callbacks must not retain held: the scanner mutates it.
 type lockScanner struct {
 	info *types.Info
 	// onBlocking receives syntactic blocking constructs (channel send and
 	// receive, blocking select) reached while held is non-empty.
 	onBlocking func(pos token.Pos, desc string, held lockState)
-	// onCall receives every call expression reached while held is
-	// non-empty.
+	// onCall receives every call expression, with what is held at it.
 	onCall func(call *ast.CallExpr, held lockState)
-	// onEveryCall, when set, receives every call expression regardless of
-	// lock state (cowstore uses it to know what is held at an atomic
-	// Store). Callbacks must not retain held: the scanner mutates it.
-	onEveryCall func(call *ast.CallExpr, held lockState)
-	// canon, when set, maps a mutex receiver expression to its canonical
-	// repo-wide name (e.g. "grm.GRM.mu"); recorded on each acquisition for
-	// the lockorder analyzer.
+	// canon maps a mutex receiver expression to its canonical repo-wide
+	// name (e.g. "grm.GRM.mu"), recorded on each acquisition.
 	canon func(recv ast.Expr) string
-	// onAcquire, when set, receives every Lock/RLock, with the state held at
-	// that moment (not yet including the new lock).
-	onAcquire func(recv ast.Expr, op string, acq lockAcq, held lockState)
+	// onAcquire receives every Lock/RLock, with the state held at that
+	// moment (not yet including the new lock).
+	onAcquire func(acq lockAcq, held lockState)
 }
 
 // lockAcq is one recorded mutex acquisition.
@@ -94,13 +58,7 @@ type lockAcq struct {
 // "c.mu") to its acquisition record.
 type lockState map[string]lockAcq
 
-func (s lockState) clone() lockState {
-	c := make(lockState, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
+func (s lockState) clone() lockState { return maps.Clone(s) }
 
 // scan linearly scans a statement list, updating held across Lock/Unlock
 // calls and reporting blocking operations while held is non-empty. Nested
@@ -118,7 +76,7 @@ func (sc *lockScanner) scan(stmts []ast.Stmt, held lockState) {
 						acq.canon = sc.canon(recvExpr)
 					}
 					if sc.onAcquire != nil {
-						sc.onAcquire(recvExpr, op, acq, held)
+						sc.onAcquire(acq, held)
 					}
 					held[recv] = acq
 				case "Unlock", "RUnlock":
@@ -136,9 +94,7 @@ func (sc *lockScanner) scan(stmts []ast.Stmt, held lockState) {
 			// The spawned goroutine does not run under the caller's lock.
 			continue
 		case *ast.SendStmt:
-			if len(held) > 0 {
-				sc.onBlocking(s.Pos(), "channel send", held)
-			}
+			sc.blocking(s.Pos(), "channel send", held)
 			sc.checkExpr(s.Value, held)
 		case *ast.IfStmt:
 			sc.checkStmt(s.Init, held)
@@ -174,8 +130,8 @@ func (sc *lockScanner) scan(stmts []ast.Stmt, held lockState) {
 				}
 			}
 		case *ast.SelectStmt:
-			if len(held) > 0 && !selectHasDefault(s) {
-				sc.onBlocking(s.Pos(), "blocking select", held)
+			if !selectHasDefault(s) {
+				sc.blocking(s.Pos(), "blocking select", held)
 			}
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CommClause); ok {
@@ -189,6 +145,13 @@ func (sc *lockScanner) scan(stmts []ast.Stmt, held lockState) {
 		default:
 			sc.checkStmt(stmt, held)
 		}
+	}
+}
+
+// blocking hands a blocking construct reached under a lock to onBlocking.
+func (sc *lockScanner) blocking(pos token.Pos, desc string, held lockState) {
+	if len(held) > 0 && sc.onBlocking != nil {
+		sc.onBlocking(pos, desc, held)
 	}
 }
 
@@ -222,11 +185,11 @@ func (sc *lockScanner) checkStmt(stmt ast.Stmt, held lockState) {
 	}
 }
 
-// checkExpr reports blocking operations inside expr. It does not descend
-// into function literals: a closure defined under the lock does not run
-// under it.
+// checkExpr reports blocking operations and calls inside expr. It does not
+// descend into function literals: a closure defined under the lock does not
+// run under it.
 func (sc *lockScanner) checkExpr(expr ast.Expr, held lockState) {
-	if expr == nil || (len(held) == 0 && sc.onEveryCall == nil) {
+	if expr == nil {
 		return
 	}
 	ast.Inspect(expr, func(n ast.Node) bool {
@@ -234,15 +197,12 @@ func (sc *lockScanner) checkExpr(expr ast.Expr, held lockState) {
 		case *ast.FuncLit:
 			return false
 		case *ast.UnaryExpr:
-			if e.Op == token.ARROW && len(held) > 0 {
-				sc.onBlocking(e.Pos(), "channel receive", held)
+			if e.Op == token.ARROW {
+				sc.blocking(e.Pos(), "channel receive", held)
 			}
 		case *ast.CallExpr:
-			if len(held) > 0 {
+			if sc.onCall != nil {
 				sc.onCall(e, held)
-			}
-			if sc.onEveryCall != nil {
-				sc.onEveryCall(e, held)
 			}
 		}
 		return true
@@ -284,14 +244,5 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 
 // heldNames renders the currently held mutexes for diagnostics.
 func heldNames(held lockState) string {
-	names := make([]string, 0, len(held))
-	for k := range held {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	out := names[0]
-	for _, n := range names[1:] {
-		out += ", " + n
-	}
-	return out
+	return strings.Join(slices.Sorted(maps.Keys(held)), ", ")
 }

@@ -21,10 +21,10 @@ var MapOrder = &Analyzer{
 		"issues an Invoke counts as an RPC sink). Iterate `sortedKeys(m)` " +
 		"instead, sort the accumulated slice before use, or annotate a " +
 		"deliberately order-insensitive loop with //lint:ordered <reason>.",
-	RunRepo: runMapOrder,
+	Run: runMapOrder,
 }
 
-func runMapOrder(pass *RepoPass) error {
+func runMapOrder(pass *Pass) {
 	for _, node := range pass.Graph.Nodes {
 		if node.Body == nil || node.Pkg.Types.Name() == "main" {
 			continue
@@ -38,7 +38,6 @@ func runMapOrder(pass *RepoPass) error {
 			}
 		})
 	}
-	return nil
 }
 
 // inspectOwn walks body without descending into nested function literals:
@@ -57,7 +56,7 @@ func inspectOwn(body *ast.BlockStmt, visit func(ast.Node)) {
 
 // checkMapRange reports rng when it iterates a map and its body reaches an
 // ordering-sensitive sink.
-func checkMapRange(pass *RepoPass, node *FuncNode, rng *ast.RangeStmt) {
+func checkMapRange(pass *Pass, node *FuncNode, rng *ast.RangeStmt) {
 	info := node.Pkg.TypesInfo
 	t := info.TypeOf(rng.X)
 	if t == nil {
@@ -75,7 +74,7 @@ func checkMapRange(pass *RepoPass, node *FuncNode, rng *ast.RangeStmt) {
 
 // orderSink classifies the first ordering-sensitive sink in the loop body,
 // returning a description or "".
-func orderSink(pass *RepoPass, node *FuncNode, rng *ast.RangeStmt) string {
+func orderSink(pass *Pass, node *FuncNode, rng *ast.RangeStmt) string {
 	sink := ""
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		if sink != "" {
@@ -102,7 +101,7 @@ func orderSink(pass *RepoPass, node *FuncNode, rng *ast.RangeStmt) string {
 }
 
 // callSink classifies one call inside a map-range body.
-func callSink(pass *RepoPass, node *FuncNode, call *ast.CallExpr) string {
+func callSink(pass *Pass, node *FuncNode, call *ast.CallExpr) string {
 	info := node.Pkg.TypesInfo
 	fn := calleeFunc(info, call)
 	if fn == nil {
@@ -234,7 +233,7 @@ func sortedLater(node *FuncNode, pos token.Pos, name string) bool {
 
 // checkReflectIteration flags reflect-based map iteration, which is just as
 // unordered as a range and invisible to the range check.
-func checkReflectIteration(pass *RepoPass, node *FuncNode, call *ast.CallExpr) {
+func checkReflectIteration(pass *Pass, node *FuncNode, call *ast.CallExpr) {
 	fn := calleeFunc(node.Pkg.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "reflect" {
 		return

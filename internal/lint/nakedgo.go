@@ -17,41 +17,41 @@ var NakedGo = &Analyzer{
 	Run: runNakedGo,
 }
 
-func runNakedGo(pass *Pass) error {
-	decls := funcDecls(pass)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var list []ast.Stmt
-			switch b := n.(type) {
-			case *ast.BlockStmt:
-				list = b.List
-			case *ast.CaseClause:
-				list = b.Body
-			case *ast.CommClause:
-				list = b.Body
-			default:
+func runNakedGo(pass *Pass) {
+	for _, pkg := range pass.Pkgs {
+		for _, f := range pkg.Syntax {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var list []ast.Stmt
+				switch b := n.(type) {
+				case *ast.BlockStmt:
+					list = b.List
+				case *ast.CaseClause:
+					list = b.Body
+				case *ast.CommClause:
+					list = b.Body
+				default:
+					return true
+				}
+				for i, stmt := range list {
+					g, ok := stmt.(*ast.GoStmt)
+					if !ok {
+						continue
+					}
+					if goTracked(pass.Graph, pkg.TypesInfo, g, list[:i]) {
+						continue
+					}
+					pass.Reportf(g.Pos(), "untracked goroutine: spawn is not preceded by a "+
+						"WaitGroup.Add and the spawned function has no completion lifecycle "+
+						"(defer wg.Done() / defer close(ch))")
+				}
 				return true
-			}
-			for i, stmt := range list {
-				g, ok := stmt.(*ast.GoStmt)
-				if !ok {
-					continue
-				}
-				if goTracked(pass, decls, g, list[:i]) {
-					continue
-				}
-				pass.Reportf(g.Pos(), "untracked goroutine: spawn is not preceded by a "+
-					"WaitGroup.Add and the spawned function has no completion lifecycle "+
-					"(defer wg.Done() / defer close(ch))")
-			}
-			return true
-		})
+			})
+		}
 	}
-	return nil
 }
 
 // goTracked reports whether the goroutine spawned by g is accounted for.
-func goTracked(pass *Pass, decls map[*types.Func]*ast.FuncDecl, g *ast.GoStmt, preceding []ast.Stmt) bool {
+func goTracked(graph *CallGraph, info *types.Info, g *ast.GoStmt, preceding []ast.Stmt) bool {
 	// A WaitGroup.Add in any preceding sibling statement covers the spawn.
 	for _, stmt := range preceding {
 		found := false
@@ -60,7 +60,7 @@ func goTracked(pass *Pass, decls map[*types.Func]*ast.FuncDecl, g *ast.GoStmt, p
 			if !ok {
 				return true
 			}
-			if fn := calleeFunc(pass.TypesInfo, call); fn != nil && fn.Name() == "Add" && waitGroupMethod(fn) {
+			if fn := calleeFunc(info, call); fn != nil && fn.Name() == "Add" && waitGroupMethod(fn) {
 				found = true
 				return false
 			}
@@ -73,34 +73,35 @@ func goTracked(pass *Pass, decls map[*types.Func]*ast.FuncDecl, g *ast.GoStmt, p
 	// Otherwise the spawned function itself must signal completion.
 	switch fun := ast.Unparen(g.Call.Fun).(type) {
 	case *ast.FuncLit:
-		return bodySignalsCompletion(pass, fun.Body)
+		return bodySignalsCompletion(info, fun.Body)
 	default:
-		fn := calleeFunc(pass.TypesInfo, g.Call)
+		// Look through a `go s.loop()` spawn into loop's body.
+		fn := calleeFunc(info, g.Call)
 		if fn == nil {
 			return false
 		}
-		decl, ok := decls[fn]
-		if !ok || decl.Body == nil {
+		node := graph.NodeOf(fn)
+		if node == nil || node.Body == nil {
 			return false
 		}
-		return bodySignalsCompletion(pass, decl.Body)
+		return bodySignalsCompletion(node.Pkg.TypesInfo, node.Body)
 	}
 }
 
 // bodySignalsCompletion reports whether body contains a top-level
 // `defer wg.Done()` or `defer close(ch)`.
-func bodySignalsCompletion(pass *Pass, body *ast.BlockStmt) bool {
+func bodySignalsCompletion(info *types.Info, body *ast.BlockStmt) bool {
 	for _, stmt := range body.List {
 		d, ok := stmt.(*ast.DeferStmt)
 		if !ok {
 			continue
 		}
 		if id, ok := ast.Unparen(d.Call.Fun).(*ast.Ident); ok && id.Name == "close" {
-			if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
+			if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
 				return true
 			}
 		}
-		if fn := calleeFunc(pass.TypesInfo, d.Call); fn != nil && fn.Name() == "Done" && waitGroupMethod(fn) {
+		if fn := calleeFunc(info, d.Call); fn != nil && fn.Name() == "Done" && waitGroupMethod(fn) {
 			return true
 		}
 	}
@@ -114,23 +115,4 @@ func waitGroupMethod(fn *types.Func) bool {
 		return false
 	}
 	return isSyncType(sig.Recv().Type(), "WaitGroup")
-}
-
-// funcDecls indexes this package's function and method declarations by
-// their type-checker object, so the analyzer can look through a
-// `go s.loop()` spawn into loop's body.
-func funcDecls(pass *Pass) map[*types.Func]*ast.FuncDecl {
-	decls := map[*types.Func]*ast.FuncDecl{}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				decls[fn] = fd
-			}
-		}
-	}
-	return decls
 }

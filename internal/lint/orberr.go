@@ -25,35 +25,36 @@ var OrbErr = &Analyzer{
 	Run: runOrbErr,
 }
 
-func runOrbErr(pass *Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			stmt, ok := n.(*ast.ExprStmt)
-			if !ok {
+func runOrbErr(pass *Pass) {
+	for _, pkg := range pass.Pkgs {
+		for _, f := range pkg.Syntax {
+			ast.Inspect(f, func(n ast.Node) bool {
+				stmt, ok := n.(*ast.ExprStmt)
+				if !ok {
+					return true
+				}
+				call, ok := ast.Unparen(stmt.X).(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn := calleeFunc(pkg.TypesInfo, call)
+				if fn == nil || !returnsError(fn) {
+					return true
+				}
+				pkgPath := ""
+				if fn.Pkg() != nil {
+					pkgPath = fn.Pkg().Path()
+				}
+				switch {
+				case fn.Name() == "Invoke":
+					pass.Reportf(call.Pos(), "result of ORB invocation %s is discarded", fn.Name())
+				case orbErrPkgs[pkgPath]:
+					pass.Reportf(call.Pos(), "error result of %s.%s is discarded", pkgPath, fn.Name())
+				}
 				return true
-			}
-			call, ok := ast.Unparen(stmt.X).(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := calleeFunc(pass.TypesInfo, call)
-			if fn == nil || !returnsError(fn) {
-				return true
-			}
-			pkgPath := ""
-			if fn.Pkg() != nil {
-				pkgPath = fn.Pkg().Path()
-			}
-			switch {
-			case fn.Name() == "Invoke":
-				pass.Reportf(call.Pos(), "result of ORB invocation %s is discarded", fn.Name())
-			case orbErrPkgs[pkgPath]:
-				pass.Reportf(call.Pos(), "error result of %s.%s is discarded", pkgPath, fn.Name())
-			}
-			return true
-		})
+			})
+		}
 	}
-	return nil
 }
 
 // returnsError reports whether fn's last result is of type error.

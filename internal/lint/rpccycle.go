@@ -19,24 +19,28 @@ var RPCCycle = &Analyzer{
 		"Deliberately bounded recursion (TTL-guarded routing over an " +
 		"acyclic deployment tree) must carry a justifying //lint:allow " +
 		"rpccycle comment.",
-	RunRepo: runRPCCycle,
+	Run: runRPCCycle,
 }
 
-func runRPCCycle(pass *RepoPass) error {
+func runRPCCycle(pass *Pass) {
 	g := pass.Graph
-	for _, comp := range g.SCCs() {
+	comps := sccs(g.Nodes, func(n *FuncNode) []*FuncNode {
+		to := make([]*FuncNode, len(n.Edges))
+		for i, e := range n.Edges {
+			to[i] = e.To
+		}
+		return to
+	})
+	for _, members := range comps {
 		// A single node with no self edge is trivially acyclic.
-		if len(comp) == 1 {
-			single := singleMember(comp)
-			if !hasSelfEdge(single) {
-				continue
-			}
+		if len(members) == 1 && !hasSelfEdge(members[0]) {
+			continue
 		}
 		// Report every RPC edge that stays inside the component: each one
 		// is a remote invocation that can re-enter its own caller.
-		var members []*FuncNode
-		for n := range comp {
-			members = append(members, n)
+		comp := map[*FuncNode]bool{}
+		for _, n := range members {
+			comp[n] = true
 		}
 		g.sortNodes(members)
 		for _, n := range members {
@@ -51,14 +55,6 @@ func runRPCCycle(pass *RepoPass) error {
 			}
 		}
 	}
-	return nil
-}
-
-func singleMember(comp map[*FuncNode]bool) *FuncNode {
-	for n := range comp {
-		return n
-	}
-	return nil
 }
 
 func hasSelfEdge(n *FuncNode) bool {

@@ -37,27 +37,36 @@ var SimClock = &Analyzer{
 	Run: runSimClock,
 }
 
-func runSimClock(pass *Pass) error {
-	if pass.Pkg.Name() == "main" || pass.Pkg.Path() == simPkgPath {
-		return nil
-	}
-	simDriven := false
-	for _, imp := range pass.Pkg.Imports() {
-		if imp.Path() == simPkgPath {
-			simDriven = true
-			break
+func runSimClock(pass *Pass) {
+	for _, pkg := range pass.Pkgs {
+		if simDriven(pkg.Types) {
+			checkSimClock(pass, pkg)
 		}
 	}
-	if !simDriven {
-		return nil
+}
+
+// simDriven reports whether a library package imports sim, which makes it
+// subject to the check.
+func simDriven(pkg *types.Package) bool {
+	if pkg.Name() == "main" || pkg.Path() == simPkgPath {
+		return false
 	}
-	for _, f := range pass.Files {
+	for _, imp := range pkg.Imports() {
+		if imp.Path() == simPkgPath {
+			return true
+		}
+	}
+	return false
+}
+
+func checkSimClock(pass *Pass, pkg *Package) {
+	for _, f := range pkg.Syntax {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+			fn, ok := pkg.TypesInfo.Uses[sel.Sel].(*types.Func)
 			if !ok || fn.Pkg() == nil {
 				return true
 			}
@@ -69,5 +78,4 @@ func runSimClock(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }

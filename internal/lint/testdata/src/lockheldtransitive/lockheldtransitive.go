@@ -1,8 +1,8 @@
-// Fixture for the lockheld-transitive analyzer: helpers that block one or
-// more calls away from a held mutex, including through a closure, plus the
-// shapes that must stay silent — helpers called after unlock, pure
-// computation, direct blocking (lockheld's finding, not re-reported),
-// goroutine hand-offs and non-blocking polls.
+// Fixture for the locks analyzer's may-block findings: helpers that block
+// one or more calls away from a held mutex, including through a closure,
+// plus the shapes that must stay silent — helpers called after unlock, pure
+// computation, goroutine hand-offs and non-blocking polls — and direct
+// blocking, reported once as itself.
 package lockheldtransitive
 
 import (
@@ -86,11 +86,11 @@ func (s *server) Pure() int {
 
 func (s *server) compute() int { return s.state * 2 }
 
-// Direct blocks immediately under the lock: that is the intraprocedural
-// lockheld finding, and the transitive analyzer must not duplicate it.
+// Direct blocks immediately under the lock: that is a direct finding, and
+// must not be reported again as a call that may block.
 func (s *server) Direct() {
 	s.mu.Lock()
-	time.Sleep(time.Millisecond)
+	time.Sleep(time.Millisecond) // want `^Sleep while holding s\.mu$`
 	s.mu.Unlock()
 }
 
@@ -123,6 +123,6 @@ func (s *server) tryRecv() int {
 func (s *server) Allowed() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	//lint:allow lockheld-transitive startup path, no concurrent callers yet
+	//lint:allow locks startup path, no concurrent callers yet
 	s.pause()
 }

@@ -1,8 +1,8 @@
-// Fixture for the lockorder analyzer: a declared hierarchy with compliant
-// nestings (direct, transitive over a chain declaration, and through a
-// helper call) that must stay silent, a declared-order inversion, direct
-// and helper-mediated undocumented edges, an observed two-lock cycle, a
-// self-deadlock through a helper, and a suppressed re-entry carrying the
+// Fixture for the locks analyzer's lock-order facts: a declared hierarchy
+// with compliant nestings (direct, transitive over a chain declaration, and
+// through a helper call) that must stay silent, a declared-order inversion,
+// direct and helper-mediated undocumented edges, an observed two-lock cycle,
+// a self-deadlock through a helper, and a suppressed re-entry carrying the
 // //lint:allow escape hatch.
 package lockorder
 
@@ -200,6 +200,6 @@ func (g *Gate) reopen() {
 func (g *Gate) Reset() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	//lint:allow lockorder stands in for a helper that drops the lock before re-taking it
+	//lint:allow locks stands in for a helper that drops the lock before re-taking it
 	g.reopen()
 }

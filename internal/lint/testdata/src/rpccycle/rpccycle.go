@@ -1,7 +1,7 @@
 // Fixture for the rpccycle analyzer: a two-component synchronous Invoke
-// cycle that no intraprocedural check (lockheld included) can see, plus a
-// plain request/reply pair that must stay silent and a TTL-bounded
-// recursion carrying the //lint:allow escape hatch.
+// cycle that no single-function check can see, plus a plain request/reply
+// pair that must stay silent and a TTL-bounded recursion carrying the
+// //lint:allow escape hatch.
 package rpccycle
 
 import "integrade/internal/orb"

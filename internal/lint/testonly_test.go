@@ -36,13 +36,7 @@ var wholePackageAllowed = map[string]bool{
 // Objects are keyed by package path, receiver type name and name, not by
 // identity: every importer sees its own copy of an imported object.
 func TestNoTestOnlyExports(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short mode")
-	}
-	pkgs, err := lint.Load("../..", "./...")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
+	pkgs := loadModule(t)
 	allow := readAllowList(t)
 	used := usedKeys(pkgs)
 	matched := map[string]bool{}
