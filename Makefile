@@ -66,9 +66,10 @@ fmt-check:
 # writers and readers, the GRM failure detector, and the end-to-end
 # crash/recovery paths in core. Then, ten times each under the race detector,
 # since one run may miss a schedule: the trader's tests that race lock-free
-# walks against in-place upserts, appends and writes to held offers, and the
+# walks against in-place upserts, appends and writes to held offers, the
 # GRM's failure sweep racing heartbeats that rewrite their node records'
-# window arrays in place while a replica-set leader flushes.
+# window arrays in place while a replica-set leader flushes, and replies
+# whose buffers Op.Invoke recycles while late deliveries read their own.
 chaos:
 	@for seed in $(CHAOS_SEEDS); do \
 		echo "== chaos suite, seed $$seed =="; \
@@ -81,6 +82,8 @@ chaos:
 		./internal/trading
 	@echo "== GRM window-record races, ten runs =="
 	$(GO) test -race -count=10 -run '^TestSweepRacingHeartbeats$$' ./internal/grm
+	@echo "== recycled replies under late delivery, ten runs =="
+	$(GO) test -race -count=10 -run '^TestRecycledRepliesUnderLateDelivery$$' ./internal/chaos
 
 # GRM failover suite under the race detector, swept over the same fixed
 # seeds: what a replica set's followers mirror from the log (the incumbent's
@@ -200,8 +203,10 @@ profile-update:
 # Where an Information Update spends its time end to end, sockets included:
 # BenchmarkTCPUpdateSweep — 32 LRMs taking turns to SendUpdate to a GRM on
 # 127.0.0.1 — under the CPU profiler (ROADMAP item 6). runtime.newstack and
-# copystack in this output are the ORB server's per-request stack growth.
-# Leaves tcp_update.prof and its test binary in the working directory.
+# copystack should be absent: the ORB server serves each request on its
+# connection's goroutine, whose stack is already grown (DESIGN.md §13,
+# "Stack"). Leaves tcp_update.prof and its test binary in the working
+# directory.
 profile-tcp-update:
 	$(GO) test -run '^$$' -bench BenchmarkTCPUpdateSweep -benchtime 200000x \
 		-cpuprofile tcp_update.prof -o tcp_update.test ./internal/grm

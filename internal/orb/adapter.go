@@ -15,7 +15,7 @@ import (
 //
 // Ownership contract (DESIGN.md §13): req and its buffer belong to the ORB —
 // a servant must treat them as read-only and must not retain them (or any
-// RawBytes/RawString slice) past the Dispatch call. The returned Encoder
+// RawString slice) past the Dispatch call. The returned Encoder
 // transfers to the ORB on return, which recycles it with PutEncoder: build it
 // per call (GetEncoder for a pooled one) and do not touch it afterwards.
 // These rules are what let the transports skip defensive copies and recycle
@@ -150,15 +150,17 @@ func (a *Adapter) sortedKeys() []string {
 }
 
 // dispatch routes one request to its servant and returns the reply bytes,
-// copied out of the servant's encoder, which goes back to the pool with its
-// buffer: the caller owns the copy, and the next reply is built without
-// growing a buffer.
+// copied out of the servant's encoder into a buffer from getBuf, as a TCP
+// reply is read into one. The encoder goes back to the pool with its buffer,
+// so the next reply is built without growing one; the copy is the caller's
+// (Invoker), and Op.Invoke returns it to the pool once decoded.
 func (a *Adapter) dispatch(key, op string, body []byte) ([]byte, error) {
 	enc, err := a.dispatchEnc(key, op, body)
 	if err != nil || enc == nil {
 		return nil, err
 	}
-	reply := append([]byte(nil), enc.Bytes()...) //lint:alloc the caller's copy of the reply
+	reply := getBuf(enc.Len())
+	copy(reply, enc.Bytes())
 	PutEncoder(enc)
 	return reply, nil
 }

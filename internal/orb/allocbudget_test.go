@@ -19,12 +19,13 @@ func (passThrough) Intercept(_ Endpoint, _, _ string, _ []byte, next func() ([]b
 
 // TestLoopbackInvokeAllocBudget is the CI allocation gate for the invoke
 // paths: testdata/alloc_budget.txt holds one checked-in budget row per
-// measured path (allocs per Invoke for a 256 B echo — the loopback fast
-// path's single allocation is the caller's copy of the reply, the intercepted
-// path adds its one copy of the request and the interceptor's closure, and the
-// TCP row counts both ends of the connection; see DESIGN.md §13). The -op rows
-// send the same echo through Op.Invoke to a servant registered with Serve, and
-// must cost what the raw rows do. Any hot-path
+// measured path (allocs per Invoke for a 256 B echo — a raw Invoke's single
+// allocation is the reply buffer its caller keeps, the intercepted path adds
+// its one copy of the request and the interceptor's closure, and the TCP rows
+// count both ends of the connection; see DESIGN.md §13). The -op rows send
+// the same echo through Op.Invoke, which returns the reply buffer to the
+// pool, to a servant registered with Serve: their one allocation is the
+// decoded copy of the reply. Any hot-path
 // regression that reintroduces a per-call allocation fails this test with a
 // full got-vs-budget row diff, and lowering a row is how a future optimization
 // ratchets the gate down.
@@ -37,15 +38,21 @@ func TestLoopbackInvokeAllocBudget(t *testing.T) {
 		e.PutBytes(b)
 	}
 	rawBytes := func(d *Decoder) ([]byte, error) {
-		b := d.RawBytes()
+		b := d.RawString()
 		return b, d.Err()
 	}
+	copyBytes := func(d *Decoder) ([]byte, error) {
+		b := d.Bytes()
+		return b, d.Err()
+	}
+	// The servant reads the request in place; the caller keeps the reply,
+	// whose buffer Op.Invoke recycles, so its decoder copies.
 	echoOp := &Op[[]byte, []byte]{Name: "echo-op",
-		EncodeReq: putBytes, DecodeReq: rawBytes, EncodeRep: putBytes, DecodeRep: rawBytes}
+		EncodeReq: putBytes, DecodeReq: rawBytes, EncodeRep: putBytes, DecodeRep: copyBytes}
 	newAdapter := func() *Adapter {
 		adapter := NewAdapter()
 		mux := NewOpMux().Handle("echo", func(_ string, req *Decoder) (*Encoder, error) {
-			data := req.RawBytes()
+			data := req.RawString()
 			if err := req.Err(); err != nil {
 				return nil, err
 			}

@@ -13,7 +13,7 @@ func benchEchoAdapter(b *testing.B) *Adapter {
 	// zero-copy (it is not retained past Dispatch), build the reply in a
 	// pooled encoder pre-sized to its final length.
 	mux := NewOpMux().Handle("echo", func(_ string, req *Decoder) (*Encoder, error) {
-		data := req.RawBytes()
+		data := req.RawString()
 		if err := req.Err(); err != nil {
 			return nil, err
 		}

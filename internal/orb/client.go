@@ -13,7 +13,10 @@ import (
 // facade, the Loopback, and test fakes all implement it. arg is the caller's
 // again once Invoke returns — a stub encodes into a pooled encoder and puts it
 // back — so an implementation must not read it afterwards, and the reply must
-// not alias it.
+// not alias it. The reply is the caller's: an implementation keeps no
+// reference to it. Both transports read it into a buffer of the wire pool;
+// Op.Invoke borrows it, returning it to the pool once DecodeRep has copied out
+// what it keeps, and a raw Invoke caller owns it.
 type Invoker interface {
 	Invoke(ref ObjectRef, op string, arg []byte) ([]byte, error)
 }
@@ -244,7 +247,7 @@ type clientConn struct {
 // failure or a frame that is not this call's reply it may not, since a late
 // reply could still arrive on it and be read by the next caller.
 //
-//lint:hotpath alloc=8 locks=0
+//lint:hotpath alloc=6 locks=0
 func (cc *clientConn) call(key, op string, arg []byte, budget time.Duration) (reply []byte, inStep bool, err error) {
 	cc.nextID++
 	id := cc.nextID
@@ -258,19 +261,20 @@ func (cc *clientConn) call(key, op string, arg []byte, budget time.Duration) (re
 		return nil, false, Errorf(CodeTransport, "send: %v", err)
 	}
 
-	f, err := readFrame(cc.reader)
-	if err != nil {
+	var f frame
+	if err := readFrame(cc.reader, &f, nil); err != nil {
 		if isDeadlineErr(err) {
 			return nil, false, Errorf(CodeTimeout, "%s.%s timed out after %v", key, op, budget)
 		}
 		return nil, false, Errorf(CodeTransport, "connection lost awaiting reply: %v", err)
 	}
-	defer putFrame(f)
 	switch {
 	case f.reqID != id || f.kind == msgRequest:
+		putBuf(f.body)
 		return nil, false, Errorf(CodeTransport, "out-of-step frame (kind %d, id %d) awaiting reply %d", f.kind, f.reqID, id)
 	case f.kind == msgError:
+		putBuf(f.body)
 		return nil, true, &RemoteError{Code: f.code, Msg: f.msg} //lint:alloc error reply
 	}
-	return f.detachBody(), true, nil
+	return f.body, true, nil
 }

@@ -242,13 +242,11 @@ func TestClientOutOfStepPeer(t *testing.T) {
 					// connection at a time is all there is to serve.
 					r := bufio.NewReader(conn)
 					for {
-						req, err := readFrame(r)
-						if err != nil {
+						var req frame
+						if err := readFrame(r, &req, nil); err != nil {
 							break
 						}
-						err = writeFrame(conn, tc.answer(req))
-						putFrame(req)
-						if err != nil {
+						if err := writeFrame(conn, tc.answer(&req)); err != nil {
 							break
 						}
 					}

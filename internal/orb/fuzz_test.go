@@ -31,8 +31,9 @@ func FuzzReadFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
-		parsed, err := readFrame(r)
-		if err != nil {
+		parsed := new(frame)
+		var ns names
+		if err := readFrame(r, parsed, &ns); err != nil {
 			return
 		}
 		// A successfully parsed frame must have a sane kind.
@@ -46,8 +47,8 @@ func FuzzReadFrame(f *testing.F) {
 		if err := writeFrame(&buf, parsed); err != nil {
 			t.Fatalf("re-encoding parsed frame: %v", err)
 		}
-		again, err := readFrame(bufio.NewReader(&buf))
-		if err != nil {
+		again := new(frame)
+		if err := readFrame(bufio.NewReader(&buf), again, nil); err != nil {
 			t.Fatalf("re-reading re-encoded frame: %v", err)
 		}
 		if again.kind != parsed.kind || again.reqID != parsed.reqID ||

@@ -11,8 +11,10 @@ package orb
 // once (normal delivery), or more than once / asynchronously (duplication,
 // delayed redelivery). arg is the transport's copy of the request, not the
 // caller's buffer, so it and every call of next stay valid after Invoke has
-// returned. Implementations must be safe for concurrent use and must not
-// hold locks across the next call.
+// returned. Each call of next returns a reply of its own, which becomes the
+// caller's if the interceptor returns it (Invoker): an interceptor returns at
+// most one of them and reads none after returning it. Implementations must be
+// safe for concurrent use and must not hold locks across the next call.
 type Interceptor interface {
 	Intercept(target Endpoint, key, op string, arg []byte, next func() ([]byte, error)) ([]byte, error)
 }

@@ -17,7 +17,9 @@ type Op[Req, Rep any] struct {
 // encoded into a pooled encoder, which goes back to the pool once inv.Invoke
 // returns: no transport reads the request after that (Invoker), so the next
 // call encodes into the same buffer. The reply is decoded through a pooled
-// decoder; a reply that does not decode is a CodeMarshal error
+// decoder and its buffer goes back to the pool once DecodeRep returns, so
+// DecodeRep must copy whatever it keeps (Decoder.String and Bytes copy,
+// RawString does not). A reply that does not decode is a CodeMarshal error
 // "<name> reply: …".
 func (o *Op[Req, Rep]) Invoke(inv Invoker, ref ObjectRef, req Req) (Rep, error) {
 	var (
@@ -33,11 +35,13 @@ func (o *Op[Req, Rep]) Invoke(inv Invoker, ref ObjectRef, req Req) (Rep, error) 
 	reply, err := inv.Invoke(ref, o.Name, arg)
 	PutEncoder(e)
 	if err != nil || o.DecodeRep == nil {
+		putBuf(reply)
 		return rep, err
 	}
 	d := getDecoder(reply)
 	rep, err = o.DecodeRep(d)
 	putDecoder(d)
+	putBuf(reply)
 	if err != nil {
 		var zero Rep
 		return zero, Errorf(CodeMarshal, "%s reply: %v", o.Name, err)

@@ -115,9 +115,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	reader := bufio.NewReader(conn)
+	var (
+		f  frame
+		ns names
+	)
 	for {
-		f, err := readFrame(reader)
-		if err != nil {
+		if err := readFrame(reader, &f, &ns); err != nil {
 			if !errors.Is(err, net.ErrClosed) && !s.isClosed() {
 				s.log.Debug("orb server connection ended", "err", err)
 			}
@@ -125,10 +128,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		if f.kind != msgRequest {
 			s.log.Warn("orb server received non-request frame", "kind", f.kind)
-			putFrame(f)
+			putBuf(f.body)
 			continue
 		}
-		if err := s.serve(conn, f); err != nil {
+		if err := s.serve(conn, &f); err != nil {
 			return // the peer is gone; its caller has already been failed
 		}
 	}
@@ -146,7 +149,7 @@ func (s *Server) serve(conn net.Conn, f *frame) error {
 	} else if enc != nil {
 		reply.body = enc.Bytes()
 	}
-	putFrame(f) // request body is dead once dispatch returned
+	putBuf(f.body) // the request body is dead once dispatch returned
 	err = writeFrame(conn, &reply)
 	PutEncoder(enc)
 	return err

@@ -2,7 +2,9 @@ package orb
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -217,5 +219,35 @@ func TestNestedCallbackDoesNotDeadlock(t *testing.T) {
 	}
 	if made := NewDecoder(reply).U8(); made != 3 {
 		t.Fatalf("chain made %d nested hops, want 3", made)
+	}
+}
+
+// TestNamesPastTheReadBuffer: a key, an op and an error message longer than
+// a connection's read buffer are read past it, not through it, and arrive
+// whole; the next request naming them does too.
+func TestNamesPastTheReadBuffer(t *testing.T) {
+	key := strings.Repeat("k", 5000)
+	op := strings.Repeat("o", 6000)
+	msg := strings.Repeat("m", 9000)
+	adapter := NewAdapter()
+	mux := NewOpMux().Handle(op, func(string, *Decoder) (*Encoder, error) {
+		return nil, Errorf(CodeApplication, "%s", msg)
+	})
+	if err := adapter.Register(key, mux); err != nil {
+		t.Fatal(err)
+	}
+	o := New()
+	defer o.Close()
+	srv, err := o.ListenTCP("127.0.0.1:0", adapter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for call := 1; call <= 2; call++ {
+		_, err := o.Invoke(srv.Ref(key), op, []byte("body"))
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Code != CodeApplication || re.Msg != msg {
+			t.Fatalf("call %d: err %.80v, want the servant's %d-byte error", call, err, len(msg))
+		}
 	}
 }

@@ -294,28 +294,13 @@ func (d *Decoder) Bytes() []byte {
 	return out
 }
 
-// RawBytes reads a length-prefixed byte slice without copying. The result
-// aliases the decoder's buffer: the caller must treat it as read-only and
-// must not retain it past the buffer's lifetime — for a servant, past the
-// Dispatch call (DESIGN.md §13). Use Bytes when the value is kept.
-//
-//lint:hotpath alloc=0 locks=0 block=0
-func (d *Decoder) RawBytes() []byte {
-	n := d.U32()
-	if d.err != nil {
-		return nil
-	}
-	if n > MaxStringLen {
-		d.err = fmt.Errorf("orb: bytes length %d exceeds limit", n) //lint:alloc error slow path
-		return nil
-	}
-	return d.take(int(n))
-}
-
-// RawString reads a length-prefixed string field as raw bytes, skipping the
-// string-conversion copy. Same aliasing rules as RawBytes; compare with
-// string(b) == "lit" (which the compiler keeps allocation-free) or
-// bytes.Equal. Use String when the value is kept.
+// RawString reads a length-prefixed string or byte-slice field as raw bytes,
+// without copying. The result aliases the decoder's buffer: the caller must
+// treat it as read-only and must not retain it past the buffer's lifetime —
+// for a servant, past the Dispatch call; for a reply decoder, past DecodeRep
+// (DESIGN.md §13). Compare with string(b) == "lit" (which the compiler keeps
+// allocation-free) or bytes.Equal; use String or Bytes when the value is
+// kept.
 //
 //lint:hotpath alloc=0 locks=0 block=0
 func (d *Decoder) RawString() []byte {
