@@ -3,10 +3,7 @@ GO ?= go
 # Seconds each fuzzer runs in the smoke target; CI uses the same knob.
 FUZZ_SMOKE_TIME ?= 30s
 
-# Seeds the chaos target sweeps; each runs the fault-injection suite once.
-CHAOS_SEEDS ?= 1 7 42
-
-.PHONY: all build test race vet lint fuzz-smoke fmt-check chaos failover election windows benchmark-check examples profile-miss profile-batch profile-update profile-tcp-update ci
+.PHONY: all build test race vet lint fuzz-smoke fmt-check benchmark-check examples profile-miss profile-batch profile-update profile-tcp-update ci
 
 all: build
 
@@ -16,8 +13,18 @@ build:
 test:
 	$(GO) test ./...
 
+# Every test under the race detector; a seeded test runs each of its seeds
+# as a subtest (internal/testutil/seeds). Then five racing tests ten times
+# each, since one run may miss a schedule: the trader's lock-free walks
+# against in-place upserts and appends and its held offers against writes
+# (TestVisitRacesInPlaceUpserts, TestVisitRacesAppends,
+# TestHeldPointersNeverChange), the GRM's failure sweep against heartbeats
+# that rewrite their node records' window arrays in place
+# (TestSweepRacingHeartbeats), and replies whose buffers Op.Invoke recycles
+# while late deliveries read their own (TestRecycledRepliesUnderLateDelivery).
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run '^(TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestHeldPointersNeverChange|TestSweepRacingHeartbeats|TestRecycledRepliesUnderLateDelivery)$$' ./internal/trading ./internal/grm ./internal/chaos
 
 vet:
 	$(GO) vet ./...
@@ -59,76 +66,6 @@ fuzz-smoke:
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-
-# Fault-injection suite under the race detector, swept over fixed seeds.
-# CHAOS_SEED parameterizes the seeded-trace tests; the packages cover the
-# chaos engine itself, the ORB client's call budget, the trader's concurrent
-# writers and readers, the GRM failure detector, and the end-to-end
-# crash/recovery paths in core. Then, ten times each under the race detector,
-# since one run may miss a schedule: the trader's tests that race lock-free
-# walks against in-place upserts, appends and writes to held offers, the
-# GRM's failure sweep racing heartbeats that rewrite their node records'
-# window arrays in place while a replica-set leader flushes, and replies
-# whose buffers Op.Invoke recycles while late deliveries read their own.
-chaos:
-	@for seed in $(CHAOS_SEEDS); do \
-		echo "== chaos suite, seed $$seed =="; \
-		CHAOS_SEED=$$seed $(GO) test -race -count=1 \
-			./internal/chaos ./internal/orb ./internal/trading ./internal/grm ./internal/core || exit 1; \
-	done
-	@echo "== trader races, ten runs =="
-	$(GO) test -race -count=10 \
-		-run 'TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestHeldPointersNeverChange' \
-		./internal/trading
-	@echo "== GRM window-record races, ten runs =="
-	$(GO) test -race -count=10 -run '^TestSweepRacingHeartbeats$$' ./internal/grm
-	@echo "== recycled replies under late delivery, ten runs =="
-	$(GO) test -race -count=10 -run '^TestRecycledRepliesUnderLateDelivery$$' ./internal/chaos
-
-# GRM failover suite under the race detector, swept over the same fixed
-# seeds: what a replica set's followers mirror from the log (the incumbent's
-# state, availability windows, departures, the admission queue, and a seeded
-# mix of every transition checked against the leader after each flush), LRM
-# re-registration and the reconcile exchange, plus the end-to-end recovery
-# scenarios (a leader crash mid-superstep, a leader crash during a
-# registration burst, and two cold rebuilds in a row).
-failover:
-	@for seed in $(CHAOS_SEEDS); do \
-		echo "== failover suite, seed $$seed =="; \
-		CHAOS_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'Failover|Replica|Mirror|Foreign|Reconcile' \
-			./internal/core ./internal/grm || exit 1; \
-	done
-
-# Consensus control-plane suite under the race detector, swept over the same
-# fixed seeds: leader election and log replication in internal/election,
-# epoch fencing in the LRM, the term-1 epoch of a GRM and its replica set's
-# bootstrap, quorum replication in the GRM, and the end-to-end replica-set
-# scenarios in core (leader crash, split-brain partition with fencing).
-election:
-	@for seed in $(CHAOS_SEEDS); do \
-		echo "== election suite, seed $$seed =="; \
-		CHAOS_SEED=$$seed $(GO) test -race -count=1 \
-			./internal/election || exit 1; \
-		CHAOS_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'Consensus|Election|Epoch|Fenc|Quorum|Bootstrap|TermOne' \
-			./internal/core ./internal/grm ./internal/lrm || exit 1; \
-	done
-
-# Availability-window suite under the race detector, swept over the same
-# fixed seeds: the chaos flap primitive and its seeded determinism, the
-# usage-trace window scans, the LUPA forecast accuracy floors, the BSP
-# forced pre-departure checkpoint, the LRM departure drain, the GRM window
-# filter + graceful-departure fast path (and their replication round-trip),
-# and the end-to-end intermittent-fleet drain in core.
-windows:
-	@for seed in $(CHAOS_SEEDS); do \
-		echo "== windows suite, seed $$seed =="; \
-		CHAOS_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'Flap|Window|Depart|Drain|Forecast|RequestCheckpoint' \
-			./internal/chaos ./internal/usage ./internal/lupa ./internal/bsp \
-			./internal/lrm ./internal/grm ./internal/core || exit 1; \
-	done
 
 # The repository benchmark's self-test (BENCHMARK.json, benchmark/README.md):
 # its own tests, then a quick traced run — small fleets, two short rounds —
@@ -213,4 +150,4 @@ profile-tcp-update:
 	$(GO) tool pprof -top -nodecount 25 tcp_update.test tcp_update.prof
 
 # Everything CI runs, in the same order.
-ci: build fmt-check vet lint race chaos failover election windows benchmark-check examples fuzz-smoke
+ci: build fmt-check vet lint race benchmark-check examples fuzz-smoke

@@ -2,8 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +9,7 @@ import (
 	"integrade/internal/orb"
 	"integrade/internal/sim"
 	"integrade/internal/testutil/leak"
+	"integrade/internal/testutil/seeds"
 )
 
 func TestMain(m *testing.M) { leak.Main(m) }
@@ -345,33 +344,16 @@ func faultTrace(t *testing.T, seed int64) string {
 		s.Seen, s.Dropped, s.Delayed, s.Duplicated, r.calls.Load())
 }
 
-func TestDeterministicAcrossRuns(t *testing.T) {
-	a := faultTrace(t, 42)
-	b := faultTrace(t, 42)
-	if a != b {
-		t.Fatalf("same seed diverged:\n%s\n%s", a, b)
-	}
-	c := faultTrace(t, 43)
-	if a == c {
-		t.Fatalf("different seeds produced identical trace: %s", a)
-	}
-}
-
-// TestSeededTraceFromEnv is the hook for `make chaos`, which sweeps several
-// fixed seeds: CHAOS_SEED selects the fault-schedule seed (default 1), and
-// the resulting trace must be reproducible within the process.
-func TestSeededTraceFromEnv(t *testing.T) {
-	seed := int64(1)
-	if s := os.Getenv("CHAOS_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("CHAOS_SEED=%q: %v", s, err)
+// TestSeededTrace checks at each seed that the fault schedule is
+// reproducible within the process and that the next seed gives another one.
+func TestSeededTrace(t *testing.T) {
+	seeds.Run(t, func(t *testing.T, seed int64) {
+		a := faultTrace(t, seed)
+		if b := faultTrace(t, seed); a != b {
+			t.Fatalf("seed %d diverged:\n%s\n%s", seed, a, b)
 		}
-		seed = v
-	}
-	a := faultTrace(t, seed)
-	b := faultTrace(t, seed)
-	if a != b {
-		t.Fatalf("seed %d diverged:\n%s\n%s", seed, a, b)
-	}
+		if c := faultTrace(t, seed+1); a == c {
+			t.Fatalf("seeds %d and %d produced identical traces: %s", seed, seed+1, a)
+		}
+	})
 }

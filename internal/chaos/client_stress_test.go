@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"net"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -11,6 +10,7 @@ import (
 
 	"integrade/internal/orb"
 	"integrade/internal/sim"
+	"integrade/internal/testutil/seeds"
 )
 
 // TestClientContentionStress exercises the TCP client under contention: many
@@ -28,18 +28,12 @@ import (
 //  3. no goroutine leaks — the package's leak.Main gate (main_test.go)
 //     fails the run if a connection's goroutine outlives its server.
 //
-// CHAOS_SEED parameterizes the fault schedule, mirroring the seeded suite
-// driven by `make chaos`.
+// Each seed of seeds.Run gives its own fault schedule.
 func TestClientContentionStress(t *testing.T) {
-	seed := int64(1)
-	if s := os.Getenv("CHAOS_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("CHAOS_SEED=%q: %v", s, err)
-		}
-		seed = v
-	}
+	seeds.Run(t, clientContentionStress)
+}
 
+func clientContentionStress(t *testing.T, seed int64) {
 	// Servant: reply with the request's nonce after an optional busy delay,
 	// using the fast-path idiom (zero-copy read, pooled reply encoder).
 	adapter := orb.NewAdapter()

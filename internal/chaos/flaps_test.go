@@ -2,13 +2,12 @@ package chaos
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"integrade/internal/sim"
+	"integrade/internal/testutil/seeds"
 	"integrade/internal/usage"
 )
 
@@ -111,28 +110,22 @@ func flapTrace(t *testing.T, seed int64) string {
 	return fmt.Sprintf("%scrashes=%d restarts=%d", events.Load().(string), s.Crashes, s.Restarts)
 }
 
-// TestFlapScheduleSeededDeterminism is the hook for `make windows`, which
-// sweeps fixed seeds under -race: the same (seed, trace) pair must produce
-// the byte-identical flap sequence run after run.
+// TestFlapScheduleSeededDeterminism checks at each seed that the same (seed,
+// trace) pair produces the byte-identical flap sequence run after run, and
+// that the next seed gives another one.
 func TestFlapScheduleSeededDeterminism(t *testing.T) {
-	seed := int64(1)
-	if s := os.Getenv("CHAOS_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("CHAOS_SEED=%q: %v", s, err)
+	seeds.Run(t, func(t *testing.T, seed int64) {
+		a := flapTrace(t, seed)
+		b := flapTrace(t, seed)
+		if a == "crashes=0 restarts=0" {
+			t.Fatal("empty flap trace")
 		}
-		seed = v
-	}
-	a := flapTrace(t, seed)
-	b := flapTrace(t, seed)
-	if a == "crashes=0 restarts=0" {
-		t.Fatal("empty flap trace")
-	}
-	if a != b {
-		t.Fatalf("seed %d diverged:\n%s\n%s", seed, a, b)
-	}
-	c := flapTrace(t, seed+1)
-	if a == c {
-		t.Fatalf("seed %d and %d produced identical traces", seed, seed+1)
-	}
+		if a != b {
+			t.Fatalf("seed %d diverged:\n%s\n%s", seed, a, b)
+		}
+		c := flapTrace(t, seed+1)
+		if a == c {
+			t.Fatalf("seed %d and %d produced identical traces", seed, seed+1)
+		}
+	})
 }

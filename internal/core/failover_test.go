@@ -2,8 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,22 +11,8 @@ import (
 	"integrade/internal/bsp"
 	"integrade/internal/grm"
 	"integrade/internal/resource"
+	"integrade/internal/testutil/seeds"
 )
-
-// failoverSeed selects the chaos/grid seed for the failover suite; `make
-// failover` sweeps CHAOS_SEED over 1, 7 and 42 just like the chaos target.
-func failoverSeed(t *testing.T) int64 {
-	t.Helper()
-	seed := int64(1)
-	if s := os.Getenv("CHAOS_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("CHAOS_SEED=%q: %v", s, err)
-		}
-		seed = v
-	}
-	return seed
-}
 
 // parkedBSP is the shared scaffolding of the failover BSP tests: the crash
 // test program from faults_test.go with process 0 parked mid-superstep 3 so
@@ -102,12 +86,15 @@ func (pb *parkedBSP) outputs() []int64 {
 // and eviction path work end to end: the gang resumes from the checkpoint and
 // produces output byte-identical to a fault-free run.
 func TestReplicaSetFailoverMidSuperstep(t *testing.T) {
+	seeds.Run(t, replicaSetFailoverMidSuperstep)
+}
+
+func replicaSetFailoverMidSuperstep(t *testing.T, seed int64) {
 	const (
 		procs      = 3
 		supersteps = 8
 		ckptEvery  = 2
 	)
-	seed := failoverSeed(t)
 	expected := runCrashTestBSP(t, nil)
 
 	g := NewGrid(WithSeed(seed))
@@ -253,7 +240,10 @@ func TestReplicaSetFailoverMidSuperstep(t *testing.T) {
 // veterans and newcomers alike — must converge on it through Naming, after
 // which the cluster schedules a full bag of tasks normally.
 func TestFailoverDuringRegistrationBurst(t *testing.T) {
-	seed := failoverSeed(t)
+	seeds.Run(t, failoverDuringRegistrationBurst)
+}
+
+func failoverDuringRegistrationBurst(t *testing.T, seed int64) {
 	g := NewGrid(WithSeed(seed))
 	defer g.Stop()
 	c, err := g.AddCluster("c1",
@@ -328,12 +318,15 @@ func TestFailoverDuringRegistrationBurst(t *testing.T) {
 // re-acquires a fresh gang under the last manager and resumes from its
 // checkpoint with zero lost completed work.
 func TestDoubleFailoverColdRebuild(t *testing.T) {
+	seeds.Run(t, doubleFailoverColdRebuild)
+}
+
+func doubleFailoverColdRebuild(t *testing.T, seed int64) {
 	const (
 		procs      = 3
 		supersteps = 8
 		ckptEvery  = 2
 	)
-	seed := failoverSeed(t)
 	expected := runCrashTestBSP(t, nil)
 
 	g := NewGrid(WithSeed(seed))

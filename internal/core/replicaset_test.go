@@ -8,6 +8,7 @@ import (
 	"integrade/internal/grm"
 	"integrade/internal/protocol"
 	"integrade/internal/resource"
+	"integrade/internal/testutil/seeds"
 )
 
 // replicaGrid builds the consensus-suite fixture: one cluster, four dedicated
@@ -81,7 +82,11 @@ func assertTermsDisjoint(t *testing.T, c *Cluster) {
 // with everything it knew before the election: the fleet and the running
 // application, which every follower must then mirror.
 func TestReplicaSetMirrorsIncumbentState(t *testing.T) {
-	g := NewGrid(WithSeed(failoverSeed(t)))
+	seeds.Run(t, replicaSetMirrorsIncumbentState)
+}
+
+func replicaSetMirrorsIncumbentState(t *testing.T, seed int64) {
+	g := NewGrid(WithSeed(seed))
 	defer g.Stop()
 	c, err := g.AddCluster("c1", WithSchedulePeriod(15*time.Second), WithUpdatePeriod(15*time.Second))
 	if err != nil {
@@ -145,7 +150,10 @@ func TestReplicaSetMirrorsIncumbentState(t *testing.T) {
 // carry every in-flight task through to completion — zero losses, zero
 // orphans reaped.
 func TestConsensusFailoverOnLeaderCrash(t *testing.T) {
-	seed := failoverSeed(t)
+	seeds.Run(t, consensusFailoverOnLeaderCrash)
+}
+
+func consensusFailoverOnLeaderCrash(t *testing.T, seed int64) {
 	g, c := replicaGrid(t, seed)
 	defer g.Stop()
 
@@ -252,7 +260,10 @@ func TestConsensusFailoverOnLeaderCrash(t *testing.T) {
 // epoch, and every write the old leader then attempts is rejected — zero
 // accepted. Healing the partition demotes the old leader to a follower.
 func TestConsensusSplitBrainFencing(t *testing.T) {
-	seed := failoverSeed(t)
+	seeds.Run(t, consensusSplitBrainFencing)
+}
+
+func consensusSplitBrainFencing(t *testing.T, seed int64) {
 	g, c := replicaGrid(t, seed)
 	defer g.Stop()
 	engine := g.Chaos()

@@ -3,8 +3,6 @@ package grm_test
 import (
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +14,7 @@ import (
 	"integrade/internal/protocol"
 	"integrade/internal/resource"
 	"integrade/internal/sim"
+	"integrade/internal/testutil/seeds"
 	"integrade/internal/trading"
 )
 
@@ -365,19 +364,15 @@ func TestSchedulePendingRunsInSubmissionOrder(t *testing.T) {
 // against trader writes (the satellite stress required by the PR): while
 // submitters flood the admission queue, churn goroutines export and
 // withdraw extra offers, forcing snapshot invalidations in the batch
-// matcher mid-flight. CHAOS_SEED varies the interleaving via the submit
-// partitioning, mirroring the seeded suites in `make chaos`.
+// matcher mid-flight. The seed varies the interleaving via the submit
+// partitioning.
 func TestConcurrentSubmitTraderChurnStress(t *testing.T) {
-	seed := int64(1)
-	if s := os.Getenv("CHAOS_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("CHAOS_SEED=%q: %v", s, err)
-		}
-		seed = v
-	}
+	seeds.Run(t, concurrentSubmitTraderChurnStress)
+}
+
+func concurrentSubmitTraderChurnStress(t *testing.T, seed int64) {
 	const total = 120
-	submitters := 3 + int(seed%5) // 3..7 goroutines, seed-dependent split
+	submitters := 3 + int(seed%4) // 3..6 goroutines: 4, 6 and 5 for seeds 1, 7 and 42
 	f := newAdmitFixture(t, 16, nil,
 		grm.WithAsyncAdmission(), grm.WithAdmissionLimit(total), grm.WithAdmissionBatch(8))
 

@@ -1,10 +1,8 @@
 package grm_test
 
 import (
-	"os"
 	"reflect"
 	"slices"
-	"strconv"
 	"testing"
 	"time"
 
@@ -13,6 +11,7 @@ import (
 	"integrade/internal/orb"
 	"integrade/internal/protocol"
 	"integrade/internal/sim"
+	"integrade/internal/testutil/seeds"
 )
 
 // replicaSet is a consensus-managed GRM replica set on one loopback ORB:
@@ -220,17 +219,13 @@ func TestBootstrapMemberCommitsInTermOne(t *testing.T) {
 // heartbeats, task events (stale ones included), departures, cancellations
 // and node deaths into a replica set's leader. After every committed flush
 // each follower must hold what the leader holds: every application's status,
-// the same node offers, and the same admission queue. CHAOS_SEED picks the
-// mix (default 1).
+// the same node offers, and the same admission queue. The seed picks the
+// mix.
 func TestReplicaFollowersMatchLeader(t *testing.T) {
-	seed := int64(1)
-	if s := os.Getenv("CHAOS_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("CHAOS_SEED=%q: %v", s, err)
-		}
-		seed = v
-	}
+	seeds.Run(t, replicaFollowersMatchLeader)
+}
+
+func replicaFollowersMatchLeader(t *testing.T, seed int64) {
 	rng := sim.NewRNG(seed)
 	// The test runs every scheduling pass itself, so that between two steps
 	// the state changes only through a flush.

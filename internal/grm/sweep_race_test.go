@@ -142,7 +142,7 @@ func TestSweepRacingHeartbeatReplay(t *testing.T) {
 // heartbeat reports a window count its node's previous one did not, so the
 // records' window arrays are rewritten in place, and grown, under the readers
 // of a record: the batch encoder and restoreOffer, which may only read them
-// under g.mu. `make chaos` runs this ten times under the race detector.
+// under g.mu. `make race` runs this ten times under the race detector.
 func TestSweepRacingHeartbeats(t *testing.T) {
 	const nodes, workers, rounds = 64, 8, 50
 	g, clock, fleet := sweepFixture(t, nodes)

@@ -1,8 +1,13 @@
 package lint_test
 
 import (
+	"bytes"
 	"maps"
+	"os"
+	"path/filepath"
+	"regexp"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -93,6 +98,49 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, d := range lint.Run(pkgs, lint.All()) {
 		t.Errorf("%s", d)
+	}
+}
+
+// runDocs are the docs that tell a reader what to run; CHANGES.md
+// and ROADMAP.md are history and may name targets that are gone.
+var runDocs = []string{
+	"README.md", "DESIGN.md", "EXPERIMENTS.md",
+	".claude/skills/verify/SKILL.md", "benchmark/README.md",
+}
+
+var (
+	// makeTarget matches a rule line of the Makefile and captures its
+	// targets; a variable assignment (`GO ?= go`) is not one.
+	makeTarget = regexp.MustCompile(`(?m)^([A-Za-z0-9_.-]+(?: +[A-Za-z0-9_.-]+)*) *:(?:[^=]|$)`)
+	// makeSpan matches a code span that starts with make, across a line
+	// break too, and captures the target it names.
+	makeSpan = regexp.MustCompile("`make\\s+([a-z][a-z0-9_.-]*)")
+)
+
+// TestDocsNameMakeTargets fails if a doc names, in a `make <target>` code
+// span, a target the Makefile does not have.
+func TestDocsNameMakeTargets(t *testing.T) {
+	makefile, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range makeTarget.FindAllSubmatch(makefile, -1) {
+		for _, name := range strings.Fields(string(m[1])) {
+			targets[name] = true
+		}
+	}
+	for _, doc := range runDocs {
+		src, err := os.ReadFile(filepath.Join("../..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range makeSpan.FindAllSubmatchIndex(src, -1) {
+			if name := string(src[m[2]:m[3]]); !targets[name] {
+				line := 1 + bytes.Count(src[:m[0]], []byte("\n"))
+				t.Errorf("%s:%d: `make %s` names no target in the Makefile", doc, line, name)
+			}
+		}
 	}
 }
 

@@ -5,15 +5,14 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"os"
 	"reflect"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"integrade/internal/constraint"
 	"integrade/internal/orb"
+	"integrade/internal/testutil/seeds"
 )
 
 // These tests cover the sharded copy-on-write index added with the batched
@@ -162,18 +161,14 @@ func TestSelectSharedSharesProperties(t *testing.T) {
 // TestConcurrentTradingStress races every write path (ExportKeyed of a new ref
 // and of a held one, Upsert, ExportBatch, Withdraw) against the lock-free read paths
 // (Select, SelectPointers, VisitMatches, Count, All) under the race detector.
-// CHAOS_SEED picks the operation mix per goroutine, mirroring the seeded
-// suites in `make chaos`; the final consistency check verifies the reverse
-// index and the shard snapshots agree after the storm.
+// The seed picks the operation mix per goroutine; the final consistency
+// check verifies the reverse index and the shard snapshots agree after the
+// storm.
 func TestConcurrentTradingStress(t *testing.T) {
-	seed := int64(1)
-	if s := os.Getenv("CHAOS_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("CHAOS_SEED=%q: %v", s, err)
-		}
-		seed = v
-	}
+	seeds.Run(t, concurrentTradingStress)
+}
+
+func concurrentTradingStress(t *testing.T, seed int64) {
 	s := NewService(nil)
 	const (
 		writers = 4
