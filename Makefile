@@ -14,17 +14,20 @@ test:
 	$(GO) test ./...
 
 # Every test under the race detector; a seeded test runs each of its seeds
-# as a subtest (internal/testutil/seeds). Then five racing tests ten times
+# as a subtest (internal/testutil/seeds). Then six racing tests ten times
 # each, since one run may miss a schedule: the trader's lock-free walks
 # against in-place upserts and appends and its held offers against writes
 # (TestVisitRacesInPlaceUpserts, TestVisitRacesAppends,
 # TestHeldPointersNeverChange), the GRM's failure sweep against heartbeats
 # that rewrite their node records' window arrays in place
-# (TestSweepRacingHeartbeats), and replies whose buffers Op.Invoke recycles
-# while late deliveries read their own (TestRecycledRepliesUnderLateDelivery).
+# (TestSweepRacingHeartbeats), replies whose buffers Op.Invoke recycles
+# while late deliveries read their own (TestRecycledRepliesUnderLateDelivery),
+# and an LRM's completions queued into the outbox while updates, some of them
+# failing, take it and hand it and their window array back
+# (TestSyncTasksRacesSendUpdate).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run '^(TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestHeldPointersNeverChange|TestSweepRacingHeartbeats|TestRecycledRepliesUnderLateDelivery)$$' ./internal/trading ./internal/grm ./internal/chaos
+	$(GO) test -race -count=10 -run '^(TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestHeldPointersNeverChange|TestSweepRacingHeartbeats|TestRecycledRepliesUnderLateDelivery|TestSyncTasksRacesSendUpdate)$$' ./internal/trading ./internal/grm ./internal/chaos ./internal/lrm
 
 vet:
 	$(GO) vet ./...
@@ -74,7 +77,8 @@ fmt-check:
 # (internal/orb, internal/grm and internal/trading testdata/alloc_budget.txt,
 # the protocol encoders' one allocation per message, and
 # TestDecodeUpdateAllocBudget: an update decoded against its node's record
-# allocates only its windows), which skip some or
+# allocates only its windows; the grm file's lifecycle-tcp-bytes row is
+# TestTCPLifecycleAllocBudget, tcp_lifecycle_32's lifecycle), which skip some or
 # all of their rows under -race and so run here without it. Then one iteration each
 # of the micro-benchmarks ROADMAP items 2, 3 and 6 quote, so they keep compiling
 # and running (BenchmarkTCPInvoke minus BenchmarkTCPRawEcho is what the ORB
@@ -85,7 +89,7 @@ benchmark-check:
 	$(GO) test -count=1 ./benchmark
 	$(GO) run ./benchmark -quick -traced
 	$(GO) test -count=1 -run 'AllocBudget|AllocateOnce' ./internal/orb ./internal/grm ./internal/trading ./internal/protocol
-	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkPlacementBatch10k|BenchmarkLoopbackUpdate10k|BenchmarkRegister10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkPlaceUpsert|BenchmarkExportFirst10k|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPGangPlacement|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
+	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkPlacementBatch10k|BenchmarkLoopbackUpdate10k|BenchmarkRegister10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkPlaceUpsert|BenchmarkExportFirst10k|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPGangPlacement|BenchmarkTCPLifecycle|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
 	$(GO) test -run '^$$' -bench 'BenchmarkTCPInvokeConcurrent/callers=64' -benchtime 1x ./internal/orb
 
 # Every program under examples/ must run to completion and exit 0.

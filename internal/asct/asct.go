@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"integrade/internal/orb"
@@ -158,7 +159,7 @@ func (t *Tool) Submit(b *Builder) (*Handle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("asct: submit %q: %w", spec.Name, err)
 	}
-	return &Handle{tool: t, id: id}, nil
+	return &Handle{tool: t, id: id, name: spec.Name}, nil
 }
 
 // ListApps enumerates the applications known to the connected GRM.
@@ -175,14 +176,36 @@ func (t *Tool) Handle(appID string) *Handle {
 type Handle struct {
 	tool *Tool
 	id   string
+	name string // as submitted, if through this handle
+	// mu guards tasks: the handle's own copy of the latest poll's tasks,
+	// whose IDs and nodes the next poll's decoding shares, as it does id and
+	// name. A poll takes the slice and gives it back refilled, so a
+	// concurrent one decodes without it.
+	mu    sync.Mutex
+	tasks []protocol.TaskStatus
 }
 
 // ID returns the GRM-assigned application ID.
 func (h *Handle) ID() string { return h.id }
 
-// Status fetches the current application status.
+// Status fetches the current application status. The status is the caller's
+// own; its strings are the previous poll's where they are unchanged.
 func (h *Handle) Status() (protocol.AppStatus, error) {
-	return h.tool.client.AppStatus(h.id)
+	h.mu.Lock()
+	like := protocol.AppStatus{AppID: h.id, Name: h.name, Tasks: h.tasks}
+	h.tasks = nil
+	h.mu.Unlock()
+	st, err := h.tool.client.AppStatus(h.id, &like)
+	if err == nil {
+		like.Tasks = append(like.Tasks[:0], st.Tasks...)
+	}
+	h.mu.Lock()
+	h.tasks = like.Tasks
+	h.mu.Unlock()
+	if err != nil {
+		return protocol.AppStatus{}, err
+	}
+	return st, nil
 }
 
 // Cancel aborts the application: running tasks stop on their nodes, queued

@@ -261,3 +261,50 @@ func TestListAppsAndCancel(t *testing.T) {
 		t.Fatalf("ListApps after cancel = %v", ids)
 	}
 }
+
+// TestStatusIsTheCallers: a status a handle returns is the caller's own. A
+// caller that rewrites one while another goroutine polls the same handle
+// races with nothing (run under -race), and the next polls still decode the
+// application's IDs, as a fresh handle's first poll does.
+func TestStatusIsTheCallers(t *testing.T) {
+	_, tool := testGrid(t, 2)
+	h, err := tool.Submit(NewApplication("mine").
+		Parametric(2, 300_000).
+		Allocate(resource.Vector{MIPS: 1000, RAMMB: 64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	polled := make(chan protocol.AppStatus)
+	go func() {
+		defer close(polled)
+		for range 20 {
+			st, err := h.Status()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			polled <- st
+		}
+	}()
+	for st := range polled {
+		for i := range st.Tasks {
+			st.Tasks[i].TaskID, st.Tasks[i].NodeID = "rewritten", "rewritten"
+		}
+	}
+	got, err := h.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tool.Handle(h.ID()).Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Tasks) != 2 || len(want.Tasks) != 2 {
+		t.Fatalf("tasks: got %+v, want %+v", got.Tasks, want.Tasks)
+	}
+	for i := range want.Tasks {
+		if got.Tasks[i] != want.Tasks[i] || got.Tasks[i].TaskID == "rewritten" {
+			t.Fatalf("task %d = %+v after the caller rewrote its statuses, want %+v", i, got.Tasks[i], want.Tasks[i])
+		}
+	}
+}

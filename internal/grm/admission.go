@@ -53,19 +53,27 @@ type matchEntry struct {
 // identical to re-running the trader query, which is what keeps batched
 // scheduling byte-identical to the seed's query-per-task path.
 //
-// The rankings' keys live in keys, the GRM's scratch, which the context takes
-// at its first fill and hands back at close.
+// The entries, one per distinct constraint of the batch, their index and the
+// rankings' keys live in the GRM's scratch, which the context takes at its
+// first fill and hands back at close, cleared: a warm scratch holds a batch
+// without allocating.
 type matchCtx struct {
 	g       *GRM
 	version uint64
-	entries map[string]*matchEntry
-	keys    []rankKey
-	hits    int
-	misses  int
+	taken   bool // the context holds the scratch it took, empty or not
+	matchScratch
+	hits   int
+	misses int
 }
 
-func (g *GRM) newMatchCtx() *matchCtx {
-	return &matchCtx{g: g, entries: make(map[string]*matchEntry)}
+func (g *GRM) newMatchCtx() *matchCtx { return &matchCtx{g: g} }
+
+// matchScratch is what a matchCtx fills: its entries, indexed by constraint,
+// and their rankings' keys.
+type matchScratch struct {
+	entries []matchEntry
+	index   map[string]int // constraint → its entry
+	keys    []rankKey
 }
 
 // candidates returns app's candidates in policy order, serving repeats within
@@ -89,15 +97,15 @@ func (mc *matchCtx) candidates(app *appInfo) (view, error) {
 // lookup returns the cached candidate set for one constraint, refilling via
 // the trader on version change, expiry, or first sight. This is the batch
 // matcher's inner loop: a hit costs one atomic load, one map probe and at
-// worst one clock read.
+// worst one clock read, and allocates nothing.
 //
-//lint:hotpath alloc=2 locks=2 block=0
+//lint:hotpath alloc=0 locks=2 block=0
 func (mc *matchCtx) lookup(cons string) (*matchEntry, error) {
 	// Read the version before the query below: if a trader write lands
 	// between the two, the entry is tagged with the older version and the
 	// next lookup conservatively refills.
 	mc.sync()
-	if ent, ok := mc.entries[cons]; ok {
+	if ent := mc.entry(cons); ent != nil {
 		if ent.minExpires.IsZero() || mc.g.clock.Now().Before(ent.minExpires) {
 			if ent.unused {
 				ent.unused = false
@@ -112,13 +120,34 @@ func (mc *matchCtx) lookup(cons string) (*matchEntry, error) {
 	return mc.fill(cons)
 }
 
+// entry returns the entry of cons, or nil. The pointer is good until the next
+// fill appends to the entries.
+func (mc *matchCtx) entry(cons string) *matchEntry {
+	if i, ok := mc.index[cons]; ok {
+		return &mc.entries[i]
+	}
+	return nil
+}
+
+// put sets the entry of cons to ent, replacing an expired one.
+func (mc *matchCtx) put(cons string, ent matchEntry) *matchEntry {
+	if old := mc.entry(cons); old != nil {
+		*old = ent
+		return old
+	}
+	if mc.index == nil {
+		mc.index = make(map[string]int)
+	}
+	mc.index[cons] = len(mc.entries)
+	mc.entries = append(mc.entries, ent)
+	return &mc.entries[len(mc.entries)-1]
+}
+
 // sync drops every entry once the trader has changed since they were filled,
 // and with them their keys: the scratch starts over.
 func (mc *matchCtx) sync() {
 	if v := mc.g.trader.Version(); v != mc.version {
-		clear(mc.entries)
-		clear(mc.keys)
-		mc.keys = mc.keys[:0]
+		mc.matchScratch.reset()
 		mc.version = v
 	}
 }
@@ -136,7 +165,7 @@ func (mc *matchCtx) fill(cons string) (*matchEntry, error) {
 	kp, _ := g.policy.(keyedPolicy)
 	mc.takeScratch()
 	keys, start := mc.keys, len(mc.keys)
-	ent := &matchEntry{}
+	var ent matchEntry
 	err := g.trader.VisitMatches(NodeStatusType, cons, func(o *trading.Offer) {
 		k := rankKey{ord: o.Seq(), offer: o, met: 1}
 		if kp != nil {
@@ -152,8 +181,7 @@ func (mc *matchCtx) fill(cons string) (*matchEntry, error) {
 		return nil, err
 	}
 	ent.view = wholeView(keys[start:])
-	mc.entries[cons] = ent
-	return ent, nil
+	return mc.put(cons, ent), nil
 }
 
 // prefill fills the entries of a batch's distinct constraints before their
@@ -218,34 +246,44 @@ func (mc *matchCtx) fillSet(conses []string) {
 	r := newRanking(keys[start:])
 	for c, cons := range conses {
 		if bad&(1<<c) == 0 {
-			mc.entries[cons] = &matchEntry{view: view{r: r, bit: 1 << c, n: counts[c]}, minExpires: mins[c], unused: true}
+			mc.put(cons, matchEntry{view: view{r: r, bit: 1 << c, n: counts[c]}, minExpires: mins[c], unused: true})
 		}
 	}
 }
 
-// takeScratch makes the GRM's scratch the key buffer of a context that has
-// none, leaving nil: a concurrent context finds it taken and appends to a
-// buffer of its own.
+// takeScratch makes the GRM's scratch the one of a context that has none,
+// leaving it empty: a concurrent context finds it taken and appends to buffers
+// of its own.
 func (mc *matchCtx) takeScratch() {
-	if mc.keys != nil {
+	if mc.taken {
 		return
 	}
+	mc.taken = true
 	mc.g.mu.Lock()
-	mc.keys, mc.g.rankScratch = mc.g.rankScratch, nil
+	mc.matchScratch, mc.g.matchScratch = mc.g.matchScratch, matchScratch{}
 	mc.g.mu.Unlock()
 }
 
-// close hands the context's key buffer to the GRM for the next context,
-// cleared — the scratch must not keep withdrawn offers alive. The context's
-// candidates are dead from here on.
+// reset empties the scratch, clearing it: it must not keep withdrawn offers
+// alive. The index keeps its buckets.
+func (s *matchScratch) reset() {
+	clear(s.entries)
+	clear(s.index)
+	clear(s.keys)
+	s.entries, s.keys = s.entries[:0], s.keys[:0]
+}
+
+// close hands the context's scratch to the GRM for the next context, cleared.
+// The context's candidates are dead from here on.
 func (mc *matchCtx) close() {
-	if mc.keys == nil {
+	if !mc.taken {
 		return
 	}
-	clear(mc.keys)
+	mc.matchScratch.reset()
 	mc.g.mu.Lock()
-	mc.g.rankScratch, mc.keys = mc.keys[:0], nil
+	mc.g.matchScratch, mc.matchScratch = mc.matchScratch, matchScratch{}
 	mc.g.mu.Unlock()
+	mc.taken = false
 }
 
 // matchBatch runs one scheduling pass over a batch of applications against a
@@ -267,7 +305,8 @@ func (g *GRM) matchBatch(batch []*appInfo) {
 // drainAdmission empties the admission queue from the calling goroutine,
 // batch by batch. Only one drainer runs at a time: the draining latch
 // serializes them. A synchronous caller that finds the latch held waits on
-// drainDone — holding no lock — then re-checks the queue, so a synchronous
+// drainDone, which the first such waiter makes and the latch holder closes on
+// release — holding no lock — then re-checks the queue, so a synchronous
 // Submit never returns while its own application could still be queued. The
 // background drainer kickDrain starts exits instead, and also once the GRM
 // stops: the latch holder drains on, and a later Submit kicks a fresh
@@ -276,6 +315,9 @@ func (g *GRM) drainAdmission(background bool) {
 	for {
 		g.mu.Lock()
 		if g.draining && !background {
+			if g.drainDone == nil {
+				g.drainDone = make(chan struct{})
+			}
 			ch := g.drainDone
 			g.mu.Unlock()
 			<-ch
@@ -289,13 +331,15 @@ func (g *GRM) drainAdmission(background bool) {
 			return
 		}
 		g.draining = true
-		g.drainDone = make(chan struct{})
 		batch := g.takeBatchLocked()
 		g.mu.Unlock()
 		g.matchBatch(batch)
 		g.mu.Lock()
 		g.draining = false
-		close(g.drainDone)
+		if g.drainDone != nil {
+			close(g.drainDone)
+			g.drainDone = nil
+		}
 		g.mu.Unlock()
 	}
 }

@@ -1,6 +1,7 @@
 package grm
 
 import (
+	"runtime"
 	"testing"
 
 	"integrade/internal/orb"
@@ -129,7 +130,7 @@ func TestDrainAdmissionLatch(t *testing.T) {
 
 	g.mu.Lock()
 	g.admitQ = append(g.admitQ, &appInfo{id: "app-1"})
-	g.draining, g.drainDone, g.drainerRunning = true, make(chan struct{}), true
+	g.draining, g.drainerRunning = true, true
 	g.mu.Unlock()
 	g.drainAdmission(true)
 	if queued, running := state(); queued != 1 || running {
@@ -137,10 +138,19 @@ func TestDrainAdmissionLatch(t *testing.T) {
 	}
 
 	go func() {
-		g.mu.Lock()
-		g.draining = false
-		close(g.drainDone)
-		g.mu.Unlock()
+		// Release the latch as its holder does, once the synchronous drainer
+		// has made drainDone to wait on.
+		for {
+			g.mu.Lock()
+			if ch := g.drainDone; ch != nil {
+				g.draining, g.drainDone = false, nil
+				close(ch)
+				g.mu.Unlock()
+				return
+			}
+			g.mu.Unlock()
+			runtime.Gosched()
+		}
 	}()
 	g.drainAdmission(false)
 	if queued, _ := state(); queued != 0 {

@@ -164,11 +164,8 @@ func pullCandidates(tb testing.TB, mc *matchCtx, app *appInfo) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pulled := 0
-	for range ranked.best() {
-		if pulled++; pulled == DefaultMaxAttempts {
-			break
-		}
+	c := ranked.best()
+	for pulled := 0; pulled < DefaultMaxAttempts && c.next() != nil; pulled++ {
 	}
 }
 

@@ -3,11 +3,10 @@ package grm
 import (
 	"cmp"
 	"fmt"
-	"iter"
 	"log/slog"
 	"maps"
 	"slices"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 
@@ -128,17 +127,29 @@ func (t *taskInfo) runsOn(nodeID string) bool {
 }
 
 // task returns the app's task with the ID, or nil.
-func (a *appInfo) task(id string) *taskInfo {
+func (a *appInfo) task(id []byte) *taskInfo {
 	for _, t := range a.tasks {
-		if t.id == id {
+		if t.id == string(id) {
 			return t
 		}
 	}
 	return nil
 }
 
+// pendingTasks returns the app's pending tasks in task order: a.tasks itself
+// when every one is, as a new application's are. A record's tasks are fixed
+// when it is made, and the caller must not modify the slice.
 func (a *appInfo) pendingTasks() []*taskInfo {
-	var out []*taskInfo
+	n := 0
+	for _, t := range a.tasks {
+		if isPending(t) {
+			n++
+		}
+	}
+	if n == len(a.tasks) {
+		return a.tasks
+	}
+	out := make([]*taskInfo, 0, n)
 	for _, t := range a.tasks {
 		if isPending(t) {
 			out = append(out, t)
@@ -167,7 +178,7 @@ type GRM struct {
 
 	// mu guards apps, nodes, seq, stats, stopped, started, timers, role,
 	// repl, epoch, elect, the admission-queue fields (admitQ, draining,
-	// drainDone, drainerRunning) and rankScratch; apps, nodes
+	// drainDone, drainerRunning) and matchScratch; apps, nodes
 	// and admitQ are written only by the transitions in state.go. It must be
 	// released before any protocol RPC (Reserve/Execute/...): negotiation
 	// blocks on remote LRMs and may itself re-enter the GRM. The replication
@@ -195,9 +206,10 @@ type GRM struct {
 	// Admission pipeline: Submit enqueues into the bounded admitQ and the
 	// queue is drained in batches by matchBatch — synchronously from Submit
 	// by default, or by the kickDrain goroutine under WithAsyncAdmission.
-	// draining is the single-drainer latch; drainDone is closed when the
-	// current drainer releases it so waiting submitters can re-check the
-	// queue without holding mu across a batch.
+	// draining is the single-drainer latch. drainDone is nil unless a
+	// synchronous caller waits for the latch: the first such waiter makes it,
+	// and the drainer closes it and sets it nil when it releases the latch, so
+	// the waiters re-check the queue without holding mu across a batch.
 	admitLimit     int
 	admitBatch     int
 	asyncAdmit     bool
@@ -207,11 +219,12 @@ type GRM struct {
 	drainerRunning bool
 	drainWG        sync.WaitGroup
 
-	// rankScratch is where a matchCtx collects and ranks its candidates' keys.
-	// A context takes it at its first fill, leaving nil for a concurrent one,
-	// holds it for its batch and gives it back cleared; a sync.Pool would not
-	// do, the collector empties it between misses.
-	rankScratch []rankKey
+	// matchScratch is where a matchCtx keeps its entries and collects and
+	// ranks its candidates' keys. A context takes it at its first fill,
+	// leaving it empty for a concurrent one, holds it for its batch and gives
+	// it back cleared; a sync.Pool would not do, the collector empties it
+	// between misses.
+	matchScratch matchScratch
 }
 
 // Option configures a GRM.
@@ -576,20 +589,27 @@ func (g *GRM) Submit(spec protocol.ApplicationSpec) (string, error) {
 		return "", ErrAdmissionFull
 	}
 	g.seq++
-	id := fmt.Sprintf("%s-app-%d", g.clusterID, g.seq)
+	// The application is "<cluster>-app-<seq>" and its tasks "<app>/t<i>",
+	// one record each in one array.
+	var buf [64]byte
+	name := strconv.AppendInt(append(append(buf[:0], g.clusterID...), "-app-"...), int64(g.seq), 10)
+	id := string(name)
 	app := &appInfo{
 		id:         id,
 		seq:        g.seq,
 		spec:       spec,
 		constraint: buildConstraint(spec),
 		submitted:  g.clock.Now(),
+		tasks:      make([]*taskInfo, spec.NumTasks),
 	}
-	for i := 0; i < spec.NumTasks; i++ {
-		app.tasks = append(app.tasks, &taskInfo{
-			id:    fmt.Sprintf("%s/t%d", id, i),
+	tasks := make([]taskInfo, spec.NumTasks)
+	for i := range tasks {
+		tasks[i] = taskInfo{
+			id:    string(strconv.AppendInt(append(name, "/t"...), int64(i), 10)),
 			state: protocol.TaskPending,
 			work:  spec.WorkPerTask,
-		})
+		}
+		app.tasks[i] = &tasks[i]
 	}
 	g.stats.Submissions++
 	g.putAppLocked(app)
@@ -663,7 +683,8 @@ func (g *GRM) place(app *appInfo, tasks []*taskInfo, mc *matchCtx, gang bool, av
 		g.mu.Unlock()
 		return 0
 	}
-	return g.negotiate(app, tasks, g.windowFilter(ranked, app.spec), gang, avoid)
+	c := g.windowFilter(ranked, app.spec)
+	return g.negotiate(app, tasks, c.next, gang, avoid)
 }
 
 // nodeGrant is what one Reserve obtained on one node: holds, each paired with
@@ -677,21 +698,24 @@ type nodeGrant struct {
 
 // negotiate runs the Resource Reservation and Execution Protocol for tasks of
 // app, all of them pending: direct negotiation with the candidates' LRMs, best
-// first, retrying on refusal. The unit is the node, not the task: a node
-// (never the one named avoid) is asked once, for a hold per task still
-// missing, and granting fewer means it is full, so the next one is asked for
-// the remainder — until nothing is missing or maxAttempts Reserves per task
-// are spent. Independent tasks start node by node, one Execute for all that a
+// first as next returns them (nil after the last), retrying on refusal. The
+// unit is the node, not the task: a node (never the one named avoid) is asked
+// once, for a hold per task still missing, and granting fewer means it is
+// full, so the next one is asked for the remainder — until nothing is missing
+// or maxAttempts Reserves per task are spent. Independent tasks start node by node, one Execute for all that a
 // node granted; a gang starts after its last grant, or not at all. A hold that
 // does not end as a running task — its Execute failed, the gang was abandoned
 // — is released. It reports how many of the tasks now run.
-func (g *GRM) negotiate(app *appInfo, tasks []*taskInfo, candidates iter.Seq[*trading.Offer], gang bool, avoid string) int {
+func (g *GRM) negotiate(app *appInfo, tasks []*taskInfo, next func() *trading.Offer, gang bool, avoid string) int {
 	alloc := app.spec.EffectiveAlloc()
 	budget := g.maxAttempts * len(tasks)
 	missing := tasks
 	placed, attempts := 0, 0
-	var held []nodeGrant // a gang's grants, waiting for its last
-	for offer := range candidates {
+	// A gang's grants wait for its last, on the stack unless it spans more
+	// than four nodes.
+	var gangBuf [4]nodeGrant
+	held := gangBuf[:0]
+	for offer := next(); offer != nil; offer = next() {
 		gr := nodeGrant{nodeID: strProp(offer, fieldNode), ref: offer.Ref}
 		if gr.nodeID == avoid {
 			continue
@@ -708,8 +732,8 @@ func (g *GRM) negotiate(app *appInfo, tasks []*taskInfo, candidates iter.Seq[*tr
 			placed += len(gr.holds)
 			missing = missing[len(gr.holds):]
 		}
-		// Tested here, not at the top of the loop: resuming the range pulls —
-		// pops off the ranking — a candidate nobody would try.
+		// Tested here, not at the top of the loop: next pulls — pops off the
+		// ranking — a candidate nobody would try.
 		if len(missing) == 0 || attempts >= budget {
 			break
 		}
@@ -949,13 +973,21 @@ func (g *GRM) cancelTasks(tasks []remote, msg string) {
 
 // HandleNotify processes an LRM task event.
 func (g *GRM) HandleNotify(ev protocol.TaskEvent) {
+	g.handleEvent(ev, []byte(ev.AppID), []byte(ev.TaskID))
+}
+
+// handleEvent processes ev for the task that appID and taskID name; ev's own
+// AppID and TaskID are not read. An update's events name theirs by the
+// frame's bytes (protocol.UpdateEvents.Next), which the lookups here read
+// without copying.
+func (g *GRM) handleEvent(ev protocol.TaskEvent, appID, taskID []byte) {
 	g.mu.Lock()
-	app, ok := g.apps[ev.AppID]
+	app, ok := g.apps[string(appID)]
 	if !ok {
 		g.mu.Unlock()
 		return
 	}
-	task := app.task(ev.TaskID)
+	task := app.task(taskID)
 	// An eviction, drain or progress report speaks for one run of the task: a
 	// retried delivery, or one from a node the task has since left, is stale.
 	if task == nil || ev.Kind != protocol.TaskEventDone && !task.runsOn(ev.NodeID) {
@@ -1051,7 +1083,7 @@ func (g *GRM) Reconcile(req protocol.ReconcileRequest) []string {
 	for _, claim := range req.Claims {
 		var t *taskInfo
 		if app, ok := g.apps[claim.AppID]; ok {
-			t = app.task(claim.TaskID)
+			t = app.task([]byte(claim.TaskID))
 		}
 		if t == nil || !t.runsOn(req.NodeID) {
 			orphans = append(orphans, claim.TaskID)
@@ -1069,25 +1101,55 @@ func (g *GRM) AppStatus(appID string) (protocol.AppStatus, error) {
 	if !ok {
 		return protocol.AppStatus{}, fmt.Errorf("grm: unknown application %q", appID)
 	}
-	st := protocol.AppStatus{
-		AppID:        app.id,
-		Name:         app.spec.Name,
-		Kind:         app.spec.Kind,
-		Submitted:    app.submitted,
-		Finished:     app.finished,
-		Negotiations: app.negotiations,
-	}
-	for _, t := range app.tasks {
-		st.Tasks = append(st.Tasks, protocol.TaskStatus{
-			TaskID:   t.id,
-			NodeID:   t.nodeID,
-			State:    t.state,
-			Progress: t.progress,
-			Work:     t.work,
-			Restarts: t.restarts,
-		})
+	st := app.status()
+	st.Tasks = make([]protocol.TaskStatus, len(app.tasks))
+	for i, t := range app.tasks {
+		st.Tasks[i] = t.status()
 	}
 	return st, nil
+}
+
+// encodeAppStatus writes into e the AppStatus reply for the application whose
+// ID the request d holds: the encoding of what AppStatus returns, written from
+// the records without building the status.
+func (g *GRM) encodeAppStatus(d *orb.Decoder, e *orb.Encoder) error {
+	appID := d.RawString()
+	if err := d.Err(); err != nil {
+		return orb.Errorf(orb.CodeMarshal, "%s: %v", protocol.OpAppStatus, err)
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	app, ok := g.apps[string(appID)]
+	if !ok {
+		return fmt.Errorf("grm: unknown application %q", appID)
+	}
+	st := app.status()
+	st.EncodeTasks(e, len(app.tasks), func(i int) protocol.TaskStatus { return app.tasks[i].status() })
+	return nil
+}
+
+// status is the application's AppStatus without its tasks. Caller holds g.mu.
+func (a *appInfo) status() protocol.AppStatus {
+	return protocol.AppStatus{
+		AppID:        a.id,
+		Name:         a.spec.Name,
+		Kind:         a.spec.Kind,
+		Submitted:    a.submitted,
+		Finished:     a.finished,
+		Negotiations: a.negotiations,
+	}
+}
+
+// status is the task's TaskStatus. Caller holds g.mu.
+func (t *taskInfo) status() protocol.TaskStatus {
+	return protocol.TaskStatus{
+		TaskID:   t.id,
+		NodeID:   t.nodeID,
+		State:    t.state,
+		Progress: t.progress,
+		Work:     t.work,
+		Restarts: t.restarts,
+	}
 }
 
 // AppIDs returns all known application IDs, sorted.
@@ -1097,34 +1159,54 @@ func (g *GRM) AppIDs() []string {
 	return slices.Sorted(maps.Keys(g.apps))
 }
 
-// buildConstraint translates an application spec into a trader constraint.
+// buildConstraint translates an application spec into a trader constraint:
+// its clauses ANDed, each number as %g formats it. The text is built in one
+// buffer, on the stack unless the spec's own constraint is long: the compile
+// cache and the experiments' output key on it, so it must not change.
 func buildConstraint(spec protocol.ApplicationSpec) string {
 	alloc := spec.EffectiveAlloc()
-	var parts []string
-	add := func(format string, args ...any) {
-		parts = append(parts, fmt.Sprintf(format, args...))
-	}
-	add("%s >= %g", PropMIPSFree, alloc.MIPS)
-	add("%s >= %g", PropRAMFree, alloc.RAMMB)
+	var buf [256]byte
+	b := appendAtLeast(buf[:0], PropMIPSFree, alloc.MIPS)
+	b = appendAtLeast(b, PropRAMFree, alloc.RAMMB)
 	if alloc.DiskMB > 0 {
-		add("%s >= %g", PropDiskFree, alloc.DiskMB)
+		b = appendAtLeast(b, PropDiskFree, alloc.DiskMB)
 	}
 	if alloc.NetMbps > 0 {
-		add("%s >= %g", PropNetFree, alloc.NetMbps)
+		b = appendAtLeast(b, PropNetFree, alloc.NetMbps)
 	}
 	min := spec.Requirements.Min
 	if min.MIPS > 0 {
-		add("%s >= %g", PropMIPSTotal, min.MIPS)
+		b = appendAtLeast(b, PropMIPSTotal, min.MIPS)
 	}
 	if min.RAMMB > 0 {
-		add("ram_total >= %g", min.RAMMB)
+		b = appendAtLeast(b, "ram_total", min.RAMMB)
 	}
 	if p := spec.Requirements.Platform; p != nil {
-		add("%s == '%s'", PropOS, p.OS)
-		add("%s == '%s'", PropArch, p.Arch)
+		b = appendEquals(b, PropOS, p.OS)
+		b = appendEquals(b, PropArch, p.Arch)
 	}
 	if spec.Constraint != "" {
-		add("(%s)", spec.Constraint)
+		b = append(append(append(appendAnd(b), '('), spec.Constraint...), ')')
 	}
-	return strings.Join(parts, " and ")
+	return string(b)
+}
+
+// appendAtLeast appends the clause "prop >= v" to the ones b holds.
+func appendAtLeast(b []byte, prop string, v float64) []byte {
+	b = append(appendAnd(b), prop...)
+	return strconv.AppendFloat(append(b, " >= "...), v, 'g', -1, 64)
+}
+
+// appendEquals appends the clause "prop == 'v'" to the ones b holds.
+func appendEquals(b []byte, prop, v string) []byte {
+	b = append(appendAnd(b), prop...)
+	return append(append(append(b, " == '"...), v...), '\'')
+}
+
+// appendAnd appends the conjunction that precedes a clause after the first.
+func appendAnd(b []byte) []byte {
+	if len(b) == 0 {
+		return b
+	}
+	return append(b, " and "...)
 }

@@ -446,14 +446,14 @@ func TestAppStatusOverWire(t *testing.T) {
 		Alloc:       resource.Vector{MIPS: 500, RAMMB: 64},
 	})
 	client := protocol.NewGRMClient(c.o, c.grmRef)
-	st, err := client.AppStatus(id)
+	st, err := client.AppStatus(id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.AppID != id || len(st.Tasks) != 1 {
 		t.Fatalf("AppStatus over wire = %+v", st)
 	}
-	if _, err := client.AppStatus("ghost"); err == nil {
+	if _, err := client.AppStatus("ghost", nil); err == nil {
 		t.Fatal("unknown app over wire succeeded")
 	}
 }

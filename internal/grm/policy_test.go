@@ -321,7 +321,7 @@ func matcherOrder(t *testing.T, p Policy, offers []trading.Offer, beats []int) [
 		t.Fatal(err)
 	}
 	var ids []string
-	for o := range ranked.best() {
+	for o := range ranked.best().all() {
 		id, _ := o.Properties.Get(PropNode).AsString()
 		ids = append(ids, id)
 	}
@@ -488,13 +488,13 @@ func TestOrderKeyedAllocations(t *testing.T) {
 		pullCandidates(t, mc, &appInfo{})
 		mc.close()
 	}
-	// The map's first group, the entry, the ranking and the iterator; the
-	// context and its map stay on the stack.
-	if got := testing.AllocsPerRun(10, miss); got > 4 {
-		t.Errorf("a warm snapshot miss allocates %v times, want at most 4", got)
+	// The ranking: the entry and the keys live in the GRM's scratch, and the
+	// context and the cursor on the stack.
+	if got := testing.AllocsPerRun(10, miss); got > 1 {
+		t.Errorf("a warm snapshot miss allocates %v times, want at most 1", got)
 	}
-	if got := bytesPerRun(10, miss); got > 1<<10 {
-		t.Errorf("a warm snapshot miss allocates %d B, want at most 1 KiB: nothing may grow with its %d matches", got, matches)
+	if got := bytesPerRun(10, miss); got > 64 {
+		t.Errorf("a warm snapshot miss allocates %d B, want at most 64: nothing may grow with its %d matches", got, matches)
 	}
 
 	fleet := New("fleet", sim.NewVirtualClock(), orb.New())
@@ -513,12 +513,13 @@ func TestOrderKeyedAllocations(t *testing.T) {
 		}
 		mc.close()
 	}
-	// The constraint list, the ranking, the 16 entries and the map's groups.
-	if got := testing.AllocsPerRun(10, batch); got > 24 {
-		t.Errorf("a warm batch allocates %v times, want at most 24", got)
+	// The one ranking of the batch's 16 constraints; their entries live in
+	// the scratch too, and the constraint list on the stack.
+	if got := testing.AllocsPerRun(10, batch); got > 1 {
+		t.Errorf("a warm batch allocates %v times, want at most 1", got)
 	}
-	if got := bytesPerRun(10, batch); got > 4<<10 {
-		t.Errorf("a warm batch allocates %d B, want at most 4 KiB: nothing may grow with its ~9 500 matching offers", got)
+	if got := bytesPerRun(10, batch); got > 64 {
+		t.Errorf("a warm batch allocates %d B, want at most 64: nothing may grow with its ~9 500 matching offers", got)
 	}
 }
 

@@ -75,7 +75,7 @@ func TestPrefillMatchesLazyFill(t *testing.T) {
 			lazy := map[string][]*trading.Offer{}
 			for _, cons := range slices.Sorted(maps.Keys(distinct)) {
 				want, err := g.newMatchCtx().fill(cons)
-				got := shared.entries[cons]
+				got := shared.entry(cons)
 				if err != nil {
 					if cons != "mips_free >=" {
 						t.Fatalf("seed %d: %q: %v", seed, cons, err)
@@ -96,14 +96,14 @@ func TestPrefillMatchesLazyFill(t *testing.T) {
 				if got.n != len(lazy[cons]) {
 					t.Fatalf("seed %d, %q: %d members, the lazy fill matches %d", seed, cons, got.n, len(lazy[cons]))
 				}
-				if msg := popsToLastMember(fresh.entries[cons].view, lazy[cons]); msg != "" {
+				if msg := popsToLastMember(fresh.entry(cons).view, lazy[cons]); msg != "" {
 					t.Fatalf("seed %d, %q: %s", seed, cons, msg)
 				}
 			}
-			if shared.entries["mips_free >= 1000000"].n != 0 {
+			if shared.entry("mips_free >= 1000000").n != 0 {
 				t.Fatalf("seed %d: the constraint nothing meets has members", seed)
 			}
-			worst := fresh.entries[good[0]].r
+			worst := fresh.entry(good[0]).r
 			if msg := popsToLastMember(onlyWorst(worst), []*trading.Offer{slices.MinFunc(worst.keys, compareKeys).offer}); msg != "" {
 				t.Fatalf("seed %d, the view of the worst key: %s", seed, msg)
 			}
@@ -111,7 +111,7 @@ func TestPrefillMatchesLazyFill(t *testing.T) {
 			pullAndCheck := func(cons string, k int) {
 				t.Helper()
 				want := lazy[cons][:min(k, len(lazy[cons]))]
-				if got := pull(shared.entries[cons].view, k); !slices.Equal(got, want) {
+				if got := pull(shared.entry(cons).view, k); !slices.Equal(got, want) {
 					t.Fatalf("seed %d, %q: the first %d of prefill's candidates differ from the lazy fill's", seed, cons, k)
 				}
 			}
@@ -124,18 +124,18 @@ func TestPrefillMatchesLazyFill(t *testing.T) {
 				pullAndCheck(cons, rng.Intn(len(lazy[cons])+2))
 			}
 			c := good[rng.Intn(len(good))]
-			if got, want := offerAddrs(shared.entries[c].values()), lazy[c]; !slices.EqualFunc(got, want, func(addr string, o *trading.Offer) bool { return addr == o.Ref.Endpoint.Addr }) {
+			if got, want := offerAddrs(shared.entry(c).values()), lazy[c]; !slices.EqualFunc(got, want, func(addr string, o *trading.Offer) bool { return addr == o.Ref.Endpoint.Addr }) {
 				t.Fatalf("seed %d, %q: values() differs from the lazy fill's candidates", seed, c)
 			}
 			pullAndCheck(b, 2)
-			shared.entries[good[rng.Intn(len(good))]].r.settle()
+			shared.entry(good[rng.Intn(len(good))]).r.settle()
 			for _, cons := range good {
 				pullAndCheck(cons, len(lazy[cons])+1)
 			}
 
 			for _, cons := range good {
 				for range 2 {
-					if ent, err := shared.lookup(cons); err != nil || ent != shared.entries[cons] {
+					if ent, err := shared.lookup(cons); err != nil || ent != shared.entry(cons) {
 						t.Fatalf("seed %d: lookup of prefilled %q: %v, %v", seed, cons, ent, err)
 					}
 				}
@@ -241,7 +241,7 @@ func TestScratchOwnershipUnderConcurrentContexts(t *testing.T) {
 	var rest []*trading.Offer
 	go func() {
 		defer wg.Done()
-		for o := range va.best() {
+		for o := range va.best().all() {
 			rest = append(rest, o)
 		}
 	}()
@@ -322,7 +322,7 @@ func randomConstraint(rng *sim.RNG) string {
 // drain pulls a view's every candidate, best first.
 func drain(v view) []*trading.Offer {
 	var out []*trading.Offer
-	for o := range v.best() {
+	for o := range v.best().all() {
 		out = append(out, o)
 	}
 	return out

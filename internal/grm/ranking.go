@@ -2,7 +2,6 @@ package grm
 
 import (
 	"cmp"
-	"iter"
 	"slices"
 
 	"integrade/internal/trading"
@@ -107,32 +106,54 @@ func wholeView(keys []rankKey) view {
 	return view{r: newRanking(keys), bit: 1, n: len(keys)}
 }
 
-// best yields the members best first, settling the shared order as far as the
-// consumer pulls and no further than the last member: a view with no members
-// pops nothing.
-func (v view) best() iter.Seq[*trading.Offer] {
-	return func(yield func(*trading.Offer) bool) {
-		r := v.r
-		for i, seen := len(r.keys)-1, 0; seen < v.n; i-- {
-			if i < r.heap {
-				r.pop()
-			}
-			if r.keys[i].met&v.bit == 0 {
-				continue
-			}
-			seen++
-			if !yield(r.keys[i].offer) {
-				return
-			}
+// best returns a cursor over the members, best first.
+func (v view) best() cursor {
+	return cursor{v: v, i: len(v.r.keys) - 1}
+}
+
+// cursor reads a view's members best first, settling the shared order as far as
+// the consumer pulls and no further than the last member: a view with no
+// members pops nothing. Filtered, it skips the offers whose availability window
+// ends before deadline (windowFilter).
+type cursor struct {
+	v        view
+	i, seen  int
+	filtered bool
+	deadline float64
+}
+
+// next returns the next member, or nil after the last.
+func (c *cursor) next() *trading.Offer {
+	for {
+		o := c.member()
+		if o == nil || !c.filtered || offerFitsWindow(o, c.deadline) {
+			return o
 		}
 	}
+}
+
+// member returns the next member, filtered or not, or nil after the last.
+func (c *cursor) member() *trading.Offer {
+	r := c.v.r
+	for ; c.seen < c.v.n; c.i-- {
+		if c.i < r.heap {
+			r.pop()
+		}
+		if k := &r.keys[c.i]; k.met&c.v.bit != 0 {
+			c.seen++
+			c.i--
+			return k.offer
+		}
+	}
+	return nil
 }
 
 // values settles the order and returns copies of the members, best first.
 func (v view) values() []trading.Offer {
 	v.r.settle()
 	out := make([]trading.Offer, 0, v.n)
-	for o := range v.best() {
+	c := v.best()
+	for o := c.next(); o != nil; o = c.next() {
 		out = append(out, *o)
 	}
 	return out

@@ -2,6 +2,7 @@ package grm
 
 import (
 	"cmp"
+	"iter"
 	"math"
 	"slices"
 	"sort"
@@ -15,6 +16,14 @@ import (
 	"integrade/internal/sim"
 	"integrade/internal/trading"
 )
+
+// all yields what the cursor's next returns, for a range loop.
+func (c cursor) all() iter.Seq[*trading.Offer] {
+	return func(yield func(*trading.Offer) bool) {
+		for o := c.next(); o != nil && yield(o); o = c.next() {
+		}
+	}
+}
 
 // seededKeys draws n keys in ord order with few distinct values per component —
 // heavy ties, so ord decides most positions — including both infinities and
@@ -50,7 +59,7 @@ func stableReference(inOrd []rankKey) []*trading.Offer {
 // loop does.
 func pull(v view, n int) []*trading.Offer {
 	var out []*trading.Offer
-	for o := range v.best() {
+	for o := range v.best().all() {
 		if len(out) == n {
 			break
 		}
@@ -82,7 +91,7 @@ func TestRankingInterleavings(t *testing.T) {
 				}
 				for range 2 { // settling is idempotent
 					v.r.settle()
-					if got := slices.Collect(v.best()); !slices.Equal(got, want) {
+					if got := slices.Collect(v.best().all()); !slices.Equal(got, want) {
 						t.Fatalf("seed %d, n=%d: drained after %d pulls, the order is not the stable sort's", seed, n, p)
 					}
 				}
@@ -196,11 +205,11 @@ func TestWindowFilterMatchesSliceFilter(t *testing.T) {
 					g := New("test", clock, orb.New(), opts...)
 					v := view{r: newRanking(slices.Clone(keys)), bit: 1, n: members}
 					pull(v, settled)
-					got := slices.Collect(g.windowFilter(v, tc.spec))
+					got := slices.Collect(g.windowFilter(v, tc.spec).all())
 					gotRejected := g.Stats().WindowRejected
 
 					v.r.settle()
-					want, wantRejected := sliceWindowFilter(g, slices.Collect(v.best()), tc.spec)
+					want, wantRejected := sliceWindowFilter(g, slices.Collect(v.best().all()), tc.spec)
 					if !slices.Equal(got, want) {
 						t.Fatalf("%d settled: %d candidates, the slice filter keeps %d (or in another order)", settled, len(got), len(want))
 					}
@@ -261,7 +270,7 @@ func TestRefusedPlacementSettlesOnlyWhatItTries(t *testing.T) {
 	tasks := []*taskInfo{{id: "app/t0"}, {id: "app/t1"}}
 
 	settled := func(mc *matchCtx) int {
-		r := mc.entries[app.constraint].r
+		r := mc.entry(app.constraint).r
 		if len(r.keys) != fleet {
 			t.Fatalf("%d candidates, want the whole fleet of %d", len(r.keys), fleet)
 		}

@@ -26,8 +26,8 @@ func (g *GRM) Servant() orb.Servant {
 		// Only an accepted update delivers its events: a refused one is
 		// answered with an error and the LRM sends them again, to whoever
 		// it reports to next.
-		for _, ev := range events {
-			g.HandleNotify(ev)
+		for events.Len() > 0 {
+			g.handleEvent(events.Next())
 		}
 		return epoch, nil
 	})
@@ -40,7 +40,7 @@ func (g *GRM) Servant() orb.Servant {
 		g.HandleDeparting(n)
 		return struct{}{}, nil
 	})
-	orb.Serve(m, protocol.GetAppStatus, g.AppStatus)
+	orb.ServeEncode(m, protocol.GetAppStatus, g.encodeAppStatus)
 	orb.Serve(m, protocol.ListApps, func(struct{}) ([]string, error) {
 		return g.AppIDs(), nil
 	})

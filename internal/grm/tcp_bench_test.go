@@ -2,9 +2,12 @@ package grm_test
 
 import (
 	"fmt"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
+	"integrade/internal/asct"
 	"integrade/internal/grm"
 	"integrade/internal/lrm"
 	"integrade/internal/ncc"
@@ -13,12 +16,13 @@ import (
 	"integrade/internal/protocol"
 	"integrade/internal/resource"
 	"integrade/internal/sim"
+	"integrade/internal/testutil/allocbudget"
 )
 
 // tcpGrid is the grid as the binaries deploy it: a GRM behind an orb.Server on
 // 127.0.0.1 and nodes LRMs, each on its own ORB and listener, registered by a
 // first SendUpdate. Two nodes share a LAN and a node has two taskAlloc slots.
-func tcpGrid(b *testing.B, nodes int) (*grm.GRM, *sim.VirtualClock, orb.ObjectRef, []*lrm.LRM) {
+func tcpGrid(b testing.TB, nodes int) (*grm.GRM, *sim.VirtualClock, orb.ObjectRef, []*lrm.LRM) {
 	clock := sim.NewVirtualClock()
 	grmORB := orb.New()
 	b.Cleanup(grmORB.Close)
@@ -121,7 +125,7 @@ func BenchmarkTCPGangPlacement(b *testing.B) {
 		for _, l := range lrms {
 			l.SendUpdate()
 		}
-		if st, err := client.AppStatus(id); err != nil || !st.Done() {
+		if st, err := client.AppStatus(id, nil); err != nil || !st.Done() {
 			b.Fatalf("gang %s not done after its updates: %+v, %v", id, st, err)
 		}
 	}
@@ -129,4 +133,118 @@ func BenchmarkTCPGangPlacement(b *testing.B) {
 	if st := g.Stats(); st.TasksDone != 4*b.N || st.NegotiationRounds != 2*b.N {
 		b.Fatalf("%d tasks done in %d Reserves over %d gangs", st.TasksDone, st.NegotiationRounds, b.N)
 	}
+}
+
+// lifecycleMix is tcp_lifecycle_32's composition of eight applications: five
+// sequential, two parametric×4 and one BSP×4.
+var lifecycleMix = [8]protocol.AppKind{
+	protocol.AppSequential, protocol.AppSequential, protocol.AppSequential,
+	protocol.AppSequential, protocol.AppSequential,
+	protocol.AppParametric, protocol.AppParametric, protocol.AppBSP,
+}
+
+// tcpLifecycles is tcp_lifecycle_32's lifecycle on a tcpGrid of eight two-node
+// LANs: it returns a function that runs lifecycleMix once, application k
+// pinned to LAN k, each from Submit through the ASCT to Done. A lifecycle is
+// Submit, a status poll, a tick of the clock, SyncTasks and SendUpdate on each
+// LRM that hosts one of its tasks, and a closing poll that must find it done.
+func tcpLifecycles(tb testing.TB) func() {
+	const nodes = 2 * len(lifecycleMix)
+	_, clock, grmRef, lrms := tcpGrid(tb, nodes)
+	tool := orb.New()
+	tb.Cleanup(tool.Close)
+	ascts := asct.New(tool, grmRef, clock)
+	byNode := make(map[string]*lrm.LRM, nodes)
+	for _, l := range lrms {
+		byNode[l.Node().ID()] = l
+	}
+	var builders [len(lifecycleMix)]*asct.Builder
+	for k, kind := range lifecycleMix {
+		b := asct.NewApplication(fmt.Sprintf("%s-%d", kind, k)).
+			Allocate(taskAlloc).
+			Constraint(fmt.Sprintf("lan == 'lan%02d'", k))
+		switch kind {
+		case protocol.AppParametric:
+			b.Parametric(4, 9)
+		case protocol.AppBSP:
+			b.BSP(4, 9)
+		default:
+			b.Sequential(9) // MI: 10 ms at the allocated rate
+		}
+		builders[k] = b
+	}
+	return func() {
+		for _, b := range builders {
+			h, err := ascts.Submit(b)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			st, err := h.Status()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			clock.Advance(20 * time.Millisecond)
+			var last *lrm.LRM
+			for _, task := range st.Tasks {
+				// Tasks are placed node by node, so one node's are adjacent.
+				if l := byNode[task.NodeID]; l != nil && l != last {
+					l.SyncTasks()
+					l.SendUpdate()
+					last = l
+				}
+			}
+			if st, err = h.Status(); err != nil || !st.Done() {
+				tb.Fatalf("%s not done after its updates: %+v, %v", h.ID(), st, err)
+			}
+		}
+	}
+}
+
+// BenchmarkTCPLifecycle is tcp_lifecycle_32's application lifecycle in
+// isolation: one op is lifecycleMix's eight lifecycles over real TCP. Its
+// allocations are gated by the lifecycle-tcp-bytes row of
+// testdata/alloc_budget.txt.
+func BenchmarkTCPLifecycle(b *testing.B) {
+	run := tcpLifecycles(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// TestTCPLifecycleAllocBudget holds BenchmarkTCPLifecycle to the
+// lifecycle-tcp-bytes row of testdata/alloc_budget.txt: bytes per lifecycle,
+// averaged over 256 runs of the mix after 8 that dial every connection and
+// size every buffer the grid reuses. It runs at GOMAXPROCS 2, the row's: the
+// ORB's frame pools are kept per P and refilled after each collection, so the
+// bytes a pass pays for refills grow with the P count (about 2 B a lifecycle
+// from 1 to 2, 4 more at 8).
+func TestTCPLifecycleAllocBudget(t *testing.T) {
+	if allocbudget.Race {
+		t.Skip("the ORB's pooled frames and encoders allocate afresh under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const warm, runs = 8, 256
+	path := filepath.Join("testdata", "alloc_budget.txt")
+	run := tcpLifecycles(t)
+	for range warm {
+		run()
+	}
+	for _, row := range allocbudget.Parse(t, path) {
+		if row.Name != "lifecycle-tcp-bytes" {
+			continue
+		}
+		got := float64(allocbudget.Bytes(func() {
+			for range runs {
+				run()
+			}
+		})) / float64(runs*len(lifecycleMix))
+		if got > row.Budget {
+			t.Fatalf("%s: a TCP lifecycle allocates %.1f B, budget %.0f", path, got, row.Budget)
+		}
+		t.Logf("%s: a TCP lifecycle allocates %.1f B, budget %.0f", path, got, row.Budget)
+		return
+	}
+	t.Fatalf("%s: no lifecycle-tcp-bytes row", path)
 }

@@ -1,7 +1,6 @@
 package grm
 
 import (
-	"slices"
 	"sort"
 
 	"integrade/internal/protocol"
@@ -30,7 +29,8 @@ func (g *GRM) scheduleTopology(app *appInfo, pending []*taskInfo, mc *matchCtx) 
 	ranked.r.settle()
 	byLAN := make(map[string][]*trading.Offer)
 	var lanIDs []string
-	for o := range g.windowFilter(ranked, app.spec) {
+	c := g.windowFilter(ranked, app.spec)
+	for o := c.next(); o != nil; o = c.next() {
 		lan := strProp(o, fieldLAN)
 		if _, seen := byLAN[lan]; !seen {
 			lanIDs = append(lanIDs, lan)
@@ -111,7 +111,16 @@ func (g *GRM) scheduleTopology(app *appInfo, pending []*taskInfo, mc *matchCtx) 
 	// Reserve and execute per group, gang-style over the chosen offers.
 	for _, idx := range order {
 		ga := &assigns[idx]
-		if g.negotiate(app, ga.tasks, slices.Values(ga.offers), true, "") < len(ga.tasks) {
+		offers := ga.offers
+		next := func() *trading.Offer {
+			if len(offers) == 0 {
+				return nil
+			}
+			o := offers[0]
+			offers = offers[1:]
+			return o
+		}
+		if g.negotiate(app, ga.tasks, next, true, "") < len(ga.tasks) {
 			return // partial placements remain running; rest retried later
 		}
 	}

@@ -123,7 +123,9 @@ func TestLostUpdateReplyCountsCompletionsOnce(t *testing.T) {
 
 // TestMalformedUpdateAppliesNothing: an update whose event list is truncated,
 // over-long, or carries a kind that must not ride it is a marshal error, and
-// neither its status nor any of its events is applied.
+// neither its status nor any of its events is applied — not even a
+// well-formed one ahead of the bad one, though the GRM applies an update's
+// events one at a time out of its frame.
 func TestMalformedUpdateAppliesNothing(t *testing.T) {
 	c := newCluster(t, nil)
 	id := c.submit(bag(1, 1e9)) // stays pending: there is no node yet
@@ -139,8 +141,9 @@ func TestMalformedUpdateAppliesNothing(t *testing.T) {
 	evicted := done
 	evicted.Kind = protocol.TaskEventEvicted
 
-	var whole orb.Encoder
+	var whole, twice orb.Encoder
 	protocol.EncodeUpdate(&whole, status, []protocol.TaskEvent{done})
+	protocol.EncodeUpdate(&twice, status, []protocol.TaskEvent{done, done})
 	var overlong orb.Encoder
 	status.Encode(&overlong)
 	overlong.PutU32(1 << 20)
@@ -151,6 +154,7 @@ func TestMalformedUpdateAppliesNothing(t *testing.T) {
 
 	for name, body := range map[string][]byte{
 		"truncated inside the event": whole.Bytes()[:whole.Len()-3],
+		"truncated in the second":    twice.Bytes()[:twice.Len()-3],
 		"count without events":       whole.Bytes()[:statusOnly.Len()+4],
 		"no event count":             statusOnly.Bytes(),
 		"over-long event list":       overlong.Bytes(),

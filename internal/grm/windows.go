@@ -1,7 +1,6 @@
 package grm
 
 import (
-	"iter"
 	"time"
 
 	"integrade/internal/protocol"
@@ -57,19 +56,20 @@ func offerFitsWindow(o *trading.Offer, deadline float64) bool {
 	return end >= deadline
 }
 
-// windowFilter yields the ranked candidates best first, minus those whose
-// availability window ends before the spec's estimated runtime would complete.
-// It filters nothing unless the GRM was built WithWindowAware. Whether any
-// candidate, or every one, fails is a property of the set and not of its
-// order, so the violations are counted over the view's members as they lie in
-// the shared keys and the order is settled only as far as the consumer pulls.
-// When every candidate fails, all of them are yielded: window-aware placement
-// prefers safe nodes but degrades to window-blind behaviour rather than
-// stranding work nothing can host safely.
-func (g *GRM) windowFilter(ranked view, spec protocol.ApplicationSpec) iter.Seq[*trading.Offer] {
+// windowFilter returns a cursor over the ranked candidates best first, minus
+// those whose availability window ends before the spec's estimated runtime
+// would complete. It filters nothing unless the GRM was built WithWindowAware.
+// Whether any candidate, or every one, fails is a property of the set and not
+// of its order, so the violations are counted over the view's members as they
+// lie in the shared keys and the order is settled only as far as the consumer
+// pulls. When every candidate fails, all of them are returned: window-aware
+// placement prefers safe nodes but degrades to window-blind behaviour rather
+// than stranding work nothing can host safely.
+func (g *GRM) windowFilter(ranked view, spec protocol.ApplicationSpec) cursor {
+	c := ranked.best()
 	runtime := estimatedRuntime(spec)
 	if !g.windowAware || runtime <= 0 {
-		return ranked.best()
+		return c
 	}
 	deadline := float64(g.clock.Now().Add(runtime).Unix())
 	violations := 0
@@ -79,16 +79,11 @@ func (g *GRM) windowFilter(ranked view, spec protocol.ApplicationSpec) iter.Seq[
 		}
 	}
 	if violations == 0 || violations == ranked.n {
-		return ranked.best()
+		return c
 	}
 	g.mu.Lock()
 	g.stats.WindowRejected += violations
 	g.mu.Unlock()
-	return func(yield func(*trading.Offer) bool) {
-		for o := range ranked.best() {
-			if offerFitsWindow(o, deadline) && !yield(o) {
-				return
-			}
-		}
-	}
+	c.filtered, c.deadline = true, deadline
+	return c
 }

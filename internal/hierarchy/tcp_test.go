@@ -115,7 +115,7 @@ func TestTwoClustersOverTCP(t *testing.T) {
 	grmClient := protocol.NewGRMClient(o, big.srv.Ref(protocol.GRMKey))
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st, err := grmClient.AppStatus(res.AppID)
+		st, err := grmClient.AppStatus(res.AppID, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

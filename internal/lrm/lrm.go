@@ -101,11 +101,11 @@ type LRM struct {
 	reregDelay   func(nodeID string, attempt int) time.Duration
 	drainLead    time.Duration // 0 = proactive pre-departure drain disabled
 
-	// mu guards grm, taskApp, outbox, stats, stopped, timers, started,
-	// fence, consecFails, rereg and reregAttempt. It must be released before
-	// GRM RPCs (Update/Notify), which block on the remote side. Snapshot
-	// collection reads the node's running set under it, so l.mu nests
-	// outside the node's lock.
+	// mu guards grm, taskApp, outbox, windows, stats, stopped, timers,
+	// started, fence, consecFails, rereg and reregAttempt. It must be
+	// released before GRM RPCs (Update/Notify), which block on the remote
+	// side. Snapshot collection reads the node's running set under it, so
+	// l.mu nests outside the node's lock.
 	//lint:lockorder lrm.LRM.mu<node.Node.mu
 	mu      sync.Mutex
 	grm     *protocol.GRMClient
@@ -113,8 +113,14 @@ type LRM struct {
 	// outbox holds the Done events of tasks that finished since the last
 	// update a manager accepted, oldest first. The next update carries them;
 	// one that fails or is refused puts them back, so a completion is
-	// delivered at least once while this LRM lives.
-	outbox  []protocol.TaskEvent
+	// delivered at least once while this LRM lives. One that is accepted
+	// hands its events' array back, cleared, as the outbox the next
+	// completions go into, unless some were queued meanwhile.
+	outbox []protocol.TaskEvent
+	// windows is the array an update's status carries its windows in. An
+	// update takes it, leaving nil, and gives it back when sent: a concurrent
+	// one builds its status in an array of its own.
+	windows *[protocol.MaxWindows]protocol.AvailWindow
 	stats   Stats
 	stopped bool
 	timers  []sim.Timer
@@ -310,7 +316,15 @@ func (l *LRM) SendUpdate() {
 // applied them and lost only the reply, so it must tolerate seeing them
 // again. Progress is not kept — the next update snapshots it afresh.
 func (l *LRM) pushUpdate(client *protocol.GRMClient) error {
-	status := l.Status()
+	l.mu.Lock()
+	win := l.windows
+	l.windows = nil
+	l.mu.Unlock()
+	if win == nil {
+		win = new([protocol.MaxWindows]protocol.AvailWindow)
+	}
+	status, windows := l.status(win)
+	status.Windows = windows
 	l.mu.Lock()
 	snaps := l.node.RunningSnapshots()
 	events := slices.Grow(l.outbox, len(snaps))
@@ -331,12 +345,17 @@ func (l *LRM) pushUpdate(client *protocol.GRMClient) error {
 	if err == nil && l.staleManager(epoch) {
 		err = orb.Errorf(orb.CodeApplication, "manager epoch %d is stale", epoch)
 	}
+	l.mu.Lock()
+	l.windows = win
+	switch {
+	case err != nil && done > 0:
+		l.outbox = append(events[:done:done], l.outbox...)
+	case err == nil && l.outbox == nil:
+		clear(events)
+		l.outbox = events[:0]
+	}
+	l.mu.Unlock()
 	if err != nil {
-		if done > 0 {
-			l.mu.Lock()
-			l.outbox = append(events[:done:done], l.outbox...)
-			l.mu.Unlock()
-		}
 		return err
 	}
 	l.adoptEpoch(epoch)
@@ -471,6 +490,17 @@ const ForecastHorizon = 24 * time.Hour
 
 // Status builds the node's current NodeStatus.
 func (l *LRM) Status() protocol.NodeStatus {
+	var buf [protocol.MaxWindows]protocol.AvailWindow
+	s, windows := l.status(&buf)
+	if len(windows) > 0 {
+		s.Windows = slices.Clone(windows)
+	}
+	return s
+}
+
+// status builds the node's current NodeStatus, its windows in buf and returned
+// beside it, with Windows nil: a buf on the caller's stack stays there.
+func (l *LRM) status(buf *[protocol.MaxWindows]protocol.AvailWindow) (protocol.NodeStatus, []protocol.AvailWindow) {
 	now := l.clock.Now()
 	spec := l.node.Spec()
 	free := l.gridFree(now)
@@ -481,17 +511,14 @@ func (l *LRM) Status() protocol.NodeStatus {
 			predicted = span
 		}
 		forecast := l.analyzer.Forecast(now, ForecastHorizon)
-		if n := min(len(forecast), protocol.MaxWindows); n > 0 {
-			windows = make([]protocol.AvailWindow, n)
-			for i, w := range forecast[:n] {
-				windows[i] = protocol.AvailWindow{Start: w.Start, End: w.End, Confidence: w.Confidence}
-			}
+		windows = buf[:min(len(forecast), protocol.MaxWindows)]
+		for i, w := range forecast[:len(windows)] {
+			windows[i] = protocol.AvailWindow{Start: w.Start, End: w.End, Confidence: w.Confidence}
 		}
 	} else if l.node.Dedicated() && !l.node.IsDown(now) {
 		predicted = 24 * time.Hour
-		windows = []protocol.AvailWindow{
-			{Start: now, End: now.Add(ForecastHorizon), Confidence: 1},
-		}
+		windows = buf[:1]
+		windows[0] = protocol.AvailWindow{Start: now, End: now.Add(ForecastHorizon), Confidence: 1}
 	}
 	return protocol.NodeStatus{
 		NodeID:        l.node.ID(),
@@ -504,8 +531,7 @@ func (l *LRM) Status() protocol.NodeStatus {
 		OwnerBusy:     l.node.OwnerActivity(now).Busy(),
 		PredictedIdle: predicted,
 		Timestamp:     now,
-		Windows:       windows,
-	}
+	}, windows
 }
 
 // gridFree computes what the grid could commit right now: the ledger's free

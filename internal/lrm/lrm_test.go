@@ -46,7 +46,7 @@ func (f *fakeGRM) servant() orb.Servant {
 			}
 			s.Windows = slices.Clone(windows)
 			f.updates = append(f.updates, s)
-			f.rode = append(f.rode, events)
+			f.rode = append(f.rode, events.Collect())
 			var e orb.Encoder
 			e.PutInt(f.epoch)
 			return &e, nil

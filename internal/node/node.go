@@ -9,8 +9,10 @@
 package node
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -273,7 +275,7 @@ func (n *Node) RunningSnapshots() []TaskSnapshot {
 	for _, t := range n.tasks {
 		out = append(out, TaskSnapshot{ID: t.ID, Progress: t.progress, Work: t.Work})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b TaskSnapshot) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -382,7 +384,7 @@ func (n *Node) executeLocked(share ncc.Share, dt float64, now time.Time, ownerBu
 			finished = append(finished, task)
 		}
 	}
-	sort.Slice(finished, func(i, j int) bool { return finished[i].ID < finished[j].ID })
+	slices.SortFunc(finished, byID)
 	return finished
 }
 
@@ -395,9 +397,12 @@ func (n *Node) evictAllLocked() []*Task {
 		n.evictions++
 		out = append(out, task)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, byID)
 	return out
 }
+
+// byID orders tasks by ID.
+func byID(a, b *Task) int { return cmp.Compare(a.ID, b.ID) }
 
 // OwnerSlowdown estimates the owner-perceived slowdown factor at t: the
 // ratio between the CPU the owner demands and what it actually receives once

@@ -22,6 +22,13 @@ type Op[Req, Rep any] struct {
 // RawString does not). A reply that does not decode is a CodeMarshal error
 // "<name> reply: …".
 func (o *Op[Req, Rep]) Invoke(inv Invoker, ref ObjectRef, req Req) (Rep, error) {
+	return o.InvokeRaw(inv, ref, req, o.DecodeRep)
+}
+
+// InvokeRaw is Invoke for a caller that decodes the reply itself, against
+// state of its own, as ServeRaw's servant decodes the request: decode reads
+// the reply in place of DecodeRep, under the same rules.
+func (o *Op[Req, Rep]) InvokeRaw(inv Invoker, ref ObjectRef, req Req, decode func(*Decoder) (Rep, error)) (Rep, error) {
 	var (
 		e   *Encoder
 		arg []byte
@@ -34,12 +41,12 @@ func (o *Op[Req, Rep]) Invoke(inv Invoker, ref ObjectRef, req Req) (Rep, error) 
 	}
 	reply, err := inv.Invoke(ref, o.Name, arg)
 	PutEncoder(e)
-	if err != nil || o.DecodeRep == nil {
+	if err != nil || decode == nil {
 		putBuf(reply)
 		return rep, err
 	}
 	d := getDecoder(reply)
-	rep, err = o.DecodeRep(d)
+	rep, err = decode(d)
 	putDecoder(d)
 	putBuf(reply)
 	if err != nil {
@@ -79,6 +86,22 @@ func ServeRaw[Req, Rep any](mux *OpMux, op *Op[Req, Rep], fn func(*Decoder) (Rep
 		}
 		e := GetEncoder()
 		op.EncodeRep(rep, e)
+		return e, nil
+	})
+}
+
+// ServeEncode is ServeRaw for a servant that encodes the reply itself, from
+// state it would otherwise copy into a Rep: fn reads the request from d, under
+// the ownership rules of Servant, reports its own decode failures, and writes
+// into e exactly what op.EncodeRep writes for the reply it stands for. e is
+// pooled; the ORB recycles it, or ServeEncode does when fn fails.
+func ServeEncode[Req, Rep any](mux *OpMux, op *Op[Req, Rep], fn func(d *Decoder, e *Encoder) error) {
+	mux.Handle(op.Name, func(_ string, d *Decoder) (*Encoder, error) {
+		e := GetEncoder()
+		if err := fn(d, e); err != nil {
+			PutEncoder(e)
+			return nil, err
+		}
 		return e, nil
 	})
 }

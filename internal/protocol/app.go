@@ -297,26 +297,31 @@ func (a AppStatus) Done() bool {
 // taskStatusMin is the encoded size of a TaskStatus whose strings are empty.
 const taskStatusMin = 4 + 4 + 1 + 8 + 8 + 8
 
-// encodedLen is the exact encoded size of the status.
-func (a *AppStatus) encodedLen() int {
-	n := strLen(a.AppID) + strLen(a.Name) + 1 + 2*timeLen + 8 + 4 + len(a.Tasks)*taskStatusMin
-	for _, t := range a.Tasks {
-		n += len(t.TaskID) + len(t.NodeID)
-	}
-	return n
-}
-
 // Encode writes the status.
 func (a AppStatus) Encode(e *orb.Encoder) {
-	e.Grow(a.encodedLen())
+	a.EncodeTasks(e, len(a.Tasks), func(i int) TaskStatus { return a.Tasks[i] })
+}
+
+// EncodeTasks writes the status with n tasks, the i-th task(i), in place of
+// a.Tasks: a server that holds its tasks in records of its own writes the
+// reply from them without building the slice. Encode is EncodeTasks over
+// a.Tasks, so the two write the same bytes for the same tasks.
+func (a *AppStatus) EncodeTasks(e *orb.Encoder, n int, task func(i int) TaskStatus) {
+	size := strLen(a.AppID) + strLen(a.Name) + 1 + 2*timeLen + 8 + 4 + n*taskStatusMin
+	for i := range n {
+		t := task(i)
+		size += len(t.TaskID) + len(t.NodeID)
+	}
+	e.Grow(size)
 	e.PutString(a.AppID)
 	e.PutString(a.Name)
 	e.PutU8(uint8(a.Kind))
 	e.PutTime(a.Submitted)
 	e.PutTime(a.Finished)
 	e.PutInt(a.Negotiations)
-	e.PutU32(uint32(len(a.Tasks)))
-	for _, t := range a.Tasks {
+	e.PutU32(uint32(n))
+	for i := range n {
+		t := task(i)
 		e.PutString(t.TaskID)
 		e.PutString(t.NodeID)
 		e.PutU8(uint8(t.State))
@@ -328,9 +333,20 @@ func (a AppStatus) Encode(e *orb.Encoder) {
 
 // DecodeAppStatus reads an AppStatus.
 func DecodeAppStatus(d *orb.Decoder) (AppStatus, error) {
+	return decodeAppStatus(d, nil)
+}
+
+// decodeAppStatus reads an AppStatus whose strings — the application's ID and
+// name, each task's ID and node — are like's wherever the wire bytes equal
+// them, the i-th task's those of like's i-th, and copies where they do not.
+// like nil means no earlier status.
+func decodeAppStatus(d *orb.Decoder, like *AppStatus) (AppStatus, error) {
+	if like == nil {
+		like = &AppStatus{}
+	}
 	a := AppStatus{
-		AppID:     d.String(),
-		Name:      d.String(),
+		AppID:     knownString(d, like.AppID),
+		Name:      knownString(d, like.Name),
 		Kind:      AppKind(d.U8()),
 		Submitted: d.Time(),
 		Finished:  d.Time(),
@@ -342,9 +358,13 @@ func DecodeAppStatus(d *orb.Decoder) (AppStatus, error) {
 	}
 	a.Tasks = make([]TaskStatus, n)
 	for i := range a.Tasks {
+		var was TaskStatus
+		if i < len(like.Tasks) {
+			was = like.Tasks[i]
+		}
 		a.Tasks[i] = TaskStatus{
-			TaskID:   d.String(),
-			NodeID:   d.String(),
+			TaskID:   knownString(d, was.TaskID),
+			NodeID:   knownString(d, was.NodeID),
 			State:    TaskState(d.U8()),
 			Progress: d.F64(),
 			Work:     d.F64(),

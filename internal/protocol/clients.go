@@ -78,7 +78,7 @@ func decodeUpdateRequest(d *orb.Decoder) (UpdateRequest, error) {
 	if len(windows) > 0 {
 		s.Windows = slices.Clone(windows)
 	}
-	return UpdateRequest{Status: s, Events: events}, nil
+	return UpdateRequest{Status: s, Events: events.Collect()}, nil
 }
 
 // CancelRequest is one OpCancel body: the task to abort and the issuing
@@ -203,7 +203,11 @@ func (c *GRMClient) Reconcile(req ReconcileRequest) ([]string, error) {
 	return Reconcile.Invoke(c.inv, c.ref, req)
 }
 
-// AppStatus fetches an application's status.
-func (c *GRMClient) AppStatus(appID string) (AppStatus, error) {
-	return GetAppStatus.Invoke(c.inv, c.ref, appID)
+// AppStatus fetches an application's status. like, if not nil, is one
+// fetched before, of the same application: the result shares its strings
+// where they are unchanged, as a poll's IDs are, instead of copying them.
+func (c *GRMClient) AppStatus(appID string, like *AppStatus) (AppStatus, error) {
+	return GetAppStatus.InvokeRaw(c.inv, c.ref, appID, func(d *orb.Decoder) (AppStatus, error) {
+		return decodeAppStatus(d, like)
+	})
 }

@@ -44,7 +44,7 @@ func (f *fakeManagers) grmServant() orb.Servant {
 			}
 			s.Windows = slices.Clone(windows)
 			f.updates = append(f.updates, s)
-			f.rode = append(f.rode, events...)
+			f.rode = append(f.rode, events.Collect()...)
 			var e orb.Encoder
 			e.PutInt(7)
 			return &e, nil
@@ -190,14 +190,14 @@ func TestGRMClientRoundTrips(t *testing.T) {
 		t.Fatalf("events = %+v", f.events)
 	}
 
-	st, err := grm.AppStatus(id)
+	st, err := grm.AppStatus(id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.AppID != id || st.Name != "demo" {
 		t.Fatalf("status = %+v", st)
 	}
-	if _, err := grm.AppStatus("ghost"); err == nil {
+	if _, err := grm.AppStatus("ghost", nil); err == nil {
 		t.Fatal("ghost app status succeeded")
 	}
 

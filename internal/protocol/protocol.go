@@ -414,15 +414,37 @@ func (ev TaskEvent) Encode(e *orb.Encoder) {
 
 // DecodeTaskEvent reads a TaskEvent.
 func DecodeTaskEvent(d *orb.Decoder) (TaskEvent, error) {
+	r := readTaskEvent(d)
 	ev := TaskEvent{
-		Kind:     TaskEventKind(d.U8()),
-		AppID:    d.String(),
-		TaskID:   d.String(),
-		NodeID:   d.String(),
-		Progress: d.F64(),
-		At:       d.Time(),
+		Kind:     r.kind,
+		AppID:    string(r.appID),
+		TaskID:   string(r.taskID),
+		NodeID:   string(r.nodeID),
+		Progress: r.progress,
+		At:       r.at,
 	}
 	return ev, d.Err()
+}
+
+// rawTaskEvent is a TaskEvent as the wire holds it: its IDs alias the frame.
+type rawTaskEvent struct {
+	kind                  TaskEventKind
+	appID, taskID, nodeID []byte
+	progress              float64
+	at                    time.Time
+}
+
+// readTaskEvent reads one event's fields in their wire order, the one place
+// that order is read; d's error tells whether they were all there.
+func readTaskEvent(d *orb.Decoder) rawTaskEvent {
+	return rawTaskEvent{
+		kind:     TaskEventKind(d.U8()),
+		appID:    d.RawString(),
+		taskID:   d.RawString(),
+		nodeID:   d.RawString(),
+		progress: d.F64(),
+		at:       d.Time(),
+	}
 }
 
 // RidesUpdate reports whether events of this kind travel in the Information
@@ -454,30 +476,71 @@ func EncodeUpdate(e *orb.Encoder, s NodeStatus, events []TaskEvent) {
 // shares like's identity strings where they are unchanged (decodeNodeStatus),
 // so a node that reports the same ID, reference, platform and LAN costs no
 // string copy. The status's windows go into buf and are returned beside it.
-func DecodeUpdate(d *orb.Decoder, like *NodeStatus, buf *[MaxWindows]AvailWindow) (NodeStatus, []AvailWindow, []TaskEvent, error) {
+// The events, all of them checked, stay in the frame d reads: UpdateEvents
+// decodes them for the receiver to apply one at a time.
+func DecodeUpdate(d *orb.Decoder, like *NodeStatus, buf *[MaxWindows]AvailWindow) (NodeStatus, []AvailWindow, UpdateEvents, error) {
 	s, windows, err := decodeNodeStatus(d, like, buf)
 	if err != nil {
-		return NodeStatus{}, nil, nil, err
+		return NodeStatus{}, nil, UpdateEvents{}, err
 	}
 	n := d.Count(taskEventMin)
 	if err := d.Err(); err != nil {
-		return NodeStatus{}, nil, nil, err
+		return NodeStatus{}, nil, UpdateEvents{}, err
 	}
-	var events []TaskEvent
-	if n > 0 {
-		events = make([]TaskEvent, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		ev, err := DecodeTaskEvent(d)
-		if err != nil {
-			return NodeStatus{}, nil, nil, err
+	events := UpdateEvents{d: *d, n: n, nodeID: s.NodeID}
+	for range n {
+		r := readTaskEvent(d)
+		if err := d.Err(); err != nil {
+			return NodeStatus{}, nil, UpdateEvents{}, err
 		}
-		if !ev.Kind.RidesUpdate() {
-			return NodeStatus{}, nil, nil, fmt.Errorf("protocol: %s event for task %s in an update", ev.Kind, ev.TaskID)
+		if !r.kind.RidesUpdate() {
+			return NodeStatus{}, nil, UpdateEvents{}, fmt.Errorf("protocol: %s event for task %s in an update", r.kind, r.taskID)
 		}
-		events = append(events, ev)
 	}
 	return s, windows, events, nil
+}
+
+// UpdateEvents is the event list of an update DecodeUpdate has read and
+// checked, still in the request's frame: Next decodes the events in order, one
+// at a time, so a receiver applies them without a slice to hold them. It reads
+// the frame, so it is good only while the frame is: within the servant's call.
+type UpdateEvents struct {
+	d      orb.Decoder // at the next event
+	n      int
+	nodeID string // the update's status's
+}
+
+// Len returns how many events Next has yet to return.
+func (u *UpdateEvents) Len() int { return u.n }
+
+// Next returns the next event; Len must be positive. The event's application
+// and task IDs are left empty: appID and taskID are their wire bytes, which
+// alias the frame, for the receiver to look up the task they name without
+// copying them. Its node ID is the status's when the wire bytes equal it, as
+// they do unless the LRM reports for another node, and a copy otherwise.
+func (u *UpdateEvents) Next() (ev TaskEvent, appID, taskID []byte) {
+	u.n--
+	r := readTaskEvent(&u.d)
+	ev = TaskEvent{Kind: r.kind, NodeID: u.nodeID, Progress: r.progress, At: r.at}
+	if string(r.nodeID) != u.nodeID {
+		ev.NodeID = string(r.nodeID)
+	}
+	return ev, r.appID, r.taskID
+}
+
+// Collect returns the events Next has yet to return in a slice of their own,
+// nil for none, their IDs copies.
+func (u *UpdateEvents) Collect() []TaskEvent {
+	if u.n == 0 {
+		return nil
+	}
+	events := make([]TaskEvent, 0, u.n)
+	for u.n > 0 {
+		ev, appID, taskID := u.Next()
+		ev.AppID, ev.TaskID = string(appID), string(taskID)
+		events = append(events, ev)
+	}
+	return events
 }
 
 // DepartureNotice is the LRM → GRM announcement that the node predicts an

@@ -266,10 +266,11 @@ func updateBody() (NodeStatus, []TaskEvent, []byte) {
 func TestUpdateRoundTrip(t *testing.T) {
 	s, events, body := updateBody()
 	var buf [MaxWindows]AvailWindow
-	gotS, gotWindows, gotEvents, err := DecodeUpdate(orb.NewDecoder(body), nil, &buf)
+	gotS, gotWindows, rest, err := DecodeUpdate(orb.NewDecoder(body), nil, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	gotEvents := rest.Collect()
 	if gotS.NodeID != s.NodeID || gotS.GridFree != s.GridFree || gotS.Windows != nil {
 		t.Fatalf("status = %+v", gotS)
 	}
@@ -288,8 +289,8 @@ func TestUpdateRoundTrip(t *testing.T) {
 	if bare.Len() != statusOnly.Len()+4 {
 		t.Fatalf("empty event list costs %d bytes, want 4", bare.Len()-statusOnly.Len())
 	}
-	if _, _, gotEvents, err = DecodeUpdate(orb.NewDecoder(bare.Bytes()), nil, &buf); err != nil || len(gotEvents) != 0 {
-		t.Fatalf("bare update: events %+v, err %v", gotEvents, err)
+	if _, _, rest, err = DecodeUpdate(orb.NewDecoder(bare.Bytes()), nil, &buf); err != nil || rest.Len() != 0 {
+		t.Fatalf("bare update: %d events, err %v", rest.Len(), err)
 	}
 	if _, _, _, err := DecodeUpdate(orb.NewDecoder(statusOnly.Bytes()), nil, &buf); err == nil {
 		t.Fatal("an update without an event count decoded")
@@ -320,8 +321,8 @@ func TestUpdateRejectsWhatMustNotRideIt(t *testing.T) {
 		var e orb.Encoder
 		EncodeUpdate(&e, s, bad)
 		gotS, gotWindows, gotEvents, err := DecodeUpdate(orb.NewDecoder(e.Bytes()), nil, &buf)
-		if err == nil || gotS.NodeID != "" || gotWindows != nil || gotEvents != nil {
-			t.Fatalf("kind %v rode an update: status %+v, windows %+v, events %+v, err %v", kind, gotS, gotWindows, gotEvents, err)
+		if err == nil || gotS.NodeID != "" || gotWindows != nil || gotEvents.Len() != 0 {
+			t.Fatalf("kind %v rode an update: status %+v, windows %+v, %d events, err %v", kind, gotS, gotWindows, gotEvents.Len(), err)
 		}
 	}
 }
@@ -343,13 +344,14 @@ func FuzzDecodeUpdate(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var buf [MaxWindows]AvailWindow
-		s, windows, events, err := DecodeUpdate(orb.NewDecoder(data), nil, &buf)
+		s, windows, rest, err := DecodeUpdate(orb.NewDecoder(data), nil, &buf)
 		if err != nil {
-			if s.NodeID != "" || windows != nil || events != nil {
-				t.Fatalf("error %v alongside status %+v, windows %+v, events %+v", err, s, windows, events)
+			if s.NodeID != "" || windows != nil || rest.Len() != 0 {
+				t.Fatalf("error %v alongside status %+v, windows %+v, %d events", err, s, windows, rest.Len())
 			}
 			return
 		}
+		events := rest.Collect()
 		if s.Windows != nil || len(windows) > MaxWindows || len(windows) > 0 && &windows[0] != &buf[0] {
 			t.Fatalf("windows %+v in the status, %d beside it outside the caller's array", s.Windows, len(windows))
 		}
