@@ -37,7 +37,9 @@ func WithAsyncAdmission() Option {
 // matchEntry caches one constraint's candidate set within a matchCtx: a view
 // of the ranking it was filled into, under a keyed policy in the policy's
 // order, under a stateful one in export order (every key zero, so the order is
-// the ordinal's). The offers are the trader's own: read-only.
+// the ordinal's). The offers are the trader's own: read-only, and never
+// rewritten while a hold that could reach them is live — the context's, which
+// it takes before the first fill and releases at close.
 type matchEntry struct {
 	view
 	minExpires time.Time // earliest expiry among the cached offers
@@ -56,11 +58,14 @@ type matchEntry struct {
 // The entries, one per distinct constraint of the batch, their index and the
 // rankings' keys live in the GRM's scratch, which the context takes at its
 // first fill and hands back at close, cleared: a warm scratch holds a batch
-// without allocating.
+// without allocating. With the scratch it takes a trader hold, which keeps the
+// offers its keys point at — and negotiate's cursor after the walk that found
+// them — from being rewritten until close.
 type matchCtx struct {
 	g       *GRM
 	version uint64
-	taken   bool // the context holds the scratch it took, empty or not
+	taken   bool // the context holds the scratch it took, empty or not, and its hold
+	hold    trading.Hold
 	matchScratch
 	hits   int
 	misses int
@@ -253,12 +258,13 @@ func (mc *matchCtx) fillSet(conses []string) {
 
 // takeScratch makes the GRM's scratch the one of a context that has none,
 // leaving it empty: a concurrent context finds it taken and appends to buffers
-// of its own.
+// of its own. It takes the context's trader hold too, before the first walk.
 func (mc *matchCtx) takeScratch() {
 	if mc.taken {
 		return
 	}
 	mc.taken = true
+	mc.hold = mc.g.trader.Hold()
 	mc.g.mu.Lock()
 	mc.matchScratch, mc.g.matchScratch = mc.g.matchScratch, matchScratch{}
 	mc.g.mu.Unlock()
@@ -273,8 +279,8 @@ func (s *matchScratch) reset() {
 	s.entries, s.keys = s.entries[:0], s.keys[:0]
 }
 
-// close hands the context's scratch to the GRM for the next context, cleared.
-// The context's candidates are dead from here on.
+// close hands the context's scratch to the GRM for the next context, cleared,
+// and releases its trader hold. The context's candidates are dead from here on.
 func (mc *matchCtx) close() {
 	if !mc.taken {
 		return
@@ -283,6 +289,7 @@ func (mc *matchCtx) close() {
 	mc.g.mu.Lock()
 	mc.g.matchScratch, mc.matchScratch = mc.matchScratch, matchScratch{}
 	mc.g.mu.Unlock()
+	mc.hold.Release()
 	mc.taken = false
 }
 

@@ -188,23 +188,35 @@ func BenchmarkExportFirst10k(b *testing.B) {
 
 // TestExportKeyedAllocBudget holds the upserts of BenchmarkExportKeyedUpsert
 // and BenchmarkPlaceUpsert, and the first exports of BenchmarkExportFirst10k,
-// to the `export-keyed`, `upsert-place` and `export-first` rows of
-// testdata/alloc_budget.txt.
+// to the `export-keyed`, `upsert-place`, `upsert-place-steady` and
+// `export-first` rows of testdata/alloc_budget.txt.
 func TestExportKeyedAllocBudget(t *testing.T) {
 	path := filepath.Join("testdata", "alloc_budget.txt")
 	s, offers, places := upsertFleet()
 	schema, values := fleetValues(offers)
+	// A fleet every place of which has been upserted twice: each has a spare.
+	steady, _, steadyPlaces := upsertFleet()
+	for range 2 {
+		for i, p := range steadyPlaces {
+			if !steady.Upsert(p, time.Time{}, schema, values[i]) {
+				t.Fatal("an upsert through a live place was dropped")
+			}
+		}
+	}
 	fresh := NewService(nil)
 	upserts := map[string]func(i int) bool{
 		"export-keyed": func(i int) bool { _, err := s.ExportKeyed(offers[i]); return err == nil },
 		"upsert-place": func(i int) bool { return s.Upsert(places[i], time.Time{}, schema, values[i]) },
+		"upsert-place-steady": func(i int) bool {
+			return steady.Upsert(steadyPlaces[i], time.Time{}, schema, values[i])
+		},
 		// 2001 refs' first offers, ~31 a shard, into a service that has none.
 		"export-first": func(i int) bool { _, err := fresh.ExportKeyed(offers[i]); return err == nil },
 	}
 	for _, row := range allocbudget.Parse(t, path) {
 		upsert := upserts[row.Name]
 		if upsert == nil {
-			t.Fatalf("%s: unknown row %q (known: export-keyed, upsert-place, export-first)", path, row.Name)
+			t.Fatalf("%s: unknown row %q (known: export-keyed, upsert-place, upsert-place-steady, export-first)", path, row.Name)
 		}
 		i := 0
 		got := testing.AllocsPerRun(2000, func() {

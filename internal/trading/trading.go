@@ -23,6 +23,13 @@
 // locks — they load the snapshots and the slots — so they never contend with
 // writers. A writer takes its shard's mutex and no other, so writers on
 // different shards never contend with each other either.
+//
+// An offer is written before it is published and is never rewritten while a
+// hold that could reach it is live. A reader walks the index under a read
+// hold (Hold), two atomic counters and no lock; an update rewrites the offer
+// its place retired before — the entry's spare — in place once every hold that
+// could have loaded it has been released, and allocates a new one only while
+// one might not have been (DESIGN.md §16).
 package trading
 
 import (
@@ -46,10 +53,11 @@ import (
 const shardsPerType = 64
 
 // Offer is one advertised service: a type name, the exporting object, and
-// its properties. The properties are an immutable record, so copying an Offer
-// copies everything a holder could change: exporting one hands the record to
-// the trader without a copy, and every offer the trader returns shares the
-// stored record.
+// its properties. The properties are a record no holder can write to, so
+// copying an Offer copies everything a holder could change: exporting one
+// hands the record to the trader without a copy, and every offer the trader
+// returns shares the stored record, which the trader never rewrites once
+// Select or All returned it.
 type Offer struct {
 	// Expires is the instant after which the offer is garbage; zero means
 	// no expiry. LRM offers carry an expiry so that crashed nodes age out
@@ -93,7 +101,10 @@ func (o *Offer) expired(now time.Time) bool { return due(o.Expires, now) }
 // copy. The value array is the exporter's, shared, in an offer exported by
 // reference, and the offer's own, right behind it, in one Upsert stored
 // (updated). Like the Offer inside it, a stored is written before it is
-// published and never again.
+// published and never rewritten while a hold that could reach it is live: an
+// updated one is rewritten, as its entry's spare, only after its slot stopped
+// pointing at it and every hold that could have loaded it was released. It has
+// no field for that: its layout is what a scan reads.
 type stored struct {
 	rec constraint.Record
 	Offer
@@ -178,10 +189,17 @@ var emptySnap = &shardSnap{}
 // sits in. A shard has at most one entry per exporting reference. An upsert
 // replaces st and keeps the entry; a withdrawal, or an expiry sweep, removes
 // the entry for good and sets slot to -1. Its fields are guarded by sh.mu.
+//
+// own is st when an Upsert wrote it inline (nil otherwise), and spare is the
+// own the entry had before, retired — unpublished — at epoch retired: the
+// offer the entry's next Upsert rewrites once no hold can reach it.
 type entry struct {
-	sh   *shard
-	st   *stored
-	slot int
+	sh      *shard
+	st      *stored
+	slot    int
+	own     *updated
+	spare   *updated
+	retired uint64
 }
 
 // Place is an exporter's handle on its offer's entry, which ExportKeyed
@@ -241,6 +259,16 @@ type Service struct {
 	// means the snapshot they cached is still the live one.
 	version atomic.Uint64
 
+	// epoch and holds are the read holds (Hold): holds[p] counts the live
+	// holds taken at an epoch of parity p. A spare retired at epoch t may be
+	// rewritten once the epoch is t+2 or more (graceOver).
+	epoch atomic.Uint64
+	holds [2]atomic.Int64
+	// escaped is the highest seq a reader that hands offers out with no hold
+	// attached (SelectPointers, Select, All) may have returned: a spare at or
+	// below it is left to the collector, never rewritten.
+	escaped atomic.Int64
+
 	// mu serializes growth of the types map, which is copy-on-write: writers
 	// copy the map, add the new type's shard set and swap; readers load it
 	// lock-free. Nothing else takes it.
@@ -268,6 +296,63 @@ func NewService(now func() time.Time) *Service {
 // write. Cached query results are valid only while the version is unchanged
 // (and no cached offer has hit its expiry).
 func (s *Service) Version() uint64 { return s.version.Load() }
+
+// Hold is a read hold on a Service's offers: no offer the holder loads from
+// the index while the hold is live is rewritten before Release. Taking and
+// releasing one is a few atomic operations, no lock and no allocation, and a
+// writer never waits for one: while a hold that could reach an update's spare
+// is live, the update allocates a new offer instead (DESIGN.md §16). The zero
+// Hold holds nothing, and must not be released.
+type Hold struct{ count *atomic.Int64 }
+
+// Hold takes a read hold. It counts itself under the epoch's parity and
+// re-reads the epoch: if a writer moved it meanwhile, the count may have come
+// too late to stop the move past it, and it counts again under the new one.
+func (s *Service) Hold() Hold {
+	for {
+		e := s.epoch.Load()
+		n := &s.holds[e&1]
+		n.Add(1)
+		if s.epoch.Load() == e {
+			return Hold{n}
+		}
+		n.Add(-1)
+	}
+}
+
+// Release ends the hold. The offers it kept may be rewritten from here on.
+func (h Hold) Release() { h.count.Add(-1) }
+
+// graceOver reports whether a spare retired at epoch t may be rewritten: the
+// epoch is t+2 or more. It moves the epoch on itself, from e to e+1, while it
+// is short of that and no hold of parity (e+1)&1 is live, and never waits.
+//
+// A hold counted at epoch h can reach the spare only through a snapshot it
+// loaded before the store that retired it — the shard's snapshot holds the
+// new offer from then on — so h ≤ t; and while the hold is live the epoch
+// cannot move from h+1 to h+2, whose parity is the hold's. So the epoch
+// reaches t+2 only after every hold that could reach the spare was released.
+func (s *Service) graceOver(t uint64) bool {
+	e := s.epoch.Load()
+	for e < t+2 && s.holds[(e+1)&1].Load() == 0 {
+		s.epoch.CompareAndSwap(e, e+1)
+		e = s.epoch.Load()
+	}
+	return e >= t+2
+}
+
+// escape raises escaped to every seq published so far. A reader that returns
+// offers with no hold attached calls it before releasing its walk's hold, so
+// none of them is ever rewritten.
+func (s *Service) escape() {
+	top := s.seq.Load()
+	for {
+		w := s.escaped.Load()
+		if w >= top || s.escaped.CompareAndSwap(w, top) {
+			return
+		}
+	}
+}
 
 // typeIndex returns the shard set for a service type, or nil when the type
 // has never been exported. Lock-free.
@@ -318,7 +403,7 @@ func (s *Service) ExportKeyed(o Offer) (Place, error) {
 	if o.ServiceType == "" {
 		return Place{}, fmt.Errorf("trading: offer without service type") //lint:alloc error slow path
 	}
-	return Place{s.upsert(s.shardFor(o.ServiceType, o.Ref), nil, newStored(o))}, nil
+	return Place{s.upsert(s.shardFor(o.ServiceType, o.Ref), nil, newStored(o), time.Time{}, nil, nil)}, nil
 }
 
 // Upsert makes the offer at place p one of p's type and reference with the
@@ -329,57 +414,98 @@ func (s *Service) ExportKeyed(o Offer) (Place, error) {
 // reuse it once Upsert returns. Upsert reports false, and changes nothing, when
 // p is dead or the zero Place: it never re-adds an offer.
 //
-//lint:hotpath alloc=1 locks=1 block=0
+// The offer it writes is the place's spare — the one the place's upsert before
+// last published — when no hold can reach that any more, and a new one
+// otherwise; the offer it replaces becomes the spare.
+//
+//lint:hotpath alloc=0 locks=1 block=0
 func (s *Service) Upsert(p Place, expires time.Time, schema *constraint.Schema, values []constraint.Value) bool {
 	if p.e == nil {
 		return false
 	}
-	var st *stored
-	if len(values) <= inlineValues {
-		u := &updated{}
-		st = &u.stored
-		st.rec = schema.Header(u.vals[:copy(u.vals[:], values)])
-	} else {
-		st = storedApart(schema, values)
-	}
-	st.Expires = expires
-	st.Properties = &st.rec
-	return s.upsert(p.e.sh, p.e, st) != nil
+	return s.upsert(p.e.sh, p.e, nil, expires, schema, values) != nil
 }
 
 // storedApart is an updated offer whose values do not fit inline: the stored
 // offer and a copy of the values, apart.
 //
 //lint:coldpath a record longer than inlineValues
-func storedApart(schema *constraint.Schema, values []constraint.Value) *stored {
-	return &stored{rec: schema.Header(slices.Clone(values))}
+func storedApart(expires time.Time, schema *constraint.Schema, values []constraint.Value) *stored {
+	st := &stored{rec: schema.Header(slices.Clone(values))}
+	st.Expires, st.Properties = expires, &st.rec
+	return st
 }
 
-// upsert makes st the offer of e, an entry of sh, under the type and reference
-// of e's current offer — with e nil, of the entry of st's reference, added on
-// the reference's first export — and returns the entry, or nil, storing
-// nothing, when e is dead. When nothing in the shard can
-// have expired (now is short of sweepAt) and st's expiry keeps sweepAt a lower
-// bound, it stores st into the entry's slot, or appends a reference's first
-// offer past the snapshot's end; otherwise — an expiry to compact, a lower
-// bound — it rebuilds the shard. The seq is drawn under the shard mutex, so a
-// reference's offers are numbered in the order they replace each other.
-func (s *Service) upsert(sh *shard, e *entry, st *stored) *entry {
+// fill writes u as an offer of the given expiry and values, copied inline,
+// and returns it as the stored offer to publish.
+func (u *updated) fill(expires time.Time, schema *constraint.Schema, values []constraint.Value) *stored {
+	n := copy(u.vals[:], values)
+	clear(u.vals[n:])
+	u.rec = schema.Header(u.vals[:n])
+	u.Expires, u.Properties = expires, &u.rec
+	return &u.stored
+}
+
+// spare takes the offer e's Upsert is to write inline: e's spare, if it has one
+// that no hold can reach any more and no reader has handed out (escaped), and a
+// new one otherwise. The caller holds e.sh.mu.
+func (s *Service) spare(e *entry) *updated {
+	u := e.spare
+	e.spare = nil
+	// The grace period first: a reader that handed the spare out raised
+	// escaped before releasing the hold that kept the epoch from moving on.
+	if u == nil || !s.graceOver(e.retired) || int64(u.seq) <= s.escaped.Load() {
+		return newUpdated()
+	}
+	return u
+}
+
+// newUpdated is the offer an Upsert writes when its place has no spare it may
+// rewrite: the place's first two upserts, and any while a hold that could
+// reach the spare is live.
+//
+//lint:coldpath a reader may still hold the spare
+func newUpdated() *updated { return new(updated) }
+
+// upsert is the one write section of ExportKeyed and Upsert. With st, an offer
+// by reference, it makes st the offer of st's reference's entry, adding the
+// entry on the reference's first export; with st nil it writes Upsert's expiry
+// and values into an offer of e's — inline, into e's spare (spare), or apart —
+// unless e is dead. It returns the entry, or nil, storing nothing, when e is
+// dead. The offer takes the type and reference of the entry's current one.
+//
+// When nothing in the shard can have expired (now is short of sweepAt) and the
+// offer's expiry keeps sweepAt a lower bound, upsert stores it into the entry's
+// slot, or appends a reference's first offer past the snapshot's end;
+// otherwise — an expiry to compact, a lower bound — it rebuilds the shard. The
+// seq is drawn under the shard mutex, so a reference's offers are numbered in
+// the order they replace each other. The inline offer it replaces, in no slot
+// any more, becomes the entry's spare, retired at the epoch read after the
+// store. All of it is one section under the shard mutex.
+func (s *Service) upsert(sh *shard, e *entry, st *stored, expires time.Time, schema *constraint.Schema, values []constraint.Value) *entry {
 	now := s.now()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	var own *updated
 	switch {
-	case e == nil:
+	case st != nil:
 		if e = sh.byRef[st.Ref]; e == nil {
 			e = sh.adopt(st.Ref)
 		}
 	case e.slot < 0:
 		return nil
+	case len(values) > inlineValues:
+		st = storedApart(expires, schema, values)
 	default:
+		own = s.spare(e)
+		st = own.fill(expires, schema, values)
+	}
+	if e.st != nil {
 		st.ServiceType, st.Ref = e.st.ServiceType, e.st.Ref
 	}
 	st.seq = int(s.seq.Add(1))
-	e.st = st
+	old := e.own
+	e.st, e.own = st, own
 	cur := sh.snap.Load()
 	switch {
 	case due(cur.sweepAt, now) || !earlier(cur.sweepAt, st.Expires).Equal(cur.sweepAt):
@@ -390,6 +516,9 @@ func (s *Service) upsert(sh *shard, e *entry, st *stored) *entry {
 		sh.snap.Store(sh.appended(cur, now, e))
 	}
 	s.version.Add(1)
+	if old != nil && e.slot >= 0 {
+		e.spare, e.retired = old, s.epoch.Load()
+	}
 	return e
 }
 
@@ -429,7 +558,7 @@ func (s *Service) ExportBatch(offers []Offer) ([]int, error) {
 			if e == nil {
 				e = sh.adopt(st.Ref)
 			}
-			e.st = st
+			e.st, e.own = st, nil
 		}
 		sh.snap.Store(sh.rebuilt(sh.snap.Load(), now, nil))
 		sh.mu.Unlock()
@@ -487,7 +616,7 @@ func (sh *shard) rebuilt(cur *shardSnap, now time.Time, drop *entry) *shardSnap 
 	for _, e := range sh.entries {
 		if e == drop || sweep && e.st.expired(now) {
 			delete(sh.byRef, e.st.Ref)
-			e.slot = -1
+			e.slot, e.own, e.spare = -1, nil, nil
 			continue
 		}
 		e.slot = len(kept)
@@ -521,6 +650,8 @@ func (s *Service) Withdraw(p Place) bool {
 
 // Count returns the number of live offers of the given type ("" for all).
 func (s *Service) Count(serviceType string) int {
+	h := s.Hold()
+	defer h.Release()
 	now := s.now()
 	if serviceType != "" {
 		return s.typeIndex(serviceType).count(now)
@@ -555,23 +686,27 @@ func (ts *typeShards) count(now time.Time) int {
 
 // All returns every live offer of the given type ("" for all types) in
 // export-sequence order — a deterministic snapshot for failover checks and
-// observability, bypassing constraint evaluation.
+// observability, bypassing constraint evaluation. Like Select's, the copies'
+// property records are the stored ones, and none of them is ever rewritten.
 func (s *Service) All(serviceType string) []Offer {
 	tm := *s.types.Load()
 	types := []string{serviceType}
 	if serviceType == "" {
 		types = slices.Sorted(maps.Keys(tm))
 	}
+	h := s.Hold()
+	defer h.Release()
 	now := s.now()
 	var out []Offer
 	for _, t := range types {
 		out = append(out, offerValues(tm[t].scan(nil, now))...)
 	}
+	s.escape()
 	return out
 }
 
-// offerValues copies offers out of the index. The copies share their
-// immutable property records with it.
+// offerValues copies offers out of the index. The copies share their property
+// records with it, which escape keeps from being rewritten.
 func offerValues(offers []*Offer) []Offer {
 	out := make([]Offer, len(offers))
 	for i, o := range offers {
@@ -721,8 +856,10 @@ func compile(what, src string) (*constraint.Expr, error) {
 // collected, sorted or copied. Each arrives once, in no order a caller may rely
 // on — sort by Seq, or use SelectPointers, for export order. Against concurrent
 // updates a visit sees, for each exporter, its offer from before or from after.
-// The offers are the index's own, as SelectPointers' are: read-only, valid for
-// as long as the caller holds them.
+// The offers are the index's own: read-only, and never rewritten while a hold
+// that could reach them is live. The visit runs under a hold of its own, so fn
+// may read them; a caller that keeps them past the visit takes a Hold before it
+// and keeps it for as long as it reads them.
 //
 //lint:hotpath alloc=0 locks=2 block=0
 func (s *Service) VisitMatches(serviceType, cons string, fn func(*Offer)) error {
@@ -730,6 +867,8 @@ func (s *Service) VisitMatches(serviceType, cons string, fn func(*Offer)) error 
 	if err != nil {
 		return err
 	}
+	h := s.Hold()
+	defer h.Release()
 	s.typeIndex(serviceType).visit(expr, s.now(), fn)
 	return nil
 }
@@ -743,9 +882,11 @@ const MaxVisitSet = 64
 // satisfies at least one of cons, with bit c of met set when the offer
 // satisfies cons[c], in no order a caller may rely on; for each exporter it
 // sees the offer from before or from after a concurrent update, as
-// VisitMatches does, and met describes the offer fn is given. A constraint that
-// does not compile matches nothing and has its bit set in bad. More than
-// MaxVisitSet constraints is a bug in the caller, and panics.
+// VisitMatches does, and met describes the offer fn is given; the offers are
+// valid as VisitMatches' are, for the visit and for as long as a hold the
+// caller took before it is live. A constraint that does not compile matches
+// nothing and has its bit set in bad. More than MaxVisitSet constraints is a
+// bug in the caller, and panics.
 //
 //lint:hotpath alloc=0 locks=2 block=0
 func (s *Service) VisitMatchSet(serviceType string, cons []string, fn func(o *Offer, met uint64)) (bad uint64) {
@@ -760,13 +901,15 @@ func (s *Service) VisitMatchSet(serviceType string, cons []string, fn func(o *Of
 		}
 		exprs[c] = expr
 	}
+	h := s.Hold()
+	defer h.Release()
 	s.typeIndex(serviceType).visitSet(exprs[:len(cons)], bad, s.now(), fn)
 	return bad
 }
 
 // Select evaluates a query, returning the matching offers in export order. The
 // returned offers are the caller's; their property records are the stored
-// ones, which nobody can write to.
+// ones, which SelectPointers keeps from ever being rewritten.
 //
 // Offers whose constraint evaluation errors (for example, a missing
 // property) simply do not match — mirroring the CORBA trader, which treats
@@ -793,13 +936,15 @@ func (s *Service) SelectShared(q Query) ([]Offer, error) { return s.Select(q) }
 
 // SelectPointers is the one query path; Select copies its result. It returns
 // the index's own offers: an *Offer is written before it is published in a
-// shard snapshot's slot, and no writer touches it again — an update stores
-// another offer into the slot, a withdrawal swaps in a snapshot without it. A
-// holder may therefore keep and read the pointers for as long as it likes
-// without a lock, and must never write through them. It is for in-process
-// readers that want the matches in export order and copy none of them; one
-// that does not need the order (the GRM's matcher) uses VisitMatches and skips
-// the sort.
+// shard snapshot's slot, and never rewritten while a hold that could reach it
+// is live — an update stores another offer into the slot, a withdrawal swaps
+// in a snapshot without it. The result carries no hold, so before releasing its
+// walk's it marks every offer published so far as escaped, and an update never
+// rewrites one of those. A holder may therefore keep and read the pointers for
+// as long as it likes without a lock or a hold, and must never write through
+// them. It is for in-process readers that want the matches in export order and
+// copy none of them; one that does not need the order (the GRM's matcher) uses
+// VisitMatches under a Hold and skips the sort.
 //
 //lint:hotpath alloc=2 locks=2 block=0
 func (s *Service) SelectPointers(q Query) ([]*Offer, error) {
@@ -807,5 +952,9 @@ func (s *Service) SelectPointers(q Query) ([]*Offer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.typeIndex(q.ServiceType).scan(cons, s.now()), nil
+	h := s.Hold()
+	defer h.Release()
+	matched := s.typeIndex(q.ServiceType).scan(cons, s.now())
+	s.escape()
+	return matched, nil
 }
