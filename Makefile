@@ -14,12 +14,14 @@ test:
 	$(GO) test ./...
 
 # Every test under the race detector; a seeded test runs each of its seeds
-# as a subtest (internal/testutil/seeds). Then eight racing tests ten times
+# as a subtest (internal/testutil/seeds). Then nine racing tests ten times
 # each, since one run may miss a schedule: the trader's lock-free walks
 # against in-place upserts and appends and its held offers against writes
 # (TestVisitRacesInPlaceUpserts, TestVisitRacesAppends,
 # TestHeldPointersNeverChange), the offers readers keep under a trader hold
-# against upserts that rewrite spares in place (TestHeldOffersOutliveUpserts),
+# against upserts that rewrite retired offers in place, their own places'
+# (TestHeldOffersOutliveUpserts) and the other places' of their shards
+# (TestHeldOffersOutliveShardReuse),
 # the GRM's candidates against updates its LRMs feed it mid-negotiation
 # (TestReserveFedUpdateKeepsCandidates), the GRM's failure sweep against heartbeats
 # that rewrite their node records' window arrays in place
@@ -30,7 +32,7 @@ test:
 # (TestSyncTasksRacesSendUpdate).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run '^(TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestHeldPointersNeverChange|TestHeldOffersOutliveUpserts|TestReserveFedUpdateKeepsCandidates|TestSweepRacingHeartbeats|TestRecycledRepliesUnderLateDelivery|TestSyncTasksRacesSendUpdate)$$' ./internal/trading ./internal/grm ./internal/chaos ./internal/lrm
+	$(GO) test -race -count=10 -run '^(TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestHeldPointersNeverChange|TestHeldOffersOutliveUpserts|TestHeldOffersOutliveShardReuse|TestReserveFedUpdateKeepsCandidates|TestSweepRacingHeartbeats|TestRecycledRepliesUnderLateDelivery|TestSyncTasksRacesSendUpdate)$$' ./internal/trading ./internal/grm ./internal/chaos ./internal/lrm
 
 vet:
 	$(GO) vet ./...

@@ -98,6 +98,11 @@ type Record struct {
 	values []Value
 }
 
+// Parts returns the record's schema and its values, values[i] being the
+// schema's i-th, for a holder that copies them into a record of its own. The
+// values are the record's: read them, never write them.
+func (r *Record) Parts() (*Schema, []Value) { return r.schema, r.values }
+
 // Property implements Context.
 func (r *Record) Property(name string) (Value, bool) {
 	if r == nil {

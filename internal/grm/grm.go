@@ -498,7 +498,7 @@ func coveringWindow(windows []protocol.AvailWindow, now time.Time) offerWindow {
 // outside of.
 func (g *GRM) exportStatusOffer(s *protocol.NodeStatus, win offerWindow, now time.Time, epoch int, place trading.Place) {
 	// One value per name of statusSchema, in its order, on the stack: Upsert
-	// copies them into the offer it stores.
+	// and Export copy them into the offer they store.
 	values := [...]constraint.Value{
 		constraint.Number(s.GridFree.MIPS),
 		constraint.Number(s.GridFree.RAMMB),
@@ -525,12 +525,7 @@ func (g *GRM) exportStatusOffer(s *protocol.NodeStatus, win offerWindow, now tim
 	}
 	expires := now.Add(g.offerTTL)
 	if !g.trader.Upsert(place, expires, statusSchema, values[:]) {
-		g.exportByRef(s.NodeID, place, trading.Offer{
-			ServiceType: NodeStatusType,
-			Ref:         s.LRMRef,
-			Expires:     expires,
-			Properties:  statusSchema.Record(slices.Clone(values[:])),
-		})
+		g.exportByRef(s.NodeID, place, s.LRMRef, expires, values[:])
 	}
 }
 
@@ -542,8 +537,8 @@ func (g *GRM) exportStatusOffer(s *protocol.NodeStatus, win offerWindow, now tim
 // record no longer holds was taken, by a departure, a death or a move to a new
 // reference, whose caller withdrew the offer, and nothing is exported. If the
 // record is taken between the export and the store, the new place is
-// withdrawn instead of kept.
-func (g *GRM) exportByRef(id string, dead trading.Place, offer trading.Offer) {
+// withdrawn instead of kept. The trader copies values, as Upsert does.
+func (g *GRM) exportByRef(id string, dead trading.Place, ref orb.ObjectRef, expires time.Time, values []constraint.Value) {
 	if dead != (trading.Place{}) {
 		g.mu.Lock()
 		lv := g.nodes[id]
@@ -553,12 +548,12 @@ func (g *GRM) exportByRef(id string, dead trading.Place, offer trading.Offer) {
 			return
 		}
 	}
-	// ExportKeyed fails only on an empty service type, and NodeStatusType is
+	// Export fails only on an empty service type, and NodeStatusType is
 	// not one.
-	place, _ := g.trader.ExportKeyed(offer)
+	place, _ := g.trader.Export(NodeStatusType, ref, expires, statusSchema, values)
 	g.mu.Lock()
 	lv := g.nodes[id]
-	keep := lv != nil && lv.departUntil.IsZero() && lv.status.LRMRef == offer.Ref
+	keep := lv != nil && lv.departUntil.IsZero() && lv.status.LRMRef == ref
 	if keep && lv.place != place {
 		lv.place = place
 	}

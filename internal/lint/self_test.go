@@ -65,6 +65,7 @@ var hotRoots = []string{
 	"grm.(*matchCtx).lookup",
 	"trading.(*Service).VisitMatches",
 	"trading.(*Service).VisitMatchSet",
+	"trading.(*Service).Export",
 	"trading.(*Service).ExportKeyed",
 	"trading.(*Service).Upsert",
 	"constraint.(*Expr).Filter",

@@ -194,7 +194,7 @@ func TestExportKeyedAllocBudget(t *testing.T) {
 	path := filepath.Join("testdata", "alloc_budget.txt")
 	s, offers, places := upsertFleet()
 	schema, values := fleetValues(offers)
-	// A fleet every place of which has been upserted twice: each has a spare.
+	// A fleet every place of which has been upserted twice.
 	steady, _, steadyPlaces := upsertFleet()
 	for range 2 {
 		for i, p := range steadyPlaces {

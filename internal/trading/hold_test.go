@@ -2,12 +2,16 @@ package trading
 
 import (
 	"maps"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"integrade/internal/constraint"
+	"integrade/internal/orb"
 )
 
 // holdFleet exports n nodes by reference and returns their places and the
@@ -35,27 +39,41 @@ func nodeValues(i, round int) []constraint.Value {
 // heldOffer is an offer a reader keeps, and what it read of it at the visit.
 type heldOffer struct {
 	o     *Offer
+	ref   orb.ObjectRef
 	seq   int
 	props map[string]constraint.Value
 }
 
 func holdOffer(o *Offer) heldOffer {
-	return heldOffer{o: o, seq: o.seq, props: maps.Collect(o.Properties.All())}
+	return heldOffer{o: o, ref: o.Ref, seq: o.seq, props: maps.Collect(o.Properties.All())}
 }
 
 // changed reports whether the held offer no longer reads as it did.
 func (h heldOffer) changed() bool {
-	return h.o.seq != h.seq || !reflect.DeepEqual(maps.Collect(h.o.Properties.All()), h.props)
+	return h.o.Ref != h.ref || h.o.seq != h.seq || !reflect.DeepEqual(maps.Collect(h.o.Properties.All()), h.props)
+}
+
+// mallocs returns how many heap objects f allocates, as testing.AllocsPerRun
+// counts them, over one run of f and with no warm-up run.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // TestHeldOffersOutliveUpserts: readers take a Hold, keep every offer a
 // VisitMatches yields under it, and re-read them all while writers upsert each
 // place twice, from value arrays they rewrite before every upsert: every held
-// offer must read as it did at the visit until Release. The holds are taken
-// and released between rounds, so the writers then run two rounds with no hold
-// live, which must rewrite every place's spare in place: the test checks that
-// they did, or it would prove nothing. Under -race a rewrite of an offer a
-// reader holds is a report too.
+// offer must read as it did at the visit until Release. By the second round
+// under the holds every offer the shards retired was retired under them, so
+// each upsert of that round must store an offer the index never held before.
+// The holds are taken and released between rounds, so the writers then run two
+// rounds with no hold live, every upsert of which must rewrite an offer the
+// index held before: the test checks both, or it would prove nothing. Under
+// -race a rewrite of an offer a reader holds is a report too.
 func TestHeldOffersOutliveUpserts(t *testing.T) {
 	const nodes, writers, readers, cycles = 64, 4, 2, 8
 	s := NewService(nil)
@@ -81,14 +99,19 @@ func TestHeldOffersOutliveUpserts(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	// current is each place's offer.
-	current := func() []*stored {
-		out := make([]*stored, nodes)
-		for i, p := range places {
-			out[i] = p.e.st
+	// stored records every place's offer, and counts those the index had held
+	// before.
+	known := map[*stored]bool{}
+	stored := func() (old int) {
+		for _, p := range places {
+			if known[p.e.st] {
+				old++
+			}
+			known[p.e.st] = true
 		}
-		return out
+		return old
 	}
+	stored()
 
 	hold, release := make(chan struct{}), make(chan struct{})
 	var visited, released sync.WaitGroup
@@ -131,71 +154,148 @@ func TestHeldOffersOutliveUpserts(t *testing.T) {
 			hold <- struct{}{}
 		}
 		visited.Wait()
-		var underHolds [2][]*stored
-		for b := range underHolds {
-			beat()
-			underHolds[b] = current()
+		beat()
+		stored()
+		beat()
+		if old := stored(); old != 0 {
+			t.Fatalf("cycle %d: %d of %d upserts of the second round under live holds rewrote an offer", cycle, old, nodes)
 		}
 		for range readers {
 			release <- struct{}{}
 		}
 		released.Wait()
-		// With no hold live, each upsert rewrites the offer its place's
-		// upsert before last published: the ones the holds kept it from.
-		for b := range underHolds {
+		for range 2 {
 			beat()
-			reused := 0
-			for i, st := range current() {
-				if st == underHolds[b][i] {
-					reused++
-				}
-			}
-			if reused != nodes {
-				t.Fatalf("cycle %d: %d of %d places rewrote their spare with no hold live", cycle, reused, nodes)
+			if old := stored(); old != nodes {
+				t.Fatalf("cycle %d: %d of %d upserts with no hold live rewrote a retired offer; the rest allocated", cycle, old, nodes)
 			}
 		}
 	}
 	assertIndexConsistent(t, s)
 }
 
-// TestUpsertReusesSpare: once every place has been upserted twice, an upsert
-// rewrites its place's spare and allocates nothing. Under a live hold, once
-// every place's spare was retired under it, each upsert allocates its offer,
-// exactly once; after Release none does. Offers SelectPointers handed out are
-// never rewritten: the two upserts of each place after it allocate, and the
-// pointers read as they did.
+// TestHeldOffersOutliveShardReuse: a retired offer is rewritten by whichever
+// place of its shard writes next, so a hold must keep an offer from every
+// place's upserts, not only its own place's. Readers keep the offers a
+// VisitMatches yields under a Hold and re-read them while writers upsert
+// places chosen at random, four places to a shard, and release the hold after
+// a few passes; every held offer's reference, seq and values must read as
+// they did at the visit until Release. The readers also note, across their
+// visits, every offer they see again under another reference: the test
+// checks that some were, or it would prove nothing. Under -race a rewrite of
+// an offer a reader holds is a report too.
+func TestHeldOffersOutliveShardReuse(t *testing.T) {
+	const nodes, writers, readers, upserts = 4 * shardsPerType, 4, 2, 3000
+	s := NewService(nil)
+	places, schema := holdFleet(t, s, nodes)
+	stop := make(chan struct{})
+	var crossPlace atomic.Int64
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			seen := map[*Offer]orb.ObjectRef{} // every offer visited, and its ref then
+			for visit := 0; ; visit++ {
+				select {
+				case <-stop:
+					if visit == 0 {
+						t.Error("a reader never ran")
+					}
+					return
+				default:
+				}
+				h := s.Hold()
+				var kept []heldOffer
+				if err := s.VisitMatches("NodeStatus", "", func(o *Offer) { kept = append(kept, holdOffer(o)) }); err != nil {
+					t.Error(err)
+				}
+				for pass := range 3 {
+					for _, k := range kept {
+						if k.changed() {
+							t.Errorf("reader %d pass %d: held offer seq %d of %v changed under its hold: now seq %d of %v",
+								r, pass, k.seq, k.ref, k.o.seq, k.o.Ref)
+							h.Release()
+							return
+						}
+					}
+				}
+				h.Release()
+				for _, k := range kept {
+					if ref, ok := seen[k.o]; ok && ref != k.ref {
+						crossPlace.Add(1)
+					}
+					seen[k.o] = k.ref
+				}
+			}
+		}(r)
+	}
+	var writing sync.WaitGroup
+	for w := range writers {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			values := nodeValues(0, 0)
+			for round := range upserts {
+				i := rng.Intn(nodes)
+				copy(values, nodeValues(i, round))
+				if !s.Upsert(places[i], time.Time{}, schema, values) {
+					t.Error("an upsert through a live place was dropped")
+					return
+				}
+			}
+		}(w)
+	}
+	writing.Wait()
+	close(stop)
+	wg.Wait()
+	if crossPlace.Load() == 0 {
+		t.Fatal("no offer was seen again under another reference: no place rewrote an offer another place retired")
+	}
+	assertIndexConsistent(t, s)
+}
+
+// TestUpsertReusesSpare: an upsert rewrites an offer its shard retired once no
+// hold can reach it, and allocates only while one might. Counted over sweeps
+// that upsert every place once: the first allocates twice a shard, the offer
+// of the shard's first upsert, which finds no retired offer, and the one-slot
+// ring of its free list, and the next allocates nothing. Under a live hold, once every retired offer was retired under it, a
+// sweep allocates once an upsert; after Release none does. Offers
+// SelectPointers handed out are never rewritten: the sweep after it allocates
+// once an upsert, as every retired offer is one of them, the next once a
+// shard, and the pointers read as they did.
 func TestUpsertReusesSpare(t *testing.T) {
 	const nodes = 256
 	s := NewService(nil)
 	places, schema := holdFleet(t, s, nodes)
 	var values [2][nodes][]constraint.Value
-	for i := range nodes {
+	shards := map[*shard]bool{}
+	for i, p := range places {
 		values[0][i], values[1][i] = nodeValues(i, 0), nodeValues(i, 1)
+		shards[p.e.sh] = true
 	}
 	n := 0
-	// sweep upserts every place once, in AllocsPerRun's nodes calls, and
-	// returns what each call after the first allocated.
-	sweep := func() float64 {
-		return testing.AllocsPerRun(nodes-1, func() {
-			if !s.Upsert(places[n%nodes], time.Time{}, schema, values[n/nodes%2][n%nodes]) {
+	sweep := func() {
+		for i, p := range places {
+			if !s.Upsert(p, time.Time{}, schema, values[n%2][i]) {
 				t.Fatal("an upsert through a live place was dropped")
 			}
-			n++
-		})
+		}
+		n++
 	}
-	expect := func(what string, want float64) {
+	expect := func(what string, want int) {
 		t.Helper()
-		if got := sweep(); got != want {
-			t.Errorf("%s: an upsert allocates %v times, want %v", what, got, want)
+		if got := mallocs(sweep); got != uint64(want) {
+			t.Errorf("%s: a sweep of %d places over %d shards allocates %d times, want %d", what, nodes, len(shards), got, want)
 		}
 	}
-	sweep()
-	sweep()
+	expect("the first sweep", 2*len(shards))
 	expect("steady state", 0)
 
 	h := s.Hold()
 	sweep()
-	expect("every spare retired under a live hold", 1)
+	expect("every offer retired under a live hold", nodes)
 	h.Release()
 	expect("after Release", 0)
 
@@ -207,8 +307,8 @@ func TestUpsertReusesSpare(t *testing.T) {
 	for i, o := range held {
 		kept[i] = holdOffer(o)
 	}
-	expect("the first sweep after SelectPointers", 1)
-	expect("the second sweep after SelectPointers", 1)
+	expect("the first sweep after SelectPointers", nodes)
+	expect("the second sweep after SelectPointers", len(shards))
 	expect("the third sweep after SelectPointers", 0)
 	for _, k := range kept {
 		if k.changed() {

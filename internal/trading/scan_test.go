@@ -296,10 +296,12 @@ func TestVisitMatchesRejectsBadConstraint(t *testing.T) {
 	}
 }
 
-// TestReexportSharesRecord: offers read from one trader can be exported to
-// another as they are — the record's values are immutable, so both may hold
-// them: the second trader copies the 32-byte header and nothing behind it.
-func TestReexportSharesRecord(t *testing.T) {
+// TestReexportCopiesRecord: offers read from one trader can be exported to
+// another as they are. ExportBatch shares their records — a record is
+// immutable — but ExportKeyed and Export copy the values into an offer of the
+// trader's own, as Upsert does, so an exporter that rewrites its value array
+// once the export has returned leaves the offer as it was.
+func TestReexportCopiesRecord(t *testing.T) {
 	a, b := NewService(nil), NewService(nil)
 	for i := 0; i < 5; i++ {
 		if _, err := a.ExportKeyed(nodeOffer(i, float64(100*i), 512)); err != nil {
@@ -324,6 +326,10 @@ func TestReexportSharesRecord(t *testing.T) {
 		if len(mine) != 3 || !maps.Equal(mine, theirs) || o.Ref != offers[i].Ref {
 			t.Fatalf("offer %d was not re-exported as it was", i)
 		}
+		_, mineVals := o.Properties.Parts()
+		if _, theirVals := offers[i].Properties.Parts(); &mineVals[0] == &theirVals[0] {
+			t.Fatalf("offer %d shares the first trader's values: ExportKeyed did not copy them", i)
+		}
 		if want := len(offers) + i + 1; o.Seq() != want {
 			t.Fatalf("offer %d has seq %d, want %d: the second trader numbers its own", i, o.Seq(), want)
 		}
@@ -331,10 +337,47 @@ func TestReexportSharesRecord(t *testing.T) {
 	if first := a.All("NodeStatus"); first[0].Seq() != 1 {
 		t.Fatalf("re-exporting renumbered the first trader's offer to %d", first[0].Seq())
 	}
-	// One allocation per export — the stored offer, header inline: the value
-	// array is never copied.
+
+	// The exporter rewrites its array after each export returns.
+	schema, values := recordParts(nodeOffer(9, 900, 512).Properties)
+	want := maps.Collect(schema.Record(slices.Clone(values)).All())
+	exports := map[string]func() error{
+		"ExportKeyed": func() error {
+			_, err := b.ExportKeyed(Offer{ServiceType: "NodeStatus", Ref: nodeRef(9), Properties: schema.Record(values)})
+			return err
+		},
+		"Export": func() error {
+			_, err := b.Export("NodeStatus", nodeRef(9), time.Time{}, schema, values)
+			return err
+		},
+	}
+	for _, name := range []string{"ExportKeyed", "Export"} {
+		_, fresh := recordParts(nodeOffer(9, 900, 512).Properties)
+		copy(values, fresh)
+		if err := exports[name](); err != nil {
+			t.Fatal(err)
+		}
+		for i := range values {
+			values[i] = constraint.Number(-1)
+		}
+		nine, err := b.Select(Query{ServiceType: "NodeStatus", Constraint: "mips == 900"})
+		if err != nil || len(nine) != 1 || !maps.Equal(maps.Collect(nine[0].Properties.All()), want) {
+			t.Fatalf("%s: after the exporter rewrote its array the index holds %+v, %v; want node 9's offer reading %v", name, nine, err, want)
+		}
+	}
+
+	// The copy goes into an offer the shard retired. The offers Select and All
+	// returned are never rewritten, so two re-exports retire one they did not
+	// return; from then on re-exporting allocates nothing.
 	o := offers[0]
-	if allocs := testing.AllocsPerRun(100, func() { _, _ = b.ExportKeyed(o) }); allocs > 1 {
-		t.Fatalf("re-exporting an offer allocates %v times: its record is being copied", allocs)
+	for range 2 {
+		_, _ = b.ExportKeyed(o)
+	}
+	if allocs := mallocs(func() {
+		for range 100 {
+			_, _ = b.ExportKeyed(o)
+		}
+	}); allocs != 0 {
+		t.Fatalf("100 re-exports of an offer allocate %d times: they store new offers", allocs)
 	}
 }

@@ -26,8 +26,10 @@
 //
 // An offer is written before it is published and is never rewritten while a
 // hold that could reach it is live. A reader walks the index under a read
-// hold (Hold), two atomic counters and no lock; an update rewrites the offer
-// its place retired before — the entry's spare — in place once every hold that
+// hold (Hold), two atomic counters and no lock. Every keyed write — a first
+// export, an export by reference, an update through a place — fills an offer
+// with its values inline, and the offer it replaces joins its shard's free
+// list. A write rewrites the oldest offer on that list once every hold that
 // could have loaded it has been released, and allocates a new one only while
 // one might not have been (DESIGN.md §16).
 package trading
@@ -54,10 +56,10 @@ const shardsPerType = 64
 
 // Offer is one advertised service: a type name, the exporting object, and
 // its properties. The properties are a record no holder can write to, so
-// copying an Offer copies everything a holder could change: exporting one
-// hands the record to the trader without a copy, and every offer the trader
-// returns shares the stored record, which the trader never rewrites once
-// Select or All returned it.
+// copying an Offer copies everything a holder could change. Exporting one
+// copies the record's values into the trader's offer (ExportBatch shares
+// them), and every offer the trader returns shares the stored record, which
+// the trader never rewrites once Select or All returned it.
 type Offer struct {
 	// Expires is the instant after which the offer is garbage; zero means
 	// no expiry. LRM offers carry an expiry so that crashed nodes age out
@@ -98,13 +100,14 @@ func (o *Offer) expired(now time.Time) bool { return due(o.Expires, now) }
 // that has loaded a slot has &st.rec without touching memory, so reaching a
 // property is two dependent loads — header, value — not three, and the Expires
 // and seq of a match are on the line the header came in on. The header is a
-// copy. The value array is the exporter's, shared, in an offer exported by
-// reference, and the offer's own, right behind it, in one Upsert stored
-// (updated). Like the Offer inside it, a stored is written before it is
-// published and never rewritten while a hold that could reach it is live: an
-// updated one is rewritten, as its entry's spare, only after its slot stopped
-// pointing at it and every hold that could have loaded it was released. It has
-// no field for that: its layout is what a scan reads.
+// copy. The value array is the offer's own, right behind it, in one a keyed
+// write stored (updated), a copy apart in one whose values do not fit inline,
+// and the exporter's, shared, in one ExportBatch stored. Like the Offer inside
+// it, a stored is written before it is published and never rewritten while a
+// hold that could reach it is live: an updated one is rewritten, off its
+// shard's free list, only after its slot stopped pointing at it and every hold
+// that could have loaded it was released. It has no field for that: its layout
+// is what a scan reads.
 type stored struct {
 	rec constraint.Record
 	Offer
@@ -116,7 +119,7 @@ type stored struct {
 // statusSchema's 19 values fit.
 const inlineValues = 19
 
-// updated is an offer an Upsert stored: the stored offer, its record header
+// updated is an offer a keyed write stored: the stored offer, its record header
 // inline, and the record's values right behind them, in one object. A scan
 // that reaches it finds the header and the first value 136 B apart, not in
 // two objects wherever the allocator put them.
@@ -128,6 +131,7 @@ type updated struct {
 // noProperties stands in for a nil record, so that every stored rec is valid.
 var noProperties = constraint.NewSchema().Record(nil)
 
+// newStored is the offer ExportBatch stores for o, sharing o's values.
 func newStored(o Offer) *stored {
 	st := &stored{rec: *noProperties, Offer: o}
 	if o.Properties != nil {
@@ -190,21 +194,18 @@ var emptySnap = &shardSnap{}
 // replaces st and keeps the entry; a withdrawal, or an expiry sweep, removes
 // the entry for good and sets slot to -1. Its fields are guarded by sh.mu.
 //
-// own is st when an Upsert wrote it inline (nil otherwise), and spare is the
-// own the entry had before, retired — unpublished — at epoch retired: the
-// offer the entry's next Upsert rewrites once no hold can reach it.
+// own is st when a keyed write filled it inline (nil otherwise): the offer
+// that joins the shard's free list when the entry's next upsert replaces it.
 type entry struct {
-	sh      *shard
-	st      *stored
-	slot    int
-	own     *updated
-	spare   *updated
-	retired uint64
+	sh   *shard
+	st   *stored
+	slot int
+	own  *updated
 }
 
-// Place is an exporter's handle on its offer's entry, which ExportKeyed
-// returns and Upsert and Withdraw take: the slot without a type-map lookup, a
-// hash or a probe of byRef. It stays valid across upserts until its offer is
+// Place is an exporter's handle on its offer's entry, which Export returns and
+// Upsert and Withdraw take: the slot without a type-map lookup, a hash or a
+// probe of byRef. It stays valid across upserts until its offer is
 // withdrawn or swept as expired; then it is dead, and an export by reference
 // gives a new place. The zero Place is no place.
 type Place struct{ e *entry }
@@ -222,6 +223,21 @@ type shard struct {
 	// slot i. Mutated in place under mu; never read without it.
 	byRef   map[orb.ObjectRef]*entry
 	entries []*entry
+	// free is a ring of the inline offers upserts replaced, n of them from
+	// head on, oldest first, each with the epoch read after the store that
+	// unpublished it. They are appended under mu in store order, so their
+	// epochs never decrease and only the oldest need be checked (reuse). It
+	// holds at most len(entries): past that, a retired offer is left to the
+	// collector.
+	free    []retired
+	head, n int
+}
+
+// retired is an inline offer an upsert replaced, and the epoch read just after
+// the store that unpublished it.
+type retired struct {
+	u  *updated
+	at uint64
 }
 
 // typeShards is one service type's shard set. The array is fixed at
@@ -260,13 +276,13 @@ type Service struct {
 	version atomic.Uint64
 
 	// epoch and holds are the read holds (Hold): holds[p] counts the live
-	// holds taken at an epoch of parity p. A spare retired at epoch t may be
+	// holds taken at an epoch of parity p. An offer retired at epoch t may be
 	// rewritten once the epoch is t+2 or more (graceOver).
 	epoch atomic.Uint64
 	holds [2]atomic.Int64
 	// escaped is the highest seq a reader that hands offers out with no hold
-	// attached (SelectPointers, Select, All) may have returned: a spare at or
-	// below it is left to the collector, never rewritten.
+	// attached (SelectPointers, Select, All) may have returned: a retired
+	// offer at or below it is left to the collector, never rewritten.
 	escaped atomic.Int64
 
 	// mu serializes growth of the types map, which is copy-on-write: writers
@@ -300,9 +316,9 @@ func (s *Service) Version() uint64 { return s.version.Load() }
 // Hold is a read hold on a Service's offers: no offer the holder loads from
 // the index while the hold is live is rewritten before Release. Taking and
 // releasing one is a few atomic operations, no lock and no allocation, and a
-// writer never waits for one: while a hold that could reach an update's spare
-// is live, the update allocates a new offer instead (DESIGN.md §16). The zero
-// Hold holds nothing, and must not be released.
+// writer never waits for one: while a hold that could reach its shard's
+// oldest retired offer is live, a write allocates a new offer instead
+// (DESIGN.md §16). The zero Hold holds nothing, and must not be released.
 type Hold struct{ count *atomic.Int64 }
 
 // Hold takes a read hold. It counts itself under the epoch's parity and
@@ -323,15 +339,15 @@ func (s *Service) Hold() Hold {
 // Release ends the hold. The offers it kept may be rewritten from here on.
 func (h Hold) Release() { h.count.Add(-1) }
 
-// graceOver reports whether a spare retired at epoch t may be rewritten: the
+// graceOver reports whether an offer retired at epoch t may be rewritten: the
 // epoch is t+2 or more. It moves the epoch on itself, from e to e+1, while it
 // is short of that and no hold of parity (e+1)&1 is live, and never waits.
 //
-// A hold counted at epoch h can reach the spare only through a snapshot it
+// A hold counted at epoch h can reach the offer only through a snapshot it
 // loaded before the store that retired it — the shard's snapshot holds the
 // new offer from then on — so h ≤ t; and while the hold is live the epoch
 // cannot move from h+1 to h+2, whose parity is the hold's. So the epoch
-// reaches t+2 only after every hold that could reach the spare was released.
+// reaches t+2 only after every hold that could reach the offer was released.
 func (s *Service) graceOver(t uint64) bool {
 	e := s.epoch.Load()
 	for e < t+2 && s.holds[(e+1)&1].Load() == 0 {
@@ -394,40 +410,53 @@ func (s *Service) addType(serviceType string) *typeShards {
 	return ts
 }
 
-// ExportKeyed upserts the offer of (o.ServiceType, o.Ref) — a shard holds one
-// offer per exporting reference — and returns its place, through which the
-// exporter's later upserts and its withdrawal go.
+// Export upserts the offer of (serviceType, ref) — a shard holds one offer per
+// exporting reference — with the given expiry and properties, values[i] being
+// the schema's i-th, and returns its place, through which the exporter's later
+// upserts and its withdrawal go. It copies values into the offer, as Upsert
+// does, so the caller keeps the array and may reuse it once Export returns.
 //
-//lint:hotpath alloc=1 locks=1 block=0
-func (s *Service) ExportKeyed(o Offer) (Place, error) {
-	if o.ServiceType == "" {
+//lint:hotpath alloc=0 locks=1 block=0
+func (s *Service) Export(serviceType string, ref orb.ObjectRef, expires time.Time, schema *constraint.Schema, values []constraint.Value) (Place, error) {
+	if serviceType == "" {
 		return Place{}, fmt.Errorf("trading: offer without service type") //lint:alloc error slow path
 	}
-	return Place{s.upsert(s.shardFor(o.ServiceType, o.Ref), nil, newStored(o), time.Time{}, nil, nil)}, nil
+	return Place{s.upsert(s.shardFor(serviceType, ref), nil, serviceType, ref, expires, schema, values)}, nil
+}
+
+// ExportKeyed is Export of o: its type, reference and expiry, and a copy of its
+// properties' values, so o's record stays the caller's. The GRM exports through
+// Export; ExportKeyed is kept for benchmark/ and for tests that build offers
+// whole.
+//
+//lint:hotpath alloc=0 locks=1 block=0
+func (s *Service) ExportKeyed(o Offer) (Place, error) {
+	r := o.Properties
+	if r == nil {
+		r = noProperties
+	}
+	schema, values := r.Parts()
+	return s.Export(o.ServiceType, o.Ref, o.Expires, schema, values)
 }
 
 // Upsert makes the offer at place p one of p's type and reference with the
-// given expiry and properties, values[i] being the schema's i-th, as
-// ExportKeyed would for p's reference, without finding the reference: it locks
-// p's shard and stores into p's slot. It copies values into the offer, which
-// holds them beside its record header, so the caller keeps the array and may
-// reuse it once Upsert returns. Upsert reports false, and changes nothing, when
-// p is dead or the zero Place: it never re-adds an offer.
-//
-// The offer it writes is the place's spare — the one the place's upsert before
-// last published — when no hold can reach that any more, and a new one
-// otherwise; the offer it replaces becomes the spare.
+// given expiry and properties, values[i] being the schema's i-th, as Export
+// would for p's reference, without finding the reference: it locks p's shard
+// and stores into p's slot. It copies values into the offer, which holds them
+// beside its record header, so the caller keeps the array and may reuse it
+// once Upsert returns. Upsert reports false, and changes nothing, when p is
+// dead or the zero Place: it never re-adds an offer.
 //
 //lint:hotpath alloc=0 locks=1 block=0
 func (s *Service) Upsert(p Place, expires time.Time, schema *constraint.Schema, values []constraint.Value) bool {
 	if p.e == nil {
 		return false
 	}
-	return s.upsert(p.e.sh, p.e, nil, expires, schema, values) != nil
+	return s.upsert(p.e.sh, p.e, "", orb.ObjectRef{}, expires, schema, values) != nil
 }
 
-// storedApart is an updated offer whose values do not fit inline: the stored
-// offer and a copy of the values, apart.
+// storedApart is an offer whose values do not fit inline: the stored offer and
+// a copy of the values, apart.
 //
 //lint:coldpath a record longer than inlineValues
 func storedApart(expires time.Time, schema *constraint.Schema, values []constraint.Value) *stored {
@@ -446,33 +475,74 @@ func (u *updated) fill(expires time.Time, schema *constraint.Schema, values []co
 	return &u.stored
 }
 
-// spare takes the offer e's Upsert is to write inline: e's spare, if it has one
-// that no hold can reach any more and no reader has handed out (escaped), and a
-// new one otherwise. The caller holds e.sh.mu.
-func (s *Service) spare(e *entry) *updated {
-	u := e.spare
-	e.spare = nil
-	// The grace period first: a reader that handed the spare out raised
-	// escaped before releasing the hold that kept the epoch from moving on.
-	if u == nil || !s.graceOver(e.retired) || int64(u.seq) <= s.escaped.Load() {
-		return newUpdated()
+// reuse takes the offer a write into sh is to fill inline: the oldest offer on
+// the shard's free list once no hold can reach it, and a new one while one
+// might. An oldest offer a reader has handed out (escaped) is left to the
+// collector, and the next one tried. The caller holds sh.mu.
+func (s *Service) reuse(sh *shard) *updated {
+	for sh.n > 0 {
+		r := sh.free[sh.head]
+		// The grace period first: a reader that handed the offer out raised
+		// escaped before releasing the hold that kept the epoch from moving on.
+		if !s.graceOver(r.at) {
+			break
+		}
+		sh.free[sh.head] = retired{}
+		if sh.head++; sh.head == len(sh.free) {
+			sh.head = 0
+		}
+		sh.n--
+		if int64(r.u.seq) > s.escaped.Load() {
+			return r.u
+		}
 	}
-	return u
+	return newUpdated()
 }
 
-// newUpdated is the offer an Upsert writes when its place has no spare it may
-// rewrite: the place's first two upserts, and any while a hold that could
-// reach the spare is live.
+// newUpdated is the offer a write fills when its shard has no retired offer it
+// may rewrite: its free list is empty, as while its fleet registers, or a live
+// hold could still reach the oldest offer on it.
 //
-//lint:coldpath a reader may still hold the spare
+//lint:coldpath no retired offer may be rewritten yet
 func newUpdated() *updated { return new(updated) }
 
-// upsert is the one write section of ExportKeyed and Upsert. With st, an offer
-// by reference, it makes st the offer of st's reference's entry, adding the
-// entry on the reference's first export; with st nil it writes Upsert's expiry
-// and values into an offer of e's — inline, into e's spare (spare), or apart —
-// unless e is dead. It returns the entry, or nil, storing nothing, when e is
-// dead. The offer takes the type and reference of the entry's current one.
+// retire appends u, which the caller's store has just unpublished, to the
+// shard's free list, at the epoch read after that store. With as many retired
+// offers as the shard has entries u is left to the collector instead. The
+// caller holds sh.mu.
+func (s *Service) retire(sh *shard, u *updated) {
+	if sh.n >= len(sh.entries) {
+		return
+	}
+	if sh.n == len(sh.free) {
+		sh.growFree()
+	}
+	i := sh.head + sh.n
+	if i >= len(sh.free) {
+		i -= len(sh.free)
+	}
+	sh.free[i] = retired{u, s.epoch.Load()}
+	sh.n++
+}
+
+// growFree doubles the free list's ring, oldest offer first.
+//
+//lint:coldpath the list outgrows its ring only while a hold keeps its offers from reuse
+func (sh *shard) growFree() {
+	next := make([]retired, max(1, 2*len(sh.free)))
+	for i := range sh.n {
+		next[i] = sh.free[(sh.head+i)%len(sh.free)]
+	}
+	sh.free, sh.head = next, 0
+}
+
+// upsert is the one write section of Export and Upsert. With e nil it writes
+// the offer of ref's entry, adding the entry on the reference's first export;
+// otherwise e's, unless e is dead. It fills the offer with the expiry and the
+// values — inline, into an offer reuse takes, or apart — and returns the entry,
+// or nil, storing nothing, when e is dead. The offer takes the type and
+// reference of the entry's current one, and serviceType and ref on a first
+// export.
 //
 // When nothing in the shard can have expired (now is short of sweepAt) and the
 // offer's expiry keeps sweepAt a lower bound, upsert stores it into the entry's
@@ -480,29 +550,32 @@ func newUpdated() *updated { return new(updated) }
 // otherwise — an expiry to compact, a lower bound — it rebuilds the shard. The
 // seq is drawn under the shard mutex, so a reference's offers are numbered in
 // the order they replace each other. The inline offer it replaces, in no slot
-// any more, becomes the entry's spare, retired at the epoch read after the
+// any more, joins the shard's free list, retired at the epoch read after the
 // store. All of it is one section under the shard mutex.
-func (s *Service) upsert(sh *shard, e *entry, st *stored, expires time.Time, schema *constraint.Schema, values []constraint.Value) *entry {
+func (s *Service) upsert(sh *shard, e *entry, serviceType string, ref orb.ObjectRef, expires time.Time, schema *constraint.Schema, values []constraint.Value) *entry {
 	now := s.now()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var own *updated
 	switch {
-	case st != nil:
-		if e = sh.byRef[st.Ref]; e == nil {
-			e = sh.adopt(st.Ref)
+	case e == nil:
+		if e = sh.byRef[ref]; e == nil {
+			e = sh.adopt(ref)
 		}
 	case e.slot < 0:
 		return nil
-	case len(values) > inlineValues:
+	}
+	var st *stored
+	var own *updated
+	if len(values) > inlineValues {
 		st = storedApart(expires, schema, values)
-	default:
-		own = s.spare(e)
+	} else {
+		own = s.reuse(sh)
 		st = own.fill(expires, schema, values)
 	}
 	if e.st != nil {
-		st.ServiceType, st.Ref = e.st.ServiceType, e.st.Ref
+		serviceType, ref = e.st.ServiceType, e.st.Ref
 	}
+	st.ServiceType, st.Ref = serviceType, ref
 	st.seq = int(s.seq.Add(1))
 	old := e.own
 	e.st, e.own = st, own
@@ -517,7 +590,7 @@ func (s *Service) upsert(sh *shard, e *entry, st *stored, expires time.Time, sch
 	}
 	s.version.Add(1)
 	if old != nil && e.slot >= 0 {
-		e.spare, e.retired = old, s.epoch.Load()
+		s.retire(sh, old)
 	}
 	return e
 }
@@ -616,7 +689,7 @@ func (sh *shard) rebuilt(cur *shardSnap, now time.Time, drop *entry) *shardSnap 
 	for _, e := range sh.entries {
 		if e == drop || sweep && e.st.expired(now) {
 			delete(sh.byRef, e.st.Ref)
-			e.slot, e.own, e.spare = -1, nil, nil
+			e.slot, e.own = -1, nil
 			continue
 		}
 		e.slot = len(kept)

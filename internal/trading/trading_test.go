@@ -187,15 +187,19 @@ func TestUpsertCopiesValues(t *testing.T) {
 // TestUpsertFitsSizeClass is the size-class rule of inlineValues: an upsert of
 // statusSchema's 19 values allocates one object of at most 768 B. A 20th
 // inline value, or a new field of stored, tips it into the 896-B class and
-// fails here; so does a capacity below 19, which stores the values apart.
+// fails here; so does a capacity below 19, which stores the values apart. The
+// upserts run under a Hold, so that each allocates its offer instead of
+// rewriting a retired one.
 func TestUpsertFitsSizeClass(t *testing.T) {
-	const updates, sizeClass = 100, 768
+	const updates, sizeClass, below = 100, 768, 640
 	s := NewService(nil)
 	schema, values := wideRecord(19, 0)
 	p, err := s.ExportKeyed(Offer{ServiceType: "Wide", Ref: nodeRef(1), Properties: schema.Record(values)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := s.Hold()
+	defer h.Release()
 	got := allocbudget.Bytes(func() {
 		for range updates {
 			if !s.Upsert(p, time.Time{}, schema, values) {
@@ -203,8 +207,8 @@ func TestUpsertFitsSizeClass(t *testing.T) {
 			}
 		}
 	})
-	if got > updates*sizeClass {
-		t.Fatalf("a 19-value upsert allocates %d B, want at most the %d-B size class", got/updates, sizeClass)
+	if got > updates*sizeClass || got <= updates*below {
+		t.Fatalf("a 19-value upsert under a hold allocates %d B, want the %d-B size class", got/updates, sizeClass)
 	}
 }
 
