@@ -16,9 +16,10 @@ test:
 # Every test under the race detector; a seeded test runs each of its seeds
 # as a subtest (internal/testutil/seeds). Then nine racing tests ten times
 # each, since one run may miss a schedule: the trader's lock-free walks
-# against in-place upserts and appends and its held offers against writes
+# against in-place upserts and appends, and the copies Select and All return
+# against writes that rewrite the offers they were taken from
 # (TestVisitRacesInPlaceUpserts, TestVisitRacesAppends,
-# TestHeldPointersNeverChange), the offers readers keep under a trader hold
+# TestSelectCopiesNeverChange), the offers readers keep under a trader hold
 # against upserts that rewrite retired offers in place, their own places'
 # (TestHeldOffersOutliveUpserts) and the other places' of their shards
 # (TestHeldOffersOutliveShardReuse),
@@ -29,10 +30,11 @@ test:
 # while late deliveries read their own (TestRecycledRepliesUnderLateDelivery),
 # and an LRM's completions queued into the outbox while updates, some of them
 # failing, take it and hand it and their window array back
-# (TestSyncTasksRacesSendUpdate).
+# (TestSyncTasksRacesSendUpdate). TestRaceRepeatsNameTests in internal/lint
+# fails if a name below is no test of the packages after it.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run '^(TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestHeldPointersNeverChange|TestHeldOffersOutliveUpserts|TestHeldOffersOutliveShardReuse|TestReserveFedUpdateKeepsCandidates|TestSweepRacingHeartbeats|TestRecycledRepliesUnderLateDelivery|TestSyncTasksRacesSendUpdate)$$' ./internal/trading ./internal/grm ./internal/chaos ./internal/lrm
+	$(GO) test -race -count=10 -run '^(TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestSelectCopiesNeverChange|TestHeldOffersOutliveUpserts|TestHeldOffersOutliveShardReuse|TestReserveFedUpdateKeepsCandidates|TestSweepRacingHeartbeats|TestRecycledRepliesUnderLateDelivery|TestSyncTasksRacesSendUpdate)$$' ./internal/trading ./internal/grm ./internal/chaos ./internal/lrm
 
 vet:
 	$(GO) vet ./...

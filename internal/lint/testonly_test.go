@@ -58,11 +58,24 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
-// readAllowList returns the allow-list's entries. Each line is a key and a
-// reason; blank lines and lines starting with # are skipped.
+// readAllowList returns the allow-list's entries, of which only test
+// infrastructure may name a whole package.
 func readAllowList(t *testing.T) map[string]bool {
 	t.Helper()
-	f, err := os.Open(allowListFile)
+	allow := readKeyList(t, allowListFile)
+	for _, key := range slices.Sorted(maps.Keys(allow)) {
+		if isPackageEntry(key) && !wholePackageAllowed[key] {
+			t.Errorf("%s: %s allow-lists a whole package; only test infrastructure may be", allowListFile, key)
+		}
+	}
+	return allow
+}
+
+// readKeyList returns the keys a list file names. Each line is a key and a
+// reason; blank lines and lines starting with # are skipped.
+func readKeyList(t *testing.T, file string) map[string]bool {
+	t.Helper()
+	f, err := os.Open(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +89,10 @@ func readAllowList(t *testing.T) map[string]bool {
 		}
 		key, reason, _ := strings.Cut(line, " ")
 		if strings.TrimSpace(reason) == "" {
-			t.Errorf("%s: entry %s has no reason", allowListFile, key)
-		}
-		if isPackageEntry(key) && !wholePackageAllowed[key] {
-			t.Errorf("%s: %s allow-lists a whole package; only test infrastructure may be", allowListFile, key)
+			t.Errorf("%s: entry %s has no reason", file, key)
 		}
 		if allow[key] {
-			t.Errorf("%s: duplicate entry %s", allowListFile, key)
+			t.Errorf("%s: duplicate entry %s", file, key)
 		}
 		allow[key] = true
 	}
@@ -111,6 +121,40 @@ func allowedBy(allow map[string]bool, key string) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// benchOnlyFile names the exported identifiers kept only for benchmark/,
+// which a change claiming a gain may not edit, one per line with its reason.
+const benchOnlyFile = "testdata/bench_only_api.txt"
+
+// benchmarkPkg is the one package outside its declaring one whose non-test
+// files may use an identifier benchOnlyFile lists.
+const benchmarkPkg = "integrade/benchmark"
+
+// TestBenchOnlyAPIStaysThere is the gate that keeps what benchmark/ pins from
+// spreading: a non-test file that uses an identifier benchOnlyFile lists fails
+// unless it is in the identifier's own package or in benchmark/, so the next
+// change to benchmark/ can delete it. An entry that names no exported
+// identifier fails too.
+func TestBenchOnlyAPIStaysThere(t *testing.T) {
+	pkgs := loadModule(t)
+	listed := readKeyList(t, benchOnlyFile)
+	exported := exportedObjects(pkgs)
+	for _, key := range slices.Sorted(maps.Keys(listed)) {
+		if _, ok := exported[key]; !ok {
+			t.Errorf("%s: entry %s names no exported identifier; remove it", benchOnlyFile, key)
+		}
+	}
+	for _, p := range pkgs {
+		if p.PkgPath == benchmarkPkg {
+			continue
+		}
+		for id, obj := range p.TypesInfo.Uses {
+			if key := objectKey(obj); listed[key] && obj.Pkg() != p.Types {
+				t.Errorf("%s: %s uses %s, which only benchmark/ may (%s)", relPosition(p, id.Pos()), p.PkgPath, key, benchOnlyFile)
+			}
+		}
+	}
 }
 
 func isInternal(pkg *types.Package) bool {
@@ -157,6 +201,15 @@ func receiverName(t types.Type) string {
 // runs in internal/lint.
 var moduleRoot, _ = filepath.Abs("../..")
 
+// relPosition is pos in p, its file named relative to the module root.
+func relPosition(p *lint.Package, pos token.Pos) token.Position {
+	position := p.Fset.Position(pos)
+	if rel, err := filepath.Rel(moduleRoot, position.Filename); err == nil {
+		position.Filename = rel
+	}
+	return position
+}
+
 // exportedObjects maps the key of every exported package-level identifier
 // and exported method declared in the module's internal/ packages to its
 // position.
@@ -166,13 +219,7 @@ func exportedObjects(pkgs []*lint.Package) map[string]token.Position {
 		if !isInternal(p.Types) {
 			continue
 		}
-		add := func(key string, obj types.Object) {
-			pos := p.Fset.Position(obj.Pos())
-			if rel, err := filepath.Rel(moduleRoot, pos.Filename); err == nil {
-				pos.Filename = rel
-			}
-			keys[key] = pos
-		}
+		add := func(key string, obj types.Object) { keys[key] = relPosition(p, obj.Pos()) }
 		scope := p.Types.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)

@@ -55,16 +55,16 @@ func BenchmarkSelect1000Offers(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectPointers10kOffers is the scan a GRM snapshot miss pays for:
-// 10^4 offers spread over all 64 shards, about half of them matching, no
-// copies.
-func BenchmarkSelectPointers10kOffers(b *testing.B) {
+// BenchmarkSelect10kOffers is the ordered query over a fleet: 10^4 offers
+// spread over all 64 shards, about half of them matching, copied out of the
+// index with their values.
+func BenchmarkSelect10kOffers(b *testing.B) {
 	s := benchTrader(10000)
 	q := Query{ServiceType: "NodeStatus", Constraint: "mips_free >= 600 and os == 'linux'"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.SelectPointers(q); err != nil {
+		if _, err := s.Select(q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,10 +1,12 @@
 package trading
 
 import (
+	"fmt"
 	"maps"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,6 +55,31 @@ func (h heldOffer) changed() bool {
 	return h.o.Ref != h.ref || h.o.seq != h.seq || !reflect.DeepEqual(maps.Collect(h.o.Properties.All()), h.props)
 }
 
+// readerFailures collects what reader goroutines find wrong, for the test
+// goroutine to report: a reader that called t.Errorf after a t.Fatalf there
+// would fail a test that has already completed, and panic the binary.
+type readerFailures struct {
+	mu   sync.Mutex
+	msgs []string
+}
+
+func (f *readerFailures) add(format string, args ...any) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.msgs = append(f.msgs, fmt.Sprintf(format, args...))
+}
+
+// check fails the test with every failure the readers have reported so far.
+func (f *readerFailures) check(t *testing.T) {
+	t.Helper()
+	f.mu.Lock()
+	msgs := strings.Join(f.msgs, "\n")
+	f.mu.Unlock()
+	if msgs != "" {
+		t.Fatal(msgs)
+	}
+}
+
 // mallocs returns how many heap objects f allocates, as testing.AllocsPerRun
 // counts them, over one run of f and with no warm-up run.
 func mallocs(f func()) uint64 {
@@ -73,7 +100,8 @@ func mallocs(f func()) uint64 {
 // The holds are taken and released between rounds, so the writers then run two
 // rounds with no hold live, every upsert of which must rewrite an offer the
 // index held before: the test checks both, or it would prove nothing. Under
-// -race a rewrite of an offer a reader holds is a report too.
+// -race a rewrite of an offer a reader holds is a report too. The readers
+// report to the test goroutine, and are stopped and joined however it ends.
 func TestHeldOffersOutliveUpserts(t *testing.T) {
 	const nodes, writers, readers, cycles = 64, 4, 2, 8
 	s := NewService(nil)
@@ -114,17 +142,20 @@ func TestHeldOffersOutliveUpserts(t *testing.T) {
 	stored()
 
 	hold, release := make(chan struct{}), make(chan struct{})
-	var visited, released sync.WaitGroup
+	var visited, released, running sync.WaitGroup
+	var failures readerFailures
 	for range readers {
+		running.Add(1)
 		go func() {
+			defer running.Done()
 			for range hold {
 				h := s.Hold()
 				var kept []heldOffer
 				if err := s.VisitMatches("NodeStatus", "", func(o *Offer) { kept = append(kept, holdOffer(o)) }); err != nil {
-					t.Error(err)
+					failures.add("%v", err)
 				}
 				if len(kept) != nodes {
-					t.Errorf("a visit yielded %d offers, want %d", len(kept), nodes)
+					failures.add("a visit yielded %d offers, want %d", len(kept), nodes)
 				}
 				visited.Done()
 				for reading, bad := true, false; reading; {
@@ -135,7 +166,7 @@ func TestHeldOffersOutliveUpserts(t *testing.T) {
 					}
 					for _, k := range kept {
 						if !bad && k.changed() {
-							t.Errorf("held offer seq %d changed under its hold: now seq %d, %v", k.seq, k.o.seq, maps.Collect(k.o.Properties.All()))
+							failures.add("held offer seq %d changed under its hold: now seq %d, %v", k.seq, k.o.seq, maps.Collect(k.o.Properties.All()))
 							bad = true
 						}
 					}
@@ -145,7 +176,12 @@ func TestHeldOffersOutliveUpserts(t *testing.T) {
 			}
 		}()
 	}
-	defer close(hold)
+	// Closing release ends a reader's reading, and closing hold its loop.
+	t.Cleanup(func() {
+		close(hold)
+		close(release)
+		running.Wait()
+	})
 
 	for cycle := range cycles {
 		visited.Add(readers)
@@ -154,6 +190,7 @@ func TestHeldOffersOutliveUpserts(t *testing.T) {
 			hold <- struct{}{}
 		}
 		visited.Wait()
+		failures.check(t)
 		beat()
 		stored()
 		beat()
@@ -164,6 +201,7 @@ func TestHeldOffersOutliveUpserts(t *testing.T) {
 			release <- struct{}{}
 		}
 		released.Wait()
+		failures.check(t)
 		for range 2 {
 			beat()
 			if old := stored(); old != nodes {
@@ -183,14 +221,21 @@ func TestHeldOffersOutliveUpserts(t *testing.T) {
 // they did at the visit until Release. The readers also note, across their
 // visits, every offer they see again under another reference: the test
 // checks that some were, or it would prove nothing. Under -race a rewrite of
-// an offer a reader holds is a report too.
+// an offer a reader holds is a report too. The readers report to the test
+// goroutine, and are stopped and joined however it ends.
 func TestHeldOffersOutliveShardReuse(t *testing.T) {
 	const nodes, writers, readers, upserts = 4 * shardsPerType, 4, 2, 3000
 	s := NewService(nil)
 	places, schema := holdFleet(t, s, nodes)
 	stop := make(chan struct{})
 	var crossPlace atomic.Int64
+	var failures readerFailures
 	var wg sync.WaitGroup
+	stopReaders := sync.OnceFunc(func() {
+		close(stop)
+		wg.Wait()
+	})
+	t.Cleanup(stopReaders)
 	for r := range readers {
 		wg.Add(1)
 		go func(r int) {
@@ -200,7 +245,7 @@ func TestHeldOffersOutliveShardReuse(t *testing.T) {
 				select {
 				case <-stop:
 					if visit == 0 {
-						t.Error("a reader never ran")
+						failures.add("reader %d never ran", r)
 					}
 					return
 				default:
@@ -208,12 +253,12 @@ func TestHeldOffersOutliveShardReuse(t *testing.T) {
 				h := s.Hold()
 				var kept []heldOffer
 				if err := s.VisitMatches("NodeStatus", "", func(o *Offer) { kept = append(kept, holdOffer(o)) }); err != nil {
-					t.Error(err)
+					failures.add("%v", err)
 				}
 				for pass := range 3 {
 					for _, k := range kept {
 						if k.changed() {
-							t.Errorf("reader %d pass %d: held offer seq %d of %v changed under its hold: now seq %d of %v",
+							failures.add("reader %d pass %d: held offer seq %d of %v changed under its hold: now seq %d of %v",
 								r, pass, k.seq, k.ref, k.o.seq, k.o.Ref)
 							h.Release()
 							return
@@ -248,8 +293,8 @@ func TestHeldOffersOutliveShardReuse(t *testing.T) {
 		}(w)
 	}
 	writing.Wait()
-	close(stop)
-	wg.Wait()
+	stopReaders()
+	failures.check(t)
 	if crossPlace.Load() == 0 {
 		t.Fatal("no offer was seen again under another reference: no place rewrote an offer another place retired")
 	}
@@ -260,11 +305,11 @@ func TestHeldOffersOutliveShardReuse(t *testing.T) {
 // hold can reach it, and allocates only while one might. Counted over sweeps
 // that upsert every place once: the first allocates twice a shard, the offer
 // of the shard's first upsert, which finds no retired offer, and the one-slot
-// ring of its free list, and the next allocates nothing. Under a live hold, once every retired offer was retired under it, a
-// sweep allocates once an upsert; after Release none does. Offers
-// SelectPointers handed out are never rewritten: the sweep after it allocates
-// once an upsert, as every retired offer is one of them, the next once a
-// shard, and the pointers read as they did.
+// ring of its free list, and the next allocates nothing. Under a live hold,
+// once every retired offer was retired under it, a sweep allocates once an
+// upsert; after Release none does. Select and All hand out copies and keep no
+// hold: the two sweeps after them allocate nothing, rewrite every offer they
+// copied, and the copies read as they did.
 func TestUpsertReusesSpare(t *testing.T) {
 	const nodes = 256
 	s := NewService(nil)
@@ -299,20 +344,29 @@ func TestUpsertReusesSpare(t *testing.T) {
 	h.Release()
 	expect("after Release", 0)
 
-	held, err := s.SelectPointers(Query{ServiceType: "NodeStatus"})
-	if err != nil || len(held) != nodes {
-		t.Fatalf("SelectPointers = %d offers, %v", len(held), err)
+	copied := map[*stored]int{} // the index's offers, and their seqs, as Select and All copy them
+	for _, p := range places {
+		copied[p.e.st] = p.e.st.seq
 	}
-	kept := make([]heldOffer, len(held))
-	for i, o := range held {
-		kept[i] = holdOffer(o)
+	selected, err := s.Select(Query{ServiceType: "NodeStatus"})
+	all := s.All("NodeStatus")
+	if err != nil || len(selected) != nodes || len(all) != nodes {
+		t.Fatalf("Select = %d offers, %v; All = %d offers", len(selected), err, len(all))
 	}
-	expect("the first sweep after SelectPointers", nodes)
-	expect("the second sweep after SelectPointers", len(shards))
-	expect("the third sweep after SelectPointers", 0)
+	var kept []heldOffer
+	for i := range selected {
+		kept = append(kept, holdOffer(&selected[i]), holdOffer(&all[i]))
+	}
+	expect("the first sweep after Select and All", 0)
+	expect("the second sweep after Select and All", 0)
+	for st, seq := range copied {
+		if st.seq == seq {
+			t.Fatalf("two sweeps left the offer with seq %d as Select copied it: the test proves nothing", seq)
+		}
+	}
 	for _, k := range kept {
 		if k.changed() {
-			t.Fatalf("an offer SelectPointers returned was rewritten: seq %d is now %d", k.seq, k.o.seq)
+			t.Fatalf("a copy Select or All returned changed when the index rewrote its offer: seq %d is now %d", k.seq, k.o.seq)
 		}
 	}
 }

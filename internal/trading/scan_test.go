@@ -57,9 +57,9 @@ func firstNodes(n int) []int {
 }
 
 // TestScanMatchesBruteForce is the differential test of filter-before-merge:
-// on seeded fleets built through every write path, SelectPointers must return
-// the very pointers the brute-force reference does, in the same order, and
-// All the same offers unfiltered.
+// on seeded fleets built through every write path, Select must return copies
+// of the offers the brute-force reference does, in the same order,
+// VisitMatches the very offers, and All copies of them all unfiltered.
 func TestScanMatchesBruteForce(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	for _, fleet := range []struct {
@@ -170,7 +170,7 @@ func TestScanBlockBoundaries(t *testing.T) {
 				}
 				assertMatchesBruteForce(t, s, fill == "all-match" && size > 0)
 				if fill == "all-match" {
-					got, err := s.SelectPointers(Query{ServiceType: "NodeStatus", Constraint: "mips >= 250 and ram >= 512 and os == 'linux'"})
+					got, err := s.Select(Query{ServiceType: "NodeStatus", Constraint: "mips >= 250 and ram >= 512 and os == 'linux'"})
 					if err != nil || len(got) != size {
 						t.Fatalf("%d of %d offers match, %v: every one should", len(got), size, err)
 					}
@@ -181,10 +181,10 @@ func TestScanBlockBoundaries(t *testing.T) {
 }
 
 // assertMatchesBruteForce holds every read path built on visit to the brute
-// force: SelectPointers must return the very pointers referenceSelect does, in
-// the same order, VisitMatches the same set in whatever order, one
+// force: Select must return copies of the offers referenceSelect does, in the
+// same order, VisitMatches the very offers in whatever order, one
 // VisitMatchSet over every query the same sets again, and All and Count the
-// same offers unfiltered.
+// same offers unfiltered, All as copies.
 func assertMatchesBruteForce(t *testing.T, s *Service, nonEmpty bool) {
 	t.Helper()
 	var (
@@ -201,41 +201,49 @@ func assertMatchesBruteForce(t *testing.T, s *Service, nonEmpty bool) {
 	} {
 		q.ServiceType = "NodeStatus"
 		want := referenceSelect(t, s, q)
-		got, err := s.SelectPointers(q)
+		got, err := s.Select(q)
 		if err != nil {
 			t.Fatalf("%+v: %v", q, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%+v: %d offers, brute force %d", q, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%+v: position %d is seq %d, brute force seq %d", q, i, got[i].seq, want[i].seq)
-			}
-		}
-		assertVisitYields(t, s, q, got)
-		cons, wants = append(cons, q.Constraint), append(wants, got)
-		if nonEmpty && q.Constraint == "mips >= 0" && len(got) == 0 {
+		assertCopies(t, fmt.Sprintf("Select %+v", q), got, want)
+		assertVisitYields(t, s, q, want)
+		cons, wants = append(cons, q.Constraint), append(wants, want)
+		if nonEmpty && q.Constraint == "mips >= 0" && len(want) == 0 {
 			t.Fatalf("%+v matched nothing: the fleet does not exercise the scan", q)
 		}
 	}
 	assertVisitSetYields(t, s, cons, wants)
 
-	all := s.All("NodeStatus")
 	want := referenceSelect(t, s, Query{ServiceType: "NodeStatus"})
-	if len(all) != len(want) || s.Count("NodeStatus") != len(want) {
-		t.Fatalf("All = %d offers, Count = %d, brute force %d", len(all), s.Count("NodeStatus"), len(want))
+	assertCopies(t, "All", s.All("NodeStatus"), want)
+	if got := s.Count("NodeStatus"); got != len(want) {
+		t.Fatalf("Count = %d, brute force %d", got, len(want))
 	}
-	for i := range all {
-		if all[i].seq != want[i].seq || all[i].Properties != want[i].Properties {
-			t.Fatalf("All: position %d is seq %d, brute force seq %d", i, all[i].seq, want[i].seq)
+}
+
+// assertCopies checks that got holds copies of the offers of want, in order:
+// the same seq, reference, expiry and values, in a record of got's own.
+func assertCopies(t *testing.T, what string, got []Offer, want []*Offer) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d offers, brute force %d", what, len(got), len(want))
+	}
+	for i, w := range want {
+		g := &got[i]
+		gSchema, gVals := g.Properties.Parts()
+		wSchema, wVals := w.Properties.Parts()
+		if g.seq != w.seq || g.Ref != w.Ref || !g.Expires.Equal(w.Expires) || gSchema != wSchema || !slices.Equal(gVals, wVals) {
+			t.Fatalf("%s: position %d is seq %d of %v, brute force seq %d of %v (or their expiries or values differ)", what, i, g.seq, g.Ref, w.seq, w.Ref)
+		}
+		if g.Properties == w.Properties || len(gVals) > 0 && &gVals[0] == &wVals[0] {
+			t.Fatalf("%s: position %d, seq %d, shares its record or values with the index", what, i, g.seq)
 		}
 	}
 }
 
-// assertVisitYields checks the visitor against the query path built on the
-// same walk: VisitMatches yields exactly the offers SelectPointers returned,
-// each once, and sorting them by Seq gives SelectPointers' order back.
+// assertVisitYields checks the visitor against the brute force: VisitMatches
+// yields exactly the offers want holds, each once, and sorting them by Seq
+// gives want's order back.
 func assertVisitYields(t *testing.T, s *Service, q Query, want []*Offer) {
 	t.Helper()
 	var visited []*Offer
@@ -247,11 +255,11 @@ func assertVisitYields(t *testing.T, s *Service, q Query, want []*Offer) {
 	}
 	sort.Slice(visited, func(i, j int) bool { return visited[i].Seq() < visited[j].Seq() })
 	if !slices.Equal(visited, want) {
-		t.Fatalf("%+v: visit yields %d offers, SelectPointers %d (or others)", q, len(visited), len(want))
+		t.Fatalf("%+v: visit yields %d offers, brute force %d (or others)", q, len(visited), len(want))
 	}
 }
 
-// assertVisitSetYields checks the set visitor against the query path: one
+// assertVisitSetYields checks the set visitor against the brute force: one
 // VisitMatchSet over cons yields each offer once at most, and the offers it
 // yields with bit c set, sorted by Seq, are want[c].
 func assertVisitSetYields(t *testing.T, s *Service, cons []string, want [][]*Offer) {
@@ -275,7 +283,7 @@ func assertVisitSetYields(t *testing.T, s *Service, cons []string, want [][]*Off
 	for c := range cons {
 		slices.SortFunc(got[c], func(a, b *Offer) int { return a.Seq() - b.Seq() })
 		if !slices.Equal(got[c], want[c]) {
-			t.Fatalf("%q: the set visit yields %d offers, SelectPointers %d (or others)", cons[c], len(got[c]), len(want[c]))
+			t.Fatalf("%q: the set visit yields %d offers, brute force %d (or others)", cons[c], len(got[c]), len(want[c]))
 		}
 	}
 }
@@ -366,13 +374,10 @@ func TestReexportCopiesRecord(t *testing.T) {
 		}
 	}
 
-	// The copy goes into an offer the shard retired. The offers Select and All
-	// returned are never rewritten, so two re-exports retire one they did not
-	// return; from then on re-exporting allocates nothing.
+	// The copy goes into an offer the shard retired: once a re-export has
+	// retired one, re-exporting allocates nothing.
 	o := offers[0]
-	for range 2 {
-		_, _ = b.ExportKeyed(o)
-	}
+	_, _ = b.ExportKeyed(o)
 	if allocs := mallocs(func() {
 		for range 100 {
 			_, _ = b.ExportKeyed(o)

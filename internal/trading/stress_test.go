@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,8 +17,8 @@ import (
 
 // These tests cover the sharded copy-on-write index added with the batched
 // scheduling path: batch export semantics, the version counter the GRM's
-// snapshot cache keys on, the shared-read contract of Select, and a
-// seeded concurrent stress of every write path against the lock-free reads.
+// snapshot cache keys on, the copies Select and All return, and a seeded
+// concurrent stress of every write path against the lock-free reads.
 
 func TestExportBatchSemantics(t *testing.T) {
 	s := NewService(nil)
@@ -81,9 +81,6 @@ func TestVersionBumpsOnWritesOnly(t *testing.T) {
 	if _, err := s.Select(Query{ServiceType: "NodeStatus"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SelectPointers(Query{ServiceType: "NodeStatus"}); err != nil {
-		t.Fatal(err)
-	}
 	s.Count("NodeStatus")
 	s.All("NodeStatus")
 	if s.Withdraw(Place{}) || s.Version() != v {
@@ -123,44 +120,10 @@ func errorIf(failed bool, what string) error {
 	return nil
 }
 
-// TestSelectSharedSharesProperties pins the read contract: SelectPointers
-// returns the index's own offer, which is what the GRM batch matcher caches
-// across a batch; Select (and its alias SelectShared) and All copy the offer,
-// so a caller may overwrite any field of what it got, and share the stored
-// property record, which has no method that writes.
-func TestSelectSharedSharesProperties(t *testing.T) {
-	s := NewService(nil)
-	if _, err := s.ExportKeyed(nodeOffer(1, 1000, 512)); err != nil {
-		t.Fatal(err)
-	}
-	own := &slotOffers(&s.typeIndex("NodeStatus").shards[refShard(nodeRef(1))])[0].Offer
-	stored := own.Properties
-
-	ptrs, err := s.SelectPointers(Query{ServiceType: "NodeStatus"})
-	if err != nil || len(ptrs) != 1 || ptrs[0] != own {
-		t.Fatalf("SelectPointers = %v, %v; want the index's own offer %p", ptrs, err, own)
-	}
-
-	all := func(q Query) ([]Offer, error) { return s.All(q.ServiceType), nil }
-	for name, sel := range map[string]func(Query) ([]Offer, error){"Select": s.Select, "SelectShared": s.SelectShared, "All": all} {
-		got, err := sel(Query{ServiceType: "NodeStatus"})
-		if err != nil || len(got) != 1 {
-			t.Fatalf("%s = %d offers, %v", name, len(got), err)
-		}
-		if got[0].Properties != stored {
-			t.Fatalf("%s copied the property record; want the stored one shared", name)
-		}
-		got[0].Ref = nodeRef(2)
-		got[0].Properties = constraint.Properties{"mips": constraint.Number(-1)}.Record()
-	}
-	if own.Ref != nodeRef(1) || own.Properties != stored || own.Properties.Get("mips") != constraint.Number(1000) {
-		t.Fatal("overwriting a returned offer changed the stored one")
-	}
-}
-
 // TestConcurrentTradingStress races every write path (ExportKeyed of a new ref
 // and of a held one, Upsert, ExportBatch, Withdraw) against the lock-free read paths
-// (Select, SelectPointers, VisitMatches, Count, All) under the race detector.
+// (Select with and without a constraint, VisitMatches, Count, All) under the
+// race detector.
 // The seed picks the operation mix per goroutine; the final consistency
 // check verifies the reverse index and the shard snapshots agree after the
 // storm.
@@ -234,8 +197,8 @@ func concurrentTradingStress(t *testing.T, seed int64) {
 						return
 					}
 				case 1:
-					if _, err := s.SelectPointers(Query{ServiceType: "NodeStatus"}); err != nil {
-						t.Errorf("SelectPointers: %v", err)
+					if _, err := s.Select(Query{ServiceType: "NodeStatus"}); err != nil {
+						t.Errorf("Select: %v", err)
 						return
 					}
 				case 2:
@@ -308,7 +271,7 @@ func shardmates(first, n int) []int {
 // entry's offer, of its ref, and a shard's slots hold exactly its entries'
 // offers, and every slot of its array past the snapshot's end is nil; every
 // live offer's seq is unique across the whole service and its record is its
-// own, and SelectPointers and All come back strictly ascending in Seq. Slot
+// own, and Select and All come back strictly ascending in Seq. Slot
 // order itself is not an invariant: an upsert keeps its slot.
 func assertIndexConsistent(t *testing.T, s *Service) {
 	t.Helper()
@@ -349,18 +312,18 @@ func assertIndexConsistent(t *testing.T, s *Service) {
 				}
 			}
 		}
-		ptrs, err := s.SelectPointers(Query{ServiceType: typ})
+		selected, err := s.Select(Query{ServiceType: typ})
 		if err != nil {
 			t.Fatal(err)
 		}
 		all := s.All(typ)
-		if len(all) != len(ptrs) {
-			t.Errorf("%s: All returns %d offers, SelectPointers %d", typ, len(all), len(ptrs))
+		if len(all) != len(selected) {
+			t.Errorf("%s: All returns %d offers, Select %d", typ, len(all), len(selected))
 		}
-		for j := 1; j < len(ptrs); j++ {
-			if ptrs[j-1].Seq() >= ptrs[j].Seq() || all[j-1].Seq() >= all[j].Seq() {
-				t.Fatalf("%s: position %d not in export order: SelectPointers seq %d then %d, All %d then %d",
-					typ, j, ptrs[j-1].Seq(), ptrs[j].Seq(), all[j-1].Seq(), all[j].Seq())
+		for j := 1; j < len(selected); j++ {
+			if selected[j-1].Seq() >= selected[j].Seq() || all[j-1].Seq() >= all[j].Seq() {
+				t.Fatalf("%s: position %d not in export order: Select seq %d then %d, All %d then %d",
+					typ, j, selected[j-1].Seq(), selected[j].Seq(), all[j-1].Seq(), all[j].Seq())
 			}
 		}
 	}
@@ -418,17 +381,18 @@ func TestSeqOrderSameShard(t *testing.T) {
 	}
 }
 
-// TestHeldPointersNeverChange is the immutability the GRM's candidate path
-// relies on: the offers SelectPointers returns are the index's own, and
-// stay exactly as they were however many updates and withdrawals follow. A
-// reader takes one query's pointers and a value copy of each, then re-reads
-// through the pointers, and reads every offer a fresh query returns, while
-// writers upsert — by reference, and through the places their exports
-// returned, from one value array each writer rewrites before every upsert —
-// and withdraw the very same references. Half the held offers were written
-// through places too, from one array rewritten since. Under -race any write to
-// a published offer is also a report.
-func TestHeldPointersNeverChange(t *testing.T) {
+// TestSelectCopiesNeverChange: a Select or All result is the caller's, and
+// reads unchanged after the offers it copied are rewritten. A reader takes one
+// Select's and one All's offers and what each reads, then re-reads them, and
+// reads every offer a fresh Select and All return, while writers upsert — by
+// reference, and through the places their exports returned, from one value
+// array each writer rewrites before every upsert — and withdraw the very same
+// references. Half the copied offers were written through places too, from one
+// array rewritten since. The upserts rewrite the offers the index retired,
+// those the copies were taken from among them: the test checks that some were,
+// or it would prove nothing. Under -race a write to memory a copy shares with
+// the index is a report too.
+func TestSelectCopiesNeverChange(t *testing.T) {
 	s := NewService(nil)
 	const nodes = 64
 	schema, values := recordParts(nodeOffer(0, 0, 0).Properties)
@@ -446,34 +410,36 @@ func TestHeldPointersNeverChange(t *testing.T) {
 			}
 		}
 	}
-	held, err := s.SelectPointers(Query{ServiceType: "NodeStatus", Constraint: "mips >= 100"})
-	if err != nil || len(held) != nodes {
-		t.Fatalf("SelectPointers = %d offers, %v", len(held), err)
+	copied := map[*stored]int{} // the index's offers, and their seqs, as Select and All copy them
+	ts := s.typeIndex("NodeStatus")
+	for i := range ts.shards {
+		for _, st := range slotOffers(&ts.shards[i]) {
+			copied[st] = st.seq
+		}
 	}
-	type copyOf struct {
-		offer Offer
-		props map[string]constraint.Value
+	selected, err := s.Select(Query{ServiceType: "NodeStatus", Constraint: "mips >= 100"})
+	all := s.All("NodeStatus")
+	if err != nil || len(selected) != nodes || len(all) != nodes {
+		t.Fatalf("Select = %d offers, %v; All = %d offers", len(selected), err, len(all))
 	}
-	copies := make([]copyOf, len(held))
-	for i, o := range held {
-		copies[i] = copyOf{offer: *o, props: maps.Collect(o.Properties.All())}
+	var kept []heldOffer
+	for i := range selected {
+		kept = append(kept, holdOffer(&selected[i]), holdOffer(&all[i]))
 	}
 	clear(values)
 	check := func() {
-		for i, o := range held {
-			c := copies[i]
-			if o.seq != c.offer.seq || o.Ref != c.offer.Ref || !o.Expires.Equal(c.offer.Expires) ||
-				o.Properties != c.offer.Properties || !reflect.DeepEqual(maps.Collect(o.Properties.All()), c.props) {
-				t.Errorf("held offer %d changed: %+v, was %+v", i, *o, c.offer)
+		for _, k := range kept {
+			if k.changed() {
+				t.Errorf("a copy changed: seq %d of %v now reads seq %d of %v, %v", k.seq, k.ref, k.o.seq, k.o.Ref, maps.Collect(k.o.Properties.All()))
 				return
 			}
 		}
-		live, err := s.SelectPointers(Query{ServiceType: "NodeStatus"})
+		live, err := s.Select(Query{ServiceType: "NodeStatus"})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		for _, o := range live {
+		for _, o := range append(live, s.All("NodeStatus")...) {
 			maps.Collect(o.Properties.All())
 		}
 	}
@@ -487,6 +453,10 @@ func TestHeldPointersNeverChange(t *testing.T) {
 			places := map[int]Place{}
 			schema, values := recordParts(nodeOffer(0, 0, 0).Properties)
 			for i := 0; i < 400; i++ {
+				// Yield, so that with one P a reader preempted inside its
+				// walk's hold releases it: a write under a hold allocates, and
+				// writes that all ran under one would rewrite nothing.
+				runtime.Gosched()
 				n := rng.Intn(nodes)
 				o := nodeOffer(n, float64(rng.Intn(2000)), 256)
 				switch rng.Intn(4) {
@@ -518,6 +488,15 @@ func TestHeldPointersNeverChange(t *testing.T) {
 	}()
 	wg.Wait()
 	check()
+	rewritten := 0
+	for st, seq := range copied {
+		if st.seq != seq {
+			rewritten++
+		}
+	}
+	if rewritten == 0 {
+		t.Fatal("no offer Select and All copied was rewritten: the test proves nothing")
+	}
 	assertIndexConsistent(t, s)
 }
 

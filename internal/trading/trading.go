@@ -58,8 +58,8 @@ const shardsPerType = 64
 // its properties. The properties are a record no holder can write to, so
 // copying an Offer copies everything a holder could change. Exporting one
 // copies the record's values into the trader's offer (ExportBatch shares
-// them), and every offer the trader returns shares the stored record, which
-// the trader never rewrites once Select or All returned it.
+// them), and Select and All return copies with records and values of their
+// own, so nothing the trader stores is reachable from what they return.
 type Offer struct {
 	// Expires is the instant after which the offer is garbage; zero means
 	// no expiry. LRM offers carry an expiry so that crashed nodes age out
@@ -142,7 +142,7 @@ func newStored(o Offer) *stored {
 }
 
 // Seq returns the offer's export sequence number: unique within a Service and
-// ascending in the order SelectPointers and All return; zero until exported.
+// ascending in the order Select and All return; zero until exported.
 func (o *Offer) Seq() int { return o.seq }
 
 // Query selects offers of a service type.
@@ -280,10 +280,6 @@ type Service struct {
 	// rewritten once the epoch is t+2 or more (graceOver).
 	epoch atomic.Uint64
 	holds [2]atomic.Int64
-	// escaped is the highest seq a reader that hands offers out with no hold
-	// attached (SelectPointers, Select, All) may have returned: a retired
-	// offer at or below it is left to the collector, never rewritten.
-	escaped atomic.Int64
 
 	// mu serializes growth of the types map, which is copy-on-write: writers
 	// copy the map, add the new type's shard set and swap; readers load it
@@ -355,19 +351,6 @@ func (s *Service) graceOver(t uint64) bool {
 		e = s.epoch.Load()
 	}
 	return e >= t+2
-}
-
-// escape raises escaped to every seq published so far. A reader that returns
-// offers with no hold attached calls it before releasing its walk's hold, so
-// none of them is ever rewritten.
-func (s *Service) escape() {
-	top := s.seq.Load()
-	for {
-		w := s.escaped.Load()
-		if w >= top || s.escaped.CompareAndSwap(w, top) {
-			return
-		}
-	}
 }
 
 // typeIndex returns the shard set for a service type, or nil when the type
@@ -477,26 +460,18 @@ func (u *updated) fill(expires time.Time, schema *constraint.Schema, values []co
 
 // reuse takes the offer a write into sh is to fill inline: the oldest offer on
 // the shard's free list once no hold can reach it, and a new one while one
-// might. An oldest offer a reader has handed out (escaped) is left to the
-// collector, and the next one tried. The caller holds sh.mu.
+// might. The caller holds sh.mu.
 func (s *Service) reuse(sh *shard) *updated {
-	for sh.n > 0 {
-		r := sh.free[sh.head]
-		// The grace period first: a reader that handed the offer out raised
-		// escaped before releasing the hold that kept the epoch from moving on.
-		if !s.graceOver(r.at) {
-			break
-		}
-		sh.free[sh.head] = retired{}
-		if sh.head++; sh.head == len(sh.free) {
-			sh.head = 0
-		}
-		sh.n--
-		if int64(r.u.seq) > s.escaped.Load() {
-			return r.u
-		}
+	if sh.n == 0 || !s.graceOver(sh.free[sh.head].at) {
+		return newUpdated()
 	}
-	return newUpdated()
+	u := sh.free[sh.head].u
+	sh.free[sh.head] = retired{}
+	if sh.head++; sh.head == len(sh.free) {
+		sh.head = 0
+	}
+	sh.n--
+	return u
 }
 
 // newUpdated is the offer a write fills when its shard has no retired offer it
@@ -759,8 +734,8 @@ func (ts *typeShards) count(now time.Time) int {
 
 // All returns every live offer of the given type ("" for all types) in
 // export-sequence order — a deterministic snapshot for failover checks and
-// observability, bypassing constraint evaluation. Like Select's, the copies'
-// property records are the stored ones, and none of them is ever rewritten.
+// observability, bypassing constraint evaluation. The offers are the caller's,
+// as Select's are.
 func (s *Service) All(serviceType string) []Offer {
 	tm := *s.types.Load()
 	types := []string{serviceType}
@@ -770,20 +745,32 @@ func (s *Service) All(serviceType string) []Offer {
 	h := s.Hold()
 	defer h.Release()
 	now := s.now()
-	var out []Offer
+	var matched []*Offer
 	for _, t := range types {
-		out = append(out, offerValues(tm[t].scan(nil, now))...)
+		matched = append(matched, tm[t].scan(nil, now)...)
 	}
-	s.escape()
-	return out
+	return owned(matched)
 }
 
-// offerValues copies offers out of the index. The copies share their property
-// records with it, which escape keeps from being rewritten.
-func offerValues(offers []*Offer) []Offer {
+// owned copies offers out of the index, property records and values included,
+// in one allocation of each: the copies share nothing with the index. The
+// caller holds the hold its walk loaded the offers under, so none of them is
+// rewritten while they are copied.
+func owned(offers []*Offer) []Offer {
+	n := 0
+	for _, o := range offers {
+		n += o.Properties.Len()
+	}
 	out := make([]Offer, len(offers))
+	recs := make([]constraint.Record, len(offers))
+	vals := make([]constraint.Value, n)
 	for i, o := range offers {
+		schema, v := o.Properties.Parts()
+		k := copy(vals, v)
+		recs[i] = schema.Header(vals[:k:k])
+		vals = vals[k:]
 		out[i] = *o
+		out[i].Properties = &recs[i]
 	}
 	return out
 }
@@ -927,12 +914,12 @@ func compile(what, src string) (*constraint.Expr, error) {
 // VisitMatches calls fn for every live offer of the service type that satisfies
 // cons ("" for all of the type), straight off the shard snapshots: nothing is
 // collected, sorted or copied. Each arrives once, in no order a caller may rely
-// on — sort by Seq, or use SelectPointers, for export order. Against concurrent
-// updates a visit sees, for each exporter, its offer from before or from after.
-// The offers are the index's own: read-only, and never rewritten while a hold
-// that could reach them is live. The visit runs under a hold of its own, so fn
-// may read them; a caller that keeps them past the visit takes a Hold before it
-// and keeps it for as long as it reads them.
+// on — sort by Seq, or use Select, which copies, for export order. Against
+// concurrent updates a visit sees, for each exporter, its offer from before or
+// from after. The offers are the index's own: read-only, and never rewritten
+// while a hold that could reach them is live. The visit runs under a hold of
+// its own, so fn may read them; a caller that keeps them past the visit takes a
+// Hold before it and keeps it for as long as it reads them.
 //
 //lint:hotpath alloc=0 locks=2 block=0
 func (s *Service) VisitMatches(serviceType, cons string, fn func(*Offer)) error {
@@ -981,8 +968,11 @@ func (s *Service) VisitMatchSet(serviceType string, cons []string, fn func(o *Of
 }
 
 // Select evaluates a query, returning the matching offers in export order. The
-// returned offers are the caller's; their property records are the stored
-// ones, which SelectPointers keeps from ever being rewritten.
+// offers are the caller's: the walk copies them out of the index, property
+// records and values included, before it releases its hold, so no later write
+// to the index changes them and the caller may keep and change them as it
+// likes. A reader that wants no copy (the GRM's matcher) uses VisitMatches
+// under a Hold, and skips the sort too.
 //
 // Offers whose constraint evaluation errors (for example, a missing
 // property) simply do not match — mirroring the CORBA trader, which treats
@@ -992,42 +982,19 @@ func (s *Service) VisitMatchSet(serviceType string, cons []string, fn func(o *Of
 // compiles once per distinct source); the offer index itself is read with
 // zero locks.
 //
-//lint:hotpath alloc=3 locks=2 block=0
+//lint:hotpath alloc=5 locks=2 block=0
 func (s *Service) Select(q Query) ([]Offer, error) {
-	matched, err := s.SelectPointers(q)
-	if err != nil {
-		return nil, err
-	}
-	return offerValues(matched), nil
-}
-
-// SelectShared is Select. It is kept only because benchmark/, which a change
-// claiming a gain may not edit, calls it; nothing else should.
-//
-//lint:hotpath alloc=3 locks=2 block=0
-func (s *Service) SelectShared(q Query) ([]Offer, error) { return s.Select(q) }
-
-// SelectPointers is the one query path; Select copies its result. It returns
-// the index's own offers: an *Offer is written before it is published in a
-// shard snapshot's slot, and never rewritten while a hold that could reach it
-// is live — an update stores another offer into the slot, a withdrawal swaps
-// in a snapshot without it. The result carries no hold, so before releasing its
-// walk's it marks every offer published so far as escaped, and an update never
-// rewrites one of those. A holder may therefore keep and read the pointers for
-// as long as it likes without a lock or a hold, and must never write through
-// them. It is for in-process readers that want the matches in export order and
-// copy none of them; one that does not need the order (the GRM's matcher) uses
-// VisitMatches under a Hold and skips the sort.
-//
-//lint:hotpath alloc=2 locks=2 block=0
-func (s *Service) SelectPointers(q Query) ([]*Offer, error) {
 	cons, err := compile("constraint", q.Constraint)
 	if err != nil {
 		return nil, err
 	}
 	h := s.Hold()
 	defer h.Release()
-	matched := s.typeIndex(q.ServiceType).scan(cons, s.now())
-	s.escape()
-	return matched, nil
+	return owned(s.typeIndex(q.ServiceType).scan(cons, s.now())), nil
 }
+
+// SelectShared is Select. It is kept only because benchmark/, which a change
+// claiming a gain may not edit, calls it; nothing else should.
+//
+//lint:hotpath alloc=5 locks=2 block=0
+func (s *Service) SelectShared(q Query) ([]Offer, error) { return s.Select(q) }

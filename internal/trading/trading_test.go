@@ -97,11 +97,10 @@ func TestSelectMissingPropertyFailsConstraintNotQuery(t *testing.T) {
 
 func TestSelectBadExpressions(t *testing.T) {
 	s := NewService(nil)
-	if _, err := s.Select(Query{ServiceType: "T", Constraint: "((("}); err == nil {
-		t.Fatal("bad constraint accepted")
-	}
-	if _, err := s.SelectPointers(Query{ServiceType: "T", Constraint: "mips >="}); err == nil {
-		t.Fatal("bad constraint accepted by SelectPointers")
+	for _, src := range []string{"(((", "mips >="} {
+		if _, err := s.Select(Query{ServiceType: "T", Constraint: src}); err == nil {
+			t.Fatalf("bad constraint %q accepted", src)
+		}
 	}
 }
 
