@@ -30,11 +30,14 @@ test:
 # while late deliveries read their own (TestRecycledRepliesUnderLateDelivery),
 # and an LRM's completions queued into the outbox while updates, some of them
 # failing, take it and hand it and their window array back
-# (TestSyncTasksRacesSendUpdate). TestRaceRepeatsNameTests in internal/lint
-# fails if a name below is no test of the packages after it.
+# (TestSyncTasksRacesSendUpdate). Then the trader's five again at -cpu 1,
+# where no reader runs beside a writer and only the schedules the tests hand
+# off between them happen (~23 s on a 2-core Xeon). TestRaceRepeatsNameTests
+# in internal/lint fails if a name below is no test of the packages after it.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run '^(TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestSelectCopiesNeverChange|TestHeldOffersOutliveUpserts|TestHeldOffersOutliveShardReuse|TestReserveFedUpdateKeepsCandidates|TestSweepRacingHeartbeats|TestRecycledRepliesUnderLateDelivery|TestSyncTasksRacesSendUpdate)$$' ./internal/trading ./internal/grm ./internal/chaos ./internal/lrm
+	$(GO) test -race -count=10 -cpu 1 -run '^(TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestSelectCopiesNeverChange|TestHeldOffersOutliveUpserts|TestHeldOffersOutliveShardReuse)$$' ./internal/trading
 
 vet:
 	$(GO) vet ./...
@@ -89,14 +92,14 @@ fmt-check:
 # all of their rows under -race and so run here without it. Then one iteration each
 # of the micro-benchmarks ROADMAP items 2, 3 and 6 quote, so they keep compiling
 # and running (BenchmarkTCPInvoke minus BenchmarkTCPRawEcho is what the ORB
-# adds to a round trip; BenchmarkLoopbackUpdate10k, BenchmarkRegister10k and
+# adds to a round trip; BenchmarkLoopbackUpdate2k and 10k, BenchmarkRegister10k and
 # the trader's upserts and first exports walk their fleets in a shuffled order,
 # as the workloads do).
 benchmark-check:
 	$(GO) test -count=1 ./benchmark
 	$(GO) run ./benchmark -quick -traced
 	$(GO) test -count=1 -run 'AllocBudget|AllocateOnce' ./internal/orb ./internal/grm ./internal/trading ./internal/protocol
-	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkPlacementBatch10k|BenchmarkLoopbackUpdate10k|BenchmarkRegister10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkPlaceUpsert|BenchmarkExportFirst10k|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPGangPlacement|BenchmarkTCPLifecycle|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
+	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkPlacementBatch10k|BenchmarkLoopbackUpdate(2k|10k)|BenchmarkRegister10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkPlaceUpsert|BenchmarkExportFirst10k|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPGangPlacement|BenchmarkTCPLifecycle|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
 	$(GO) test -run '^$$' -bench 'BenchmarkTCPInvokeConcurrent/callers=64' -benchtime 1x ./internal/orb
 
 # Every program under examples/ must run to completion and exit 0.
@@ -135,14 +138,15 @@ profile-batch:
 # Encoder, as the loopback fleets send it, into a GRM that knows 10^4 nodes,
 # in a shuffled order, decoded against the node's record, through to the
 # trader upsert and the reply — under the CPU profiler (ROADMAP item 6c). On a
-# 2-core Xeon the collector's mark (gcDrain) is ~24% cumulative; grm's
-# exportStatusOffer ~21%, of which the trader's Upsert through the node's
-# place, its 768-B stored offer included, is ~19%; protocol's EncodeUpdate
-# ~12% and DecodeUpdate ~9%; recordedIdentity ~9% (the node record's first,
-# cold lookup, under g.mu) and recordUpdate ~12%, of which recordStatusLocked
-# ~7% and g.mu's unlock ~4%: the unlock waits for the store into the record's
-# window array, which a shuffled fleet finds cold. Leaves loopback_update.prof
-# and its test binary in the working directory.
+# 2-core Xeon, cumulative, over two profiles: grm's exportStatusOffer 24–26%,
+# of which the trader's Upsert through the node's place 21–23%; recordUpdate
+# 16%, of which g.mu's unlock 8% (it waits for the store into the record's
+# window array, which a shuffled fleet finds cold); recordedIdentity 13–14%
+# (the node record's first, cold lookup, under g.mu); protocol's DecodeUpdate
+# 10–14% and EncodeUpdate 12–13%; the collector under 1%, an update
+# allocating nothing. BenchmarkLoopbackUpdate2k is the same update into 2 000
+# nodes, for the fleet size's share. Leaves loopback_update.prof and its test
+# binary in the working directory.
 profile-update:
 	$(GO) test -run '^$$' -bench BenchmarkLoopbackUpdate10k -benchtime 2000000x \
 		-cpuprofile loopback_update.prof -o loopback_update.test ./internal/grm

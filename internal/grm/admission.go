@@ -102,7 +102,8 @@ func (mc *matchCtx) candidates(app *appInfo) (view, error) {
 // lookup returns the cached candidate set for one constraint, refilling via
 // the trader on version change, expiry, or first sight. This is the batch
 // matcher's inner loop: a hit costs one atomic load, one map probe and at
-// worst one clock read, and allocates nothing.
+// worst one clock read, and allocates nothing. An entry's first use counts as
+// the snapshot miss that filled it, whether prefill or lookup did.
 //
 //lint:hotpath alloc=0 locks=2 block=0
 func (mc *matchCtx) lookup(cons string) (*matchEntry, error) {
@@ -110,20 +111,27 @@ func (mc *matchCtx) lookup(cons string) (*matchEntry, error) {
 	// between the two, the entry is tagged with the older version and the
 	// next lookup conservatively refills.
 	mc.sync()
-	if ent := mc.entry(cons); ent != nil {
-		if ent.minExpires.IsZero() || mc.g.clock.Now().Before(ent.minExpires) {
-			if ent.unused {
-				ent.unused = false
-				mc.misses++
-			} else {
-				mc.hits++
-			}
-			return ent, nil
+	ent := mc.entry(cons)
+	if ent == nil || !ent.minExpires.IsZero() && !mc.g.clock.Now().Before(ent.minExpires) {
+		one := [1]string{cons}
+		mc.fillSet(one[:])
+		if ent = mc.entry(cons); ent == nil {
+			mc.misses++
+			return nil, errBadConstraint
 		}
 	}
-	mc.misses++
-	return mc.fill(cons)
+	if ent.unused {
+		ent.unused = false
+		mc.misses++
+	} else {
+		mc.hits++
+	}
+	return ent, nil
 }
+
+// errBadConstraint fails the placement of an application whose constraint
+// does not compile.
+var errBadConstraint = errors.New("grm: constraint does not compile")
 
 // entry returns the entry of cons, or nil. The pointer is good until the next
 // fill appends to the entries.
@@ -157,55 +165,16 @@ func (mc *matchCtx) sync() {
 	}
 }
 
-// fill runs the trader query for one constraint and caches the result. One
-// visit does everything that reads the matching offers — the policy's key while
-// the record is in cache, the earliest expiry — and since a key carries its
-// offer's seq, nothing needs the matches in export order. The keys are appended
-// to the context's scratch, the match count being unknown until the visit
-// ends, and ranked where they lie.
-//
-//lint:coldpath snapshot miss: full trader query
-func (mc *matchCtx) fill(cons string) (*matchEntry, error) {
-	g := mc.g
-	kp, _ := g.policy.(keyedPolicy)
-	mc.takeScratch()
-	keys, start := mc.keys, len(mc.keys)
-	var ent matchEntry
-	err := g.trader.VisitMatches(NodeStatusType, cons, func(o *trading.Offer) {
-		k := rankKey{ord: o.Seq(), offer: o, met: 1}
-		if kp != nil {
-			k.k1, k.k2 = kp.key(o)
-		}
-		keys = append(keys, k)
-		if e := o.Expires; !e.IsZero() && (ent.minExpires.IsZero() || e.Before(ent.minExpires)) {
-			ent.minExpires = e
-		}
-	})
-	mc.keys = keys
-	if err != nil {
-		return nil, err
-	}
-	ent.view = wholeView(keys[start:])
-	return mc.put(cons, ent), nil
-}
-
 // prefill fills the entries of a batch's distinct constraints before their
-// first lookup, when there are two or more: one walk of the trader's offers per
-// trading.MaxVisitSet of them, where lookup's lazy fill would walk once per
-// constraint, and one policy key per matching offer, however many of the
-// constraints it meets. The entries yield what the lazy fills' would have,
-// candidate for candidate, and lookup counts each one's first use as the miss
-// it replaces. A batch of one constraint — as a rule a synchronous Submit's, one
-// application — is left to the lazy fill, the faster walk for one constraint.
+// first lookup: one walk of the trader's offers per trading.MaxVisitSet of
+// them, where lookup's fills would walk once per constraint, and one policy key
+// per matching offer, however many of the constraints it meets.
 func (mc *matchCtx) prefill(batch []*appInfo) {
 	conses := make([]string, 0, trading.MaxVisitSet)
 	for _, app := range batch {
 		if !slices.Contains(conses, app.constraint) {
 			conses = append(conses, app.constraint)
 		}
-	}
-	if len(conses) < 2 {
-		return
 	}
 	for len(conses) > 0 {
 		n := min(len(conses), trading.MaxVisitSet)
@@ -215,11 +184,14 @@ func (mc *matchCtx) prefill(batch []*appInfo) {
 }
 
 // fillSet fills the entries of up to trading.MaxVisitSet distinct constraints
-// in one trader walk. The walk appends each matching offer's key once to the
-// context's scratch, carrying the set of constraints it met, and the keys are
-// ranked once, where they lie: each constraint's entry is the view of its bit.
-// A constraint that does not compile gets no entry: its lookup fails as the
-// lazy fill's would.
+// in one trader walk. The walk does everything that reads the matching offers
+// — the policy's key while the record is in cache, the earliest expiry — and
+// appends each matching offer's key once to the context's scratch, carrying
+// the set of constraints it met; since a key carries its offer's seq, nothing
+// needs the matches in export order. The keys are ranked once, where they lie:
+// each constraint's entry is the view of its bit, unused until its first
+// lookup. A constraint that does not compile gets no entry, and its lookup
+// fails.
 //
 //lint:coldpath snapshot miss: one trader walk for a batch's constraints
 func (mc *matchCtx) fillSet(conses []string) {

@@ -465,7 +465,7 @@ func TestOrderKeyedAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill := func(mc *matchCtx) view {
-		ent, err := mc.fill("")
+		ent, err := mc.lookup("")
 		if err != nil || ent.n != matches {
 			t.Fatalf("fill = %+v, %v", ent, err)
 		}

@@ -15,7 +15,7 @@ import (
 )
 
 // TestPrefillMatchesLazyFill fills seeded sets of constraints two ways — one
-// shared walk (prefill), and one VisitMatches fill per constraint — and
+// shared walk (prefill), and a lookup's one-constraint fill each — and
 // requires the same candidates in the same order from every entry, the same
 // minExpires, and no entry for a constraint that does not compile. The sets
 // hold duplicates, a constraint nothing matches and one that does not
@@ -74,7 +74,7 @@ func TestPrefillMatchesLazyFill(t *testing.T) {
 			var good []string
 			lazy := map[string][]*trading.Offer{}
 			for _, cons := range slices.Sorted(maps.Keys(distinct)) {
-				want, err := g.newMatchCtx().fill(cons)
+				want, err := g.newMatchCtx().lookup(cons)
 				got := shared.entry(cons)
 				if err != nil {
 					if cons != "mips_free >=" {
@@ -201,20 +201,20 @@ func TestScratchOwnershipUnderConcurrentContexts(t *testing.T) {
 	defer g.Stop()
 	prefillFleet(t, g, sim.NewRNG(3), 2000)
 	const consA, consB, consC = "mips_free >= 1500", "ram_free < 2000", "os == 'linux'"
-	ref, err := g.newMatchCtx().fill(consA)
+	ref, err := g.newMatchCtx().lookup(consA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := drain(ref.view)
 	// Grow the scratch to hold every offer, so whoever takes it ranks in it.
 	warm := g.newMatchCtx()
-	if _, err := warm.fill(""); err != nil {
+	if _, err := warm.lookup(""); err != nil {
 		t.Fatal(err)
 	}
 	warm.close()
 
 	fill := func(mc *matchCtx, cons string) view {
-		ent, err := mc.fill(cons)
+		ent, err := mc.lookup(cons)
 		if err != nil {
 			t.Error(err)
 			return view{r: &ranking{}}

@@ -140,11 +140,11 @@ type ClusterSummary struct {
 	PendingTasks    int
 }
 
-// Summary computes the cluster's current aggregate state in one visit of the
+// Summary computes the cluster's current aggregate state in one walk of the
 // trader's node offers.
 func (g *GRM) Summary() ClusterSummary {
 	s := ClusterSummary{ClusterID: g.clusterID}
-	_ = g.trader.VisitMatches(NodeStatusType, "", func(o *trading.Offer) { // the empty constraint always compiles
+	g.trader.VisitMatchSet(NodeStatusType, []string{""}, func(o *trading.Offer, _ uint64) {
 		s.Nodes++
 		free := numProp(o, fieldMIPSFree)
 		s.FreeMIPS += free

@@ -11,17 +11,17 @@ import (
 	"integrade/internal/testutil/allocbudget"
 )
 
-// loopbackUpdates is a 10⁴-node GRM behind a loopback ORB, as the benchmark's
+// loopbackUpdates is an n-node GRM behind a loopback ORB, as the benchmark's
 // fleets run it, with the client its nodes report through and the statuses
 // they report: missFleet's, each with 0 to 3 availability windows, in a fixed
 // shuffled order. The benchmark's fleets update in a seed-shuffled order, so
 // each update finds its node's record and its trader slot cold, as a walk in
 // registration order would not.
-func loopbackUpdates(tb testing.TB) (*protocol.GRMClient, []protocol.NodeStatus) {
+func loopbackUpdates(tb testing.TB, n int) (*protocol.GRMClient, []protocol.NodeStatus) {
 	tb.Helper()
 	g, client, stop := loopbackGRM(tb)
 	tb.Cleanup(stop)
-	fleet := missFleet(tb, g, 10000)
+	fleet := missFleet(tb, g, n)
 	now := g.clock.Now()
 	for i := range fleet {
 		for w := 0; w < i%4; w++ {
@@ -67,7 +67,7 @@ func loopbackGRM(tb testing.TB) (*GRM, *protocol.GRMClient, func()) {
 // GRMClient.Update. One iteration is one fleet; the empty GRM it registers
 // with is built, and stopped, off the clock.
 func BenchmarkRegister10k(b *testing.B) {
-	_, fleet := loopbackUpdates(b)
+	_, fleet := loopbackUpdates(b, 10000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -94,8 +94,15 @@ func BenchmarkRegister10k(b *testing.B) {
 // against the node's record, to the trader upsert and back. `make
 // profile-update` profiles it; the allocations it counts are gated by
 // testdata/alloc_budget.txt.
-func BenchmarkLoopbackUpdate10k(b *testing.B) {
-	client, fleet := loopbackUpdates(b)
+func BenchmarkLoopbackUpdate10k(b *testing.B) { benchLoopbackUpdate(b, 10000) }
+
+// BenchmarkLoopbackUpdate2k is BenchmarkLoopbackUpdate10k into a GRM that
+// knows 2 000 nodes: what an update costs the smaller its fleet, the more of
+// the records and trader slots it finds in cache.
+func BenchmarkLoopbackUpdate2k(b *testing.B) { benchLoopbackUpdate(b, 2000) }
+
+func benchLoopbackUpdate(b *testing.B, nodes int) {
+	client, fleet := loopbackUpdates(b, nodes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -115,7 +122,7 @@ func TestLoopbackUpdateAllocBudget(t *testing.T) {
 		t.Skip("the update's pooled encoders allocate afresh under the race detector")
 	}
 	path := filepath.Join("testdata", "alloc_budget.txt")
-	client, fleet := loopbackUpdates(t)
+	client, fleet := loopbackUpdates(t, 10000)
 	update := func(s protocol.NodeStatus) {
 		if _, err := client.Update(s); err != nil {
 			t.Fatal(err)

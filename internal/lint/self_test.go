@@ -62,7 +62,6 @@ var hotRoots = []string{
 	"trading.(*Service).Select",
 	"trading.(*Service).SelectShared",
 	"grm.(*matchCtx).lookup",
-	"trading.(*Service).VisitMatches",
 	"trading.(*Service).VisitMatchSet",
 	"trading.(*Service).Export",
 	"trading.(*Service).ExportKeyed",
@@ -145,44 +144,53 @@ func TestDocsNameMakeTargets(t *testing.T) {
 }
 
 var (
-	// raceRepeat matches the race target's repeated run of named tests and
-	// captures the names and the packages it runs them in.
-	raceRepeat = regexp.MustCompile(`(?m)^race:\n(?:\t.*\n)*?\t.*-run '\^\(([^)]*)\)\$\$'((?: +\./\S+)+)\n`)
+	// raceTarget matches the race target and captures its recipe.
+	raceTarget = regexp.MustCompile(`(?m)^race:\n((?:\t.*\n)+)`)
+	// raceRepeat matches one of the race target's repeated runs of named tests
+	// and captures the names and the packages it runs them in.
+	raceRepeat = regexp.MustCompile(`-run '\^\(([^)]*)\)\$\$'((?: +\./\S+)+)\n`)
 	// testFunc matches a test function's declaration and captures its name.
 	testFunc = regexp.MustCompile(`(?m)^func (Test\w*)\(`)
 )
 
 // TestRaceRepeatsNameTests fails if the race target repeats, by name, a test
-// that no package it runs in declares: a -run pattern that matches nothing
-// passes quietly, so a renamed test would drop out of the repeats unseen.
+// that no package its line runs in declares: a -run pattern that matches
+// nothing passes quietly, so a renamed test would drop out of the repeats
+// unseen. Every repeated run of the target is checked.
 func TestRaceRepeatsNameTests(t *testing.T) {
 	makefile, err := os.ReadFile("../../Makefile")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := raceRepeat.FindSubmatch(makefile)
-	if m == nil {
+	target := raceTarget.FindSubmatch(makefile)
+	if target == nil {
+		t.Fatal("Makefile: no race target")
+	}
+	repeats := raceRepeat.FindAllSubmatch(target[1], -1)
+	if len(repeats) == 0 {
 		t.Fatal("Makefile: the race target has no -run '^(…)$$' list of tests it repeats")
 	}
-	declared := map[string]bool{}
-	for _, dir := range strings.Fields(string(m[2])) {
-		files, err := filepath.Glob(filepath.Join("../..", dir, "*_test.go"))
-		if err != nil || len(files) == 0 {
-			t.Fatalf("Makefile: the race target runs its repeats in %s, which has no tests (%v)", dir, err)
-		}
-		for _, f := range files {
-			src, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
+	for _, m := range repeats {
+		declared := map[string]bool{}
+		for _, dir := range strings.Fields(string(m[2])) {
+			files, err := filepath.Glob(filepath.Join("../..", dir, "*_test.go"))
+			if err != nil || len(files) == 0 {
+				t.Fatalf("Makefile: the race target runs repeats in %s, which has no tests (%v)", dir, err)
 			}
-			for _, d := range testFunc.FindAllSubmatch(src, -1) {
-				declared[string(d[1])] = true
+			for _, f := range files {
+				src, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range testFunc.FindAllSubmatch(src, -1) {
+					declared[string(d[1])] = true
+				}
 			}
 		}
-	}
-	for _, name := range strings.Split(string(m[1]), "|") {
-		if !declared[name] {
-			t.Errorf("Makefile: the race target repeats %s, which none of %s declares", name, strings.TrimSpace(string(m[2])))
+		for _, name := range strings.Split(string(m[1]), "|") {
+			if !declared[name] {
+				t.Errorf("Makefile: the race target repeats %s, which none of %s declares", name, strings.TrimSpace(string(m[2])))
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package trading
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -92,7 +93,7 @@ func mallocs(f func()) uint64 {
 }
 
 // TestHeldOffersOutliveUpserts: readers take a Hold, keep every offer a
-// VisitMatches yields under it, and re-read them all while writers upsert each
+// VisitMatchSet yields under it, and re-read them all while writers upsert each
 // place twice, from value arrays they rewrite before every upsert: every held
 // offer must read as it did at the visit until Release. By the second round
 // under the holds every offer the shards retired was retired under them, so
@@ -151,7 +152,7 @@ func TestHeldOffersOutliveUpserts(t *testing.T) {
 			for range hold {
 				h := s.Hold()
 				var kept []heldOffer
-				if err := s.VisitMatches("NodeStatus", "", func(o *Offer) { kept = append(kept, holdOffer(o)) }); err != nil {
+				if err := visitOne(s, "NodeStatus", "", func(o *Offer) { kept = append(kept, holdOffer(o)) }); err != nil {
 					failures.add("%v", err)
 				}
 				if len(kept) != nodes {
@@ -215,7 +216,7 @@ func TestHeldOffersOutliveUpserts(t *testing.T) {
 // TestHeldOffersOutliveShardReuse: a retired offer is rewritten by whichever
 // place of its shard writes next, so a hold must keep an offer from every
 // place's upserts, not only its own place's. Readers keep the offers a
-// VisitMatches yields under a Hold and re-read them while writers upsert
+// VisitMatchSet yields under a Hold and re-read them while writers upsert
 // places chosen at random, four places to a shard, and release the hold after
 // a few passes; every held offer's reference, seq and values must read as
 // they did at the visit until Release. The readers also note, across their
@@ -223,12 +224,22 @@ func TestHeldOffersOutliveUpserts(t *testing.T) {
 // checks that some were, or it would prove nothing. Under -race a rewrite of
 // an offer a reader holds is a report too. The readers report to the test
 // goroutine, and are stopped and joined however it ends.
+//
+// The interleaving is handed off, not left to preemption, so the test means
+// the same at -cpu 1: after each batch of upserts a writer pauses until each
+// reader has finished a visit since its last pause, and a reader yields
+// between its passes, so the writers' next batch runs under its hold and
+// between its visits.
 func TestHeldOffersOutliveShardReuse(t *testing.T) {
-	const nodes, writers, readers, upserts = 4 * shardsPerType, 4, 2, 3000
+	const nodes, writers, readers, upserts, batch = 4 * shardsPerType, 4, 2, 3000, 300
 	s := NewService(nil)
 	places, schema := holdFleet(t, s, nodes)
 	stop := make(chan struct{})
 	var crossPlace atomic.Int64
+	// visits counts each reader's finished visits; a reader that stops sets
+	// its count to gone, and no writer waits for it from then on.
+	const gone = math.MaxInt64
+	var visits [readers]atomic.Int64
 	var failures readerFailures
 	var wg sync.WaitGroup
 	stopReaders := sync.OnceFunc(func() {
@@ -240,6 +251,7 @@ func TestHeldOffersOutliveShardReuse(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			defer visits[r].Store(gone)
 			seen := map[*Offer]orb.ObjectRef{} // every offer visited, and its ref then
 			for visit := 0; ; visit++ {
 				select {
@@ -252,10 +264,12 @@ func TestHeldOffersOutliveShardReuse(t *testing.T) {
 				}
 				h := s.Hold()
 				var kept []heldOffer
-				if err := s.VisitMatches("NodeStatus", "", func(o *Offer) { kept = append(kept, holdOffer(o)) }); err != nil {
+				if err := visitOne(s, "NodeStatus", "", func(o *Offer) { kept = append(kept, holdOffer(o)) }); err != nil {
 					failures.add("%v", err)
 				}
+				visits[r].Add(1)
 				for pass := range 3 {
+					runtime.Gosched()
 					for _, k := range kept {
 						if k.changed() {
 							failures.add("reader %d pass %d: held offer seq %d of %v changed under its hold: now seq %d of %v",
@@ -282,7 +296,16 @@ func TestHeldOffersOutliveShardReuse(t *testing.T) {
 			defer writing.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			values := nodeValues(0, 0)
+			var last [readers]int64 // each reader's visits at this writer's last pause
 			for round := range upserts {
+				if round%batch == 0 {
+					for r := range visits {
+						for v := visits[r].Load(); v != gone && v <= last[r]; v = visits[r].Load() {
+							runtime.Gosched()
+						}
+						last[r] = visits[r].Load()
+					}
+				}
 				i := rng.Intn(nodes)
 				copy(values, nodeValues(i, round))
 				if !s.Upsert(places[i], time.Time{}, schema, values) {

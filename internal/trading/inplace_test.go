@@ -483,7 +483,7 @@ func TestVisitRacesInPlaceUpserts(t *testing.T) {
 				clear(seen)
 				var err error
 				if r < 3 {
-					err = s.VisitMatches("NodeStatus", cons, func(o *Offer) {
+					err = visitOne(s, "NodeStatus", cons, func(o *Offer) {
 						if mips, _ := o.Properties.Get("mips").AsNumber(); mips < floor {
 							t.Errorf("%q yielded seq %d with mips %v", cons, o.Seq(), mips)
 						}
@@ -547,9 +547,10 @@ func TestVisitRacesInPlaceUpserts(t *testing.T) {
 // past a snapshot's end and some rebuild a full array; every fourth export
 // also withdraws one of the writer's earlier refs and exports it again, so
 // appends interleave with rebuilds in the same shard. Readers walk the index
-// meanwhile with VisitMatches, VisitMatchSet and Count. A visit must yield each
-// ref at most once and only offers that were exported — each ref's mips is its
-// own — and Count must never exceed the refs there are.
+// meanwhile with VisitMatchSet, over one constraint and over two, and Count.
+// A visit must yield each ref at most once and only offers that were exported
+// — each ref's mips is its own — and Count must never exceed the refs there
+// are.
 func TestVisitRacesAppends(t *testing.T) {
 	const writers, perWriter = 4, 120
 	other := 1
@@ -588,7 +589,7 @@ func TestVisitRacesAppends(t *testing.T) {
 				clear(seen)
 				switch r {
 				case 0:
-					if err := s.VisitMatches("NodeStatus", "mips >= 0", check); err != nil {
+					if err := visitOne(s, "NodeStatus", "mips >= 0", check); err != nil {
 						t.Error(err)
 						return
 					}

@@ -59,7 +59,7 @@ func firstNodes(n int) []int {
 // TestScanMatchesBruteForce is the differential test of filter-before-merge:
 // on seeded fleets built through every write path, Select must return copies
 // of the offers the brute-force reference does, in the same order,
-// VisitMatches the very offers, and All copies of them all unfiltered.
+// VisitMatchSet the very offers, and All copies of them all unfiltered.
 func TestScanMatchesBruteForce(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	for _, fleet := range []struct {
@@ -127,7 +127,7 @@ func TestScanMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestScanBlockBoundaries runs the same comparison where visit's blocks begin
+// TestScanBlockBoundaries runs the same comparison where visitSet's blocks begin
 // and end: one shard holding exactly 0, 1, N−1, N, N+1 and
 // 2N+3 offers for a block of N, so an empty, a partial, an exact and a
 // multi-block snapshot with a partial tail are each walked, filled three ways:
@@ -180,11 +180,11 @@ func TestScanBlockBoundaries(t *testing.T) {
 	}
 }
 
-// assertMatchesBruteForce holds every read path built on visit to the brute
-// force: Select must return copies of the offers referenceSelect does, in the
-// same order, VisitMatches the very offers in whatever order, one
-// VisitMatchSet over every query the same sets again, and All and Count the
-// same offers unfiltered, All as copies.
+// assertMatchesBruteForce holds every read path built on visitSet to the
+// brute force: Select must return copies of the offers referenceSelect does,
+// in the same order, VisitMatchSet over each query alone the very offers in
+// whatever order, one VisitMatchSet over every query the same sets again, and
+// All and Count the same offers unfiltered, All as copies.
 func assertMatchesBruteForce(t *testing.T, s *Service, nonEmpty bool) {
 	t.Helper()
 	var (
@@ -241,17 +241,21 @@ func assertCopies(t *testing.T, what string, got []Offer, want []*Offer) {
 	}
 }
 
-// assertVisitYields checks the visitor against the brute force: VisitMatches
-// yields exactly the offers want holds, each once, and sorting them by Seq
-// gives want's order back.
+// assertVisitYields checks the one-constraint walk against the brute force:
+// VisitMatchSet over q's constraint alone yields exactly the offers want
+// holds, each once and with met 1, and sorting them by Seq gives want's order
+// back.
 func assertVisitYields(t *testing.T, s *Service, q Query, want []*Offer) {
 	t.Helper()
 	var visited []*Offer
-	err := s.VisitMatches(q.ServiceType, q.Constraint, func(o *Offer) {
+	bad := s.VisitMatchSet(q.ServiceType, []string{q.Constraint}, func(o *Offer, met uint64) {
+		if met != 1 {
+			t.Fatalf("%+v: seq %d yielded with bits %b, want 1", q, o.Seq(), met)
+		}
 		visited = append(visited, o)
 	})
-	if err != nil {
-		t.Fatalf("%+v: VisitMatches: %v", q, err)
+	if bad != 0 {
+		t.Fatalf("%+v: the constraint does not compile", q)
 	}
 	sort.Slice(visited, func(i, j int) bool { return visited[i].Seq() < visited[j].Seq() })
 	if !slices.Equal(visited, want) {
@@ -288,20 +292,39 @@ func assertVisitSetYields(t *testing.T, s *Service, cons []string, want [][]*Off
 	}
 }
 
-// TestVisitMatchesRejectsBadConstraint: a constraint that does not compile is
-// the query's error, reported before anything is visited.
-func TestVisitMatchesRejectsBadConstraint(t *testing.T) {
+// TestVisitMatchSetRejectsBadConstraint: a constraint that does not compile
+// has its bit set in bad and matches nothing, alone or beside one that
+// compiles; an unknown service type yields nothing.
+func TestVisitMatchSetRejectsBadConstraint(t *testing.T) {
 	s := NewService(nil)
 	if _, err := s.ExportKeyed(nodeOffer(1, 100, 100)); err != nil {
 		t.Fatal(err)
 	}
-	err := s.VisitMatches("NodeStatus", "mips >=", func(*Offer) { t.Fatal("visited an offer") })
-	if err == nil {
-		t.Fatal("VisitMatches accepted a constraint that does not compile")
+	if bad := s.VisitMatchSet("NodeStatus", []string{"mips >="}, func(*Offer, uint64) { t.Fatal("visited an offer") }); bad != 1 {
+		t.Fatalf("bad = %b for a constraint that does not compile, want 1", bad)
 	}
-	if err := s.VisitMatches("NoSuchType", "", func(*Offer) { t.Fatal("visited an offer") }); err != nil {
-		t.Fatalf("unknown type: %v", err)
+	visited := 0
+	bad := s.VisitMatchSet("NodeStatus", []string{"", "mips >="}, func(o *Offer, met uint64) {
+		if met != 1 {
+			t.Fatalf("seq %d yielded with bits %b, want 1", o.Seq(), met)
+		}
+		visited++
+	})
+	if bad != 1<<1 || visited != 1 {
+		t.Fatalf("bad = %b after %d offers, want 10 after 1", bad, visited)
 	}
+	if bad := s.VisitMatchSet("NoSuchType", []string{""}, func(*Offer, uint64) { t.Fatal("visited an offer") }); bad != 0 {
+		t.Fatalf("unknown type: bad = %b", bad)
+	}
+}
+
+// visitOne is VisitMatchSet over one constraint, for tests that walk one: fn
+// gets each match, and a constraint that does not compile is an error.
+func visitOne(s *Service, serviceType, cons string, fn func(*Offer)) error {
+	if s.VisitMatchSet(serviceType, []string{cons}, func(o *Offer, _ uint64) { fn(o) }) != 0 {
+		return fmt.Errorf("constraint %q does not compile", cons)
+	}
+	return nil
 }
 
 // TestReexportCopiesRecord: offers read from one trader can be exported to

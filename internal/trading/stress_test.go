@@ -122,7 +122,7 @@ func errorIf(failed bool, what string) error {
 
 // TestConcurrentTradingStress races every write path (ExportKeyed of a new ref
 // and of a held one, Upsert, ExportBatch, Withdraw) against the lock-free read paths
-// (Select with and without a constraint, VisitMatches, Count, All) under the
+// (Select with and without a constraint, VisitMatchSet, Count, All) under the
 // race detector.
 // The seed picks the operation mix per goroutine; the final consistency
 // check verifies the reverse index and the shard snapshots agree after the
@@ -207,14 +207,14 @@ func concurrentTradingStress(t *testing.T, seed int64) {
 					s.All("NodeStatus")
 				case 4:
 					seen := map[*Offer]bool{}
-					err := s.VisitMatches("NodeStatus", "mips >= 500", func(o *Offer) {
+					err := visitOne(s, "NodeStatus", "mips >= 500", func(o *Offer) {
 						if mips, _ := o.Properties.Get("mips").AsNumber(); mips < 500 || seen[o] {
 							t.Errorf("visit yielded seq %d (mips %v, seen before: %v)", o.Seq(), mips, seen[o])
 						}
 						seen[o] = true
 					})
 					if err != nil {
-						t.Errorf("VisitMatches: %v", err)
+						t.Errorf("VisitMatchSet: %v", err)
 						return
 					}
 				}

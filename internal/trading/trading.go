@@ -775,25 +775,32 @@ func owned(offers []*Offer) []Offer {
 	return out
 }
 
-// visit is the one walk of the index every query is built on: it calls fn once
-// for each of the type's live offers that satisfy cons (nil: all of them), in
-// no order a caller may rely on. An offer whose constraint evaluation errors
-// does not match.
+// visitSet is the one walk of the index every query is built on: it calls fn
+// once for each of the type's live offers that satisfy at least one of cons,
+// with bit c of met set when the offer satisfies cons[c] (nil: every offer
+// does), in no order a caller may rely on. A constraint whose bit is in skip
+// matches nothing, and an offer whose constraint evaluation errors does not
+// match.
 //
 // It takes a snapshot a block at a time, in three stages. Reaching an offer's
 // values is a chain of dependent cache misses — the slot, the record header at
 // the front of what it points to, the record's value array — and a fleet does
 // not fit in cache; finishing one offer before touching the next pays them in
 // turn, while each stage's loop over a block issues loads that do not depend
-// on each other, so they overlap.
-func (ts *typeShards) visit(cons *constraint.Expr, now time.Time, fn func(*Offer)) {
-	if ts == nil {
+// on each other, so they overlap. Each block's records are filtered against
+// every constraint in turn, the first filter having brought them into cache
+// for the rest; with one constraint its filter's matches are the yield, met 1,
+// with no copy of the live list and no mask to gather.
+func (ts *typeShards) visitSet(cons []*constraint.Expr, skip uint64, now time.Time, fn func(o *Offer, met uint64)) {
+	if ts == nil || skip == 1<<len(cons)-1 {
 		return
 	}
 	var (
 		offs [constraint.BlockSize]*stored
 		recs [constraint.BlockSize]*constraint.Record
 		live [constraint.BlockSize]uint8
+		sel  [constraint.BlockSize]uint8
+		met  [constraint.BlockSize]uint64
 	)
 	for i := range ts.shards {
 		snap := ts.shards[i].snap.Load()
@@ -813,50 +820,16 @@ func (ts *typeShards) visit(cons *constraint.Expr, now time.Time, fn func(*Offer
 				live[n] = uint8(j)
 				n++
 			}
-			// Two: the constraint, a term across the block at a time.
-			sel := live[:n]
-			if cons != nil {
-				sel = cons.Filter(recs[:len(block)], sel)
-			}
-			// Three: the matches.
-			for _, j := range sel {
-				fn(&offs[j].Offer)
-			}
-		}
-	}
-}
-
-// visitSet is visit for several constraints at once: it calls fn once for each
-// live offer that satisfies at least one of cons, with bit c of met set when it
-// satisfies cons[c] (nil: every offer does). A constraint whose bit is in skip
-// matches nothing. Each block's records are filtered against every constraint
-// in turn, the first filter having brought them into cache for the rest.
-func (ts *typeShards) visitSet(cons []*constraint.Expr, skip uint64, now time.Time, fn func(o *Offer, met uint64)) {
-	if ts == nil {
-		return
-	}
-	var (
-		offs [constraint.BlockSize]*stored
-		recs [constraint.BlockSize]*constraint.Record
-		live [constraint.BlockSize]uint8
-		sel  [constraint.BlockSize]uint8
-		met  [constraint.BlockSize]uint64
-	)
-	for i := range ts.shards {
-		snap := ts.shards[i].snap.Load()
-		sweep := due(snap.sweepAt, now)
-		for slots := snap.slots; len(slots) > 0; {
-			block := slots[:min(len(slots), constraint.BlockSize)]
-			slots = slots[len(block):]
-			n := 0
-			for j := range block {
-				st := block[j].Load()
-				if sweep && st.expired(now) {
-					continue
+			// Two: the constraints, a term across the block at a time.
+			if len(cons) == 1 {
+				matched := live[:n]
+				if cons[0] != nil {
+					matched = cons[0].Filter(recs[:len(block)], matched)
 				}
-				offs[j], recs[j] = st, &st.rec
-				live[n] = uint8(j)
-				n++
+				for _, j := range matched {
+					fn(&offs[j].Offer, 1)
+				}
+				continue
 			}
 			for c, expr := range cons {
 				if skip&(1<<c) != 0 {
@@ -871,6 +844,7 @@ func (ts *typeShards) visitSet(cons []*constraint.Expr, skip uint64, now time.Ti
 					met[j] |= 1 << c
 				}
 			}
+			// Three: the matches.
 			for _, j := range live[:n] {
 				if met[j] != 0 {
 					fn(&offs[j].Offer, met[j])
@@ -881,7 +855,8 @@ func (ts *typeShards) visitSet(cons []*constraint.Expr, skip uint64, now time.Ti
 	}
 }
 
-// scan returns what visit yields, in ascending seq: global export order.
+// scan returns what visitSet yields for cons alone, in ascending seq: global
+// export order.
 func (ts *typeShards) scan(cons *constraint.Expr, now time.Time) []*Offer {
 	if ts == nil {
 		return nil
@@ -891,7 +866,8 @@ func (ts *typeShards) scan(cons *constraint.Expr, now time.Time) []*Offer {
 		total += len(ts.shards[i].snap.Load().slots)
 	}
 	matched := make([]*Offer, 0, total)
-	ts.visit(cons, now, func(o *Offer) { //lint:alloc visit only calls it: it stays on the stack
+	one := [1]*constraint.Expr{cons}
+	ts.visitSet(one[:], 0, now, func(o *Offer, _ uint64) { //lint:alloc visitSet only calls it: it stays on the stack
 		matched = append(matched, o) //lint:alloc presized: grows only if a shard gained offers since the count
 	})
 	slices.SortFunc(matched, func(a, b *Offer) int { return cmp.Compare(a.seq, b.seq) })
@@ -911,42 +887,24 @@ func compile(what, src string) (*constraint.Expr, error) {
 	return expr, nil
 }
 
-// VisitMatches calls fn for every live offer of the service type that satisfies
-// cons ("" for all of the type), straight off the shard snapshots: nothing is
-// collected, sorted or copied. Each arrives once, in no order a caller may rely
-// on — sort by Seq, or use Select, which copies, for export order. Against
-// concurrent updates a visit sees, for each exporter, its offer from before or
-// from after. The offers are the index's own: read-only, and never rewritten
-// while a hold that could reach them is live. The visit runs under a hold of
-// its own, so fn may read them; a caller that keeps them past the visit takes a
-// Hold before it and keeps it for as long as it reads them.
-//
-//lint:hotpath alloc=0 locks=2 block=0
-func (s *Service) VisitMatches(serviceType, cons string, fn func(*Offer)) error {
-	expr, err := compile("constraint", cons)
-	if err != nil {
-		return err
-	}
-	h := s.Hold()
-	defer h.Release()
-	s.typeIndex(serviceType).visit(expr, s.now(), fn)
-	return nil
-}
-
 // MaxVisitSet is the most constraints one VisitMatchSet takes: one bit each of
 // the mask it reports.
 const MaxVisitSet = 64
 
-// VisitMatchSet is VisitMatches for up to MaxVisitSet constraints in one walk
-// of the index. It calls fn once for every live offer of the service type that
-// satisfies at least one of cons, with bit c of met set when the offer
-// satisfies cons[c], in no order a caller may rely on; for each exporter it
-// sees the offer from before or from after a concurrent update, as
-// VisitMatches does, and met describes the offer fn is given; the offers are
-// valid as VisitMatches' are, for the visit and for as long as a hold the
-// caller took before it is live. A constraint that does not compile matches
-// nothing and has its bit set in bad. More than MaxVisitSet constraints is a
-// bug in the caller, and panics.
+// VisitMatchSet calls fn once for every live offer of the service type that
+// satisfies at least one of up to MaxVisitSet constraints ("" for all of the
+// type), with bit c of met set when the offer satisfies cons[c], in one walk
+// straight off the shard snapshots: nothing is collected, sorted or copied.
+// Each offer arrives once, in no order a caller may rely on — sort by Seq, or
+// use Select, which copies, for export order. Against concurrent updates a
+// walk sees, for each exporter, its offer from before or from after, and met
+// describes the offer fn is given. The offers are the index's own: read-only,
+// and never rewritten while a hold that could reach them is live. The walk
+// runs under a hold of its own, so fn may read them; a caller that keeps them
+// past the walk takes a Hold before it and keeps it for as long as it reads
+// them. A constraint that does not compile matches nothing and has its bit set
+// in bad. More than MaxVisitSet constraints is a bug in the caller, and
+// panics.
 //
 //lint:hotpath alloc=0 locks=2 block=0
 func (s *Service) VisitMatchSet(serviceType string, cons []string, fn func(o *Offer, met uint64)) (bad uint64) {
@@ -971,7 +929,7 @@ func (s *Service) VisitMatchSet(serviceType string, cons []string, fn func(o *Of
 // offers are the caller's: the walk copies them out of the index, property
 // records and values included, before it releases its hold, so no later write
 // to the index changes them and the caller may keep and change them as it
-// likes. A reader that wants no copy (the GRM's matcher) uses VisitMatches
+// likes. A reader that wants no copy (the GRM's matcher) uses VisitMatchSet
 // under a Hold, and skips the sort too.
 //
 // Offers whose constraint evaluation errors (for example, a missing
