@@ -61,12 +61,13 @@ lint:
 	fi
 
 # Short fuzz runs over the wire decoders: the constraint compiler, the ORB
-# framing layer, the Information Update body, the Reserve and Execute
+# framing layer and the Decoder it parses frames with, the Information Update body, the Reserve and Execute
 # messages, the Submit body and the AppStatus reply, and the
 # consensus/replication payload decoders. Any crasher fails the target.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzCompile -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/constraint
 	$(GO) test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/orb
+	$(GO) test -run=^$$ -fuzz=FuzzDecoder -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/orb
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshal -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/orb
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeUpdate -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/protocol
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeReserveRequest -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/protocol

@@ -35,7 +35,6 @@ const (
 // Stats are cumulative GRM counters for experiments.
 type Stats struct {
 	UpdatesReceived   int
-	StalenessSum      time.Duration // sum of (receive time - send time)
 	Submissions       int
 	TasksPlaced       int
 	PlacementFailures int // tasks a negotiation left pending
@@ -61,7 +60,6 @@ type Stats struct {
 	AdmissionQueueDepth int // current queue depth (gauge)
 	AdmissionPeakDepth  int // high-water mark of the queue depth
 	SchedulerBatches    int // admission batches drained by the matcher
-	LastBatchSize       int // size of the most recent batch (gauge)
 	MaxBatchSize        int // largest batch drained so far
 	SnapshotHits        int // candidate queries served from a batch snapshot
 	SnapshotMisses      int // candidate queries that hit the trader
@@ -459,9 +457,6 @@ func (g *GRM) recordUpdate(s *protocol.NodeStatus, windows []protocol.AvailWindo
 	}
 	defer g.mu.Unlock()
 	g.stats.UpdatesReceived++
-	if age := now.Sub(s.Timestamp); age > 0 {
-		g.stats.StalenessSum += age
-	}
 	place, moved, export = g.recordStatusLocked(s, windows, now)
 	return g.epoch, place, moved, export, nil
 }

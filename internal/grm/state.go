@@ -285,7 +285,6 @@ func (g *GRM) takeBatchLocked() []*appInfo {
 	g.admitQ = slices.Delete(g.admitQ, 0, n)
 	g.stats.AdmissionQueueDepth = len(g.admitQ)
 	g.stats.SchedulerBatches++
-	g.stats.LastBatchSize = n
 	g.stats.MaxBatchSize = max(g.stats.MaxBatchSize, n)
 	g.markLocked(queueEntity)
 	return batch

@@ -217,12 +217,12 @@ func BenchmarkTCPLifecycle(b *testing.B) {
 // lifecycle-tcp-bytes row of testdata/alloc_budget.txt: bytes per lifecycle,
 // averaged over 256 runs of the mix after 8 that dial every connection and
 // size every buffer the grid reuses. It runs at GOMAXPROCS 2, the row's: the
-// ORB's frame pools are kept per P and refilled after each collection, so the
+// ORB's encoder and reply pools are kept per P and refilled after each collection, so the
 // bytes a pass pays for refills grow with the P count (about 2 B a lifecycle
 // from 1 to 2, 4 more at 8).
 func TestTCPLifecycleAllocBudget(t *testing.T) {
 	if allocbudget.Race {
-		t.Skip("the ORB's pooled frames and encoders allocate afresh under the race detector")
+		t.Skip("the ORB's pooled encoders and replies allocate afresh under the race detector")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const warm, runs = 8, 256

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -37,18 +38,19 @@ type Invoker interface {
 type Client struct {
 	dialTimeout time.Duration
 	callTimeout time.Duration
+	// interceptor is read once per call without a lock, as Loopback's is.
+	interceptor atomic.Pointer[Interceptor]
 
-	// mu guards idle, conns, closed and interceptor. A connection itself
-	// needs no lock: between take and give exactly one call owns it.
+	// mu guards idle, conns and closed. A connection itself needs no lock:
+	// between take and give exactly one call owns it.
 	mu sync.Mutex
 	// idle holds, per endpoint address, the connections no call is using,
 	// most recently used last.
 	idle map[string][]*clientConn
 	// conns is every open connection, idle or in a call, so Close can cut
 	// off a call blocked on its reply.
-	conns       map[*clientConn]struct{}
-	closed      bool
-	interceptor Interceptor
+	conns  map[*clientConn]struct{}
+	closed bool
 }
 
 // maxIdleConns bounds the idle connections kept per endpoint. A burst may
@@ -83,9 +85,11 @@ func NewClient(opts ...ClientOption) *Client {
 // SetInterceptor installs (or clears, with nil) the fault-injection hook
 // consulted once per call.
 func (c *Client) SetInterceptor(ic Interceptor) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.interceptor = ic
+	if ic == nil {
+		c.interceptor.Store(nil)
+		return
+	}
+	c.interceptor.Store(&ic)
 }
 
 // Invoke implements Invoker for tcp references. The call is routed through
@@ -97,15 +101,13 @@ func (c *Client) Invoke(ref ObjectRef, op string, arg []byte) ([]byte, error) {
 	if ref.Endpoint.Net != NetTCP {
 		return nil, Errorf(CodeTransport, "client cannot reach %s endpoint %s", ref.Endpoint.Net, ref.Endpoint)
 	}
-	c.mu.Lock()
-	ic := c.interceptor
-	c.mu.Unlock()
+	ic := c.interceptor.Load()
 	if ic == nil {
 		return c.exchange(ref, op, arg)
 	}
 	arg = append([]byte(nil), arg...)
 	next := func() ([]byte, error) { return c.exchange(ref, op, arg) }
-	return ic.Intercept(ref.Endpoint, ref.Key, op, arg, next)
+	return (*ic).Intercept(ref.Endpoint, ref.Key, op, arg, next)
 }
 
 // exchange performs one request/reply exchange on a connection of its own.
@@ -233,10 +235,14 @@ func isDeadlineErr(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// clientConn is one connection to a server, used by one call at a time.
+// clientConn is one connection to a server, used by one call at a time,
+// with the buffers it frames through: in holds the reply last read, out the
+// request being written.
 type clientConn struct {
 	conn   net.Conn
 	reader *bufio.Reader
+	in     []byte
+	out    Encoder
 	nextID uint64
 }
 
@@ -253,7 +259,7 @@ func (cc *clientConn) call(key, op string, arg []byte, budget time.Duration) (re
 	id := cc.nextID
 	_ = cc.conn.SetDeadline(time.Now().Add(budget))
 
-	err = writeFrame(cc.conn, &frame{kind: msgRequest, reqID: id, key: key, op: op, body: arg})
+	err = writeFrame(cc.conn, &cc.out, &frame{kind: msgRequest, reqID: id, key: key, op: op, body: arg})
 	if err != nil {
 		if isDeadlineErr(err) {
 			return nil, false, Errorf(CodeTimeout, "send %s.%s: write deadline exceeded after %v", key, op, budget)
@@ -262,7 +268,7 @@ func (cc *clientConn) call(key, op string, arg []byte, budget time.Duration) (re
 	}
 
 	var f frame
-	if err := readFrame(cc.reader, &f, nil); err != nil {
+	if err := readFrame(cc.reader, &cc.in, &f, nil); err != nil {
 		if isDeadlineErr(err) {
 			return nil, false, Errorf(CodeTimeout, "%s.%s timed out after %v", key, op, budget)
 		}
@@ -270,11 +276,11 @@ func (cc *clientConn) call(key, op string, arg []byte, budget time.Duration) (re
 	}
 	switch {
 	case f.reqID != id || f.kind == msgRequest:
-		putBuf(f.body)
 		return nil, false, Errorf(CodeTransport, "out-of-step frame (kind %d, id %d) awaiting reply %d", f.kind, f.reqID, id)
 	case f.kind == msgError:
-		putBuf(f.body)
 		return nil, true, &RemoteError{Code: f.code, Msg: f.msg} //lint:alloc error reply
 	}
-	return f.body, true, nil
+	reply = getBuf(len(f.body))
+	copy(reply, f.body)
+	return reply, true, nil
 }

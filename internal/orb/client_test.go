@@ -241,12 +241,16 @@ func TestClientOutOfStepPeer(t *testing.T) {
 					// The client hangs up after the first answer, so one
 					// connection at a time is all there is to serve.
 					r := bufio.NewReader(conn)
+					var (
+						in  []byte
+						out Encoder
+					)
 					for {
 						var req frame
-						if err := readFrame(r, &req, nil); err != nil {
+						if err := readFrame(r, &in, &req, nil); err != nil {
 							break
 						}
-						if err := writeFrame(conn, tc.answer(&req)); err != nil {
+						if err := writeFrame(conn, &out, tc.answer(&req)); err != nil {
 							break
 						}
 					}

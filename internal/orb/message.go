@@ -22,7 +22,7 @@ const (
 )
 
 // frame is one protocol message. A frame read off the wire lives in the
-// caller's variable; only its body comes from a pool.
+// caller's variable, and its body in the connection's frame buffer.
 type frame struct {
 	kind  uint8
 	reqID uint64
@@ -32,13 +32,14 @@ type frame struct {
 	// error fields
 	code ErrorCode
 	msg  string
-	// body is the request or reply payload. readFrame reads it into a whole
-	// buffer from getBuf (nil when empty), which the reader releases with
-	// putBuf or hands on: a reply's goes to the caller (Invoker).
+	// body is the request or reply payload. readFrame leaves it in the
+	// connection's frame buffer, so it is valid until the connection's next
+	// readFrame: the server dispatches it there, and the client copies a
+	// reply's into a buffer from getBuf for its caller (Invoker).
 	body []byte
 }
 
-// bufPool recycles frame bodies, each boxed in a *[]byte so that a Put does
+// bufPool recycles reply buffers, each boxed in a *[]byte so that a Put does
 // not allocate a slice header; boxPool keeps the emptied boxes for putBuf.
 var (
 	bufPool sync.Pool
@@ -47,9 +48,9 @@ var (
 
 // getBuf returns a length-n byte slice, reusing pooled capacity when it can,
 // or nil when n is 0. A pooled buffer too small for n stays in the pool for
-// a smaller frame, and getBuf tries one more: sync.Pool hands out the buffer
+// a smaller reply, and getBuf tries one more: sync.Pool hands out the buffer
 // put last first, so a small one just put back would otherwise answer every
-// larger frame's Get while the buffers that fit sit behind it.
+// larger reply's Get while the buffers that fit sit behind it.
 func getBuf(n int) []byte {
 	if n == 0 {
 		return nil
@@ -83,13 +84,14 @@ func putBuf(b []byte) {
 	bufPool.Put(bp)
 }
 
-// writeFrame serializes f with a length prefix onto w as a single Write.
+// writeFrame serializes f with a length prefix into e, the connection's own
+// encoder, and writes it onto w as a single Write. An encoder that a rare
+// frame grew past maxPooledBuf drops its buffer afterwards, as the pools do.
 //
 // Layout: u32 totalLen | u32 magic | u8 version | u8 kind | u64 reqID |
 // kind-specific fields | bytes body.
-func writeFrame(w io.Writer, f *frame) error {
-	e := GetEncoder()
-	defer PutEncoder(e)
+func writeFrame(w io.Writer, e *Encoder, f *frame) error {
+	e.Reset()
 	e.PutU32(0) // length prefix, patched below
 	e.PutU32(protoMagic)
 	e.PutU8(protoVersion)
@@ -106,168 +108,72 @@ func writeFrame(w io.Writer, f *frame) error {
 	e.PutBytes(f.body)
 	binary.BigEndian.PutUint32(e.buf[:4], uint32(e.Len()-4))
 	_, err := w.Write(e.Bytes())
+	if cap(e.buf) > maxPooledBuf {
+		e.buf = nil
+	}
 	return err
 }
 
-// frameHeaderLen is the fixed part of a frame after its length prefix:
-// magic, version, kind and request ID.
-const frameHeaderLen = 4 + 1 + 1 + 8
-
-// readFrame reads one length-prefixed frame from r into f. The header is
-// parsed in r's own buffer, and the body read into a buffer of its own from
-// getBuf, which f.body then holds. A request's key and op resolve through
-// names when it is not nil, so a connection that keeps naming the same
-// objects and operations reads them without allocating.
-func readFrame(r *bufio.Reader, f *frame, names *names) error {
-	fr := frameReader{r: r, left: 4}
-	n := fr.u32()
-	if fr.err != nil {
-		return fr.err
+// readFrame reads one length-prefixed frame from r into f, through *buf: the
+// connection's frame buffer, grown to fit. The length is checked before
+// anything grows, the whole frame is read into the buffer, and a Decoder
+// parses it, so f.body aliases the buffer until the next readFrame (a
+// servant does not keep its request, DESIGN.md §13). A frame larger than
+// maxPooledBuf is read into a buffer of its own, which the connection does
+// not keep. A request's key and op resolve through names when it is not
+// nil, so a connection that keeps naming the same objects and operations
+// reads them without allocating.
+func readFrame(r *bufio.Reader, buf *[]byte, f *frame, names *names) error {
+	prefix, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(prefix) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
 	}
+	n := int(binary.BigEndian.Uint32(prefix))
 	if n > maxFrameLen {
 		return fmt.Errorf("orb: frame length %d exceeds limit", n) //lint:alloc error slow path
 	}
-	fr.left = int(n)
-	hdr := fr.peek(frameHeaderLen)
-	if hdr == nil {
-		return fr.err
+	_, _ = r.Discard(4) // cannot fail: Peek has buffered the 4 bytes
+	b := *buf
+	if cap(b) < n {
+		b = make([]byte, n) //lint:alloc a connection's first frame of its size, or one past maxPooledBuf
+		if n <= maxPooledBuf {
+			*buf = b
+		}
 	}
-	if magic := binary.BigEndian.Uint32(hdr); magic != protoMagic {
+	b = b[:n]
+	if _, err := io.ReadFull(r, b); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	d := Decoder{buf: b}
+	magic, version := d.U32(), d.U8()
+	*f = frame{kind: d.U8(), reqID: d.U64()}
+	switch {
+	case d.err != nil:
+		return d.err
+	case magic != protoMagic:
 		return fmt.Errorf("orb: bad magic %#x", magic) //lint:alloc error slow path
+	case version != protoVersion:
+		return fmt.Errorf("orb: unsupported protocol version %d", version) //lint:alloc error slow path
 	}
-	if v := hdr[4]; v != protoVersion {
-		return fmt.Errorf("orb: unsupported protocol version %d", v) //lint:alloc error slow path
-	}
-	*f = frame{kind: hdr[5], reqID: binary.BigEndian.Uint64(hdr[6:])}
-	fr.skip(frameHeaderLen)
 	switch f.kind {
 	case msgRequest:
-		f.key = fr.string(names)
-		f.op = fr.string(names)
+		f.key = names.resolve(d.RawString())
+		f.op = names.resolve(d.RawString())
 	case msgReply:
 	case msgError:
-		f.code = ErrorCode(fr.u32())
-		f.msg = fr.string(nil)
+		f.code = ErrorCode(d.U32())
+		f.msg = string(d.RawString()) //lint:alloc error frame
 	default:
 		return fmt.Errorf("orb: unknown message kind %d", f.kind) //lint:alloc error slow path
 	}
-	f.body = fr.body()
-	fr.skip(fr.left) // bytes past the body, which no writer sends
-	if fr.err != nil {
-		putBuf(f.body)
-		f.body = nil
-		return fr.err
-	}
-	return nil
-}
-
-// frameReader reads the fields of one frame from a connection's buffered
-// reader, failing as truncated past the frame's declared length. The first
-// error sticks, as a Decoder's does.
-type frameReader struct {
-	r    *bufio.Reader
-	left int // bytes of the frame not yet read
-	err  error
-}
-
-// peek returns the next n bytes of the frame in r's buffer without
-// consuming them, or nil after an error. n must fit r's buffer.
-func (fr *frameReader) peek(n int) []byte {
-	if fr.err != nil {
-		return nil
-	}
-	if n > fr.left {
-		fr.err = ErrTruncated
-		return nil
-	}
-	b, err := fr.r.Peek(n)
-	if err != nil {
-		fr.err = err
-		return nil
-	}
-	return b
-}
-
-// skip consumes n bytes of the frame.
-func (fr *frameReader) skip(n int) {
-	if fr.err != nil {
-		return
-	}
-	if _, err := fr.r.Discard(n); err != nil {
-		fr.err = err
-		return
-	}
-	fr.left -= n
-}
-
-// u32 reads a big-endian uint32.
-func (fr *frameReader) u32() uint32 {
-	b := fr.peek(4)
-	if b == nil {
-		return 0
-	}
-	v := binary.BigEndian.Uint32(b)
-	fr.skip(4)
-	return v
-}
-
-// length reads a u32 length prefix and checks it against MaxStringLen and
-// what is left of the frame.
-func (fr *frameReader) length() int {
-	n := fr.u32()
-	if fr.err != nil {
-		return 0
-	}
-	if n > MaxStringLen {
-		fr.err = fmt.Errorf("orb: length %d exceeds limit", n) //lint:alloc error slow path
-		return 0
-	}
-	if int(n) > fr.left {
-		fr.err = ErrTruncated
-		return 0
-	}
-	return int(n)
-}
-
-// string reads a length-prefixed string, resolved through names when it is
-// not nil.
-func (fr *frameReader) string(names *names) string {
-	n := fr.length()
-	if fr.err != nil || n == 0 {
-		return ""
-	}
-	if n > fr.r.Size() {
-		b := make([]byte, n) //lint:alloc a string longer than the read buffer
-		if _, err := io.ReadFull(fr.r, b); err != nil {
-			fr.err = err
-			return ""
-		}
-		fr.left -= n
-		return string(b) //lint:alloc a string longer than the read buffer
-	}
-	b := fr.peek(n)
-	if b == nil {
-		return ""
-	}
-	s := names.resolve(b)
-	fr.skip(n)
-	return s
-}
-
-// body reads the length-prefixed payload into a buffer from getBuf.
-func (fr *frameReader) body() []byte {
-	n := fr.length()
-	if fr.err != nil || n == 0 {
-		return nil
-	}
-	b := getBuf(n)
-	if _, err := io.ReadFull(fr.r, b); err != nil {
-		putBuf(b)
-		fr.err = err
-		return nil
-	}
-	fr.left -= n
-	return b
+	f.body = d.RawString()
+	return d.err
 }
 
 // names holds the object keys and operation names one server connection's

@@ -114,13 +114,17 @@ func (s *Server) serveConn(conn net.Conn) {
 		_ = conn.Close()
 	}()
 
-	reader := bufio.NewReader(conn)
+	// in holds the request last read, out the reply being written; the
+	// connection's goroutine owns both.
 	var (
-		f  frame
-		ns names
+		reader = bufio.NewReader(conn)
+		in     []byte
+		out    Encoder
+		f      frame
+		ns     names
 	)
 	for {
-		if err := readFrame(reader, &f, &ns); err != nil {
+		if err := readFrame(reader, &in, &f, &ns); err != nil {
 			if !errors.Is(err, net.ErrClosed) && !s.isClosed() {
 				s.log.Debug("orb server connection ended", "err", err)
 			}
@@ -128,18 +132,17 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		if f.kind != msgRequest {
 			s.log.Warn("orb server received non-request frame", "kind", f.kind)
-			putBuf(f.body)
-			continue
+			return // a client only sends requests: the peer is out of step
 		}
-		if err := s.serve(conn, &f); err != nil {
+		if err := s.serve(conn, &out, &f); err != nil {
 			return // the peer is gone; its caller has already been failed
 		}
 	}
 }
 
-// serve runs the servant for request f and writes the reply to conn, on the
-// goroutine that read the request.
-func (s *Server) serve(conn net.Conn, f *frame) error {
+// serve runs the servant for request f and writes the reply to conn through
+// out, on the goroutine that read the request.
+func (s *Server) serve(conn net.Conn, out *Encoder, f *frame) error {
 	enc, err := s.adapter.dispatchEnc(f.key, f.op, f.body)
 	reply := frame{kind: msgReply, reqID: f.reqID}
 	if err != nil {
@@ -149,8 +152,7 @@ func (s *Server) serve(conn net.Conn, f *frame) error {
 	} else if enc != nil {
 		reply.body = enc.Bytes()
 	}
-	putBuf(f.body) // the request body is dead once dispatch returned
-	err = writeFrame(conn, &reply)
+	err = writeFrame(conn, out, &reply)
 	PutEncoder(enc)
 	return err
 }

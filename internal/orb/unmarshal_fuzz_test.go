@@ -30,7 +30,7 @@ const (
 // unframed message bytes (what a Decoder sees).
 func captureFrame(fr *frame) []byte {
 	var b bytes.Buffer
-	if err := writeFrame(&b, fr); err != nil {
+	if err := writeFrame(&b, new(Encoder), fr); err != nil {
 		panic(err)
 	}
 	return b.Bytes()[4:] // strip the u32 length prefix
