@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -36,27 +38,71 @@ func TestSchedulingOutputMatchesSeedGoldens(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.golden, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var run func(int64) Table
-			for _, e := range All() {
-				if e.ID == tc.id {
-					run = e.Run
-				}
-			}
-			if run == nil {
-				t.Fatalf("experiment %s not registered", tc.id)
-			}
-			// The goldens are verbatim integrade-bench stdout, whose
-			// Println appends one newline after Table.String().
-			got := run(tc.seed).String() + "\n"
-			if got != string(want) {
-				t.Errorf("%s seed %d diverged from the pre-pipeline golden %s:\n--- golden\n%s\n--- got\n%s",
-					tc.id, tc.seed, tc.golden, want, got)
-			}
+			checkGolden(t, tc.golden, experiment(t, tc.id).Run(tc.seed))
 		})
+	}
+}
+
+// TestExperimentGoldens pins the stdout of every other registered
+// experiment at seed 1, so that a change that moves any paper number shows
+// as a diff, and at the seeds two same-process determinism checks ran
+// before these goldens took their place (E2, E8 and A2 at 42; E2, E5, E7, E9
+// and A2 at 7). Each golden is verbatim `go run ./cmd/integrade-bench -exp
+// <ID> -seed <n> 2>/dev/null`, checked byte-identical over 20 runs before it
+// was pinned; regenerate one that way only when a change means to move it.
+func TestExperimentGoldens(t *testing.T) {
+	cases := []struct {
+		id   string
+		seed int64
+	}{
+		{"E1", 1}, {"E2", 1}, {"E3", 1}, {"E4", 1}, {"E6", 1}, {"E7", 1},
+		{"E8", 1}, {"E10", 1}, {"E13", 1}, {"A1", 1}, {"A2", 1}, {"A3", 1},
+		{"E2", 42}, {"E8", 42}, {"A2", 42},
+		{"E2", 7}, {"E5", 7}, {"E7", 7}, {"E9", 7}, {"A2", 7},
+	}
+	for _, tc := range cases {
+		golden := fmt.Sprintf("golden_%s_seed%d.txt", strings.ToLower(tc.id), tc.seed)
+		t.Run(golden, func(t *testing.T) {
+			var tb Table
+			switch {
+			case tc.id == "E4" && testing.Short():
+				t.Skip("E4 takes ~7 s; skipped in -short mode")
+			case tc.id == "E13" && tc.seed == 1:
+				tb = exp13Seed1()
+			default:
+				tb = experiment(t, tc.id).Run(tc.seed)
+			}
+			checkGolden(t, golden, tb)
+		})
+	}
+}
+
+// exp13Seed1 is the one E13 run TestExp13Shape and E13's golden share.
+var exp13Seed1 = sync.OnceValue(func() Table { return Exp13Failover(1) })
+
+// experiment returns the registered experiment id.
+func experiment(t *testing.T, id string) Experiment {
+	t.Helper()
+	for _, e := range All() {
+		if e.ID == id {
+			return e
+		}
+	}
+	t.Fatalf("experiment %s not registered", id)
+	return Experiment{}
+}
+
+// checkGolden fails t unless tb renders as testdata/golden does. The goldens
+// are verbatim integrade-bench stdout, whose Println appends one newline
+// after Table.String().
+func checkGolden(t *testing.T, golden string, tb Table) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.String() + "\n"; got != string(want) {
+		t.Errorf("%s diverged from %s:\n--- golden\n%s\n--- got\n%s", tb.ID, golden, want, got)
 	}
 }
 

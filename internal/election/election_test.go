@@ -41,6 +41,7 @@ type set struct {
 	engine  *chaos.Engine
 	orb     *orb.ORB
 	ids     []string
+	refs    map[string]orb.ObjectRef
 	nodes   map[string]*Node
 	applies map[string]*applied
 	stores  map[string]*MemoryStore
@@ -63,6 +64,7 @@ func newSet(t *testing.T, n int, seed int64) *set {
 		stores:  make(map[string]*MemoryStore),
 	}
 	refs := make(map[string]orb.ObjectRef, n)
+	s.refs = refs
 	adapters := make(map[string]*orb.Adapter, n)
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("m%d", i)

@@ -2,7 +2,8 @@ package election
 
 import (
 	"log/slog"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -18,6 +19,15 @@ import (
 const (
 	DefaultHeartbeat  = 2 * time.Second
 	DefaultTimeoutMin = 6 * time.Second
+)
+
+// An AppendEntries carries at most maxAppendEntries entries and, past its
+// first, at most maxAppendBytes of payload, so a peer far behind catches up
+// over several rounds in frames well under the ORB's 64 MiB limit, and an
+// entry larger than maxAppendBytes still goes out, alone.
+const (
+	maxAppendEntries = 64
+	maxAppendBytes   = 1 << 20
 )
 
 // Role is a node's current standing in the replica set.
@@ -112,21 +122,25 @@ type Node struct {
 	tmax      time.Duration
 	bootstrap bool
 
-	// mu guards all mutable election state below.
+	// peers are the other members, sorted by ID; the slice and each peer's
+	// id and ref never change after NewNode.
+	peers []peer
+
+	// mu guards all mutable election state below, and each peer's
+	// replication progress.
 	//
-	//lint:guards rng,peers,role,term,votedFor,leaderID,entries,commitIndex,lastApplied,nextIndex,matchIndex,votes,wonTerms,started,stopped,applying,electionTimer,hbTimer,stats
-	mu            sync.Mutex
-	rng           *sim.RNG
-	peers         map[string]orb.ObjectRef
-	role          Role
-	term          int
-	votedFor      string
-	leaderID      string
+	//lint:guards rng,role,term,votedFor,leaderID,entries,commitIndex,lastApplied,votes,wonTerms,started,stopped,applying,electionTimer,hbTimer,stats
+	mu       sync.Mutex
+	rng      *sim.RNG
+	role     Role
+	term     int
+	votedFor string
+	leaderID string
+	// entries only grows in place: a truncation copies what it keeps, so a
+	// capped run sliced from it under mu can be read after unlock.
 	entries       []entry
 	commitIndex   int
 	lastApplied   int
-	nextIndex     map[string]int
-	matchIndex    map[string]int
 	votes         map[string]bool
 	wonTerms      []int
 	started       bool
@@ -135,6 +149,16 @@ type Node struct {
 	electionTimer sim.Timer
 	hbTimer       sim.Timer
 	stats         Stats
+}
+
+// peer is one other member and, while this node leads, its progress under
+// mu: the next entry to send it, the highest index known to be in its log,
+// and probe, set while its last append failed or went unanswered.
+type peer struct {
+	id          string
+	ref         orb.ObjectRef
+	next, match int
+	probe       bool
 }
 
 // NewNode builds a node from cfg; call Start to join the replica set.
@@ -154,29 +178,28 @@ func NewNode(cfg Config) *Node {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	peers := make(map[string]orb.ObjectRef, len(cfg.Peers))
+	peers := make([]peer, 0, len(cfg.Peers))
 	for id, ref := range cfg.Peers {
 		if id != cfg.ID {
-			peers[id] = ref
+			peers = append(peers, peer{id: id, ref: ref})
 		}
 	}
+	slices.SortFunc(peers, func(a, b peer) int { return strings.Compare(a.id, b.id) })
 	return &Node{
-		id:         cfg.ID,
-		clock:      cfg.Clock,
-		inv:        cfg.Inv,
-		store:      cfg.Store,
-		apply:      cfg.Apply,
-		onUp:       cfg.OnLeader,
-		onDn:       cfg.OnFollower,
-		log:        cfg.Logger,
-		heartbeat:  cfg.Heartbeat,
-		tmin:       cfg.TimeoutMin,
-		tmax:       cfg.TimeoutMax,
-		bootstrap:  cfg.Bootstrap,
-		rng:        cfg.RNG.Fork("election-" + cfg.ID),
-		peers:      peers,
-		nextIndex:  make(map[string]int),
-		matchIndex: make(map[string]int),
+		id:        cfg.ID,
+		clock:     cfg.Clock,
+		inv:       cfg.Inv,
+		store:     cfg.Store,
+		apply:     cfg.Apply,
+		onUp:      cfg.OnLeader,
+		onDn:      cfg.OnFollower,
+		log:       cfg.Logger,
+		heartbeat: cfg.Heartbeat,
+		tmin:      cfg.TimeoutMin,
+		tmax:      cfg.TimeoutMax,
+		bootstrap: cfg.Bootstrap,
+		peers:     peers,
+		rng:       cfg.RNG.Fork("election-" + cfg.ID),
 	}
 }
 
@@ -274,8 +297,8 @@ func (n *Node) persist(term int) {
 	}
 }
 
-// quorumLocked is the majority threshold for the full set (peers + self).
-func (n *Node) quorumLocked() int { return (len(n.peers)+1)/2 + 1 }
+// quorum is the majority threshold for the full set (peers + self).
+func (n *Node) quorum() int { return (len(n.peers)+1)/2 + 1 }
 
 func (n *Node) lastTermLocked() int {
 	if len(n.entries) == 0 {
@@ -289,15 +312,6 @@ func (n *Node) termAtLocked(index int) int {
 		return 0
 	}
 	return n.entries[index-1].Term
-}
-
-func (n *Node) sortedPeerIDsLocked() []string {
-	ids := make([]string, 0, len(n.peers))
-	for id := range n.peers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // armElectionLocked (re)starts the randomized election timeout. Leaders
@@ -337,16 +351,11 @@ func (n *Node) electionTick() {
 		LastLogIndex: len(n.entries),
 		LastLogTerm:  n.lastTermLocked(),
 	}
-	won := len(n.votes) >= n.quorumLocked()
+	won := len(n.votes) >= n.quorum()
 	if won {
 		n.becomeLeaderLocked()
 	} else {
 		n.armElectionLocked() // a split vote retries on a fresh timeout
-	}
-	peerIDs := n.sortedPeerIDsLocked()
-	refs := make([]orb.ObjectRef, len(peerIDs))
-	for i, id := range peerIDs {
-		refs[i] = n.peers[id]
 	}
 	n.mu.Unlock()
 
@@ -355,12 +364,13 @@ func (n *Node) electionTick() {
 		n.leaderRound(term)
 		return
 	}
-	for i, id := range peerIDs {
-		vr, err := requestVoteOp.Invoke(n.inv, refs[i], req)
+	for i := range n.peers {
+		p := &n.peers[i] // id and ref only: the rest needs mu
+		vr, err := requestVoteOp.Invoke(n.inv, p.ref, req)
 		if err != nil {
 			continue
 		}
-		if n.handleVoteReply(id, term, vr) {
+		if n.handleVoteReply(p.id, term, vr) {
 			return // won and finished the first leader round
 		}
 	}
@@ -389,7 +399,7 @@ func (n *Node) handleVoteReply(peerID string, candTerm int, vr voteReply) bool {
 		return false
 	}
 	n.votes[peerID] = true
-	if len(n.votes) < n.quorumLocked() {
+	if len(n.votes) < n.quorum() {
 		n.mu.Unlock()
 		return false
 	}
@@ -406,9 +416,8 @@ func (n *Node) becomeLeaderLocked() {
 	n.leaderID = n.id
 	n.wonTerms = append(n.wonTerms, n.term)
 	n.stats.TermsWon++
-	for id := range n.peers {
-		n.nextIndex[id] = len(n.entries) + 1
-		n.matchIndex[id] = 0
+	for i := range n.peers {
+		n.peers[i].next, n.peers[i].match, n.peers[i].probe = len(n.entries)+1, 0, true
 	}
 	if n.electionTimer != nil {
 		n.electionTimer.Stop()
@@ -441,15 +450,9 @@ func (n *Node) heartbeatTick() {
 	n.broadcastAppend()
 }
 
-// appendTarget is one peer's snapshotted AppendEntries payload.
-type appendTarget struct {
-	peer string
-	ref  orb.ObjectRef
-	req  appendEntries
-}
-
-// broadcastAppend sends each peer the log suffix it is missing (or an empty
-// heartbeat), processes replies, and delivers anything newly committed.
+// broadcastAppend sends each peer the next run of the log it is missing (or
+// an empty heartbeat), processes replies, and delivers anything newly
+// committed.
 func (n *Node) broadcastAppend() {
 	n.mu.Lock()
 	if n.stopped || n.role != Leader {
@@ -457,52 +460,55 @@ func (n *Node) broadcastAppend() {
 		return
 	}
 	term := n.term
-	targets := make([]appendTarget, 0, len(n.peers))
-	for _, id := range n.sortedPeerIDsLocked() {
-		ni := n.nextIndex[id]
-		if ni < 1 {
-			ni = len(n.entries) + 1
+	reqs := make([]appendEntries, len(n.peers)) // reqs[i] goes to n.peers[i]
+	for i, p := range n.peers {
+		prev := p.next - 1
+		reqs[i] = appendEntries{
+			Term:         term,
+			Leader:       n.id,
+			PrevLogIndex: prev,
+			PrevLogTerm:  n.termAtLocked(prev),
+			Entries:      n.runLocked(prev, p.probe),
+			LeaderCommit: n.commitIndex,
 		}
-		prevIdx := ni - 1
-		suffix := make([]entry, len(n.entries)-prevIdx)
-		copy(suffix, n.entries[prevIdx:])
-		targets = append(targets, appendTarget{
-			peer: id,
-			ref:  n.peers[id],
-			req: appendEntries{
-				Term:         term,
-				Leader:       n.id,
-				PrevLogIndex: prevIdx,
-				PrevLogTerm:  n.termAtLocked(prevIdx),
-				Entries:      suffix,
-				LeaderCommit: n.commitIndex,
-			},
-		})
 	}
 	n.mu.Unlock()
 
-	for _, t := range targets {
-		n.sendAppend(t, term)
+	for i, req := range reqs {
+		p := &n.peers[i]
+		ar, err := appendEntriesOp.Invoke(n.inv, p.ref, req)
+		n.handleAppendReply(p, term, ar, err)
 	}
 	n.deliverCommitted()
 }
 
-// sendAppend ships one peer's AppendEntries and folds the reply back in.
-func (n *Node) sendAppend(t appendTarget, term int) {
-	ar, err := appendEntriesOp.Invoke(n.inv, t.ref, t.req)
-	if err != nil {
-		return
+// runLocked is the run of entries after index prev one AppendEntries
+// carries: one entry to a peer in probe, else up to maxAppendEntries of
+// them, the first whatever its size and the rest within maxAppendBytes.
+// It aliases n.entries, capped so that no later append shows through.
+func (n *Node) runLocked(prev int, probe bool) []entry {
+	limit := min(len(n.entries), prev+maxAppendEntries)
+	if probe {
+		limit = min(limit, prev+1)
 	}
-	n.handleAppendReply(t.peer, term, ar)
+	end, size := prev, 0
+	for end < limit && (end == prev || size+len(n.entries[end].Data) <= maxAppendBytes) {
+		size += len(n.entries[end].Data)
+		end++
+	}
+	return n.entries[prev:end:end]
 }
 
-func (n *Node) handleAppendReply(peerID string, term int, ar appendReply) {
+// handleAppendReply folds one peer's answer to an append of term back in:
+// an error or a refusal puts the peer in probe, an acknowledgement takes it
+// out and may commit.
+func (n *Node) handleAppendReply(p *peer, term int, ar appendReply, err error) {
 	n.mu.Lock()
 	if n.stopped {
 		n.mu.Unlock()
 		return
 	}
-	if ar.Term > n.term {
+	if err == nil && ar.Term > n.term {
 		cb := n.stepDownLocked(ar.Term, "")
 		newTerm := n.term
 		n.mu.Unlock()
@@ -516,24 +522,21 @@ func (n *Node) handleAppendReply(peerID string, term int, ar appendReply) {
 		n.mu.Unlock()
 		return
 	}
-	if ar.Success {
-		if ar.MatchIndex > n.matchIndex[peerID] {
-			n.matchIndex[peerID] = ar.MatchIndex
-		}
-		n.nextIndex[peerID] = n.matchIndex[peerID] + 1
+	p.probe = err != nil || !ar.Success
+	switch {
+	case err != nil: // unanswered: the next round resends from p.next
+	case ar.Success:
+		p.match = max(p.match, ar.MatchIndex)
+		p.next = p.match + 1
 		n.advanceCommitLocked()
-	} else {
+	default:
 		// Back off toward the follower's hint; never below 1.
-		ni := n.nextIndex[peerID]
-		if hint := ar.MatchIndex + 1; hint < ni {
-			ni = hint
+		if hint := ar.MatchIndex + 1; hint < p.next {
+			p.next = hint
 		} else {
-			ni--
+			p.next--
 		}
-		if ni < 1 {
-			ni = 1
-		}
-		n.nextIndex[peerID] = ni
+		p.next = max(p.next, 1)
 	}
 	n.mu.Unlock()
 }
@@ -541,13 +544,13 @@ func (n *Node) handleAppendReply(peerID string, term int, ar appendReply) {
 // advanceCommitLocked moves the commit index to the quorum-replicated
 // median, restricted (per Raft) to entries from the leader's own term.
 func (n *Node) advanceCommitLocked() {
-	matches := make([]int, 0, len(n.peers)+1)
-	matches = append(matches, len(n.entries)) // the leader's own log
-	for _, id := range n.sortedPeerIDsLocked() {
-		matches = append(matches, n.matchIndex[id])
+	matches := make([]int, 1, len(n.peers)+1)
+	matches[0] = len(n.entries) // the leader's own log
+	for _, p := range n.peers {
+		matches = append(matches, p.match)
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(matches)))
-	candidate := matches[n.quorumLocked()-1]
+	slices.Sort(matches)
+	candidate := matches[len(matches)-n.quorum()]
 	if candidate > n.commitIndex && n.termAtLocked(candidate) == n.term {
 		n.commitIndex = candidate
 	}
@@ -698,14 +701,7 @@ func (n *Node) handleAppend(req appendEntries) appendReply {
 	if req.PrevLogIndex < 0 || req.PrevLogIndex > len(n.entries) ||
 		(req.PrevLogIndex > 0 && n.termAtLocked(req.PrevLogIndex) != req.PrevLogTerm) {
 		n.stats.AppendRejected++
-		hint := req.PrevLogIndex - 1
-		if len(n.entries) < hint {
-			hint = len(n.entries)
-		}
-		if hint < 0 {
-			hint = 0
-		}
-		reply := appendReply{Term: n.term, MatchIndex: hint}
+		reply := appendReply{Term: n.term, MatchIndex: max(min(req.PrevLogIndex-1, len(n.entries)), 0)}
 		term := n.term
 		n.mu.Unlock()
 		n.persist(term)
@@ -719,19 +715,15 @@ func (n *Node) handleAppend(req appendEntries) appendReply {
 		if idx <= len(n.entries) {
 			if n.entries[idx-1].Term != ent.Term {
 				// Conflict: an uncommitted divergent suffix is truncated in
-				// favor of the leader's log.
-				n.entries = append(n.entries[:idx-1], ent)
+				// favor of the leader's log, into a copy (see entries).
+				n.entries = append(n.entries[:idx-1:idx-1], ent)
 			}
 		} else {
 			n.entries = append(n.entries, ent)
 		}
 	}
 	if req.LeaderCommit > n.commitIndex {
-		ci := req.LeaderCommit
-		if ci > len(n.entries) {
-			ci = len(n.entries)
-		}
-		n.commitIndex = ci
+		n.commitIndex = min(req.LeaderCommit, len(n.entries))
 	}
 	reply := appendReply{
 		Term:       n.term,

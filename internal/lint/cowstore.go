@@ -14,11 +14,12 @@ import (
 // declared mutex.
 var CowStore = &Analyzer{
 	Name: "cowstore",
-	Doc: "The ORB's hot-path registries (Loopback bindings, OpMux operation " +
-		"tables, Adapter servant tables) are copy-on-write atomic.Pointer " +
-		"snapshots: readers do one atomic Load and never lock, writers copy " +
-		"the snapshot, mutate the copy and Store it while holding the " +
-		"declared writer mutex. The pattern is only safe if four rules " +
+	Doc: "The ORB's hot-path registries (OpMux operation tables, Adapter " +
+		"servant tables) are copy-on-write atomic.Pointer snapshots; " +
+		"Loopback's bindings are a sync.Map, outside this check. Readers " +
+		"do one atomic Load and never lock, writers copy the snapshot, " +
+		"mutate the copy and Store it while holding the declared writer " +
+		"mutex. The pattern is only safe if four rules " +
 		"hold, and each is easy to break silently. This analyzer checks, for " +
 		"every struct field of type atomic.Pointer[T]: (1) no mutation " +
 		"through a Load()ed snapshot — a map/slice-element or field write " +

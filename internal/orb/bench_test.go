@@ -4,6 +4,7 @@ import (
 	"io"
 	"net"
 	"testing"
+	"time"
 )
 
 func benchEchoAdapter(b *testing.B) *Adapter {
@@ -49,14 +50,35 @@ func BenchmarkLoopbackInvoke(b *testing.B) {
 
 // BenchmarkTCPRawEcho is the floor BenchmarkTCPInvoke is read against: the
 // same 300 bytes each way over one 127.0.0.1 connection, a goroutine on
-// each end and no ORB. Invoke minus this is what the ORB itself costs.
+// each end and no ORB. Invoke minus this is what the ORB itself costs;
+// BenchmarkTCPOverhead measures that difference within one run.
 func BenchmarkTCPRawEcho(b *testing.B) {
+	conn := rawEcho(b)
+	buf := make([]byte, rawEchoSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := conn.Write(buf); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// rawEchoSize is the bytes a raw echo sends each way, about an echo
+// Invoke's request frame.
+const rawEchoSize = 300
+
+// rawEcho is a client connection to a goroutine on 127.0.0.1 that writes
+// back every rawEchoSize bytes it reads; both close when b ends.
+func rawEcho(b *testing.B) net.Conn {
+	b.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer ln.Close()
-	const size = 300
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -65,7 +87,7 @@ func BenchmarkTCPRawEcho(b *testing.B) {
 			return
 		}
 		defer conn.Close()
-		buf := make([]byte, size)
+		buf := make([]byte, rawEchoSize)
 		for {
 			if _, err := io.ReadFull(conn, buf); err != nil {
 				return
@@ -77,22 +99,81 @@ func BenchmarkTCPRawEcho(b *testing.B) {
 	}()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
+		ln.Close()
 		b.Fatal(err)
 	}
-	buf := make([]byte, size)
+	b.Cleanup(func() {
+		conn.Close()
+		ln.Close()
+		<-done
+	})
+	return conn
+}
+
+// BenchmarkTCPOverhead is what the ORB adds to a round trip on 127.0.0.1,
+// as a pair measured in one run: blocks of raw echoes (BenchmarkTCPRawEcho's)
+// and of Invokes (BenchmarkTCPInvoke's) alternate over one setup, each
+// side first in every other pair of blocks, so both see the same host
+// state. One op is one of each; orb-overhead-ns/op is the Invoke's time
+// less the raw echo's. Two separate benchmarks spread too far between runs
+// on a 2-core host to resolve a few percent of the ORB's share.
+func BenchmarkTCPOverhead(b *testing.B) {
+	conn := rawEcho(b)
+	buf := make([]byte, rawEchoSize)
+	o := New()
+	defer o.Close()
+	srv, err := o.ListenTCP("127.0.0.1:0", benchEchoAdapter(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	ref := srv.Ref("echo")
+	var e Encoder
+	e.PutBytes(make([]byte, 256))
+	arg := e.Bytes()
+	raw := func(n int) time.Duration {
+		start := time.Now()
+		for range n {
+			if _, err := conn.Write(buf); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := io.ReadFull(conn, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	invoke := func(n int) time.Duration {
+		start := time.Now()
+		for range n {
+			if _, err := o.Invoke(ref, "echo", arg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	raw(1)
+	invoke(1) // dials the ORB's connection off the clock
+	const block = 256
+	var rawT, orbT time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := conn.Write(buf); err != nil {
-			b.Fatal(err)
+	for done, i := 0, 0; done < b.N; i++ {
+		k := min(block, b.N-done)
+		if i%2 == 0 {
+			rawT += raw(k)
+			orbT += invoke(k)
+		} else {
+			orbT += invoke(k)
+			rawT += raw(k)
 		}
-		if _, err := io.ReadFull(conn, buf); err != nil {
-			b.Fatal(err)
-		}
+		done += k
 	}
 	b.StopTimer()
-	conn.Close()
-	<-done
+	perOp := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N) }
+	b.ReportMetric(perOp(rawT), "raw-ns/op")
+	b.ReportMetric(perOp(orbT), "invoke-ns/op")
+	b.ReportMetric(perOp(orbT-rawT), "orb-overhead-ns/op")
 }
 
 func BenchmarkTCPInvoke(b *testing.B) {
