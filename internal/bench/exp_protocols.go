@@ -43,7 +43,7 @@ func Exp1InformationUpdate(seed int64) Table {
 		// Offer freshness: every offer must be at most one period old.
 		maxAge := 0.0
 		now := g.Now()
-		c.GRM().Trader().VisitMatchSet(grm.NodeStatusType, []string{""}, func(o *trading.Offer, _ uint64) {
+		c.GRM().Trader().VisitMatchSet([]string{""}, func(o *trading.Offer, _ uint64) {
 			if ts, isNum := o.Properties.Get(grm.PropUpdatedUnix).AsNumber(); isNum {
 				maxAge = max(maxAge, now.Sub(time.Unix(int64(ts), 0)).Seconds())
 			}

@@ -36,6 +36,7 @@
 package chaos
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -114,7 +115,7 @@ type Engine struct {
 	mu          sync.Mutex
 	rng         *sim.RNG
 	nextFaultID int
-	faults      map[int]MessageFault
+	faults      []activeFault // in activation order
 	isolated    map[string]bool
 	// outbound drops every message originating at an address; directed
 	// drops only the (from, to) pairs it holds. Both are sender-side rules,
@@ -127,13 +128,18 @@ type Engine struct {
 
 var _ orb.Interceptor = (*Engine)(nil)
 
+// activeFault is an active message fault and the id AddFault gave it.
+type activeFault struct {
+	id int
+	MessageFault
+}
+
 // NewEngine returns an Engine driven by clock, sampling from its own fork
 // of rng (the parent stream is not consumed further).
 func NewEngine(clock sim.Clock, rng *sim.RNG) *Engine {
 	return &Engine{
 		clock:    clock,
 		rng:      rng.Fork("chaos"),
-		faults:   make(map[int]MessageFault),
 		isolated: make(map[string]bool),
 		outbound: make(map[string]bool),
 		directed: make(map[string]map[string]bool),
@@ -152,23 +158,22 @@ func (e *Engine) AddFault(f MessageFault) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.nextFaultID++
-	id := e.nextFaultID
-	e.faults[id] = f
-	return id
+	e.faults = append(e.faults, activeFault{e.nextFaultID, f})
+	return e.nextFaultID
 }
 
 // RemoveFault deactivates the fault with the given id.
 func (e *Engine) RemoveFault(id int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	delete(e.faults, id)
+	e.faults = slices.DeleteFunc(e.faults, func(f activeFault) bool { return f.id == id })
 }
 
 // ClearFaults deactivates every message fault (partitions are unaffected).
 func (e *Engine) ClearFaults() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.faults = make(map[int]MessageFault)
+	e.faults = e.faults[:0]
 }
 
 // Isolate adds addresses to the partition set: invocations targeting them
@@ -473,13 +478,8 @@ func (e *Engine) Intercept(target orb.Endpoint, key, op string, _ []byte, next f
 		e.stats.PartitionDrops++
 	default:
 		// First matching fault (in activation order) decides.
-		ids := make([]int, 0, len(e.faults))
-		for id := range e.faults {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			f := e.faults[id]
+		for i := range e.faults {
+			f := &e.faults[i]
 			if !f.Match.Covers(target, key, op) {
 				continue
 			}

@@ -270,6 +270,64 @@ func TestFaultMatchScoping(t *testing.T) {
 	}
 }
 
+// TestFaultPrecedence: of two active faults that both cover a message, the
+// one activated first decides its fate; once it is removed the other does,
+// and a fault window's removal leaves the faults that remain in the order they
+// were activated.
+func TestFaultPrecedence(t *testing.T) {
+	r := newRig(t, 7)
+	// fate invokes once and names what happened to the message.
+	fate := func() string {
+		t.Helper()
+		_, err := r.orb.Invoke(r.ref, "ping", nil)
+		switch {
+		case orb.IsCode(err, orb.CodeTransport):
+			return "dropped"
+		case orb.IsCode(err, orb.CodeTimeout):
+			return "delayed"
+		case err != nil:
+			t.Fatalf("invoke: %v", err)
+		}
+		return "delivered"
+	}
+	expect := func(label, want string) {
+		t.Helper()
+		if got := fate(); got != want {
+			t.Fatalf("%s: message %s, want %s", label, got, want)
+		}
+	}
+
+	drop := r.engine.AddFault(MessageFault{Drop: 1.0})
+	delay := r.engine.AddFault(MessageFault{Match: Match{Op: "ping"}, Delay: 1.0, DelayBy: time.Second})
+	expect("drop activated before delay", "dropped")
+	r.engine.RemoveFault(drop)
+	expect("drop removed", "delayed")
+	r.engine.RemoveFault(delay)
+	expect("both removed", "delivered")
+
+	// A window's drop, then a delay and a duplicate: the drop decides while
+	// its window is open, and the delay, still ahead of the duplicate, once
+	// it has closed.
+	r.engine.FaultWindow(MessageFault{Drop: 1.0}, time.Minute, 3*time.Minute)
+	r.clock.Advance(2 * time.Minute)
+	delay = r.engine.AddFault(MessageFault{Delay: 1.0, DelayBy: time.Second})
+	r.engine.AddFault(MessageFault{Duplicate: 1.0, DuplicateAfter: time.Second})
+	expect("inside the window", "dropped")
+	r.clock.Advance(2 * time.Minute)
+	expect("after the window", "delayed")
+	r.clock.Advance(2 * time.Second) // the delayed message lands
+	r.engine.RemoveFault(delay)
+	calls := r.calls.Load()
+	expect("delay removed", "delivered")
+	r.clock.Advance(2 * time.Second)
+	if got := r.calls.Load() - calls; got != 2 {
+		t.Fatalf("delay removed: the message reached the servant %d times, want 2 (duplicated)", got)
+	}
+	if s := r.engine.Stats(); s.Dropped != 2 || s.Delayed != 2 || s.Duplicated != 1 {
+		t.Fatalf("stats = %+v, want 2 dropped, 2 delayed, 1 duplicated", s)
+	}
+}
+
 func TestFaultWindowAndPartitionSchedule(t *testing.T) {
 	r := newRig(t, 7)
 	r.engine.FaultWindow(MessageFault{Drop: 1.0}, time.Minute, 2*time.Minute)

@@ -74,7 +74,7 @@ func (s *Schema) Record(values []Value) *Record {
 }
 
 // Header is Record as a value, for a holder that keeps the record's header
-// inside itself — beside the values, as the trader's updated offers do — and
+// inside itself — beside the values, as the trader's offers do — and
 // takes ownership of values on the same terms.
 func (s *Schema) Header(values []Value) Record {
 	if len(values) != len(s.sorted) {

@@ -204,7 +204,7 @@ func (mc *matchCtx) fillSet(conses []string) {
 	mc.sync()
 	mc.takeScratch()
 	keys, start := mc.keys, len(mc.keys)
-	bad := g.trader.VisitMatchSet(NodeStatusType, conses, func(o *trading.Offer, met uint64) {
+	bad := g.trader.VisitMatchSet(conses, func(o *trading.Offer, met uint64) {
 		k := rankKey{ord: o.Seq(), offer: o, met: met}
 		if kp != nil {
 			k.k1, k.k2 = kp.key(o)

@@ -73,8 +73,7 @@ func (f *admitFixture) offer(t *testing.T, name string, mips float64) trading.Of
 		t.Fatal(err)
 	}
 	return trading.Offer{
-		ServiceType: grm.NodeStatusType,
-		Ref:         orb.ObjectRef{Endpoint: ep, Key: protocol.LRMKey},
+		Ref: orb.ObjectRef{Endpoint: ep, Key: protocol.LRMKey},
 		Properties: constraint.Properties{
 			grm.PropNode:      constraint.String(name),
 			grm.PropMIPSFree:  constraint.Number(mips),
@@ -361,11 +360,11 @@ func TestSchedulePendingRunsInSubmissionOrder(t *testing.T) {
 }
 
 // TestConcurrentSubmitTraderChurnStress races asynchronous submissions
-// against trader writes (the satellite stress required by the PR): while
-// submitters flood the admission queue, churn goroutines export and
-// withdraw extra offers, forcing snapshot invalidations in the batch
-// matcher mid-flight. The seed varies the interleaving via the submit
-// partitioning.
+// against trader writes: while submitters flood the admission queue, churn
+// goroutines export and withdraw extra offers, which no application's
+// constraint matches (they have none of a node's properties), forcing
+// snapshot invalidations in the batch matcher mid-flight. The seed varies the
+// interleaving via the submit partitioning.
 func TestConcurrentSubmitTraderChurnStress(t *testing.T) {
 	seeds.Run(t, concurrentSubmitTraderChurnStress)
 }
@@ -415,9 +414,8 @@ func concurrentSubmitTraderChurnStress(t *testing.T, seed int64) {
 					Key:      "x",
 				}
 				place, err := tr.ExportKeyed(trading.Offer{
-					ServiceType: "Churn",
-					Ref:         ref,
-					Properties:  constraint.Properties{"n": constraint.Number(float64(i))}.Record(),
+					Ref:        ref,
+					Properties: constraint.Properties{"n": constraint.Number(float64(i))}.Record(),
 				})
 				if err != nil {
 					t.Errorf("churn export: %v", err)

@@ -334,7 +334,7 @@ func assertMirrors(t *testing.T, step, i int, l, f *grm.GRM) {
 	}
 	offers := func(g *grm.GRM) []string {
 		var refs []string
-		for _, o := range g.Trader().All(grm.NodeStatusType) {
+		for _, o := range g.Trader().All("") {
 			refs = append(refs, o.Ref.String())
 		}
 		slices.Sort(refs)

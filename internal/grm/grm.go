@@ -28,7 +28,9 @@ const (
 	DefaultSchedulePeriod = 30 * time.Second
 	// DefaultMaxAttempts bounds negotiation rounds per task of a placement.
 	DefaultMaxAttempts = 8
-	// NodeStatusType is the trader service type for LRM offers.
+	// NodeStatusType is the trader service type for LRM offers, the one
+	// type the trader holds. Nothing in the GRM names it: it is kept only
+	// because benchmark/ queries with it.
 	NodeStatusType = "NodeStatus"
 )
 
@@ -543,9 +545,7 @@ func (g *GRM) exportByRef(id string, dead trading.Place, ref orb.ObjectRef, expi
 			return
 		}
 	}
-	// Export fails only on an empty service type, and NodeStatusType is
-	// not one.
-	place, _ := g.trader.Export(NodeStatusType, ref, expires, statusSchema, values)
+	place := g.trader.Export(ref, expires, statusSchema, values)
 	g.mu.Lock()
 	lv := g.nodes[id]
 	keep := lv != nil && lv.departUntil.IsZero() && lv.status.LRMRef == ref
@@ -559,7 +559,7 @@ func (g *GRM) exportByRef(id string, dead trading.Place, ref orb.ObjectRef, expi
 }
 
 // KnownNodes returns the number of live node offers.
-func (g *GRM) KnownNodes() int { return g.trader.Count(NodeStatusType) }
+func (g *GRM) KnownNodes() int { return g.trader.Count() }
 
 // Submit registers an application and enqueues it into the bounded
 // admission queue. In the default synchronous mode the queue is drained

@@ -422,7 +422,7 @@ func TestNewGRMLeadsTermOne(t *testing.T) {
 	if err != nil || epoch != 1 {
 		t.Fatalf("Update reply = epoch %d, %v; want 1", epoch, err)
 	}
-	offers := c.g.Trader().All(grm.NodeStatusType)
+	offers := c.g.Trader().All("")
 	if len(offers) != 1 {
 		t.Fatalf("trader holds %d offers, want 1", len(offers))
 	}

@@ -18,7 +18,6 @@ import (
 
 func offer(nodeID string, mipsFree, ramFree, idleSec float64, dedicated, busy bool) trading.Offer {
 	return trading.Offer{
-		ServiceType: NodeStatusType,
 		Ref: orb.ObjectRef{
 			Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: nodeID},
 			Key:      "lrm",
@@ -283,9 +282,8 @@ func randomOffers(rng *sim.RNG, n int) []trading.Offer {
 		set(PropDedicated, constraint.Bool(rng.Intn(8) == 0))
 		set(PropOwnerBusy, constraint.Bool(rng.Intn(5) == 0))
 		offers[i] = trading.Offer{
-			ServiceType: NodeStatusType,
-			Ref:         orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: fmt.Sprint(i)}, Key: "lrm"},
-			Properties:  props.Record(),
+			Ref:        orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: fmt.Sprint(i)}, Key: "lrm"},
+			Properties: props.Record(),
 		}
 	}
 	return offers
@@ -428,7 +426,7 @@ func TestStatefulPolicyGetsValueCopies(t *testing.T) {
 	if mc.hits != 1 || mc.misses != 1 {
 		t.Fatalf("hits, misses = %d, %d: the second query should be served from the first's matches", mc.hits, mc.misses)
 	}
-	for _, o := range g.Trader().All(NodeStatusType) {
+	for _, o := range g.Trader().All("") {
 		if o.Ref.Key != "lrm" {
 			t.Fatalf("the policy's write reached the trader's offer: ref %v", o.Ref)
 		}

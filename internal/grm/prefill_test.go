@@ -279,9 +279,8 @@ func prefillFleet(t *testing.T, g *GRM, rng *sim.RNG, n int) int {
 		maybe(PropOwnerBusy, constraint.Bool(rng.Bool(0.3)))
 		maybe(PropPredictedIdle, constraint.Number(float64(rng.Intn(4)*600)))
 		offers[i] = trading.Offer{
-			ServiceType: NodeStatusType,
-			Ref:         orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: fmt.Sprint(i)}, Key: "lrm"},
-			Properties:  props.Record(),
+			Ref:        orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: fmt.Sprint(i)}, Key: "lrm"},
+			Properties: props.Record(),
 		}
 		if rng.Bool(0.75) {
 			ttl := time.Duration(1+rng.Intn(100)) * time.Second

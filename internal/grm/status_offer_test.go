@@ -38,7 +38,7 @@ func TestStatusOfferRoundTrip(t *testing.T) {
 	if epoch, err := g.handleUpdate(&s, s.Windows); err != nil || epoch != 4 {
 		t.Fatalf("handleUpdate = %d, %v", epoch, err)
 	}
-	all := g.Trader().All(NodeStatusType)
+	all := g.Trader().All("")
 	if len(all) != 1 {
 		t.Fatalf("trader holds %d offers, want 1", len(all))
 	}
@@ -103,7 +103,7 @@ func TestIdentityChangeReachesOffer(t *testing.T) {
 	} {
 		s.LANID, s.Platform.OS, s.Platform.Arch = step.lan, step.os, step.arch
 		heartbeat(t, g, clock, s)
-		all := g.Trader().All(NodeStatusType)
+		all := g.Trader().All("")
 		if len(all) != 1 {
 			t.Fatalf("%s: the trader holds %d offers, want 1", step.name, len(all))
 		}
@@ -118,5 +118,40 @@ func TestIdentityChangeReachesOffer(t *testing.T) {
 		if rec.LANID != step.lan || rec.Platform != s.Platform {
 			t.Errorf("%s: the record holds lan %q, platform %v; want %q, %v", step.name, rec.LANID, rec.Platform, step.lan, s.Platform)
 		}
+	}
+}
+
+// TestStatusSchemaFitsOffer: a trader offer holds a fixed number of property
+// values inline, and an export of more is a bug in the exporter that panics.
+// The GRM's node offer, a record of statusSchema, must fit: a node's first
+// update exports it by reference (Export) and its second upserts it through
+// the node's place (Upsert), and neither may panic.
+func TestStatusSchemaFitsOffer(t *testing.T) {
+	clock := sim.NewVirtualClock()
+	g := New("test", clock, orb.New())
+	defer g.Stop()
+	s := protocol.NodeStatus{
+		NodeID:    "node-1",
+		LRMRef:    orb.ObjectRef{Endpoint: orb.Endpoint{Net: "tcp", Addr: "10.0.0.1:9000"}, Key: "lrm"},
+		Capacity:  resource.Vector{MIPS: 1000, RAMMB: 1024},
+		GridFree:  resource.Vector{MIPS: 1000, RAMMB: 1024},
+		Timestamp: clock.Now(),
+	}
+	for _, write := range []string{"Export", "Upsert"} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s of the node offer panicked, statusSchema outgrowing a trader offer: %v", write, r)
+				}
+			}()
+			if _, err := g.handleUpdate(&s, nil); err != nil {
+				t.Fatalf("%s: %v", write, err)
+			}
+		}()
+		clock.Advance(time.Second)
+		s.Timestamp = clock.Now()
+	}
+	if all := g.Trader().All(""); len(all) != 1 || all[0].Seq() != 2 {
+		t.Fatalf("the trader holds %v: want node-1's second offer alone", all)
 	}
 }

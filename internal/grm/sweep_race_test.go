@@ -71,7 +71,7 @@ func checkOneOfferPerNode(t *testing.T, g *GRM, when string) {
 	}
 	g.mu.Unlock()
 	offers := make(map[orb.ObjectRef]int)
-	for _, o := range g.Trader().All(NodeStatusType) {
+	for _, o := range g.Trader().All("") {
 		offers[o.Ref]++
 	}
 	for ref, id := range alive {
@@ -256,7 +256,7 @@ func TestDepartureRacingUpdateReplay(t *testing.T) {
 			})
 			offers := func() int {
 				n := 0
-				for _, o := range g.Trader().All(NodeStatusType) {
+				for _, o := range g.Trader().All("") {
 					if o.Ref == s.LRMRef {
 						n++
 					}
@@ -292,7 +292,7 @@ func TestNodeMovingRefKeepsOneOffer(t *testing.T) {
 	s.LRMRef.Endpoint.Addr = "elsewhere"
 	heartbeat(t, g, clock, s)
 	for _, when := range []string{"after the move", "after a re-export by reference"} {
-		all := g.Trader().All(NodeStatusType)
+		all := g.Trader().All("")
 		if len(all) != 1 || all[0].Ref != s.LRMRef || g.KnownNodes() != 1 {
 			t.Fatalf("%s the trader holds %d offers (first under %v) and knows %d nodes; want one, under %v",
 				when, len(all), all[0].Ref, g.KnownNodes(), s.LRMRef)

@@ -144,7 +144,7 @@ type ClusterSummary struct {
 // trader's node offers.
 func (g *GRM) Summary() ClusterSummary {
 	s := ClusterSummary{ClusterID: g.clusterID}
-	g.trader.VisitMatchSet(NodeStatusType, []string{""}, func(o *trading.Offer, _ uint64) {
+	g.trader.VisitMatchSet([]string{""}, func(o *trading.Offer, _ uint64) {
 		s.Nodes++
 		free := numProp(o, fieldMIPSFree)
 		s.FreeMIPS += free

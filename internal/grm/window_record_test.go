@@ -86,7 +86,7 @@ func TestRecordReusesWindowArray(t *testing.T) {
 		t.Fatalf("the replica batch carries windows %+v, want %+v", got, last)
 	}
 	g.restoreOffer(s.NodeID)
-	all := g.Trader().All(NodeStatusType)
+	all := g.Trader().All("")
 	if len(all) != 1 {
 		t.Fatalf("the trader holds %d offers, want 1", len(all))
 	}
@@ -115,7 +115,7 @@ func TestOverlongForecastRefused(t *testing.T) {
 		lv.status.Windows = slices.Clone(lv.status.Windows)
 		return lv
 	}
-	offers := func() []trading.Offer { return g.Trader().All(NodeStatusType) }
+	offers := func() []trading.Offer { return g.Trader().All("") }
 	before, received, offered, version := record(), g.Stats().UpdatesReceived, offers(), g.Trader().Version()
 
 	clock.Advance(time.Second)

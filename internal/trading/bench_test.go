@@ -16,7 +16,6 @@ func benchTrader(n int) *Service {
 	s := NewService(nil)
 	for i := 0; i < n; i++ {
 		_, _ = s.ExportKeyed(Offer{
-			ServiceType: "NodeStatus",
 			Ref: orb.ObjectRef{
 				Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: fmt.Sprintf("n%d", i)},
 				Key:      "lrm",
@@ -33,7 +32,7 @@ func benchTrader(n int) *Service {
 
 func BenchmarkSelect100Offers(b *testing.B) {
 	s := benchTrader(100)
-	q := Query{ServiceType: "NodeStatus", Constraint: "mips_free >= 500 and os == 'linux'"}
+	q := Query{Constraint: "mips_free >= 500 and os == 'linux'"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,7 +44,7 @@ func BenchmarkSelect100Offers(b *testing.B) {
 
 func BenchmarkSelect1000Offers(b *testing.B) {
 	s := benchTrader(1000)
-	q := Query{ServiceType: "NodeStatus", Constraint: "mips_free >= 500"}
+	q := Query{Constraint: "mips_free >= 500"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -60,7 +59,7 @@ func BenchmarkSelect1000Offers(b *testing.B) {
 // index with their values.
 func BenchmarkSelect10kOffers(b *testing.B) {
 	s := benchTrader(10000)
-	q := Query{ServiceType: "NodeStatus", Constraint: "mips_free >= 600 and os == 'linux'"}
+	q := Query{Constraint: "mips_free >= 600 and os == 'linux'"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -75,7 +74,7 @@ func BenchmarkSelect10kOffers(b *testing.B) {
 // assert on stat deltas.
 func TestSelectUsesCompileCache(t *testing.T) {
 	s := benchTrader(10)
-	q := Query{ServiceType: "NodeStatus", Constraint: "mips_free >= 500 and exist cache_probe_tag"}
+	q := Query{Constraint: "mips_free >= 500 and exist cache_probe_tag"}
 	if _, err := s.Select(q); err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +101,7 @@ func BenchmarkSelectCacheMiss(b *testing.B) {
 	queries := make([]Query, distinct)
 	for i := range queries {
 		queries[i] = Query{
-			ServiceType: "NodeStatus",
-			Constraint:  fmt.Sprintf("mips_free >= %d and os == 'linux'", 500+i),
+			Constraint: fmt.Sprintf("mips_free >= %d and os == 'linux'", 500+i),
 		}
 	}
 	b.ReportAllocs()
@@ -121,7 +119,7 @@ func BenchmarkSelectCacheMiss(b *testing.B) {
 // and shard cold, as a walk in index order would not.
 func upsertFleet() (*Service, []Offer, []Place) {
 	s := benchTrader(10000)
-	all := s.All("NodeStatus")
+	all := s.All("")
 	offers, places := make([]Offer, len(all)), make([]Place, len(all))
 	for i, j := range sim.NewRNG(1).Perm(len(all)) {
 		offers[i] = all[j]
@@ -131,7 +129,7 @@ func upsertFleet() (*Service, []Offer, []Place) {
 }
 
 // BenchmarkExportKeyedUpsert is a keyed upsert by reference at fleet size: the
-// type-map lookup, the hash and the byRef probe, then the store.
+// hash and the byRef probe, then the store.
 func BenchmarkExportKeyedUpsert(b *testing.B) {
 	s, offers, _ := upsertFleet()
 	b.ReportAllocs()

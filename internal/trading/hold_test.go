@@ -152,7 +152,7 @@ func TestHeldOffersOutliveUpserts(t *testing.T) {
 			for range hold {
 				h := s.Hold()
 				var kept []heldOffer
-				if err := visitOne(s, "NodeStatus", "", func(o *Offer) { kept = append(kept, holdOffer(o)) }); err != nil {
+				if err := visitOne(s, "", func(o *Offer) { kept = append(kept, holdOffer(o)) }); err != nil {
 					failures.add("%v", err)
 				}
 				if len(kept) != nodes {
@@ -231,7 +231,7 @@ func TestHeldOffersOutliveUpserts(t *testing.T) {
 // between its passes, so the writers' next batch runs under its hold and
 // between its visits.
 func TestHeldOffersOutliveShardReuse(t *testing.T) {
-	const nodes, writers, readers, upserts, batch = 4 * shardsPerType, 4, 2, 3000, 300
+	const nodes, writers, readers, upserts, batch = 4 * numShards, 4, 2, 3000, 300
 	s := NewService(nil)
 	places, schema := holdFleet(t, s, nodes)
 	stop := make(chan struct{})
@@ -264,7 +264,7 @@ func TestHeldOffersOutliveShardReuse(t *testing.T) {
 				}
 				h := s.Hold()
 				var kept []heldOffer
-				if err := visitOne(s, "NodeStatus", "", func(o *Offer) { kept = append(kept, holdOffer(o)) }); err != nil {
+				if err := visitOne(s, "", func(o *Offer) { kept = append(kept, holdOffer(o)) }); err != nil {
 					failures.add("%v", err)
 				}
 				visits[r].Add(1)
@@ -371,8 +371,8 @@ func TestUpsertReusesSpare(t *testing.T) {
 	for _, p := range places {
 		copied[p.e.st] = p.e.st.seq
 	}
-	selected, err := s.Select(Query{ServiceType: "NodeStatus"})
-	all := s.All("NodeStatus")
+	selected, err := s.Select(Query{})
+	all := s.All("")
 	if err != nil || len(selected) != nodes || len(all) != nodes {
 		t.Fatalf("Select = %d offers, %v; All = %d offers", len(selected), err, len(all))
 	}

@@ -25,15 +25,22 @@ import (
 type modelTrader struct {
 	seq     int
 	version uint64
-	shards  [shardsPerType][]Offer
+	shards  [numShards][]Offer
+	// swept lists the refs whose offers writes dropped as expired, each at a
+	// write that did not replace it: the ref's place is dead from then on,
+	// even once a later write of the same step gives the ref an offer again.
+	swept []orb.ObjectRef
 }
 
 // write is the one mutation: shard sh loses what has expired and the offers of
 // the refs adds and gone name, and gains adds.
 func (m *modelTrader) write(sh int, now time.Time, gone *orb.ObjectRef, adds ...Offer) {
 	m.shards[sh] = append(slices.DeleteFunc(m.shards[sh], func(o Offer) bool {
-		return gone != nil && o.Ref == *gone || o.expired(now) ||
-			slices.ContainsFunc(adds, func(a Offer) bool { return a.Ref == o.Ref })
+		added := slices.ContainsFunc(adds, func(a Offer) bool { return a.Ref == o.Ref })
+		if o.expired(now) && !added {
+			m.swept = append(m.swept, o.Ref)
+		}
+		return gone != nil && o.Ref == *gone || o.expired(now) || added
 	}), adds...)
 }
 
@@ -57,18 +64,10 @@ func (m *modelTrader) exportKeyed(o Offer, now time.Time) int {
 	return o.seq
 }
 
-// exportBatch replaces the batch's refs' offers, a later offer for a ref
-// replacing an earlier one in the batch too.
+// exportBatch is exportKeyed of each offer in turn, in one version step.
 func (m *modelTrader) exportBatch(offers []Offer, now time.Time) {
-	var touched [shardsPerType][]Offer
 	for _, o := range offers {
-		o, sh := m.number(o), refShard(o.Ref)
-		touched[sh] = append(slices.DeleteFunc(touched[sh], func(t Offer) bool { return t.Ref == o.Ref }), o)
-	}
-	for sh, adds := range touched {
-		if len(adds) > 0 {
-			m.write(sh, now, nil, adds...)
-		}
+		m.write(refShard(o.Ref), now, nil, m.number(o))
 	}
 	m.version++
 }
@@ -102,8 +101,9 @@ func (m *modelTrader) all(now time.Time) []Offer {
 // with the rebuild-on-every-write model after every step on what each shard
 // holds — expired offers not yet compacted included, so an expired offer
 // leaves the index at the same write — and on Count, All and Version. The deck
-// writes through places too: a place is live exactly while the model holds its
-// ref's offer, and a write through a dead one changes nothing. It also
+// writes through places too: a place is live until the model drops its ref's
+// offer — withdraws it, or sweeps it as expired at a write that does not
+// replace it — and a write through a dead one changes nothing. It also
 // first-exports refs into shards whose slot array has room: an offer that
 // keeps the shard's sweep bound must be appended over the same array, and one
 // that lowers the bound, or arrives once the bound is due, must rebuild — the
@@ -201,6 +201,13 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 			default:
 				now = now.Add(time.Duration(rng.Intn(4000)) * time.Millisecond)
 			}
+			for _, ref := range m.swept {
+				if p, live := places[ref]; live {
+					dead = append(dead, p)
+					delete(places, ref)
+				}
+			}
+			m.swept = m.swept[:0]
 			for ref, p := range places {
 				if !m.holds(ref) {
 					dead = append(dead, p)
@@ -208,12 +215,8 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 				}
 			}
 
-			ts := s.typeIndex("NodeStatus")
 			for sh := range m.shards {
-				var got []*stored
-				if ts != nil {
-					got = slotOffers(&ts.shards[sh])
-				}
+				got := slotOffers(&s.shards[sh])
 				if len(got) != len(m.shards[sh]) {
 					t.Fatalf("seed %d step %d: shard %d holds %d offers, model %d", seed, step, sh, len(got), len(m.shards[sh]))
 				}
@@ -227,9 +230,9 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 					}
 				}
 			}
-			all, want := s.All("NodeStatus"), m.all(now)
-			if len(all) != len(want) || s.Count("NodeStatus") != len(want) {
-				t.Fatalf("seed %d step %d: All = %d offers, Count = %d, model %d", seed, step, len(all), s.Count("NodeStatus"), len(want))
+			all, want := s.All(""), m.all(now)
+			if len(all) != len(want) || s.Count() != len(want) {
+				t.Fatalf("seed %d step %d: All = %d offers, Count = %d, model %d", seed, step, len(all), s.Count(), len(want))
 			}
 			for i := range all {
 				if all[i].seq != want[i].seq {
@@ -252,12 +255,8 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 // and whose shard's slot array has room past its snapshot's end, and that
 // shard; nil when there is none.
 func roomyShard(s *Service, m *modelTrader, nodes []int) (int, *shard) {
-	ts := s.typeIndex("NodeStatus")
-	if ts == nil {
-		return 0, nil
-	}
 	for _, n := range nodes {
-		sh := &ts.shards[refShard(nodeRef(n))]
+		sh := &s.shards[refShard(nodeRef(n))]
 		if slots := sh.snap.Load().slots; !m.holds(nodeRef(n)) && len(slots) < cap(slots) {
 			return n, sh
 		}
@@ -289,7 +288,7 @@ func TestKeyedUpsertInPlace(t *testing.T) {
 	const ttl = time.Minute
 	s := NewService(clock)
 	heartbeatFleet(t, s, 10000, ttl)
-	sh := &s.typeIndex("NodeStatus").shards[refShard(nodeRef(7))]
+	sh := &s.shards[refShard(nodeRef(7))]
 	var place Place
 	// beat upserts node 7 through its place, or by reference when it has none.
 	beat := func(expires time.Time) (seq int, inPlace bool) {
@@ -308,15 +307,15 @@ func TestKeyedUpsertInPlace(t *testing.T) {
 	}
 
 	now = now.Add(ttl / 2)
-	first, _ := s.Select(Query{ServiceType: "NodeStatus", Constraint: "mips == 1234"})
+	first, _ := s.Select(Query{Constraint: "mips == 1234"})
 	for _, how := range []string{"by reference", "through the place"} {
 		seq, inPlace := beat(now.Add(ttl))
 		if !inPlace {
 			t.Fatalf("a heartbeat %s rebuilt its shard's snapshot", how)
 		}
-		got, err := s.Select(Query{ServiceType: "NodeStatus", Constraint: "mips == 1234"})
-		if err != nil || len(got) != len(first)+1 || got[len(got)-1].Seq() != seq || s.Count("NodeStatus") != 10000 {
-			t.Fatalf("after the heartbeat %s %d offers have its mips (was %d), %v; Count = %d", how, len(got), len(first), err, s.Count("NodeStatus"))
+		got, err := s.Select(Query{Constraint: "mips == 1234"})
+		if err != nil || len(got) != len(first)+1 || got[len(got)-1].Seq() != seq || s.Count() != 10000 {
+			t.Fatalf("after the heartbeat %s %d offers have its mips (was %d), %v; Count = %d", how, len(got), len(first), err, s.Count())
 		}
 		if e := sh.byRef[nodeRef(7)]; e != place.e || e.st.seq != seq {
 			t.Fatalf("after the heartbeat %s the ref's entry is not its place's, or holds another offer than seq %d", how, seq)
@@ -325,7 +324,7 @@ func TestKeyedUpsertInPlace(t *testing.T) {
 	assertIndexConsistent(t, s)
 
 	small := NewService(clock)
-	heartbeatFleet(t, small, 2*shardsPerType, ttl)
+	heartbeatFleet(t, small, 2*numShards, ttl)
 	o := nodeOffer(7, 1, 1)
 	o.Expires = now.Add(ttl)
 	schema, values := recordParts(o.Properties)
@@ -337,7 +336,7 @@ func TestKeyedUpsertInPlace(t *testing.T) {
 	bigRef, bigPlace := perBeat(s)
 	if oneRef, onePlace := perBeat(small); bigRef != oneRef || bigPlace != onePlace || bigRef > 1 || bigPlace > 1 {
 		t.Fatalf("a heartbeat allocates %v (by ref) and %v (through its place) times among 10^4 offers, %v and %v among %d: it must not depend on the shard",
-			bigRef, bigPlace, oneRef, onePlace, 2*shardsPerType)
+			bigRef, bigPlace, oneRef, onePlace, 2*numShards)
 	}
 
 	if _, inPlace := beat(now.Add(ttl / 4)); inPlace {
@@ -388,23 +387,18 @@ func TestCountUsesSweepBound(t *testing.T) {
 			}
 		}
 	}
-	other := nodeOffer(soon[0], 1, 1)
-	other.ServiceType = "Printer"
-	if _, err := s.ExportKeyed(other); err != nil {
-		t.Fatal(err)
-	}
 	for _, step := range []struct {
-		advance     time.Duration
-		nodes, both int
-	}{{0, 6, 7}, {10 * time.Second, 5, 6}, {time.Second, 4, 5}, {time.Second, 3, 4}, {88 * time.Second, 2, 3}, {time.Minute, 0, 1}} {
+		advance time.Duration
+		nodes   int
+	}{{0, 6}, {10 * time.Second, 5}, {time.Second, 4}, {time.Second, 3}, {88 * time.Second, 2}, {time.Minute, 0}} {
 		now = now.Add(step.advance)
-		if got, all := s.Count("NodeStatus"), len(s.All("NodeStatus")); got != step.nodes || all != step.nodes || s.Count("") != step.both {
-			t.Fatalf("at +%v Count = %d, All = %d, want %d; Count of every type = %d, want %d",
-				now.Sub(time.Unix(1_700_000_000, 0)), got, all, step.nodes, s.Count(""), step.both)
+		if got, all := s.Count(), len(s.All("")); got != step.nodes || all != step.nodes {
+			t.Fatalf("at +%v Count = %d, All = %d, want %d",
+				now.Sub(time.Unix(1_700_000_000, 0)), got, all, step.nodes)
 		}
 	}
 	for _, i := range []int{soon[0], late[0]} {
-		if held := len(s.typeIndex("NodeStatus").shards[refShard(nodeRef(i))].snap.Load().slots); held != 3 {
+		if held := len(s.shards[refShard(nodeRef(i))].snap.Load().slots); held != 3 {
 			t.Fatalf("a read compacted node %d's shard: it holds %d offers", i, held)
 		}
 	}
@@ -483,13 +477,13 @@ func TestVisitRacesInPlaceUpserts(t *testing.T) {
 				clear(seen)
 				var err error
 				if r < 3 {
-					err = visitOne(s, "NodeStatus", cons, func(o *Offer) {
+					err = visitOne(s, cons, func(o *Offer) {
 						if mips, _ := o.Properties.Get("mips").AsNumber(); mips < floor {
 							t.Errorf("%q yielded seq %d with mips %v", cons, o.Seq(), mips)
 						}
 						seen[o.Ref]++
 					})
-				} else if bad := s.VisitMatchSet("NodeStatus", set, func(o *Offer, met uint64) {
+				} else if bad := s.VisitMatchSet(set, func(o *Offer, met uint64) {
 					mips, _ := o.Properties.Get("mips").AsNumber()
 					want := uint64(1)
 					if mips >= 1000 {
@@ -524,9 +518,9 @@ func TestVisitRacesInPlaceUpserts(t *testing.T) {
 	}
 	rebuilt := 0
 	for round := 0; round < 40; round++ {
-		before := s.typeIndex("NodeStatus").shards[0].snap.Load()
+		before := s.shards[0].snap.Load()
 		beatAll()
-		if s.typeIndex("NodeStatus").shards[0].snap.Load() != before {
+		if s.shards[0].snap.Load() != before {
 			rebuilt++
 		}
 		tick.Add(1)
@@ -536,7 +530,7 @@ func TestVisitRacesInPlaceUpserts(t *testing.T) {
 	if rebuilt == 0 || rebuilt > 20 {
 		t.Errorf("shard 0 was rebuilt in %d rounds of 40: the rounds are meant to be stores with a sweep now and then", rebuilt)
 	}
-	if got := s.Count("NodeStatus"); got != refs || byRef.Load() != refs {
+	if got := s.Count(); got != refs || byRef.Load() != refs {
 		t.Fatalf("Count = %d, want %d: heartbeats lost or duplicated an offer; %d exports by reference, want one a ref", got, refs, byRef.Load())
 	}
 	assertIndexConsistent(t, s)
@@ -589,19 +583,19 @@ func TestVisitRacesAppends(t *testing.T) {
 				clear(seen)
 				switch r {
 				case 0:
-					if err := visitOne(s, "NodeStatus", "mips >= 0", check); err != nil {
+					if err := visitOne(s, "mips >= 0", check); err != nil {
 						t.Error(err)
 						return
 					}
 				case 1:
-					s.VisitMatchSet("NodeStatus", []string{"mips >= 0", "mips < 0"}, func(o *Offer, met uint64) {
+					s.VisitMatchSet([]string{"mips >= 0", "mips < 0"}, func(o *Offer, met uint64) {
 						if met != 1 {
 							t.Errorf("the set visit yielded %v with bits %b, want 1", o.Ref, met)
 						}
 						check(o)
 					})
 				default:
-					if n := s.Count("NodeStatus"); n > len(mips) {
+					if n := s.Count(); n > len(mips) {
 						t.Errorf("Count = %d of %d refs", n, len(mips))
 						return
 					}
@@ -657,7 +651,7 @@ func TestVisitRacesAppends(t *testing.T) {
 	writersDone.Wait()
 	close(stop)
 	readers.Wait()
-	if got := s.Count("NodeStatus"); got != len(mips) {
+	if got := s.Count(); got != len(mips) {
 		t.Fatalf("Count = %d, want the %d refs exported", got, len(mips))
 	}
 	assertIndexConsistent(t, s)

@@ -17,14 +17,10 @@ import (
 // seq, filtered by Expr.Eval.
 func referenceSelect(t *testing.T, s *Service, q Query) []*Offer {
 	t.Helper()
-	ts := s.typeIndex(q.ServiceType)
-	if ts == nil {
-		return nil
-	}
 	now := s.now()
 	var live []*Offer
-	for i := range ts.shards {
-		for _, st := range slotOffers(&ts.shards[i]) {
+	for i := range s.shards {
+		for _, st := range slotOffers(&s.shards[i]) {
 			if !st.expired(now) {
 				live = append(live, &st.Offer)
 			}
@@ -113,11 +109,10 @@ func TestScanMatchesBruteForce(t *testing.T) {
 			now = base.Add(2 * time.Minute)
 			assertIndexConsistent(t, s)
 
-			if len(fleet.refs) > shardsPerType {
-				ts := s.typeIndex("NodeStatus")
-				for i := range ts.shards {
-					if len(ts.shards[i].snap.Load().slots) == 0 {
-						t.Fatalf("shard %d is empty; the fleet is meant to cover all %d", i, shardsPerType)
+			if len(fleet.refs) > numShards {
+				for i := range s.shards {
+					if len(s.shards[i].snap.Load().slots) == 0 {
+						t.Fatalf("shard %d is empty; the fleet is meant to cover all %d", i, numShards)
 					}
 				}
 			}
@@ -163,14 +158,14 @@ func TestScanBlockBoundaries(t *testing.T) {
 					}
 				}
 				now = base.Add(2 * time.Minute)
-				if ts := s.typeIndex("NodeStatus"); size > 0 {
-					if got := len(ts.shards[refShard(nodeRef(0))].snap.Load().slots); got != size {
+				if size > 0 {
+					if got := len(s.shards[refShard(nodeRef(0))].snap.Load().slots); got != size {
 						t.Fatalf("the shard holds %d offers, want %d: expired ones must stay for the scan to skip", got, size)
 					}
 				}
 				assertMatchesBruteForce(t, s, fill == "all-match" && size > 0)
 				if fill == "all-match" {
-					got, err := s.Select(Query{ServiceType: "NodeStatus", Constraint: "mips >= 250 and ram >= 512 and os == 'linux'"})
+					got, err := s.Select(Query{Constraint: "mips >= 250 and ram >= 512 and os == 'linux'"})
 					if err != nil || len(got) != size {
 						t.Fatalf("%d of %d offers match, %v: every one should", len(got), size, err)
 					}
@@ -199,7 +194,6 @@ func assertMatchesBruteForce(t *testing.T, s *Service, nonEmpty bool) {
 		{Constraint: "gpu > 1"},
 		{Constraint: "mips >= 0"},
 	} {
-		q.ServiceType = "NodeStatus"
 		want := referenceSelect(t, s, q)
 		got, err := s.Select(q)
 		if err != nil {
@@ -214,9 +208,9 @@ func assertMatchesBruteForce(t *testing.T, s *Service, nonEmpty bool) {
 	}
 	assertVisitSetYields(t, s, cons, wants)
 
-	want := referenceSelect(t, s, Query{ServiceType: "NodeStatus"})
-	assertCopies(t, "All", s.All("NodeStatus"), want)
-	if got := s.Count("NodeStatus"); got != len(want) {
+	want := referenceSelect(t, s, Query{})
+	assertCopies(t, "All", s.All(""), want)
+	if got := s.Count(); got != len(want) {
 		t.Fatalf("Count = %d, brute force %d", got, len(want))
 	}
 }
@@ -248,7 +242,7 @@ func assertCopies(t *testing.T, what string, got []Offer, want []*Offer) {
 func assertVisitYields(t *testing.T, s *Service, q Query, want []*Offer) {
 	t.Helper()
 	var visited []*Offer
-	bad := s.VisitMatchSet(q.ServiceType, []string{q.Constraint}, func(o *Offer, met uint64) {
+	bad := s.VisitMatchSet([]string{q.Constraint}, func(o *Offer, met uint64) {
 		if met != 1 {
 			t.Fatalf("%+v: seq %d yielded with bits %b, want 1", q, o.Seq(), met)
 		}
@@ -270,7 +264,7 @@ func assertVisitSetYields(t *testing.T, s *Service, cons []string, want [][]*Off
 	t.Helper()
 	got := make([][]*Offer, len(cons))
 	seen := make(map[*Offer]bool)
-	bad := s.VisitMatchSet("NodeStatus", cons, func(o *Offer, met uint64) {
+	bad := s.VisitMatchSet(cons, func(o *Offer, met uint64) {
 		if seen[o] {
 			t.Fatalf("the set visit yielded seq %d twice", o.Seq())
 		}
@@ -294,17 +288,17 @@ func assertVisitSetYields(t *testing.T, s *Service, cons []string, want [][]*Off
 
 // TestVisitMatchSetRejectsBadConstraint: a constraint that does not compile
 // has its bit set in bad and matches nothing, alone or beside one that
-// compiles; an unknown service type yields nothing.
+// compiles.
 func TestVisitMatchSetRejectsBadConstraint(t *testing.T) {
 	s := NewService(nil)
 	if _, err := s.ExportKeyed(nodeOffer(1, 100, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if bad := s.VisitMatchSet("NodeStatus", []string{"mips >="}, func(*Offer, uint64) { t.Fatal("visited an offer") }); bad != 1 {
+	if bad := s.VisitMatchSet([]string{"mips >="}, func(*Offer, uint64) { t.Fatal("visited an offer") }); bad != 1 {
 		t.Fatalf("bad = %b for a constraint that does not compile, want 1", bad)
 	}
 	visited := 0
-	bad := s.VisitMatchSet("NodeStatus", []string{"", "mips >="}, func(o *Offer, met uint64) {
+	bad := s.VisitMatchSet([]string{"", "mips >="}, func(o *Offer, met uint64) {
 		if met != 1 {
 			t.Fatalf("seq %d yielded with bits %b, want 1", o.Seq(), met)
 		}
@@ -313,25 +307,22 @@ func TestVisitMatchSetRejectsBadConstraint(t *testing.T) {
 	if bad != 1<<1 || visited != 1 {
 		t.Fatalf("bad = %b after %d offers, want 10 after 1", bad, visited)
 	}
-	if bad := s.VisitMatchSet("NoSuchType", []string{""}, func(*Offer, uint64) { t.Fatal("visited an offer") }); bad != 0 {
-		t.Fatalf("unknown type: bad = %b", bad)
-	}
 }
 
 // visitOne is VisitMatchSet over one constraint, for tests that walk one: fn
 // gets each match, and a constraint that does not compile is an error.
-func visitOne(s *Service, serviceType, cons string, fn func(*Offer)) error {
-	if s.VisitMatchSet(serviceType, []string{cons}, func(o *Offer, _ uint64) { fn(o) }) != 0 {
+func visitOne(s *Service, cons string, fn func(*Offer)) error {
+	if s.VisitMatchSet([]string{cons}, func(o *Offer, _ uint64) { fn(o) }) != 0 {
 		return fmt.Errorf("constraint %q does not compile", cons)
 	}
 	return nil
 }
 
 // TestReexportCopiesRecord: offers read from one trader can be exported to
-// another as they are. ExportBatch shares their records — a record is
-// immutable — but ExportKeyed and Export copy the values into an offer of the
-// trader's own, as Upsert does, so an exporter that rewrites its value array
-// once the export has returned leaves the offer as it was.
+// another as they are. ExportBatch, ExportKeyed and Export copy the values
+// into an offer of the trader's own, as Upsert does, so an exporter that
+// rewrites its value array once the export has returned leaves the offer as it
+// was.
 func TestReexportCopiesRecord(t *testing.T) {
 	a, b := NewService(nil), NewService(nil)
 	for i := 0; i < 5; i++ {
@@ -339,7 +330,7 @@ func TestReexportCopiesRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	offers := a.All("NodeStatus")
+	offers := a.All("")
 	if _, err := b.ExportBatch(offers); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +339,7 @@ func TestReexportCopiesRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := b.All("NodeStatus")
+	got := b.All("")
 	if len(got) != len(offers) {
 		t.Fatalf("second trader holds %d offers, want %d", len(got), len(offers))
 	}
@@ -365,7 +356,7 @@ func TestReexportCopiesRecord(t *testing.T) {
 			t.Fatalf("offer %d has seq %d, want %d: the second trader numbers its own", i, o.Seq(), want)
 		}
 	}
-	if first := a.All("NodeStatus"); first[0].Seq() != 1 {
+	if first := a.All(""); first[0].Seq() != 1 {
 		t.Fatalf("re-exporting renumbered the first trader's offer to %d", first[0].Seq())
 	}
 
@@ -374,15 +365,19 @@ func TestReexportCopiesRecord(t *testing.T) {
 	want := maps.Collect(schema.Record(slices.Clone(values)).All())
 	exports := map[string]func() error{
 		"ExportKeyed": func() error {
-			_, err := b.ExportKeyed(Offer{ServiceType: "NodeStatus", Ref: nodeRef(9), Properties: schema.Record(values)})
+			_, err := b.ExportKeyed(Offer{Ref: nodeRef(9), Properties: schema.Record(values)})
 			return err
 		},
 		"Export": func() error {
-			_, err := b.Export("NodeStatus", nodeRef(9), time.Time{}, schema, values)
+			b.Export(nodeRef(9), time.Time{}, schema, values)
+			return nil
+		},
+		"ExportBatch": func() error {
+			_, err := b.ExportBatch([]Offer{{Ref: nodeRef(9), Properties: schema.Record(values)}})
 			return err
 		},
 	}
-	for _, name := range []string{"ExportKeyed", "Export"} {
+	for _, name := range []string{"ExportKeyed", "Export", "ExportBatch"} {
 		_, fresh := recordParts(nodeOffer(9, 900, 512).Properties)
 		copy(values, fresh)
 		if err := exports[name](); err != nil {
@@ -391,7 +386,7 @@ func TestReexportCopiesRecord(t *testing.T) {
 		for i := range values {
 			values[i] = constraint.Number(-1)
 		}
-		nine, err := b.Select(Query{ServiceType: "NodeStatus", Constraint: "mips == 900"})
+		nine, err := b.Select(Query{Constraint: "mips == 900"})
 		if err != nil || len(nine) != 1 || !maps.Equal(maps.Collect(nine[0].Properties.All()), want) {
 			t.Fatalf("%s: after the exporter rewrote its array the index holds %+v, %v; want node 9's offer reading %v", name, nine, err, want)
 		}

@@ -33,13 +33,13 @@ func TestExportBatchSemantics(t *testing.T) {
 	if len(seqs) != 10 {
 		t.Fatalf("seqs = %d, want 10", len(seqs))
 	}
-	if got := s.Count("NodeStatus"); got != 10 {
+	if got := s.Count(); got != 10 {
 		t.Fatalf("Count = %d, want 10", got)
 	}
 
 	// Batch export preserves the global export order: All must return the
 	// batch in submission order, each offer with the seq it was given.
-	all := s.All("NodeStatus")
+	all := s.All("")
 	for i := range all {
 		if all[i].Ref != nodeRef(i) || all[i].Seq() != seqs[i] {
 			t.Fatalf("All[%d] = ref %v seq %d, want %v seq %d", i, all[i].Ref, all[i].Seq(), nodeRef(i), seqs[i])
@@ -49,21 +49,13 @@ func TestExportBatchSemantics(t *testing.T) {
 	// A batch upserts: an offer replaces its ref's, and the later of two for
 	// one ref in the batch wins.
 	seqs, err = s.ExportBatch([]Offer{nodeOffer(3, 1, 1), nodeOffer(10, 1, 1), nodeOffer(3, 2, 2)})
-	if err != nil || s.Count("NodeStatus") != 11 {
-		t.Fatalf("ExportBatch = %v, %v; Count = %d, want 11", seqs, err, s.Count("NodeStatus"))
+	if err != nil || s.Count() != 11 {
+		t.Fatalf("ExportBatch = %v, %v; Count = %d, want 11", seqs, err, s.Count())
 	}
-	if got, _ := s.Select(Query{ServiceType: "NodeStatus", Constraint: "ram == 2"}); len(got) != 1 || got[0].Ref != nodeRef(3) || got[0].Seq() != seqs[2] {
+	if got, _ := s.Select(Query{Constraint: "ram == 2"}); len(got) != 1 || got[0].Ref != nodeRef(3) || got[0].Seq() != seqs[2] {
 		t.Fatalf("node 3 holds %v; want only the batch's later offer, seq %d", got, seqs[2])
 	}
 	assertIndexConsistent(t, s)
-
-	// A typeless offer anywhere in the batch rejects the whole batch.
-	if _, err := s.ExportBatch([]Offer{nodeOffer(90, 1, 1), {}}); err == nil {
-		t.Fatal("batch with typeless offer accepted")
-	}
-	if got := s.Count("NodeStatus"); got != 11 {
-		t.Fatalf("Count after rejected batch = %d, want 11 (atomic validation)", got)
-	}
 }
 
 func TestVersionBumpsOnWritesOnly(t *testing.T) {
@@ -78,11 +70,11 @@ func TestVersionBumpsOnWritesOnly(t *testing.T) {
 	}
 
 	v := s.Version()
-	if _, err := s.Select(Query{ServiceType: "NodeStatus"}); err != nil {
+	if _, err := s.Select(Query{}); err != nil {
 		t.Fatal(err)
 	}
-	s.Count("NodeStatus")
-	s.All("NodeStatus")
+	s.Count()
+	s.All("")
 	if s.Withdraw(Place{}) || s.Version() != v {
 		t.Fatal("a read path, or a withdrawal of nothing, bumped the version")
 	}
@@ -192,22 +184,22 @@ func concurrentTradingStress(t *testing.T, seed int64) {
 			for i := 0; i < iters; i++ {
 				switch rng.Intn(5) {
 				case 0:
-					if _, err := s.Select(Query{ServiceType: "NodeStatus", Constraint: "mips >= 500"}); err != nil {
+					if _, err := s.Select(Query{Constraint: "mips >= 500"}); err != nil {
 						t.Errorf("Select: %v", err)
 						return
 					}
 				case 1:
-					if _, err := s.Select(Query{ServiceType: "NodeStatus"}); err != nil {
+					if _, err := s.Select(Query{}); err != nil {
 						t.Errorf("Select: %v", err)
 						return
 					}
 				case 2:
-					s.Count("NodeStatus")
+					s.Count()
 				case 3:
-					s.All("NodeStatus")
+					s.All("")
 				case 4:
 					seen := map[*Offer]bool{}
-					err := visitOne(s, "NodeStatus", "mips >= 500", func(o *Offer) {
+					err := visitOne(s, "mips >= 500", func(o *Offer) {
 						if mips, _ := o.Properties.Get("mips").AsNumber(); mips < 500 || seen[o] {
 							t.Errorf("visit yielded seq %d (mips %v, seen before: %v)", o.Seq(), mips, seen[o])
 						}
@@ -223,7 +215,7 @@ func concurrentTradingStress(t *testing.T, seed int64) {
 	}
 	wg.Wait()
 
-	if got, all := s.Count("NodeStatus"), len(s.All("NodeStatus")); got != all {
+	if got, all := s.Count(), len(s.All("")); got != all {
 		t.Fatalf("Count = %d but All returned %d offers", got, all)
 	}
 	assertIndexConsistent(t, s)
@@ -242,11 +234,7 @@ func slotOffers(sh *shard) []*stored {
 // withdrawRef withdraws ref's offer through its place, as the exporter holding
 // the place would, and reports whether there was one.
 func withdrawRef(s *Service, ref orb.ObjectRef) bool {
-	ts := s.typeIndex("NodeStatus")
-	if ts == nil {
-		return false
-	}
-	sh := &ts.shards[refShard(ref)]
+	sh := &s.shards[refShard(ref)]
 	sh.mu.Lock()
 	e := sh.byRef[ref]
 	sh.mu.Unlock()
@@ -275,67 +263,63 @@ func shardmates(first, n int) []int {
 // order itself is not an invariant: an upsert keeps its slot.
 func assertIndexConsistent(t *testing.T, s *Service) {
 	t.Helper()
-	holder := map[int]string{} // seq → the type and shard holding it
-	for typ, ts := range *s.types.Load() {
-		for i := range ts.shards {
-			sh := &ts.shards[i]
-			sh.mu.Lock()
-			offers := slotOffers(sh)
-			slots := sh.snap.Load().slots
-			for j := len(slots); j < cap(slots); j++ {
-				if slots[:cap(slots)][j].Load() != nil {
-					t.Errorf("%s shard %d: slot %d, past the snapshot's %d, holds an offer", typ, i, j, len(slots))
-				}
-			}
-			if len(sh.entries) != len(offers) || len(sh.byRef) != len(offers) {
-				t.Errorf("%s shard %d: %d slots, %d entries, %d refs in byRef", typ, i, len(offers), len(sh.entries), len(sh.byRef))
-			}
-			for j, e := range sh.entries {
-				if e.sh != sh || e.slot != j || j >= len(offers) || offers[j] != e.st || sh.byRef[e.st.Ref] != e {
-					t.Errorf("%s shard %d: entries[%d] (slot %d, seq %d) is not the entry of the offer in its slot", typ, i, j, e.slot, e.st.seq)
-				}
-			}
-			for ref, e := range sh.byRef {
-				if e.st.Ref != ref || e.slot < 0 {
-					t.Errorf("%s shard %d: byRef[%v] holds seq %d of %v at slot %d", typ, i, ref, e.st.seq, e.st.Ref, e.slot)
-				}
-			}
-			sh.mu.Unlock()
-			for _, st := range offers {
-				where := fmt.Sprintf("%s shard %d", typ, i)
-				if prev, dup := holder[st.seq]; dup || st.seq <= 0 {
-					t.Errorf("%s: an offer has seq %d, which %q holds too (or is no export's)", where, st.seq, prev)
-				}
-				holder[st.seq] = where
-				if st.Properties != &st.rec {
-					t.Errorf("%s: offer with seq %d reads another's record", where, st.seq)
-				}
+	holder := map[int]int{} // seq → the shard holding it
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		offers := slotOffers(sh)
+		slots := sh.snap.Load().slots
+		for j := len(slots); j < cap(slots); j++ {
+			if slots[:cap(slots)][j].Load() != nil {
+				t.Errorf("shard %d: slot %d, past the snapshot's %d, holds an offer", i, j, len(slots))
 			}
 		}
-		selected, err := s.Select(Query{ServiceType: typ})
-		if err != nil {
-			t.Fatal(err)
+		if len(sh.entries) != len(offers) || len(sh.byRef) != len(offers) {
+			t.Errorf("shard %d: %d slots, %d entries, %d refs in byRef", i, len(offers), len(sh.entries), len(sh.byRef))
 		}
-		all := s.All(typ)
-		if len(all) != len(selected) {
-			t.Errorf("%s: All returns %d offers, Select %d", typ, len(all), len(selected))
-		}
-		for j := 1; j < len(selected); j++ {
-			if selected[j-1].Seq() >= selected[j].Seq() || all[j-1].Seq() >= all[j].Seq() {
-				t.Fatalf("%s: position %d not in export order: Select seq %d then %d, All %d then %d",
-					typ, j, selected[j-1].Seq(), selected[j].Seq(), all[j-1].Seq(), all[j].Seq())
+		for j, e := range sh.entries {
+			if e.sh != sh || e.slot != j || j >= len(offers) || offers[j] != e.st || sh.byRef[e.st.Ref] != e {
+				t.Errorf("shard %d: entries[%d] (slot %d, seq %d) is not the entry of the offer in its slot", i, j, e.slot, e.st.seq)
 			}
+		}
+		for ref, e := range sh.byRef {
+			if e.st.Ref != ref || e.slot < 0 {
+				t.Errorf("shard %d: byRef[%v] holds seq %d of %v at slot %d", i, ref, e.st.seq, e.st.Ref, e.slot)
+			}
+		}
+		sh.mu.Unlock()
+		for _, st := range offers {
+			if prev, dup := holder[st.seq]; dup || st.seq <= 0 {
+				t.Errorf("shard %d: an offer has seq %d, which shard %d holds too (or is no export's)", i, st.seq, prev)
+			}
+			holder[st.seq] = i
+			if st.Properties != &st.rec {
+				t.Errorf("shard %d: offer with seq %d reads another's record", i, st.seq)
+			}
+		}
+	}
+	selected, err := s.Select(Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := s.All("")
+	if len(all) != len(selected) {
+		t.Errorf("All returns %d offers, Select %d", len(all), len(selected))
+	}
+	for j := 1; j < len(selected); j++ {
+		if selected[j-1].Seq() >= selected[j].Seq() || all[j-1].Seq() >= all[j].Seq() {
+			t.Fatalf("position %d not in export order: Select seq %d then %d, All %d then %d",
+				j, selected[j-1].Seq(), selected[j].Seq(), all[j-1].Seq(), all[j].Seq())
 		}
 	}
 }
 
 // TestSeqOrderSameShard races every write path into one shard: sixteen
 // writers on eight refs of that shard, two to a ref, with property records of
-// different sizes. A quarter of the writers go through ExportBatch, whose
-// numbers are drawn before the lock, so a later number can be published first;
-// a quarter upsert through a place, and the rest by reference. Slot order may
-// then be anything; each ref holds one offer, and the queries come back in
-// seq.
+// different sizes, up to inlineValues. A quarter of the writers go through
+// ExportBatch, a quarter upsert through a place, and the rest by reference.
+// Slot order may then be anything; each ref holds one offer, and the queries
+// come back in seq.
 func TestSeqOrderSameShard(t *testing.T) {
 	refs := shardmates(0, 8)
 	for round := 0; round < 100; round++ {
@@ -346,10 +330,10 @@ func TestSeqOrderSameShard(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				props := constraint.Properties{}
-				for p := 0; p < g*8; p++ {
+				for p := 0; p < g+g/4; p++ {
 					props[fmt.Sprintf("p%d", p)] = constraint.Number(float64(p))
 				}
-				o := Offer{ServiceType: "NodeStatus", Ref: nodeRef(refs[g/2]), Properties: props.Record()}
+				o := Offer{Ref: nodeRef(refs[g/2]), Properties: props.Record()}
 				var p Place
 				for i := 0; i < 30; i++ {
 					var err error
@@ -368,10 +352,10 @@ func TestSeqOrderSameShard(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		if got, want := s.Count("NodeStatus"), len(refs); got != want {
+		if got, want := s.Count(), len(refs); got != want {
 			t.Fatalf("round %d: %d offers, want %d", round, got, want)
 		}
-		all := s.All("NodeStatus")
+		all := s.All("")
 		for i := 1; i < len(all); i++ {
 			if all[i-1].seq >= all[i].seq {
 				t.Fatalf("round %d: out of order at %d: seq %d then %d", round, i, all[i-1].seq, all[i].seq)
@@ -411,14 +395,13 @@ func TestSelectCopiesNeverChange(t *testing.T) {
 		}
 	}
 	copied := map[*stored]int{} // the index's offers, and their seqs, as Select and All copy them
-	ts := s.typeIndex("NodeStatus")
-	for i := range ts.shards {
-		for _, st := range slotOffers(&ts.shards[i]) {
+	for i := range s.shards {
+		for _, st := range slotOffers(&s.shards[i]) {
 			copied[st] = st.seq
 		}
 	}
-	selected, err := s.Select(Query{ServiceType: "NodeStatus", Constraint: "mips >= 100"})
-	all := s.All("NodeStatus")
+	selected, err := s.Select(Query{Constraint: "mips >= 100"})
+	all := s.All("")
 	if err != nil || len(selected) != nodes || len(all) != nodes {
 		t.Fatalf("Select = %d offers, %v; All = %d offers", len(selected), err, len(all))
 	}
@@ -434,12 +417,12 @@ func TestSelectCopiesNeverChange(t *testing.T) {
 				return
 			}
 		}
-		live, err := s.Select(Query{ServiceType: "NodeStatus"})
+		live, err := s.Select(Query{})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		for _, o := range append(live, s.All("NodeStatus")...) {
+		for _, o := range append(live, s.All("")...) {
 			maps.Collect(o.Properties.All())
 		}
 	}
@@ -517,8 +500,8 @@ func TestVersionCountsConcurrentWrites(t *testing.T) {
 	for i := 0; i < nodes; i++ {
 		shards[refShard(nodeRef(i))] = true
 	}
-	if len(shards) != shardsPerType {
-		t.Fatalf("%d refs cover %d of the %d shards", nodes, len(shards), shardsPerType)
+	if len(shards) != numShards {
+		t.Fatalf("%d refs cover %d of the %d shards", nodes, len(shards), numShards)
 	}
 	s := NewService(nil)
 	v0 := s.Version()
@@ -613,7 +596,7 @@ func TestVersionCountsConcurrentWrites(t *testing.T) {
 		seen := make(map[orb.ObjectRef]bool, nodes)
 		for last := s.Version(); ; {
 			clear(seen)
-			s.VisitMatchSet("NodeStatus", set, func(o *Offer, met uint64) {
+			s.VisitMatchSet(set, func(o *Offer, met uint64) {
 				want := uint64(1)
 				if mips, _ := o.Properties.Get("mips").AsNumber(); mips < 1000 {
 					want = 2
@@ -642,7 +625,7 @@ func TestVersionCountsConcurrentWrites(t *testing.T) {
 	if got, want := s.Version()-v0, uint64(writes.Load()); got != want {
 		t.Fatalf("the version advanced %d times over %d writes", got, want)
 	}
-	if got := s.Count("NodeStatus"); got != int(live.Load()) {
+	if got := s.Count(); got != int(live.Load()) {
 		t.Fatalf("Count = %d, want the %d nodes that have not departed", got, live.Load())
 	}
 	assertIndexConsistent(t, s)

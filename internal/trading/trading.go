@@ -9,15 +9,15 @@
 // a constraint query. The index lives in the GRM's process and nothing reaches
 // it remotely.
 //
-// The offer index is sharded (DESIGN.md §16): each service type owns
-// shardsPerType shards keyed by the exporting object reference, and each shard
-// publishes a snapshot behind an atomic.Pointer — one slot per offer, and one
-// offer per exporting reference. Which offers a shard holds grows by appending
-// and shrinks by copy-on-write: a reference's first offer goes into the slot
-// just past the snapshot's end, published by a longer snapshot over the same
-// slot array while the array has room, and a writer that removes an offer
-// builds a fresh snapshot and swaps it in under the shard mutex, as the ORB's
-// registries do. What a slot holds changes in place: a status update stores
+// The index holds one service type, the node status offers of the LRMs, so
+// it has no map of types: it is numShards shards keyed by the exporting object
+// reference (DESIGN.md §16), and each shard publishes a snapshot behind an
+// atomic.Pointer — one slot per offer, and one offer per exporting reference.
+// Which offers a shard holds grows by appending and shrinks by copy-on-write:
+// a reference's first offer goes into the slot just past the snapshot's end,
+// published by a longer snapshot over the same slot array while the array has
+// room, and a writer that removes an offer builds a fresh snapshot and swaps
+// it in under the shard mutex, as the ORB's registries do. What a slot holds changes in place: a status update stores
 // its ref's new offer into the slot the old one sat in, through the Place its
 // first export returned, which names the shard and the slot. Readers take no
 // locks — they load the snapshots and the slots — so they never contend with
@@ -26,18 +26,18 @@
 //
 // An offer is written before it is published and is never rewritten while a
 // hold that could reach it is live. A reader walks the index under a read
-// hold (Hold), two atomic counters and no lock. Every keyed write — a first
-// export, an export by reference, an update through a place — fills an offer
-// with its values inline, and the offer it replaces joins its shard's free
-// list. A write rewrites the oldest offer on that list once every hold that
-// could have loaded it has been released, and allocates a new one only while
-// one might not have been (DESIGN.md §16).
+// hold (Hold), two atomic counters and no lock. Every offer is of one form:
+// every write — a first export, an export by reference or in a batch, an
+// update through a place — fills an offer with a copy of its values inline,
+// and the offer it replaces joins its shard's free list. A write rewrites the
+// oldest offer on that list once every hold that could have loaded it has been
+// released, and allocates a new one only while one might not have been
+// (DESIGN.md §16).
 package trading
 
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -47,19 +47,18 @@ import (
 	"integrade/internal/orb"
 )
 
-// shardsPerType is the number of copy-on-write shards per service type.
-// Offers are assigned to shards by a hash of their exporting reference, so a
-// write that changes which offers a shard holds rebuilds 1/shardsPerType of
-// the type's index instead of all of it, and updates for different nodes
-// proceed in parallel.
-const shardsPerType = 64
+// numShards is the number of copy-on-write shards. Offers are assigned to
+// shards by a hash of their exporting reference, so a write that changes which
+// offers a shard holds rebuilds 1/numShards of the index instead of all of it,
+// and updates for different nodes proceed in parallel.
+const numShards = 64
 
-// Offer is one advertised service: a type name, the exporting object, and
-// its properties. The properties are a record no holder can write to, so
-// copying an Offer copies everything a holder could change. Exporting one
-// copies the record's values into the trader's offer (ExportBatch shares
-// them), and Select and All return copies with records and values of their
-// own, so nothing the trader stores is reachable from what they return.
+// Offer is one advertised service: the exporting object and its properties.
+// The properties are a record no holder can write to, so copying an Offer
+// copies everything a holder could change. Exporting one copies the record's
+// values into the trader's offer, and Select and All return copies with
+// records and values of their own, so nothing the trader stores is reachable
+// from what they return.
 type Offer struct {
 	// Expires is the instant after which the offer is garbage; zero means
 	// no expiry. LRM offers carry an expiry so that crashed nodes age out
@@ -71,10 +70,14 @@ type Offer struct {
 	// offer index. Offers constructed by callers have seq 0; the export
 	// assigns the real one.
 	seq int
+	// _ holds a stored offer to the byte map the scan was measured on
+	// (DESIGN.md §16): the scan reads the first line of every offer, bytes
+	// 0–63 — the record header, Expires and seq — and its values from byte
+	// 136 on; Ref and Properties, bytes 80–135, only of a match.
+	_ [16]byte
 
-	ServiceType string
-	Ref         orb.ObjectRef
-	Properties  *constraint.Record
+	Ref        orb.ObjectRef
+	Properties *constraint.Record
 }
 
 // due reports whether the instant at — an offer's expiry, a snapshot's sweep
@@ -95,60 +98,43 @@ func earlier(a, b time.Time) time.Time {
 // expired reports whether the offer is past its expiry at now.
 func (o *Offer) expired(now time.Time) bool { return due(o.Expires, now) }
 
-// stored is an offer as the index holds it: the header of its property record
-// inline and first, the Offer behind it, Properties pointing at rec. A scan
-// that has loaded a slot has &st.rec without touching memory, so reaching a
-// property is two dependent loads — header, value — not three, and the Expires
-// and seq of a match are on the line the header came in on. The header is a
-// copy. The value array is the offer's own, right behind it, in one a keyed
-// write stored (updated), a copy apart in one whose values do not fit inline,
-// and the exporter's, shared, in one ExportBatch stored. Like the Offer inside
-// it, a stored is written before it is published and never rewritten while a
-// hold that could reach it is live: an updated one is rewritten, off its
-// shard's free list, only after its slot stopped pointing at it and every hold
-// that could have loaded it was released. It has no field for that: its layout
-// is what a scan reads.
+// stored is an offer as the index holds it, in one object: the header of its
+// property record inline and first, the Offer behind it, Properties pointing at
+// rec, and the record's values right behind them. A scan that has loaded a
+// slot has &st.rec without touching memory, so reaching a property is two
+// dependent loads — header, value — not three; the Expires and seq of a match
+// are on the line the header came in on, and the first value is 136 B on, not
+// in another object wherever the allocator put it. The header and the values
+// are copies of the exporter's. Like the Offer inside it, a stored is written
+// before it is published and never rewritten while a hold that could reach it
+// is live: it is rewritten, off its shard's free list, only after its slot
+// stopped pointing at it and every hold that could have loaded it was
+// released. It has no field for that: its layout is what a scan reads.
 type stored struct {
 	rec constraint.Record
 	Offer
-}
-
-// inlineValues is how many property values an updated offer holds in its own
-// allocation. A stored is 136 B and a value 32 B, so 19 of them make 744 B, in
-// Go's 768-B size class; a 20th would tip the offer into the 896-B class.
-// statusSchema's 19 values fit.
-const inlineValues = 19
-
-// updated is an offer a keyed write stored: the stored offer, its record header
-// inline, and the record's values right behind them, in one object. A scan
-// that reaches it finds the header and the first value 136 B apart, not in
-// two objects wherever the allocator put them.
-type updated struct {
-	stored
 	vals [inlineValues]constraint.Value
 }
 
-// noProperties stands in for a nil record, so that every stored rec is valid.
-var noProperties = constraint.NewSchema().Record(nil)
+// inlineValues is how many property values an offer holds. The header and the
+// Offer are 136 B and a value 32 B, so 19 of them make 744 B, in Go's 768-B
+// size class; a 20th would tip the offer into the 896-B class. statusSchema's
+// 19 values fit, and an export of more is a bug in the caller, and panics.
+const inlineValues = 19
 
-// newStored is the offer ExportBatch stores for o, sharing o's values.
-func newStored(o Offer) *stored {
-	st := &stored{rec: *noProperties, Offer: o}
-	if o.Properties != nil {
-		st.rec = *o.Properties
-	}
-	st.Properties = &st.rec
-	return st
-}
+// noProperties stands in for a nil record.
+var noProperties = constraint.NewSchema().Record(nil)
 
 // Seq returns the offer's export sequence number: unique within a Service and
 // ascending in the order Select and All return; zero until exported.
 func (o *Offer) Seq() int { return o.seq }
 
-// Query selects offers of a service type.
+// Query selects offers.
 type Query struct {
+	// ServiceType is ignored: the index holds one type. It is kept only
+	// because benchmark/ sets it.
 	ServiceType string
-	// Constraint filters offers; empty selects all of the type.
+	// Constraint filters offers; empty selects all.
 	Constraint string
 }
 
@@ -191,26 +177,23 @@ var emptySnap = &shardSnap{}
 
 // entry is one exporter's offer in a shard: its current offer and the slot it
 // sits in. A shard has at most one entry per exporting reference. An upsert
-// replaces st and keeps the entry; a withdrawal, or an expiry sweep, removes
-// the entry for good and sets slot to -1. Its fields are guarded by sh.mu.
-//
-// own is st when a keyed write filled it inline (nil otherwise): the offer
-// that joins the shard's free list when the entry's next upsert replaces it.
+// replaces st, which joins the shard's free list, and keeps the entry; a
+// withdrawal, or an expiry sweep, removes the entry for good, leaves its offer
+// to the collector and sets slot to -1. Its fields are guarded by sh.mu.
 type entry struct {
 	sh   *shard
 	st   *stored
 	slot int
-	own  *updated
 }
 
 // Place is an exporter's handle on its offer's entry, which Export returns and
-// Upsert and Withdraw take: the slot without a type-map lookup, a hash or a
-// probe of byRef. It stays valid across upserts until its offer is
-// withdrawn or swept as expired; then it is dead, and an export by reference
-// gives a new place. The zero Place is no place.
+// Upsert and Withdraw take: the slot without a hash or a probe of byRef. It
+// stays valid across upserts until its offer is withdrawn or swept as expired;
+// then it is dead, and an export by reference gives a new place. The zero
+// Place is no place.
 type Place struct{ e *entry }
 
-// shard is one slice of a service type's offer index.
+// shard is one slice of the offer index.
 type shard struct {
 	// mu serializes snapshot rebuilds and slot stores, and guards byRef and
 	// entries. Readers never take it: they load snap and the slots.
@@ -223,7 +206,7 @@ type shard struct {
 	// slot i. Mutated in place under mu; never read without it.
 	byRef   map[orb.ObjectRef]*entry
 	entries []*entry
-	// free is a ring of the inline offers upserts replaced, n of them from
+	// free is a ring of the offers upserts replaced, n of them from
 	// head on, oldest first, each with the epoch read after the store that
 	// unpublished it. They are appended under mu in store order, so their
 	// epochs never decrease and only the oldest need be checked (reuse). It
@@ -233,21 +216,15 @@ type shard struct {
 	head, n int
 }
 
-// retired is an inline offer an upsert replaced, and the epoch read just after
-// the store that unpublished it.
+// retired is an offer an upsert replaced, and the epoch read just after the
+// store that unpublished it.
 type retired struct {
-	u  *updated
+	st *stored
 	at uint64
 }
 
-// typeShards is one service type's shard set. The array is fixed at
-// construction; only the snapshots inside the shards change.
-type typeShards struct {
-	shards [shardsPerType]shard
-}
-
-// refShard maps an exporting reference to its shard index within a type:
-// FNV-1a over endpoint and key, written out so that it converts no string.
+// refShard maps an exporting reference to its shard index: FNV-1a over
+// endpoint and key, written out so that it converts no string.
 func refShard(ref orb.ObjectRef) int {
 	h := uint32(2166136261)
 	for _, s := range [...]string{ref.Endpoint.Net, ref.Endpoint.Addr, ref.Key} {
@@ -255,17 +232,17 @@ func refShard(ref orb.ObjectRef) int {
 			h = (h ^ uint32(s[i])) * 16777619
 		}
 	}
-	return int(h % shardsPerType)
+	return int(h % numShards)
 }
 
 // Service is the in-memory trader. Safe for concurrent use.
 //
-// Offers are indexed two ways: per-(type, ref-hash) shard snapshots holding
-// one slot per offer (the lock-free read path), and per-shard entries, one per
-// exporting reference, which places point at (the write path). Every offer
-// carries its export sequence number, which is unique, so a consumer that
-// wants export order sorts by it (scan) and one that brings its own order
-// never pays for it (DESIGN.md §16).
+// Offers are indexed two ways: shard snapshots holding one slot per offer
+// (the lock-free read path), and per-shard entries, one per exporting
+// reference, which places point at (the write path). Every offer carries its
+// export sequence number, which is unique, so a consumer that wants export
+// order sorts by it (scan) and one that brings its own order never pays for it
+// (DESIGN.md §16).
 type Service struct {
 	// seq is the global export sequence; atomic so concurrent exports on
 	// different shards never serialize on it.
@@ -281,15 +258,8 @@ type Service struct {
 	epoch atomic.Uint64
 	holds [2]atomic.Int64
 
-	// mu serializes growth of the types map, which is copy-on-write: writers
-	// copy the map, add the new type's shard set and swap; readers load it
-	// lock-free. Nothing else takes it.
-	//
-	//lint:guards types
-	mu    sync.Mutex
-	types atomic.Pointer[map[string]*typeShards]
-
-	now func() time.Time
+	now    func() time.Time
+	shards [numShards]shard
 }
 
 // NewService returns an empty trader. The now function drives offer expiry;
@@ -299,8 +269,10 @@ func NewService(now func() time.Time) *Service {
 		now = func() time.Time { return time.Time{} }
 	}
 	s := &Service{now: now}
-	types := make(map[string]*typeShards)
-	s.types.Store(&types)
+	for i := range s.shards {
+		s.shards[i].snap.Store(emptySnap)
+		s.shards[i].byRef = make(map[orb.ObjectRef]*entry)
+	}
 	return s
 }
 
@@ -353,79 +325,43 @@ func (s *Service) graceOver(t uint64) bool {
 	return e >= t+2
 }
 
-// typeIndex returns the shard set for a service type, or nil when the type
-// has never been exported. Lock-free.
-func (s *Service) typeIndex(serviceType string) *typeShards {
-	return (*s.types.Load())[serviceType]
-}
-
-// shardFor returns the shard an offer of the given type and exporter lives in.
-func (s *Service) shardFor(serviceType string, ref orb.ObjectRef) *shard {
-	ts := s.typeIndex(serviceType)
-	if ts == nil {
-		ts = s.addType(serviceType)
-	}
-	return &ts.shards[refShard(ref)]
-}
-
-// addType creates the shard set for a service type (one copy-on-write swap of
-// the types map) on first export of the type.
-//
-//lint:coldpath first export of a service type
-func (s *Service) addType(serviceType string) *typeShards {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.types.Load()
-	if ts := (*cur)[serviceType]; ts != nil {
-		return ts
-	}
-	ts := &typeShards{}
-	for i := range ts.shards {
-		ts.shards[i].snap.Store(emptySnap)
-		ts.shards[i].byRef = make(map[orb.ObjectRef]*entry)
-	}
-	next := make(map[string]*typeShards, len(*cur)+1)
-	for k, v := range *cur {
-		next[k] = v
-	}
-	next[serviceType] = ts
-	s.types.Store(&next)
-	return ts
-}
-
-// Export upserts the offer of (serviceType, ref) — a shard holds one offer per
-// exporting reference — with the given expiry and properties, values[i] being
-// the schema's i-th, and returns its place, through which the exporter's later
+// Export upserts the offer of ref — a shard holds one offer per exporting
+// reference — with the given expiry and properties, values[i] being the
+// schema's i-th, and returns its place, through which the exporter's later
 // upserts and its withdrawal go. It copies values into the offer, as Upsert
 // does, so the caller keeps the array and may reuse it once Export returns.
+// More than inlineValues values is a bug in the caller, and panics.
 //
 //lint:hotpath alloc=0 locks=1 block=0
-func (s *Service) Export(serviceType string, ref orb.ObjectRef, expires time.Time, schema *constraint.Schema, values []constraint.Value) (Place, error) {
-	if serviceType == "" {
-		return Place{}, fmt.Errorf("trading: offer without service type") //lint:alloc error slow path
-	}
-	return Place{s.upsert(s.shardFor(serviceType, ref), nil, serviceType, ref, expires, schema, values)}, nil
+func (s *Service) Export(ref orb.ObjectRef, expires time.Time, schema *constraint.Schema, values []constraint.Value) Place {
+	e, _ := s.upsert(&s.shards[refShard(ref)], nil, ref, expires, schema, values)
+	s.version.Add(1)
+	return Place{e}
 }
 
-// ExportKeyed is Export of o: its type, reference and expiry, and a copy of its
-// properties' values, so o's record stays the caller's. The GRM exports through
-// Export; ExportKeyed is kept for benchmark/ and for tests that build offers
-// whole.
+// ExportKeyed is Export of o: its reference and expiry, and a copy of its
+// properties' values, so o's record stays the caller's. Its error is always
+// nil. The GRM exports through Export; ExportKeyed is kept for benchmark/ and
+// for tests that build offers whole.
 //
 //lint:hotpath alloc=0 locks=1 block=0
 func (s *Service) ExportKeyed(o Offer) (Place, error) {
-	r := o.Properties
+	schema, values := parts(o.Properties)
+	return s.Export(o.Ref, o.Expires, schema, values), nil
+}
+
+// parts is a record's schema and values, a nil record's none.
+func parts(r *constraint.Record) (*constraint.Schema, []constraint.Value) {
 	if r == nil {
 		r = noProperties
 	}
-	schema, values := r.Parts()
-	return s.Export(o.ServiceType, o.Ref, o.Expires, schema, values)
+	return r.Parts()
 }
 
-// Upsert makes the offer at place p one of p's type and reference with the
-// given expiry and properties, values[i] being the schema's i-th, as Export
-// would for p's reference, without finding the reference: it locks p's shard
-// and stores into p's slot. It copies values into the offer, which holds them
+// Upsert makes the offer at place p one of p's reference with the given
+// expiry and properties, values[i] being the schema's i-th, as Export would
+// for p's reference, without finding the reference: it locks p's shard and
+// stores into p's slot. It copies values into the offer, which holds them
 // beside its record header, so the caller keeps the array and may reuse it
 // once Upsert returns. Upsert reports false, and changes nothing, when p is
 // dead or the zero Place: it never re-adds an offer.
@@ -435,57 +371,49 @@ func (s *Service) Upsert(p Place, expires time.Time, schema *constraint.Schema, 
 	if p.e == nil {
 		return false
 	}
-	return s.upsert(p.e.sh, p.e, "", orb.ObjectRef{}, expires, schema, values) != nil
-}
-
-// storedApart is an offer whose values do not fit inline: the stored offer and
-// a copy of the values, apart.
-//
-//lint:coldpath a record longer than inlineValues
-func storedApart(expires time.Time, schema *constraint.Schema, values []constraint.Value) *stored {
-	st := &stored{rec: schema.Header(slices.Clone(values))}
-	st.Expires, st.Properties = expires, &st.rec
-	return st
-}
-
-// fill writes u as an offer of the given expiry and values, copied inline,
-// and returns it as the stored offer to publish.
-func (u *updated) fill(expires time.Time, schema *constraint.Schema, values []constraint.Value) *stored {
-	n := copy(u.vals[:], values)
-	clear(u.vals[n:])
-	u.rec = schema.Header(u.vals[:n])
-	u.Expires, u.Properties = expires, &u.rec
-	return &u.stored
-}
-
-// reuse takes the offer a write into sh is to fill inline: the oldest offer on
-// the shard's free list once no hold can reach it, and a new one while one
-// might. The caller holds sh.mu.
-func (s *Service) reuse(sh *shard) *updated {
-	if sh.n == 0 || !s.graceOver(sh.free[sh.head].at) {
-		return newUpdated()
+	if e, _ := s.upsert(p.e.sh, p.e, orb.ObjectRef{}, expires, schema, values); e == nil {
+		return false
 	}
-	u := sh.free[sh.head].u
+	s.version.Add(1)
+	return true
+}
+
+// fill writes st as an offer of the given expiry and values, copied inline.
+func (st *stored) fill(expires time.Time, schema *constraint.Schema, values []constraint.Value) {
+	n := copy(st.vals[:], values)
+	clear(st.vals[n:])
+	st.rec = schema.Header(st.vals[:n])
+	st.Expires, st.Properties = expires, &st.rec
+}
+
+// reuse takes the offer a write into sh is to fill: the oldest offer on the
+// shard's free list once no hold can reach it, and a new one while one might.
+// The caller holds sh.mu.
+func (s *Service) reuse(sh *shard) *stored {
+	if sh.n == 0 || !s.graceOver(sh.free[sh.head].at) {
+		return newOffer()
+	}
+	st := sh.free[sh.head].st
 	sh.free[sh.head] = retired{}
 	if sh.head++; sh.head == len(sh.free) {
 		sh.head = 0
 	}
 	sh.n--
-	return u
+	return st
 }
 
-// newUpdated is the offer a write fills when its shard has no retired offer it
+// newOffer is the offer a write fills when its shard has no retired offer it
 // may rewrite: its free list is empty, as while its fleet registers, or a live
 // hold could still reach the oldest offer on it.
 //
 //lint:coldpath no retired offer may be rewritten yet
-func newUpdated() *updated { return new(updated) }
+func newOffer() *stored { return new(stored) }
 
-// retire appends u, which the caller's store has just unpublished, to the
+// retire appends st, which the caller's store has just unpublished, to the
 // shard's free list, at the epoch read after that store. With as many retired
-// offers as the shard has entries u is left to the collector instead. The
+// offers as the shard has entries st is left to the collector instead. The
 // caller holds sh.mu.
-func (s *Service) retire(sh *shard, u *updated) {
+func (s *Service) retire(sh *shard, st *stored) {
 	if sh.n >= len(sh.entries) {
 		return
 	}
@@ -496,7 +424,7 @@ func (s *Service) retire(sh *shard, u *updated) {
 	if i >= len(sh.free) {
 		i -= len(sh.free)
 	}
-	sh.free[i] = retired{u, s.epoch.Load()}
+	sh.free[i] = retired{st, s.epoch.Load()}
 	sh.n++
 }
 
@@ -511,23 +439,26 @@ func (sh *shard) growFree() {
 	sh.free, sh.head = next, 0
 }
 
-// upsert is the one write section of Export and Upsert. With e nil it writes
-// the offer of ref's entry, adding the entry on the reference's first export;
-// otherwise e's, unless e is dead. It fills the offer with the expiry and the
-// values — inline, into an offer reuse takes, or apart — and returns the entry,
-// or nil, storing nothing, when e is dead. The offer takes the type and
-// reference of the entry's current one, and serviceType and ref on a first
-// export.
+// upsert is the one write section of Export, Upsert and ExportBatch. With e
+// nil it writes the offer of ref's entry, adding the entry on the reference's
+// first export; otherwise e's, unless e is dead. It fills an offer reuse takes
+// with the expiry and the values and returns the entry and the offer's seq, or
+// a nil entry, storing nothing, when e is dead. The offer takes the reference
+// of the entry's current one, and ref on a first export. The caller advances
+// the version.
 //
 // When nothing in the shard can have expired (now is short of sweepAt) and the
 // offer's expiry keeps sweepAt a lower bound, upsert stores it into the entry's
 // slot, or appends a reference's first offer past the snapshot's end;
 // otherwise — an expiry to compact, a lower bound — it rebuilds the shard. The
 // seq is drawn under the shard mutex, so a reference's offers are numbered in
-// the order they replace each other. The inline offer it replaces, in no slot
-// any more, joins the shard's free list, retired at the epoch read after the
+// the order they replace each other. The offer it replaces, in no slot any
+// more, joins the shard's free list, retired at the epoch read after the
 // store. All of it is one section under the shard mutex.
-func (s *Service) upsert(sh *shard, e *entry, serviceType string, ref orb.ObjectRef, expires time.Time, schema *constraint.Schema, values []constraint.Value) *entry {
+func (s *Service) upsert(sh *shard, e *entry, ref orb.ObjectRef, expires time.Time, schema *constraint.Schema, values []constraint.Value) (*entry, int) {
+	if len(values) > inlineValues {
+		panic("trading: an offer of more than inlineValues properties")
+	}
 	now := s.now()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -537,23 +468,17 @@ func (s *Service) upsert(sh *shard, e *entry, serviceType string, ref orb.Object
 			e = sh.adopt(ref)
 		}
 	case e.slot < 0:
-		return nil
+		return nil, 0
 	}
-	var st *stored
-	var own *updated
-	if len(values) > inlineValues {
-		st = storedApart(expires, schema, values)
-	} else {
-		own = s.reuse(sh)
-		st = own.fill(expires, schema, values)
+	st := s.reuse(sh)
+	st.fill(expires, schema, values)
+	old := e.st
+	if old != nil {
+		ref = old.Ref
 	}
-	if e.st != nil {
-		serviceType, ref = e.st.ServiceType, e.st.Ref
-	}
-	st.ServiceType, st.Ref = serviceType, ref
+	st.Ref = ref
 	st.seq = int(s.seq.Add(1))
-	old := e.own
-	e.st, e.own = st, own
+	e.st = st
 	cur := sh.snap.Load()
 	switch {
 	case due(cur.sweepAt, now) || !earlier(cur.sweepAt, st.Expires).Equal(cur.sweepAt):
@@ -563,53 +488,21 @@ func (s *Service) upsert(sh *shard, e *entry, serviceType string, ref orb.Object
 	default:
 		sh.snap.Store(sh.appended(cur, now, e))
 	}
-	s.version.Add(1)
 	if old != nil && e.slot >= 0 {
 		s.retire(sh, old)
 	}
-	return e
+	return e, st.seq
 }
 
-// ExportBatch is ExportKeyed in bulk: it upserts many offers, rebuilding each
-// touched shard once, and returns their export sequence numbers. A later offer
-// for a ref replaces an earlier one, in the index or in the batch. The whole
-// batch is one version step and takes one contiguous block of seqs.
+// ExportBatch is ExportKeyed in bulk: it upserts many offers, in order, and
+// returns their export sequence numbers; its error is always nil. A later
+// offer for a ref replaces an earlier one, in the index or in the batch. The
+// whole batch is one version step.
 func (s *Service) ExportBatch(offers []Offer) ([]int, error) {
-	for i := range offers {
-		if offers[i].ServiceType == "" {
-			return nil, fmt.Errorf("trading: offer %d without service type", i)
-		}
-	}
-	// The batch takes one contiguous block of sequence numbers, handed out
-	// in submission order, so All returns a batch in the order it was given.
-	// The block is reserved before any shard is locked, so a concurrent export
-	// may publish a later number first; nothing rests on the order of slots.
-	base := int(s.seq.Add(int64(len(offers)))) - len(offers)
 	seqs := make([]int, len(offers))
-	buckets := make(map[*shard][]*stored)
-	var order []*shard
-	for i := range offers {
-		st := newStored(offers[i])
-		st.seq = base + i + 1
-		seqs[i] = st.seq
-		sh := s.shardFor(st.ServiceType, st.Ref)
-		if _, seen := buckets[sh]; !seen {
-			order = append(order, sh)
-		}
-		buckets[sh] = append(buckets[sh], st)
-	}
-	now := s.now()
-	for _, sh := range order {
-		sh.mu.Lock()
-		for _, st := range buckets[sh] {
-			e := sh.byRef[st.Ref]
-			if e == nil {
-				e = sh.adopt(st.Ref)
-			}
-			e.st, e.own = st, nil
-		}
-		sh.snap.Store(sh.rebuilt(sh.snap.Load(), now, nil))
-		sh.mu.Unlock()
+	for i, o := range offers {
+		schema, values := parts(o.Properties)
+		_, seqs[i] = s.upsert(&s.shards[refShard(o.Ref)], nil, o.Ref, o.Expires, schema, values)
 	}
 	s.version.Add(1)
 	return seqs, nil
@@ -664,7 +557,7 @@ func (sh *shard) rebuilt(cur *shardSnap, now time.Time, drop *entry) *shardSnap 
 	for _, e := range sh.entries {
 		if e == drop || sweep && e.st.expired(now) {
 			delete(sh.byRef, e.st.Ref)
-			e.slot, e.own = -1, nil
+			e.slot = -1
 			continue
 		}
 		e.slot = len(kept)
@@ -696,30 +589,15 @@ func (s *Service) Withdraw(p Place) bool {
 	return true
 }
 
-// Count returns the number of live offers of the given type ("" for all).
-func (s *Service) Count(serviceType string) int {
+// Count returns the number of live offers: a shard's slot count while its
+// sweep bound is ahead of now, and a walk of the shard only once it is not.
+func (s *Service) Count() int {
 	h := s.Hold()
 	defer h.Release()
 	now := s.now()
-	if serviceType != "" {
-		return s.typeIndex(serviceType).count(now)
-	}
-	total := 0
-	for _, ts := range *s.types.Load() {
-		total += ts.count(now)
-	}
-	return total
-}
-
-// count is the number of live offers: a shard's slot count while its sweep
-// bound is ahead of now, and a walk of the shard only once it is not.
-func (ts *typeShards) count(now time.Time) int {
-	if ts == nil {
-		return 0
-	}
 	n := 0
-	for i := range ts.shards {
-		snap := ts.shards[i].snap.Load()
+	for i := range s.shards {
+		snap := s.shards[i].snap.Load()
 		n += len(snap.slots)
 		if due(snap.sweepAt, now) {
 			for j := range snap.slots {
@@ -732,24 +610,15 @@ func (ts *typeShards) count(now time.Time) int {
 	return n
 }
 
-// All returns every live offer of the given type ("" for all types) in
-// export-sequence order — a deterministic snapshot for failover checks and
-// observability, bypassing constraint evaluation. The offers are the caller's,
-// as Select's are.
-func (s *Service) All(serviceType string) []Offer {
-	tm := *s.types.Load()
-	types := []string{serviceType}
-	if serviceType == "" {
-		types = slices.Sorted(maps.Keys(tm))
-	}
+// All returns every live offer in export-sequence order — a deterministic
+// snapshot for failover checks and observability, bypassing constraint
+// evaluation. The offers are the caller's, as Select's are. Its parameter is
+// ignored: the index holds one type. It is kept only because benchmark/
+// passes one.
+func (s *Service) All(string) []Offer {
 	h := s.Hold()
 	defer h.Release()
-	now := s.now()
-	var matched []*Offer
-	for _, t := range types {
-		matched = append(matched, tm[t].scan(nil, now)...)
-	}
-	return owned(matched)
+	return owned(s.scan(nil, s.now()))
 }
 
 // owned copies offers out of the index, property records and values included,
@@ -776,7 +645,7 @@ func owned(offers []*Offer) []Offer {
 }
 
 // visitSet is the one walk of the index every query is built on: it calls fn
-// once for each of the type's live offers that satisfy at least one of cons,
+// once for each live offer that satisfies at least one of cons,
 // with bit c of met set when the offer satisfies cons[c] (nil: every offer
 // does), in no order a caller may rely on. A constraint whose bit is in skip
 // matches nothing, and an offer whose constraint evaluation errors does not
@@ -791,8 +660,8 @@ func owned(offers []*Offer) []Offer {
 // every constraint in turn, the first filter having brought them into cache
 // for the rest; with one constraint its filter's matches are the yield, met 1,
 // with no copy of the live list and no mask to gather.
-func (ts *typeShards) visitSet(cons []*constraint.Expr, skip uint64, now time.Time, fn func(o *Offer, met uint64)) {
-	if ts == nil || skip == 1<<len(cons)-1 {
+func (s *Service) visitSet(cons []*constraint.Expr, skip uint64, now time.Time, fn func(o *Offer, met uint64)) {
+	if skip == 1<<len(cons)-1 {
 		return
 	}
 	var (
@@ -802,8 +671,8 @@ func (ts *typeShards) visitSet(cons []*constraint.Expr, skip uint64, now time.Ti
 		sel  [constraint.BlockSize]uint8
 		met  [constraint.BlockSize]uint64
 	)
-	for i := range ts.shards {
-		snap := ts.shards[i].snap.Load()
+	for i := range s.shards {
+		snap := s.shards[i].snap.Load()
 		sweep := due(snap.sweepAt, now)
 		for slots := snap.slots; len(slots) > 0; {
 			block := slots[:min(len(slots), constraint.BlockSize)]
@@ -857,17 +726,14 @@ func (ts *typeShards) visitSet(cons []*constraint.Expr, skip uint64, now time.Ti
 
 // scan returns what visitSet yields for cons alone, in ascending seq: global
 // export order.
-func (ts *typeShards) scan(cons *constraint.Expr, now time.Time) []*Offer {
-	if ts == nil {
-		return nil
-	}
+func (s *Service) scan(cons *constraint.Expr, now time.Time) []*Offer {
 	total := 0
-	for i := range ts.shards {
-		total += len(ts.shards[i].snap.Load().slots)
+	for i := range s.shards {
+		total += len(s.shards[i].snap.Load().slots)
 	}
 	matched := make([]*Offer, 0, total)
 	one := [1]*constraint.Expr{cons}
-	ts.visitSet(one[:], 0, now, func(o *Offer, _ uint64) { //lint:alloc visitSet only calls it: it stays on the stack
+	s.visitSet(one[:], 0, now, func(o *Offer, _ uint64) { //lint:alloc visitSet only calls it: it stays on the stack
 		matched = append(matched, o) //lint:alloc presized: grows only if a shard gained offers since the count
 	})
 	slices.SortFunc(matched, func(a, b *Offer) int { return cmp.Compare(a.seq, b.seq) })
@@ -891,9 +757,8 @@ func compile(what, src string) (*constraint.Expr, error) {
 // the mask it reports.
 const MaxVisitSet = 64
 
-// VisitMatchSet calls fn once for every live offer of the service type that
-// satisfies at least one of up to MaxVisitSet constraints ("" for all of the
-// type), with bit c of met set when the offer satisfies cons[c], in one walk
+// VisitMatchSet calls fn once for every live offer that satisfies at least one
+// of up to MaxVisitSet constraints ("" for all), with bit c of met set when the offer satisfies cons[c], in one walk
 // straight off the shard snapshots: nothing is collected, sorted or copied.
 // Each offer arrives once, in no order a caller may rely on — sort by Seq, or
 // use Select, which copies, for export order. Against concurrent updates a
@@ -907,7 +772,7 @@ const MaxVisitSet = 64
 // panics.
 //
 //lint:hotpath alloc=0 locks=2 block=0
-func (s *Service) VisitMatchSet(serviceType string, cons []string, fn func(o *Offer, met uint64)) (bad uint64) {
+func (s *Service) VisitMatchSet(cons []string, fn func(o *Offer, met uint64)) (bad uint64) {
 	if len(cons) > MaxVisitSet {
 		panic("trading: VisitMatchSet over more than MaxVisitSet constraints")
 	}
@@ -921,11 +786,12 @@ func (s *Service) VisitMatchSet(serviceType string, cons []string, fn func(o *Of
 	}
 	h := s.Hold()
 	defer h.Release()
-	s.typeIndex(serviceType).visitSet(exprs[:len(cons)], bad, s.now(), fn)
+	s.visitSet(exprs[:len(cons)], bad, s.now(), fn)
 	return bad
 }
 
-// Select evaluates a query, returning the matching offers in export order. The
+// Select evaluates a query, returning the matching offers in export order;
+// q.ServiceType is ignored. The
 // offers are the caller's: the walk copies them out of the index, property
 // records and values included, before it releases its hold, so no later write
 // to the index changes them and the caller may keep and change them as it
@@ -948,7 +814,7 @@ func (s *Service) Select(q Query) ([]Offer, error) {
 	}
 	h := s.Hold()
 	defer h.Release()
-	return owned(s.typeIndex(q.ServiceType).scan(cons, s.now())), nil
+	return owned(s.scan(cons, s.now())), nil
 }
 
 // SelectShared is Select. It is kept only because benchmark/, which a change

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"integrade/internal/constraint"
 	"integrade/internal/orb"
@@ -19,8 +20,7 @@ func nodeRef(i int) orb.ObjectRef {
 
 func nodeOffer(i int, mips, ram float64) Offer {
 	return Offer{
-		ServiceType: "NodeStatus",
-		Ref:         nodeRef(i),
+		Ref: nodeRef(i),
 		Properties: constraint.Properties{
 			"mips": constraint.Number(mips),
 			"ram":  constraint.Number(ram),
@@ -57,11 +57,8 @@ func TestExportSelectWithdraw(t *testing.T) {
 	if _, err := s.ExportKeyed(nodeOffer(2, 400, 256)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ExportKeyed(Offer{}); err == nil {
-		t.Fatal("typeless offer accepted")
-	}
 
-	offers, err := s.Select(Query{ServiceType: "NodeStatus", Constraint: "mips >= 500"})
+	offers, err := s.Select(Query{Constraint: "mips >= 500"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +71,7 @@ func TestExportSelectWithdraw(t *testing.T) {
 	if s.Withdraw(one) {
 		t.Fatal("a second Withdraw through the same place removed something")
 	}
-	offers, _ = s.Select(Query{ServiceType: "NodeStatus"})
+	offers, _ = s.Select(Query{})
 	if len(offers) != 1 || offers[0].Ref != nodeRef(2) {
 		t.Fatalf("after withdraw = %v", offers)
 	}
@@ -86,7 +83,7 @@ func TestSelectMissingPropertyFailsConstraintNotQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Offer without "gpu": constraint referencing gpu simply doesn't match.
-	offers, err := s.Select(Query{ServiceType: "NodeStatus", Constraint: "gpu >= 1"})
+	offers, err := s.Select(Query{Constraint: "gpu >= 1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +95,7 @@ func TestSelectMissingPropertyFailsConstraintNotQuery(t *testing.T) {
 func TestSelectBadExpressions(t *testing.T) {
 	s := NewService(nil)
 	for _, src := range []string{"(((", "mips >="} {
-		if _, err := s.Select(Query{ServiceType: "T", Constraint: src}); err == nil {
+		if _, err := s.Select(Query{Constraint: src}); err == nil {
 			t.Fatalf("bad constraint %q accepted", src)
 		}
 	}
@@ -118,18 +115,18 @@ func TestExportKeyedUpserts(t *testing.T) {
 	if err != nil || second != first {
 		t.Fatalf("the second export = %v, %v; want the first's place %v", second, err, first)
 	}
-	if got := s.Count("NodeStatus"); got != 1 {
+	if got := s.Count(); got != 1 {
 		t.Fatalf("Count = %d, want 1 (upsert)", got)
 	}
-	offers, _ := s.Select(Query{ServiceType: "NodeStatus"})
+	offers, _ := s.Select(Query{})
 	mips, _ := offers[0].Properties.Get("mips").AsNumber()
 	if mips != 999 || offers[0].Seq() != second.e.st.seq || second.e.st.seq <= firstSeq {
 		t.Fatalf("upserted mips = %v, seq %d; exports numbered %d then %d", mips, offers[0].Seq(), firstSeq, second.e.st.seq)
 	}
-	if !upsertOffer(s, first, nodeOffer(1, 42, 512)) || s.Count("NodeStatus") != 1 {
-		t.Fatalf("an upsert through the place failed or added an offer: Count = %d", s.Count("NodeStatus"))
+	if !upsertOffer(s, first, nodeOffer(1, 42, 512)) || s.Count() != 1 {
+		t.Fatalf("an upsert through the place failed or added an offer: Count = %d", s.Count())
 	}
-	if offers, _ := s.Select(Query{ServiceType: "NodeStatus", Constraint: "mips == 42"}); len(offers) != 1 {
+	if offers, _ := s.Select(Query{Constraint: "mips == 42"}); len(offers) != 1 {
 		t.Fatalf("after the upsert through the place %d offers have its mips", len(offers))
 	}
 	assertIndexConsistent(t, s)
@@ -145,55 +142,111 @@ func wideRecord(n int, base float64) (*constraint.Schema, []constraint.Value) {
 	return constraint.NewSchema(names...), values
 }
 
-// TestUpsertCopiesValues: Upsert takes its offer's type and reference from the
-// place and copies the values into the offer — inline for a record that fits
-// inlineValues, apart for a longer one — so a caller that rewrites its value
+// TestUpsertCopiesValues: Upsert takes its offer's reference from the place
+// and copies the values into the offer, so a caller that rewrites its value
 // array after Upsert returns, as the GRM's stack array is rewritten by the
 // next update, leaves the stored offer as it was.
 func TestUpsertCopiesValues(t *testing.T) {
-	for _, n := range []int{inlineValues, inlineValues + 1} {
-		s := NewService(nil)
-		schema, values := wideRecord(n, 0)
-		p, err := s.ExportKeyed(Offer{ServiceType: "Wide", Ref: nodeRef(1), Properties: schema.Record(values)})
-		if err != nil {
-			t.Fatal(err)
+	s := NewService(nil)
+	schema, values := wideRecord(inlineValues, 0)
+	p, err := s.ExportKeyed(Offer{Ref: nodeRef(1), Properties: schema.Record(values)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, values = wideRecord(inlineValues, 100)
+	expires := time.Unix(2000, 0)
+	if !s.Upsert(p, expires, schema, values) {
+		t.Fatal("an upsert through a live place was dropped")
+	}
+	for i := range values {
+		values[i] = constraint.Number(-1)
+	}
+	got := s.All("")
+	if len(got) != 1 || got[0].Ref != nodeRef(1) || !got[0].Expires.Equal(expires) {
+		t.Fatalf("the index holds %+v, want one offer of node 1 expiring at %v", got, expires)
+	}
+	i := 0
+	for name, v := range got[0].Properties.All() {
+		if want := fmt.Sprintf("p%02d", i); name != want || v != constraint.Number(100+float64(i)) {
+			t.Fatalf("property %d is %s = %v, want %s = %d: the trader aliases the caller's array", i, name, v, want, 100+i)
 		}
-		_, values = wideRecord(n, 100)
-		expires := time.Unix(2000, 0)
-		if !s.Upsert(p, expires, schema, values) {
-			t.Fatalf("%d values: an upsert through a live place was dropped", n)
+		i++
+	}
+	if i != inlineValues {
+		t.Fatalf("the stored offer has %d values, want %d", i, inlineValues)
+	}
+}
+
+// TestWideRecordPanics: an offer holds at most inlineValues values, and a
+// write of more is a bug in its caller. Each write path panics on one before
+// it changes anything: the index, its version and the offer already there read
+// as they did.
+func TestWideRecordPanics(t *testing.T) {
+	s := NewService(nil)
+	schema, values := wideRecord(inlineValues, 0)
+	p := s.Export(nodeRef(1), time.Time{}, schema, values)
+	wide, wideValues := wideRecord(inlineValues+1, 0)
+	v := s.Version()
+	for _, write := range []struct {
+		name string
+		op   func()
+	}{
+		{"Export", func() { s.Export(nodeRef(2), time.Time{}, wide, wideValues) }},
+		{"ExportKeyed", func() { _, _ = s.ExportKeyed(Offer{Ref: nodeRef(1), Properties: wide.Record(wideValues)}) }},
+		{"ExportBatch", func() { _, _ = s.ExportBatch([]Offer{{Ref: nodeRef(3), Properties: wide.Record(wideValues)}}) }},
+		{"Upsert", func() { s.Upsert(p, time.Time{}, wide, wideValues) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of %d values did not panic", write.name, inlineValues+1)
+				}
+			}()
+			write.op()
+		}()
+	}
+	if all := s.All(""); s.Version() != v || len(all) != 1 || all[0].Properties.Len() != inlineValues {
+		t.Fatalf("after the panics the version moved %d -> %d and the index holds %d offers", v, s.Version(), len(all))
+	}
+	assertIndexConsistent(t, s)
+}
+
+// TestStoredLayout pins the byte map of a stored offer that DESIGN.md §16
+// describes and the scan was tuned on: the record header first, Expires and
+// seq behind it on the same 64-B line, and the values from byte 136 on.
+func TestStoredLayout(t *testing.T) {
+	var st stored
+	for _, f := range []struct {
+		name     string
+		off, end uintptr
+	}{
+		{"rec", unsafe.Offsetof(st.rec), unsafe.Offsetof(st.rec) + unsafe.Sizeof(st.rec)},
+		{"Expires", unsafe.Offsetof(st.Expires), unsafe.Offsetof(st.Expires) + unsafe.Sizeof(st.Expires)},
+		{"seq", unsafe.Offsetof(st.seq), unsafe.Offsetof(st.seq) + unsafe.Sizeof(st.seq)},
+	} {
+		if f.end > 64 {
+			t.Errorf("%s spans bytes %d–%d of a stored offer, past its first 64", f.name, f.off, f.end-1)
 		}
-		for i := range values {
-			values[i] = constraint.Number(-1)
-		}
-		got := s.All("Wide")
-		if len(got) != 1 || got[0].ServiceType != "Wide" || got[0].Ref != nodeRef(1) || !got[0].Expires.Equal(expires) {
-			t.Fatalf("%d values: the index holds %+v, want one Wide offer of node 1 expiring at %v", n, got, expires)
-		}
-		i := 0
-		for name, v := range got[0].Properties.All() {
-			if want := fmt.Sprintf("p%02d", i); name != want || v != constraint.Number(100+float64(i)) {
-				t.Fatalf("%d values: property %d is %s = %v, want %s = %d: the trader aliases the caller's array", n, i, name, v, want, 100+i)
-			}
-			i++
-		}
-		if i != n {
-			t.Fatalf("%d values: the stored offer has %d", n, i)
-		}
+	}
+	if off := unsafe.Offsetof(st.rec); off != 0 {
+		t.Errorf("the record header is at byte %d, want 0", off)
+	}
+	if off := unsafe.Offsetof(st.vals); off != 136 {
+		t.Errorf("the values are at byte %d, want 136", off)
 	}
 }
 
 // TestUpsertFitsSizeClass is the size-class rule of inlineValues: an upsert of
 // statusSchema's 19 values allocates one object of at most 768 B. A 20th
 // inline value, or a new field of stored, tips it into the 896-B class and
-// fails here; so does a capacity below 19, which stores the values apart. The
+// fails here; so does a capacity below 19, on which the upsert panics. The
 // upserts run under a Hold, so that each allocates its offer instead of
 // rewriting a retired one.
 func TestUpsertFitsSizeClass(t *testing.T) {
 	const updates, sizeClass, below = 100, 768, 640
 	s := NewService(nil)
 	schema, values := wideRecord(19, 0)
-	p, err := s.ExportKeyed(Offer{ServiceType: "Wide", Ref: nodeRef(1), Properties: schema.Record(values)})
+	p, err := s.ExportKeyed(Offer{Ref: nodeRef(1), Properties: schema.Record(values)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +274,7 @@ func TestWithdraw(t *testing.T) {
 	if _, err := s.ExportBatch([]Offer{seven, seven, seven}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Count("NodeStatus"); got != 1 {
+	if got := s.Count(); got != 1 {
 		t.Fatalf("a batch of three offers for one ref left %d, want the last", got)
 	}
 	p, err := s.ExportKeyed(seven)
@@ -238,7 +291,7 @@ func TestWithdraw(t *testing.T) {
 	if s.Withdraw(p) || upsertOffer(s, p, seven) || s.Withdraw(Place{}) || upsertOffer(s, Place{}, seven) || s.Version() != v {
 		t.Fatal("a dead or zero place wrote to the index")
 	}
-	if got := s.Count("NodeStatus"); got != 1 || s.All("NodeStatus")[0].Ref != nodeRef(8) {
+	if got := s.Count(); got != 1 || s.All("")[0].Ref != nodeRef(8) {
 		t.Fatalf("Count = %d after the withdrawal, want node 8's offer only", got)
 	}
 	if again, err := s.ExportKeyed(seven); err != nil || again == p || !upsertOffer(s, again, seven) {
@@ -256,18 +309,18 @@ func TestOfferExpiry(t *testing.T) {
 	if _, err := s.ExportKeyed(o); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Count("NodeStatus"); got != 1 {
+	if got := s.Count(); got != 1 {
 		t.Fatalf("Count before expiry = %d", got)
 	}
 	now = now.Add(31 * time.Second)
-	offers, err := s.Select(Query{ServiceType: "NodeStatus"})
+	offers, err := s.Select(Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(offers) != 0 {
 		t.Fatal("expired offer still selectable")
 	}
-	if got := s.Count("NodeStatus"); got != 0 {
+	if got := s.Count(); got != 0 {
 		t.Fatalf("Count after expiry = %d", got)
 	}
 }
@@ -279,8 +332,8 @@ func TestSelectDeterministicOrderWithoutPreference(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	a, _ := s.Select(Query{ServiceType: "NodeStatus"})
-	b, _ := s.Select(Query{ServiceType: "NodeStatus"})
+	a, _ := s.Select(Query{})
+	b, _ := s.Select(Query{})
 	for i := range a {
 		if a[i].Seq() != b[i].Seq() {
 			t.Fatal("Select order not deterministic")
@@ -294,20 +347,22 @@ func TestSelectDeterministicOrderWithoutPreference(t *testing.T) {
 	}
 }
 
+// TestCountAllTypes: the index holds one service type, so Count counts every
+// live offer, and All returns every one whatever type it is asked for — its
+// parameter is kept only for benchmark/.
 func TestCountAllTypes(t *testing.T) {
 	s := NewService(nil)
-	if _, err := s.ExportKeyed(nodeOffer(1, 1, 1)); err != nil {
-		t.Fatal(err)
+	for i := 1; i <= 2; i++ {
+		if _, err := s.ExportKeyed(nodeOffer(i, 1, 1)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	other := nodeOffer(2, 1, 1)
-	other.ServiceType = "Printer"
-	if _, err := s.ExportKeyed(other); err != nil {
-		t.Fatal(err)
+	if got := s.Count(); got != 2 {
+		t.Fatalf("Count = %d, want 2", got)
 	}
-	if got := s.Count(""); got != 2 {
-		t.Fatalf("Count(all) = %d", got)
-	}
-	if got := s.Count("Printer"); got != 1 {
-		t.Fatalf("Count(Printer) = %d", got)
+	for _, typ := range []string{"", "NodeStatus", "Printer"} {
+		if got := s.All(typ); len(got) != 2 || got[0].Ref != nodeRef(1) || got[1].Ref != nodeRef(2) {
+			t.Fatalf("All(%q) = %v, want both offers", typ, got)
+		}
 	}
 }
