@@ -1,8 +1,8 @@
 // Command integrade-asct is the Application Submission and Control Tool
 // CLI: it submits applications to a cluster manager and monitors their
-// progress, per the paper's ASCT.
-//
-// Usage:
+// progress, per the paper's ASCT. -grm may name any member of a replica set:
+// one that does not lead refuses a submit or cancel with a forward naming the
+// leader, which the tool follows once.
 //
 //	integrade-asct -grm 127.0.0.1:7000 submit -name render -kind bsp \
 //	    -tasks 8 -work 6e8 -mips 500 -ram 64 -watch

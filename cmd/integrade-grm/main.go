@@ -8,12 +8,12 @@
 //
 //	integrade-grm -listen :7000 -cluster ime -policy usage-aware
 //
-// Resource-provider agents (integrade-lrm) then point at this address, and
-// integrade-asct submits applications to it.
-//
+// Agents (integrade-lrm) point at this address; integrade-asct submits to it.
 // To survive the loss of a manager, run a consensus replica set: an elected
-// leader, quorum-acknowledged replication and fencing epochs. Every member
-// runs the same -peers list; exactly one passes -bootstrap on first start:
+// leader, quorum-acknowledged replication and fencing epochs. A member that
+// does not lead refuses every write with a forward naming the leader, which
+// agents and the ASCT follow. Every member runs the same -peers list; exactly
+// one passes -bootstrap on first start:
 //
 //	integrade-grm -listen :7000 -cluster ime -id m0 \
 //	    -peers m0=host0:7000,m1=host1:7000,m2=host2:7000 -bootstrap

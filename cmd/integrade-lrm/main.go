@@ -5,9 +5,9 @@
 //
 // The machine itself is simulated (spec from flags, owner activity from a
 // synthetic usage profile) — the documented substitution for real desktop
-// hardware; the agent, its protocols and its wire traffic are real.
-//
-// Usage:
+// hardware; the agent, its protocols and its wire traffic are real. -grm may
+// list a replica set's members: a member that does not lead refuses an update
+// with a forward naming the leader, which the agent follows and reports to.
 //
 //	integrade-lrm -grm 127.0.0.1:7000 -id ws-12 -mips 1500 -profile office
 package main
@@ -122,9 +122,8 @@ func run() error {
 		Endpoint: orb.Endpoint{Net: orb.NetTCP, Addr: addrs[0]},
 		Key:      protocol.GRMKey,
 	}
-	// After repeated update failures the agent re-registers, rotating
-	// through the candidate managers (the members of a replica set, or the
-	// restarted manager itself).
+	// After repeated update failures the agent re-registers, rotating through
+	// the candidate managers (a replica set's members, or one restarted).
 	var rotation atomic.Int64
 	resolver := func() (orb.ObjectRef, error) {
 		addr := addrs[int(rotation.Add(1))%len(addrs)]

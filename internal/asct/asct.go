@@ -139,13 +139,27 @@ func (b *Builder) Spec() (protocol.ApplicationSpec, error) {
 
 // Tool is a connected ASCT: it submits to one GRM and polls status.
 type Tool struct {
+	inv    orb.Invoker
 	client *protocol.GRMClient
 	clock  sim.Clock
 }
 
 // New returns a Tool submitting to the GRM at grmRef.
 func New(inv orb.Invoker, grmRef orb.ObjectRef, clock sim.Clock) *Tool {
-	return &Tool{client: protocol.NewGRMClient(inv, grmRef), clock: clock}
+	return &Tool{inv: inv, client: protocol.NewGRMClient(inv, grmRef), clock: clock}
+}
+
+// write makes a write call through the tool's GRM and, when that GRM refuses
+// it with a forward (a replica that does not lead its set), once more through
+// the GRM the forward names.
+func (t *Tool) write(call func(*protocol.GRMClient) error) error {
+	err := call(t.client)
+	if err != nil {
+		if ref, ok := orb.Forwarded(err); ok {
+			err = call(protocol.NewGRMClient(t.inv, ref))
+		}
+	}
+	return err
 }
 
 // Submit validates and submits the built application, returning a handle
@@ -155,7 +169,11 @@ func (t *Tool) Submit(b *Builder) (*Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	id, err := t.client.Submit(spec)
+	var id string
+	err = t.write(func(c *protocol.GRMClient) (err error) {
+		id, err = c.Submit(spec)
+		return err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("asct: submit %q: %w", spec.Name, err)
 	}
@@ -211,7 +229,7 @@ func (h *Handle) Status() (protocol.AppStatus, error) {
 // Cancel aborts the application: running tasks stop on their nodes, queued
 // tasks are dropped.
 func (h *Handle) Cancel() error {
-	return h.tool.client.CancelApp(h.id)
+	return h.tool.write(func(c *protocol.GRMClient) error { return c.CancelApp(h.id) })
 }
 
 // waitDone polls until the application completes, the timeout elapses, or a

@@ -40,8 +40,9 @@ var e13Alloc = resource.Vector{MIPS: e13MIPS, RAMMB: 64}
 //     and the unfinished remainder is resubmitted.
 //   - quorum: a three-member consensus replica set. The election timeout is
 //     the detector, replication is quorum-acknowledged, and every manager
-//     write carries a fencing epoch the LRMs enforce. Replicated state covers
-//     every task, so nothing is reaped and nothing is repeated.
+//     write carries a fencing epoch the LRMs enforce. LRMs rotate through the
+//     members, and a follower forwards them to the leader. Replicated state
+//     covers every task, so nothing is reaped and nothing is repeated.
 //
 // The kill fault is a clean crash: the manager process dies. The partition
 // fault is the nastier one — the manager stays alive but loses its control
@@ -88,13 +89,6 @@ func runFailoverMode(t *Table, seed int64, mode, fault string, detect time.Durat
 	}
 	if detect > 0 {
 		opts = append(opts, core.WithGRMOptions(grm.WithSuspectAfter(detect)))
-	}
-	if mode == "quorum" {
-		// Keep the successor's failure detector quiet across the election
-		// window: the LRMs take up to a minute to re-register with it.
-		opts = append(opts, core.WithGRMOptions(
-			grm.WithSuspectAfter(2*time.Minute),
-			grm.WithOfferTTL(5*time.Minute)))
 	}
 	c, err := g.AddCluster("fleet", opts...)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"log/slog"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"integrade/internal/asct"
@@ -45,8 +46,8 @@ type Grid struct {
 	log    *slog.Logger
 	store  *checkpoint.Store
 	// naming is the grid's name directory: every cluster manager is bound
-	// under "clusters/<id>/grm", and LRMs re-resolve through it after their
-	// GRM dies (the self-healing path).
+	// under "clusters/<id>/grm", and the LRMs of a cluster without a replica
+	// set re-resolve through it after their GRM dies (the self-healing path).
 	naming    *naming.Service
 	namingRef orb.ObjectRef
 	// mu guards clusters, order, links, stopped and chaos. CreateCluster
@@ -529,39 +530,24 @@ func (c *Cluster) AddNodes(cfg NodeConfig) ([]string, error) {
 			return nil, err
 		}
 		selfRef := orb.ObjectRef{Endpoint: ep, Key: protocol.LRMKey}
-		// The LRM re-resolves its GRM through Naming (over the ORB, so the
-		// lookup is subject to the same faults as any call) after repeated
-		// update failures — the cluster self-heals around a dead manager.
-		// Successive attempts rotate through the directory answer plus the
-		// consensus replica set, so a node finds the new leader even while
-		// Naming still points at a dead or deposed one.
+		// After repeated update failures the LRM re-registers: in a replica
+		// set with the members in turn from the one after the incumbent (one
+		// that does not lead forwards it), otherwise with what Naming resolves
+		// (over the ORB, so the lookup is subject to the same faults as any call).
 		nclient := naming.NewClient(g.orb, g.namingRef)
-		name := grmName(c.id)
-		mgr := c.manager()
-		var resolveMu sync.Mutex
-		attempt := 0
+		var rotation atomic.Int64
 		lrmOpts := []lrm.Option{
 			lrm.WithUpdatePeriod(c.updatePeriod),
 			lrm.WithLogger(g.log),
 			lrm.WithGRMResolver(func() (orb.ObjectRef, error) {
-				cands := make([]orb.ObjectRef, 0, 4)
-				named, err := nclient.Resolve(name)
-				if err == nil {
-					cands = append(cands, named)
+				if refs := c.replicaRefs(); len(refs) > 0 {
+					return refs[int(rotation.Add(1))%len(refs)], nil
 				}
-				cands = append(cands, c.replicaRefs()...)
-				if len(cands) == 0 {
-					return orb.ObjectRef{}, err
-				}
-				resolveMu.Lock()
-				k := attempt % len(cands)
-				attempt++
-				resolveMu.Unlock()
-				return cands[k], nil
+				return nclient.Resolve(grmName(c.id))
 			}),
 		}
 		lrmOpts = append(lrmOpts, c.lrmOpts...)
-		l := lrm.New(n, g.clock, g.orb, selfRef, mgr.grmRef, lrmOpts...)
+		l := lrm.New(n, g.clock, g.orb, selfRef, c.manager().grmRef, lrmOpts...)
 		if err := adapter.Register(protocol.LRMKey, l.Servant()); err != nil {
 			return nil, err
 		}

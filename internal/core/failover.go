@@ -150,19 +150,18 @@ func (g *Grid) RestartGRM(clusterID string) error {
 
 	old.grm.Stop()
 	g.orb.Loopback().Unbind(old.ep)
+	// A cold incarnation lives on a new endpoint: LRMs find it through Naming.
+	_ = g.naming.Rebind(grmName(c.id), m.grmRef)
 	g.rebindManager(c, m)
 	g.abortClusterRuns(clusterID)
 	g.log.Info("GRM rebuilt from cold", "cluster", clusterID, "endpoint", m.ep)
 	return nil
 }
 
-// rebindManager points the grid's shared directory state at a cluster's new
-// manager incarnation: the Naming binding LRMs re-resolve through, and the
-// hierarchy links (the new node inherits the recorded topology, and each
-// neighbour's link is re-pointed at the new reference).
+// rebindManager points the hierarchy links at a cluster's new manager
+// incarnation: the new node inherits the recorded topology, and each
+// neighbour's link is re-pointed at the new reference.
 func (g *Grid) rebindManager(c *Cluster, m *manager) {
-	_ = g.naming.Rebind(grmName(c.id), m.grmRef)
-
 	g.mu.Lock()
 	links := make(map[string]string, len(g.links))
 	for child, parent := range g.links {

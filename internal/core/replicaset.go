@@ -35,8 +35,8 @@ func (i *sourceInvoker) Invoke(ref orb.ObjectRef, op string, arg []byte) ([]byte
 // bootstraps term 1; replication batches become quorum-acknowledged log
 // entries, and every outbound manager write carries the leader's term as its
 // fencing epoch. When the leader dies or is partitioned from a quorum, the
-// survivors elect a successor and the grid swaps it in as the cluster's
-// active manager (Naming rebind, hierarchy re-parenting).
+// survivors elect a successor, which the others forward client writes to,
+// and the grid swaps it in as the cluster's active manager (hierarchy links).
 func (c *Cluster) EnableReplicaSet(extra int) error {
 	if extra < 1 {
 		return fmt.Errorf("core: replica set needs at least one extra member, got %d", extra)
@@ -126,24 +126,22 @@ func (c *Cluster) ReplicaEndpoints() []string {
 	return eps
 }
 
-// replicaRefs returns the replica set's GRM references sorted by endpoint,
-// for the LRM resolver rotation.
+// replicaRefs returns the replica set's GRM references in member order (the
+// incumbent first), for the LRM resolver rotation.
 func (c *Cluster) replicaRefs() []orb.ObjectRef {
 	c.mgmtMu.Lock()
 	defer c.mgmtMu.Unlock()
-	ms := append([]*manager(nil), c.replicas...)
-	sort.Slice(ms, func(i, j int) bool { return ms[i].ep < ms[j].ep })
-	refs := make([]orb.ObjectRef, 0, len(ms))
-	for _, m := range ms {
+	refs := make([]orb.ObjectRef, 0, len(c.replicas))
+	for _, m := range c.replicas {
 		refs = append(refs, m.grmRef)
 	}
 	return refs
 }
 
 // adoptLeader swaps a newly elected replica in as the cluster's active
-// manager and re-points the shared directory state at it. The deposed leader
-// is left running — it is a live follower now, fenced by its stale epoch, not
-// a corpse to tear down.
+// manager and re-parents the hierarchy links at it; LRMs find it through the
+// followers' forwards. The deposed leader is left running — it is a live
+// follower now, fenced by its stale epoch, not a corpse to tear down.
 func (c *Cluster) adoptLeader(m *manager) {
 	c.mgmtMu.Lock()
 	if c.mgr == m {

@@ -1,0 +1,55 @@
+//go:build e2e && linux
+
+package e2e
+
+import (
+	"fmt"
+	"regexp"
+	"testing"
+	"time"
+
+	"integrade/internal/protocol"
+)
+
+var reregisteredLine = regexp.MustCompile(`msg="re-registered with GRM"`)
+
+// TestLeaderKill: a replica set of three managers, two agents that list all
+// three and update every second, and a two-task application submitted
+// through a follower, whose forward the ASCT follows to the leader m0. Once a
+// follower's replicated view has both tasks running, m0 gets SIGKILL. The
+// test prints the time from the kill until each agent logs that it
+// re-registered, fails above 60 s, and the application must still complete.
+func TestLeaderKill(t *testing.T) {
+	addrs := []string{freeAddr(t), freeAddr(t), freeAddr(t)}
+	peers := fmt.Sprintf("m0=%s,m1=%s,m2=%s", addrs[0], addrs[1], addrs[2])
+	// The followers first: the leader's first replication round needs a
+	// quorum.
+	grm(t, "m1", addrs[1], "-id", "m1", "-peers", peers)
+	grm(t, "m2", addrs[2], "-id", "m2", "-peers", peers)
+	m0 := grm(t, "m0", addrs[0], "-id", "m0", "-peers", peers, "-bootstrap")
+	agents := []*proc{lrm(t, "n1", time.Second, addrs...), lrm(t, "n2", time.Second, addrs...)}
+
+	appID := submit(t, addrs[1], 8000) // sixteen seconds a task
+	// The leader streams its state to the followers every few seconds; kill
+	// it once a follower shows both tasks running.
+	awaitApp(t, addrs[1], appID, 30*time.Second, func(st protocol.AppStatus) bool {
+		if len(st.Tasks) != 2 {
+			return false
+		}
+		for _, task := range st.Tasks {
+			if task.State != protocol.TaskRunning {
+				return false
+			}
+		}
+		return true
+	})
+
+	killed := time.Now()
+	m0.kill()
+	for _, a := range agents {
+		l := a.await(t, reregisteredLine, killed, 60*time.Second)
+		t.Logf("%s re-registered %.1f s after the kill: %s", a.name, l.at.Sub(killed).Seconds(), l.text)
+	}
+	awaitApp(t, addrs[1], appID, 90*time.Second, done)
+	t.Logf("app %s done %.1f s after the kill", appID, time.Since(killed).Seconds())
+}

@@ -148,8 +148,8 @@ func TestBootstrapLeadsTermOne(t *testing.T) {
 	}
 	// The initial append round told the followers who leads.
 	for _, id := range s.ids[1:] {
-		if got := s.nodes[id].Leader(); got != "m0" {
-			t.Fatalf("%s leader = %q", id, got)
+		if got, ref := s.nodes[id].Leader(); got != "m0" || ref != s.refs["m0"] {
+			t.Fatalf("%s leader = %q at %v", id, got, ref)
 		}
 		if got := roleOf(s.nodes[id]); got != Follower {
 			t.Fatalf("%s role = %v", id, got)
@@ -276,8 +276,11 @@ func TestPartitionedLeaderIsDeposed(t *testing.T) {
 	if roleOf(old) != Follower {
 		t.Fatalf("deposed leader role = %v", roleOf(old))
 	}
-	if got := old.Leader(); got != fresh.ID() {
-		t.Fatalf("deposed leader follows %q, want %q", got, fresh.ID())
+	if got, ref := old.Leader(); got != fresh.ID() || ref != s.refs[fresh.ID()] {
+		t.Fatalf("deposed leader follows %q at %v, want %q", got, ref, fresh.ID())
+	}
+	if got, ref := fresh.Leader(); got != fresh.ID() || !ref.IsZero() {
+		t.Fatalf("leader names %q at %v, want itself and no ref", got, ref)
 	}
 	if len(s.leaders()) != 1 {
 		t.Fatalf("leaders after heal = %d", len(s.leaders()))

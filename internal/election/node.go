@@ -207,11 +207,16 @@ func NewNode(cfg Config) *Node {
 func (n *Node) ID() string { return n.id }
 
 // Leader returns the member this node believes leads the current term
-// (possibly itself, possibly empty during an election).
-func (n *Node) Leader() string {
+// (possibly itself, possibly empty during an election) and, when it is
+// another member, that member's ref as the config gave it; zero otherwise.
+func (n *Node) Leader() (string, orb.ObjectRef) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.leaderID
+	id := n.leaderID
+	n.mu.Unlock()
+	if i := slices.IndexFunc(n.peers, func(p peer) bool { return p.id == id }); i >= 0 {
+		return id, n.peers[i].ref // id and ref need no mu
+	}
+	return id, orb.ObjectRef{}
 }
 
 // WonTerms returns the terms this node won, in order. The split-brain suite

@@ -17,8 +17,8 @@ const (
 	// consensus log. A GRM from New starts as the sole primary of term 1.
 	RolePrimary Role = iota
 	// RoleFollower is a replica-set member that is not the leader: it applies
-	// committed log entries, refuses Information Updates and schedules
-	// nothing until the election makes it leader.
+	// committed log entries, refuses client writes with a forward to the
+	// leader and schedules nothing until the election makes it leader.
 	RoleFollower
 )
 
@@ -49,6 +49,31 @@ func (g *GRM) UseElection(en *election.Node) {
 	g.elect = en
 	g.role = RoleFollower
 	g.mu.Unlock()
+}
+
+// notLeader is the refusal of a client write by a replica that does not lead
+// its set, whose election is elect: a forward to the leader's GRM, or one
+// naming none while the election knows no other member as leader. It reads
+// the election, which is never done under g.mu.
+func notLeader(elect *election.Node) error {
+	id, ref := elect.Leader()
+	if ref.IsZero() {
+		return orb.Errorf(orb.CodeApplication, "grm: not the leader (leader=%q)", id)
+	}
+	ref.Key = protocol.GRMKey
+	return orb.Errorf(orb.CodeForward, "%s", ref)
+}
+
+// refusal is notLeader's refusal while this GRM is a replica that does not
+// lead its set, and nil otherwise.
+func (g *GRM) refusal() error {
+	g.mu.Lock()
+	elect, follower := g.elect, g.elect != nil && g.role != RolePrimary
+	g.mu.Unlock()
+	if !follower {
+		return nil
+	}
+	return notLeader(elect)
 }
 
 // Election returns the consensus node managing this GRM (nil when unmanaged).

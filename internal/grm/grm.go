@@ -389,11 +389,11 @@ func (g *GRM) Stop() {
 // handleUpdate processes one Information Update Protocol message — the status
 // and the windows decoded beside it — and returns the manager's fencing epoch
 // for the reply. A consensus-managed replica that is not the leader refuses
-// the update so the LRM re-resolves toward the leader instead of feeding a
-// stale view — and so does a leader whose replication stream has lost its
-// quorum: a partitioned primary that kept answering updates would keep its
-// LRMs' fences pinned to the old epoch, leaving them obedient to a deposed
-// manager.
+// the update with a forward to the leader (notLeader) instead of feeding a
+// stale view — and a leader whose replication stream has lost its quorum
+// refuses it too: a partitioned primary that kept answering updates would
+// keep its LRMs' fences pinned to the old epoch, leaving them obedient to a
+// deposed manager.
 //
 // The update is recorded under g.mu and exported to the trader after it is
 // released, through the place the node's record holds: the trader has locks of
@@ -452,8 +452,7 @@ func (g *GRM) recordUpdate(s *protocol.NodeStatus, windows []protocol.AvailWindo
 		elect, epoch := g.elect, g.epoch
 		g.mu.Unlock()
 		if refuse {
-			// elect.Leader takes the election mutex — read it outside g.mu.
-			return 0, trading.Place{}, trading.Place{}, false, fmt.Errorf("grm: not the leader (leader=%q)", elect.Leader())
+			return 0, trading.Place{}, trading.Place{}, false, notLeader(elect)
 		}
 		return 0, trading.Place{}, trading.Place{}, false, fmt.Errorf("grm: leader of epoch %d lost its replication quorum", epoch)
 	}
@@ -566,13 +565,18 @@ func (g *GRM) KnownNodes() int { return g.trader.Count() }
 // before Submit returns — an immediate placement attempt, exactly the
 // seed's submit-then-place semantics. Under WithAsyncAdmission Submit
 // returns as soon as the app is queued and a background drainer batches
-// placements. A full queue rejects with ErrAdmissionFull. The returned ID
-// identifies the app in AppStatus.
+// placements. A full queue rejects with ErrAdmissionFull, a replica that does
+// not lead with a forward (notLeader). The ID identifies the app in AppStatus.
 func (g *GRM) Submit(spec protocol.ApplicationSpec) (string, error) {
 	if err := spec.Validate(); err != nil {
 		return "", err
 	}
 	g.mu.Lock()
+	if g.elect != nil && g.role != RolePrimary {
+		elect := g.elect
+		g.mu.Unlock()
+		return "", notLeader(elect)
+	}
 	if len(g.admitQ) >= g.admitLimit {
 		g.refuseLocked()
 		g.mu.Unlock()

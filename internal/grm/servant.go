@@ -7,7 +7,9 @@ import (
 
 // Servant exposes the GRM's remote interface: information updates,
 // application submission, task notifications, status queries and the
-// reconcile exchange.
+// reconcile exchange. A replica that does not lead its set refuses every
+// write with a forward to the leader (notLeader) and answers reads from its
+// replicated view.
 func (g *GRM) Servant() orb.Servant {
 	m := orb.NewOpMux()
 	orb.ServeRaw(m, protocol.Update, func(req *orb.Decoder) (int, error) {
@@ -33,10 +35,16 @@ func (g *GRM) Servant() orb.Servant {
 	})
 	orb.Serve(m, protocol.Submit, g.Submit)
 	orb.Serve(m, protocol.Notify, func(ev protocol.TaskEvent) (struct{}, error) {
+		if err := g.refusal(); err != nil {
+			return struct{}{}, err
+		}
 		g.HandleNotify(ev)
 		return struct{}{}, nil
 	})
 	orb.Serve(m, protocol.Departing, func(n protocol.DepartureNotice) (struct{}, error) {
+		if err := g.refusal(); err != nil {
+			return struct{}{}, err
+		}
 		g.HandleDeparting(n)
 		return struct{}{}, nil
 	})
@@ -45,9 +53,15 @@ func (g *GRM) Servant() orb.Servant {
 		return g.AppIDs(), nil
 	})
 	orb.Serve(m, protocol.CancelApp, func(appID string) (struct{}, error) {
+		if err := g.refusal(); err != nil {
+			return struct{}{}, err
+		}
 		return struct{}{}, g.CancelApp(appID)
 	})
 	orb.Serve(m, protocol.Reconcile, func(r protocol.ReconcileRequest) ([]string, error) {
+		if err := g.refusal(); err != nil {
+			return nil, err
+		}
 		return g.Reconcile(r), nil
 	})
 	return m

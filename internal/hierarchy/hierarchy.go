@@ -205,6 +205,10 @@ func (n *Node) route(spec protocol.ApplicationSpec, ttl int, excludeChild string
 		if err == nil {
 			return RouteResult{ClusterID: n.clusterID, AppID: appID, Hops: 0}, nil
 		}
+		if orb.IsCode(err, orb.CodeForward) {
+			// A replica that does not lead: the caller goes to the leader.
+			return RouteResult{}, err
+		}
 	}
 
 	// 2. Descend: pick the child subtree with the most free MIPS that

@@ -1,0 +1,151 @@
+package lrm
+
+import (
+	"testing"
+	"time"
+
+	"integrade/internal/ncc"
+	"integrade/internal/orb"
+	"integrade/internal/protocol"
+)
+
+// bindGRM serves a scripted manager on a new loopback endpoint of the
+// fixture's ORB and returns its GRM reference.
+func (f *fixture) bindGRM(t *testing.T, name string, g *fakeGRM) orb.ObjectRef {
+	t.Helper()
+	adapter := orb.NewAdapter()
+	if err := adapter.Register(protocol.GRMKey, g.servant()); err != nil {
+		t.Fatal(err)
+	}
+	ep, err := f.o.BindLoopback(name, adapter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return orb.ObjectRef{Endpoint: ep, Key: protocol.GRMKey}
+}
+
+func (f *fakeGRM) counts() (updates, refused, reconciles int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.updates), f.refused, len(f.reconciles)
+}
+
+// TestForwardedUpdateRegistersWithLeader: a manager that refuses an update
+// with a forward sends the LRM to the leader within the same SendUpdate. The
+// update reaches the leader, the LRM reports to it from then on, and it
+// reconciles its running task with it.
+func TestForwardedUpdateRegistersWithLeader(t *testing.T) {
+	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous())
+	leader := &fakeGRM{epoch: 3}
+	leaderRef := f.bindGRM(t, "leader", leader)
+	f.grm.forward = leaderRef
+	f.startTask(t, "app", "app/t0", 1e9)
+
+	f.lrm.SendUpdate()
+
+	if _, refused, _ := f.grm.counts(); refused != 1 {
+		t.Fatalf("follower refused %d updates, want 1", refused)
+	}
+	updates, _, reconciles := leader.counts()
+	if updates != 1 || reconciles != 1 {
+		t.Fatalf("leader got %d updates and %d reconciles, want 1 and 1", updates, reconciles)
+	}
+	leader.mu.Lock()
+	claims := leader.reconciles[0].Claims
+	leader.mu.Unlock()
+	if len(claims) != 1 || claims[0].TaskID != "app/t0" || claims[0].AppID != "app" {
+		t.Fatalf("reconcile claims = %+v, want app/t0 of app", claims)
+	}
+	if got := f.lrm.grmClient().Ref(); got != leaderRef {
+		t.Fatalf("reporting to %v, want the leader %v", got, leaderRef)
+	}
+	st := f.lrm.Stats()
+	if st.Reregistrations != 1 || st.UpdatesSent != 1 || st.UpdateFailures != 0 {
+		t.Fatalf("stats = %+v, want one re-registration, one update sent, no failure", st)
+	}
+	if got := f.lrm.Fence(); got != 3 {
+		t.Fatalf("Fence = %d, want the leader's epoch 3", got)
+	}
+
+	// The next update goes straight to the leader.
+	f.lrm.SendUpdate()
+	if updates, _, _ := leader.counts(); updates != 2 {
+		t.Fatalf("leader got %d updates, want 2", updates)
+	}
+	if _, refused, _ := f.grm.counts(); refused != 1 {
+		t.Fatalf("follower refused %d updates, want still 1", refused)
+	}
+}
+
+// TestForwardLoopCostsOneHop: two managers that forward to each other cost
+// one hop an attempt — a SendUpdate asks each once and fails — and a
+// re-registration attempt that meets the loop fails the same way and re-arms
+// its backoff.
+func TestForwardLoopCostsOneHop(t *testing.T) {
+	other := &fakeGRM{}
+	var otherRef orb.ObjectRef
+	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous(),
+		WithGRMResolver(func() (orb.ObjectRef, error) { return otherRef, nil }))
+	otherRef = f.bindGRM(t, "other", other)
+	f.grm.forward = otherRef
+	other.forward = f.lrm.grmClient().Ref()
+	var delays []int
+	f.lrm.reregDelay = func(_ string, attempt int) time.Duration {
+		delays = append(delays, attempt)
+		return time.Minute
+	}
+
+	for i := 1; i <= reregisterAfter; i++ {
+		f.lrm.SendUpdate()
+		_, first, _ := f.grm.counts()
+		_, second, _ := other.counts()
+		if first != i || second != i {
+			t.Fatalf("after %d updates the managers refused %d and %d, want %d each", i, first, second, i)
+		}
+		if got := f.lrm.Stats().UpdateFailures; got != i {
+			t.Fatalf("UpdateFailures = %d, want %d", got, i)
+		}
+	}
+	if len(delays) != 1 {
+		t.Fatalf("re-registration armed %d times, want once", len(delays))
+	}
+	// The first attempt resolves the other manager, which forwards back:
+	// one hop, a failure, and the backoff re-arms for attempt 2.
+	f.clock.Advance(time.Minute)
+	_, first, _ := f.grm.counts()
+	_, second, _ := other.counts()
+	if first != reregisterAfter+1 || second != reregisterAfter+1 {
+		t.Fatalf("after the attempt the managers refused %d and %d, want %d each",
+			first, second, reregisterAfter+1)
+	}
+	if len(delays) != 2 || delays[1] != 2 {
+		t.Fatalf("backoff attempts armed = %v, want [1 2]", delays)
+	}
+	if st := f.lrm.Stats(); st.Reregistrations != 0 || st.UpdatesSent != 0 {
+		t.Fatalf("stats = %+v, want no registration", st)
+	}
+}
+
+// TestForwardToUnreachableFails: a forward that names a manager nobody serves
+// is a failed attempt, and the LRM keeps reporting where it did.
+func TestForwardToUnreachableFails(t *testing.T) {
+	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous())
+	home := f.lrm.grmClient().Ref()
+	f.grm.forward = orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: "gone"}, Key: protocol.GRMKey}
+
+	f.lrm.SendUpdate()
+
+	st := f.lrm.Stats()
+	if st.UpdateFailures != 1 || st.UpdatesSent != 0 || st.Reregistrations != 0 {
+		t.Fatalf("stats = %+v, want one failed update", st)
+	}
+	if got := f.lrm.grmClient().Ref(); got != home {
+		t.Fatalf("reporting to %v, want still %v", got, home)
+	}
+	f.lrm.mu.Lock()
+	fails := f.lrm.consecFails
+	f.lrm.mu.Unlock()
+	if fails != 1 {
+		t.Fatalf("consecutive failures = %d, want 1", fails)
+	}
+}

@@ -153,9 +153,9 @@ func WithLogger(log *slog.Logger) Option {
 	return func(l *LRM) { l.log = log }
 }
 
-// WithGRMResolver installs a resolver (typically a Naming lookup) the LRM
-// uses to re-locate its GRM after repeated update failures. Without one, the
-// LRM keeps pushing to the original reference and never re-registers.
+// WithGRMResolver installs a resolver (a Naming lookup, or a rotation through
+// a replica set's members) the LRM uses to re-locate its GRM after repeated
+// update failures. Without one, only a forward moves the LRM to another GRM.
 func WithGRMResolver(fn func() (orb.ObjectRef, error)) Option {
 	return func(l *LRM) { l.resolver = fn }
 }
@@ -276,15 +276,15 @@ func (l *LRM) grmClient() *protocol.GRMClient {
 	return l.grm
 }
 
-// SendUpdate pushes one Information Update Protocol message now. Task
-// execution is synced first so the reported free capacity and the
-// completions the update carries reflect the present. Repeated failures
-// — including an answer from a manager whose epoch is stale, i.e. a deposed
-// primary still reachable — kick off the re-registration loop when a
-// resolver is configured.
+// SendUpdate pushes one Information Update Protocol message now, following
+// a refusal that names the leader (register). Task execution is synced first
+// so the reported free capacity and the completions the update carries
+// reflect the present. Repeated failures — including an answer from a manager
+// whose epoch is stale, i.e. a deposed primary still reachable — kick off the
+// re-registration loop when a resolver is configured.
 func (l *LRM) SendUpdate() {
 	l.SyncTasks()
-	if err := l.pushUpdate(l.grmClient()); err != nil {
+	if err := l.register(l.grmClient()); err != nil {
 		l.log.Debug("information update failed", "node", l.node.ID(), "err", err)
 		l.mu.Lock()
 		l.stats.UpdateFailures++
@@ -301,12 +301,40 @@ func (l *LRM) SendUpdate() {
 				"node", l.node.ID(), "failures", reregisterAfter)
 			l.armReregister()
 		}
-		return
+	}
+}
+
+// register sends an update to client and, when the manager refuses it with
+// a forward to the leader, once more to the manager the forward names: one
+// hop an attempt. When the manager that accepts it is not the one this LRM
+// reports to, the LRM adopts it, leaves the re-registration loop and
+// reconciles its running tasks with it.
+func (l *LRM) register(client *protocol.GRMClient) error {
+	if err := l.pushUpdate(client); err != nil {
+		ref, ok := orb.Forwarded(err)
+		if !ok {
+			return err
+		}
+		client = protocol.NewGRMClient(l.inv, ref)
+		if err := l.pushUpdate(client); err != nil {
+			return err
+		}
 	}
 	l.mu.Lock()
+	adopt := client != l.grm
+	if adopt {
+		l.grm = client
+		l.rereg = false
+		l.stats.Reregistrations++
+	}
 	l.consecFails = 0
 	l.stats.UpdatesSent++
 	l.mu.Unlock()
+	if adopt {
+		l.log.Info("re-registered with GRM", "node", l.node.ID(), "grm", client.Ref().Endpoint.Addr)
+		l.reconcile(client)
+	}
+	return nil
 }
 
 // pushUpdate sends the node's status to client together with the outbox and
@@ -418,9 +446,9 @@ func (l *LRM) armReregister() {
 }
 
 // reregisterTick is one re-registration attempt: re-resolve the GRM
-// reference, push a status update to it — with the completions no manager
-// has accepted yet — and on success adopt the new GRM and reconcile running
-// tasks. Failures re-arm with increased backoff.
+// reference and register with it — a status update with the completions no
+// manager has accepted yet, then adopting the manager that accepts it and
+// reconciling running tasks. Failures re-arm with increased backoff.
 func (l *LRM) reregisterTick() {
 	l.mu.Lock()
 	if l.stopped || !l.rereg {
@@ -436,21 +464,10 @@ func (l *LRM) reregisterTick() {
 		l.armReregister()
 		return
 	}
-	client := protocol.NewGRMClient(l.inv, ref)
-	if err := l.pushUpdate(client); err != nil {
+	if err := l.register(protocol.NewGRMClient(l.inv, ref)); err != nil {
 		l.log.Debug("re-registration update failed", "node", l.node.ID(), "err", err)
 		l.armReregister()
-		return
 	}
-	l.mu.Lock()
-	l.grm = client
-	l.rereg = false
-	l.consecFails = 0
-	l.stats.Reregistrations++
-	l.stats.UpdatesSent++
-	l.mu.Unlock()
-	l.log.Info("re-registered with GRM", "node", l.node.ID(), "grm", ref.Endpoint.Addr)
-	l.reconcile(client)
 }
 
 // reconcile reports the node's running tasks to the GRM it just registered

@@ -28,16 +28,25 @@ type fakeGRM struct {
 	failNext   bool
 	down       bool // fail every update until cleared
 	epoch      int  // fencing epoch returned in update replies
+	// forward, when set, refuses every update with a forward to it, as a
+	// replica that does not lead does; refused counts those refusals.
+	forward    orb.ObjectRef
+	refused    int
+	reconciles []protocol.ReconcileRequest
 }
 
 func (f *fakeGRM) servant() orb.Servant {
-	return orb.NewOpMux().
+	m := orb.NewOpMux().
 		Handle(protocol.OpUpdate, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
 			f.mu.Lock()
 			defer f.mu.Unlock()
 			if f.failNext || f.down {
 				f.failNext = false
 				return nil, orb.Errorf(orb.CodeTransport, "injected")
+			}
+			if !f.forward.IsZero() {
+				f.refused++
+				return nil, orb.Errorf(orb.CodeForward, "%s", f.forward)
 			}
 			var buf [protocol.MaxWindows]protocol.AvailWindow
 			s, windows, events, err := protocol.DecodeUpdate(req, nil, &buf)
@@ -71,6 +80,13 @@ func (f *fakeGRM) servant() orb.Servant {
 			f.mu.Unlock()
 			return &orb.Encoder{}, nil
 		})
+	orb.Serve(m, protocol.Reconcile, func(r protocol.ReconcileRequest) ([]string, error) {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		f.reconciles = append(f.reconciles, r)
+		return nil, nil
+	})
+	return m
 }
 
 func (f *fakeGRM) updateCount() int {

@@ -415,13 +415,56 @@ func TestRemoteErrorFormatting(t *testing.T) {
 	if IsCode(errors.New("plain"), CodeTimeout) {
 		t.Fatal("IsCode matched a plain error")
 	}
-	for c := CodeApplication; c <= CodeTimeout; c++ {
+	for c := CodeApplication; c <= CodeForward; c++ {
 		if c.String() == "" {
 			t.Fatalf("empty String for code %d", c)
 		}
 	}
 	if ErrorCode(99).String() == "" {
 		t.Fatal("unknown code String empty")
+	}
+}
+
+// TestForwardRoundTrip: a servant's forward reaches the caller over TCP and
+// over the loopback with its code and reference intact, and only a forward
+// whose message is a reference names one.
+func TestForwardRoundTrip(t *testing.T) {
+	to := ObjectRef{Endpoint: Endpoint{Net: NetTCP, Addr: "127.0.0.1:7001"}, Key: "grm"}
+	a := NewAdapter()
+	if err := a.Register("obj", NewOpMux().
+		Handle("forward", func(string, *Decoder) (*Encoder, error) {
+			return nil, Errorf(CodeForward, "%s", to)
+		}).
+		Handle("garbled", func(string, *Decoder) (*Encoder, error) {
+			return nil, Errorf(CodeForward, "elsewhere")
+		})); err != nil {
+		t.Fatal(err)
+	}
+	o := New()
+	defer o.Close()
+	srv, err := o.ListenTCP("127.0.0.1:0", a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ep, err := o.BindLoopback("srv", a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range []ObjectRef{srv.Ref("obj"), {Endpoint: ep, Key: "obj"}} {
+		_, err := o.Invoke(ref, "forward", nil)
+		if got, ok := Forwarded(err); !ok || got != to || !IsCode(err, CodeForward) {
+			t.Errorf("%s: forward = %v, %v (%v); want %v", ref.Endpoint.Net, got, ok, err, to)
+		}
+		_, err = o.Invoke(ref, "garbled", nil)
+		if got, ok := Forwarded(err); ok {
+			t.Errorf("%s: a forward naming no reference was followed to %v", ref.Endpoint.Net, got)
+		}
+	}
+	for _, err := range []error{nil, errors.New("plain"), Errorf(CodeApplication, "%s", to)} {
+		if got, ok := Forwarded(err); ok {
+			t.Errorf("Forwarded(%v) = %v", err, got)
+		}
 	}
 }
 

@@ -73,6 +73,9 @@ const (
 	CodeTransport
 	// CodeTimeout means the invocation deadline elapsed.
 	CodeTimeout
+	// CodeForward means the caller must send the request to the object whose
+	// reference (ObjectRef.String) is the message: CORBA's LOCATION_FORWARD.
+	CodeForward
 )
 
 // String implements fmt.Stringer.
@@ -90,6 +93,8 @@ func (c ErrorCode) String() string {
 		return "TRANSPORT"
 	case CodeTimeout:
 		return "TIMEOUT"
+	case CodeForward:
+		return "FORWARD"
 	default:
 		return fmt.Sprintf("ErrorCode(%d)", int(c))
 	}
@@ -118,6 +123,16 @@ func (e *RemoteError) Is(target error) bool {
 //lint:coldpath error construction is off the steady-state path
 func Errorf(code ErrorCode, format string, args ...any) *RemoteError {
 	return &RemoteError{Code: code, Msg: fmt.Sprintf(format, args...)}
+}
+
+// Forwarded returns the reference a CodeForward error sends its caller to.
+func Forwarded(err error) (ObjectRef, bool) {
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Code != CodeForward {
+		return ObjectRef{}, false
+	}
+	ref, perr := ParseRef(re.Msg)
+	return ref, perr == nil
 }
 
 // IsCode reports whether err is a RemoteError carrying the given code.
