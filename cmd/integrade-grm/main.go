@@ -12,8 +12,10 @@
 // To survive the loss of a manager, run a consensus replica set: an elected
 // leader, quorum-acknowledged replication and fencing epochs. A member that
 // does not lead refuses every write with a forward naming the leader, which
-// agents and the ASCT follow. Every member runs the same -peers list; exactly
-// one passes -bootstrap on first start:
+// agents and the ASCT follow; a leader that no majority has answered within
+// the election timeout refuses them naming none, and its 30-s status line
+// reads quorum=lost. Every member runs the same -peers list; exactly one
+// passes -bootstrap on first start:
 //
 //	integrade-grm -listen :7000 -cluster ime -id m0 \
 //	    -peers m0=host0:7000,m1=host1:7000,m2=host2:7000 -bootstrap
@@ -154,11 +156,24 @@ func run() error {
 			return nil
 		case <-ticker.C:
 			st := g.Stats()
-			fmt.Printf("[%s] role=%s epoch=%d nodes=%d updates=%d submissions=%d placed=%d pending-evictions=%d replica-batches=%d\n",
-				time.Now().Format("15:04:05"), g.Role(), g.Epoch(), g.KnownNodes(), st.UpdatesReceived,
-				st.Submissions, st.TasksPlaced, st.TasksEvicted, st.ReplicaBatches)
+			fmt.Printf("[%s] role=%s quorum=%s epoch=%d nodes=%d updates=%d submissions=%d placed=%d pending-evictions=%d replica-batches=%d quorum-batches=%d\n",
+				time.Now().Format("15:04:05"), g.Role(), quorum(g), g.Epoch(), g.KnownNodes(), st.UpdatesReceived,
+				st.Submissions, st.TasksPlaced, st.TasksEvicted, st.ReplicaBatches, st.QuorumBatches)
 		}
 	}
+}
+
+// quorum is the status line's quorum field: "lost" on a leader no majority
+// answered within its election timeout, which refuses every write; "-" on a
+// member that does not lead.
+func quorum(g *grm.GRM) string {
+	switch en := g.Election(); {
+	case g.Role() != grm.RolePrimary:
+		return "-"
+	case en != nil && !en.HasQuorum():
+		return "lost"
+	}
+	return "held"
 }
 
 // buildElection wires the GRM into a consensus replica set: the member list

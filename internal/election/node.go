@@ -51,19 +51,6 @@ func (r Role) String() string {
 	}
 }
 
-// Stats are cumulative election counters.
-type Stats struct {
-	Elections        int // candidacies started (election timer fired)
-	TermsWon         int // elections this node won
-	VotesGranted     int // ballots this node granted to others
-	HeartbeatsSent   int // leader heartbeat rounds
-	AppendRejected   int // appends refused for log inconsistency
-	StaleTermDropped int // messages refused for a stale term
-	EntriesCommitted int // log entries applied on this node
-	Proposals        int // entries proposed while leader
-	ProposalsFailed  int // proposals that missed quorum
-}
-
 // Config wires one election node into a replica set.
 type Config struct {
 	// ID is this node's member name; Peers maps the other members' IDs to
@@ -129,7 +116,7 @@ type Node struct {
 	// mu guards all mutable election state below, and each peer's
 	// replication progress.
 	//
-	//lint:guards rng,role,term,votedFor,leaderID,entries,commitIndex,lastApplied,votes,wonTerms,started,stopped,applying,electionTimer,hbTimer,stats
+	//lint:guards rng,role,term,votedFor,leaderID,entries,commitIndex,lastApplied,votes,wonTerms,started,stopped,applying,electionTimer,hbTimer
 	mu       sync.Mutex
 	rng      *sim.RNG
 	role     Role
@@ -148,17 +135,18 @@ type Node struct {
 	applying      bool
 	electionTimer sim.Timer
 	hbTimer       sim.Timer
-	stats         Stats
 }
 
 // peer is one other member and, while this node leads, its progress under
 // mu: the next entry to send it, the highest index known to be in its log,
-// and probe, set while its last append failed or went unanswered.
+// probe, set while its last append failed or went unanswered, and ack, when
+// it last answered an append of this term (from taking office).
 type peer struct {
 	id          string
 	ref         orb.ObjectRef
 	next, match int
 	probe       bool
+	ack         time.Time
 }
 
 // NewNode builds a node from cfg; call Start to join the replica set.
@@ -348,7 +336,6 @@ func (n *Node) electionTick() {
 	n.votedFor = n.id
 	n.leaderID = ""
 	n.votes = map[string]bool{n.id: true}
-	n.stats.Elections++
 	term := n.term
 	req := requestVote{
 		Term:         term,
@@ -420,9 +407,10 @@ func (n *Node) becomeLeaderLocked() {
 	n.role = Leader
 	n.leaderID = n.id
 	n.wonTerms = append(n.wonTerms, n.term)
-	n.stats.TermsWon++
+	now := n.clock.Now()
 	for i := range n.peers {
-		n.peers[i].next, n.peers[i].match, n.peers[i].probe = len(n.entries)+1, 0, true
+		p := &n.peers[i]
+		p.next, p.match, p.probe, p.ack = len(n.entries)+1, 0, true, now
 	}
 	if n.electionTimer != nil {
 		n.electionTimer.Stop()
@@ -449,7 +437,6 @@ func (n *Node) heartbeatTick() {
 		n.mu.Unlock()
 		return
 	}
-	n.stats.HeartbeatsSent++
 	n.hbTimer = n.clock.AfterFunc(n.heartbeat, n.heartbeatTick)
 	n.mu.Unlock()
 	n.broadcastAppend()
@@ -528,6 +515,9 @@ func (n *Node) handleAppendReply(p *peer, term int, ar appendReply, err error) {
 		return
 	}
 	p.probe = err != nil || !ar.Success
+	if err == nil {
+		p.ack = n.clock.Now()
+	}
 	switch {
 	case err != nil: // unanswered: the next round resends from p.next
 	case ar.Success:
@@ -544,6 +534,27 @@ func (n *Node) handleAppendReply(p *peer, term int, ar appendReply, err error) {
 		p.next = max(p.next, 1)
 	}
 	n.mu.Unlock()
+}
+
+// HasQuorum reports whether this node leads and a majority of the set,
+// itself included, answered it within TimeoutMin: a peer counts from the
+// node's taking office until TimeoutMin after its last answer to an append.
+// A leader cut off from the majority stops holding a quorum within TimeoutMin
+// of the last answer that made one, and holds one again once the majority
+// answers a heartbeat; its role does not change either way.
+func (n *Node) HasQuorum() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.stopped || n.role != Leader {
+		return false
+	}
+	now, held := n.clock.Now(), 1
+	for _, p := range n.peers {
+		if now.Sub(p.ack) <= n.tmin {
+			held++
+		}
+	}
+	return held >= n.quorum()
 }
 
 // advanceCommitLocked moves the commit index to the quorum-replicated
@@ -572,11 +583,9 @@ func (n *Node) Propose(data []byte) (index, term int, err error) {
 	}
 	if n.role != Leader {
 		leader := n.leaderID
-		n.stats.ProposalsFailed++
 		n.mu.Unlock()
 		return 0, 0, orb.Errorf(orb.CodeApplication, "election: not leader (leader=%q)", leader)
 	}
-	n.stats.Proposals++
 	n.entries = append(n.entries, entry{Term: n.term, Data: data})
 	index = len(n.entries)
 	term = n.term
@@ -592,9 +601,6 @@ func (n *Node) Propose(data []byte) (index, term int, err error) {
 		n.broadcastAppend()
 	}
 	if !n.committedUpTo(index, term) {
-		n.mu.Lock()
-		n.stats.ProposalsFailed++
-		n.mu.Unlock()
 		return index, term, orb.Errorf(orb.CodeTimeout, "election: entry %d/term %d not acknowledged by quorum", index, term)
 	}
 	n.deliverCommitted()
@@ -621,7 +627,6 @@ func (n *Node) deliverCommitted() {
 		n.lastApplied++
 		idx := n.lastApplied
 		ent := n.entries[idx-1]
-		n.stats.EntriesCommitted++
 		apply := n.apply
 		n.mu.Unlock()
 		if apply != nil {
@@ -661,7 +666,6 @@ func (n *Node) stepDownLocked(term int, leader string) func() {
 func (n *Node) handleRequestVote(req requestVote) voteReply {
 	n.mu.Lock()
 	if n.stopped || req.Term < n.term {
-		n.stats.StaleTermDropped++
 		reply := voteReply{Term: n.term}
 		n.mu.Unlock()
 		return reply
@@ -675,7 +679,6 @@ func (n *Node) handleRequestVote(req requestVote) voteReply {
 	granted := (n.votedFor == "" || n.votedFor == req.Candidate) && upToDate
 	if granted {
 		n.votedFor = req.Candidate
-		n.stats.VotesGranted++
 		n.armElectionLocked() // a granted ballot defers our own candidacy
 	}
 	reply := voteReply{Term: n.term, Granted: granted}
@@ -692,7 +695,6 @@ func (n *Node) handleRequestVote(req requestVote) voteReply {
 func (n *Node) handleAppend(req appendEntries) appendReply {
 	n.mu.Lock()
 	if n.stopped || req.Term < n.term {
-		n.stats.StaleTermDropped++
 		reply := appendReply{Term: n.term}
 		n.mu.Unlock()
 		return reply
@@ -705,7 +707,6 @@ func (n *Node) handleAppend(req appendEntries) appendReply {
 	n.armElectionLocked() // the heartbeat: leader is alive
 	if req.PrevLogIndex < 0 || req.PrevLogIndex > len(n.entries) ||
 		(req.PrevLogIndex > 0 && n.termAtLocked(req.PrevLogIndex) != req.PrevLogTerm) {
-		n.stats.AppendRejected++
 		reply := appendReply{Term: n.term, MatchIndex: max(min(req.PrevLogIndex-1, len(n.entries)), 0)}
 		term := n.term
 		n.mu.Unlock()

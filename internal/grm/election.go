@@ -51,12 +51,22 @@ func (g *GRM) UseElection(en *election.Node) {
 	g.mu.Unlock()
 }
 
-// notLeader is the refusal of a client write by a replica that does not lead
-// its set, whose election is elect: a forward to the leader's GRM, or one
-// naming none while the election knows no other member as leader. It reads
-// the election, which is never done under g.mu.
-func notLeader(elect *election.Node) error {
-	id, ref := elect.Leader()
+// refusalLocked is the one answer to "may this GRM accept a client write?":
+// nil when it may. A replica that does not lead its set refuses with a
+// forward to the leader's GRM, or naming none while its election knows no
+// other member as leader; a leader without a quorum (election.Node.HasQuorum)
+// refuses naming none, since it may already be deposed and its writes could
+// never commit. The caller holds g.mu; the election's lock nests inside it.
+func (g *GRM) refusalLocked() error {
+	switch {
+	case g.elect == nil:
+		return nil
+	case g.role == RolePrimary && g.elect.HasQuorum():
+		return nil
+	case g.role == RolePrimary:
+		return orb.Errorf(orb.CodeApplication, "grm: leader of epoch %d has no quorum", g.epoch)
+	}
+	id, ref := g.elect.Leader()
 	if ref.IsZero() {
 		return orb.Errorf(orb.CodeApplication, "grm: not the leader (leader=%q)", id)
 	}
@@ -64,16 +74,11 @@ func notLeader(elect *election.Node) error {
 	return orb.Errorf(orb.CodeForward, "%s", ref)
 }
 
-// refusal is notLeader's refusal while this GRM is a replica that does not
-// lead its set, and nil otherwise.
+// refusal is refusalLocked under g.mu.
 func (g *GRM) refusal() error {
 	g.mu.Lock()
-	elect, follower := g.elect, g.elect != nil && g.role != RolePrimary
-	g.mu.Unlock()
-	if !follower {
-		return nil
-	}
-	return notLeader(elect)
+	defer g.mu.Unlock()
+	return g.refusalLocked()
 }
 
 // Election returns the consensus node managing this GRM (nil when unmanaged).

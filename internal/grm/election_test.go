@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"integrade/internal/chaos"
 	"integrade/internal/election"
 	"integrade/internal/grm"
 	"integrade/internal/orb"
@@ -355,5 +356,88 @@ func assertMirrors(t *testing.T, step, i int, l, f *grm.GRM) {
 	}
 	if got, want := counters(f), counters(l); got != want {
 		t.Fatalf("step %d: m%d admission counters %v, leader %v", step, i, got, want)
+	}
+}
+
+// TestQuorumlessLeaderRefusesWrites cuts the answers of both followers to the
+// leader's heartbeats (the heartbeats still arrive, 100 ms late, so neither
+// follower campaigns). Within TimeoutMin plus one heartbeat of the last
+// acknowledgement the leader refuses updates and submissions, naming no
+// leader and placing nothing; once the answers come back it accepts them
+// again, in the same term.
+func TestQuorumlessLeaderRefusesWrites(t *testing.T) {
+	rs := newReplicaSet(t, 3)
+	engine := chaos.NewEngine(rs.clock, sim.NewRNG(1))
+	rs.o.SetInterceptor(engine)
+	g0, client := rs.grms[0], protocol.NewGRMClient(rs.o, rs.refs[0])
+	status := protocol.NodeStatus{NodeID: "n0", Dedicated: true}
+	write := func() (updateErr, submitErr error) {
+		status.Timestamp = rs.clock.Now()
+		_, updateErr = client.Update(status)
+		_, submitErr = client.Submit(bag(1, 1e6))
+		return updateErr, submitErr
+	}
+	// The heartbeats go out every 2 s from the bootstrap round at 0 s: the
+	// cut comes 1 s after the last one answered.
+	rs.clock.Advance(3 * time.Second)
+	if u, s := write(); u != nil || s != nil {
+		t.Fatalf("leader with its quorum: update %v, submit %v", u, s)
+	}
+	var faults []int
+	for _, m := range []string{"m1", "m2"} {
+		faults = append(faults, engine.AddFault(chaos.MessageFault{
+			Match: chaos.Match{Addr: m, Key: election.ObjectKey}, Delay: 1, DelayBy: 100 * time.Millisecond,
+		}))
+	}
+	const step = 100 * time.Millisecond
+	sinceAck := time.Second
+	var u, s error
+	for ; sinceAck <= time.Minute; sinceAck += step {
+		rs.clock.Advance(step)
+		if u, s = write(); u != nil || s != nil {
+			break
+		}
+	}
+	for _, err := range []error{u, s} {
+		if _, fwd := orb.Forwarded(err); err == nil || fwd {
+			t.Fatalf("%v after the last acknowledgement: update %v, submit %v; want both refused, naming no leader", sinceAck, u, s)
+		}
+	}
+	if limit := election.DefaultTimeoutMin + election.DefaultHeartbeat; sinceAck > limit {
+		t.Fatalf("writes refused %v after the last acknowledgement, want within %v", sinceAck, limit)
+	}
+	apps := len(g0.AppIDs())
+	rs.clock.Advance(time.Minute)
+	if u, s := write(); u == nil || s == nil {
+		t.Fatalf("a minute on: update %v, submit %v; want both refused", u, s)
+	}
+	if got := len(g0.AppIDs()); got != apps {
+		t.Fatalf("the leader took %d applications without a quorum", got-apps)
+	}
+
+	for _, id := range faults {
+		engine.RemoveFault(id)
+	}
+	rs.clock.Advance(election.DefaultHeartbeat + step)
+	if u, s := write(); u != nil || s != nil {
+		t.Fatalf("after the heal: update %v, submit %v", u, s)
+	}
+	if rs.leaderIdx(t) != 0 || g0.Epoch() != 1 {
+		t.Fatalf("after the heal: leader m%d, epoch %d; want m0 in term 1", rs.leaderIdx(t), g0.Epoch())
+	}
+}
+
+// TestIdleReplicaSetAppendsNothing: once the leader's first flush has carried
+// its state, a replica set that no client writes to proposes no entry.
+func TestIdleReplicaSetAppendsNothing(t *testing.T) {
+	rs := newReplicaSet(t, 3)
+	rs.clock.Advance(10 * time.Second)
+	before := rs.grms[0].Stats().QuorumBatches
+	if before < 1 {
+		t.Fatal("the leader's first flush committed nothing")
+	}
+	rs.clock.Advance(time.Hour)
+	if got := rs.grms[0].Stats().QuorumBatches - before; got != 0 {
+		t.Fatalf("an idle replica set appended %d log entries in an hour, want 0", got)
 	}
 }

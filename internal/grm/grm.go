@@ -185,6 +185,7 @@ type GRM struct {
 	// stream obeys the same rule: marks under mu are lock-only (g.mu →
 	// repl.mu), and the pump proposes to the log with no GRM lock held.
 	//lint:lockorder grm.GRM.mu<grm.replicator.mu
+	//lint:lockorder grm.GRM.mu<election.Node.mu
 	mu      sync.Mutex
 	apps    map[string]*appInfo
 	nodes   map[string]*nodeLiveness
@@ -386,80 +387,81 @@ func (g *GRM) Stop() {
 	}
 }
 
-// handleUpdate processes one Information Update Protocol message — the status
-// and the windows decoded beside it — and returns the manager's fencing epoch
-// for the reply. A consensus-managed replica that is not the leader refuses
-// the update with a forward to the leader (notLeader) instead of feeding a
-// stale view — and a leader whose replication stream has lost its quorum
-// refuses it too: a partitioned primary that kept answering updates would
-// keep its LRMs' fences pinned to the old epoch, leaving them obedient to a
-// deposed manager.
+// handleUpdate applies one Information Update Protocol message, the body d
+// holds, and returns the manager's fencing epoch for the reply. A replica
+// that may not accept writes refuses it (refusalLocked): a partitioned
+// leader that kept answering updates would keep its LRMs' fences pinned to
+// its epoch, leaving them obedient to a deposed manager.
 //
-// The update is recorded under g.mu and exported to the trader after it is
-// released, through the place the node's record holds: the trader has locks of
-// its own, so updates from different nodes upsert in parallel. A failure
-// sweep that declares the node dead in between puts the offer back after its
-// withdraw (restoreOffer); a departure in between takes the place, and the
-// upsert through it is dropped (exportByRef).
-func (g *GRM) handleUpdate(s *protocol.NodeStatus, windows []protocol.AvailWindow) (int, error) {
+// The update is decoded and recorded under g.mu (recordUpdate) and exported
+// to the trader after it is released, through the place the node's record
+// holds: the trader has locks of its own, so updates from different nodes
+// upsert in parallel. A failure sweep that declares the node dead in between
+// puts the offer back after its withdraw (restoreOffer); a departure in
+// between takes the place, and the upsert through it is dropped (exportByRef).
+// Only an accepted update delivers its events: a refused one is answered with
+// an error and the LRM sends them again, to whoever it reports to next.
+func (g *GRM) handleUpdate(d *orb.Decoder) (int, error) {
 	now := g.clock.Now()
-	epoch, place, moved, export, err := g.recordUpdate(s, windows, now)
-	if err != nil {
+	var u recorded
+	if err := g.recordUpdate(d, now, &u); err != nil {
 		return 0, err
 	}
-	g.trader.Withdraw(moved)
-	if export {
-		g.exportStatusOffer(s, coveringWindow(windows, now), now, epoch, place)
+	g.trader.Withdraw(u.moved)
+	if u.export {
+		g.exportStatusOffer(&u.s, u.win, now, u.epoch, u.place)
 	}
-	return epoch, nil
+	for u.events.Len() > 0 {
+		g.handleEvent(u.events.Next())
+	}
+	return u.epoch, nil
 }
 
-// recordedIdentity returns the identity strings — node ID, LRM reference,
-// platform and LAN — of the node record for the update d holds, or a zero
-// status for a node it does not know, for DecodeUpdate to reuse: a node reports
-// the same ones on every update, and the status is stored whole each time. It
-// reads the node ID from its copy of the decoder, and decodes nothing under
-// g.mu.
-func (g *GRM) recordedIdentity(d orb.Decoder) protocol.NodeStatus {
-	id := d.RawString()
+// recorded is what recordUpdate decoded and recorded of an update: its
+// status, the offer window covering the instant it was recorded, its events,
+// the epoch to reply with, and recordStatusLocked's place to export through,
+// place to withdraw and export decision.
+type recorded struct {
+	s            protocol.NodeStatus
+	win          offerWindow
+	events       protocol.UpdateEvents
+	epoch        int
+	place, moved trading.Place
+	export       bool
+}
+
+// recordUpdate is handleUpdate's one section under g.mu. It looks the node's
+// record up by the ID the body d starts with, decodes the update against it,
+// so that the status reuses the identity strings the node reports on every
+// update, and then refuses it or records it: liveness, counters, the
+// replication stream's copy. A body that does not decode is reported before
+// any refusal. What it records goes into u.
+func (g *GRM) recordUpdate(d *orb.Decoder, now time.Time, u *recorded) error {
+	// The windows stay on this stack: the record copies them into an array
+	// of its own, and u takes the one covering now.
+	var buf [protocol.MaxWindows]protocol.AvailWindow
+	peek := *d
+	id := peek.RawString()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	lv := g.nodes[string(id)]
-	if lv == nil {
-		return protocol.NodeStatus{}
+	var like *protocol.NodeStatus
+	if lv != nil {
+		like = &lv.status
 	}
-	return protocol.NodeStatus{
-		NodeID:   lv.status.NodeID,
-		LRMRef:   lv.status.LRMRef,
-		Platform: lv.status.Platform,
-		LANID:    lv.status.LANID,
+	var windows []protocol.AvailWindow
+	var err error
+	if u.s, windows, u.events, err = protocol.DecodeUpdate(d, like, &buf); err != nil {
+		return orb.Errorf(orb.CodeMarshal, "update: %v", err)
 	}
-}
-
-// recordUpdate is handleUpdate's one section under g.mu: it refuses the update
-// or records it — liveness, counters, the replication stream's copy — and
-// returns the epoch for the reply, and recordStatusLocked's place to export
-// through, place to withdraw and export decision.
-func (g *GRM) recordUpdate(s *protocol.NodeStatus, windows []protocol.AvailWindow, now time.Time) (epoch int, place, moved trading.Place, export bool, err error) {
-	g.mu.Lock()
-	refuse := g.elect != nil && g.role != RolePrimary
-	// Only a replica-set leader has a stream. repl.degraded takes the
-	// replicator mutex, which nests inside g.mu (lock order g.mu -> repl.mu),
-	// same as the enqueue below.
-	degraded := !refuse && g.repl != nil && g.repl.degraded()
-	if refuse || degraded {
+	if err := g.refusalLocked(); err != nil {
 		g.stats.UpdatesRefused++
-		elect, epoch := g.elect, g.epoch
-		g.mu.Unlock()
-		if refuse {
-			return 0, trading.Place{}, trading.Place{}, false, notLeader(elect)
-		}
-		return 0, trading.Place{}, trading.Place{}, false, fmt.Errorf("grm: leader of epoch %d lost its replication quorum", epoch)
+		return err
 	}
-	defer g.mu.Unlock()
 	g.stats.UpdatesReceived++
-	place, moved, export = g.recordStatusLocked(s, windows, now)
-	return g.epoch, place, moved, export, nil
+	u.win, u.epoch = coveringWindow(windows, now), g.epoch
+	u.place, u.moved, u.export = g.recordStatusLocked(lv, &u.s, windows, now)
+	return nil
 }
 
 // Epoch returns the fencing epoch stamped on this manager's outbound writes:
@@ -565,17 +567,17 @@ func (g *GRM) KnownNodes() int { return g.trader.Count() }
 // before Submit returns — an immediate placement attempt, exactly the
 // seed's submit-then-place semantics. Under WithAsyncAdmission Submit
 // returns as soon as the app is queued and a background drainer batches
-// placements. A full queue rejects with ErrAdmissionFull, a replica that does
-// not lead with a forward (notLeader). The ID identifies the app in AppStatus.
+// placements. A full queue rejects with ErrAdmissionFull, and a replica that
+// may not accept writes refuses (refusalLocked). The ID identifies the app in
+// AppStatus.
 func (g *GRM) Submit(spec protocol.ApplicationSpec) (string, error) {
 	if err := spec.Validate(); err != nil {
 		return "", err
 	}
 	g.mu.Lock()
-	if g.elect != nil && g.role != RolePrimary {
-		elect := g.elect
+	if err := g.refusalLocked(); err != nil {
 		g.mu.Unlock()
-		return "", notLeader(elect)
+		return "", err
 	}
 	if len(g.admitQ) >= g.admitLimit {
 		g.refuseLocked()

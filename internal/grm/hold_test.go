@@ -37,7 +37,7 @@ func TestReserveFedUpdateKeepsCandidates(t *testing.T) {
 			reserves++
 			for range 2 {
 				fleet[i].GridFree.MIPS++
-				if _, err := g.handleUpdate(&fleet[i], nil); err != nil {
+				if _, err := g.handleUpdate(updateFrame(&fleet[i])); err != nil {
 					t.Error(err)
 				}
 			}
@@ -66,7 +66,7 @@ func TestReserveFedUpdateKeepsCandidates(t *testing.T) {
 	for round := range 3 {
 		for i := range fleet {
 			fleet[i].GridFree.MIPS += float64(round)
-			if _, err := g.handleUpdate(&fleet[i], nil); err != nil {
+			if _, err := g.handleUpdate(updateFrame(&fleet[i])); err != nil {
 				t.Fatal(err)
 			}
 		}

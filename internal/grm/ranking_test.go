@@ -255,13 +255,13 @@ func TestRefusedPlacementSettlesOnlyWhatItTries(t *testing.T) {
 			t.Fatal(err)
 		}
 		free := resource.Vector{MIPS: float64(1000 + i), RAMMB: 1024}
-		if _, err := g.handleUpdate(&protocol.NodeStatus{
+		if _, err := g.handleUpdate(updateFrame(&protocol.NodeStatus{
 			NodeID:    ep.Addr,
 			LRMRef:    orb.ObjectRef{Endpoint: ep, Key: protocol.LRMKey},
 			Capacity:  free,
 			GridFree:  free,
 			Timestamp: g.clock.Now(),
-		}, nil); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,9 +13,8 @@ import (
 )
 
 // DefaultReplicationInterval is the cadence at which a replica-set leader
-// flushes the entities it changed into the consensus log. Every flush — even
-// an empty one — is a log entry the quorum must acknowledge, so it doubles as
-// the leader's check that it still holds a quorum.
+// flushes the entities it changed into the consensus log, one entry a flush;
+// a flush with nothing changed proposes nothing.
 const DefaultReplicationInterval = 5 * time.Second
 
 // replicaBatch is one consensus log entry: the current record of every
@@ -228,28 +227,13 @@ type replicator struct {
 	// a quorum has acknowledged it. Immutable after construction.
 	propose func([]byte) error
 
-	// mu guards pending, failures, stopped and timer.
+	// mu guards pending, stopped and timer.
 	//
-	//lint:guards pending,failures,stopped,timer
-	mu       sync.Mutex
-	pending  map[entity]struct{}
-	failures int // consecutive flush failures; reset by any success
-	stopped  bool
-	timer    sim.Timer // the pump's next flush
-}
-
-// degradedAfter is how many consecutive flush failures mark the stream
-// degraded: one may be a transient fault the next pump absorbs; two in a row
-// mean the leader cannot reach a quorum.
-const degradedAfter = 2
-
-// degraded reports whether the stream has failed degradedAfter consecutive
-// flushes: the leader's signal that it has lost its quorum and must stop
-// serving writes it can no longer commit.
-func (r *replicator) degraded() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.failures >= degradedAfter
+	//lint:guards pending,stopped,timer
+	mu      sync.Mutex
+	pending map[entity]struct{}
+	stopped bool
+	timer   sim.Timer // the pump's next flush
 }
 
 // newReplicator builds the stream: drained batches become election log
@@ -292,13 +276,12 @@ func (r *replicator) stop() {
 }
 
 // flush drains the pending set and proposes the entities' records as one
-// batch. An empty batch is still proposed: its acknowledgement is how the
-// leader learns it still holds a quorum (see degraded). On failure the
-// entities go back into the set; their records are read afresh at the next
-// flush, so a transient quorum outage loses nothing and clobbers nothing.
+// batch; with nothing pending it proposes nothing. On failure the entities go
+// back into the set; their records are read afresh at the next flush, so a
+// transient quorum outage loses nothing and clobbers nothing.
 func (r *replicator) flush() {
 	r.mu.Lock()
-	if r.stopped {
+	if r.stopped || len(r.pending) == 0 {
 		r.mu.Unlock()
 		return
 	}
@@ -312,16 +295,11 @@ func (r *replicator) flush() {
 	r.g.mu.Lock()
 	r.g.batchLocked(ents).encode(&e)
 	r.g.mu.Unlock()
-	err := r.propose(e.Bytes())
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err != nil {
-		r.failures++
+	if err := r.propose(e.Bytes()); err != nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
 		for _, ent := range ents {
 			r.pending[ent] = struct{}{}
 		}
-		return
 	}
-	r.failures = 0
 }

@@ -7,32 +7,11 @@ import (
 
 // Servant exposes the GRM's remote interface: information updates,
 // application submission, task notifications, status queries and the
-// reconcile exchange. A replica that does not lead its set refuses every
-// write with a forward to the leader (notLeader) and answers reads from its
-// replicated view.
+// reconcile exchange. A replica that may not accept writes (refusalLocked)
+// refuses every one, and answers reads from its replicated view.
 func (g *GRM) Servant() orb.Servant {
 	m := orb.NewOpMux()
-	orb.ServeRaw(m, protocol.Update, func(req *orb.Decoder) (int, error) {
-		like := g.recordedIdentity(*req)
-		// The windows stay on this stack: the record copies them into an
-		// array of its own, and the offer takes the one covering now.
-		var buf [protocol.MaxWindows]protocol.AvailWindow
-		s, windows, events, err := protocol.DecodeUpdate(req, &like, &buf)
-		if err != nil {
-			return 0, orb.Errorf(orb.CodeMarshal, "update: %v", err)
-		}
-		epoch, err := g.handleUpdate(&s, windows)
-		if err != nil {
-			return 0, err
-		}
-		// Only an accepted update delivers its events: a refused one is
-		// answered with an error and the LRM sends them again, to whoever
-		// it reports to next.
-		for events.Len() > 0 {
-			g.handleEvent(events.Next())
-		}
-		return epoch, nil
-	})
+	orb.ServeRaw(m, protocol.Update, g.handleUpdate)
 	orb.Serve(m, protocol.Submit, g.Submit)
 	orb.Serve(m, protocol.Notify, func(ev protocol.TaskEvent) (struct{}, error) {
 		if err := g.refusal(); err != nil {

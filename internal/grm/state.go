@@ -61,7 +61,8 @@ func (g *GRM) markLocked(e entity) {
 }
 
 // recordStatusLocked records a node's latest status, the windows that came
-// with it and its heartbeat, and ends a departure whose deadline has passed.
+// with it and its heartbeat into lv, the node's record (nil: a new one), and
+// ends a departure whose deadline has passed.
 // The windows are copied into the record's own array, which is reused across
 // updates and grows only when the node reports more than it ever has; it is
 // rewritten in place, so it is read only under g.mu. It returns the place the
@@ -71,8 +72,7 @@ func (g *GRM) markLocked(e entity) {
 // arrival. A status from a new reference takes the old reference's place out
 // of the record and returns it as moved, for the caller to withdraw: that
 // offer names an LRM the node no longer reports from.
-func (g *GRM) recordStatusLocked(s *protocol.NodeStatus, windows []protocol.AvailWindow, now time.Time) (place, moved trading.Place, export bool) {
-	lv := g.nodes[s.NodeID]
+func (g *GRM) recordStatusLocked(lv *nodeLiveness, s *protocol.NodeStatus, windows []protocol.AvailWindow, now time.Time) (place, moved trading.Place, export bool) {
 	if lv == nil {
 		lv = &nodeLiveness{}
 		g.nodes[s.NodeID] = lv
@@ -139,7 +139,7 @@ func (g *GRM) mirrorNodeLocked(n nodeEntry, now time.Time) (export *protocol.Nod
 		return nil, trading.Place{}, g.dropNodeLocked(n.id)
 	}
 	s := &n.lv.status
-	place, moved, _ := g.recordStatusLocked(s, s.Windows, now)
+	place, moved, _ := g.recordStatusLocked(g.nodes[s.NodeID], s, s.Windows, now)
 	taken, _ := g.departLocked(s.NodeID, n.lv.departUntil)
 	if n.lv.departUntil.IsZero() {
 		return s, place, moved

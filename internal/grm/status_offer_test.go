@@ -35,7 +35,7 @@ func TestStatusOfferRoundTrip(t *testing.T) {
 		Timestamp:     now.Add(-5 * time.Second),
 		Windows:       []protocol.AvailWindow{{Start: now.Add(-time.Hour), End: now.Add(2 * time.Hour), Confidence: 0.75}},
 	}
-	if epoch, err := g.handleUpdate(&s, s.Windows); err != nil || epoch != 4 {
+	if epoch, err := g.handleUpdate(updateFrame(&s)); err != nil || epoch != 4 {
 		t.Fatalf("handleUpdate = %d, %v", epoch, err)
 	}
 	all := g.Trader().All("")
@@ -144,7 +144,7 @@ func TestStatusSchemaFitsOffer(t *testing.T) {
 					t.Fatalf("%s of the node offer panicked, statusSchema outgrowing a trader offer: %v", write, r)
 				}
 			}()
-			if _, err := g.handleUpdate(&s, nil); err != nil {
+			if _, err := g.handleUpdate(updateFrame(&s)); err != nil {
 				t.Fatalf("%s: %v", write, err)
 			}
 		}()

@@ -51,10 +51,16 @@ func heartbeat(t *testing.T, g *GRM, clock *sim.VirtualClock, s protocol.NodeSta
 // g's OpUpdate handler against the identity of the node's record, which it
 // looks up under g.mu while the other goroutines of a test change the records.
 func sendUpdate(g *GRM, s protocol.NodeStatus) error {
-	var e orb.Encoder
-	protocol.EncodeUpdate(&e, s, nil)
-	_, err := g.Servant().Dispatch(protocol.OpUpdate, orb.NewDecoder(e.Bytes()))
+	_, err := g.Servant().Dispatch(protocol.OpUpdate, updateFrame(&s))
 	return err
+}
+
+// updateFrame is the body of an update of s, its windows included, with no
+// events, as an LRM sends it.
+func updateFrame(s *protocol.NodeStatus) *orb.Decoder {
+	var e orb.Encoder
+	protocol.EncodeUpdate(&e, *s, nil)
+	return orb.NewDecoder(e.Bytes())
 }
 
 // checkOneOfferPerNode fails t unless every node the GRM holds alive, and not
@@ -112,14 +118,15 @@ func TestSweepRacingHeartbeatReplay(t *testing.T) {
 			dead := g.declareDeadLocked(now)
 			g.mu.Unlock()
 			s.Timestamp = now
-			epoch, place, _, export, err := g.recordUpdate(s, s.Windows, now)
-			if err != nil || !export {
-				t.Fatalf("recordUpdate = %d, %v, %v", epoch, export, err)
+			var u recorded
+			err := g.recordUpdate(updateFrame(s), now, &u)
+			if err != nil || !u.export {
+				t.Fatalf("recordUpdate = %d, %v, %v", u.epoch, u.export, err)
 			}
 			for _, d := range dead {
 				g.bury(d)
 			}
-			g.exportStatusOffer(s, coveringWindow(s.Windows, now), now, epoch, place)
+			g.exportStatusOffer(s, u.win, now, u.epoch, u.place)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -218,13 +225,14 @@ func TestDepartureRacingUpdateReplay(t *testing.T) {
 		replay func(t *testing.T, g *GRM, s *protocol.NodeStatus, depart func())
 	}{
 		{"recorded before the departure, exported through its place after the withdraw", func(t *testing.T, g *GRM, s *protocol.NodeStatus, depart func()) {
-			epoch, place, _, export, err := g.recordUpdate(s, s.Windows, s.Timestamp)
-			if err != nil || !export || place == (trading.Place{}) {
-				t.Fatalf("recordUpdate = %d, %v, %v, %v; want an export through the node's place", epoch, place, export, err)
+			var u recorded
+			err := g.recordUpdate(updateFrame(s), s.Timestamp, &u)
+			if err != nil || !u.export || u.place == (trading.Place{}) {
+				t.Fatalf("recordUpdate = %d, %v, %v, %v; want an export through the node's place", u.epoch, u.place, u.export, err)
 			}
 			depart()
 			v := g.Trader().Version()
-			g.exportStatusOffer(s, coveringWindow(s.Windows, s.Timestamp), s.Timestamp, epoch, place)
+			g.exportStatusOffer(s, u.win, s.Timestamp, u.epoch, u.place)
 			if g.Trader().Version() != v {
 				t.Error("the update's export wrote to the trader after the departure took its place")
 			}
@@ -232,16 +240,17 @@ func TestDepartureRacingUpdateReplay(t *testing.T) {
 		{"a node's first update, exported by reference after the departure", func(t *testing.T, g *GRM, s *protocol.NodeStatus, depart func()) {
 			s.NodeID = "n-new"
 			s.LRMRef.Endpoint.Addr = "new"
-			epoch, place, _, export, err := g.recordUpdate(s, s.Windows, s.Timestamp)
-			if err != nil || !export || place != (trading.Place{}) {
-				t.Fatalf("recordUpdate = %d, %v, %v, %v; want a first export, by reference", epoch, place, export, err)
+			var u recorded
+			err := g.recordUpdate(updateFrame(s), s.Timestamp, &u)
+			if err != nil || !u.export || u.place != (trading.Place{}) {
+				t.Fatalf("recordUpdate = %d, %v, %v, %v; want a first export, by reference", u.epoch, u.place, u.export, err)
 			}
 			depart()
-			g.exportStatusOffer(s, coveringWindow(s.Windows, s.Timestamp), s.Timestamp, epoch, place)
+			g.exportStatusOffer(s, u.win, s.Timestamp, u.epoch, u.place)
 		}},
 		{"the departure before the record", func(t *testing.T, g *GRM, s *protocol.NodeStatus, depart func()) {
 			depart()
-			if _, err := g.handleUpdate(s, s.Windows); err != nil {
+			if _, err := g.handleUpdate(updateFrame(s)); err != nil {
 				t.Fatal(err)
 			}
 		}},

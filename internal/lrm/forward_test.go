@@ -1,6 +1,8 @@
 package lrm
 
 import (
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -79,8 +81,9 @@ func TestForwardedUpdateRegistersWithLeader(t *testing.T) {
 
 // TestForwardLoopCostsOneHop: two managers that forward to each other cost
 // one hop an attempt — a SendUpdate asks each once and fails — and a
-// re-registration attempt that meets the loop fails the same way and re-arms
-// its backoff.
+// re-registration attempt that meets the loop does not follow the forward
+// back to the manager it is leaving: it asks the other one twice, fails and
+// re-arms its backoff.
 func TestForwardLoopCostsOneHop(t *testing.T) {
 	other := &fakeGRM{}
 	var otherRef orb.ObjectRef
@@ -109,14 +112,15 @@ func TestForwardLoopCostsOneHop(t *testing.T) {
 	if len(delays) != 1 {
 		t.Fatalf("re-registration armed %d times, want once", len(delays))
 	}
-	// The first attempt resolves the other manager, which forwards back:
-	// one hop, a failure, and the backoff re-arms for attempt 2.
+	// The first attempt resolves the other manager, which forwards back to
+	// the one whose failures started the loop: the attempt re-resolves at
+	// once, meets the same forward, and the backoff re-arms for attempt 2.
 	f.clock.Advance(time.Minute)
 	_, first, _ := f.grm.counts()
 	_, second, _ := other.counts()
-	if first != reregisterAfter+1 || second != reregisterAfter+1 {
-		t.Fatalf("after the attempt the managers refused %d and %d, want %d each",
-			first, second, reregisterAfter+1)
+	if first != reregisterAfter || second != reregisterAfter+2 {
+		t.Fatalf("after the attempt the managers refused %d and %d, want %d and %d",
+			first, second, reregisterAfter, reregisterAfter+2)
 	}
 	if len(delays) != 2 || delays[1] != 2 {
 		t.Fatalf("backoff attempts armed = %v, want [1 2]", delays)
@@ -147,5 +151,144 @@ func TestForwardToUnreachableFails(t *testing.T) {
 	f.lrm.mu.Unlock()
 	if fails != 1 {
 		t.Fatalf("consecutive failures = %d, want 1", fails)
+	}
+}
+
+// rotation is a resolver that names refs in turn, counting its calls.
+type rotation struct {
+	refs     []orb.ObjectRef
+	resolved int
+}
+
+func (r *rotation) resolve() (orb.ObjectRef, error) {
+	ref := r.refs[r.resolved%len(r.refs)]
+	r.resolved++
+	return ref, nil
+}
+
+// failedManagerFixture is an LRM whose manager has just died, in the
+// re-registration loop with its attempts a minute apart (attempts counts them),
+// and members, bound under the names given, that forward to the dead manager
+// or accept its updates at epoch 2.
+func failedManagerFixture(t *testing.T, r *rotation, members map[string]bool) (f *fixture, dead orb.ObjectRef, refs map[string]orb.ObjectRef, attempts *int) {
+	f = newFixture(t, dedicatedSpec(1000), nil, ncc.Generous(), WithGRMResolver(r.resolve))
+	dead = f.lrm.grmClient().Ref()
+	refs = map[string]orb.ObjectRef{"dead": dead}
+	for _, name := range slices.Sorted(maps.Keys(members)) {
+		g := &fakeGRM{epoch: 2}
+		if members[name] {
+			g.forward = dead
+		}
+		refs[name] = f.bindGRM(t, name, g)
+	}
+	attempts = new(int)
+	f.lrm.reregDelay = func(string, int) time.Duration {
+		*attempts++
+		return time.Minute
+	}
+	f.grm.down = true
+	for range reregisterAfter {
+		f.lrm.SendUpdate()
+	}
+	return f, dead, refs, attempts
+}
+
+// TestReregisterSkipsForwardToFailedManager: after the manager dies, the first
+// member the resolver names has not noticed yet and forwards to the dead one.
+// The attempt does not follow that forward but re-resolves at once, and
+// registers with the member the resolver names next, within one attempt.
+func TestReregisterSkipsForwardToFailedManager(t *testing.T) {
+	r := &rotation{}
+	f, _, refs, attempts := failedManagerFixture(t, r, map[string]bool{"a": true, "b": false})
+	r.refs = []orb.ObjectRef{refs["a"], refs["b"]}
+
+	f.clock.Advance(time.Minute)
+
+	if *attempts != 1 || r.resolved != 2 {
+		t.Fatalf("%d attempts armed and %d resolutions, want one attempt resolving twice", *attempts, r.resolved)
+	}
+	if got := f.lrm.grmClient().Ref(); got != refs["b"] {
+		t.Fatalf("reporting to %v, want member b %v", got, refs["b"])
+	}
+	if st := f.lrm.Stats(); st.Reregistrations != 1 {
+		t.Fatalf("stats = %+v, want one re-registration", st)
+	}
+}
+
+// TestReregisterPassesOverFailedManager: in a rotation through a three-member
+// set's members, the first attempt meets two members that both still forward
+// to the dead leader. The next attempt, which the rotation points at the dead
+// leader itself, passes over it to the member after it.
+func TestReregisterPassesOverFailedManager(t *testing.T) {
+	r := &rotation{}
+	f, dead, refs, attempts := failedManagerFixture(t, r, map[string]bool{"m1": true, "m2": true, "m3": false})
+	r.refs = []orb.ObjectRef{refs["m1"], refs["m2"], dead, refs["m3"]}
+
+	f.clock.Advance(time.Minute)
+	if got := f.lrm.grmClient().Ref(); got != dead || r.resolved != 2 {
+		t.Fatalf("after the first attempt: reporting to %v after %d resolutions, want still the dead manager after 2", got, r.resolved)
+	}
+	f.clock.Advance(time.Minute)
+
+	if *attempts != 2 || r.resolved != 4 {
+		t.Fatalf("%d attempts armed and %d resolutions, want two attempts resolving four times", *attempts, r.resolved)
+	}
+	if got := f.lrm.grmClient().Ref(); got != refs["m3"] {
+		t.Fatalf("reporting to %v, want m3 %v", got, refs["m3"])
+	}
+}
+
+// TestReregisterReturnsToRecoveredManager: once the manager that failed
+// accepts an update again, the loop stops passing over it. The first attempt
+// meets two members forwarding back to it while it is down; it then recovers,
+// and the next attempt, which the rotation points at it, registers with it
+// rather than with the unreachable member after it.
+func TestReregisterReturnsToRecoveredManager(t *testing.T) {
+	r := &rotation{}
+	f, home, refs, _ := failedManagerFixture(t, r, map[string]bool{"m1": true, "m2": true})
+	gone := orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: "gone"}, Key: protocol.GRMKey}
+	r.refs = []orb.ObjectRef{refs["m1"], refs["m2"], home, gone}
+
+	f.clock.Advance(time.Minute)
+	f.grm.mu.Lock()
+	f.grm.down = false
+	f.grm.mu.Unlock()
+	f.lrm.SendUpdate()
+	f.clock.Advance(time.Minute)
+
+	if r.resolved != 3 {
+		t.Fatalf("%d resolutions, want 3", r.resolved)
+	}
+	if got := f.lrm.grmClient().Ref(); got != home {
+		t.Fatalf("reporting to %v, want the recovered manager %v", got, home)
+	}
+	if st := f.lrm.Stats(); st.Reregistrations != 1 {
+		t.Fatalf("stats = %+v, want one re-registration", st)
+	}
+}
+
+// TestReregisterFollowsForwardToRecoveredManager: a forward back to the
+// manager that failed is not followed only while its updates fail. Once it
+// accepts one again, a member's forward to it is followed as any other.
+func TestReregisterFollowsForwardToRecoveredManager(t *testing.T) {
+	r := &rotation{}
+	f, home, refs, _ := failedManagerFixture(t, r, map[string]bool{"m1": true, "m2": true})
+	r.refs = []orb.ObjectRef{refs["m1"], refs["m2"]}
+
+	f.clock.Advance(time.Minute)
+	f.grm.mu.Lock()
+	f.grm.down = false
+	f.grm.mu.Unlock()
+	f.lrm.SendUpdate()
+	f.clock.Advance(time.Minute)
+
+	if r.resolved != 3 {
+		t.Fatalf("%d resolutions, want 3", r.resolved)
+	}
+	if got := f.lrm.grmClient().Ref(); got != home {
+		t.Fatalf("reporting to %v, want the recovered manager %v", got, home)
+	}
+	if st := f.lrm.Stats(); st.Reregistrations != 1 {
+		t.Fatalf("stats = %+v, want one re-registration", st)
 	}
 }

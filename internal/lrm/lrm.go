@@ -102,7 +102,7 @@ type LRM struct {
 	drainLead    time.Duration // 0 = proactive pre-departure drain disabled
 
 	// mu guards grm, taskApp, outbox, windows, stats, stopped, timers,
-	// started, fence, consecFails, rereg and reregAttempt. It must be
+	// started, fence, consecFails, rereg, reregAttempt and passOver. It must be
 	// released before GRM RPCs (Update/Notify), which block on the remote
 	// side. Snapshot collection reads the node's running set under it, so
 	// l.mu nests outside the node's lock.
@@ -129,11 +129,14 @@ type LRM struct {
 	// carrying an older epoch come from a deposed primary and are refused.
 	// Every manager stamps an epoch of at least 1.
 	fence int
-	// Re-registration loop state: consecutive update failures observed, and
-	// whether the backoff-paced re-register loop is currently armed.
+	// Re-registration loop state: consecutive update failures observed,
+	// whether the backoff-paced re-register loop is currently armed, and
+	// whether, since this LRM's manager last accepted an update, a member
+	// forwarded it back to that manager: attempts then pass over it.
 	consecFails  int
 	rereg        bool
 	reregAttempt int
+	passOver     bool
 	// drainCoolUntil suppresses repeated drain firings for one predicted
 	// departure: after a drain, the watch stays quiet until the predicted
 	// owner-return deadline (plus the lead) has passed.
@@ -306,14 +309,26 @@ func (l *LRM) SendUpdate() {
 
 // register sends an update to client and, when the manager refuses it with
 // a forward to the leader, once more to the manager the forward names: one
-// hop an attempt. When the manager that accepts it is not the one this LRM
-// reports to, the LRM adopts it, leaves the re-registration loop and
+// hop an attempt. A forward back to the manager this LRM reports to while its
+// updates fail comes from a member that has not yet noticed the failure, and
+// names no leader the LRM can reach: the second update goes where the
+// resolver points instead. When the manager that accepts it is not the one
+// this LRM reports to, the LRM adopts it, leaves the re-registration loop and
 // reconciles its running tasks with it.
 func (l *LRM) register(client *protocol.GRMClient) error {
 	if err := l.pushUpdate(client); err != nil {
 		ref, ok := orb.Forwarded(err)
 		if !ok {
 			return err
+		}
+		l.mu.Lock()
+		back := l.resolver != nil && l.consecFails > 0 && ref == l.grm.Ref()
+		l.passOver = l.passOver || back
+		l.mu.Unlock()
+		if back {
+			if ref, err = l.resolver(); err != nil {
+				return err
+			}
 		}
 		client = protocol.NewGRMClient(l.inv, ref)
 		if err := l.pushUpdate(client); err != nil {
@@ -327,7 +342,7 @@ func (l *LRM) register(client *protocol.GRMClient) error {
 		l.rereg = false
 		l.stats.Reregistrations++
 	}
-	l.consecFails = 0
+	l.consecFails, l.passOver = 0, false
 	l.stats.UpdatesSent++
 	l.mu.Unlock()
 	if adopt {
@@ -448,24 +463,27 @@ func (l *LRM) armReregister() {
 // reregisterTick is one re-registration attempt: re-resolve the GRM
 // reference and register with it — a status update with the completions no
 // manager has accepted yet, then adopting the manager that accepts it and
-// reconciling running tasks. Failures re-arm with increased backoff.
+// reconciling running tasks. Once a member has forwarded back to the manager
+// that is failing (passOver), a resolution naming that manager is passed over
+// for the next. Failures re-arm with increased backoff.
 func (l *LRM) reregisterTick() {
 	l.mu.Lock()
 	if l.stopped || !l.rereg {
 		l.mu.Unlock()
 		return
 	}
-	resolver := l.resolver
+	resolver, failed, passOver := l.resolver, l.grm.Ref(), l.passOver
 	l.mu.Unlock()
 
 	ref, err := resolver()
-	if err != nil {
-		l.log.Debug("GRM re-resolution failed", "node", l.node.ID(), "err", err)
-		l.armReregister()
-		return
+	if err == nil && passOver && ref == failed {
+		ref, err = resolver()
 	}
-	if err := l.register(protocol.NewGRMClient(l.inv, ref)); err != nil {
-		l.log.Debug("re-registration update failed", "node", l.node.ID(), "err", err)
+	if err == nil {
+		err = l.register(protocol.NewGRMClient(l.inv, ref))
+	}
+	if err != nil {
+		l.log.Debug("re-registration failed", "node", l.node.ID(), "err", err)
 		l.armReregister()
 	}
 }
