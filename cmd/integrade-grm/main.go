@@ -14,7 +14,8 @@
 // does not lead refuses every write with a forward naming the leader, which
 // agents and the ASCT follow; a leader that no majority has answered within
 // the election timeout refuses them naming none, and its 30-s status line
-// reads quorum=lost. Every member runs the same -peers list; exactly one
+// reads quorum=lost; the line's log=<entries>/<bytes>B is the size of the
+// member's consensus log. Every member runs the same -peers list; exactly one
 // passes -bootstrap on first start:
 //
 //	integrade-grm -listen :7000 -cluster ime -id m0 \
@@ -156,9 +157,10 @@ func run() error {
 			return nil
 		case <-ticker.C:
 			st := g.Stats()
-			fmt.Printf("[%s] role=%s quorum=%s epoch=%d nodes=%d updates=%d submissions=%d placed=%d pending-evictions=%d replica-batches=%d quorum-batches=%d\n",
+			entries, bytes := logSize(g)
+			fmt.Printf("[%s] role=%s quorum=%s epoch=%d nodes=%d updates=%d submissions=%d placed=%d pending-evictions=%d replica-batches=%d quorum-batches=%d log=%d/%dB\n",
 				time.Now().Format("15:04:05"), g.Role(), quorum(g), g.Epoch(), g.KnownNodes(), st.UpdatesReceived,
-				st.Submissions, st.TasksPlaced, st.TasksEvicted, st.ReplicaBatches, st.QuorumBatches)
+				st.Submissions, st.TasksPlaced, st.TasksEvicted, st.ReplicaBatches, st.QuorumBatches, entries, bytes)
 		}
 	}
 }
@@ -174,6 +176,15 @@ func quorum(g *grm.GRM) string {
 		return "lost"
 	}
 	return "held"
+}
+
+// logSize is the status line's log field: the entries and payload bytes of
+// the consensus log, none without a replica set.
+func logSize(g *grm.GRM) (entries, bytes int) {
+	if en := g.Election(); en != nil {
+		return en.LogSize()
+	}
+	return 0, 0
 }
 
 // buildElection wires the GRM into a consensus replica set: the member list

@@ -80,8 +80,9 @@ func assertTermsDisjoint(t *testing.T, c *Cluster) {
 // TestReplicaSetMirrorsIncumbentState arms a replica set on a cluster that
 // is already running work. Every member starts as a follower, so the
 // incumbent's bootstrap really takes term 1 — it leads it, and primes the log
-// with everything it knew before the election: the fleet and the running
-// application, which every follower must then mirror.
+// with everything it knew before the election: the fleet's membership and the
+// running application, which every follower must then mirror. The offers stay
+// the leader's.
 func TestReplicaSetMirrorsIncumbentState(t *testing.T) {
 	seeds.Run(t, replicaSetMirrorsIncumbentState)
 }
@@ -121,12 +122,15 @@ func replicaSetMirrorsIncumbentState(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := incumbent.KnownNodes(); got != 3 {
+		t.Fatalf("incumbent KnownNodes = %d, want 3", got)
+	}
 	for _, r := range c.replicaGRMs()[1:] {
 		if r.Role() != grm.RoleFollower {
 			t.Fatalf("member role = %v, want follower", r.Role())
 		}
-		if got := r.KnownNodes(); got != 3 {
-			t.Fatalf("follower KnownNodes = %d, want 3", got)
+		if got := r.Stats().Members; got != 3 {
+			t.Fatalf("follower Members = %d, want 3", got)
 		}
 		st, err := r.AppStatus(h.ID())
 		if err != nil {
@@ -379,4 +383,166 @@ func consensusSplitBrainFencing(t *testing.T, seed int64) {
 		t.Fatalf("primaries after heal = %d", n)
 	}
 	assertTermsDisjoint(t, c)
+}
+
+// TestSubmitAcknowledgesCommittedApp: a replica-set leader answers a Submit
+// only once a batch holding the application has committed, so both followers
+// know the app, its tasks as placed, the moment the Submit returns. A leader
+// crashed right then leaves a successor that finishes the app and cancels no
+// orphan.
+func TestSubmitAcknowledgesCommittedApp(t *testing.T) {
+	seeds.Run(t, submitAcknowledgesCommittedApp)
+}
+
+func submitAcknowledgesCommittedApp(t *testing.T, seed int64) {
+	g, c := replicaGrid(t, seed)
+	defer g.Stop()
+	if err := g.Advance(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	leader := c.GRM()
+	h, err := g.SubmitTo("c1", asct.NewApplication("acked").
+		Parametric(2, 600_000).
+		Allocate(resource.Vector{MIPS: 500, RAMMB: 64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := leader.AppStatus(h.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range c.replicaGRMs() {
+		if r == leader {
+			continue
+		}
+		got, err := r.AppStatus(h.ID())
+		if err != nil {
+			t.Fatalf("a follower when the Submit returned: %v", err)
+		}
+		for i, task := range want.Tasks {
+			if task.State != protocol.TaskRunning || got.Tasks[i].State != task.State || got.Tasks[i].NodeID != task.NodeID {
+				t.Fatalf("task %d: follower %+v, leader %+v; want both running on one node", i, got.Tasks[i], task)
+			}
+		}
+	}
+
+	if err := g.CrashGRM("c1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Advance(30 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	succ := c.GRM()
+	if succ == leader {
+		t.Fatal("no successor")
+	}
+	st, err := succ.AppStatus(h.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Done() {
+		t.Fatalf("under the successor: %+v, want done", st.Tasks)
+	}
+	for _, l := range c.LRMs() {
+		if n := l.Stats().OrphansCancelled; n != 0 {
+			t.Fatalf("node %s cancelled %d orphans", l.Node().ID(), n)
+		}
+	}
+}
+
+// TestSuccessorBuriesSilentMember: a node crashes together with the leader,
+// so it never sends the successor an update. The successor knows it as a
+// member from the log, counts it seen at its promotion, declares it dead one
+// suspect threshold later and re-places its tasks on the other nodes, where
+// the application finishes.
+func TestSuccessorBuriesSilentMember(t *testing.T) {
+	seeds.Run(t, successorBuriesSilentMember)
+}
+
+func successorBuriesSilentMember(t *testing.T, seed int64) {
+	g, c := replicaGrid(t, seed)
+	defer g.Stop()
+	if err := g.Advance(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	leader := c.GRM()
+	h, err := g.SubmitTo("c1", asct.NewApplication("survivor").
+		Parametric(4, 600_000).
+		Allocate(resource.Vector{MIPS: 500, RAMMB: 64}).
+		RestartEvicted())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := leader.AppStatus(h.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := st.Tasks[0].NodeID
+	if err := c.CrashNodeSilently(victim, 24*time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.CrashGRM("c1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Advance(12 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	succ := c.GRM()
+	if succ == leader {
+		t.Fatal("no successor")
+	}
+	if s := succ.Stats(); s.NodesDeclaredDead != 1 || s.Members != 3 {
+		t.Fatalf("successor: %d nodes declared dead, %d members; want the victim dead, 3 members left",
+			s.NodesDeclaredDead, s.Members)
+	}
+	if st, err = succ.AppStatus(h.ID()); err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range st.Tasks {
+		if task.NodeID == victim || task.State != protocol.TaskRunning && task.State != protocol.TaskDone {
+			t.Fatalf("task %+v after the victim %s was buried, want running elsewhere", task, victim)
+		}
+	}
+	if err := g.Advance(30 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = succ.AppStatus(h.ID()); err != nil || !st.Done() {
+		t.Fatalf("under the successor: %+v, %v; want done", st.Tasks, err)
+	}
+}
+
+// TestIdleLogGrowth: a replica set of three over 100 dedicated nodes on 30-s
+// updates, running no application, appends at most 20 KB of payload to the
+// leader's log in a sim hour after a 2-min warm-up. A node's status is soft
+// state its LRM re-tells, and no membership changes (2 376 840 B when every
+// update's status went into the log).
+func TestIdleLogGrowth(t *testing.T) {
+	g := NewGrid(WithSeed(1))
+	defer g.Stop()
+	c, err := g.AddCluster("idle", WithUpdatePeriod(30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddNodes(DedicatedNodes(100, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EnableReplicaSet(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Advance(2 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	en := c.GRM().Election()
+	entries0, bytes0 := en.LogSize()
+	if err := g.Advance(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if c.GRM().Election() != en {
+		t.Fatal("the leader changed")
+	}
+	entries, bytes := en.LogSize()
+	t.Logf("the leader's log: %d entries / %d B after the warm-up, %d / %d B an hour on", entries0, bytes0, entries, bytes)
+	if grown := bytes - bytes0; grown > 20_000 {
+		t.Fatalf("the leader appended %d B in an idle hour, want at most 20000", grown)
+	}
 }

@@ -573,8 +573,10 @@ func (n *Node) advanceCommitLocked() {
 }
 
 // Propose appends data to the replicated log and drives append rounds until
-// a quorum has acknowledged it. Only the leader accepts proposals; the
-// returned term is the entry's fencing epoch.
+// a quorum has acknowledged it, then one more, so that every member it
+// reaches applies the entry before Propose returns rather than at the next
+// heartbeat. Only the leader accepts proposals; the returned term is the
+// entry's fencing epoch.
 func (n *Node) Propose(data []byte) (index, term int, err error) {
 	n.mu.Lock()
 	if n.stopped {
@@ -604,7 +606,19 @@ func (n *Node) Propose(data []byte) (index, term int, err error) {
 		return index, term, orb.Errorf(orb.CodeTimeout, "election: entry %d/term %d not acknowledged by quorum", index, term)
 	}
 	n.deliverCommitted()
+	n.broadcastAppend()
 	return index, term, nil
+}
+
+// LogSize returns how many entries the node's log holds and their payload
+// bytes.
+func (n *Node) LogSize() (entries, bytes int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, ent := range n.entries {
+		bytes += len(ent.Data)
+	}
+	return len(n.entries), bytes
 }
 
 func (n *Node) committedUpTo(index, term int) bool {

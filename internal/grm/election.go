@@ -4,7 +4,6 @@ import (
 	"integrade/internal/election"
 	"integrade/internal/orb"
 	"integrade/internal/protocol"
-	"integrade/internal/trading"
 )
 
 // Role distinguishes the active cluster manager from a passive replica.
@@ -91,7 +90,8 @@ func (g *GRM) Election() *election.Node {
 // LeadAt is the OnLeader transition: the replica becomes the active primary
 // at the given term, adopts the term as its fencing epoch, primes a
 // quorum-replicating stream with a full state snapshot (so followers that
-// joined late converge) and starts the scheduler. Idempotent per term.
+// joined late converge) and starts the scheduler. It exports the offers the
+// log carried statuses for; the rest come with updates. Idempotent per term.
 func (g *GRM) LeadAt(term int) {
 	now := g.clock.Now()
 	g.mu.Lock()
@@ -99,40 +99,33 @@ func (g *GRM) LeadAt(term int) {
 		g.mu.Unlock()
 		return
 	}
-	wasFollower := g.role == RoleFollower
+	var offers []string
+	if g.role == RoleFollower {
+		g.stats.Promotions++
+		offers = g.graceLocked(now)
+	}
 	g.role = RolePrimary
 	g.epoch = max(g.epoch, term)
-	if wasFollower {
-		g.stats.Promotions++
-		// Grace period: a follower's liveness view dates from the old
-		// leader's last batch, so without a reset the first detector pass
-		// would evict every node before its LRM re-registers. Genuinely dead
-		// nodes still time out, measured from now.
-		g.graceLocked(now)
-	}
-	elect := g.elect
-	g.mu.Unlock()
-
-	if elect != nil {
-		repl := newReplicator(g, func(data []byte) error {
+	if elect := g.elect; elect != nil {
+		if g.repl != nil {
+			g.repl.stopLocked()
+		}
+		g.repl = newReplicator(g, func(data []byte) error {
 			_, _, err := elect.Propose(data)
 			return err
 		})
-		g.mu.Lock()
-		old := g.repl
-		g.repl = repl
 		for id := range g.nodes {
-			repl.mark(entity{entityNode, id})
+			g.markLocked(entity{entityNode, id})
 		}
 		for id := range g.apps {
-			repl.mark(entity{entityApp, id})
+			g.markLocked(entity{entityApp, id})
 		}
-		repl.mark(queueEntity)
-		g.mu.Unlock()
-		if old != nil {
-			old.stop()
-		}
-		repl.start()
+		g.markLocked(queueEntity)
+		g.repl.armLocked()
+	}
+	g.mu.Unlock()
+	for _, id := range offers {
+		g.restoreOffer(id)
 	}
 	g.Start()
 }
@@ -141,23 +134,23 @@ func (g *GRM) LeadAt(term int) {
 // leader) becomes a follower, adopts the term as its fencing floor and tears
 // down any outbound replication stream. The scheduler timer keeps ticking but
 // SchedulePending no-ops while not primary, so a stale timer on a deposed
-// leader places nothing.
+// leader places nothing. A follower exports no offer; a deposed leader's age
+// out at their TTL.
 func (g *GRM) FollowAt(term int) {
 	g.mu.Lock()
 	g.epoch = max(g.epoch, term)
 	g.role = RoleFollower
-	repl := g.repl
-	g.repl = nil
-	g.mu.Unlock()
-	if repl != nil {
-		repl.stop()
+	if g.repl != nil {
+		g.repl.stopLocked()
+		g.repl = nil
 	}
+	g.mu.Unlock()
 }
 
 // ApplyReplicaEntry is the election Apply callback: one quorum-committed log
 // entry, carrying an encoded replicaBatch. A corrupt entry from a buggy or
 // hostile peer is counted and dropped, never a panic. The leader proposed the
-// batch itself, so only a follower of the same cluster mirrors the state.
+// batch itself, so only a follower of the same cluster applies it.
 func (g *GRM) ApplyReplicaEntry(index, term int, data []byte) {
 	b, err := decodeReplicaBatch(orb.NewDecoder(data))
 	if err != nil {
@@ -168,9 +161,9 @@ func (g *GRM) ApplyReplicaEntry(index, term int, data []byte) {
 		return
 	}
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	g.stats.QuorumBatches++
 	if g.role != RoleFollower || g.stopped || b.ClusterID != g.clusterID {
-		g.mu.Unlock()
 		return
 	}
 	g.stats.ReplicaBatches++
@@ -182,27 +175,7 @@ func (g *GRM) ApplyReplicaEntry(index, term int, data []byte) {
 	if b.Queue != nil {
 		g.replaceQueueLocked(*b.Queue)
 	}
-	now := g.clock.Now()
-	type export struct {
-		s     *protocol.NodeStatus
-		place trading.Place
-	}
-	var exports []export
-	var withdraws []trading.Place
 	for _, n := range b.Nodes {
-		s, place, withdraw := g.mirrorNodeLocked(n, now)
-		if s != nil {
-			exports = append(exports, export{s, place})
-		}
-		withdraws = append(withdraws, withdraw)
-	}
-	epoch := g.epoch
-	g.mu.Unlock()
-
-	for _, e := range exports {
-		g.exportStatusOffer(e.s, coveringWindow(e.s.Windows, now), now, epoch, e.place)
-	}
-	for _, place := range withdraws {
-		g.trader.Withdraw(place)
+		g.memberLocked(n)
 	}
 }

@@ -1,6 +1,8 @@
 package grm_test
 
 import (
+	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -220,7 +222,9 @@ func TestBootstrapMemberCommitsInTermOne(t *testing.T) {
 // heartbeats, task events (stale ones included), departures, cancellations
 // and node deaths into a replica set's leader. After every committed flush
 // each follower must hold what the leader holds: every application's status,
-// the same node offers, and the same admission queue. The seed picks the
+// the same node membership and departure deadlines, and the same admission
+// queue. Then the leader dies, and once every node's next update has reached
+// the successor, its offers are the ones the leader held. The seed picks the
 // mix.
 func TestReplicaFollowersMatchLeader(t *testing.T) {
 	seeds.Run(t, replicaFollowersMatchLeader)
@@ -311,6 +315,34 @@ func replicaFollowersMatchLeader(t *testing.T, seed int64) {
 			}
 		}
 	}
+
+	// Every node reports past the last departure deadline, so that the
+	// leader offers all of them; the successor learns each offer from the
+	// node's next update.
+	clear(silent)
+	for range 10 {
+		heartbeats(1)
+		rs.clock.Advance(15 * time.Second)
+	}
+	want := offerRefs(c.g)
+	succ := &cluster{t: t, clock: rs.clock, o: rs.o}
+	succ.g = rs.failover(t, rs.leaderIdx(t))
+	succ.grmRef = rs.refs[slices.Index(rs.grms, succ.g)]
+	c = succ
+	heartbeats(1)
+	if got := offerRefs(succ.g); len(want) != len(names) || !slices.Equal(got, want) {
+		t.Fatalf("successor offers %v, the old leader's %v", got, want)
+	}
+}
+
+// offerRefs returns the references of g's offers, sorted.
+func offerRefs(g *grm.GRM) []string {
+	var refs []string
+	for _, o := range g.Trader().All("") {
+		refs = append(refs, o.Ref.String())
+	}
+	slices.Sort(refs)
+	return refs
 }
 
 // assertMirrors fails t unless follower f holds what leader l holds.
@@ -333,16 +365,8 @@ func assertMirrors(t *testing.T, step, i int, l, f *grm.GRM) {
 			t.Fatalf("step %d: m%d status of %s:\n got %+v\nwant %+v", step, i, id, got, want)
 		}
 	}
-	offers := func(g *grm.GRM) []string {
-		var refs []string
-		for _, o := range g.Trader().All("") {
-			refs = append(refs, o.Ref.String())
-		}
-		slices.Sort(refs)
-		return refs
-	}
-	if got, want := offers(f), offers(l); f.KnownNodes() != l.KnownNodes() || !slices.Equal(got, want) {
-		t.Fatalf("step %d: m%d offers %v, leader %v", step, i, got, want)
+	if got, want := grm.Members(f), grm.Members(l); !maps.Equal(got, want) {
+		t.Fatalf("step %d: m%d members %v, leader %v", step, i, got, want)
 	}
 	if got, want := grm.QueuedIDs(f), grm.QueuedIDs(l); !slices.Equal(got, want) {
 		t.Fatalf("step %d: m%d admission queue %v, leader %v", step, i, got, want)
@@ -361,26 +385,37 @@ func assertMirrors(t *testing.T, step, i int, l, f *grm.GRM) {
 
 // TestQuorumlessLeaderRefusesWrites cuts the answers of both followers to the
 // leader's heartbeats (the heartbeats still arrive, 100 ms late, so neither
-// follower campaigns). Within TimeoutMin plus one heartbeat of the last
-// acknowledgement the leader refuses updates and submissions, naming no
-// leader and placing nothing; once the answers come back it accepts them
-// again, in the same term.
+// follower campaigns). A submission right after the cut is answered with an
+// error naming no leader, since its application cannot commit. Within
+// TimeoutMin plus one heartbeat of the last acknowledgement the leader
+// refuses updates and submissions, naming no leader and taking no
+// application; once the answers come back it accepts them again, in the same
+// term.
 func TestQuorumlessLeaderRefusesWrites(t *testing.T) {
 	rs := newReplicaSet(t, 3)
 	engine := chaos.NewEngine(rs.clock, sim.NewRNG(1))
 	rs.o.SetInterceptor(engine)
 	g0, client := rs.grms[0], protocol.NewGRMClient(rs.o, rs.refs[0])
 	status := protocol.NodeStatus{NodeID: "n0", Dedicated: true}
-	write := func() (updateErr, submitErr error) {
+	update := func() error {
 		status.Timestamp = rs.clock.Now()
-		_, updateErr = client.Update(status)
-		_, submitErr = client.Submit(bag(1, 1e6))
-		return updateErr, submitErr
+		_, err := client.Update(status)
+		return err
+	}
+	submit := func() error {
+		_, err := client.Submit(bag(1, 1e6))
+		return err
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if _, fwd := orb.Forwarded(err); err == nil || fwd {
+			t.Fatalf("%s: %v; want a refusal naming no leader", what, err)
+		}
 	}
 	// The heartbeats go out every 2 s from the bootstrap round at 0 s: the
 	// cut comes 1 s after the last one answered.
 	rs.clock.Advance(3 * time.Second)
-	if u, s := write(); u != nil || s != nil {
+	if u, s := update(), submit(); u != nil || s != nil {
 		t.Fatalf("leader with its quorum: update %v, submit %v", u, s)
 	}
 	var faults []int
@@ -389,28 +424,25 @@ func TestQuorumlessLeaderRefusesWrites(t *testing.T) {
 			Match: chaos.Match{Addr: m, Key: election.ObjectKey}, Delay: 1, DelayBy: 100 * time.Millisecond,
 		}))
 	}
+	refused("a submission right after the cut", submit())
 	const step = 100 * time.Millisecond
 	sinceAck := time.Second
-	var u, s error
+	var u error
 	for ; sinceAck <= time.Minute; sinceAck += step {
 		rs.clock.Advance(step)
-		if u, s = write(); u != nil || s != nil {
+		if u = update(); u != nil {
 			break
 		}
 	}
-	for _, err := range []error{u, s} {
-		if _, fwd := orb.Forwarded(err); err == nil || fwd {
-			t.Fatalf("%v after the last acknowledgement: update %v, submit %v; want both refused, naming no leader", sinceAck, u, s)
-		}
-	}
+	refused(fmt.Sprintf("an update %v after the last acknowledgement", sinceAck), u)
 	if limit := election.DefaultTimeoutMin + election.DefaultHeartbeat; sinceAck > limit {
-		t.Fatalf("writes refused %v after the last acknowledgement, want within %v", sinceAck, limit)
+		t.Fatalf("updates refused %v after the last acknowledgement, want within %v", sinceAck, limit)
 	}
 	apps := len(g0.AppIDs())
+	refused("a submission once updates are refused", submit())
 	rs.clock.Advance(time.Minute)
-	if u, s := write(); u == nil || s == nil {
-		t.Fatalf("a minute on: update %v, submit %v; want both refused", u, s)
-	}
+	refused("an update a minute on", update())
+	refused("a submission a minute on", submit())
 	if got := len(g0.AppIDs()); got != apps {
 		t.Fatalf("the leader took %d applications without a quorum", got-apps)
 	}
@@ -419,7 +451,7 @@ func TestQuorumlessLeaderRefusesWrites(t *testing.T) {
 		engine.RemoveFault(id)
 	}
 	rs.clock.Advance(election.DefaultHeartbeat + step)
-	if u, s := write(); u != nil || s != nil {
+	if u, s := update(), submit(); u != nil || s != nil {
 		t.Fatalf("after the heal: update %v, submit %v", u, s)
 	}
 	if rs.leaderIdx(t) != 0 || g0.Epoch() != 1 {

@@ -1,5 +1,7 @@
 package grm
 
+import "time"
+
 // QueuedIDs returns the IDs waiting in g's admission queue, in order.
 func QueuedIDs(g *GRM) []string {
 	g.mu.Lock()
@@ -21,4 +23,16 @@ func WithAdmissionLimit(n int) Option {
 // drain iteration (default DefaultAdmissionBatch).
 func WithAdmissionBatch(n int) Option {
 	return func(g *GRM) { g.admitBatch = n }
+}
+
+// Members returns g's node membership: each member's ID and its departure
+// deadline, in UTC (zero while it does not depart).
+func Members(g *GRM) map[string]time.Time {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	m := make(map[string]time.Time, len(g.nodes))
+	for id, lv := range g.nodes {
+		m[id] = lv.departUntil.UTC()
+	}
+	return m
 }

@@ -48,6 +48,7 @@ type Stats struct {
 	WorkLostMI        float64 // progress lost to evictions (beyond checkpoints)
 	AppsCancelled     int
 	NodesDeclaredDead int // nodes evicted by the heartbeat-miss detector
+	Members           int // nodes known from an update or the log (gauge)
 	TasksPresumedLost int // running tasks rescheduled or abandoned by the detector
 	ReplicaBatches    int // replication batches applied while follower
 	Promotions        int // follower → leader transitions
@@ -77,13 +78,15 @@ type nodeLiveness struct {
 	lastSeen time.Time
 	interval time.Duration // most recently observed update gap
 	updates  int
-	// status is the node's latest full NodeStatus: with departUntil, the
-	// record the replication stream carries.
+	// status is the node's latest full NodeStatus (a follower's: the log's).
 	status protocol.NodeStatus
 	// place is where the node's offer sits in the trader, for its updates to
 	// upsert through; zero until the offer is exported by reference, and again
 	// once a departure, a death or a move to a new reference takes it.
 	place trading.Place
+	// logged: the log's last entry for the node carried its status, as it
+	// does while a task runs there; each of its updates is replicated.
+	logged bool
 	// departUntil, when set, marks a node that announced a graceful
 	// departure: its trader offer is withdrawn, exports are suppressed until
 	// an update arrives past the deadline, and the failure detector leaves it
@@ -182,9 +185,7 @@ type GRM struct {
 	// and admitQ are written only by the transitions in state.go. It must be
 	// released before any protocol RPC (Reserve/Execute/...): negotiation
 	// blocks on remote LRMs and may itself re-enter the GRM. The replication
-	// stream obeys the same rule: marks under mu are lock-only (g.mu →
-	// repl.mu), and the pump proposes to the log with no GRM lock held.
-	//lint:lockorder grm.GRM.mu<grm.replicator.mu
+	// stream obeys the same rule: it proposes to the log with no GRM lock held.
 	//lint:lockorder grm.GRM.mu<election.Node.mu
 	mu      sync.Mutex
 	apps    map[string]*appInfo
@@ -337,7 +338,9 @@ func (g *GRM) PolicyName() string { return g.policy.Name() }
 func (g *GRM) Stats() Stats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.stats
+	s := g.stats
+	s.Members = len(g.nodes)
+	return s
 }
 
 // Start arms the periodic pending-task scheduler.
@@ -376,15 +379,14 @@ func (g *GRM) Stop() {
 		t.Stop()
 	}
 	g.timers = nil
-	repl := g.repl
-	g.repl = nil
+	if g.repl != nil {
+		g.repl.stopLocked()
+		g.repl = nil
+	}
 	g.mu.Unlock()
 	// The async drainer observes stopped at its next loop iteration; wait
 	// for it so Stop leaves no scheduling goroutine behind.
 	g.drainWG.Wait()
-	if repl != nil {
-		repl.stop()
-	}
 }
 
 // handleUpdate applies one Information Update Protocol message, the body d
@@ -568,8 +570,8 @@ func (g *GRM) KnownNodes() int { return g.trader.Count() }
 // seed's submit-then-place semantics. Under WithAsyncAdmission Submit
 // returns as soon as the app is queued and a background drainer batches
 // placements. A full queue rejects with ErrAdmissionFull, and a replica that
-// may not accept writes refuses (refusalLocked). The ID identifies the app in
-// AppStatus.
+// may not accept writes refuses (refusalLocked). A replica-set leader replies
+// once the app is committed. The ID identifies the app in AppStatus.
 func (g *GRM) Submit(spec protocol.ApplicationSpec) (string, error) {
 	if err := spec.Validate(); err != nil {
 		return "", err
@@ -610,13 +612,19 @@ func (g *GRM) Submit(spec protocol.ApplicationSpec) (string, error) {
 	g.stats.Submissions++
 	g.putAppLocked(app)
 	g.queueLocked(app)
-	async := g.asyncAdmit
+	async, repl := g.asyncAdmit, g.repl
 	g.mu.Unlock()
 
 	if async {
 		g.kickDrain()
 	} else {
 		g.drainAdmission(false)
+	}
+	// A failed commit leaves the app here, for later flushes to retry.
+	if repl != nil {
+		if err := repl.flush(); err != nil {
+			return "", err
+		}
 	}
 	return id, nil
 }
@@ -832,8 +840,7 @@ func (g *GRM) release(ref orb.ObjectRef, holds []string) {
 
 // detectFailures declares dead every node whose heartbeats have stopped for
 // longer than its suspect threshold, withdraws its trader offers and rolls
-// back its in-flight tasks. A node needs at least two observed updates
-// before it can be suspected: the threshold is derived from its cadence.
+// back its in-flight tasks.
 func (g *GRM) detectFailures() {
 	now := g.clock.Now()
 	g.mu.Lock()
@@ -851,7 +858,9 @@ func (g *GRM) declareDeadLocked(now time.Time) []deadNode {
 	var dead []deadNode
 	for _, id := range slices.Sorted(maps.Keys(g.nodes)) {
 		lv := g.nodes[id]
-		if lv.updates < 2 {
+		if lv.updates == 1 && lv.interval == 0 {
+			// Heard from once: no cadence yet. A member the log named that
+			// never reported is judged from the promotion that saw it.
 			continue
 		}
 		if now.Before(lv.departUntil) {
@@ -884,11 +893,11 @@ func (g *GRM) bury(d deadNode) {
 }
 
 // restoreOffer re-exports, by reference, the offer of a node the sweep declared
-// dead but a heartbeat has re-registered since: that heartbeat may have
+// dead but a heartbeat has re-registered since — that heartbeat may have
 // exported before the sweep's withdraw, which took the offer away, and even
-// kept the withdrawn place. The status and instant are the ones the node's
-// newest update recorded, so the offer is the one that update exported; an
-// update racing this export exports its own.
+// kept the withdrawn place — or of one whose status the log carried to a new
+// leader. The status and instant are the record's, so the offer is the one an
+// update would have exported; an update racing this export exports its own.
 func (g *GRM) restoreOffer(nodeID string) {
 	g.mu.Lock()
 	lv := g.nodes[nodeID]

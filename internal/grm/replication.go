@@ -31,8 +31,9 @@ type replicaBatch struct {
 	Queue *schedRecord
 }
 
-// nodeEntry is a node as the log carries it: its liveness record — status
-// and departure deadline — or none, once the failure detector dropped it.
+// nodeEntry is a node as the log carries it: its ID and record (nil: dead),
+// which holds a deadline while it departs, and a status only while a task runs
+// on it (logged): a status is soft state the node re-tells every period.
 type nodeEntry struct {
 	id string
 	lv *nodeLiveness
@@ -48,15 +49,6 @@ type schedRecord struct {
 	Peak      int
 	Batches   int
 	MaxBatch  int
-}
-
-func (r schedRecord) encode(e *orb.Encoder) {
-	e.PutStrings(r.QueuedIDs)
-	e.PutInt(r.Accepted)
-	e.PutInt(r.Rejected)
-	e.PutInt(r.Peak)
-	e.PutInt(r.Batches)
-	e.PutInt(r.MaxBatch)
 }
 
 func (t *taskInfo) encode(e *orb.Encoder) {
@@ -123,15 +115,17 @@ func decodeAppInfo(d *orb.Decoder) (*appInfo, error) {
 func (b replicaBatch) encode(e *orb.Encoder) {
 	e.PutString(b.ClusterID)
 	e.PutInt(b.Seq)
-	// A live node's ID is its status's; only a dropped one spells it out.
 	e.PutU32(uint32(len(b.Nodes)))
 	for _, n := range b.Nodes {
-		e.PutBool(n.lv != nil)
-		if n.lv != nil {
-			n.lv.status.Encode(e)
+		e.PutString(n.id)
+		if e.PutBool(n.lv != nil); n.lv == nil {
+			continue
+		}
+		if e.PutBool(!n.lv.departUntil.IsZero()); !n.lv.departUntil.IsZero() {
 			e.PutTime(n.lv.departUntil)
-		} else {
-			e.PutString(n.id)
+		}
+		if e.PutBool(n.lv.logged); n.lv.logged {
+			n.lv.status.Encode(e)
 		}
 	}
 	e.PutU32(uint32(len(b.Apps)))
@@ -139,8 +133,11 @@ func (b replicaBatch) encode(e *orb.Encoder) {
 		a.encode(e)
 	}
 	e.PutBool(b.Queue != nil)
-	if b.Queue != nil {
-		b.Queue.encode(e)
+	if q := b.Queue; q != nil {
+		e.PutStrings(q.QueuedIDs)
+		for _, c := range [...]int{q.Accepted, q.Rejected, q.Peak, q.Batches, q.MaxBatch} {
+			e.PutInt(c)
+		}
 	}
 }
 
@@ -152,15 +149,19 @@ func decodeReplicaBatch(d *orb.Decoder) (replicaBatch, error) {
 	// A node and an app decode, or fail, before the next is appended: for
 	// them the bytes left bound the appends whatever the count's minimum.
 	for range d.Count(1) {
-		var ent nodeEntry
+		ent := nodeEntry{id: d.String()}
 		if d.Bool() {
-			s, err := protocol.DecodeNodeStatus(d)
-			if err != nil {
-				return replicaBatch{}, err
+			ent.lv = &nodeLiveness{}
+			if d.Bool() {
+				ent.lv.departUntil = d.Time()
 			}
-			ent = nodeEntry{id: s.NodeID, lv: &nodeLiveness{status: s, departUntil: d.Time()}}
-		} else {
-			ent.id = d.String()
+			if ent.lv.logged = d.Bool(); ent.lv.logged {
+				s, err := protocol.DecodeNodeStatus(d)
+				if err != nil {
+					return replicaBatch{}, err
+				}
+				ent.lv.status = s
+			}
 		}
 		if err := d.Err(); err != nil {
 			return replicaBatch{}, err
@@ -188,13 +189,28 @@ func decodeReplicaBatch(d *orb.Decoder) (replicaBatch, error) {
 }
 
 // batchLocked is the replica batch for the given entities, sorted by kind and
-// ID: each entity's current record, read at flush time. Caller holds g.mu,
-// and must encode the batch before releasing it.
+// ID: each entity's current record, read at flush time; a node's is logged
+// with its status while a task runs on it. Caller holds g.mu, and must encode
+// the batch before releasing it.
 func (g *GRM) batchLocked(ents []entity) replicaBatch {
 	b := replicaBatch{ClusterID: g.clusterID, Seq: g.seq}
+	var busy map[string]bool // the nodes some task runs on
 	for _, ent := range ents {
 		switch ent.kind {
 		case entityNode:
+			if busy == nil {
+				busy = make(map[string]bool)
+				for _, app := range g.apps {
+					for _, t := range app.tasks {
+						if t.state == protocol.TaskRunning {
+							busy[t.nodeID] = true
+						}
+					}
+				}
+			}
+			if lv := g.nodes[ent.id]; lv != nil {
+				lv.logged = busy[ent.id]
+			}
 			b.Nodes = append(b.Nodes, nodeEntry{id: ent.id, lv: g.nodes[ent.id]})
 		case entityApp:
 			b.Apps = append(b.Apps, g.apps[ent.id])
@@ -215,22 +231,23 @@ func (g *GRM) batchLocked(ents []entity) replicaBatch {
 }
 
 // replicator is the leader's replication stream: transitions mark the
-// entities they change in a pending set under the replicator's own mutex,
-// and a periodic pump turns the set into one batch it proposes to the
-// consensus log. The pump reads the entities' records under g.mu and holds no
-// lock across the proposal, so the stream never blocks the GRM mutex on a
-// slow or unreachable quorum, and marking from under g.mu is safe (lock
-// order: g.mu → repl.mu, never the reverse).
+// entities they change in a pending set under g.mu, and a flush — the pump's,
+// or a Submit's — reads their records under g.mu into one batch it proposes to
+// the consensus log with no GRM lock held, never blocking on the quorum.
 type replicator struct {
 	g *GRM
 	// propose appends one encoded batch to the election log and returns once
 	// a quorum has acknowledged it. Immutable after construction.
 	propose func([]byte) error
 
-	// mu guards pending, stopped and timer.
+	// flushMu runs flushes one at a time, from draining the pending set to the
+	// proposal's answer, so the log's order is the order the records were
+	// read in, and every earlier flush has committed or re-marked.
 	//
-	//lint:guards pending,stopped,timer
-	mu      sync.Mutex
+	//lint:lockorder grm.replicator.flushMu<grm.GRM.mu
+	flushMu sync.Mutex
+
+	// g.mu guards the rest.
 	pending map[entity]struct{}
 	stopped bool
 	timer   sim.Timer // the pump's next flush
@@ -243,32 +260,23 @@ func newReplicator(g *GRM, propose func([]byte) error) *replicator {
 	return &replicator{g: g, propose: propose, pending: make(map[entity]struct{})}
 }
 
-func (r *replicator) mark(e entity) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.pending[e] = struct{}{}
-}
-
-// start arms the self-rescheduling pump.
-func (r *replicator) start() {
-	var arm func()
-	arm = func() {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if r.stopped {
-			return
-		}
-		r.timer = r.g.clock.AfterFunc(DefaultReplicationInterval, func() {
-			r.flush()
-			arm()
-		})
+// armLocked schedules the pump's next flush, which re-arms it, unless the
+// stream is stopped. Caller holds g.mu.
+func (r *replicator) armLocked() {
+	if r.stopped {
+		return
 	}
-	arm()
+	r.timer = r.g.clock.AfterFunc(DefaultReplicationInterval, func() {
+		_ = r.flush() // a failed flush keeps its entities pending for the next
+		r.g.mu.Lock()
+		defer r.g.mu.Unlock()
+		r.armLocked()
+	})
 }
 
-func (r *replicator) stop() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// stopLocked ends the stream: the pump stops, and a flush fails. Caller holds
+// g.mu.
+func (r *replicator) stopLocked() {
 	r.stopped = true
 	if r.timer != nil {
 		r.timer.Stop()
@@ -276,30 +284,38 @@ func (r *replicator) stop() {
 }
 
 // flush drains the pending set and proposes the entities' records as one
-// batch; with nothing pending it proposes nothing. On failure the entities go
-// back into the set; their records are read afresh at the next flush, so a
+// batch, and returns nil once everything marked before the call is committed:
+// with nothing pending it proposes nothing. On failure the entities go back
+// into the set; their records are read afresh at the next flush, so a
 // transient quorum outage loses nothing and clobbers nothing.
-func (r *replicator) flush() {
-	r.mu.Lock()
-	if r.stopped || len(r.pending) == 0 {
-		r.mu.Unlock()
-		return
+func (r *replicator) flush() error {
+	r.flushMu.Lock()
+	defer r.flushMu.Unlock()
+	g := r.g
+	g.mu.Lock()
+	if r.stopped {
+		g.mu.Unlock()
+		return orb.Errorf(orb.CodeApplication, "grm: replication stopped: no longer the leader")
 	}
 	ents := slices.SortedFunc(maps.Keys(r.pending), func(a, b entity) int {
 		return cmp.Or(cmp.Compare(a.kind, b.kind), cmp.Compare(a.id, b.id))
 	})
 	clear(r.pending)
-	r.mu.Unlock()
-
 	var e orb.Encoder
-	r.g.mu.Lock()
-	r.g.batchLocked(ents).encode(&e)
-	r.g.mu.Unlock()
-	if err := r.propose(e.Bytes()); err != nil {
-		r.mu.Lock()
-		defer r.mu.Unlock()
+	if len(ents) > 0 {
+		g.batchLocked(ents).encode(&e)
+	}
+	g.mu.Unlock()
+	if len(ents) == 0 {
+		return nil
+	}
+	err := r.propose(e.Bytes())
+	if err != nil {
+		g.mu.Lock()
+		defer g.mu.Unlock()
 		for _, ent := range ents {
 			r.pending[ent] = struct{}{}
 		}
 	}
+	return err
 }

@@ -1,7 +1,7 @@
 package grm
 
 import (
-	"cmp"
+	"maps"
 	"math"
 	"slices"
 	"time"
@@ -53,16 +53,17 @@ type deadNode struct {
 }
 
 // markLocked enqueues e for the next replica batch, if this GRM leads a
-// replica set. The enqueue never blocks (lock order g.mu → repl.mu).
+// replica set.
 func (g *GRM) markLocked(e entity) {
 	if g.repl != nil {
-		g.repl.mark(e)
+		g.repl.pending[e] = struct{}{}
 	}
 }
 
 // recordStatusLocked records a node's latest status, the windows that came
 // with it and its heartbeat into lv, the node's record (nil: a new one), and
-// ends a departure whose deadline has passed.
+// ends a departure whose deadline has passed. The node is marked for the log
+// on a membership change — new, or its departure over — or while logged.
 // The windows are copied into the record's own array, which is reused across
 // updates and grows only when the node reports more than it ever has; it is
 // rewritten in place, so it is read only under g.mu. It returns the place the
@@ -73,6 +74,9 @@ func (g *GRM) markLocked(e entity) {
 // of the record and returns it as moved, for the caller to withdraw: that
 // offer names an LRM the node no longer reports from.
 func (g *GRM) recordStatusLocked(lv *nodeLiveness, s *protocol.NodeStatus, windows []protocol.AvailWindow, now time.Time) (place, moved trading.Place, export bool) {
+	if lv == nil || lv.logged {
+		g.markLocked(entity{entityNode, s.NodeID})
+	}
 	if lv == nil {
 		lv = &nodeLiveness{}
 		g.nodes[s.NodeID] = lv
@@ -89,8 +93,8 @@ func (g *GRM) recordStatusLocked(lv *nodeLiveness, s *protocol.NodeStatus, windo
 	lv.status.Windows = append(own[:0], windows...)
 	if !lv.departUntil.IsZero() && !now.Before(lv.departUntil) {
 		lv.departUntil = time.Time{}
+		g.markLocked(entity{entityNode, s.NodeID})
 	}
-	g.markLocked(entity{entityNode, s.NodeID})
 	return lv.place, moved, lv.departUntil.IsZero()
 }
 
@@ -120,31 +124,27 @@ func (g *GRM) dropNodeLocked(id string) trading.Place {
 	return place
 }
 
-// graceLocked restarts every node's silence at now.
-func (g *GRM) graceLocked(now time.Time) {
-	for _, lv := range g.nodes {
+// graceLocked restarts every node's silence at now, for a new leader, and
+// returns in ID order the nodes with a status and no offer: the log's.
+func (g *GRM) graceLocked(now time.Time) (offers []string) {
+	for _, id := range slices.Sorted(maps.Keys(g.nodes)) {
+		lv := g.nodes[id]
 		lv.lastSeen = now
+		if lv.status.NodeID != "" && lv.place == (trading.Place{}) {
+			offers = append(offers, id)
+		}
 	}
+	return offers
 }
 
-// mirrorNodeLocked applies a node record from the log through the node
-// transitions above and returns the trader effect: the status whose offer to
-// export and the place to export it through, and the place of an offer to
-// withdraw (zero: none).
-func (g *GRM) mirrorNodeLocked(n nodeEntry, now time.Time) (export *protocol.NodeStatus, place, withdraw trading.Place) {
+// memberLocked applies a node's entry from the log: its record — deadline,
+// and status if logged — replaces the node's, or its death forgets the node.
+func (g *GRM) memberLocked(n nodeEntry) {
 	if n.lv == nil {
-		if _, known := g.nodes[n.id]; !known {
-			return nil, trading.Place{}, trading.Place{}
-		}
-		return nil, trading.Place{}, g.dropNodeLocked(n.id)
+		delete(g.nodes, n.id)
+	} else {
+		g.nodes[n.id] = n.lv
 	}
-	s := &n.lv.status
-	place, moved, _ := g.recordStatusLocked(g.nodes[s.NodeID], s, s.Windows, now)
-	taken, _ := g.departLocked(s.NodeID, n.lv.departUntil)
-	if n.lv.departUntil.IsZero() {
-		return s, place, moved
-	}
-	return nil, trading.Place{}, cmp.Or(moved, taken)
 }
 
 // putAppLocked records an application: a new submission, or a follower's copy
@@ -160,7 +160,8 @@ func (g *GRM) negotiatedLocked(app *appInfo) {
 	g.markLocked(entity{entityApp, app.id})
 }
 
-// placeLocked records the tasks of gr as running on its node.
+// placeLocked records the tasks of gr as running on its node, whose status
+// the log now carries.
 func (g *GRM) placeLocked(app *appInfo, gr nodeGrant) {
 	for _, t := range gr.tasks {
 		t.state = protocol.TaskRunning
@@ -170,6 +171,7 @@ func (g *GRM) placeLocked(app *appInfo, gr nodeGrant) {
 	}
 	g.stats.TasksPlaced += len(gr.tasks)
 	g.markLocked(entity{entityApp, app.id})
+	g.markLocked(entity{entityNode, gr.nodeID})
 }
 
 // progressLocked records how far a task has run.

@@ -160,8 +160,16 @@ func TestSweepRacingHeartbeats(t *testing.T) {
 		}
 		return err
 	})
+	// A task runs on every node, so that the batches carry the nodes'
+	// statuses, windows included, until a sweep rolls a node's task back.
+	app := &appInfo{id: "app"}
 	g.mu.Lock()
 	g.repl = repl
+	for _, s := range fleet {
+		app.tasks = append(app.tasks, &taskInfo{id: "app/" + s.NodeID, state: protocol.TaskRunning, nodeID: s.NodeID})
+		g.markLocked(entity{entityNode, s.NodeID})
+	}
+	g.apps[app.id] = app
 	g.mu.Unlock()
 	// withWindows is s reporting n one-hour windows, the first covering now.
 	withWindows := func(s protocol.NodeStatus, n int) protocol.NodeStatus {

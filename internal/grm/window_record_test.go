@@ -14,7 +14,8 @@ import (
 )
 
 // windowedNode is a GRM leading a replica set — its batches land in proposed —
-// and a status for one node of it, for tests of the node record's windows.
+// and a status for one node of it, for tests of the node record's windows. A
+// task runs on the node, so the log carries its status.
 func windowedNode(t *testing.T) (*GRM, *sim.VirtualClock, *[]byte, protocol.NodeStatus) {
 	t.Helper()
 	clock := sim.NewVirtualClock()
@@ -23,6 +24,7 @@ func windowedNode(t *testing.T) (*GRM, *sim.VirtualClock, *[]byte, protocol.Node
 	proposed := new([]byte)
 	g.mu.Lock()
 	g.repl = newReplicator(g, func(batch []byte) error { *proposed = batch; return nil })
+	g.apps["app"] = &appInfo{id: "app", tasks: []*taskInfo{{id: "app/t0", state: protocol.TaskRunning, nodeID: "n0"}}}
 	g.mu.Unlock()
 	return g, clock, proposed, protocol.NodeStatus{
 		NodeID:   "n0",
@@ -37,17 +39,19 @@ func windowedNode(t *testing.T) (*GRM, *sim.VirtualClock, *[]byte, protocol.Node
 // the batch, as a follower decodes it.
 func flushedNode(t *testing.T, g *GRM, proposed *[]byte, id string) protocol.NodeStatus {
 	t.Helper()
-	g.repl.flush()
+	if err := g.repl.flush(); err != nil {
+		t.Fatal(err)
+	}
 	b, err := decodeReplicaBatch(orb.NewDecoder(*proposed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range b.Nodes {
-		if n.id == id && n.lv != nil {
+		if n.id == id && n.lv != nil && n.lv.logged {
 			return n.lv.status
 		}
 	}
-	t.Fatalf("the batch does not carry node %s", id)
+	t.Fatalf("the batch does not carry the status of node %s", id)
 	return protocol.NodeStatus{}
 }
 
@@ -137,7 +141,7 @@ func TestOverlongForecastRefused(t *testing.T) {
 	}
 
 	var e orb.Encoder
-	replicaBatch{ClusterID: "test", Seq: 1, Nodes: []nodeEntry{{id: s.NodeID, lv: &nodeLiveness{status: overlong}}}}.encode(&e)
+	replicaBatch{ClusterID: "test", Seq: 1, Nodes: []nodeEntry{{id: s.NodeID, lv: &nodeLiveness{status: overlong, logged: true}}}}.encode(&e)
 	if b, err := decodeReplicaBatch(orb.NewDecoder(e.Bytes())); err == nil {
 		t.Fatalf("a replica batch with a %d-window node decoded: %+v", len(overlong.Windows), b)
 	}

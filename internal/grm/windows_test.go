@@ -2,6 +2,7 @@ package grm_test
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"testing"
@@ -494,42 +495,53 @@ func TestDrainedBSPGangRollsBackToCheckpoint(t *testing.T) {
 }
 
 func TestWindowStateSurvivesReplication(t *testing.T) {
-	// Availability windows ride the consensus log: a successor must make the
-	// same window-aware placement decision the old leader would have made.
+	// The log carries the membership; availability windows are soft state
+	// each node re-tells. Once both nodes' next updates reach it, a successor
+	// must make the window-aware placement decision the old leader would have
+	// made.
 	rs := newReplicaSet(t, 3, grm.WithPolicy(grm.BestFit{}), grm.WithWindowAware())
 	c := rs.leader(t)
 	_, shortRef := bindFakeLRM(t, c, "repl-short", 0)
 	_, longRef := bindFakeLRM(t, c, "repl-long", 0)
-	now := c.clock.Now()
-	c.update(windowStatus(c, "repl-short", shortRef, 2000,
-		protocol.AvailWindow{Start: now.Add(-time.Minute), End: now.Add(10 * time.Minute), Confidence: 0.9}))
-	c.update(windowStatus(c, "repl-long", longRef, 1000,
-		protocol.AvailWindow{Start: now.Add(-time.Minute), End: now.Add(3 * time.Hour), Confidence: 0.9}))
+	updates := func(c *cluster) {
+		now := c.clock.Now()
+		c.update(windowStatus(c, "repl-short", shortRef, 2000,
+			protocol.AvailWindow{Start: now.Add(-time.Minute), End: now.Add(10 * time.Minute), Confidence: 0.9}))
+		c.update(windowStatus(c, "repl-long", longRef, 1000,
+			protocol.AvailWindow{Start: now.Add(-time.Minute), End: now.Add(3 * time.Hour), Confidence: 0.9}))
+	}
+	updates(c)
 	rs.clock.Advance(15 * time.Second)
 
-	succ := rs.failover(t, rs.leaderIdx(t))
-	if got := succ.KnownNodes(); got != 2 {
+	next := rs.failover(t, rs.leaderIdx(t))
+	if got := grm.Members(next); len(got) != 2 {
+		t.Fatalf("successor members = %v, want both nodes", got)
+	}
+	succ := &cluster{t: t, clock: rs.clock, o: rs.o, g: next, grmRef: rs.refs[slices.Index(rs.grms, next)]}
+	updates(succ)
+	if got := succ.g.KnownNodes(); got != 2 {
 		t.Fatalf("successor KnownNodes = %d, want 2", got)
 	}
-	id, err := succ.Submit(hourTask("post-failover"))
+	id, err := next.Submit(hourTask("post-failover"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := succ.AppStatus(id)
+	st, err := next.AppStatus(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Tasks[0].NodeID != "repl-long" {
 		t.Fatalf("successor placed on %q, want repl-long", st.Tasks[0].NodeID)
 	}
-	if got := succ.Stats().WindowRejected; got < 1 {
+	if got := next.Stats().WindowRejected; got < 1 {
 		t.Fatalf("successor WindowRejected = %d, want >= 1", got)
 	}
 }
 
 func TestDepartureMirroredToStandby(t *testing.T) {
-	// The followers — each a standby for the leader — mirror a graceful
-	// withdrawal: a successor must not re-export a node that said goodbye.
+	// The followers — each a standby for the leader — mirror the membership
+	// and a graceful withdrawal's deadline: a successor must not re-export a
+	// node that said goodbye. The leader withdraws its offer.
 	rs := newReplicaSet(t, 3)
 	c := rs.leader(t)
 	_, refA := bindFakeLRM(t, c, "mirror-a", 0)
@@ -537,22 +549,27 @@ func TestDepartureMirroredToStandby(t *testing.T) {
 	c.update(windowStatus(c, "mirror-a", refA, 1000))
 	c.update(windowStatus(c, "mirror-b", refB, 1000))
 	rs.clock.Advance(15 * time.Second)
+	members := map[string]time.Time{"mirror-a": {}, "mirror-b": {}}
 	for i, g := range rs.grms {
-		if got := g.KnownNodes(); got != 2 {
-			t.Fatalf("m%d KnownNodes = %d, want 2", i, got)
+		if got := grm.Members(g); !maps.Equal(got, members) {
+			t.Fatalf("m%d members %v, want %v", i, got, members)
 		}
 	}
+	if got := c.g.KnownNodes(); got != 2 {
+		t.Fatalf("leader KnownNodes = %d, want 2", got)
+	}
 
-	c.g.HandleDeparting(protocol.DepartureNotice{
-		NodeID:   "mirror-a",
-		Deadline: c.clock.Now().Add(10 * time.Minute),
-		At:       c.clock.Now(),
-	})
+	deadline := c.clock.Now().Add(10 * time.Minute)
+	c.g.HandleDeparting(protocol.DepartureNotice{NodeID: "mirror-a", Deadline: deadline, At: c.clock.Now()})
 	rs.clock.Advance(15 * time.Second)
+	members["mirror-a"] = deadline.UTC()
 	for i, g := range rs.grms {
-		if got := g.KnownNodes(); got != 1 {
-			t.Fatalf("m%d KnownNodes after the departure = %d, want 1", i, got)
+		if got := grm.Members(g); !maps.Equal(got, members) {
+			t.Fatalf("m%d members after the departure %v, want %v", i, got, members)
 		}
+	}
+	if got := c.g.KnownNodes(); got != 1 {
+		t.Fatalf("leader KnownNodes after the departure = %d, want 1", got)
 	}
 }
 

@@ -197,10 +197,12 @@ func (n *Node) route(spec protocol.ApplicationSpec, ttl int, excludeChild string
 
 	// 1. Local cluster: accept when the local free capacity covers the
 	// demand AND some node can host a single process (a hint — the real
-	// reservation protocol still negotiates).
+	// reservation protocol still negotiates). A replica that does not lead
+	// holds no offers to judge by: its GRM forwards the caller to the leader.
 	perProc := spec.EffectiveAlloc().MIPS
 	local := n.local.Summary()
-	if local.FreeMIPS >= demand && local.MaxNodeFreeMIPS >= perProc && local.Nodes > 0 {
+	if local.FreeMIPS >= demand && local.MaxNodeFreeMIPS >= perProc && local.Nodes > 0 ||
+		n.local.Role() == grm.RoleFollower {
 		appID, err := n.local.Submit(spec)
 		if err == nil {
 			return RouteResult{ClusterID: n.clusterID, AppID: appID, Hops: 0}, nil
