@@ -14,8 +14,9 @@
 // does not lead refuses every write with a forward naming the leader, which
 // agents and the ASCT follow; a leader that no majority has answered within
 // the election timeout refuses them naming none, and its 30-s status line
-// reads quorum=lost; the line's log=<entries>/<bytes>B is the size of the
-// member's consensus log. Every member runs the same -peers list; exactly one
+// reads quorum=lost; the line's nodes= counts the cluster's members, which
+// every member knows from the log, and log=<entries>/<bytes>B is the size of
+// the member's consensus log. Every member runs the same -peers list; exactly one
 // passes -bootstrap on first start:
 //
 //	integrade-grm -listen :7000 -cluster ime -id m0 \
@@ -126,7 +127,12 @@ func run() error {
 	}
 
 	if *peersFlag != "" {
-		en, err := buildElection(g, adapter, o, clock, log,
+		// Election calls get a budget of one heartbeat, not the ORB's 30 s:
+		// a member that stops answering then holds up an append round, and
+		// with it a Submit, for at most that long.
+		ec := orb.NewClient(orb.WithCallTimeout(election.DefaultHeartbeat))
+		defer ec.Close()
+		en, err := buildElection(g, adapter, ec, clock, log,
 			*cluster, *memberID, *peersFlag, *stateDir, *bootstrap)
 		if err != nil {
 			return err
@@ -159,7 +165,7 @@ func run() error {
 			st := g.Stats()
 			entries, bytes := logSize(g)
 			fmt.Printf("[%s] role=%s quorum=%s epoch=%d nodes=%d updates=%d submissions=%d placed=%d pending-evictions=%d replica-batches=%d quorum-batches=%d log=%d/%dB\n",
-				time.Now().Format("15:04:05"), g.Role(), quorum(g), g.Epoch(), g.KnownNodes(), st.UpdatesReceived,
+				time.Now().Format("15:04:05"), g.Role(), quorum(g), g.Epoch(), st.Members, st.UpdatesReceived,
 				st.Submissions, st.TasksPlaced, st.TasksEvicted, st.ReplicaBatches, st.QuorumBatches, entries, bytes)
 		}
 	}
@@ -192,7 +198,7 @@ func logSize(g *grm.GRM) (entries, bytes int) {
 // (so a restarted member cannot double-vote in a term it already voted in),
 // and leadership transitions drive the GRM's role and fencing epoch. The GRM
 // is a follower until the election makes it leader.
-func buildElection(g *grm.GRM, adapter *orb.Adapter, o *orb.ORB, clock sim.Clock,
+func buildElection(g *grm.GRM, adapter *orb.Adapter, inv orb.Invoker, clock sim.Clock,
 	log *slog.Logger, cluster, id, peersFlag, stateDir string, bootstrap bool) (*election.Node, error) {
 	if id == "" {
 		return nil, fmt.Errorf("-peers requires -id")
@@ -216,7 +222,7 @@ func buildElection(g *grm.GRM, adapter *orb.Adapter, o *orb.ORB, clock sim.Clock
 		Peers:      peers,
 		Clock:      clock,
 		RNG:        sim.NewRNG(time.Now().UnixNano()),
-		Inv:        o,
+		Inv:        inv,
 		Store:      store,
 		Apply:      g.ApplyReplicaEntry,
 		OnLeader:   func(term int) { g.LeadAt(term) },

@@ -227,7 +227,9 @@ func TestLaggingFollowerCatchesUp(t *testing.T) {
 }
 
 // TestUnreachablePeerCostsOneEntry: once an append to a peer fails, each
-// later round sends it at most one entry however far behind it falls.
+// later round sends it at most one entry however far behind it falls. A
+// proposal's rounds end at its commit, before the unreachable peer, so a
+// heartbeat round follows each.
 func TestUnreachablePeerCostsOneEntry(t *testing.T) {
 	seeds.Run(t, func(t *testing.T, seed int64) {
 		s := newSet(t, 3, seed)
@@ -248,6 +250,7 @@ func TestUnreachablePeerCostsOneEntry(t *testing.T) {
 		from := rec.len()
 		for i := 0; i < 50; i++ {
 			s.propose(t, payload(i, 16))
+			s.nodes["m0"].broadcastAppend()
 		}
 		sent := rec.to(s, "m2", from)
 		if len(sent) < 50 {
@@ -272,6 +275,7 @@ func TestPeerLeavesProbeOnFirstAck(t *testing.T) {
 		for i := 0; i < 2*maxAppendEntries; i++ {
 			s.propose(t, payload(i, 16))
 		}
+		s.nodes["m0"].broadcastAppend() // the proposals' rounds end before m2
 		if p := peerOf(s.nodes["m0"], "m2"); !p.probe {
 			t.Fatalf("unreachable m2 not in probe: %+v", p)
 		}

@@ -2,6 +2,7 @@ package election
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"integrade/internal/orb"
 	"integrade/internal/sim"
 	"integrade/internal/testutil/leak"
+	"integrade/internal/testutil/seeds"
 )
 
 func TestMain(m *testing.M) { leak.Main(m) }
@@ -173,6 +175,65 @@ func TestFailoverElectsNewLeader(t *testing.T) {
 		t.Fatalf("new leader term = %d", term)
 	}
 	assertOneLeaderPerTerm(t, s)
+}
+
+// TestSuccessorAppliesBeforeLeading: a proposal commits with one follower's
+// acknowledgement, and the leader stops before any heartbeat carries the
+// commit index. The follower that holds the entry wins the next term, and
+// applies the entry before it reports the win, through the no-op of its term,
+// which it commits at once rather than at its first heartbeat.
+func TestSuccessorAppliesBeforeLeading(t *testing.T) {
+	seeds.Run(t, func(t *testing.T, seed int64) {
+		s := newSet(t, 3, seed)
+		for _, id := range s.ids {
+			ap := s.applies[id]
+			s.nodes[id].onUp = func(term int) { ap.add(0, term, []byte("leads")) }
+		}
+		s.start()
+		s.propose(t, []byte("acked"))
+		s.nodes["m0"].Stop()
+		var leaders []*Node
+		for elapsed := time.Duration(0); len(leaders) == 0 && elapsed < 30*time.Second; elapsed += 100 * time.Millisecond {
+			s.clock.Advance(100 * time.Millisecond)
+			leaders = s.leaders()
+		}
+		if len(leaders) != 1 {
+			t.Fatalf("%d leaders after the crash", len(leaders))
+		}
+		succ := leaders[0]
+		term := termOf(succ)
+		want := []string{"1/1:acked", fmt.Sprintf("0/%d:leads", term)}
+		if got := s.applies[succ.ID()].list(); !slices.Equal(got, want) {
+			t.Fatalf("%s saw %v, want %v", succ.ID(), got, want)
+		}
+		s.clock.Advance(DefaultHeartbeat)
+		for _, id := range s.ids[1:] {
+			if got := s.applies[id].list(); len(got) == 0 || got[0] != "1/1:acked" {
+				t.Fatalf("%s applied %v, want the acknowledged entry first", id, got)
+			}
+		}
+	})
+}
+
+// TestProposalSkipsSilentPeer: a proposal that a quorum acknowledged returns
+// without contacting the peer that stopped answering, whose appends would
+// each wait out a call budget on a real wire.
+func TestProposalSkipsSilentPeer(t *testing.T) {
+	seeds.Run(t, func(t *testing.T, seed int64) {
+		s := newSet(t, 3, seed)
+		rec := s.record("m0")
+		s.start()
+		silence(s, "m1") // m1 sorts first by ID
+		s.clock.Advance(DefaultHeartbeat)
+		from := rec.len()
+		s.propose(t, []byte("quick"))
+		if sent := rec.to(s, "m1", from); len(sent) != 0 {
+			t.Fatalf("the proposal sent %d appends to silent m1", len(sent))
+		}
+		if sent := rec.to(s, "m2", from); len(sent) != 1 || !sent[0].acked {
+			t.Fatalf("appends to m2 for the proposal: %+v", sent)
+		}
+	})
 }
 
 func TestProposeCommitsOnAllMembers(t *testing.T) {

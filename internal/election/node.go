@@ -116,7 +116,7 @@ type Node struct {
 	// mu guards all mutable election state below, and each peer's
 	// replication progress.
 	//
-	//lint:guards rng,role,term,votedFor,leaderID,entries,commitIndex,lastApplied,votes,wonTerms,started,stopped,applying,electionTimer,hbTimer
+	//lint:guards rng,role,term,votedFor,leaderID,entries,commitIndex,lastApplied,upIndex,votes,wonTerms,started,stopped,applying,electionTimer,hbTimer
 	mu       sync.Mutex
 	rng      *sim.RNG
 	role     Role
@@ -125,9 +125,13 @@ type Node struct {
 	leaderID string
 	// entries only grows in place: a truncation copies what it keeps, so a
 	// capped run sliced from it under mu can be read after unlock.
-	entries       []entry
-	commitIndex   int
-	lastApplied   int
+	entries     []entry
+	commitIndex int
+	lastApplied int
+	// upIndex, while non-zero, is the opening no-op of this leader's term:
+	// the win is reported (OnLeader) once it is delivered, and with it every
+	// earlier entry.
+	upIndex       int
 	votes         map[string]bool
 	wonTerms      []int
 	started       bool
@@ -401,8 +405,9 @@ func (n *Node) handleVoteReply(peerID string, candTerm int, vr voteReply) bool {
 	return true
 }
 
-// becomeLeaderLocked flips the node into leadership of the current term.
-// The caller must follow up with leaderRound outside the lock.
+// becomeLeaderLocked flips the node into leadership of the current term,
+// appending a no-op of the term when the log holds entries the node has not
+// applied. The caller must follow up with leaderRound outside the lock.
 func (n *Node) becomeLeaderLocked() {
 	n.role = Leader
 	n.leaderID = n.id
@@ -411,6 +416,13 @@ func (n *Node) becomeLeaderLocked() {
 	for i := range n.peers {
 		p := &n.peers[i]
 		p.next, p.match, p.probe, p.ack = len(n.entries)+1, 0, true, now
+	}
+	// Entries this node holds but has not applied may have been committed
+	// by the last leader; only an entry of the new term can commit them here.
+	n.upIndex = 0
+	if n.lastApplied < len(n.entries) {
+		n.entries = append(n.entries, entry{Term: n.term})
+		n.upIndex = len(n.entries)
 	}
 	if n.electionTimer != nil {
 		n.electionTimer.Stop()
@@ -423,8 +435,18 @@ func (n *Node) becomeLeaderLocked() {
 }
 
 // leaderRound runs the out-of-lock half of taking office: report the win,
-// then assert authority with an immediate append round.
+// then assert authority with an immediate append round. A leader with an
+// opening no-op drives rounds until the no-op commits instead, and reports
+// the win once it is delivered (deliverCommitted), so OnLeader never fires
+// before the entries an earlier leader committed are applied.
 func (n *Node) leaderRound(term int) {
+	n.mu.Lock()
+	up := n.upIndex
+	n.mu.Unlock()
+	if up != 0 {
+		n.replicate(up, term)
+		return
+	}
 	if n.onUp != nil {
 		n.onUp(term)
 	}
@@ -442,16 +464,27 @@ func (n *Node) heartbeatTick() {
 	n.broadcastAppend()
 }
 
-// broadcastAppend sends each peer the next run of the log it is missing (or
-// an empty heartbeat), processes replies, and delivers anything newly
-// committed.
-func (n *Node) broadcastAppend() {
+// broadcastAppend is an append round to every peer.
+func (n *Node) broadcastAppend() { n.appendRound(0) }
+
+// appendRound sends each peer, the one that answered an append last most
+// recently first, the next run of the log it is missing (or an empty
+// heartbeat), processes its reply, and then delivers anything newly
+// committed. With until > 0 the round ends once entry until is committed: a
+// peer it did not reach, slow or silent, gets the entry with the next
+// heartbeat instead of holding up the proposal.
+func (n *Node) appendRound(until int) {
 	n.mu.Lock()
 	if n.stopped || n.role != Leader {
 		n.mu.Unlock()
 		return
 	}
 	term := n.term
+	order := make([]int, len(n.peers))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return n.peers[b].ack.Compare(n.peers[a].ack) })
 	reqs := make([]appendEntries, len(n.peers)) // reqs[i] goes to n.peers[i]
 	for i, p := range n.peers {
 		prev := p.next - 1
@@ -466,9 +499,12 @@ func (n *Node) broadcastAppend() {
 	}
 	n.mu.Unlock()
 
-	for i, req := range reqs {
+	for _, i := range order {
+		if until > 0 && n.committedUpTo(until, term) {
+			break
+		}
 		p := &n.peers[i]
-		ar, err := appendEntriesOp.Invoke(n.inv, p.ref, req)
+		ar, err := appendEntriesOp.Invoke(n.inv, p.ref, reqs[i])
 		n.handleAppendReply(p, term, ar, err)
 	}
 	n.deliverCommitted()
@@ -573,10 +609,9 @@ func (n *Node) advanceCommitLocked() {
 }
 
 // Propose appends data to the replicated log and drives append rounds until
-// a quorum has acknowledged it, then one more, so that every member it
-// reaches applies the entry before Propose returns rather than at the next
-// heartbeat. Only the leader accepts proposals; the returned term is the
-// entry's fencing epoch.
+// a quorum has acknowledged it; the other members learn of it, and of its
+// commit, from the next heartbeat. Only the leader accepts proposals; the
+// returned term is the entry's fencing epoch.
 func (n *Node) Propose(data []byte) (index, term int, err error) {
 	n.mu.Lock()
 	if n.stopped {
@@ -595,19 +630,22 @@ func (n *Node) Propose(data []byte) (index, term int, err error) {
 		n.advanceCommitLocked()
 	}
 	n.mu.Unlock()
-
-	// With the synchronous ORB transports one round normally suffices; a
-	// second repairs a lagging follower after nextIndex backoff. More than a
-	// handful means no quorum is reachable.
-	for round := 0; round < 4 && !n.committedUpTo(index, term); round++ {
-		n.broadcastAppend()
-	}
-	if !n.committedUpTo(index, term) {
+	if !n.replicate(index, term) {
 		return index, term, orb.Errorf(orb.CodeTimeout, "election: entry %d/term %d not acknowledged by quorum", index, term)
 	}
 	n.deliverCommitted()
-	n.broadcastAppend()
 	return index, term, nil
+}
+
+// replicate drives up to four append rounds until the entry at index, of
+// term, commits, and reports whether it did. With the synchronous ORB
+// transports one round normally suffices; more repair a lagging follower
+// after nextIndex backoff. More than a handful means no quorum is reachable.
+func (n *Node) replicate(index, term int) bool {
+	for round := 0; round < 4 && !n.committedUpTo(index, term); round++ {
+		n.appendRound(index)
+	}
+	return n.committedUpTo(index, term)
 }
 
 // LogSize returns how many entries the node's log holds and their payload
@@ -628,8 +666,10 @@ func (n *Node) committedUpTo(index, term int) bool {
 }
 
 // deliverCommitted applies entries up to the commit index, in order, with
-// the mutex released around each callback. The applying latch keeps nested
-// delivery (Apply proposing, reentrant appends) single-flight.
+// the mutex released around each callback, and reports a win whose opening
+// no-op it delivered; a no-op, which carries no data, is not applied. The
+// applying latch keeps nested delivery (Apply proposing, reentrant appends)
+// single-flight.
 func (n *Node) deliverCommitted() {
 	n.mu.Lock()
 	if n.applying {
@@ -643,13 +683,23 @@ func (n *Node) deliverCommitted() {
 		ent := n.entries[idx-1]
 		apply := n.apply
 		n.mu.Unlock()
-		if apply != nil {
+		if apply != nil && len(ent.Data) > 0 {
 			apply(idx, ent.Term, ent.Data)
 		}
 		n.mu.Lock()
 	}
+	var up func()
+	if n.upIndex != 0 && n.lastApplied >= n.upIndex && n.role == Leader {
+		n.upIndex = 0
+		if cb, term := n.onUp, n.term; cb != nil {
+			up = func() { cb(term) }
+		}
+	}
 	n.applying = false
 	n.mu.Unlock()
+	if up != nil {
+		up()
+	}
 }
 
 // stepDownLocked demotes the node into follower state for the given term
@@ -664,11 +714,17 @@ func (n *Node) stepDownLocked(term int, leader string) func() {
 	}
 	n.role = Follower
 	n.leaderID = leader
+	n.upIndex = 0
 	if n.hbTimer != nil {
 		n.hbTimer.Stop()
 		n.hbTimer = nil
 	}
-	n.armElectionLocked()
+	// A leader runs no election timeout. A running one is left alone: only a
+	// heartbeat or a granted ballot defers a candidacy, so a candidate whose
+	// log is behind, bumping the term, cannot keep a member from campaigning.
+	if n.electionTimer == nil {
+		n.armElectionLocked()
+	}
 	if cb := n.onDn; cb != nil && (wasUp || bumped) {
 		t := n.term
 		return func() { cb(t, leader) }

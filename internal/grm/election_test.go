@@ -11,6 +11,7 @@ import (
 	"integrade/internal/chaos"
 	"integrade/internal/election"
 	"integrade/internal/grm"
+	"integrade/internal/hierarchy"
 	"integrade/internal/orb"
 	"integrade/internal/protocol"
 	"integrade/internal/sim"
@@ -386,7 +387,9 @@ func assertMirrors(t *testing.T, step, i int, l, f *grm.GRM) {
 // TestQuorumlessLeaderRefusesWrites cuts the answers of both followers to the
 // leader's heartbeats (the heartbeats still arrive, 100 ms late, so neither
 // follower campaigns). A submission right after the cut is answered with an
-// error naming no leader, since its application cannot commit. Within
+// error naming no leader, since its application cannot commit, and the leader
+// cancels the application it took, a cancellation the followers hold once the
+// answers come back. Within
 // TimeoutMin plus one heartbeat of the last acknowledgement the leader
 // refuses updates and submissions, naming no leader and taking no
 // application; once the answers come back it accepts them again, in the same
@@ -424,7 +427,17 @@ func TestQuorumlessLeaderRefusesWrites(t *testing.T) {
 			Match: chaos.Match{Addr: m, Key: election.ObjectKey}, Delay: 1, DelayBy: 100 * time.Millisecond,
 		}))
 	}
+	before := g0.AppIDs()
 	refused("a submission right after the cut", submit())
+	var cut string // the application the refused submission took
+	for _, id := range g0.AppIDs() {
+		if !slices.Contains(before, id) {
+			cut = id
+		}
+	}
+	if st, err := g0.AppStatus(cut); err != nil || !allCancelled(st) {
+		t.Fatalf("the refused submission's application %q on the leader: %+v, %v; want it cancelled", cut, st, err)
+	}
 	const step = 100 * time.Millisecond
 	sinceAck := time.Second
 	var u error
@@ -456,6 +469,70 @@ func TestQuorumlessLeaderRefusesWrites(t *testing.T) {
 	}
 	if rs.leaderIdx(t) != 0 || g0.Epoch() != 1 {
 		t.Fatalf("after the heal: leader m%d, epoch %d; want m0 in term 1", rs.leaderIdx(t), g0.Epoch())
+	}
+	rs.clock.Advance(grm.DefaultReplicationInterval + election.DefaultHeartbeat)
+	for i, f := range rs.grms[1:] {
+		if st, err := f.AppStatus(cut); err != nil || !allCancelled(st) {
+			t.Fatalf("m%d after the heal holds %q as %+v, %v; want it cancelled", i+1, cut, st, err)
+		}
+	}
+}
+
+func allCancelled(st protocol.AppStatus) bool {
+	for _, task := range st.Tasks {
+		if task.State != protocol.TaskCancelled {
+			return false
+		}
+	}
+	return len(st.Tasks) > 0
+}
+
+// TestDeposedSubmitStaysInItsCluster: a leader deposed while it places a
+// submission cannot tell whether an earlier flush committed the application,
+// so it answers CodeTimeout and leaves the application running, and the
+// hierarchy node in front of it tries no other cluster, which would run the
+// application a second time.
+func TestDeposedSubmitStaysInItsCluster(t *testing.T) {
+	rs := newReplicaSet(t, 3)
+	c := rs.leader(t)
+	g0 := c.g
+	f, ref := bindFakeLRM(t, c, "lrm-a", 0)
+	f.onExecute = func() { g0.FollowAt(g0.Epoch() + 1) }
+	c.update(windowStatus(c, "n-a", ref, 1000))
+
+	g2 := grm.New("c2", rs.clock, rs.o)
+	t.Cleanup(g2.Stop)
+	h2 := hierarchy.NewNode(g2, rs.o)
+	adapter := orb.NewAdapter()
+	if err := adapter.Register(protocol.GRMKey, g2.Servant()); err != nil {
+		t.Fatal(err)
+	}
+	if err := adapter.Register(hierarchy.ObjectKey, h2.Servant()); err != nil {
+		t.Fatal(err)
+	}
+	ep, err := rs.o.BindLoopback("mgr-c2", adapter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := &cluster{t: t, clock: rs.clock, o: rs.o, g: g2, grmRef: orb.ObjectRef{Endpoint: ep, Key: protocol.GRMKey}}
+	_, refB := bindFakeLRM(t, c2, "lrm-b", 0)
+	c2.update(windowStatus(c2, "n-b", refB, 1000))
+	h := hierarchy.NewNode(g0, rs.o)
+	h.AddChild("c2", orb.ObjectRef{Endpoint: ep, Key: hierarchy.ObjectKey})
+
+	_, err = h.Submit(hourTask("once"))
+	if !orb.IsCode(err, orb.CodeTimeout) {
+		t.Fatalf("a submission whose leader was deposed while placing it: %v, want a TIMEOUT", err)
+	}
+	if ids := g2.AppIDs(); len(ids) != 0 {
+		t.Fatalf("the hierarchy also placed it in c2: %v", ids)
+	}
+	ids := g0.AppIDs()
+	if len(ids) != 1 || f.executeCount() != 1 {
+		t.Fatalf("the deposed leader holds %v and its node ran %d tasks; want the one application, running", ids, f.executeCount())
+	}
+	if st, _ := g0.AppStatus(ids[0]); st.Tasks[0].State != protocol.TaskRunning {
+		t.Fatalf("the deposed leader's application: %+v, want running", st.Tasks)
 	}
 }
 

@@ -571,7 +571,8 @@ func (g *GRM) KnownNodes() int { return g.trader.Count() }
 // returns as soon as the app is queued and a background drainer batches
 // placements. A full queue rejects with ErrAdmissionFull, and a replica that
 // may not accept writes refuses (refusalLocked). A replica-set leader replies
-// once the app is committed. The ID identifies the app in AppStatus.
+// once the app is committed, or settles one that was not (uncommitted). The
+// ID identifies the app in AppStatus.
 func (g *GRM) Submit(spec protocol.ApplicationSpec) (string, error) {
 	if err := spec.Validate(); err != nil {
 		return "", err
@@ -620,13 +621,31 @@ func (g *GRM) Submit(spec protocol.ApplicationSpec) (string, error) {
 	} else {
 		g.drainAdmission(false)
 	}
-	// A failed commit leaves the app here, for later flushes to retry.
 	if repl != nil {
 		if err := repl.flush(); err != nil {
-			return "", err
+			return "", g.uncommitted(app, repl, err)
 		}
 	}
 	return id, nil
+}
+
+// uncommitted settles a Submit whose application the replica set did not
+// commit: the flush failed with err. A leader that still leads cancels the
+// application, so that neither a later flush nor the entry that timed out
+// runs one its client was told failed; the cancellation is its latest record,
+// which the next flush commits. A deposed leader cannot cancel, and an earlier
+// flush may have committed the application: its answer is a CodeTimeout,
+// outcome unknown, on which the hierarchy tries no other cluster.
+func (g *GRM) uncommitted(app *appInfo, repl *replicator, err error) error {
+	g.mu.Lock()
+	if g.repl != repl {
+		g.mu.Unlock()
+		return orb.Errorf(orb.CodeTimeout, "grm: %s may be committed; leadership was lost: %v", app.id, err)
+	}
+	running := g.cancelLocked(app)
+	g.mu.Unlock()
+	g.cancelTasks(running, "cancel of an uncommitted application failed")
+	return orb.Errorf(orb.CodeApplication, "grm: %s not committed, cancelled: %v", app.id, err)
 }
 
 // SchedulePending runs one scheduling pass over every app with pending

@@ -51,6 +51,15 @@ type schedRecord struct {
 	MaxBatch  int
 }
 
+func (r schedRecord) encode(e *orb.Encoder) {
+	e.PutStrings(r.QueuedIDs)
+	e.PutInt(r.Accepted)
+	e.PutInt(r.Rejected)
+	e.PutInt(r.Peak)
+	e.PutInt(r.Batches)
+	e.PutInt(r.MaxBatch)
+}
+
 func (t *taskInfo) encode(e *orb.Encoder) {
 	e.PutString(t.id)
 	e.PutU8(uint8(t.state))
@@ -118,13 +127,17 @@ func (b replicaBatch) encode(e *orb.Encoder) {
 	e.PutU32(uint32(len(b.Nodes)))
 	for _, n := range b.Nodes {
 		e.PutString(n.id)
-		if e.PutBool(n.lv != nil); n.lv == nil {
+		e.PutBool(n.lv != nil)
+		if n.lv == nil {
 			continue
 		}
-		if e.PutBool(!n.lv.departUntil.IsZero()); !n.lv.departUntil.IsZero() {
+		departing := !n.lv.departUntil.IsZero()
+		e.PutBool(departing)
+		if departing {
 			e.PutTime(n.lv.departUntil)
 		}
-		if e.PutBool(n.lv.logged); n.lv.logged {
+		e.PutBool(n.lv.logged)
+		if n.lv.logged {
 			n.lv.status.Encode(e)
 		}
 	}
@@ -133,11 +146,8 @@ func (b replicaBatch) encode(e *orb.Encoder) {
 		a.encode(e)
 	}
 	e.PutBool(b.Queue != nil)
-	if q := b.Queue; q != nil {
-		e.PutStrings(q.QueuedIDs)
-		for _, c := range [...]int{q.Accepted, q.Rejected, q.Peak, q.Batches, q.MaxBatch} {
-			e.PutInt(c)
-		}
+	if b.Queue != nil {
+		b.Queue.encode(e)
 	}
 }
 
@@ -155,7 +165,8 @@ func decodeReplicaBatch(d *orb.Decoder) (replicaBatch, error) {
 			if d.Bool() {
 				ent.lv.departUntil = d.Time()
 			}
-			if ent.lv.logged = d.Bool(); ent.lv.logged {
+			ent.lv.logged = d.Bool()
+			if ent.lv.logged {
 				s, err := protocol.DecodeNodeStatus(d)
 				if err != nil {
 					return replicaBatch{}, err

@@ -21,7 +21,8 @@ import (
 // them.
 type fakeLRM struct {
 	name      string
-	maxGrants int // 0 = unlimited
+	maxGrants int    // 0 = unlimited
+	onExecute func() // if set, runs after each Execute is recorded
 
 	mu       sync.Mutex
 	grants   int
@@ -74,6 +75,9 @@ func bindFakeLRM(t *testing.T, c *cluster, name string, maxGrants int) (*fakeLRM
 			f.mu.Lock()
 			f.executed = append(f.executed, exec.Tasks...)
 			f.mu.Unlock()
+			if f.onExecute != nil {
+				f.onExecute()
+			}
 			return &orb.Encoder{}, nil
 		}).
 		Handle(protocol.OpCancel, func(_ string, _ *orb.Decoder) (*orb.Encoder, error) {

@@ -207,8 +207,10 @@ func (n *Node) route(spec protocol.ApplicationSpec, ttl int, excludeChild string
 		if err == nil {
 			return RouteResult{ClusterID: n.clusterID, AppID: appID, Hops: 0}, nil
 		}
-		if orb.IsCode(err, orb.CodeForward) {
-			// A replica that does not lead: the caller goes to the leader.
+		if orb.IsCode(err, orb.CodeForward) || orb.IsCode(err, orb.CodeTimeout) {
+			// A replica that does not lead: the caller goes to the leader. A
+			// timeout may have left the app here: another cluster would run
+			// it twice.
 			return RouteResult{}, err
 		}
 	}
