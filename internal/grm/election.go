@@ -120,7 +120,6 @@ func (g *GRM) LeadAt(term int) {
 		for id := range g.apps {
 			g.markLocked(entity{entityApp, id})
 		}
-		g.markLocked(queueEntity)
 		g.repl.armLocked()
 	}
 	g.mu.Unlock()
@@ -167,13 +166,8 @@ func (g *GRM) ApplyReplicaEntry(index, term int, data []byte) {
 		return
 	}
 	g.stats.ReplicaBatches++
-	g.seq = max(g.seq, b.Seq)
-	// Apps before the queue, so that every queued ID resolves.
 	for _, app := range b.Apps {
 		g.putAppLocked(app)
-	}
-	if b.Queue != nil {
-		g.replaceQueueLocked(*b.Queue)
 	}
 	for _, n := range b.Nodes {
 		g.memberLocked(n)

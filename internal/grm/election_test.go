@@ -198,7 +198,8 @@ func TestElectionReplicaSetFailover(t *testing.T) {
 // replica set: New already makes a GRM primary of term 1, so UseElection must
 // turn it into a follower, or the bootstrap member's LeadAt(1) would find
 // itself leading that term already and install no replication stream. The
-// first flushes must commit in term 1, on every member.
+// first flushes, carrying one application, must commit in term 1, on every
+// member.
 func TestBootstrapMemberCommitsInTermOne(t *testing.T) {
 	rs := newReplicaSet(t, 3)
 	g0 := rs.grms[0]
@@ -208,6 +209,7 @@ func TestBootstrapMemberCommitsInTermOne(t *testing.T) {
 	if got := g0.Stats().Promotions; got != 1 {
 		t.Fatalf("bootstrap Promotions = %d, want 1 (follower → leader of term 1)", got)
 	}
+	rs.leader(t).submit(hourTask("first"))
 	rs.clock.Advance(15 * time.Second)
 	for i, g := range rs.grms {
 		if got := g.Stats().QuorumBatches; got < 1 {
@@ -223,10 +225,9 @@ func TestBootstrapMemberCommitsInTermOne(t *testing.T) {
 // heartbeats, task events (stale ones included), departures, cancellations
 // and node deaths into a replica set's leader. After every committed flush
 // each follower must hold what the leader holds: every application's status,
-// the same node membership and departure deadlines, and the same admission
-// queue. Then the leader dies, and once every node's next update has reached
-// the successor, its offers are the ones the leader held. The seed picks the
-// mix.
+// and the same node membership and departure deadlines. Then the leader dies,
+// and once every node's next update has reached the successor, its offers are
+// the ones the leader held. The seed picks the mix.
 func TestReplicaFollowersMatchLeader(t *testing.T) {
 	seeds.Run(t, replicaFollowersMatchLeader)
 }
@@ -368,19 +369,6 @@ func assertMirrors(t *testing.T, step, i int, l, f *grm.GRM) {
 	}
 	if got, want := grm.Members(f), grm.Members(l); !maps.Equal(got, want) {
 		t.Fatalf("step %d: m%d members %v, leader %v", step, i, got, want)
-	}
-	if got, want := grm.QueuedIDs(f), grm.QueuedIDs(l); !slices.Equal(got, want) {
-		t.Fatalf("step %d: m%d admission queue %v, leader %v", step, i, got, want)
-	}
-	// A synchronous Submit drains the queue before it returns, so the
-	// admission counters are what shows a follower the queue's history.
-	counters := func(g *grm.GRM) [6]int {
-		s := g.Stats()
-		return [...]int{s.AdmissionQueued, s.AdmissionRejected, s.AdmissionQueueDepth,
-			s.AdmissionPeakDepth, s.SchedulerBatches, s.MaxBatchSize}
-	}
-	if got, want := counters(f), counters(l); got != want {
-		t.Fatalf("step %d: m%d admission counters %v, leader %v", step, i, got, want)
 	}
 }
 
@@ -537,9 +525,11 @@ func TestDeposedSubmitStaysInItsCluster(t *testing.T) {
 }
 
 // TestIdleReplicaSetAppendsNothing: once the leader's first flush has carried
-// its state, a replica set that no client writes to proposes no entry.
+// its one application, which no node can run, a replica set that no client
+// writes to proposes no entry.
 func TestIdleReplicaSetAppendsNothing(t *testing.T) {
 	rs := newReplicaSet(t, 3)
+	rs.leader(t).submit(hourTask("waits"))
 	rs.clock.Advance(10 * time.Second)
 	before := rs.grms[0].Stats().QuorumBatches
 	if before < 1 {
@@ -548,5 +538,44 @@ func TestIdleReplicaSetAppendsNothing(t *testing.T) {
 	rs.clock.Advance(time.Hour)
 	if got := rs.grms[0].Stats().QuorumBatches - before; got != 0 {
 		t.Fatalf("an idle replica set appended %d log entries in an hour, want 0", got)
+	}
+}
+
+// TestSuccessorContinuesAppIDs: the log carries neither the admission queue
+// nor the app ID counter. Two applications submitted while no node has
+// reported wait in the leader's queue when it crashes; once nodes report to
+// the successor, it places both, and it numbers the next application after
+// the last one the log holds.
+func TestSuccessorContinuesAppIDs(t *testing.T) {
+	rs := newReplicaSet(t, 3, grm.WithAsyncAdmission())
+	c := rs.leader(t)
+	for _, name := range []string{"first", "second"} {
+		c.submit(hourTask(name))
+	}
+	succ := &cluster{t: t, clock: rs.clock, o: rs.o}
+	succ.g = rs.failover(t, rs.leaderIdx(t))
+	succ.grmRef = rs.refs[slices.Index(rs.grms, succ.g)]
+	var lrms []*fakeLRM
+	for _, name := range []string{"a", "b"} {
+		f, ref := bindFakeLRM(t, succ, "lrm-"+name, 0)
+		succ.update(windowStatus(succ, "n-"+name, ref, 1000))
+		lrms = append(lrms, f)
+	}
+	rs.clock.Advance(15 * time.Second)
+
+	ids := succ.g.AppIDs()
+	if !slices.Equal(ids, []string{"test-app-1", "test-app-2"}) {
+		t.Fatalf("successor apps %v, want test-app-1 and test-app-2", ids)
+	}
+	for _, id := range ids {
+		if st := succ.status(id); st.Tasks[0].State != protocol.TaskRunning {
+			t.Fatalf("%s: %+v, want running", id, st.Tasks)
+		}
+	}
+	if got := lrms[0].executeCount() + lrms[1].executeCount(); got != 2 {
+		t.Fatalf("the nodes ran %d tasks, want 2", got)
+	}
+	if id := succ.submit(hourTask("third")); id != "test-app-3" {
+		t.Fatalf("the successor's next app is %s, want test-app-3", id)
 	}
 }

@@ -2,17 +2,6 @@ package grm
 
 import "time"
 
-// QueuedIDs returns the IDs waiting in g's admission queue, in order.
-func QueuedIDs(g *GRM) []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	ids := make([]string, len(g.admitQ))
-	for i, app := range g.admitQ {
-		ids[i] = app.id
-	}
-	return ids
-}
-
 // WithAdmissionLimit sets the bounded admission queue capacity (default
 // DefaultAdmissionLimit). Submissions beyond it fail with ErrAdmissionFull.
 func WithAdmissionLimit(n int) Option {

@@ -62,8 +62,7 @@ func TestStandbyIgnoresForeignClusterBatches(t *testing.T) {
 func TestReplicaBatchRoundTrip(t *testing.T) {
 	in := replicaBatch{
 		ClusterID: "test",
-		Seq:       7,
-		Apps:      []*appInfo{{id: "app-1"}},
+		Apps:      []*appInfo{{id: "app-1", seq: 7}},
 	}
 	var e orb.Encoder
 	in.encode(&e)
@@ -71,7 +70,7 @@ func TestReplicaBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.ClusterID != in.ClusterID || out.Seq != in.Seq || len(out.Apps) != 1 {
+	if out.ClusterID != in.ClusterID || len(out.Apps) != 1 || out.Apps[0].seq != 7 {
 		t.Fatalf("round trip = %+v", out)
 	}
 }

@@ -18,13 +18,11 @@ func FuzzReplicaBatch(f *testing.F) {
 	var e orb.Encoder
 	replicaBatch{
 		ClusterID: "test",
-		Seq:       3,
 		Nodes: []nodeEntry{
 			{lv: &nodeLiveness{status: protocol.NodeStatus{NodeID: "n0"}, departUntil: time.Unix(600, 0)}},
 			{id: "n1"},
 		},
-		Apps:  []*appInfo{{id: "app-1", tasks: []*taskInfo{{id: "app-1/t0"}}}},
-		Queue: &schedRecord{QueuedIDs: []string{"app-1"}},
+		Apps: []*appInfo{{id: "app-1", seq: 3, tasks: []*taskInfo{{id: "app-1/t0"}}}},
 	}.encode(&e)
 	f.Add(e.Bytes())
 	f.Add([]byte{})
@@ -40,9 +38,9 @@ func FuzzReplicaBatch(f *testing.F) {
 	})
 }
 
-// TestReplicaCountsAreBounded: a replica batch whose node, app, task or queue
-// count claims a million entries it does not carry fails without allocating
-// for them.
+// TestReplicaCountsAreBounded: a replica batch whose node, app or task count
+// claims a million entries it does not carry fails without allocating for
+// them.
 func TestReplicaCountsAreBounded(t *testing.T) {
 	// claim encodes b, cuts it after the count that ends at end bytes from the
 	// end of the encoding, and sets that count to a million.
@@ -54,10 +52,9 @@ func TestReplicaCountsAreBounded(t *testing.T) {
 		return body
 	}
 	for name, body := range map[string][]byte{
-		"nodes":       claim(replicaBatch{ClusterID: "c"}, 4+1),                            // then apps, queue flag
-		"apps":        claim(replicaBatch{ClusterID: "c"}, 1),                              // then the queue flag
-		"app tasks":   claim(replicaBatch{ClusterID: "c", Apps: []*appInfo{{id: "a"}}}, 1), // then the queue flag
-		"queued apps": claim(replicaBatch{ClusterID: "c", Queue: &schedRecord{}}, 5*8),     // then five counters
+		"nodes":     claim(replicaBatch{ClusterID: "c"}, 4), // then the app count
+		"apps":      claim(replicaBatch{ClusterID: "c"}, 0),
+		"app tasks": claim(replicaBatch{ClusterID: "c", Apps: []*appInfo{{id: "a"}}}, 0),
 	} {
 		var err error
 		got := allocbudget.Bytes(func() { _, err = decodeReplicaBatch(orb.NewDecoder(body)) })

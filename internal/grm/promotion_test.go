@@ -9,13 +9,12 @@ import (
 )
 
 // TestPromotionBatchSize10k measures the full-state batch a leader proposes
-// when it takes office (LeadAt marks every node, every app and the queue)
-// for a GRM that has learned loopbackUpdates' 10⁴-node fleet through
-// GRMClient.Update, windows included. A bounded AppendEntries splits a log
-// into runs of entries but sends an entry whole, so this one entry has to
-// fit an ORB frame (64 MiB) on its own. The batch carries the fleet's
-// membership, not its statuses (2 131 894 B when it did): the test fails
-// above 256 KiB.
+// when it takes office (LeadAt marks every node and every app) for a GRM
+// that has learned loopbackUpdates' 10⁴-node fleet through GRMClient.Update,
+// windows included. A bounded AppendEntries splits a log into runs of
+// entries but sends an entry whole, so this one entry has to fit an ORB frame
+// (64 MiB) on its own. The batch carries the fleet's membership, not its
+// statuses (2 131 894 B when it did): the test fails above 256 KiB.
 func TestPromotionBatchSize10k(t *testing.T) {
 	const (
 		frameLimit = 64 << 20 // the ORB's largest frame
@@ -32,7 +31,7 @@ func TestPromotionBatchSize10k(t *testing.T) {
 
 	var e orb.Encoder
 	g.mu.Lock()
-	ents := []entity{queueEntity}
+	var ents []entity
 	for id := range g.nodes {
 		ents = append(ents, entity{entityNode, id})
 	}

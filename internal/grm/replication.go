@@ -18,17 +18,15 @@ import (
 const DefaultReplicationInterval = 5 * time.Second
 
 // replicaBatch is one consensus log entry: the current record of every
-// entity the leader changed since its previous flush, plus its app sequence
-// counter so a successor never re-issues an app ID. It carries no epoch: the
-// log orders entries by the term of the leader that proposed them.
+// entity the leader changed since its previous flush. It carries no epoch:
+// the log orders entries by the term of the leader that proposed them. Nor
+// does it carry the app ID counter or the admission queue: a successor's
+// counter follows the apps' seqs, and its first scheduling pass places every
+// pending app in seq order.
 type replicaBatch struct {
 	ClusterID string
-	Seq       int
 	Nodes     []nodeEntry
 	Apps      []*appInfo
-	// Queue, when present, is the admission queue; a flush that did not
-	// change it leaves it out (bool-guarded on the wire).
-	Queue *schedRecord
 }
 
 // nodeEntry is a node as the log carries it: its ID and record (nil: dead),
@@ -37,27 +35,6 @@ type replicaBatch struct {
 type nodeEntry struct {
 	id string
 	lv *nodeLiveness
-}
-
-// schedRecord is the admission queue as the log carries it: the IDs still
-// waiting, plus the backpressure counters, so a successor resumes draining
-// exactly where the old leader stopped.
-type schedRecord struct {
-	QueuedIDs []string
-	Accepted  int
-	Rejected  int
-	Peak      int
-	Batches   int
-	MaxBatch  int
-}
-
-func (r schedRecord) encode(e *orb.Encoder) {
-	e.PutStrings(r.QueuedIDs)
-	e.PutInt(r.Accepted)
-	e.PutInt(r.Rejected)
-	e.PutInt(r.Peak)
-	e.PutInt(r.Batches)
-	e.PutInt(r.MaxBatch)
 }
 
 func (t *taskInfo) encode(e *orb.Encoder) {
@@ -123,7 +100,6 @@ func decodeAppInfo(d *orb.Decoder) (*appInfo, error) {
 
 func (b replicaBatch) encode(e *orb.Encoder) {
 	e.PutString(b.ClusterID)
-	e.PutInt(b.Seq)
 	e.PutU32(uint32(len(b.Nodes)))
 	for _, n := range b.Nodes {
 		e.PutString(n.id)
@@ -145,17 +121,10 @@ func (b replicaBatch) encode(e *orb.Encoder) {
 	for _, a := range b.Apps {
 		a.encode(e)
 	}
-	e.PutBool(b.Queue != nil)
-	if b.Queue != nil {
-		b.Queue.encode(e)
-	}
 }
 
 func decodeReplicaBatch(d *orb.Decoder) (replicaBatch, error) {
-	b := replicaBatch{
-		ClusterID: d.String(),
-		Seq:       d.Int(),
-	}
+	b := replicaBatch{ClusterID: d.String()}
 	// A node and an app decode, or fail, before the next is appended: for
 	// them the bytes left bound the appends whatever the count's minimum.
 	for range d.Count(1) {
@@ -186,16 +155,6 @@ func decodeReplicaBatch(d *orb.Decoder) (replicaBatch, error) {
 		}
 		b.Apps = append(b.Apps, a)
 	}
-	if d.Bool() {
-		b.Queue = &schedRecord{
-			QueuedIDs: d.Strings(),
-			Accepted:  d.Int(),
-			Rejected:  d.Int(),
-			Peak:      d.Int(),
-			Batches:   d.Int(),
-			MaxBatch:  d.Int(),
-		}
-	}
 	return b, d.Err()
 }
 
@@ -204,7 +163,7 @@ func decodeReplicaBatch(d *orb.Decoder) (replicaBatch, error) {
 // with its status while a task runs on it. Caller holds g.mu, and must encode
 // the batch before releasing it.
 func (g *GRM) batchLocked(ents []entity) replicaBatch {
-	b := replicaBatch{ClusterID: g.clusterID, Seq: g.seq}
+	b := replicaBatch{ClusterID: g.clusterID}
 	var busy map[string]bool // the nodes some task runs on
 	for _, ent := range ents {
 		switch ent.kind {
@@ -225,17 +184,6 @@ func (g *GRM) batchLocked(ents []entity) replicaBatch {
 			b.Nodes = append(b.Nodes, nodeEntry{id: ent.id, lv: g.nodes[ent.id]})
 		case entityApp:
 			b.Apps = append(b.Apps, g.apps[ent.id])
-		case entityQueue:
-			b.Queue = &schedRecord{
-				Accepted: g.stats.AdmissionQueued,
-				Rejected: g.stats.AdmissionRejected,
-				Peak:     g.stats.AdmissionPeakDepth,
-				Batches:  g.stats.SchedulerBatches,
-				MaxBatch: g.stats.MaxBatchSize,
-			}
-			for _, app := range g.admitQ {
-				b.Queue.QueuedIDs = append(b.Queue.QueuedIDs, app.id)
-			}
 		}
 	}
 	return b

@@ -14,10 +14,11 @@ import (
 // The transitions in this file are the only writers of the GRM's cluster
 // state: the node records, the applications and their tasks, and the
 // admission queue. The leader's handlers and a follower applying the log call
-// the same ones. Each enqueues what it changed for the next replica batch when
-// this GRM leads a replica set, and none does I/O: a trader export or
-// withdraw, or a Cancel RPC, is returned for the caller to carry out once
-// g.mu is released. Every transition's caller holds g.mu.
+// the same ones. Each enqueues the nodes and applications it changed for the
+// next replica batch when this GRM leads a replica set (the queue stays the
+// leader's own), and none does I/O: a trader export or withdraw, or a Cancel
+// RPC, is returned for the caller to carry out once g.mu is released. Every
+// transition's caller holds g.mu.
 
 // entityKind is what an entity is; a replica batch carries each kind in a
 // section of its own.
@@ -26,17 +27,14 @@ type entityKind uint8
 const (
 	entityNode entityKind = iota
 	entityApp
-	entityQueue
 )
 
 // entity names one replicated piece of GRM state: a node or an application
-// by ID, or the admission queue.
+// by ID.
 type entity struct {
 	kind entityKind
 	id   string
 }
-
-var queueEntity = entity{kind: entityQueue}
 
 // remote is a task and the LRM reference that serves it: what a transition
 // hands back for a Cancel outside g.mu.
@@ -148,9 +146,10 @@ func (g *GRM) memberLocked(n nodeEntry) {
 }
 
 // putAppLocked records an application: a new submission, or a follower's copy
-// of the leader's.
+// of the leader's, whose seq the follower's next app ID follows.
 func (g *GRM) putAppLocked(app *appInfo) {
 	g.apps[app.id] = app
+	g.seq = max(g.seq, app.seq)
 	g.markLocked(entity{entityApp, app.id})
 }
 
@@ -267,13 +266,11 @@ func (g *GRM) queueLocked(app *appInfo) {
 	g.stats.AdmissionQueued++
 	g.stats.AdmissionQueueDepth = len(g.admitQ)
 	g.stats.AdmissionPeakDepth = max(g.stats.AdmissionPeakDepth, len(g.admitQ))
-	g.markLocked(queueEntity)
 }
 
 // refuseLocked counts a submission the full admission queue turned away.
 func (g *GRM) refuseLocked() {
 	g.stats.AdmissionRejected++
-	g.markLocked(queueEntity)
 }
 
 // takeBatchLocked removes up to admitBatch applications from the head of the
@@ -288,25 +285,5 @@ func (g *GRM) takeBatchLocked() []*appInfo {
 	g.stats.AdmissionQueueDepth = len(g.admitQ)
 	g.stats.SchedulerBatches++
 	g.stats.MaxBatchSize = max(g.stats.MaxBatchSize, n)
-	g.markLocked(queueEntity)
 	return batch
-}
-
-// replaceQueueLocked replaces the admission queue and its counters with the
-// leader's. A queued ID with no application here is dropped: SchedulePending
-// finds the app's pending tasks anyway once it arrives.
-func (g *GRM) replaceQueueLocked(q schedRecord) {
-	g.admitQ = g.admitQ[:0]
-	for _, id := range q.QueuedIDs {
-		if app, ok := g.apps[id]; ok {
-			g.admitQ = append(g.admitQ, app)
-		}
-	}
-	g.stats.AdmissionQueued = q.Accepted
-	g.stats.AdmissionRejected = q.Rejected
-	g.stats.AdmissionPeakDepth = q.Peak
-	g.stats.SchedulerBatches = q.Batches
-	g.stats.MaxBatchSize = q.MaxBatch
-	g.stats.AdmissionQueueDepth = len(g.admitQ)
-	g.markLocked(queueEntity)
 }

@@ -141,7 +141,7 @@ func TestOverlongForecastRefused(t *testing.T) {
 	}
 
 	var e orb.Encoder
-	replicaBatch{ClusterID: "test", Seq: 1, Nodes: []nodeEntry{{id: s.NodeID, lv: &nodeLiveness{status: overlong, logged: true}}}}.encode(&e)
+	replicaBatch{ClusterID: "test", Nodes: []nodeEntry{{id: s.NodeID, lv: &nodeLiveness{status: overlong, logged: true}}}}.encode(&e)
 	if b, err := decodeReplicaBatch(orb.NewDecoder(e.Bytes())); err == nil {
 		t.Fatalf("a replica batch with a %d-window node decoded: %+v", len(overlong.Windows), b)
 	}

@@ -27,9 +27,10 @@ import (
 //     later, on the event loop).
 //   - RPC edges connect each `X.Invoke(inv, ref, req)` call site whose
 //     receiver X is a package-level `*orb.Op` to every handler registered
-//     for the same X via `orb.Serve(mux, X, fn)` or `orb.ServeRaw` anywhere
-//     in the loaded set. This is what lets the analyzers see through the
-//     ORB: a client's call lands in the remote component's servant.
+//     for the same X via `orb.Serve(mux, X, fn)`, `orb.ServeRaw` or
+//     `orb.ServeEncode` anywhere in the loaded set. This is what lets the
+//     analyzers see through the ORB: a client's call lands in the remote
+//     component's servant.
 //
 // Summaries are memoized on the node, so whole-repo analysis stays linear
 // in the size of the graph.
@@ -365,8 +366,8 @@ func (b *graphBuilder) recordCall(node *FuncNode, call *ast.CallExpr) {
 
 	inOrb := fn.Pkg() != nil && fn.Pkg().Path() == orbPkgPath
 
-	// Handler registration: orb.Serve(mux, X, fn) or ServeRaw. Resolution
-	// is deferred until every function-literal node exists.
+	// Handler registration: orb.Serve(mux, X, fn), ServeRaw or ServeEncode.
+	// Resolution is deferred until every function-literal node exists.
 	if inOrb && isServe(fn.Name()) && len(call.Args) == 3 {
 		if op, ok := opKey(info, call.Args[1]); ok {
 			b.handlerRegs = append(b.handlerRegs, handlerReg{parent: node, op: op, arg: call.Args[2]})
@@ -391,7 +392,9 @@ func (b *graphBuilder) recordCall(node *FuncNode, call *ast.CallExpr) {
 }
 
 // isServe reports whether an orb function of that name registers a servant.
-func isServe(name string) bool { return name == "Serve" || name == "ServeRaw" }
+func isServe(name string) bool {
+	return name == "Serve" || name == "ServeRaw" || name == "ServeEncode"
+}
 
 // handlerNode resolves the handler argument of a Serve call: a literal
 // (already turned into a node by the surrounding walk), a named function or
@@ -417,10 +420,10 @@ func (b *graphBuilder) handlerNode(parent *FuncNode, arg ast.Expr) *FuncNode {
 
 // asyncLit reports whether lit only runs asynchronously with respect to the
 // enclosing function: spawned via `go lit(...)`, passed to an AfterFunc-style
-// scheduler, or registered as an RPC handler via orb.Serve, ServeRaw or
-// OpMux.Handle. Such literals never block their definer — a registered
-// handler runs later, on the server dispatch path, and is reached through
-// EdgeRPC from the matching Op.Invoke sites instead.
+// scheduler, or registered as an RPC handler via orb.Serve, ServeRaw,
+// ServeEncode or OpMux.Handle. Such literals never block their definer — a
+// registered handler runs later, on the server dispatch path, and is reached
+// through EdgeRPC from the matching Op.Invoke sites instead.
 func asyncLit(pkg *Package, lit *ast.FuncLit, body *ast.BlockStmt) bool {
 	async := false
 	ast.Inspect(body, func(n ast.Node) bool {

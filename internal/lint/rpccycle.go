@@ -13,8 +13,9 @@ var RPCCycle = &Analyzer{
 		"distributed self-deadlock waiting for a single-threaded servant or " +
 		"a full connection pool. The analyzer builds the repo call graph, " +
 		"links every X.Invoke(inv, ref, req) call site on a package-level " +
-		"orb.Op X to the handlers registered for X via orb.Serve or " +
-		"orb.ServeRaw anywhere in the repo, and reports each RPC edge that " +
+		"orb.Op X to the handlers registered for X via orb.Serve, " +
+		"orb.ServeRaw or orb.ServeEncode anywhere in the repo, and reports " +
+		"each RPC edge that " +
 		"lies on a strongly connected component. " +
 		"Deliberately bounded recursion (TTL-guarded routing over an " +
 		"acyclic deployment tree) must carry a justifying //lint:allow " +

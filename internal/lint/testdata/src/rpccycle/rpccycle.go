@@ -1,7 +1,8 @@
-// Fixture for the rpccycle analyzer: a two-component synchronous Invoke
-// cycle that no single-function check can see, plus a plain request/reply
-// pair that must stay silent and a TTL-bounded recursion carrying the
-// //lint:allow escape hatch.
+// Fixture for the rpccycle analyzer: two two-component synchronous Invoke
+// cycles that no single-function check can see, one of them closed through a
+// servant that encodes its own reply, plus a plain request/reply pair that
+// must stay silent and a TTL-bounded recursion carrying the //lint:allow
+// escape hatch.
 package rpccycle
 
 import "integrade/internal/orb"
@@ -12,6 +13,8 @@ var (
 	pong  = &orb.Op[struct{}, struct{}]{Name: "cycle.pong"}
 	leaf  = &orb.Op[struct{}, struct{}]{Name: "cycle.leaf"}
 	relay = &orb.Op[struct{}, struct{}]{Name: "cycle.relay"}
+	ask   = &orb.Op[struct{}, struct{}]{Name: "cycle.ask"}
+	tell  = &orb.Op[struct{}, struct{}]{Name: "cycle.tell"}
 )
 
 // Master is one half of a mutually re-entrant component pair: its servant
@@ -101,6 +104,44 @@ func (r *Relay) Servant(ttl int) orb.Servant {
 	mux := orb.NewOpMux()
 	orb.ServeRaw(mux, relay, func(*orb.Decoder) (struct{}, error) {
 		return struct{}{}, r.Forward(ttl - 1)
+	})
+	return mux
+}
+
+// Asker calls the teller, whose servant encodes its own reply and calls back
+// here on the way.
+type Asker struct {
+	inv orb.Invoker
+	ref orb.ObjectRef // the teller's reference
+}
+
+// Ask issues the asker -> teller half of the cycle.
+func (a *Asker) Ask() error {
+	_, err := ask.Invoke(a.inv, a.ref, struct{}{}) // want `synchronous RPC "cycle\.ask" can re-enter its own caller`
+	return err
+}
+
+// Servant handles tell by asking the teller again.
+func (a *Asker) Servant() orb.Servant {
+	mux := orb.NewOpMux()
+	orb.Serve(mux, tell, func(struct{}) (struct{}, error) {
+		return struct{}{}, a.Ask()
+	})
+	return mux
+}
+
+// Teller is the other half: its handler writes the reply itself.
+type Teller struct {
+	inv orb.Invoker
+	ref orb.ObjectRef // the asker's reference
+}
+
+// Servant handles ask by telling the asker before it encodes the reply.
+func (t *Teller) Servant() orb.Servant {
+	mux := orb.NewOpMux()
+	orb.ServeEncode(mux, ask, func(_ *orb.Decoder, _ *orb.Encoder) error {
+		_, err := tell.Invoke(t.inv, t.ref, struct{}{}) // want `synchronous RPC "cycle\.tell" can re-enter its own caller`
+		return err
 	})
 	return mux
 }
