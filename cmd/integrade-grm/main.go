@@ -230,7 +230,8 @@ func buildElection(g *grm.GRM, adapter *orb.Adapter, inv orb.Invoker, clock sim.
 		Bootstrap:  bootstrap,
 		Logger:     log,
 	})
-	g.UseElection(en)
+	// This member's GRM is where its peers, and the agents, reach it.
+	g.UseElection(en, orb.ObjectRef{Endpoint: peers[id].Endpoint, Key: protocol.GRMKey})
 	if err := adapter.Register(election.ObjectKey, en.Servant()); err != nil {
 		return nil, err
 	}

@@ -82,7 +82,7 @@ func (c *Cluster) EnableReplicaSet(extra int) error {
 			Logger:     g.log,
 		})
 		m.elect = en
-		m.grm.UseElection(en)
+		m.grm.UseElection(en, m.grmRef)
 		if err := m.adapter.Register(election.ObjectKey, en.Servant()); err != nil {
 			return err
 		}

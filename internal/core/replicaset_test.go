@@ -551,3 +551,58 @@ func TestIdleLogGrowth(t *testing.T) {
 		t.Fatalf("the leader appended %d B in an idle hour, want at most 20000", grown)
 	}
 }
+
+// TestBusyLogGrowth is TestIdleLogGrowth with every node busy: one app of 100
+// two-hour tasks runs one task a node for the whole hour after it is placed.
+// The leader appends at most 20 KB to its log in that hour: neither a busy
+// node's status nor a task's progress is hard state, and no task changes
+// state (3 568 560 B when the log carried both).
+func TestBusyLogGrowth(t *testing.T) {
+	g := NewGrid(WithSeed(1))
+	defer g.Stop()
+	c, err := g.AddCluster("busy", WithUpdatePeriod(30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddNodes(DedicatedNodes(100, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EnableReplicaSet(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Advance(2 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	h, err := g.SubmitTo("busy", asct.NewApplication("busy").
+		Parametric(100, 2*3600*1000).
+		Allocate(resource.Vector{MIPS: 1000, RAMMB: 64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := c.GRM()
+	if st := leader.Stats(); st.TasksPlaced != 100 {
+		t.Fatalf("%d tasks placed, want 100", st.TasksPlaced)
+	}
+	en := leader.Election()
+	entries0, bytes0 := en.LogSize()
+	if err := g.Advance(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if c.GRM() != leader {
+		t.Fatal("the leader changed")
+	}
+	st, err := leader.AppStatus(h.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range st.Tasks {
+		if task.State != protocol.TaskRunning {
+			t.Fatalf("task %+v an hour on, want running", task)
+		}
+	}
+	entries, bytes := en.LogSize()
+	t.Logf("the leader's log: %d entries / %d B once the app is placed, %d / %d B an hour on", entries0, bytes0, entries, bytes)
+	if grown := bytes - bytes0; grown > 20_000 {
+		t.Fatalf("the leader appended %d B in a busy hour, want at most 20000", grown)
+	}
+}

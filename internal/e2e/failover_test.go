@@ -17,7 +17,8 @@ var reregisteredLine = regexp.MustCompile(`msg="re-registered with GRM"`)
 // leader answers the submission once the application is committed, so m0
 // gets SIGKILL as soon as the submit returns. The test prints the time from
 // the kill until each agent logs that it re-registered, fails above 60 s, and
-// the application must still complete.
+// the application must still complete; it prints the agents its tasks ran on,
+// which the new leader calls as it takes office.
 func TestLeaderKill(t *testing.T) {
 	addrs := []string{freeAddr(t), freeAddr(t), freeAddr(t)}
 	peers := fmt.Sprintf("m0=%s,m1=%s,m2=%s", addrs[0], addrs[1], addrs[2])
@@ -35,6 +36,10 @@ func TestLeaderKill(t *testing.T) {
 		l := a.await(t, reregisteredLine, killed, 60*time.Second)
 		t.Logf("%s re-registered %.1f s after the kill: %s", a.name, l.at.Sub(killed).Seconds(), l.text)
 	}
-	awaitApp(t, addrs[1], appID, 90*time.Second, done)
-	t.Logf("app %s done %.1f s after the kill", appID, time.Since(killed).Seconds())
+	st := awaitApp(t, addrs[1], appID, 90*time.Second, done)
+	var ran []string
+	for _, task := range st.Tasks {
+		ran = append(ran, task.NodeID)
+	}
+	t.Logf("app %s done %.1f s after the kill, its tasks on %v", appID, time.Since(killed).Seconds(), ran)
 }

@@ -1,6 +1,9 @@
 package grm
 
 import (
+	"cmp"
+	"slices"
+
 	"integrade/internal/election"
 	"integrade/internal/orb"
 	"integrade/internal/protocol"
@@ -39,13 +42,16 @@ func (g *GRM) Role() Role {
 // UseElection puts this GRM under consensus management: role transitions are
 // driven by the election node's OnLeader/OnFollower callbacks (wired to
 // LeadAt/FollowAt by the caller) and replication batches become quorum-acked
-// log entries. The GRM becomes a follower until the election says otherwise —
-// the bootstrap member included, so that its LeadAt(1) installs the quorum
-// stream instead of finding itself already primary of term 1. Call before the
-// election node starts, on every replica of the set.
-func (g *GRM) UseElection(en *election.Node) {
+// log entries. self is this GRM's own reference, the one LRMs report to: a
+// new leader gives it to the LRMs it calls (LeadAt). The GRM becomes a
+// follower until the election says otherwise — the bootstrap member included,
+// so that its LeadAt(1) installs the quorum stream instead of finding itself
+// already primary of term 1. Call before the election node starts, on every
+// replica of the set.
+func (g *GRM) UseElection(en *election.Node, self orb.ObjectRef) {
 	g.mu.Lock()
 	g.elect = en
+	g.self = self
 	g.role = RoleFollower
 	g.mu.Unlock()
 }
@@ -90,8 +96,13 @@ func (g *GRM) Election() *election.Node {
 // LeadAt is the OnLeader transition: the replica becomes the active primary
 // at the given term, adopts the term as its fencing epoch, primes a
 // quorum-replicating stream with a full state snapshot (so followers that
-// joined late converge) and starts the scheduler. It exports the offers the
-// log carried statuses for; the rest come with updates. Idempotent per term.
+// joined late converge) and starts the scheduler. It calls the LRMs its
+// running tasks are on to register with it (protocol.Adopt), each once, in
+// reference order, from a zero-delay timer: after g.mu is released and, in the
+// daemons, off the election's goroutine, where a hung LRM would stall the new
+// leader's heartbeats. A failed call is only logged, since the LRM's own
+// re-registration loop finds the leader too; every other node registers with
+// its next update. Idempotent per term.
 func (g *GRM) LeadAt(term int) {
 	now := g.clock.Now()
 	g.mu.Lock()
@@ -99,10 +110,9 @@ func (g *GRM) LeadAt(term int) {
 		g.mu.Unlock()
 		return
 	}
-	var offers []string
 	if g.role == RoleFollower {
 		g.stats.Promotions++
-		offers = g.graceLocked(now)
+		g.graceLocked(now)
 	}
 	g.role = RolePrimary
 	g.epoch = max(g.epoch, term)
@@ -117,15 +127,34 @@ func (g *GRM) LeadAt(term int) {
 		for id := range g.nodes {
 			g.markLocked(entity{entityNode, id})
 		}
-		for id := range g.apps {
+		var lrms []orb.ObjectRef
+		for id, app := range g.apps {
 			g.markLocked(entity{entityApp, id})
+			for _, t := range app.tasks {
+				if t.state == protocol.TaskRunning {
+					lrms = append(lrms, t.lrm)
+				}
+			}
 		}
 		g.repl.armLocked()
+		slices.SortFunc(lrms, func(a, b orb.ObjectRef) int {
+			return cmp.Or(cmp.Compare(a.Endpoint.Net, b.Endpoint.Net),
+				cmp.Compare(a.Endpoint.Addr, b.Endpoint.Addr), cmp.Compare(a.Key, b.Key))
+		})
+		lrms = slices.Compact(lrms)
+		req := protocol.AdoptRequest{Epoch: g.epoch, GRM: g.self}
+		g.timers = append(g.timers, g.clock.AfterFunc(0, func() {
+			for _, ref := range lrms {
+				if g.Role() != RolePrimary || g.Epoch() != req.Epoch {
+					return
+				}
+				if _, err := protocol.Adopt.Invoke(g.inv, ref, req); err != nil {
+					g.log.Debug("adopt call failed", "lrm", ref, "err", err)
+				}
+			}
+		}))
 	}
 	g.mu.Unlock()
-	for _, id := range offers {
-		g.restoreOffer(id)
-	}
 	g.Start()
 }
 

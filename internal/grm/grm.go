@@ -78,15 +78,12 @@ type nodeLiveness struct {
 	lastSeen time.Time
 	interval time.Duration // most recently observed update gap
 	updates  int
-	// status is the node's latest full NodeStatus (a follower's: the log's).
+	// status is the node's latest full NodeStatus (zero on a follower).
 	status protocol.NodeStatus
 	// place is where the node's offer sits in the trader, for its updates to
 	// upsert through; zero until the offer is exported by reference, and again
 	// once a departure, a death or a move to a new reference takes it.
 	place trading.Place
-	// logged: the log's last entry for the node carried its status, as it
-	// does while a task runs there; each of its updates is replicated.
-	logged bool
 	// departUntil, when set, marks a node that announced a graceful
 	// departure: its trader offer is withdrawn, exports are suppressed until
 	// an update arrives past the deadline, and the failure detector leaves it
@@ -180,7 +177,7 @@ type GRM struct {
 	onEviction   func(appID string)
 
 	// mu guards apps, nodes, seq, stats, stopped, started, timers, role,
-	// repl, epoch, elect, the admission-queue fields (admitQ, draining,
+	// repl, epoch, elect, self, the admission-queue fields (admitQ, draining,
 	// drainDone, drainerRunning) and matchScratch; apps, nodes
 	// and admitQ are written only by the transitions in state.go. It must be
 	// released before any protocol RPC (Reserve/Execute/...): negotiation
@@ -204,6 +201,7 @@ type GRM struct {
 	repl  *replicator
 	epoch int
 	elect *election.Node
+	self  orb.ObjectRef // this GRM's reference, under an election
 
 	// Admission pipeline: Submit enqueues into the bounded admitQ and the
 	// queue is drained in batches by matchBatch — synchronously from Submit
@@ -912,11 +910,11 @@ func (g *GRM) bury(d deadNode) {
 }
 
 // restoreOffer re-exports, by reference, the offer of a node the sweep declared
-// dead but a heartbeat has re-registered since — that heartbeat may have
+// dead but a heartbeat has re-registered since: that heartbeat may have
 // exported before the sweep's withdraw, which took the offer away, and even
-// kept the withdrawn place — or of one whose status the log carried to a new
-// leader. The status and instant are the record's, so the offer is the one an
-// update would have exported; an update racing this export exports its own.
+// kept the withdrawn place. The status and instant are the record's, so the
+// offer is the one an update would have exported; an update racing this
+// export exports its own.
 func (g *GRM) restoreOffer(nodeID string) {
 	g.mu.Lock()
 	lv := g.nodes[nodeID]
@@ -1028,7 +1026,7 @@ func (g *GRM) handleEvent(ev protocol.TaskEvent, appID, taskID []byte) {
 		}
 	case protocol.TaskEventEvicted:
 		g.stats.TasksEvicted++
-		g.progressLocked(app, task, ev.Progress)
+		g.progressLocked(task, ev.Progress)
 		if app.spec.RestartEvicted {
 			// Roll back to the last checkpoint and requeue for placement.
 			g.rollBackLocked(app, task, checkpointBoundary(app.spec, ev.Progress))
@@ -1042,7 +1040,7 @@ func (g *GRM) handleEvent(ev protocol.TaskEvent, appID, taskID []byte) {
 		// report is exact, so a migratable task resumes from it instead of
 		// rolling back to a checkpoint boundary.
 		g.stats.TasksDrained++
-		g.progressLocked(app, task, ev.Progress)
+		g.progressLocked(task, ev.Progress)
 		ckpt := checkpointBoundary(app.spec, ev.Progress)
 		switch {
 		case !app.spec.RestartEvicted:
@@ -1063,7 +1061,7 @@ func (g *GRM) handleEvent(ev protocol.TaskEvent, appID, taskID []byte) {
 			requeue = true
 		}
 	case protocol.TaskEventProgress:
-		g.progressLocked(app, task, ev.Progress)
+		g.progressLocked(task, ev.Progress)
 	}
 	observer := g.onEviction
 	g.mu.Unlock()

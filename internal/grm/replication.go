@@ -30,8 +30,8 @@ type replicaBatch struct {
 }
 
 // nodeEntry is a node as the log carries it: its ID and record (nil: dead),
-// which holds a deadline while it departs, and a status only while a task runs
-// on it (logged): a status is soft state the node re-tells every period.
+// which holds a deadline while it departs. Its status is soft state the node
+// re-tells every period, and the log does not carry it.
 type nodeEntry struct {
 	id string
 	lv *nodeLiveness
@@ -112,10 +112,6 @@ func (b replicaBatch) encode(e *orb.Encoder) {
 		if departing {
 			e.PutTime(n.lv.departUntil)
 		}
-		e.PutBool(n.lv.logged)
-		if n.lv.logged {
-			n.lv.status.Encode(e)
-		}
 	}
 	e.PutU32(uint32(len(b.Apps)))
 	for _, a := range b.Apps {
@@ -134,14 +130,6 @@ func decodeReplicaBatch(d *orb.Decoder) (replicaBatch, error) {
 			if d.Bool() {
 				ent.lv.departUntil = d.Time()
 			}
-			ent.lv.logged = d.Bool()
-			if ent.lv.logged {
-				s, err := protocol.DecodeNodeStatus(d)
-				if err != nil {
-					return replicaBatch{}, err
-				}
-				ent.lv.status = s
-			}
 		}
 		if err := d.Err(); err != nil {
 			return replicaBatch{}, err
@@ -159,28 +147,13 @@ func decodeReplicaBatch(d *orb.Decoder) (replicaBatch, error) {
 }
 
 // batchLocked is the replica batch for the given entities, sorted by kind and
-// ID: each entity's current record, read at flush time; a node's is logged
-// with its status while a task runs on it. Caller holds g.mu, and must encode
-// the batch before releasing it.
+// ID: each entity's current record, read at flush time. Caller holds g.mu, and
+// must encode the batch before releasing it.
 func (g *GRM) batchLocked(ents []entity) replicaBatch {
 	b := replicaBatch{ClusterID: g.clusterID}
-	var busy map[string]bool // the nodes some task runs on
 	for _, ent := range ents {
 		switch ent.kind {
 		case entityNode:
-			if busy == nil {
-				busy = make(map[string]bool)
-				for _, app := range g.apps {
-					for _, t := range app.tasks {
-						if t.state == protocol.TaskRunning {
-							busy[t.nodeID] = true
-						}
-					}
-				}
-			}
-			if lv := g.nodes[ent.id]; lv != nil {
-				lv.logged = busy[ent.id]
-			}
 			b.Nodes = append(b.Nodes, nodeEntry{id: ent.id, lv: g.nodes[ent.id]})
 		case entityApp:
 			b.Apps = append(b.Apps, g.apps[ent.id])

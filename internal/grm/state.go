@@ -1,7 +1,6 @@
 package grm
 
 import (
-	"maps"
 	"math"
 	"slices"
 	"time"
@@ -61,7 +60,7 @@ func (g *GRM) markLocked(e entity) {
 // recordStatusLocked records a node's latest status, the windows that came
 // with it and its heartbeat into lv, the node's record (nil: a new one), and
 // ends a departure whose deadline has passed. The node is marked for the log
-// on a membership change — new, or its departure over — or while logged.
+// on a membership change only: new, or its departure over.
 // The windows are copied into the record's own array, which is reused across
 // updates and grows only when the node reports more than it ever has; it is
 // rewritten in place, so it is read only under g.mu. It returns the place the
@@ -72,10 +71,8 @@ func (g *GRM) markLocked(e entity) {
 // of the record and returns it as moved, for the caller to withdraw: that
 // offer names an LRM the node no longer reports from.
 func (g *GRM) recordStatusLocked(lv *nodeLiveness, s *protocol.NodeStatus, windows []protocol.AvailWindow, now time.Time) (place, moved trading.Place, export bool) {
-	if lv == nil || lv.logged {
-		g.markLocked(entity{entityNode, s.NodeID})
-	}
 	if lv == nil {
+		g.markLocked(entity{entityNode, s.NodeID})
 		lv = &nodeLiveness{}
 		g.nodes[s.NodeID] = lv
 	} else if gap := now.Sub(lv.lastSeen); gap > 0 {
@@ -122,21 +119,15 @@ func (g *GRM) dropNodeLocked(id string) trading.Place {
 	return place
 }
 
-// graceLocked restarts every node's silence at now, for a new leader, and
-// returns in ID order the nodes with a status and no offer: the log's.
-func (g *GRM) graceLocked(now time.Time) (offers []string) {
-	for _, id := range slices.Sorted(maps.Keys(g.nodes)) {
-		lv := g.nodes[id]
+// graceLocked restarts every node's silence at now, for a new leader.
+func (g *GRM) graceLocked(now time.Time) {
+	for _, lv := range g.nodes {
 		lv.lastSeen = now
-		if lv.status.NodeID != "" && lv.place == (trading.Place{}) {
-			offers = append(offers, id)
-		}
 	}
-	return offers
 }
 
-// memberLocked applies a node's entry from the log: its record — deadline,
-// and status if logged — replaces the node's, or its death forgets the node.
+// memberLocked applies a node's entry from the log: its record, which holds
+// its deadline, replaces the node's, or its death forgets the node.
 func (g *GRM) memberLocked(n nodeEntry) {
 	if n.lv == nil {
 		delete(g.nodes, n.id)
@@ -159,8 +150,7 @@ func (g *GRM) negotiatedLocked(app *appInfo) {
 	g.markLocked(entity{entityApp, app.id})
 }
 
-// placeLocked records the tasks of gr as running on its node, whose status
-// the log now carries.
+// placeLocked records the tasks of gr as running on its node.
 func (g *GRM) placeLocked(app *appInfo, gr nodeGrant) {
 	for _, t := range gr.tasks {
 		t.state = protocol.TaskRunning
@@ -170,13 +160,12 @@ func (g *GRM) placeLocked(app *appInfo, gr nodeGrant) {
 	}
 	g.stats.TasksPlaced += len(gr.tasks)
 	g.markLocked(entity{entityApp, app.id})
-	g.markLocked(entity{entityNode, gr.nodeID})
 }
 
-// progressLocked records how far a task has run.
-func (g *GRM) progressLocked(app *appInfo, t *taskInfo, progress float64) {
+// progressLocked records how far a task has run. Progress is soft state its
+// LRM re-tells, so it marks nothing: the log holds that of the last transition.
+func (g *GRM) progressLocked(t *taskInfo, progress float64) {
 	t.progress = progress
-	g.markLocked(entity{entityApp, app.id})
 }
 
 // finishLocked records a task done, and the application finished at at once

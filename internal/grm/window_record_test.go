@@ -13,20 +13,14 @@ import (
 	"integrade/internal/trading"
 )
 
-// windowedNode is a GRM leading a replica set — its batches land in proposed —
-// and a status for one node of it, for tests of the node record's windows. A
-// task runs on the node, so the log carries its status.
-func windowedNode(t *testing.T) (*GRM, *sim.VirtualClock, *[]byte, protocol.NodeStatus) {
+// windowedNode is a GRM and a status for one node of it, for tests of the
+// node record's windows.
+func windowedNode(t *testing.T) (*GRM, *sim.VirtualClock, protocol.NodeStatus) {
 	t.Helper()
 	clock := sim.NewVirtualClock()
 	g := New("test", clock, orb.New())
 	t.Cleanup(g.Stop)
-	proposed := new([]byte)
-	g.mu.Lock()
-	g.repl = newReplicator(g, func(batch []byte) error { *proposed = batch; return nil })
-	g.apps["app"] = &appInfo{id: "app", tasks: []*taskInfo{{id: "app/t0", state: protocol.TaskRunning, nodeID: "n0"}}}
-	g.mu.Unlock()
-	return g, clock, proposed, protocol.NodeStatus{
+	return g, clock, protocol.NodeStatus{
 		NodeID:   "n0",
 		LRMRef:   orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: "n0"}, Key: protocol.LRMKey},
 		Platform: resource.Platform{Arch: "amd64", OS: "linux"},
@@ -35,34 +29,14 @@ func windowedNode(t *testing.T) (*GRM, *sim.VirtualClock, *[]byte, protocol.Node
 	}
 }
 
-// flushedNode flushes g's replica stream and returns the status of node id in
-// the batch, as a follower decodes it.
-func flushedNode(t *testing.T, g *GRM, proposed *[]byte, id string) protocol.NodeStatus {
-	t.Helper()
-	if err := g.repl.flush(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := decodeReplicaBatch(orb.NewDecoder(*proposed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range b.Nodes {
-		if n.id == id && n.lv != nil && n.lv.logged {
-			return n.lv.status
-		}
-	}
-	t.Fatalf("the batch does not carry the status of node %s", id)
-	return protocol.NodeStatus{}
-}
-
 // TestRecordReusesWindowArray: a node's record copies each update's windows
 // into an array of its own and reuses it across updates. After reports of 3,
 // 0, 2 and 1 windows it holds exactly the last report's one window, and no
-// tail of a longer report before it: not in the replica batch that carries
-// the record, and not in the offer restoreOffer re-exports from the record at
-// an instant inside the first report's third window.
+// tail of a longer report before it: not in the record itself, and not in the
+// offer restoreOffer re-exports from the record at an instant inside the first
+// report's third window.
 func TestRecordReusesWindowArray(t *testing.T) {
-	g, clock, proposed, s := windowedNode(t)
+	g, clock, s := windowedNode(t)
 	start := clock.Now().UTC()
 	// window k spans hours 2k to 2k+1 from the start.
 	window := func(k int) protocol.AvailWindow {
@@ -86,8 +60,11 @@ func TestRecordReusesWindowArray(t *testing.T) {
 		}
 	}
 	last := reports[len(reports)-1].windows
-	if got := flushedNode(t, g, proposed, s.NodeID).Windows; !slices.Equal(got, last) {
-		t.Fatalf("the replica batch carries windows %+v, want %+v", got, last)
+	g.mu.Lock()
+	got := slices.Clone(g.nodes[s.NodeID].status.Windows)
+	g.mu.Unlock()
+	if !slices.Equal(got, last) {
+		t.Fatalf("the node's record holds windows %+v, want %+v", got, last)
 	}
 	g.restoreOffer(s.NodeID)
 	all := g.Trader().All("")
@@ -102,10 +79,9 @@ func TestRecordReusesWindowArray(t *testing.T) {
 
 // TestOverlongForecastRefused: an update carrying more than MaxWindows
 // windows is a marshal error that leaves the node's record, UpdatesReceived
-// and its offer as they were, and a replica batch carrying such a record does
-// not decode.
+// and its offer as they were.
 func TestOverlongForecastRefused(t *testing.T) {
-	g, clock, _, s := windowedNode(t)
+	g, clock, s := windowedNode(t)
 	now := clock.Now()
 	s.Timestamp = now
 	s.Windows = []protocol.AvailWindow{{Start: now, End: now.Add(time.Hour), Confidence: 0.5}}
@@ -138,11 +114,5 @@ func TestOverlongForecastRefused(t *testing.T) {
 	}
 	if got := offers(); g.Trader().Version() != version || !reflect.DeepEqual(got, offered) {
 		t.Errorf("the refused update changed the offer:\n got %+v\nwant %+v", got, offered)
-	}
-
-	var e orb.Encoder
-	replicaBatch{ClusterID: "test", Nodes: []nodeEntry{{id: s.NodeID, lv: &nodeLiveness{status: overlong, logged: true}}}}.encode(&e)
-	if b, err := decodeReplicaBatch(orb.NewDecoder(e.Bytes())); err == nil {
-		t.Fatalf("a replica batch with a %d-window node decoded: %+v", len(overlong.Windows), b)
 	}
 }

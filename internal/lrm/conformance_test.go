@@ -175,3 +175,69 @@ func TestScriptedGRMConformance(t *testing.T) {
 		})
 	}
 }
+
+// TestAdoptConformance plays a manager's Adopt calls against a real LRM that
+// runs one task and reports to its first manager: a call below the fence is
+// refused, one from the manager the LRM reports to changes nothing, and one
+// from a new manager registers the LRM with it once the call has returned.
+func TestAdoptConformance(t *testing.T) {
+	adopt := func(f *fixture, epoch int, ref orb.ObjectRef) error {
+		_, err := protocol.Adopt.Invoke(f.lrmC.inv, f.lrmC.ref, protocol.AdoptRequest{Epoch: epoch, GRM: ref})
+		return err
+	}
+	setup := func(t *testing.T) (f *fixture, home orb.ObjectRef, next *fakeGRM, nextRef orb.ObjectRef) {
+		f = newFixture(t, dedicatedSpec(1000), nil, ncc.Generous())
+		f.startTask(t, "app", "app/t0", 1e9)
+		next = &fakeGRM{epoch: 3}
+		return f, f.lrm.grmClient().Ref(), next, f.bindGRM(t, "next", next)
+	}
+
+	t.Run("a call below the fence is refused and counted", func(t *testing.T) {
+		f, home, next, nextRef := setup(t)
+		if err := adopt(f, 5, home); err != nil {
+			t.Fatal(err)
+		}
+		if err := adopt(f, 4, nextRef); !orb.IsCode(err, orb.CodeApplication) {
+			t.Fatalf("adopt at epoch 4 below fence 5: %v, want an application error", err)
+		}
+		f.clock.Advance(time.Second)
+		if st := f.lrm.Stats(); st.StaleEpochRejections != 1 || st.Reregistrations != 0 {
+			t.Fatalf("stats = %+v, want one stale rejection and no re-registration", st)
+		}
+		if updates, _, reconciles := next.counts(); updates != 0 || reconciles != 0 || f.lrm.Fence() != 5 {
+			t.Fatalf("the refused manager got %d updates and %d reconciles, fence %d; want none, fence 5",
+				updates, reconciles, f.lrm.Fence())
+		}
+	})
+	t.Run("a call from the manager the LRM reports to changes nothing", func(t *testing.T) {
+		f, home, _, _ := setup(t)
+		if err := adopt(f, 2, home); err != nil {
+			t.Fatal(err)
+		}
+		f.clock.Advance(time.Second)
+		updates, _, reconciles := f.grm.counts()
+		if st := f.lrm.Stats(); updates != 0 || reconciles != 0 || st.Reregistrations != 0 {
+			t.Fatalf("%d updates, %d reconciles, %d re-registrations; want none", updates, reconciles, st.Reregistrations)
+		}
+		if got := f.lrm.Fence(); got != 2 {
+			t.Fatalf("Fence = %d, want 2", got)
+		}
+	})
+	t.Run("a call from a new manager registers with it once", func(t *testing.T) {
+		f, _, next, nextRef := setup(t)
+		if err := adopt(f, 3, nextRef); err != nil {
+			t.Fatal(err)
+		}
+		if updates, _, _ := next.counts(); updates != 0 {
+			t.Fatalf("the new manager got %d updates before the call returned, want 0", updates)
+		}
+		f.clock.Advance(time.Second)
+		updates, _, reconciles := next.counts()
+		if st := f.lrm.Stats(); updates != 1 || reconciles != 1 || st.Reregistrations != 1 {
+			t.Fatalf("%d updates, %d reconciles, %d re-registrations; want one each", updates, reconciles, st.Reregistrations)
+		}
+		if got := f.lrm.grmClient().Ref(); got != nextRef || f.lrm.Fence() != 3 {
+			t.Fatalf("reporting to %v at fence %d, want %v at 3", got, f.lrm.Fence(), nextRef)
+		}
+	})
+}

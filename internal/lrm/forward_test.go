@@ -80,10 +80,10 @@ func TestForwardedUpdateRegistersWithLeader(t *testing.T) {
 }
 
 // TestForwardLoopCostsOneHop: two managers that forward to each other cost
-// one hop an attempt — a SendUpdate asks each once and fails — and a
-// re-registration attempt that meets the loop does not follow the forward
-// back to the manager it is leaving: it asks the other one twice, fails and
-// re-arms its backoff.
+// one hop an attempt — a SendUpdate asks each once and fails — and so does a
+// re-registration attempt that meets the loop: it asks the other one, follows
+// its forward back to the manager it is leaving, fails and re-arms its
+// backoff.
 func TestForwardLoopCostsOneHop(t *testing.T) {
 	other := &fakeGRM{}
 	var otherRef orb.ObjectRef
@@ -113,14 +113,14 @@ func TestForwardLoopCostsOneHop(t *testing.T) {
 		t.Fatalf("re-registration armed %d times, want once", len(delays))
 	}
 	// The first attempt resolves the other manager, which forwards back to
-	// the one whose failures started the loop: the attempt re-resolves at
-	// once, meets the same forward, and the backoff re-arms for attempt 2.
+	// the one whose failures started the loop, which forwards again: the
+	// backoff re-arms for attempt 2.
 	f.clock.Advance(time.Minute)
 	_, first, _ := f.grm.counts()
 	_, second, _ := other.counts()
-	if first != reregisterAfter || second != reregisterAfter+2 {
-		t.Fatalf("after the attempt the managers refused %d and %d, want %d and %d",
-			first, second, reregisterAfter, reregisterAfter+2)
+	if first != reregisterAfter+1 || second != reregisterAfter+1 {
+		t.Fatalf("after the attempt the managers refused %d and %d, want %d each",
+			first, second, reregisterAfter+1)
 	}
 	if len(delays) != 2 || delays[1] != 2 {
 		t.Fatalf("backoff attempts armed = %v, want [1 2]", delays)
@@ -193,61 +193,15 @@ func failedManagerFixture(t *testing.T, r *rotation, members map[string]bool) (f
 	return f, dead, refs, attempts
 }
 
-// TestReregisterSkipsForwardToFailedManager: after the manager dies, the first
-// member the resolver names has not noticed yet and forwards to the dead one.
-// The attempt does not follow that forward but re-resolves at once, and
-// registers with the member the resolver names next, within one attempt.
-func TestReregisterSkipsForwardToFailedManager(t *testing.T) {
-	r := &rotation{}
-	f, _, refs, attempts := failedManagerFixture(t, r, map[string]bool{"a": true, "b": false})
-	r.refs = []orb.ObjectRef{refs["a"], refs["b"]}
-
-	f.clock.Advance(time.Minute)
-
-	if *attempts != 1 || r.resolved != 2 {
-		t.Fatalf("%d attempts armed and %d resolutions, want one attempt resolving twice", *attempts, r.resolved)
-	}
-	if got := f.lrm.grmClient().Ref(); got != refs["b"] {
-		t.Fatalf("reporting to %v, want member b %v", got, refs["b"])
-	}
-	if st := f.lrm.Stats(); st.Reregistrations != 1 {
-		t.Fatalf("stats = %+v, want one re-registration", st)
-	}
-}
-
-// TestReregisterPassesOverFailedManager: in a rotation through a three-member
-// set's members, the first attempt meets two members that both still forward
-// to the dead leader. The next attempt, which the rotation points at the dead
-// leader itself, passes over it to the member after it.
-func TestReregisterPassesOverFailedManager(t *testing.T) {
-	r := &rotation{}
-	f, dead, refs, attempts := failedManagerFixture(t, r, map[string]bool{"m1": true, "m2": true, "m3": false})
-	r.refs = []orb.ObjectRef{refs["m1"], refs["m2"], dead, refs["m3"]}
-
-	f.clock.Advance(time.Minute)
-	if got := f.lrm.grmClient().Ref(); got != dead || r.resolved != 2 {
-		t.Fatalf("after the first attempt: reporting to %v after %d resolutions, want still the dead manager after 2", got, r.resolved)
-	}
-	f.clock.Advance(time.Minute)
-
-	if *attempts != 2 || r.resolved != 4 {
-		t.Fatalf("%d attempts armed and %d resolutions, want two attempts resolving four times", *attempts, r.resolved)
-	}
-	if got := f.lrm.grmClient().Ref(); got != refs["m3"] {
-		t.Fatalf("reporting to %v, want m3 %v", got, refs["m3"])
-	}
-}
-
-// TestReregisterReturnsToRecoveredManager: once the manager that failed
-// accepts an update again, the loop stops passing over it. The first attempt
-// meets two members forwarding back to it while it is down; it then recovers,
-// and the next attempt, which the rotation points at it, registers with it
-// rather than with the unreachable member after it.
+// TestReregisterReturnsToRecoveredManager: the first attempt meets a member
+// forwarding back to the manager that failed while it is down; it then
+// recovers, and the next attempt, which the rotation points at it, registers
+// with it rather than with the unreachable member after it.
 func TestReregisterReturnsToRecoveredManager(t *testing.T) {
 	r := &rotation{}
-	f, home, refs, _ := failedManagerFixture(t, r, map[string]bool{"m1": true, "m2": true})
+	f, home, refs, _ := failedManagerFixture(t, r, map[string]bool{"m1": true})
 	gone := orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: "gone"}, Key: protocol.GRMKey}
-	r.refs = []orb.ObjectRef{refs["m1"], refs["m2"], home, gone}
+	r.refs = []orb.ObjectRef{refs["m1"], home, gone}
 
 	f.clock.Advance(time.Minute)
 	f.grm.mu.Lock()
@@ -256,8 +210,8 @@ func TestReregisterReturnsToRecoveredManager(t *testing.T) {
 	f.lrm.SendUpdate()
 	f.clock.Advance(time.Minute)
 
-	if r.resolved != 3 {
-		t.Fatalf("%d resolutions, want 3", r.resolved)
+	if r.resolved != 2 {
+		t.Fatalf("%d resolutions, want 2", r.resolved)
 	}
 	if got := f.lrm.grmClient().Ref(); got != home {
 		t.Fatalf("reporting to %v, want the recovered manager %v", got, home)
@@ -267,9 +221,10 @@ func TestReregisterReturnsToRecoveredManager(t *testing.T) {
 	}
 }
 
-// TestReregisterFollowsForwardToRecoveredManager: a forward back to the
-// manager that failed is not followed only while its updates fail. Once it
-// accepts one again, a member's forward to it is followed as any other.
+// TestReregisterFollowsForwardToRecoveredManager: a member's forward to the
+// manager that failed is followed as any other. The first attempt follows it
+// while that manager is down and fails; once it accepts an update again, the
+// next attempt follows the other member's forward to it and registers.
 func TestReregisterFollowsForwardToRecoveredManager(t *testing.T) {
 	r := &rotation{}
 	f, home, refs, _ := failedManagerFixture(t, r, map[string]bool{"m1": true, "m2": true})
@@ -282,8 +237,8 @@ func TestReregisterFollowsForwardToRecoveredManager(t *testing.T) {
 	f.lrm.SendUpdate()
 	f.clock.Advance(time.Minute)
 
-	if r.resolved != 3 {
-		t.Fatalf("%d resolutions, want 3", r.resolved)
+	if r.resolved != 2 {
+		t.Fatalf("%d resolutions, want 2", r.resolved)
 	}
 	if got := f.lrm.grmClient().Ref(); got != home {
 		t.Fatalf("reporting to %v, want the recovered manager %v", got, home)

@@ -102,7 +102,7 @@ type LRM struct {
 	drainLead    time.Duration // 0 = proactive pre-departure drain disabled
 
 	// mu guards grm, taskApp, outbox, windows, stats, stopped, timers,
-	// started, fence, consecFails, rereg, reregAttempt and passOver. It must be
+	// started, fence, consecFails, rereg and reregAttempt. It must be
 	// released before GRM RPCs (Update/Notify), which block on the remote
 	// side. Snapshot collection reads the node's running set under it, so
 	// l.mu nests outside the node's lock.
@@ -130,13 +130,11 @@ type LRM struct {
 	// Every manager stamps an epoch of at least 1.
 	fence int
 	// Re-registration loop state: consecutive update failures observed,
-	// whether the backoff-paced re-register loop is currently armed, and
-	// whether, since this LRM's manager last accepted an update, a member
-	// forwarded it back to that manager: attempts then pass over it.
+	// whether the backoff-paced re-register loop is currently armed, and its
+	// attempt count.
 	consecFails  int
 	rereg        bool
 	reregAttempt int
-	passOver     bool
 	// drainCoolUntil suppresses repeated drain firings for one predicted
 	// departure: after a drain, the watch stays quiet until the predicted
 	// owner-return deadline (plus the lead) has passed.
@@ -158,7 +156,7 @@ func WithLogger(log *slog.Logger) Option {
 
 // WithGRMResolver installs a resolver (a Naming lookup, or a rotation through
 // a replica set's members) the LRM uses to re-locate its GRM after repeated
-// update failures. Without one, only a forward moves the LRM to another GRM.
+// update failures. Without one, only a forward or a leader's call moves it.
 func WithGRMResolver(fn func() (orb.ObjectRef, error)) Option {
 	return func(l *LRM) { l.resolver = fn }
 }
@@ -309,26 +307,17 @@ func (l *LRM) SendUpdate() {
 
 // register sends an update to client and, when the manager refuses it with
 // a forward to the leader, once more to the manager the forward names: one
-// hop an attempt. A forward back to the manager this LRM reports to while its
-// updates fail comes from a member that has not yet noticed the failure, and
-// names no leader the LRM can reach: the second update goes where the
-// resolver points instead. When the manager that accepts it is not the one
-// this LRM reports to, the LRM adopts it, leaves the re-registration loop and
-// reconciles its running tasks with it.
+// hop an attempt. When the manager that accepts it is not the one this LRM
+// reports to, the LRM adopts it, leaves the re-registration loop and
+// reconciles its running tasks with it, unless another registration moved the
+// LRM while the update was on its way: a leader's call (the Adopt handler)
+// runs beside the periodic updates and the loop.
 func (l *LRM) register(client *protocol.GRMClient) error {
+	prev := l.grmClient()
 	if err := l.pushUpdate(client); err != nil {
 		ref, ok := orb.Forwarded(err)
 		if !ok {
 			return err
-		}
-		l.mu.Lock()
-		back := l.resolver != nil && l.consecFails > 0 && ref == l.grm.Ref()
-		l.passOver = l.passOver || back
-		l.mu.Unlock()
-		if back {
-			if ref, err = l.resolver(); err != nil {
-				return err
-			}
 		}
 		client = protocol.NewGRMClient(l.inv, ref)
 		if err := l.pushUpdate(client); err != nil {
@@ -336,13 +325,13 @@ func (l *LRM) register(client *protocol.GRMClient) error {
 		}
 	}
 	l.mu.Lock()
-	adopt := client != l.grm
+	adopt := client != l.grm && l.grm == prev
 	if adopt {
 		l.grm = client
 		l.rereg = false
 		l.stats.Reregistrations++
 	}
-	l.consecFails, l.passOver = 0, false
+	l.consecFails = 0
 	l.stats.UpdatesSent++
 	l.mu.Unlock()
 	if adopt {
@@ -463,22 +452,17 @@ func (l *LRM) armReregister() {
 // reregisterTick is one re-registration attempt: re-resolve the GRM
 // reference and register with it — a status update with the completions no
 // manager has accepted yet, then adopting the manager that accepts it and
-// reconciling running tasks. Once a member has forwarded back to the manager
-// that is failing (passOver), a resolution naming that manager is passed over
-// for the next. Failures re-arm with increased backoff.
+// reconciling running tasks. Failures re-arm with increased backoff.
 func (l *LRM) reregisterTick() {
 	l.mu.Lock()
 	if l.stopped || !l.rereg {
 		l.mu.Unlock()
 		return
 	}
-	resolver, failed, passOver := l.resolver, l.grm.Ref(), l.passOver
+	resolver := l.resolver
 	l.mu.Unlock()
 
 	ref, err := resolver()
-	if err == nil && passOver && ref == failed {
-		ref, err = resolver()
-	}
 	if err == nil {
 		err = l.register(protocol.NewGRMClient(l.inv, ref))
 	}
@@ -721,6 +705,25 @@ func (l *LRM) Servant() orb.Servant {
 			return 0, nil
 		}
 		return l.handleCancel(r.TaskID), nil
+	})
+	// A new leader's call: past the fence, a manager this LRM does not report
+	// to is registered with on a zero-delay timer, so that the handler never
+	// calls the GRM back while the GRM waits on it.
+	orb.Serve(m, protocol.Adopt, func(r protocol.AdoptRequest) (struct{}, error) {
+		if !l.admitEpoch(r.Epoch) {
+			return struct{}{}, orb.Errorf(orb.CodeApplication, "adopt: stale manager epoch %d", r.Epoch)
+		}
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if !l.stopped && l.grm.Ref() != r.GRM {
+			l.timers = append(l.timers, l.clock.AfterFunc(0, func() {
+				l.SyncTasks()
+				if err := l.register(protocol.NewGRMClient(l.inv, r.GRM)); err != nil {
+					l.log.Debug("registration with the calling leader failed", "node", l.node.ID(), "err", err)
+				}
+			}))
+		}
+		return struct{}{}, nil
 	})
 	return m
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"integrade/internal/ncc"
+	"integrade/internal/orb"
 	"integrade/internal/protocol"
 )
 
@@ -116,5 +117,49 @@ func TestSyncTasksRacesSendUpdate(t *testing.T) {
 	}
 	if len(seen) != tasks {
 		t.Errorf("completions delivered for %d tasks, want %d: %v", len(seen), tasks, seen)
+	}
+}
+
+// TestAdoptRacesSendUpdate: two managers take turns calling the LRM to
+// register with them, each call's registration run at once on the clock,
+// while periodic updates go out from another goroutine. Every call from the
+// manager the LRM does not report to moves it, once, with one reconcile of
+// its running task; run it under -race.
+func TestAdoptRacesSendUpdate(t *testing.T) {
+	const calls = 50
+	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous())
+	f.startTask(t, "app", "app/t0", 1e9)
+	f.grm.epoch = 2
+	next := &fakeGRM{epoch: 2}
+	managers := [2]*fakeGRM{f.grm, next}
+	refs := [2]orb.ObjectRef{f.lrm.grmClient().Ref(), f.bindGRM(t, "next", next)}
+	var (
+		stop atomic.Bool
+		wg   sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			f.lrm.SendUpdate()
+		}
+	}()
+	for i := 1; i <= calls; i++ {
+		if _, err := protocol.Adopt.Invoke(f.o, f.lrmC.ref, protocol.AdoptRequest{Epoch: 2, GRM: refs[i%2]}); err != nil {
+			t.Error(err)
+		}
+		f.clock.Advance(0)
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	if got := f.lrm.grmClient().Ref(); got != refs[calls%2] {
+		t.Fatalf("reporting to %v, want the last caller %v", got, refs[calls%2])
+	}
+	_, _, home := managers[0].counts()
+	_, _, away := managers[1].counts()
+	if st := f.lrm.Stats(); st.Reregistrations != calls || home+away != calls || st.UpdateFailures != 0 {
+		t.Fatalf("stats = %+v after %d reconciles; want %d re-registrations and reconciles, no failed update",
+			st, home+away, calls)
 	}
 }

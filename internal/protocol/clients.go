@@ -55,6 +55,9 @@ var (
 	Cancel = &orb.Op[CancelRequest, float64]{Name: OpCancel,
 		EncodeReq: CancelRequest.Encode, DecodeReq: decodeCancelRequest,
 		EncodeRep: encodeF64, DecodeRep: decodeF64}
+	// Adopt asks an LRM to register with the manager that took office.
+	Adopt = &orb.Op[AdoptRequest, struct{}]{Name: OpAdopt,
+		EncodeReq: AdoptRequest.Encode, DecodeReq: decodeAdoptRequest}
 )
 
 // UpdateRequest is one OpUpdate body: a NodeStatus and the task events that
@@ -99,6 +102,24 @@ func decodeCancelRequest(d *orb.Decoder) (CancelRequest, error) {
 	r := CancelRequest{TaskID: d.String()}
 	r.Epoch = d.Int()
 	return r, d.Err()
+}
+
+// AdoptRequest is one OpAdopt body: the calling leader's fencing epoch and
+// its GRM reference.
+type AdoptRequest struct {
+	Epoch int
+	GRM   orb.ObjectRef
+}
+
+// Encode writes the request.
+func (r AdoptRequest) Encode(e *orb.Encoder) {
+	e.Grow(8 + refLen(r.GRM))
+	e.PutInt(r.Epoch)
+	EncodeRef(e, r.GRM)
+}
+
+func decodeAdoptRequest(d *orb.Decoder) (AdoptRequest, error) {
+	return AdoptRequest{Epoch: d.Int(), GRM: DecodeRef(d)}, d.Err()
 }
 
 func encodeString(s string, e *orb.Encoder) {

@@ -314,6 +314,7 @@ func TestOpsRoundTrip(t *testing.T) {
 		optest.Check(t, Release, "rsv-1", struct{}{}),
 		optest.Check(t, Execute, executeRequest(), struct{}{}),
 		optest.Check(t, Cancel, CancelRequest{TaskID: "app-1/t0", Epoch: 2}, 123.5),
+		optest.Check(t, Adopt, AdoptRequest{Epoch: 3, GRM: orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetTCP, Addr: "10.0.0.2:7000"}, Key: GRMKey}}, struct{}{}),
 	}
 
 	f, err := parser.ParseFile(token.NewFileSet(), "protocol.go", nil, 0)
@@ -334,7 +335,7 @@ func TestOpsRoundTrip(t *testing.T) {
 	}
 	slices.Sort(declared)
 	slices.Sort(covered)
-	if len(declared) != 12 || !slices.Equal(declared, covered) {
+	if len(declared) != 13 || !slices.Equal(declared, covered) {
 		t.Fatalf("operations declared in protocol.go %v, checked %v", declared, covered)
 	}
 }

@@ -42,6 +42,7 @@ const (
 	OpRelease = "release"
 	OpExecute = "execute"
 	OpCancel  = "cancel"
+	OpAdopt   = "adopt" // a new leader asks the node to register with it
 )
 
 // NodeStatus is one Information Update Protocol message: the LRM's
