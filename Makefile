@@ -14,7 +14,7 @@ test:
 	$(GO) test ./...
 
 # Every test under the race detector; a seeded test runs each of its seeds
-# as a subtest (internal/testutil/seeds). Then nine racing tests ten times
+# as a subtest (internal/testutil/seeds). Then ten racing tests ten times
 # each, since one run may miss a schedule: the trader's lock-free walks
 # against in-place upserts and appends, and the copies Select and All return
 # against writes that rewrite the offers they were taken from
@@ -28,15 +28,17 @@ test:
 # that rewrite their node records' window arrays in place
 # (TestSweepRacingHeartbeats), replies whose buffers Op.Invoke recycles
 # while late deliveries read their own (TestRecycledRepliesUnderLateDelivery),
-# and an LRM's completions queued into the outbox while updates, some of them
+# an LRM's completions queued into the outbox while updates, some of them
 # failing, take it and hand it and their window array back
-# (TestSyncTasksRacesSendUpdate). Then the trader's five again at -cpu 1,
+# (TestSyncTasksRacesSendUpdate), and an LRM's periodic updates against a new
+# leader's calls, which register it with that leader
+# (TestAdoptRacesSendUpdate). Then the trader's five again at -cpu 1,
 # where no reader runs beside a writer and only the schedules the tests hand
 # off between them happen (~23 s on a 2-core Xeon). TestRaceRepeatsNameTests
 # in internal/lint fails if a name below is no test of the packages after it.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run '^(TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestSelectCopiesNeverChange|TestHeldOffersOutliveUpserts|TestHeldOffersOutliveShardReuse|TestReserveFedUpdateKeepsCandidates|TestSweepRacingHeartbeats|TestRecycledRepliesUnderLateDelivery|TestSyncTasksRacesSendUpdate)$$' ./internal/trading ./internal/grm ./internal/chaos ./internal/lrm
+	$(GO) test -race -count=10 -run '^(TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestSelectCopiesNeverChange|TestHeldOffersOutliveUpserts|TestHeldOffersOutliveShardReuse|TestReserveFedUpdateKeepsCandidates|TestSweepRacingHeartbeats|TestRecycledRepliesUnderLateDelivery|TestSyncTasksRacesSendUpdate|TestAdoptRacesSendUpdate)$$' ./internal/trading ./internal/grm ./internal/chaos ./internal/lrm
 	$(GO) test -race -count=10 -cpu 1 -run '^(TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestSelectCopiesNeverChange|TestHeldOffersOutliveUpserts|TestHeldOffersOutliveShardReuse)$$' ./internal/trading
 
 vet:

@@ -90,6 +90,9 @@ func runFailoverMode(t *Table, seed int64, mode, fault string, detect time.Durat
 	if detect > 0 {
 		opts = append(opts, core.WithGRMOptions(grm.WithSuspectAfter(detect)))
 	}
+	if mode == "quorum" {
+		opts = append(opts, core.WithReplicaSet(3))
+	}
 	c, err := g.AddCluster("fleet", opts...)
 	if err != nil {
 		return
@@ -98,11 +101,6 @@ func runFailoverMode(t *Table, seed int64, mode, fault string, detect time.Durat
 		return
 	}
 	engine := g.EnableChaos(seed)
-	if mode == "quorum" {
-		if err := c.EnableReplicaSet(2); err != nil {
-			return
-		}
-	}
 	if _, err = g.SubmitTo("fleet", asct.NewApplication("bag").
 		Parametric(e13Tasks, e13TaskWork).
 		Allocate(e13Alloc)); err != nil {

@@ -283,13 +283,16 @@ type Cluster struct {
 	grmOpts      []grm.Option // retained for replica and cold-rebuild incarnations
 	lrmOpts      []lrm.Option // applied to every LRM the cluster builds
 
-	// mgmtMu guards the swappable manager identity: the active manager
-	// incarnation, the consensus replica set (empty when none) and the
-	// incarnation counter. Held only for field swaps, never across RPCs.
-	mgmtMu   sync.Mutex
-	mgr      *manager
+	// replicas is the consensus replica set, in member order (empty when
+	// none). It is fixed before the cluster is published.
 	replicas []*manager
-	gen      int
+
+	// mgmtMu guards the swappable manager identity: the active manager
+	// incarnation and the incarnation counter. Held only for field swaps,
+	// never across RPCs.
+	mgmtMu sync.Mutex
+	mgr    *manager
+	gen    int
 
 	// mu guards nodes, lrms and seq. stop() halts the LRMs and FailNode
 	// crashes a node (which releases its ledger reservations) under it, so
@@ -309,6 +312,7 @@ type clusterConfig struct {
 	grmOpts      []grm.Option
 	lrmOpts      []lrm.Option
 	updatePeriod time.Duration
+	members      int // the replica set's size; 0: a lone manager
 }
 
 // WithGRMOptions forwards raw GRM options (tuning knobs the named cluster
@@ -345,29 +349,48 @@ func WithUpdatePeriod(d time.Duration) ClusterOption {
 	return func(c *clusterConfig) { c.updatePeriod = d }
 }
 
-// AddCluster creates a cluster and starts its manager components.
+// AddCluster creates a cluster and starts its manager components: one
+// manager, or the members of the replica set WithReplicaSet declares.
 func (g *Grid) AddCluster(id string, opts ...ClusterOption) (*Cluster, error) {
 	cfg := clusterConfig{updatePeriod: lrm.DefaultUpdatePeriod}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	if cfg.members != 0 && cfg.members < 2 {
+		return nil, fmt.Errorf("core: a replica set needs at least two members, got %d", cfg.members)
+	}
 	g.mu.Lock()
-	defer g.mu.Unlock()
 	if _, exists := g.clusters[id]; exists {
+		g.mu.Unlock()
 		return nil, fmt.Errorf("core: cluster %q already exists", id)
 	}
 
 	c := &Cluster{id: id, grid: g, updatePeriod: cfg.updatePeriod, grmOpts: cfg.grmOpts, lrmOpts: cfg.lrmOpts}
 	m, err := c.buildManager(0)
 	if err != nil {
+		g.mu.Unlock()
 		return nil, err
 	}
 	c.mgr = m
 	m.grm.Start()
 	_ = g.naming.Rebind(grmName(id), m.grmRef)
+	if cfg.members > 0 {
+		c.replicas = []*manager{m}
+	}
+	for i := 1; i < cfg.members; i++ {
+		if m, err = c.buildManager(i); err != nil {
+			g.mu.Unlock()
+			return nil, err
+		}
+		c.replicas = append(c.replicas, m)
+	}
 
 	g.clusters[id] = c
 	g.order = append(g.order, id)
+	g.mu.Unlock()
+	if err := c.startReplicaSet(); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
@@ -531,7 +554,7 @@ func (c *Cluster) AddNodes(cfg NodeConfig) ([]string, error) {
 		}
 		selfRef := orb.ObjectRef{Endpoint: ep, Key: protocol.LRMKey}
 		// After repeated update failures the LRM re-registers: in a replica
-		// set with the members in turn from the one after the incumbent (one
+		// set with the members in turn from the one after the first (one
 		// that does not lead forwards it), otherwise with what Naming resolves
 		// (over the ORB, so the lookup is subject to the same faults as any call).
 		nclient := naming.NewClient(g.orb, g.namingRef)
@@ -540,8 +563,8 @@ func (c *Cluster) AddNodes(cfg NodeConfig) ([]string, error) {
 			lrm.WithUpdatePeriod(c.updatePeriod),
 			lrm.WithLogger(g.log),
 			lrm.WithGRMResolver(func() (orb.ObjectRef, error) {
-				if refs := c.replicaRefs(); len(refs) > 0 {
-					return refs[int(rotation.Add(1))%len(refs)], nil
+				if n := len(c.replicas); n > 0 {
+					return c.replicas[int(rotation.Add(1))%n].grmRef, nil
 				}
 				return nclient.Resolve(grmName(c.id))
 			}),

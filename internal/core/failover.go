@@ -39,9 +39,10 @@ type manager struct {
 func grmName(clusterID string) string { return "clusters/" + clusterID + "/grm" }
 
 // buildManager constructs (but does not start) a manager incarnation on its
-// own endpoint. Generation 0 is the original manager; later generations get
-// suffixed endpoints and their own RNG streams so a failover never replays
-// the dead incarnation's randomness.
+// own endpoint. Generation 0 is the cluster's first manager; the other
+// members of its replica set, or its cold rebuilds, get suffixed endpoints
+// and their own RNG streams, so a failover never replays the dead
+// incarnation's randomness.
 func (c *Cluster) buildManager(gen int) (*manager, error) {
 	g := c.grid
 	ep, rngName := "mgr-"+c.id, "grm-"+c.id
@@ -128,11 +129,10 @@ func (g *Grid) RestartGRM(clusterID string) error {
 	if !ok {
 		return fmt.Errorf("core: unknown cluster %q", clusterID)
 	}
-	c.mgmtMu.Lock()
 	if len(c.replicas) > 0 {
-		c.mgmtMu.Unlock()
 		return fmt.Errorf("core: cluster %q runs a replica set; its election replaces a lost leader", clusterID)
 	}
+	c.mgmtMu.Lock()
 	c.gen++
 	gen := c.gen
 	c.mgmtMu.Unlock()

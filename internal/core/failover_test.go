@@ -102,6 +102,7 @@ func replicaSetFailoverMidSuperstep(t *testing.T, seed int64) {
 	// The suspect threshold outlasts the election window, so the successor's
 	// detector waits for the LRMs to re-register with it.
 	c, err := g.AddCluster("c1",
+		WithReplicaSet(3),
 		WithSchedulePeriod(15*time.Second),
 		WithUpdatePeriod(15*time.Second),
 		WithGRMOptions(grm.WithSuspectAfter(2*time.Minute)))
@@ -112,13 +113,10 @@ func replicaSetFailoverMidSuperstep(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	engine := g.EnableChaos(seed)
-	if err := c.EnableReplicaSet(2); err != nil {
-		t.Fatal(err)
-	}
 	leader := c.GRM()
-	// Every member commits the leader's first batch, the fleet's membership;
-	// the nodes' updates in the following minute change no membership and
-	// append nothing.
+	// Every member commits the leader's first batch, the nodes'
+	// registrations; the nodes' updates in the following minute change no
+	// membership and append nothing.
 	if err := g.Advance(time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -249,6 +247,7 @@ func failoverDuringRegistrationBurst(t *testing.T, seed int64) {
 	g := NewGrid(WithSeed(seed))
 	defer g.Stop()
 	c, err := g.AddCluster("c1",
+		WithReplicaSet(3),
 		WithSchedulePeriod(15*time.Second),
 		WithUpdatePeriod(15*time.Second),
 		WithGRMOptions(grm.WithSuspectAfter(2*time.Minute)))
@@ -259,9 +258,6 @@ func failoverDuringRegistrationBurst(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	g.EnableChaos(seed)
-	if err := c.EnableReplicaSet(2); err != nil {
-		t.Fatal(err)
-	}
 	if err := g.Advance(time.Minute); err != nil {
 		t.Fatal(err)
 	}

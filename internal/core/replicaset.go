@@ -1,11 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"integrade/internal/election"
-	"integrade/internal/grm"
 	"integrade/internal/orb"
 )
 
@@ -29,46 +27,32 @@ func (i *sourceInvoker) Invoke(ref orb.ObjectRef, op string, arg []byte) ([]byte
 	return i.g.orb.Invoke(ref, op, arg)
 }
 
-// EnableReplicaSet puts the cluster's management plane under consensus: the
-// existing manager plus extra fresh incarnations form a replica set with an
-// elected leader. Every member starts as a follower and the incumbent
-// bootstraps term 1; replication batches become quorum-acknowledged log
-// entries, and every outbound manager write carries the leader's term as its
-// fencing epoch. When the leader dies or is partitioned from a quorum, the
-// survivors elect a successor, which the others forward client writes to,
-// and the grid swaps it in as the cluster's active manager (hierarchy links).
-func (c *Cluster) EnableReplicaSet(extra int) error {
-	if extra < 1 {
-		return fmt.Errorf("core: replica set needs at least one extra member, got %d", extra)
-	}
+// WithReplicaSet runs the cluster's management plane as a replica set of
+// the given number of members, at least two, born with the cluster: every
+// member is built fresh before any node registers, and the first, the
+// cluster's first active manager, bootstraps term 1 over an empty state.
+// Replication batches become quorum-acknowledged log entries, and every
+// outbound manager write carries the leader's term as its fencing epoch. When
+// the leader dies or is partitioned from a quorum, the survivors elect a
+// successor, which the others forward client writes to, and the grid swaps it
+// in as the cluster's active manager (hierarchy links).
+func WithReplicaSet(members int) ClusterOption {
+	return func(c *clusterConfig) { c.members = members }
+}
+
+// startReplicaSet puts the replica set's members under consensus and starts
+// their election nodes, the followers first, so that the first member's
+// bootstrap round finds every election servant registered and listening. It
+// runs before any node registers, outside g.mu: the bootstrap round calls
+// through the chaos engine, which takes it.
+func (c *Cluster) startReplicaSet() error {
 	g := c.grid
-	c.mgmtMu.Lock()
-	if len(c.replicas) > 0 {
-		c.mgmtMu.Unlock()
-		return fmt.Errorf("core: cluster %q already runs a replica set", c.id)
-	}
-	incumbent := c.mgr
-	gen := c.gen
-	c.gen += extra
-	c.mgmtMu.Unlock()
-
-	members := []*manager{incumbent}
-	for i := 1; i <= extra; i++ {
-		m, err := c.buildManager(gen + i)
-		if err != nil {
-			return err
-		}
-		members = append(members, m)
-	}
-
-	peers := make(map[string]orb.ObjectRef, len(members))
-	for _, m := range members {
+	peers := make(map[string]orb.ObjectRef, len(c.replicas))
+	for _, m := range c.replicas {
 		peers[m.ep] = orb.ObjectRef{Endpoint: m.grmRef.Endpoint, Key: election.ObjectKey}
 	}
-
-	nodes := make([]*election.Node, 0, len(members))
-	for i, m := range members {
-		m := m
+	nodes := make([]*election.Node, 0, len(c.replicas))
+	for i, m := range c.replicas {
 		en := election.NewNode(election.Config{
 			ID:         m.ep,
 			Peers:      peers,
@@ -88,54 +72,21 @@ func (c *Cluster) EnableReplicaSet(extra int) error {
 		}
 		nodes = append(nodes, en)
 	}
-
-	c.mgmtMu.Lock()
-	c.replicas = members
-	c.mgmtMu.Unlock()
-
-	// Followers first, so the incumbent's bootstrap round finds every
-	// election servant registered and listening.
 	for i := len(nodes) - 1; i >= 0; i-- {
 		nodes[i].Start()
 	}
 	return nil
 }
 
-// replicaGRMs returns the GRMs of the cluster's consensus replica set in
-// member order (the incumbent first), or nil when no replica set is armed.
-func (c *Cluster) replicaGRMs() []*grm.GRM {
-	c.mgmtMu.Lock()
-	defer c.mgmtMu.Unlock()
-	out := make([]*grm.GRM, 0, len(c.replicas))
-	for _, m := range c.replicas {
-		out = append(out, m.grm)
-	}
-	return out
-}
-
 // ReplicaEndpoints returns the replica set's loopback endpoint names, sorted —
 // the addresses chaos partitions operate on.
 func (c *Cluster) ReplicaEndpoints() []string {
-	c.mgmtMu.Lock()
-	defer c.mgmtMu.Unlock()
 	eps := make([]string, 0, len(c.replicas))
 	for _, m := range c.replicas {
 		eps = append(eps, m.ep)
 	}
 	sort.Strings(eps)
 	return eps
-}
-
-// replicaRefs returns the replica set's GRM references in member order (the
-// incumbent first), for the LRM resolver rotation.
-func (c *Cluster) replicaRefs() []orb.ObjectRef {
-	c.mgmtMu.Lock()
-	defer c.mgmtMu.Unlock()
-	refs := make([]orb.ObjectRef, 0, len(c.replicas))
-	for _, m := range c.replicas {
-		refs = append(refs, m.grmRef)
-	}
-	return refs
 }
 
 // adoptLeader swaps a newly elected replica in as the cluster's active

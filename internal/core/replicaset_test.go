@@ -12,15 +12,16 @@ import (
 	"integrade/internal/testutil/seeds"
 )
 
-// replicaGrid builds the consensus-suite fixture: one cluster, four dedicated
-// nodes, chaos armed, and the management plane running as a three-member
-// replica set (the incumbent plus two fresh followers). The long suspect and
+// replicaGrid builds the consensus-suite fixture: one cluster whose
+// management plane runs as a three-member replica set, four dedicated nodes
+// and chaos armed. The long suspect and
 // offer-TTL horizons keep the managers' failure detectors out of the way so
 // the tests observe election and fencing behaviour, not liveness timeouts.
 func replicaGrid(t *testing.T, seed int64) (*Grid, *Cluster) {
 	t.Helper()
 	g := NewGrid(WithSeed(seed))
 	c, err := g.AddCluster("c1",
+		WithReplicaSet(3),
 		WithSchedulePeriod(15*time.Second),
 		WithUpdatePeriod(15*time.Second),
 		WithGRMOptions(
@@ -35,11 +36,16 @@ func replicaGrid(t *testing.T, seed int64) (*Grid, *Cluster) {
 		t.Fatal(err)
 	}
 	g.EnableChaos(seed)
-	if err := c.EnableReplicaSet(2); err != nil {
-		g.Stop()
-		t.Fatal(err)
-	}
 	return g, c
+}
+
+// replicaGRMs returns the GRMs of the cluster's replica set in member order.
+func (c *Cluster) replicaGRMs() []*grm.GRM {
+	out := make([]*grm.GRM, 0, len(c.replicas))
+	for _, m := range c.replicas {
+		out = append(out, m.grm)
+	}
+	return out
 }
 
 // primaries counts RolePrimary members of the replica set, skipping the
@@ -77,12 +83,11 @@ func assertTermsDisjoint(t *testing.T, c *Cluster) {
 	}
 }
 
-// TestReplicaSetMirrorsIncumbentState arms a replica set on a cluster that
-// is already running work. Every member starts as a follower, so the
-// incumbent's bootstrap really takes term 1 — it leads it, and primes the log
-// with everything it knew before the election: the fleet's membership and the
-// running application, which every follower must then mirror. The offers stay
-// the leader's.
+// TestReplicaSetMirrorsIncumbentState: in a replica set born with its
+// cluster, the incumbent is the first member. It bootstraps term 1 over an
+// empty state and leads it, and every follower mirrors what its log then
+// carries: the fleet's membership and an application submitted to the set.
+// The offers stay the leader's.
 func TestReplicaSetMirrorsIncumbentState(t *testing.T) {
 	seeds.Run(t, replicaSetMirrorsIncumbentState)
 }
@@ -90,10 +95,11 @@ func TestReplicaSetMirrorsIncumbentState(t *testing.T) {
 func replicaSetMirrorsIncumbentState(t *testing.T, seed int64) {
 	g := NewGrid(WithSeed(seed))
 	defer g.Stop()
-	c, err := g.AddCluster("c1", WithSchedulePeriod(15*time.Second), WithUpdatePeriod(15*time.Second))
+	c, err := g.AddCluster("c1", WithReplicaSet(3), WithSchedulePeriod(15*time.Second), WithUpdatePeriod(15*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
+	incumbent := c.GRM()
 	if _, err := c.AddNodes(DedicatedNodes(3, 1000)); err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +107,6 @@ func replicaSetMirrorsIncumbentState(t *testing.T, seed int64) {
 		Parametric(3, 600_000).
 		Allocate(resource.Vector{MIPS: 500, RAMMB: 64}))
 	if err != nil {
-		t.Fatal(err)
-	}
-	incumbent := c.GRM()
-	if err := c.EnableReplicaSet(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Advance(30 * time.Second); err != nil {
@@ -524,14 +526,11 @@ func successorBuriesSilentMember(t *testing.T, seed int64) {
 func TestIdleLogGrowth(t *testing.T) {
 	g := NewGrid(WithSeed(1))
 	defer g.Stop()
-	c, err := g.AddCluster("idle", WithUpdatePeriod(30*time.Second))
+	c, err := g.AddCluster("idle", WithReplicaSet(3), WithUpdatePeriod(30*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.AddNodes(DedicatedNodes(100, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.EnableReplicaSet(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Advance(2 * time.Minute); err != nil {
@@ -560,14 +559,11 @@ func TestIdleLogGrowth(t *testing.T) {
 func TestBusyLogGrowth(t *testing.T) {
 	g := NewGrid(WithSeed(1))
 	defer g.Stop()
-	c, err := g.AddCluster("busy", WithUpdatePeriod(30*time.Second))
+	c, err := g.AddCluster("busy", WithReplicaSet(3), WithUpdatePeriod(30*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.AddNodes(DedicatedNodes(100, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.EnableReplicaSet(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Advance(2 * time.Minute); err != nil {

@@ -20,7 +20,7 @@ import (
 func TestQuorumKillReregistrationTime(t *testing.T) {
 	g := NewGrid(WithSeed(1))
 	defer g.Stop()
-	c, err := g.AddCluster("fleet", WithSchedulePeriod(30*time.Second), WithUpdatePeriod(15*time.Second))
+	c, err := g.AddCluster("fleet", WithReplicaSet(3), WithSchedulePeriod(30*time.Second), WithUpdatePeriod(15*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,9 +28,6 @@ func TestQuorumKillReregistrationTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.EnableChaos(1)
-	if err := c.EnableReplicaSet(2); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := g.SubmitTo("fleet", asct.NewApplication("bag").
 		Parametric(24, 30*60*1000).
 		Allocate(resource.Vector{MIPS: 1000, RAMMB: 64})); err != nil {

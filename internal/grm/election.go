@@ -94,15 +94,15 @@ func (g *GRM) Election() *election.Node {
 }
 
 // LeadAt is the OnLeader transition: the replica becomes the active primary
-// at the given term, adopts the term as its fencing epoch, primes a
-// quorum-replicating stream with a full state snapshot (so followers that
-// joined late converge) and starts the scheduler. It calls the LRMs its
-// running tasks are on to register with it (protocol.Adopt), each once, in
-// reference order, from a zero-delay timer: after g.mu is released and, in the
-// daemons, off the election's goroutine, where a hung LRM would stall the new
-// leader's heartbeats. A failed call is only logged, since the LRM's own
-// re-registration loop finds the leader too; every other node registers with
-// its next update. Idempotent per term.
+// at the given term, adopts the term as its fencing epoch, opens a
+// quorum-replicating stream, whose first flush proposes only what an earlier
+// term of its own left uncommitted (the pending set), and starts the
+// scheduler. It calls the LRMs its running tasks are on to register with it
+// (protocol.Adopt), each once, in reference order, from a zero-delay timer:
+// after g.mu is released and, in the daemons, off the election's goroutine,
+// where a hung LRM would stall the new leader's heartbeats. A failed call is
+// only logged, since the LRM's own re-registration loop finds the leader too;
+// every other node registers with its next update. Idempotent per term.
 func (g *GRM) LeadAt(term int) {
 	now := g.clock.Now()
 	g.mu.Lock()
@@ -124,26 +124,22 @@ func (g *GRM) LeadAt(term int) {
 			_, _, err := elect.Propose(data)
 			return err
 		})
-		for id := range g.nodes {
-			g.markLocked(entity{entityNode, id})
-		}
+		g.repl.armLocked()
 		var lrms []orb.ObjectRef
-		for id, app := range g.apps {
-			g.markLocked(entity{entityApp, id})
+		for _, app := range g.apps {
 			for _, t := range app.tasks {
 				if t.state == protocol.TaskRunning {
 					lrms = append(lrms, t.lrm)
 				}
 			}
 		}
-		g.repl.armLocked()
 		slices.SortFunc(lrms, func(a, b orb.ObjectRef) int {
 			return cmp.Or(cmp.Compare(a.Endpoint.Net, b.Endpoint.Net),
 				cmp.Compare(a.Endpoint.Addr, b.Endpoint.Addr), cmp.Compare(a.Key, b.Key))
 		})
 		lrms = slices.Compact(lrms)
 		req := protocol.AdoptRequest{Epoch: g.epoch, GRM: g.self}
-		g.timers = append(g.timers, g.clock.AfterFunc(0, func() {
+		g.adopt.Set(g.clock.AfterFunc(0, func() {
 			for _, ref := range lrms {
 				if g.Role() != RolePrimary || g.Epoch() != req.Epoch {
 					return
@@ -160,10 +156,10 @@ func (g *GRM) LeadAt(term int) {
 
 // FollowAt is the OnFollower transition: the replica (possibly a deposed
 // leader) becomes a follower, adopts the term as its fencing floor and tears
-// down any outbound replication stream. The scheduler timer keeps ticking but
-// SchedulePending no-ops while not primary, so a stale timer on a deposed
-// leader places nothing. A follower exports no offer; a deposed leader's age
-// out at their TTL.
+// down any outbound replication stream; the pending set stays, for its next
+// term. The scheduler timer keeps ticking but SchedulePending no-ops while
+// not primary, so a stale timer on a deposed leader places nothing. A
+// follower exports no offer; a deposed leader's age out at their TTL.
 func (g *GRM) FollowAt(term int) {
 	g.mu.Lock()
 	g.epoch = max(g.epoch, term)
@@ -178,7 +174,8 @@ func (g *GRM) FollowAt(term int) {
 // ApplyReplicaEntry is the election Apply callback: one quorum-committed log
 // entry, carrying an encoded replicaBatch. A corrupt entry from a buggy or
 // hostile peer is counted and dropped, never a panic. The leader proposed the
-// batch itself, so only a follower of the same cluster applies it.
+// batch itself, so only a follower of the same cluster applies it; a record
+// it applies supersedes this member's own uncommitted change, whose mark goes.
 func (g *GRM) ApplyReplicaEntry(index, term int, data []byte) {
 	b, err := decodeReplicaBatch(orb.NewDecoder(data))
 	if err != nil {
@@ -197,8 +194,10 @@ func (g *GRM) ApplyReplicaEntry(index, term int, data []byte) {
 	g.stats.ReplicaBatches++
 	for _, app := range b.Apps {
 		g.putAppLocked(app)
+		delete(g.pending, entity{entityApp, app.id})
 	}
 	for _, n := range b.Nodes {
 		g.memberLocked(n)
+		delete(g.pending, entity{entityNode, n.id})
 	}
 }

@@ -176,9 +176,9 @@ type GRM struct {
 	windowAware  bool          // filter candidates by availability windows
 	onEviction   func(appID string)
 
-	// mu guards apps, nodes, seq, stats, stopped, started, timers, role,
-	// repl, epoch, elect, self, the admission-queue fields (admitQ, draining,
-	// drainDone, drainerRunning) and matchScratch; apps, nodes
+	// mu guards apps, nodes, seq, stats, stopped, started, sched, adopt, role,
+	// repl, pending, epoch, elect, self, the admission-queue fields (admitQ,
+	// draining, drainDone, drainerRunning) and matchScratch; apps, nodes
 	// and admitQ are written only by the transitions in state.go. It must be
 	// released before any protocol RPC (Reserve/Execute/...): negotiation
 	// blocks on remote LRMs and may itself re-enter the GRM. The replication
@@ -191,17 +191,19 @@ type GRM struct {
 	stats   Stats
 	stopped bool
 	started bool
-	timers  []sim.Timer
+	// The armed timers of the scheduler and of a new leader's Adopt calls.
+	sched, adopt sim.TimerSlot
 
 	// Failover state: the role this GRM plays, the outbound replication
-	// stream (a replica-set leader's), the fencing epoch stamped on outbound
-	// writes — the election term, never below 1 — and the consensus node
-	// driving role transitions when UseElection was called.
-	role  Role
-	repl  *replicator
-	epoch int
-	elect *election.Node
-	self  orb.ObjectRef // this GRM's reference, under an election
+	// stream (a replica-set leader's) and the changes it is yet to commit,
+	// the fencing epoch stamped on outbound writes — the election term, never
+	// below 1 — and the consensus node driving role transitions.
+	role    Role
+	repl    *replicator
+	pending map[entity]struct{}
+	epoch   int
+	elect   *election.Node
+	self    orb.ObjectRef // this GRM's reference, under an election
 
 	// Admission pipeline: Submit enqueues into the bounded admitQ and the
 	// queue is drained in batches by matchBatch — synchronously from Submit
@@ -313,6 +315,7 @@ func New(clusterID string, clock sim.Clock, inv orb.Invoker, opts ...Option) *GR
 		epoch:        1,
 		apps:         make(map[string]*appInfo),
 		nodes:        make(map[string]*nodeLiveness),
+		pending:      make(map[entity]struct{}),
 		admitLimit:   DefaultAdmissionLimit,
 		admitBatch:   DefaultAdmissionBatch,
 	}
@@ -359,24 +362,21 @@ func (g *GRM) Start() {
 		if g.stopped {
 			return
 		}
-		t := g.clock.AfterFunc(g.schedPeriod, func() {
+		g.sched.Set(g.clock.AfterFunc(g.schedPeriod, func() {
 			g.SchedulePending()
 			arm()
-		})
-		g.timers = append(g.timers, t)
+		}))
 	}
 	arm()
 }
 
-// Stop cancels the periodic scheduler and the replication pump.
+// Stop cancels the scheduler, a leader's Adopt calls and the replication pump.
 func (g *GRM) Stop() {
 	g.mu.Lock()
 	g.stopped = true
 	g.started = false
-	for _, t := range g.timers {
-		t.Stop()
-	}
-	g.timers = nil
+	g.sched.Stop()
+	g.adopt.Stop()
 	if g.repl != nil {
 		g.repl.stopLocked()
 		g.repl = nil

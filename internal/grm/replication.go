@@ -163,9 +163,11 @@ func (g *GRM) batchLocked(ents []entity) replicaBatch {
 }
 
 // replicator is the leader's replication stream: transitions mark the
-// entities they change in a pending set under g.mu, and a flush — the pump's,
-// or a Submit's — reads their records under g.mu into one batch it proposes to
-// the consensus log with no GRM lock held, never blocking on the quorum.
+// entities they change in the GRM's pending set under g.mu, and a flush — the
+// pump's, or a Submit's — reads their records under g.mu into one batch it
+// proposes to the consensus log with no GRM lock held, never blocking on the
+// quorum. The set outlives the stream: a deposed leader's next term proposes
+// what no entry committed meanwhile.
 type replicator struct {
 	g *GRM
 	// propose appends one encoded batch to the election log and returns once
@@ -180,16 +182,15 @@ type replicator struct {
 	flushMu sync.Mutex
 
 	// g.mu guards the rest.
-	pending map[entity]struct{}
 	stopped bool
-	timer   sim.Timer // the pump's next flush
+	timer   sim.TimerSlot // the pump's next flush
 }
 
 // newReplicator builds the stream: drained batches become election log
 // entries the leader applies only after a quorum of replicas has
 // acknowledged them.
 func newReplicator(g *GRM, propose func([]byte) error) *replicator {
-	return &replicator{g: g, propose: propose, pending: make(map[entity]struct{})}
+	return &replicator{g: g, propose: propose}
 }
 
 // armLocked schedules the pump's next flush, which re-arms it, unless the
@@ -198,21 +199,19 @@ func (r *replicator) armLocked() {
 	if r.stopped {
 		return
 	}
-	r.timer = r.g.clock.AfterFunc(DefaultReplicationInterval, func() {
+	r.timer.Set(r.g.clock.AfterFunc(DefaultReplicationInterval, func() {
 		_ = r.flush() // a failed flush keeps its entities pending for the next
 		r.g.mu.Lock()
 		defer r.g.mu.Unlock()
 		r.armLocked()
-	})
+	}))
 }
 
 // stopLocked ends the stream: the pump stops, and a flush fails. Caller holds
 // g.mu.
 func (r *replicator) stopLocked() {
 	r.stopped = true
-	if r.timer != nil {
-		r.timer.Stop()
-	}
+	r.timer.Stop()
 }
 
 // flush drains the pending set and proposes the entities' records as one
@@ -229,10 +228,10 @@ func (r *replicator) flush() error {
 		g.mu.Unlock()
 		return orb.Errorf(orb.CodeApplication, "grm: replication stopped: no longer the leader")
 	}
-	ents := slices.SortedFunc(maps.Keys(r.pending), func(a, b entity) int {
+	ents := slices.SortedFunc(maps.Keys(g.pending), func(a, b entity) int {
 		return cmp.Or(cmp.Compare(a.kind, b.kind), cmp.Compare(a.id, b.id))
 	})
-	clear(r.pending)
+	clear(g.pending)
 	var e orb.Encoder
 	if len(ents) > 0 {
 		g.batchLocked(ents).encode(&e)
@@ -246,7 +245,7 @@ func (r *replicator) flush() error {
 		g.mu.Lock()
 		defer g.mu.Unlock()
 		for _, ent := range ents {
-			r.pending[ent] = struct{}{}
+			g.pending[ent] = struct{}{}
 		}
 	}
 	return err

@@ -53,7 +53,7 @@ type deadNode struct {
 // replica set.
 func (g *GRM) markLocked(e entity) {
 	if g.repl != nil {
-		g.repl.pending[e] = struct{}{}
+		g.pending[e] = struct{}{}
 	}
 }
 

@@ -123,7 +123,7 @@ type LRM struct {
 	windows *[protocol.MaxWindows]protocol.AvailWindow
 	stats   Stats
 	stopped bool
-	timers  []sim.Timer
+	timers  [numLoops]sim.TimerSlot // the armed timer of each loop
 	started bool
 	// fence is the newest manager epoch this LRM has witnessed; writes
 	// carrying an older epoch come from a deposed primary and are refused.
@@ -229,27 +229,39 @@ func (l *LRM) Start() {
 	l.stopped = false
 	l.mu.Unlock()
 
-	l.schedule(l.updatePeriod, l.updateTick)
-	l.schedule(usage.Interval, l.sampleTick)
+	l.schedule(loopUpdate, l.updatePeriod, l.updateTick)
+	l.schedule(loopSample, usage.Interval, l.sampleTick)
 	if l.analyzer != nil {
-		l.schedule(24*time.Hour, l.retrainTick)
+		l.schedule(loopRetrain, 24*time.Hour, l.retrainTick)
 	}
 }
 
-// Stop cancels the periodic loops.
+// Stop cancels the loops.
 func (l *LRM) Stop() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.stopped = true
 	l.started = false
-	for _, t := range l.timers {
-		t.Stop()
+	for k := range l.timers {
+		l.timers[k].Stop()
 	}
-	l.timers = nil
 }
 
-// schedule arms a self-rescheduling timer firing every period until Stop.
-func (l *LRM) schedule(period time.Duration, fn func()) {
+// The LRM's timer loops: the three periodic ones Start arms, the
+// re-registration attempts, and the registration with a leader that called
+// (protocol.Adopt).
+const (
+	loopUpdate = iota
+	loopSample
+	loopRetrain
+	loopReregister
+	loopAdopt
+	numLoops
+)
+
+// schedule arms loop k, a self-rescheduling timer firing every period until
+// Stop.
+func (l *LRM) schedule(k int, period time.Duration, fn func()) {
 	var arm func()
 	arm = func() {
 		l.mu.Lock()
@@ -257,11 +269,10 @@ func (l *LRM) schedule(period time.Duration, fn func()) {
 		if l.stopped {
 			return
 		}
-		timer := l.clock.AfterFunc(period, func() {
+		l.timers[k].Set(l.clock.AfterFunc(period, func() {
 			fn()
 			arm()
-		})
-		l.timers = append(l.timers, timer)
+		}))
 	}
 	arm()
 }
@@ -285,7 +296,7 @@ func (l *LRM) grmClient() *protocol.GRMClient {
 // re-registration loop when a resolver is configured.
 func (l *LRM) SendUpdate() {
 	l.SyncTasks()
-	if err := l.register(l.grmClient()); err != nil {
+	if err := l.register(nil); err != nil {
 		l.log.Debug("information update failed", "node", l.node.ID(), "err", err)
 		l.mu.Lock()
 		l.stats.UpdateFailures++
@@ -311,9 +322,13 @@ func (l *LRM) SendUpdate() {
 // reports to, the LRM adopts it, leaves the re-registration loop and
 // reconciles its running tasks with it, unless another registration moved the
 // LRM while the update was on its way: a leader's call (the Adopt handler)
-// runs beside the periodic updates and the loop.
+// runs beside the periodic updates and the loop. A nil client is the manager
+// the LRM reports to, read in the same instant as the one it compares with.
 func (l *LRM) register(client *protocol.GRMClient) error {
 	prev := l.grmClient()
+	if client == nil {
+		client = prev
+	}
 	if err := l.pushUpdate(client); err != nil {
 		ref, ok := orb.Forwarded(err)
 		if !ok {
@@ -444,9 +459,7 @@ func (l *LRM) armReregister() {
 		return
 	}
 	l.reregAttempt++
-	delay := l.reregDelay(l.node.ID(), l.reregAttempt)
-	t := l.clock.AfterFunc(delay, l.reregisterTick)
-	l.timers = append(l.timers, t)
+	l.timers[loopReregister].Set(l.clock.AfterFunc(l.reregDelay(l.node.ID(), l.reregAttempt), l.reregisterTick))
 }
 
 // reregisterTick is one re-registration attempt: re-resolve the GRM
@@ -708,7 +721,9 @@ func (l *LRM) Servant() orb.Servant {
 	})
 	// A new leader's call: past the fence, a manager this LRM does not report
 	// to is registered with on a zero-delay timer, so that the handler never
-	// calls the GRM back while the GRM waits on it.
+	// calls the GRM back while the GRM waits on it. A later call's timer
+	// replaces one that has not fired: the LRM registers with the newest
+	// leader only.
 	orb.Serve(m, protocol.Adopt, func(r protocol.AdoptRequest) (struct{}, error) {
 		if !l.admitEpoch(r.Epoch) {
 			return struct{}{}, orb.Errorf(orb.CodeApplication, "adopt: stale manager epoch %d", r.Epoch)
@@ -716,7 +731,7 @@ func (l *LRM) Servant() orb.Servant {
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		if !l.stopped && l.grm.Ref() != r.GRM {
-			l.timers = append(l.timers, l.clock.AfterFunc(0, func() {
+			l.timers[loopAdopt].Set(l.clock.AfterFunc(0, func() {
 				l.SyncTasks()
 				if err := l.register(protocol.NewGRMClient(l.inv, r.GRM)); err != nil {
 					l.log.Debug("registration with the calling leader failed", "node", l.node.ID(), "err", err)

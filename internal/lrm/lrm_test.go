@@ -727,6 +727,57 @@ func TestStartIdempotentStopCancels(t *testing.T) {
 	}
 }
 
+// heldTimers counts the timers l holds.
+func heldTimers(l *LRM) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, t := range l.timers {
+		if t != (sim.TimerSlot{}) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestTimersBoundedByLoops: an LRM holds at most one timer per loop. A sim
+// day at 30-s updates, half of it with its manager down and the
+// re-registration loop retrying, and a leader's calls now and then, fires
+// thousands of timers (3 170 were held when every loop kept each it armed).
+// Stop cancels them, and Start after Stop runs each loop once.
+func TestTimersBoundedByLoops(t *testing.T) {
+	mgr := orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: "mgr"}, Key: protocol.GRMKey}
+	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous(),
+		WithUpdatePeriod(30*time.Second),
+		WithGRMResolver(func() (orb.ObjectRef, error) { return mgr, nil }))
+	f.lrm.Start()
+	other := orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: "mgr-2"}, Key: protocol.GRMKey}
+	for hour := range 24 {
+		f.grm.setDown(hour >= 12)
+		if _, err := protocol.Adopt.Invoke(f.o, f.lrmC.ref, protocol.AdoptRequest{Epoch: 1, GRM: other}); err != nil {
+			t.Fatal(err)
+		}
+		f.clock.Advance(time.Hour)
+	}
+	if f.lrm.Stats().UpdateFailures == 0 {
+		t.Fatal("no update failed while the manager was down")
+	}
+	if n := heldTimers(f.lrm); n > numLoops {
+		t.Fatalf("%d timers held after a sim day, want at most %d, one a loop", n, numLoops)
+	}
+	f.lrm.Stop()
+	if n := heldTimers(f.lrm); n != 0 {
+		t.Fatalf("%d timers held after Stop", n)
+	}
+	f.grm.setDown(false)
+	f.lrm.Start()
+	before := f.grm.updateCount()
+	f.clock.Advance(time.Hour)
+	if got := f.grm.updateCount() - before; got != 120 {
+		t.Fatalf("%d updates in the hour after a restart at 30-s updates, want 120", got)
+	}
+}
+
 func TestGridFreeTracksShare(t *testing.T) {
 	// Shared-mode node with a busy owner: GridFree shrinks accordingly.
 	spec := resource.MachineSpec{

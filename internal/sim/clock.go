@@ -33,6 +33,25 @@ type Timer interface {
 	Stop() bool
 }
 
+// TimerSlot holds the one armed timer of a component's loop: Set stops the
+// timer it held, so the loop never has two armed, even when a Stop and a
+// restart race the loop's callback. Its owner guards it.
+type TimerSlot struct{ t Timer }
+
+// Set keeps t as the slot's timer and stops the one it held.
+func (s *TimerSlot) Set(t Timer) {
+	s.Stop()
+	s.t = t
+}
+
+// Stop stops the slot's timer, if any, and empties the slot.
+func (s *TimerSlot) Stop() {
+	if s.t != nil {
+		s.t.Stop()
+		s.t = nil
+	}
+}
+
 // RealClock is a Clock backed by the operating-system clock.
 type RealClock struct{}
 

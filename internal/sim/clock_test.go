@@ -108,6 +108,23 @@ func TestVirtualClockStopAfterFire(t *testing.T) {
 	}
 }
 
+// TestTimerSlotKeepsOneArmed: setting a slot stops the timer it held, and
+// stopping it cancels the one it holds.
+func TestTimerSlotKeepsOneArmed(t *testing.T) {
+	c := NewVirtualClock()
+	var fired []int
+	var s TimerSlot
+	s.Set(c.AfterFunc(time.Second, func() { fired = append(fired, 1) }))
+	s.Set(c.AfterFunc(time.Second, func() { fired = append(fired, 2) }))
+	c.Advance(time.Second)
+	s.Set(c.AfterFunc(time.Second, func() { fired = append(fired, 3) }))
+	s.Stop()
+	c.Advance(time.Minute)
+	if len(fired) != 1 || fired[0] != 2 || c.pending() != 0 {
+		t.Fatalf("fired %v with %d timers pending, want only the second and none", fired, c.pending())
+	}
+}
+
 func TestVirtualClockAfterChannel(t *testing.T) {
 	c := NewVirtualClock()
 	ch := c.After(5 * time.Second)
