@@ -14,7 +14,7 @@ test:
 	$(GO) test ./...
 
 # Every test under the race detector; a seeded test runs each of its seeds
-# as a subtest (internal/testutil/seeds). Then ten racing tests ten times
+# as a subtest (internal/testutil/seeds). Then eleven racing tests ten times
 # each, since one run may miss a schedule: the trader's lock-free walks
 # against in-place upserts and appends, and the copies Select and All return
 # against writes that rewrite the offers they were taken from
@@ -26,8 +26,11 @@ test:
 # the GRM's candidates against updates its LRMs feed it mid-negotiation
 # (TestReserveFedUpdateKeepsCandidates), the GRM's failure sweep against heartbeats
 # that rewrite their node records' window arrays in place
-# (TestSweepRacingHeartbeats), replies whose buffers Op.Invoke recycles
-# while late deliveries read their own (TestRecycledRepliesUnderLateDelivery),
+# (TestSweepRacingHeartbeats), updates against Departing notices and the
+# sweep, each of which takes its node's offer in the one g.mu section the
+# update records and exports in (TestDeparturesRacingUpdates), replies whose
+# buffers Op.Invoke recycles while late deliveries read their own
+# (TestRecycledRepliesUnderLateDelivery),
 # an LRM's completions queued into the outbox while updates, some of them
 # failing, take it and hand it and their window array back
 # (TestSyncTasksRacesSendUpdate), and an LRM's periodic updates against a new
@@ -38,7 +41,7 @@ test:
 # in internal/lint fails if a name below is no test of the packages after it.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run '^(TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestSelectCopiesNeverChange|TestHeldOffersOutliveUpserts|TestHeldOffersOutliveShardReuse|TestReserveFedUpdateKeepsCandidates|TestSweepRacingHeartbeats|TestRecycledRepliesUnderLateDelivery|TestSyncTasksRacesSendUpdate|TestAdoptRacesSendUpdate)$$' ./internal/trading ./internal/grm ./internal/chaos ./internal/lrm
+	$(GO) test -race -count=10 -run '^(TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestSelectCopiesNeverChange|TestHeldOffersOutliveUpserts|TestHeldOffersOutliveShardReuse|TestReserveFedUpdateKeepsCandidates|TestSweepRacingHeartbeats|TestDeparturesRacingUpdates|TestRecycledRepliesUnderLateDelivery|TestSyncTasksRacesSendUpdate|TestAdoptRacesSendUpdate)$$' ./internal/trading ./internal/grm ./internal/chaos ./internal/lrm
 	$(GO) test -race -count=10 -cpu 1 -run '^(TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestSelectCopiesNeverChange|TestHeldOffersOutliveUpserts|TestHeldOffersOutliveShardReuse)$$' ./internal/trading
 
 vet:
@@ -150,13 +153,15 @@ profile-batch:
 # Encoder, as the loopback fleets send it, into a GRM that knows 10^4 nodes,
 # in a shuffled order, decoded against the node's record, through to the
 # trader upsert and the reply — under the CPU profiler (ROADMAP item 6c). On a
-# 2-core Xeon, cumulative, over two profiles: grm's exportStatusOffer 24–26%,
-# of which the trader's Upsert through the node's place 21–23%; recordUpdate
-# 16%, of which g.mu's unlock 8% (it waits for the store into the record's
-# window array, which a shuffled fleet finds cold); recordedIdentity 13–14%
-# (the node record's first, cold lookup, under g.mu); protocol's DecodeUpdate
-# 10–14% and EncodeUpdate 12–13%; the collector under 1%, an update
-# allocating nothing. BenchmarkLoopbackUpdate2k is the same update into 2 000
+# 2-core Xeon, cumulative, in one profile: grm's handleUpdate, the one g.mu
+# section an update is decoded, recorded and exported in, 69%; of that,
+# exportStatusOffer 30%, of which the trader's Upsert through the node's
+# place 22%; protocol's DecodeUpdate 22%; recordStatusLocked 5%.
+# EncodeUpdate is 14%, string-keyed map lookups 9% (the node record's cold
+# one in g.nodes among them), the collector under 1%: an update allocates
+# nothing.
+# BenchmarkLoopbackUpdateParallel10k sends the same updates from GOMAXPROCS
+# senders at once. BenchmarkLoopbackUpdate2k is the same update into 2 000
 # nodes, for the fleet size's share. Leaves loopback_update.prof and its test
 # binary in the working directory.
 profile-update:

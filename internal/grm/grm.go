@@ -183,7 +183,10 @@ type GRM struct {
 	// released before any protocol RPC (Reserve/Execute/...): negotiation
 	// blocks on remote LRMs and may itself re-enter the GRM. The replication
 	// stream obeys the same rule: it proposes to the log with no GRM lock held.
+	// The in-process trader's writes are not RPCs: an update exports, and a
+	// departure, a death or a move withdraws, under mu.
 	//lint:lockorder grm.GRM.mu<election.Node.mu
+	//lint:lockorder grm.GRM.mu<trading.shard.mu
 	mu      sync.Mutex
 	apps    map[string]*appInfo
 	nodes   map[string]*nodeLiveness
@@ -393,75 +396,52 @@ func (g *GRM) Stop() {
 // leader that kept answering updates would keep its LRMs' fences pinned to
 // its epoch, leaving them obedient to a deposed manager.
 //
-// The update is decoded and recorded under g.mu (recordUpdate) and exported
-// to the trader after it is released, through the place the node's record
-// holds: the trader has locks of its own, so updates from different nodes
-// upsert in parallel. A failure sweep that declares the node dead in between
-// puts the offer back after its withdraw (restoreOffer); a departure in
-// between takes the place, and the upsert through it is dropped (exportByRef).
-// Only an accepted update delivers its events: a refused one is answered with
-// an error and the LRM sends them again, to whoever it reports to next.
+// The update is decoded, recorded and exported in one g.mu section. It looks
+// the node's record up by the ID the body starts with and decodes the update
+// against it, so that the status reuses the identity strings the node reports
+// on every update; a body that does not decode is reported before any
+// refusal. Then it records liveness, counters and the replication stream's
+// copy, and upserts the node's offer from the record. The failure sweep and a
+// departure take a node's place, and withdraw its offer, in sections of their
+// own, and a move to a new reference in this one, so none of them falls
+// between the record and its export. Only an accepted update delivers its
+// events, after the section: a refused one is answered with an error and the
+// LRM sends them again, to whoever it reports to next.
 func (g *GRM) handleUpdate(d *orb.Decoder) (int, error) {
 	now := g.clock.Now()
-	var u recorded
-	if err := g.recordUpdate(d, now, &u); err != nil {
-		return 0, err
-	}
-	g.trader.Withdraw(u.moved)
-	if u.export {
-		g.exportStatusOffer(&u.s, u.win, now, u.epoch, u.place)
-	}
-	for u.events.Len() > 0 {
-		g.handleEvent(u.events.Next())
-	}
-	return u.epoch, nil
-}
-
-// recorded is what recordUpdate decoded and recorded of an update: its
-// status, the offer window covering the instant it was recorded, its events,
-// the epoch to reply with, and recordStatusLocked's place to export through,
-// place to withdraw and export decision.
-type recorded struct {
-	s            protocol.NodeStatus
-	win          offerWindow
-	events       protocol.UpdateEvents
-	epoch        int
-	place, moved trading.Place
-	export       bool
-}
-
-// recordUpdate is handleUpdate's one section under g.mu. It looks the node's
-// record up by the ID the body d starts with, decodes the update against it,
-// so that the status reuses the identity strings the node reports on every
-// update, and then refuses it or records it: liveness, counters, the
-// replication stream's copy. A body that does not decode is reported before
-// any refusal. What it records goes into u.
-func (g *GRM) recordUpdate(d *orb.Decoder, now time.Time, u *recorded) error {
 	// The windows stay on this stack: the record copies them into an array
-	// of its own, and u takes the one covering now.
+	// of its own.
 	var buf [protocol.MaxWindows]protocol.AvailWindow
 	peek := *d
 	id := peek.RawString()
 	g.mu.Lock()
-	defer g.mu.Unlock()
 	lv := g.nodes[string(id)]
 	var like *protocol.NodeStatus
 	if lv != nil {
 		like = &lv.status
 	}
-	var windows []protocol.AvailWindow
-	var err error
-	if u.s, windows, u.events, err = protocol.DecodeUpdate(d, like, &buf); err != nil {
-		return orb.Errorf(orb.CodeMarshal, "update: %v", err)
+	s, windows, events, err := protocol.DecodeUpdate(d, like, &buf)
+	if err != nil {
+		g.mu.Unlock()
+		return 0, orb.Errorf(orb.CodeMarshal, "update: %v", err)
 	}
 	if err := g.refusalLocked(); err != nil {
 		g.stats.UpdatesRefused++
-		return err
+		g.mu.Unlock()
+		return 0, err
 	}
 	g.stats.UpdatesReceived++
-	u.win, u.epoch = coveringWindow(windows, now), g.epoch
-	u.place, u.moved, u.export = g.recordStatusLocked(lv, &u.s, windows, now)
-	return nil
+	epoch := g.epoch
+	// A departing node exports nothing: an offer would hand it fresh work
+	// right before the predicted owner arrival.
+	if lv = g.recordStatusLocked(lv, &s, windows, now); lv.departUntil.IsZero() {
+		g.exportStatusOffer(lv, now)
+	}
+	g.mu.Unlock()
+	for events.Len() > 0 {
+		g.handleEvent(events.Next())
+	}
+	return epoch, nil
 }
 
 // Epoch returns the fencing epoch stamped on this manager's outbound writes:
@@ -488,13 +468,15 @@ func coveringWindow(windows []protocol.AvailWindow, now time.Time) offerWindow {
 	return offerWindow{}
 }
 
-// exportStatusOffer upserts the node's trader offer from its status and the
-// window covering now, stamped with the manager's fencing epoch, through
-// place, the one the node's record held when the status was recorded — or by
-// reference when that is zero or dead (exportByRef). It reads no window of s:
-// a record's windows are rewritten in place under g.mu, which this runs
-// outside of.
-func (g *GRM) exportStatusOffer(s *protocol.NodeStatus, win offerWindow, now time.Time, epoch int, place trading.Place) {
+// exportStatusOffer upserts the trader offer of the node whose record lv is,
+// from its status and the window covering now, stamped with the manager's
+// fencing epoch, through the record's place. When the record holds none — the
+// node's first export, or its first since its place was taken — or its place
+// died under it, swept with an expired offer, it exports by reference and
+// stores the new place in the record. Caller holds g.mu.
+func (g *GRM) exportStatusOffer(lv *nodeLiveness, now time.Time) {
+	s := &lv.status
+	win := coveringWindow(s.Windows, now)
 	// One value per name of statusSchema, in its order, on the stack: Upsert
 	// and Export copy them into the offer they store.
 	values := [...]constraint.Value{
@@ -519,43 +501,11 @@ func (g *GRM) exportStatusOffer(s *protocol.NodeStatus, win offerWindow, now tim
 		// The exporting manager's fencing epoch: consumers comparing
 		// offers across a failover can spot exports from a deposed
 		// primary.
-		constraint.Number(float64(epoch)),
+		constraint.Number(float64(g.epoch)),
 	}
 	expires := now.Add(g.offerTTL)
-	if !g.trader.Upsert(place, expires, statusSchema, values[:]) {
-		g.exportByRef(s.NodeID, place, s.LRMRef, expires, values[:])
-	}
-}
-
-// exportByRef exports a node's offer by reference — its first, its first since
-// its place was taken, or one whose place died under it — and stores the place
-// it gets back in the node's record when that changed it. A dead place the
-// record still holds was swept with an expired offer, or withdrawn by a
-// failure sweep the node outlived, and the offer is exported again; one the
-// record no longer holds was taken, by a departure, a death or a move to a new
-// reference, whose caller withdrew the offer, and nothing is exported. If the
-// record is taken between the export and the store, the new place is
-// withdrawn instead of kept. The trader copies values, as Upsert does.
-func (g *GRM) exportByRef(id string, dead trading.Place, ref orb.ObjectRef, expires time.Time, values []constraint.Value) {
-	if dead != (trading.Place{}) {
-		g.mu.Lock()
-		lv := g.nodes[id]
-		held := lv != nil && lv.place == dead
-		g.mu.Unlock()
-		if !held {
-			return
-		}
-	}
-	place := g.trader.Export(ref, expires, statusSchema, values)
-	g.mu.Lock()
-	lv := g.nodes[id]
-	keep := lv != nil && lv.departUntil.IsZero() && lv.status.LRMRef == ref
-	if keep && lv.place != place {
-		lv.place = place
-	}
-	g.mu.Unlock()
-	if !keep {
-		g.trader.Withdraw(place)
+	if !g.trader.Upsert(lv.place, expires, statusSchema, values[:]) {
+		lv.place = g.trader.Export(s.LRMRef, expires, statusSchema, values[:])
 	}
 }
 
@@ -856,23 +806,23 @@ func (g *GRM) release(ref orb.ObjectRef, holds []string) {
 }
 
 // detectFailures declares dead every node whose heartbeats have stopped for
-// longer than its suspect threshold, withdraws its trader offers and rolls
-// back its in-flight tasks.
+// longer than its suspect threshold, withdrawing its trader offer in the same
+// g.mu section, and then rolls back its in-flight tasks.
 func (g *GRM) detectFailures() {
 	now := g.clock.Now()
 	g.mu.Lock()
 	dead := g.declareDeadLocked(now)
 	g.mu.Unlock()
-	for _, d := range dead {
-		g.bury(d)
+	for _, id := range dead {
+		g.evictNodeTasks(id)
 	}
 }
 
 // declareDeadLocked is the failure detector's verdict: it forgets every node
 // silent past its threshold, in node order, and returns them. Caller holds
 // g.mu.
-func (g *GRM) declareDeadLocked(now time.Time) []deadNode {
-	var dead []deadNode
+func (g *GRM) declareDeadLocked(now time.Time) []string {
+	var dead []string
 	for _, id := range slices.Sorted(maps.Keys(g.nodes)) {
 		lv := g.nodes[id]
 		if lv.updates == 1 && lv.interval == 0 {
@@ -893,41 +843,12 @@ func (g *GRM) declareDeadLocked(now time.Time) []deadNode {
 			threshold = max(3*lv.interval, g.offerTTL)
 		}
 		if now.Sub(lv.lastSeen) > threshold {
-			dead = append(dead, deadNode{id, g.dropNodeLocked(id)})
+			g.dropNodeLocked(id)
+			dead = append(dead, id)
 			g.stats.NodesDeclaredDead++
 		}
 	}
 	return dead
-}
-
-// bury carries out a verdict outside g.mu: the node's offer is withdrawn —
-// and put back if a heartbeat re-registered the node meanwhile — and its
-// tasks are rolled back.
-func (g *GRM) bury(d deadNode) {
-	g.trader.Withdraw(d.place)
-	g.restoreOffer(d.id)
-	g.evictNodeTasks(d.id)
-}
-
-// restoreOffer re-exports, by reference, the offer of a node the sweep declared
-// dead but a heartbeat has re-registered since: that heartbeat may have
-// exported before the sweep's withdraw, which took the offer away, and even
-// kept the withdrawn place. The status and instant are the record's, so the
-// offer is the one an update would have exported; an update racing this
-// export exports its own.
-func (g *GRM) restoreOffer(nodeID string) {
-	g.mu.Lock()
-	lv := g.nodes[nodeID]
-	if lv == nil || !lv.departUntil.IsZero() {
-		g.mu.Unlock()
-		return
-	}
-	// The next update rewrites the record's windows in place: take the
-	// covering one before unlocking.
-	s, seen, epoch := lv.status, lv.lastSeen, g.epoch
-	win := coveringWindow(s.Windows, seen)
-	g.mu.Unlock()
-	g.exportStatusOffer(&s, win, seen, epoch, trading.Place{})
 }
 
 // evictNodeTasks rolls back every application with running tasks on a node

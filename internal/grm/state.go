@@ -15,9 +15,11 @@ import (
 // admission queue. The leader's handlers and a follower applying the log call
 // the same ones. Each enqueues the nodes and applications it changed for the
 // next replica batch when this GRM leads a replica set (the queue stays the
-// leader's own), and none does I/O: a trader export or withdraw, or a Cancel
-// RPC, is returned for the caller to carry out once g.mu is released. Every
-// transition's caller holds g.mu.
+// leader's own), and none does I/O: a Cancel RPC is returned for the caller to
+// carry out once g.mu is released. The trader is in-process, and a transition
+// that takes a node's place withdraws the node's offer through it itself, so
+// that no update can export between the two. Every transition's caller holds
+// g.mu.
 
 // entityKind is what an entity is; a replica batch carries each kind in a
 // section of its own.
@@ -42,13 +44,6 @@ type remote struct {
 	ref orb.ObjectRef
 }
 
-// deadNode is a node the failure detector dropped and the place of its offer:
-// what its verdict hands back for the withdraw outside g.mu.
-type deadNode struct {
-	id    string
-	place trading.Place
-}
-
 // markLocked enqueues e for the next replica batch, if this GRM leads a
 // replica set.
 func (g *GRM) markLocked(e entity) {
@@ -58,19 +53,15 @@ func (g *GRM) markLocked(e entity) {
 }
 
 // recordStatusLocked records a node's latest status, the windows that came
-// with it and its heartbeat into lv, the node's record (nil: a new one), and
-// ends a departure whose deadline has passed. The node is marked for the log
-// on a membership change only: new, or its departure over.
+// with it and its heartbeat into lv, the node's record (nil: a new one), ends a
+// departure whose deadline has passed, and returns the record. The node is
+// marked for the log on a membership change only: new, or its departure over.
 // The windows are copied into the record's own array, which is reused across
 // updates and grows only when the node reports more than it ever has; it is
-// rewritten in place, so it is read only under g.mu. It returns the place the
-// node's offer is to be upserted through (zero: none, so by reference) and
-// whether it is to be exported: not while the node is departing, since
-// re-exporting would hand it fresh work right before the predicted owner
-// arrival. A status from a new reference takes the old reference's place out
-// of the record and returns it as moved, for the caller to withdraw: that
+// rewritten in place, so it is read only under g.mu. A status from a new
+// reference withdraws the old reference's offer and takes its place: that
 // offer names an LRM the node no longer reports from.
-func (g *GRM) recordStatusLocked(lv *nodeLiveness, s *protocol.NodeStatus, windows []protocol.AvailWindow, now time.Time) (place, moved trading.Place, export bool) {
+func (g *GRM) recordStatusLocked(lv *nodeLiveness, s *protocol.NodeStatus, windows []protocol.AvailWindow, now time.Time) *nodeLiveness {
 	if lv == nil {
 		g.markLocked(entity{entityNode, s.NodeID})
 		lv = &nodeLiveness{}
@@ -79,7 +70,7 @@ func (g *GRM) recordStatusLocked(lv *nodeLiveness, s *protocol.NodeStatus, windo
 		lv.interval = gap
 	}
 	if s.LRMRef != lv.status.LRMRef {
-		moved, lv.place = lv.place, trading.Place{}
+		g.takePlaceLocked(lv)
 	}
 	lv.lastSeen = now
 	lv.updates++
@@ -90,33 +81,39 @@ func (g *GRM) recordStatusLocked(lv *nodeLiveness, s *protocol.NodeStatus, windo
 		lv.departUntil = time.Time{}
 		g.markLocked(entity{entityNode, s.NodeID})
 	}
-	return lv.place, moved, lv.departUntil.IsZero()
+	return lv
+}
+
+// takePlaceLocked withdraws the offer of the node whose record lv is and takes
+// its place out of the record: the node's next export, if any, is by
+// reference.
+func (g *GRM) takePlaceLocked(lv *nodeLiveness) {
+	g.trader.Withdraw(lv.place)
+	lv.place = trading.Place{}
 }
 
 // departLocked marks a known node departing until the deadline (a zero
-// deadline: not departing) and, when it departs, takes the place of its offer
-// out of its record, for the caller to withdraw.
-func (g *GRM) departLocked(id string, until time.Time) (place trading.Place, known bool) {
+// deadline: not departing) and, when it departs, withdraws its offer. It
+// reports whether the node is known.
+func (g *GRM) departLocked(id string, until time.Time) bool {
 	lv := g.nodes[id]
 	if lv == nil {
-		return trading.Place{}, false
+		return false
 	}
 	lv.departUntil = until
 	if !until.IsZero() {
-		place, lv.place = lv.place, trading.Place{}
+		g.takePlaceLocked(lv)
 	}
 	g.markLocked(entity{entityNode, id})
-	return place, true
+	return true
 }
 
-// dropNodeLocked forgets a node declared dead and returns the place of its
-// offer, for the caller to withdraw; a restarted node re-registers on its next
-// update.
-func (g *GRM) dropNodeLocked(id string) trading.Place {
-	place := g.nodes[id].place
+// dropNodeLocked forgets a node declared dead and withdraws its offer; a
+// restarted node re-registers on its next update.
+func (g *GRM) dropNodeLocked(id string) {
+	g.takePlaceLocked(g.nodes[id])
 	delete(g.nodes, id)
 	g.markLocked(entity{entityNode, id})
-	return place
 }
 
 // graceLocked restarts every node's silence at now, for a new leader.

@@ -10,7 +10,6 @@ import (
 	"integrade/internal/protocol"
 	"integrade/internal/resource"
 	"integrade/internal/sim"
-	"integrade/internal/trading"
 )
 
 // sweepFixture is a GRM whose failure detector suspects a node after 10 s of
@@ -65,14 +64,17 @@ func updateFrame(s *protocol.NodeStatus) *orb.Decoder {
 
 // checkOneOfferPerNode fails t unless every node the GRM holds alive, and not
 // departing, has exactly one status offer, under the reference it last
-// reported from, and nothing else has any.
+// reported from, every departing node has none, and nothing else has any.
 func checkOneOfferPerNode(t *testing.T, g *GRM, when string) {
 	t.Helper()
 	g.mu.Lock()
 	alive := make(map[orb.ObjectRef]string, len(g.nodes))
+	departing := make(map[orb.ObjectRef]string)
 	for id, lv := range g.nodes {
 		if lv.departUntil.IsZero() {
 			alive[lv.status.LRMRef] = id
+		} else {
+			departing[lv.status.LRMRef] = id
 		}
 	}
 	g.mu.Unlock()
@@ -85,15 +87,21 @@ func checkOneOfferPerNode(t *testing.T, g *GRM, when string) {
 			t.Errorf("%s: node %s is alive with %d offers", when, id, offers[ref])
 		}
 	}
+	for ref, id := range departing {
+		if offers[ref] != 0 {
+			t.Errorf("%s: node %s departs with %d offers", when, id, offers[ref])
+		}
+	}
 	if len(offers) != len(alive) {
 		t.Errorf("%s: %d nodes alive, offers under %d references", when, len(alive), len(offers))
 	}
 }
 
-// TestSweepRacingHeartbeatReplay replays, step by step, a heartbeat from a
-// node the failure sweep is declaring dead: its record and export against the
-// sweep's verdict and withdraw. Wherever it lands, the node ends up either
-// dead without an offer or alive with exactly one.
+// TestSweepRacingHeartbeatReplay replays a heartbeat from a node the failure
+// sweep is declaring dead, in the two orders the sweep's one g.mu section
+// leaves: the heartbeat before it, which keeps the node alive, and after it,
+// which re-registers the node. Either way the node ends up alive with exactly
+// one offer.
 func TestSweepRacingHeartbeatReplay(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -102,31 +110,16 @@ func TestSweepRacingHeartbeatReplay(t *testing.T) {
 		{"heartbeat before the verdict", func(t *testing.T, g *GRM, clock *sim.VirtualClock, s *protocol.NodeStatus) {
 			heartbeat(t, g, clock, *s)
 			g.detectFailures()
+			if got := g.Stats().NodesDeclaredDead; got != 0 {
+				t.Errorf("the sweep declared %d nodes dead after the heartbeat, want none", got)
+			}
 		}},
-		{"heartbeat between verdict and withdraw", func(t *testing.T, g *GRM, clock *sim.VirtualClock, s *protocol.NodeStatus) {
-			g.mu.Lock()
-			dead := g.declareDeadLocked(clock.Now())
-			g.mu.Unlock()
+		{"heartbeat after the verdict", func(t *testing.T, g *GRM, clock *sim.VirtualClock, s *protocol.NodeStatus) {
+			g.detectFailures()
+			if got := g.Stats().NodesDeclaredDead; got != 1 {
+				t.Errorf("the sweep declared %d nodes dead, want the stale one", got)
+			}
 			heartbeat(t, g, clock, *s)
-			for _, d := range dead {
-				g.bury(d)
-			}
-		}},
-		{"recorded before the withdraw, exported after it", func(t *testing.T, g *GRM, clock *sim.VirtualClock, s *protocol.NodeStatus) {
-			now := clock.Now()
-			g.mu.Lock()
-			dead := g.declareDeadLocked(now)
-			g.mu.Unlock()
-			s.Timestamp = now
-			var u recorded
-			err := g.recordUpdate(updateFrame(s), now, &u)
-			if err != nil || !u.export {
-				t.Fatalf("recordUpdate = %d, %v, %v", u.epoch, u.export, err)
-			}
-			for _, d := range dead {
-				g.bury(d)
-			}
-			g.exportStatusOffer(s, u.win, now, u.epoch, u.place)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -148,7 +141,7 @@ func TestSweepRacingHeartbeatReplay(t *testing.T) {
 // The GRM leads a replica set whose stream flushes all the while, and every
 // heartbeat reports a window count its node's previous one did not, so the
 // records' window arrays are rewritten in place, and grown, under the readers
-// of a record: the batch encoder and restoreOffer, which may only read them
+// of a record: the batch encoder and the export, which may only read them
 // under g.mu. `make race` runs this ten times under the race detector.
 func TestSweepRacingHeartbeats(t *testing.T) {
 	const nodes, workers, rounds = 64, 8, 50
@@ -222,39 +215,31 @@ func TestSweepRacingHeartbeats(t *testing.T) {
 	}
 }
 
-// TestDepartureRacingUpdateReplay replays, step by step, an update from a node
-// whose Departing notice arrives meanwhile: its record and export against the
-// departure's mark and withdraw. Wherever the notice lands the node ends up
-// without an offer, a heartbeat before the deadline adds none, and the first
-// update past the deadline exports one again.
+// TestDepartureRacingUpdateReplay replays an update from a node whose
+// Departing notice arrives meanwhile, in the two orders the notice's and the
+// update's g.mu sections leave: the update before the notice — a known
+// node's, which upserts through its place, or a new node's first, which
+// exports by reference — and after it. Either way the node ends up without an
+// offer, a heartbeat before the deadline adds none, and the first update past
+// the deadline exports one again.
 func TestDepartureRacingUpdateReplay(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		replay func(t *testing.T, g *GRM, s *protocol.NodeStatus, depart func())
 	}{
-		{"recorded before the departure, exported through its place after the withdraw", func(t *testing.T, g *GRM, s *protocol.NodeStatus, depart func()) {
-			var u recorded
-			err := g.recordUpdate(updateFrame(s), s.Timestamp, &u)
-			if err != nil || !u.export || u.place == (trading.Place{}) {
-				t.Fatalf("recordUpdate = %d, %v, %v, %v; want an export through the node's place", u.epoch, u.place, u.export, err)
+		{"the update before the departure", func(t *testing.T, g *GRM, s *protocol.NodeStatus, depart func()) {
+			if _, err := g.handleUpdate(updateFrame(s)); err != nil {
+				t.Fatal(err)
 			}
 			depart()
-			v := g.Trader().Version()
-			g.exportStatusOffer(s, u.win, s.Timestamp, u.epoch, u.place)
-			if g.Trader().Version() != v {
-				t.Error("the update's export wrote to the trader after the departure took its place")
-			}
 		}},
-		{"a node's first update, exported by reference after the departure", func(t *testing.T, g *GRM, s *protocol.NodeStatus, depart func()) {
+		{"a node's first update before the departure", func(t *testing.T, g *GRM, s *protocol.NodeStatus, depart func()) {
 			s.NodeID = "n-new"
 			s.LRMRef.Endpoint.Addr = "new"
-			var u recorded
-			err := g.recordUpdate(updateFrame(s), s.Timestamp, &u)
-			if err != nil || !u.export || u.place != (trading.Place{}) {
-				t.Fatalf("recordUpdate = %d, %v, %v, %v; want a first export, by reference", u.epoch, u.place, u.export, err)
+			if _, err := g.handleUpdate(updateFrame(s)); err != nil {
+				t.Fatal(err)
 			}
 			depart()
-			g.exportStatusOffer(s, u.win, s.Timestamp, u.epoch, u.place)
 		}},
 		{"the departure before the record", func(t *testing.T, g *GRM, s *protocol.NodeStatus, depart func()) {
 			depart()
@@ -301,21 +286,64 @@ func TestDepartureRacingUpdateReplay(t *testing.T) {
 
 // TestNodeMovingRefKeepsOneOffer: an LRM that comes back at another address
 // under the same node ID leaves one offer, under the new reference — not the
-// old one as well until its TTL runs out, for placement to pick — and an
-// export by reference, as restoreOffer's, finds that offer and no other.
+// old one as well until its TTL runs out, for placement to pick — and its next
+// update re-exports that offer and adds no other.
 func TestNodeMovingRefKeepsOneOffer(t *testing.T) {
 	g, clock, fleet := sweepFixture(t, 1)
 	s := fleet[0]
 	s.LRMRef.Endpoint.Addr = "elsewhere"
-	heartbeat(t, g, clock, s)
-	for _, when := range []string{"after the move", "after a re-export by reference"} {
+	for _, when := range []string{"after the move", "after the next update"} {
+		heartbeat(t, g, clock, s)
 		all := g.Trader().All("")
 		if len(all) != 1 || all[0].Ref != s.LRMRef || g.KnownNodes() != 1 {
 			t.Fatalf("%s the trader holds %d offers (first under %v) and knows %d nodes; want one, under %v",
 				when, len(all), all[0].Ref, g.KnownNodes(), s.LRMRef)
 		}
 		checkOneOfferPerNode(t, g, when)
-		g.restoreOffer(s.NodeID)
+	}
+}
+
+// TestDeparturesRacingUpdates runs, under -race, four goroutines that update
+// 64 nodes while two send Departing notices for nodes of their own picking and
+// the failure sweep runs; each round starts 20 s after the last, with half the
+// fleet silent past the sweep's threshold, and its notices announce deadlines
+// one or two rounds on, so some departures end in an update of a later round.
+// After each round every departing node has no offer and every other live node
+// exactly one. `make race` runs this ten times under the race detector.
+func TestDeparturesRacingUpdates(t *testing.T) {
+	const nodes, updaters, departers, rounds = 64, 4, 2, 30
+	g, clock, fleet := sweepFixture(t, nodes)
+	for round := range rounds {
+		clock.Advance(20 * time.Second)
+		for i := range nodes / 2 {
+			heartbeat(t, g, clock, fleet[i])
+		}
+		var wg sync.WaitGroup
+		wg.Add(updaters + departers + 1)
+		go func() {
+			defer wg.Done()
+			g.detectFailures()
+		}()
+		for w := range updaters {
+			go func() {
+				defer wg.Done()
+				for _, i := range sim.NewRNG(int64(round*updaters + w)).Perm(nodes) {
+					heartbeat(t, g, clock, fleet[i])
+				}
+			}()
+		}
+		for w := range departers {
+			go func() {
+				defer wg.Done()
+				rng := sim.NewRNG(int64(1000 + round*departers + w))
+				for _, i := range rng.Perm(nodes)[:nodes/8] {
+					deadline := clock.Now().Add(time.Duration(1+rng.Intn(2)) * 20 * time.Second)
+					g.HandleDeparting(protocol.DepartureNotice{NodeID: fleet[i].NodeID, Deadline: deadline, At: clock.Now()})
+				}
+			}()
+		}
+		wg.Wait()
+		checkOneOfferPerNode(t, g, fmt.Sprintf("round %d", round))
 	}
 }
 

@@ -2,6 +2,7 @@ package grm
 
 import (
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,6 +101,26 @@ func BenchmarkLoopbackUpdate10k(b *testing.B) { benchLoopbackUpdate(b, 10000) }
 // knows 2 000 nodes: what an update costs the smaller its fleet, the more of
 // the records and trader slots it finds in cache.
 func BenchmarkLoopbackUpdate2k(b *testing.B) { benchLoopbackUpdate(b, 2000) }
+
+// BenchmarkLoopbackUpdateParallel10k is BenchmarkLoopbackUpdate10k's fleet
+// under b.RunParallel: GOMAXPROCS senders at once, each update to the next
+// node of the shuffled fleet. It is the traffic of updates arriving in
+// parallel, which the GRM serializes: it records and exports an update in one
+// g.mu section.
+func BenchmarkLoopbackUpdateParallel10k(b *testing.B) {
+	client, fleet := loopbackUpdates(b, 10000)
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := client.Update(fleet[next.Add(1)%int64(len(fleet))]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
 
 func benchLoopbackUpdate(b *testing.B, nodes int) {
 	client, fleet := loopbackUpdates(b, nodes)

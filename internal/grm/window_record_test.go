@@ -33,7 +33,7 @@ func windowedNode(t *testing.T) (*GRM, *sim.VirtualClock, protocol.NodeStatus) {
 // into an array of its own and reuses it across updates. After reports of 3,
 // 0, 2 and 1 windows it holds exactly the last report's one window, and no
 // tail of a longer report before it: not in the record itself, and not in the
-// offer restoreOffer re-exports from the record at an instant inside the first
+// offer the last update exports from the record at an instant inside the first
 // report's third window.
 func TestRecordReusesWindowArray(t *testing.T) {
 	g, clock, s := windowedNode(t)
@@ -66,13 +66,12 @@ func TestRecordReusesWindowArray(t *testing.T) {
 	if !slices.Equal(got, last) {
 		t.Fatalf("the node's record holds windows %+v, want %+v", got, last)
 	}
-	g.restoreOffer(s.NodeID)
 	all := g.Trader().All("")
 	if len(all) != 1 {
 		t.Fatalf("the trader holds %d offers, want 1", len(all))
 	}
 	if end := numProp(&all[0], fieldWindowEnd); end != 0 {
-		t.Fatalf("restoreOffer exported win_end %v at %v, want 0: no window the node last reported covers it",
+		t.Fatalf("the last update exported win_end %v at %v, want 0: no window the node last reported covers it",
 			time.Unix(int64(end), 0).UTC(), clock.Now().UTC())
 	}
 }

@@ -21,11 +21,10 @@ const DefaultMinWindowConfidence = 0.5
 // normal eviction path once the deadline passes.
 func (g *GRM) HandleDeparting(n protocol.DepartureNotice) {
 	g.mu.Lock()
-	place, known := g.departLocked(n.NodeID, n.Deadline)
+	known := g.departLocked(n.NodeID, n.Deadline)
 	g.stats.GracefulDepartures++
 	g.mu.Unlock()
 	if known {
-		g.trader.Withdraw(place)
 		g.log.Debug("node departing", "node", n.NodeID, "deadline", n.Deadline)
 	}
 }

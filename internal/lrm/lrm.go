@@ -36,7 +36,7 @@ const reregisterAfter = 2
 // LRMs does not stampede the reborn GRM.
 const (
 	reregisterBase = 5 * time.Second
-	reregisterCap  = time.Minute
+	reregisterCap  = 10 * time.Second
 )
 
 // reregisterDelay is the pause before re-registration attempt n (n >= 1) of

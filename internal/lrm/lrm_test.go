@@ -393,7 +393,7 @@ func TestCompletionWhileReregisteringReachesNewManager(t *testing.T) {
 }
 
 // TestReregisterDelay pins the re-registration pacing to exact delays: the
-// base doubles from 5s to the 1min cap (reached at attempt 5), each scaled by
+// base doubles from 5s to the 10s cap (reached at attempt 2), each scaled by
 // its node's deterministic jitter, so failover timings reproduce exactly.
 func TestReregisterDelay(t *testing.T) {
 	for _, c := range []struct {
@@ -403,22 +403,16 @@ func TestReregisterDelay(t *testing.T) {
 	}{
 		{"n0", 1, 4700926336},
 		{"n0", 2, 9401852375},
-		{"n0", 3, 18803704154},
-		{"n0", 4, 37607416652},
-		{"n0", 5, 56411123191},
-		{"n0", 6, 56411121402},
+		{"n0", 3, 9401852077},
+		{"n0", 4, 9401854163},
 		{"lrm-7", 1, 4082760944},
 		{"lrm-7", 2, 8165520995},
-		{"lrm-7", 3, 16331042586},
-		{"lrm-7", 4, 32662081597},
-		{"lrm-7", 5, 48993124184},
-		{"lrm-7", 6, 48993118820},
+		{"lrm-7", 3, 8165521293},
+		{"lrm-7", 4, 8165520399},
 		{"cluster-2/node-31", 1, 4724378531},
 		{"cluster-2/node-31", 2, 9448756168},
-		{"cluster-2/node-31", 3, 18897512932},
-		{"cluster-2/node-31", 4, 37795022288},
-		{"cluster-2/node-31", 5, 56692535220},
-		{"cluster-2/node-31", 6, 56692529855},
+		{"cluster-2/node-31", 3, 9448756466},
+		{"cluster-2/node-31", 4, 9448755572},
 	} {
 		if got := reregisterDelay(c.node, c.attempt); got != c.want {
 			t.Errorf("reregisterDelay(%q, %d) = %v, want %v", c.node, c.attempt, got, c.want)
