@@ -33,8 +33,8 @@ test:
 # (TestRecycledRepliesUnderLateDelivery),
 # an LRM's completions queued into the outbox while updates, some of them
 # failing, take it and hand it and their window array back
-# (TestSyncTasksRacesSendUpdate), and an LRM's periodic updates against a new
-# leader's calls, which register it with that leader
+# (TestSyncTasksRacesSendUpdate), and an LRM's external SendUpdate calls
+# against its update loop registering it with a new leader that called
 # (TestAdoptRacesSendUpdate). Then the trader's five again at -cpu 1,
 # where no reader runs beside a writer and only the schedules the tests hand
 # off between them happen (~23 s on a 2-core Xeon). TestRaceRepeatsNameTests
@@ -124,7 +124,7 @@ examples:
 # path, then, under the e2e build tag, the leader kill — three managers in a
 # replica set, two agents updating every second, SIGKILL to the leader. It
 # prints how long each agent took to re-register with the new leader
-# (~11 s on a 2-core host), fails above 60 s, and the application must
+# (~11 s on a 2-core host), fails above 30 s, and the application must
 # complete (~20 s in all).
 e2e:
 	$(GO) test -count=1 -tags e2e -v ./internal/e2e

@@ -19,7 +19,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -117,25 +116,20 @@ func run() error {
 	}
 	defer srv.Close()
 
-	addrs := strings.Split(*grmAddr, ",")
-	grmRef := orb.ObjectRef{
-		Endpoint: orb.Endpoint{Net: orb.NetTCP, Addr: addrs[0]},
-		Key:      protocol.GRMKey,
-	}
-	// After repeated update failures the agent re-registers, rotating through
-	// the candidate managers (a replica set's members, or one restarted).
-	var rotation atomic.Int64
-	resolver := func() (orb.ObjectRef, error) {
-		addr := addrs[int(rotation.Add(1))%len(addrs)]
-		return orb.ObjectRef{
+	var refs []orb.ObjectRef
+	for addr := range strings.SplitSeq(*grmAddr, ",") {
+		refs = append(refs, orb.ObjectRef{
 			Endpoint: orb.Endpoint{Net: orb.NetTCP, Addr: addr},
 			Key:      protocol.GRMKey,
-		}, nil
+		})
 	}
+	grmRef := refs[0]
+	// After repeated update failures the agent re-registers, rotating through
+	// the candidate managers (a replica set's members, or one restarted).
 	agent := lrm.New(n, clock, o, srv.Ref(protocol.LRMKey), grmRef,
 		lrm.WithUpdatePeriod(*update),
 		lrm.WithLogger(log),
-		lrm.WithGRMResolver(resolver),
+		lrm.WithGRMResolver(lrm.Rotation(refs...)),
 	)
 	if err := adapter.Register(protocol.LRMKey, agent.Servant()); err != nil {
 		return err

@@ -14,7 +14,6 @@ import (
 	"log/slog"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"integrade/internal/asct"
@@ -554,20 +553,22 @@ func (c *Cluster) AddNodes(cfg NodeConfig) ([]string, error) {
 		}
 		selfRef := orb.ObjectRef{Endpoint: ep, Key: protocol.LRMKey}
 		// After repeated update failures the LRM re-registers: in a replica
-		// set with the members in turn from the one after the first (one
-		// that does not lead forwards it), otherwise with what Naming resolves
-		// (over the ORB, so the lookup is subject to the same faults as any call).
+		// set with the members in turn (one that does not lead forwards it),
+		// otherwise with what Naming resolves (over the ORB, so the lookup is
+		// subject to the same faults as any call).
 		nclient := naming.NewClient(g.orb, g.namingRef)
-		var rotation atomic.Int64
+		resolver := func(orb.ObjectRef) (orb.ObjectRef, error) { return nclient.Resolve(grmName(c.id)) }
+		if len(c.replicas) > 0 {
+			refs := make([]orb.ObjectRef, len(c.replicas))
+			for i, m := range c.replicas {
+				refs[i] = m.grmRef
+			}
+			resolver = lrm.Rotation(refs...)
+		}
 		lrmOpts := []lrm.Option{
 			lrm.WithUpdatePeriod(c.updatePeriod),
 			lrm.WithLogger(g.log),
-			lrm.WithGRMResolver(func() (orb.ObjectRef, error) {
-				if n := len(c.replicas); n > 0 {
-					return c.replicas[int(rotation.Add(1))%n].grmRef, nil
-				}
-				return nclient.Resolve(grmName(c.id))
-			}),
+			lrm.WithGRMResolver(resolver),
 		}
 		lrmOpts = append(lrmOpts, c.lrmOpts...)
 		l := lrm.New(n, g.clock, g.orb, selfRef, c.manager().grmRef, lrmOpts...)

@@ -92,7 +92,7 @@ func (c *Cluster) ManagerEndpoint() string {
 // stop, its endpoint disappears, and every call to it — LRM updates, status
 // queries, election traffic — fails with a transport error. Recovery is up
 // to the election (when a replica set is armed) or to RestartGRM, and to the
-// LRMs' re-registration loops. The chaos hook for experiment E13 and the
+// LRMs re-registering through their update loops. The chaos hook for experiment E13 and the
 // failover tests.
 func (g *Grid) CrashGRM(clusterID string) error {
 	c, ok := g.Cluster(clusterID)

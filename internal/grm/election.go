@@ -101,7 +101,7 @@ func (g *GRM) Election() *election.Node {
 // (protocol.Adopt), each once, in reference order, from a zero-delay timer:
 // after g.mu is released and, in the daemons, off the election's goroutine,
 // where a hung LRM would stall the new leader's heartbeats. A failed call is
-// only logged, since the LRM's own re-registration loop finds the leader too;
+// only logged, since the LRM's update loop re-registers and finds it too;
 // every other node registers with its next update. Idempotent per term.
 func (g *GRM) LeadAt(term int) {
 	now := g.clock.Now()

@@ -137,7 +137,6 @@ type ClusterSummary struct {
 	// free capacity says nothing about placing one large process).
 	MaxNodeFreeMIPS float64
 	TotalMIPS       float64
-	PendingTasks    int
 }
 
 // Summary computes the cluster's current aggregate state in one walk of the
@@ -151,10 +150,5 @@ func (g *GRM) Summary() ClusterSummary {
 		s.MaxNodeFreeMIPS = max(s.MaxNodeFreeMIPS, free)
 		s.TotalMIPS += numProp(o, fieldMIPSTotal)
 	})
-	g.mu.Lock()
-	for _, app := range g.apps {
-		s.PendingTasks += len(app.pendingTasks())
-	}
-	g.mu.Unlock()
 	return s
 }

@@ -59,7 +59,6 @@ type Summary struct {
 	// subtree.
 	MaxNodeFreeMIPS float64
 	TotalMIPS       float64
-	PendingTasks    int
 }
 
 // RouteResult describes where a routed submission landed.
@@ -132,7 +131,6 @@ func (n *Node) Summary() Summary {
 		FreeMIPS:        local.FreeMIPS,
 		MaxNodeFreeMIPS: local.MaxNodeFreeMIPS,
 		TotalMIPS:       local.TotalMIPS,
-		PendingTasks:    local.PendingTasks,
 	}
 	for _, c := range n.childRefList() {
 		child, err := querySummary(n.inv, c.ref)
@@ -146,7 +144,6 @@ func (n *Node) Summary() Summary {
 			agg.MaxNodeFreeMIPS = child.MaxNodeFreeMIPS
 		}
 		agg.TotalMIPS += child.TotalMIPS
-		agg.PendingTasks += child.PendingTasks
 	}
 	return agg
 }
@@ -324,7 +321,6 @@ func encodeSummary(s Summary, e *orb.Encoder) {
 	e.PutF64(s.FreeMIPS)
 	e.PutF64(s.MaxNodeFreeMIPS)
 	e.PutF64(s.TotalMIPS)
-	e.PutInt(s.PendingTasks)
 }
 
 func decodeSummary(d *orb.Decoder) (Summary, error) {
@@ -336,7 +332,6 @@ func decodeSummary(d *orb.Decoder) (Summary, error) {
 		MaxNodeFreeMIPS: d.F64(),
 		TotalMIPS:       d.F64(),
 	}
-	s.PendingTasks = d.Int()
 	return s, d.Err()
 }
 

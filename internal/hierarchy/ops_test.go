@@ -13,7 +13,7 @@ import (
 func TestOpsRoundTrip(t *testing.T) {
 	optest.Check(t, summaryOp, struct{}{}, Summary{
 		ClusterID: "c0", Clusters: 3, Nodes: 40, FreeMIPS: 1e4,
-		MaxNodeFreeMIPS: 900, TotalMIPS: 4e4, PendingTasks: 5,
+		MaxNodeFreeMIPS: 900, TotalMIPS: 4e4,
 	})
 	spec := protocol.ApplicationSpec{
 		Name: "render", Kind: protocol.AppParametric, NumTasks: 8, WorkPerTask: 1e5,

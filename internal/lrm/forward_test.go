@@ -80,15 +80,16 @@ func TestForwardedUpdateRegistersWithLeader(t *testing.T) {
 }
 
 // TestForwardLoopCostsOneHop: two managers that forward to each other cost
-// one hop an attempt — a SendUpdate asks each once and fails — and so does a
-// re-registration attempt that meets the loop: it asks the other one, follows
-// its forward back to the manager it is leaving, fails and re-arms its
-// backoff.
+// one hop an update — each firing of the update loop asks each once and
+// fails — and so does a re-registration attempt that meets the cycle: it asks
+// the other one, follows its forward back to the manager it is leaving, fails
+// and paces the update loop's next firing at the following attempt's delay.
 func TestForwardLoopCostsOneHop(t *testing.T) {
 	other := &fakeGRM{}
 	var otherRef orb.ObjectRef
 	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous(),
-		WithGRMResolver(func() (orb.ObjectRef, error) { return otherRef, nil }))
+		WithUpdatePeriod(time.Minute),
+		WithGRMResolver(func(orb.ObjectRef) (orb.ObjectRef, error) { return otherRef, nil }))
 	otherRef = f.bindGRM(t, "other", other)
 	f.grm.forward = otherRef
 	other.forward = f.lrm.grmClient().Ref()
@@ -97,9 +98,10 @@ func TestForwardLoopCostsOneHop(t *testing.T) {
 		delays = append(delays, attempt)
 		return time.Minute
 	}
+	f.lrm.Start()
 
 	for i := 1; i <= reregisterAfter; i++ {
-		f.lrm.SendUpdate()
+		f.clock.Advance(time.Minute)
 		_, first, _ := f.grm.counts()
 		_, second, _ := other.counts()
 		if first != i || second != i {
@@ -109,12 +111,12 @@ func TestForwardLoopCostsOneHop(t *testing.T) {
 			t.Fatalf("UpdateFailures = %d, want %d", got, i)
 		}
 	}
-	if len(delays) != 1 {
-		t.Fatalf("re-registration armed %d times, want once", len(delays))
+	if !slices.Equal(delays, []int{1}) {
+		t.Fatalf("backoff attempts paced = %v, want [1]", delays)
 	}
 	// The first attempt resolves the other manager, which forwards back to
-	// the one whose failures started the loop, which forwards again: the
-	// backoff re-arms for attempt 2.
+	// the one whose failures started re-registration, which forwards again:
+	// the loop's next firing is paced for attempt 2.
 	f.clock.Advance(time.Minute)
 	_, first, _ := f.grm.counts()
 	_, second, _ := other.counts()
@@ -122,8 +124,8 @@ func TestForwardLoopCostsOneHop(t *testing.T) {
 		t.Fatalf("after the attempt the managers refused %d and %d, want %d each",
 			first, second, reregisterAfter+1)
 	}
-	if len(delays) != 2 || delays[1] != 2 {
-		t.Fatalf("backoff attempts armed = %v, want [1 2]", delays)
+	if !slices.Equal(delays, []int{1, 2}) {
+		t.Fatalf("backoff attempts paced = %v, want [1 2]", delays)
 	}
 	if st := f.lrm.Stats(); st.Reregistrations != 0 || st.UpdatesSent != 0 {
 		t.Fatalf("stats = %+v, want no registration", st)
@@ -160,18 +162,20 @@ type rotation struct {
 	resolved int
 }
 
-func (r *rotation) resolve() (orb.ObjectRef, error) {
+func (r *rotation) resolve(orb.ObjectRef) (orb.ObjectRef, error) {
 	ref := r.refs[r.resolved%len(r.refs)]
 	r.resolved++
 	return ref, nil
 }
 
-// failedManagerFixture is an LRM whose manager has just died, in the
-// re-registration loop with its attempts a minute apart (attempts counts them),
-// and members, bound under the names given, that forward to the dead manager
-// or accept its updates at epoch 2.
+// failedManagerFixture is an LRM whose manager has just died, whose update
+// loop has failed reregisterAfter times a minute apart and re-registers from
+// then on, its attempts a minute apart (attempts counts them), and members,
+// bound under the names given, that forward to the dead manager or accept its
+// updates at epoch 2.
 func failedManagerFixture(t *testing.T, r *rotation, members map[string]bool) (f *fixture, dead orb.ObjectRef, refs map[string]orb.ObjectRef, attempts *int) {
-	f = newFixture(t, dedicatedSpec(1000), nil, ncc.Generous(), WithGRMResolver(r.resolve))
+	f = newFixture(t, dedicatedSpec(1000), nil, ncc.Generous(),
+		WithUpdatePeriod(time.Minute), WithGRMResolver(r.resolve))
 	dead = f.lrm.grmClient().Ref()
 	refs = map[string]orb.ObjectRef{"dead": dead}
 	for _, name := range slices.Sorted(maps.Keys(members)) {
@@ -186,9 +190,12 @@ func failedManagerFixture(t *testing.T, r *rotation, members map[string]bool) (f
 		*attempts++
 		return time.Minute
 	}
-	f.grm.down = true
-	for range reregisterAfter {
-		f.lrm.SendUpdate()
+	f.grm.setDown(true)
+	f.lrm.Start()
+	f.clock.Advance(reregisterAfter * time.Minute)
+	if st := f.lrm.Stats(); st.UpdateFailures != reregisterAfter || r.resolved != 0 {
+		t.Fatalf("stats = %+v after %d resolutions, want %d failed updates and none",
+			st, r.resolved, reregisterAfter)
 	}
 	return f, dead, refs, attempts
 }
@@ -199,15 +206,16 @@ func failedManagerFixture(t *testing.T, r *rotation, members map[string]bool) (f
 // with it rather than with the unreachable member after it.
 func TestReregisterReturnsToRecoveredManager(t *testing.T) {
 	r := &rotation{}
-	f, home, refs, _ := failedManagerFixture(t, r, map[string]bool{"m1": true})
+	f, home, refs, attempts := failedManagerFixture(t, r, map[string]bool{"m1": true})
 	gone := orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: "gone"}, Key: protocol.GRMKey}
 	r.refs = []orb.ObjectRef{refs["m1"], home, gone}
 
 	f.clock.Advance(time.Minute)
-	f.grm.mu.Lock()
-	f.grm.down = false
-	f.grm.mu.Unlock()
-	f.lrm.SendUpdate()
+	if r.resolved != 1 || f.lrm.Stats().Reregistrations != 0 {
+		t.Fatalf("%d resolutions and stats %+v after the first attempt, want 1 and no re-registration",
+			r.resolved, f.lrm.Stats())
+	}
+	f.grm.setDown(false)
 	f.clock.Advance(time.Minute)
 
 	if r.resolved != 2 {
@@ -218,6 +226,13 @@ func TestReregisterReturnsToRecoveredManager(t *testing.T) {
 	}
 	if st := f.lrm.Stats(); st.Reregistrations != 1 {
 		t.Fatalf("stats = %+v, want one re-registration", st)
+	}
+	// Registered, the loop is back at the update period: the next firing is
+	// a minute on, to the recovered manager, and paces no attempt.
+	f.clock.Advance(time.Minute)
+	if r.resolved != 2 || *attempts != 2 || f.grm.updateCount() != 2 {
+		t.Fatalf("%d resolutions, %d attempts paced, %d updates accepted; want 2, 2 and 2",
+			r.resolved, *attempts, f.grm.updateCount())
 	}
 }
 
@@ -231,10 +246,7 @@ func TestReregisterFollowsForwardToRecoveredManager(t *testing.T) {
 	r.refs = []orb.ObjectRef{refs["m1"], refs["m2"]}
 
 	f.clock.Advance(time.Minute)
-	f.grm.mu.Lock()
-	f.grm.down = false
-	f.grm.mu.Unlock()
-	f.lrm.SendUpdate()
+	f.grm.setDown(false)
 	f.clock.Advance(time.Minute)
 
 	if r.resolved != 2 {

@@ -12,6 +12,7 @@ import (
 	"log/slog"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"integrade/internal/lupa"
@@ -26,8 +27,8 @@ import (
 // DefaultUpdatePeriod is the Information Update Protocol cadence.
 const DefaultUpdatePeriod = 30 * time.Second
 
-// reregisterAfter is how many consecutive update failures trigger the
-// re-registration loop: one failure may be a transient fault the next
+// reregisterAfter is how many consecutive update failures turn the update
+// loop to the resolver: one failure may be a transient fault the next
 // periodic update absorbs; two in a row suggest the GRM itself is gone.
 const reregisterAfter = 2
 
@@ -97,12 +98,12 @@ type LRM struct {
 
 	updatePeriod time.Duration
 	reserveTTL   time.Duration
-	resolver     func() (orb.ObjectRef, error) // re-resolves the GRM ref; may be nil
+	resolver     func(leaving orb.ObjectRef) (orb.ObjectRef, error) // re-resolves the GRM ref; may be nil
 	reregDelay   func(nodeID string, attempt int) time.Duration
 	drainLead    time.Duration // 0 = proactive pre-departure drain disabled
 
 	// mu guards grm, taskApp, outbox, windows, stats, stopped, timers,
-	// started, fence, consecFails, rereg and reregAttempt. It must be
+	// started, fence, consecFails and adopting. It must be
 	// released before GRM RPCs (Update/Notify), which block on the remote
 	// side. Snapshot collection reads the node's running set under it, so
 	// l.mu nests outside the node's lock.
@@ -129,12 +130,13 @@ type LRM struct {
 	// carrying an older epoch come from a deposed primary and are refused.
 	// Every manager stamps an epoch of at least 1.
 	fence int
-	// Re-registration loop state: consecutive update failures observed,
-	// whether the backoff-paced re-register loop is currently armed, and its
-	// attempt count.
-	consecFails  int
-	rereg        bool
-	reregAttempt int
+	// consecFails counts the updates in a row that failed. From
+	// reregisterAfter on, with a resolver, updates go to the manager it names
+	// and the update loop fires at the re-registration pace.
+	consecFails int
+	// adopting is the leader whose Adopt call the update loop's next firing
+	// registers with; zero when no call is pending.
+	adopting orb.ObjectRef
 	// drainCoolUntil suppresses repeated drain firings for one predicted
 	// departure: after a drain, the watch stays quiet until the predicted
 	// owner-return deadline (plus the lead) has passed.
@@ -154,11 +156,27 @@ func WithLogger(log *slog.Logger) Option {
 	return func(l *LRM) { l.log = log }
 }
 
-// WithGRMResolver installs a resolver (a Naming lookup, or a rotation through
+// WithGRMResolver installs a resolver (a Naming lookup, or a Rotation through
 // a replica set's members) the LRM uses to re-locate its GRM after repeated
-// update failures. Without one, only a forward or a leader's call moves it.
-func WithGRMResolver(fn func() (orb.ObjectRef, error)) Option {
+// update failures; it is handed the manager the LRM is leaving. Without one,
+// only a forward or a leader's call moves it.
+func WithGRMResolver(fn func(leaving orb.ObjectRef) (orb.ObjectRef, error)) Option {
 	return func(l *LRM) { l.resolver = fn }
+}
+
+// Rotation is a resolver that names refs in turn, from the one after the
+// first, passing over the manager being left while it has another to name.
+func Rotation(refs ...orb.ObjectRef) func(leaving orb.ObjectRef) (orb.ObjectRef, error) {
+	var next atomic.Int64
+	return func(leaving orb.ObjectRef) (orb.ObjectRef, error) {
+		var ref orb.ObjectRef
+		for range refs {
+			if ref = refs[int(next.Add(1))%len(refs)]; ref != leaving {
+				break
+			}
+		}
+		return ref, nil
+	}
 }
 
 // DefaultDrainLead is the pre-departure lead time used when
@@ -217,8 +235,8 @@ func (l *LRM) Stats() Stats {
 	return l.stats
 }
 
-// Start launches the periodic loops: status updates, usage sampling +
-// task-sync, and daily pattern retraining.
+// Start launches the periodic loops: status updates (and with them
+// re-registration), usage sampling + task-sync, and daily pattern retraining.
 func (l *LRM) Start() {
 	l.mu.Lock()
 	if l.started {
@@ -247,38 +265,47 @@ func (l *LRM) Stop() {
 	}
 }
 
-// The LRM's timer loops: the three periodic ones Start arms, the
-// re-registration attempts, and the registration with a leader that called
-// (protocol.Adopt).
+// The LRM's timer loops, the ones Start arms.
 const (
 	loopUpdate = iota
 	loopSample
 	loopRetrain
-	loopReregister
-	loopAdopt
 	numLoops
 )
 
-// schedule arms loop k, a self-rescheduling timer firing every period until
-// Stop.
-func (l *LRM) schedule(k int, period time.Duration, fn func()) {
-	var arm func()
-	arm = func() {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		if l.stopped {
-			return
-		}
-		l.timers[k].Set(l.clock.AfterFunc(period, func() {
-			fn()
-			arm()
-		}))
-	}
-	arm()
+// schedule arms loop k to run fn after d, and again after each delay fn
+// returns, until Stop.
+func (l *LRM) schedule(k int, d time.Duration, fn func() time.Duration) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.scheduleLocked(k, d, fn)
 }
 
-func (l *LRM) updateTick() {
-	l.SendUpdate()
+// scheduleLocked is schedule with l.mu held.
+func (l *LRM) scheduleLocked(k int, d time.Duration, fn func() time.Duration) {
+	if l.stopped {
+		return
+	}
+	l.timers[k].Set(l.clock.AfterFunc(d, func() { l.schedule(k, fn(), fn) }))
+}
+
+// updateTick is one firing of the update loop, the only way the LRM
+// registers with a manager on its own: it sends one update to the leader
+// whose Adopt call is pending, or else where SendUpdate sends it. The next
+// firing is an update period later, or, while the LRM re-registers, after the
+// pause before its next attempt.
+func (l *LRM) updateTick() time.Duration {
+	l.mu.Lock()
+	leader := l.adopting
+	l.adopting = orb.ObjectRef{}
+	l.mu.Unlock()
+	l.sendUpdate(leader)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if attempt := l.consecFails - reregisterAfter + 1; attempt > 0 && l.resolver != nil {
+		return l.reregDelay(l.node.ID(), attempt)
+	}
+	return l.updatePeriod
 }
 
 // grmClient returns the current GRM stub (swapped on re-registration).
@@ -291,44 +318,55 @@ func (l *LRM) grmClient() *protocol.GRMClient {
 // SendUpdate pushes one Information Update Protocol message now, following
 // a refusal that names the leader (register). Task execution is synced first
 // so the reported free capacity and the completions the update carries
-// reflect the present. Repeated failures — including an answer from a manager
-// whose epoch is stale, i.e. a deposed primary still reachable — kick off the
-// re-registration loop when a resolver is configured.
-func (l *LRM) SendUpdate() {
+// reflect the present. Once reregisterAfter updates in a row have failed —
+// an answer from a manager whose epoch is stale, i.e. a deposed primary still
+// reachable, counts as a failure — and a resolver is configured, the update
+// goes to the manager the resolver names: the LRM re-registers.
+func (l *LRM) SendUpdate() { l.sendUpdate(orb.ObjectRef{}) }
+
+// sendUpdate is SendUpdate, sent to leader instead when it is set.
+func (l *LRM) sendUpdate(leader orb.ObjectRef) {
 	l.SyncTasks()
-	if err := l.register(nil); err != nil {
+	l.mu.Lock()
+	prev := l.grm
+	relocate := l.resolver != nil && l.consecFails >= reregisterAfter
+	l.mu.Unlock()
+	client := prev
+	var err error
+	switch {
+	case !leader.IsZero():
+		client = protocol.NewGRMClient(l.inv, leader)
+	case relocate:
+		var ref orb.ObjectRef
+		if ref, err = l.resolver(prev.Ref()); err == nil {
+			client = protocol.NewGRMClient(l.inv, ref)
+		}
+	}
+	if err == nil {
+		err = l.register(client, prev)
+	}
+	if err != nil {
 		l.log.Debug("information update failed", "node", l.node.ID(), "err", err)
 		l.mu.Lock()
 		l.stats.UpdateFailures++
 		l.consecFails++
-		trigger := l.resolver != nil && l.consecFails >= reregisterAfter &&
-			!l.rereg && !l.stopped
-		if trigger {
-			l.rereg = true
-			l.reregAttempt = 0
-		}
+		entering := l.resolver != nil && l.consecFails == reregisterAfter
 		l.mu.Unlock()
-		if trigger {
+		if entering {
 			l.log.Info("GRM unreachable, entering re-registration",
 				"node", l.node.ID(), "failures", reregisterAfter)
-			l.armReregister()
 		}
 	}
 }
 
 // register sends an update to client and, when the manager refuses it with
 // a forward to the leader, once more to the manager the forward names: one
-// hop an attempt. When the manager that accepts it is not the one this LRM
-// reports to, the LRM adopts it, leaves the re-registration loop and
-// reconciles its running tasks with it, unless another registration moved the
-// LRM while the update was on its way: a leader's call (the Adopt handler)
-// runs beside the periodic updates and the loop. A nil client is the manager
-// the LRM reports to, read in the same instant as the one it compares with.
-func (l *LRM) register(client *protocol.GRMClient) error {
-	prev := l.grmClient()
-	if client == nil {
-		client = prev
-	}
+// hop an attempt. When the manager that accepts it is not prev, the one this
+// LRM reported to when the update was addressed, the LRM adopts it and
+// reconciles its running tasks with it, unless another update moved the LRM
+// while this one was on its way: an external SendUpdate may run beside the
+// update loop.
+func (l *LRM) register(client, prev *protocol.GRMClient) error {
 	if err := l.pushUpdate(client); err != nil {
 		ref, ok := orb.Forwarded(err)
 		if !ok {
@@ -343,7 +381,6 @@ func (l *LRM) register(client *protocol.GRMClient) error {
 	adopt := client != l.grm && l.grm == prev
 	if adopt {
 		l.grm = client
-		l.rereg = false
 		l.stats.Reregistrations++
 	}
 	l.consecFails = 0
@@ -450,41 +487,6 @@ func (l *LRM) admitEpoch(epoch int) bool {
 	return true
 }
 
-// armReregister schedules the next re-registration attempt under the capped
-// exponential backoff with deterministic per-node jitter.
-func (l *LRM) armReregister() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.stopped || !l.rereg {
-		return
-	}
-	l.reregAttempt++
-	l.timers[loopReregister].Set(l.clock.AfterFunc(l.reregDelay(l.node.ID(), l.reregAttempt), l.reregisterTick))
-}
-
-// reregisterTick is one re-registration attempt: re-resolve the GRM
-// reference and register with it — a status update with the completions no
-// manager has accepted yet, then adopting the manager that accepts it and
-// reconciling running tasks. Failures re-arm with increased backoff.
-func (l *LRM) reregisterTick() {
-	l.mu.Lock()
-	if l.stopped || !l.rereg {
-		l.mu.Unlock()
-		return
-	}
-	resolver := l.resolver
-	l.mu.Unlock()
-
-	ref, err := resolver()
-	if err == nil {
-		err = l.register(protocol.NewGRMClient(l.inv, ref))
-	}
-	if err != nil {
-		l.log.Debug("re-registration failed", "node", l.node.ID(), "err", err)
-		l.armReregister()
-	}
-}
-
 // reconcile reports the node's running tasks to the GRM it just registered
 // with and cancels the ones the GRM disowns — the orphaned placements of a
 // dead manager, whose committed capacity would otherwise stay leaked until
@@ -582,14 +584,15 @@ func (l *LRM) gridFree(now time.Time) resource.Vector {
 
 // sampleTick feeds the LUPA, advances task execution, and runs the
 // pre-departure watch (SyncTasks first, so drained tasks report progress
-// advanced to now).
-func (l *LRM) sampleTick() {
+// advanced to now). It fires every usage interval.
+func (l *LRM) sampleTick() time.Duration {
 	now := l.clock.Now()
 	if l.analyzer != nil {
 		l.analyzer.Record(now, l.node.OwnerActivity(now))
 	}
 	l.SyncTasks()
 	l.departureWatch(now)
+	return usage.Interval
 }
 
 // departureWatch fires the graceful-departure drain when the LUPA predicts
@@ -696,7 +699,10 @@ func (l *LRM) taskEventLocked(kind protocol.TaskEventKind, t *node.Task, now tim
 // retrainTick retrains the LUPA daily; the next update carries its forecast.
 // Start schedules it only on nodes with a LUPA. An error means there is not
 // enough history yet.
-func (l *LRM) retrainTick() { _ = l.analyzer.Retrain() }
+func (l *LRM) retrainTick() time.Duration {
+	_ = l.analyzer.Retrain()
+	return 24 * time.Hour
+}
 
 // Servant exposes the LRM's reservation/execution interface.
 func (l *LRM) Servant() orb.Servant {
@@ -720,23 +726,19 @@ func (l *LRM) Servant() orb.Servant {
 		return l.handleCancel(r.TaskID), nil
 	})
 	// A new leader's call: past the fence, a manager this LRM does not report
-	// to is registered with on a zero-delay timer, so that the handler never
-	// calls the GRM back while the GRM waits on it. A later call's timer
-	// replaces one that has not fired: the LRM registers with the newest
-	// leader only.
+	// to is the one the update loop's next firing goes to, and the loop fires
+	// at once, on its timer, so that the handler never calls the GRM back
+	// while the GRM waits on it. A later call replaces one whose firing has
+	// not come: the LRM registers with the newest leader only.
 	orb.Serve(m, protocol.Adopt, func(r protocol.AdoptRequest) (struct{}, error) {
 		if !l.admitEpoch(r.Epoch) {
 			return struct{}{}, orb.Errorf(orb.CodeApplication, "adopt: stale manager epoch %d", r.Epoch)
 		}
 		l.mu.Lock()
 		defer l.mu.Unlock()
-		if !l.stopped && l.grm.Ref() != r.GRM {
-			l.timers[loopAdopt].Set(l.clock.AfterFunc(0, func() {
-				l.SyncTasks()
-				if err := l.register(protocol.NewGRMClient(l.inv, r.GRM)); err != nil {
-					l.log.Debug("registration with the calling leader failed", "node", l.node.ID(), "err", err)
-				}
-			}))
+		if l.grm.Ref() != r.GRM {
+			l.adopting = r.GRM
+			l.scheduleLocked(loopUpdate, 0, l.updateTick)
 		}
 		return struct{}{}, nil
 	})

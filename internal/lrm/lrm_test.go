@@ -350,7 +350,7 @@ func TestCompletionWhileReregisteringReachesNewManager(t *testing.T) {
 	var nextRef orb.ObjectRef
 	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous(),
 		WithUpdatePeriod(30*time.Second),
-		WithGRMResolver(func() (orb.ObjectRef, error) { return nextRef, nil }))
+		WithGRMResolver(func(orb.ObjectRef) (orb.ObjectRef, error) { return nextRef, nil }))
 	f.lrm.reregDelay = func(string, int) time.Duration { return 10 * time.Minute }
 	adapter := orb.NewAdapter()
 	if err := adapter.Register(protocol.GRMKey, next.servant()); err != nil {
@@ -365,8 +365,8 @@ func TestCompletionWhileReregisteringReachesNewManager(t *testing.T) {
 	f.startTask(t, "app", "app/t0", 400*120) // two minutes
 	f.lrm.Start()
 	f.grm.setDown(true)
-	// Two failed updates arm the re-registration loop; its first attempt is
-	// ten minutes out, and the task finishes long before it.
+	// Two failed updates turn the update loop to re-registration; its first
+	// attempt is ten minutes out, and the task finishes long before it.
 	f.clock.Advance(5 * time.Minute)
 	if got := f.lrm.Stats(); got.TasksCompleted != 1 || got.Reregistrations != 0 {
 		t.Fatalf("stats before re-registration = %+v", got)
@@ -735,15 +735,17 @@ func heldTimers(l *LRM) int {
 }
 
 // TestTimersBoundedByLoops: an LRM holds at most one timer per loop. A sim
-// day at 30-s updates, half of it with its manager down and the
-// re-registration loop retrying, and a leader's calls now and then, fires
-// thousands of timers (3 170 were held when every loop kept each it armed).
-// Stop cancels them, and Start after Stop runs each loop once.
+// day at 30-s updates, half of it with its manager down and the update loop
+// re-registering, and a leader's calls now and then, fires thousands of
+// timers (3 170 were held when every loop kept each it armed). Stop cancels
+// them, and Start after Stop runs each loop once: the hour after a restart
+// reads one accepted update every 30 s.
 func TestTimersBoundedByLoops(t *testing.T) {
 	mgr := orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: "mgr"}, Key: protocol.GRMKey}
 	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous(),
 		WithUpdatePeriod(30*time.Second),
-		WithGRMResolver(func() (orb.ObjectRef, error) { return mgr, nil }))
+		WithGRMResolver(func(orb.ObjectRef) (orb.ObjectRef, error) { return mgr, nil }))
+	f.grm.epoch = 1 // the leader's calls below raise the fence to 1
 	f.lrm.Start()
 	other := orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: "mgr-2"}, Key: protocol.GRMKey}
 	for hour := range 24 {
@@ -768,7 +770,66 @@ func TestTimersBoundedByLoops(t *testing.T) {
 	before := f.grm.updateCount()
 	f.clock.Advance(time.Hour)
 	if got := f.grm.updateCount() - before; got != 120 {
-		t.Fatalf("%d updates in the hour after a restart at 30-s updates, want 120", got)
+		t.Fatalf("%d updates accepted in the hour after a restart at 30-s updates, want 120", got)
+	}
+}
+
+// TestRestartDuringReregistration: an LRM stopped while it re-registers
+// resumes re-registering once started again. Its manager goes down and two
+// updates fail; it is stopped; the resolver now names a live manager; it is
+// started, and within the hour it reports to the live manager.
+func TestRestartDuringReregistration(t *testing.T) {
+	live := &fakeGRM{}
+	var target orb.ObjectRef
+	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous(),
+		WithUpdatePeriod(30*time.Second),
+		WithGRMResolver(func(orb.ObjectRef) (orb.ObjectRef, error) { return target, nil }))
+	dead := f.lrm.grmClient().Ref()
+	liveRef := f.bindGRM(t, "live", live)
+	target = dead
+	f.grm.setDown(true)
+	f.lrm.Start()
+	f.clock.Advance(time.Minute)
+	if st := f.lrm.Stats(); st.UpdateFailures != reregisterAfter {
+		t.Fatalf("stats = %+v, want %d failed updates", st, reregisterAfter)
+	}
+
+	f.lrm.Stop()
+	target = liveRef
+	f.lrm.Start()
+	f.clock.Advance(time.Hour)
+
+	st := f.lrm.Stats()
+	if got := f.lrm.grmClient().Ref(); got != liveRef || st.Reregistrations != 1 {
+		t.Fatalf("reporting to %v with stats %+v, want the live manager %v after one re-registration",
+			got, st, liveRef)
+	}
+	if live.updateCount() == 0 {
+		t.Fatal("the live manager got no update")
+	}
+}
+
+// TestRotationPassesOverLeaving: a rotation over three managers, leaving the
+// first, never names it, and names the other two in turn.
+func TestRotationPassesOverLeaving(t *testing.T) {
+	var refs []orb.ObjectRef
+	for _, addr := range []string{"m0", "m1", "m2"} {
+		refs = append(refs, orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: addr}, Key: protocol.GRMKey})
+	}
+	resolve := Rotation(refs...)
+	var got []string
+	for range 6 {
+		ref, err := resolve(refs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, ref.Endpoint.Addr)
+	}
+	if want := []string{"m1", "m2", "m1", "m2", "m1", "m2"}; !slices.Equal(got, want) {
+		t.Fatalf("leaving m0, the rotation named %v, want %v", got, want)
+	}
+	if ref, _ := Rotation(refs[0])(refs[0]); ref != refs[0] {
+		t.Fatalf("a rotation over the manager being left alone named %v, want it", ref)
 	}
 }
 

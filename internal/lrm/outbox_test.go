@@ -121,10 +121,10 @@ func TestSyncTasksRacesSendUpdate(t *testing.T) {
 }
 
 // TestAdoptRacesSendUpdate: two managers take turns calling the LRM to
-// register with them, each call's registration run at once on the clock,
-// while periodic updates go out from another goroutine. Every call from the
-// manager the LRM does not report to moves it, once, with one reconcile of
-// its running task; run it under -race.
+// register with them, each call's registration run at once by the update
+// loop on the clock, while external SendUpdate calls go out from another
+// goroutine. Every call from the manager the LRM does not report to moves
+// it, once, with one reconcile of its running task; run it under -race.
 func TestAdoptRacesSendUpdate(t *testing.T) {
 	const calls = 50
 	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous())
