@@ -25,7 +25,7 @@ test:
 # (TestHeldOffersOutliveShardReuse),
 # the GRM's candidates against updates its LRMs feed it mid-negotiation
 # (TestReserveFedUpdateKeepsCandidates), the GRM's failure sweep against heartbeats
-# that rewrite their node records' window arrays in place
+# that export their nodes' offers while a replica stream flushes
 # (TestSweepRacingHeartbeats), updates against Departing notices and the
 # sweep, each of which takes its node's offer in the one g.mu section the
 # update records and exports in (TestDeparturesRacingUpdates), replies whose

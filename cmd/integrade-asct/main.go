@@ -75,7 +75,6 @@ func submit(tool *asct.Tool, args []string) error {
 		minRAM  = fs.Float64("min-ram", 0, "hard minimum machine RAM MB")
 		cons    = fs.String("constraint", "", "extra trader constraint expression")
 		ckpt    = fs.Float64("checkpoint", 0, "checkpoint every this much work (MI); enables restart")
-		faster  = fs.Bool("prefer-fast", false, "prefer faster CPUs")
 		watch   = fs.Bool("watch", false, "poll status until completion")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -102,9 +101,6 @@ func submit(tool *asct.Tool, args []string) error {
 	}
 	if *ckpt > 0 {
 		b.Checkpoint(*ckpt)
-	}
-	if *faster {
-		b.PreferFasterCPU()
 	}
 
 	h, err := tool.Submit(b)

@@ -1,13 +1,17 @@
 // Package asct implements the Application Submission and Control Tool: the
 // user-facing component for describing applications (execution
-// prerequisites, resource requirements, preferences), submitting them to a
-// GRM, and monitoring their progress.
+// prerequisites, resource requirements), submitting them to a GRM, and
+// monitoring their progress.
 //
 // Per the paper: "The user can specify execution prerequisites, such as
 // hardware and software platforms, resource requirements such as minimum
 // memory requirements, and preferences, like rather executing on a faster
 // CPU than on a slower one. The user can also use the tool to monitor
 // application progress."
+//
+// The paper's preferences are not reproduced: the cluster's policy orders
+// candidate nodes in one ranking that a whole admission batch shares, and a
+// per-application order would fork that ranking.
 package asct
 
 import (
@@ -85,18 +89,6 @@ func (b *Builder) RequireMinimum(minimum resource.Vector) *Builder {
 // the minimum requirements).
 func (b *Builder) Allocate(alloc resource.Vector) *Builder {
 	b.spec.Alloc = alloc
-	return b
-}
-
-// PreferFasterCPU expresses the canonical preference from the paper.
-func (b *Builder) PreferFasterCPU() *Builder {
-	b.spec.Preferences.FasterCPU = true
-	return b
-}
-
-// preferMoreRAM prefers nodes with more free memory.
-func (b *Builder) preferMoreRAM() *Builder {
-	b.spec.Preferences.MoreRAM = true
 	return b
 }
 

@@ -48,8 +48,6 @@ func TestBuilderFullSpec(t *testing.T) {
 		OnPlatform(linux).
 		RequireMinimum(resource.Vector{MIPS: 500, RAMMB: 16}).
 		Allocate(resource.Vector{MIPS: 500, RAMMB: 32}).
-		PreferFasterCPU().
-		preferMoreRAM().
 		Constraint("not owner_busy").
 		Topology(10,
 			protocol.TopologyGroup{Nodes: 50, IntraMbps: 100},
@@ -61,9 +59,6 @@ func TestBuilderFullSpec(t *testing.T) {
 	}
 	if spec.Requirements.Platform == nil || spec.Requirements.Platform.OS != "linux" {
 		t.Fatal("platform lost")
-	}
-	if !spec.Preferences.FasterCPU || !spec.Preferences.MoreRAM {
-		t.Fatal("preferences lost")
 	}
 	if spec.Topology == nil || spec.Topology.TotalNodes() != 100 {
 		t.Fatal("topology lost")
@@ -137,8 +132,7 @@ func TestSubmitAndWait(t *testing.T) {
 	h, err := tool.Submit(NewApplication("quick").
 		Sequential(300_000). // 5 min at 1000 MIPS
 		RequireMinimum(resource.Vector{MIPS: 500, RAMMB: 16}).
-		Allocate(resource.Vector{MIPS: 1000, RAMMB: 64}).
-		PreferFasterCPU())
+		Allocate(resource.Vector{MIPS: 1000, RAMMB: 64}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,8 +54,7 @@ func TestQuickstartScenario(t *testing.T) {
 	h, err := g.Submit(asct.NewApplication("demo").
 		Sequential(600_000).
 		RequireMinimum(resource.Vector{MIPS: 500, RAMMB: 16}).
-		Allocate(resource.Vector{MIPS: 1000, RAMMB: 64}).
-		PreferFasterCPU())
+		Allocate(resource.Vector{MIPS: 1000, RAMMB: 64}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,8 @@ type nodeLiveness struct {
 	lastSeen time.Time
 	interval time.Duration // most recently observed update gap
 	updates  int
-	// status is the node's latest full NodeStatus (zero on a follower).
+	// status is the node's latest NodeStatus, without its windows, which
+	// only that update's export reads (zero on a follower).
 	status protocol.NodeStatus
 	// place is where the node's offer sits in the trader, for its updates to
 	// upsert through; zero until the offer is exported by reference, and again
@@ -409,8 +410,8 @@ func (g *GRM) Stop() {
 // LRM sends them again, to whoever it reports to next.
 func (g *GRM) handleUpdate(d *orb.Decoder) (int, error) {
 	now := g.clock.Now()
-	// The windows stay on this stack: the record copies them into an array
-	// of its own.
+	// The windows stay on this stack: the export reads them, and the record
+	// keeps none.
 	var buf [protocol.MaxWindows]protocol.AvailWindow
 	peek := *d
 	id := peek.RawString()
@@ -434,8 +435,8 @@ func (g *GRM) handleUpdate(d *orb.Decoder) (int, error) {
 	epoch := g.epoch
 	// A departing node exports nothing: an offer would hand it fresh work
 	// right before the predicted owner arrival.
-	if lv = g.recordStatusLocked(lv, &s, windows, now); lv.departUntil.IsZero() {
-		g.exportStatusOffer(lv, now)
+	if lv = g.recordStatusLocked(lv, &s, now); lv.departUntil.IsZero() {
+		g.exportStatusOffer(lv, windows, now)
 	}
 	g.mu.Unlock()
 	for events.Len() > 0 {
@@ -469,14 +470,15 @@ func coveringWindow(windows []protocol.AvailWindow, now time.Time) offerWindow {
 }
 
 // exportStatusOffer upserts the trader offer of the node whose record lv is,
-// from its status and the window covering now, stamped with the manager's
-// fencing epoch, through the record's place. When the record holds none — the
-// node's first export, or its first since its place was taken — or its place
-// died under it, swept with an expired offer, it exports by reference and
-// stores the new place in the record. Caller holds g.mu.
-func (g *GRM) exportStatusOffer(lv *nodeLiveness, now time.Time) {
+// from its status and the one of the update's windows covering now, stamped
+// with the manager's fencing epoch, through the record's place. When the
+// record holds none — the node's first export, or its first since its place
+// was taken — or its place died under it, swept with an expired offer, it
+// exports by reference and stores the new place in the record. Caller holds
+// g.mu.
+func (g *GRM) exportStatusOffer(lv *nodeLiveness, windows []protocol.AvailWindow, now time.Time) {
 	s := &lv.status
-	win := coveringWindow(s.Windows, now)
+	win := coveringWindow(windows, now)
 	// One value per name of statusSchema, in its order, on the stack: Upsert
 	// and Export copy them into the offer they store.
 	values := [...]constraint.Value{
@@ -1123,6 +1125,12 @@ func buildConstraint(spec protocol.ApplicationSpec) string {
 	}
 	if min.RAMMB > 0 {
 		b = appendAtLeast(b, "ram_total", min.RAMMB)
+	}
+	if min.DiskMB > 0 {
+		b = appendAtLeast(b, "disk_total", min.DiskMB)
+	}
+	if min.NetMbps > 0 {
+		b = appendAtLeast(b, "net_total", min.NetMbps)
 	}
 	if p := spec.Requirements.Platform; p != nil {
 		b = appendEquals(b, PropOS, p.OS)

@@ -32,6 +32,7 @@ type cluster struct {
 
 type nodeSpec struct {
 	mips      float64
+	diskMB    float64 // 0 means 10240
 	lan       string
 	dedicated bool
 	profile   *usage.Profile
@@ -70,6 +71,9 @@ func newCluster(t *testing.T, specs []nodeSpec, grmOpts ...grm.Option) *cluster 
 		}
 		if spec.LANID == "" {
 			spec.LANID = "lan0"
+		}
+		if s.diskMB > 0 {
+			spec.Capacity.DiskMB = s.diskMB
 		}
 		var trace *usage.Trace
 		if !s.dedicated && s.profile != nil {
@@ -597,6 +601,27 @@ func TestConstraintExpressionFiltersNodes(t *testing.T) {
 	st := c.status(id)
 	if st.Tasks[0].NodeID != "node-1" {
 		t.Fatalf("placed on %q despite lan constraint", st.Tasks[0].NodeID)
+	}
+}
+
+func TestMinimumDiskFloorFiltersNodes(t *testing.T) {
+	// Best-fit tries node-0 (more free CPU) first, but its disk is below the
+	// app's minimum; with an allocation set, only the minimum's disk_total
+	// clause keeps the app off it.
+	c := newCluster(t, []nodeSpec{
+		{mips: 2000, diskMB: 1024, dedicated: true},
+		{mips: 1000, dedicated: true},
+	}, grm.WithPolicy(grm.BestFit{}))
+	id := c.submit(protocol.ApplicationSpec{
+		Name:         "disk-floor",
+		Kind:         protocol.AppSequential,
+		NumTasks:     1,
+		WorkPerTask:  60_000,
+		Requirements: resource.Requirements{Min: resource.Vector{MIPS: 500, RAMMB: 16, DiskMB: 4096}},
+		Alloc:        resource.Vector{MIPS: 500, RAMMB: 64},
+	})
+	if got := c.status(id).Tasks[0].NodeID; got != "node-1" {
+		t.Fatalf("placed on %q, below the minimum's disk floor", got)
 	}
 }
 

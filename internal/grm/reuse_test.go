@@ -36,6 +36,12 @@ func fmtConstraint(spec protocol.ApplicationSpec) string {
 	if min.RAMMB > 0 {
 		add("ram_total >= %g", min.RAMMB)
 	}
+	if min.DiskMB > 0 {
+		add("disk_total >= %g", min.DiskMB)
+	}
+	if min.NetMbps > 0 {
+		add("net_total >= %g", min.NetMbps)
+	}
 	if p := spec.Requirements.Platform; p != nil {
 		add("%s == '%s'", PropOS, p.OS)
 		add("%s == '%s'", PropArch, p.Arch)
@@ -55,13 +61,14 @@ func TestBuildConstraintMatchesFmt(t *testing.T) {
 	specs := map[string]protocol.ApplicationSpec{
 		"alloc only":            {Alloc: resource.Vector{MIPS: 900, RAMMB: 256}},
 		"minimum as alloc":      {Requirements: resource.Requirements{Min: resource.Vector{MIPS: 0.1, RAMMB: 2048}}},
-		"every clause":          {Alloc: resource.Vector{MIPS: 1e-7, RAMMB: 1e21, DiskMB: 123456789, NetMbps: 0.1}, Requirements: resource.Requirements{Min: resource.Vector{MIPS: 2048, RAMMB: 1e-7}, Platform: linux}, Constraint: "lan == 'lan03'"},
+		"every clause":          {Alloc: resource.Vector{MIPS: 1e-7, RAMMB: 1e21, DiskMB: 123456789, NetMbps: 0.1}, Requirements: resource.Requirements{Min: resource.Vector{MIPS: 2048, RAMMB: 1e-7, DiskMB: 0.1, NetMbps: 123456789}, Platform: linux}, Constraint: "lan == 'lan03'"},
 		"disk and net":          {Alloc: resource.Vector{MIPS: 123456789, RAMMB: 0.1, DiskMB: 2048, NetMbps: 1e21}},
 		"platform only":         {Alloc: resource.Vector{MIPS: 500, RAMMB: 64}, Requirements: resource.Requirements{Platform: &resource.Platform{Arch: "arm64", OS: "windows"}}},
 		"minimum beside alloc":  {Alloc: resource.Vector{MIPS: 1, RAMMB: 1}, Requirements: resource.Requirements{Min: resource.Vector{MIPS: 1e21, RAMMB: 123456789}}},
 		"long constraint":       {Alloc: resource.Vector{MIPS: 900, RAMMB: 256, DiskMB: 1e-7}, Constraint: long},
 		"zero alloc":            {},
 		"negative, long digits": {Alloc: resource.Vector{MIPS: -0.5, RAMMB: 3.0000000000000004}},
+		"disk and net minimum":  {Alloc: resource.Vector{MIPS: 900, RAMMB: 256}, Requirements: resource.Requirements{Min: resource.Vector{MIPS: 500, RAMMB: 16, DiskMB: 4096, NetMbps: 1e-7}}},
 	}
 	for name, spec := range specs {
 		if got, want := buildConstraint(spec), fmtConstraint(spec); got != want {

@@ -52,16 +52,13 @@ func (g *GRM) markLocked(e entity) {
 	}
 }
 
-// recordStatusLocked records a node's latest status, the windows that came
-// with it and its heartbeat into lv, the node's record (nil: a new one), ends a
-// departure whose deadline has passed, and returns the record. The node is
-// marked for the log on a membership change only: new, or its departure over.
-// The windows are copied into the record's own array, which is reused across
-// updates and grows only when the node reports more than it ever has; it is
-// rewritten in place, so it is read only under g.mu. A status from a new
+// recordStatusLocked records a node's latest status and its heartbeat into
+// lv, the node's record (nil: a new one), ends a departure whose deadline has
+// passed, and returns the record. The node is marked for the log on a
+// membership change only: new, or its departure over. A status from a new
 // reference withdraws the old reference's offer and takes its place: that
 // offer names an LRM the node no longer reports from.
-func (g *GRM) recordStatusLocked(lv *nodeLiveness, s *protocol.NodeStatus, windows []protocol.AvailWindow, now time.Time) *nodeLiveness {
+func (g *GRM) recordStatusLocked(lv *nodeLiveness, s *protocol.NodeStatus, now time.Time) *nodeLiveness {
 	if lv == nil {
 		g.markLocked(entity{entityNode, s.NodeID})
 		lv = &nodeLiveness{}
@@ -74,9 +71,7 @@ func (g *GRM) recordStatusLocked(lv *nodeLiveness, s *protocol.NodeStatus, windo
 	}
 	lv.lastSeen = now
 	lv.updates++
-	own := lv.status.Windows
 	lv.status = *s
-	lv.status.Windows = append(own[:0], windows...)
 	if !lv.departUntil.IsZero() && !now.Before(lv.departUntil) {
 		lv.departUntil = time.Time{}
 		g.markLocked(entity{entityNode, s.NodeID})

@@ -139,10 +139,9 @@ func TestSweepRacingHeartbeatReplay(t *testing.T) {
 // heartbeat 64 nodes, half of which are stale when the sweep starts, and
 // checks after every round that each node left alive has exactly one offer.
 // The GRM leads a replica set whose stream flushes all the while, and every
-// heartbeat reports a window count its node's previous one did not, so the
-// records' window arrays are rewritten in place, and grown, under the readers
-// of a record: the batch encoder and the export, which may only read them
-// under g.mu. `make race` runs this ten times under the race detector.
+// heartbeat reports a window count its node's previous one did not, which
+// its export reads from the update, not from the node's record. `make race`
+// runs this ten times under the race detector.
 func TestSweepRacingHeartbeats(t *testing.T) {
 	const nodes, workers, rounds = 64, 8, 50
 	g, clock, fleet := sweepFixture(t, nodes)
@@ -153,8 +152,7 @@ func TestSweepRacingHeartbeats(t *testing.T) {
 		}
 		return err
 	})
-	// A task runs on every node, so that the batches carry the nodes'
-	// statuses, windows included, until a sweep rolls a node's task back.
+	// A task runs on every node, so that a sweep rolls a node's task back.
 	app := &appInfo{id: "app"}
 	g.mu.Lock()
 	g.repl = repl
@@ -199,8 +197,8 @@ func TestSweepRacingHeartbeats(t *testing.T) {
 		for w := range workers {
 			go func() {
 				defer wg.Done()
-				// Three windows, then two, then one: each heartbeat after the
-				// first rewrites the array the one before it grew.
+				// Three windows, then two, then one: each heartbeat reports a
+				// window count the one before it did not.
 				for n := 3; n > 0; n-- {
 					for i := w; i < nodes; i += workers {
 						heartbeat(t, g, clock, withWindows(fleet[i], n))

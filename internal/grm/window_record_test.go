@@ -29,11 +29,10 @@ func windowedNode(t *testing.T) (*GRM, *sim.VirtualClock, protocol.NodeStatus) {
 	}
 }
 
-// TestRecordReusesWindowArray: a node's record copies each update's windows
-// into an array of its own and reuses it across updates. After reports of 3,
-// 0, 2 and 1 windows it holds exactly the last report's one window, and no
-// tail of a longer report before it: not in the record itself, and not in the
-// offer the last update exports from the record at an instant inside the first
+// TestRecordReusesWindowArray: each update's offer advertises the window of
+// its own report that covers the update's instant, none of an earlier
+// report's. Reports of 3, 0, 2 and 1 windows export window(0), nothing,
+// nothing, and nothing for the last, sent at an instant inside the first
 // report's third window.
 func TestRecordReusesWindowArray(t *testing.T) {
 	g, clock, s := windowedNode(t)
@@ -44,35 +43,29 @@ func TestRecordReusesWindowArray(t *testing.T) {
 		return protocol.AvailWindow{Start: from, End: from.Add(time.Hour), Confidence: 0.1 * float64(k+1)}
 	}
 	reports := []struct {
-		at      time.Duration
-		windows []protocol.AvailWindow
+		at        time.Duration
+		windows   []protocol.AvailWindow
+		end, conf float64 // the offer's window, zero for none
 	}{
-		{0, []protocol.AvailWindow{window(0), window(1), window(2)}},
-		{time.Hour, nil},
-		{2 * time.Hour, []protocol.AvailWindow{window(3), window(4)}},
-		{4*time.Hour + 30*time.Minute, []protocol.AvailWindow{window(5)}}, // inside window(2)
+		{0, []protocol.AvailWindow{window(0), window(1), window(2)}, float64(window(0).End.Unix()), 0.1},
+		{time.Hour, nil, 0, 0},
+		{2 * time.Hour, []protocol.AvailWindow{window(3), window(4)}, 0, 0},
+		{4*time.Hour + 30*time.Minute, []protocol.AvailWindow{window(5)}, 0, 0}, // inside window(2)
 	}
-	for _, r := range reports {
+	for i, r := range reports {
 		clock.Advance(start.Add(r.at).Sub(clock.Now()))
 		s.Timestamp, s.Windows = clock.Now(), r.windows
 		if err := sendUpdate(g, s); err != nil {
 			t.Fatal(err)
 		}
-	}
-	last := reports[len(reports)-1].windows
-	g.mu.Lock()
-	got := slices.Clone(g.nodes[s.NodeID].status.Windows)
-	g.mu.Unlock()
-	if !slices.Equal(got, last) {
-		t.Fatalf("the node's record holds windows %+v, want %+v", got, last)
-	}
-	all := g.Trader().All("")
-	if len(all) != 1 {
-		t.Fatalf("the trader holds %d offers, want 1", len(all))
-	}
-	if end := numProp(&all[0], fieldWindowEnd); end != 0 {
-		t.Fatalf("the last update exported win_end %v at %v, want 0: no window the node last reported covers it",
-			time.Unix(int64(end), 0).UTC(), clock.Now().UTC())
+		all := g.Trader().All("")
+		if len(all) != 1 {
+			t.Fatalf("report %d: the trader holds %d offers, want 1", i, len(all))
+		}
+		if end, conf := numProp(&all[0], fieldWindowEnd), numProp(&all[0], fieldWindowConf); end != r.end || conf != r.conf {
+			t.Fatalf("report %d at %v exported window_end %v, window_conf %v; want %v, %v",
+				i, clock.Now().UTC(), end, conf, r.end, r.conf)
+		}
 	}
 }
 
@@ -90,9 +83,7 @@ func TestOverlongForecastRefused(t *testing.T) {
 	record := func() nodeLiveness {
 		g.mu.Lock()
 		defer g.mu.Unlock()
-		lv := *g.nodes[s.NodeID]
-		lv.status.Windows = slices.Clone(lv.status.Windows)
-		return lv
+		return *g.nodes[s.NodeID]
 	}
 	offers := func() []trading.Offer { return g.Trader().All("") }
 	before, received, offered, version := record(), g.Stats().UpdatesReceived, offers(), g.Trader().Version()

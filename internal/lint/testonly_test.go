@@ -2,6 +2,7 @@ package lint_test
 
 import (
 	"bufio"
+	"go/ast"
 	"go/token"
 	"go/types"
 	"maps"
@@ -14,8 +15,8 @@ import (
 	"integrade/internal/lint"
 )
 
-// allowListFile names the exported identifiers that only tests use on
-// purpose, one per line with its reason.
+// allowListFile names the exported identifiers and unexported functions that
+// only tests use on purpose, one per line with its reason.
 const allowListFile = "testdata/testonly_exports.txt"
 
 // wholePackageAllowed are the only packages the allow-list may name as a
@@ -28,10 +29,12 @@ var wholePackageAllowed = map[string]bool{
 
 // TestNoTestOnlyExports is the gate against code only tests reach: every
 // exported package-level identifier and exported method of an internal/
-// package must have a use in a non-test file of the module (cmd/, examples/
+// package, and every unexported package-level function and method with a
+// body, must have a use in a non-test file of the module (cmd/, examples/
 // and benchmark/ included), or an allow-list entry saying why a test needs
-// it. An allow-list entry that matches nothing fails too, so the list
-// cannot outlive what it excuses.
+// it. A method that satisfies an interface counts as used. An allow-list
+// entry that matches nothing fails too, so the list cannot outlive what it
+// excuses.
 //
 // Objects are keyed by package path, receiver type name and name, not by
 // identity: every importer sees its own copy of an imported object.
@@ -40,8 +43,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 	allow := readAllowList(t)
 	used := usedKeys(pkgs)
 	matched := map[string]bool{}
-	exported := exportedObjects(pkgs)
-	for _, key := range slices.Sorted(maps.Keys(exported)) {
+	tracked := exportedObjects(pkgs)
+	maps.Copy(tracked, unexportedFuncs(pkgs))
+	for _, key := range slices.Sorted(maps.Keys(tracked)) {
 		if used[key] {
 			continue
 		}
@@ -49,11 +53,11 @@ func TestNoTestOnlyExports(t *testing.T) {
 			matched[entry] = true
 			continue
 		}
-		t.Errorf("%s: %s is exported but only tests use it: delete it, unexport it, or allow-list it in %s with a reason", exported[key], key, allowListFile)
+		t.Errorf("%s: only tests use %s: delete it or allow-list it in %s with a reason", tracked[key], key, allowListFile)
 	}
 	for _, entry := range slices.Sorted(maps.Keys(allow)) {
 		if !matched[entry] {
-			t.Errorf("%s: allow-list entry %s matches no test-only export; remove it", allowListFile, entry)
+			t.Errorf("%s: allow-list entry %s matches nothing only tests use; remove it", allowListFile, entry)
 		}
 	}
 }
@@ -245,6 +249,31 @@ func exportedObjects(pkgs []*lint.Package) map[string]token.Position {
 			for i := 0; i < named.NumMethods(); i++ {
 				if m := named.Method(i); m.Exported() {
 					add(objectKey(m), m)
+				}
+			}
+		}
+	}
+	return keys
+}
+
+// unexportedFuncs maps the key of every unexported package-level function
+// and method with a body declared in the module's internal/ packages to its
+// position.
+func unexportedFuncs(pkgs []*lint.Package) map[string]token.Position {
+	keys := map[string]token.Position{}
+	for _, p := range pkgs {
+		if !isInternal(p.Types) {
+			continue
+		}
+		for _, f := range p.Syntax {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil || fd.Name.IsExported() || fd.Name.Name == "init" || fd.Name.Name == "_" {
+					continue
+				}
+				obj := p.TypesInfo.Defs[fd.Name]
+				if key := objectKey(obj); key != "" {
+					keys[key] = relPosition(p, obj.Pos())
 				}
 			}
 		}

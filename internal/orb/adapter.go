@@ -2,7 +2,6 @@ package orb
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -117,36 +116,6 @@ func (a *Adapter) Register(key string, s Servant) error {
 	next[key] = s
 	a.servants.Store(&next)
 	return nil
-}
-
-// deactivate removes the servant bound to key, if any. It reports whether a
-// servant was removed.
-func (a *Adapter) deactivate(key string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	old := *a.servants.Load()
-	if _, ok := old[key]; !ok {
-		return false
-	}
-	next := make(map[string]Servant, len(old))
-	for k, v := range old {
-		if k != key {
-			next[k] = v
-		}
-	}
-	a.servants.Store(&next)
-	return true
-}
-
-// sortedKeys returns the registered object keys in sorted order.
-func (a *Adapter) sortedKeys() []string {
-	servants := *a.servants.Load()
-	keys := make([]string, 0, len(servants))
-	for k := range servants {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // dispatch routes one request to its servant and returns the reply bytes,

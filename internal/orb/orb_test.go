@@ -59,28 +59,6 @@ func TestAdapterRegisterErrors(t *testing.T) {
 	if err := a.Register("x", echoServant()); err == nil {
 		t.Fatal("duplicate key accepted")
 	}
-	if !a.deactivate("x") {
-		t.Fatal("deactivate existing = false")
-	}
-	if a.deactivate("x") {
-		t.Fatal("deactivate missing = true")
-	}
-}
-
-func TestAdapterKeysSorted(t *testing.T) {
-	a := NewAdapter()
-	for _, k := range []string{"zeta", "alpha", "mid"} {
-		if err := a.Register(k, echoServant()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys := a.sortedKeys()
-	want := []string{"alpha", "mid", "zeta"}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("sortedKeys = %v", keys)
-		}
-	}
 }
 
 func TestLoopbackInvoke(t *testing.T) {

@@ -62,7 +62,7 @@ func (t TopologyRequest) TotalNodes() int {
 }
 
 // ApplicationSpec is a submission record: what to run and under which
-// prerequisites (platform), requirements (minimums) and preferences.
+// prerequisites (platform) and requirements (minimums).
 type ApplicationSpec struct {
 	Name string
 	Kind AppKind
@@ -74,8 +74,6 @@ type ApplicationSpec struct {
 	Requirements resource.Requirements
 	// Constraint optionally adds a raw trader constraint expression.
 	Constraint string
-	// Preferences order acceptable nodes.
-	Preferences resource.Preferences
 	// Alloc is the per-process resource allocation to reserve. Zero MIPS
 	// defaults to Requirements.Min.
 	Alloc resource.Vector
@@ -139,11 +137,11 @@ func (s ApplicationSpec) EffectiveAlloc() resource.Vector {
 const topologyGroupLen = 8 + 8
 
 // encodedLen is the exact encoded size of the spec: in Encode's order, the
-// name, kind, task count, work, platform flag, minimum, constraint, two
-// preference flags and a weight, allocation, topology flag, checkpoint
-// interval and restart flag, then the platform and topology if present.
+// name, kind, task count, work, platform flag, minimum, constraint,
+// allocation, topology flag, checkpoint interval and restart flag, then the
+// platform and topology if present.
 func (s *ApplicationSpec) encodedLen() int {
-	n := strLen(s.Name) + 1 + 8 + 8 + 1 + vectorLen + strLen(s.Constraint) + 1 + 1 + 8 + vectorLen + 1 + 8 + 1
+	n := strLen(s.Name) + 1 + 8 + 8 + 1 + vectorLen + strLen(s.Constraint) + vectorLen + 1 + 8 + 1
 	if p := s.Requirements.Platform; p != nil {
 		n += strLen(p.Arch) + strLen(p.OS)
 	}
@@ -169,9 +167,6 @@ func (s ApplicationSpec) Encode(e *orb.Encoder) {
 	}
 	EncodeVector(e, s.Requirements.Min)
 	e.PutString(s.Constraint)
-	e.PutBool(s.Preferences.FasterCPU)
-	e.PutBool(s.Preferences.MoreRAM)
-	e.PutF64(s.Preferences.StayIdleWeight)
 	EncodeVector(e, s.Alloc)
 	if s.Topology != nil {
 		e.PutBool(true)
@@ -202,9 +197,6 @@ func DecodeApplicationSpec(d *orb.Decoder) (ApplicationSpec, error) {
 	}
 	s.Requirements.Min = DecodeVector(d)
 	s.Constraint = d.String()
-	s.Preferences.FasterCPU = d.Bool()
-	s.Preferences.MoreRAM = d.Bool()
-	s.Preferences.StayIdleWeight = d.F64()
 	s.Alloc = DecodeVector(d)
 	if d.Bool() {
 		n := d.Count(topologyGroupLen)

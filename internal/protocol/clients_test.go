@@ -289,7 +289,6 @@ func TestOpsRoundTrip(t *testing.T) {
 		Name: "render", Kind: AppBSP, NumTasks: 100, WorkPerTask: 5e6,
 		Requirements:        resource.Requirements{Platform: &linux, Min: resource.Vector{MIPS: 500, RAMMB: 16}},
 		Constraint:          "lan == 'lanA'",
-		Preferences:         resource.Preferences{FasterCPU: true, StayIdleWeight: 1},
 		Alloc:               resource.Vector{MIPS: 500, RAMMB: 32},
 		Topology:            &TopologyRequest{Groups: []TopologyGroup{{Nodes: 50, IntraMbps: 100}}, InterMbps: 10},
 		CheckpointEveryWork: 1e5, RestartEvicted: true,

@@ -374,9 +374,8 @@ func TestApplicationSpecRoundTrip(t *testing.T) {
 			Platform: &linux,
 			Min:      resource.Vector{MIPS: 500, RAMMB: 16},
 		},
-		Constraint:  "lan == 'lanA'",
-		Preferences: resource.Preferences{FasterCPU: true, StayIdleWeight: 1},
-		Alloc:       resource.Vector{MIPS: 500, RAMMB: 32},
+		Constraint: "lan == 'lanA'",
+		Alloc:      resource.Vector{MIPS: 500, RAMMB: 32},
 		Topology: &TopologyRequest{
 			Groups:    []TopologyGroup{{Nodes: 50, IntraMbps: 100}, {Nodes: 50, IntraMbps: 100}},
 			InterMbps: 10,

@@ -1,12 +1,12 @@
 // Package resource defines InteGrade's resource model: machine
-// specifications, live load vectors, application requirements and
-// preferences, and reservation accounting.
+// specifications, live load vectors, application requirements, and
+// reservation accounting.
 //
 // The model follows Section 3 of the paper: nodes advertise CPU (MIPS),
 // memory, disk and network capacity; applications state execution
-// prerequisites (hardware/software platform), hard requirements (minimum
-// memory, minimum CPU speed) and soft preferences ("rather execute on a
-// faster CPU than on a slower one").
+// prerequisites (hardware/software platform) and hard requirements (minimum
+// memory, minimum CPU speed). The paper's soft preferences are not
+// reproduced (see package asct).
 package resource
 
 import (
@@ -79,16 +79,6 @@ func (v Vector) NonNegative() bool {
 // IsZero reports whether every component of v is zero.
 func (v Vector) IsZero() bool { return v == Vector{} }
 
-// max returns the component-wise maximum of v and w.
-func (v Vector) max(w Vector) Vector {
-	return Vector{
-		MIPS:    max(v.MIPS, w.MIPS),
-		RAMMB:   max(v.RAMMB, w.RAMMB),
-		DiskMB:  max(v.DiskMB, w.DiskMB),
-		NetMbps: max(v.NetMbps, w.NetMbps),
-	}
-}
-
 // Min returns the component-wise minimum of v and w.
 func (v Vector) Min(w Vector) Vector {
 	return Vector{
@@ -157,40 +147,4 @@ func (m MachineSpec) Validate() error {
 type Requirements struct {
 	Platform *Platform // nil means any platform
 	Min      Vector    // per-process minimum resource amounts
-}
-
-// satisfiedBy reports whether a node with the given spec and currently
-// available resources can satisfy r.
-func (r Requirements) satisfiedBy(spec MachineSpec, available Vector) bool {
-	if r.Platform != nil && *r.Platform != spec.Platform {
-		return false
-	}
-	return r.Min.Fits(available)
-}
-
-// Preferences order acceptable nodes; they never exclude a node.
-type Preferences struct {
-	// FasterCPU prefers nodes with higher available MIPS.
-	FasterCPU bool
-	// MoreRAM prefers nodes with more available memory.
-	MoreRAM bool
-	// StayIdleWeight scales how strongly the usage-aware scheduler favours
-	// nodes predicted to remain idle (0 disables, 1 is the default weight).
-	StayIdleWeight float64
-}
-
-// score rates a candidate node for ranking; higher is better. The score is a
-// weighted, normalized sum so that dimensions with different units compare.
-func (p Preferences) score(available Vector, predictedIdleHours float64) float64 {
-	s := 0.0
-	if p.FasterCPU {
-		s += available.MIPS / 1000
-	}
-	if p.MoreRAM {
-		s += available.RAMMB / 1024
-	}
-	if p.StayIdleWeight > 0 {
-		s += p.StayIdleWeight * predictedIdleHours
-	}
-	return s
 }

@@ -50,9 +50,6 @@ func TestVectorClampAndMax(t *testing.T) {
 	if got := v.Clamp(); got != vec(0, 2, 0, 4) {
 		t.Fatalf("Clamp = %v", got)
 	}
-	if got := vec(1, 5, 1, 5).max(vec(5, 1, 5, 1)); got != vec(5, 5, 5, 5) {
-		t.Fatalf("Max = %v", got)
-	}
 }
 
 // Property: (a+b)-b == a for vectors built from small non-negative ints.
@@ -113,46 +110,6 @@ func TestMachineSpecValidate(t *testing.T) {
 				t.Fatal("Validate accepted invalid spec")
 			}
 		})
-	}
-}
-
-func TestRequirementsSatisfiedBy(t *testing.T) {
-	linux := Platform{Arch: "amd64", OS: "linux"}
-	windows := Platform{Arch: "amd64", OS: "windows"}
-	spec := MachineSpec{Platform: linux, Capacity: vec(1000, 512, 100, 10)}
-
-	r := Requirements{Min: vec(500, 16, 0, 0)}
-	if !r.satisfiedBy(spec, vec(600, 128, 50, 5)) {
-		t.Fatal("requirements should be satisfied")
-	}
-	if r.satisfiedBy(spec, vec(400, 128, 50, 5)) {
-		t.Fatal("insufficient MIPS accepted")
-	}
-	r.Platform = &windows
-	if r.satisfiedBy(spec, vec(600, 128, 50, 5)) {
-		t.Fatal("platform mismatch accepted")
-	}
-	r.Platform = &linux
-	if !r.satisfiedBy(spec, vec(600, 128, 50, 5)) {
-		t.Fatal("matching platform rejected")
-	}
-}
-
-func TestPreferencesScore(t *testing.T) {
-	p := Preferences{FasterCPU: true}
-	fast := p.score(vec(2000, 0, 0, 0), 0)
-	slow := p.score(vec(500, 0, 0, 0), 0)
-	if fast <= slow {
-		t.Fatalf("FasterCPU: fast %v <= slow %v", fast, slow)
-	}
-	p = Preferences{StayIdleWeight: 1}
-	idle := p.score(Vector{}, 8)
-	busySoon := p.score(Vector{}, 0.2)
-	if idle <= busySoon {
-		t.Fatalf("StayIdleWeight: idle %v <= busySoon %v", idle, busySoon)
-	}
-	if (Preferences{}).score(vec(9999, 9999, 9999, 9999), 99) != 0 {
-		t.Fatal("empty preferences should score 0")
 	}
 }
 
