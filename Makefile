@@ -21,8 +21,8 @@ test:
 # (TestVisitRacesInPlaceUpserts, TestVisitRacesAppends,
 # TestSelectCopiesNeverChange), the offers readers keep under a trader hold
 # against upserts that rewrite retired offers in place, their own places'
-# (TestHeldOffersOutliveUpserts) and the other places' of their shards
-# (TestHeldOffersOutliveShardReuse),
+# (TestHeldOffersOutliveUpserts) and the other places'
+# (TestHeldOffersOutliveFreeListReuse),
 # the GRM's candidates against updates its LRMs feed it mid-negotiation
 # (TestReserveFedUpdateKeepsCandidates), the GRM's failure sweep against heartbeats
 # that export their nodes' offers while a replica stream flushes
@@ -41,8 +41,8 @@ test:
 # in internal/lint fails if a name below is no test of the packages after it.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run '^(TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestSelectCopiesNeverChange|TestHeldOffersOutliveUpserts|TestHeldOffersOutliveShardReuse|TestReserveFedUpdateKeepsCandidates|TestSweepRacingHeartbeats|TestDeparturesRacingUpdates|TestRecycledRepliesUnderLateDelivery|TestSyncTasksRacesSendUpdate|TestAdoptRacesSendUpdate)$$' ./internal/trading ./internal/grm ./internal/chaos ./internal/lrm
-	$(GO) test -race -count=10 -cpu 1 -run '^(TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestSelectCopiesNeverChange|TestHeldOffersOutliveUpserts|TestHeldOffersOutliveShardReuse)$$' ./internal/trading
+	$(GO) test -race -count=10 -run '^(TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestSelectCopiesNeverChange|TestHeldOffersOutliveUpserts|TestHeldOffersOutliveFreeListReuse|TestReserveFedUpdateKeepsCandidates|TestSweepRacingHeartbeats|TestDeparturesRacingUpdates|TestRecycledRepliesUnderLateDelivery|TestSyncTasksRacesSendUpdate|TestAdoptRacesSendUpdate)$$' ./internal/trading ./internal/grm ./internal/chaos ./internal/lrm
+	$(GO) test -race -count=10 -cpu 1 -run '^(TestVisitRacesInPlaceUpserts|TestVisitRacesAppends|TestSelectCopiesNeverChange|TestHeldOffersOutliveUpserts|TestHeldOffersOutliveFreeListReuse)$$' ./internal/trading
 
 vet:
 	$(GO) vet ./...
@@ -105,7 +105,7 @@ benchmark-check:
 	$(GO) test -count=1 ./benchmark
 	$(GO) run ./benchmark -quick -traced
 	$(GO) test -count=1 -run 'AllocBudget|AllocateOnce' ./internal/orb ./internal/grm ./internal/trading ./internal/protocol
-	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkPlacementBatch10k|BenchmarkLoopbackUpdate(2k|10k)|BenchmarkRegister10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkPlaceUpsert|BenchmarkExportFirst10k|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPGangPlacement|BenchmarkTCPLifecycle|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
+	$(GO) test -run '^$$' -bench 'BenchmarkPlacementMiss(Churned)?10k|BenchmarkPlacementBatch10k|BenchmarkLoopbackUpdate(2k|10k)|BenchmarkRegister10k|BenchmarkEvalFleet|BenchmarkExportKeyedUpsert|BenchmarkPlaceUpsert|BenchmarkExportFirst10k|BenchmarkWithdraw|BenchmarkTCPDeepServant|BenchmarkTCPUpdateSweep|BenchmarkTCPGangPlacement|BenchmarkTCPLifecycle|BenchmarkTCPRawEcho|BenchmarkTCPInvoke$$' -benchtime 1x ./internal/grm ./internal/constraint ./internal/trading ./internal/orb
 	$(GO) test -run '^$$' -bench 'BenchmarkTCPInvokeConcurrent/callers=64' -benchtime 1x ./internal/orb
 
 # Every program under examples/ must run to completion and exit 0.

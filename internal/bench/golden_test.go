@@ -10,12 +10,12 @@ import (
 )
 
 // TestSchedulingOutputMatchesSeedGoldens is the differential gate for the
-// sharded copy-on-write trader and the batched admission pipeline: the
+// copy-on-write trader and the batched admission pipeline: the
 // goldens under testdata/ were rendered by the pre-pipeline scheduler (the
 // flat locked offer index, one-app-per-call Submit), and the current code
 // must reproduce them byte for byte. E5 exercises owner-QoS scheduling
 // decisions end to end; E9 drives placements through failure recovery and
-// re-negotiation. Any reordering introduced by the shard merge, the
+// re-negotiation. Any reordering introduced by the trader's walk, the
 // snapshot cache, or admission batching shows up here as a diff. Two
 // deliberate regenerations since, both of E9: its two 20%-crash / 10%-loss
 // InteGrade rows, when completions moved into the Information Update — see

@@ -88,9 +88,9 @@ func BenchmarkPlacementMiss10k(b *testing.B) {
 
 // BenchmarkPlacementMissChurned10k is the same miss on the heap a running GRM
 // has: every node has since reported three times, in a different order each
-// round, so an offer's neighbours in its shard are not its neighbours in memory
-// — and nothing has touched the offers since (the collector aside), as a sweep
-// of the shard before every miss once did. This is the number to quote.
+// round, so an offer's neighbours in the index are not its neighbours in
+// memory — and nothing has touched the offers since (the collector aside), as
+// a sweep before every miss once did. This is the number to quote.
 func BenchmarkPlacementMissChurned10k(b *testing.B) {
 	g := New("bench", sim.NewVirtualClock(), orb.New())
 	defer g.Stop()

@@ -187,7 +187,7 @@ type GRM struct {
 	// The in-process trader's writes are not RPCs: an update exports, and a
 	// departure, a death or a move withdraws, under mu.
 	//lint:lockorder grm.GRM.mu<election.Node.mu
-	//lint:lockorder grm.GRM.mu<trading.shard.mu
+	//lint:lockorder grm.GRM.mu<trading.Service.mu
 	mu      sync.Mutex
 	apps    map[string]*appInfo
 	nodes   map[string]*nodeLiveness

@@ -20,7 +20,7 @@ import (
 // the candidates it ranked — through the cursor, after the walk that found
 // them. Every offer the cursor returns must read as it did before the first
 // update, and so must every one it returned before; the fleet has reported
-// twice beforehand, so every shard has retired offers an upsert would rewrite.
+// twice beforehand, so the trader has retired offers an upsert would rewrite.
 func TestReserveFedUpdateKeepsCandidates(t *testing.T) {
 	const nodes = 12
 	o := orb.New()

@@ -262,7 +262,7 @@ func referenceOrder(p Policy, offers []trading.Offer) []trading.Offer {
 // ties, so the index tie-break decides most positions), properties missing
 // or of the wrong kind, and the dedicated / owner-busy overrides. Node IDs
 // are the input positions, and each offer has an exporter of its own, so a
-// trader holds them all, over every shard.
+// trader holds them all.
 func randomOffers(rng *sim.RNG, n int) []trading.Offer {
 	offers := make([]trading.Offer, n)
 	for i := range offers {
@@ -328,7 +328,7 @@ func matcherOrder(t *testing.T, p Policy, offers []trading.Offer, beats []int) [
 
 // TestKeyedOrderMatchesStableSort checks the ranking against the stable sort it
 // replaced, through both entry points: the public Order on values, and the
-// matcher's candidates, whose keys are collected shard by shard, slot by slot —
+// matcher's candidates, whose keys are collected slot by slot —
 // not in the export order the stable sort's input had, least of all after a
 // shuffled round of heartbeats has renumbered every offer where it lies.
 func TestKeyedOrderMatchesStableSort(t *testing.T) {

@@ -22,7 +22,7 @@ import (
 // compile, and run to more than trading.MaxVisitSet distinct constraints
 // (more than one walk); the offers lack properties or hold the wrong kind now
 // and then, and half of those that expire are past their expiry, unswept, in
-// shards whose sweep bound has passed. Each of the four policies runs every
+// an index whose sweep bound has passed. Each of the four policies runs every
 // set size.
 //
 // The entries of one walk are views of one heap, so the test pulls them

@@ -346,12 +346,12 @@ func TestDeparturesRacingUpdates(t *testing.T) {
 }
 
 // TestSweptOfferComesBack: nodes silent past the offer TTL, but not declared
-// dead, lose their offers to the expiry sweep of the first write to their
-// shard — their neighbours' updates — while their records still hold the
+// dead, lose their offers to the expiry sweep of the first write to the
+// trader — another node's update — while their records still hold the
 // places. Each one's next update finds its place dead and exports by
 // reference again.
 func TestSweptOfferComesBack(t *testing.T) {
-	const nodes = 200 // about three a shard: most shards' first update sweeps a neighbour
+	const nodes = 200 // the first update sweeps the other 199
 	g, clock, fleet := sweepFixture(t, nodes)
 	clock.Advance(2 * DefaultOfferTTL)
 	if got := g.KnownNodes(); got != 0 {

@@ -19,37 +19,6 @@ type Window struct {
 	Confidence float64
 }
 
-// duration returns the window's length.
-func (w Window) duration() time.Duration { return w.End.Sub(w.Start) }
-
-// covers reports whether a task starting at from and running for d fits
-// entirely inside the window.
-func (w Window) covers(from time.Time, d time.Duration) bool {
-	return !from.Before(w.Start) && !w.End.Before(from.Add(d))
-}
-
-// overlap returns the intersection of two windows and whether it is
-// non-empty. The intersection's confidence is the minimum of the two — the
-// gang overlap rule: a gang fits a set of nodes only if every member's
-// window covers the same execution interval, so the joint confidence is
-// bounded by the least certain member.
-func (w Window) overlap(o Window) (Window, bool) {
-	out := Window{Start: w.Start, End: w.End, Confidence: w.Confidence}
-	if out.Start.Before(o.Start) {
-		out.Start = o.Start
-	}
-	if o.End.Before(out.End) {
-		out.End = o.End
-	}
-	if o.Confidence < out.Confidence {
-		out.Confidence = o.Confidence
-	}
-	if !out.Start.Before(out.End) {
-		return Window{}, false
-	}
-	return out, true
-}
-
 // MatchedCategoryConfidence floors the confidence of a forecast day whose
 // category was matched against live observations rather than inferred from
 // the weekday majority. Watching this morning's slots track a centroid is

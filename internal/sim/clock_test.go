@@ -243,16 +243,6 @@ func TestRNGForkIndependence(t *testing.T) {
 	}
 }
 
-func TestRNGParetoBounds(t *testing.T) {
-	g := NewRNG(1)
-	for i := 0; i < 1000; i++ {
-		v := g.pareto(1.5, 2.0)
-		if v < 2.0 {
-			t.Fatalf("pareto sample %v below xmin", v)
-		}
-	}
-}
-
 func TestRNGBoolExtremes(t *testing.T) {
 	g := NewRNG(1)
 	for i := 0; i < 100; i++ {

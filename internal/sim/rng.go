@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // RNG is a deterministic random source for experiments. It wraps math/rand
 // with the distributions the workload generators need. It is not safe for
@@ -45,16 +42,6 @@ func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
 // standard deviation.
 func (g *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*g.r.NormFloat64()
-}
-
-// pareto returns a bounded Pareto-distributed value with shape alpha and
-// minimum xmin. Heavy-tailed durations (user sessions, job sizes) use this.
-func (g *RNG) pareto(alpha, xmin float64) float64 {
-	u := g.r.Float64()
-	for u == 0 {
-		u = g.r.Float64()
-	}
-	return xmin / math.Pow(u, 1/alpha)
 }
 
 // Perm returns a random permutation of [0,n).

@@ -54,9 +54,8 @@ func BenchmarkSelect1000Offers(b *testing.B) {
 	}
 }
 
-// BenchmarkSelect10kOffers is the ordered query over a fleet: 10^4 offers
-// spread over all 64 shards, about half of them matching, copied out of the
-// index with their values.
+// BenchmarkSelect10kOffers is the ordered query over a fleet: 10^4 offers,
+// about half of them matching, copied out of the index with their values.
 func BenchmarkSelect10kOffers(b *testing.B) {
 	s := benchTrader(10000)
 	q := Query{Constraint: "mips_free >= 600 and os == 'linux'"}
@@ -113,10 +112,10 @@ func BenchmarkSelectCacheMiss(b *testing.B) {
 	}
 }
 
-// upsertFleet is a trader of 10^4 offers, ~156 a shard, with the offers it
-// holds and their places in a fixed shuffled order: the benchmark's fleets
-// update in a seed-shuffled order, so each upsert finds its ref's entry, slot
-// and shard cold, as a walk in index order would not.
+// upsertFleet is a trader of 10^4 offers, with the offers it holds and their
+// places in a fixed shuffled order: the benchmark's fleets update in a
+// seed-shuffled order, so each upsert finds its ref's entry and slot cold, as
+// a walk in index order would not.
 func upsertFleet() (*Service, []Offer, []Place) {
 	s := benchTrader(10000)
 	all := s.All("")
@@ -129,7 +128,7 @@ func upsertFleet() (*Service, []Offer, []Place) {
 }
 
 // BenchmarkExportKeyedUpsert is a keyed upsert by reference at fleet size: the
-// hash and the byRef probe, then the store.
+// byRef probe, then the store.
 func BenchmarkExportKeyedUpsert(b *testing.B) {
 	s, offers, _ := upsertFleet()
 	b.ReportAllocs()
@@ -184,6 +183,33 @@ func BenchmarkExportFirst10k(b *testing.B) {
 	}
 }
 
+// BenchmarkWithdraw is a node leaving and coming back: a Withdraw through a
+// random node's place and the node's export by reference again, among 100
+// offers and among 10^4. A withdrawal rebuilds the snapshot, so it copies
+// every slot of the index.
+func BenchmarkWithdraw(b *testing.B) {
+	for _, n := range []int{100, 10000} {
+		b.Run(fmt.Sprintf("offers=%d", n), func(b *testing.B) {
+			s := benchTrader(n)
+			offers := s.All("")
+			places := make([]Place, n)
+			for i, o := range offers {
+				places[i], _ = s.ExportKeyed(o)
+			}
+			rng := sim.NewRNG(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				i := rng.Intn(n)
+				if !s.Withdraw(places[i]) {
+					b.Fatal("withdrawing through a live place removed nothing")
+				}
+				places[i], _ = s.ExportKeyed(offers[i])
+			}
+		})
+	}
+}
+
 // TestExportKeyedAllocBudget holds the upserts of BenchmarkExportKeyedUpsert
 // and BenchmarkPlaceUpsert, and the first exports of BenchmarkExportFirst10k,
 // to the `export-keyed`, `upsert-place`, `upsert-place-steady` and
@@ -208,7 +234,7 @@ func TestExportKeyedAllocBudget(t *testing.T) {
 		"upsert-place-steady": func(i int) bool {
 			return steady.Upsert(steadyPlaces[i], time.Time{}, schema, values[i])
 		},
-		// 2001 refs' first offers, ~31 a shard, into a service that has none.
+		// 2001 refs' first offers into a service that has none.
 		"export-first": func(i int) bool { _, err := fresh.ExportKeyed(offers[i]); return err == nil },
 	}
 	for _, row := range allocbudget.Parse(t, path) {

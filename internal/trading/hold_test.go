@@ -96,7 +96,7 @@ func mallocs(f func()) uint64 {
 // VisitMatchSet yields under it, and re-read them all while writers upsert each
 // place twice, from value arrays they rewrite before every upsert: every held
 // offer must read as it did at the visit until Release. By the second round
-// under the holds every offer the shards retired was retired under them, so
+// under the holds every offer the index retired was retired under them, so
 // each upsert of that round must store an offer the index never held before.
 // The holds are taken and released between rounds, so the writers then run two
 // rounds with no hold live, every upsert of which must rewrite an offer the
@@ -213,11 +213,11 @@ func TestHeldOffersOutliveUpserts(t *testing.T) {
 	assertIndexConsistent(t, s)
 }
 
-// TestHeldOffersOutliveShardReuse: a retired offer is rewritten by whichever
-// place of its shard writes next, so a hold must keep an offer from every
+// TestHeldOffersOutliveFreeListReuse: a retired offer is rewritten by
+// whichever place writes next, so a hold must keep an offer from every
 // place's upserts, not only its own place's. Readers keep the offers a
 // VisitMatchSet yields under a Hold and re-read them while writers upsert
-// places chosen at random, four places to a shard, and release the hold after
+// places chosen at random, and release the hold after
 // a few passes; every held offer's reference, seq and values must read as
 // they did at the visit until Release. The readers also note, across their
 // visits, every offer they see again under another reference: the test
@@ -230,8 +230,8 @@ func TestHeldOffersOutliveUpserts(t *testing.T) {
 // reader has finished a visit since its last pause, and a reader yields
 // between its passes, so the writers' next batch runs under its hold and
 // between its visits.
-func TestHeldOffersOutliveShardReuse(t *testing.T) {
-	const nodes, writers, readers, upserts, batch = 4 * numShards, 4, 2, 3000, 300
+func TestHeldOffersOutliveFreeListReuse(t *testing.T) {
+	const nodes, writers, readers, upserts, batch = 256, 4, 2, 3000, 300
 	s := NewService(nil)
 	places, schema := holdFleet(t, s, nodes)
 	stop := make(chan struct{})
@@ -324,11 +324,11 @@ func TestHeldOffersOutliveShardReuse(t *testing.T) {
 	assertIndexConsistent(t, s)
 }
 
-// TestUpsertReusesSpare: an upsert rewrites an offer its shard retired once no
+// TestUpsertReusesSpare: an upsert rewrites an offer the index retired once no
 // hold can reach it, and allocates only while one might. Counted over sweeps
-// that upsert every place once: the first allocates twice a shard, the offer
-// of the shard's first upsert, which finds no retired offer, and the one-slot
-// ring of its free list, and the next allocates nothing. Under a live hold,
+// that upsert every place once: the first allocates twice, the offer of the
+// first upsert, which finds no retired offer, and the one-slot ring of the
+// free list, and the next allocates nothing. Under a live hold,
 // once every retired offer was retired under it, a sweep allocates once an
 // upsert; after Release none does. Select and All hand out copies and keep no
 // hold: the two sweeps after them allocate nothing, rewrite every offer they
@@ -338,10 +338,8 @@ func TestUpsertReusesSpare(t *testing.T) {
 	s := NewService(nil)
 	places, schema := holdFleet(t, s, nodes)
 	var values [2][nodes][]constraint.Value
-	shards := map[*shard]bool{}
-	for i, p := range places {
+	for i := range places {
 		values[0][i], values[1][i] = nodeValues(i, 0), nodeValues(i, 1)
-		shards[p.e.sh] = true
 	}
 	n := 0
 	sweep := func() {
@@ -355,10 +353,10 @@ func TestUpsertReusesSpare(t *testing.T) {
 	expect := func(what string, want int) {
 		t.Helper()
 		if got := mallocs(sweep); got != uint64(want) {
-			t.Errorf("%s: a sweep of %d places over %d shards allocates %d times, want %d", what, nodes, len(shards), got, want)
+			t.Errorf("%s: a sweep of %d places allocates %d times, want %d", what, nodes, got, want)
 		}
 	}
-	expect("the first sweep", 2*len(shards))
+	expect("the first sweep", 2)
 	expect("steady state", 0)
 
 	h := s.Hold()

@@ -12,30 +12,29 @@ import (
 	"integrade/internal/orb"
 )
 
-// These tests cover the writes that do not rebuild their shard — a status
+// These tests cover the writes that do not rebuild the snapshot — a status
 // update's slot store and a first export's append past the snapshot's end —
 // the sweep bound that decides when a write (or a read) must look at expiries,
 // and readers racing both.
 
-// modelTrader is the index as it behaved when every write rebuilt its shard:
-// each write drops everything in the shard that has expired, reads skip the
-// expired and drop nothing, and a shard holds at most one offer per ref. What
-// each shard holds — expired but unswept offers included — is all the state
-// there is.
+// modelTrader is the index as it behaved when every write rebuilt it: each
+// write drops everything that has expired, reads skip the expired and drop
+// nothing, and the index holds at most one offer per ref. What it holds —
+// expired but unswept offers included — is all the state there is.
 type modelTrader struct {
 	seq     int
 	version uint64
-	shards  [numShards][]Offer
+	offers  []Offer
 	// swept lists the refs whose offers writes dropped as expired, each at a
 	// write that did not replace it: the ref's place is dead from then on,
 	// even once a later write of the same step gives the ref an offer again.
 	swept []orb.ObjectRef
 }
 
-// write is the one mutation: shard sh loses what has expired and the offers of
-// the refs adds and gone name, and gains adds.
-func (m *modelTrader) write(sh int, now time.Time, gone *orb.ObjectRef, adds ...Offer) {
-	m.shards[sh] = append(slices.DeleteFunc(m.shards[sh], func(o Offer) bool {
+// write is the one mutation: the index loses what has expired and the offers
+// of the refs adds and gone name, and gains adds.
+func (m *modelTrader) write(now time.Time, gone *orb.ObjectRef, adds ...Offer) {
+	m.offers = append(slices.DeleteFunc(m.offers, func(o Offer) bool {
 		added := slices.ContainsFunc(adds, func(a Offer) bool { return a.Ref == o.Ref })
 		if o.expired(now) && !added {
 			m.swept = append(m.swept, o.Ref)
@@ -52,14 +51,14 @@ func (m *modelTrader) number(o Offer) Offer {
 
 // holds reports whether ref has an offer, expired or not.
 func (m *modelTrader) holds(ref orb.ObjectRef) bool {
-	return slices.ContainsFunc(m.shards[refShard(ref)], func(o Offer) bool { return o.Ref == ref })
+	return slices.ContainsFunc(m.offers, func(o Offer) bool { return o.Ref == ref })
 }
 
 // exportKeyed replaces the ref's offer, if it has one, and returns the new
 // offer's seq.
 func (m *modelTrader) exportKeyed(o Offer, now time.Time) int {
 	o = m.number(o)
-	m.write(refShard(o.Ref), now, nil, o)
+	m.write(now, nil, o)
 	m.version++
 	return o.seq
 }
@@ -67,7 +66,7 @@ func (m *modelTrader) exportKeyed(o Offer, now time.Time) int {
 // exportBatch is exportKeyed of each offer in turn, in one version step.
 func (m *modelTrader) exportBatch(offers []Offer, now time.Time) {
 	for _, o := range offers {
-		m.write(refShard(o.Ref), now, nil, m.number(o))
+		m.write(now, nil, m.number(o))
 	}
 	m.version++
 }
@@ -77,18 +76,16 @@ func (m *modelTrader) withdraw(ref orb.ObjectRef, now time.Time) bool {
 	if !m.holds(ref) {
 		return false
 	}
-	m.write(refShard(ref), now, &ref)
+	m.write(now, &ref)
 	m.version++
 	return true
 }
 
 func (m *modelTrader) all(now time.Time) []Offer {
 	var live []Offer
-	for sh := range m.shards {
-		for _, o := range m.shards[sh] {
-			if !o.expired(now) {
-				live = append(live, o)
-			}
+	for _, o := range m.offers {
+		if !o.expired(now) {
+			live = append(live, o)
 		}
 	}
 	slices.SortFunc(live, func(a, b Offer) int { return a.seq - b.seq })
@@ -98,14 +95,14 @@ func (m *modelTrader) all(now time.Time) []Offer {
 // TestCompactionTimingMatchesModel pins that the sweep bound changed nothing
 // that can be observed: over a seeded deck of every write and of clock advances,
 // with offers that never expire, expire soon and expire late, the service agrees
-// with the rebuild-on-every-write model after every step on what each shard
+// with the rebuild-on-every-write model after every step on what the index
 // holds — expired offers not yet compacted included, so an expired offer
 // leaves the index at the same write — and on Count, All and Version. The deck
 // writes through places too: a place is live until the model drops its ref's
 // offer — withdraws it, or sweeps it as expired at a write that does not
 // replace it — and a write through a dead one changes nothing. It also
-// first-exports refs into shards whose slot array has room: an offer that
-// keeps the shard's sweep bound must be appended over the same array, and one
+// first-exports refs while the slot array has room: an offer that keeps the
+// sweep bound must be appended over the same array, and one
 // that lowers the bound, or arrives once the bound is due, must rebuild — the
 // latter compacting, as the model does.
 func TestCompactionTimingMatchesModel(t *testing.T) {
@@ -114,7 +111,7 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 		s, m := NewService(func() time.Time { return now }), &modelTrader{}
 		rng := rand.New(rand.NewSource(seed))
 		offer := func() Offer {
-			o := nodeOffer(rng.Intn(150), float64(rng.Intn(2000)), 512) // ~2.3 refs a shard
+			o := nodeOffer(rng.Intn(150), float64(rng.Intn(2000)), 512)
 			if ttl := []time.Duration{0, 5 * time.Second, time.Minute}[rng.Intn(3)]; ttl > 0 {
 				o.Expires = now.Add(ttl)
 			}
@@ -122,7 +119,7 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 		}
 		places := map[orb.ObjectRef]Place{} // the latest place of each ref, while live
 		var dead []Place
-		var roomy [3]int // first exports into a shard with room that keep, lower and find due its bound
+		var roomy [3]int // first exports into a slot array with room that keep, lower and find due its bound
 		for step := 0; step < 1200; step++ {
 			switch op := rng.Intn(13); op {
 			case 0, 1, 2:
@@ -162,11 +159,11 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: withdrawing %v = %v, model %v", seed, step, ref, got, want)
 				}
 			case 9:
-				n, sh := roomyShard(s, m, rng.Perm(150))
-				if sh == nil {
+				n, ok := roomyNode(s, m, rng.Perm(150))
+				if !ok {
 					break
 				}
-				before := sh.snap.Load()
+				before := s.snap.Load()
 				o := offer()
 				o.Expires = time.Time{} // never expires: keeps any bound
 				kind := rng.Intn(3)
@@ -191,10 +188,10 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: ExportKeyed = %v, %v; model seq %d", seed, step, p, err, want)
 				}
 				places[o.Ref] = p
-				after := sh.snap.Load()
+				after := s.snap.Load()
 				appended := &after.slots[:1][0] == &before.slots[:1][0] && len(after.slots) == len(before.slots)+1
 				if appended != (kind == 0) || p.e.slot != len(after.slots)-1 {
-					t.Fatalf("seed %d step %d: a first export into a shard with room (bound %v, expiry %v, kind %d) appended %v, at slot %d of %d",
+					t.Fatalf("seed %d step %d: a first export into a slot array with room (bound %v, expiry %v, kind %d) appended %v, at slot %d of %d",
 						seed, step, before.sweepAt, o.Expires, kind, appended, p.e.slot, len(after.slots))
 				}
 				roomy[kind]++
@@ -215,19 +212,17 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 				}
 			}
 
-			for sh := range m.shards {
-				got := slotOffers(&s.shards[sh])
-				if len(got) != len(m.shards[sh]) {
-					t.Fatalf("seed %d step %d: shard %d holds %d offers, model %d", seed, step, sh, len(got), len(m.shards[sh]))
-				}
-				held := map[int]Offer{}
-				for _, o := range m.shards[sh] {
-					held[o.seq] = o
-				}
-				for _, st := range got {
-					if want, ok := held[st.seq]; !ok || st.Ref != want.Ref || !st.Expires.Equal(want.Expires) {
-						t.Fatalf("seed %d step %d: shard %d holds seq %d (%v), model %v: %+v", seed, step, sh, st.seq, st.Ref, ok, want)
-					}
+			got := slotOffers(s)
+			if len(got) != len(m.offers) {
+				t.Fatalf("seed %d step %d: the index holds %d offers, model %d", seed, step, len(got), len(m.offers))
+			}
+			held := map[int]Offer{}
+			for _, o := range m.offers {
+				held[o.seq] = o
+			}
+			for _, st := range got {
+				if want, ok := held[st.seq]; !ok || st.Ref != want.Ref || !st.Expires.Equal(want.Expires) {
+					t.Fatalf("seed %d step %d: the index holds seq %d (%v), model %v: %+v", seed, step, st.seq, st.Ref, ok, want)
 				}
 			}
 			all, want := s.All(""), m.all(now)
@@ -245,23 +240,25 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 		}
 		assertIndexConsistent(t, s)
 		if m.seq < 800 || len(m.all(now)) == 0 || len(dead) == 0 || slices.Contains(roomy[:], 0) {
-			t.Fatalf("seed %d: the deck numbered %d offers, left %d live, killed %d places and first-exported %v into shards with room: it does not exercise the index",
+			t.Fatalf("seed %d: the deck numbered %d offers, left %d live, killed %d places and first-exported %v into a slot array with room: it does not exercise the index",
 				seed, m.seq, len(m.all(now)), len(dead), roomy)
 		}
 	}
 }
 
-// roomyShard returns the first of nodes whose ref the model holds no offer for
-// and whose shard's slot array has room past its snapshot's end, and that
-// shard; nil when there is none.
-func roomyShard(s *Service, m *modelTrader, nodes []int) (int, *shard) {
+// roomyNode returns the first of nodes whose ref the model holds no offer for,
+// while the slot array has room past the snapshot's end; false when there is
+// no room or no such node.
+func roomyNode(s *Service, m *modelTrader, nodes []int) (int, bool) {
+	if slots := s.snap.Load().slots; len(slots) == cap(slots) {
+		return 0, false
+	}
 	for _, n := range nodes {
-		sh := &s.shards[refShard(nodeRef(n))]
-		if slots := sh.snap.Load().slots; !m.holds(nodeRef(n)) && len(slots) < cap(slots) {
-			return n, sh
+		if !m.holds(nodeRef(n)) {
+			return n, true
 		}
 	}
-	return 0, nil
+	return 0, false
 }
 
 // heartbeatFleet registers n nodes whose offers expire ttl from now.
@@ -279,21 +276,20 @@ func heartbeatFleet(t testing.TB, s *Service, n int, ttl time.Duration) {
 
 // TestKeyedUpsertInPlace: a heartbeat — an upsert through a ref's place, or
 // ExportKeyed of a ref that holds an offer — stores into the ref's slot and
-// leaves the shard's snapshot where it was, at a cost that does not depend on
-// how many offers share the shard; the writes that change what the shard
-// holds, or what its sweep bound promises, still publish a fresh snapshot.
+// leaves the snapshot where it was, at a cost that does not depend on how
+// many offers the index holds; the writes that change what it holds, or what
+// its sweep bound promises, still publish a fresh snapshot.
 func TestKeyedUpsertInPlace(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	clock := func() time.Time { return now }
 	const ttl = time.Minute
 	s := NewService(clock)
 	heartbeatFleet(t, s, 10000, ttl)
-	sh := &s.shards[refShard(nodeRef(7))]
 	var place Place
 	// beat upserts node 7 through its place, or by reference when it has none.
 	beat := func(expires time.Time) (seq int, inPlace bool) {
 		t.Helper()
-		before, v := sh.snap.Load(), s.Version()
+		before, v := s.snap.Load(), s.Version()
 		o := nodeOffer(7, 1234, 512)
 		o.Expires = expires
 		var err error
@@ -303,7 +299,7 @@ func TestKeyedUpsertInPlace(t *testing.T) {
 		if err != nil || s.Version() != v+1 {
 			t.Fatalf("upsert: %v; version %d -> %d", err, v, s.Version())
 		}
-		return place.e.st.seq, sh.snap.Load() == before
+		return place.e.st.seq, s.snap.Load() == before
 	}
 
 	now = now.Add(ttl / 2)
@@ -311,20 +307,21 @@ func TestKeyedUpsertInPlace(t *testing.T) {
 	for _, how := range []string{"by reference", "through the place"} {
 		seq, inPlace := beat(now.Add(ttl))
 		if !inPlace {
-			t.Fatalf("a heartbeat %s rebuilt its shard's snapshot", how)
+			t.Fatalf("a heartbeat %s rebuilt the snapshot", how)
 		}
 		got, err := s.Select(Query{Constraint: "mips == 1234"})
 		if err != nil || len(got) != len(first)+1 || got[len(got)-1].Seq() != seq || s.Count() != 10000 {
 			t.Fatalf("after the heartbeat %s %d offers have its mips (was %d), %v; Count = %d", how, len(got), len(first), err, s.Count())
 		}
-		if e := sh.byRef[nodeRef(7)]; e != place.e || e.st.seq != seq {
+		if e := s.byRef[nodeRef(7)]; e != place.e || e.st.seq != seq {
 			t.Fatalf("after the heartbeat %s the ref's entry is not its place's, or holds another offer than seq %d", how, seq)
 		}
 	}
 	assertIndexConsistent(t, s)
 
+	const few = 128
 	small := NewService(clock)
-	heartbeatFleet(t, small, 2*numShards, ttl)
+	heartbeatFleet(t, small, few, ttl)
 	o := nodeOffer(7, 1, 1)
 	o.Expires = now.Add(ttl)
 	schema, values := recordParts(o.Properties)
@@ -335,8 +332,8 @@ func TestKeyedUpsertInPlace(t *testing.T) {
 	}
 	bigRef, bigPlace := perBeat(s)
 	if oneRef, onePlace := perBeat(small); bigRef != oneRef || bigPlace != onePlace || bigRef > 1 || bigPlace > 1 {
-		t.Fatalf("a heartbeat allocates %v (by ref) and %v (through its place) times among 10^4 offers, %v and %v among %d: it must not depend on the shard",
-			bigRef, bigPlace, oneRef, onePlace, 2*numShards)
+		t.Fatalf("a heartbeat allocates %v (by ref) and %v (through its place) times among 10^4 offers, %v and %v among %d: it must not depend on the fleet",
+			bigRef, bigPlace, oneRef, onePlace, few)
 	}
 
 	if _, inPlace := beat(now.Add(ttl / 4)); inPlace {
@@ -348,40 +345,36 @@ func TestKeyedUpsertInPlace(t *testing.T) {
 	if _, err := s.ExportBatch([]Offer{nodeOffer(7, 1, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, inPlace := beat(now.Add(ttl)); !inPlace || sh.byRef[nodeRef(7)] != place.e {
+	if _, inPlace := beat(now.Add(ttl)); !inPlace || s.byRef[nodeRef(7)] != place.e {
 		t.Fatal("a batch's upsert of the ref killed its place, or the next heartbeat rebuilt")
 	}
 	s.Withdraw(place)
 	if _, inPlace := beat(now.Add(ttl)); inPlace {
 		t.Fatal("a ref's first offer has no slot to be stored into")
 	}
-	held := len(sh.snap.Load().slots)
+	held := len(s.snap.Load().slots)
 	now = now.Add(ttl) // past the sweep bound: the fleet's first offers are due
-	if _, inPlace := beat(now.Add(ttl)); inPlace || len(sh.snap.Load().slots) != 1 {
-		t.Fatalf("a heartbeat past the sweep bound must compact: in place %v, shard holds %d offers (was %d)", inPlace, len(sh.snap.Load().slots), held)
+	if _, inPlace := beat(now.Add(ttl)); inPlace || len(s.snap.Load().slots) != 1 {
+		t.Fatalf("a heartbeat past the sweep bound must compact: in place %v, the index holds %d offers (was %d)", inPlace, len(s.snap.Load().slots), held)
 	}
 	assertIndexConsistent(t, s)
 }
 
-// TestCountUsesSweepBound walks the clock across one shard's sweep bound and
-// not another's: the first shard's offers stop counting although no write has
-// compacted them, the second's count on.
+// TestCountUsesSweepBound walks the clock across the sweep bound, set by the
+// first of two groups of offers to expire, and on past the second's expiries:
+// each group's offers stop counting as they expire although no write has
+// compacted them, and the other group's count on.
 func TestCountUsesSweepBound(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	s := NewService(func() time.Time { return now })
-	soon, late := shardmates(0, 3), []int(nil)
-	for j := 1; late == nil; j++ {
-		if refShard(nodeRef(j)) != refShard(nodeRef(0)) {
-			late = shardmates(j, 3)
-		}
-	}
-	for _, shard := range []struct {
+	soon, late := []int{0, 1, 2}, []int{3, 4, 5}
+	for _, group := range []struct {
 		nodes []int
 		ttl   time.Duration
 	}{{soon, 10 * time.Second}, {late, 100 * time.Second}} {
-		for n, i := range shard.nodes {
+		for n, i := range group.nodes {
 			o := nodeOffer(i, 100, 512)
-			o.Expires = now.Add(shard.ttl + time.Duration(n)*time.Second)
+			o.Expires = now.Add(group.ttl + time.Duration(n)*time.Second)
 			if _, err := s.ExportBatch([]Offer{o}); err != nil {
 				t.Fatal(err)
 			}
@@ -397,10 +390,8 @@ func TestCountUsesSweepBound(t *testing.T) {
 				now.Sub(time.Unix(1_700_000_000, 0)), got, all, step.nodes)
 		}
 	}
-	for _, i := range []int{soon[0], late[0]} {
-		if held := len(s.shards[refShard(nodeRef(i))].snap.Load().slots); held != 3 {
-			t.Fatalf("a read compacted node %d's shard: it holds %d offers", i, held)
-		}
+	if held := len(s.snap.Load().slots); held != 6 {
+		t.Fatalf("a read compacted the index: it holds %d offers", held)
 	}
 }
 
@@ -408,8 +399,8 @@ func TestCountUsesSweepBound(t *testing.T) {
 // every ref, round after round — by reference first, through its place after
 // that — the clock moving a quarter TTL between rounds —
 // so no offer ever expires, nearly every write is a slot store, and every third
-// round the first write to reach a shard finds its sweep bound passed and
-// rebuilds it with nothing to compact. Each visit must see each ref exactly once (its old offer
+// round the first write finds the sweep bound passed and rebuilds the
+// snapshot with nothing to compact. Each visit must see each ref exactly once (its old offer
 // or its new one) when everything matches, at most once otherwise, and nothing
 // that fails the constraint it was yielded for; a set visit (VisitMatchSet)
 // must set the bits of exactly the constraints the offer it yields meets.
@@ -518,9 +509,9 @@ func TestVisitRacesInPlaceUpserts(t *testing.T) {
 	}
 	rebuilt := 0
 	for round := 0; round < 40; round++ {
-		before := s.shards[0].snap.Load()
+		before := s.snap.Load()
 		beatAll()
-		if s.shards[0].snap.Load() != before {
+		if s.snap.Load() != before {
 			rebuilt++
 		}
 		tick.Add(1)
@@ -528,7 +519,7 @@ func TestVisitRacesInPlaceUpserts(t *testing.T) {
 	close(stop)
 	readers.Wait()
 	if rebuilt == 0 || rebuilt > 20 {
-		t.Errorf("shard 0 was rebuilt in %d rounds of 40: the rounds are meant to be stores with a sweep now and then", rebuilt)
+		t.Errorf("the snapshot was rebuilt in %d rounds of 40: the rounds are meant to be stores with a sweep now and then", rebuilt)
 	}
 	if got := s.Count(); got != refs || byRef.Load() != refs {
 		t.Fatalf("Count = %d, want %d: heartbeats lost or duplicated an offer; %d exports by reference, want one a ref", got, refs, byRef.Load())
@@ -536,26 +527,20 @@ func TestVisitRacesInPlaceUpserts(t *testing.T) {
 	assertIndexConsistent(t, s)
 }
 
-// TestVisitRacesAppends: writers register fresh refs into two shards, past
-// several doublings of each shard's slot array, so most first exports append
-// past a snapshot's end and some rebuild a full array; every fourth export
-// also withdraws one of the writer's earlier refs and exports it again, so
-// appends interleave with rebuilds in the same shard. Readers walk the index
+// TestVisitRacesAppends: writers register fresh refs, past several doublings
+// of the slot array, so most first exports append past a snapshot's end and
+// some rebuild a full array; every fourth export also withdraws one of the
+// writer's earlier refs and exports it again, so appends interleave with
+// rebuilds. Readers walk the index
 // meanwhile with VisitMatchSet, over one constraint and over two, and Count.
 // A visit must yield each ref at most once and only offers that were exported
 // — each ref's mips is its own — and Count must never exceed the refs there
 // are.
 func TestVisitRacesAppends(t *testing.T) {
 	const writers, perWriter = 4, 120
-	other := 1
-	for refShard(nodeRef(other)) == refShard(nodeRef(0)) {
-		other++
-	}
-	var nodes [writers][]int // writer w's: every other ref of shard w%2's
-	for half, first := range []int{0, other} {
-		for k, n := range shardmates(first, 2*perWriter) {
-			nodes[half+2*(k%2)] = append(nodes[half+2*(k%2)], n)
-		}
+	var nodes [writers][]int // writer w's: every writers-th ref from w on
+	for n := range writers * perWriter {
+		nodes[n%writers] = append(nodes[n%writers], n)
 	}
 	mips := map[orb.ObjectRef]float64{}
 	for _, ns := range nodes {

@@ -13,17 +13,15 @@ import (
 )
 
 // referenceSelect answers q by brute force, sharing nothing with scan: the
-// offer in every slot of every shard snapshot, the expired dropped, sorted by
-// seq, filtered by Expr.Eval.
+// offer in every slot of the snapshot, the expired dropped, sorted by seq,
+// filtered by Expr.Eval.
 func referenceSelect(t *testing.T, s *Service, q Query) []*Offer {
 	t.Helper()
 	now := s.now()
 	var live []*Offer
-	for i := range s.shards {
-		for _, st := range slotOffers(&s.shards[i]) {
-			if !st.expired(now) {
-				live = append(live, &st.Offer)
-			}
+	for _, st := range slotOffers(s) {
+		if !st.expired(now) {
+			live = append(live, &st.Offer)
 		}
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
@@ -65,7 +63,6 @@ func TestScanMatchesBruteForce(t *testing.T) {
 	}{
 		{"all-shards", firstNodes(1500), 2000},
 		{"sparse-shards", firstNodes(9), 300},
-		{"one-shard", shardmates(0, 60), 200},
 		{"empty", nil, 0},
 	} {
 		t.Run(fleet.name, func(t *testing.T) {
@@ -108,22 +105,13 @@ func TestScanMatchesBruteForce(t *testing.T) {
 			}
 			now = base.Add(2 * time.Minute)
 			assertIndexConsistent(t, s)
-
-			if len(fleet.refs) > numShards {
-				for i := range s.shards {
-					if len(s.shards[i].snap.Load().slots) == 0 {
-						t.Fatalf("shard %d is empty; the fleet is meant to cover all %d", i, numShards)
-					}
-				}
-			}
-
 			assertMatchesBruteForce(t, s, fleet.count > 0)
 		})
 	}
 }
 
 // TestScanBlockBoundaries runs the same comparison where visitSet's blocks begin
-// and end: one shard holding exactly 0, 1, N−1, N, N+1 and
+// and end: an index holding exactly 0, 1, N−1, N, N+1 and
 // 2N+3 offers for a block of N, so an empty, a partial, an exact and a
 // multi-block snapshot with a partial tail are each walked, filled three ways:
 // every offer live and matching every satisfiable query, the first block's
@@ -138,7 +126,7 @@ func TestScanBlockBoundaries(t *testing.T) {
 				now := base
 				s := NewService(func() time.Time { return now })
 				rng := rand.New(rand.NewSource(int64(size)))
-				for i, node := range shardmates(0, size) {
+				for i, node := range firstNodes(size) {
 					o := nodeOffer(node, 1000, 512)
 					if fill == "first-block-expired" && i < n || fill == "mixed" && rng.Intn(3) == 0 {
 						o.Expires = base.Add(time.Minute) // dead by query time, never compacted
@@ -159,8 +147,8 @@ func TestScanBlockBoundaries(t *testing.T) {
 				}
 				now = base.Add(2 * time.Minute)
 				if size > 0 {
-					if got := len(s.shards[refShard(nodeRef(0))].snap.Load().slots); got != size {
-						t.Fatalf("the shard holds %d offers, want %d: expired ones must stay for the scan to skip", got, size)
+					if got := len(s.snap.Load().slots); got != size {
+						t.Fatalf("the index holds %d offers, want %d: expired ones must stay for the scan to skip", got, size)
 					}
 				}
 				assertMatchesBruteForce(t, s, fill == "all-match" && size > 0)
@@ -392,7 +380,7 @@ func TestReexportCopiesRecord(t *testing.T) {
 		}
 	}
 
-	// The copy goes into an offer the shard retired: once a re-export has
+	// The copy goes into an offer the index retired: once a re-export has
 	// retired one, re-exporting allocates nothing.
 	o := offers[0]
 	_, _ = b.ExportKeyed(o)

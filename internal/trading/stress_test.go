@@ -15,7 +15,7 @@ import (
 	"integrade/internal/testutil/seeds"
 )
 
-// These tests cover the sharded copy-on-write index added with the batched
+// These tests cover the copy-on-write index added with the batched
 // scheduling path: batch export semantics, the version counter the GRM's
 // snapshot cache keys on, the copies Select and All return, and a seeded
 // concurrent stress of every write path against the lock-free reads.
@@ -117,8 +117,7 @@ func errorIf(failed bool, what string) error {
 // (Select with and without a constraint, VisitMatchSet, Count, All) under the
 // race detector.
 // The seed picks the operation mix per goroutine; the final consistency
-// check verifies the reverse index and the shard snapshots agree after the
-// storm.
+// check verifies the reverse index and the snapshot agree after the storm.
 func TestConcurrentTradingStress(t *testing.T) {
 	seeds.Run(t, concurrentTradingStress)
 }
@@ -221,9 +220,9 @@ func concurrentTradingStress(t *testing.T, seed int64) {
 	assertIndexConsistent(t, s)
 }
 
-// slotOffers loads what a shard's snapshot holds, slot by slot.
-func slotOffers(sh *shard) []*stored {
-	slots := sh.snap.Load().slots
+// slotOffers loads what the index's snapshot holds, slot by slot.
+func slotOffers(s *Service) []*stored {
+	slots := s.snap.Load().slots
 	out := make([]*stored, len(slots))
 	for i := range slots {
 		out[i] = slots[i].Load()
@@ -234,68 +233,52 @@ func slotOffers(sh *shard) []*stored {
 // withdrawRef withdraws ref's offer through its place, as the exporter holding
 // the place would, and reports whether there was one.
 func withdrawRef(s *Service, ref orb.ObjectRef) bool {
-	sh := &s.shards[refShard(ref)]
-	sh.mu.Lock()
-	e := sh.byRef[ref]
-	sh.mu.Unlock()
+	s.mu.Lock()
+	e := s.byRef[ref]
+	s.mu.Unlock()
 	return e != nil && s.Withdraw(Place{e})
 }
 
-// shardmates returns n node numbers, from first on, whose refs share node
-// first's shard.
-func shardmates(first, n int) []int {
-	var out []int
-	for i := first; len(out) < n; i++ {
-		if refShard(nodeRef(i)) == refShard(nodeRef(first)) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // assertIndexConsistent checks, on a quiescent service, what the index's
-// writers keep true and its readers rest on: a shard holds one entry per ref,
-// byRef and entries list the same entries, every live entry's slot holds that
-// entry's offer, of its ref, and a shard's slots hold exactly its entries'
-// offers, and every slot of its array past the snapshot's end is nil; every
-// live offer's seq is unique across the whole service and its record is its
-// own, and Select and All come back strictly ascending in Seq. Slot
-// order itself is not an invariant: an upsert keeps its slot.
+// writers keep true and its readers rest on: the index holds one entry per
+// ref, byRef and entries list the same entries, every live entry's slot holds
+// that entry's offer, of its ref, and the slots hold exactly the entries'
+// offers, and every slot of the array past the snapshot's end is nil; every
+// live offer's seq is unique and its record is its own, and Select and All
+// come back strictly ascending in Seq. Slot order itself is not an invariant:
+// an upsert keeps its slot.
 func assertIndexConsistent(t *testing.T, s *Service) {
 	t.Helper()
-	holder := map[int]int{} // seq → the shard holding it
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		offers := slotOffers(sh)
-		slots := sh.snap.Load().slots
-		for j := len(slots); j < cap(slots); j++ {
-			if slots[:cap(slots)][j].Load() != nil {
-				t.Errorf("shard %d: slot %d, past the snapshot's %d, holds an offer", i, j, len(slots))
-			}
+	s.mu.Lock()
+	offers := slotOffers(s)
+	slots := s.snap.Load().slots
+	for j := len(slots); j < cap(slots); j++ {
+		if slots[:cap(slots)][j].Load() != nil {
+			t.Errorf("slot %d, past the snapshot's %d, holds an offer", j, len(slots))
 		}
-		if len(sh.entries) != len(offers) || len(sh.byRef) != len(offers) {
-			t.Errorf("shard %d: %d slots, %d entries, %d refs in byRef", i, len(offers), len(sh.entries), len(sh.byRef))
+	}
+	if len(s.entries) != len(offers) || len(s.byRef) != len(offers) {
+		t.Errorf("%d slots, %d entries, %d refs in byRef", len(offers), len(s.entries), len(s.byRef))
+	}
+	for j, e := range s.entries {
+		if e.slot != j || j >= len(offers) || offers[j] != e.st || s.byRef[e.st.Ref] != e {
+			t.Errorf("entries[%d] (slot %d, seq %d) is not the entry of the offer in its slot", j, e.slot, e.st.seq)
 		}
-		for j, e := range sh.entries {
-			if e.sh != sh || e.slot != j || j >= len(offers) || offers[j] != e.st || sh.byRef[e.st.Ref] != e {
-				t.Errorf("shard %d: entries[%d] (slot %d, seq %d) is not the entry of the offer in its slot", i, j, e.slot, e.st.seq)
-			}
+	}
+	for ref, e := range s.byRef {
+		if e.st.Ref != ref || e.slot < 0 {
+			t.Errorf("byRef[%v] holds seq %d of %v at slot %d", ref, e.st.seq, e.st.Ref, e.slot)
 		}
-		for ref, e := range sh.byRef {
-			if e.st.Ref != ref || e.slot < 0 {
-				t.Errorf("shard %d: byRef[%v] holds seq %d of %v at slot %d", i, ref, e.st.seq, e.st.Ref, e.slot)
-			}
+	}
+	s.mu.Unlock()
+	seqs := map[int]bool{}
+	for _, st := range offers {
+		if seqs[st.seq] || st.seq <= 0 {
+			t.Errorf("two offers have seq %d (or it is no export's)", st.seq)
 		}
-		sh.mu.Unlock()
-		for _, st := range offers {
-			if prev, dup := holder[st.seq]; dup || st.seq <= 0 {
-				t.Errorf("shard %d: an offer has seq %d, which shard %d holds too (or is no export's)", i, st.seq, prev)
-			}
-			holder[st.seq] = i
-			if st.Properties != &st.rec {
-				t.Errorf("shard %d: offer with seq %d reads another's record", i, st.seq)
-			}
+		seqs[st.seq] = true
+		if st.Properties != &st.rec {
+			t.Errorf("offer with seq %d reads another's record", st.seq)
 		}
 	}
 	selected, err := s.Select(Query{})
@@ -314,14 +297,14 @@ func assertIndexConsistent(t *testing.T, s *Service) {
 	}
 }
 
-// TestSeqOrderSameShard races every write path into one shard: sixteen
-// writers on eight refs of that shard, two to a ref, with property records of
+// TestSeqOrderSameShard races every write path into the index: sixteen
+// writers on eight refs, two to a ref, with property records of
 // different sizes, up to inlineValues. A quarter of the writers go through
 // ExportBatch, a quarter upsert through a place, and the rest by reference.
 // Slot order may then be anything; each ref holds one offer, and the queries
 // come back in seq.
 func TestSeqOrderSameShard(t *testing.T) {
-	refs := shardmates(0, 8)
+	refs := firstNodes(8)
 	for round := 0; round < 100; round++ {
 		s := NewService(nil)
 		var wg sync.WaitGroup
@@ -395,10 +378,8 @@ func TestSelectCopiesNeverChange(t *testing.T) {
 		}
 	}
 	copied := map[*stored]int{} // the index's offers, and their seqs, as Select and All copy them
-	for i := range s.shards {
-		for _, st := range slotOffers(&s.shards[i]) {
-			copied[st] = st.seq
-		}
+	for _, st := range slotOffers(s) {
+		copied[st] = st.seq
 	}
 	selected, err := s.Select(Query{Constraint: "mips >= 100"})
 	all := s.All("")
@@ -486,8 +467,8 @@ func TestSelectCopiesNeverChange(t *testing.T) {
 // TestVersionCountsConcurrentWrites: the GRM's snapshot cache takes an
 // unchanged Version to mean an unchanged index, so every write must advance it
 // exactly once — a store into a slot as much as a rebuild — and a write that
-// changes nothing must not. Writers export nodes over all 64 shards, each node
-// under its own ref, and then drive them as the GRM does: upserts through the
+// changes nothing must not. Writers export 512 nodes, each under its own
+// ref, and then drive them as the GRM does: upserts through the
 // node's place, moves to a new ref (an export by reference, and a withdrawal
 // of the old place), departures (a withdrawal, after which upserts and
 // withdrawals through the dead place are dropped) and returns (an export by
@@ -496,13 +477,6 @@ func TestSelectCopiesNeverChange(t *testing.T) {
 // as there were writes.
 func TestVersionCountsConcurrentWrites(t *testing.T) {
 	const writers, nodes, iters = 4, 512, 400
-	shards := map[int]bool{}
-	for i := 0; i < nodes; i++ {
-		shards[refShard(nodeRef(i))] = true
-	}
-	if len(shards) != numShards {
-		t.Fatalf("%d refs cover %d of the %d shards", nodes, len(shards), numShards)
-	}
 	s := NewService(nil)
 	v0 := s.Version()
 	var (

@@ -10,26 +10,26 @@
 // it remotely.
 //
 // The index holds one service type, the node status offers of the LRMs, so
-// it has no map of types: it is numShards shards keyed by the exporting object
-// reference (DESIGN.md §16), and each shard publishes a snapshot behind an
-// atomic.Pointer — one slot per offer, and one offer per exporting reference.
-// Which offers a shard holds grows by appending and shrinks by copy-on-write:
-// a reference's first offer goes into the slot just past the snapshot's end,
+// it has no map of types: it is one snapshot behind an atomic.Pointer — one
+// slot per offer, and one offer per exporting reference (DESIGN.md §16).
+// Which offers it holds grows by appending and shrinks by copy-on-write: a
+// reference's first offer goes into the slot just past the snapshot's end,
 // published by a longer snapshot over the same slot array while the array has
 // room, and a writer that removes an offer builds a fresh snapshot and swaps
-// it in under the shard mutex, as the ORB's registries do. What a slot holds changes in place: a status update stores
-// its ref's new offer into the slot the old one sat in, through the Place its
-// first export returned, which names the shard and the slot. Readers take no
-// locks — they load the snapshots and the slots — so they never contend with
-// writers. A writer takes its shard's mutex and no other, so writers on
-// different shards never contend with each other either.
+// it in under the writer mutex, as the ORB's registries do. What a slot holds
+// changes in place: a status update stores its ref's new offer into the slot
+// the old one sat in, through the Place its first export returned, which
+// names the slot. Readers take no locks — they load the snapshot and the
+// slots — so they never contend with writers. Writers take the one mutex in
+// turn; the GRM, the index's one writer, writes only inside its own critical
+// section, so they never wait for each other there.
 //
 // An offer is written before it is published and is never rewritten while a
 // hold that could reach it is live. A reader walks the index under a read
 // hold (Hold), two atomic counters and no lock. Every offer is of one form:
 // every write — a first export, an export by reference or in a batch, an
 // update through a place — fills an offer with a copy of its values inline,
-// and the offer it replaces joins its shard's free list. A write rewrites the
+// and the offer it replaces joins the free list. A write rewrites the
 // oldest offer on that list once every hold that could have loaded it has been
 // released, and allocates a new one only while one might not have been
 // (DESIGN.md §16).
@@ -46,12 +46,6 @@ import (
 	"integrade/internal/constraint"
 	"integrade/internal/orb"
 )
-
-// numShards is the number of copy-on-write shards. Offers are assigned to
-// shards by a hash of their exporting reference, so a write that changes which
-// offers a shard holds rebuilds 1/numShards of the index instead of all of it,
-// and updates for different nodes proceed in parallel.
-const numShards = 64
 
 // Offer is one advertised service: the exporting object and its properties.
 // The properties are a record no holder can write to, so copying an Offer
@@ -107,7 +101,7 @@ func (o *Offer) expired(now time.Time) bool { return due(o.Expires, now) }
 // in another object wherever the allocator put it. The header and the values
 // are copies of the exporter's. Like the Offer inside it, a stored is written
 // before it is published and never rewritten while a hold that could reach it
-// is live: it is rewritten, off its shard's free list, only after its slot
+// is live: it is rewritten, off the free list, only after its slot
 // stopped pointing at it and every hold that could have loaded it was
 // released. It has no field for that: its layout is what a scan reads.
 type stored struct {
@@ -144,7 +138,7 @@ type Query struct {
 // cache on all but the first sight of a source.
 var compileCache = constraint.NewCache(0)
 
-// shardSnap is one shard's published state. Which offers it has slots for is
+// snapshot is the index's published state. Which offers it has slots for is
 // immutable — a writer that removes one builds a fresh snapshot, and one that
 // adds one publishes a longer snapshot — but what a slot holds is not: an
 // upsert stores a ref's new offer into its old one's slot. A reader loads each
@@ -155,7 +149,7 @@ var compileCache = constraint.NewCache(0)
 // published over one array shares its sweepAt. A first export stores into the
 // slot just past a snapshot's end — nil until then, and indexed by no reader of
 // that snapshot — before it publishes the longer one.
-type shardSnap struct {
+type snapshot struct {
 	slots []atomic.Pointer[stored]
 	// sweepAt is a lower bound on the expiry of every offer ever stored into
 	// this snapshot's slot array (zero: none expires), exact when a rebuild
@@ -166,41 +160,65 @@ type shardSnap struct {
 	sweepAt time.Time
 }
 
-// slotHeadroom is how many times its offers a rebuilt shard's slot array
-// holds, so that the first exports that fill it append instead of rebuilding:
-// n of them into one shard copy O(n) slots in all.
+// slotHeadroom is how many times its offers a rebuilt slot array holds, so
+// that the first exports that fill it append instead of rebuilding: n of them
+// copy O(n) slots in all.
 const slotHeadroom = 2
 
-// emptySnap is the shared snapshot of an offer-less shard; it is never
-// mutated, so every empty shard can publish the same pointer.
-var emptySnap = &shardSnap{}
-
-// entry is one exporter's offer in a shard: its current offer and the slot it
-// sits in. A shard has at most one entry per exporting reference. An upsert
-// replaces st, which joins the shard's free list, and keeps the entry; a
-// withdrawal, or an expiry sweep, removes the entry for good, leaves its offer
-// to the collector and sets slot to -1. Its fields are guarded by sh.mu.
+// entry is one exporter's offer: its current offer and the slot it sits in.
+// The index has at most one entry per exporting reference. An upsert replaces
+// st, which joins the free list, and keeps the entry; a withdrawal, or an
+// expiry sweep, removes the entry for good, leaves its offer to the collector
+// and sets slot to -1. Its fields are guarded by Service.mu.
 type entry struct {
-	sh   *shard
 	st   *stored
 	slot int
 }
 
 // Place is an exporter's handle on its offer's entry, which Export returns and
-// Upsert and Withdraw take: the slot without a hash or a probe of byRef. It
+// Upsert and Withdraw take: the slot without a probe of byRef. It
 // stays valid across upserts until its offer is withdrawn or swept as expired;
 // then it is dead, and an export by reference gives a new place. The zero
 // Place is no place.
 type Place struct{ e *entry }
 
-// shard is one slice of the offer index.
-type shard struct {
-	// mu serializes snapshot rebuilds and slot stores, and guards byRef and
-	// entries. Readers never take it: they load snap and the slots.
+// retired is an offer an upsert replaced, and the epoch read just after the
+// store that unpublished it.
+type retired struct {
+	st *stored
+	at uint64
+}
+
+// Service is the in-memory trader. Safe for concurrent use.
+//
+// Offers are indexed two ways: a snapshot holding one slot per offer (the
+// lock-free read path), and entries, one per exporting reference, which places
+// point at (the write path). Every offer carries its export sequence number,
+// which is unique, so a consumer that wants export order sorts by it (scan)
+// and one that brings its own order never pays for it (DESIGN.md §16).
+type Service struct {
+	// version counts index mutations. Readers that cache query results
+	// (the GRM's batch matcher) revalidate against it: an unchanged version
+	// means the snapshot they cached is still the live one.
+	version atomic.Uint64
+
+	// epoch and holds are the read holds (Hold): holds[p] counts the live
+	// holds taken at an epoch of parity p. An offer retired at epoch t may be
+	// rewritten once the epoch is t+2 or more (graceOver).
+	epoch atomic.Uint64
+	holds [2]atomic.Int64
+
+	now func() time.Time
+
+	// mu serializes snapshot rebuilds and slot stores, and guards seq, byRef,
+	// entries and the free list. Readers never take it: they load snap and the
+	// slots.
 	//
 	//lint:guards snap
 	mu   sync.Mutex
-	snap atomic.Pointer[shardSnap]
+	snap atomic.Pointer[snapshot]
+	// seq is the export sequence, drawn under mu.
+	seq int
 	// byRef and entries index the snapshot's offers by exporter: byRef finds a
 	// reference's one entry, and entries[i] is the entry whose offer sits in
 	// slot i. Mutated in place under mu; never read without it.
@@ -216,63 +234,14 @@ type shard struct {
 	head, n int
 }
 
-// retired is an offer an upsert replaced, and the epoch read just after the
-// store that unpublished it.
-type retired struct {
-	st *stored
-	at uint64
-}
-
-// refShard maps an exporting reference to its shard index: FNV-1a over
-// endpoint and key, written out so that it converts no string.
-func refShard(ref orb.ObjectRef) int {
-	h := uint32(2166136261)
-	for _, s := range [...]string{ref.Endpoint.Net, ref.Endpoint.Addr, ref.Key} {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint32(s[i])) * 16777619
-		}
-	}
-	return int(h % numShards)
-}
-
-// Service is the in-memory trader. Safe for concurrent use.
-//
-// Offers are indexed two ways: shard snapshots holding one slot per offer
-// (the lock-free read path), and per-shard entries, one per exporting
-// reference, which places point at (the write path). Every offer carries its
-// export sequence number, which is unique, so a consumer that wants export
-// order sorts by it (scan) and one that brings its own order never pays for it
-// (DESIGN.md §16).
-type Service struct {
-	// seq is the global export sequence; atomic so concurrent exports on
-	// different shards never serialize on it.
-	seq atomic.Int64
-	// version counts index mutations. Readers that cache query results
-	// (the GRM's batch matcher) revalidate against it: an unchanged version
-	// means the snapshot they cached is still the live one.
-	version atomic.Uint64
-
-	// epoch and holds are the read holds (Hold): holds[p] counts the live
-	// holds taken at an epoch of parity p. An offer retired at epoch t may be
-	// rewritten once the epoch is t+2 or more (graceOver).
-	epoch atomic.Uint64
-	holds [2]atomic.Int64
-
-	now    func() time.Time
-	shards [numShards]shard
-}
-
 // NewService returns an empty trader. The now function drives offer expiry;
 // pass the clock's Now (or nil for no expiry checks).
 func NewService(now func() time.Time) *Service {
 	if now == nil {
 		now = func() time.Time { return time.Time{} }
 	}
-	s := &Service{now: now}
-	for i := range s.shards {
-		s.shards[i].snap.Store(emptySnap)
-		s.shards[i].byRef = make(map[orb.ObjectRef]*entry)
-	}
+	s := &Service{now: now, byRef: make(map[orb.ObjectRef]*entry)}
+	s.snap.Store(&snapshot{})
 	return s
 }
 
@@ -284,8 +253,8 @@ func (s *Service) Version() uint64 { return s.version.Load() }
 // Hold is a read hold on a Service's offers: no offer the holder loads from
 // the index while the hold is live is rewritten before Release. Taking and
 // releasing one is a few atomic operations, no lock and no allocation, and a
-// writer never waits for one: while a hold that could reach its shard's
-// oldest retired offer is live, a write allocates a new offer instead
+// writer never waits for one: while a hold that could reach the oldest
+// retired offer is live, a write allocates a new offer instead
 // (DESIGN.md §16). The zero Hold holds nothing, and must not be released.
 type Hold struct{ count *atomic.Int64 }
 
@@ -312,8 +281,8 @@ func (h Hold) Release() { h.count.Add(-1) }
 // is short of that and no hold of parity (e+1)&1 is live, and never waits.
 //
 // A hold counted at epoch h can reach the offer only through a snapshot it
-// loaded before the store that retired it — the shard's snapshot holds the
-// new offer from then on — so h ≤ t; and while the hold is live the epoch
+// loaded before the store that retired it — the live snapshot holds the new
+// offer from then on — so h ≤ t; and while the hold is live the epoch
 // cannot move from h+1 to h+2, whose parity is the hold's. So the epoch
 // reaches t+2 only after every hold that could reach the offer was released.
 func (s *Service) graceOver(t uint64) bool {
@@ -325,7 +294,7 @@ func (s *Service) graceOver(t uint64) bool {
 	return e >= t+2
 }
 
-// Export upserts the offer of ref — a shard holds one offer per exporting
+// Export upserts the offer of ref — the index holds one offer per exporting
 // reference — with the given expiry and properties, values[i] being the
 // schema's i-th, and returns its place, through which the exporter's later
 // upserts and its withdrawal go. It copies values into the offer, as Upsert
@@ -334,7 +303,7 @@ func (s *Service) graceOver(t uint64) bool {
 //
 //lint:hotpath alloc=0 locks=1 block=0
 func (s *Service) Export(ref orb.ObjectRef, expires time.Time, schema *constraint.Schema, values []constraint.Value) Place {
-	e, _ := s.upsert(&s.shards[refShard(ref)], nil, ref, expires, schema, values)
+	e, _ := s.upsert(nil, ref, expires, schema, values)
 	s.version.Add(1)
 	return Place{e}
 }
@@ -360,7 +329,7 @@ func parts(r *constraint.Record) (*constraint.Schema, []constraint.Value) {
 
 // Upsert makes the offer at place p one of p's reference with the given
 // expiry and properties, values[i] being the schema's i-th, as Export would
-// for p's reference, without finding the reference: it locks p's shard and
+// for p's reference, without finding the reference: it locks the index and
 // stores into p's slot. It copies values into the offer, which holds them
 // beside its record header, so the caller keeps the array and may reuse it
 // once Upsert returns. Upsert reports false, and changes nothing, when p is
@@ -371,7 +340,7 @@ func (s *Service) Upsert(p Place, expires time.Time, schema *constraint.Schema, 
 	if p.e == nil {
 		return false
 	}
-	if e, _ := s.upsert(p.e.sh, p.e, orb.ObjectRef{}, expires, schema, values); e == nil {
+	if e, _ := s.upsert(p.e, orb.ObjectRef{}, expires, schema, values); e == nil {
 		return false
 	}
 	s.version.Add(1)
@@ -386,57 +355,57 @@ func (st *stored) fill(expires time.Time, schema *constraint.Schema, values []co
 	st.Expires, st.Properties = expires, &st.rec
 }
 
-// reuse takes the offer a write into sh is to fill: the oldest offer on the
-// shard's free list once no hold can reach it, and a new one while one might.
-// The caller holds sh.mu.
-func (s *Service) reuse(sh *shard) *stored {
-	if sh.n == 0 || !s.graceOver(sh.free[sh.head].at) {
+// reuse takes the offer a write is to fill: the oldest offer on the free list
+// once no hold can reach it, and a new one while one might. The caller holds
+// s.mu.
+func (s *Service) reuse() *stored {
+	if s.n == 0 || !s.graceOver(s.free[s.head].at) {
 		return newOffer()
 	}
-	st := sh.free[sh.head].st
-	sh.free[sh.head] = retired{}
-	if sh.head++; sh.head == len(sh.free) {
-		sh.head = 0
+	st := s.free[s.head].st
+	s.free[s.head] = retired{}
+	if s.head++; s.head == len(s.free) {
+		s.head = 0
 	}
-	sh.n--
+	s.n--
 	return st
 }
 
-// newOffer is the offer a write fills when its shard has no retired offer it
-// may rewrite: its free list is empty, as while its fleet registers, or a live
+// newOffer is the offer a write fills when there is no retired offer it may
+// rewrite: the free list is empty, as while the fleet registers, or a live
 // hold could still reach the oldest offer on it.
 //
 //lint:coldpath no retired offer may be rewritten yet
 func newOffer() *stored { return new(stored) }
 
 // retire appends st, which the caller's store has just unpublished, to the
-// shard's free list, at the epoch read after that store. With as many retired
-// offers as the shard has entries st is left to the collector instead. The
-// caller holds sh.mu.
-func (s *Service) retire(sh *shard, st *stored) {
-	if sh.n >= len(sh.entries) {
+// free list, at the epoch read after that store. With as many retired offers
+// as there are entries st is left to the collector instead. The caller holds
+// s.mu.
+func (s *Service) retire(st *stored) {
+	if s.n >= len(s.entries) {
 		return
 	}
-	if sh.n == len(sh.free) {
-		sh.growFree()
+	if s.n == len(s.free) {
+		s.growFree()
 	}
-	i := sh.head + sh.n
-	if i >= len(sh.free) {
-		i -= len(sh.free)
+	i := s.head + s.n
+	if i >= len(s.free) {
+		i -= len(s.free)
 	}
-	sh.free[i] = retired{st, s.epoch.Load()}
-	sh.n++
+	s.free[i] = retired{st, s.epoch.Load()}
+	s.n++
 }
 
 // growFree doubles the free list's ring, oldest offer first.
 //
 //lint:coldpath the list outgrows its ring only while a hold keeps its offers from reuse
-func (sh *shard) growFree() {
-	next := make([]retired, max(1, 2*len(sh.free)))
-	for i := range sh.n {
-		next[i] = sh.free[(sh.head+i)%len(sh.free)]
+func (s *Service) growFree() {
+	next := make([]retired, max(1, 2*len(s.free)))
+	for i := range s.n {
+		next[i] = s.free[(s.head+i)%len(s.free)]
 	}
-	sh.free, sh.head = next, 0
+	s.free, s.head = next, 0
 }
 
 // upsert is the one write section of Export, Upsert and ExportBatch. With e
@@ -447,49 +416,50 @@ func (sh *shard) growFree() {
 // of the entry's current one, and ref on a first export. The caller advances
 // the version.
 //
-// When nothing in the shard can have expired (now is short of sweepAt) and the
-// offer's expiry keeps sweepAt a lower bound, upsert stores it into the entry's
-// slot, or appends a reference's first offer past the snapshot's end;
-// otherwise — an expiry to compact, a lower bound — it rebuilds the shard. The
-// seq is drawn under the shard mutex, so a reference's offers are numbered in
+// When nothing in the index can have expired (now is short of sweepAt) and
+// the offer's expiry keeps sweepAt a lower bound, upsert stores it into the
+// entry's slot, or appends a reference's first offer past the snapshot's end;
+// otherwise — an expiry to compact, a lower bound — it rebuilds the snapshot.
+// The seq is drawn under the mutex, so a reference's offers are numbered in
 // the order they replace each other. The offer it replaces, in no slot any
-// more, joins the shard's free list, retired at the epoch read after the
-// store. All of it is one section under the shard mutex.
-func (s *Service) upsert(sh *shard, e *entry, ref orb.ObjectRef, expires time.Time, schema *constraint.Schema, values []constraint.Value) (*entry, int) {
+// more, joins the free list, retired at the epoch read after the store. All of
+// it is one section under the mutex.
+func (s *Service) upsert(e *entry, ref orb.ObjectRef, expires time.Time, schema *constraint.Schema, values []constraint.Value) (*entry, int) {
 	if len(values) > inlineValues {
 		panic("trading: an offer of more than inlineValues properties")
 	}
 	now := s.now()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch {
 	case e == nil:
-		if e = sh.byRef[ref]; e == nil {
-			e = sh.adopt(ref)
+		if e = s.byRef[ref]; e == nil {
+			e = s.adopt(ref)
 		}
 	case e.slot < 0:
 		return nil, 0
 	}
-	st := s.reuse(sh)
+	st := s.reuse()
 	st.fill(expires, schema, values)
 	old := e.st
 	if old != nil {
 		ref = old.Ref
 	}
 	st.Ref = ref
-	st.seq = int(s.seq.Add(1))
+	s.seq++
+	st.seq = s.seq
 	e.st = st
-	cur := sh.snap.Load()
+	cur := s.snap.Load()
 	switch {
 	case due(cur.sweepAt, now) || !earlier(cur.sweepAt, st.Expires).Equal(cur.sweepAt):
-		sh.snap.Store(sh.rebuilt(cur, now, nil))
+		s.snap.Store(s.rebuilt(cur, now, nil))
 	case e.slot >= 0:
 		cur.slots[e.slot].Store(st)
 	default:
-		sh.snap.Store(sh.appended(cur, now, e))
+		s.snap.Store(s.appended(cur, now, e))
 	}
 	if old != nil && e.slot >= 0 {
-		s.retire(sh, old)
+		s.retire(old)
 	}
 	return e, st.seq
 }
@@ -502,21 +472,21 @@ func (s *Service) ExportBatch(offers []Offer) ([]int, error) {
 	seqs := make([]int, len(offers))
 	for i, o := range offers {
 		schema, values := parts(o.Properties)
-		_, seqs[i] = s.upsert(&s.shards[refShard(o.Ref)], nil, o.Ref, o.Expires, schema, values)
+		_, seqs[i] = s.upsert(nil, o.Ref, o.Expires, schema, values)
 	}
 	s.version.Add(1)
 	return seqs, nil
 }
 
-// adopt adds an entry for ref, the last of the shard's, with no slot until its
-// caller, which holds sh.mu and sets the entry's offer, appends it or rebuilds
-// the shard.
+// adopt adds an entry for ref, the last one, with no slot until its caller,
+// which holds s.mu and sets the entry's offer, appends it or rebuilds the
+// snapshot.
 //
 //lint:coldpath a reference's first export
-func (sh *shard) adopt(ref orb.ObjectRef) *entry {
-	e := &entry{sh: sh, slot: -1}
-	sh.byRef[ref] = e
-	sh.entries = append(sh.entries, e)
+func (s *Service) adopt(ref orb.ObjectRef) *entry {
+	e := &entry{slot: -1}
+	s.byRef[ref] = e
+	s.entries = append(s.entries, e)
 	return e
 }
 
@@ -524,39 +494,39 @@ func (sh *shard) adopt(ref orb.ObjectRef) *entry {
 // copy while cur's slot array has room: it stores the offer into the slot just
 // past cur's end — where a rebuild would put it, e being the last entry — and
 // returns a longer snapshot over the same array, with cur's sweepAt, which the
-// caller, holding sh.mu, must store. No reader of cur indexes that slot, and no
+// caller, holding s.mu, must store. No reader of cur indexes that slot, and no
 // snapshot before reached it: an array's snapshots only grow, as a removal
 // rebuilds. With the array full it returns the rebuild. The caller has checked
 // that no sweep is due and that the offer keeps sweepAt a lower bound.
 //
 //lint:coldpath a reference's first export
-func (sh *shard) appended(cur *shardSnap, now time.Time, e *entry) *shardSnap {
+func (s *Service) appended(cur *snapshot, now time.Time, e *entry) *snapshot {
 	n := len(cur.slots)
 	if n == cap(cur.slots) {
-		return sh.rebuilt(cur, now, nil)
+		return s.rebuilt(cur, now, nil)
 	}
 	e.slot = n
-	next := &shardSnap{slots: cur.slots[:n+1], sweepAt: cur.sweepAt}
+	next := &snapshot{slots: cur.slots[:n+1], sweepAt: cur.sweepAt}
 	next.slots[n].Store(e.st)
 	return next
 }
 
 // rebuilt is the copy step of the copy-on-write writers: it returns a fresh
 // snapshot, over a fresh slot array with slotHeadroom to grow into, holding the
-// offers of the shard's entries — without drop's (nil: none) and, when cur's
-// sweep is due, without those past their expiry — its sweepAt exact. It
-// removes the dropped entries and moves every survivor's slot, so the caller,
-// which holds sh.mu, must store the result. A removal must rebuild: moving an
-// offer into a freed slot in place could show a reader its ref twice.
+// offers of the entries — without drop's (nil: none) and, when cur's sweep is
+// due, without those past their expiry — its sweepAt exact. It removes the
+// dropped entries and moves every survivor's slot, so the caller, which holds
+// s.mu, must store the result. A removal must rebuild: moving an offer into a
+// freed slot in place could show a reader its ref twice.
 //
-//lint:coldpath copy-on-write shard rebuild: the writer slow path
-func (sh *shard) rebuilt(cur *shardSnap, now time.Time, drop *entry) *shardSnap {
+//lint:coldpath copy-on-write rebuild: the writer slow path
+func (s *Service) rebuilt(cur *snapshot, now time.Time, drop *entry) *snapshot {
 	sweep := due(cur.sweepAt, now)
-	next := &shardSnap{slots: make([]atomic.Pointer[stored], len(sh.entries), slotHeadroom*len(sh.entries))}
-	kept := sh.entries[:0]
-	for _, e := range sh.entries {
+	next := &snapshot{slots: make([]atomic.Pointer[stored], len(s.entries), slotHeadroom*len(s.entries))}
+	kept := s.entries[:0]
+	for _, e := range s.entries {
 		if e == drop || sweep && e.st.expired(now) {
-			delete(sh.byRef, e.st.Ref)
+			delete(s.byRef, e.st.Ref)
 			e.slot = -1
 			continue
 		}
@@ -565,45 +535,41 @@ func (sh *shard) rebuilt(cur *shardSnap, now time.Time, drop *entry) *shardSnap 
 		next.sweepAt = earlier(next.sweepAt, e.st.Expires)
 		kept = append(kept, e)
 	}
-	clear(sh.entries[len(kept):])
-	sh.entries = kept
+	clear(s.entries[len(kept):])
+	s.entries = kept
 	next.slots = next.slots[:len(kept)]
 	return next
 }
 
-// Withdraw removes the offer at place p — a rebuild of its one shard — and
+// Withdraw removes the offer at place p — a rebuild of the snapshot — and
 // reports whether there was one: false for a dead or zero place.
 func (s *Service) Withdraw(p Place) bool {
 	e := p.e
 	if e == nil {
 		return false
 	}
-	sh := e.sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if e.slot < 0 {
 		return false
 	}
-	sh.snap.Store(sh.rebuilt(sh.snap.Load(), s.now(), e))
+	s.snap.Store(s.rebuilt(s.snap.Load(), s.now(), e))
 	s.version.Add(1)
 	return true
 }
 
-// Count returns the number of live offers: a shard's slot count while its
-// sweep bound is ahead of now, and a walk of the shard only once it is not.
+// Count returns the number of live offers: the slot count while the sweep
+// bound is ahead of now, and a walk of the snapshot only once it is not.
 func (s *Service) Count() int {
 	h := s.Hold()
 	defer h.Release()
 	now := s.now()
-	n := 0
-	for i := range s.shards {
-		snap := s.shards[i].snap.Load()
-		n += len(snap.slots)
-		if due(snap.sweepAt, now) {
-			for j := range snap.slots {
-				if snap.slots[j].Load().expired(now) {
-					n--
-				}
+	snap := s.snap.Load()
+	n := len(snap.slots)
+	if due(snap.sweepAt, now) {
+		for j := range snap.slots {
+			if snap.slots[j].Load().expired(now) {
+				n--
 			}
 		}
 	}
@@ -651,7 +617,7 @@ func owned(offers []*Offer) []Offer {
 // matches nothing, and an offer whose constraint evaluation errors does not
 // match.
 //
-// It takes a snapshot a block at a time, in three stages. Reaching an offer's
+// It takes the snapshot a block at a time, in three stages. Reaching an offer's
 // values is a chain of dependent cache misses — the slot, the record header at
 // the front of what it points to, the record's value array — and a fleet does
 // not fit in cache; finishing one offer before touching the next pays them in
@@ -671,54 +637,52 @@ func (s *Service) visitSet(cons []*constraint.Expr, skip uint64, now time.Time, 
 		sel  [constraint.BlockSize]uint8
 		met  [constraint.BlockSize]uint64
 	)
-	for i := range s.shards {
-		snap := s.shards[i].snap.Load()
-		sweep := due(snap.sweepAt, now)
-		for slots := snap.slots; len(slots) > 0; {
-			block := slots[:min(len(slots), constraint.BlockSize)]
-			slots = slots[len(block):]
-			// One: each slot, loaded once — and the offer behind it only in a
-			// shard whose sweep bound has passed, where it may have expired.
-			n := 0
-			for j := range block {
-				st := block[j].Load()
-				if sweep && st.expired(now) {
-					continue
-				}
-				offs[j], recs[j] = st, &st.rec
-				live[n] = uint8(j)
-				n++
-			}
-			// Two: the constraints, a term across the block at a time.
-			if len(cons) == 1 {
-				matched := live[:n]
-				if cons[0] != nil {
-					matched = cons[0].Filter(recs[:len(block)], matched)
-				}
-				for _, j := range matched {
-					fn(&offs[j].Offer, 1)
-				}
+	snap := s.snap.Load()
+	sweep := due(snap.sweepAt, now)
+	for slots := snap.slots; len(slots) > 0; {
+		block := slots[:min(len(slots), constraint.BlockSize)]
+		slots = slots[len(block):]
+		// One: each slot, loaded once — and the offer behind it only once the
+		// sweep bound has passed, when it may have expired.
+		n := 0
+		for j := range block {
+			st := block[j].Load()
+			if sweep && st.expired(now) {
 				continue
 			}
-			for c, expr := range cons {
-				if skip&(1<<c) != 0 {
-					continue
-				}
-				matched := live[:n]
-				if expr != nil {
-					copy(sel[:n], live[:n])
-					matched = expr.Filter(recs[:len(block)], sel[:n])
-				}
-				for _, j := range matched {
-					met[j] |= 1 << c
-				}
+			offs[j], recs[j] = st, &st.rec
+			live[n] = uint8(j)
+			n++
+		}
+		// Two: the constraints, a term across the block at a time.
+		if len(cons) == 1 {
+			matched := live[:n]
+			if cons[0] != nil {
+				matched = cons[0].Filter(recs[:len(block)], matched)
 			}
-			// Three: the matches.
-			for _, j := range live[:n] {
-				if met[j] != 0 {
-					fn(&offs[j].Offer, met[j])
-					met[j] = 0
-				}
+			for _, j := range matched {
+				fn(&offs[j].Offer, 1)
+			}
+			continue
+		}
+		for c, expr := range cons {
+			if skip&(1<<c) != 0 {
+				continue
+			}
+			matched := live[:n]
+			if expr != nil {
+				copy(sel[:n], live[:n])
+				matched = expr.Filter(recs[:len(block)], sel[:n])
+			}
+			for _, j := range matched {
+				met[j] |= 1 << c
+			}
+		}
+		// Three: the matches.
+		for _, j := range live[:n] {
+			if met[j] != 0 {
+				fn(&offs[j].Offer, met[j])
+				met[j] = 0
 			}
 		}
 	}
@@ -727,14 +691,10 @@ func (s *Service) visitSet(cons []*constraint.Expr, skip uint64, now time.Time, 
 // scan returns what visitSet yields for cons alone, in ascending seq: global
 // export order.
 func (s *Service) scan(cons *constraint.Expr, now time.Time) []*Offer {
-	total := 0
-	for i := range s.shards {
-		total += len(s.shards[i].snap.Load().slots)
-	}
-	matched := make([]*Offer, 0, total)
+	matched := make([]*Offer, 0, len(s.snap.Load().slots))
 	one := [1]*constraint.Expr{cons}
 	s.visitSet(one[:], 0, now, func(o *Offer, _ uint64) { //lint:alloc visitSet only calls it: it stays on the stack
-		matched = append(matched, o) //lint:alloc presized: grows only if a shard gained offers since the count
+		matched = append(matched, o) //lint:alloc presized: grows only if the index gained offers since the count
 	})
 	slices.SortFunc(matched, func(a, b *Offer) int { return cmp.Compare(a.seq, b.seq) })
 	return matched
@@ -759,7 +719,7 @@ const MaxVisitSet = 64
 
 // VisitMatchSet calls fn once for every live offer that satisfies at least one
 // of up to MaxVisitSet constraints ("" for all), with bit c of met set when the offer satisfies cons[c], in one walk
-// straight off the shard snapshots: nothing is collected, sorted or copied.
+// straight off the snapshot: nothing is collected, sorted or copied.
 // Each offer arrives once, in no order a caller may rely on — sort by Seq, or
 // use Select, which copies, for export order. Against concurrent updates a
 // walk sees, for each exporter, its offer from before or from after, and met
