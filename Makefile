@@ -26,9 +26,9 @@ test:
 # the GRM's candidates against updates its LRMs feed it mid-negotiation
 # (TestReserveFedUpdateKeepsCandidates), the GRM's failure sweep against heartbeats
 # that export their nodes' offers while a replica stream flushes
-# (TestSweepRacingHeartbeats), updates against Departing notices and the
-# sweep, each of which takes its node's offer in the one g.mu section the
-# update records and exports in (TestDeparturesRacingUpdates), replies whose
+# (TestSweepRacingHeartbeats), updates against departing updates, which take
+# their nodes' offers in the one g.mu section an update records and exports
+# in, and the sweep (TestDeparturesRacingUpdates), replies whose
 # buffers Op.Invoke recycles while late deliveries read their own
 # (TestRecycledRepliesUnderLateDelivery),
 # an LRM's completions queued into the outbox while updates, some of them

@@ -65,9 +65,11 @@ func followerRefusesClientWrites(t *testing.T, seed int64) {
 			return client.Notify(protocol.TaskEvent{Kind: protocol.TaskEventEvicted,
 				AppID: appID, TaskID: task.TaskID, NodeID: task.NodeID, At: g.Now()})
 		}},
-		{"Departing", func() error {
-			return client.Departing(protocol.DepartureNotice{NodeID: task.NodeID,
-				Deadline: g.Now().Add(time.Hour), At: g.Now()})
+		{"departing Update", func() error {
+			departing := lrmStatus
+			departing.DepartUntil = g.Now().Add(time.Hour)
+			_, err := client.Update(departing)
+			return err
 		}},
 		{"CancelApp", func() error { return client.CancelApp(appID) }},
 		{"Reconcile", func() error {
@@ -84,8 +86,8 @@ func followerRefusesClientWrites(t *testing.T, seed int64) {
 	}
 
 	after := follower.grm.Stats()
-	if after.UpdatesRefused != before.UpdatesRefused+1 {
-		t.Errorf("UpdatesRefused %d -> %d, want one more", before.UpdatesRefused, after.UpdatesRefused)
+	if after.UpdatesRefused != before.UpdatesRefused+2 {
+		t.Errorf("UpdatesRefused %d -> %d, want two more", before.UpdatesRefused, after.UpdatesRefused)
 	}
 	after.UpdatesRefused = before.UpdatesRefused
 	if after != before {

@@ -295,11 +295,12 @@ func replicaFollowersMatchLeader(t *testing.T, seed int64) {
 				}
 				c.g.HandleNotify(ev)
 			case k == 6:
-				c.g.HandleDeparting(protocol.DepartureNotice{
-					NodeID:   sim.Pick(rng, names),
-					Deadline: c.clock.Now().Add(time.Duration(1+rng.Intn(4)) * 30 * time.Second),
-					At:       c.clock.Now(),
-				})
+				// A silent node announces nothing.
+				i := rng.Intn(len(names))
+				deadline := c.clock.Now().Add(time.Duration(1+rng.Intn(4)) * 30 * time.Second)
+				if !silent[i] {
+					c.update(departing(windowStatus(c, names[i], refs[i], 1000), deadline))
+				}
 			case k == 7 && len(apps) > 0 && rng.Bool(0.5):
 				if err := c.g.CancelApp(sim.Pick(rng, apps)); err != nil {
 					t.Fatal(err)

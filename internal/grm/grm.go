@@ -67,7 +67,7 @@ type Stats struct {
 	SnapshotHits        int // candidate queries served from a batch snapshot
 	SnapshotMisses      int // candidate queries that hit the trader
 	// Availability-window / graceful-departure counters.
-	GracefulDepartures int     // departure notices processed (fast-path withdrawals)
+	GracefulDepartures int     // departures started by an update announcing a deadline (fast-path withdrawals)
 	TasksDrained       int     // tasks handed back by a draining node before it left
 	DrainWorkSavedMI   float64 // progress past the last checkpoint preserved by drains
 	WindowRejected     int     // candidate offers skipped: window too short for the task
@@ -85,7 +85,7 @@ type nodeLiveness struct {
 	// upsert through; zero until the offer is exported by reference, and again
 	// once a departure, a death or a move to a new reference takes it.
 	place trading.Place
-	// departUntil, when set, marks a node that announced a graceful
+	// departUntil, when set, marks a node whose update announced a graceful
 	// departure: its trader offer is withdrawn, exports are suppressed until
 	// an update arrives past the deadline, and the failure detector leaves it
 	// alone until then (Departing is not Suspect).
@@ -402,10 +402,10 @@ func (g *GRM) Stop() {
 // against it, so that the status reuses the identity strings the node reports
 // on every update; a body that does not decode is reported before any
 // refusal. Then it records liveness, counters and the replication stream's
-// copy, and upserts the node's offer from the record. The failure sweep and a
-// departure take a node's place, and withdraw its offer, in sections of their
-// own, and a move to a new reference in this one, so none of them falls
-// between the record and its export. Only an accepted update delivers its
+// copy, and upserts the node's offer from the record. The failure sweep takes
+// a node's place, and withdraws its offer, in a section of its own, and a
+// departure the status announces or a move to a new reference in this one, so
+// none of them falls between the record and its export. Only an accepted update delivers its
 // events, after the section: a refused one is answered with an error and the
 // LRM sends them again, to whoever it reports to next.
 func (g *GRM) handleUpdate(d *orb.Decoder) (int, error) {

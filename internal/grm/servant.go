@@ -20,13 +20,6 @@ func (g *GRM) Servant() orb.Servant {
 		g.HandleNotify(ev)
 		return struct{}{}, nil
 	})
-	orb.Serve(m, protocol.Departing, func(n protocol.DepartureNotice) (struct{}, error) {
-		if err := g.refusal(); err != nil {
-			return struct{}{}, err
-		}
-		g.HandleDeparting(n)
-		return struct{}{}, nil
-	})
 	orb.ServeEncode(m, protocol.GetAppStatus, g.encodeAppStatus)
 	orb.Serve(m, protocol.ListApps, func(struct{}) ([]string, error) {
 		return g.AppIDs(), nil

@@ -53,11 +53,13 @@ func (g *GRM) markLocked(e entity) {
 }
 
 // recordStatusLocked records a node's latest status and its heartbeat into
-// lv, the node's record (nil: a new one), ends a departure whose deadline has
-// passed, and returns the record. The node is marked for the log on a
-// membership change only: new, or its departure over. A status from a new
-// reference withdraws the old reference's offer and takes its place: that
-// offer names an LRM the node no longer reports from.
+// lv, the node's record (nil: a new one), and returns the record. A status
+// announcing a deadline ahead of now that the record does not hold starts the
+// node's departure, taking its place, or moves the deadline; an update past
+// the deadline ends the departure. The node is marked for the log on a
+// membership change only: new, or its departure started, moved or over. A
+// status from a new reference withdraws the old reference's offer and takes
+// its place: that offer names an LRM the node no longer reports from.
 func (g *GRM) recordStatusLocked(lv *nodeLiveness, s *protocol.NodeStatus, now time.Time) *nodeLiveness {
 	if lv == nil {
 		g.markLocked(entity{entityNode, s.NodeID})
@@ -72,7 +74,15 @@ func (g *GRM) recordStatusLocked(lv *nodeLiveness, s *protocol.NodeStatus, now t
 	lv.lastSeen = now
 	lv.updates++
 	lv.status = *s
-	if !lv.departUntil.IsZero() && !now.Before(lv.departUntil) {
+	switch {
+	case s.DepartUntil.After(now) && !s.DepartUntil.Equal(lv.departUntil):
+		if !now.Before(lv.departUntil) {
+			g.takePlaceLocked(lv)
+			g.stats.GracefulDepartures++
+		}
+		lv.departUntil = s.DepartUntil
+		g.markLocked(entity{entityNode, s.NodeID})
+	case !lv.departUntil.IsZero() && !now.Before(lv.departUntil):
 		lv.departUntil = time.Time{}
 		g.markLocked(entity{entityNode, s.NodeID})
 	}
@@ -85,22 +95,6 @@ func (g *GRM) recordStatusLocked(lv *nodeLiveness, s *protocol.NodeStatus, now t
 func (g *GRM) takePlaceLocked(lv *nodeLiveness) {
 	g.trader.Withdraw(lv.place)
 	lv.place = trading.Place{}
-}
-
-// departLocked marks a known node departing until the deadline (a zero
-// deadline: not departing) and, when it departs, withdraws its offer. It
-// reports whether the node is known.
-func (g *GRM) departLocked(id string, until time.Time) bool {
-	lv := g.nodes[id]
-	if lv == nil {
-		return false
-	}
-	lv.departUntil = until
-	if !until.IsZero() {
-		g.takePlaceLocked(lv)
-	}
-	g.markLocked(entity{entityNode, id})
-	return true
 }
 
 // dropNodeLocked forgets a node declared dead and withdraws its offer; a

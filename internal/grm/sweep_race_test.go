@@ -46,6 +46,12 @@ func heartbeat(t *testing.T, g *GRM, clock *sim.VirtualClock, s protocol.NodeSta
 	}
 }
 
+// depart sends s as of now, announcing a departure until deadline.
+func depart(t *testing.T, g *GRM, clock *sim.VirtualClock, s protocol.NodeStatus, deadline time.Time) {
+	s.DepartUntil = deadline
+	heartbeat(t, g, clock, s)
+}
+
 // sendUpdate delivers s as an LRM's update arrives: encoded, and decoded by
 // g's OpUpdate handler against the identity of the node's record, which it
 // looks up under g.mu while the other goroutines of a test change the records.
@@ -214,12 +220,13 @@ func TestSweepRacingHeartbeats(t *testing.T) {
 }
 
 // TestDepartureRacingUpdateReplay replays an update from a node whose
-// Departing notice arrives meanwhile, in the two orders the notice's and the
-// update's g.mu sections leave: the update before the notice — a known
-// node's, which upserts through its place, or a new node's first, which
-// exports by reference — and after it. Either way the node ends up without an
-// offer, a heartbeat before the deadline adds none, and the first update past
-// the deadline exports one again.
+// departing update, announcing a deadline, arrives meanwhile, in the two
+// orders the two updates' g.mu sections leave: the plain update before the
+// departing one — a known node's, which upserts through its place, or a new
+// node's first, which exports by reference — and after it, where it carries
+// no deadline. Either way the node ends up without an offer, a heartbeat
+// before the deadline adds none, and the first update past the deadline
+// exports one again.
 func TestDepartureRacingUpdateReplay(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -251,9 +258,7 @@ func TestDepartureRacingUpdateReplay(t *testing.T) {
 			s := fleet[0]
 			s.Timestamp = clock.Now()
 			deadline := clock.Now().Add(30 * time.Second) // inside the offers' TTL
-			tc.replay(t, g, &s, func() {
-				g.HandleDeparting(protocol.DepartureNotice{NodeID: s.NodeID, Deadline: deadline, At: clock.Now()})
-			})
+			tc.replay(t, g, &s, func() { depart(t, g, clock, s, deadline) })
 			offers := func() int {
 				n := 0
 				for _, o := range g.Trader().All("") {
@@ -302,10 +307,11 @@ func TestNodeMovingRefKeepsOneOffer(t *testing.T) {
 }
 
 // TestDeparturesRacingUpdates runs, under -race, four goroutines that update
-// 64 nodes while two send Departing notices for nodes of their own picking and
+// 64 nodes while two send departing updates for nodes of their own picking and
 // the failure sweep runs; each round starts 20 s after the last, with half the
-// fleet silent past the sweep's threshold, and its notices announce deadlines
-// one or two rounds on, so some departures end in an update of a later round.
+// fleet silent past the sweep's threshold, and its departing updates announce
+// deadlines one or two rounds on, so some departures end in an update of a
+// later round.
 // After each round every departing node has no offer and every other live node
 // exactly one. `make race` runs this ten times under the race detector.
 func TestDeparturesRacingUpdates(t *testing.T) {
@@ -335,8 +341,7 @@ func TestDeparturesRacingUpdates(t *testing.T) {
 				defer wg.Done()
 				rng := sim.NewRNG(int64(1000 + round*departers + w))
 				for _, i := range rng.Perm(nodes)[:nodes/8] {
-					deadline := clock.Now().Add(time.Duration(1+rng.Intn(2)) * 20 * time.Second)
-					g.HandleDeparting(protocol.DepartureNotice{NodeID: fleet[i].NodeID, Deadline: deadline, At: clock.Now()})
+					depart(t, g, clock, fleet[i], clock.Now().Add(time.Duration(1+rng.Intn(2))*20*time.Second))
 				}
 			}()
 		}
@@ -369,10 +374,10 @@ func TestSweptOfferComesBack(t *testing.T) {
 // TestUpdatesRacingDeparturesAndMoves runs, under -race, four goroutines that
 // update every node of 64 in orders of their own — each update from one of
 // the node's two references, so a node keeps moving between them — while a
-// fifth announces departures. Once they stop, every node that is not departing
-// has exactly one offer, under the reference it last reported from, and every
-// departing node none; once the deadlines pass, one update each brings every
-// node back.
+// fifth sends departing updates from the first reference. Once they stop,
+// every node that is not departing has exactly one offer, under the reference
+// it last reported from, and every departing node none; once the deadlines
+// pass, one update each brings every node back.
 func TestUpdatesRacingDeparturesAndMoves(t *testing.T) {
 	const nodes, updaters, rounds = 64, 4, 20
 	g, clock, fleet := sweepFixture(t, nodes)
@@ -405,7 +410,7 @@ func TestUpdatesRacingDeparturesAndMoves(t *testing.T) {
 		defer wg.Done()
 		rng := sim.NewRNG(99)
 		for _, i := range rng.Perm(nodes)[:nodes/2] {
-			g.HandleDeparting(protocol.DepartureNotice{NodeID: fleet[i].NodeID, Deadline: deadline, At: clock.Now()})
+			depart(t, g, clock, fleet[i], deadline)
 		}
 	}()
 	wg.Wait()

@@ -12,23 +12,6 @@ import (
 // fewer than half the training days is treated as no forecast at all.
 const DefaultMinWindowConfidence = 0.5
 
-// HandleDeparting processes a graceful-departure announcement: the node's
-// trader offer is withdrawn immediately (no waiting for the offer TTL or the
-// heartbeat-miss threshold) and the node enters the Departing state, exempt
-// from the failure detector until the announced deadline. The LRM drains its
-// running tasks (TaskEventDrained) before sending the notice, so by the time
-// this runs the node should be empty; any stragglers are caught by the
-// normal eviction path once the deadline passes.
-func (g *GRM) HandleDeparting(n protocol.DepartureNotice) {
-	g.mu.Lock()
-	known := g.departLocked(n.NodeID, n.Deadline)
-	g.stats.GracefulDepartures++
-	g.mu.Unlock()
-	if known {
-		g.log.Debug("node departing", "node", n.NodeID, "deadline", n.Deadline)
-	}
-}
-
 // estimatedRuntime converts a spec's per-task work into wall-clock time at
 // the allocation's CPU rate (0 when the spec declares no work or rate — the
 // window filter cannot judge those and lets every offer pass).

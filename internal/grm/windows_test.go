@@ -115,6 +115,12 @@ func windowStatus(c *cluster, nodeID string, ref orb.ObjectRef, mips float64, ws
 	}
 }
 
+// departing is s announcing a departure until deadline.
+func departing(s protocol.NodeStatus, deadline time.Time) protocol.NodeStatus {
+	s.DepartUntil = deadline
+	return s
+}
+
 // update sends s to the cluster's GRM as an LRM does, through
 // GRMClient.Update over loopback.
 func (c *cluster) update(s protocol.NodeStatus) {
@@ -283,7 +289,7 @@ func TestGracefulDepartureWithdrawsOfferImmediately(t *testing.T) {
 	}
 
 	deadline := c.clock.Now().Add(5 * time.Minute)
-	c.g.HandleDeparting(protocol.DepartureNotice{NodeID: "leaver", Deadline: deadline, At: c.clock.Now()})
+	c.update(departing(windowStatus(c, "leaver", ref, 1000), deadline))
 	if got := c.g.KnownNodes(); got != 0 {
 		t.Fatalf("KnownNodes right after departure = %d, want 0 (no TTL wait)", got)
 	}
@@ -328,7 +334,7 @@ func TestDepartingNodeThatStaysResumesOffers(t *testing.T) {
 	_, ref := bindFakeLRM(t, c, "stayer", 0)
 	c.update(windowStatus(c, "stayer", ref, 1000))
 	deadline := c.clock.Now().Add(2 * time.Minute)
-	c.g.HandleDeparting(protocol.DepartureNotice{NodeID: "stayer", Deadline: deadline, At: c.clock.Now()})
+	c.update(departing(windowStatus(c, "stayer", ref, 1000), deadline))
 
 	for i := 0; i < 8; i++ { // 2 minutes of 15s heartbeats
 		c.clock.Advance(15 * time.Second)
@@ -564,7 +570,7 @@ func TestDepartureMirroredToStandby(t *testing.T) {
 	}
 
 	deadline := c.clock.Now().Add(10 * time.Minute)
-	c.g.HandleDeparting(protocol.DepartureNotice{NodeID: "mirror-a", Deadline: deadline, At: c.clock.Now()})
+	c.update(departing(windowStatus(c, "mirror-a", refA, 1000), deadline))
 	rs.clock.Advance(15 * time.Second)
 	members["mirror-a"] = deadline.UTC()
 	for i, g := range rs.grms {
@@ -587,7 +593,7 @@ func TestDepartureSurvivesFailover(t *testing.T) {
 	_, ref := bindFakeLRM(t, c, "leaver", 0)
 	c.update(windowStatus(c, "leaver", ref, 1000))
 	deadline := c.clock.Now().Add(10 * time.Minute)
-	c.g.HandleDeparting(protocol.DepartureNotice{NodeID: "leaver", Deadline: deadline, At: c.clock.Now()})
+	c.update(departing(windowStatus(c, "leaver", ref, 1000), deadline))
 	rs.clock.Advance(15 * time.Second)
 
 	next := rs.failover(t, rs.leaderIdx(t))

@@ -67,7 +67,9 @@ func checkSimClock(pass *Pass, pkg *Package) {
 				return true
 			}
 			fn, ok := pkg.TypesInfo.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil {
+			if !ok || fn.Pkg() == nil || fn.Signature().Recv() != nil {
+				// A method such as time.Time.After compares instants it is
+				// given; only the package's functions read the clock.
 				return true
 			}
 			if fn.Pkg().Path() == "time" && simBanned[fn.Name()] {

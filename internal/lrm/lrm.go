@@ -9,6 +9,7 @@
 package lrm
 
 import (
+	"hash/fnv"
 	"log/slog"
 	"slices"
 	"sync"
@@ -42,24 +43,20 @@ const (
 
 // reregisterDelay is the pause before re-registration attempt n (n >= 1) of
 // the node: the capped exponential delay scaled by a factor in [0.5, 1.0)
-// taken from an FNV-1a hash of the node, "reregister" and n. The jitter needs
-// no random source, so a fixed fault schedule reproduces identical timers.
+// taken from an FNV-1a hash of the node, "reregister" and n's low byte. The
+// jitter needs no random source, so a fixed fault schedule reproduces
+// identical timers.
 func reregisterDelay(nodeID string, attempt int) time.Duration {
 	d := reregisterBase
 	for i := 1; i < attempt && d < reregisterCap; i++ {
 		d *= 2
 	}
 	d = min(d, reregisterCap)
-	h := uint64(14695981039346656037)
-	for _, s := range [2]string{nodeID, "reregister"} {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-	}
-	h ^= uint64(attempt)
-	h *= 1099511628211
-	frac := 0.5 + 0.5*float64(h>>11)/float64(1<<53)
+	h := fnv.New64a()
+	h.Write([]byte(nodeID))
+	h.Write([]byte("reregister"))
+	h.Write([]byte{byte(attempt)})
+	frac := 0.5 + 0.5*float64(h.Sum64()>>11)/float64(1<<53)
 	return time.Duration(float64(d) * frac)
 }
 
@@ -78,8 +75,9 @@ type Stats struct {
 	// TasksDrained counts grid tasks cancelled at exact progress by the
 	// proactive pre-departure drain (WithDepartureDrain).
 	TasksDrained int
-	// DepartureNotices counts graceful-departure announcements sent to the
-	// GRM ahead of a predicted owner return.
+	// DepartureNotices counts graceful departures announced ahead of a
+	// predicted owner return: each a deadline the updates carry until it
+	// passes.
 	DepartureNotices int
 	// StaleEpochRejections counts writes refused because they carried a
 	// fencing epoch older than the newest this LRM has seen — the deposed
@@ -103,9 +101,9 @@ type LRM struct {
 	drainLead    time.Duration // 0 = proactive pre-departure drain disabled
 
 	// mu guards grm, taskApp, outbox, windows, stats, stopped, timers,
-	// started, fence, consecFails and adopting. It must be
-	// released before GRM RPCs (Update/Notify), which block on the remote
-	// side. Snapshot collection reads the node's running set under it, so
+	// started, fence, consecFails, adopting and departUntil.
+	// It must be released before GRM RPCs (Update/Notify), which block on
+	// the remote side. Snapshot collection reads the node's running set under it, so
 	// l.mu nests outside the node's lock.
 	//lint:lockorder lrm.LRM.mu<node.Node.mu
 	mu      sync.Mutex
@@ -137,10 +135,11 @@ type LRM struct {
 	// adopting is the leader whose Adopt call the update loop's next firing
 	// registers with; zero when no call is pending.
 	adopting orb.ObjectRef
-	// drainCoolUntil suppresses repeated drain firings for one predicted
-	// departure: after a drain, the watch stays quiet until the predicted
-	// owner-return deadline (plus the lead) has passed.
-	drainCoolUntil time.Time
+	// departUntil is the predicted owner-return deadline of the last drain,
+	// which every update's status carries while it lies ahead. The drain
+	// watch stays quiet until it (plus the lead) has passed, so one predicted
+	// departure fires one drain.
+	departUntil time.Time
 }
 
 // Option configures an LRM.
@@ -217,7 +216,10 @@ func New(n *node.Node, clock sim.Clock, inv orb.Invoker, selfRef orb.ObjectRef, 
 		taskApp:      make(map[string]string),
 	}
 	if !n.Dedicated() {
-		l.analyzer = lupa.NewAnalyzer(int64(fnv(n.ID())))
+		// The LUPA's seed is an FNV-1a hash of the node ID.
+		h := fnv.New32a()
+		h.Write([]byte(n.ID()))
+		l.analyzer = lupa.NewAnalyzer(int64(h.Sum32()))
 	}
 	for _, opt := range opts {
 		opt(l)
@@ -395,6 +397,8 @@ func (l *LRM) register(client, prev *protocol.GRMClient) error {
 
 // pushUpdate sends the node's status to client together with the outbox and
 // a progress snapshot of every running task, and adopts the manager's epoch.
+// The status carries the departure deadline of the last drain while it lies
+// ahead.
 // If the update fails, or is answered by a manager whose epoch is stale, the
 // Done events go back to the front of the outbox: the manager may have
 // applied them and lost only the reply, so it must tolerate seeing them
@@ -403,12 +407,16 @@ func (l *LRM) pushUpdate(client *protocol.GRMClient) error {
 	l.mu.Lock()
 	win := l.windows
 	l.windows = nil
+	departUntil := l.departUntil
 	l.mu.Unlock()
 	if win == nil {
 		win = new([protocol.MaxWindows]protocol.AvailWindow)
 	}
 	status, windows := l.status(win)
 	status.Windows = windows
+	if status.Timestamp.Before(departUntil) {
+		status.DepartUntil = departUntil
+	}
 	l.mu.Lock()
 	snaps := l.node.RunningSnapshots()
 	events := slices.Grow(l.outbox, len(snaps))
@@ -598,13 +606,15 @@ func (l *LRM) sampleTick() time.Duration {
 // departureWatch fires the graceful-departure drain when the LUPA predicts
 // the owner returns within the configured lead: every running grid task is
 // cancelled at its exact progress and reported as Drained (zero lost work —
-// the proactive checkpoint), then a DepartureNotice tells the GRM to
-// withdraw the node's offers and mark it Departing instead of waiting for
-// the heartbeat-miss Suspect threshold.
+// the proactive checkpoint), then the deadline is recorded and an update
+// sent at once: its status, and every one after it until the deadline, tells
+// the GRM to withdraw the node's offer and mark it Departing instead of
+// waiting for the heartbeat-miss Suspect threshold. An update that fails
+// leaves the next one to announce it.
 func (l *LRM) departureWatch(now time.Time) {
 	l.mu.Lock()
 	lead := l.drainLead
-	cool := l.drainCoolUntil
+	cool := l.departUntil.Add(lead)
 	stopped := l.stopped
 	l.mu.Unlock()
 	if lead <= 0 || l.analyzer == nil || stopped || now.Before(cool) {
@@ -633,17 +643,14 @@ func (l *LRM) departureWatch(now time.Time) {
 		}
 		drained++
 	}
-	notice := protocol.DepartureNotice{NodeID: l.node.ID(), Deadline: deadline, At: now}
-	if err := l.grmClient().Departing(notice); err != nil {
-		l.log.Debug("departure notice failed", "node", l.node.ID(), "err", err)
-	}
 	l.mu.Lock()
 	l.stats.TasksDrained += drained
 	l.stats.DepartureNotices++
-	l.drainCoolUntil = deadline.Add(lead)
+	l.departUntil = deadline
 	l.mu.Unlock()
-	l.log.Debug("announced graceful departure",
+	l.log.Debug("announcing graceful departure",
 		"node", l.node.ID(), "deadline", deadline, "drained", drained)
+	l.SendUpdate()
 }
 
 // SyncTasks advances the node's task execution to now. Completions go to the
@@ -842,14 +849,4 @@ func (l *LRM) handleCancel(taskID string) float64 {
 		return 0
 	}
 	return task.Progress()
-}
-
-// fnv hashes a string for deterministic per-node seeds.
-func fnv(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }

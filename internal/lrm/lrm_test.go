@@ -18,16 +18,15 @@ import (
 var linux = resource.Platform{Arch: "amd64", OS: "linux"}
 
 // fakeGRM records what the LRM sends: statuses, the task events that rode
-// the updates, the ones notified on their own, and departure notices.
+// the updates and the ones notified on their own.
 type fakeGRM struct {
-	mu         sync.Mutex
-	updates    []protocol.NodeStatus
-	rode       [][]protocol.TaskEvent // the events inside each of updates
-	events     []protocol.TaskEvent   // arrived by OpNotify
-	departures []protocol.DepartureNotice
-	failNext   bool
-	down       bool // fail every update until cleared
-	epoch      int  // fencing epoch returned in update replies
+	mu       sync.Mutex
+	updates  []protocol.NodeStatus
+	rode     [][]protocol.TaskEvent // the events inside each of updates
+	events   []protocol.TaskEvent   // arrived by OpNotify
+	failNext bool
+	down     bool // fail every update until cleared
+	epoch    int  // fencing epoch returned in update replies
 	// forward, when set, refuses every update with a forward to it, as a
 	// replica that does not lead does; refused counts those refusals.
 	forward    orb.ObjectRef
@@ -67,16 +66,6 @@ func (f *fakeGRM) servant() orb.Servant {
 			}
 			f.mu.Lock()
 			f.events = append(f.events, ev)
-			f.mu.Unlock()
-			return &orb.Encoder{}, nil
-		}).
-		Handle(protocol.OpDeparting, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			n, err := protocol.DecodeDepartureNotice(req)
-			if err != nil {
-				return nil, err
-			}
-			f.mu.Lock()
-			f.departures = append(f.departures, n)
 			f.mu.Unlock()
 			return &orb.Encoder{}, nil
 		})
@@ -132,10 +121,18 @@ func (f *fakeGRM) setDown(down bool) {
 	f.down = down
 }
 
-func (f *fakeGRM) departureList() []protocol.DepartureNotice {
+// departures returns the updates that announced a departure: those whose
+// deadline lies after their timestamp.
+func (f *fakeGRM) departures() []protocol.NodeStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]protocol.DepartureNotice(nil), f.departures...)
+	var out []protocol.NodeStatus
+	for _, s := range f.updates {
+		if s.DepartUntil.After(s.Timestamp) {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 type fixture struct {
@@ -952,20 +949,18 @@ func TestDepartureDrainCheckpointsBeforeOwnerReturns(t *testing.T) {
 	if evicted {
 		t.Fatal("task evicted despite the proactive drain")
 	}
-	deps := f.grm.departureList()
+	deps := f.grm.departures()
 	if len(deps) == 0 {
-		t.Fatal("no departure notice sent")
+		t.Fatal("no update announced the departure")
 	}
 	first := deps[0]
 	if first.NodeID != "n0" {
 		t.Fatalf("departure NodeID = %q", first.NodeID)
 	}
-	if !first.At.Before(first.Deadline) {
-		t.Fatalf("departure deadline %v not after announcement %v", first.Deadline, first.At)
-	}
-	// The drain fired inside the lead: deadline at most 10 min past At.
-	if first.Deadline.Sub(first.At) > 10*time.Minute {
-		t.Fatalf("departure lead = %v, want <= 10m", first.Deadline.Sub(first.At))
+	// The drain fired inside the lead: deadline at most 10 min past the
+	// announcement.
+	if first.DepartUntil.Sub(first.Timestamp) > 10*time.Minute {
+		t.Fatalf("departure lead = %v, want <= 10m", first.DepartUntil.Sub(first.Timestamp))
 	}
 	stats := f.lrm.Stats()
 	if stats.TasksDrained != 1 {

@@ -26,6 +26,8 @@ func TestEncodersAllocateOnce(t *testing.T) {
 		return st
 	}
 	three := append(append([]TaskEvent(nil), events...), events[0])
+	departing := s
+	departing.DepartUntil = s.Timestamp.Add(10 * time.Minute)
 	linux := resource.Platform{Arch: "amd64", OS: "linux"}
 	topo := &TopologyRequest{Groups: []TopologyGroup{{Nodes: 2, IntraMbps: 100}, {Nodes: 2, IntraMbps: 10}}, InterMbps: 1}
 	spec := func(p *resource.Platform, t *TopologyRequest) ApplicationSpec {
@@ -47,6 +49,7 @@ func TestEncodersAllocateOnce(t *testing.T) {
 		"status, no window":           withWindows(0).Encode,
 		"status, 1 window":            withWindows(1).Encode,
 		"status, 8 windows":           withWindows(8).Encode,
+		"status, departing":           departing.Encode,
 		"update, no event":            func(e *orb.Encoder) { EncodeUpdate(e, s, nil) },
 		"update, 3 events":            func(e *orb.Encoder) { EncodeUpdate(e, s, three) },
 		"task event":                  events[0].Encode,
@@ -58,7 +61,6 @@ func TestEncodersAllocateOnce(t *testing.T) {
 		"app status, 1 task":          appStatus(1).Encode,
 		"app status, 4 tasks":         appStatus(4).Encode,
 		"reconcile":                   ReconcileRequest{NodeID: "n1", Claims: []TaskClaim{{TaskID: "t0", AppID: "a"}, {TaskID: "t1", AppID: "a"}}}.Encode,
-		"departure":                   DepartureNotice{NodeID: "n1", Deadline: s.Timestamp, At: s.Timestamp}.Encode,
 		"reserve request":             ReserveRequest{Holder: "app-3", Amount: resource.Vector{MIPS: 400}, TTL: time.Minute, Epoch: 2, Count: 4}.Encode,
 		"reserve reply":               ReserveReply{Granted: true, ReservationID: "rsv-1", Reason: "full", More: []string{"rsv-2"}}.Encode,
 		"execute request":             executeRequest().Encode,

@@ -22,9 +22,6 @@ var (
 	// Notify reports a task event the GRM must act on now.
 	Notify = &orb.Op[TaskEvent, struct{}]{Name: OpNotify,
 		EncodeReq: TaskEvent.Encode, DecodeReq: DecodeTaskEvent}
-	// Departing announces a predicted owner-driven departure.
-	Departing = &orb.Op[DepartureNotice, struct{}]{Name: OpDeparting,
-		EncodeReq: DepartureNotice.Encode, DecodeReq: DecodeDepartureNotice}
 	// GetAppStatus fetches an application's status by its ID.
 	GetAppStatus = &orb.Op[string, AppStatus]{Name: OpAppStatus,
 		EncodeReq: encodeString, DecodeReq: decodeString,
@@ -193,15 +190,6 @@ func (c *GRMClient) Submit(spec ApplicationSpec) (string, error) {
 // drain. Completions and progress ride Update instead.
 func (c *GRMClient) Notify(ev TaskEvent) error {
 	_, err := Notify.Invoke(c.inv, c.ref, ev)
-	return err
-}
-
-// Departing announces a predicted owner-driven departure: the GRM withdraws
-// the node's trader offers and marks it Departing (distinct from Suspect)
-// so the failure detector does not burn its heartbeat-miss threshold on a
-// node that politely said goodbye.
-func (c *GRMClient) Departing(n DepartureNotice) error {
-	_, err := Departing.Invoke(c.inv, c.ref, n)
 	return err
 }
 

@@ -285,6 +285,7 @@ func TestOpsRoundTrip(t *testing.T) {
 	at := time.Date(2026, 7, 4, 10, 0, 0, 0, time.UTC)
 	linux := resource.Platform{Arch: "amd64", OS: "linux"}
 	status, events, _ := updateBody()
+	status.DepartUntil = at.Add(time.Hour)
 	spec := ApplicationSpec{
 		Name: "render", Kind: AppBSP, NumTasks: 100, WorkPerTask: 5e6,
 		Requirements:        resource.Requirements{Platform: &linux, Min: resource.Vector{MIPS: 500, RAMMB: 16}},
@@ -302,7 +303,6 @@ func TestOpsRoundTrip(t *testing.T) {
 		optest.Check(t, Update, UpdateRequest{Status: status, Events: events}, 3),
 		optest.Check(t, Submit, spec, "app-1"),
 		optest.Check(t, Notify, TaskEvent{Kind: TaskEventEvicted, AppID: "app-1", TaskID: "app-1/t0", NodeID: "n1", Progress: 4, At: at}, struct{}{}),
-		optest.Check(t, Departing, DepartureNotice{NodeID: "n1", Deadline: at.Add(time.Hour), At: at}, struct{}{}),
 		optest.Check(t, GetAppStatus, "app-1", appStatus),
 		optest.Check(t, CancelApp, "app-1", struct{}{}),
 		optest.Check(t, ListApps, struct{}{}, []string{"app-1", "app-2"}),
@@ -334,7 +334,7 @@ func TestOpsRoundTrip(t *testing.T) {
 	}
 	slices.Sort(declared)
 	slices.Sort(covered)
-	if len(declared) != 13 || !slices.Equal(declared, covered) {
+	if len(declared) != 12 || !slices.Equal(declared, covered) {
 		t.Fatalf("operations declared in protocol.go %v, checked %v", declared, covered)
 	}
 }

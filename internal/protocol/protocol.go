@@ -35,7 +35,6 @@ const (
 	OpCancelApp = "cancelApp" // ASCT aborts an application
 	OpListApps  = "listApps"  // ASCT enumerates applications
 	OpReconcile = "reconcile" // LRM syncs its running tasks after re-registering
-	OpDeparting = "departing" // LRM announces a predicted owner-driven departure
 
 	// LRM operations.
 	OpReserve = "reserve"
@@ -61,6 +60,12 @@ type NodeStatus struct {
 	Dedicated bool
 	// OwnerBusy reports whether the owner is actively using the machine.
 	OwnerBusy bool
+	// DepartUntil, when set, announces a predicted owner-driven departure:
+	// the node's LUPA forecast says the owner returns then, so the node has
+	// drained its grid tasks (each reported as TaskEventDrained) and the GRM
+	// withdraws its offer, without declaring it dead, until an update past
+	// the deadline. The LRM sets it on every update while it lies ahead.
+	DepartUntil time.Time
 	// PredictedIdle is the node-local LUPA forecast of the remaining idle
 	// span (zero when untrained or not idle).
 	PredictedIdle time.Duration
@@ -83,10 +88,38 @@ type AvailWindow struct {
 // windowLen is the encoded size of an AvailWindow.
 const windowLen = 2*timeLen + 8
 
+// The bits of a status's flags byte. A departing status carries its deadline
+// after the byte; the others carry none.
+const (
+	statusDedicated = 1 << iota
+	statusOwnerBusy
+	statusDeparting
+	statusKnown = statusDedicated | statusOwnerBusy | statusDeparting
+)
+
+// flags packs the status's booleans into its flags byte.
+func (s *NodeStatus) flags() uint8 {
+	var f uint8
+	if s.Dedicated {
+		f |= statusDedicated
+	}
+	if s.OwnerBusy {
+		f |= statusOwnerBusy
+	}
+	if !s.DepartUntil.IsZero() {
+		f |= statusDeparting
+	}
+	return f
+}
+
 // encodedLen is the exact encoded size of the status.
 func (s *NodeStatus) encodedLen() int {
-	return strLen(s.NodeID) + refLen(s.LRMRef) + strLen(s.Platform.Arch) + strLen(s.Platform.OS) +
-		strLen(s.LANID) + 2*vectorLen + 2 + 8 + timeLen + 4 + len(s.Windows)*windowLen
+	n := strLen(s.NodeID) + refLen(s.LRMRef) + strLen(s.Platform.Arch) + strLen(s.Platform.OS) +
+		strLen(s.LANID) + 2*vectorLen + 1 + 8 + timeLen + 4 + len(s.Windows)*windowLen
+	if !s.DepartUntil.IsZero() {
+		n += timeLen
+	}
+	return n
 }
 
 // Encode writes the status.
@@ -99,8 +132,11 @@ func (s NodeStatus) Encode(e *orb.Encoder) {
 	e.PutString(s.LANID)
 	EncodeVector(e, s.Capacity)
 	EncodeVector(e, s.GridFree)
-	e.PutBool(s.Dedicated)
-	e.PutBool(s.OwnerBusy)
+	flags := s.flags()
+	e.PutU8(flags)
+	if flags&statusDeparting != 0 {
+		e.PutTime(s.DepartUntil)
+	}
 	e.PutDuration(s.PredictedIdle)
 	e.PutTime(s.Timestamp)
 	e.PutU32(uint32(len(s.Windows)))
@@ -145,8 +181,15 @@ func decodeNodeStatus(d *orb.Decoder, like *NodeStatus, buf *[MaxWindows]AvailWi
 	s.LANID = knownString(d, like.LANID)
 	s.Capacity = DecodeVector(d)
 	s.GridFree = DecodeVector(d)
-	s.Dedicated = d.Bool()
-	s.OwnerBusy = d.Bool()
+	flags := d.U8()
+	if flags&^statusKnown != 0 {
+		return NodeStatus{}, nil, fmt.Errorf("protocol: status with unknown flags %#x", flags&^statusKnown)
+	}
+	s.Dedicated = flags&statusDedicated != 0
+	s.OwnerBusy = flags&statusOwnerBusy != 0
+	if flags&statusDeparting != 0 {
+		s.DepartUntil = d.Time()
+	}
 	s.PredictedIdle = d.Duration()
 	s.Timestamp = d.Time()
 	n := d.Count(windowLen)
@@ -542,40 +585,6 @@ func (u *UpdateEvents) Collect() []TaskEvent {
 		events = append(events, ev)
 	}
 	return events
-}
-
-// DepartureNotice is the LRM → GRM announcement that the node predicts an
-// owner-driven departure: the local LUPA forecast says the owner returns at
-// Deadline, so the node is draining its grid tasks (each reported via
-// TaskEventDrained) and should be marked Departing — trader offers
-// withdrawn immediately, but not declared dead by the failure detector.
-// This is the graceful-departure fast path; the heartbeat-miss Suspect
-// threshold remains the fallback for genuine crashes.
-type DepartureNotice struct {
-	NodeID string
-	// Deadline is the predicted departure instant (the end of the node's
-	// current availability window).
-	Deadline time.Time
-	// At is the LRM-side send time.
-	At time.Time
-}
-
-// Encode writes the notice.
-func (n DepartureNotice) Encode(e *orb.Encoder) {
-	e.Grow(strLen(n.NodeID) + 2*timeLen)
-	e.PutString(n.NodeID)
-	e.PutTime(n.Deadline)
-	e.PutTime(n.At)
-}
-
-// DecodeDepartureNotice reads a DepartureNotice.
-func DecodeDepartureNotice(d *orb.Decoder) (DepartureNotice, error) {
-	n := DepartureNotice{
-		NodeID:   d.String(),
-		Deadline: d.Time(),
-		At:       d.Time(),
-	}
-	return n, d.Err()
 }
 
 // TaskClaim is one entry of an LRM's reconcile report: a task the node is

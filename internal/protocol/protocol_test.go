@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"slices"
 	"strings"
@@ -28,6 +29,7 @@ func TestNodeStatusRoundTrip(t *testing.T) {
 		GridFree:      resource.Vector{MIPS: 500, RAMMB: 256, DiskMB: 100, NetMbps: 100},
 		Dedicated:     false,
 		OwnerBusy:     true,
+		DepartUntil:   time.Date(2026, 7, 4, 10, 8, 0, 0, time.UTC),
 		PredictedIdle: 90 * time.Minute,
 		Timestamp:     time.Date(2026, 7, 4, 10, 0, 0, 0, time.UTC),
 		Windows: []AvailWindow{
@@ -327,6 +329,34 @@ func TestUpdateRejectsWhatMustNotRideIt(t *testing.T) {
 	}
 }
 
+// TestUpdateRefusesUnknownStatusFlags: a status whose flags byte sets a bit
+// past the departing one does not decode, and the Update operation refuses it
+// with a CodeMarshal error before its handler runs.
+func TestUpdateRefusesUnknownStatusFlags(t *testing.T) {
+	s, events, body := updateBody()
+	s.Dedicated = true
+	var dedicated orb.Encoder
+	EncodeUpdate(&dedicated, s, events)
+	at := 0 // the flags byte: the first one the two encodings differ in
+	for body[at] == dedicated.Bytes()[at] {
+		at++
+	}
+	mux := orb.NewOpMux()
+	orb.Serve(mux, Update, func(UpdateRequest) (int, error) {
+		t.Error("the handler ran on a status with unknown flags")
+		return 1, nil
+	})
+	for _, bit := range []byte{1 << 3, 1 << 7} {
+		bad := bytes.Clone(body)
+		bad[at] |= bit
+		_, err := mux.Dispatch(OpUpdate, orb.NewDecoder(bad))
+		var re *orb.RemoteError
+		if !errors.As(err, &re) || re.Code != orb.CodeMarshal {
+			t.Errorf("flag bit %#x: err %v, want a CodeMarshal error", bit, err)
+		}
+	}
+}
+
 // FuzzDecodeUpdate: DecodeUpdate takes bytes from the network. Whatever they
 // are it must not panic, must not return anything alongside an error, and
 // what it accepts must hold at most MaxWindows windows, in the caller's array,
@@ -341,6 +371,10 @@ func FuzzDecodeUpdate(f *testing.F) {
 	s.Encode(&overlong)
 	overlong.PutU32(1 << 20)
 	f.Add(overlong.Bytes())
+	var departing orb.Encoder
+	s.DepartUntil = s.Timestamp.Add(10 * time.Minute)
+	EncodeUpdate(&departing, s, nil)
+	f.Add(departing.Bytes())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var buf [MaxWindows]AvailWindow

@@ -18,7 +18,9 @@ func NewRNG(seed int64) *RNG {
 // the parent seed and the label hash, so adding consumers does not perturb
 // existing streams.
 func (g *RNG) Fork(label string) *RNG {
-	h := int64(1469598103934665603) // FNV-1a offset basis
+	// The 64-bit FNV-1a offset basis, 14695981039346656037, with its last
+	// digit dropped; every seeded stream depends on the value, so it stays.
+	h := int64(1469598103934665603)
 	for i := 0; i < len(label); i++ {
 		h ^= int64(label[i])
 		h *= 1099511628211
