@@ -604,8 +604,9 @@ func (c *Cluster) LRMs() []*lrm.LRM {
 	return append([]*lrm.LRM(nil), c.lrms...)
 }
 
-// FailNode crashes the named node for the outage duration. Evicted-task
-// notifications flow to the GRM on the node's next LRM sync.
+// FailNode crashes the named node for the outage duration. Its LRM reports
+// the evicted tasks to the GRM at once, in one prompted update, and retells
+// them in its next updates until one is accepted.
 func (c *Cluster) FailNode(nodeID string, outage time.Duration) error {
 	c.mu.Lock()
 	var mgr *lrm.LRM
@@ -624,11 +625,9 @@ func (c *Cluster) FailNode(nodeID string, outage time.Duration) error {
 		return fmt.Errorf("core: unknown node %q", nodeID)
 	}
 	// Fail drains the evicted tasks itself, so the LRM's periodic sync will
-	// not see them; report them to the GRM directly. The notification is a
-	// remote invocation, so it must run outside c.mu.
-	for _, t := range evicted {
-		mgr.NotifyEvicted(t)
-	}
+	// not see them; hand them to the LRM, whose update is a remote
+	// invocation and so must run outside c.mu.
+	mgr.ReportEvicted(evicted)
 	return nil
 }
 

@@ -216,6 +216,65 @@ func TestFailNodeEvictsAndNotifies(t *testing.T) {
 	}
 }
 
+// TestLostEvictionIsRetold: the manager is cut off for a second while a
+// node crash evicts a checkpointed task, so the update that reports the
+// eviction fails. The LRM retells it with its next update, once the manager
+// is reachable again, and the task, re-placed on the other node, finishes. A
+// report sent only once would leave the task running at the manager on a
+// node that keeps updating but has forgotten it.
+func TestLostEvictionIsRetold(t *testing.T) {
+	g := NewGrid(WithSeed(3))
+	defer g.Stop()
+	c, err := g.AddCluster("x", WithSchedulePeriod(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddNodes(DedicatedNodes(2, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	h, err := g.Submit(asct.NewApplication("victim").
+		Sequential(3600 * 1000). // 1 h at 1000 MIPS
+		Allocate(resource.Vector{MIPS: 1000, RAMMB: 64}).
+		Checkpoint(600 * 1000). // every 10 min of progress
+		RestartEvicted())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Advance(30 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	st, err := h.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	victimNode := st.Tasks[0].NodeID
+	if victimNode == "" {
+		t.Fatal("task not placed")
+	}
+	engine := g.EnableChaos(1)
+	engine.Isolate(c.ManagerEndpoint())
+	if err := c.FailNode(victimNode, 2*time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Advance(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	engine.Heal(c.ManagerEndpoint())
+	if got := c.GRM().Stats().TasksEvicted; got != 0 {
+		t.Fatalf("TasksEvicted = %d while the manager was cut off, want 0", got)
+	}
+	st, err = h.waitSimulated(3*time.Hour, time.Minute)
+	if err != nil {
+		t.Fatalf("%v (stats %+v, task %+v)", err, c.GRM().Stats(), st.Tasks[0])
+	}
+	if st.Tasks[0].Restarts != 1 || st.Tasks[0].NodeID == victimNode {
+		t.Fatalf("task %+v, want one restart away from %s", st.Tasks[0], victimNode)
+	}
+	if got := c.GRM().Stats().TasksEvicted; got != 1 {
+		t.Fatalf("TasksEvicted = %d, want 1", got)
+	}
+}
+
 func TestFailRandomNodes(t *testing.T) {
 	g := NewGrid(WithSeed(5))
 	defer g.Stop()

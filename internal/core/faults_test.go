@@ -31,12 +31,11 @@ func TestProtocolsSurviveMessageLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drop 30% of update/notify traffic (but never reservation/execution
-	// RPCs, whose failures the GRM already treats as refusals and retries).
+	// Drop 30% of update traffic, which carries every task event (but never
+	// reservation/execution RPCs, whose failures the GRM already treats as
+	// refusals and retries).
 	engine := g.EnableChaos(77)
-	for _, op := range []string{protocol.OpUpdate, protocol.OpNotify} {
-		engine.AddFault(chaos.MessageFault{Match: chaos.Match{Op: op}, Drop: 0.3})
-	}
+	engine.AddFault(chaos.MessageFault{Match: chaos.Match{Op: protocol.OpUpdate}, Drop: 0.3})
 
 	if err := g.Advance(5 * time.Minute); err != nil {
 		t.Fatal(err)

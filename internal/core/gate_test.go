@@ -61,9 +61,12 @@ func followerRefusesClientWrites(t *testing.T, seed int64) {
 	}{
 		{"Update", func() error { _, err := client.Update(lrmStatus); return err }},
 		{"Submit", func() error { _, err := client.Submit(spec); return err }},
-		{"Notify", func() error {
-			return client.Notify(protocol.TaskEvent{Kind: protocol.TaskEventEvicted,
+		{"evicting Update", func() error {
+			prompted := lrmStatus
+			prompted.Prompted = true
+			_, err := client.Update(prompted, protocol.TaskEvent{Kind: protocol.TaskEventEvicted,
 				AppID: appID, TaskID: task.TaskID, NodeID: task.NodeID, At: g.Now()})
+			return err
 		}},
 		{"departing Update", func() error {
 			departing := lrmStatus
@@ -86,8 +89,8 @@ func followerRefusesClientWrites(t *testing.T, seed int64) {
 	}
 
 	after := follower.grm.Stats()
-	if after.UpdatesRefused != before.UpdatesRefused+2 {
-		t.Errorf("UpdatesRefused %d -> %d, want two more", before.UpdatesRefused, after.UpdatesRefused)
+	if after.UpdatesRefused != before.UpdatesRefused+3 {
+		t.Errorf("UpdatesRefused %d -> %d, want three more", before.UpdatesRefused, after.UpdatesRefused)
 	}
 	after.UpdatesRefused = before.UpdatesRefused
 	if after != before {

@@ -293,7 +293,13 @@ func replicaFollowersMatchLeader(t *testing.T, seed int64) {
 				if rng.Bool(0.2) {
 					ev.NodeID = sim.Pick(rng, names) // possibly stale
 				}
-				c.g.HandleNotify(ev)
+				// The event rides its node's update, sent at once for an
+				// eviction or a drain; a silent node, or none, sends nothing.
+				if i := slices.Index(names, ev.NodeID); i >= 0 && !silent[i] {
+					s := windowStatus(c, names[i], refs[i], 1000)
+					s.Prompted = ev.Kind == protocol.TaskEventEvicted || ev.Kind == protocol.TaskEventDrained
+					c.update(s, ev)
+				}
 			case k == 6:
 				// A silent node announces nothing.
 				i := rng.Intn(len(names))

@@ -916,11 +916,6 @@ func (g *GRM) cancelTasks(tasks []remote, msg string) {
 	}
 }
 
-// HandleNotify processes an LRM task event.
-func (g *GRM) HandleNotify(ev protocol.TaskEvent) {
-	g.handleEvent(ev, []byte(ev.AppID), []byte(ev.TaskID))
-}
-
 // handleEvent processes ev for the task that appID and taskID name; ev's own
 // AppID and TaskID are not read. An update's events name theirs by the
 // frame's bytes (protocol.UpdateEvents.Next), which the lookups here read

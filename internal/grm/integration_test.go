@@ -755,6 +755,42 @@ func TestFailureDetectorAdaptiveThresholdTolerantOfSlowCadence(t *testing.T) {
 	}
 }
 
+// TestPromptedUpdateIsNoHeartbeat: a node on a 5-min cadence drains 30 s
+// after a periodic update and announces a 2-min departure in a prompted
+// update. That update is no heartbeat: counted as one, it would make the
+// node's cadence look like 30 s, and the failure detector would declare the
+// node dead once its departure ended, minutes before its next periodic
+// update. Silence past three periods is still a death.
+func TestPromptedUpdateIsNoHeartbeat(t *testing.T) {
+	c := newCluster(t, nil)
+	_, ref := bindFakeLRM(t, c, "slow", 0)
+	const period = 5 * time.Minute
+	for range 3 {
+		c.update(windowStatus(c, "slow", ref, 1000))
+		c.clock.Advance(period)
+	}
+	c.update(windowStatus(c, "slow", ref, 1000))
+	periodic := c.clock.Now()
+	c.clock.Advance(30 * time.Second)
+	c.update(prompted(departing(windowStatus(c, "slow", ref, 1000), c.clock.Now().Add(2*time.Minute))))
+	c.clock.Advance(4*time.Minute + 20*time.Second)
+	if got := c.g.Stats().NodesDeclaredDead; got != 0 {
+		t.Fatalf("NodesDeclaredDead = %d %v after the periodic update, its departure over, want 0", got, c.clock.Now().Sub(periodic))
+	}
+	c.clock.Advance(periodic.Add(period).Sub(c.clock.Now()))
+	c.update(windowStatus(c, "slow", ref, 1000))
+	if got := c.g.Stats().NodesDeclaredDead; got != 0 {
+		t.Fatalf("NodesDeclaredDead = %d after the next periodic update, want 0", got)
+	}
+	if got := c.g.KnownNodes(); got != 1 {
+		t.Fatalf("KnownNodes = %d after the departure, want 1", got)
+	}
+	c.clock.Advance(3*period + time.Minute)
+	if got := c.g.Stats().NodesDeclaredDead; got != 1 {
+		t.Fatalf("NodesDeclaredDead = %d after three missed periodic updates, want 1", got)
+	}
+}
+
 func sequentialSpec(name string, work float64) protocol.ApplicationSpec {
 	return protocol.ApplicationSpec{
 		Name:         name,

@@ -522,8 +522,12 @@ func TestOrderKeyedAllocations(t *testing.T) {
 }
 
 // bytesPerRun is testing.AllocsPerRun in bytes: the heap f allocates per call,
-// averaged over runs after one warm-up call.
+// averaged over runs after one warm-up call. TotalAlloc counts the whole
+// process, so, as AllocsPerRun does, it runs f with GOMAXPROCS at 1: the test
+// binary's other goroutines then run only when f gives up the one P, not
+// beside it on another.
 func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -126,11 +126,19 @@ func TestAppStatusReplyIsAppStatusEncoded(t *testing.T) {
 	g.mu.Unlock()
 	check("three running")
 
-	g.HandleNotify(protocol.TaskEvent{Kind: protocol.TaskEventProgress, AppID: id, TaskID: tasks[0].id, NodeID: "node-a", Progress: 42})
-	g.HandleNotify(protocol.TaskEvent{Kind: protocol.TaskEventDone, AppID: id, TaskID: tasks[1].id, NodeID: "node-a", Progress: 100, At: clock.Now().Add(time.Minute)})
+	update := func(nodeID string, events ...protocol.TaskEvent) {
+		var req orb.Encoder
+		protocol.EncodeUpdate(&req, protocol.NodeStatus{NodeID: nodeID}, events)
+		if _, err := g.Servant().Dispatch(protocol.OpUpdate, orb.NewDecoder(req.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update("node-a",
+		protocol.TaskEvent{Kind: protocol.TaskEventProgress, AppID: id, TaskID: tasks[0].id, NodeID: "node-a", Progress: 42},
+		protocol.TaskEvent{Kind: protocol.TaskEventDone, AppID: id, TaskID: tasks[1].id, NodeID: "node-a", Progress: 100, At: clock.Now().Add(time.Minute)})
 	check("one done")
 
-	g.HandleNotify(protocol.TaskEvent{Kind: protocol.TaskEventEvicted, AppID: id, TaskID: tasks[2].id, NodeID: "node-bb", Progress: 25})
+	update("node-bb", protocol.TaskEvent{Kind: protocol.TaskEventEvicted, AppID: id, TaskID: tasks[2].id, NodeID: "node-bb", Progress: 25})
 	if st, _ := g.AppStatus(id); st.Tasks[2].Restarts != 1 {
 		t.Fatalf("the evicted task was not restarted: %+v", st.Tasks[2])
 	}

@@ -53,26 +53,34 @@ func (g *GRM) markLocked(e entity) {
 }
 
 // recordStatusLocked records a node's latest status and its heartbeat into
-// lv, the node's record (nil: a new one), and returns the record. A status
-// announcing a deadline ahead of now that the record does not hold starts the
-// node's departure, taking its place, or moves the deadline; an update past
-// the deadline ends the departure. The node is marked for the log on a
-// membership change only: new, or its departure started, moved or over. A
-// status from a new reference withdraws the old reference's offer and takes
-// its place: that offer names an LRM the node no longer reports from.
+// lv, the node's record (nil: a new one), and returns the record. A prompted
+// status, one the LRM sent outside its cadence, is recorded but is no
+// heartbeat: the record's last sighting, interval and update count stay as
+// they were, so the failure detector judges the node by its cadence alone. A
+// prompted status from a node with no record registers it, as any first
+// update does. A status announcing a deadline ahead of now that the record
+// does not hold starts the node's departure, taking its place, or moves the
+// deadline; an update past the deadline ends the departure. The node is
+// marked for the log on a membership change only: new, or its departure
+// started, moved or over. A status from a new reference withdraws the old
+// reference's offer and takes its place: that offer names an LRM the node no
+// longer reports from.
 func (g *GRM) recordStatusLocked(lv *nodeLiveness, s *protocol.NodeStatus, now time.Time) *nodeLiveness {
+	heartbeat := lv == nil || !s.Prompted
 	if lv == nil {
 		g.markLocked(entity{entityNode, s.NodeID})
 		lv = &nodeLiveness{}
 		g.nodes[s.NodeID] = lv
-	} else if gap := now.Sub(lv.lastSeen); gap > 0 {
+	} else if gap := now.Sub(lv.lastSeen); gap > 0 && heartbeat {
 		lv.interval = gap
 	}
 	if s.LRMRef != lv.status.LRMRef {
 		g.takePlaceLocked(lv)
 	}
-	lv.lastSeen = now
-	lv.updates++
+	if heartbeat {
+		lv.lastSeen = now
+		lv.updates++
+	}
 	lv.status = *s
 	switch {
 	case s.DepartUntil.After(now) && !s.DepartUntil.Equal(lv.departUntil):

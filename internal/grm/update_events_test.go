@@ -49,7 +49,7 @@ func TestDoneIsIdempotent(t *testing.T) {
 		{"done for a task nobody has", done(id+"/ghost", 6*time.Minute), 2, at.Add(3 * time.Minute)},
 	}
 	for _, step := range steps {
-		c.g.HandleNotify(step.ev)
+		c.update(c.lrms[0].Status(), step.ev)
 		if got := c.g.Stats().TasksDone; got != step.wantDone {
 			t.Fatalf("%s: TasksDone = %d, want %d", step.name, got, step.wantDone)
 		}
@@ -122,7 +122,7 @@ func TestLostUpdateReplyCountsCompletionsOnce(t *testing.T) {
 }
 
 // TestMalformedUpdateAppliesNothing: an update whose event list is truncated,
-// over-long, or carries a kind that must not ride it is a marshal error, and
+// over-long, or carries an event of no known kind is a marshal error, and
 // neither its status nor any of its events is applied — not even a
 // well-formed one ahead of the bad one, though the GRM applies an update's
 // events one at a time out of its frame.
@@ -138,8 +138,8 @@ func TestMalformedUpdateAppliesNothing(t *testing.T) {
 		GridFree: resource.Vector{MIPS: 1000, RAMMB: 1024},
 	}
 	done := protocol.TaskEvent{Kind: protocol.TaskEventDone, AppID: id, TaskID: taskID, NodeID: "n0"}
-	evicted := done
-	evicted.Kind = protocol.TaskEventEvicted
+	noKind, pastDrained := done, done
+	noKind.Kind, pastDrained.Kind = 0, protocol.TaskEventDrained+1
 
 	var whole, twice orb.Encoder
 	protocol.EncodeUpdate(&whole, status, []protocol.TaskEvent{done})
@@ -147,8 +147,9 @@ func TestMalformedUpdateAppliesNothing(t *testing.T) {
 	var overlong orb.Encoder
 	status.Encode(&overlong)
 	overlong.PutU32(1 << 20)
-	var wrongKind orb.Encoder
-	protocol.EncodeUpdate(&wrongKind, status, []protocol.TaskEvent{done, evicted})
+	var kind0, kind5 orb.Encoder
+	protocol.EncodeUpdate(&kind0, status, []protocol.TaskEvent{done, noKind})
+	protocol.EncodeUpdate(&kind5, status, []protocol.TaskEvent{done, pastDrained})
 	var statusOnly orb.Encoder
 	status.Encode(&statusOnly)
 
@@ -158,7 +159,8 @@ func TestMalformedUpdateAppliesNothing(t *testing.T) {
 		"count without events":       whole.Bytes()[:statusOnly.Len()+4],
 		"no event count":             statusOnly.Bytes(),
 		"over-long event list":       overlong.Bytes(),
-		"evicted rides the update":   wrongKind.Bytes(),
+		"an event of kind 0":         kind0.Bytes(),
+		"an event of kind 5":         kind5.Bytes(),
 	} {
 		_, err := c.o.Invoke(c.grmRef, protocol.OpUpdate, body)
 		if !orb.IsCode(err, orb.CodeMarshal) {
@@ -199,11 +201,12 @@ func TestStaleTaskEventsIgnored(t *testing.T) {
 	id := c.submit(spec)
 	taskID := c.status(id).Tasks[0].TaskID
 	evicted := protocol.TaskEvent{Kind: protocol.TaskEventEvicted, AppID: id, TaskID: taskID, NodeID: "stale-a", Progress: 400_000, At: c.clock.Now()}
-	c.g.HandleNotify(evicted)
+	fromA := prompted(windowStatus(c, "stale-a", refA, 2000))
+	c.update(fromA, evicted)
 	if task := c.status(id).Tasks[0]; task.NodeID != "stale-b" || task.State != protocol.TaskRunning {
 		t.Fatalf("after the eviction: %+v, want running on stale-b", task)
 	}
-	c.g.HandleNotify(protocol.TaskEvent{Kind: protocol.TaskEventProgress, AppID: id, TaskID: taskID, NodeID: "stale-b", Progress: 350_000})
+	c.update(windowStatus(c, "stale-b", refB, 1000), protocol.TaskEvent{Kind: protocol.TaskEventProgress, AppID: id, TaskID: taskID, NodeID: "stale-b", Progress: 350_000})
 	before := c.g.Stats()
 
 	for _, ev := range []protocol.TaskEvent{
@@ -211,7 +214,8 @@ func TestStaleTaskEventsIgnored(t *testing.T) {
 		{Kind: protocol.TaskEventProgress, AppID: id, TaskID: taskID, NodeID: "stale-a", Progress: 450_000},
 		{Kind: protocol.TaskEventDrained, AppID: id, TaskID: taskID, NodeID: "stale-a", Progress: 450_000},
 	} {
-		c.g.HandleNotify(ev)
+		c.update(fromA, ev)
+		before.UpdatesReceived++ // the update that carried it
 		task := c.status(id).Tasks[0]
 		if task.NodeID != "stale-b" || task.State != protocol.TaskRunning || task.Restarts != 1 || task.Progress != 350_000 {
 			t.Fatalf("stale %v from stale-a changed the task: %+v", ev.Kind, task)

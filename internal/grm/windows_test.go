@@ -121,11 +121,18 @@ func departing(s protocol.NodeStatus, deadline time.Time) protocol.NodeStatus {
 	return s
 }
 
-// update sends s to the cluster's GRM as an LRM does, through
-// GRMClient.Update over loopback.
-func (c *cluster) update(s protocol.NodeStatus) {
+// prompted is s sent at once, outside the node's update cadence, as an LRM
+// reports an eviction or a drain.
+func prompted(s protocol.NodeStatus) protocol.NodeStatus {
+	s.Prompted = true
+	return s
+}
+
+// update sends s, with the events that ride it, to the cluster's GRM as an
+// LRM does, through GRMClient.Update over loopback.
+func (c *cluster) update(s protocol.NodeStatus, events ...protocol.TaskEvent) {
 	c.t.Helper()
-	if _, err := protocol.NewGRMClient(c.o, c.grmRef).Update(s); err != nil {
+	if _, err := protocol.NewGRMClient(c.o, c.grmRef).Update(s, events...); err != nil {
 		c.t.Fatal(err)
 	}
 }
@@ -369,7 +376,7 @@ func TestDrainedTaskMigratesWithExactProgress(t *testing.T) {
 		t.Fatalf("initial placement on %q, want drain-a", st.Tasks[0].NodeID)
 	}
 
-	c.g.HandleNotify(protocol.TaskEvent{
+	c.update(prompted(windowStatus(c, "drain-a", refA, 2000)), protocol.TaskEvent{
 		Kind:     protocol.TaskEventDrained,
 		AppID:    id,
 		TaskID:   st.Tasks[0].TaskID,
@@ -410,12 +417,14 @@ func TestDrainedTaskWithoutRestartIsAbandoned(t *testing.T) {
 	other, refOther := bindFakeLRM(t, c, "drain-idle", 0)
 	c.update(windowStatus(c, "drain-norestart", ref, 2000))
 	c.update(windowStatus(c, "drain-idle", refOther, 1000))
+	refs := map[string]orb.ObjectRef{"drain-norestart": ref, "drain-idle": refOther}
 
 	spec := hourTask("abandon") // RestartEvicted unset
 	id := c.submit(spec)
 	st := c.status(id)
 
-	c.g.HandleNotify(protocol.TaskEvent{
+	on := st.Tasks[0].NodeID
+	c.update(prompted(windowStatus(c, on, refs[on], 2000)), protocol.TaskEvent{
 		Kind:     protocol.TaskEventDrained,
 		AppID:    id,
 		TaskID:   st.Tasks[0].TaskID,
@@ -442,12 +451,16 @@ func TestDrainedBSPGangRollsBackToCheckpoint(t *testing.T) {
 	// re-enters pending.
 	c := newCluster(t, nil, grm.WithPolicy(grm.BestFit{}))
 	fakes := map[string]*fakeLRM{}
+	var refA orb.ObjectRef
 	for _, n := range []struct {
 		id   string
 		mips float64
 	}{{"bsp-a", 2000}, {"bsp-b", 1500}, {"bsp-c", 1000}} {
 		f, ref := bindFakeLRM(t, c, n.id, 1)
 		fakes[n.id] = f
+		if n.id == "bsp-a" {
+			refA = ref
+		}
 		c.update(windowStatus(c, n.id, ref, n.mips))
 	}
 
@@ -474,7 +487,7 @@ func TestDrainedBSPGangRollsBackToCheckpoint(t *testing.T) {
 		t.Fatalf("no gang member on bsp-a: %+v", st.Tasks)
 	}
 
-	c.g.HandleNotify(protocol.TaskEvent{
+	c.update(prompted(windowStatus(c, "bsp-a", refA, 2000)), protocol.TaskEvent{
 		Kind:     protocol.TaskEventDrained,
 		AppID:    id,
 		TaskID:   drained.TaskID,

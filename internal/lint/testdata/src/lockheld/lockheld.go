@@ -46,10 +46,10 @@ func (s *server) badInvoke() {
 	_, _ = s.inv.Invoke("op") // want `ORB invocation Invoke while holding s\.rw`
 }
 
-func (s *server) badRPC(ev protocol.TaskEvent) {
+func (s *server) badRPC(appID string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_ = s.grm.Notify(ev) // want `protocol RPC GRMClient\.Notify while holding s\.mu`
+	_ = s.grm.CancelApp(appID) // want `protocol RPC GRMClient\.CancelApp while holding s\.mu`
 }
 
 func (s *server) badWaitAndSleep() {

@@ -9,9 +9,9 @@ import (
 )
 
 func bad(inv orb.Invoker, ref orb.ObjectRef, grm *protocol.GRMClient, ad *orb.Adapter, sv orb.Servant) {
-	inv.Invoke(ref, "op", nil)       // want `result of ORB invocation Invoke is discarded`
-	grm.Notify(protocol.TaskEvent{}) // want `error result of integrade/internal/protocol\.Notify is discarded`
-	ad.Register("key", sv)           // want `error result of integrade/internal/orb\.Register is discarded`
+	inv.Invoke(ref, "op", nil) // want `result of ORB invocation Invoke is discarded`
+	grm.CancelApp("app-1")     // want `error result of integrade/internal/protocol\.CancelApp is discarded`
+	ad.Register("key", sv)     // want `error result of integrade/internal/orb\.Register is discarded`
 }
 
 func good(inv orb.Invoker, ref orb.ObjectRef, grm *protocol.GRMClient) error {
@@ -19,7 +19,7 @@ func good(inv orb.Invoker, ref orb.ObjectRef, grm *protocol.GRMClient) error {
 		return err
 	}
 	// An explicit blank assignment is a visible decision.
-	_ = grm.Notify(protocol.TaskEvent{})
+	_ = grm.CancelApp("app-1")
 	// Void ORB-layer calls are fine as statements.
 	var e orb.Encoder
 	e.PutString("ok")

@@ -189,7 +189,7 @@ func TestAdoptConformance(t *testing.T) {
 		f = newFixture(t, dedicatedSpec(1000), nil, ncc.Generous())
 		f.startTask(t, "app", "app/t0", 1e9)
 		next = &fakeGRM{epoch: 3}
-		return f, f.lrm.grmClient().Ref(), next, f.bindGRM(t, "next", next)
+		return f, reportsTo(f.lrm), next, f.bindGRM(t, "next", next)
 	}
 
 	t.Run("a call below the fence is refused and counted", func(t *testing.T) {
@@ -236,7 +236,7 @@ func TestAdoptConformance(t *testing.T) {
 		if st := f.lrm.Stats(); updates != 1 || reconciles != 1 || st.Reregistrations != 1 {
 			t.Fatalf("%d updates, %d reconciles, %d re-registrations; want one each", updates, reconciles, st.Reregistrations)
 		}
-		if got := f.lrm.grmClient().Ref(); got != nextRef || f.lrm.Fence() != 3 {
+		if got := reportsTo(f.lrm); got != nextRef || f.lrm.Fence() != 3 {
 			t.Fatalf("reporting to %v at fence %d, want %v at 3", got, f.lrm.Fence(), nextRef)
 		}
 	})

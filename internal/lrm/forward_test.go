@@ -58,7 +58,7 @@ func TestForwardedUpdateRegistersWithLeader(t *testing.T) {
 	if len(claims) != 1 || claims[0].TaskID != "app/t0" || claims[0].AppID != "app" {
 		t.Fatalf("reconcile claims = %+v, want app/t0 of app", claims)
 	}
-	if got := f.lrm.grmClient().Ref(); got != leaderRef {
+	if got := reportsTo(f.lrm); got != leaderRef {
 		t.Fatalf("reporting to %v, want the leader %v", got, leaderRef)
 	}
 	st := f.lrm.Stats()
@@ -92,7 +92,7 @@ func TestForwardLoopCostsOneHop(t *testing.T) {
 		WithGRMResolver(func(orb.ObjectRef) (orb.ObjectRef, error) { return otherRef, nil }))
 	otherRef = f.bindGRM(t, "other", other)
 	f.grm.forward = otherRef
-	other.forward = f.lrm.grmClient().Ref()
+	other.forward = reportsTo(f.lrm)
 	var delays []int
 	f.lrm.reregDelay = func(_ string, attempt int) time.Duration {
 		delays = append(delays, attempt)
@@ -136,7 +136,7 @@ func TestForwardLoopCostsOneHop(t *testing.T) {
 // is a failed attempt, and the LRM keeps reporting where it did.
 func TestForwardToUnreachableFails(t *testing.T) {
 	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous())
-	home := f.lrm.grmClient().Ref()
+	home := reportsTo(f.lrm)
 	f.grm.forward = orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: "gone"}, Key: protocol.GRMKey}
 
 	f.lrm.SendUpdate()
@@ -145,7 +145,7 @@ func TestForwardToUnreachableFails(t *testing.T) {
 	if st.UpdateFailures != 1 || st.UpdatesSent != 0 || st.Reregistrations != 0 {
 		t.Fatalf("stats = %+v, want one failed update", st)
 	}
-	if got := f.lrm.grmClient().Ref(); got != home {
+	if got := reportsTo(f.lrm); got != home {
 		t.Fatalf("reporting to %v, want still %v", got, home)
 	}
 	f.lrm.mu.Lock()
@@ -176,7 +176,7 @@ func (r *rotation) resolve(orb.ObjectRef) (orb.ObjectRef, error) {
 func failedManagerFixture(t *testing.T, r *rotation, members map[string]bool) (f *fixture, dead orb.ObjectRef, refs map[string]orb.ObjectRef, attempts *int) {
 	f = newFixture(t, dedicatedSpec(1000), nil, ncc.Generous(),
 		WithUpdatePeriod(time.Minute), WithGRMResolver(r.resolve))
-	dead = f.lrm.grmClient().Ref()
+	dead = reportsTo(f.lrm)
 	refs = map[string]orb.ObjectRef{"dead": dead}
 	for _, name := range slices.Sorted(maps.Keys(members)) {
 		g := &fakeGRM{epoch: 2}
@@ -221,7 +221,7 @@ func TestReregisterReturnsToRecoveredManager(t *testing.T) {
 	if r.resolved != 2 {
 		t.Fatalf("%d resolutions, want 2", r.resolved)
 	}
-	if got := f.lrm.grmClient().Ref(); got != home {
+	if got := reportsTo(f.lrm); got != home {
 		t.Fatalf("reporting to %v, want the recovered manager %v", got, home)
 	}
 	if st := f.lrm.Stats(); st.Reregistrations != 1 {
@@ -252,7 +252,7 @@ func TestReregisterFollowsForwardToRecoveredManager(t *testing.T) {
 	if r.resolved != 2 {
 		t.Fatalf("%d resolutions, want 2", r.resolved)
 	}
-	if got := f.lrm.grmClient().Ref(); got != home {
+	if got := reportsTo(f.lrm); got != home {
 		t.Fatalf("reporting to %v, want the recovered manager %v", got, home)
 	}
 	if st := f.lrm.Stats(); st.Reregistrations != 1 {

@@ -102,19 +102,20 @@ type LRM struct {
 
 	// mu guards grm, taskApp, outbox, windows, stats, stopped, timers,
 	// started, fence, consecFails, adopting and departUntil.
-	// It must be released before GRM RPCs (Update/Notify), which block on
+	// It must be released before GRM RPCs (Update, Reconcile), which block on
 	// the remote side. Snapshot collection reads the node's running set under it, so
 	// l.mu nests outside the node's lock.
 	//lint:lockorder lrm.LRM.mu<node.Node.mu
 	mu      sync.Mutex
 	grm     *protocol.GRMClient
 	taskApp map[string]string // taskID -> appID
-	// outbox holds the Done events of tasks that finished since the last
-	// update a manager accepted, oldest first. The next update carries them;
-	// one that fails or is refused puts them back, so a completion is
-	// delivered at least once while this LRM lives. One that is accepted
-	// hands its events' array back, cleared, as the outbox the next
-	// completions go into, unless some were queued meanwhile.
+	// outbox holds the Done, Evicted and Drained events of tasks that ended
+	// on this node since the last update a manager accepted, oldest first.
+	// The next update carries them, but for those of a task that runs here
+	// again, which speak of an earlier run; one that fails or is refused puts
+	// them back, so each is delivered at least once while this LRM lives.
+	// One that is accepted hands its events' array back, cleared, as the
+	// outbox the next events go into, unless some were queued meanwhile.
 	outbox []protocol.TaskEvent
 	// windows is the array an update's status carries its windows in. An
 	// update takes it, leaving nil, and gives it back when sent: a concurrent
@@ -301,7 +302,7 @@ func (l *LRM) updateTick() time.Duration {
 	leader := l.adopting
 	l.adopting = orb.ObjectRef{}
 	l.mu.Unlock()
-	l.sendUpdate(leader)
+	l.sendUpdate(leader, false)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if attempt := l.consecFails - reregisterAfter + 1; attempt > 0 && l.resolver != nil {
@@ -310,25 +311,21 @@ func (l *LRM) updateTick() time.Duration {
 	return l.updatePeriod
 }
 
-// grmClient returns the current GRM stub (swapped on re-registration).
-func (l *LRM) grmClient() *protocol.GRMClient {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.grm
-}
-
 // SendUpdate pushes one Information Update Protocol message now, following
 // a refusal that names the leader (register). Task execution is synced first
-// so the reported free capacity and the completions the update carries
-// reflect the present. Once reregisterAfter updates in a row have failed —
-// an answer from a manager whose epoch is stale, i.e. a deposed primary still
+// so the reported free capacity and the events the update carries reflect
+// the present. Once reregisterAfter updates in a row have failed — an answer
+// from a manager whose epoch is stale, i.e. a deposed primary still
 // reachable, counts as a failure — and a resolver is configured, the update
 // goes to the manager the resolver names: the LRM re-registers.
-func (l *LRM) SendUpdate() { l.sendUpdate(orb.ObjectRef{}) }
+func (l *LRM) SendUpdate() { l.sendUpdate(orb.ObjectRef{}, false) }
 
-// sendUpdate is SendUpdate, sent to leader instead when it is set.
-func (l *LRM) sendUpdate(leader orb.ObjectRef) {
-	l.SyncTasks()
+// sendUpdate is SendUpdate, sent to leader instead when it is set. A prompted
+// update is one sent at once to report an eviction or a drain, outside the
+// update cadence: its status says so, and the manager does not count it as a
+// heartbeat.
+func (l *LRM) sendUpdate(leader orb.ObjectRef, prompted bool) {
+	l.syncTasks()
 	l.mu.Lock()
 	prev := l.grm
 	relocate := l.resolver != nil && l.consecFails >= reregisterAfter
@@ -345,7 +342,7 @@ func (l *LRM) sendUpdate(leader orb.ObjectRef) {
 		}
 	}
 	if err == nil {
-		err = l.register(client, prev)
+		err = l.register(client, prev, prompted)
 	}
 	if err != nil {
 		l.log.Debug("information update failed", "node", l.node.ID(), "err", err)
@@ -368,14 +365,14 @@ func (l *LRM) sendUpdate(leader orb.ObjectRef) {
 // reconciles its running tasks with it, unless another update moved the LRM
 // while this one was on its way: an external SendUpdate may run beside the
 // update loop.
-func (l *LRM) register(client, prev *protocol.GRMClient) error {
-	if err := l.pushUpdate(client); err != nil {
+func (l *LRM) register(client, prev *protocol.GRMClient, prompted bool) error {
+	if err := l.pushUpdate(client, prompted); err != nil {
 		ref, ok := orb.Forwarded(err)
 		if !ok {
 			return err
 		}
 		client = protocol.NewGRMClient(l.inv, ref)
-		if err := l.pushUpdate(client); err != nil {
+		if err := l.pushUpdate(client, prompted); err != nil {
 			return err
 		}
 	}
@@ -400,10 +397,10 @@ func (l *LRM) register(client, prev *protocol.GRMClient) error {
 // The status carries the departure deadline of the last drain while it lies
 // ahead.
 // If the update fails, or is answered by a manager whose epoch is stale, the
-// Done events go back to the front of the outbox: the manager may have
-// applied them and lost only the reply, so it must tolerate seeing them
-// again. Progress is not kept — the next update snapshots it afresh.
-func (l *LRM) pushUpdate(client *protocol.GRMClient) error {
+// outbox's events go back to its front: the manager may have applied them and
+// lost only the reply, so it must tolerate seeing them again. Progress is not
+// kept — the next update snapshots it afresh.
+func (l *LRM) pushUpdate(client *protocol.GRMClient, prompted bool) error {
 	l.mu.Lock()
 	win := l.windows
 	l.windows = nil
@@ -414,12 +411,18 @@ func (l *LRM) pushUpdate(client *protocol.GRMClient) error {
 	}
 	status, windows := l.status(win)
 	status.Windows = windows
+	status.Prompted = prompted
 	if status.Timestamp.Before(departUntil) {
 		status.DepartUntil = departUntil
 	}
 	l.mu.Lock()
 	snaps := l.node.RunningSnapshots()
-	events := slices.Grow(l.outbox, len(snaps))
+	// The manager re-placed a task that runs here again: its events speak of
+	// an earlier run, and an eviction retold would end the new one.
+	events := slices.Grow(slices.DeleteFunc(l.outbox, func(ev protocol.TaskEvent) bool {
+		_, rerun := l.taskApp[ev.TaskID]
+		return rerun
+	}), len(snaps))
 	l.outbox = nil
 	done := len(events)
 	for _, snap := range snaps {
@@ -605,12 +608,12 @@ func (l *LRM) sampleTick() time.Duration {
 
 // departureWatch fires the graceful-departure drain when the LUPA predicts
 // the owner returns within the configured lead: every running grid task is
-// cancelled at its exact progress and reported as Drained (zero lost work —
-// the proactive checkpoint), then the deadline is recorded and an update
-// sent at once: its status, and every one after it until the deadline, tells
-// the GRM to withdraw the node's offer and mark it Departing instead of
-// waiting for the heartbeat-miss Suspect threshold. An update that fails
-// leaves the next one to announce it.
+// cancelled at its exact progress and its Drained event queued (zero lost
+// work — the proactive checkpoint), then the deadline is recorded and a
+// prompted update sent at once with the events: its status, and every one
+// after it until the deadline, tells the GRM to withdraw the node's offer and
+// mark it Departing instead of waiting for the heartbeat-miss Suspect
+// threshold. An update that fails leaves the next one to announce it.
 func (l *LRM) departureWatch(now time.Time) {
 	l.mu.Lock()
 	lead := l.drainLead
@@ -635,12 +638,8 @@ func (l *LRM) departureWatch(now time.Time) {
 			continue
 		}
 		l.mu.Lock()
-		ev := l.taskEventLocked(protocol.TaskEventDrained, task, now)
-		delete(l.taskApp, snap.ID)
+		l.endTaskLocked(protocol.TaskEventDrained, task, now)
 		l.mu.Unlock()
-		if err := l.grmClient().Notify(ev); err != nil {
-			l.log.Debug("drain notification failed", "task", snap.ID, "err", err)
-		}
 		drained++
 	}
 	l.mu.Lock()
@@ -650,57 +649,68 @@ func (l *LRM) departureWatch(now time.Time) {
 	l.mu.Unlock()
 	l.log.Debug("announcing graceful departure",
 		"node", l.node.ID(), "deadline", deadline, "drained", drained)
-	l.SendUpdate()
+	l.sendUpdate(orb.ObjectRef{}, true)
 }
 
-// SyncTasks advances the node's task execution to now. Completions go to the
-// outbox and reach the GRM with the next update; an eviction is notified at
-// once, because the GRM re-places the task on hearing of it.
+// SyncTasks advances the node's task execution to now. Completions and
+// evictions go to the outbox and reach the GRM with the next update; a sync
+// that evicted a task sends that update at once, prompted, because the GRM
+// re-places the task on hearing of it.
 func (l *LRM) SyncTasks() {
+	if l.syncTasks() > 0 {
+		l.sendUpdate(orb.ObjectRef{}, true)
+	}
+}
+
+// syncTasks is SyncTasks without the prompted update: it returns how many
+// tasks the sync evicted.
+func (l *LRM) syncTasks() int {
 	now := l.clock.Now()
 	done, evicted := l.node.Sync(now)
-	if len(done) > 0 {
+	if len(done)+len(evicted) > 0 {
 		l.mu.Lock()
 		for _, t := range done {
-			l.outbox = append(l.outbox, l.taskEventLocked(protocol.TaskEventDone, t, now))
-			l.stats.TasksCompleted++
-			delete(l.taskApp, t.ID)
+			l.endTaskLocked(protocol.TaskEventDone, t, now)
 		}
+		for _, t := range evicted {
+			l.endTaskLocked(protocol.TaskEventEvicted, t, now)
+		}
+		l.stats.TasksCompleted += len(done)
+		l.stats.TasksEvicted += len(evicted)
 		l.mu.Unlock()
 	}
-	for _, t := range evicted {
-		l.notifyEvicted(t, now)
+	return len(evicted)
+}
+
+// ReportEvicted reports tasks evicted outside the LRM's own sync (e.g. by a
+// node crash handled above it): their events go to the outbox and one
+// prompted update carries them to the GRM at once.
+func (l *LRM) ReportEvicted(tasks []*node.Task) {
+	if len(tasks) == 0 {
+		return
 	}
-}
-
-// NotifyEvicted reports an out-of-band eviction (e.g. a node crash handled
-// above the LRM) to the GRM and updates the counters.
-func (l *LRM) NotifyEvicted(t *node.Task) {
-	l.notifyEvicted(t, l.clock.Now())
-}
-
-func (l *LRM) notifyEvicted(t *node.Task, now time.Time) {
+	now := l.clock.Now()
 	l.mu.Lock()
-	ev := l.taskEventLocked(protocol.TaskEventEvicted, t, now)
-	l.stats.TasksEvicted++
-	delete(l.taskApp, t.ID)
-	l.mu.Unlock()
-	if err := l.grmClient().Notify(ev); err != nil {
-		l.log.Debug("eviction notification failed", "task", t.ID, "err", err)
+	for _, t := range tasks {
+		l.endTaskLocked(protocol.TaskEventEvicted, t, now)
 	}
+	l.stats.TasksEvicted += len(tasks)
+	l.mu.Unlock()
+	l.sendUpdate(orb.ObjectRef{}, true)
 }
 
-// taskEventLocked describes t, as it stands, in an event of the given kind.
-// Caller holds l.mu.
-func (l *LRM) taskEventLocked(kind protocol.TaskEventKind, t *node.Task, now time.Time) protocol.TaskEvent {
-	return protocol.TaskEvent{
+// endTaskLocked queues the event of the given kind that reports t, as it
+// stands, ended on this node, and forgets the task. Caller holds l.mu.
+func (l *LRM) endTaskLocked(kind protocol.TaskEventKind, t *node.Task, now time.Time) {
+	l.outbox = append(l.outbox, protocol.TaskEvent{
 		Kind:     kind,
 		AppID:    l.taskApp[t.ID],
 		TaskID:   t.ID,
 		NodeID:   l.node.ID(),
 		Progress: t.Progress(),
 		At:       now,
-	}
+	})
+	delete(l.taskApp, t.ID)
 }
 
 // retrainTick retrains the LUPA daily; the next update carries its forecast.

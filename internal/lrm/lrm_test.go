@@ -17,16 +17,18 @@ import (
 
 var linux = resource.Platform{Arch: "amd64", OS: "linux"}
 
-// fakeGRM records what the LRM sends: statuses, the task events that rode
-// the updates and the ones notified on their own.
+// fakeGRM records what the LRM sends: statuses and the task events that rode
+// the updates.
 type fakeGRM struct {
 	mu       sync.Mutex
 	updates  []protocol.NodeStatus
 	rode     [][]protocol.TaskEvent // the events inside each of updates
-	events   []protocol.TaskEvent   // arrived by OpNotify
 	failNext bool
 	down     bool // fail every update until cleared
-	epoch    int  // fencing epoch returned in update replies
+	// arrived, when set, runs as each update arrives, before it is answered
+	// or failed.
+	arrived func()
+	epoch   int // fencing epoch returned in update replies
 	// forward, when set, refuses every update with a forward to it, as a
 	// replica that does not lead does; refused counts those refusals.
 	forward    orb.ObjectRef
@@ -39,6 +41,9 @@ func (f *fakeGRM) servant() orb.Servant {
 		Handle(protocol.OpUpdate, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
 			f.mu.Lock()
 			defer f.mu.Unlock()
+			if f.arrived != nil {
+				f.arrived()
+			}
 			if f.failNext || f.down {
 				f.failNext = false
 				return nil, orb.Errorf(orb.CodeTransport, "injected")
@@ -58,16 +63,6 @@ func (f *fakeGRM) servant() orb.Servant {
 			var e orb.Encoder
 			e.PutInt(f.epoch)
 			return &e, nil
-		}).
-		Handle(protocol.OpNotify, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			ev, err := protocol.DecodeTaskEvent(req)
-			if err != nil {
-				return nil, err
-			}
-			f.mu.Lock()
-			f.events = append(f.events, ev)
-			f.mu.Unlock()
-			return &orb.Encoder{}, nil
 		})
 	orb.Serve(m, protocol.Reconcile, func(r protocol.ReconcileRequest) ([]string, error) {
 		f.mu.Lock()
@@ -90,10 +85,27 @@ func (f *fakeGRM) lastUpdate() protocol.NodeStatus {
 	return f.updates[len(f.updates)-1]
 }
 
+// eventList returns the evictions and drains that rode the updates, in the
+// order they arrived.
 func (f *fakeGRM) eventList() []protocol.TaskEvent {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]protocol.TaskEvent(nil), f.events...)
+	var out []protocol.TaskEvent
+	for _, events := range f.rode {
+		for _, ev := range events {
+			if ev.Kind == protocol.TaskEventEvicted || ev.Kind == protocol.TaskEventDrained {
+				out = append(out, ev)
+			}
+		}
+	}
+	return out
+}
+
+// reportsTo returns the reference of the manager l sends its updates to.
+func reportsTo(l *LRM) orb.ObjectRef {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.grm.Ref()
 }
 
 // rodeOfKind returns the events of one kind that arrived inside updates.
@@ -271,7 +283,7 @@ func TestReserveExecuteLifecycle(t *testing.T) {
 		t.Fatalf("TasksStarted = %d", got)
 	}
 	// Advance past completion: the update tick syncs the node, and the
-	// completion rides that same update. Nothing is notified on its own.
+	// completion rides that same update. Nothing is evicted or drained.
 	f.lrm.Start()
 	f.clock.Advance(5 * time.Minute)
 	if got := f.grm.rodeOfKind(protocol.TaskEventProgress); len(got) == 0 || got[0].TaskID != "app/t0" || got[0].Progress <= 0 {
@@ -286,7 +298,7 @@ func TestReserveExecuteLifecycle(t *testing.T) {
 		t.Fatalf("event fields: %+v", ev)
 	}
 	if got := f.grm.eventList(); len(got) != 0 {
-		t.Fatalf("notified on their own: %+v, want nothing", got)
+		t.Fatalf("evictions and drains: %+v, want none", got)
 	}
 	if got := f.lrm.Stats().TasksCompleted; got != 1 {
 		t.Fatalf("TasksCompleted = %d", got)
@@ -372,8 +384,8 @@ func TestCompletionWhileReregisteringReachesNewManager(t *testing.T) {
 	if got := f.lrm.Stats().Reregistrations; got != 1 {
 		t.Fatalf("Reregistrations = %d, want 1", got)
 	}
-	if f.lrm.grmClient().Ref() != nextRef {
-		t.Fatalf("reporting to %v, want the new manager", f.lrm.grmClient().Ref())
+	if reportsTo(f.lrm) != nextRef {
+		t.Fatalf("reporting to %v, want the new manager", reportsTo(f.lrm))
 	}
 	next.mu.Lock()
 	registering := ofKind(protocol.TaskEventDone, next.rode[0])
@@ -781,7 +793,7 @@ func TestRestartDuringReregistration(t *testing.T) {
 	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous(),
 		WithUpdatePeriod(30*time.Second),
 		WithGRMResolver(func(orb.ObjectRef) (orb.ObjectRef, error) { return target, nil }))
-	dead := f.lrm.grmClient().Ref()
+	dead := reportsTo(f.lrm)
 	liveRef := f.bindGRM(t, "live", live)
 	target = dead
 	f.grm.setDown(true)
@@ -797,7 +809,7 @@ func TestRestartDuringReregistration(t *testing.T) {
 	f.clock.Advance(time.Hour)
 
 	st := f.lrm.Stats()
-	if got := f.lrm.grmClient().Ref(); got != liveRef || st.Reregistrations != 1 {
+	if got := reportsTo(f.lrm); got != liveRef || st.Reregistrations != 1 {
 		t.Fatalf("reporting to %v with stats %+v, want the live manager %v after one re-registration",
 			got, st, liveRef)
 	}
@@ -961,6 +973,18 @@ func TestDepartureDrainCheckpointsBeforeOwnerReturns(t *testing.T) {
 	// announcement.
 	if first.DepartUntil.Sub(first.Timestamp) > 10*time.Minute {
 		t.Fatalf("departure lead = %v, want <= 10m", first.DepartUntil.Sub(first.Timestamp))
+	}
+	// Each drain's announcement goes out at once, off the update cadence; the
+	// periodic updates that repeat its deadline are not prompted.
+	prompted := 0
+	for _, s := range deps {
+		if s.Prompted {
+			prompted++
+		}
+	}
+	if !first.Prompted || prompted != f.lrm.Stats().DepartureNotices {
+		t.Fatalf("first departing update prompted %v, %d of %d prompted, want the first and one a drain (%d)",
+			first.Prompted, prompted, len(deps), f.lrm.Stats().DepartureNotices)
 	}
 	stats := f.lrm.Stats()
 	if stats.TasksDrained != 1 {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"integrade/internal/ncc"
+	"integrade/internal/node"
 	"integrade/internal/orb"
 	"integrade/internal/protocol"
 )
@@ -132,7 +133,7 @@ func TestAdoptRacesSendUpdate(t *testing.T) {
 	f.grm.epoch = 2
 	next := &fakeGRM{epoch: 2}
 	managers := [2]*fakeGRM{f.grm, next}
-	refs := [2]orb.ObjectRef{f.lrm.grmClient().Ref(), f.bindGRM(t, "next", next)}
+	refs := [2]orb.ObjectRef{reportsTo(f.lrm), f.bindGRM(t, "next", next)}
 	var (
 		stop atomic.Bool
 		wg   sync.WaitGroup
@@ -153,7 +154,7 @@ func TestAdoptRacesSendUpdate(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 
-	if got := f.lrm.grmClient().Ref(); got != refs[calls%2] {
+	if got := reportsTo(f.lrm); got != refs[calls%2] {
 		t.Fatalf("reporting to %v, want the last caller %v", got, refs[calls%2])
 	}
 	_, _, home := managers[0].counts()
@@ -161,5 +162,76 @@ func TestAdoptRacesSendUpdate(t *testing.T) {
 	if st := f.lrm.Stats(); st.Reregistrations != calls || home+away != calls || st.UpdateFailures != 0 {
 		t.Fatalf("stats = %+v after %d reconciles; want %d re-registrations and reconciles, no failed update",
 			st, home+away, calls)
+	}
+}
+
+// TestReportEvictedSendsOnePromptedUpdate: evictions reported from outside
+// the LRM's sync go out at once, together, in one prompted update, and the
+// periodic update after it carries none of them again.
+func TestReportEvictedSendsOnePromptedUpdate(t *testing.T) {
+	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous())
+	f.startTask(t, "app", "app/t0", 400*3600)
+	f.startTask(t, "app", "app/t1", 400*3600)
+	f.clock.Advance(time.Minute)
+	evicted := []*node.Task{f.node.CancelTask(f.clock.Now(), "app/t0"), f.node.CancelTask(f.clock.Now(), "app/t1")}
+	f.lrm.ReportEvicted(evicted)
+	if n := f.grm.updateCount(); n != 1 || !f.grm.lastUpdate().Prompted {
+		t.Fatalf("%d updates, the last prompted %v; want one prompted update", n, f.grm.lastUpdate().Prompted)
+	}
+	if got := f.grm.eventList(); len(got) != 2 || got[0].TaskID != "app/t0" || got[1].TaskID != "app/t1" || got[0].Progress <= 0 {
+		t.Fatalf("evictions delivered %+v, want t0's and t1's with their progress", got)
+	}
+	f.lrm.SendUpdate()
+	if n := f.grm.updateCount(); n != 2 || f.grm.lastUpdate().Prompted || len(f.grm.eventList()) != 2 {
+		t.Fatalf("%d updates, the last prompted %v, evictions %+v; want one more, periodic, with none", n, f.grm.lastUpdate().Prompted, f.grm.eventList())
+	}
+	if got := f.lrm.Stats(); got.TasksEvicted != 2 || got.UpdatesSent != 2 {
+		t.Fatalf("stats = %+v, want 2 evictions and 2 updates sent", got)
+	}
+}
+
+// TestRetoldEvictionDroppedWhenTaskRunsAgain: an eviction whose update failed
+// waits in the outbox for the next one, unless the manager, which had heard
+// of it, started the same task on the node again meanwhile — after the
+// update failed, or while it was on its way and its reply was lost: that
+// eviction speaks of the earlier run, and retold it would make the manager
+// re-place the new one. An eviction of a task not started again is still
+// retold.
+func TestRetoldEvictionDroppedWhenTaskRunsAgain(t *testing.T) {
+	f := newFixture(t, dedicatedSpec(1000), nil, ncc.Generous())
+	f.startTask(t, "app", "app/t0", 400*3600)
+	f.startTask(t, "app", "app/t1", 400*3600)
+	f.clock.Advance(time.Minute)
+	f.grm.setDown(true)
+	evicted := []*node.Task{f.node.CancelTask(f.clock.Now(), "app/t0"), f.node.CancelTask(f.clock.Now(), "app/t1")}
+	f.lrm.ReportEvicted(evicted) // the update carrying both is lost
+	f.grm.setDown(false)
+	if got := f.lrm.Stats(); got.UpdateFailures != 1 || f.grm.updateCount() != 0 {
+		t.Fatalf("stats = %+v with %d updates received, want the one update lost", got, f.grm.updateCount())
+	}
+
+	f.startTask(t, "app", "app/t0", 400*3600)
+	f.lrm.SendUpdate()
+	if got := f.grm.eventList(); len(got) != 1 || got[0].Kind != protocol.TaskEventEvicted || got[0].TaskID != "app/t1" {
+		t.Fatalf("evictions retold %+v, want t1's alone", got)
+	}
+	if got := f.grm.rodeOfKind(protocol.TaskEventProgress); len(got) != 1 || got[0].TaskID != "app/t0" {
+		t.Fatalf("progress reported %+v, want the new run of t0", got)
+	}
+
+	// The new run is evicted too, and the manager restarts it here as it
+	// applies the update, whose reply is then lost.
+	f.clock.Advance(time.Minute)
+	f.grm.arrived = func() {
+		f.grm.arrived, f.grm.failNext = nil, true
+		f.startTask(t, "app", "app/t0", 400*3600)
+	}
+	f.lrm.ReportEvicted([]*node.Task{f.node.CancelTask(f.clock.Now(), "app/t0")})
+	f.lrm.SendUpdate()
+	if got := f.grm.eventList(); len(got) != 1 {
+		t.Fatalf("evictions retold %+v, want t1's alone", got)
+	}
+	if got := f.lrm.Stats(); got.TasksEvicted != 3 || got.UpdateFailures != 2 || got.TasksStarted != 4 {
+		t.Fatalf("stats = %+v, want 3 evictions, 2 lost updates and 4 starts", got)
 	}
 }

@@ -19,9 +19,6 @@ var (
 	Submit = &orb.Op[ApplicationSpec, string]{Name: OpSubmit,
 		EncodeReq: ApplicationSpec.Encode, DecodeReq: DecodeApplicationSpec,
 		EncodeRep: encodeString, DecodeRep: decodeString}
-	// Notify reports a task event the GRM must act on now.
-	Notify = &orb.Op[TaskEvent, struct{}]{Name: OpNotify,
-		EncodeReq: TaskEvent.Encode, DecodeReq: DecodeTaskEvent}
 	// GetAppStatus fetches an application's status by its ID.
 	GetAppStatus = &orb.Op[string, AppStatus]{Name: OpAppStatus,
 		EncodeReq: encodeString, DecodeReq: decodeString,
@@ -57,8 +54,13 @@ var (
 		EncodeReq: AdoptRequest.Encode, DecodeReq: decodeAdoptRequest}
 )
 
+// OpNotify names no operation: task events ride OpUpdate. benchmark/ still
+// names a trace span with it, which stays empty; it goes with the next change
+// to benchmark/.
+const OpNotify = "notify"
+
 // UpdateRequest is one OpUpdate body: a NodeStatus and the task events that
-// ride it (TaskEventKind.RidesUpdate).
+// ride it.
 type UpdateRequest struct {
 	Status NodeStatus
 	Events []TaskEvent
@@ -172,10 +174,9 @@ func NewGRMClient(inv orb.Invoker, ref orb.ObjectRef) *GRMClient {
 func (c *GRMClient) Ref() orb.ObjectRef { return c.ref }
 
 // Update pushes a NodeStatus (Information Update Protocol), with the task
-// events that ride it (TaskEventKind.RidesUpdate), and returns the manager's
-// fencing epoch, at least 1. The LRM compares it
-// against the newest epoch it has seen to spot a deposed primary still
-// answering. An error means the manager may or may not have applied the
+// events that ride it, and returns the manager's fencing epoch, at least 1.
+// The LRM compares it against the newest epoch it has seen to spot a deposed
+// primary still answering. An error means the manager may or may not have applied the
 // update: the caller sends its events again with the next one.
 func (c *GRMClient) Update(s NodeStatus, events ...TaskEvent) (int, error) {
 	return Update.Invoke(c.inv, c.ref, UpdateRequest{Status: s, Events: events})
@@ -184,13 +185,6 @@ func (c *GRMClient) Update(s NodeStatus, events ...TaskEvent) (int, error) {
 // Submit submits an application and returns its assigned ID.
 func (c *GRMClient) Submit(spec ApplicationSpec) (string, error) {
 	return Submit.Invoke(c.inv, c.ref, spec)
-}
-
-// Notify reports a task event the GRM must act on now: an eviction or a
-// drain. Completions and progress ride Update instead.
-func (c *GRMClient) Notify(ev TaskEvent) error {
-	_, err := Notify.Invoke(c.inv, c.ref, ev)
-	return err
 }
 
 // CancelApp aborts an application: running tasks are cancelled on their

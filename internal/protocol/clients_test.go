@@ -20,7 +20,6 @@ import (
 type fakeManagers struct {
 	updates      []NodeStatus
 	rode         []TaskEvent // arrived inside updates
-	events       []TaskEvent // arrived by OpNotify
 	apps         map[string]AppStatus
 	order        []string
 	granted      bool
@@ -60,14 +59,6 @@ func (f *fakeManagers) grmServant() orb.Servant {
 			var e orb.Encoder
 			e.PutString(id)
 			return &e, nil
-		}).
-		Handle(OpNotify, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
-			ev, err := DecodeTaskEvent(req)
-			if err != nil {
-				return nil, err
-			}
-			f.events = append(f.events, ev)
-			return &orb.Encoder{}, nil
 		}).
 		Handle(OpAppStatus, func(_ string, req *orb.Decoder) (*orb.Encoder, error) {
 			id := req.String()
@@ -168,8 +159,8 @@ func TestGRMClientRoundTrips(t *testing.T) {
 	if len(f.updates) != 2 || len(f.rode) != 2 || f.rode[0] != riders[0] || f.rode[1] != riders[1] {
 		t.Fatalf("update with events: %d updates, events %+v", len(f.updates), f.rode)
 	}
-	if _, err := grm.Update(status, TaskEvent{Kind: TaskEventEvicted, TaskID: "a/t2"}); !orb.IsCode(err, orb.CodeApplication) {
-		t.Fatalf("evicted event in an update: err = %v, want the servant's refusal", err)
+	if _, err := grm.Update(status, TaskEvent{Kind: TaskEventDrained + 1, TaskID: "a/t2"}); !orb.IsCode(err, orb.CodeApplication) {
+		t.Fatalf("event of no known kind in an update: err = %v, want the servant's refusal", err)
 	}
 
 	id, err := grm.Submit(ApplicationSpec{
@@ -183,11 +174,12 @@ func TestGRMClientRoundTrips(t *testing.T) {
 		t.Fatalf("id = %q", id)
 	}
 
-	if err := grm.Notify(TaskEvent{Kind: TaskEventDone, AppID: id, TaskID: "t0", At: time.Unix(1, 0).UTC()}); err != nil {
+	evicted := TaskEvent{Kind: TaskEventEvicted, AppID: id, TaskID: "t0", NodeID: "n1", Progress: 3, At: time.Unix(1, 0).UTC()}
+	if _, err := grm.Update(status, evicted); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.events) != 1 || f.events[0].Kind != TaskEventDone {
-		t.Fatalf("events = %+v", f.events)
+	if len(f.rode) != 3 || f.rode[2] != evicted {
+		t.Fatalf("events = %+v", f.rode)
 	}
 
 	st, err := grm.AppStatus(id, nil)
@@ -286,6 +278,8 @@ func TestOpsRoundTrip(t *testing.T) {
 	linux := resource.Platform{Arch: "amd64", OS: "linux"}
 	status, events, _ := updateBody()
 	status.DepartUntil = at.Add(time.Hour)
+	status.Prompted = true
+	events = append(events, TaskEvent{Kind: TaskEventEvicted, AppID: "app-1", TaskID: "app-1/t0", NodeID: "n1", Progress: 4, At: at})
 	spec := ApplicationSpec{
 		Name: "render", Kind: AppBSP, NumTasks: 100, WorkPerTask: 5e6,
 		Requirements:        resource.Requirements{Platform: &linux, Min: resource.Vector{MIPS: 500, RAMMB: 16}},
@@ -302,7 +296,6 @@ func TestOpsRoundTrip(t *testing.T) {
 	covered := []string{
 		optest.Check(t, Update, UpdateRequest{Status: status, Events: events}, 3),
 		optest.Check(t, Submit, spec, "app-1"),
-		optest.Check(t, Notify, TaskEvent{Kind: TaskEventEvicted, AppID: "app-1", TaskID: "app-1/t0", NodeID: "n1", Progress: 4, At: at}, struct{}{}),
 		optest.Check(t, GetAppStatus, "app-1", appStatus),
 		optest.Check(t, CancelApp, "app-1", struct{}{}),
 		optest.Check(t, ListApps, struct{}{}, []string{"app-1", "app-2"}),
@@ -334,7 +327,7 @@ func TestOpsRoundTrip(t *testing.T) {
 	}
 	slices.Sort(declared)
 	slices.Sort(covered)
-	if len(declared) != 12 || !slices.Equal(declared, covered) {
+	if len(declared) != 11 || !slices.Equal(declared, covered) {
 		t.Fatalf("operations declared in protocol.go %v, checked %v", declared, covered)
 	}
 }

@@ -2,9 +2,10 @@
 // intra-cluster protocols, shared by the LRM and GRM:
 //
 //   - the Information Update Protocol (LRM → GRM periodic NodeStatus, with
-//     the task completions and progress observed since the last one);
+//     the task events observed since the last one: completions, evictions,
+//     drains and progress);
 //   - the Resource Reservation and Execution Protocol (GRM → LRM
-//     reserve/execute/cancel, LRM → GRM eviction and drain notifications);
+//     reserve/execute/cancel);
 //   - application submission records (ASCT → GRM).
 //
 // These correspond to the CORBA IDL interfaces of the original system.
@@ -28,9 +29,8 @@ const (
 // Operation names.
 const (
 	// GRM operations.
-	OpUpdate    = "update"    // LRM pushes NodeStatus and its done/progress events
+	OpUpdate    = "update"    // LRM pushes NodeStatus and its task events
 	OpSubmit    = "submit"    // ASCT submits an application
-	OpNotify    = "notify"    // LRM reports an event the GRM must act on now (evicted, drained)
 	OpAppStatus = "appStatus" // ASCT polls application status
 	OpCancelApp = "cancelApp" // ASCT aborts an application
 	OpListApps  = "listApps"  // ASCT enumerates applications
@@ -66,6 +66,10 @@ type NodeStatus struct {
 	// withdraws its offer, without declaring it dead, until an update past
 	// the deadline. The LRM sets it on every update while it lies ahead.
 	DepartUntil time.Time
+	// Prompted marks an update the LRM sent at once, outside its update
+	// cadence, to report an eviction or a drain: the GRM applies it like any
+	// other but does not count it as a heartbeat.
+	Prompted bool
 	// PredictedIdle is the node-local LUPA forecast of the remaining idle
 	// span (zero when untrained or not idle).
 	PredictedIdle time.Duration
@@ -94,7 +98,8 @@ const (
 	statusDedicated = 1 << iota
 	statusOwnerBusy
 	statusDeparting
-	statusKnown = statusDedicated | statusOwnerBusy | statusDeparting
+	statusPrompted
+	statusKnown = statusDedicated | statusOwnerBusy | statusDeparting | statusPrompted
 )
 
 // flags packs the status's booleans into its flags byte.
@@ -108,6 +113,9 @@ func (s *NodeStatus) flags() uint8 {
 	}
 	if !s.DepartUntil.IsZero() {
 		f |= statusDeparting
+	}
+	if s.Prompted {
+		f |= statusPrompted
 	}
 	return f
 }
@@ -187,6 +195,7 @@ func decodeNodeStatus(d *orb.Decoder, like *NodeStatus, buf *[MaxWindows]AvailWi
 	}
 	s.Dedicated = flags&statusDedicated != 0
 	s.OwnerBusy = flags&statusOwnerBusy != 0
+	s.Prompted = flags&statusPrompted != 0
 	if flags&statusDeparting != 0 {
 		s.DepartUntil = d.Time()
 	}
@@ -396,7 +405,7 @@ func DecodeExecuteRequest(d *orb.Decoder) (ExecuteRequest, error) {
 	return r, nil
 }
 
-// TaskEventKind classifies LRM → GRM task notifications.
+// TaskEventKind classifies the task events an LRM reports in its updates.
 type TaskEventKind int
 
 // Task event kinds.
@@ -427,7 +436,7 @@ func (k TaskEventKind) String() string {
 	}
 }
 
-// TaskEvent is an LRM → GRM notification about a task.
+// TaskEvent is one LRM → GRM report about a task, carried by an update.
 type TaskEvent struct {
 	Kind     TaskEventKind
 	AppID    string
@@ -456,20 +465,6 @@ func (ev TaskEvent) Encode(e *orb.Encoder) {
 	e.PutTime(ev.At)
 }
 
-// DecodeTaskEvent reads a TaskEvent.
-func DecodeTaskEvent(d *orb.Decoder) (TaskEvent, error) {
-	r := readTaskEvent(d)
-	ev := TaskEvent{
-		Kind:     r.kind,
-		AppID:    string(r.appID),
-		TaskID:   string(r.taskID),
-		NodeID:   string(r.nodeID),
-		Progress: r.progress,
-		At:       r.at,
-	}
-	return ev, d.Err()
-}
-
 // rawTaskEvent is a TaskEvent as the wire holds it: its IDs alias the frame.
 type rawTaskEvent struct {
 	kind                  TaskEventKind
@@ -491,14 +486,6 @@ func readTaskEvent(d *orb.Decoder) rawTaskEvent {
 	}
 }
 
-// RidesUpdate reports whether events of this kind travel in the Information
-// Update: the ones that only record what the node already finished. Evicted
-// and Drained ask the GRM to re-place a task, which is an RPC back to some
-// LRM, so they go by OpNotify at once and never through an update handler.
-func (k TaskEventKind) RidesUpdate() bool {
-	return k == TaskEventDone || k == TaskEventProgress
-}
-
 // EncodeUpdate writes one OpUpdate body: NodeStatus ‖ u32 n ‖ n × TaskEvent.
 func EncodeUpdate(e *orb.Encoder, s NodeStatus, events []TaskEvent) {
 	n := s.encodedLen() + 4
@@ -515,10 +502,10 @@ func EncodeUpdate(e *orb.Encoder, s NodeStatus, events []TaskEvent) {
 
 // DecodeUpdate reads one OpUpdate body. It fails — before the caller has
 // anything to apply — on a truncated or over-long event list, on more than
-// MaxWindows windows and on an event whose kind does not ride the update. like
-// is the status the receiver holds for the node, or nil: the decoded status
-// shares like's identity strings where they are unchanged (decodeNodeStatus),
-// so a node that reports the same ID, reference, platform and LAN costs no
+// MaxWindows windows and on an event of no known kind. like is the status
+// the receiver holds for the node, or nil: the decoded status shares like's
+// identity strings where they are unchanged (decodeNodeStatus), so a node
+// that reports the same ID, reference, platform and LAN costs no
 // string copy. The status's windows go into buf and are returned beside it.
 // The events, all of them checked, stay in the frame d reads: UpdateEvents
 // decodes them for the receiver to apply one at a time.
@@ -537,8 +524,8 @@ func DecodeUpdate(d *orb.Decoder, like *NodeStatus, buf *[MaxWindows]AvailWindow
 		if err := d.Err(); err != nil {
 			return NodeStatus{}, nil, UpdateEvents{}, err
 		}
-		if !r.kind.RidesUpdate() {
-			return NodeStatus{}, nil, UpdateEvents{}, fmt.Errorf("protocol: %s event for task %s in an update", r.kind, r.taskID)
+		if r.kind < TaskEventDone || r.kind > TaskEventDrained {
+			return NodeStatus{}, nil, UpdateEvents{}, fmt.Errorf("protocol: event of kind %d for task %s in an update", r.kind, r.taskID)
 		}
 	}
 	return s, windows, events, nil

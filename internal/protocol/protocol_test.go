@@ -30,6 +30,7 @@ func TestNodeStatusRoundTrip(t *testing.T) {
 		Dedicated:     false,
 		OwnerBusy:     true,
 		DepartUntil:   time.Date(2026, 7, 4, 10, 8, 0, 0, time.UTC),
+		Prompted:      true,
 		PredictedIdle: 90 * time.Minute,
 		Timestamp:     time.Date(2026, 7, 4, 10, 0, 0, 0, time.UTC),
 		Windows: []AvailWindow{
@@ -234,13 +235,14 @@ func TestTaskEventRoundTrip(t *testing.T) {
 		Progress: 123456,
 		At:       time.Date(2026, 7, 4, 11, 30, 0, 0, time.UTC),
 	}
+	s, _, _ := updateBody()
 	var e orb.Encoder
-	ev.Encode(&e)
-	got, err := DecodeTaskEvent(orb.NewDecoder(e.Bytes()))
+	EncodeUpdate(&e, s, []TaskEvent{ev})
+	_, _, rest, err := DecodeUpdate(orb.NewDecoder(e.Bytes()), nil, new([MaxWindows]AvailWindow))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != ev {
+	if got := rest.Collect(); len(got) != 1 || got[0] != ev {
 		t.Fatalf("round trip = %+v", got)
 	}
 }
@@ -301,8 +303,8 @@ func TestUpdateRoundTrip(t *testing.T) {
 
 // TestUpdateRejectsWhatMustNotRideIt: every truncation of a well-formed
 // body, a count of more events than the bytes left can hold, and an event of
-// a kind that asks the GRM to act are all decode errors — reported before the
-// caller has a status or an event in hand to apply.
+// no known kind are all decode errors — reported before the caller has a
+// status or an event in hand to apply.
 func TestUpdateRejectsWhatMustNotRideIt(t *testing.T) {
 	s, events, body := updateBody()
 	var buf [MaxWindows]AvailWindow
@@ -317,7 +319,7 @@ func TestUpdateRejectsWhatMustNotRideIt(t *testing.T) {
 	if _, _, _, err := DecodeUpdate(orb.NewDecoder(overlong.Bytes()), nil, &buf); err == nil {
 		t.Fatal("an event count past the bytes left decoded")
 	}
-	for _, kind := range []TaskEventKind{TaskEventEvicted, TaskEventDrained, 0, 9} {
+	for _, kind := range []TaskEventKind{0, TaskEventDrained + 1, 9} {
 		bad := append([]TaskEvent(nil), events...)
 		bad[1].Kind = kind
 		var e orb.Encoder
@@ -330,7 +332,7 @@ func TestUpdateRejectsWhatMustNotRideIt(t *testing.T) {
 }
 
 // TestUpdateRefusesUnknownStatusFlags: a status whose flags byte sets a bit
-// past the departing one does not decode, and the Update operation refuses it
+// past the prompted one does not decode, and the Update operation refuses it
 // with a CodeMarshal error before its handler runs.
 func TestUpdateRefusesUnknownStatusFlags(t *testing.T) {
 	s, events, body := updateBody()
@@ -346,7 +348,7 @@ func TestUpdateRefusesUnknownStatusFlags(t *testing.T) {
 		t.Error("the handler ran on a status with unknown flags")
 		return 1, nil
 	})
-	for _, bit := range []byte{1 << 3, 1 << 7} {
+	for _, bit := range []byte{1 << 4, 1 << 7} {
 		bad := bytes.Clone(body)
 		bad[at] |= bit
 		_, err := mux.Dispatch(OpUpdate, orb.NewDecoder(bad))
@@ -360,7 +362,7 @@ func TestUpdateRefusesUnknownStatusFlags(t *testing.T) {
 // FuzzDecodeUpdate: DecodeUpdate takes bytes from the network. Whatever they
 // are it must not panic, must not return anything alongside an error, and
 // what it accepts must hold at most MaxWindows windows, in the caller's array,
-// and only kinds that ride an update.
+// and only event kinds in range.
 func FuzzDecodeUpdate(f *testing.F) {
 	s, _, body := updateBody()
 	f.Add(body)
@@ -376,6 +378,12 @@ func FuzzDecodeUpdate(f *testing.F) {
 	EncodeUpdate(&departing, s, nil)
 	f.Add(departing.Bytes())
 	f.Add([]byte{})
+	for _, kind := range []TaskEventKind{TaskEventEvicted, TaskEventDrained} {
+		var e orb.Encoder
+		s.Prompted = true
+		EncodeUpdate(&e, s, []TaskEvent{{Kind: kind, AppID: "app-1", TaskID: "app-1/t3", NodeID: s.NodeID, Progress: 7, At: s.Timestamp}})
+		f.Add(e.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var buf [MaxWindows]AvailWindow
 		s, windows, rest, err := DecodeUpdate(orb.NewDecoder(data), nil, &buf)
@@ -390,8 +398,8 @@ func FuzzDecodeUpdate(f *testing.F) {
 			t.Fatalf("windows %+v in the status, %d beside it outside the caller's array", s.Windows, len(windows))
 		}
 		for _, ev := range events {
-			if !ev.Kind.RidesUpdate() {
-				t.Fatalf("accepted a %v event", ev.Kind)
+			if ev.Kind < TaskEventDone || ev.Kind > TaskEventDrained {
+				t.Fatalf("accepted an event of kind %d", ev.Kind)
 			}
 		}
 	})
