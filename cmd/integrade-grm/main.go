@@ -58,7 +58,6 @@ func run() error {
 		listen    = flag.String("listen", ":7000", "TCP address to listen on")
 		cluster   = flag.String("cluster", "cluster-0", "cluster identifier")
 		policy    = flag.String("policy", "usage-aware", "scheduling policy: usage-aware|best-fit|random|round-robin")
-		offerTTL  = flag.Duration("offer-ttl", grm.DefaultOfferTTL, "node offer expiry")
 		schedule  = flag.Duration("schedule-period", grm.DefaultSchedulePeriod, "pending-task scheduling period")
 		parentRef = flag.String("parent", "", "parent hierarchy node reference (tcp://host:port/hierarchy)")
 		memberID  = flag.String("id", "", "this replica's member name within -peers")
@@ -86,7 +85,6 @@ func run() error {
 
 	g := grm.New(*cluster, clock, o,
 		grm.WithPolicy(pol),
-		grm.WithOfferTTL(*offerTTL),
 		grm.WithSchedulePeriod(*schedule),
 		grm.WithLogger(log),
 		grm.WithRNG(sim.NewRNG(time.Now().UnixNano())),

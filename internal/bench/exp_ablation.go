@@ -11,9 +11,9 @@ import (
 )
 
 // Ablations probe the design choices DESIGN.md calls out: the
-// hint-plus-negotiation split (A1), the bounded candidate walk (A2) and
-// trader offer expiry (A3). They are not paper claims; they explain *why*
-// the architecture is shaped the way it is.
+// hint-plus-negotiation split (A1), the bounded candidate walk (A2) and the
+// failure detector's threshold (A3). They are not paper claims; they explain
+// *why* the architecture is shaped the way it is.
 
 // AblationUpdatePeriod (A1) sweeps the Information Update Protocol cadence
 // under a workload that keeps changing node state: the staler the hint, the
@@ -113,20 +113,21 @@ func withMaxAttempts(n int) core.ClusterOption {
 	return core.WithGRMOptions(grm.WithMaxAttempts(n))
 }
 
-// AblationOfferTTL (A3) kills half the cluster silently and sweeps the
-// trader offer expiry: long TTLs leave ghost offers that waste negotiation
-// rounds on dead nodes.
-func AblationOfferTTL(seed int64) Table {
+// AblationSuspectAfter (A3) kills half the cluster silently and sweeps the
+// failure detector's threshold, the one rule that takes a silent node's offer
+// (adaptive, then fixed with grm.WithSuspectAfter): long thresholds leave
+// ghost offers that waste negotiation rounds on dead nodes.
+func AblationSuspectAfter(seed int64) Table {
 	t := Table{
 		ID:      "A3",
-		Title:   "Ablation: offer TTL with 25 of 50 nodes dead and silent (submissions 5 min after the crash)",
-		Columns: []string{"offer_ttl", "live_offers_at_submit", "placed", "rounds_total", "refusal_%"},
+		Title:   "Ablation: failure detector threshold with 25 of 50 nodes dead and silent (submissions 5 min after the crash)",
+		Columns: []string{"suspect_after", "live_offers_at_submit", "placed", "rounds_total", "refusal_%"},
 	}
-	for _, ttl := range []time.Duration{30 * time.Second, 90 * time.Second, 5 * time.Minute, time.Hour} {
+	for _, after := range []time.Duration{0, 30 * time.Second, 90 * time.Second, 5 * time.Minute, time.Hour} {
 		g := core.NewGrid(core.WithSeed(seed))
 		c, err := g.AddCluster("c",
 			core.WithPolicy(grm.Random{}),
-			core.WithGRMOptions(grm.WithOfferTTL(ttl)))
+			core.WithGRMOptions(grm.WithSuspectAfter(after)))
 		if err != nil {
 			g.Stop()
 			continue
@@ -155,10 +156,14 @@ func AblationOfferTTL(seed int64) Table {
 		if stats.NegotiationRounds > 0 {
 			refusalPct = 100 * float64(stats.Refusals) / float64(stats.NegotiationRounds)
 		}
-		t.AddRow(ttl.String(), live, stats.TasksPlaced, stats.NegotiationRounds, refusalPct)
+		label := after.String()
+		if after == 0 {
+			label = "adaptive"
+		}
+		t.AddRow(label, live, stats.TasksPlaced, stats.NegotiationRounds, refusalPct)
 		g.Stop()
 	}
 	t.Notes = append(t.Notes,
-		"short TTLs age dead nodes out of the trader before submissions arrive; ghost offers under long TTLs burn rounds on refusals/transport errors")
+		"thresholds shorter than the submissions' delay withdraw the dead nodes' offers before they arrive; ghost offers under longer ones burn rounds on refusals/transport errors")
 	return t
 }

@@ -110,6 +110,6 @@ func All() []Experiment {
 		{ID: "E15", Title: "Availability-window scheduling on intermittent fleets", Run: Exp15Windows},
 		{ID: "A1", Title: "Ablation: information-update period", Run: AblationUpdatePeriod},
 		{ID: "A2", Title: "Ablation: negotiation attempt budget", Run: AblationMaxAttempts},
-		{ID: "A3", Title: "Ablation: trader offer TTL", Run: AblationOfferTTL},
+		{ID: "A3", Title: "Ablation: failure detector threshold", Run: AblationSuspectAfter},
 	}
 }

@@ -437,3 +437,58 @@ func TestGracefulDepartureDrainsBeforeOwnerReturns(t *testing.T) {
 		t.Fatalf("overnight batch incomplete after migration: %+v", st.Tasks)
 	}
 }
+
+// TestSlowCadenceOffersStay: the failure detector is the one rule that stops
+// offering a silent node, so on a 5-min update cadence every node's offer
+// stays between its updates: KnownNodes, read every 30 s for an hour, reads
+// all ten at every sample. Once an LRM stops, right after one of its updates,
+// its offer stays for the detector's threshold at that cadence,
+// max(3 × 5 min, 90 s), and is gone at the first sweep past it.
+func TestSlowCadenceOffersStay(t *testing.T) {
+	const nodes, period, sweep = 10, 5 * time.Minute, grm.DefaultSchedulePeriod
+	g := NewGrid(WithSeed(1))
+	defer g.Stop()
+	c, err := g.AddCluster("slow", WithUpdatePeriod(period))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := g.Now()
+	if _, err := c.AddNodes(DedicatedNodes(nodes, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	var samples []int
+	for g.Now().Sub(start) < time.Hour {
+		if err := g.Advance(30 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		samples = append(samples, c.GRM().KnownNodes())
+	}
+	for _, n := range samples {
+		if n != nodes {
+			t.Fatalf("KnownNodes every 30 s for an hour of %v updates: %v, want %d at every sample", period, samples, nodes)
+		}
+	}
+
+	last := g.Now() // an update instant: the hour is twelve periods
+	if err := g.Advance(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	c.LRMs()[0].Stop()
+	threshold := max(3*period, 90*time.Second)
+	for g.Now().Sub(last) < threshold+2*sweep {
+		if err := g.Advance(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		silence, known := g.Now().Sub(last), c.GRM().KnownNodes()
+		switch {
+		case silence <= threshold && known != nodes:
+			t.Fatalf("after %v of silence, within the %v threshold, KnownNodes = %d, want %d", silence, threshold, known, nodes)
+		case silence > threshold && known == nodes-1:
+			if silence > threshold+sweep {
+				t.Fatalf("the silent node's offer went after %v of silence, past the first sweep after the %v threshold", silence, threshold)
+			}
+			return
+		}
+	}
+	t.Fatalf("the silent node's offer stayed %v past its last update, threshold %v", g.Now().Sub(last), threshold)
+}

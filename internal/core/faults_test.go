@@ -40,9 +40,9 @@ func TestProtocolsSurviveMessageLoss(t *testing.T) {
 	if err := g.Advance(5 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	// Despite 30% loss the trader still knows every node (offers survive a
-	// missed period within the 90s TTL at 30s cadence... with loss, at
-	// least most nodes stay known).
+	// Despite 30% loss the trader still knows most nodes: an offer stays
+	// until the failure detector buries its node, after three missed
+	// periods in a row at 30-s cadence, floored at 90 s.
 	if got := c.GRM().KnownNodes(); got < 3 {
 		t.Fatalf("KnownNodes under loss = %d, want >= 3", got)
 	}

@@ -14,9 +14,9 @@ import (
 
 // replicaGrid builds the consensus-suite fixture: one cluster whose
 // management plane runs as a three-member replica set, four dedicated nodes
-// and chaos armed. The long suspect and
-// offer-TTL horizons keep the managers' failure detectors out of the way so
-// the tests observe election and fencing behaviour, not liveness timeouts.
+// and chaos armed. The long suspect horizon keeps the managers' failure
+// detectors out of the way so the tests observe election and fencing
+// behaviour, not liveness timeouts.
 func replicaGrid(t *testing.T, seed int64) (*Grid, *Cluster) {
 	t.Helper()
 	g := NewGrid(WithSeed(seed))
@@ -24,9 +24,7 @@ func replicaGrid(t *testing.T, seed int64) (*Grid, *Cluster) {
 		WithReplicaSet(3),
 		WithSchedulePeriod(15*time.Second),
 		WithUpdatePeriod(15*time.Second),
-		WithGRMOptions(
-			grm.WithSuspectAfter(10*time.Minute),
-			grm.WithOfferTTL(10*time.Minute)))
+		WithGRMOptions(grm.WithSuspectAfter(10*time.Minute)))
 	if err != nil {
 		g.Stop()
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/bits"
 	"slices"
-	"time"
 
 	"integrade/internal/trading"
 )
@@ -42,18 +41,17 @@ func WithAsyncAdmission() Option {
 // it takes before the first fill and releases at close.
 type matchEntry struct {
 	view
-	minExpires time.Time // earliest expiry among the cached offers
 	// unused marks an entry prefill made that no lookup has returned yet: its
 	// first use counts as the snapshot miss the lazy fill would have been.
 	unused bool
 }
 
 // matchCtx amortizes trader queries across one scheduling batch. Entries are
-// keyed by constraint text and are valid only while (a) the trader version
-// is unchanged — any Export/Withdraw invalidates the whole context — and
-// (b) no cached offer has expired. Both guards make a cache hit provably
-// identical to re-running the trader query, which is what keeps batched
-// scheduling byte-identical to the seed's query-per-task path.
+// keyed by constraint text and are valid only while the trader version is
+// unchanged — any Export/Withdraw invalidates the whole context. That guard
+// makes a cache hit provably identical to re-running the trader query, which
+// is what keeps batched scheduling byte-identical to the seed's
+// query-per-task path.
 //
 // The entries, one per distinct constraint of the batch, their index and the
 // rankings' keys live in the GRM's scratch, which the context takes at its
@@ -100,10 +98,10 @@ func (mc *matchCtx) candidates(app *appInfo) (view, error) {
 }
 
 // lookup returns the cached candidate set for one constraint, refilling via
-// the trader on version change, expiry, or first sight. This is the batch
-// matcher's inner loop: a hit costs one atomic load, one map probe and at
-// worst one clock read, and allocates nothing. An entry's first use counts as
-// the snapshot miss that filled it, whether prefill or lookup did.
+// the trader on version change or first sight. This is the batch matcher's
+// inner loop: a hit costs one atomic load and one map probe, and allocates
+// nothing. An entry's first use counts as the snapshot miss that filled it,
+// whether prefill or lookup did.
 //
 //lint:hotpath alloc=0 locks=2 block=0
 func (mc *matchCtx) lookup(cons string) (*matchEntry, error) {
@@ -112,7 +110,7 @@ func (mc *matchCtx) lookup(cons string) (*matchEntry, error) {
 	// next lookup conservatively refills.
 	mc.sync()
 	ent := mc.entry(cons)
-	if ent == nil || !ent.minExpires.IsZero() && !mc.g.clock.Now().Before(ent.minExpires) {
+	if ent == nil {
 		one := [1]string{cons}
 		mc.fillSet(one[:])
 		if ent = mc.entry(cons); ent == nil {
@@ -142,7 +140,7 @@ func (mc *matchCtx) entry(cons string) *matchEntry {
 	return nil
 }
 
-// put sets the entry of cons to ent, replacing an expired one.
+// put sets the entry of cons to ent, replacing any it had.
 func (mc *matchCtx) put(cons string, ent matchEntry) *matchEntry {
 	if old := mc.entry(cons); old != nil {
 		*old = ent
@@ -185,22 +183,18 @@ func (mc *matchCtx) prefill(batch []*appInfo) {
 
 // fillSet fills the entries of up to trading.MaxVisitSet distinct constraints
 // in one trader walk. The walk does everything that reads the matching offers
-// — the policy's key while the record is in cache, the earliest expiry — and
-// appends each matching offer's key once to the context's scratch, carrying
-// the set of constraints it met; since a key carries its offer's seq, nothing
-// needs the matches in export order. The keys are ranked once, where they lie:
-// each constraint's entry is the view of its bit, unused until its first
-// lookup. A constraint that does not compile gets no entry, and its lookup
-// fails.
+// — the policy's key while the record is in cache — and appends each matching
+// offer's key once to the context's scratch, carrying the set of constraints
+// it met; since a key carries its offer's seq, nothing needs the matches in
+// export order. The keys are ranked once, where they lie: each constraint's
+// entry is the view of its bit, unused until its first lookup. A constraint
+// that does not compile gets no entry, and its lookup fails.
 //
 //lint:coldpath snapshot miss: one trader walk for a batch's constraints
 func (mc *matchCtx) fillSet(conses []string) {
 	g := mc.g
 	kp, _ := g.policy.(keyedPolicy)
-	var (
-		counts [trading.MaxVisitSet]int
-		mins   [trading.MaxVisitSet]time.Time
-	)
+	var counts [trading.MaxVisitSet]int
 	mc.sync()
 	mc.takeScratch()
 	keys, start := mc.keys, len(mc.keys)
@@ -210,20 +204,15 @@ func (mc *matchCtx) fillSet(conses []string) {
 			k.k1, k.k2 = kp.key(o)
 		}
 		keys = append(keys, k)
-		e := o.Expires
 		for m := met; m != 0; m &= m - 1 {
-			c := bits.TrailingZeros64(m)
-			counts[c]++
-			if !e.IsZero() && (mins[c].IsZero() || e.Before(mins[c])) {
-				mins[c] = e
-			}
+			counts[bits.TrailingZeros64(m)]++
 		}
 	})
 	mc.keys = keys
 	r := newRanking(keys[start:])
 	for c, cons := range conses {
 		if bad&(1<<c) == 0 {
-			mc.put(cons, matchEntry{view: view{r: r, bit: 1 << c, n: counts[c]}, minExpires: mins[c], unused: true})
+			mc.put(cons, matchEntry{view: view{r: r, bit: 1 << c, n: counts[c]}, unused: true})
 		}
 	}
 }

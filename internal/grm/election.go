@@ -2,6 +2,7 @@ package grm
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 
 	"integrade/internal/election"
@@ -159,7 +160,8 @@ func (g *GRM) LeadAt(term int) {
 // down any outbound replication stream; the pending set stays, for its next
 // term. The scheduler timer keeps ticking but SchedulePending no-ops while
 // not primary, so a stale timer on a deposed leader places nothing. A
-// follower exports no offer; a deposed leader's age out at their TTL.
+// follower exports no offer; a deposed leader withdraws its own, which no
+// update refreshes here and no record the log brings has the place of.
 func (g *GRM) FollowAt(term int) {
 	g.mu.Lock()
 	g.epoch = max(g.epoch, term)
@@ -168,6 +170,7 @@ func (g *GRM) FollowAt(term int) {
 		g.repl.stopLocked()
 		g.repl = nil
 	}
+	g.takePlacesLocked(slices.Collect(maps.Values(g.nodes))...)
 	g.mu.Unlock()
 }
 

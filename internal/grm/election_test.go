@@ -238,7 +238,7 @@ func replicaFollowersMatchLeader(t *testing.T, seed int64) {
 	// The test runs every scheduling pass itself, so that between two steps
 	// the state changes only through a flush.
 	rs := newReplicaSet(t, 3, grm.WithSchedulePeriod(24*time.Hour),
-		grm.WithSuspectAfter(30*time.Second), grm.WithOfferTTL(time.Hour))
+		grm.WithSuspectAfter(30*time.Second))
 	c := rs.leader(t)
 	names := []string{"eq-0", "eq-1", "eq-2", "eq-3", "eq-4"}
 	refs := make([]orb.ObjectRef, len(names))

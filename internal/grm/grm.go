@@ -21,9 +21,6 @@ import (
 
 // Defaults for GRM tunables.
 const (
-	// DefaultOfferTTL ages LRM offers out of the trader when updates stop
-	// (crashed or partitioned nodes).
-	DefaultOfferTTL = 90 * time.Second
 	// DefaultSchedulePeriod is the pending-task scheduling cadence.
 	DefaultSchedulePeriod = 30 * time.Second
 	// DefaultMaxAttempts bounds negotiation rounds per task of a placement.
@@ -169,7 +166,6 @@ type GRM struct {
 	rng       *sim.RNG
 	log       *slog.Logger
 
-	offerTTL     time.Duration
 	schedPeriod  time.Duration
 	maxAttempts  int
 	backboneMbps float64
@@ -241,11 +237,6 @@ func WithPolicy(p Policy) Option {
 	return func(g *GRM) { g.policy = p }
 }
 
-// WithOfferTTL sets the trader offer expiry.
-func WithOfferTTL(d time.Duration) Option {
-	return func(g *GRM) { g.offerTTL = d }
-}
-
 // WithSchedulePeriod sets the pending-task scheduling cadence.
 func WithSchedulePeriod(d time.Duration) Option {
 	return func(g *GRM) { g.schedPeriod = d }
@@ -274,9 +265,9 @@ func WithLogger(log *slog.Logger) Option {
 }
 
 // WithSuspectAfter fixes the failure detector's heartbeat-miss threshold: a
-// node silent for longer than d is declared dead. The default (zero) is
-// adaptive — three times the node's observed update interval, floored at
-// the offer TTL — which tolerates slow update cadences without tuning.
+// node silent for longer than d is declared dead, whatever its cadence. The
+// default (zero) is adaptive — three times the node's observed update
+// interval, floored at suspectFloor — which tolerates slow cadences.
 func WithSuspectAfter(d time.Duration) Option {
 	return func(g *GRM) { g.suspectAfter = d }
 }
@@ -312,7 +303,6 @@ func New(clusterID string, clock sim.Clock, inv orb.Invoker, opts ...Option) *GR
 		policy:       UsageAware{},
 		rng:          sim.NewRNG(1),
 		log:          slog.New(slog.DiscardHandler),
-		offerTTL:     DefaultOfferTTL,
 		schedPeriod:  DefaultSchedulePeriod,
 		maxAttempts:  DefaultMaxAttempts,
 		backboneMbps: 10,
@@ -473,9 +463,8 @@ func coveringWindow(windows []protocol.AvailWindow, now time.Time) offerWindow {
 // from its status and the one of the update's windows covering now, stamped
 // with the manager's fencing epoch, through the record's place. When the
 // record holds none — the node's first export, or its first since its place
-// was taken — or its place died under it, swept with an expired offer, it
-// exports by reference and stores the new place in the record. Caller holds
-// g.mu.
+// was taken — it exports by reference and stores the new place in the record.
+// Caller holds g.mu.
 func (g *GRM) exportStatusOffer(lv *nodeLiveness, windows []protocol.AvailWindow, now time.Time) {
 	s := &lv.status
 	win := coveringWindow(windows, now)
@@ -505,9 +494,8 @@ func (g *GRM) exportStatusOffer(lv *nodeLiveness, windows []protocol.AvailWindow
 		// primary.
 		constraint.Number(float64(g.epoch)),
 	}
-	expires := now.Add(g.offerTTL)
-	if !g.trader.Upsert(lv.place, expires, statusSchema, values[:]) {
-		lv.place = g.trader.Export(s.LRMRef, expires, statusSchema, values[:])
+	if !g.trader.Upsert(lv.place, statusSchema, values[:]) {
+		lv.place = g.trader.Export(s.LRMRef, statusSchema, values[:])
 	}
 }
 
@@ -808,8 +796,8 @@ func (g *GRM) release(ref orb.ObjectRef, holds []string) {
 }
 
 // detectFailures declares dead every node whose heartbeats have stopped for
-// longer than its suspect threshold, withdrawing its trader offer in the same
-// g.mu section, and then rolls back its in-flight tasks.
+// longer than its suspect threshold, withdrawing their trader offers in the
+// same g.mu section, and then rolls back their in-flight tasks.
 func (g *GRM) detectFailures() {
 	now := g.clock.Now()
 	g.mu.Lock()
@@ -820,18 +808,28 @@ func (g *GRM) detectFailures() {
 	}
 }
 
-// declareDeadLocked is the failure detector's verdict: it forgets every node
-// silent past its threshold, in node order, and returns them. Caller holds
+// suspectFloor floors the adaptive threshold. A member a new leader knows only
+// from the log has no interval, and would otherwise be buried at the leader's
+// first sweep, before it could report; and LRMs that lost their manager reach
+// its successor tens of seconds after it takes office (35 s in E13, on a 15-s
+// cadence).
+const suspectFloor = 90 * time.Second
+
+// declareDeadLocked is the failure detector's verdict, the one rule that takes
+// a silent node's offer: it forgets every node silent past its threshold, in
+// node order, withdraws their offers in one trader write and returns them. A
+// node with no cadence of its own is judged at the longest measured of any
+// node; one heard from once is left alone while there is none. Caller holds
 // g.mu.
 func (g *GRM) declareDeadLocked(now time.Time) []string {
+	var longest time.Duration
+	for _, lv := range g.nodes {
+		longest = max(longest, lv.interval)
+	}
 	var dead []string
+	var records []*nodeLiveness
 	for _, id := range slices.Sorted(maps.Keys(g.nodes)) {
 		lv := g.nodes[id]
-		if lv.updates == 1 && lv.interval == 0 {
-			// Heard from once: no cadence yet. A member the log named that
-			// never reported is judged from the promotion that saw it.
-			continue
-		}
 		if now.Before(lv.departUntil) {
 			// Departing is not Suspect: the node said goodbye, its offer is
 			// withdrawn and its tasks drained, so silence until the announced
@@ -840,16 +838,19 @@ func (g *GRM) declareDeadLocked(now time.Time) []string {
 		}
 		threshold := g.suspectAfter
 		if threshold <= 0 {
-			// Adaptive: three missed heartbeats at the node's own cadence,
-			// never tighter than the offer TTL the trader already tolerates.
-			threshold = max(3*lv.interval, g.offerTTL)
+			// Adaptive: three missed heartbeats at the node's own cadence.
+			if lv.updates == 1 && lv.interval == 0 && longest == 0 {
+				continue
+			}
+			threshold = max(3*cmp.Or(lv.interval, longest), suspectFloor)
 		}
 		if now.Sub(lv.lastSeen) > threshold {
-			g.dropNodeLocked(id)
 			dead = append(dead, id)
-			g.stats.NodesDeclaredDead++
+			records = append(records, g.dropNodeLocked(id))
 		}
 	}
+	g.takePlacesLocked(records...)
+	g.stats.NodesDeclaredDead += len(dead)
 	return dead
 }
 

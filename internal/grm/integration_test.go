@@ -146,11 +146,11 @@ func TestInformationUpdateProtocol(t *testing.T) {
 	if stats.UpdatesReceived < 40 {
 		t.Fatalf("UpdatesReceived = %d, want >= 40", stats.UpdatesReceived)
 	}
-	// Stop all LRMs: offers age out after the TTL.
+	// Stop all LRMs: the failure detector withdraws their offers.
 	for _, l := range c.lrms {
 		l.Stop()
 	}
-	c.clock.Advance(3 * time.Minute) // default TTL 90s
+	c.clock.Advance(3 * time.Minute) // 3 × the 15-s cadence, floored at 90 s
 	if got := c.g.KnownNodes(); got != 0 {
 		t.Fatalf("KnownNodes after silence = %d, want 0", got)
 	}
@@ -736,7 +736,7 @@ func TestFailureDetectorRollsBackGangTogether(t *testing.T) {
 func TestFailureDetectorAdaptiveThresholdTolerantOfSlowCadence(t *testing.T) {
 	// A node updating every 5 minutes must NOT be declared dead by the
 	// adaptive threshold (3x its cadence), even though that is far beyond
-	// the default offer TTL.
+	// the detector's 90-s floor.
 	c := newCluster(t, dedicated(1, 1000))
 	// Replace the default 15s cadence: stop the LRM's timers and heartbeat
 	// manually every 5 minutes.

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"integrade/internal/constraint"
 	"integrade/internal/orb"
@@ -16,14 +15,12 @@ import (
 
 // TestPrefillMatchesLazyFill fills seeded sets of constraints two ways — one
 // shared walk (prefill), and a lookup's one-constraint fill each — and
-// requires the same candidates in the same order from every entry, the same
-// minExpires, and no entry for a constraint that does not compile. The sets
-// hold duplicates, a constraint nothing matches and one that does not
-// compile, and run to more than trading.MaxVisitSet distinct constraints
-// (more than one walk); the offers lack properties or hold the wrong kind now
-// and then, and half of those that expire are past their expiry, unswept, in
-// an index whose sweep bound has passed. Each of the four policies runs every
-// set size.
+// requires the same candidates in the same order from every entry, and no
+// entry for a constraint that does not compile. The sets hold duplicates, a
+// constraint nothing matches and one that does not compile, and run to more
+// than trading.MaxVisitSet distinct constraints (more than one walk); the
+// offers lack properties or hold the wrong kind now and then. Each of the
+// four policies runs every set size.
 //
 // The entries of one walk are views of one heap, so the test pulls them
 // interleaved, as a batch does: A, then B, then A again further, seeded
@@ -44,13 +41,8 @@ func TestPrefillMatchesLazyFill(t *testing.T) {
 		for _, policy := range policies {
 			seed++
 			rng := sim.NewRNG(seed)
-			clock := sim.NewVirtualClock()
-			g := New("prefill", clock, orb.New(), WithPolicy(policy()))
-			expired := prefillFleet(t, g, rng, 500+rng.Intn(1500))
-			clock.Advance(50 * time.Second)
-			if expired == 0 {
-				t.Fatalf("seed %d: no offer expired", seed)
-			}
+			g := New("prefill", sim.NewVirtualClock(), orb.New(), WithPolicy(policy()))
+			prefillFleet(t, g, rng, 500+rng.Intn(1500))
 
 			var batch []*appInfo
 			distinct := map[string]bool{}
@@ -88,9 +80,6 @@ func TestPrefillMatchesLazyFill(t *testing.T) {
 				good = append(good, cons)
 				if got == nil || !got.unused {
 					t.Fatalf("seed %d: prefill made no unused entry for %q: %+v", seed, cons, got)
-				}
-				if !got.minExpires.Equal(want.minExpires) {
-					t.Fatalf("seed %d, %q: minExpires %v, lazy fill %v", seed, cons, got.minExpires, want.minExpires)
 				}
 				lazy[cons] = drain(want.view)
 				if got.n != len(lazy[cons]) {
@@ -253,13 +242,9 @@ func TestScratchOwnershipUnderConcurrentContexts(t *testing.T) {
 }
 
 // prefillFleet exports n offers in one batch: random free CPU, memory and
-// platform, each property missing or of the wrong kind now and then, and a
-// quarter of them never expiring, the rest within 100 s. It returns how many
-// expire within 50 s.
-func prefillFleet(t *testing.T, g *GRM, rng *sim.RNG, n int) int {
+// platform, each property missing or of the wrong kind now and then.
+func prefillFleet(t *testing.T, g *GRM, rng *sim.RNG, n int) {
 	t.Helper()
-	now := g.clock.Now()
-	var expired int
 	offers := make([]trading.Offer, n)
 	for i := range offers {
 		props := constraint.Properties{PropNode: constraint.String(fmt.Sprintf("n%04d", i))}
@@ -282,18 +267,10 @@ func prefillFleet(t *testing.T, g *GRM, rng *sim.RNG, n int) int {
 			Ref:        orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: fmt.Sprint(i)}, Key: "lrm"},
 			Properties: props.Record(),
 		}
-		if rng.Bool(0.75) {
-			ttl := time.Duration(1+rng.Intn(100)) * time.Second
-			offers[i].Expires = now.Add(ttl)
-			if ttl <= 50*time.Second {
-				expired++
-			}
-		}
 	}
 	if _, err := g.trader.ExportBatch(offers); err != nil {
 		t.Fatal(err)
 	}
-	return expired
 }
 
 // randomConstraint is one to three clauses over free CPU, memory and the

@@ -75,7 +75,7 @@ func (g *GRM) recordStatusLocked(lv *nodeLiveness, s *protocol.NodeStatus, now t
 		lv.interval = gap
 	}
 	if s.LRMRef != lv.status.LRMRef {
-		g.takePlaceLocked(lv)
+		g.takePlacesLocked(lv)
 	}
 	if heartbeat {
 		lv.lastSeen = now
@@ -85,7 +85,7 @@ func (g *GRM) recordStatusLocked(lv *nodeLiveness, s *protocol.NodeStatus, now t
 	switch {
 	case s.DepartUntil.After(now) && !s.DepartUntil.Equal(lv.departUntil):
 		if !now.Before(lv.departUntil) {
-			g.takePlaceLocked(lv)
+			g.takePlacesLocked(lv)
 			g.stats.GracefulDepartures++
 		}
 		lv.departUntil = s.DepartUntil
@@ -97,20 +97,25 @@ func (g *GRM) recordStatusLocked(lv *nodeLiveness, s *protocol.NodeStatus, now t
 	return lv
 }
 
-// takePlaceLocked withdraws the offer of the node whose record lv is and takes
-// its place out of the record: the node's next export, if any, is by
-// reference.
-func (g *GRM) takePlaceLocked(lv *nodeLiveness) {
-	g.trader.Withdraw(lv.place)
-	lv.place = trading.Place{}
+// takePlacesLocked withdraws the offers of the nodes whose records lvs are, in
+// one trader write, and takes their places out of the records: a node's next
+// export, if any, is by reference.
+func (g *GRM) takePlacesLocked(lvs ...*nodeLiveness) {
+	places := make([]trading.Place, len(lvs))
+	for i, lv := range lvs {
+		places[i], lv.place = lv.place, trading.Place{}
+	}
+	g.trader.Withdraw(places...)
 }
 
-// dropNodeLocked forgets a node declared dead and withdraws its offer; a
-// restarted node re-registers on its next update.
-func (g *GRM) dropNodeLocked(id string) {
-	g.takePlaceLocked(g.nodes[id])
+// dropNodeLocked forgets a node declared dead and returns its record, whose
+// place the caller takes with those of the sweep's other dead; a restarted
+// node re-registers on its next update.
+func (g *GRM) dropNodeLocked(id string) *nodeLiveness {
+	lv := g.nodes[id]
 	delete(g.nodes, id)
 	g.markLocked(entity{entityNode, id})
+	return lv
 }
 
 // graceLocked restarts every node's silence at now, for a new leader.

@@ -10,6 +10,7 @@ import (
 	"integrade/internal/protocol"
 	"integrade/internal/resource"
 	"integrade/internal/sim"
+	"integrade/internal/trading"
 )
 
 // sweepFixture is a GRM whose failure detector suspects a node after 10 s of
@@ -257,7 +258,7 @@ func TestDepartureRacingUpdateReplay(t *testing.T) {
 			g, clock, fleet := sweepFixture(t, 2)
 			s := fleet[0]
 			s.Timestamp = clock.Now()
-			deadline := clock.Now().Add(30 * time.Second) // inside the offers' TTL
+			deadline := clock.Now().Add(30 * time.Second)
 			tc.replay(t, g, &s, func() { depart(t, g, clock, s, deadline) })
 			offers := func() int {
 				n := 0
@@ -289,7 +290,7 @@ func TestDepartureRacingUpdateReplay(t *testing.T) {
 
 // TestNodeMovingRefKeepsOneOffer: an LRM that comes back at another address
 // under the same node ID leaves one offer, under the new reference — not the
-// old one as well until its TTL runs out, for placement to pick — and its next
+// old one as well, for placement to pick — and its next
 // update re-exports that offer and adds no other.
 func TestNodeMovingRefKeepsOneOffer(t *testing.T) {
 	g, clock, fleet := sweepFixture(t, 1)
@@ -350,17 +351,20 @@ func TestDeparturesRacingUpdates(t *testing.T) {
 	}
 }
 
-// TestSweptOfferComesBack: nodes silent past the offer TTL, but not declared
-// dead, lose their offers to the expiry sweep of the first write to the
-// trader — another node's update — while their records still hold the
-// places. Each one's next update finds its place dead and exports by
-// reference again.
+// TestSweptOfferComesBack: nodes silent past the failure detector's threshold
+// keep their offers until the sweep that declares them dead, and lose them
+// there, with their records. Each one's next update registers the node again
+// and exports its offer by reference.
 func TestSweptOfferComesBack(t *testing.T) {
-	const nodes = 200 // the first update sweeps the other 199
+	const nodes = 200
 	g, clock, fleet := sweepFixture(t, nodes)
-	clock.Advance(2 * DefaultOfferTTL)
-	if got := g.KnownNodes(); got != 0 {
-		t.Fatalf("the trader knows %d nodes after the silence, want none", got)
+	clock.Advance(time.Minute)
+	if got := g.KnownNodes(); got != nodes {
+		t.Fatalf("the trader knows %d nodes after the silence, before the sweep, want %d", got, nodes)
+	}
+	g.detectFailures()
+	if got, dead := g.KnownNodes(), g.Stats().NodesDeclaredDead; got != 0 || dead != nodes {
+		t.Fatalf("after the sweep the trader knows %d nodes and %d were declared dead, want 0 and %d", got, dead, nodes)
 	}
 	for i := range fleet {
 		heartbeat(t, g, clock, fleet[i])
@@ -425,5 +429,127 @@ func TestUpdatesRacingDeparturesAndMoves(t *testing.T) {
 	checkOneOfferPerNode(t, g, "past the deadlines")
 	if got := g.KnownNodes(); got != nodes {
 		t.Errorf("the trader knows %d nodes past the deadlines, want %d", got, nodes)
+	}
+}
+
+// silentFleet is loopbackUpdates' n-node fleet on a 30-s cadence whose first
+// k nodes, in its shuffled order, then fell silent: each node registered and
+// updated 30 s later, the rest updated once more 61 s after that, and the
+// clock is 30 s on. The k silent nodes have been silent for 91 s, past the
+// detector's 90-s threshold for their cadence; the rest for 30 s.
+func silentFleet(tb testing.TB, n, k int) *GRM {
+	tb.Helper()
+	g, client, fleet := loopbackUpdates(tb, n)
+	clock := g.clock.(*sim.VirtualClock)
+	for _, round := range []struct {
+		wait  time.Duration
+		nodes []protocol.NodeStatus
+	}{{30 * time.Second, fleet}, {61 * time.Second, fleet[k:]}, {30 * time.Second, nil}} {
+		clock.Advance(round.wait)
+		for _, s := range round.nodes {
+			s.Timestamp = clock.Now()
+			if _, err := client.Update(s); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return g
+}
+
+// TestSweepWithdrawsInOneWrite: one scheduling pass whose failure detector
+// declares k nodes of a fleet dead withdraws their k offers in one trader
+// write: the trader's version advances by exactly one, and the trader knows k
+// nodes fewer.
+func TestSweepWithdrawsInOneWrite(t *testing.T) {
+	const nodes, k = 500, 50
+	g := silentFleet(t, nodes, k)
+	v, known := g.Trader().Version(), g.KnownNodes()
+	if known != nodes {
+		t.Fatalf("the trader knows %d nodes before the sweep, want %d", known, nodes)
+	}
+	g.SchedulePending()
+	if got := g.Stats().NodesDeclaredDead; got != k {
+		t.Fatalf("the sweep declared %d nodes dead, want %d", got, k)
+	}
+	if got := g.Trader().Version(); got != v+1 {
+		t.Fatalf("the sweep moved the trader's version %d -> %d, want one write", v, got)
+	}
+	if got := g.KnownNodes(); got != known-k {
+		t.Fatalf("the trader knows %d nodes after the sweep, want %d", got, known-k)
+	}
+}
+
+// TestHeardOnceJudgedAtLongestCadence: a node that fell silent after its first
+// update has no cadence of its own. The adaptive detector leaves it alone
+// while no node has a measured one, and otherwise judges it at the longest
+// cadence measured of any node, floored like any other; a fixed threshold
+// judges it as it judges every node.
+func TestHeardOnceJudgedAtLongestCadence(t *testing.T) {
+	status := func(i int) protocol.NodeStatus {
+		return protocol.NodeStatus{
+			NodeID: fmt.Sprintf("n%d", i),
+			LRMRef: orb.ObjectRef{Endpoint: orb.Endpoint{Net: orb.NetLoopback, Addr: fmt.Sprint(i)}, Key: protocol.LRMKey},
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		opts    []Option
+		cadence time.Duration // of node 1, which keeps reporting; 0: it too reports once
+		silent  time.Duration // node 0's silence at the first sweep that buries it; 0: none does
+	}{
+		{"no cadence measured", nil, 0, 0},
+		{"30-s fleet", nil, 30 * time.Second, 90*time.Second + time.Second},
+		{"5-min fleet", nil, 5 * time.Minute, 15*time.Minute + time.Second},
+		{"fixed", []Option{WithSuspectAfter(10 * time.Second)}, 0, 10*time.Second + time.Second},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			clock := sim.NewVirtualClock()
+			g := New("once", clock, orb.New(), c.opts...)
+			t.Cleanup(g.Stop)
+			start := clock.Now()
+			heartbeat(t, g, clock, status(0))
+			heartbeat(t, g, clock, status(1))
+			next := start.Add(c.cadence)
+			for step := time.Second; clock.Now().Sub(start) < 24*time.Hour; clock.Advance(step) {
+				if c.cadence > 0 && !clock.Now().Before(next) {
+					heartbeat(t, g, clock, status(1))
+					next = next.Add(c.cadence)
+				}
+				g.detectFailures()
+				g.mu.Lock()
+				_, alive := g.nodes["n0"]
+				g.mu.Unlock()
+				if silence := clock.Now().Sub(start); !alive {
+					if silence != c.silent {
+						t.Fatalf("node 0 was buried after %v of silence, want %v", silence, c.silent)
+					}
+					return
+				}
+			}
+			if c.silent != 0 {
+				t.Fatalf("node 0 was never buried, want after %v of silence", c.silent)
+			}
+		})
+	}
+}
+
+// TestDeposedLeaderWithdrawsOffers: a leader that steps down withdraws every
+// node's offer in one trader write and keeps no place: no update refreshes
+// them on a follower, and the records the log sends it hold no place, so
+// nothing would withdraw them later.
+func TestDeposedLeaderWithdrawsOffers(t *testing.T) {
+	const nodes = 20
+	g, _, _ := sweepFixture(t, nodes)
+	v := g.Trader().Version()
+	g.FollowAt(2)
+	if got := g.KnownNodes(); got != 0 || g.Trader().Version() != v+1 {
+		t.Fatalf("after stepping down the trader knows %d nodes, version %d -> %d; want none, in one write", got, v, g.Trader().Version())
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for id, lv := range g.nodes {
+		if lv.place != (trading.Place{}) {
+			t.Fatalf("node %s keeps a place after its offer was withdrawn", id)
+		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // shuffled order. The benchmark's fleets update in a seed-shuffled order, so
 // each update finds its node's record and its trader slot cold, as a walk in
 // registration order would not.
-func loopbackUpdates(tb testing.TB, n int) (*protocol.GRMClient, []protocol.NodeStatus) {
+func loopbackUpdates(tb testing.TB, n int) (*GRM, *protocol.GRMClient, []protocol.NodeStatus) {
 	tb.Helper()
 	g, client, stop := loopbackGRM(tb)
 	tb.Cleanup(stop)
@@ -36,7 +36,7 @@ func loopbackUpdates(tb testing.TB, n int) (*protocol.GRMClient, []protocol.Node
 	for i, j := range sim.NewRNG(2).Perm(len(fleet)) {
 		shuffled[i] = fleet[j]
 	}
-	return client, shuffled
+	return g, client, shuffled
 }
 
 // loopbackGRM is an empty GRM behind a loopback ORB, the client its nodes
@@ -68,7 +68,7 @@ func loopbackGRM(tb testing.TB) (*GRM, *protocol.GRMClient, func()) {
 // GRMClient.Update. One iteration is one fleet; the empty GRM it registers
 // with is built, and stopped, off the clock.
 func BenchmarkRegister10k(b *testing.B) {
-	_, fleet := loopbackUpdates(b, 10000)
+	_, _, fleet := loopbackUpdates(b, 10000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -108,7 +108,7 @@ func BenchmarkLoopbackUpdate2k(b *testing.B) { benchLoopbackUpdate(b, 2000) }
 // parallel, which the GRM serializes: it records and exports an update in one
 // g.mu section.
 func BenchmarkLoopbackUpdateParallel10k(b *testing.B) {
-	client, fleet := loopbackUpdates(b, 10000)
+	_, client, fleet := loopbackUpdates(b, 10000)
 	var next atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -122,8 +122,28 @@ func BenchmarkLoopbackUpdateParallel10k(b *testing.B) {
 	})
 }
 
+// BenchmarkDeclareDead10k is one failure-detector sweep that declares 1 000 of
+// loopbackUpdates' 10⁴ nodes dead (silentFleet's), withdrawing their offers
+// in one trader write. One iteration is one sweep; the fleet it finds is
+// built, and stopped, off the clock (use -benchtime 10x).
+func BenchmarkDeclareDead10k(b *testing.B) {
+	const nodes, k = 10000, 1000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		g := silentFleet(b, nodes, k)
+		b.StartTimer()
+		g.detectFailures()
+		b.StopTimer()
+		if got := g.KnownNodes(); got != nodes-k {
+			b.Fatalf("the trader knows %d nodes after the sweep, want %d", got, nodes-k)
+		}
+		b.StartTimer()
+	}
+}
+
 func benchLoopbackUpdate(b *testing.B, nodes int) {
-	client, fleet := loopbackUpdates(b, nodes)
+	_, client, fleet := loopbackUpdates(b, nodes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -143,7 +163,7 @@ func TestLoopbackUpdateAllocBudget(t *testing.T) {
 		t.Skip("the update's pooled encoders allocate afresh under the race detector")
 	}
 	path := filepath.Join("testdata", "alloc_budget.txt")
-	client, fleet := loopbackUpdates(t, 10000)
+	_, client, fleet := loopbackUpdates(t, 10000)
 	update := func(s protocol.NodeStatus) {
 		if _, err := client.Update(s); err != nil {
 			t.Fatal(err)

@@ -283,8 +283,8 @@ func TestGangPlacementRequiresOverlappingWindows(t *testing.T) {
 }
 
 func TestGracefulDepartureWithdrawsOfferImmediately(t *testing.T) {
-	// An announced departure withdraws the node's offer at once — no TTL
-	// ageing, no heartbeat-miss threshold — and exempts the node from the
+	// An announced departure withdraws the node's offer at once — no wait
+	// for the heartbeat-miss threshold — and exempts the node from the
 	// failure detector until the announced deadline passes.
 	c := newCluster(t, nil, grm.WithSuspectAfter(45*time.Second))
 	_, ref := bindFakeLRM(t, c, "leaver", 0)
@@ -298,7 +298,7 @@ func TestGracefulDepartureWithdrawsOfferImmediately(t *testing.T) {
 	deadline := c.clock.Now().Add(5 * time.Minute)
 	c.update(departing(windowStatus(c, "leaver", ref, 1000), deadline))
 	if got := c.g.KnownNodes(); got != 0 {
-		t.Fatalf("KnownNodes right after departure = %d, want 0 (no TTL wait)", got)
+		t.Fatalf("KnownNodes right after departure = %d, want 0 (no wait for the failure detector)", got)
 	}
 	if got := c.g.Stats().GracefulDepartures; got != 1 {
 		t.Fatalf("GracefulDepartures = %d, want 1", got)

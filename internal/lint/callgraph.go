@@ -31,6 +31,11 @@ import (
 //     `orb.ServeEncode` anywhere in the loaded set. This is what lets the
 //     analyzers see through the ORB: a client's call lands in the remote
 //     component's servant.
+//   - A literal handed to a repo-local wrapper — a function that passes one
+//     of its parameters straight on to an AfterFunc-style scheduler, or to
+//     orb.Serve, ServeRaw or ServeEncode — is treated as handed to the callee
+//     the wrapper passes it to: one level deep, and only when the wrapper
+//     does nothing else with the parameter.
 //
 // Summaries are memoized on the node, so whole-repo analysis stays linear
 // in the size of the graph.
@@ -116,6 +121,9 @@ type CallGraph struct {
 	handlers map[string][]*FuncNode
 	// opNames maps Op keys to the operation names their declarations give.
 	opNames map[string]string
+	// wrappers maps the repo-local wrappers of AfterFunc and orb.Serve* to
+	// what they pass on.
+	wrappers map[*FuncNode]wrapper
 
 	summariesDone bool
 }
@@ -145,6 +153,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		byName:   map[string]*FuncNode{},
 		handlers: map[string][]*FuncNode{},
 		opNames:  map[string]string{},
+		wrappers: map[*FuncNode]wrapper{},
 	}
 	if len(pkgs) > 0 {
 		g.fset = pkgs[0].Fset
@@ -186,8 +195,14 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		}
 	}
 
-	// Pass 2: walk bodies, creating literal nodes and collecting edges,
+	// Pass 2: find the wrappers, which the walk consults at their call
+	// sites; then walk bodies, creating literal nodes and collecting edges,
 	// blocking ops, Serve registrations and Op.Invoke sites.
+	for _, w := range work {
+		if wr, ok := findWrapper(w.pkg.TypesInfo, w.decl); ok {
+			g.wrappers[w.node] = wr
+		}
+	}
 	b := &graphBuilder{graph: g, litNodes: map[*ast.FuncLit]*FuncNode{}}
 	for _, w := range work {
 		if w.decl.Body != nil {
@@ -317,7 +332,7 @@ func (b *graphBuilder) walkBody(node *FuncNode, body *ast.BlockStmt) {
 			b.graph.Nodes = append(b.graph.Nodes, child)
 			b.litNodes[s] = child
 			b.walkBody(child, s.Body)
-			if !asyncLit(node.Pkg, s, body) {
+			if !b.asyncLit(node.Pkg, s, body) {
 				node.Edges = append(node.Edges, Edge{To: child, Pos: s.Pos(), Kind: EdgeClosure})
 			}
 			return false
@@ -373,6 +388,17 @@ func (b *graphBuilder) recordCall(node *FuncNode, call *ast.CallExpr) {
 			b.handlerRegs = append(b.handlerRegs, handlerReg{parent: node, op: op, arg: call.Args[2]})
 		}
 	}
+	// The same through a wrapper of Serve, whose Op is its caller's argument
+	// or its own.
+	if w, ok := b.graph.wrappers[b.graph.NodeOf(fn)]; ok && w.serve && w.fnParam < len(call.Args) {
+		op, ok := w.op, w.op != ""
+		if w.opParam >= 0 && w.opParam < len(call.Args) {
+			op, ok = opKey(info, call.Args[w.opParam])
+		}
+		if ok {
+			b.handlerRegs = append(b.handlerRegs, handlerReg{parent: node, op: op, arg: call.Args[w.fnParam]})
+		}
+	}
 
 	// Direct blocking operations.
 	if desc, rpc := directBlockingDesc(info, call); desc != "" {
@@ -418,13 +444,90 @@ func (b *graphBuilder) handlerNode(parent *FuncNode, arg ast.Expr) *FuncNode {
 	return nil
 }
 
+// wrapper is a repo-local function that passes its parameter fnParam straight
+// on: to an AfterFunc-style scheduler, or, when serve is set, to orb.Serve,
+// ServeRaw or ServeEncode as the handler of the Op its parameter opParam
+// names, or of op when opParam is -1.
+type wrapper struct {
+	fnParam int
+	serve   bool
+	opParam int
+	op      string // opKey of a package-level Op the wrapper serves itself
+}
+
+// findWrapper reports whether decl is a wrapper: its body passes one of its
+// parameters to an AfterFunc or orb.Serve* call of its own, outside any
+// literal, and does nothing else with it.
+func findWrapper(info *types.Info, decl *ast.FuncDecl) (wrapper, bool) {
+	if decl.Body == nil {
+		return wrapper{}, false
+	}
+	var params []types.Object
+	for _, field := range decl.Type.Params.List {
+		for _, name := range field.Names {
+			params = append(params, info.Defs[name])
+		}
+	}
+	param := func(e ast.Expr) int {
+		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+			if obj := info.Uses[id]; obj != nil {
+				for i, p := range params {
+					if p == obj {
+						return i
+					}
+				}
+			}
+		}
+		return -1
+	}
+	var w wrapper
+	found := false
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if found || !ok {
+			_, lit := n.(*ast.FuncLit)
+			return !found && !lit
+		}
+		fn := calleeFunc(info, call)
+		switch {
+		case fn == nil:
+		case fn.Name() == "AfterFunc":
+			for _, a := range call.Args {
+				if i := param(a); i >= 0 {
+					w, found = wrapper{fnParam: i, opParam: -1}, true
+				}
+			}
+		case isServe(fn.Name()) && fn.Pkg() != nil && fn.Pkg().Path() == orbPkgPath && len(call.Args) == 3:
+			if i := param(call.Args[2]); i >= 0 {
+				w, found = wrapper{fnParam: i, serve: true, opParam: param(call.Args[1])}, true
+				if w.opParam < 0 {
+					w.op, _ = opKey(info, call.Args[1])
+				}
+			}
+		}
+		return !found
+	})
+	if !found {
+		return wrapper{}, false
+	}
+	uses := 0
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == params[w.fnParam] {
+			uses++
+		}
+		return true
+	})
+	return w, uses == 1
+}
+
 // asyncLit reports whether lit only runs asynchronously with respect to the
 // enclosing function: spawned via `go lit(...)`, passed to an AfterFunc-style
 // scheduler, or registered as an RPC handler via orb.Serve, ServeRaw,
-// ServeEncode or OpMux.Handle. Such literals never block their definer — a
+// ServeEncode or OpMux.Handle — directly, or through a wrapper that passes it
+// straight on to one of them. Such literals never block their definer — a
 // registered handler runs later, on the server dispatch path, and is reached
 // through EdgeRPC from the matching Op.Invoke sites instead.
-func asyncLit(pkg *Package, lit *ast.FuncLit, body *ast.BlockStmt) bool {
+func (b *graphBuilder) asyncLit(pkg *Package, lit *ast.FuncLit, body *ast.BlockStmt) bool {
 	async := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch s := n.(type) {
@@ -439,16 +542,22 @@ func asyncLit(pkg *Package, lit *ast.FuncLit, body *ast.BlockStmt) bool {
 			}
 		case *ast.CallExpr:
 			var name string
-			switch fun := ast.Unparen(s.Fun).(type) {
+			switch fun := instantiated(s.Fun).(type) {
 			case *ast.Ident:
 				name = fun.Name
 			case *ast.SelectorExpr:
 				name = fun.Sel.Name
 			}
 			deferred := name == "AfterFunc"
+			fn := calleeFunc(pkg.TypesInfo, s)
 			if name == "Handle" || isServe(name) {
-				if fn := calleeFunc(pkg.TypesInfo, s); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == orbPkgPath {
+				if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == orbPkgPath {
 					deferred = true
+				}
+			}
+			if fn != nil {
+				if w, ok := b.graph.wrappers[b.graph.NodeOf(fn)]; ok && w.fnParam < len(s.Args) && ast.Unparen(s.Args[w.fnParam]) == ast.Expr(lit) {
+					async = true
 				}
 			}
 			if deferred {

@@ -189,7 +189,7 @@ func collectAllows(pkg *Package, s allowSet) {
 // calls through function values, builtins and type conversions.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := instantiated(call.Fun).(type) {
 	case *ast.Ident:
 		id = fun
 	case *ast.SelectorExpr:
@@ -199,6 +199,18 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
+}
+
+// instantiated is the function a call's Fun expression names, its type
+// arguments dropped: f for f[T] and pkg.f[T, U] alike.
+func instantiated(fun ast.Expr) ast.Expr {
+	switch x := ast.Unparen(fun).(type) {
+	case *ast.IndexExpr:
+		return ast.Unparen(x.X)
+	case *ast.IndexListExpr:
+		return ast.Unparen(x.X)
+	}
+	return ast.Unparen(fun)
 }
 
 // namedType returns the named type underlying t, unwrapping pointers and

@@ -7,9 +7,10 @@ import (
 	"integrade/internal/lint/linttest"
 )
 
-// The three fixtures each stress one kind of locks finding: a blocking
-// operation under a lock, a call that may block through helpers, and the
-// lock-order facts. Every one runs against the whole analyzer.
+// The fixtures each stress one kind of locks finding: a blocking operation
+// under a lock, a call that may block through helpers, the lock-order facts,
+// and literals a wrapper hands on to AfterFunc or orb.Serve. Every one runs
+// against the whole analyzer.
 
 func TestLockHeld(t *testing.T) {
 	linttest.Run(t, lint.Locks, "testdata/src/lockheld")
@@ -21,4 +22,8 @@ func TestLockHeldTransitive(t *testing.T) {
 
 func TestLockOrder(t *testing.T) {
 	linttest.Run(t, lint.Locks, "testdata/src/lockorder")
+}
+
+func TestLockHeldThroughWrappers(t *testing.T) {
+	linttest.Run(t, lint.Locks, "testdata/src/asyncwrap")
 }

@@ -1,8 +1,8 @@
-// Fixture for the rpccycle analyzer: two two-component synchronous Invoke
+// Fixture for the rpccycle analyzer: three two-component synchronous Invoke
 // cycles that no single-function check can see, one of them closed through a
-// servant that encodes its own reply, plus a plain request/reply pair that
-// must stay silent and a TTL-bounded recursion carrying the //lint:allow
-// escape hatch.
+// servant that encodes its own reply and one through handlers registered by a
+// wrapper of orb.Serve, plus a plain request/reply pair that must stay silent
+// and a TTL-bounded recursion carrying the //lint:allow escape hatch.
 package rpccycle
 
 import "integrade/internal/orb"
@@ -15,6 +15,8 @@ var (
 	relay = &orb.Op[struct{}, struct{}]{Name: "cycle.relay"}
 	ask   = &orb.Op[struct{}, struct{}]{Name: "cycle.ask"}
 	tell  = &orb.Op[struct{}, struct{}]{Name: "cycle.tell"}
+	hop   = &orb.Op[struct{}, struct{}]{Name: "cycle.hop"}
+	back  = &orb.Op[struct{}, struct{}]{Name: "cycle.back"}
 )
 
 // Master is one half of a mutually re-entrant component pair: its servant
@@ -142,6 +144,51 @@ func (t *Teller) Servant() orb.Servant {
 	orb.ServeEncode(mux, ask, func(_ *orb.Decoder, _ *orb.Encoder) error {
 		_, err := tell.Invoke(t.inv, t.ref, struct{}{}) // want `synchronous RPC "cycle\.tell" can re-enter its own caller`
 		return err
+	})
+	return mux
+}
+
+// serveWrite is a repo-local wrapper of orb.Serve that passes its handler
+// straight on: a literal handed to it is registered for op as if handed to
+// orb.Serve itself.
+func serveWrite[Req, Rep any](mux *orb.OpMux, op *orb.Op[Req, Rep], fn func(Req) (Rep, error)) {
+	orb.Serve(mux, op, fn)
+}
+
+// Hopper calls the bouncer, whose handler, registered through serveWrite,
+// calls back here through a handler registered the same way.
+type Hopper struct {
+	inv orb.Invoker
+	ref orb.ObjectRef // the bouncer's reference
+}
+
+// Hop issues the hopper -> bouncer half of the cycle.
+func (h *Hopper) Hop() error {
+	_, err := hop.Invoke(h.inv, h.ref, struct{}{}) // want `synchronous RPC "cycle\.hop" can re-enter its own caller`
+	return err
+}
+
+// Servant handles back by hopping again.
+func (h *Hopper) Servant() orb.Servant {
+	mux := orb.NewOpMux()
+	serveWrite[struct{}, struct{}](mux, back, func(struct{}) (struct{}, error) {
+		return struct{}{}, h.Hop()
+	})
+	return mux
+}
+
+// Bouncer is the other half.
+type Bouncer struct {
+	inv orb.Invoker
+	ref orb.ObjectRef // the hopper's reference
+}
+
+// Servant handles hop by calling the hopper back.
+func (b *Bouncer) Servant() orb.Servant {
+	mux := orb.NewOpMux()
+	serveWrite(mux, hop, func(struct{}) (struct{}, error) {
+		_, err := back.Invoke(b.inv, b.ref, struct{}{}) // want `synchronous RPC "cycle\.back" can re-enter its own caller`
+		return struct{}{}, err
 	})
 	return mux
 }

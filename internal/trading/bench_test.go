@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"integrade/internal/constraint"
 	"integrade/internal/orb"
@@ -160,7 +159,7 @@ func BenchmarkPlaceUpsert(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !s.Upsert(places[i%len(places)], time.Time{}, schema, values[i%len(values)]) {
+		if !s.Upsert(places[i%len(places)], schema, values[i%len(values)]) {
 			b.Fatal("an upsert through a live place was dropped")
 		}
 	}
@@ -222,7 +221,7 @@ func TestExportKeyedAllocBudget(t *testing.T) {
 	steady, _, steadyPlaces := upsertFleet()
 	for range 2 {
 		for i, p := range steadyPlaces {
-			if !steady.Upsert(p, time.Time{}, schema, values[i]) {
+			if !steady.Upsert(p, schema, values[i]) {
 				t.Fatal("an upsert through a live place was dropped")
 			}
 		}
@@ -230,9 +229,9 @@ func TestExportKeyedAllocBudget(t *testing.T) {
 	fresh := NewService(nil)
 	upserts := map[string]func(i int) bool{
 		"export-keyed": func(i int) bool { _, err := s.ExportKeyed(offers[i]); return err == nil },
-		"upsert-place": func(i int) bool { return s.Upsert(places[i], time.Time{}, schema, values[i]) },
+		"upsert-place": func(i int) bool { return s.Upsert(places[i], schema, values[i]) },
 		"upsert-place-steady": func(i int) bool {
-			return steady.Upsert(steadyPlaces[i], time.Time{}, schema, values[i])
+			return steady.Upsert(steadyPlaces[i], schema, values[i])
 		},
 		// 2001 refs' first offers into a service that has none.
 		"export-first": func(i int) bool { _, err := fresh.ExportKeyed(offers[i]); return err == nil },

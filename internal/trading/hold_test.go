@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"integrade/internal/constraint"
 	"integrade/internal/orb"
@@ -120,7 +119,7 @@ func TestHeldOffersOutliveUpserts(t *testing.T) {
 				values := nodeValues(0, 0)
 				for i := w; i < nodes; i += writers {
 					copy(values, nodeValues(i, round))
-					if !s.Upsert(places[i], time.Time{}, schema, values) {
+					if !s.Upsert(places[i], schema, values) {
 						t.Error("an upsert through a live place was dropped")
 					}
 				}
@@ -308,7 +307,7 @@ func TestHeldOffersOutliveFreeListReuse(t *testing.T) {
 				}
 				i := rng.Intn(nodes)
 				copy(values, nodeValues(i, round))
-				if !s.Upsert(places[i], time.Time{}, schema, values) {
+				if !s.Upsert(places[i], schema, values) {
 					t.Error("an upsert through a live place was dropped")
 					return
 				}
@@ -344,7 +343,7 @@ func TestUpsertReusesSpare(t *testing.T) {
 	n := 0
 	sweep := func() {
 		for i, p := range places {
-			if !s.Upsert(p, time.Time{}, schema, values[n%2][i]) {
+			if !s.Upsert(p, schema, values[n%2][i]) {
 				t.Fatal("an upsert through a live place was dropped")
 			}
 		}

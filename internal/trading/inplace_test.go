@@ -7,39 +7,27 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"integrade/internal/orb"
 )
 
 // These tests cover the writes that do not rebuild the snapshot — a status
 // update's slot store and a first export's append past the snapshot's end —
-// the sweep bound that decides when a write (or a read) must look at expiries,
-// and readers racing both.
+// the withdrawals that do, and readers racing both.
 
-// modelTrader is the index as it behaved when every write rebuilt it: each
-// write drops everything that has expired, reads skip the expired and drop
-// nothing, and the index holds at most one offer per ref. What it holds —
-// expired but unswept offers included — is all the state there is.
+// modelTrader is the index as it behaved when every write rebuilt it: it holds
+// at most one offer per ref, and what it holds is all the state there is.
 type modelTrader struct {
 	seq     int
 	version uint64
 	offers  []Offer
-	// swept lists the refs whose offers writes dropped as expired, each at a
-	// write that did not replace it: the ref's place is dead from then on,
-	// even once a later write of the same step gives the ref an offer again.
-	swept []orb.ObjectRef
 }
 
-// write is the one mutation: the index loses what has expired and the offers
-// of the refs adds and gone name, and gains adds.
-func (m *modelTrader) write(now time.Time, gone *orb.ObjectRef, adds ...Offer) {
+// write is the one mutation: the index loses the offers of the refs gone and
+// adds name, and gains adds.
+func (m *modelTrader) write(gone []orb.ObjectRef, adds ...Offer) {
 	m.offers = append(slices.DeleteFunc(m.offers, func(o Offer) bool {
-		added := slices.ContainsFunc(adds, func(a Offer) bool { return a.Ref == o.Ref })
-		if o.expired(now) && !added {
-			m.swept = append(m.swept, o.Ref)
-		}
-		return gone != nil && o.Ref == *gone || o.expired(now) || added
+		return slices.Contains(gone, o.Ref) || slices.ContainsFunc(adds, func(a Offer) bool { return a.Ref == o.Ref })
 	}), adds...)
 }
 
@@ -49,83 +37,68 @@ func (m *modelTrader) number(o Offer) Offer {
 	return o
 }
 
-// holds reports whether ref has an offer, expired or not.
+// holds reports whether ref has an offer.
 func (m *modelTrader) holds(ref orb.ObjectRef) bool {
 	return slices.ContainsFunc(m.offers, func(o Offer) bool { return o.Ref == ref })
 }
 
 // exportKeyed replaces the ref's offer, if it has one, and returns the new
 // offer's seq.
-func (m *modelTrader) exportKeyed(o Offer, now time.Time) int {
+func (m *modelTrader) exportKeyed(o Offer) int {
 	o = m.number(o)
-	m.write(now, nil, o)
+	m.write(nil, o)
 	m.version++
 	return o.seq
 }
 
 // exportBatch is exportKeyed of each offer in turn, in one version step.
-func (m *modelTrader) exportBatch(offers []Offer, now time.Time) {
+func (m *modelTrader) exportBatch(offers []Offer) {
 	for _, o := range offers {
-		m.write(now, nil, m.number(o))
+		m.write(nil, m.number(o))
 	}
 	m.version++
 }
 
-// withdraw removes the ref's offer and reports whether it had one.
-func (m *modelTrader) withdraw(ref orb.ObjectRef, now time.Time) bool {
-	if !m.holds(ref) {
+// withdraw removes the offers of refs, in one version step, and reports
+// whether any of them had one.
+func (m *modelTrader) withdraw(refs ...orb.ObjectRef) bool {
+	if !slices.ContainsFunc(refs, m.holds) {
 		return false
 	}
-	m.write(now, &ref)
+	m.write(refs)
 	m.version++
 	return true
 }
 
-func (m *modelTrader) all(now time.Time) []Offer {
-	var live []Offer
-	for _, o := range m.offers {
-		if !o.expired(now) {
-			live = append(live, o)
-		}
-	}
+func (m *modelTrader) all() []Offer {
+	live := slices.Clone(m.offers)
 	slices.SortFunc(live, func(a, b Offer) int { return a.seq - b.seq })
 	return live
 }
 
-// TestCompactionTimingMatchesModel pins that the sweep bound changed nothing
-// that can be observed: over a seeded deck of every write and of clock advances,
-// with offers that never expire, expire soon and expire late, the service agrees
-// with the rebuild-on-every-write model after every step on what the index
-// holds — expired offers not yet compacted included, so an expired offer
-// leaves the index at the same write — and on Count, All and Version. The deck
-// writes through places too: a place is live until the model drops its ref's
-// offer — withdraws it, or sweeps it as expired at a write that does not
-// replace it — and a write through a dead one changes nothing. It also
-// first-exports refs while the slot array has room: an offer that keeps the
-// sweep bound must be appended over the same array, and one
-// that lowers the bound, or arrives once the bound is due, must rebuild — the
-// latter compacting, as the model does.
+// TestCompactionTimingMatchesModel pins that an offer leaves the index at the
+// write that removes it, and only then: over a seeded deck of every write, the
+// service agrees with the rebuild-on-every-write model after every step on
+// what the index holds and on Count, All and Version. The deck writes through
+// places too: a place is live until the model drops its ref's offer, and a
+// write through a dead one changes nothing. It withdraws one place at a time
+// and several in one call — live, dead, zero and repeated places mixed — which
+// is one version step, or none when no place was live. It also first-exports
+// refs while the slot array has room, which must append over the same array.
 func TestCompactionTimingMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		now := time.Unix(1_700_000_000, 0)
-		s, m := NewService(func() time.Time { return now }), &modelTrader{}
+		s, m := NewService(nil), &modelTrader{}
 		rng := rand.New(rand.NewSource(seed))
-		offer := func() Offer {
-			o := nodeOffer(rng.Intn(150), float64(rng.Intn(2000)), 512)
-			if ttl := []time.Duration{0, 5 * time.Second, time.Minute}[rng.Intn(3)]; ttl > 0 {
-				o.Expires = now.Add(ttl)
-			}
-			return o
-		}
+		offer := func() Offer { return nodeOffer(rng.Intn(150), float64(rng.Intn(2000)), 512) }
 		places := map[orb.ObjectRef]Place{} // the latest place of each ref, while live
 		var dead []Place
-		var roomy [3]int // first exports into a slot array with room that keep, lower and find due its bound
+		roomy, many := 0, 0 // first exports into a slot array with room; withdrawals of several live places
 		for step := 0; step < 1200; step++ {
-			switch op := rng.Intn(13); op {
+			switch op := rng.Intn(11); op {
 			case 0, 1, 2:
 				o := offer()
 				p, err := s.ExportKeyed(o)
-				if want := m.exportKeyed(o, now); err != nil || p.e.st.seq != want {
+				if want := m.exportKeyed(o); err != nil || p.e.st.seq != want {
 					t.Fatalf("seed %d step %d: ExportKeyed = %v, %v; model seq %d", seed, step, p, err, want)
 				}
 				places[o.Ref] = p
@@ -135,7 +108,7 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 					if len(dead) > 0 && upsertOffer(s, dead[rng.Intn(len(dead))], o) {
 						t.Fatalf("seed %d step %d: an upsert through a dead place was stored", seed, step)
 					}
-				} else if !upsertOffer(s, p, o) || p.e.st.seq != m.exportKeyed(o, now) {
+				} else if !upsertOffer(s, p, o) || p.e.st.seq != m.exportKeyed(o) {
 					t.Fatalf("seed %d step %d: an upsert through a live place was dropped or misnumbered", seed, step)
 				}
 			case 5, 6:
@@ -146,7 +119,7 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 				if _, err := s.ExportBatch(batch); err != nil {
 					t.Fatal(err)
 				}
-				m.exportBatch(batch, now)
+				m.exportBatch(batch)
 			case 7, 8:
 				ref := nodeRef(rng.Intn(150))
 				got := false
@@ -155,56 +128,52 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 				} else {
 					got = withdrawRef(s, ref)
 				}
-				if want := m.withdraw(ref, now); got != want {
+				if want := m.withdraw(ref); got != want {
 					t.Fatalf("seed %d step %d: withdrawing %v = %v, model %v", seed, step, ref, got, want)
 				}
 			case 9:
+				var ps []Place
+				var refs []orb.ObjectRef
+				for range 1 + rng.Intn(5) {
+					ref := nodeRef(rng.Intn(150))
+					p, live := places[ref]
+					switch {
+					case !live && len(dead) > 0:
+						p = dead[rng.Intn(len(dead))]
+					case live:
+						refs = append(refs, ref)
+					}
+					ps = append(ps, p) // a repeat of a ref repeats its place
+				}
+				if len(refs) > 1 {
+					many++
+				}
+				before := s.snap.Load()
+				if got, want := s.Withdraw(ps...), m.withdraw(refs...); got != want || got == (s.snap.Load() == before) {
+					t.Fatalf("seed %d step %d: withdrawing %d places, %d live, = %v, model %v; rebuilt %v",
+						seed, step, len(ps), len(refs), got, want, s.snap.Load() != before)
+				}
+			case 10:
 				n, ok := roomyNode(s, m, rng.Perm(150))
 				if !ok {
 					break
 				}
 				before := s.snap.Load()
 				o := offer()
-				o.Expires = time.Time{} // never expires: keeps any bound
-				kind := rng.Intn(3)
-				switch {
-				case due(before.sweepAt, now):
-					kind = 2 // already due
-				case kind == 0 && !before.sweepAt.IsZero() && rng.Intn(2) == 0:
-					o.Expires = before.sweepAt.Add(time.Minute)
-				case kind == 1 && before.sweepAt.IsZero():
-					o.Expires = now.Add(5 * time.Second)
-				case kind == 1:
-					o.Expires = now.Add(before.sweepAt.Sub(now) / 2)
-				case kind == 2 && before.sweepAt.IsZero():
-					kind = 0 // a bound that is never due
-				case kind == 2:
-					now = before.sweepAt
-					o.Expires = now.Add(time.Minute)
-				}
 				o.Ref = nodeRef(n)
 				p, err := s.ExportKeyed(o)
-				if want := m.exportKeyed(o, now); err != nil || p.e.st.seq != want {
+				if want := m.exportKeyed(o); err != nil || p.e.st.seq != want {
 					t.Fatalf("seed %d step %d: ExportKeyed = %v, %v; model seq %d", seed, step, p, err, want)
 				}
 				places[o.Ref] = p
 				after := s.snap.Load()
 				appended := &after.slots[:1][0] == &before.slots[:1][0] && len(after.slots) == len(before.slots)+1
-				if appended != (kind == 0) || p.e.slot != len(after.slots)-1 {
-					t.Fatalf("seed %d step %d: a first export into a slot array with room (bound %v, expiry %v, kind %d) appended %v, at slot %d of %d",
-						seed, step, before.sweepAt, o.Expires, kind, appended, p.e.slot, len(after.slots))
+				if !appended || p.e.slot != len(after.slots)-1 {
+					t.Fatalf("seed %d step %d: a first export into a slot array with room appended %v, at slot %d of %d",
+						seed, step, appended, p.e.slot, len(after.slots))
 				}
-				roomy[kind]++
-			default:
-				now = now.Add(time.Duration(rng.Intn(4000)) * time.Millisecond)
+				roomy++
 			}
-			for _, ref := range m.swept {
-				if p, live := places[ref]; live {
-					dead = append(dead, p)
-					delete(places, ref)
-				}
-			}
-			m.swept = m.swept[:0]
 			for ref, p := range places {
 				if !m.holds(ref) {
 					dead = append(dead, p)
@@ -221,11 +190,11 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 				held[o.seq] = o
 			}
 			for _, st := range got {
-				if want, ok := held[st.seq]; !ok || st.Ref != want.Ref || !st.Expires.Equal(want.Expires) {
+				if want, ok := held[st.seq]; !ok || st.Ref != want.Ref {
 					t.Fatalf("seed %d step %d: the index holds seq %d (%v), model %v: %+v", seed, step, st.seq, st.Ref, ok, want)
 				}
 			}
-			all, want := s.All(""), m.all(now)
+			all, want := s.All(""), m.all()
 			if len(all) != len(want) || s.Count() != len(want) {
 				t.Fatalf("seed %d step %d: All = %d offers, Count = %d, model %d", seed, step, len(all), s.Count(), len(want))
 			}
@@ -239,9 +208,9 @@ func TestCompactionTimingMatchesModel(t *testing.T) {
 			}
 		}
 		assertIndexConsistent(t, s)
-		if m.seq < 800 || len(m.all(now)) == 0 || len(dead) == 0 || slices.Contains(roomy[:], 0) {
-			t.Fatalf("seed %d: the deck numbered %d offers, left %d live, killed %d places and first-exported %v into a slot array with room: it does not exercise the index",
-				seed, m.seq, len(m.all(now)), len(dead), roomy)
+		if m.seq < 800 || len(m.offers) == 0 || len(dead) == 0 || roomy == 0 || many == 0 {
+			t.Fatalf("seed %d: the deck numbered %d offers, left %d live, killed %d places, first-exported %d into a slot array with room and withdrew several live places at once %d times: it does not exercise the index",
+				seed, m.seq, len(m.offers), len(dead), roomy, many)
 		}
 	}
 }
@@ -261,13 +230,12 @@ func roomyNode(s *Service, m *modelTrader, nodes []int) (int, bool) {
 	return 0, false
 }
 
-// heartbeatFleet registers n nodes whose offers expire ttl from now.
-func heartbeatFleet(t testing.TB, s *Service, n int, ttl time.Duration) {
+// heartbeatFleet registers n nodes.
+func heartbeatFleet(t testing.TB, s *Service, n int) {
 	t.Helper()
 	batch := make([]Offer, n)
 	for i := range batch {
 		batch[i] = nodeOffer(i, float64(i%2000), 512)
-		batch[i].Expires = s.now().Add(ttl)
 	}
 	if _, err := s.ExportBatch(batch); err != nil {
 		t.Fatal(err)
@@ -277,21 +245,17 @@ func heartbeatFleet(t testing.TB, s *Service, n int, ttl time.Duration) {
 // TestKeyedUpsertInPlace: a heartbeat — an upsert through a ref's place, or
 // ExportKeyed of a ref that holds an offer — stores into the ref's slot and
 // leaves the snapshot where it was, at a cost that does not depend on how
-// many offers the index holds; the writes that change what it holds, or what
-// its sweep bound promises, still publish a fresh snapshot.
+// many offers the index holds; a write that changes what the index holds
+// still publishes a fresh snapshot.
 func TestKeyedUpsertInPlace(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	clock := func() time.Time { return now }
-	const ttl = time.Minute
-	s := NewService(clock)
-	heartbeatFleet(t, s, 10000, ttl)
+	s := NewService(nil)
+	heartbeatFleet(t, s, 10000)
 	var place Place
 	// beat upserts node 7 through its place, or by reference when it has none.
-	beat := func(expires time.Time) (seq int, inPlace bool) {
+	beat := func() (seq int, inPlace bool) {
 		t.Helper()
 		before, v := s.snap.Load(), s.Version()
 		o := nodeOffer(7, 1234, 512)
-		o.Expires = expires
 		var err error
 		if !upsertOffer(s, place, o) {
 			place, err = s.ExportKeyed(o)
@@ -302,10 +266,9 @@ func TestKeyedUpsertInPlace(t *testing.T) {
 		return place.e.st.seq, s.snap.Load() == before
 	}
 
-	now = now.Add(ttl / 2)
 	first, _ := s.Select(Query{Constraint: "mips == 1234"})
 	for _, how := range []string{"by reference", "through the place"} {
-		seq, inPlace := beat(now.Add(ttl))
+		seq, inPlace := beat()
 		if !inPlace {
 			t.Fatalf("a heartbeat %s rebuilt the snapshot", how)
 		}
@@ -320,15 +283,14 @@ func TestKeyedUpsertInPlace(t *testing.T) {
 	assertIndexConsistent(t, s)
 
 	const few = 128
-	small := NewService(clock)
-	heartbeatFleet(t, small, few, ttl)
+	small := NewService(nil)
+	heartbeatFleet(t, small, few)
 	o := nodeOffer(7, 1, 1)
-	o.Expires = now.Add(ttl)
 	schema, values := recordParts(o.Properties)
 	perBeat := func(s *Service) (byRef, byPlace float64) {
 		p, _ := s.ExportKeyed(o)
 		return testing.AllocsPerRun(200, func() { _, _ = s.ExportKeyed(o) }),
-			testing.AllocsPerRun(200, func() { s.Upsert(p, o.Expires, schema, values) })
+			testing.AllocsPerRun(200, func() { s.Upsert(p, schema, values) })
 	}
 	bigRef, bigPlace := perBeat(s)
 	if oneRef, onePlace := perBeat(small); bigRef != oneRef || bigPlace != onePlace || bigRef > 1 || bigPlace > 1 {
@@ -336,84 +298,81 @@ func TestKeyedUpsertInPlace(t *testing.T) {
 			bigRef, bigPlace, oneRef, onePlace, few)
 	}
 
-	if _, inPlace := beat(now.Add(ttl / 4)); inPlace {
-		t.Fatal("an offer expiring before the snapshot's sweep bound was stored in place: the bound no longer holds")
-	}
-	if _, inPlace := beat(time.Time{}); !inPlace {
-		t.Fatal("an offer that never expires keeps any bound and should be stored in place")
-	}
 	if _, err := s.ExportBatch([]Offer{nodeOffer(7, 1, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, inPlace := beat(now.Add(ttl)); !inPlace || s.byRef[nodeRef(7)] != place.e {
+	if _, inPlace := beat(); !inPlace || s.byRef[nodeRef(7)] != place.e {
 		t.Fatal("a batch's upsert of the ref killed its place, or the next heartbeat rebuilt")
 	}
 	s.Withdraw(place)
-	if _, inPlace := beat(now.Add(ttl)); inPlace {
+	if _, inPlace := beat(); inPlace {
 		t.Fatal("a ref's first offer has no slot to be stored into")
-	}
-	held := len(s.snap.Load().slots)
-	now = now.Add(ttl) // past the sweep bound: the fleet's first offers are due
-	if _, inPlace := beat(now.Add(ttl)); inPlace || len(s.snap.Load().slots) != 1 {
-		t.Fatalf("a heartbeat past the sweep bound must compact: in place %v, the index holds %d offers (was %d)", inPlace, len(s.snap.Load().slots), held)
 	}
 	assertIndexConsistent(t, s)
 }
 
-// TestCountUsesSweepBound walks the clock across the sweep bound, set by the
-// first of two groups of offers to expire, and on past the second's expiries:
-// each group's offers stop counting as they expire although no write has
-// compacted them, and the other group's count on.
-func TestCountUsesSweepBound(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	s := NewService(func() time.Time { return now })
-	soon, late := []int{0, 1, 2}, []int{3, 4, 5}
-	for _, group := range []struct {
-		nodes []int
-		ttl   time.Duration
-	}{{soon, 10 * time.Second}, {late, 100 * time.Second}} {
-		for n, i := range group.nodes {
-			o := nodeOffer(i, 100, 512)
-			o.Expires = now.Add(group.ttl + time.Duration(n)*time.Second)
-			if _, err := s.ExportBatch([]Offer{o}); err != nil {
-				t.Fatal(err)
-			}
+// TestWithdrawManyIsOneWrite: withdrawing k places in one call is one
+// rebuild and one version step, however many of them there are, and leaves
+// every one of them dead; places that are dead, zero or repeated add nothing,
+// and a call whose places are all of that kind changes nothing.
+func TestWithdrawManyIsOneWrite(t *testing.T) {
+	const nodes, k = 100, 10
+	s := NewService(nil)
+	places := make([]Place, nodes)
+	for i := range places {
+		p, err := s.ExportKeyed(nodeOffer(i, float64(i), 512))
+		if err != nil {
+			t.Fatal(err)
+		}
+		places[i] = p
+	}
+	if !s.Withdraw(places[nodes-1]) {
+		t.Fatal("withdrawing a live place removed nothing")
+	}
+	before, v := s.snap.Load(), s.Version()
+	ps := append(slices.Clone(places[:k]), places[0], places[nodes-1], Place{})
+	if !s.Withdraw(ps...) || s.Version() != v+1 || s.snap.Load() == before {
+		t.Fatalf("withdrawing %d live places in one call: version %d -> %d, rebuilt %v; want one step and one rebuild",
+			k, v, s.Version(), s.snap.Load() != before)
+	}
+	if got := s.Count(); got != nodes-1-k {
+		t.Fatalf("Count = %d after withdrawing %d of %d, want %d", got, k, nodes-1, nodes-1-k)
+	}
+	for i, p := range places[:k] {
+		if upsertOffer(s, p, nodeOffer(i, 1, 1)) {
+			t.Fatalf("the place of node %d stayed live after its withdrawal", i)
 		}
 	}
-	for _, step := range []struct {
-		advance time.Duration
-		nodes   int
-	}{{0, 6}, {10 * time.Second, 5}, {time.Second, 4}, {time.Second, 3}, {88 * time.Second, 2}, {time.Minute, 0}} {
-		now = now.Add(step.advance)
-		if got, all := s.Count(), len(s.All("")); got != step.nodes || all != step.nodes {
-			t.Fatalf("at +%v Count = %d, All = %d, want %d",
-				now.Sub(time.Unix(1_700_000_000, 0)), got, all, step.nodes)
-		}
+	v, before = s.Version(), s.snap.Load()
+	if s.Withdraw(ps...) || s.Withdraw() || s.Version() != v || s.snap.Load() != before {
+		t.Fatal("withdrawing only dead and zero places changed the index")
 	}
-	if held := len(s.snap.Load().slots); held != 6 {
-		t.Fatalf("a read compacted the index: it holds %d offers", held)
-	}
+	assertIndexConsistent(t, s)
 }
 
 // TestVisitRacesInPlaceUpserts: readers walk the index while writers heartbeat
-// every ref, round after round — by reference first, through its place after
-// that — the clock moving a quarter TTL between rounds —
-// so no offer ever expires, nearly every write is a slot store, and every third
-// round the first write finds the sweep bound passed and rebuilds the
-// snapshot with nothing to compact. Each visit must see each ref exactly once (its old offer
-// or its new one) when everything matches, at most once otherwise, and nothing
-// that fails the constraint it was yielded for; a set visit (VisitMatchSet)
-// must set the bits of exactly the constraints the offer it yields meets.
-// Under -race a torn or unsynchronised publish is a report too.
+// every ref of a fleet, round after round — by reference first, through its
+// place after that — so nearly every write is a slot store; every third round
+// a few refs beside the fleet are withdrawn in one call, which rebuilds the
+// snapshot, and exported again, which appends past its end. Each visit must
+// see each fleet ref exactly once (its old offer or its new one) when
+// everything matches, every ref at most once, and nothing that fails the
+// constraint it was yielded for; a set visit (VisitMatchSet) must set the
+// bits of exactly the constraints the offer it yields meets. Under -race a
+// torn or unsynchronised publish is a report too.
 func TestVisitRacesInPlaceUpserts(t *testing.T) {
-	var tick atomic.Int64
-	base := time.Unix(1_700_000_000, 0)
-	const refs, ttl = 300, time.Minute
-	s := NewService(func() time.Time { return base.Add(time.Duration(tick.Load()) * ttl / 4) })
-	heartbeatFleet(t, s, refs, ttl)
+	var round atomic.Int64
+	const refs, extra = 300, 5
+	s := NewService(nil)
+	heartbeatFleet(t, s, refs)
+	fleet := make([]orb.ObjectRef, refs)
+	for n := range fleet {
+		fleet[n] = nodeRef(n)
+	}
 	var readers sync.WaitGroup
 	stop := make(chan struct{})
 	places := make([]Place, refs) // writer w owns the refs 3i+w
+	var extras []Place            // the places of the refs beside the fleet
 	var byRef atomic.Int64
 	beatAll := func() {
 		var writers sync.WaitGroup
@@ -421,11 +380,10 @@ func TestVisitRacesInPlaceUpserts(t *testing.T) {
 			writers.Add(1)
 			go func(w int) {
 				defer writers.Done()
-				rng := rand.New(rand.NewSource(tick.Load()*3 + int64(w)))
+				rng := rand.New(rand.NewSource(round.Load()*3 + int64(w)))
 				for _, i := range rng.Perm(refs / 3) {
 					n := 3*i + w
 					o := nodeOffer(n, float64(rng.Intn(2000)), 512)
-					o.Expires = s.now().Add(ttl)
 					if upsertOffer(s, places[n], o) {
 						continue
 					}
@@ -500,29 +458,39 @@ func TestVisitRacesInPlaceUpserts(t *testing.T) {
 						return
 					}
 				}
-				if floor == 0 && len(seen) != refs {
-					t.Errorf("a visit of everything saw %d of %d refs", len(seen), refs)
+				if floor == 0 && slices.ContainsFunc(fleet, func(ref orb.ObjectRef) bool { return seen[ref] != 1 }) {
+					t.Errorf("a visit of everything missed a fleet ref: it saw %d refs, the fleet has %d", len(seen), refs)
 					return
 				}
 			}
 		}(r)
 	}
-	rebuilt := 0
-	for round := 0; round < 40; round++ {
+	republished := 0
+	for ; round.Load() < 40; round.Add(1) {
 		before := s.snap.Load()
+		if round.Load()%3 == 0 {
+			s.Withdraw(extras...)
+			extras = extras[:0]
+			for n := refs; n < refs+extra; n++ {
+				p, err := s.ExportKeyed(nodeOffer(n, float64(n), 512))
+				if err != nil {
+					t.Fatal(err)
+				}
+				extras = append(extras, p)
+			}
+		}
 		beatAll()
 		if s.snap.Load() != before {
-			rebuilt++
+			republished++
 		}
-		tick.Add(1)
 	}
 	close(stop)
 	readers.Wait()
-	if rebuilt == 0 || rebuilt > 20 {
-		t.Errorf("the snapshot was rebuilt in %d rounds of 40: the rounds are meant to be stores with a sweep now and then", rebuilt)
+	if republished == 0 || republished > 20 {
+		t.Errorf("a new snapshot was published in %d rounds of 40: the rounds are meant to be stores with a rebuild now and then", republished)
 	}
-	if got := s.Count(); got != refs || byRef.Load() != refs {
-		t.Fatalf("Count = %d, want %d: heartbeats lost or duplicated an offer; %d exports by reference, want one a ref", got, refs, byRef.Load())
+	if got := s.Count(); got != refs+extra || byRef.Load() != refs {
+		t.Fatalf("Count = %d, want %d: heartbeats lost or duplicated an offer; %d exports by reference, want one a fleet ref", got, refs+extra, byRef.Load())
 	}
 	assertIndexConsistent(t, s)
 }

@@ -7,22 +7,17 @@ import (
 	"slices"
 	"sort"
 	"testing"
-	"time"
 
 	"integrade/internal/constraint"
 )
 
 // referenceSelect answers q by brute force, sharing nothing with scan: the
-// offer in every slot of the snapshot, the expired dropped, sorted by seq,
-// filtered by Expr.Eval.
+// offer in every slot of the snapshot, sorted by seq, filtered by Expr.Eval.
 func referenceSelect(t *testing.T, s *Service, q Query) []*Offer {
 	t.Helper()
-	now := s.now()
 	var live []*Offer
 	for _, st := range slotOffers(s) {
-		if !st.expired(now) {
-			live = append(live, &st.Offer)
-		}
+		live = append(live, &st.Offer)
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
 	matched := live
@@ -55,7 +50,6 @@ func firstNodes(n int) []int {
 // of the offers the brute-force reference does, in the same order,
 // VisitMatchSet the very offers, and All copies of them all unfiltered.
 func TestScanMatchesBruteForce(t *testing.T) {
-	base := time.Unix(1_700_000_000, 0)
 	for _, fleet := range []struct {
 		name  string
 		refs  []int // the exporting nodes; an export replaces its node's offer
@@ -66,8 +60,7 @@ func TestScanMatchesBruteForce(t *testing.T) {
 		{"empty", nil, 0},
 	} {
 		t.Run(fleet.name, func(t *testing.T) {
-			now := base
-			s := NewService(func() time.Time { return now })
+			s := NewService(nil)
 			rng := rand.New(rand.NewSource(int64(fleet.count) + 17))
 			node := func() int { return fleet.refs[rng.Intn(len(fleet.refs))] }
 			offer := func() Offer {
@@ -77,9 +70,6 @@ func TestScanMatchesBruteForce(t *testing.T) {
 					o.Properties = constraint.Properties{"mips": constraint.String("fast")}.Record() // wrong kind, no os
 				case 1:
 					o.Properties = nil
-				}
-				if rng.Intn(3) == 0 {
-					o.Expires = base.Add(time.Minute) // dead by query time, never compacted
 				}
 				return o
 			}
@@ -103,7 +93,6 @@ func TestScanMatchesBruteForce(t *testing.T) {
 					withdrawRef(s, nodeRef(node())) // may hold nothing
 				}
 			}
-			now = base.Add(2 * time.Minute)
 			assertIndexConsistent(t, s)
 			assertMatchesBruteForce(t, s, fleet.count > 0)
 		})
@@ -114,22 +103,20 @@ func TestScanMatchesBruteForce(t *testing.T) {
 // and end: an index holding exactly 0, 1, N−1, N, N+1 and
 // 2N+3 offers for a block of N, so an empty, a partial, an exact and a
 // multi-block snapshot with a partial tail are each walked, filled three ways:
-// every offer live and matching every satisfiable query, the first block's
-// worth expired (a block nothing survives stage one of), and a seeded mix of
-// live, expired, property-less and wrong-kind offers.
+// every offer matching every satisfiable query, the first block's worth
+// property-less (a block no constraint but the empty one yields from), and a
+// seeded mix of matching, property-less and wrong-kind offers.
 func TestScanBlockBoundaries(t *testing.T) {
 	const n = constraint.BlockSize
-	base := time.Unix(1_700_000_000, 0)
 	for _, size := range []int{0, 1, n - 1, n, n + 1, 2*n + 3} {
-		for _, fill := range []string{"all-match", "first-block-expired", "mixed"} {
+		for _, fill := range []string{"all-match", "first-block-unmatched", "mixed"} {
 			t.Run(fmt.Sprintf("%d/%s", size, fill), func(t *testing.T) {
-				now := base
-				s := NewService(func() time.Time { return now })
+				s := NewService(nil)
 				rng := rand.New(rand.NewSource(int64(size)))
 				for i, node := range firstNodes(size) {
 					o := nodeOffer(node, 1000, 512)
-					if fill == "first-block-expired" && i < n || fill == "mixed" && rng.Intn(3) == 0 {
-						o.Expires = base.Add(time.Minute) // dead by query time, never compacted
+					if fill == "first-block-unmatched" && i < n {
+						o.Properties = nil
 					}
 					if fill == "mixed" {
 						switch rng.Intn(5) {
@@ -145,11 +132,8 @@ func TestScanBlockBoundaries(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				now = base.Add(2 * time.Minute)
-				if size > 0 {
-					if got := len(s.snap.Load().slots); got != size {
-						t.Fatalf("the index holds %d offers, want %d: expired ones must stay for the scan to skip", got, size)
-					}
+				if got := len(s.snap.Load().slots); got != size {
+					t.Fatalf("the index holds %d offers, want %d", got, size)
 				}
 				assertMatchesBruteForce(t, s, fill == "all-match" && size > 0)
 				if fill == "all-match" {
@@ -204,7 +188,7 @@ func assertMatchesBruteForce(t *testing.T, s *Service, nonEmpty bool) {
 }
 
 // assertCopies checks that got holds copies of the offers of want, in order:
-// the same seq, reference, expiry and values, in a record of got's own.
+// the same seq, reference and values, in a record of got's own.
 func assertCopies(t *testing.T, what string, got []Offer, want []*Offer) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -214,8 +198,8 @@ func assertCopies(t *testing.T, what string, got []Offer, want []*Offer) {
 		g := &got[i]
 		gSchema, gVals := g.Properties.Parts()
 		wSchema, wVals := w.Properties.Parts()
-		if g.seq != w.seq || g.Ref != w.Ref || !g.Expires.Equal(w.Expires) || gSchema != wSchema || !slices.Equal(gVals, wVals) {
-			t.Fatalf("%s: position %d is seq %d of %v, brute force seq %d of %v (or their expiries or values differ)", what, i, g.seq, g.Ref, w.seq, w.Ref)
+		if g.seq != w.seq || g.Ref != w.Ref || gSchema != wSchema || !slices.Equal(gVals, wVals) {
+			t.Fatalf("%s: position %d is seq %d of %v, brute force seq %d of %v (or their values differ)", what, i, g.seq, g.Ref, w.seq, w.Ref)
 		}
 		if g.Properties == w.Properties || len(gVals) > 0 && &gVals[0] == &wVals[0] {
 			t.Fatalf("%s: position %d, seq %d, shares its record or values with the index", what, i, g.seq)
@@ -357,7 +341,7 @@ func TestReexportCopiesRecord(t *testing.T) {
 			return err
 		},
 		"Export": func() error {
-			b.Export(nodeRef(9), time.Time{}, schema, values)
+			b.Export(nodeRef(9), schema, values)
 			return nil
 		},
 		"ExportBatch": func() error {

@@ -372,7 +372,7 @@ func TestSelectCopiesNeverChange(t *testing.T) {
 		if i%2 == 0 {
 			_, fresh := recordParts(o.Properties)
 			copy(values, fresh)
-			if !s.Upsert(p, o.Expires, schema, values) {
+			if !s.Upsert(p, schema, values) {
 				t.Fatal("an upsert through a live place was dropped")
 			}
 		}
@@ -430,7 +430,7 @@ func TestSelectCopiesNeverChange(t *testing.T) {
 				case 1:
 					_, fresh := recordParts(o.Properties)
 					copy(values, fresh)
-					if s.Upsert(places[n], o.Expires, schema, values) {
+					if s.Upsert(places[n], schema, values) {
 						continue
 					}
 				}

@@ -54,50 +54,28 @@ import (
 // records and values of their own, so nothing the trader stores is reachable
 // from what they return.
 type Offer struct {
-	// Expires is the instant after which the offer is garbage; zero means
-	// no expiry. LRM offers carry an expiry so that crashed nodes age out
-	// of the trader (the staleness the Information Update Protocol bounds).
-	// It and seq come first because they are what a scan reads of a match:
-	// in a stored offer they share a cache line with the record header.
-	Expires time.Time
 	// seq is the service-assigned export sequence number, the order of the
 	// offer index. Offers constructed by callers have seq 0; the export
-	// assigns the real one.
+	// assigns the real one. It comes first because it is what a scan reads
+	// of a match: in a stored offer it shares a cache line with the record
+	// header.
 	seq int
 	// _ holds a stored offer to the byte map the scan was measured on
 	// (DESIGN.md §16): the scan reads the first line of every offer, bytes
-	// 0–63 — the record header, Expires and seq — and its values from byte
-	// 136 on; Ref and Properties, bytes 80–135, only of a match.
-	_ [16]byte
+	// 0–63 — the record header and seq — and its values from byte 136 on;
+	// Ref and Properties, bytes 80–135, only of a match.
+	_ [40]byte
 
 	Ref        orb.ObjectRef
 	Properties *constraint.Record
 }
 
-// due reports whether the instant at — an offer's expiry, a snapshot's sweep
-// bound — has been reached at now. A zero at is never reached, and a zero now
-// (a service without a clock) reaches nothing.
-func due(at, now time.Time) bool {
-	return !at.IsZero() && !now.IsZero() && !at.After(now)
-}
-
-// earlier returns the earlier of two expiries, zero being never.
-func earlier(a, b time.Time) time.Time {
-	if a.IsZero() || !b.IsZero() && b.Before(a) {
-		return b
-	}
-	return a
-}
-
-// expired reports whether the offer is past its expiry at now.
-func (o *Offer) expired(now time.Time) bool { return due(o.Expires, now) }
-
 // stored is an offer as the index holds it, in one object: the header of its
 // property record inline and first, the Offer behind it, Properties pointing at
 // rec, and the record's values right behind them. A scan that has loaded a
 // slot has &st.rec without touching memory, so reaching a property is two
-// dependent loads — header, value — not three; the Expires and seq of a match
-// are on the line the header came in on, and the first value is 136 B on, not
+// dependent loads — header, value — not three; the seq of a match is on
+// the line the header came in on, and the first value is 136 B on, not
 // in another object wherever the allocator put it. The header and the values
 // are copies of the exporter's. Like the Offer inside it, a stored is written
 // before it is published and never rewritten while a hold that could reach it
@@ -145,19 +123,11 @@ var compileCache = constraint.NewCache(0)
 // slot once and so sees, for each ref, the old offer or the new one; slot order
 // means nothing.
 //
-// A rebuild allocates its slot array with room to spare, and every snapshot
-// published over one array shares its sweepAt. A first export stores into the
-// slot just past a snapshot's end — nil until then, and indexed by no reader of
-// that snapshot — before it publishes the longer one.
+// A rebuild allocates its slot array with room to spare. A first export stores
+// into the slot just past a snapshot's end — nil until then, and indexed by no
+// reader of that snapshot — before it publishes the longer one.
 type snapshot struct {
 	slots []atomic.Pointer[stored]
-	// sweepAt is a lower bound on the expiry of every offer ever stored into
-	// this snapshot's slot array (zero: none expires), exact when a rebuild
-	// made the array and never written again: a slot store or an append is
-	// allowed only if it keeps the bound. Until now reaches it nothing here has
-	// expired, so a writer need not look for something to compact, nor a
-	// reader for something to skip.
-	sweepAt time.Time
 }
 
 // slotHeadroom is how many times its offers a rebuilt slot array holds, so
@@ -167,9 +137,9 @@ const slotHeadroom = 2
 
 // entry is one exporter's offer: its current offer and the slot it sits in.
 // The index has at most one entry per exporting reference. An upsert replaces
-// st, which joins the free list, and keeps the entry; a withdrawal, or an
-// expiry sweep, removes the entry for good, leaves its offer to the collector
-// and sets slot to -1. Its fields are guarded by Service.mu.
+// st, which joins the free list, and keeps the entry; a withdrawal removes the
+// entry for good, leaves its offer to the collector and sets st to nil, the
+// mark of a dead entry. Its fields are guarded by Service.mu.
 type entry struct {
 	st   *stored
 	slot int
@@ -177,8 +147,7 @@ type entry struct {
 
 // Place is an exporter's handle on its offer's entry, which Export returns and
 // Upsert and Withdraw take: the slot without a probe of byRef. It
-// stays valid across upserts until its offer is withdrawn or swept as expired;
-// then it is dead, and an export by reference gives a new place. The zero
+// stays valid across upserts until its offer is withdrawn; then it is dead, and an export by reference gives a new place. The zero
 // Place is no place.
 type Place struct{ e *entry }
 
@@ -208,8 +177,6 @@ type Service struct {
 	epoch atomic.Uint64
 	holds [2]atomic.Int64
 
-	now func() time.Time
-
 	// mu serializes snapshot rebuilds and slot stores, and guards seq, byRef,
 	// entries and the free list. Readers never take it: they load snap and the
 	// slots.
@@ -234,20 +201,17 @@ type Service struct {
 	head, n int
 }
 
-// NewService returns an empty trader. The now function drives offer expiry;
-// pass the clock's Now (or nil for no expiry checks).
-func NewService(now func() time.Time) *Service {
-	if now == nil {
-		now = func() time.Time { return time.Time{} }
-	}
-	s := &Service{now: now, byRef: make(map[orb.ObjectRef]*entry)}
+// NewService returns an empty trader. Its parameter is ignored: an offer
+// stays until it is withdrawn, whatever the time. It is kept only because
+// benchmark/ passes one.
+func NewService(func() time.Time) *Service {
+	s := &Service{byRef: make(map[orb.ObjectRef]*entry)}
 	s.snap.Store(&snapshot{})
 	return s
 }
 
 // Version returns the index mutation counter, which advances by one on every
-// write. Cached query results are valid only while the version is unchanged
-// (and no cached offer has hit its expiry).
+// write. Cached query results are valid only while the version is unchanged.
 func (s *Service) Version() uint64 { return s.version.Load() }
 
 // Hold is a read hold on a Service's offers: no offer the holder loads from
@@ -295,28 +259,27 @@ func (s *Service) graceOver(t uint64) bool {
 }
 
 // Export upserts the offer of ref — the index holds one offer per exporting
-// reference — with the given expiry and properties, values[i] being the
-// schema's i-th, and returns its place, through which the exporter's later
+// reference — with the given properties, values[i] being the schema's i-th, and returns its place, through which the exporter's later
 // upserts and its withdrawal go. It copies values into the offer, as Upsert
 // does, so the caller keeps the array and may reuse it once Export returns.
 // More than inlineValues values is a bug in the caller, and panics.
 //
 //lint:hotpath alloc=0 locks=1 block=0
-func (s *Service) Export(ref orb.ObjectRef, expires time.Time, schema *constraint.Schema, values []constraint.Value) Place {
-	e, _ := s.upsert(nil, ref, expires, schema, values)
+func (s *Service) Export(ref orb.ObjectRef, schema *constraint.Schema, values []constraint.Value) Place {
+	e, _ := s.upsert(nil, ref, schema, values)
 	s.version.Add(1)
 	return Place{e}
 }
 
-// ExportKeyed is Export of o: its reference and expiry, and a copy of its
-// properties' values, so o's record stays the caller's. Its error is always
+// ExportKeyed is Export of o: its reference, and a copy of its properties'
+// values, so o's record stays the caller's. Its error is always
 // nil. The GRM exports through Export; ExportKeyed is kept for benchmark/ and
 // for tests that build offers whole.
 //
 //lint:hotpath alloc=0 locks=1 block=0
 func (s *Service) ExportKeyed(o Offer) (Place, error) {
 	schema, values := parts(o.Properties)
-	return s.Export(o.Ref, o.Expires, schema, values), nil
+	return s.Export(o.Ref, schema, values), nil
 }
 
 // parts is a record's schema and values, a nil record's none.
@@ -328,7 +291,7 @@ func parts(r *constraint.Record) (*constraint.Schema, []constraint.Value) {
 }
 
 // Upsert makes the offer at place p one of p's reference with the given
-// expiry and properties, values[i] being the schema's i-th, as Export would
+// properties, values[i] being the schema's i-th, as Export would
 // for p's reference, without finding the reference: it locks the index and
 // stores into p's slot. It copies values into the offer, which holds them
 // beside its record header, so the caller keeps the array and may reuse it
@@ -336,23 +299,23 @@ func parts(r *constraint.Record) (*constraint.Schema, []constraint.Value) {
 // dead or the zero Place: it never re-adds an offer.
 //
 //lint:hotpath alloc=0 locks=1 block=0
-func (s *Service) Upsert(p Place, expires time.Time, schema *constraint.Schema, values []constraint.Value) bool {
+func (s *Service) Upsert(p Place, schema *constraint.Schema, values []constraint.Value) bool {
 	if p.e == nil {
 		return false
 	}
-	if e, _ := s.upsert(p.e, orb.ObjectRef{}, expires, schema, values); e == nil {
+	if e, _ := s.upsert(p.e, orb.ObjectRef{}, schema, values); e == nil {
 		return false
 	}
 	s.version.Add(1)
 	return true
 }
 
-// fill writes st as an offer of the given expiry and values, copied inline.
-func (st *stored) fill(expires time.Time, schema *constraint.Schema, values []constraint.Value) {
+// fill writes st as an offer of the given values, copied inline.
+func (st *stored) fill(schema *constraint.Schema, values []constraint.Value) {
 	n := copy(st.vals[:], values)
 	clear(st.vals[n:])
 	st.rec = schema.Header(st.vals[:n])
-	st.Expires, st.Properties = expires, &st.rec
+	st.Properties = &st.rec
 }
 
 // reuse takes the offer a write is to fill: the oldest offer on the free list
@@ -411,24 +374,20 @@ func (s *Service) growFree() {
 // upsert is the one write section of Export, Upsert and ExportBatch. With e
 // nil it writes the offer of ref's entry, adding the entry on the reference's
 // first export; otherwise e's, unless e is dead. It fills an offer reuse takes
-// with the expiry and the values and returns the entry and the offer's seq, or
-// a nil entry, storing nothing, when e is dead. The offer takes the reference
-// of the entry's current one, and ref on a first export. The caller advances
-// the version.
+// with the values and returns the entry and the offer's seq, or a nil entry,
+// storing nothing, when e is dead. The offer takes the reference of the
+// entry's current one, and ref on a first export. The caller advances the
+// version.
 //
-// When nothing in the index can have expired (now is short of sweepAt) and
-// the offer's expiry keeps sweepAt a lower bound, upsert stores it into the
-// entry's slot, or appends a reference's first offer past the snapshot's end;
-// otherwise — an expiry to compact, a lower bound — it rebuilds the snapshot.
-// The seq is drawn under the mutex, so a reference's offers are numbered in
+// upsert stores the offer into the entry's slot, or appends a reference's
+// first offer past the snapshot's end. The seq is drawn under the mutex, so a reference's offers are numbered in
 // the order they replace each other. The offer it replaces, in no slot any
 // more, joins the free list, retired at the epoch read after the store. All of
 // it is one section under the mutex.
-func (s *Service) upsert(e *entry, ref orb.ObjectRef, expires time.Time, schema *constraint.Schema, values []constraint.Value) (*entry, int) {
+func (s *Service) upsert(e *entry, ref orb.ObjectRef, schema *constraint.Schema, values []constraint.Value) (*entry, int) {
 	if len(values) > inlineValues {
 		panic("trading: an offer of more than inlineValues properties")
 	}
-	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
@@ -436,11 +395,11 @@ func (s *Service) upsert(e *entry, ref orb.ObjectRef, expires time.Time, schema 
 		if e = s.byRef[ref]; e == nil {
 			e = s.adopt(ref)
 		}
-	case e.slot < 0:
+	case e.st == nil:
 		return nil, 0
 	}
 	st := s.reuse()
-	st.fill(expires, schema, values)
+	st.fill(schema, values)
 	old := e.st
 	if old != nil {
 		ref = old.Ref
@@ -449,17 +408,11 @@ func (s *Service) upsert(e *entry, ref orb.ObjectRef, expires time.Time, schema 
 	s.seq++
 	st.seq = s.seq
 	e.st = st
-	cur := s.snap.Load()
-	switch {
-	case due(cur.sweepAt, now) || !earlier(cur.sweepAt, st.Expires).Equal(cur.sweepAt):
-		s.snap.Store(s.rebuilt(cur, now, nil))
-	case e.slot >= 0:
-		cur.slots[e.slot].Store(st)
-	default:
-		s.snap.Store(s.appended(cur, now, e))
-	}
-	if old != nil && e.slot >= 0 {
+	if old != nil {
+		s.snap.Load().slots[e.slot].Store(st)
 		s.retire(old)
+	} else {
+		s.snap.Store(s.appended(e))
 	}
 	return e, st.seq
 }
@@ -472,7 +425,7 @@ func (s *Service) ExportBatch(offers []Offer) ([]int, error) {
 	seqs := make([]int, len(offers))
 	for i, o := range offers {
 		schema, values := parts(o.Properties)
-		_, seqs[i] = s.upsert(nil, o.Ref, o.Expires, schema, values)
+		_, seqs[i] = s.upsert(nil, o.Ref, schema, values)
 	}
 	s.version.Add(1)
 	return seqs, nil
@@ -484,7 +437,7 @@ func (s *Service) ExportBatch(offers []Offer) ([]int, error) {
 //
 //lint:coldpath a reference's first export
 func (s *Service) adopt(ref orb.ObjectRef) *entry {
-	e := &entry{slot: -1}
+	e := &entry{}
 	s.byRef[ref] = e
 	s.entries = append(s.entries, e)
 	return e
@@ -493,46 +446,42 @@ func (s *Service) adopt(ref orb.ObjectRef) *entry {
 // appended publishes the offer of e, the entry adopt has just added, without a
 // copy while cur's slot array has room: it stores the offer into the slot just
 // past cur's end — where a rebuild would put it, e being the last entry — and
-// returns a longer snapshot over the same array, with cur's sweepAt, which the
-// caller, holding s.mu, must store. No reader of cur indexes that slot, and no
+// returns a longer snapshot over the same array, which the caller, holding
+// s.mu, must store. No reader of the live snapshot indexes that slot, and no
 // snapshot before reached it: an array's snapshots only grow, as a removal
-// rebuilds. With the array full it returns the rebuild. The caller has checked
-// that no sweep is due and that the offer keeps sweepAt a lower bound.
+// rebuilds. With the array full it returns the rebuild.
 //
 //lint:coldpath a reference's first export
-func (s *Service) appended(cur *snapshot, now time.Time, e *entry) *snapshot {
+func (s *Service) appended(e *entry) *snapshot {
+	cur := s.snap.Load()
 	n := len(cur.slots)
 	if n == cap(cur.slots) {
-		return s.rebuilt(cur, now, nil)
+		return s.rebuilt()
 	}
 	e.slot = n
-	next := &snapshot{slots: cur.slots[:n+1], sweepAt: cur.sweepAt}
+	next := &snapshot{slots: cur.slots[:n+1]}
 	next.slots[n].Store(e.st)
 	return next
 }
 
 // rebuilt is the copy step of the copy-on-write writers: it returns a fresh
 // snapshot, over a fresh slot array with slotHeadroom to grow into, holding the
-// offers of the entries — without drop's (nil: none) and, when cur's sweep is
-// due, without those past their expiry — its sweepAt exact. It removes the
-// dropped entries and moves every survivor's slot, so the caller, which holds
-// s.mu, must store the result. A removal must rebuild: moving an offer into a
-// freed slot in place could show a reader its ref twice.
+// offers of the live entries. It removes the dead ones, those a withdrawal
+// marked, and moves every survivor's slot, so the caller, which holds s.mu,
+// must store the result. A removal must rebuild: moving an offer into a freed
+// slot in place could show a reader its ref twice. An entry adopt has just
+// added has no slot yet, and its offer is set: it is live.
 //
 //lint:coldpath copy-on-write rebuild: the writer slow path
-func (s *Service) rebuilt(cur *snapshot, now time.Time, drop *entry) *snapshot {
-	sweep := due(cur.sweepAt, now)
+func (s *Service) rebuilt() *snapshot {
 	next := &snapshot{slots: make([]atomic.Pointer[stored], len(s.entries), slotHeadroom*len(s.entries))}
 	kept := s.entries[:0]
 	for _, e := range s.entries {
-		if e == drop || sweep && e.st.expired(now) {
-			delete(s.byRef, e.st.Ref)
-			e.slot = -1
+		if e.st == nil {
 			continue
 		}
 		e.slot = len(kept)
 		next.slots[e.slot].Store(e.st)
-		next.sweepAt = earlier(next.sweepAt, e.st.Expires)
 		kept = append(kept, e)
 	}
 	clear(s.entries[len(kept):])
@@ -541,40 +490,30 @@ func (s *Service) rebuilt(cur *snapshot, now time.Time, drop *entry) *snapshot {
 	return next
 }
 
-// Withdraw removes the offer at place p — a rebuild of the snapshot — and
-// reports whether there was one: false for a dead or zero place.
-func (s *Service) Withdraw(p Place) bool {
-	e := p.e
-	if e == nil {
-		return false
-	}
+// Withdraw removes the offers at the places ps, all of them in one rebuild of
+// the snapshot and one version step, and reports whether there was one: false
+// when every place is dead or zero.
+func (s *Service) Withdraw(ps ...Place) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e.slot < 0 {
+	withdrew := false
+	for _, p := range ps {
+		if e := p.e; e != nil && e.st != nil {
+			delete(s.byRef, e.st.Ref)
+			e.st = nil
+			withdrew = true
+		}
+	}
+	if !withdrew {
 		return false
 	}
-	s.snap.Store(s.rebuilt(s.snap.Load(), s.now(), e))
+	s.snap.Store(s.rebuilt())
 	s.version.Add(1)
 	return true
 }
 
-// Count returns the number of live offers: the slot count while the sweep
-// bound is ahead of now, and a walk of the snapshot only once it is not.
-func (s *Service) Count() int {
-	h := s.Hold()
-	defer h.Release()
-	now := s.now()
-	snap := s.snap.Load()
-	n := len(snap.slots)
-	if due(snap.sweepAt, now) {
-		for j := range snap.slots {
-			if snap.slots[j].Load().expired(now) {
-				n--
-			}
-		}
-	}
-	return n
-}
+// Count returns the number of live offers.
+func (s *Service) Count() int { return len(s.snap.Load().slots) }
 
 // All returns every live offer in export-sequence order — a deterministic
 // snapshot for failover checks and observability, bypassing constraint
@@ -584,7 +523,7 @@ func (s *Service) Count() int {
 func (s *Service) All(string) []Offer {
 	h := s.Hold()
 	defer h.Release()
-	return owned(s.scan(nil, s.now()))
+	return owned(s.scan(nil))
 }
 
 // owned copies offers out of the index, property records and values included,
@@ -626,7 +565,7 @@ func owned(offers []*Offer) []Offer {
 // every constraint in turn, the first filter having brought them into cache
 // for the rest; with one constraint its filter's matches are the yield, met 1,
 // with no copy of the live list and no mask to gather.
-func (s *Service) visitSet(cons []*constraint.Expr, skip uint64, now time.Time, fn func(o *Offer, met uint64)) {
+func (s *Service) visitSet(cons []*constraint.Expr, skip uint64, fn func(o *Offer, met uint64)) {
 	if skip == 1<<len(cons)-1 {
 		return
 	}
@@ -637,22 +576,15 @@ func (s *Service) visitSet(cons []*constraint.Expr, skip uint64, now time.Time, 
 		sel  [constraint.BlockSize]uint8
 		met  [constraint.BlockSize]uint64
 	)
-	snap := s.snap.Load()
-	sweep := due(snap.sweepAt, now)
-	for slots := snap.slots; len(slots) > 0; {
+	for slots := s.snap.Load().slots; len(slots) > 0; {
 		block := slots[:min(len(slots), constraint.BlockSize)]
 		slots = slots[len(block):]
-		// One: each slot, loaded once — and the offer behind it only once the
-		// sweep bound has passed, when it may have expired.
-		n := 0
+		// One: each slot, loaded once.
+		n := len(block)
 		for j := range block {
 			st := block[j].Load()
-			if sweep && st.expired(now) {
-				continue
-			}
 			offs[j], recs[j] = st, &st.rec
-			live[n] = uint8(j)
-			n++
+			live[j] = uint8(j)
 		}
 		// Two: the constraints, a term across the block at a time.
 		if len(cons) == 1 {
@@ -690,10 +622,10 @@ func (s *Service) visitSet(cons []*constraint.Expr, skip uint64, now time.Time, 
 
 // scan returns what visitSet yields for cons alone, in ascending seq: global
 // export order.
-func (s *Service) scan(cons *constraint.Expr, now time.Time) []*Offer {
+func (s *Service) scan(cons *constraint.Expr) []*Offer {
 	matched := make([]*Offer, 0, len(s.snap.Load().slots))
 	one := [1]*constraint.Expr{cons}
-	s.visitSet(one[:], 0, now, func(o *Offer, _ uint64) { //lint:alloc visitSet only calls it: it stays on the stack
+	s.visitSet(one[:], 0, func(o *Offer, _ uint64) { //lint:alloc visitSet only calls it: it stays on the stack
 		matched = append(matched, o) //lint:alloc presized: grows only if the index gained offers since the count
 	})
 	slices.SortFunc(matched, func(a, b *Offer) int { return cmp.Compare(a.seq, b.seq) })
@@ -746,7 +678,7 @@ func (s *Service) VisitMatchSet(cons []string, fn func(o *Offer, met uint64)) (b
 	}
 	h := s.Hold()
 	defer h.Release()
-	s.visitSet(exprs[:len(cons)], bad, s.now(), fn)
+	s.visitSet(exprs[:len(cons)], bad, fn)
 	return bad
 }
 
@@ -774,7 +706,7 @@ func (s *Service) Select(q Query) ([]Offer, error) {
 	}
 	h := s.Hold()
 	defer h.Release()
-	return owned(s.scan(cons, s.now())), nil
+	return owned(s.scan(cons)), nil
 }
 
 // SelectShared is Select. It is kept only because benchmark/, which a change

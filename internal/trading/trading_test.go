@@ -3,7 +3,6 @@ package trading
 import (
 	"fmt"
 	"testing"
-	"time"
 	"unsafe"
 
 	"integrade/internal/constraint"
@@ -29,11 +28,11 @@ func nodeOffer(i int, mips, ram float64) Offer {
 	}
 }
 
-// upsertOffer is Upsert through p of o's expiry and properties: o's record
-// taken apart by recordParts.
+// upsertOffer is Upsert through p of o's properties: o's record taken apart
+// by recordParts.
 func upsertOffer(s *Service, p Place, o Offer) bool {
 	schema, values := recordParts(o.Properties)
-	return s.Upsert(p, o.Expires, schema, values)
+	return s.Upsert(p, schema, values)
 }
 
 // recordParts takes a record built by Properties.Record apart into its schema —
@@ -154,16 +153,15 @@ func TestUpsertCopiesValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, values = wideRecord(inlineValues, 100)
-	expires := time.Unix(2000, 0)
-	if !s.Upsert(p, expires, schema, values) {
+	if !s.Upsert(p, schema, values) {
 		t.Fatal("an upsert through a live place was dropped")
 	}
 	for i := range values {
 		values[i] = constraint.Number(-1)
 	}
 	got := s.All("")
-	if len(got) != 1 || got[0].Ref != nodeRef(1) || !got[0].Expires.Equal(expires) {
-		t.Fatalf("the index holds %+v, want one offer of node 1 expiring at %v", got, expires)
+	if len(got) != 1 || got[0].Ref != nodeRef(1) {
+		t.Fatalf("the index holds %+v, want one offer of node 1", got)
 	}
 	i := 0
 	for name, v := range got[0].Properties.All() {
@@ -184,17 +182,17 @@ func TestUpsertCopiesValues(t *testing.T) {
 func TestWideRecordPanics(t *testing.T) {
 	s := NewService(nil)
 	schema, values := wideRecord(inlineValues, 0)
-	p := s.Export(nodeRef(1), time.Time{}, schema, values)
+	p := s.Export(nodeRef(1), schema, values)
 	wide, wideValues := wideRecord(inlineValues+1, 0)
 	v := s.Version()
 	for _, write := range []struct {
 		name string
 		op   func()
 	}{
-		{"Export", func() { s.Export(nodeRef(2), time.Time{}, wide, wideValues) }},
+		{"Export", func() { s.Export(nodeRef(2), wide, wideValues) }},
 		{"ExportKeyed", func() { _, _ = s.ExportKeyed(Offer{Ref: nodeRef(1), Properties: wide.Record(wideValues)}) }},
 		{"ExportBatch", func() { _, _ = s.ExportBatch([]Offer{{Ref: nodeRef(3), Properties: wide.Record(wideValues)}}) }},
-		{"Upsert", func() { s.Upsert(p, time.Time{}, wide, wideValues) }},
+		{"Upsert", func() { s.Upsert(p, wide, wideValues) }},
 	} {
 		func() {
 			defer func() {
@@ -221,7 +219,6 @@ func TestStoredLayout(t *testing.T) {
 		off, end uintptr
 	}{
 		{"rec", unsafe.Offsetof(st.rec), unsafe.Offsetof(st.rec) + unsafe.Sizeof(st.rec)},
-		{"Expires", unsafe.Offsetof(st.Expires), unsafe.Offsetof(st.Expires) + unsafe.Sizeof(st.Expires)},
 		{"seq", unsafe.Offsetof(st.seq), unsafe.Offsetof(st.seq) + unsafe.Sizeof(st.seq)},
 	} {
 		if f.end > 64 {
@@ -254,7 +251,7 @@ func TestUpsertFitsSizeClass(t *testing.T) {
 	defer h.Release()
 	got := allocbudget.Bytes(func() {
 		for range updates {
-			if !s.Upsert(p, time.Time{}, schema, values) {
+			if !s.Upsert(p, schema, values) {
 				t.Fatal("an upsert through a live place was dropped")
 			}
 		}
@@ -298,31 +295,6 @@ func TestWithdraw(t *testing.T) {
 		t.Fatalf("re-export = %v, %v; want a live place other than the dead %v", again, err, p)
 	}
 	assertIndexConsistent(t, s)
-}
-
-func TestOfferExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	s := NewService(clock)
-	o := nodeOffer(1, 100, 512)
-	o.Expires = now.Add(30 * time.Second)
-	if _, err := s.ExportKeyed(o); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Count(); got != 1 {
-		t.Fatalf("Count before expiry = %d", got)
-	}
-	now = now.Add(31 * time.Second)
-	offers, err := s.Select(Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(offers) != 0 {
-		t.Fatal("expired offer still selectable")
-	}
-	if got := s.Count(); got != 0 {
-		t.Fatalf("Count after expiry = %d", got)
-	}
 }
 
 func TestSelectDeterministicOrderWithoutPreference(t *testing.T) {
